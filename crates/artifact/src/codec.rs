@@ -5,7 +5,7 @@
 //! checked — a truncated or hostile byte stream surfaces as a typed
 //! [`ArtifactError`], never a panic or an out-of-bounds access.
 //!
-//! Bulk `u32`/`u64` arrays (the CSR link tables, the count limbs) are
+//! Bulk `u32`/`u64`/`u128` arrays (the CSR link tables, the counts) are
 //! written as a length prefix, zero padding up to 8-byte alignment,
 //! then the raw little-endian bytes. Because every section starts on
 //! an 8-byte file offset (see [`crate::format`]), in-section alignment
@@ -70,22 +70,29 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Length-prefixed, 8-aligned raw `u32` array.
-    pub fn u32_slice(&mut self, vals: &[u32]) {
+    /// Length prefix, padding to 8-byte alignment, then each value's
+    /// `N` little-endian bytes: the bulk-array layout.
+    fn raw_slice<T: Copy, const N: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; N]) {
         self.u64(vals.len() as u64);
         self.align8();
         for &v in vals {
-            self.buf.extend_from_slice(&v.to_le_bytes());
+            self.buf.extend_from_slice(&le(v));
         }
+    }
+
+    /// Length-prefixed, 8-aligned raw `u32` array.
+    pub fn u32_slice(&mut self, vals: &[u32]) {
+        self.raw_slice(vals, u32::to_le_bytes);
     }
 
     /// Length-prefixed, 8-aligned raw `u64` array.
     pub fn u64_slice(&mut self, vals: &[u64]) {
-        self.u64(vals.len() as u64);
-        self.align8();
-        for &v in vals {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
+        self.raw_slice(vals, u64::to_le_bytes);
+    }
+
+    /// Length-prefixed, 8-aligned raw `u128` array.
+    pub fn u128_slice(&mut self, vals: &[u128]) {
+        self.raw_slice(vals, u128::to_le_bytes);
     }
 }
 
@@ -158,29 +165,36 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Length-prefixed, 8-aligned raw `u32` array, reconstructed with
-    /// one allocation and a chunked copy. The length prefix is checked
+    /// One bulk array (see `Writer::raw_slice`), reconstructed with one
+    /// allocation and a chunked copy. The length prefix is checked
     /// against the remaining bytes *before* allocating, so a corrupt
     /// length cannot trigger an absurd allocation.
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, ArtifactError> {
+    fn raw_vec<T, const N: usize>(
+        &mut self,
+        le: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ArtifactError> {
         let len = self.u64()? as usize;
         self.align8()?;
-        let bytes = self.take(len.checked_mul(4).ok_or_else(length_overflow)?)?;
+        let bytes = self.take(len.checked_mul(N).ok_or_else(length_overflow)?)?;
         Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+            .chunks_exact(N)
+            .map(|c| le(c.try_into().unwrap()))
             .collect())
+    }
+
+    /// Length-prefixed, 8-aligned raw `u32` array.
+    pub fn u32_vec(&mut self) -> Result<Vec<u32>, ArtifactError> {
+        self.raw_vec(u32::from_le_bytes)
     }
 
     /// Length-prefixed, 8-aligned raw `u64` array.
     pub fn u64_vec(&mut self) -> Result<Vec<u64>, ArtifactError> {
-        let len = self.u64()? as usize;
-        self.align8()?;
-        let bytes = self.take(len.checked_mul(8).ok_or_else(length_overflow)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
+        self.raw_vec(u64::from_le_bytes)
+    }
+
+    /// Length-prefixed, 8-aligned raw `u128` array.
+    pub fn u128_vec(&mut self) -> Result<Vec<u128>, ArtifactError> {
+        self.raw_vec(u128::from_le_bytes)
     }
 
     /// Asserts the section was consumed exactly (trailing garbage in a
@@ -216,6 +230,7 @@ mod tests {
         w.str("naïve");
         w.u32_slice(&[1, 2, 3]);
         w.u64_slice(&[u64::MAX]);
+        w.u128_slice(&[u128::MAX - 1, 7]);
         let bytes = w.into_inner();
 
         let mut r = Reader::new(&bytes);
@@ -227,6 +242,7 @@ mod tests {
         assert_eq!(r.str().unwrap(), "naïve");
         assert_eq!(r.u32_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.u64_vec().unwrap(), vec![u64::MAX]);
+        assert_eq!(r.u128_vec().unwrap(), vec![u128::MAX - 1, 7]);
         r.finish().unwrap();
     }
 

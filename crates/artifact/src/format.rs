@@ -40,7 +40,9 @@ use crate::codec::{Reader, Writer};
 use crate::{checksum, ArtifactError};
 use plansample_bignum::Nat;
 use plansample_catalog::{Datum, TableId};
-use plansample_core::{cache_key, Counts, Links, LinksParts, PlanSpace, PreparedQuery};
+use plansample_core::{
+    cache_key, Counts, CountsParts, Links, LinksParts, PlanSpace, PreparedQuery,
+};
 use plansample_memo::{
     GroupId, GroupKey, LogicalOp, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode, SortOrder,
 };
@@ -56,7 +58,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"PSARTFCT";
 
 /// The one format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Fixed header size (magic through reserved).
 const HEADER_LEN: usize = 32;
@@ -297,8 +299,8 @@ pub fn decode(bytes: &[u8]) -> Result<PreparedQuery, ArtifactError> {
     let memo = Arc::new(decode_memo(required(&sections, SEC_MEMO)?.bytes)?);
     let link_parts = decode_links(required(&sections, SEC_LINKS)?.bytes)?;
     let links = Links::from_parts(&memo, link_parts)?;
-    let (per_expr, list_totals) = decode_counts(required(&sections, SEC_COUNTS)?.bytes)?;
-    let counts = Counts::from_parts(&links, per_expr, list_totals)?;
+    let count_parts = decode_counts(required(&sections, SEC_COUNTS)?.bytes)?;
+    let counts = Counts::from_parts(&links, count_parts)?;
     let space = PlanSpace::from_parts(memo, query, links, counts)?;
     let (best_plan, best_cost) = decode_best(required(&sections, SEC_BEST)?.bytes)?;
     let prepared = PreparedQuery::from_parts(space, best_plan, best_cost, config)?;
@@ -895,12 +897,21 @@ fn decode_links(bytes: &[u8]) -> Result<LinksParts, ArtifactError> {
 }
 
 // ---------------------------------------------------------------------
-// COUNTS (Nat limb pools)
+// COUNTS (the tier store, as stored)
 // ---------------------------------------------------------------------
+//
+// One tag byte naming the tier, then the per-expression counts and the
+// list totals in that tier's width: raw `u64` / `u128` arrays on the
+// fixed-width tiers, limb pools only on the `Nat` tier. The pool-aligned
+// copy is not stored — it is a gather of the first table through the
+// links, which the loader redoes in one pass.
+
+const TIER_U64: u8 = 0;
+const TIER_U128: u8 = 1;
+const TIER_NAT: u8 = 2;
 
 /// A `&[Nat]` as one limb pool plus an offset table — the bulk layout
-/// (most counts are single-limb, so per-value length prefixes would
-/// double the size and kill the chunked copy).
+/// (per-value length prefixes would kill the chunked copy).
 fn write_nats(w: &mut Writer, nats: &[Nat]) {
     let mut offsets = Vec::with_capacity(nats.len() + 1);
     let mut pool: Vec<u64> = Vec::new();
@@ -942,18 +953,36 @@ fn read_nats(r: &mut Reader<'_>) -> Result<Vec<Nat>, ArtifactError> {
 
 fn encode_counts(counts: &Counts) -> Vec<u8> {
     let mut w = Writer::new();
-    write_nats(&mut w, counts.per_expr());
-    write_nats(&mut w, counts.list_totals());
+    match counts.to_parts() {
+        CountsParts::U64(per_expr, list_totals) => {
+            w.u8(TIER_U64);
+            w.u64_slice(&per_expr);
+            w.u64_slice(&list_totals);
+        }
+        CountsParts::U128(per_expr, list_totals) => {
+            w.u8(TIER_U128);
+            w.u128_slice(&per_expr);
+            w.u128_slice(&list_totals);
+        }
+        CountsParts::Nat(per_expr, list_totals) => {
+            w.u8(TIER_NAT);
+            write_nats(&mut w, &per_expr);
+            write_nats(&mut w, &list_totals);
+        }
+    }
     w.into_inner()
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_counts(bytes: &[u8]) -> Result<(Vec<Nat>, Vec<Nat>), ArtifactError> {
+fn decode_counts(bytes: &[u8]) -> Result<CountsParts, ArtifactError> {
     let mut r = Reader::new(bytes);
-    let per_expr = read_nats(&mut r)?;
-    let list_totals = read_nats(&mut r)?;
+    let parts = match r.u8()? {
+        TIER_U64 => CountsParts::U64(r.u64_vec()?, r.u64_vec()?),
+        TIER_U128 => CountsParts::U128(r.u128_vec()?, r.u128_vec()?),
+        TIER_NAT => CountsParts::Nat(read_nats(&mut r)?, read_nats(&mut r)?),
+        other => return Err(malformed(format!("unknown count tier tag {other}"))),
+    };
     r.finish()?;
-    Ok((per_expr, list_totals))
+    Ok(parts)
 }
 
 // ---------------------------------------------------------------------

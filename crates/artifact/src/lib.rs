@@ -34,6 +34,7 @@
 //! workspace round-trip suites and the serving smoke test).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod codec;
 pub mod format;

@@ -94,6 +94,21 @@ fn future_version_is_version_mismatch() {
     ));
 }
 
+/// Format v1 stored counts as `Nat` limb pools; v2 stores the tier.
+/// Old files are caches, not data: they are rejected by version — the
+/// typed error the store quarantines and re-prepares on — never
+/// reinterpreted.
+#[test]
+fn a_v1_header_is_version_mismatch() {
+    let mut bytes = image();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut bytes);
+    match decode(&bytes) {
+        Err(ArtifactError::VersionMismatch { found }) => assert_eq!(found, 1),
+        other => panic!("expected VersionMismatch, got {other:?}"),
+    }
+}
+
 #[test]
 fn section_table_past_eof_is_truncated() {
     // Point the first section's offset beyond the file. Bounds are

@@ -16,7 +16,7 @@
 
 use plansample_artifact::{decode, encode};
 use plansample_bignum::Nat;
-use plansample_core::{PlanSpace, PreparedQuery};
+use plansample_core::{CountTier, PlanSpace, PreparedQuery};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_optimizer::OptimizerConfig;
 use proptest::prelude::*;
@@ -77,6 +77,9 @@ fn assert_bit_identical(original: &PreparedQuery, bytes: &[u8], loaded: &Prepare
     let b = loaded.sample_batch(&mut StdRng::seed_from_u64(7), k);
     assert_eq!(format!("{a:?}"), format!("{b:?}"), "sample_batch diverged");
 
+    // The counts come back on the rung they were stored on.
+    assert_eq!(loaded.tier(), original.tier(), "count tier diverged");
+
     // Encode is deterministic: the loaded artifact re-encodes to the
     // exact byte image it was loaded from.
     assert_eq!(encode(loaded), bytes, "re-encoded image diverged");
@@ -111,17 +114,51 @@ fn optimizer_built_memos_round_trip_bit_identically() {
 #[test]
 fn multi_limb_synthetic_memo_round_trips_bit_identically() {
     // Clique-9 is the smallest synthetic whose total needs two limbs —
-    // the case where the limb-pool encoding (offsets + flat `u64` pool)
-    // carries real multi-limb values.
+    // the case where the COUNTS section carries raw `u128` tables.
     let original = synthetic(Topology::Clique, 9, 20000);
     assert!(
         original.total().limbs().len() >= 2,
         "clique-9 total must exceed u64: {}",
         original.total()
     );
+    assert_eq!(original.tier(), CountTier::U128);
     let bytes = encode(&original);
     let loaded = decode(&bytes).expect("clique-9 artifact decodes");
     assert_bit_identical(&original, &bytes, &loaded);
+}
+
+/// The other two layouts of the COUNTS section: raw `u64` tables, and
+/// — on a chain long enough that its total genuinely needs three limbs
+/// — the limb-pool encoding, the only tier that still writes one.
+#[test]
+fn single_limb_and_three_limb_spaces_round_trip_on_their_own_tier() {
+    let small = synthetic(Topology::Chain, 6, 20000);
+    assert_eq!(small.tier(), CountTier::U64);
+    let huge = (15..40)
+        .map(|rels| synthetic(Topology::Chain, rels, 20000))
+        .find(|p| p.total().limbs().len() >= 3)
+        .expect("some chain under 40 relations needs three limbs");
+    assert_eq!(huge.tier(), CountTier::Nat);
+    let mut sizes = Vec::new();
+    for original in [small, huge] {
+        let bytes = encode(&original);
+        let loaded = decode(&bytes).expect("artifact decodes");
+        assert_bit_identical(&original, &bytes, &loaded);
+        let counts = plansample_artifact::inspect(&bytes)
+            .expect("inspects")
+            .sections
+            .into_iter()
+            .find(|s| s.name == "counts")
+            .expect("counts section present");
+        sizes.push((counts.len, original.memo().num_physical() as u64));
+    }
+    // A `u64` store costs 8 bytes per stored count and nothing else:
+    // no offset table, no limb pool.
+    let (len, exprs) = sizes[0];
+    assert!(
+        len >= 8 * exprs && len < 8 * exprs * 2,
+        "u64 counts section is {len} bytes for {exprs} expressions"
+    );
 }
 
 proptest! {

@@ -314,7 +314,7 @@ fn bench_build_scaling(c: &mut Criterion) {
     );
     for id in space.links().all_ids() {
         assert_eq!(
-            space.count_rooted(id),
+            &space.count_rooted(id),
             legacy_counts.rooted(id),
             "count of {id} diverged"
         );

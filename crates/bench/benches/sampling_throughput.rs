@@ -18,8 +18,12 @@
 //! workload row carries its `tier`). Three acceptance checks are
 //! **asserted** so a sampling regression fails CI:
 //!
-//! 1. the batched single-limb fast path is ≥ 3× faster than the
-//!    tree-building `Nat` path on Q8+CP, single-threaded;
+//! 1. the flat path is no slower than the tree path on Q8+CP,
+//!    single-threaded. (`sample_batch` is `sample_batch_flat` plus one
+//!    lifted tree per plan, so the ratio — ~2× — is the price of the
+//!    trees; the ≥ 3× bar this replaces compared against a separate
+//!    recursive `Nat` unranker that no longer exists. The tree row is
+//!    ratcheted by `--prev` instead, like every other row.)
 //! 2. the `u128` tier samples clique-10 ≥ 20× faster than the
 //!    exact-`Nat` fallback on the same space, single-threaded;
 //! 3. on machines with ≥ 4 cores, the 4-thread batched fast path is
@@ -36,7 +40,7 @@
 //! of measuring (used by CI after the measuring run rewrites the file).
 //!
 //! Like `build_scaling`, the `PLANSAMPLE_THREADS=1` CI job runs only
-//! the sequential measurements and assertion 1; the `=4` job measures
+//! the sequential measurements and assertions 1–2; the `=4` job measures
 //! both thread counts (via `with_threads`, which overrides the env
 //! var), asserts the scaling bar, and owns the JSON artifact.
 
@@ -99,8 +103,8 @@ fn measure_flat(space: &PlanSpace, threads: usize, batch: usize) -> f64 {
     })
 }
 
-/// Samples/sec of the original tree-building path (`sample_batch`): the
-/// seed baseline assertion 1 compares against.
+/// Samples/sec of the tree-returning path (`sample_batch`): the
+/// `tree_baseline` row, and what assertion 1 compares against.
 fn measure_tree(space: &PlanSpace, threads: usize, batch: usize) -> f64 {
     threadpool::with_threads(threads, || {
         median(
@@ -145,7 +149,7 @@ fn measure_workload(
         name,
         exprs: space.memo().num_physical(),
         limbs: space.total().limbs().len(),
-        fast_path: space.counts().has_fast_path(),
+        fast_path: space.counts().tier() == CountTier::U64,
         tier: space.counts().tier().as_str(),
         results,
     }
@@ -236,18 +240,30 @@ fn validate(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Trajectory compare: every (workload, tier, threads, batch)
-/// coordinate present in both runs must stay within 30% of the stored
-/// samples/sec. Rows are matched by tier as well as name because the
+/// Trajectory compare: the tree baseline and every (workload, tier,
+/// threads, batch) coordinate present in both runs must stay within 30%
+/// of the stored samples/sec. Rows are matched by tier as well as name because the
 /// same workload legitimately appears once per tier — comparing a
 /// `u128` row against a stored `nat` row would make a 300× improvement
 /// look like a schema-level identity and a future `nat` regression
 /// invisible. Stored workloads without a `tier` (pre-tier artifacts)
 /// are skipped for one migration round.
-fn compare_prev(prev: &Json, reports: &[WorkloadReport]) -> Result<(), String> {
+fn compare_prev(prev: &Json, reports: &[WorkloadReport], tree_per_sec: f64) -> Result<(), String> {
     let Some(Json::Arr(prev_workloads)) = prev.get("workloads") else {
         return Err("previous artifact has no `workloads`".into());
     };
+    let stored_tree = prev
+        .get("tree_baseline")
+        .and_then(|t| t.get("samples_per_sec"))
+        .and_then(Json::as_num);
+    if let Some(stored) = stored_tree {
+        println!("sampling_throughput/Q8_CP: tree {tree_per_sec:.0} vs stored {stored:.0}");
+        if tree_per_sec < stored * 0.7 {
+            return Err(format!(
+                "Q8_CP tree path regressed >30%: {tree_per_sec:.0} samples/sec vs stored {stored:.0}"
+            ));
+        }
+    }
     for r in reports {
         let Some(prev_wl) = prev_workloads.iter().find(|wl| {
             wl.get("name") == Some(&Json::Str(r.name.into()))
@@ -333,17 +349,17 @@ fn main() {
         true,
     );
     let q8_space = q8.space();
-    assert!(
-        q8_space.counts().has_fast_path(),
+    assert_eq!(
+        q8_space.counts().tier(),
+        CountTier::U64,
         "Q8+CP total {} must stay single-limb for the fast-path regime",
         q8_space.total()
     );
-    assert_eq!(q8_space.counts().tier(), CountTier::U64);
 
     let sequential_only = std::env::var("PLANSAMPLE_THREADS").as_deref() == Ok("1");
     let thread_counts: &[usize] = if sequential_only { &[1] } else { &[1, 4] };
 
-    // --- Acceptance assertion 1: flat >= 3x the tree path, 1 thread. ----
+    // --- Acceptance assertion 1: flat >= the tree path, 1 thread. -------
     let tree_per_sec = measure_tree(q8_space, 1, 4096);
     let flat_per_sec = measure_flat(q8_space, 1, 4096);
     let flat_speedup = flat_per_sec / tree_per_sec.max(1e-12);
@@ -352,9 +368,9 @@ fn main() {
          samples/sec single-threaded ({flat_speedup:.1}x)"
     );
     assert!(
-        flat_speedup >= 3.0,
-        "the batched u64 fast path must sample >= 3x faster than the tree-building \
-         Nat path on Q8+CP; measured {flat_speedup:.1}x"
+        flat_speedup >= 1.0,
+        "sample_batch is sample_batch_flat plus a tree per plan, so the flat path \
+         cannot be the slower one on Q8+CP; measured {flat_speedup:.1}x"
     );
 
     let mut reports = vec![measure_workload("Q8_CP", q8_space, thread_counts)];
@@ -364,10 +380,6 @@ fn main() {
     let (_, query, memo) = spec.build_memo();
     let mut clique10 =
         PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("clique-10 builds");
-    assert!(
-        !clique10.counts().has_fast_path(),
-        "clique-10 must overflow the u64 tier"
-    );
     assert_eq!(
         clique10.counts().tier(),
         CountTier::U128,
@@ -475,7 +487,7 @@ fn main() {
         match std::fs::read_to_string(&file) {
             Ok(text) => {
                 let prev = json::parse(&text).unwrap_or_else(|e| panic!("{path} is not JSON: {e}"));
-                if let Err(e) = compare_prev(&prev, &reports) {
+                if let Err(e) = compare_prev(&prev, &reports, tree_per_sec) {
                     panic!("sampling-perf trajectory check failed: {e}");
                 }
             }

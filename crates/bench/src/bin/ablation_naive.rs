@@ -12,6 +12,8 @@
 //! cargo run --release -p plansample-bench --bin ablation_naive
 //! ```
 
+#![forbid(unsafe_code)]
+
 use plansample_bench::prepare;
 use plansample_query::QueryBuilder;
 use plansample_stats::chi_square_uniform;

@@ -11,6 +11,8 @@
 //! cargo run --release -p plansample-bench --bin ablation_pruning
 //! ```
 
+#![forbid(unsafe_code)]
+
 use plansample::PlanSpace;
 use plansample_bench::prepare;
 use plansample_optimizer::prune;

@@ -8,6 +8,8 @@
 //! cargo run --release -p plansample-bench --bin figure4 [-- --fit] [-- --csv DIR]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use plansample_bench::{join_queries, prepare, sample_scaled_costs, EXPERIMENT_SEED};
 use plansample_stats::{fit_exponential, fit_gamma, Histogram, Summary};
 use std::io::Write as _;

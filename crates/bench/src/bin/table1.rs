@@ -15,6 +15,8 @@
 //! cargo run --release -p plansample-bench --bin table1
 //! ```
 
+#![forbid(unsafe_code)]
+
 use plansample_bench::{fmt_cost, join_queries, prepare, sample_scaled_costs, EXPERIMENT_SEED};
 use plansample_stats::{bootstrap_quantile_cis, Summary};
 use std::time::Instant;

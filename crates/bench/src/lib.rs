@@ -11,6 +11,7 @@
 //! `prepared` asserts the ≥ 100× serving amortization (DESIGN.md §7).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use plansample::PreparedQuery;
 use plansample_catalog::Catalog;

@@ -29,6 +29,7 @@
 //! Karatsuba or faster division would pay off.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod convert;
 mod div;

@@ -8,6 +8,7 @@
 //! shares only the column *types* ([`Datum`]) with this crate.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod datum;
 pub mod tpch;

@@ -28,6 +28,7 @@
 //! parallelism; default `PLANSAMPLE_THREADS` or all cores).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use plansample::session::Session;
 use plansample::PreparedQuery;

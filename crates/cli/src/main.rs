@@ -1,6 +1,8 @@
 //! `plansample` binary entry point; all logic lives in the library for
 //! testability.
 
+#![forbid(unsafe_code)]
+
 use std::error::Error as _;
 
 fn main() {

@@ -11,10 +11,45 @@
 //! A preorder id sequence determines the plan tree uniquely (each
 //! operator's arity is known from the memo), so the flat form loses no
 //! information — [`PlanNode::preorder_ids`] is the inverse direction,
-//! and the differential tests compare the two representations directly.
+//! and the differential tests compare the two representations directly;
+//! `PlanSpace::lift` is the way back to a tree.
 
 use crate::links::ListId;
-use plansample_memo::{PhysId, PlanNode};
+use plansample_bignum::Nat;
+use plansample_memo::PhysId;
+
+/// Unrank scratch in word `W`, kept in the batch so its capacity
+/// survives across draws and fills.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Scratch<W> {
+    /// The unranker's explicit recursion stack: `(list, sub-rank)`.
+    pub(crate) stack: Vec<(ListId, W)>,
+    /// The ranks of one fill, drawn up front in draw order.
+    pub(crate) ranks: Vec<W>,
+}
+
+impl<W> Scratch<W> {
+    fn size_bytes(&self) -> usize {
+        self.stack.capacity() * std::mem::size_of::<(ListId, W)>()
+            + self.ranks.capacity() * std::mem::size_of::<W>()
+    }
+}
+
+/// The one scratch slot of a [`PlanBatch`], tagged with the tier that
+/// last filled it (see `Word::scratch`). A batch refilled from the same
+/// space — the serving steady state — never retags.
+#[derive(Debug, Clone)]
+pub(crate) enum TierScratch {
+    U64(Scratch<u64>),
+    U128(Scratch<u128>),
+    Nat(Scratch<Nat>),
+}
+
+impl Default for TierScratch {
+    fn default() -> Self {
+        TierScratch::U64(Scratch::default())
+    }
+}
 
 /// A resizable, reusable batch of flat plans.
 ///
@@ -29,16 +64,8 @@ pub struct PlanBatch {
     /// Plan `p` = `ids[bounds[p] as usize .. bounds[p+1] as usize]`;
     /// always starts with 0.
     bounds: Vec<u32>,
-    /// Unrank scratch: the explicit recursion stack of the `u64` fast
-    /// path, kept here so its capacity survives across draws.
-    pub(crate) stack: Vec<(ListId, u64)>,
-    /// Unrank scratch for the `u128` tier (same role as `stack`).
-    pub(crate) stack_wide: Vec<(ListId, u128)>,
-    /// Pre-drawn ranks of a parallel `u64`-tier fill, kept so the
-    /// parallel path's per-fill draw buffer survives across fills.
-    pub(crate) ranks: Vec<u64>,
-    /// Pre-drawn ranks of a parallel `u128`-tier fill.
-    pub(crate) ranks_wide: Vec<u128>,
+    /// Unrank stack and pre-drawn ranks, in the filling space's word.
+    pub(crate) scratch: TierScratch,
     /// Per-shard sub-batches of the parallel fill — one per fixed-size
     /// rank chunk, merged in chunk order after the workers finish. Kept
     /// so shard capacities, too, survive across fills.
@@ -105,18 +132,6 @@ impl PlanBatch {
         self.bounds.push(self.ids.len() as u32);
     }
 
-    /// Appends a tree-form plan (the multi-limb fallback path).
-    pub(crate) fn push_tree(&mut self, plan: &PlanNode) {
-        fn rec(node: &PlanNode, ids: &mut Vec<PhysId>) {
-            ids.push(node.id);
-            for child in &node.children {
-                rec(child, ids);
-            }
-        }
-        rec(plan, &mut self.ids);
-        self.finish_plan();
-    }
-
     /// Appends every plan of `other` (the parallel-fill merge step).
     pub(crate) fn append_flat(&mut self, other: &PlanBatch) {
         let offset = self.ids.len() as u32;
@@ -131,10 +146,11 @@ impl PlanBatch {
         std::mem::size_of::<Self>()
             + self.ids.capacity() * std::mem::size_of::<PhysId>()
             + self.bounds.capacity() * std::mem::size_of::<u32>()
-            + self.stack.capacity() * std::mem::size_of::<(ListId, u64)>()
-            + self.stack_wide.capacity() * std::mem::size_of::<(ListId, u128)>()
-            + self.ranks.capacity() * std::mem::size_of::<u64>()
-            + self.ranks_wide.capacity() * std::mem::size_of::<u128>()
+            + match &self.scratch {
+                TierScratch::U64(s) => s.size_bytes(),
+                TierScratch::U128(s) => s.size_bytes(),
+                TierScratch::Nat(s) => s.size_bytes(),
+            }
             + self.shards.iter().map(PlanBatch::size_bytes).sum::<usize>()
             + (self.shards.capacity() - self.shards.len()) * std::mem::size_of::<PlanBatch>()
     }
@@ -155,15 +171,23 @@ mod tests {
     use crate::PlanSpace;
     use plansample_bignum::Nat;
 
-    #[test]
-    fn push_tree_matches_preorder_ids() {
-        let ex = paper_example::build();
-        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+    /// A batch holding the plans of `ranks`, in order.
+    fn batch_of(space: &PlanSpace, ranks: &[u64]) -> PlanBatch {
         let mut batch = PlanBatch::new();
         batch.start_fill();
-        for r in [0u64, 13, 31] {
-            batch.push_tree(&space.unrank(&Nat::from(r)).unwrap());
+        for &r in ranks {
+            let tree = space.unrank(&Nat::from(r)).unwrap();
+            batch.ids_mut().extend(tree.preorder_ids());
+            batch.finish_plan();
         }
+        batch
+    }
+
+    #[test]
+    fn plans_are_sealed_in_order() {
+        let ex = paper_example::build();
+        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+        let batch = batch_of(&space, &[0, 13, 31]);
         assert_eq!(batch.len(), 3);
         for (p, r) in [0u64, 13, 31].iter().enumerate() {
             let tree = space.unrank(&Nat::from(*r)).unwrap();
@@ -179,14 +203,8 @@ mod tests {
     fn append_flat_offsets_bounds() {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
-        let mut a = PlanBatch::new();
-        a.start_fill();
-        a.push_tree(&space.unrank(&Nat::from(1u64)).unwrap());
-        let mut b = PlanBatch::new();
-        b.start_fill();
-        b.push_tree(&space.unrank(&Nat::from(2u64)).unwrap());
-        b.push_tree(&space.unrank(&Nat::from(3u64)).unwrap());
-        a.append_flat(&b);
+        let mut a = batch_of(&space, &[1]);
+        a.append_flat(&batch_of(&space, &[2, 3]));
         assert_eq!(a.len(), 3);
         assert_eq!(
             a.plan(2),
@@ -202,9 +220,7 @@ mod tests {
     fn clear_keeps_capacity() {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
-        let mut batch = PlanBatch::new();
-        batch.start_fill();
-        batch.push_tree(&space.unrank(&Nat::zero()).unwrap());
+        let mut batch = batch_of(&space, &[0]);
         let cap = batch.ids.capacity();
         assert!(cap > 0);
         batch.clear();

@@ -23,32 +23,56 @@
 //! Each expression and each list entry is visited exactly once — the
 //! paper's linear-time claim, benchmarked in `plansample-bench`
 //! (`build_scaling`).
+//!
+//! # One store, chosen once
+//!
+//! The exact pass is only the *computation*. What a [`Counts`] keeps is
+//! a single store in the narrowest width that holds every count — the
+//! tier ladder `u64` → `u128` → [`Nat`] ([`CountTier`]) — and the whole
+//! rank machinery runs in that width. A fixed-width space owns no
+//! `Vec<Nat>`; [`Counts::rooted`] / [`Counts::list_total`] synthesise a
+//! [`Nat`] by value at the API edge.
 
+use crate::word::Word;
 use crate::{links::ListId, Links, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::DenseId;
 
-/// Exact plan counts for every expression plus the space total and the
-/// precomputed per-list slot totals, all in flat dense-indexed buffers.
+/// Exact plan counts for every expression plus the precomputed per-list
+/// slot totals, held once, in the narrowest width that fits them all
+/// (see the module docs), plus the space total as an exact [`Nat`].
 #[derive(Debug, Clone)]
 pub struct Counts {
-    /// `N(v)` by dense id.
-    per_expr: Vec<Nat>,
-    /// `b` of each interned alternative list (the slot totals).
-    list_totals: Vec<Nat>,
-    /// `N`: the whole-space total.
+    pub(crate) store: Store,
+    /// `N`: the whole-space total (the root list's total, kept exact so
+    /// [`Counts::total`] is a borrow on every tier).
     total: Nat,
-    /// Single-limb sidecar for the allocation-free unrank fast path;
-    /// present iff every count in the space fits one `u64` limb.
-    fast: Option<FastCounts>,
-    /// Two-limb sidecar, the middle rung of the tier ladder; built iff
-    /// the single-limb sidecar does not apply but every count fits
-    /// `u128`.
-    wide: Option<WideCounts>,
 }
 
-/// Which fixed-width arithmetic the flat unranking hot path can run in
-/// on a given space — the tier ladder `u64` → `u128` → exact [`Nat`].
+/// The count tables of one tier.
+#[derive(Debug, Clone)]
+pub(crate) enum Store {
+    U64(TierCounts<u64>),
+    U128(TierCounts<u128>),
+    Nat(TierCounts<Nat>),
+}
+
+/// Evaluates `$body` with `$c` bound to the `&TierCounts<W>` of
+/// whichever tier `$counts` is stored in — the one place the rank
+/// machinery goes from the tier tag to a concrete [`Word`].
+macro_rules! with_tier {
+    ($counts:expr, $c:ident => $body:expr) => {
+        match &$counts.store {
+            $crate::count::Store::U64($c) => $body,
+            $crate::count::Store::U128($c) => $body,
+            $crate::count::Store::Nat($c) => $body,
+        }
+    };
+}
+pub(crate) use with_tier;
+
+/// Which width a space's counts are stored — and its rank arithmetic
+/// runs — in: the tier ladder `u64` → `u128` → exact [`Nat`].
 ///
 /// The tier is a property of the counts alone: [`CountTier::U64`] iff
 /// every count fits one limb, [`CountTier::U128`] iff some count needs
@@ -84,89 +108,139 @@ impl std::fmt::Display for CountTier {
     }
 }
 
-/// Flat `u64` copies of every count — the operands of the fast-path
-/// mixed-radix decomposition, which replaces per-step `Nat` borrows and
-/// comparisons with plain integer arithmetic.
+/// The flat count tables in word `W`.
 ///
-/// The sidecar is built only when **all** per-expression counts and
-/// **all** list totals fit `u64`. Per-value gating would be wrong in
-/// both directions: a space whose total fits can still be probed at any
+/// The tier criterion is all-or-nothing over **every** per-expression
+/// count and list total. Per-value gating would be wrong in both
+/// directions: a space whose total fits can still be probed at any
 /// expression via the rooted sub-space API, and (because a sibling slot
 /// with an *empty* list zeroes a parent product) an individual `N(v)`
 /// can exceed the space total, so "total fits" does not imply "all
-/// values fit". All-or-nothing keeps the criterion one branch on the
-/// hot path.
+/// values fit".
 ///
-/// # Layout
-///
-/// The per-alternative counts are **pool-aligned**: `pool[i]` is the
-/// count of the expression at position `i` of the links' concatenated
-/// list pool, so the operator-selection scan over list `l` reads the
-/// contiguous slice at [`Links::list_range`] — the layout the chunked
-/// prefix scan in `unrank.rs` requires (a dense-id-indexed mirror would
-/// force a gather per element). Cost: 8 bytes per *pooled link* + 8 per
-/// interned list, charged to [`Counts::size_bytes`].
+/// `pool` is **pool-aligned**: `pool[i]` is the count of the expression
+/// at position `i` of the links' concatenated list pool, so operator
+/// selection over list `l` scans the contiguous slice at
+/// [`Links::list_range`] (a dense-id-indexed table alone would force a
+/// gather per alternative). Cost per tier: one `W` per expression, per
+/// pooled link, and per interned list.
 #[derive(Debug, Clone)]
-pub(crate) struct FastCounts {
+pub(crate) struct TierCounts<W> {
+    /// `N(v)` by dense id.
+    per_expr: Vec<W>,
     /// `N(w)` of each pooled list member, aligned with the links pool.
-    pool: Vec<u64>,
-    /// `b` of each interned list.
-    list_totals: Vec<u64>,
+    pool: Vec<W>,
+    /// `b` of each interned alternative list (the slot totals).
+    list_totals: Vec<W>,
 }
 
-impl FastCounts {
-    /// The member counts of one interned list as a contiguous slice;
-    /// `range` must come from [`Links::list_range`].
-    #[inline]
-    pub(crate) fn pool_counts(&self, range: std::ops::Range<usize>) -> &[u64] {
-        &self.pool[range]
+impl<W: Word> TierCounts<W> {
+    /// Assembles the tier from its two independent tables (shape-checked
+    /// against `links`), gathering the pool-aligned copy.
+    fn from_tables(
+        links: &Links,
+        mut per_expr: Vec<W>,
+        mut list_totals: Vec<W>,
+    ) -> Result<Self, SpaceError> {
+        if per_expr.len() != links.num_exprs() {
+            return Err(SpaceError::MalformedParts {
+                reason: "per-expression counts must cover every expression".to_string(),
+            });
+        }
+        if list_totals.len() != links.num_lists() {
+            return Err(SpaceError::MalformedParts {
+                reason: "list totals must cover every interned list".to_string(),
+            });
+        }
+        // The tables back a long-lived, byte-budgeted artifact: drop
+        // whatever growth slack the caller's collection left.
+        per_expr.shrink_to_fit();
+        list_totals.shrink_to_fit();
+        let pool = links
+            .pool_exprs()
+            .iter()
+            .map(|&w| per_expr[w.idx()].clone())
+            .collect();
+        Ok(TierCounts {
+            per_expr,
+            pool,
+            list_totals,
+        })
     }
 
-    /// `b_v(i)` of one interned list as a single limb.
-    #[inline]
-    pub(crate) fn list_total(&self, l: ListId) -> u64 {
-        self.list_totals[l.idx()]
+    /// The tier holding exact tables `per_expr` / `list_totals`, or
+    /// `None` when some value does not fit `W`.
+    fn narrow(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<Self> {
+        let per_expr: Option<Vec<W>> = per_expr.iter().map(W::from_nat).collect();
+        let list_totals: Option<Vec<W>> = list_totals.iter().map(W::from_nat).collect();
+        Self::from_tables(links, per_expr?, list_totals?).ok()
     }
 
-    /// Heap bytes of the sidecar buffers (the inline struct is already
-    /// part of `size_of::<Counts>()`).
+    /// The same tables one or two rungs down the ladder.
+    fn widen<B: Word>(&self) -> TierCounts<B> {
+        let widen = |v: &[W]| -> Vec<B> {
+            v.iter()
+                .map(|n| B::from_nat(&n.to_nat()).expect("a wider word holds every count"))
+                .collect()
+        };
+        TierCounts {
+            per_expr: widen(&self.per_expr),
+            pool: widen(&self.pool),
+            list_totals: widen(&self.list_totals),
+        }
+    }
+
+    /// `N(v)`.
+    #[inline]
+    pub(crate) fn rooted(&self, d: DenseId) -> &W {
+        &self.per_expr[d.idx()]
+    }
+
+    /// `b` of one interned list.
+    #[inline]
+    pub(crate) fn list_total(&self, l: ListId) -> &W {
+        &self.list_totals[l.idx()]
+    }
+
+    /// The member counts of list `l`, aligned with [`Links::list`].
+    #[inline]
+    pub(crate) fn list_counts(&self, links: &Links, l: ListId) -> &[W] {
+        &self.pool[links.list_range(l)]
+    }
+
+    /// §3.3 step 1: the operator of list `l` covering `rank`, and the
+    /// local rank within it. Requires `rank < list_total(l)`.
+    #[inline]
+    pub(crate) fn select(&self, links: &Links, l: ListId, rank: W) -> (DenseId, W) {
+        let (idx, local) = W::select(self.list_counts(links, l), rank);
+        (links.list(l)[idx], local)
+    }
+
+    /// Heap bytes of the three tables, capacity-accurate.
     fn size_bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<u64>()
-            + self.list_totals.capacity() * std::mem::size_of::<u64>()
+        [&self.per_expr, &self.pool, &self.list_totals]
+            .iter()
+            .map(|v| {
+                v.capacity() * std::mem::size_of::<W>() + v.iter().map(W::heap_bytes).sum::<usize>()
+            })
+            .sum()
     }
 }
 
-/// Two-limb (`u128`) mirror of [`FastCounts`] — same all-or-nothing
-/// criterion one rung up the ladder, same pool-aligned layout, double
-/// the bytes per entry. Present only when the `u64` sidecar is not
-/// (the ladder never stores both).
-#[derive(Debug, Clone)]
-pub(crate) struct WideCounts {
-    /// `N(w)` of each pooled list member, aligned with the links pool.
-    pool: Vec<u128>,
-    /// `b` of each interned list.
-    list_totals: Vec<u128>,
-}
-
-impl WideCounts {
-    /// The member counts of one interned list as a contiguous slice;
-    /// `range` must come from [`Links::list_range`].
-    #[inline]
-    pub(crate) fn pool_counts(&self, range: std::ops::Range<usize>) -> &[u128] {
-        &self.pool[range]
-    }
-
-    /// `b_v(i)` of one interned list in two limbs.
-    #[inline]
-    pub(crate) fn list_total(&self, l: ListId) -> u128 {
-        self.list_totals[l.idx()]
-    }
-
-    /// Heap bytes of the sidecar buffers.
-    fn size_bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<u128>()
-            + self.list_totals.capacity() * std::mem::size_of::<u128>()
-    }
+/// The two independent count tables — `N(v)` by dense id, then `b` by
+/// list id — as raw vectors in the store's width: the serialization
+/// view a plan-space artifact stores (the pool-aligned copy is a
+/// function of these and the links, so it is not part of the view).
+/// Produced by [`Counts::to_parts`], consumed (and shape-checked) by
+/// [`Counts::from_parts`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CountsParts {
+    /// A [`CountTier::U64`] store.
+    U64(Vec<u64>, Vec<u64>),
+    /// A [`CountTier::U128`] store.
+    U128(Vec<u128>, Vec<u128>),
+    /// A [`CountTier::Nat`] store.
+    Nat(Vec<Nat>, Vec<Nat>),
 }
 
 impl Counts {
@@ -267,124 +341,67 @@ impl Counts {
             }
         }
 
-        let total = list_totals[root.idx()].clone();
-        let (fast, wide) = Self::sidecars(links, &per_expr, &list_totals);
-        Counts {
-            per_expr,
-            list_totals,
-            total,
-            fast,
-            wide,
-        }
-    }
-
-    /// Builds the fixed-width sidecar ladder: the single-limb sidecar
-    /// when every count fits `u64`, else the two-limb sidecar when every
-    /// count fits `u128`, else neither (shared by
-    /// [`compute`](Self::compute) and [`from_parts`](Self::from_parts)
-    /// so loaded artifacts get the fast paths too). At most one rung is
-    /// ever stored.
-    fn sidecars(
-        links: &Links,
-        per_expr: &[Nat],
-        list_totals: &[Nat],
-    ) -> (Option<FastCounts>, Option<WideCounts>) {
-        if let Some(fast) = Self::fast_sidecar(links, per_expr, list_totals) {
-            (Some(fast), None)
+        // Store the exact tables on the fastest rung that holds them all.
+        let (n, b) = (per_expr.as_slice(), list_totals.as_slice());
+        let store = if let Some(c) = TierCounts::narrow(links, n, b) {
+            Store::U64(c)
+        } else if let Some(c) = TierCounts::narrow(links, n, b) {
+            Store::U128(c)
         } else {
-            (None, Self::wide_sidecar(links, per_expr, list_totals))
+            Store::Nat(TierCounts::narrow(links, n, b).expect("Nat holds any count"))
+        };
+        let total = list_totals.swap_remove(root.idx());
+        Counts { store, total }
+    }
+
+    /// Reassembles counts from their serialization view (the artifact
+    /// load path). Validates the shapes against `links` and re-derives
+    /// the space total from the root list so the fields cannot
+    /// disagree. The tier is taken as stored, and numeric *values* are
+    /// vouched for by the artifact checksum, not re-counted here — that
+    /// is the whole point of loading.
+    pub fn from_parts(links: &Links, parts: CountsParts) -> Result<Counts, SpaceError> {
+        let store = match parts {
+            CountsParts::U64(n, b) => Store::U64(TierCounts::from_tables(links, n, b)?),
+            CountsParts::U128(n, b) => Store::U128(TierCounts::from_tables(links, n, b)?),
+            CountsParts::Nat(n, b) => Store::Nat(TierCounts::from_tables(links, n, b)?),
+        };
+        let mut counts = Counts {
+            store,
+            total: Nat::zero(),
+        };
+        counts.total = counts.list_total(links.root_list());
+        Ok(counts)
+    }
+
+    /// Copies the two count tables out for serialization.
+    pub fn to_parts(&self) -> CountsParts {
+        match &self.store {
+            Store::U64(c) => CountsParts::U64(c.per_expr.clone(), c.list_totals.clone()),
+            Store::U128(c) => CountsParts::U128(c.per_expr.clone(), c.list_totals.clone()),
+            Store::Nat(c) => CountsParts::Nat(c.per_expr.clone(), c.list_totals.clone()),
         }
     }
 
-    /// The `u64` rung: all-or-nothing over **every** count (not just the
-    /// pooled ones — the rooted sub-space API can probe any expression),
-    /// then a pool-aligned mirror of the per-alternative counts.
-    fn fast_sidecar(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<FastCounts> {
-        let per_expr: Option<Vec<u64>> = per_expr.iter().map(Nat::to_u64).collect();
-        let per_expr = per_expr?;
-        let list_totals: Option<Vec<u64>> = list_totals.iter().map(Nat::to_u64).collect();
-        let pool = links
-            .pool_exprs()
-            .iter()
-            .map(|&w| per_expr[w.idx()])
-            .collect();
-        Some(FastCounts {
-            pool,
-            list_totals: list_totals?,
-        })
-    }
-
-    /// The `u128` rung, same shape two limbs up.
-    fn wide_sidecar(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<WideCounts> {
-        let per_expr: Option<Vec<u128>> = per_expr.iter().map(Nat::to_u128).collect();
-        let per_expr = per_expr?;
-        let list_totals: Option<Vec<u128>> = list_totals.iter().map(Nat::to_u128).collect();
-        let pool = links
-            .pool_exprs()
-            .iter()
-            .map(|&w| per_expr[w.idx()])
-            .collect();
-        Some(WideCounts {
-            pool,
-            list_totals: list_totals?,
-        })
-    }
-
-    /// Reassembles counts from raw vectors (the artifact load path).
-    /// Validates the shapes against `links` and re-derives the space
-    /// total from the root list so the three fields cannot disagree.
-    /// Numeric *values* are vouched for by the artifact checksum, not
-    /// re-counted here — that is the whole point of loading.
-    pub fn from_parts(
-        links: &Links,
-        per_expr: Vec<Nat>,
-        list_totals: Vec<Nat>,
-    ) -> Result<Counts, SpaceError> {
-        if per_expr.len() != links.num_exprs() {
-            return Err(SpaceError::MalformedParts {
-                reason: "per-expression counts must cover every expression".to_string(),
-            });
-        }
-        if list_totals.len() != links.num_lists() {
-            return Err(SpaceError::MalformedParts {
-                reason: "list totals must cover every interned list".to_string(),
-            });
-        }
-        let total = list_totals[links.root_list().idx()].clone();
-        let (fast, wide) = Self::sidecars(links, &per_expr, &list_totals);
-        Ok(Counts {
-            per_expr,
-            list_totals,
-            total,
-            fast,
-            wide,
-        })
-    }
-
-    /// `N(v)` for every expression, dense-indexed — the serialization
-    /// view (see `plansample-artifact`).
-    pub fn per_expr(&self) -> &[Nat] {
-        &self.per_expr
-    }
-
-    /// `b` of every interned list, list-indexed — the serialization
-    /// view.
-    pub fn list_totals(&self) -> &[Nat] {
-        &self.list_totals
+    /// Whether the tables cover exactly `links`' expressions and lists.
+    pub(crate) fn matches(&self, links: &Links) -> bool {
+        with_tier!(self, c => c.per_expr.len() == links.num_exprs()
+            && c.pool.len() == links.num_pooled_links()
+            && c.list_totals.len() == links.num_lists())
     }
 
     /// `N(v)`: plans rooted in expression `d`.
     #[inline]
-    pub fn rooted(&self, d: DenseId) -> &Nat {
-        &self.per_expr[d.idx()]
+    pub fn rooted(&self, d: DenseId) -> Nat {
+        with_tier!(self, c => c.rooted(d).to_nat())
     }
 
     /// `b_v(i)`: total alternatives of one interned child list (the sum
     /// of the counts of its eligible children), precomputed at build
     /// time.
     #[inline]
-    pub fn list_total(&self, l: ListId) -> &Nat {
-        &self.list_totals[l.idx()]
+    pub fn list_total(&self, l: ListId) -> Nat {
+        with_tier!(self, c => c.list_total(l).to_nat())
     }
 
     /// `N`: plans rooted in any root-group expression — the size of the
@@ -393,77 +410,35 @@ impl Counts {
         &self.total
     }
 
-    /// Whether the single-limb fast path applies to this space: every
-    /// per-expression count and list total fits one `u64` limb. Spaces
-    /// past ~1.8·10^19 plans (clique-9 and up in the synthetic suite)
-    /// step down the tier ladder instead.
-    pub fn has_fast_path(&self) -> bool {
-        self.fast.is_some()
-    }
-
-    /// Whether the two-limb (`u128`) tier applies: the `u64` sidecar
-    /// does not, but every count fits `u128`. Clique-9 and clique-10
-    /// land here; only spaces past ~3.4·10^38 plans pay the exact-`Nat`
-    /// fallback.
-    pub fn has_wide_path(&self) -> bool {
-        self.wide.is_some()
-    }
-
-    /// Which rung of the tier ladder this space's flat sampler runs on.
+    /// Which rung of the tier ladder this space is stored on.
     pub fn tier(&self) -> CountTier {
-        if self.fast.is_some() {
-            CountTier::U64
-        } else if self.wide.is_some() {
-            CountTier::U128
-        } else {
-            CountTier::Nat
+        match self.store {
+            Store::U64(_) => CountTier::U64,
+            Store::U128(_) => CountTier::U128,
+            Store::Nat(_) => CountTier::Nat,
         }
     }
 
-    /// The single-limb sidecar, when the space qualifies.
-    #[inline]
-    pub(crate) fn fast(&self) -> Option<&FastCounts> {
-        self.fast.as_ref()
+    /// Re-stores the counts on a slower rung — a benchmarking/testing
+    /// seam for exercising `u128` or exact-`Nat` arithmetic on spaces
+    /// that qualify for a faster tier. A rung at or above the current
+    /// one is a no-op: a store is only ever widened, never narrowed.
+    pub(crate) fn force_tier(&mut self, tier: CountTier) {
+        let widened = match (&self.store, tier) {
+            (Store::U64(c), CountTier::U128) => Store::U128(c.widen()),
+            (Store::U64(c), CountTier::Nat) => Store::Nat(c.widen()),
+            (Store::U128(c), CountTier::Nat) => Store::Nat(c.widen()),
+            _ => return,
+        };
+        self.store = widened;
     }
 
-    /// The two-limb sidecar, when the space sits on that rung.
-    #[inline]
-    pub(crate) fn wide(&self) -> Option<&WideCounts> {
-        self.wide.as_ref()
-    }
-
-    /// Caps the tier ladder at `tier`, dropping (or rebuilding) sidecars
-    /// as needed — a benchmarking/testing seam for exercising the slower
-    /// rungs on spaces that qualify for a faster one. Forcing `U64` is a
-    /// no-op (a space that lacks the sidecar cannot gain it); forcing
-    /// `U128` drops the `u64` sidecar and builds the two-limb one if all
-    /// counts fit; forcing `Nat` drops both.
-    pub(crate) fn force_tier(&mut self, links: &Links, tier: CountTier) {
-        match tier {
-            CountTier::U64 => {}
-            CountTier::U128 => {
-                if self.fast.take().is_some() && self.wide.is_none() {
-                    self.wide = Self::wide_sidecar(links, &self.per_expr, &self.list_totals);
-                }
-            }
-            CountTier::Nat => {
-                self.fast = None;
-                self.wide = None;
-            }
-        }
-    }
-
-    /// Bytes of memory held by the count buffers, including every limb
-    /// allocation and the fixed-width sidecars, capacity-accurate.
+    /// Bytes of memory held by the counts: the one tier store
+    /// (capacity-accurate, limb spills included) plus the exact total.
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
-            + self.per_expr.iter().map(Nat::size_bytes).sum::<usize>()
-            + self.list_totals.iter().map(Nat::size_bytes).sum::<usize>()
-            + (self.per_expr.capacity() - self.per_expr.len()) * std::mem::size_of::<Nat>()
-            + (self.list_totals.capacity() - self.list_totals.len()) * std::mem::size_of::<Nat>()
-            + self.total.size_bytes()
-            + self.fast.as_ref().map_or(0, FastCounts::size_bytes)
-            + self.wide.as_ref().map_or(0, WideCounts::size_bytes)
+            + Word::heap_bytes(&self.total)
+            + with_tier!(self, c => c.size_bytes())
     }
 }
 
@@ -481,7 +456,7 @@ mod tests {
 
         // Leaves count 1.
         for id in [ex.table_scan_a, ex.idx_scan_a, ex.idx_scan_b, ex.idx_scan_c] {
-            assert_eq!(rooted(id), &Nat::one(), "{id}");
+            assert_eq!(rooted(id), Nat::one(), "{id}");
         }
         // Sort_A has exactly one sortable input (the TableScan).
         assert_eq!(rooted(ex.sort_a).to_u64(), Some(1));
@@ -506,7 +481,7 @@ mod tests {
         for (d, _) in links.ids().iter() {
             for &l in links.slot_lists(d) {
                 let fresh: Nat = links.list(l).iter().map(|&w| counts.rooted(w)).sum();
-                assert_eq!(&fresh, counts.list_total(l));
+                assert_eq!(fresh, counts.list_total(l));
             }
         }
     }
@@ -517,38 +492,38 @@ mod tests {
         let links = Links::build(&ex.memo, &ex.query).unwrap();
         let mut counts = Counts::compute(&links);
         assert_eq!(counts.tier(), CountTier::U64);
-        assert!(counts.has_fast_path() && !counts.has_wide_path());
 
-        // The pool mirror is aligned with the links pool: each list's
+        // The pool copy is aligned with the links pool: each list's
         // contiguous slice holds exactly its members' rooted counts.
-        let fast = counts.fast().unwrap().clone();
+        let Store::U64(tier) = &counts.store else {
+            panic!("paper example is single-limb")
+        };
         for (d, _) in links.ids().iter() {
             for &l in links.slot_lists(d) {
-                let mirror = fast.pool_counts(links.list_range(l));
-                for (&w, &n) in links.list(l).iter().zip(mirror) {
+                let aligned = tier.list_counts(&links, l);
+                for (&w, &n) in links.list(l).iter().zip(aligned) {
                     assert_eq!(counts.rooted(w).to_u64(), Some(n));
                 }
             }
         }
 
-        // Forcing down the ladder rebuilds the wide rung from the exact
-        // counts; forcing to Nat drops every sidecar.
-        counts.force_tier(&links, CountTier::U128);
+        // Forcing down the ladder re-stores the same values wider;
+        // forcing back up is a no-op.
+        let exact = counts.to_parts();
+        counts.force_tier(CountTier::U128);
         assert_eq!(counts.tier(), CountTier::U128);
-        let wide = counts.wide().unwrap();
-        let root = links.root_list();
-        assert_eq!(wide.list_total(root), counts.total().to_u128().unwrap());
-        counts.force_tier(&links, CountTier::Nat);
+        assert_eq!(counts.list_total(links.root_list()), *counts.total());
+        counts.force_tier(CountTier::U64);
+        assert_eq!(counts.tier(), CountTier::U128);
+        counts.force_tier(CountTier::Nat);
         assert_eq!(counts.tier(), CountTier::Nat);
         assert_eq!(counts.tier().as_str(), "nat");
         assert_eq!(counts.tier().to_string(), "nat");
-    }
-
-    #[test]
-    fn size_bytes_counts_every_nat() {
-        let ex = paper_example::build();
-        let links = Links::build(&ex.memo, &ex.query).unwrap();
-        let counts = Counts::compute(&links);
-        assert!(counts.size_bytes() >= links.num_exprs() * std::mem::size_of::<Nat>());
+        let CountsParts::U64(per_expr, _) = exact else {
+            panic!("u64 store serializes as u64 parts")
+        };
+        for (d, _) in links.ids().iter() {
+            assert_eq!(counts.rooted(d).to_u64(), Some(per_expr[d.idx()]));
+        }
     }
 }

@@ -50,6 +50,7 @@
 //! see [`service::PlanService`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 mod batch;
@@ -66,9 +67,10 @@ pub mod session;
 mod subspace;
 mod unrank;
 pub mod validate;
+mod word;
 
 pub use batch::PlanBatch;
-pub use count::{CountTier, Counts};
+pub use count::{CountTier, Counts, CountsParts};
 pub use enumerate::PlanCursor;
 pub use links::{Links, LinksParts, ListId};
 pub use prepared::PreparedQuery;
@@ -283,9 +285,7 @@ impl PlanSpace {
                 ),
             });
         }
-        if counts.per_expr().len() != links.num_exprs()
-            || counts.list_totals().len() != links.num_lists()
-        {
+        if !counts.matches(&links) {
             return Err(SpaceError::MalformedParts {
                 reason: "count tables do not match the links".into(),
             });
@@ -307,7 +307,7 @@ impl PlanSpace {
     ///
     /// # Panics
     /// Panics when `id` is not part of the underlying memo.
-    pub fn count_rooted(&self, id: PhysId) -> &Nat {
+    pub fn count_rooted(&self, id: PhysId) -> Nat {
         self.counts.rooted(self.links.ids().dense(id))
     }
 
@@ -349,21 +349,19 @@ impl PlanSpace {
         &self.links
     }
 
-    /// The flat count tables (per-expression counts and per-list slot
+    /// The count tables (per-expression counts and per-list slot
     /// totals).
     pub fn counts(&self) -> &Counts {
         &self.counts
     }
 
-    /// Caps the unranking tier ladder at `tier`, dropping (or
-    /// rebuilding) the fixed-width count sidecars as needed — a
-    /// benchmarking and differential-testing seam for forcing a space
-    /// onto a slower rung than it qualifies for (forcing a *faster*
-    /// rung is a no-op; sidecars are only ever built from the exact
-    /// counts). Sampling stays bit-identical across rungs, so forcing
-    /// changes throughput, never results.
+    /// Re-stores the counts on the slower rung `tier` of the ladder —
+    /// a benchmarking and differential-testing seam for running a space
+    /// in wider arithmetic than it needs (forcing a *faster* rung is a
+    /// no-op). Every rank operation stays bit-identical across rungs,
+    /// so forcing changes throughput and footprint, never results.
     pub fn force_tier(&mut self, tier: CountTier) {
-        self.counts.force_tier(&self.links, tier);
+        self.counts.force_tier(tier);
     }
 }
 

@@ -339,18 +339,17 @@ impl Links {
     }
 
     /// The range of one interned list within the concatenated pool —
-    /// the coordinate system the sidecar count mirrors share (see
-    /// [`crate::Counts`]): a pool-aligned buffer indexed by this range
-    /// yields the per-alternative values of list `l` as one contiguous
-    /// slice.
+    /// the coordinate system the pool-aligned count table shares (see
+    /// [`crate::Counts`]): indexed by this range it yields the counts
+    /// of list `l`'s alternatives as one contiguous slice.
     #[inline]
     pub(crate) fn list_range(&self, l: ListId) -> std::ops::Range<usize> {
         self.list_bounds[l.idx()] as usize..self.list_bounds[l.idx() + 1] as usize
     }
 
     /// The whole concatenated list pool (every interned list's members,
-    /// back to back) — what the sidecar builders mirror into flat count
-    /// buffers.
+    /// back to back) — what the pool-aligned count table is gathered
+    /// through.
     #[inline]
     pub(crate) fn pool_exprs(&self) -> &[DenseId] {
         &self.pool

@@ -161,7 +161,7 @@ impl PreparedQuery {
     }
 
     /// `N(v)`: plans rooted in a particular expression.
-    pub fn count_rooted(&self, id: PhysId) -> &Nat {
+    pub fn count_rooted(&self, id: PhysId) -> Nat {
         self.space.count_rooted(id)
     }
 
@@ -385,7 +385,7 @@ mod tests {
         let p = prepared_3way();
         let root = p.memo().root();
         let (v, _) = p.memo().group(root).phys_iter().next().unwrap();
-        let nv = p.count_rooted(v).clone();
+        let nv = p.count_rooted(v);
         assert!(!nv.is_zero());
         let plan = p.unrank_rooted(v, &Nat::zero()).unwrap();
         assert_eq!(plan.id, v);

@@ -10,6 +10,9 @@
 //! `rank(unrank(r)) == r` for every `r` is the central bijection
 //! property, enforced by unit and property tests.
 
+use crate::count::{with_tier, TierCounts};
+use crate::links::ListId;
+use crate::word::Word;
 use crate::{PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PlanNode};
@@ -22,52 +25,72 @@ impl PlanSpace {
     /// position (e.g. a plan from a different memo, or one violating
     /// physical-property requirements).
     pub fn rank(&self, plan: &PlanNode) -> Result<Nat, SpaceError> {
-        self.rank_in(self.links.list(self.links.root_list()), plan)
+        with_tier!(self.counts, c => self
+            .rank_in(c, self.links.root_list(), plan)
+            .map(|r| r.to_nat()))
+    }
+
+    /// The rank of `plan` within the sub-space rooted at its own root
+    /// expression (inverse of [`unrank_rooted`](Self::unrank_rooted)).
+    pub fn rank_rooted(&self, plan: &PlanNode) -> Result<Nat, SpaceError> {
+        let d = self.member(plan)?;
+        with_tier!(self.counts, c => self.rank_expr_at(c, d, plan).map(|r| r.to_nat()))
+    }
+
+    /// The dense id of `plan`'s root operator, if it is in the memo.
+    fn member(&self, plan: &PlanNode) -> Result<DenseId, SpaceError> {
+        self.links
+            .ids()
+            .dense_checked(plan.id)
+            .ok_or(SpaceError::ForeignPlan { at: plan.id })
     }
 
     /// Prefix-sum over the alternatives preceding the plan's operator,
-    /// plus its local rank.
-    fn rank_in(&self, alternatives: &[DenseId], plan: &PlanNode) -> Result<Nat, SpaceError> {
-        let target = self
+    /// plus its local rank. Like unranking, this runs in the word the
+    /// counts are stored in: every intermediate is bounded by a list
+    /// total of the space.
+    fn rank_in<W: Word>(
+        &self,
+        counts: &TierCounts<W>,
+        list: ListId,
+        plan: &PlanNode,
+    ) -> Result<W, SpaceError> {
+        let target = self.member(plan)?;
+        let mut prefix = W::ZERO;
+        for (&v, n) in self
             .links
-            .ids()
-            .dense_checked(plan.id)
-            .ok_or(SpaceError::ForeignPlan { at: plan.id })?;
-        let mut prefix = Nat::zero();
-        for &v in alternatives {
+            .list(list)
+            .iter()
+            .zip(counts.list_counts(&self.links, list))
+        {
             if v == target {
-                let local = self.rank_expr_at(target, plan)?;
-                return Ok(prefix + local);
+                prefix += &self.rank_expr_at(counts, target, plan)?;
+                return Ok(prefix);
             }
-            prefix += self.counts.rooted(v);
+            prefix += n;
         }
         Err(SpaceError::ForeignPlan { at: plan.id })
     }
 
-    /// [`rank_expr_at`](Self::rank_expr_at) with the dense lookup (and
-    /// its foreign-plan check) included — the sub-space entry point.
-    pub(crate) fn rank_expr(&self, plan: &PlanNode) -> Result<Nat, SpaceError> {
-        let d = self
-            .links
-            .ids()
-            .dense_checked(plan.id)
-            .ok_or(SpaceError::ForeignPlan { at: plan.id })?;
-        self.rank_expr_at(d, plan)
-    }
-
     /// Recomposes the local rank from the children's sub-ranks:
     /// `r_l = Σ_i s_v(i) · B_v(i−1)`.
-    fn rank_expr_at(&self, d: DenseId, plan: &PlanNode) -> Result<Nat, SpaceError> {
+    fn rank_expr_at<W: Word>(
+        &self,
+        counts: &TierCounts<W>,
+        d: DenseId,
+        plan: &PlanNode,
+    ) -> Result<W, SpaceError> {
         let lists = self.links.slot_lists(d);
         if lists.len() != plan.children.len() {
             return Err(SpaceError::ForeignPlan { at: plan.id });
         }
-        let mut local = Nat::zero();
-        let mut multiplier = Nat::one();
+        let mut local = W::ZERO;
+        let mut multiplier = W::ONE;
         for (&l, child) in lists.iter().zip(&plan.children) {
-            let s = self.rank_in(self.links.list(l), child)?;
-            local += &s * &multiplier;
-            multiplier *= self.counts.list_total(l);
+            let mut term = self.rank_in(counts, l, child)?;
+            term *= &multiplier;
+            local += &term;
+            multiplier *= counts.list_total(l);
         }
         Ok(local)
     }

@@ -15,8 +15,10 @@
 //! accepts the unranking sampler and rejects the naive walk — the reason
 //! the paper needs the counting machinery at all.
 
+use crate::count::{with_tier, TierCounts};
+use crate::unrank::unrank_flat;
+use crate::word::Word;
 use crate::{PlanBatch, PlanSpace};
-use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PlanNode};
 use rand::Rng;
 
@@ -30,12 +32,16 @@ impl PlanSpace {
             !self.total().is_zero(),
             "cannot sample from an empty plan space"
         );
-        let rank = Nat::random_below(rng, self.total());
-        self.unrank(&rank).expect("rank drawn below the total")
+        let root = self.links.root_list();
+        with_tier!(self.counts, c => {
+            let rank = Word::random_below(rng, c.list_total(root));
+            let (v, local) = c.select(&self.links, root, rank);
+            self.unrank_tree(c, v, local)
+        })
     }
 
-    /// Smallest number of draws per worker thread worth forking the
-    /// unranking across the pool.
+    /// Draws per fixed-size chunk of a parallel fill, and the smallest
+    /// number of draws per worker thread worth forking for.
     const PAR_MIN_DRAWS: usize = 256;
 
     /// Draws `k` plans uniformly and independently (with replacement),
@@ -43,49 +49,34 @@ impl PlanSpace {
     /// point of the prepared-query serving surface: amortizes the memo
     /// preparation over arbitrarily many draws.
     ///
-    /// Large batches unrank in parallel over the `threadpool` workers.
-    /// The caller's RNG is consumed exactly as the sequential loop
-    /// consumes it — all `k` ranks are drawn up front, then unranked
-    /// (the deterministic, side-effect-free part) concurrently — so the
-    /// returned batch is identical at every thread count.
+    /// This is [`sample_batch_flat`](Self::sample_batch_flat) followed
+    /// by lifting each preorder listing into a tree (in parallel for
+    /// large batches), so the two cannot disagree.
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
     pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<PlanNode> {
-        assert!(
-            k == 0 || !self.total().is_zero(),
-            "cannot sample from an empty plan space"
-        );
-        let ranks: Vec<Nat> = (0..k)
-            .map(|_| Nat::random_below(rng, self.total()))
-            .collect();
-        threadpool::parallel_map(k, Self::PAR_MIN_DRAWS, |i| {
-            self.unrank(&ranks[i]).expect("rank drawn below the total")
-        })
+        let mut flat = PlanBatch::new();
+        self.sample_batch_flat(rng, k, &mut flat);
+        threadpool::parallel_map(k, Self::PAR_MIN_DRAWS, |i| self.lift(flat.plan(i)))
     }
 
     /// Draws `k` plans uniformly into a reusable flat batch — the
     /// zero-allocation serving path.
     ///
-    /// The fill runs on the fastest rung of the tier ladder the space
-    /// qualifies for (see [`crate::Counts::tier`]): single-limb spaces
-    /// unrank in `u64`, two-limb spaces (clique-9/10 scale) in `u128`,
-    /// and only wider spaces pay the exact [`Nat`] fallback with its
-    /// tree flattening. On both fixed-width tiers each draw is a
-    /// rejection-sampled rank plus the mixed-radix unrank appended
-    /// straight into `out`'s buffers: once those are at capacity, a
-    /// steady-state fill performs **zero heap allocations per draw**
-    /// (asserted by `tests/alloc_counting.rs`).
+    /// All `k` ranks are drawn up front — consuming the caller's RNG
+    /// exactly as `k` calls of [`sample`](Self::sample) would, on every
+    /// tier — and then unranked in the word the space's counts are
+    /// stored in (see [`crate::Counts::tier`]), straight into `out`'s
+    /// buffers. On the fixed-width tiers, once those buffers are at
+    /// capacity a steady-state fill performs **zero heap allocations
+    /// per draw** (asserted by `tests/alloc_counting.rs`).
     ///
-    /// The RNG is consumed exactly as [`sample_batch`](Self::sample_batch)
-    /// consumes it ([`Nat::random_below_u64`] and
-    /// [`Nat::random_below_u128`] replay `random_below`'s draw sequence
-    /// limb for limb), and large batches fan the unranking out in
-    /// fixed-size chunks over the persistent worker pool — written into
-    /// `out`'s own per-chunk shard batches and merged in draw order —
-    /// so the batch content is bit-identical to `sample_batch`'s at
-    /// every thread count, and parallel fills stay allocation-free in
-    /// steady state too.
+    /// Large batches fan the unranking (the deterministic,
+    /// side-effect-free part) out in fixed-size chunks over the
+    /// persistent worker pool — written into `out`'s own per-chunk
+    /// shard batches and merged in draw order — so the batch content is
+    /// bit-identical at every thread count and tier.
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
@@ -94,131 +85,65 @@ impl PlanSpace {
             k == 0 || !self.total().is_zero(),
             "cannot sample from an empty plan space"
         );
-        out.start_fill();
-        let inline = threadpool::num_threads() == 1 || k < 2 * Self::PAR_MIN_DRAWS;
-        if let Some(fast) = self.counts.fast() {
-            let total = self
-                .total()
-                .to_u64()
-                .expect("the fast sidecar implies a single-limb total");
-            if inline {
-                // Inline fill: draw and unrank per plan, nothing but
-                // `out`'s own (reused) buffers touched.
-                let mut stack = std::mem::take(&mut out.stack);
-                for _ in 0..k {
-                    let rank = Nat::random_below_u64(rng, total);
-                    self.unrank_flat_u64(fast, rank, out.ids_mut(), &mut stack);
-                    out.finish_plan();
-                }
-                out.stack = stack;
-                return;
-            }
-            // Parallel fill: ranks up front (same RNG order as above),
-            // then fixed-size chunks unranked concurrently into `out`'s
-            // persistent shards and merged in draw order. The chunk size
-            // is independent of the worker count, so the merged content
-            // never depends on it.
-            let mut ranks = std::mem::take(&mut out.ranks);
-            ranks.clear();
-            ranks.extend((0..k).map(|_| Nat::random_below_u64(rng, total)));
-            Self::fill_shards(k, out, |part, c| {
-                part.start_fill();
-                let mut stack = std::mem::take(&mut part.stack);
-                let lo = c * Self::PAR_MIN_DRAWS;
-                for &rank in &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)] {
-                    self.unrank_flat_u64(fast, rank, part.ids_mut(), &mut stack);
-                    part.finish_plan();
-                }
-                part.stack = stack;
-            });
-            out.ranks = ranks;
-        } else if let Some(wide) = self.counts.wide() {
-            // The u128 tier: same structure two limbs up.
-            let total = self
-                .total()
-                .to_u128()
-                .expect("the wide sidecar implies a two-limb total");
-            if inline {
-                let mut stack = std::mem::take(&mut out.stack_wide);
-                for _ in 0..k {
-                    let rank = Nat::random_below_u128(rng, total);
-                    self.unrank_flat_u128(wide, rank, out.ids_mut(), &mut stack);
-                    out.finish_plan();
-                }
-                out.stack_wide = stack;
-                return;
-            }
-            let mut ranks = std::mem::take(&mut out.ranks_wide);
-            ranks.clear();
-            ranks.extend((0..k).map(|_| Nat::random_below_u128(rng, total)));
-            Self::fill_shards(k, out, |part, c| {
-                part.start_fill();
-                let mut stack = std::mem::take(&mut part.stack_wide);
-                let lo = c * Self::PAR_MIN_DRAWS;
-                for &rank in &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)] {
-                    self.unrank_flat_u128(wide, rank, part.ids_mut(), &mut stack);
-                    part.finish_plan();
-                }
-                part.stack_wide = stack;
-            });
-            out.ranks_wide = ranks;
-        } else {
-            for plan in self.sample_batch(rng, k) {
-                out.push_tree(&plan);
-            }
-        }
+        with_tier!(self.counts, c => self.fill_flat(c, rng, k, out));
     }
 
-    /// Fans a parallel flat fill out over `out`'s persistent shard
-    /// batches. Chunk `c` always covers draws
-    /// `[c·PAR_MIN_DRAWS, (c+1)·PAR_MIN_DRAWS)` — a fixed mapping
-    /// independent of how the pool splits the chunk range across
-    /// workers — and the shards merge into `out` in chunk order, so the
-    /// result is identical at every thread count. Shards (and their
-    /// unrank scratch) live in `out` and keep their capacity across
-    /// fills, which is what makes the *parallel* steady state
-    /// allocation-free, not just the inline one.
-    fn fill_shards<F: Fn(&mut PlanBatch, usize) + Sync>(
+    /// [`sample_batch_flat`](Self::sample_batch_flat) in word `W`.
+    fn fill_flat<W: Word, R: Rng + ?Sized>(
+        &self,
+        counts: &TierCounts<W>,
+        rng: &mut R,
         k: usize,
         out: &mut PlanBatch,
-        fill_chunk: F,
     ) {
-        let chunks = k.div_ceil(Self::PAR_MIN_DRAWS);
-        let mut shards = std::mem::take(&mut out.shards);
-        if shards.len() < chunks {
-            shards.resize_with(chunks, PlanBatch::new);
-        }
-        struct Shards(*mut PlanBatch);
-        unsafe impl Sync for Shards {}
-        impl Shards {
-            /// SAFETY: the caller must hold the only live access to
-            /// shard `c` (here: `parallel_for` hands each index to
-            /// exactly one worker) and `c` must be in bounds.
-            #[allow(clippy::mut_from_ref)]
-            unsafe fn shard(&self, c: usize) -> &mut PlanBatch {
-                &mut *self.0.add(c)
-            }
-        }
-        let base = Shards(shards.as_mut_ptr());
-        threadpool::parallel_for(chunks, 1, |range| {
-            for c in range {
-                // SAFETY: `c < chunks ≤ shards.len()`, and `parallel_for`
-                // hands each index to exactly one worker, so every shard
-                // borrow is in bounds and exclusive.
-                let part = unsafe { base.shard(c) };
-                fill_chunk(part, c);
-            }
-        });
-        for part in &shards[..chunks] {
-            out.append_flat(part);
-        }
-        out.shards = shards;
-    }
+        out.start_fill();
+        let root = self.links.root_list();
+        let mut slot = std::mem::take(&mut out.scratch);
+        let scratch = W::scratch(&mut slot);
+        scratch.ranks.clear();
+        scratch
+            .ranks
+            .extend((0..k).map(|_| W::random_below(rng, counts.list_total(root))));
+        let ranks = scratch.ranks.as_slice();
 
-    /// Alias of [`sample_batch`](Self::sample_batch), kept for the
-    /// pre-prepared-query API surface.
-    pub fn sample_many<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<PlanNode> {
-        self.sample_batch(rng, k)
+        // Unranks `ranks` into `part` through `stack`.
+        let fill = |part: &mut PlanBatch, ranks: &[W], stack: &mut Vec<_>| {
+            for rank in ranks {
+                let (v, local): (DenseId, W) = counts.select(&self.links, root, rank.clone());
+                unrank_flat(&self.links, counts, v, local, part.ids_mut(), stack);
+                part.finish_plan();
+            }
+        };
+        if threadpool::num_threads() == 1 || k < 2 * Self::PAR_MIN_DRAWS {
+            fill(out, ranks, &mut scratch.stack);
+        } else {
+            // Chunk `c` always covers draws `[c·PAR_MIN_DRAWS,
+            // (c+1)·PAR_MIN_DRAWS)` — a mapping independent of how the
+            // pool splits the chunks across workers — and the shards
+            // merge in chunk order. Shards (and their own scratch) live
+            // in `out` and keep their capacity across fills.
+            let chunks = k.div_ceil(Self::PAR_MIN_DRAWS);
+            let mut shards = std::mem::take(&mut out.shards);
+            if shards.len() < chunks {
+                shards.resize_with(chunks, PlanBatch::new);
+            }
+            threadpool::parallel_for_each_mut(&mut shards[..chunks], |c, part| {
+                part.start_fill();
+                let lo = c * Self::PAR_MIN_DRAWS;
+                let mut slot = std::mem::take(&mut part.scratch);
+                fill(
+                    part,
+                    &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)],
+                    &mut W::scratch(&mut slot).stack,
+                );
+                part.scratch = slot;
+            });
+            for part in &shards[..chunks] {
+                out.append_flat(part);
+            }
+            out.shards = shards;
+        }
+        out.scratch = slot;
     }
 
     /// Biased baseline: pick an operator uniformly among the group's (or
@@ -266,7 +191,7 @@ mod tests {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
-        for plan in space.sample_many(&mut rng, 200) {
+        for plan in space.sample_batch(&mut rng, 200) {
             assert!(validate_plan(&ex.memo, &ex.query, &plan).is_empty());
         }
     }
@@ -324,35 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_batch_matches_tree_batch_at_every_thread_count() {
-        let ex = paper_example::build();
-        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
-        assert!(space.counts().has_fast_path());
-        let trees = {
-            let mut rng = StdRng::seed_from_u64(11);
-            space.sample_batch(&mut rng, 600)
-        };
-        for threads in [1, 2, 4] {
-            let mut batch = crate::PlanBatch::new();
-            let mut rng = StdRng::seed_from_u64(11);
-            threadpool::with_threads(threads, || {
-                space.sample_batch_flat(&mut rng, 600, &mut batch)
-            });
-            assert_eq!(batch.len(), 600);
-            for (flat, tree) in batch.iter().zip(&trees) {
-                assert_eq!(flat, tree.preorder_ids().as_slice(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn sampling_respects_the_seed() {
         let ex = paper_example::build();
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         let a: Vec<Nat> = {
             let mut rng = StdRng::seed_from_u64(1);
             space
-                .sample_many(&mut rng, 10)
+                .sample_batch(&mut rng, 10)
                 .iter()
                 .map(|p| space.rank(p).unwrap())
                 .collect()
@@ -360,7 +263,7 @@ mod tests {
         let b: Vec<Nat> = {
             let mut rng = StdRng::seed_from_u64(1);
             space
-                .sample_many(&mut rng, 10)
+                .sample_batch(&mut rng, 10)
                 .iter()
                 .map(|p| space.rank(p).unwrap())
                 .collect()

@@ -18,11 +18,6 @@ use plansample_memo::PlanNode;
 use plansample_optimizer::OptimizerConfig;
 use plansample_query::QuerySpec;
 
-/// Backwards-compatible name for the unified [`Error`] type: session
-/// operations were the original source of this error enum before it was
-/// promoted to the crate root.
-pub use crate::Error as SessionError;
-
 /// Result of executing a query through a session.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
@@ -254,7 +249,7 @@ mod tests {
         let n = s.count_plans(&q).unwrap();
         assert!(matches!(
             s.execute_plan(&q, &n),
-            Err(SessionError::Space(SpaceError::RankOutOfRange { .. }))
+            Err(Error::Space(SpaceError::RankOutOfRange { .. }))
         ));
         let mut last = n;
         last.decr();

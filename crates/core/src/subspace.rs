@@ -8,6 +8,8 @@
 //! `0 … N(v)-1`. This lets a tester aim at, say, exactly the plans whose
 //! top join is a merge join, with uniform coverage inside that slice.
 
+use crate::count::with_tier;
+use crate::word::Word;
 use crate::{PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::{PhysId, PlanNode};
@@ -17,13 +19,18 @@ impl PlanSpace {
     /// Builds plan number `rank` *within the sub-space rooted at `v`*
     /// (`rank < count_rooted(v)`). The root of the result is always `v`.
     pub fn unrank_rooted(&self, v: PhysId, rank: &Nat) -> Result<PlanNode, SpaceError> {
-        if rank >= self.count_rooted(v) {
+        let d = self.links.ids().dense(v);
+        let total = self.counts.rooted(d);
+        if rank >= &total {
             return Err(SpaceError::RankOutOfRange {
                 rank: rank.clone(),
-                total: self.count_rooted(v).clone(),
+                total,
             });
         }
-        Ok(self.unrank_expr(self.links.ids().dense(v), rank.clone()))
+        Ok(with_tier!(self.counts, c => {
+            let rank = Word::from_nat(rank).expect("a rank below N(v) fits the tier");
+            self.unrank_tree(c, d, rank)
+        }))
     }
 
     /// Uniform sample from the sub-space rooted at `v`.
@@ -31,16 +38,14 @@ impl PlanSpace {
     /// # Panics
     /// Panics when the sub-space is empty (`count_rooted(v) == 0`).
     pub fn sample_rooted<R: Rng + ?Sized>(&self, rng: &mut R, v: PhysId) -> PlanNode {
-        let n = self.count_rooted(v);
-        assert!(!n.is_zero(), "expression {v} roots no complete plan");
-        let rank = Nat::random_below(rng, n);
-        self.unrank_expr(self.links.ids().dense(v), rank)
-    }
-
-    /// The rank of `plan` within the sub-space rooted at its own root
-    /// expression (inverse of [`unrank_rooted`](Self::unrank_rooted)).
-    pub fn rank_rooted(&self, plan: &PlanNode) -> Result<Nat, SpaceError> {
-        self.rank_expr(plan)
+        let d = self.links.ids().dense(v);
+        assert!(
+            !self.counts.rooted(d).is_zero(),
+            "expression {v} roots no complete plan"
+        );
+        with_tier!(self.counts, c => {
+            self.unrank_tree(c, d, Word::random_below(rng, c.rooted(d)))
+        })
     }
 }
 

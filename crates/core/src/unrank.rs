@@ -21,67 +21,62 @@
 //! mixed-radix decomposition divides by is precomputed per interned
 //! alternative list ([`crate::Counts::list_total`]), so no step re-sums
 //! alternative counts.
+//!
+//! There is exactly one implementation of the procedure,
+//! [`unrank_flat`]: iterative, generic over the [`Word`] the space's
+//! counts are stored in, emitting a flat preorder id sequence. Every
+//! public entry point — tree or flat, whole-space or rooted, single rank
+//! or sampled batch — converts its rank to that word, runs it, and (for
+//! the tree-returning ones) lifts the ids back into a [`PlanNode`]. The
+//! paper's recursive formulation survives as the independent test
+//! oracle in `tests/common`.
 
-use crate::count::{FastCounts, WideCounts};
+use crate::count::{with_tier, TierCounts};
 use crate::links::ListId;
-use crate::{PlanSpace, SpaceError};
+use crate::word::Word;
+use crate::{Links, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PhysId, PlanNode};
 
-/// Operator selection over one list's contiguous pool-aligned counts:
-/// returns the chosen index and the residual rank within it.
+/// Appends to `ids` the preorder operator ids of plan number `local`
+/// of the sub-space rooted at expression `v` (`local < N(v)`).
 ///
-/// Instead of the naive per-element `if rank < n {break} rank -= n`
-/// (one unpredictable branch per alternative), the scan works in
-/// chunks of 8: an unrolled pairwise sum decides in one predictable
-/// branch whether the chosen element lies in the chunk; misses skip 8
-/// elements with a single subtraction, and the hit chunk resolves its
-/// element **branch-free** — `take = (rank >= prefix) as int` arithmetic
-/// with no data-dependent jumps, so wide lists stop paying a
-/// mispredict per element. Chunk sums cannot overflow: every partial
-/// sum is bounded by the list total, which fits the tier's width by
-/// construction. A scalar tail handles the last `len % 8` elements.
-///
-/// Callers guarantee `rank < Σ counts`. Zero-count (dead) alternatives
-/// are skipped exactly as the scalar scan skips them, so the chosen
-/// index is identical — differential-tested below against the scalar
-/// reference.
-macro_rules! chunked_select {
-    ($name:ident, $t:ty) => {
-        #[inline]
-        fn $name(counts: &[$t], mut rank: $t) -> (usize, $t) {
-            let mut base = 0usize;
-            let mut chunks = counts.chunks_exact(8);
-            for c in &mut chunks {
-                let sum = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]));
-                if rank < sum {
-                    let mut acc: $t = 0;
-                    let mut idx = 0usize;
-                    let mut below: $t = 0;
-                    for &n in c {
-                        acc += n;
-                        let take = (rank >= acc) as usize;
-                        idx += take;
-                        below += n * (take as $t);
-                    }
-                    return (base + idx, rank - below);
-                }
-                rank -= sum;
-                base += 8;
-            }
-            let tail = chunks.remainder();
-            let mut i = 0usize;
-            while rank >= tail[i] {
-                rank -= tail[i];
-                i += 1;
-            }
-            (base + i, rank)
+/// The recursion is an explicit `stack` of `(list, sub-rank)` frames
+/// and nothing is allocated per node, so with `ids` and `stack` at
+/// capacity a fixed-width call performs zero heap allocations
+/// (asserted by `tests/alloc_counting.rs`).
+pub(crate) fn unrank_flat<W: Word>(
+    links: &Links,
+    counts: &TierCounts<W>,
+    mut v: DenseId,
+    mut local: W,
+    ids: &mut Vec<PhysId>,
+    stack: &mut Vec<(ListId, W)>,
+) {
+    stack.clear();
+    loop {
+        ids.push(links.ids().phys(v));
+        // Step 2: mixed-radix digits, one div/rem per slot — digit
+        // s_v(i) = rest mod b_v(i), carry rest / b_v(i) onward. Children
+        // are emitted depth-first in slot order, so the (list, digit)
+        // frames go on the stack reversed — slot 0 pops first and its
+        // whole subtree lands before slot 1's.
+        let base = stack.len();
+        for &l in links.slot_lists(v) {
+            let (rest, digit) = local.div_rem(counts.list_total(l));
+            stack.push((l, digit));
+            local = rest;
         }
-    };
+        debug_assert!(local == W::ZERO, "local rank exceeded B_v(|v|)");
+        stack[base..].reverse();
+        // Steps 3 and 1: descend into the next pending slot, selecting
+        // its operator by prefix scan over the list's member counts.
+        let Some((list, rank)) = stack.pop() else {
+            return;
+        };
+        (v, local) = counts.select(links, list, rank);
+    }
 }
-
-chunked_select!(select_in_list_u64, u64);
-chunked_select!(select_in_list_u128, u128);
 
 impl PlanSpace {
     /// Builds plan number `rank` (0-based, `rank < total()`).
@@ -92,118 +87,44 @@ impl PlanSpace {
                 total: self.counts.total().clone(),
             });
         }
-        Ok(self.unrank_in(self.links.list(self.links.root_list()), rank.clone()))
+        Ok(with_tier!(self.counts, c => {
+            let rank = Word::from_nat(rank).expect("a rank below the total fits the tier");
+            let (v, local) = c.select(&self.links, self.links.root_list(), rank);
+            self.unrank_tree(c, v, local)
+        }))
     }
 
-    /// Step 1: operator selection within an alternative list.
-    fn unrank_in(&self, alternatives: &[DenseId], mut rank: Nat) -> PlanNode {
-        for &v in alternatives {
-            let n = self.counts.rooted(v);
-            if &rank < n {
-                return self.unrank_expr(v, rank);
-            }
-            rank -= n;
-        }
-        unreachable!("rank below the alternative total by construction")
-    }
-
-    /// Steps 2–3: sub-rank decomposition and recursive assembly.
-    pub(crate) fn unrank_expr(&self, v: DenseId, local_rank: Nat) -> PlanNode {
-        let lists = self.links.slot_lists(v);
-        let mut children = Vec::with_capacity(lists.len());
-        let mut rest = local_rank;
-        for &l in lists {
-            // digit s_v(i) = rest mod b_v(i); carry rest / b_v(i) onward.
-            let (q, s) = rest.div_rem(self.counts.list_total(l));
-            rest = q;
-            children.push(self.unrank_in(self.links.list(l), s));
-        }
-        debug_assert!(rest.is_zero(), "local rank exceeded B_v(|v|)");
-        PlanNode {
-            id: self.links.ids().phys(v),
-            children,
-        }
-    }
-
-    /// The `u64` specialization: same three steps, but every count the
-    /// decomposition touches is a single limb ([`FastCounts`]), the
-    /// recursion is an explicit stack, and the plan is emitted as a flat
-    /// **preorder id sequence** appended to `ids` — no `PlanNode`
-    /// allocation per node, no `Nat` borrow per comparison. With `ids`
-    /// and `stack` at capacity this performs zero heap allocations
-    /// (asserted by `tests/alloc_counting.rs`).
-    ///
-    /// Bit-identical to [`unrank_expr`](Self::unrank_expr) by
-    /// construction: the operator scan and the mixed-radix digits use
-    /// the same values in the same order, only in `u64` arithmetic —
-    /// differential-tested in `tests/unrank_fast_path.rs`.
-    ///
-    /// The caller guarantees `rank` is below the space total.
-    pub(crate) fn unrank_flat_u64(
+    /// [`unrank_flat`] from `(v, local)`, lifted to a tree.
+    pub(crate) fn unrank_tree<W: Word>(
         &self,
-        fast: &FastCounts,
-        rank: u64,
-        ids: &mut Vec<PhysId>,
-        stack: &mut Vec<(ListId, u64)>,
-    ) {
-        stack.clear();
-        stack.push((self.links.root_list(), rank));
-        while let Some((list, rank)) = stack.pop() {
-            // Step 1: operator selection by chunked prefix scan over the
-            // list's contiguous pool-aligned counts.
-            let (idx, rank) =
-                select_in_list_u64(fast.pool_counts(self.links.list_range(list)), rank);
-            let v = self.links.list(list)[idx];
-            ids.push(self.links.ids().phys(v));
-            // Step 2: mixed-radix digits, one div/mod per slot. Children
-            // are emitted depth-first in slot order, so the (list, digit)
-            // frames go on the stack reversed — slot 0 pops first and
-            // its whole subtree lands before slot 1's.
-            let base = stack.len();
-            let mut rest = rank;
-            for &l in self.links.slot_lists(v) {
-                let b = fast.list_total(l);
-                stack.push((l, rest % b));
-                rest /= b;
-            }
-            debug_assert_eq!(rest, 0, "local rank exceeded B_v(|v|)");
-            stack[base..].reverse();
-        }
+        counts: &TierCounts<W>,
+        v: DenseId,
+        local: W,
+    ) -> PlanNode {
+        let (mut ids, mut stack) = (Vec::with_capacity(32), Vec::with_capacity(16));
+        unrank_flat(&self.links, counts, v, local, &mut ids, &mut stack);
+        self.lift(&ids)
     }
 
-    /// The `u128` specialization: identical structure to
-    /// [`unrank_flat_u64`](Self::unrank_flat_u64) one rung up the tier
-    /// ladder — two-limb counts ([`WideCounts`]), `u128` ranks and
-    /// digits, the same chunked operator scan, the same explicit stack,
-    /// zero heap allocations at capacity. Bit-identical to the exact
-    /// [`Nat`] path by the same argument, differential-tested in
-    /// `tests/unrank_fast_path.rs`.
+    /// Rebuilds the tree a preorder id sequence denotes (each
+    /// operator's arity is known from the links, so the sequence
+    /// determines the tree). Inverse of [`PlanNode::preorder_ids`].
     ///
-    /// The caller guarantees `rank` is below the space total.
-    pub(crate) fn unrank_flat_u128(
-        &self,
-        wide: &WideCounts,
-        rank: u128,
-        ids: &mut Vec<PhysId>,
-        stack: &mut Vec<(ListId, u128)>,
-    ) {
-        stack.clear();
-        stack.push((self.links.root_list(), rank));
-        while let Some((list, rank)) = stack.pop() {
-            let (idx, rank) =
-                select_in_list_u128(wide.pool_counts(self.links.list_range(list)), rank);
-            let v = self.links.list(list)[idx];
-            ids.push(self.links.ids().phys(v));
-            let base = stack.len();
-            let mut rest = rank;
-            for &l in self.links.slot_lists(v) {
-                let b = wide.list_total(l);
-                stack.push((l, rest % b));
-                rest /= b;
-            }
-            debug_assert_eq!(rest, 0, "local rank exceeded B_v(|v|)");
-            stack[base..].reverse();
+    /// `ids` must be the preorder listing of one plan of this space.
+    pub(crate) fn lift(&self, ids: &[PhysId]) -> PlanNode {
+        // Reverse preorder completes every subtree before its parent
+        // and pushes the leftmost child last, so each operator's
+        // children are the top `arity` finished nodes, top first.
+        let mut done: Vec<PlanNode> = Vec::with_capacity(ids.len());
+        for &id in ids.iter().rev() {
+            let at = done.len() - self.links.arity_of(id);
+            let mut children = done.split_off(at);
+            children.reverse();
+            done.push(PlanNode { id, children });
         }
+        let root = done.pop().expect("a plan has at least one operator");
+        assert!(done.is_empty(), "preorder did not form one tree");
+        root
     }
 }
 
@@ -284,82 +205,6 @@ mod tests {
         let err = space.unrank(&Nat::from(32u64)).unwrap_err();
         assert!(matches!(err, SpaceError::RankOutOfRange { .. }));
         assert!(space.unrank(&Nat::from(31u64)).is_ok());
-    }
-
-    /// The scalar branch-and-subtract reference the chunked scan must
-    /// reproduce index-for-index.
-    fn select_scalar(counts: &[u128], mut rank: u128) -> (usize, u128) {
-        for (i, &n) in counts.iter().enumerate() {
-            if rank < n {
-                return (i, rank);
-            }
-            rank -= n;
-        }
-        unreachable!("rank below the list total by construction")
-    }
-
-    #[test]
-    fn chunked_select_matches_the_scalar_reference() {
-        // Deterministic xorshift so the shapes cover chunk boundaries,
-        // zero runs, and tails without a dev-dependency on `rand`.
-        let mut s = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        for len in [1usize, 2, 7, 8, 9, 15, 16, 17, 40, 101] {
-            for _case in 0..50 {
-                let counts: Vec<u64> = (0..len)
-                    .map(|_| {
-                        let r = next();
-                        // ~1 in 4 alternatives dead, rest small so every
-                        // index is reachable across cases.
-                        if r % 4 == 0 {
-                            0
-                        } else {
-                            r % 1000 + 1
-                        }
-                    })
-                    .collect();
-                let total: u64 = counts.iter().sum();
-                if total == 0 {
-                    continue;
-                }
-                let wide: Vec<u128> = counts.iter().map(|&n| n as u128).collect();
-                for probe in 0..total.min(64) {
-                    // Stride ranks across the whole range, hitting both
-                    // boundaries of every alternative.
-                    let rank = (probe * (total / total.clamp(1, 64))).min(total - 1);
-                    let expect = select_scalar(&wide, rank as u128);
-                    assert_eq!(
-                        select_in_list_u64(&counts, rank),
-                        (expect.0, expect.1 as u64),
-                        "u64 diverged on {counts:?} rank {rank}"
-                    );
-                    assert_eq!(
-                        select_in_list_u128(&wide, rank as u128),
-                        expect,
-                        "u128 diverged on {counts:?} rank {rank}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_select_handles_two_limb_counts() {
-        let big = u64::MAX as u128 + 5;
-        let counts = [0u128, big, 3, 0, big, 1, 0, 0, big, 2];
-        let total: u128 = counts.iter().sum();
-        for rank in [0u128, 1, big - 1, big, big + 2, big + 3, total - 1] {
-            assert_eq!(
-                select_in_list_u128(&counts, rank),
-                select_scalar(&counts, rank),
-                "diverged at rank {rank}"
-            );
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! expressions, degenerate one-plan spaces, deep chains, and restricted
 //! optimizer configurations.
 
-use plansample::{PlanSpace, SpaceError};
+use plansample::{CountTier, Counts, CountsParts, Links, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_catalog::{table, Catalog, ColType};
 use plansample_memo::{validate_plan, GroupKey, Memo, PhysicalExpr, PhysicalOp};
@@ -77,7 +77,7 @@ fn dead_expressions_count_zero_and_are_skipped() {
     memo.set_root(gab);
 
     let space = PlanSpace::build(&memo, &query).unwrap();
-    assert_eq!(space.count_rooted(dead), &Nat::zero());
+    assert_eq!(space.count_rooted(dead), Nat::zero());
     assert_eq!(space.count_rooted(hj).to_u64(), Some(1));
     assert_eq!(
         space.total().to_u64(),
@@ -288,4 +288,45 @@ fn aggregate_space_includes_both_agg_implementations() {
     }
     assert!(names.contains("HashAgg"));
     assert!(names.contains("StreamAgg"));
+}
+
+/// A fixed-width store owns no `Vec<Nat>`: its footprint is exactly one
+/// word per expression, pooled link and list, plus the struct.
+#[test]
+fn fixed_width_tiers_hold_one_word_per_count() {
+    let ex = plansample::paper_example::build();
+    let mut space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+    let links = space.links();
+    let words = links.num_exprs() + links.num_pooled_links() + links.num_lists();
+    let fixed = std::mem::size_of::<Counts>();
+    assert_eq!(space.counts().tier(), CountTier::U64);
+    assert_eq!(space.counts().size_bytes(), fixed + 8 * words);
+    space.force_tier(CountTier::U128);
+    assert_eq!(space.counts().size_bytes(), fixed + 16 * words);
+    space.force_tier(CountTier::Nat);
+    assert_eq!(
+        space.counts().size_bytes(),
+        fixed + std::mem::size_of::<Nat>() * words,
+        "single-limb Nats spill nothing"
+    );
+}
+
+#[test]
+fn count_parts_round_trip_and_are_shape_checked() {
+    let ex = plansample::paper_example::build();
+    let links = Links::build(&ex.memo, &ex.query).unwrap();
+    let counts = Counts::compute(&links);
+    let back = Counts::from_parts(&links, counts.to_parts()).unwrap();
+    assert_eq!(back.tier(), counts.tier());
+    assert_eq!(back.total(), counts.total());
+    assert_eq!(back.to_parts(), counts.to_parts());
+
+    let CountsParts::U64(mut per_expr, list_totals) = counts.to_parts() else {
+        panic!("a u64 store serializes as u64 parts")
+    };
+    per_expr.pop();
+    assert!(matches!(
+        Counts::from_parts(&links, CountsParts::U64(per_expr, list_totals)),
+        Err(SpaceError::MalformedParts { .. })
+    ));
 }

@@ -15,6 +15,7 @@
 //! timing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
 

@@ -18,6 +18,7 @@
 //! non-empty.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod joingraph;
 

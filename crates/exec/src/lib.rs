@@ -20,6 +20,7 @@
 //! §8).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod compare;
 mod iter;

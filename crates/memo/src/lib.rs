@@ -24,6 +24,7 @@
 //! appendix.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod dense;
 mod expr;

@@ -18,6 +18,7 @@
 //! * Only the strategies the workspace exercises exist.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod collection;
 pub mod option;

@@ -11,6 +11,7 @@
 //! subset of relations, which the optimizer's cost model consumes.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod builder;
 mod card;

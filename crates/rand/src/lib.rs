@@ -22,6 +22,7 @@
 //! chi-square tests in the umbrella crate depend on this.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod rngs;
 

@@ -134,6 +134,10 @@ impl Poller {
             None => -1,
         };
         loop {
+            // SAFETY: the pointer and length describe `self.fds`'
+            // initialized `#[repr(C)]` `pollfd` elements, exclusively
+            // borrowed for the call; the kernel writes only their
+            // `revents` fields.
             let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as c_ulong, timeout_ms) };
             if rc >= 0 {
                 break;

@@ -385,13 +385,19 @@ mod reuseport {
                 "SO_REUSEPORT mode supports IPv4 listen addresses only",
             ));
         };
+        // SAFETY: `socket(2)` takes three integers and touches no
+        // caller memory; the declaration above matches its C prototype.
         let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
         if fd < 0 {
             return Err(io::Error::last_os_error());
         }
         // From here the fd has an owner: any failure drops (closes) it.
+        // SAFETY: `fd` is a fresh, open stream socket (checked above)
+        // that nothing else owns, so `sock` becomes its sole owner.
         let sock = unsafe { TcpListener::from_raw_fd(fd) };
         let one: c_int = 1;
+        // SAFETY: `fd` is open (owned by `sock`); `optval` points at the
+        // live `c_int` `one` and `optlen` is exactly its size.
         let rc = unsafe {
             setsockopt(
                 fd,
@@ -410,10 +416,14 @@ mod reuseport {
             sin_addr: u32::from_be_bytes(v4.ip().octets()).to_be(),
             sin_zero: [0; 8],
         };
+        // SAFETY: `fd` is open; `sa` is a live `#[repr(C)]`
+        // `sockaddr_in` and `len` is exactly its size, so the kernel
+        // reads only initialized bytes.
         let rc = unsafe { bind(fd, &sa, std::mem::size_of::<SockAddrIn>() as c_uint) };
         if rc != 0 {
             return Err(io::Error::last_os_error());
         }
+        // SAFETY: `listen(2)` takes two integers; `fd` is open and bound.
         if unsafe { listen(fd, BACKLOG) } != 0 {
             return Err(io::Error::last_os_error());
         }

@@ -29,7 +29,7 @@ use crate::wire::{
 };
 use plansample_core::{Error, PlanBatch, PlanService, PreparedQuery};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
-use plansample_memo::PlanNode;
+use plansample_memo::{PhysId, PlanNode};
 use plansample_optimizer::OptimizerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -235,12 +235,10 @@ impl ServerState {
                 }
                 let (seed, k) = (*seed, *k);
                 self.with_prepared(wl, move |p, _| {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    let items = p
-                        .sample_batch(&mut rng, k as usize)
-                        .iter()
-                        .map(|plan| (to_wire_plan(plan), p.scaled_cost(plan)))
-                        .collect();
+                    let mut items = Vec::with_capacity(k as usize);
+                    for_each_sample(p, seed, k, |ids, cost| {
+                        items.push((wire_ids(ids).collect(), cost))
+                    });
                     Response::Samples(items)
                 })
             }
@@ -251,16 +249,17 @@ impl ServerState {
     /// Executes one decoded request straight to reply *bytes* — the
     /// path the worker pools and reactors use. For `SampleBatch` within
     /// bounds this streams: plans are drawn into a reusable flat
-    /// [`PlanBatch`] (the fixed-width `u64`/`u128` unranking tiers,
-    /// exact-`Nat` beyond them; zero steady-state
-    /// allocations per draw) and encoded into the reply buffer one at a
-    /// time via [`SamplesEncoder`], so a 4096-plan batch never
-    /// materializes a tree or a `WirePlan` per plan — peak memory is
-    /// the reply plus the flat ids, tracked in
-    /// [`ServerState::batch_peak_bytes`]. The produced bytes are
-    /// identical to `self.handle(request).encode(request_id)` (the
-    /// encoder is byte-compatible and the flat sampler is bit-identical
-    /// to the tree sampler), which `tests/serving_stats.rs` asserts.
+    /// [`PlanBatch`] (zero steady-state allocations per draw on the
+    /// fixed-width count tiers) and encoded into the reply buffer one
+    /// at a time via [`SamplesEncoder`], so a 4096-plan batch never
+    /// materializes a `WirePlan` per plan — peak memory is the reply
+    /// plus the flat ids, tracked in
+    /// [`ServerState::batch_peak_bytes`]. [`handle`](Self::handle)
+    /// draws the same flat batch, so the produced bytes are identical
+    /// to `self.handle(request).encode(request_id)` exactly when the
+    /// streaming encoder is byte-compatible with [`Response::encode`] —
+    /// which the unit tests below assert; `tests/reply_digest.rs` pins
+    /// a digest of the reply bytes themselves.
     /// Every other request defers to [`handle`](Self::handle).
     pub fn handle_encoded(&self, request: &Request, request_id: u64) -> Vec<u8> {
         if let Request::SampleBatch(wl, seed, k) = request {
@@ -279,25 +278,13 @@ impl ServerState {
             Ok((prepared, _)) => prepared,
             Err(resp) => return resp.encode(request_id),
         };
-        thread_local! {
-            /// Per-worker sampling scratch; capacity persists across
-            /// requests, so steady-state fills allocate nothing.
-            static SCRATCH: std::cell::RefCell<PlanBatch> =
-                std::cell::RefCell::new(PlanBatch::new());
-        }
-        SCRATCH.with(|cell| {
-            let mut batch = cell.borrow_mut();
-            let mut rng = StdRng::seed_from_u64(seed);
-            prepared.sample_batch_flat(&mut rng, k as usize, &mut batch);
-            let mut enc = SamplesEncoder::new(request_id);
-            for ids in batch.iter() {
-                let cost = prepared.scaled_cost_ids(ids);
-                enc.push(ids.iter().map(|id| (id.group.0, id.index as u32)), cost);
-            }
-            let peak = (batch.size_bytes() + enc.len_bytes()) as u64;
-            self.batch_peak_bytes.fetch_max(peak, Ordering::Relaxed);
-            enc.finish()
-        })
+        let mut enc = SamplesEncoder::new(request_id);
+        let batch_bytes = for_each_sample(&prepared, seed, k, |ids, cost| {
+            enc.push(wire_ids(ids), cost)
+        });
+        let peak = (batch_bytes + enc.len_bytes()) as u64;
+        self.batch_peak_bytes.fetch_max(peak, Ordering::Relaxed);
+        enc.finish()
     }
 
     /// Resolves the workload through its service and applies `f`,
@@ -483,12 +470,41 @@ impl ServerState {
     }
 }
 
+/// The one sampler behind every `SampleBatch` reply: draws the `k`
+/// plans of `seed` into this worker's reusable flat batch and hands
+/// `emit` each plan's preorder ids and scaled cost, in draw order.
+/// Returns the batch's resident bytes (for the peak-memory gauge).
+fn for_each_sample(
+    prepared: &PreparedQuery,
+    seed: u64,
+    k: u32,
+    mut emit: impl FnMut(&[PhysId], f64),
+) -> usize {
+    thread_local! {
+        /// Per-worker sampling scratch; capacity persists across
+        /// requests, so steady-state fills allocate nothing.
+        static SCRATCH: std::cell::RefCell<PlanBatch> =
+            std::cell::RefCell::new(PlanBatch::new());
+    }
+    SCRATCH.with(|cell| {
+        let mut batch = cell.borrow_mut();
+        let mut rng = StdRng::seed_from_u64(seed);
+        prepared.sample_batch_flat(&mut rng, k as usize, &mut batch);
+        for ids in batch.iter() {
+            emit(ids, prepared.scaled_cost_ids(ids));
+        }
+        batch.size_bytes()
+    })
+}
+
+/// Preorder ids in wire form: `(group, index)` pairs.
+fn wire_ids(ids: &[PhysId]) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
+    ids.iter().map(|id| (id.group.0, id.index as u32))
+}
+
 /// A plan's wire form: its preorder `(group, index)` listing.
 pub fn to_wire_plan(plan: &PlanNode) -> WirePlan {
-    plan.preorder_ids()
-        .iter()
-        .map(|id| (id.group.0, id.index as u32))
-        .collect()
+    wire_ids(&plan.preorder_ids()).collect()
 }
 
 fn overloaded(message: String) -> Response {
@@ -563,6 +579,9 @@ mod tests {
         assert_eq!(evictions(), 2);
     }
 
+    /// `SamplesEncoder` (streaming) against `Response::encode` (the
+    /// materialized reply): both are fed by the same flat sampler, so
+    /// this is purely the encoders' byte-identity.
     #[test]
     fn streamed_sample_batch_bytes_match_the_tree_path() {
         let state = state(4);

@@ -49,6 +49,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod lexer;
 mod parser;

@@ -24,6 +24,7 @@
 //!   once parameters are estimated from the tested sample).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod bootstrap;
 mod hypothesis;

@@ -158,8 +158,11 @@ where
 /// only executed between a successful claim and the matching
 /// `finish_chunk`, so `data` strictly outlives every dereference.
 struct Job {
-    /// Executes chunk `i` (of `chunks` total). Called at most once per
-    /// chunk index.
+    /// Executes chunk `i` (of `chunks` total).
+    ///
+    /// # Safety
+    /// Must be called with this job's `data`, while `data` is alive,
+    /// and at most once per chunk index `i < chunks`.
     run: unsafe fn(*const (), usize),
     /// Borrowed closure context on the caller's stack.
     data: *const (),
@@ -179,14 +182,29 @@ struct Job {
     done_cv: Condvar,
 }
 
-// SAFETY: `data` is only dereferenced through `run` while the submitting
-// caller is blocked in `run_job`, and the erased closure is `Sync` (the
-// public entry points bound it). The raw pointer itself is what strips
-// the automatic impls.
+// SAFETY (both impls): `data` is only dereferenced through `run` while
+// the submitting caller is blocked in `run_job`, and the erased closure
+// is `Sync` (the public entry points bound it). The raw pointer itself
+// is what strips the automatic impls; every other field is `Send + Sync`.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
 impl Job {
+    /// A fresh job of `chunks` chunks running `run` over `data`.
+    fn new(run: unsafe fn(*const (), usize), data: *const (), chunks: usize) -> Arc<Job> {
+        Arc::new(Job {
+            run,
+            data,
+            cursor: AtomicUsize::new(0),
+            chunks,
+            pending: AtomicUsize::new(chunks),
+            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
+            done: Mutex::new(false),
+            done_cv: Condvar::new(),
+        })
+    }
+
     /// Claims and runs chunks until the job is exhausted or poisoned.
     /// Returns how many chunks this thread finished.
     fn work(&self) -> usize {
@@ -242,8 +260,9 @@ struct Injector {
 
 /// A persistent worker pool.
 ///
-/// The module-level entry points ([`parallel_for`], [`parallel_map`])
-/// use a lazily-started global instance that lives for the process (its
+/// The module-level entry points ([`parallel_for`],
+/// [`parallel_for_each_mut`], [`parallel_map`]) use a lazily-started
+/// global instance that lives for the process (its
 /// idle workers park on a condvar and cost nothing; process exit tears
 /// them down). Separate instances exist for tests of the pool's own
 /// lifecycle: dropping a `Pool` signals shutdown and **joins** every
@@ -449,6 +468,8 @@ where
         len,
         chunk,
     };
+    /// # Safety
+    /// `data` must point at a live `ForCtx<F>`.
     unsafe fn run_chunk<F: Fn(Range<usize>) + Sync>(data: *const (), c: usize) {
         // SAFETY: `data` points at the `ForCtx` on the submitting
         // caller's stack, alive for the whole section (see `run_job`).
@@ -456,19 +477,77 @@ where
         let start = c * ctx.chunk;
         (ctx.body)(start..(start + ctx.chunk).min(ctx.len));
     }
-    let job = Arc::new(Job {
-        run: run_chunk::<F>,
-        data: &ctx as *const ForCtx<'_, F> as *const (),
-        cursor: AtomicUsize::new(0),
+    let job = Job::new(
+        run_chunk::<F>,
+        &ctx as *const ForCtx<'_, F> as *const (),
         chunks,
-        pending: AtomicUsize::new(chunks),
-        poisoned: AtomicBool::new(false),
-        panic: Mutex::new(None),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-    });
+    );
     // SAFETY: `ctx` outlives `run_job`, which blocks until every chunk
     // has finished.
+    unsafe { global().run_job(job, workers - 1) };
+}
+
+/// Runs `body(i, &mut items[i])` for every element, in parallel — the
+/// safe way to let workers fill disjoint slots of a caller-owned slice
+/// (e.g. per-chunk output buffers whose capacity must survive the
+/// section). Every element is its own unit of work, claimed dynamically
+/// like a [`parallel_for`] chunk; a 1-thread configuration or a slice
+/// of fewer than two elements runs inline, in index order.
+///
+/// Which worker visits which element is not deterministic; since each
+/// element is visited exactly once with exclusive access, the committed
+/// slice is, for deterministic bodies. Panics propagate as in
+/// [`parallel_for`]: elements not yet started by then are left as they
+/// were.
+pub fn parallel_for_each_mut<T, F>(items: &mut [T], body: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let workers = workers_for(items.len(), 1);
+    if workers == 1 {
+        for (i, item) in items.iter_mut().enumerate() {
+            body(i, item);
+        }
+        return;
+    }
+
+    struct EachCtx<'a, T, F> {
+        body: &'a F,
+        items: *mut T,
+    }
+    // SAFETY: `body` is `Sync`; `items` is only dereferenced at
+    // distinct in-bounds indices (one per chunk, see `run_chunk`), and
+    // handing `&mut T` to another thread needs `T: Send`.
+    unsafe impl<T: Send, F: Sync> Sync for EachCtx<'_, T, F> {}
+
+    /// # Safety
+    /// `data` must point at a live `EachCtx<T, F>` whose `items` holds
+    /// more than `c` elements, and no other call may use the same `c`.
+    unsafe fn run_chunk<T: Send, F: Fn(usize, &mut T) + Sync>(data: *const (), c: usize) {
+        // SAFETY: `data` points at the `EachCtx` on the submitting
+        // caller's stack, alive for the whole section (see `run_job`).
+        let ctx = unsafe { &*(data as *const EachCtx<'_, T, F>) };
+        // SAFETY: the job has exactly `items.len()` chunks, so `c` is in
+        // bounds; chunk `c` is claimed exactly once, so this is the only
+        // live reference to element `c`; and the caller's `&mut [T]`
+        // borrow is held (unused) by `parallel_for_each_mut` until
+        // every chunk has finished.
+        let item = unsafe { &mut *ctx.items.add(c) };
+        (ctx.body)(c, item);
+    }
+
+    let ctx = EachCtx {
+        body: &body,
+        items: items.as_mut_ptr(),
+    };
+    let job = Job::new(
+        run_chunk::<T, F>,
+        &ctx as *const EachCtx<'_, T, F> as *const (),
+        items.len(),
+    );
+    // SAFETY: `ctx` and the `items` borrow outlive `run_job`, which
+    // blocks until every chunk has finished.
     unsafe { global().run_job(job, workers - 1) };
 }
 
@@ -501,8 +580,16 @@ where
         chunk: usize,
         progress: &'a [AtomicUsize],
     }
+    // SAFETY: `f` and `progress` are `Sync`; `out` is only written at
+    // distinct in-bounds slots (each index belongs to exactly one
+    // chunk, see `run_chunk`), and moving an `R` produced on a worker
+    // into the caller's buffer needs `R: Send`.
     unsafe impl<R: Send, F: Sync> Sync for MapCtx<'_, R, F> {}
 
+    /// # Safety
+    /// `data` must point at a live `MapCtx<R, F>` whose `out` has
+    /// capacity for `len` elements, and no other call may use the same
+    /// `c`.
     unsafe fn run_chunk<R: Send, F: Fn(usize) -> R + Sync>(data: *const (), c: usize) {
         // SAFETY: `data` points at the `MapCtx` on the submitting
         // caller's stack; chunk `c` owns the disjoint output slice
@@ -512,6 +599,8 @@ where
         let end = (start + ctx.chunk).min(ctx.len);
         for i in start..end {
             let value = (ctx.f)(i);
+            // SAFETY: `i < len ≤ capacity`, the slot is uninitialized,
+            // and only this chunk writes it.
             unsafe { ctx.out.add(i).write(value) };
             ctx.progress[c].store(i - start + 1, Ordering::Release);
         }
@@ -524,17 +613,11 @@ where
         chunk,
         progress: &progress,
     };
-    let job = Arc::new(Job {
-        run: run_chunk::<R, F>,
-        data: &ctx as *const MapCtx<'_, R, F> as *const (),
-        cursor: AtomicUsize::new(0),
+    let job = Job::new(
+        run_chunk::<R, F>,
+        &ctx as *const MapCtx<'_, R, F> as *const (),
         chunks,
-        pending: AtomicUsize::new(chunks),
-        poisoned: AtomicBool::new(false),
-        panic: Mutex::new(None),
-        done: Mutex::new(false),
-        done_cv: Condvar::new(),
-    });
+    );
     // SAFETY: `ctx` (and `out`'s buffer) outlive `run_job`, which blocks
     // until every chunk has finished; afterwards either every slot is
     // initialized (normal path) or `progress` bounds what was.
@@ -543,7 +626,8 @@ where
     }));
     match result {
         Ok(()) => {
-            // Every chunk ran to completion: all `len` slots initialized.
+            // SAFETY: every chunk ran to completion, so all `len` slots
+            // (within the `len` capacity reserved above) are initialized.
             unsafe { out.set_len(len) };
             out
         }
@@ -553,6 +637,9 @@ where
             for (c, written) in progress.iter().enumerate() {
                 let start = c * chunk;
                 for i in start..start + written.load(Ordering::Acquire) {
+                    // SAFETY: `progress[c]` counts the slots chunk `c`
+                    // initialized, from its start; each is dropped once
+                    // here and never again (`out`'s length stays 0).
                     unsafe { std::ptr::drop_in_place(out.as_mut_ptr().add(i)) };
                 }
             }
@@ -626,6 +713,43 @@ mod tests {
             assert_eq!(got.len(), 403);
             assert!(got.iter().enumerate().all(|(i, v)| v == &[round, i as u64]));
         }
+    }
+
+    #[test]
+    fn parallel_for_each_mut_visits_every_element_exactly_once() {
+        for threads in [1, 2, 4, 7] {
+            for len in [0usize, 1, 2, 3, 64, 257] {
+                // Heap-owning elements whose capacity must survive.
+                let mut items: Vec<Vec<usize>> = (0..len).map(|_| Vec::with_capacity(4)).collect();
+                with_threads(threads, || {
+                    parallel_for_each_mut(&mut items, |i, item| item.push(i * 3));
+                });
+                assert!(
+                    items.iter().enumerate().all(|(i, v)| v == &[i * 3]),
+                    "{threads} threads, {len} elements"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_for_each_mut_propagates_panics_and_leaves_the_pool_usable() {
+        let mut items = vec![0u32; 200];
+        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            with_threads(4, || {
+                parallel_for_each_mut(&mut items, |i, item| {
+                    if i == 100 {
+                        panic!("element failure");
+                    }
+                    *item = 1;
+                });
+            })
+        }));
+        assert!(result.is_err());
+        // Each element was written at most once, none twice.
+        assert!(items.iter().all(|&v| v <= 1) && items[100] == 0);
+        with_threads(4, || parallel_for_each_mut(&mut items, |_, item| *item = 2));
+        assert!(items.iter().all(|&v| v == 2));
     }
 
     #[test]

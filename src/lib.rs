@@ -25,5 +25,6 @@
 //! `docs/ARCHITECTURE.md` for how the paper's concepts land in modules.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use plansample_core::*;

@@ -6,78 +6,113 @@
 //! `u64` for single-limb spaces, `u128` for two-limb ones — touches no
 //! allocator at all: every draw is a rejection-sampled rank plus
 //! fixed-width arithmetic into already-owned memory. These tests swap
-//! in a
-//! `#[global_allocator]` that counts every `alloc`/`realloc`/
-//! `alloc_zeroed` and asserts the count is **exactly zero** across a
+//! in a `#[global_allocator]` that counts every `alloc`/`realloc`/
+//! `alloc_zeroed` and assert the count is **exactly zero** across a
 //! warmed 512-plan fill.
 //!
-//! It lives in its own integration-test binary because a global
-//! allocator is process-wide: the counter would register every other
-//! test's allocations otherwise.
+//! The count is **per thread** (a const-initialised thread-local cell,
+//! which the allocator can read without allocating): the test harness
+//! runs this file's tests on sibling threads, and one of them builds
+//! chain memos by the dozen while another is inside its measured
+//! window. The measured fills run inline on the test's own thread
+//! (`with_threads(1)`), so the thread's count is the fill's count.
 
-use plansample::{PlanBatch, PlanSpace};
+use plansample::{CountTier, PlanBatch, PlanSpace};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor: reading it from
+    // inside the allocator never allocates or registers a dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// This thread's acquisitions so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[inline]
+fn note() {
+    // `try_with`: a thread being torn down may allocate after its TLS
+    // is gone.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
 
 /// Forwards to the system allocator, counting every acquisition path
 /// (`dealloc` is deliberately uncounted: freeing is allowed, acquiring
 /// is not).
 struct CountingAlloc;
 
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; `note` touches only a
+// thread-local `Cell` and never allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        note();
+        // SAFETY: `ptr` came from `System` with `layout`; the caller
+        // upholds the rest of `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[test]
-fn steady_state_flat_sampling_allocates_nothing() {
-    // Chain-6 stays comfortably single-limb, so every draw takes the
-    // u64 fast path.
-    let (_, query, memo) = JoinGraphSpec::new(Topology::Chain, 6, 20000).build_memo();
-    let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("chain-6 builds");
-    assert!(
-        space.counts().has_fast_path(),
+fn chain(rels: usize) -> PlanSpace {
+    let (_, query, memo) = JoinGraphSpec::new(Topology::Chain, rels, 20000).build_memo();
+    PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("chain builds")
+}
+
+/// Chain-6 stays comfortably single-limb: every draw runs in `u64`.
+fn single_limb_space() -> PlanSpace {
+    let space = chain(6);
+    assert_eq!(
+        space.counts().tier(),
+        CountTier::U64,
         "chain-6 must be single-limb"
     );
+    space
+}
 
+/// Warms `out` with a 512-plan fill from `seed`, then repeats the fill
+/// from the same seed — identical ranks → identical plan shapes → the
+/// grown capacities are exactly what the repeat needs — and asserts
+/// the repeat acquired no memory at all. Returns what the *warm-up*
+/// acquired.
+fn assert_steady_state_allocates_nothing(space: &PlanSpace, seed: u64, out: &mut PlanBatch) -> u64 {
     threadpool::with_threads(1, || {
-        let mut out = PlanBatch::new();
-        // Warmup on the same seed the measured fill will use: identical
-        // ranks → identical plan shapes → the grown capacities are
-        // exactly what the measured fill needs.
-        let mut rng = StdRng::seed_from_u64(77);
-        space.sample_batch_flat(&mut rng, 512, &mut out);
+        let tier = space.counts().tier();
+        let before = allocations();
+        space.sample_batch_flat(&mut StdRng::seed_from_u64(seed), 512, out);
+        let warm_up = allocations() - before;
         let warm_nodes = out.total_nodes();
 
-        let mut rng = StdRng::seed_from_u64(77);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        space.sample_batch_flat(&mut rng, 512, &mut out);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let before = allocations();
+        space.sample_batch_flat(&mut rng, 512, out);
+        let counted = allocations() - before;
 
         assert_eq!(out.len(), 512);
         assert_eq!(
@@ -86,13 +121,18 @@ fn steady_state_flat_sampling_allocates_nothing() {
             "reseeded fill must repeat itself"
         );
         assert_eq!(
-            after - before,
-            0,
-            "steady-state sample_batch_flat must not allocate (counted {} allocations \
-             across 512 draws)",
-            after - before
+            counted, 0,
+            "steady-state {tier}-tier sample_batch_flat must not allocate (counted \
+             {counted} allocations across 512 draws)"
         );
-    });
+        warm_up
+    })
+}
+
+#[test]
+fn steady_state_flat_sampling_allocates_nothing() {
+    let space = single_limb_space();
+    assert_steady_state_allocates_nothing(&space, 77, &mut PlanBatch::new());
 }
 
 #[test]
@@ -100,47 +140,34 @@ fn steady_state_u128_tier_sampling_allocates_nothing() {
     // The smallest chain past the single-limb boundary: a genuine
     // two-limb space (not a forced one), scanned for rather than
     // hard-coded so the test tracks the boundary itself.
-    let space = (10..24)
-        .find_map(|rels| {
-            let (_, query, memo) = JoinGraphSpec::new(Topology::Chain, rels, 20000).build_memo();
-            let space =
-                PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("chain builds");
-            (!space.counts().has_fast_path() && space.counts().has_wide_path()).then_some(space)
-        })
+    let two_limb = (10..24)
+        .map(chain)
+        .find(|space| space.counts().tier() == CountTier::U128)
         .expect("some chain under 24 relations needs exactly two limbs");
+    let cold = assert_steady_state_allocates_nothing(&two_limb, 78, &mut PlanBatch::new());
 
-    threadpool::with_threads(1, || {
-        let mut out = PlanBatch::new();
-        let mut rng = StdRng::seed_from_u64(78);
-        space.sample_batch_flat(&mut rng, 512, &mut out);
-        let warm_nodes = out.total_nodes();
-
-        let mut rng = StdRng::seed_from_u64(78);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        space.sample_batch_flat(&mut rng, 512, &mut out);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
-
-        assert_eq!(out.len(), 512);
-        assert_eq!(
-            out.total_nodes(),
-            warm_nodes,
-            "reseeded fill must repeat itself"
-        );
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state u128-tier sample_batch_flat must not allocate (counted {} \
-             allocations across 512 draws)",
-            after - before
-        );
-    });
+    // One batch serving both tiers in turn: its scratch is a single
+    // slot retagged on a tier change, its id and bounds buffers are
+    // tier-agnostic. So a `u64`-tier fill followed by a `u128`-tier
+    // fill reaches the zero-allocation steady state again after one
+    // warm-up — which, reusing the buffers the `u64` fills grew, needs
+    // no more acquisitions than warming a brand-new batch did — and so
+    // does going back.
+    let single_limb = single_limb_space();
+    let mut shared = PlanBatch::new();
+    assert_steady_state_allocates_nothing(&single_limb, 77, &mut shared);
+    let reused = assert_steady_state_allocates_nothing(&two_limb, 78, &mut shared);
+    assert!(
+        reused <= cold,
+        "retagging a warmed batch acquired {reused} times, a new batch {cold}"
+    );
+    assert_steady_state_allocates_nothing(&single_limb, 77, &mut shared);
 }
 
 #[test]
 fn the_counter_itself_works() {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let v: Vec<u8> = Vec::with_capacity(4096);
     std::hint::black_box(&v);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert!(after > before, "allocator instrumentation is dead");
+    assert!(allocations() > before, "allocator instrumentation is dead");
 }

@@ -173,9 +173,6 @@ fn counts_rooted_sum_to_total_on_tpch() {
     let optimized = optimize(&catalog, &query, &OptimizerConfig::default()).unwrap();
     let space = PlanSpace::build(&optimized.memo, &query).unwrap();
     let root = optimized.memo.group(optimized.memo.root());
-    let sum: Nat = root
-        .phys_iter()
-        .map(|(id, _)| space.count_rooted(id).clone())
-        .sum();
+    let sum: Nat = root.phys_iter().map(|(id, _)| space.count_rooted(id)).sum();
     assert_eq!(&sum, space.total());
 }

@@ -1,5 +1,7 @@
 //! Shared helpers for the statistical validation suites: building
-//! synthetic spaces and collecting sampling frequency spectra.
+//! synthetic spaces and collecting sampling frequency spectra — plus
+//! the independent unranking oracle the differential suites compare
+//! the product's one unranker against.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
@@ -7,10 +9,149 @@ use plansample::PlanSpace;
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
 use plansample_datagen::joingraph::JoinGraphSpec;
-use plansample_memo::Memo;
+use plansample_memo::{DenseId, GroupKey, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode};
 use plansample_optimizer::{optimize, OptimizerConfig};
-use plansample_query::QuerySpec;
+use plansample_query::{QueryBuilder, QuerySpec, RelId, RelSet};
 use rand::rngs::StdRng;
+
+// ---------------------------------------------------------------------
+// The reference unranker
+// ---------------------------------------------------------------------
+//
+// The paper's §3.3 procedure transcribed literally — recursive, exact
+// `Nat` arithmetic, one `PlanNode` per call — against nothing but the
+// public `Links` lists and the `Counts` `Nat` views. It shares no code
+// with `plansample`'s iterative word-generic unranker, so "product
+// equals reference" is a real differential check on every tier.
+
+/// Plan number `rank` of the whole space.
+pub fn reference_unrank(space: &PlanSpace, rank: &Nat) -> PlanNode {
+    assert!(rank < space.total(), "reference rank out of range");
+    let root = space.links().root_list();
+    reference_unrank_in(space, space.links().list(root), rank.clone())
+}
+
+/// Plan number `rank` of the sub-space rooted at `v`.
+pub fn reference_unrank_rooted(space: &PlanSpace, v: PhysId, rank: &Nat) -> PlanNode {
+    assert!(rank < &space.count_rooted(v), "reference rank out of range");
+    reference_unrank_expr(space, space.links().ids().dense(v), rank.clone())
+}
+
+/// Step 1: operator selection by prefix sums over the alternatives.
+fn reference_unrank_in(space: &PlanSpace, alternatives: &[DenseId], mut rank: Nat) -> PlanNode {
+    for &v in alternatives {
+        let n = space.counts().rooted(v);
+        if rank < n {
+            return reference_unrank_expr(space, v, rank);
+        }
+        rank -= &n;
+    }
+    unreachable!("rank below the alternative total by construction")
+}
+
+/// Steps 2–3: mixed-radix sub-ranks, one recursive call per slot.
+fn reference_unrank_expr(space: &PlanSpace, v: DenseId, local_rank: Nat) -> PlanNode {
+    let mut rest = local_rank;
+    let children = space
+        .links()
+        .slot_lists(v)
+        .iter()
+        .map(|&l| {
+            let (q, s) = rest.div_rem(&space.counts().list_total(l));
+            rest = q;
+            reference_unrank_in(space, space.links().list(l), s)
+        })
+        .collect();
+    assert!(rest.is_zero(), "local rank exceeded B_v(|v|)");
+    PlanNode {
+        id: space.links().ids().phys(v),
+        children,
+    }
+}
+
+/// `k` reference plans at the ranks `Nat::random_below` draws from
+/// `seed` — what every sampler of the product must reproduce from the
+/// same seed, on every tier and at every thread count.
+pub fn reference_sample_batch(space: &PlanSpace, seed: u64, k: usize) -> Vec<PlanNode> {
+    use rand::SeedableRng;
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..k)
+        .map(|_| reference_unrank(space, &Nat::random_below(&mut rng, space.total())))
+        .collect()
+}
+
+/// A hand-built space whose root list total is exactly `2^levels − 1`:
+/// group `G_1` holds one scan, and `G_{k+1}` holds a hash join of `G_k`
+/// with a two-scan group (`2·n_k` plans) plus one scan, so
+/// `n_{k+1} = 2·n_k + 1`. At 64 levels the largest count in the space
+/// is exactly `u64::MAX`, at 128 exactly `u128::MAX` — the last spaces
+/// of their tiers. The root list has two members; the join is first.
+pub fn all_ones_ladder(levels: usize) -> PlanSpace {
+    ladder(levels, false).0
+}
+
+/// [`all_ones_ladder`] demoted to a non-root group: the root group
+/// holds a hash join of the ladder's top group with an *empty* group —
+/// a dead sibling slot, which zeroes the product — plus one scan, so
+/// the space total is 1 while the returned interior expression (the
+/// ladder's top join) roots `2^levels − 2` plans. "The total fits"
+/// says nothing about the tier; the rooted sub-space API reaches it.
+pub fn dead_sibling_ladder(levels: usize) -> (PlanSpace, PhysId) {
+    ladder(levels, true)
+}
+
+fn ladder(levels: usize, dead_sibling_root: bool) -> (PlanSpace, PhysId) {
+    assert!(levels >= 2, "a ladder needs at least one join");
+    let mut catalog = Catalog::new();
+    catalog
+        .add_table(
+            plansample_catalog::table("t", 1)
+                .col("k", plansample_catalog::ColType::Int, 1)
+                .build(),
+        )
+        .unwrap();
+    let mut qb = QueryBuilder::new(&catalog);
+    qb.rel("t", None).unwrap();
+    let query = qb.build().unwrap();
+
+    // Group keys only need to be distinct; scans only need distinct
+    // `rel`s within a group. Hash joins and scans demand no order, so
+    // nothing here consults the query.
+    let mut memo = Memo::new();
+    let mut next_key = 0u64;
+    let mut group = |memo: &mut Memo| {
+        next_key += 1;
+        let mut set = RelSet::singleton(RelId(63));
+        (0..63)
+            .filter(|bit| next_key >> bit & 1 == 1)
+            .for_each(|bit| set.insert(RelId(bit)));
+        memo.add_group(GroupKey::Rels(set))
+    };
+    let scan = |rel| PhysicalExpr::new(PhysicalOp::TableScan { rel: RelId(rel) }, 1.0, 1.0);
+    let join = |left, right| PhysicalExpr::new(PhysicalOp::HashJoin { left, right }, 1.0, 1.0);
+    let two = group(&mut memo);
+    memo.add_physical(two, scan(0)).unwrap();
+    memo.add_physical(two, scan(1)).unwrap();
+    let mut top = group(&mut memo);
+    memo.add_physical(top, scan(0)).unwrap();
+    let mut top_join = None;
+    for _ in 1..levels {
+        let next = group(&mut memo);
+        top_join = memo.add_physical(next, join(top, two));
+        memo.add_physical(next, scan(0)).unwrap();
+        top = next;
+    }
+    if dead_sibling_root {
+        let empty = group(&mut memo);
+        let root = group(&mut memo);
+        memo.add_physical(root, join(top, empty)).unwrap();
+        memo.add_physical(root, scan(0)).unwrap();
+        top = root;
+    }
+    memo.set_root(top);
+    let space = PlanSpace::build(&memo, &query).expect("ladder is acyclic");
+    (space, top_join.expect("levels >= 2"))
+}
 
 /// A synthetic join-graph query optimized into a memo, with the plan
 /// space built exactly once (the expensive counting pass is shared by

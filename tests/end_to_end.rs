@@ -1,8 +1,8 @@
 //! End-to-end integration: SQL text → parse → optimize → count →
 //! USEPLAN-ranked execution → result comparison, across crates.
 
-use plansample::session::{Session, SessionError};
-use plansample::SpaceError;
+use plansample::session::Session;
+use plansample::{Error, SpaceError};
 use plansample_bignum::Nat;
 use plansample_datagen::MicroScale;
 
@@ -79,7 +79,7 @@ fn useplan_rank_out_of_range_surfaces_cleanly() {
         .execute_plan(&parsed.spec, &parsed.useplan.unwrap())
         .unwrap_err();
     match err {
-        SessionError::Space(SpaceError::RankOutOfRange { total, .. }) => {
+        Error::Space(SpaceError::RankOutOfRange { total, .. }) => {
             assert!(total.to_u64().unwrap() >= 1);
         }
         other => panic!("expected RankOutOfRange, got {other}"),

@@ -111,7 +111,7 @@ fn assert_layouts_agree(label: &str, memo: &Memo, query: &QuerySpec, space: &Pla
     for group in memo.groups() {
         for (id, _) in group.phys_iter() {
             assert_eq!(
-                space.count_rooted(id),
+                &space.count_rooted(id),
                 reference.count(id),
                 "{label}: count of {id}"
             );
@@ -129,7 +129,7 @@ fn assert_layouts_agree(label: &str, memo: &Memo, query: &QuerySpec, space: &Pla
                 let fresh: Nat = alternatives.iter().map(|&w| reference.count(w)).sum();
                 assert_eq!(
                     space.counts().list_total(*l),
-                    &fresh,
+                    fresh,
                     "{label}: slot total under {id}"
                 );
             }

@@ -135,13 +135,13 @@ fn subspace_sampling_is_uniform_inside_a_large_space() {
         .group(synth.memo().root())
         .phys_iter()
         .map(|(id, _)| id)
-        .filter(|&id| *space.count_rooted(id) >= floor)
+        .filter(|&id| space.count_rooted(id) >= floor)
         .take(2)
         .collect();
     assert_eq!(roots.len(), 2, "root group lacks two large sub-spaces");
 
     for v in roots {
-        let count = space.count_rooted(v).clone();
+        let count = space.count_rooted(v);
         let b = Nat::from(BUCKETS);
         let mut freq = vec![0usize; BUCKETS];
         let mut rng = seeded_rng(13 + v.index as u64);

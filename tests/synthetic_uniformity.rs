@@ -12,7 +12,8 @@
 mod common;
 
 use common::{
-    pick_subspace_roots, rank_spectrum, rooted_spectrum, seeded_rng, Sampler, SynthSpace,
+    pick_subspace_roots, rank_spectrum, reference_unrank_rooted, rooted_spectrum, seeded_rng,
+    Sampler, SynthSpace,
 };
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
@@ -127,6 +128,7 @@ fn rooted_unranking_covers_exactly_the_subspace() {
     let mut seen = std::collections::HashSet::new();
     for r in 0..count {
         let plan = space.unrank_rooted(v, &Nat::from(r)).unwrap();
+        assert_eq!(plan, reference_unrank_rooted(space, v, &Nat::from(r)));
         assert_eq!(plan.id, v, "sub-space root is pinned");
         assert_eq!(space.rank_rooted(&plan).unwrap(), Nat::from(r));
         assert!(seen.insert(format!("{:?}", plan.preorder_ids())));

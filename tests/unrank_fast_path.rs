@@ -1,12 +1,14 @@
-//! Differential tests of the fixed-width flat unrankers (DESIGN.md
-//! §11).
+//! Differential tests of the one unranker across the tier ladder
+//! (DESIGN.md §11).
 //!
-//! `sample_batch_flat` runs the mixed-radix decomposition on the
-//! fastest rung of the tier ladder the space qualifies for — `u64` when
-//! every count fits one limb, `u128` when every count fits two, exact
-//! `Nat` beyond that. Correctness here is entirely differential: on the
-//! *same seed*, the flat batch must reproduce the tree sampler's plans
-//! bit for bit —
+//! `sample_batch_flat` runs the mixed-radix decomposition in the word
+//! the space's counts are stored in — `u64` when every count fits one
+//! limb, `u128` when every count fits two, exact `Nat` beyond that.
+//! Correctness here is entirely differential, against the independent
+//! recursive reference in `tests/common` (the paper's §3.3 procedure on
+//! `Nat` views, sharing no code with the product): on the *same seed*,
+//! the flat batch — and the tree batch lifted from it — must reproduce
+//! the reference's plans bit for bit —
 //!
 //! * on random optimizer-built join-graph topologies (all single-limb
 //!   at these sizes, so the `u64` tier is what's exercised);
@@ -18,14 +20,16 @@
 //!   smallest clique past one limb, now served by the `u128` tier), and
 //!   a chain long enough that its total genuinely needs three limbs
 //!   (the remaining `Nat` regime);
-//! * and the criteria themselves are pinned: `has_fast_path()` /
-//!   `has_wide_path()` must reflect exactly whether every count fits
-//!   one / two limbs.
+//! * and the criterion itself is pinned: `tier()` must reflect exactly
+//!   whether every count fits one / two limbs.
 //!
 //! clique-10 (the bench's u128 regime) is covered when
 //! `PLANSAMPLE_STATISTICAL=1` — its debug-mode memo synthesis is too
 //! slow for the fast test tier.
 
+mod common;
+
+use common::reference_sample_batch;
 use plansample::{CountTier, PlanBatch, PlanSpace};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_optimizer::{optimize, OptimizerConfig};
@@ -34,13 +38,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Draws `k` plans through both samplers on the same seed and asserts
-/// the flat batch equals the tree batch's preorder listings.
+/// Draws `k` plans through the reference and both samplers on the same
+/// seed and asserts the flat batch equals the reference's preorder
+/// listings (and the tree batch the reference's trees).
 fn assert_flat_matches_tree(space: &PlanSpace, seed: u64, k: usize) {
-    let trees = {
-        let mut rng = StdRng::seed_from_u64(seed);
-        space.sample_batch(&mut rng, k)
-    };
+    let trees = reference_sample_batch(space, seed, k);
+    assert_eq!(
+        space.sample_batch(&mut StdRng::seed_from_u64(seed), k),
+        trees,
+        "tree batch diverged from the reference (tier={})",
+        space.counts().tier()
+    );
     let mut flat = PlanBatch::new();
     let mut rng = StdRng::seed_from_u64(seed);
     space.sample_batch_flat(&mut rng, k, &mut flat);
@@ -58,13 +66,11 @@ fn assert_flat_matches_tree(space: &PlanSpace, seed: u64, k: usize) {
 /// `assert_flat_matches_tree` at every tier the space can be forced
 /// onto, at 1, 2, and 4 worker threads — `k` is chosen large enough
 /// (≥ 512) that multi-thread runs take the parallel shard path. The
-/// reference trees are drawn once from the untouched space; every
-/// (tier, threads) combination must reproduce them.
+/// reference trees are unranked once, recursively, from ranks drawn
+/// with `Nat::random_below`; every (tier, threads) combination must
+/// reproduce them.
 fn assert_tiers_and_threads_agree(space: &PlanSpace, seed: u64, k: usize) {
-    let trees = {
-        let mut rng = StdRng::seed_from_u64(seed);
-        space.sample_batch(&mut rng, k)
-    };
+    let trees = reference_sample_batch(space, seed, k);
     for tier in [CountTier::U64, CountTier::U128, CountTier::Nat] {
         let mut forced = space.clone();
         forced.force_tier(tier);
@@ -104,7 +110,7 @@ proptest! {
         let space = PlanSpace::build_shared(Arc::new(optimized.memo), Arc::new(query))
             .expect("acyclic memo");
         prop_assert!(
-            space.counts().has_fast_path(),
+            space.counts().tier() == CountTier::U64,
             "spaces this small must stay single-limb"
         );
         assert_flat_matches_tree(&space, seed ^ 0xFA57, 128);
@@ -123,17 +129,16 @@ proptest! {
         let (_, query, memo) = JoinGraphSpec::new(topo, rels, 20000 + seed).build_memo();
         let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query))
             .expect("synthetic memo is acyclic");
-        // The criteria are the space's own counts, nothing heuristic:
-        // each sidecar exists iff every count fits its width (and the
-        // ladder keeps at most one).
+        // The criterion is the space's own counts, nothing heuristic:
+        // the store is the narrowest width every count fits.
         let all_fit_u64 = space.links().all_ids().all(|id|
             space.count_rooted(id).to_u64().is_some())
             && space.total().to_u64().is_some();
         let all_fit_u128 = space.links().all_ids().all(|id|
             space.count_rooted(id).to_u128().is_some())
             && space.total().to_u128().is_some();
-        prop_assert_eq!(space.counts().has_fast_path(), all_fit_u64);
-        prop_assert_eq!(space.counts().has_wide_path(), all_fit_u128 && !all_fit_u64);
+        prop_assert_eq!(space.counts().tier() == CountTier::U64, all_fit_u64);
+        prop_assert_eq!(space.counts().tier() == CountTier::U128, all_fit_u128 && !all_fit_u64);
         assert_flat_matches_tree(&space, seed ^ 0xB0B, 64);
     }
 
@@ -152,8 +157,29 @@ proptest! {
             .expect("synthetic queries optimize");
         let space = PlanSpace::build_shared(Arc::new(optimized.memo), Arc::new(query))
             .expect("acyclic memo");
-        prop_assert!(space.counts().has_fast_path());
+        prop_assert!(space.counts().tier() == CountTier::U64);
         assert_tiers_and_threads_agree(&space, seed ^ 0x7143, 600);
+    }
+}
+
+/// The paper's own example (32 plans), through the parallel shard fill
+/// at every thread count.
+#[test]
+fn flat_batch_matches_tree_batch_at_every_thread_count() {
+    let ex = plansample::paper_example::build();
+    let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+    assert_eq!(space.counts().tier(), CountTier::U64);
+    let trees = reference_sample_batch(&space, 11, 600);
+    for threads in [1, 2, 4] {
+        let mut batch = PlanBatch::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        threadpool::with_threads(threads, || {
+            space.sample_batch_flat(&mut rng, 600, &mut batch)
+        });
+        assert_eq!(batch.len(), 600);
+        for (flat, tree) in batch.iter().zip(&trees) {
+            assert_eq!(flat, tree.preorder_ids().as_slice(), "{threads} threads");
+        }
     }
 }
 
@@ -165,17 +191,12 @@ proptest! {
 fn clique9_takes_the_u128_tier_and_matches() {
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 9, 20000).build_memo();
     let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("clique-9 builds");
-    assert!(
-        !space.counts().has_fast_path(),
-        "clique-9 total {} must not fit one limb",
+    assert_eq!(
+        space.counts().tier(),
+        CountTier::U128,
+        "clique-9 total {} must need exactly two limbs",
         space.total()
     );
-    assert!(
-        space.counts().has_wide_path(),
-        "clique-9 total {} must fit two limbs",
-        space.total()
-    );
-    assert_eq!(space.counts().tier(), CountTier::U128);
     assert!(space.total().limbs().len() >= 2);
     assert_flat_matches_tree(&space, 0x911, 48);
 
@@ -209,7 +230,6 @@ fn three_limb_chains_use_the_exact_fallback_and_match() {
             continue;
         }
         assert_eq!(space.counts().tier(), CountTier::Nat);
-        assert!(!space.counts().has_fast_path() && !space.counts().has_wide_path());
         assert_flat_matches_tree(&space, 0x3113, 32);
         return;
     }
@@ -226,7 +246,6 @@ fn clique10_u128_tier_matches_in_the_statistical_tier() {
     }
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 10, 20000).build_memo();
     let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("clique-10 builds");
-    assert!(!space.counts().has_fast_path());
     assert_eq!(space.counts().tier(), CountTier::U128);
     assert_flat_matches_tree(&space, 0x1010, 32);
 }
