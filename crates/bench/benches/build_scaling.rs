@@ -1,12 +1,9 @@
 //! Experiment E10 — the flat plan-space layout, measured.
 //!
-//! `PlanSpace::build` (link materialization §3.1 + counting §3.2) was
-//! refactored from nested `Vec`s + recursive memoized counting onto a
-//! flat CSR arena with interned alternative lists, dense `u32`
+//! `PlanSpace::build` (link materialization §3.1 + counting §3.2) runs
+//! on a flat CSR arena with interned alternative lists, dense `u32`
 //! expression ids, and an iterative count over a precomputed topological
-//! order. This bench keeps the *pre-refactor layout alive as a reference
-//! implementation* (`legacy` module below, a faithful reconstruction of
-//! the old `Links`/`Counts` code) and measures both on the same memos:
+//! order. This bench measures it on:
 //!
 //! * the paper's largest space (Q8 + cross products, ~22k physical
 //!   expressions), and
@@ -14,25 +11,27 @@
 //!   plan-enumeration literature treats as interesting — where counts
 //!   need multiple `u64` limbs.
 //!
-//! Five acceptance checks are **asserted** so layout regressions fail CI
+//! Four acceptance checks are **asserted** so layout regressions fail CI
 //! (the `bench-smoke` job runs this bench in release, at both
 //! `PLANSAMPLE_THREADS=1` and `=4`):
 //!
-//! 1. the flat build is ≥ 5× faster than the legacy layout on Q8+CP and
-//!    produces bit-identical totals;
-//! 2. the prepared Q8+CP space fits in ≤ 120 bytes per physical
+//! 1. the prepared Q8+CP space fits in ≤ 120 bytes per physical
 //!    expression (inline-`Nat` counts + derived delivered orders +
 //!    shrunken memo; was 216 bytes/expr before the memory refactor);
-//! 3. a clique-10 synthetic space (~700k expressions) builds, counts a
+//! 2. a clique-10 synthetic space (~700k expressions) builds, counts a
 //!    multi-limb total, and round-trips ranks at its boundaries;
+//! 3. loading the clique-10 plan space from a persistent artifact
+//!    (`plansample-artifact`) is ≥ 20× faster than cold preparation and
+//!    answers `total`/`best`/`unrank` bit-identically;
 //! 4. on machines with ≥ 4 cores, the parallel build is ≥ 2× faster at
 //!    4 threads than at 1 thread on that clique-10 memo (skipped — with
-//!    a notice — where the hardware cannot exhibit a speedup);
-//! 5. loading the clique-10 plan space from a persistent artifact
-//!    (`plansample-artifact`) is ≥ 20× faster than cold preparation and
-//!    answers `total`/`best`/`unrank` bit-identically.
+//!    a notice — where the hardware cannot exhibit a speedup).
 //!
-//! Measured numbers are recorded in `docs/EXPERIMENTS.md` §E10.
+//! Measured numbers — including the ≥ 5× build speedup over the nested
+//! `Vec` layout this one replaced — are recorded in
+//! `docs/EXPERIMENTS.md` §E10; the per-expression count identity that
+//! comparison also checked is checked by the `NaiveReference` oracle in
+//! `tests/flat_layout.rs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use plansample::PlanSpace;
@@ -41,169 +40,6 @@ use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The pre-refactor plan-space layout: `[group][expr][slot] →
-/// alternatives` nested `Vec`s, a per-edge three-colour cycle check, and
-/// a recursive count that clones on every memo-cache hit. Kept verbatim
-/// (modulo the removed types) as the measured baseline.
-mod legacy {
-    use plansample_bignum::Nat;
-    use plansample_memo::{satisfies_cols, ChildSlot, Memo, PhysId, Requirement};
-    use plansample_query::QuerySpec;
-
-    /// The old `eligible_children` shape: one `satisfies` call per
-    /// candidate, each rebuilding the scope's column-equivalence classes
-    /// when the syntactic check fails (the per-candidate cost the
-    /// refactor hoisted to once per slot — and interning then reduced to
-    /// once per *distinct* slot).
-    fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Vec<PhysId> {
-        let group = memo.group(slot.group);
-        let scope = group.scope(query);
-        group
-            .phys_iter()
-            .filter(|(_, e)| match &slot.requirement {
-                Requirement::Order(req) => satisfies_cols(query, scope, e.delivered_cols(), req),
-                Requirement::SortInput { target } => {
-                    !e.op.is_enforcer() && !satisfies_cols(query, scope, e.delivered_cols(), target)
-                }
-            })
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    pub struct Links {
-        slots: Vec<Vec<Vec<Vec<PhysId>>>>,
-    }
-
-    impl Links {
-        pub fn build(memo: &Memo, query: &QuerySpec) -> Links {
-            let slots: Vec<Vec<Vec<Vec<PhysId>>>> = memo
-                .groups()
-                .map(|group| {
-                    group
-                        .phys_iter()
-                        .map(|(id, expr)| {
-                            expr.child_slots(id.group)
-                                .iter()
-                                .map(|slot| eligible_children(memo, query, slot))
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
-            let links = Links { slots };
-            links.check_acyclic(memo);
-            links
-        }
-
-        pub fn children(&self, id: PhysId) -> &[Vec<PhysId>] {
-            &self.slots[id.group.0 as usize][id.index]
-        }
-
-        fn check_acyclic(&self, memo: &Memo) {
-            #[derive(Clone, Copy, PartialEq)]
-            enum Colour {
-                White,
-                Grey,
-                Black,
-            }
-            let mut colour: Vec<Vec<Colour>> = memo
-                .groups()
-                .map(|g| vec![Colour::White; g.physical.len()])
-                .collect();
-            let all: Vec<PhysId> = memo
-                .groups()
-                .flat_map(|g| g.phys_iter().map(|(id, _)| id))
-                .collect();
-            for start in all {
-                if colour[start.group.0 as usize][start.index] != Colour::White {
-                    continue;
-                }
-                let mut stack: Vec<(PhysId, usize, usize)> = vec![(start, 0, 0)];
-                colour[start.group.0 as usize][start.index] = Colour::Grey;
-                while let Some(&mut (id, ref mut slot, ref mut alt)) = stack.last_mut() {
-                    let slots = self.children(id);
-                    if *slot >= slots.len() {
-                        colour[id.group.0 as usize][id.index] = Colour::Black;
-                        stack.pop();
-                        continue;
-                    }
-                    if *alt >= slots[*slot].len() {
-                        *slot += 1;
-                        *alt = 0;
-                        continue;
-                    }
-                    let child = slots[*slot][*alt];
-                    *alt += 1;
-                    match colour[child.group.0 as usize][child.index] {
-                        Colour::White => {
-                            colour[child.group.0 as usize][child.index] = Colour::Grey;
-                            stack.push((child, 0, 0));
-                        }
-                        Colour::Grey => panic!("cyclic memo in legacy baseline"),
-                        Colour::Black => {}
-                    }
-                }
-            }
-        }
-    }
-
-    pub struct Counts {
-        per_expr: Vec<Vec<Nat>>,
-        total: Nat,
-    }
-
-    impl Counts {
-        pub fn compute(memo: &Memo, links: &Links) -> Counts {
-            let mut per_expr: Vec<Vec<Option<Nat>>> = memo
-                .groups()
-                .map(|g| vec![None; g.physical.len()])
-                .collect();
-            for group in memo.groups() {
-                for (id, _) in group.phys_iter() {
-                    count_rec(links, id, &mut per_expr);
-                }
-            }
-            let per_expr: Vec<Vec<Nat>> = per_expr
-                .into_iter()
-                .map(|v| v.into_iter().map(|c| c.expect("all visited")).collect())
-                .collect();
-            let root = memo.root();
-            let total = per_expr[root.0 as usize].iter().sum();
-            Counts { per_expr, total }
-        }
-
-        pub fn total(&self) -> &Nat {
-            &self.total
-        }
-
-        pub fn rooted(&self, id: PhysId) -> &Nat {
-            &self.per_expr[id.group.0 as usize][id.index]
-        }
-    }
-
-    fn count_rec(links: &Links, id: PhysId, cache: &mut [Vec<Option<Nat>>]) -> Nat {
-        if let Some(n) = &cache[id.group.0 as usize][id.index] {
-            return n.clone();
-        }
-        let slots = links.children(id);
-        let n = if slots.is_empty() {
-            Nat::one()
-        } else {
-            let mut product = Nat::one();
-            for alternatives in slots {
-                let b: Nat = alternatives
-                    .iter()
-                    .map(|&w| count_rec(links, w, cache))
-                    .sum();
-                product = product * b;
-            }
-            product
-        };
-        cache[id.group.0 as usize][id.index] = Some(n.clone());
-        n
-    }
-}
 
 fn median_secs(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -248,13 +84,6 @@ fn bench_build_scaling(c: &mut Criterion) {
                 std::hint::black_box(space.total().clone())
             })
         });
-        group.bench_function("legacy", |b| {
-            b.iter(|| {
-                let links = legacy::Links::build(memo, query);
-                let counts = legacy::Counts::compute(memo, &links);
-                std::hint::black_box(counts.total().clone())
-            })
-        });
         group.finish();
     }
 
@@ -281,72 +110,19 @@ fn bench_build_scaling(c: &mut Criterion) {
     }
     group.finish();
 
-    // --- Acceptance assertion 1: ≥ 5× on Q8+CP, identical results. ------
-    let runs = 7;
-    let flat_secs = median_secs(
-        (0..runs)
-            .map(|_| {
-                let t = Instant::now();
-                let space = PlanSpace::build_shared(Arc::clone(&memo), Arc::clone(&query)).unwrap();
-                std::hint::black_box(space.total().clone());
-                t.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
-    let legacy_secs = median_secs(
-        (0..runs)
-            .map(|_| {
-                let t = Instant::now();
-                let links = legacy::Links::build(&memo, &query);
-                let counts = legacy::Counts::compute(&memo, &links);
-                std::hint::black_box(counts.total().clone());
-                t.elapsed().as_secs_f64()
-            })
-            .collect(),
-    );
-    let space = PlanSpace::build_shared(Arc::clone(&memo), Arc::clone(&query)).unwrap();
-    let legacy_links = legacy::Links::build(&memo, &query);
-    let legacy_counts = legacy::Counts::compute(&memo, &legacy_links);
-    assert_eq!(
-        space.total(),
-        legacy_counts.total(),
-        "flat and legacy layouts must count identically"
-    );
-    for id in space.links().all_ids() {
-        assert_eq!(
-            &space.count_rooted(id),
-            legacy_counts.rooted(id),
-            "count of {id} diverged"
-        );
-    }
-    let speedup = legacy_secs / flat_secs.max(1e-12);
-    let per_expr = flat_secs * 1e9 / memo.num_physical() as f64;
-    println!(
-        "build_layout/Q8_CP: flat {:.2} ms vs legacy {:.2} ms ({speedup:.1}x, {per_expr:.0} ns/expr, \
-         {} bytes, {:.1} bytes/expr)",
-        flat_secs * 1e3,
-        legacy_secs * 1e3,
-        space.size_bytes(),
-        space.size_bytes() as f64 / memo.num_physical() as f64,
-    );
-    assert!(
-        speedup >= 5.0,
-        "flat layout must build >= 5x faster than the legacy layout on Q8+CP; \
-         measured {speedup:.1}x"
-    );
-
-    // --- Acceptance assertion 2: <= 120 bytes/expr on Q8+CP. ------------
+    // --- Acceptance assertion 1: <= 120 bytes/expr on Q8+CP. ------------
     // The memory refactor's contract: inline-`Nat` counts, derived
     // delivered orders, and the shrunken memo bring the whole prepared
     // space (links + counts + memo) under 120 bytes per physical
     // expression (216 before; docs/EXPERIMENTS.md §E10).
+    let space = PlanSpace::build_shared(Arc::clone(&memo), Arc::clone(&query)).unwrap();
     let bytes_per_expr = space.size_bytes() as f64 / memo.num_physical() as f64;
     assert!(
         bytes_per_expr <= 120.0,
         "prepared Q8+CP space must stay <= 120 bytes/expr; measured {bytes_per_expr:.1}"
     );
 
-    // --- Acceptance assertion 3: clique-10 multi-limb round trip. -------
+    // --- Acceptance assertion 2: clique-10 multi-limb round trip. -------
     let spec = JoinGraphSpec::new(Topology::Clique, 10, 20000);
     let t = Instant::now();
     let (_, query, memo) = spec.build_memo();
@@ -375,7 +151,7 @@ fn bench_build_scaling(c: &mut Criterion) {
         space.size_bytes() as f64 / space.memo().num_physical() as f64,
     );
 
-    // --- Acceptance assertion 5: artifact load >= 20x cold prepare. -----
+    // --- Acceptance assertion 3: artifact load >= 20x cold prepare. -----
     // A serve-fleet restart used to pay the cold path — synthesize the
     // memo and rebuild the plan space — for every resident query. With
     // persistent artifacts it pays one disk read + checksum + decode.

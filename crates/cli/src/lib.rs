@@ -63,9 +63,6 @@ pub struct Cli {
     pub artifact_dir: Option<String>,
     /// Warm the serving cache from `--artifact-dir` at startup.
     pub warm: bool,
-    /// Per-reactor `SO_REUSEPORT` listeners for `serve` (falls back to
-    /// the round-robin acceptor with a logged message).
-    pub reuseport: bool,
 }
 
 /// The `artifact` subcommands: move prepared plan spaces on and off
@@ -264,9 +261,6 @@ FLAGS:
   --artifact-dir DIR persistent artifact store for `serve`
                      (write-through persistence of preparations)
   --warm             preload the serving cache from --artifact-dir
-  --reuseport        per-reactor SO_REUSEPORT listeners for `serve`
-                     (falls back to the round-robin acceptor where
-                     unsupported)
 
 Queries run against the TPC-H schema (region, nation, supplier,
 customer, part, partsupp, orders, lineitem) with SF-1 statistics and a
@@ -285,7 +279,6 @@ where
     let mut reactors = 0usize;
     let mut artifact_dir: Option<String> = None;
     let mut warm = false;
-    let mut reuseport = false;
     let mut positional: Vec<String> = Vec::new();
 
     let mut iter = args.into_iter();
@@ -294,7 +287,6 @@ where
         match arg {
             "--cross-products" => cross_products = true,
             "--warm" => warm = true,
-            "--reuseport" => reuseport = true,
             "--artifact-dir" => {
                 let v = iter
                     .next()
@@ -351,7 +343,6 @@ where
                     reactors,
                     artifact_dir,
                     warm,
-                    reuseport,
                 })
             }
             flag if flag.starts_with("--") => {
@@ -450,7 +441,6 @@ where
         reactors,
         artifact_dir,
         warm,
-        reuseport,
     })
 }
 
@@ -771,7 +761,6 @@ fn run_serve(cli: &Cli, addr: &str) -> Result<String, CliError> {
         cross_products: cli.cross_products,
         artifact_dir: cli.artifact_dir.clone().map(Into::into),
         warm: cli.warm,
-        reuseport: cli.reuseport,
         ..Default::default()
     };
     let handle = plansample_serve::server::start(config)
@@ -1171,14 +1160,14 @@ mod tests {
             "--artifact-dir",
             "/tmp/store",
             "--warm",
-            "--reuseport",
             "serve",
             "127.0.0.1:0",
         ])
         .unwrap();
         assert_eq!(cli.artifact_dir.as_deref(), Some("/tmp/store"));
         assert!(cli.warm);
-        assert!(cli.reuseport);
+        let removed = parse_args(["--reuseport", "serve", "127.0.0.1:0"]).unwrap_err();
+        assert!(removed.0.contains("unknown flag"), "got {removed:?}");
         assert!(parse_args(["artifact"]).is_err());
         assert!(parse_args(["artifact", "save", "/tmp/x"]).is_err());
         assert!(parse_args(["artifact", "frobnicate", "f"]).is_err());
@@ -1298,7 +1287,6 @@ mod tests {
             reactors: 0,
             artifact_dir: None,
             warm: false,
-            reuseport: false,
         }
     }
 

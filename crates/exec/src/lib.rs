@@ -8,16 +8,20 @@
 //! self-contained physical plan tree ([`ExecNode`]) implementing every
 //! operator the optimizer can emit, and multiset result comparison.
 //!
-//! Execution is operator-at-a-time (each node materializes its output)
-//! rather than pipelined — a deliberate simplification (see
-//! `docs/ARCHITECTURE.md`): the engine's job is producing comparable
-//! results for arbitrary valid plans, not throughput. Crucially, operators do *not*
-//! repair bad plans: `StreamAgg` aggregates whatever run boundaries it
-//! sees and `MergeJoin` trusts its inputs to be sorted, so a plan that
-//! violates its physical-property obligations produces wrong answers —
-//! which is exactly what the differential tests are designed to catch
-//! (the validation strategy this engine anchors is `docs/DESIGN.md`
-//! §8).
+//! Two engines run an [`ExecNode`]. [`ExecNode::execute`] is
+//! operator-at-a-time (each node materializes its output) and is the
+//! one every production caller uses — the engine's job is producing
+//! comparable results for arbitrary valid plans, not throughput.
+//! [`ExecNode::execute_pipelined`] is an independent Volcano-style
+//! open/next/close implementation of the same operator semantics, kept
+//! as the differential oracle of the first (`docs/DESIGN.md` §8 records
+//! the measurement behind that split). Crucially, operators do *not*
+//! repair bad plans in either engine: `StreamAgg` aggregates whatever
+//! run boundaries it sees and `MergeJoin` trusts its inputs to be
+//! sorted, so a plan that violates its physical-property obligations
+//! produces wrong answers — which is exactly what the differential
+//! tests are designed to catch (the validation strategy this crate
+//! anchors is `docs/DESIGN.md` §8).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -22,12 +22,11 @@
 //! reactor count.
 
 use crate::conn::{Conn, ConnPhase};
-use crate::server::{AcceptBackoff, AcceptVerdict, ACCEPT_ERROR_BACKOFF};
 use crate::state::ServerState;
 use crate::wire::{self, ErrorCode, Request, Response, WireError, CONNECTION_REQUEST_ID};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_ulong};
 use std::os::unix::net::UnixStream;
@@ -176,11 +175,9 @@ pub(crate) struct Completion {
     pub(crate) payload: Vec<u8>,
 }
 
-/// Token a listener is registered under — the acceptor's shared
-/// listener in its poll set, or this reactor's own `SO_REUSEPORT`
-/// listener in the reactor's. Connection tokens start at
-/// [`FIRST_CONN_TOKEN`] and are never reused, so 0 stays free for the
-/// listener in both poll sets.
+/// Token the listener is registered under in the acceptor's poll set.
+/// Reactors never register it; their connection tokens start at
+/// [`FIRST_CONN_TOKEN`].
 pub(crate) const TOKEN_LISTENER: u64 = 0;
 
 /// Token the reactor's wake pipe is registered under.
@@ -229,12 +226,6 @@ pub(crate) struct Reactor {
     /// Freshly-accepted sockets the acceptor handed this reactor,
     /// adopted at the top of every loop round.
     pub(crate) mailbox: Arc<Mutex<Vec<TcpStream>>>,
-    /// This reactor's own `SO_REUSEPORT` listener, when the server
-    /// runs in per-reactor-listener mode (`None` under the shared
-    /// acceptor, whose mailbox then feeds `conns`).
-    pub(crate) listener: Option<TcpListener>,
-    /// Consecutive-`accept(2)`-failure policy for `listener`.
-    pub(crate) accept_backoff: AcceptBackoff,
     pub(crate) conns: HashMap<u64, Conn>,
     pub(crate) next_token: u64,
     pub(crate) poller: Poller,
@@ -260,10 +251,6 @@ impl Reactor {
             self.reap();
 
             self.poller.clear();
-            if let Some(listener) = &self.listener {
-                self.poller
-                    .register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
-            }
             self.poller
                 .register(self.wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ);
             for (&token, conn) in &self.conns {
@@ -304,11 +291,6 @@ impl Reactor {
             let now = (self.clock)();
             for event in events {
                 match event.token {
-                    TOKEN_LISTENER if self.listener.is_some() => {
-                        if !self.accept_burst() {
-                            return;
-                        }
-                    }
                     TOKEN_WAKER => self.drain_waker(),
                     token => {
                         if event.error {
@@ -343,65 +325,17 @@ impl Reactor {
             std::mem::take(&mut *mailbox)
         };
         for stream in adopted {
-            self.adopt(stream);
-        }
-    }
-
-    /// Takes ownership of one socket, however it arrived (mailbox or
-    /// this reactor's own listener).
-    fn adopt(&mut self, stream: TcpStream) {
-        let Ok(conn) = Conn::new(stream) else {
-            return;
-        };
-        let token = self.next_token;
-        self.next_token += 1;
-        self.conns.insert(token, conn);
-        self.state.connections_total.fetch_add(1, Ordering::Relaxed);
-        self.state.connections_open.fetch_add(1, Ordering::Relaxed);
-        self.state.per_reactor[self.index]
-            .connections
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accepts from this reactor's own listener until `WouldBlock`,
-    /// under the same persistent-failure policy as the acceptor
-    /// thread. Returns `false` when that policy forced server-wide
-    /// shutdown.
-    fn accept_burst(&mut self) -> bool {
-        loop {
-            let Some(listener) = &self.listener else {
-                return true;
+            let Ok(conn) = Conn::new(stream) else {
+                continue;
             };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    self.accept_backoff.on_success();
-                    self.adopt(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.state.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    match self.accept_backoff.on_error() {
-                        AcceptVerdict::Backoff => {
-                            // The listener stays readable under
-                            // level-triggered polling; without this
-                            // sleep an EMFILE streak spins the loop.
-                            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-                            return true;
-                        }
-                        AcceptVerdict::GiveUp => {
-                            eprintln!(
-                                "plansample-serve: reactor {} accept(2) failed {} times \
-                                 in a row ({e}); shutting down",
-                                self.index, self.accept_backoff.consecutive
-                            );
-                            self.shutdown.store(true, Ordering::SeqCst);
-                            self.wake_set.wake_all();
-                            return false;
-                        }
-                    }
-                }
-            }
+            let token = self.next_token;
+            self.next_token += 1;
+            self.conns.insert(token, conn);
+            self.state.connections_total.fetch_add(1, Ordering::Relaxed);
+            self.state.connections_open.fetch_add(1, Ordering::Relaxed);
+            self.state.per_reactor[self.index]
+                .connections
+                .fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -701,8 +635,6 @@ mod tests {
             index: 0,
             wake_rx,
             mailbox: Arc::new(Mutex::new(Vec::new())),
-            listener: None,
-            accept_backoff: AcceptBackoff::default(),
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             poller: Poller::new(),

@@ -80,11 +80,6 @@ pub struct ServerConfig {
     /// Load every artifact in `artifact_dir` into the service cache at
     /// startup (no-op without `artifact_dir`).
     pub warm: bool,
-    /// Give each reactor its own `SO_REUSEPORT` listener — the kernel
-    /// load-balances accepts across them and the acceptor thread
-    /// disappears. Falls back to the round-robin acceptor (with a
-    /// logged message) where unsupported.
-    pub reuseport: bool,
 }
 
 impl Default for ServerConfig {
@@ -101,7 +96,6 @@ impl Default for ServerConfig {
             cross_products: false,
             artifact_dir: None,
             warm: false,
-            reuseport: false,
         }
     }
 }
@@ -170,15 +164,15 @@ impl Drop for ServerHandle {
 /// under level-triggered polling, so returning without this backoff
 /// spins the acceptor at 100% CPU for as long as the failure — fd
 /// exhaustion, typically — persists).
-pub(crate) const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Consecutive `accept(2)` failures tolerated before the acceptor
 /// declares server-wide shutdown (mirrors [`MAX_POLL_ERRORS`]).
-pub(crate) const MAX_ACCEPT_ERRORS: u32 = 100;
+const MAX_ACCEPT_ERRORS: u32 = 100;
 
 /// What to do after an `accept(2)` failure.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum AcceptVerdict {
+enum AcceptVerdict {
     /// Transient (so far): sleep [`ACCEPT_ERROR_BACKOFF`], then poll
     /// again.
     Backoff,
@@ -187,20 +181,19 @@ pub(crate) enum AcceptVerdict {
 }
 
 /// The consecutive-failure policy for `accept(2)`, separated from the
-/// accepting loops (the dedicated acceptor thread, or each reactor in
-/// `SO_REUSEPORT` mode) so the verdict sequence is unit-testable
-/// without forcing real fd exhaustion.
+/// acceptor's loop so the verdict sequence is unit-testable without
+/// forcing real fd exhaustion.
 #[derive(Debug, Default)]
-pub(crate) struct AcceptBackoff {
-    pub(crate) consecutive: u32,
+struct AcceptBackoff {
+    consecutive: u32,
 }
 
 impl AcceptBackoff {
-    pub(crate) fn on_success(&mut self) {
+    fn on_success(&mut self) {
         self.consecutive = 0;
     }
 
-    pub(crate) fn on_error(&mut self) -> AcceptVerdict {
+    fn on_error(&mut self) -> AcceptVerdict {
         self.consecutive += 1;
         if self.consecutive >= MAX_ACCEPT_ERRORS {
             AcceptVerdict::GiveUp
@@ -333,141 +326,6 @@ impl Acceptor {
     }
 }
 
-/// `SO_REUSEPORT` listener creation. The build has no libc crate, so
-/// this declares the four socket-layer entry points it needs (std
-/// already links libc) and builds each listener by hand: the option
-/// must be set *between* `socket(2)` and `bind(2)`, which
-/// `TcpListener::bind` gives no hook for.
-#[cfg(target_os = "linux")]
-mod reuseport {
-    use std::io;
-    use std::net::{SocketAddr, TcpListener};
-    use std::os::fd::FromRawFd;
-    use std::os::raw::{c_int, c_uint};
-
-    /// `struct sockaddr_in` (IPv4 only; v6 addresses take the
-    /// acceptor fallback).
-    #[repr(C)]
-    struct SockAddrIn {
-        sin_family: u16,
-        /// Big-endian port.
-        sin_port: u16,
-        /// Big-endian address.
-        sin_addr: u32,
-        sin_zero: [u8; 8],
-    }
-
-    extern "C" {
-        fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
-        fn setsockopt(
-            fd: c_int,
-            level: c_int,
-            optname: c_int,
-            optval: *const c_int,
-            optlen: c_uint,
-        ) -> c_int;
-        fn bind(fd: c_int, addr: *const SockAddrIn, len: c_uint) -> c_int;
-        fn listen(fd: c_int, backlog: c_int) -> c_int;
-    }
-
-    const AF_INET: c_int = 2;
-    const SOCK_STREAM: c_int = 1;
-    const SOCK_CLOEXEC: c_int = 0o2000000;
-    const SOL_SOCKET: c_int = 1;
-    const SO_REUSEPORT: c_int = 15;
-    const BACKLOG: c_int = 1024;
-
-    /// One listening socket with `SO_REUSEPORT` set, bound to `addr`.
-    pub(super) fn listener(addr: SocketAddr) -> io::Result<TcpListener> {
-        let SocketAddr::V4(v4) = addr else {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "SO_REUSEPORT mode supports IPv4 listen addresses only",
-            ));
-        };
-        // SAFETY: `socket(2)` takes three integers and touches no
-        // caller memory; the declaration above matches its C prototype.
-        let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // From here the fd has an owner: any failure drops (closes) it.
-        // SAFETY: `fd` is a fresh, open stream socket (checked above)
-        // that nothing else owns, so `sock` becomes its sole owner.
-        let sock = unsafe { TcpListener::from_raw_fd(fd) };
-        let one: c_int = 1;
-        // SAFETY: `fd` is open (owned by `sock`); `optval` points at the
-        // live `c_int` `one` and `optlen` is exactly its size.
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                SO_REUSEPORT,
-                &one,
-                std::mem::size_of::<c_int>() as c_uint,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let sa = SockAddrIn {
-            sin_family: AF_INET as u16,
-            sin_port: v4.port().to_be(),
-            sin_addr: u32::from_be_bytes(v4.ip().octets()).to_be(),
-            sin_zero: [0; 8],
-        };
-        // SAFETY: `fd` is open; `sa` is a live `#[repr(C)]`
-        // `sockaddr_in` and `len` is exactly its size, so the kernel
-        // reads only initialized bytes.
-        let rc = unsafe { bind(fd, &sa, std::mem::size_of::<SockAddrIn>() as c_uint) };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // SAFETY: `listen(2)` takes two integers; `fd` is open and bound.
-        if unsafe { listen(fd, BACKLOG) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        sock.set_nonblocking(true)?;
-        Ok(sock)
-    }
-}
-
-/// Binds one `SO_REUSEPORT` listener per reactor. The first bind
-/// resolves an ephemeral port request; its siblings bind the concrete
-/// port so the kernel groups all of them into one balancing set.
-fn bind_reuseport(addr: &str, reactors: usize) -> io::Result<Vec<TcpListener>> {
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = (addr, reactors);
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT listener groups are Linux-only on this build",
-        ))
-    }
-    #[cfg(target_os = "linux")]
-    {
-        use std::net::ToSocketAddrs;
-        let requested = addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
-        })?;
-        let first = reuseport::listener(requested)?;
-        let concrete = first.local_addr()?;
-        let mut listeners = vec![first];
-        for _ in 1..reactors {
-            listeners.push(reuseport::listener(concrete)?);
-        }
-        Ok(listeners)
-    }
-}
-
-/// How connections reach the reactors: one shared listener drained by
-/// a dedicated acceptor thread, or a per-reactor `SO_REUSEPORT` group
-/// balanced by the kernel.
-enum Intake {
-    Shared(TcpListener),
-    PerReactor(Vec<TcpListener>),
-}
-
 /// Wires the artifact store to the serving state: every TPC-H
 /// preparation writes through to disk, and (optionally) the store's
 /// current contents warm the cache before the first byte is served.
@@ -500,33 +358,13 @@ fn attach_store(config: &ServerConfig, state: &ServerState) -> io::Result<()> {
     Ok(())
 }
 
-/// Binds the listener(s) and spawns the reactors, each reactor's
-/// worker pool, and (unless every reactor accepts for itself via
-/// `SO_REUSEPORT`) the acceptor.
+/// Binds the listener and spawns the acceptor, the reactors, and each
+/// reactor's worker pool.
 pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     let reactors = resolve_reactors(config.reactors);
-    let intake = if config.reuseport {
-        match bind_reuseport(&config.addr, reactors) {
-            Ok(listeners) => Intake::PerReactor(listeners),
-            Err(e) => {
-                eprintln!(
-                    "plansample-serve: SO_REUSEPORT unavailable ({e}); \
-                     falling back to the round-robin acceptor"
-                );
-                let listener = TcpListener::bind(&config.addr)?;
-                listener.set_nonblocking(true)?;
-                Intake::Shared(listener)
-            }
-        }
-    } else {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        Intake::Shared(listener)
-    };
-    let addr = match &intake {
-        Intake::Shared(l) => l.local_addr()?,
-        Intake::PerReactor(ls) => ls[0].local_addr()?,
-    };
+    let listener = TcpListener::bind(&config.addr)?;
+    listener.set_nonblocking(true)?;
+    let addr = listener.local_addr()?;
 
     let optimizer = if config.cross_products {
         plansample_optimizer::OptimizerConfig::with_cross_products()
@@ -554,78 +392,48 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         rx.set_nonblocking(true)?;
         Ok((tx, rx))
     };
-    // In SO_REUSEPORT mode each reactor accepts for itself: no shared
-    // listener, no acceptor thread, no acceptor waker.
-    let (shared_listener, mut reactor_listeners): (Option<TcpListener>, Vec<Option<TcpListener>>) =
-        match intake {
-            Intake::Shared(l) => (Some(l), (0..reactors).map(|_| None).collect()),
-            Intake::PerReactor(ls) => (None, ls.into_iter().map(Some).collect()),
-        };
-    let acceptor_wake = match &shared_listener {
-        Some(_) => Some(wake_pair()?),
-        None => None,
-    };
-    let mut reactor_wake = Vec::with_capacity(reactors);
-    for _ in 0..reactors {
-        reactor_wake.push(wake_pair()?);
-    }
-
-    // The acceptor needs each reactor's waker (for dispatch) and so do
-    // that reactor's workers (for completions) — clone before the
-    // originals move into the WakeSet.
+    let (acceptor_tx, acceptor_rx) = wake_pair()?;
+    let mut wakers = vec![Mutex::new(acceptor_tx)];
+    // Per reactor: the read end it polls, the mailbox the acceptor
+    // fills (with its own clone of the waker), and a waker clone for
+    // its workers' completions — cloned before the original moves into
+    // the WakeSet.
     let mut mailboxes = Vec::with_capacity(reactors);
-    let mut worker_wakers = Vec::with_capacity(reactors);
-    let mut mailbox_handles = Vec::with_capacity(reactors);
-    for (tx, _) in &reactor_wake {
+    let mut reactor_ends = Vec::with_capacity(reactors);
+    for _ in 0..reactors {
+        let (tx, rx) = wake_pair()?;
         let streams: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        mailbox_handles.push(Arc::clone(&streams));
         mailboxes.push(ReactorMailbox {
-            streams,
+            streams: Arc::clone(&streams),
             waker: Mutex::new(tx.try_clone()?),
         });
-        worker_wakers.push(tx.try_clone()?);
-    }
-    let mut wakers = Vec::with_capacity(reactors + 1);
-    let acceptor_wake_rx = acceptor_wake.map(|(tx, rx)| {
+        reactor_ends.push((rx, streams, tx.try_clone()?));
         wakers.push(Mutex::new(tx));
-        rx
-    });
-    let mut wake_rxs = Vec::with_capacity(reactors);
-    for (tx, rx) in reactor_wake {
-        wakers.push(Mutex::new(tx));
-        wake_rxs.push(rx);
     }
     let wake_set = Arc::new(WakeSet(wakers));
 
     let mut threads = Vec::new();
-    if let (Some(listener), Some(wake_rx)) = (shared_listener, acceptor_wake_rx) {
-        threads.push(
-            std::thread::Builder::new()
-                .name("plansample-serve-acceptor".into())
-                .spawn({
-                    let state = Arc::clone(&state);
-                    let shutdown = Arc::clone(&shutdown);
-                    let wake_set = Arc::clone(&wake_set);
-                    move || {
-                        Acceptor {
-                            listener,
-                            wake_rx,
-                            mailboxes,
-                            next: 0,
-                            state,
-                            shutdown,
-                            wake_set,
-                            backoff: AcceptBackoff::default(),
-                        }
-                        .run();
-                    }
-                })?,
-        );
-    }
+    threads.push(
+        std::thread::Builder::new()
+            .name("plansample-serve-acceptor".into())
+            .spawn({
+                let acceptor = Acceptor {
+                    listener,
+                    wake_rx: acceptor_rx,
+                    mailboxes,
+                    next: 0,
+                    state: Arc::clone(&state),
+                    shutdown: Arc::clone(&shutdown),
+                    wake_set: Arc::clone(&wake_set),
+                    backoff: AcceptBackoff::default(),
+                };
+                move || acceptor.run()
+            })?,
+    );
 
     let frame_timeout = config.frame_timeout;
     let max_pipeline = config.max_pipeline.max(1);
-    for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
+    for (index, (wake_rx, mailbox, worker_waker)) in reactor_ends.into_iter().enumerate() {
         let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
         let jobs_rx = Arc::new(Mutex::new(jobs_rx));
         let completions: Arc<Mutex<Vec<Completion>>> = Arc::new(Mutex::new(Vec::new()));
@@ -634,7 +442,7 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
             let jobs_rx = Arc::clone(&jobs_rx);
             let completions = Arc::clone(&completions);
             let state = Arc::clone(&state);
-            let mut waker = worker_wakers[index].try_clone()?;
+            let mut waker = worker_waker.try_clone()?;
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("plansample-serve-worker-{index}-{w}"))
@@ -657,35 +465,26 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
             );
         }
 
-        let mailbox = Arc::clone(&mailbox_handles[index]);
-        let listener = reactor_listeners[index].take();
-        let state = Arc::clone(&state);
-        let shutdown = Arc::clone(&shutdown);
-        let wake_set = Arc::clone(&wake_set);
+        let reactor = Reactor {
+            index,
+            wake_rx,
+            mailbox,
+            conns: HashMap::new(),
+            next_token: crate::reactor::FIRST_CONN_TOKEN,
+            poller: Poller::new(),
+            state: Arc::clone(&state),
+            jobs_tx,
+            completions,
+            shutdown: Arc::clone(&shutdown),
+            wake_set: Arc::clone(&wake_set),
+            frame_timeout,
+            max_pipeline,
+            clock: Instant::now,
+        };
         threads.push(
             std::thread::Builder::new()
                 .name(format!("plansample-serve-reactor-{index}"))
-                .spawn(move || {
-                    Reactor {
-                        index,
-                        wake_rx,
-                        mailbox,
-                        listener,
-                        accept_backoff: AcceptBackoff::default(),
-                        conns: HashMap::new(),
-                        next_token: crate::reactor::FIRST_CONN_TOKEN,
-                        poller: Poller::new(),
-                        state,
-                        jobs_tx,
-                        completions,
-                        shutdown,
-                        wake_set,
-                        frame_timeout,
-                        max_pipeline,
-                        clock: Instant::now,
-                    }
-                    .run();
-                })?,
+                .spawn(move || reactor.run())?,
         );
     }
 
@@ -739,21 +538,19 @@ mod tests {
         assert!(resolve_reactors(0) >= 1);
     }
 
-    /// `--reuseport` end to end: per-reactor listeners (Linux) or the
-    /// logged acceptor fallback (elsewhere) — either way every
-    /// connection must be served and counted.
+    /// The acceptor's deal is a strict rotation: with each connection
+    /// finishing a round trip before the next one connects, reactor
+    /// `i` adopts connections `i`, `i + n`, `i + 2n`, ….
     #[test]
-    fn reuseport_mode_serves_requests() {
+    fn acceptor_deals_connections_round_robin() {
         let handle = start(ServerConfig {
-            reactors: 2,
+            reactors: 3,
             workers: 1,
-            reuseport: true,
             ..Default::default()
         })
-        .expect("reuseport mode (or its fallback) starts");
+        .expect("server starts");
         let addr = handle.addr();
-        let conns = 8;
-        for _ in 0..conns {
+        for _ in 0..9 {
             let mut client = crate::client::Client::connect(addr).unwrap();
             let response = client.call(&crate::wire::Request::Stats).unwrap();
             assert!(
@@ -763,29 +560,13 @@ mod tests {
         }
         let state = Arc::clone(handle.state());
         handle.stop();
-        assert_eq!(
-            state.connections_total.load(Ordering::Relaxed),
-            conns as u64
-        );
-        let per_reactor: u64 = state
-            .per_reactor
-            .iter()
-            .map(|r| r.connections.load(Ordering::Relaxed))
-            .sum();
-        assert_eq!(per_reactor, conns as u64, "every accept lands on a reactor");
-    }
-
-    /// On Linux the SO_REUSEPORT bind itself must work, including
-    /// ephemeral-port resolution shared across the group.
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn reuseport_group_shares_one_ephemeral_port() {
-        let listeners = bind_reuseport("127.0.0.1:0", 3).expect("reuseport binds on linux");
-        assert_eq!(listeners.len(), 3);
-        let port = listeners[0].local_addr().unwrap().port();
-        assert_ne!(port, 0);
-        for l in &listeners {
-            assert_eq!(l.local_addr().unwrap().port(), port);
+        assert_eq!(state.connections_total.load(Ordering::Relaxed), 9);
+        for (i, reactor) in state.per_reactor.iter().enumerate() {
+            assert_eq!(
+                reactor.connections.load(Ordering::Relaxed),
+                3,
+                "reactor {i} must get every third connection"
+            );
         }
     }
 }

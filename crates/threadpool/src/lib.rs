@@ -1,5 +1,6 @@
 //! Workspace-internal data parallelism: a persistent worker pool with
-//! parallel-for/parallel-map over index ranges.
+//! a parallel map over an index range and a parallel for-each over a
+//! mutable slice.
 //!
 //! The build environment for this repository has no crates.io access, so
 //! — following the `rand`/`proptest`/`criterion` pattern — this crate
@@ -29,7 +30,7 @@
 //!
 //! # Determinism
 //!
-//! All entry points are sequential-consistent by construction: every
+//! Both entry points are sequential-consistent by construction: every
 //! index is processed exactly once and results are committed in index
 //! order ([`parallel_map`] writes result `i` into slot `i` of the
 //! output, whichever worker produced it), so parallel and
@@ -64,7 +65,6 @@
 use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -133,17 +133,6 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
         prev
     }));
     f()
-}
-
-/// Scoped spawn, re-exported so callers needing raw fork-join (rather
-/// than an index range) depend on this crate instead of spelling
-/// [`std::thread::scope`]. Raw scopes spawn real threads per call; the
-/// index-range entry points below go through the persistent pool.
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
-{
-    std::thread::scope(f)
 }
 
 // ---------------------------------------------------------------------
@@ -260,13 +249,12 @@ struct Injector {
 
 /// A persistent worker pool.
 ///
-/// The module-level entry points ([`parallel_for`],
-/// [`parallel_for_each_mut`], [`parallel_map`]) use a lazily-started
-/// global instance that lives for the process (its
-/// idle workers park on a condvar and cost nothing; process exit tears
-/// them down). Separate instances exist for tests of the pool's own
-/// lifecycle: dropping a `Pool` signals shutdown and **joins** every
-/// worker, so no threads outlive it.
+/// The module-level entry points ([`parallel_for_each_mut`],
+/// [`parallel_map`]) use a lazily-started global instance that lives
+/// for the process (its idle workers park on a condvar and cost
+/// nothing; process exit tears them down). Separate instances exist for
+/// tests of the pool's own lifecycle: dropping a `Pool` signals shutdown
+/// and **joins** every worker, so no threads outlive it.
 pub struct Pool {
     injector: Arc<Injector>,
     /// Join handles of spawned workers, behind a mutex so `ensure_workers`
@@ -435,70 +423,19 @@ fn chunk_size(len: usize, min_chunk: usize, workers: usize) -> usize {
     len.div_ceil(workers * 4).max(min_chunk.max(1))
 }
 
-/// Erased context of one `parallel_for` section.
-struct ForCtx<'a, F> {
-    body: &'a F,
-    len: usize,
-    chunk: usize,
-}
-
-/// Runs `body` over `0..len`, split into contiguous chunks claimed
-/// dynamically by the pool's workers (the caller's thread participates).
-/// Chunks are at least `min_chunk` long; ranges shorter than two
-/// `min_chunk`s (or a 1-thread configuration) run entirely inline as the
-/// single range `0..len`.
-///
-/// Panics in `body` propagate to the caller after the section quiesces;
-/// chunks not yet started by then are skipped.
-pub fn parallel_for<F>(len: usize, min_chunk: usize, body: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    let workers = workers_for(len, min_chunk);
-    if workers == 1 {
-        if len > 0 {
-            body(0..len);
-        }
-        return;
-    }
-    let chunk = chunk_size(len, min_chunk, workers);
-    let chunks = len.div_ceil(chunk);
-    let ctx = ForCtx {
-        body: &body,
-        len,
-        chunk,
-    };
-    /// # Safety
-    /// `data` must point at a live `ForCtx<F>`.
-    unsafe fn run_chunk<F: Fn(Range<usize>) + Sync>(data: *const (), c: usize) {
-        // SAFETY: `data` points at the `ForCtx` on the submitting
-        // caller's stack, alive for the whole section (see `run_job`).
-        let ctx = unsafe { &*(data as *const ForCtx<'_, F>) };
-        let start = c * ctx.chunk;
-        (ctx.body)(start..(start + ctx.chunk).min(ctx.len));
-    }
-    let job = Job::new(
-        run_chunk::<F>,
-        &ctx as *const ForCtx<'_, F> as *const (),
-        chunks,
-    );
-    // SAFETY: `ctx` outlives `run_job`, which blocks until every chunk
-    // has finished.
-    unsafe { global().run_job(job, workers - 1) };
-}
-
 /// Runs `body(i, &mut items[i])` for every element, in parallel — the
 /// safe way to let workers fill disjoint slots of a caller-owned slice
 /// (e.g. per-chunk output buffers whose capacity must survive the
 /// section). Every element is its own unit of work, claimed dynamically
-/// like a [`parallel_for`] chunk; a 1-thread configuration or a slice
-/// of fewer than two elements runs inline, in index order.
+/// by the pool's workers (the caller's thread participates); a 1-thread
+/// configuration or a slice of fewer than two elements runs inline, in
+/// index order.
 ///
 /// Which worker visits which element is not deterministic; since each
 /// element is visited exactly once with exclusive access, the committed
-/// slice is, for deterministic bodies. Panics propagate as in
-/// [`parallel_for`]: elements not yet started by then are left as they
-/// were.
+/// slice is, for deterministic bodies. Panics in `body` propagate to
+/// the caller after the section quiesces; elements not yet started by
+/// then are left as they were.
 pub fn parallel_for_each_mut<T, F>(items: &mut [T], body: F)
 where
     T: Send,
@@ -553,10 +490,14 @@ where
 
 /// Maps `f` over `0..len` in parallel, returning results in index order
 /// — the deterministic fork-join primitive the plan-space construction
-/// and batched sampling are built on. Chunking and inlining behave like
-/// [`parallel_for`]; each result is written directly into its output
+/// and batched sampling are built on. The range is split into
+/// contiguous chunks of at least `min_chunk` indices, claimed
+/// dynamically by the pool's workers (the caller's thread participates);
+/// ranges shorter than two `min_chunk`s (or a 1-thread configuration)
+/// run entirely inline. Each result is written directly into its output
 /// slot (no per-worker buffers), so the committed vector is identical
-/// at every thread count.
+/// at every thread count. Panics in `f` propagate to the caller after
+/// the section quiesces; results already produced are dropped.
 pub fn parallel_map<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -678,24 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_every_index_once() {
-        for threads in [1, 2, 4, 7] {
-            let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-            with_threads(threads, || {
-                parallel_for(1000, 1, |range| {
-                    for i in range {
-                        hits[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "{threads} threads"
-            );
-        }
-    }
-
-    #[test]
     fn parallel_map_matches_sequential_in_order() {
         let expect: Vec<u64> = (0..257).map(|i| (i as u64) * 3 + 1).collect();
         for threads in [1, 2, 4, 9] {
@@ -757,32 +680,14 @@ mod tests {
         // min_chunk larger than the range: must not dispatch (observable
         // via thread identity).
         let caller = std::thread::current().id();
-        with_threads(8, || {
-            parallel_for(10, 100, |range| {
-                assert_eq!(std::thread::current().id(), caller);
-                assert_eq!(range, 0..10);
-            });
-        });
+        let ran_on = with_threads(8, || parallel_map(10, 100, |_| std::thread::current().id()));
+        assert_eq!(ran_on, vec![caller; 10]);
     }
 
     #[test]
     fn empty_range_is_a_no_op() {
-        parallel_for(0, 1, |_| panic!("must not run"));
-        assert!(parallel_map(0, 1, |i| i).is_empty());
-    }
-
-    #[test]
-    fn worker_panics_propagate() {
-        let result = std::panic::catch_unwind(|| {
-            with_threads(4, || {
-                parallel_for(1000, 1, |range| {
-                    if range.contains(&999) {
-                        panic!("worker failure");
-                    }
-                });
-            })
-        });
-        assert!(result.is_err());
+        let out: Vec<usize> = parallel_map(0, 1, |_| panic!("must not run"));
+        assert!(out.is_empty());
     }
 
     #[test]
