@@ -291,6 +291,14 @@ fn required<'a, 'b>(
 /// identity (the stored fingerprint must equal the fingerprint
 /// recomputed from the decoded content).
 pub fn decode(bytes: &[u8]) -> Result<PreparedQuery, ArtifactError> {
+    decode_with_fingerprint(bytes).map(|(prepared, _)| prepared)
+}
+
+/// [`decode`], also handing back the fingerprint it verified, so a
+/// caller comparing it with a requested key formats nothing again.
+pub(crate) fn decode_with_fingerprint(
+    bytes: &[u8],
+) -> Result<(PreparedQuery, String), ArtifactError> {
     let (_, sections) = parse_sections(bytes)?;
 
     let fingerprint = decode_meta(required(&sections, SEC_META)?.bytes)?;
@@ -312,7 +320,7 @@ pub fn decode(bytes: &[u8]) -> Result<PreparedQuery, ArtifactError> {
             "stored fingerprint does not match the decoded query + config",
         ));
     }
-    Ok(prepared)
+    Ok((prepared, fingerprint))
 }
 
 /// One section-table row, as reported by [`inspect`].

@@ -60,7 +60,10 @@ impl ArtifactStore {
     /// stable across processes, free of filesystem-hostile characters,
     /// and identical for every spelling that normalizes alike.
     pub fn path_for(&self, query: &QuerySpec, config: &OptimizerConfig) -> PathBuf {
-        let fingerprint = cache_key(query, config);
+        self.path_for_key(&cache_key(query, config))
+    }
+
+    fn path_for_key(&self, fingerprint: &str) -> PathBuf {
         self.dir
             .join(format!("{:016x}.{EXT}", checksum(fingerprint.as_bytes())))
     }
@@ -85,15 +88,16 @@ impl ArtifactStore {
         query: &QuerySpec,
         config: &OptimizerConfig,
     ) -> Result<Option<PreparedQuery>, ArtifactError> {
-        let path = self.path_for(query, config);
+        let requested = cache_key(query, config);
+        let path = self.path_for_key(&requested);
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        match crate::decode(&bytes) {
-            Ok(prepared) => {
-                if cache_key(prepared.query(), prepared.config()) == cache_key(query, config) {
+        match crate::format::decode_with_fingerprint(&bytes) {
+            Ok((prepared, fingerprint)) => {
+                if fingerprint == requested {
                     Ok(Some(prepared))
                 } else {
                     // Same file name, different fingerprint: a hash
@@ -235,8 +239,9 @@ mod tests {
                 quarantined: 0
             }
         );
-        assert!(service.is_cached(&query), "warmed key is a cache hit");
-        let served = service.get_or_prepare(&query).unwrap();
+        let served = service
+            .get_keyed(&service.key_for(&query))
+            .expect("warmed key is a cache hit");
         assert_eq!(served.total(), prepared.total());
         assert_eq!(
             plansample_optimizer::thread_optimizations_performed(),
@@ -251,7 +256,7 @@ mod tests {
         let warm = store.warm(&other).unwrap();
         assert_eq!(warm.loaded, 0);
         assert_eq!(warm.refused, 1);
-        assert!(!other.is_cached(&query));
+        assert!(other.get_keyed(&other.key_for(&query)).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -339,7 +339,7 @@ fn warming_skips_damaged_entries_and_loads_the_rest() {
     let report = store.warm(&service).unwrap();
     assert_eq!(report.loaded, 1, "good entry admitted");
     assert_eq!(report.quarantined, 1, "bad entry quarantined");
-    assert!(service.is_cached(&query));
+    assert!(service.get_keyed(&service.key_for(&query)).is_some());
     assert!(!bad.exists());
     assert!(bad.with_extension("quarantined").exists());
     let _ = fs::remove_dir_all(&dir);

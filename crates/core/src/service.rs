@@ -241,12 +241,12 @@ impl PlanService {
     /// Admission charges the byte budget and may evict LRU entries,
     /// like any other insert.
     pub fn warm(&self, prepared: Arc<PreparedQuery>) -> bool {
-        if cache_key(prepared.query(), prepared.config())
-            != cache_key(prepared.query(), &self.config)
-        {
+        // Same query on both sides, so the two keys differ exactly when
+        // the configurations' renderings do.
+        if format!("{:?}", prepared.config()) != format!("{:?}", self.config) {
             return false;
         }
-        let key = cache_key(prepared.query(), &self.config);
+        let key = self.key_for(prepared.query());
         let mut state = self.state.lock().expect("service cache poisoned");
         if state.entries.contains_key(&key) || state.inflight.contains_key(&key) {
             return false;
@@ -277,19 +277,32 @@ impl PlanService {
         &self.config
     }
 
-    /// Whether `query` is already cached, without touching the LRU
-    /// order or the hit/miss counters.
-    ///
-    /// This is the admission-control probe for serving front-ends: a
-    /// request whose query is cached is cheap to serve no matter how
-    /// loaded the service is, while an uncached one will optimize —
-    /// work a server may prefer to shed (with a typed overload reply)
-    /// when the byte budget is already saturated or too many
-    /// preparations are in flight (see [`ServiceStats::inflight`]).
-    pub fn is_cached(&self, query: &QuerySpec) -> bool {
-        let key = cache_key(query, &self.config);
-        let state = self.state.lock().expect("service cache poisoned");
-        state.entries.contains_key(&key)
+    /// The key this service caches `query` under: [`cache_key`] with the
+    /// service's own configuration. A caller that serves the same query
+    /// many times computes it once and uses the keyed entry points
+    /// below, which format nothing.
+    pub fn key_for(&self, query: &QuerySpec) -> String {
+        cache_key(query, &self.config)
+    }
+
+    /// The hit path as one call and one lock acquisition: if `key` (from
+    /// [`key_for`](Self::key_for)) is cached, bumps its LRU tick, counts
+    /// a hit and returns the artifact. A key that is not cached returns
+    /// `None` and counts nothing, so a serving front-end can decide
+    /// whether to shed the preparation (see [`ServiceStats::inflight`])
+    /// before calling [`get_or_prepare_keyed`](Self::get_or_prepare_keyed).
+    pub fn get_keyed(&self, key: &str) -> Option<Arc<PreparedQuery>> {
+        let mut state = self.state.lock().expect("service cache poisoned");
+        self.hit(&mut state, key)
+    }
+
+    /// Counts and returns a cache hit; the LRU clock ticks either way.
+    fn hit(&self, state: &mut CacheState, key: &str) -> Option<Arc<PreparedQuery>> {
+        let tick = state.next_tick();
+        let entry = state.entries.get_mut(key)?;
+        entry.last_used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(Arc::clone(&entry.prepared))
     }
 
     /// Returns the prepared artifact for `query`, preparing and caching
@@ -301,21 +314,27 @@ impl PlanService {
     /// one thread optimizes, the rest block on its flight and adopt the
     /// shared artifact (or its error).
     pub fn get_or_prepare(&self, query: &QuerySpec) -> Result<Arc<PreparedQuery>, Error> {
-        let key = cache_key(query, &self.config);
+        self.get_or_prepare_keyed(&self.key_for(query), query)
+    }
+
+    /// [`get_or_prepare`](Self::get_or_prepare) for a caller that kept
+    /// the key: `key` must be `self.key_for(query)`.
+    pub fn get_or_prepare_keyed(
+        &self,
+        key: &str,
+        query: &QuerySpec,
+    ) -> Result<Arc<PreparedQuery>, Error> {
         loop {
             let flight = {
                 let mut state = self.state.lock().expect("service cache poisoned");
-                let tick = state.next_tick();
-                if let Some(entry) = state.entries.get_mut(&key) {
-                    entry.last_used = tick;
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(&entry.prepared));
+                if let Some(prepared) = self.hit(&mut state, key) {
+                    return Ok(prepared);
                 }
-                match state.inflight.get(&key) {
+                match state.inflight.get(key) {
                     Some(flight) => Some(Arc::clone(flight)),
                     None => {
                         state.inflight.insert(
-                            key.clone(),
+                            key.to_string(),
                             Arc::new(Flight {
                                 state: Mutex::new(FlightState::Pending),
                                 done: Condvar::new(),
@@ -346,7 +365,7 @@ impl PlanService {
                     }
                 }
                 // This thread is the leader: prepare outside every lock.
-                None => return self.lead_flight(&key, query),
+                None => return self.lead_flight(key, query),
             }
         }
     }
@@ -399,6 +418,7 @@ impl PlanService {
             key,
             result: None,
         };
+        debug_assert_eq!(key, self.key_for(query), "key is not this query's");
         self.misses.fetch_add(1, Ordering::Relaxed);
         let result = PreparedQuery::prepare(&self.catalog, query, &self.config).map(Arc::new);
         guard.result = Some(result.clone());
@@ -723,26 +743,52 @@ mod tests {
     }
 
     #[test]
-    fn is_cached_probes_without_bumping_stats() {
-        let s = service(4);
-        let q = two_rel_query(
+    fn keyed_hit_counts_and_refreshes_and_a_keyed_miss_counts_nothing() {
+        let s = service(2);
+        let q1 = two_rel_query(
             s.catalog(),
             "nation",
             "region",
             "n_regionkey",
             "r_regionkey",
         );
-        assert!(!s.is_cached(&q));
-        assert_eq!(s.stats().inflight, 0);
-        s.get_or_prepare(&q).unwrap();
-        assert!(s.is_cached(&q));
+        let q2 = two_rel_query(
+            s.catalog(),
+            "supplier",
+            "nation",
+            "s_nationkey",
+            "n_nationkey",
+        );
+        let q3 = two_rel_query(
+            s.catalog(),
+            "customer",
+            "nation",
+            "c_nationkey",
+            "n_nationkey",
+        );
+        let (k1, k2) = (s.key_for(&q1), s.key_for(&q2));
+        assert_eq!(k1, cache_key(&q1, s.config()));
+        assert!(s.get_keyed(&k1).is_none());
         let stats = s.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 1), "probe counted nothing");
-        assert_eq!(stats.inflight, 0, "no preparation left in flight");
-        // The probe respects normalization: a reordered spelling of the
-        // same query reports cached too.
+        assert_eq!(
+            (stats.hits, stats.misses, stats.inflight),
+            (0, 0, 0),
+            "a keyed miss counts nothing and starts nothing"
+        );
+
+        let p1 = s.get_or_prepare_keyed(&k1, &q1).unwrap();
+        s.get_or_prepare(&q2).unwrap();
+        let hit = s.get_keyed(&k1).expect("prepared key is cached");
+        assert!(Arc::ptr_eq(&hit, &p1));
+        let stats = s.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+
+        // The keyed hit refreshed q1, so q3 evicts q2.
+        s.get_or_prepare(&q3).unwrap();
+        assert!(s.get_keyed(&k1).is_some(), "q1 survived the eviction");
+        assert!(s.get_keyed(&k2).is_none(), "q2 was the coldest entry");
         s.clear();
-        assert!(!s.is_cached(&q));
+        assert!(s.get_keyed(&k1).is_none());
     }
 
     #[test]

@@ -34,6 +34,9 @@ use std::time::Instant;
 /// cannot starve the rest of the loop.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Bytes asked of the socket per `read(2)`.
+const READ_BUF: usize = 4096;
+
 /// Lifecycle of a connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConnPhase {
@@ -129,11 +132,15 @@ impl Conn {
         self.wbuf.extend_from_slice(payload);
     }
 
-    /// Reads until `WouldBlock`, EOF, or the per-event cap, appending to
-    /// the input buffer. Returns `false` when the connection reached EOF
-    /// or errored (the caller transitions the phase).
+    /// Reads until a short read, `WouldBlock`, EOF, or the per-event
+    /// cap, appending to the input buffer. A read that returns fewer
+    /// bytes than it had room for emptied the socket's receive queue, so
+    /// asking again would only buy an `EAGAIN`: `poll(2)` is
+    /// level-triggered and reports whatever arrives later. Returns
+    /// `false` when the connection reached EOF or errored (the caller
+    /// transitions the phase).
     pub fn fill(&mut self) -> bool {
-        let mut chunk = [0u8; 4096];
+        let mut chunk = [0u8; READ_BUF];
         let mut read_total = 0;
         loop {
             if read_total >= READ_CHUNK {
@@ -144,6 +151,9 @@ impl Conn {
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&chunk[..n]);
                     read_total += n;
+                    if n < chunk.len() {
+                        return true;
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -229,6 +239,73 @@ impl Conn {
             ConnPhase::Draining => idle,
             ConnPhase::Open => self.eof && idle && !self.has_parseable_input(),
             ConnPhase::Closed => false, // reaped by phase, not by drained()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reactor::{Interest, Poller};
+    use crate::wire::{Request, Workload};
+    use std::os::fd::AsRawFd;
+    use std::time::Duration;
+
+    /// `fill` stops at a short read instead of reading on to `EAGAIN`;
+    /// what it leaves in the socket, level-triggered `poll(2)` reports
+    /// again. Bursts larger than one read, and bursts that end exactly
+    /// on a read boundary (where no read is ever short), must still
+    /// arrive in full and in order.
+    #[test]
+    fn bursts_beyond_the_read_buffer_are_read_in_full_and_parsed() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let count = |sql_len: usize| Request::Count(Workload::Sql("x".repeat(sql_len)));
+        let framed = |request: &Request, id: u64| wire::frame(&request.encode(id));
+        let empty = framed(&count(0), 0).len();
+
+        for burst_len in [READ_BUF * 3 + 100, READ_BUF * 3, READ_BUF, READ_BUF - 1] {
+            // Small frames, then one padded so the burst is `burst_len`.
+            let mut requests: Vec<Request> = (0..7).map(|i| count(i * 50)).collect();
+            let so_far: usize = (0..7).map(|i| empty + i * 50).sum();
+            requests.push(count(burst_len - so_far - empty));
+            let burst: Vec<u8> = requests
+                .iter()
+                .enumerate()
+                .flat_map(|(i, r)| framed(r, i as u64))
+                .collect();
+            assert_eq!(burst.len(), burst_len);
+
+            let mut client = TcpStream::connect(addr).unwrap();
+            let (server_side, _) = listener.accept().unwrap();
+            let mut conn = Conn::new(server_side).unwrap();
+            client.write_all(&burst).unwrap();
+
+            let mut poller = Poller::new();
+            let mut parsed = Vec::new();
+            while parsed.len() < requests.len() {
+                poller.clear();
+                poller.register(conn.stream().as_raw_fd(), 2, Interest::READ);
+                let events = poller.wait(Some(Duration::from_secs(10))).unwrap();
+                assert!(!events.is_empty(), "{burst_len}: poll lost unread input");
+                assert!(conn.fill(), "{burst_len}: peer is still open");
+                while let Some(payload) = conn.next_frame(Instant::now()).unwrap() {
+                    parsed.push(Request::decode(&payload).unwrap());
+                }
+            }
+            let sent: Vec<(u64, Request)> = (0u64..).zip(requests).collect();
+            assert_eq!(parsed, sent, "{burst_len}");
+            assert!(conn.rbuf.is_empty());
+
+            // Half-close after a short read is still seen as EOF.
+            drop(client);
+            poller.clear();
+            poller.register(conn.stream().as_raw_fd(), 2, Interest::READ);
+            assert!(!poller
+                .wait(Some(Duration::from_secs(10)))
+                .unwrap()
+                .is_empty());
+            assert!(!conn.fill(), "{burst_len}: EOF after the burst");
         }
     }
 }

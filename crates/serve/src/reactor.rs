@@ -215,6 +215,15 @@ impl WakeSet {
     }
 }
 
+/// Empties an event loop's wake pipe, stopping at the first short read:
+/// that read emptied the pipe, and a byte written after it makes the
+/// level-triggered `poll(2)` report the pipe again, so reading on to
+/// `WouldBlock` would only add a syscall to every wake.
+pub(crate) fn drain_wake_pipe(wake_rx: &mut UnixStream) {
+    let mut sink = [0u8; 64];
+    while matches!(wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
+}
+
 /// One thread-per-core event loop. See the module docs for how it
 /// relates to the acceptor and its siblings.
 pub(crate) struct Reactor {
@@ -291,7 +300,7 @@ impl Reactor {
             let now = (self.clock)();
             for event in events {
                 match event.token {
-                    TOKEN_WAKER => self.drain_waker(),
+                    TOKEN_WAKER => drain_wake_pipe(&mut self.wake_rx),
                     token => {
                         if event.error {
                             self.close(token);
@@ -410,11 +419,6 @@ impl Reactor {
             // Slow-loris: the partial frame never completed in time.
             self.close(token);
         }
-    }
-
-    fn drain_waker(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
     }
 
     fn read_ready(&mut self, token: u64, now: Instant) {
@@ -562,6 +566,22 @@ mod tests {
         let events = poller.wait(Some(Duration::from_millis(1000))).unwrap();
         assert_eq!(events.len(), 1);
         assert!(events[0].readable, "EOF must wake the reader");
+    }
+
+    #[test]
+    fn wake_pipe_is_emptied_by_bursts_of_any_length() {
+        let (mut tx, mut rx) = UnixStream::pair().unwrap();
+        rx.set_nonblocking(true).unwrap();
+        // Shorter than the sink, an exact multiple of it, and beyond it.
+        for pokes in [1, 64, 128, 133] {
+            tx.write_all(&vec![1u8; pokes]).unwrap();
+            drain_wake_pipe(&mut rx);
+            let left = rx.read(&mut [0u8; 1]);
+            assert!(
+                matches!(&left, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+                "{pokes} pokes left {left:?} in the pipe"
+            );
+        }
     }
 
     thread_local! {

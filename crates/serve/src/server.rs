@@ -34,12 +34,12 @@
 //! the server down after `MAX_ACCEPT_ERRORS` consecutive failures.
 
 use crate::reactor::{
-    Completion, Interest, Job, Poller, Reactor, WakeSet, MAX_POLL_ERRORS, POLL_ERROR_BACKOFF,
-    TOKEN_LISTENER, TOKEN_WAKER,
+    drain_wake_pipe, Completion, Interest, Job, Poller, Reactor, WakeSet, MAX_POLL_ERRORS,
+    POLL_ERROR_BACKOFF, TOKEN_LISTENER, TOKEN_WAKER,
 };
 use crate::state::{AdmissionConfig, ServerState};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
@@ -258,7 +258,7 @@ impl Acceptor {
                             return;
                         }
                     }
-                    _ => self.drain_waker(),
+                    _ => drain_wake_pipe(&mut self.wake_rx),
                 }
             }
         }
@@ -313,11 +313,6 @@ impl Acceptor {
             // the reactor will wake.
             let _ = w.write(&[1]);
         }
-    }
-
-    fn drain_waker(&mut self) {
-        let mut sink = [0u8; 64];
-        while matches!(self.wake_rx.read(&mut sink), Ok(n) if n > 0) {}
     }
 
     fn give_up(&self) {

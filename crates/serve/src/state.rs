@@ -10,6 +10,17 @@
 //! the singleflight: a thundering herd of connections asking for the
 //! same fresh query performs exactly one optimization in total.
 //!
+//! A workload's *identity* — the service that caches it, its query spec
+//! and the service's cache key for that spec — is computed once per
+//! workload, not once per request: a synthetic spec's identity lives in
+//! its entry of the synthetic-service table, an SQL text's in a small
+//! bounded memo (the crate-private `SqlMemo`). Both hold identity only,
+//! never an artifact, so what is resident, what is evicted and what is
+//! written to `--artifact-dir` is decided by the `PlanService`s alone. A
+//! warm request is therefore two map lookups — identity, then
+//! [`PlanService::get_keyed`] — with no parse, no catalog build, no key
+//! formatting and one service lock.
+//!
 //! Admission control (the `Overloaded` reply) is two-layered:
 //!
 //! 1. the reactors bound the *queue* — requests beyond `max_inflight`
@@ -17,11 +28,12 @@
 //!    [`ServerState::try_admit`]) are answered `Overloaded` immediately
 //!    instead of queueing unboundedly (`shed_queue`), and
 //! 2. this module bounds the *expensive work* — a request that would
-//!    have to optimize (its workload is not cached, probed with
-//!    [`PlanService::is_cached`]) is shed when the byte budget is
-//!    already saturated or too many first preparations are in flight
-//!    (`shed_prepare`). Cached workloads are always served: hits are
-//!    cheap no matter how hot the cache is.
+//!    have to optimize (its key is not cached:
+//!    [`PlanService::get_keyed`] returned `None`, having counted
+//!    nothing) is shed when the byte budget is already saturated or too
+//!    many first preparations are in flight (`shed_prepare`). Cached
+//!    workloads are always served: hits are cheap no matter how hot the
+//!    cache is.
 
 use crate::wire::{
     ErrorCode, ReactorStats, Request, Response, SamplesEncoder, StatsReply, WirePlan, Workload,
@@ -31,9 +43,12 @@ use plansample_core::{Error, PlanBatch, PlanService, PreparedQuery};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{PhysId, PlanNode};
 use plansample_optimizer::OptimizerConfig;
+use plansample_query::QuerySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -78,25 +93,103 @@ pub struct ReactorCounters {
     pub connections: AtomicU64,
 }
 
-/// The synthetic-service table behind [`ServerState::synth_service`]:
-/// an LRU-capped map of single-entry services keyed by spec. `tick`
-/// orders recency; it is bumped under the map's lock, so it needs no
-/// atomicity of its own.
-#[derive(Default)]
-struct SynthServices {
-    map: HashMap<(Topology, u16, u64), SynthEntry>,
-    tick: u64,
+/// What a workload resolves to: the service that caches it, its query
+/// spec, and `service.key_for(&query)`. Computed once per workload and
+/// shared by every request that names it.
+struct Identity {
+    service: Arc<PlanService>,
+    query: QuerySpec,
+    key: String,
 }
 
-struct SynthEntry {
-    service: Arc<PlanService>,
-    last_used: u64,
+/// A map of at most `cap` entries that evicts the least recently used.
+/// `tick` orders recency; it is bumped under the owner's lock, so it
+/// needs no atomicity of its own.
+struct Lru<K, V> {
+    map: HashMap<K, (V, u64)>,
+    tick: u64,
+    cap: usize,
 }
+
+impl<K: Hash + Eq + Clone, V> Lru<K, V> {
+    fn new(cap: usize) -> Self {
+        Lru {
+            map: HashMap::new(),
+            tick: 0,
+            cap: cap.max(1),
+        }
+    }
+
+    /// Looks `key` up, marking it the most recently used.
+    fn get<Q>(&mut self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.tick += 1;
+        let (value, last_used) = self.map.get_mut(key)?;
+        *last_used = self.tick;
+        Some(value)
+    }
+
+    /// Inserts `key` as the most recently used, first evicting least
+    /// recently used entries until there is room for it; returns how
+    /// many were evicted.
+    fn insert(&mut self, key: K, value: V) -> u64 {
+        self.tick += 1;
+        let mut evicted = 0;
+        if !self.map.contains_key(&key) {
+            while self.map.len() >= self.cap {
+                let oldest = self
+                    .map
+                    .iter()
+                    .min_by_key(|(_, (_, last_used))| *last_used)
+                    .map(|(k, _)| k.clone())
+                    .expect("map at cap is non-empty");
+                self.map.remove(&oldest);
+                evicted += 1;
+            }
+        }
+        self.map.insert(key, (value, self.tick));
+        evicted
+    }
+}
+
+/// The synthetic-service table: single-entry services keyed by spec,
+/// each with the identity of the one query it serves.
+type SynthServices = Lru<(Topology, u16, u64), Arc<Identity>>;
+
+/// SQL text → identity on the TPC-H service, so that a text is parsed
+/// and keyed once, not once per request. It holds no artifact: a
+/// memoised text whose artifact was evicted misses in the service and
+/// re-prepares like any other.
+///
+/// Bounded at [`MEMO_TEXTS_PER_ENTRY`] texts per `cache_entries`; a text
+/// longer than [`MEMO_MAX_TEXT`], or whose key is longer than
+/// [`MEMO_MAX_KEY`], is resolved the long way every time, and a text
+/// that fails to parse is never memoised. An entry is its text (held
+/// once, as the map's key), its key and its spec; a spec occupies fewer
+/// than two bytes per character of its key (the key renders every field
+/// at more characters than the field has bytes, and a `Vec`'s spare
+/// capacity at most doubles it). Worst case: 4 + 16 + 32 = 52 KiB an
+/// entry, 6.5 MiB at the default 64 `cache_entries`; the benchmark's
+/// six SQL texts take about 1.5 KiB an entry.
+type SqlMemo = Lru<String, Arc<Identity>>;
+
+/// Memoised texts per `cache_entries`: room for a second spelling of
+/// each cached query, or for texts whose artifacts the byte budget
+/// evicted.
+const MEMO_TEXTS_PER_ENTRY: usize = 2;
+/// Longest SQL text the memo keeps, in bytes.
+const MEMO_MAX_TEXT: usize = 4 << 10;
+/// Longest cache key the memo keeps, in bytes.
+const MEMO_MAX_KEY: usize = 16 << 10;
 
 /// The serving state shared by the reactors and the worker pools.
 pub struct ServerState {
     tpch: Arc<PlanService>,
     synth: Mutex<SynthServices>,
+    sql_memo: Mutex<SqlMemo>,
     admission: AdmissionConfig,
     byte_budget: Option<usize>,
     /// Requests decoded by the reactors, whether admitted or shed at
@@ -153,7 +246,10 @@ impl ServerState {
         ));
         ServerState {
             tpch,
-            synth: Mutex::new(SynthServices::default()),
+            synth: Mutex::new(Lru::new(admission.max_synth_services)),
+            sql_memo: Mutex::new(Lru::new(
+                cache_entries.max(1).saturating_mul(MEMO_TEXTS_PER_ENTRY),
+            )),
             admission,
             byte_budget,
             requests: AtomicU64::new(0),
@@ -303,42 +399,31 @@ impl ServerState {
 
     /// Resolves and prepares a workload, applying admission control:
     /// the shared front half of [`with_prepared`](Self::with_prepared)
-    /// and the streaming sample path.
+    /// and the streaming sample path. A cached workload takes the
+    /// service lock once, in `get_keyed`; only a miss reaches the
+    /// admission check and the preparing entry point.
     fn prepared_for(
         &self,
         workload: &Workload,
     ) -> Result<(Arc<PreparedQuery>, bool), Box<Response>> {
-        let (service, query) = self.resolve(workload)?;
-        let cached = service.is_cached(&query);
-        if !cached {
-            if let Some(denial) = self.deny_preparation(&service) {
-                self.shed_prepare.fetch_add(1, Ordering::Relaxed);
-                return Err(Box::new(denial));
-            }
+        let id = self.resolve(workload)?;
+        if let Some(prepared) = id.service.get_keyed(&id.key) {
+            return Ok((prepared, true));
         }
-        service
-            .get_or_prepare(&query)
-            .map(|prepared| (prepared, cached))
+        if let Some(denial) = self.deny_preparation(&id.service) {
+            self.shed_prepare.fetch_add(1, Ordering::Relaxed);
+            return Err(Box::new(denial));
+        }
+        id.service
+            .get_or_prepare_keyed(&id.key, &id.query)
+            .map(|prepared| (prepared, false))
             .map_err(|e| Box::new(error_response(&e)))
     }
 
-    /// Maps a workload to the service that caches it plus the concrete
-    /// query spec, without preparing anything.
-    fn resolve(
-        &self,
-        workload: &Workload,
-    ) -> Result<(Arc<PlanService>, plansample_query::QuerySpec), Box<Response>> {
+    /// Maps a workload to its identity, without preparing anything.
+    fn resolve(&self, workload: &Workload) -> Result<Arc<Identity>, Box<Response>> {
         match workload {
-            Workload::Sql(sql) => {
-                let parsed = plansample_sql::parse(self.tpch.catalog(), sql).map_err(|e| {
-                    // `render` quotes the offending line; `error` clamps
-                    // it so the reply stays within the frame bound.
-                    Box::new(Response::error(ErrorCode::Sql, e.render(sql)))
-                })?;
-                // The front door serves plan-space operations; execution
-                // hints (USEPLAN) have no meaning here.
-                Ok((Arc::clone(&self.tpch), parsed.spec))
-            }
+            Workload::Sql(sql) => self.sql_identity(sql),
             Workload::Synthetic {
                 topology,
                 relations,
@@ -354,50 +439,63 @@ impl ServerState {
                         ),
                     )));
                 }
-                let service = self.synth_service((*topology, *relations, *seed));
-                let spec = JoinGraphSpec::new(*topology, *relations as usize, *seed);
-                let (_, query) = spec.build();
-                Ok((service, query))
+                Ok(self.synth_identity((*topology, *relations, *seed)))
             }
         }
     }
 
-    /// The (created-on-demand) service owning one synthetic spec.
-    /// Synthetic services hold a single entry — the spec *is* the
-    /// query — so their footprint is exactly one artifact, and the map
-    /// as a whole is LRU-bounded by `max_synth_services`: past the cap,
-    /// the least recently used spec's service is dropped (in-flight
-    /// preparations keep their `Arc` alive; only the cache slot goes).
-    fn synth_service(&self, key: (Topology, u16, u64)) -> Arc<PlanService> {
-        let mut synth = self.synth.lock().expect("synth map poisoned");
-        synth.tick += 1;
-        let tick = synth.tick;
-        if let Some(entry) = synth.map.get_mut(&key) {
-            entry.last_used = tick;
-            return Arc::clone(&entry.service);
+    /// The identity of an SQL text on the TPC-H service, from the memo
+    /// when the text has been seen (see [`SqlMemo`] for what is kept).
+    /// The memo's lock is never held across a parse.
+    fn sql_identity(&self, sql: &str) -> Result<Arc<Identity>, Box<Response>> {
+        let memoisable = sql.len() <= MEMO_MAX_TEXT;
+        if memoisable {
+            let mut memo = self.sql_memo.lock().expect("sql memo poisoned");
+            if let Some(id) = memo.get(sql) {
+                return Ok(Arc::clone(id));
+            }
         }
-        let cap = self.admission.max_synth_services.max(1);
-        while synth.map.len() >= cap {
-            let oldest = synth
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-                .expect("map at cap is non-empty");
-            synth.map.remove(&oldest);
-            self.synth_evictions.fetch_add(1, Ordering::Relaxed);
+        let parsed = plansample_sql::parse(self.tpch.catalog(), sql).map_err(|e| {
+            // `render` quotes the offending line; `error` clamps
+            // it so the reply stays within the frame bound.
+            Box::new(Response::error(ErrorCode::Sql, e.render(sql)))
+        })?;
+        // The front door serves plan-space operations; execution
+        // hints (USEPLAN) have no meaning here.
+        let id = Arc::new(Identity {
+            service: Arc::clone(&self.tpch),
+            key: self.tpch.key_for(&parsed.spec),
+            query: parsed.spec,
+        });
+        if memoisable && id.key.len() <= MEMO_MAX_KEY {
+            let mut memo = self.sql_memo.lock().expect("sql memo poisoned");
+            memo.insert(sql.to_string(), Arc::clone(&id));
+        }
+        Ok(id)
+    }
+
+    /// The (created-on-demand) identity of one synthetic spec, service
+    /// included. Synthetic services hold a single entry — the spec *is*
+    /// the query — so their footprint is exactly one artifact, and the
+    /// table as a whole is LRU-bounded by `max_synth_services`: past the
+    /// cap, the least recently used spec's service is dropped (in-flight
+    /// preparations keep their `Arc` alive; only the cache slot goes).
+    fn synth_identity(&self, key: (Topology, u16, u64)) -> Arc<Identity> {
+        let mut synth = self.synth.lock().expect("synth map poisoned");
+        if let Some(id) = synth.get(&key) {
+            return Arc::clone(id);
         }
         let spec = JoinGraphSpec::new(key.0, key.1 as usize, key.2);
-        let (catalog, _) = spec.build();
+        let (catalog, query) = spec.build();
         let service = Arc::new(PlanService::new(catalog, self.tpch.config().clone(), 1));
-        synth.map.insert(
-            key,
-            SynthEntry {
-                service: Arc::clone(&service),
-                last_used: tick,
-            },
-        );
-        service
+        let id = Arc::new(Identity {
+            key: service.key_for(&query),
+            service,
+            query,
+        });
+        let evicted = synth.insert(key, Arc::clone(&id));
+        self.synth_evictions.fetch_add(evicted, Ordering::Relaxed);
+        id
     }
 
     /// Whether an uncached request must be shed right now, and the
@@ -433,7 +531,7 @@ impl ServerState {
             let bytes: usize = synth
                 .map
                 .values()
-                .map(|e| e.service.stats().resident_bytes)
+                .map(|(id, _)| id.service.stats().resident_bytes)
                 .sum();
             (synth.map.len() as u64, bytes as u64)
         };
@@ -577,6 +675,184 @@ mod tests {
         assert_eq!(evictions(), 2);
         state.handle(&chain(1)); // the refreshed entry survived both
         assert_eq!(evictions(), 2);
+    }
+
+    fn sql_state(cache_entries: usize, admission: AdmissionConfig) -> ServerState {
+        ServerState::new(
+            OptimizerConfig::default(),
+            cache_entries,
+            None,
+            admission,
+            1,
+        )
+    }
+
+    fn sql(text: &str) -> Workload {
+        Workload::Sql(text.to_string())
+    }
+
+    fn memo_len(state: &ServerState) -> usize {
+        state.sql_memo.lock().unwrap().map.len()
+    }
+
+    /// `Prepare` through the state: the artifact's bytes and whether it
+    /// was already cached.
+    fn prepare(state: &ServerState, text: &str) -> (u64, bool) {
+        match state.handle(&Request::Prepare(sql(text))) {
+            Response::Prepared {
+                size_bytes, cached, ..
+            } => (size_bytes, cached),
+            other => panic!("prepare of {text:?} answered {other:?}"),
+        }
+    }
+
+    const NATIONS_BY_REGION: &str = "SELECT COUNT(*) FROM nation n, region r \
+         WHERE n.n_regionkey = r.r_regionkey AND r.r_regionkey < 3";
+
+    #[test]
+    fn a_warm_workload_resolves_to_the_identity_it_already_has() {
+        let state = state(4);
+        let Request::Count(synthetic) = chain(1) else {
+            unreachable!("chain() builds a Count");
+        };
+        for workload in [sql(NATIONS_BY_REGION), synthetic] {
+            let first = state.resolve(&workload).unwrap();
+            let again = state.resolve(&workload).unwrap();
+            assert!(
+                Arc::ptr_eq(&first, &again),
+                "{workload:?} was parsed, built or keyed a second time"
+            );
+            assert_eq!(first.key, first.service.key_for(&first.query));
+        }
+    }
+
+    /// (a) The memo holds identity, never an artifact: a memoised text
+    /// whose artifact was evicted re-prepares.
+    #[test]
+    fn memoised_text_does_not_pin_its_evicted_artifact() {
+        let state = sql_state(1, AdmissionConfig::default());
+        let texts = [
+            NATIONS_BY_REGION,
+            "SELECT * FROM region WHERE r_regionkey < 3",
+        ];
+        for round in 0..3 {
+            for text in texts {
+                let (size_bytes, cached) = prepare(&state, text);
+                assert!(!cached, "round {round}: {text:?} outlived its eviction");
+                let stats = state.stats();
+                assert_eq!(stats.entries, 1);
+                assert_eq!(stats.resident_bytes, size_bytes);
+            }
+        }
+        let stats = state.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 6, 5));
+        assert_eq!(memo_len(&state), 2, "both texts stayed memoised throughout");
+    }
+
+    /// (b) Two spellings are two memo entries with one key between them.
+    #[test]
+    fn two_spellings_of_a_query_share_one_artifact() {
+        let state = sql_state(4, AdmissionConfig::default());
+        let reordered = "SELECT COUNT(*) FROM nation n, region r \
+             WHERE r.r_regionkey < 3 AND n.n_regionkey = r.r_regionkey";
+        assert!(!prepare(&state, NATIONS_BY_REGION).1);
+        assert!(prepare(&state, reordered).1, "second spelling is a hit");
+        let stats = state.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+        assert_eq!(memo_len(&state), 2);
+    }
+
+    /// (c) The memo stays at its cap, and keeps neither over-length
+    /// texts, nor over-length keys, nor texts that do not parse.
+    #[test]
+    fn memo_is_bounded_and_keeps_only_short_texts_that_parse() {
+        let state = sql_state(2, AdmissionConfig::default());
+        let cap = 2 * MEMO_TEXTS_PER_ENTRY;
+        for i in 0..10 * cap {
+            let text = format!("SELECT * FROM region WHERE r_regionkey < {i}");
+            let reply = state.handle(&Request::Count(sql(&text)));
+            assert!(matches!(reply, Response::Count(_)), "got {reply:?}");
+            assert_eq!(memo_len(&state), cap.min(i + 1));
+        }
+
+        let padded = format!(
+            "SELECT * FROM region WHERE r_regionkey < 3{}",
+            " ".repeat(MEMO_MAX_TEXT)
+        );
+        let many_filters = format!(
+            "SELECT * FROM region WHERE r_regionkey < 3{}",
+            " AND r_regionkey < 3".repeat(150)
+        );
+        assert!(many_filters.len() <= MEMO_MAX_TEXT);
+        let bad = "SELECT * FROM no_such_table";
+        let memo_before: Vec<String> = {
+            let memo = state.sql_memo.lock().unwrap();
+            let mut texts: Vec<String> = memo.map.keys().cloned().collect();
+            texts.sort();
+            texts
+        };
+        for text in [padded.as_str(), many_filters.as_str()] {
+            for _ in 0..2 {
+                let reply = state.handle(&Request::Count(sql(text)));
+                assert!(matches!(reply, Response::Count(_)), "got {reply:?}");
+            }
+        }
+        let key_len = state.resolve(&sql(&many_filters)).unwrap().key.len();
+        assert!(key_len > MEMO_MAX_KEY, "key of {key_len} bytes is short");
+        let first = state.handle_encoded(&Request::Count(sql(bad)), 9);
+        assert!(matches!(
+            Response::decode(&first).unwrap().1,
+            Response::Error {
+                code: ErrorCode::Sql,
+                ..
+            }
+        ));
+        for _ in 0..3 {
+            assert_eq!(state.handle_encoded(&Request::Count(sql(bad)), 9), first);
+        }
+        let memo = state.sql_memo.lock().unwrap();
+        let mut memo_after: Vec<&String> = memo.map.keys().collect();
+        memo_after.sort();
+        assert_eq!(memo_after, memo_before.iter().collect::<Vec<_>>());
+    }
+
+    /// (d) Only a miss reaches the admission check.
+    #[test]
+    fn uncached_workloads_are_shed_while_cached_ones_are_served() {
+        let state = sql_state(
+            4,
+            AdmissionConfig {
+                max_prepares: 0,
+                ..AdmissionConfig::default()
+            },
+        );
+        let cold = "SELECT * FROM region WHERE r_regionkey < 3";
+        let warm = plansample_sql::parse(state.tpch_service().catalog(), NATIONS_BY_REGION)
+            .unwrap()
+            .spec;
+        state.tpch_service().get_or_prepare(&warm).unwrap();
+
+        for round in 1..=2 {
+            assert!(prepare(&state, NATIONS_BY_REGION).1, "cached: served");
+            let reply = state.handle(&Request::Count(sql(cold)));
+            assert!(
+                matches!(
+                    reply,
+                    Response::Error {
+                        code: ErrorCode::Overloaded,
+                        ..
+                    }
+                ),
+                "got {reply:?}"
+            );
+            assert_eq!(state.stats().shed_prepare, round);
+        }
+        let stats = state.stats();
+        assert_eq!(
+            (stats.hits, stats.misses, stats.entries),
+            (2, 1, 1),
+            "a shed request is neither a hit nor a miss"
+        );
     }
 
     /// `SamplesEncoder` (streaming) against `Response::encode` (the
