@@ -251,8 +251,16 @@ impl PreparedQuery {
     /// — so the result is bit-identical to the tree path, not merely
     /// within a ULP (the serve crate asserts reply byte-identity).
     pub fn scaled_cost_ids(&self, ids: &[PhysId]) -> f64 {
+        self.scaled_cost_ids_in(ids, &mut Vec::with_capacity(ids.len().min(64)))
+    }
+
+    /// [`scaled_cost_ids`](Self::scaled_cost_ids) on the caller's
+    /// stack of subtree totals (cleared here; its capacity is what the
+    /// caller keeps), so costing a batch allocates nothing once the
+    /// stack has held the deepest plan.
+    pub fn scaled_cost_ids_in(&self, ids: &[PhysId], totals: &mut Vec<f64>) -> f64 {
         let memo = self.memo();
-        let mut totals: Vec<f64> = Vec::with_capacity(ids.len().min(64));
+        totals.clear();
         for &id in ids.iter().rev() {
             let expr = memo.phys(id);
             // Reverse preorder pushes the leftmost child's total last,

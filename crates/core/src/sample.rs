@@ -114,7 +114,10 @@ impl PlanSpace {
                 part.finish_plan();
             }
         };
-        if threadpool::num_threads() == 1 || k < 2 * Self::PAR_MIN_DRAWS {
+        // `k` first: resolving the thread count can probe the host
+        // (see `threadpool`'s resolution order), which costs more than
+        // a small batch does.
+        if k < 2 * Self::PAR_MIN_DRAWS || threadpool::num_threads() == 1 {
             fill(out, ranks, &mut scratch.stack);
         } else {
             // Chunk `c` always covers draws `[c·PAR_MIN_DRAWS,

@@ -292,14 +292,37 @@ impl PlanService {
     /// whether to shed the preparation (see [`ServiceStats::inflight`])
     /// before calling [`get_or_prepare_keyed`](Self::get_or_prepare_keyed).
     pub fn get_keyed(&self, key: &str) -> Option<Arc<PreparedQuery>> {
-        let mut state = self.state.lock().expect("service cache poisoned");
-        self.hit(&mut state, key)
+        self.get_keyed_if(key, |_| true)
     }
 
-    /// Counts and returns a cache hit; the LRU clock ticks either way.
-    fn hit(&self, state: &mut CacheState, key: &str) -> Option<Arc<PreparedQuery>> {
+    /// [`get_keyed`](Self::get_keyed) for a caller that can only use
+    /// some artifacts: one that `accept` turns down is treated like a
+    /// key that is not cached — `None`, nothing counted, its LRU tick
+    /// untouched — so the request can be handed to whoever serves it
+    /// and be counted there, once. `accept` runs under the cache lock;
+    /// keep it to a field read.
+    pub fn get_keyed_if(
+        &self,
+        key: &str,
+        accept: impl FnOnce(&PreparedQuery) -> bool,
+    ) -> Option<Arc<PreparedQuery>> {
+        let mut state = self.state.lock().expect("service cache poisoned");
+        self.hit(&mut state, key, accept)
+    }
+
+    /// Counts and returns a cache hit on an artifact `accept` takes; the
+    /// LRU clock ticks either way.
+    fn hit(
+        &self,
+        state: &mut CacheState,
+        key: &str,
+        accept: impl FnOnce(&PreparedQuery) -> bool,
+    ) -> Option<Arc<PreparedQuery>> {
         let tick = state.next_tick();
         let entry = state.entries.get_mut(key)?;
+        if !accept(&entry.prepared) {
+            return None;
+        }
         entry.last_used = tick;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(Arc::clone(&entry.prepared))
@@ -327,7 +350,7 @@ impl PlanService {
         loop {
             let flight = {
                 let mut state = self.state.lock().expect("service cache poisoned");
-                if let Some(prepared) = self.hit(&mut state, key) {
+                if let Some(prepared) = self.hit(&mut state, key, |_| true) {
                     return Ok(prepared);
                 }
                 match state.inflight.get(key) {
@@ -782,6 +805,13 @@ mod tests {
         assert!(Arc::ptr_eq(&hit, &p1));
         let stats = s.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
+
+        // An artifact the caller turns down is a keyed miss (nothing
+        // counted); one it takes is a keyed hit.
+        assert!(s.get_keyed_if(&k2, |_| false).is_none());
+        assert_eq!(s.stats().hits, 1);
+        assert!(s.get_keyed_if(&k1, |p| !p.total().is_zero()).is_some());
+        assert_eq!(s.stats().hits, 2);
 
         // The keyed hit refreshed q1, so q3 evicts q2.
         s.get_or_prepare(&q3).unwrap();

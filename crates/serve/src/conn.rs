@@ -23,7 +23,18 @@
 //!   trickle and never arm the deadline;
 //! * half-close ([`Conn::eof`]) stops reads but is not a fault: every
 //!   request already buffered is still parsed (as pipeline slots free
-//!   up), answered, and flushed before the connection closes.
+//!   up), answered, and flushed before the connection closes;
+//! * write-side backpressure: a connection whose peer is not taking its
+//!   replies (unsent bytes left after a flush attempt) is neither read
+//!   nor parsed until they drain ([`Conn::wants_read`]), so the output
+//!   buffer holds at most what one parse round and the requests already
+//!   in flight produce, however much the peer pipelines. A client that
+//!   pipelines more than the socket buffers hold must therefore read
+//!   while it writes — the usual contract of a pipelined protocol.
+//!
+//! Input is consumed through a read cursor: a frame is decoded from a
+//! slice borrowed out of the buffer, and the consumed prefix is dropped
+//! once per [`Conn::fill`], not once per frame.
 
 use crate::wire;
 use std::io::{self, Read, Write};
@@ -54,16 +65,25 @@ pub enum ConnPhase {
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
-    /// Unparsed input (suffix of the stream read so far).
+    /// Input read so far; `rbuf[rpos..]` is the part not yet parsed.
     rbuf: Vec<u8>,
+    /// Read cursor into `rbuf`: everything before it has been consumed.
+    rpos: usize,
     /// Encoded reply frames not yet fully written.
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written.
     wpos: usize,
-    /// When the partial frame at the head of `rbuf` started arriving.
+    /// When the partial frame at the head of the unparsed input
+    /// started arriving.
     frame_started: Option<Instant>,
     /// Requests handed to the worker pool, not yet answered.
     pub inflight: usize,
+    /// Units of the event loop's per-round budget this connection has
+    /// used since the loop last polled (the reactor's bookkeeping).
+    pub round_spent: u32,
+    /// The parse loop stopped at that budget with input it could still
+    /// act on: the reactor comes back next round without waiting.
+    pub backlog: bool,
     /// Lifecycle phase.
     pub phase: ConnPhase,
     /// The peer half-closed (or the read side errored): no more input
@@ -79,10 +99,13 @@ impl Conn {
         Ok(Conn {
             stream,
             rbuf: Vec::new(),
+            rpos: 0,
             wbuf: Vec::new(),
             wpos: 0,
             frame_started: None,
             inflight: 0,
+            round_spent: 0,
+            backlog: false,
             phase: ConnPhase::Open,
             eof: false,
         })
@@ -93,17 +116,28 @@ impl Conn {
         &self.stream
     }
 
+    /// Reply bytes queued but not yet written to the socket.
+    pub fn unsent_bytes(&self) -> usize {
+        self.wbuf.len() - self.wpos
+    }
+
     /// Whether unsent reply bytes remain.
     pub fn wants_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
+        self.unsent_bytes() > 0
     }
 
     /// Whether the loop should poll this connection for input: open,
-    /// and not so far ahead of the workers that parsing more would
-    /// queue unboundedly (`max_pipeline` bounds decoded-but-unanswered
-    /// requests per connection; TCP backpressure does the rest).
+    /// not so far ahead of the workers that parsing more would queue
+    /// unboundedly (`max_pipeline` bounds decoded-but-unanswered
+    /// requests per connection), not holding replies its peer has yet
+    /// to take, and not holding input the loop has yet to parse (TCP
+    /// backpressure does the rest).
     pub fn wants_read(&self, max_pipeline: usize) -> bool {
-        self.phase == ConnPhase::Open && !self.eof && self.inflight < max_pipeline
+        self.phase == ConnPhase::Open
+            && !self.eof
+            && self.inflight < max_pipeline
+            && !self.wants_write()
+            && !self.backlog
     }
 
     /// Deadline for the currently-incomplete frame, if one is pending.
@@ -133,13 +167,16 @@ impl Conn {
     }
 
     /// Reads until a short read, `WouldBlock`, EOF, or the per-event
-    /// cap, appending to the input buffer. A read that returns fewer
-    /// bytes than it had room for emptied the socket's receive queue, so
-    /// asking again would only buy an `EAGAIN`: `poll(2)` is
-    /// level-triggered and reports whatever arrives later. Returns
-    /// `false` when the connection reached EOF or errored (the caller
-    /// transitions the phase).
+    /// cap, appending to the input buffer (after dropping the prefix
+    /// the parse loop has consumed since the last fill). A read that
+    /// returns fewer bytes than it had room for emptied the socket's
+    /// receive queue, so asking again would only buy an `EAGAIN`:
+    /// `poll(2)` is level-triggered and reports whatever arrives later.
+    /// Returns `false` when the connection reached EOF or errored (the
+    /// caller transitions the phase).
     pub fn fill(&mut self) -> bool {
+        self.rbuf.drain(..self.rpos);
+        self.rpos = 0;
         let mut chunk = [0u8; READ_BUF];
         let mut read_total = 0;
         loop {
@@ -162,16 +199,29 @@ impl Conn {
         }
     }
 
-    /// Splits the next complete frame payload out of the input buffer.
+    /// The input not yet parsed.
+    fn unparsed(&self) -> &[u8] {
+        &self.rbuf[self.rpos..]
+    }
+
+    /// Takes the next complete frame's payload off the unparsed input,
+    /// as a slice of the input buffer (valid until the next call that
+    /// takes `&mut self`).
     ///
     /// `Ok(None)`: no complete frame yet (a partial frame arms the
     /// slow-loris deadline). `Err`: the stream is unrecoverable
     /// (oversized prefix) — the caller replies and drains.
-    pub fn next_frame(&mut self, now: Instant) -> Result<Option<Vec<u8>>, wire::WireError> {
-        match wire::split_frame(&self.rbuf)? {
-            Some((payload, consumed)) => {
-                let payload = payload.to_vec();
-                self.rbuf.drain(..consumed);
+    pub fn next_frame(&mut self, now: Instant) -> Result<Option<&[u8]>, wire::WireError> {
+        if self.rpos == self.rbuf.len() {
+            // Everything consumed: reset in O(1), so a connection with
+            // nothing to parse holds no dead prefix until its next fill.
+            self.rbuf.clear();
+            self.rpos = 0;
+        }
+        match wire::split_frame(self.unparsed())? {
+            Some((_, consumed)) => {
+                let payload = self.rpos + 4..self.rpos + consumed;
+                self.rpos = payload.end;
                 // Only a genuinely incomplete remainder arms the
                 // slow-loris clock: complete frames left unparsed when
                 // the pipeline bound stops the parse loop are not a
@@ -182,10 +232,10 @@ impl Conn {
                 } else {
                     None
                 };
-                Ok(Some(payload))
+                Ok(Some(&self.rbuf[payload]))
             }
             None => {
-                if self.rbuf.is_empty() {
+                if self.unparsed().is_empty() {
                     self.frame_started = None;
                 } else if self.frame_started.is_none() {
                     self.frame_started = Some(now);
@@ -195,18 +245,18 @@ impl Conn {
         }
     }
 
-    /// Whether the head of the input buffer is a genuinely incomplete
+    /// Whether the head of the unparsed input is a genuinely incomplete
     /// frame — as opposed to empty, complete-but-unparsed (waiting for
     /// a pipeline slot), or poisoned (the next parse raises the error).
     fn head_is_partial(&self) -> bool {
-        !self.rbuf.is_empty() && matches!(wire::split_frame(&self.rbuf), Ok(None))
+        !self.unparsed().is_empty() && matches!(wire::split_frame(self.unparsed()), Ok(None))
     }
 
     /// Whether the input buffer holds something the parse loop can act
     /// on right now: a complete frame, or a poisoned prefix whose typed
     /// error is still owed to the client.
-    fn has_parseable_input(&self) -> bool {
-        matches!(wire::split_frame(&self.rbuf), Ok(Some(_)) | Err(_))
+    pub fn has_parseable_input(&self) -> bool {
+        matches!(wire::split_frame(self.unparsed()), Ok(Some(_)) | Err(_))
     }
 
     /// Writes buffered replies until `WouldBlock` or the buffer drains.
@@ -290,7 +340,7 @@ mod tests {
                 assert!(!events.is_empty(), "{burst_len}: poll lost unread input");
                 assert!(conn.fill(), "{burst_len}: peer is still open");
                 while let Some(payload) = conn.next_frame(Instant::now()).unwrap() {
-                    parsed.push(Request::decode(&payload).unwrap());
+                    parsed.push(Request::decode(payload).unwrap());
                 }
             }
             let sent: Vec<(u64, Request)> = (0u64..).zip(requests).collect();

@@ -24,8 +24,10 @@
 //!   that sheds with a typed `Overloaded` reply instead of queueing
 //!   unboundedly — globally, across every reactor.
 //! * [`server`] — the acceptor (owns the listener, deals connections
-//!   round-robin to the reactors) plus N reactors, each with its own
-//!   small worker pool for the CPU-heavy requests.
+//!   round-robin to the reactors) plus N reactors. A reactor answers
+//!   small requests on cached workloads itself, in the loop round that
+//!   read them; its own small worker pool takes the rest (first
+//!   preparations, bulk sample batches).
 //! * [`client`] — a blocking reference client.
 //! * [`loadgen`] + [`json`] — the load generator behind
 //!   `plansample-loadgen` and the `BENCH_serving.json` artifact it
@@ -38,9 +40,11 @@
 //! deterministic optimizer, sampling randomness comes from the
 //! client-supplied seed, and floats travel as IEEE-754 bits. Two
 //! clients issuing the same request bytes get identical reply bytes —
-//! whether or not they share a cached artifact, and at any reactor or
-//! worker count: reactors shard *connections*, never workloads, and
-//! every preparation routes through the same singleflighted services.
+//! whether or not they share a cached artifact, whether a reactor or a
+//! worker answered, and at any reactor or worker count: reactors shard
+//! *connections*, never workloads, every reply comes out of one request
+//! body, and every preparation routes through the same singleflighted
+//! services.
 
 pub mod client;
 pub mod conn;

@@ -11,15 +11,37 @@
 //! fd.
 //!
 //! The crate-private `Reactor` is one thread-per-core event loop: it
-//! owns a `Poller`, a connection map, a worker handoff (jobs channel +
-//! completion queue + socketpair waker), and a mailbox of
-//! freshly-accepted sockets the acceptor thread hands it. A server runs
-//! N reactors (see `server::start`); a connection lives its whole life
-//! on the reactor that adopted it, so no socket is ever shared between
-//! threads. All cross-reactor coordination happens through the shared
-//! `ServerState` atomics — including the global queue bound, claimed
-//! with `ServerState::try_admit` so admission holds server-wide at any
+//! owns a connection map, a worker handoff (jobs channel + completion
+//! queue + socketpair waker), and a mailbox of freshly-accepted sockets
+//! the acceptor thread hands it. A server runs N reactors (see
+//! `server::start`); a connection lives its whole life on the reactor
+//! that adopted it, so no socket is ever shared between threads. All
+//! cross-reactor coordination happens through the shared `ServerState`
+//! atomics — including the global queue bound, claimed with
+//! `ServerState::try_admit` so admission holds server-wide at any
 //! reactor count.
+//!
+//! A request takes one of two paths, chosen per request by
+//! `ServerState::handle_inline` from what the request and the caches
+//! show (never from configuration):
+//!
+//! * **answered on the reactor** — `Stats`, and any small request on a
+//!   workload whose identity is known and whose artifact is cached: the
+//!   reactor that decoded it runs it and writes the reply in the same
+//!   loop round (poll → read → handle → write). Two thread crossings a
+//!   request, the client's own: client → reactor → client.
+//! * **handed to a worker** — everything else (unknown identity, cache
+//!   miss, a `SampleBatch` past the inline constant or on the exact
+//!   tier): job channel → worker → completion queue → wake pipe → a
+//!   second loop round. Four crossings: client → reactor → worker →
+//!   reactor → client. The reactor itself never parses SQL, builds a
+//!   catalog, optimizes or touches the artifact store.
+//!
+//! Three bounds keep one connection from taking the loop or the heap:
+//! the pipeline bound (`max_pipeline` requests at the workers), the
+//! round budget (`ROUND_BUDGET` units of reactor work between two
+//! polls) and write-side backpressure (no reading or parsing while the
+//! peer has replies to take, see `conn`).
 
 use crate::conn::{Conn, ConnPhase};
 use crate::state::ServerState;
@@ -92,6 +114,8 @@ pub struct Event {
 pub struct Poller {
     fds: Vec<PollFd>,
     tokens: Vec<u64>,
+    /// The last `wait`'s ready events (capacity reused every round).
+    events: Vec<Event>,
 }
 
 impl Poller {
@@ -125,8 +149,8 @@ impl Poller {
 
     /// Blocks until at least one registered fd is ready or `timeout`
     /// elapses (`None` = wait indefinitely), then returns the ready
-    /// events. EINTR retries transparently.
-    pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<Vec<Event>> {
+    /// events (valid until the next call). EINTR retries transparently.
+    pub fn wait(&mut self, timeout: Option<Duration>) -> io::Result<&[Event]> {
         let timeout_ms: c_int = match timeout {
             // Round up so a sub-millisecond deadline does not spin at 0.
             Some(t) => t.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as c_int,
@@ -146,19 +170,20 @@ impl Poller {
                 return Err(err);
             }
         }
-        let events = self
-            .fds
-            .iter()
-            .zip(&self.tokens)
-            .filter(|(fd, _)| fd.revents != 0)
-            .map(|(fd, &token)| Event {
-                token,
-                readable: fd.revents & (POLLIN | POLLHUP) != 0,
-                writable: fd.revents & POLLOUT != 0,
-                error: fd.revents & (POLLERR | POLLNVAL) != 0,
-            })
-            .collect();
-        Ok(events)
+        self.events.clear();
+        self.events.extend(
+            self.fds
+                .iter()
+                .zip(&self.tokens)
+                .filter(|(fd, _)| fd.revents != 0)
+                .map(|(fd, &token)| Event {
+                    token,
+                    readable: fd.revents & (POLLIN | POLLHUP) != 0,
+                    writable: fd.revents & POLLOUT != 0,
+                    error: fd.revents & (POLLERR | POLLNVAL) != 0,
+                }),
+        );
+        Ok(&self.events)
     }
 }
 
@@ -224,12 +249,154 @@ pub(crate) fn drain_wake_pipe(wake_rx: &mut UnixStream) {
     while matches!(wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
 }
 
+/// Units of loop time one connection may use between two polls: one
+/// per frame parsed, plus one per plan sampled on the reactor. A
+/// connection that reaches it keeps its remaining frames buffered and
+/// is resumed — without waiting — in the next round, after every other
+/// ready connection had its turn.
+///
+/// A unit is 0.5–2 µs of a frame (decode, `serve.state.handle_us.*`,
+/// encode) or 0.4–2.8 µs of a plan (see `INLINE_MAX_SAMPLES` in
+/// `state`), so a round gives one connection about 0.1 ms of the loop
+/// at the point mix's costs and at most ~0.45 ms at the slowest
+/// measured (the last request may overshoot the budget by its own
+/// plans, at most `INLINE_MAX_SAMPLES`) — where an unbudgeted 64 KiB
+/// burst of 14-byte `Stats` frames would hold it for 4 ms. Four
+/// maximal inline batches fit in it, so the budget never splits what a
+/// well-behaved closed-loop client sends; the extra rounds a burst
+/// takes cost one zero-timeout `poll(2)` each.
+const ROUND_BUDGET: u32 = 128;
+
+/// What turns a connection's buffered frames into replies and jobs:
+/// everything the parse loop needs except the connection itself, so the
+/// loop runs on a `&mut Conn` borrowed out of the reactor's map.
+pub(crate) struct Intake {
+    /// The owning reactor's index (selects its
+    /// `ServerState::per_reactor` counter slice).
+    pub(crate) index: usize,
+    pub(crate) state: Arc<ServerState>,
+    /// Requests the reactor does not answer itself go to its workers.
+    pub(crate) jobs_tx: mpsc::Sender<Job>,
+    pub(crate) max_pipeline: usize,
+}
+
+impl Intake {
+    /// Takes in what `conn`'s socket has to read, then parses it.
+    fn read_ready(&self, token: u64, conn: &mut Conn, now: Instant) {
+        if !conn.fill() {
+            // EOF (or read error): no more input will arrive, but every
+            // request already buffered is still served and flushed
+            // before the connection closes (see `Conn::drained`).
+            conn.eof = true;
+        }
+        self.parse_frames(token, conn, now);
+    }
+
+    /// Decodes and serves the complete frames buffered on `conn` until
+    /// the input, the pipeline bound or the round budget runs out —
+    /// enforcing the queue bound and the wire error policy on the way —
+    /// then flushes whatever replies that queued, once.
+    ///
+    /// A connection still holding replies from an earlier flush attempt
+    /// is left alone (write-side backpressure, see `conn`): the
+    /// `POLLOUT` arm comes back here when they have drained.
+    fn parse_frames(&self, token: u64, conn: &mut Conn, now: Instant) {
+        if conn.wants_write() {
+            // Not a backlog the next round could work on either.
+            conn.backlog = false;
+            return;
+        }
+        let mut out_of_budget = false;
+        while conn.phase == ConnPhase::Open && conn.inflight < self.max_pipeline {
+            out_of_budget = conn.round_spent >= ROUND_BUDGET;
+            if out_of_budget {
+                break;
+            }
+            let frame = match conn.next_frame(now) {
+                Ok(Some(payload)) => decode_frame(payload),
+                Ok(None) => break,
+                // Framing poisoned; the reply is owed to the connection.
+                Err(e) => Err((CONNECTION_REQUEST_ID, e)),
+            };
+            conn.round_spent += 1;
+            match frame {
+                Ok((request_id, request)) => self.serve(token, conn, request_id, request),
+                Err((reply_to, e)) => {
+                    // Typed reply; the connection keeps serving when
+                    // the frame boundary is still trustworthy, and
+                    // drains when it is not.
+                    self.state.wire_errors.fetch_add(1, Ordering::Relaxed);
+                    conn.queue_reply(&wire_error_reply(&e).encode(reply_to));
+                    if !e.is_recoverable() {
+                        conn.phase = ConnPhase::Draining;
+                    }
+                }
+            }
+        }
+        if !conn.flush() {
+            conn.phase = ConnPhase::Closed;
+        }
+        conn.backlog = out_of_budget && !conn.wants_write() && conn.has_parseable_input();
+    }
+
+    /// Serves one decoded request: shed at the queue bound, answered
+    /// here if [`ServerState::handle_inline`] takes it, or handed to a
+    /// worker.
+    fn serve(&self, token: u64, conn: &mut Conn, request_id: u64, request: Request) {
+        // Decoded requests are counted whether they are then admitted
+        // or shed, so `requests` always equals `requests_admitted +
+        // shed_queue` at quiescence.
+        self.state.requests.fetch_add(1, Ordering::Relaxed);
+        self.state.per_reactor[self.index]
+            .requests
+            .fetch_add(1, Ordering::Relaxed);
+        if !self.state.try_admit() {
+            // Queue bound (global, across every reactor): shed instead
+            // of queueing unboundedly.
+            self.state.shed_queue.fetch_add(1, Ordering::Relaxed);
+            let reply = Response::error(
+                ErrorCode::Overloaded,
+                format!("request queue at its {} bound", self.state.max_inflight()),
+            );
+            conn.queue_reply(&reply.encode(request_id));
+            return;
+        }
+        match self.state.handle_inline(&request, request_id) {
+            Some(reply) => {
+                self.state.release_inflight();
+                conn.queue_reply(&reply);
+                if let Request::SampleBatch(_, _, k) = request {
+                    conn.round_spent += k;
+                }
+            }
+            None => {
+                conn.inflight += 1;
+                // The receiver outlives the loop (workers hold it);
+                // send cannot fail until shutdown, where replies are
+                // moot anyway.
+                let _ = self.jobs_tx.send(Job {
+                    token,
+                    request_id,
+                    request,
+                });
+            }
+        }
+    }
+}
+
+/// Decodes one frame payload, reading its header once. On failure, also
+/// says which request id the typed error goes to: the frame's own when
+/// the header was readable, the connection's otherwise.
+fn decode_frame(payload: &[u8]) -> Result<(u64, Request), (u64, WireError)> {
+    let (opcode, request_id) =
+        wire::decode_header(payload).map_err(|e| (CONNECTION_REQUEST_ID, e))?;
+    let request = Request::decode_body(opcode, payload).map_err(|e| (request_id, e))?;
+    Ok((request_id, request))
+}
+
 /// One thread-per-core event loop. See the module docs for how it
 /// relates to the acceptor and its siblings.
 pub(crate) struct Reactor {
-    /// This reactor's index (selects its `ServerState::per_reactor`
-    /// counter slice).
-    pub(crate) index: usize,
     /// Read end of the wake pipe (workers and the acceptor poke it).
     pub(crate) wake_rx: UnixStream,
     /// Freshly-accepted sockets the acceptor handed this reactor,
@@ -237,15 +404,12 @@ pub(crate) struct Reactor {
     pub(crate) mailbox: Arc<Mutex<Vec<TcpStream>>>,
     pub(crate) conns: HashMap<u64, Conn>,
     pub(crate) next_token: u64,
-    pub(crate) poller: Poller,
-    pub(crate) state: Arc<ServerState>,
-    pub(crate) jobs_tx: mpsc::Sender<Job>,
+    pub(crate) intake: Intake,
     pub(crate) completions: Arc<Mutex<Vec<Completion>>>,
     pub(crate) shutdown: Arc<AtomicBool>,
     /// Every thread's waker, for declaring server-wide shutdown.
     pub(crate) wake_set: Arc<WakeSet>,
     pub(crate) frame_timeout: Duration,
-    pub(crate) max_pipeline: usize,
     /// Time source for the slow-loris deadlines — `Instant::now` in
     /// production, a stepping fake in the deadline regression tests.
     pub(crate) clock: fn() -> Instant,
@@ -253,34 +417,11 @@ pub(crate) struct Reactor {
 
 impl Reactor {
     pub(crate) fn run(mut self) {
+        let mut poller = Poller::new();
         let mut poll_errors: u32 = 0;
         while !self.shutdown.load(Ordering::SeqCst) {
-            self.adopt_mailbox();
-            self.drain_completions();
-            self.reap();
-
-            self.poller.clear();
-            self.poller
-                .register(self.wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ);
-            for (&token, conn) in &self.conns {
-                self.poller.register(
-                    conn.stream().as_raw_fd(),
-                    token,
-                    Interest {
-                        readable: conn.wants_read(self.max_pipeline),
-                        writable: conn.wants_write(),
-                    },
-                );
-            }
-
-            let timeout = self
-                .nearest_deadline()
-                .map(|deadline| deadline.saturating_duration_since((self.clock)()));
-            let events = match self.poller.wait(timeout) {
-                Ok(events) => {
-                    poll_errors = 0;
-                    events
-                }
+            match self.turn(&mut poller) {
+                Ok(()) => poll_errors = 0,
                 Err(e) => {
                     poll_errors += 1;
                     if poll_errors >= MAX_POLL_ERRORS {
@@ -293,37 +434,76 @@ impl Reactor {
                         break;
                     }
                     std::thread::sleep(POLL_ERROR_BACKOFF);
-                    continue;
-                }
-            };
-
-            let now = (self.clock)();
-            for event in events {
-                match event.token {
-                    TOKEN_WAKER => drain_wake_pipe(&mut self.wake_rx),
-                    token => {
-                        if event.error {
-                            self.close(token);
-                            continue;
-                        }
-                        if event.writable {
-                            if let Some(conn) = self.conns.get_mut(&token) {
-                                if !conn.flush() {
-                                    self.close(token);
-                                    continue;
-                                }
-                            }
-                        }
-                        if event.readable {
-                            self.read_ready(token, now);
-                        }
-                    }
                 }
             }
-            self.enforce_frame_deadlines(now);
         }
         // Dropping the sender closes the job channel; this reactor's
         // workers exit.
+    }
+
+    /// One round of the loop: take in what other threads left (new
+    /// connections, finished replies), poll, and serve every ready
+    /// connection — read, parse, answer or hand off, write — within its
+    /// budget. Fails only when `poll(2)` does.
+    fn turn(&mut self, poller: &mut Poller) -> io::Result<()> {
+        self.adopt_mailbox();
+        self.drain_completions();
+        self.reap();
+
+        // A new round: every connection gets a fresh budget, and one
+        // that ran out of the last with frames left over is owed a turn
+        // whether or not its socket has news.
+        poller.clear();
+        poller.register(self.wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ);
+        let mut backlog = false;
+        for (&token, conn) in &mut self.conns {
+            conn.round_spent = 0;
+            backlog |= conn.backlog;
+            poller.register(
+                conn.stream().as_raw_fd(),
+                token,
+                Interest {
+                    readable: conn.wants_read(self.intake.max_pipeline),
+                    writable: conn.wants_write(),
+                },
+            );
+        }
+        let timeout = if backlog {
+            Some(Duration::ZERO)
+        } else {
+            self.nearest_deadline()
+                .map(|deadline| deadline.saturating_duration_since((self.clock)()))
+        };
+
+        let events = poller.wait(timeout)?;
+        let now = (self.clock)();
+        for &event in events {
+            if event.token == TOKEN_WAKER {
+                drain_wake_pipe(&mut self.wake_rx);
+                continue;
+            }
+            let Some(conn) = self.conns.get_mut(&event.token) else {
+                continue;
+            };
+            if event.error || (event.writable && !conn.flush()) {
+                conn.phase = ConnPhase::Closed;
+            } else if event.readable {
+                self.intake.read_ready(event.token, conn, now);
+            } else if event.writable {
+                // The peer took the replies that were holding this
+                // connection back: parsing resumes here.
+                self.intake.parse_frames(event.token, conn, now);
+            }
+        }
+        if backlog {
+            for (&token, conn) in &mut self.conns {
+                if conn.backlog {
+                    self.intake.parse_frames(token, conn, now);
+                }
+            }
+        }
+        self.enforce_frame_deadlines(now);
+        Ok(())
     }
 
     /// Adopts every connection the acceptor queued on the mailbox.
@@ -333,6 +513,7 @@ impl Reactor {
             let mut mailbox = self.mailbox.lock().expect("mailbox poisoned");
             std::mem::take(&mut *mailbox)
         };
+        let state = &self.intake.state;
         for stream in adopted {
             let Ok(conn) = Conn::new(stream) else {
                 continue;
@@ -340,9 +521,9 @@ impl Reactor {
             let token = self.next_token;
             self.next_token += 1;
             self.conns.insert(token, conn);
-            self.state.connections_total.fetch_add(1, Ordering::Relaxed);
-            self.state.connections_open.fetch_add(1, Ordering::Relaxed);
-            self.state.per_reactor[self.index]
+            state.connections_total.fetch_add(1, Ordering::Relaxed);
+            state.connections_open.fetch_add(1, Ordering::Relaxed);
+            state.per_reactor[self.intake.index]
                 .connections
                 .fetch_add(1, Ordering::Relaxed);
         }
@@ -355,7 +536,7 @@ impl Reactor {
             std::mem::take(&mut *queue)
         };
         for completion in done {
-            self.state.release_inflight();
+            self.intake.state.release_inflight();
             let Some(conn) = self.conns.get_mut(&completion.token) else {
                 // The connection died with the request in flight; the
                 // reply is dropped, never delivered to a reused token.
@@ -366,7 +547,7 @@ impl Reactor {
             // Opportunistic flush: most replies fit the socket
             // buffer, so this saves a poll round trip per request.
             if !conn.flush() {
-                self.close(completion.token);
+                conn.phase = ConnPhase::Closed;
                 continue;
             }
             // The freed pipeline slot may expose complete frames that
@@ -379,21 +560,26 @@ impl Reactor {
             // would back-date the partial frame and close a legitimate
             // client early.
             let now = (self.clock)();
-            self.parse_frames(completion.token, now);
+            self.intake.parse_frames(completion.token, conn, now);
         }
     }
 
-    /// Closes connections that finished draining.
-    fn reap(&mut self) {
-        let done: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.phase == ConnPhase::Closed || c.drained())
-            .map(|(&t, _)| t)
-            .collect();
-        for token in done {
-            self.close(token);
+    /// Drops every connection `doomed` names. The one place a
+    /// connection ends: everything else marks it `Closed` (or lets it
+    /// drain) and leaves it to [`reap`](Self::reap).
+    fn close_where(&mut self, doomed: impl Fn(&Conn) -> bool) {
+        let before = self.conns.len();
+        self.conns.retain(|_, conn| !doomed(conn));
+        let closed = (before - self.conns.len()) as u64;
+        if closed > 0 {
+            let open = &self.intake.state.connections_open;
+            open.fetch_sub(closed, Ordering::Relaxed);
         }
+    }
+
+    /// Closes connections that failed or finished draining.
+    fn reap(&mut self) {
+        self.close_where(|c| c.phase == ConnPhase::Closed || c.drained());
     }
 
     fn nearest_deadline(&self) -> Option<Instant> {
@@ -404,123 +590,14 @@ impl Reactor {
             .min()
     }
 
+    /// Slow-loris: closes connections whose partial frame never
+    /// completed in time.
     fn enforce_frame_deadlines(&mut self, now: Instant) {
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| {
-                c.frame_deadline().is_some_and(|started| {
-                    now.saturating_duration_since(started) >= self.frame_timeout
-                })
-            })
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            // Slow-loris: the partial frame never completed in time.
-            self.close(token);
-        }
-    }
-
-    fn read_ready(&mut self, token: u64, now: Instant) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let alive = conn.fill();
-        if !alive {
-            // EOF (or read error): no more input will arrive, but every
-            // request already buffered is still served and flushed
-            // before the connection closes (see `Conn::drained`).
-            conn.eof = true;
-        }
-        self.parse_frames(token, now);
-    }
-
-    /// Decodes every complete frame buffered on `token`, enforcing the
-    /// pipeline and queue bounds and the wire error policy.
-    fn parse_frames(&mut self, token: u64, now: Instant) {
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.phase != ConnPhase::Open || conn.inflight >= self.max_pipeline {
-                return;
-            }
-            let payload = match conn.next_frame(now) {
-                Ok(Some(payload)) => payload,
-                Ok(None) => return,
-                Err(e) => {
-                    // Framing poisoned: typed reply, then drain.
-                    self.state.wire_errors.fetch_add(1, Ordering::Relaxed);
-                    let reply = wire_error_reply(&e);
-                    conn.queue_reply(&reply.encode(CONNECTION_REQUEST_ID));
-                    conn.phase = ConnPhase::Draining;
-                    return;
-                }
-            };
-            self.handle_payload(token, &payload);
-        }
-    }
-
-    fn handle_payload(&mut self, token: u64, payload: &[u8]) {
-        let header = wire::decode_header(payload);
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let (_, request_id) = match header {
-            Ok(pair) => pair,
-            Err(e) => {
-                self.state.wire_errors.fetch_add(1, Ordering::Relaxed);
-                let recoverable = e.is_recoverable();
-                conn.queue_reply(&wire_error_reply(&e).encode(CONNECTION_REQUEST_ID));
-                if !recoverable {
-                    conn.phase = ConnPhase::Draining;
-                }
-                return;
-            }
-        };
-        match Request::decode(payload) {
-            Ok((request_id, request)) => {
-                // Decoded requests are counted whether they are then
-                // admitted or shed, so `requests` always equals
-                // `requests_admitted + shed_queue` at quiescence.
-                self.state.requests.fetch_add(1, Ordering::Relaxed);
-                self.state.per_reactor[self.index]
-                    .requests
-                    .fetch_add(1, Ordering::Relaxed);
-                if !self.state.try_admit() {
-                    // Queue bound (global, across every reactor): shed
-                    // instead of queueing unboundedly.
-                    self.state.shed_queue.fetch_add(1, Ordering::Relaxed);
-                    let reply = Response::error(
-                        ErrorCode::Overloaded,
-                        format!("request queue at its {} bound", self.state.max_inflight()),
-                    );
-                    conn.queue_reply(&reply.encode(request_id));
-                    return;
-                }
-                conn.inflight += 1;
-                // The receiver outlives the loop (workers hold it);
-                // send cannot fail until shutdown, where replies are
-                // moot anyway.
-                let _ = self.jobs_tx.send(Job {
-                    token,
-                    request_id,
-                    request,
-                });
-            }
-            Err(e) => {
-                // The frame was well-delimited but the body was not a
-                // request: typed reply, connection keeps serving.
-                self.state.wire_errors.fetch_add(1, Ordering::Relaxed);
-                conn.queue_reply(&wire_error_reply(&e).encode(request_id));
-            }
-        }
-    }
-
-    fn close(&mut self, token: u64) {
-        if self.conns.remove(&token).is_some() {
-            self.state.connections_open.fetch_sub(1, Ordering::Relaxed);
-        }
+        let frame_timeout = self.frame_timeout;
+        self.close_where(|c| {
+            c.frame_deadline()
+                .is_some_and(|started| now.saturating_duration_since(started) >= frame_timeout)
+        });
     }
 }
 
@@ -538,6 +615,8 @@ pub(crate) fn wire_error_reply(e: &WireError) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::INLINE_MAX_SAMPLES;
+    use crate::wire::Workload;
     use std::io::Write;
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
@@ -603,6 +682,255 @@ mod tests {
         base + Duration::from_millis(n)
     }
 
+    /// A reactor no thread runs: the test plays the event loop round by
+    /// round. It has no workers — whoever holds `_jobs_rx` would be one
+    /// — so only what a reactor answers itself is ever answered.
+    struct ByHand {
+        reactor: Reactor,
+        poller: Poller,
+        wake_tx: UnixStream,
+        listener: std::net::TcpListener,
+        _jobs_rx: mpsc::Receiver<Job>,
+    }
+
+    impl ByHand {
+        fn new(max_pipeline: usize, clock: fn() -> Instant) -> ByHand {
+            let state = Arc::new(ServerState::new(
+                plansample_optimizer::OptimizerConfig::default(),
+                4,
+                None,
+                crate::state::AdmissionConfig::default(),
+                1,
+            ));
+            let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
+            wake_rx.set_nonblocking(true).unwrap();
+            let (jobs_tx, jobs_rx) = mpsc::channel();
+            let reactor = Reactor {
+                wake_rx,
+                mailbox: Arc::new(Mutex::new(Vec::new())),
+                conns: HashMap::new(),
+                next_token: FIRST_CONN_TOKEN,
+                intake: Intake {
+                    index: 0,
+                    state,
+                    jobs_tx,
+                    max_pipeline,
+                },
+                completions: Arc::new(Mutex::new(Vec::new())),
+                shutdown: Arc::new(AtomicBool::new(false)),
+                wake_set: Arc::new(WakeSet(Vec::new())),
+                frame_timeout: Duration::from_secs(10),
+                clock,
+            };
+            ByHand {
+                reactor,
+                poller: Poller::new(),
+                wake_tx,
+                listener: std::net::TcpListener::bind("127.0.0.1:0").unwrap(),
+                _jobs_rx: jobs_rx,
+            }
+        }
+
+        /// A connected client and the server side of its connection
+        /// (not yet the reactor's).
+        fn connect(&self) -> (TcpStream, Conn) {
+            let client = TcpStream::connect(self.listener.local_addr().unwrap()).unwrap();
+            let (server_side, _) = self.listener.accept().unwrap();
+            (client, Conn::new(server_side).unwrap())
+        }
+
+        /// One round of the real loop, woken up front so that `poll(2)`
+        /// never blocks the test.
+        fn turn(&mut self) {
+            self.wake_tx.write_all(&[1]).unwrap();
+            self.reactor.turn(&mut self.poller).unwrap();
+        }
+
+        /// Prepares [`CHAIN4`] the way a worker would have.
+        fn warm(&self) {
+            let prepare = Request::Prepare(CHAIN4);
+            let reply = self.reactor.intake.state.handle_encoded(&prepare, 0);
+            let (_, reply) = Response::decode(&reply).unwrap();
+            assert!(matches!(reply, Response::Prepared { .. }), "got {reply:?}");
+        }
+    }
+
+    const CHAIN4: Workload = Workload::Synthetic {
+        topology: plansample_datagen::joingraph::Topology::Chain,
+        relations: 4,
+        seed: 20_000,
+    };
+
+    /// The most expensive request a reactor answers itself, framed. The
+    /// id (also the sampling seed) is fixed-width, so every frame is
+    /// the same length and a byte count says how many were sent.
+    fn maximal_inline_frame(id: u64) -> Vec<u8> {
+        wire::frame(&Request::SampleBatch(CHAIN4, id, INLINE_MAX_SAMPLES).encode(id))
+    }
+
+    /// Such requests a connection gets through in one round: the one
+    /// that crosses the budget is still answered.
+    const MAXIMAL_PER_ROUND: u64 = (ROUND_BUDGET / (1 + INLINE_MAX_SAMPLES) + 1) as u64;
+
+    /// Reads what has arrived on a nonblocking `client` and moves the
+    /// ids of complete `Samples` replies from `buf` to `ids`.
+    fn collect_replies(client: &mut TcpStream, buf: &mut Vec<u8>, ids: &mut Vec<u64>) {
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            match client.read(&mut chunk) {
+                Ok(0) => panic!("server closed the connection"),
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("client read: {e}"),
+            }
+        }
+        let mut consumed = 0;
+        while let Some((payload, len)) = wire::split_frame(&buf[consumed..]).unwrap() {
+            let (id, reply) = Response::decode(payload).unwrap();
+            assert!(
+                matches!(&reply, Response::Samples(plans) if plans.len() == INLINE_MAX_SAMPLES as usize),
+                "got {reply:?}"
+            );
+            ids.push(id);
+            consumed += len;
+        }
+        buf.drain(..consumed);
+    }
+
+    fn admitted(hand: &ByHand) -> u64 {
+        hand.reactor
+            .intake
+            .state
+            .requests_admitted
+            .load(Ordering::Relaxed)
+    }
+
+    /// A pipelined burst of cheap requests gets one budget of the loop
+    /// per round, not the loop until it is done: after the round that
+    /// read a 64 KiB burst, exactly a budget's worth is answered and
+    /// the rest stays buffered; every later round (entered without
+    /// waiting) answers at most a budget's worth more; and in the end
+    /// every request was answered once.
+    #[test]
+    fn a_pipelined_burst_is_answered_one_budget_a_round() {
+        let mut hand = ByHand::new(128, Instant::now);
+        hand.warm();
+        let (mut client, conn) = hand.connect();
+        hand.reactor.conns.insert(2, conn);
+        let burst_frames = (64 << 10) / maximal_inline_frame(0).len() as u64 + 1;
+        let burst: Vec<u8> = (0..burst_frames).flat_map(maximal_inline_frame).collect();
+        client.write_all(&burst).unwrap();
+        std::thread::sleep(Duration::from_millis(50)); // let it land
+        client.set_nonblocking(true).unwrap();
+
+        let before = admitted(&hand);
+        hand.turn();
+        assert_eq!(admitted(&hand) - before, MAXIMAL_PER_ROUND);
+        assert!(hand.reactor.conns[&2].backlog, "the rest stays buffered");
+        assert!(
+            !hand.reactor.conns[&2].wants_read(128),
+            "and nothing more is read on top of it"
+        );
+
+        let (mut buf, mut ids) = (Vec::new(), Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while (ids.len() as u64) < burst_frames {
+            assert!(Instant::now() < deadline, "{} replies", ids.len());
+            let before = admitted(&hand);
+            hand.turn();
+            assert!(admitted(&hand) - before <= MAXIMAL_PER_ROUND);
+            collect_replies(&mut client, &mut buf, &mut ids);
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, (0..burst_frames).collect::<Vec<_>>());
+        assert_eq!(
+            admitted(&hand) - 1,
+            burst_frames,
+            "the warming Prepare and the burst"
+        );
+        assert!(!hand.reactor.conns[&2].backlog);
+    }
+
+    /// Write-side backpressure. A peer that pipelines requests and
+    /// never reads used to grow its connection's output buffer without
+    /// bound (every reply made room to parse another request); now a
+    /// connection holding replies its peer has not taken is neither
+    /// read nor parsed, so the buffer holds one round's replies at most
+    /// — and once the peer does read, every request that reached the
+    /// server is answered exactly once.
+    #[test]
+    fn a_peer_that_does_not_read_cannot_grow_its_output_buffer() {
+        /// One round's replies: at most `ROUND_BUDGET +
+        /// INLINE_MAX_SAMPLES` plans of at most 19 nodes (ten
+        /// relations) at 12 + 8·19 bytes each, 26 KB; generously.
+        const UNSENT_BOUND: usize = 64 << 10;
+        /// Rounds to keep pipelining after the server first could not
+        /// send: unbounded, the buffer would gain a round's replies
+        /// (~9 KB here) in each.
+        const STALLED_ROUNDS: usize = 32;
+
+        let mut hand = ByHand::new(128, Instant::now);
+        hand.warm();
+        let (mut client, conn) = hand.connect();
+        hand.reactor.conns.insert(2, conn);
+        client.set_nonblocking(true).unwrap();
+        let frame_len = maximal_inline_frame(0).len();
+
+        // Pipeline a round's worth of requests per round, reading
+        // nothing, until the server has been unable to send for a while.
+        let (mut next_id, mut written, mut pending) = (0u64, 0usize, Vec::new());
+        let (mut stalled, mut max_unsent) = (0, 0);
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while stalled < STALLED_ROUNDS {
+            assert!(
+                Instant::now() < deadline,
+                "the reply direction never filled"
+            );
+            for _ in 0..MAXIMAL_PER_ROUND {
+                pending.extend(maximal_inline_frame(next_id));
+                next_id += 1;
+            }
+            match client.write(&pending) {
+                Ok(n) => {
+                    pending.drain(..n);
+                    written += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("client write: {e}"),
+            }
+            hand.turn();
+            let unsent = hand.reactor.conns[&2].unsent_bytes();
+            max_unsent = max_unsent.max(unsent);
+            stalled += usize::from(unsent > 0);
+        }
+        assert!(
+            max_unsent <= UNSENT_BOUND,
+            "{max_unsent} reply bytes were queued for a peer that reads nothing"
+        );
+
+        // Now read everything (first completing the frame the last
+        // write may have cut): each request sent is answered once.
+        let mut tail = pending[..(frame_len - written % frame_len) % frame_len].to_vec();
+        let sent = ((written + tail.len()) / frame_len) as u64;
+        let (mut buf, mut ids) = (Vec::new(), Vec::new());
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while (ids.len() as u64) < sent {
+            assert!(Instant::now() < deadline, "{} of {sent} replies", ids.len());
+            if !tail.is_empty() {
+                match client.write(&tail) {
+                    Ok(n) => drop(tail.drain(..n)),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                    Err(e) => panic!("client write: {e}"),
+                }
+            }
+            collect_replies(&mut client, &mut buf, &mut ids);
+            hand.turn();
+        }
+        ids.sort_unstable();
+        assert_eq!(ids, (0..sent).collect::<Vec<_>>());
+        assert_eq!(hand.reactor.conns[&2].unsent_bytes(), 0);
+    }
+
     /// Regression test: `drain_completions` used to capture one
     /// `Instant::now()` before iterating and re-enter `parse_frames`
     /// with it for every completion, so a partial frame exposed after a
@@ -614,11 +942,10 @@ mod tests {
     /// them identically.
     #[test]
     fn drain_completions_stamps_each_reentry_freshly() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let setup = |token: u64, reactor: &mut Reactor| -> TcpStream {
-            let mut client = TcpStream::connect(addr).unwrap();
-            let (server_side, _) = listener.accept().unwrap();
+        let mut hand = ByHand::new(1, stepping_clock);
+        let setup = |token: u64, hand: &mut ByHand| -> TcpStream {
+            let (mut client, mut conn) = hand.connect();
+            let reactor = &mut hand.reactor;
             // One complete frame (so the parse loop consumes something
             // and re-arms the deadline from `now`) followed by the head
             // of a partial one.
@@ -629,12 +956,11 @@ mod tests {
             client.write_all(b"par").unwrap();
             client.flush().unwrap();
             std::thread::sleep(Duration::from_millis(20)); // let it land
-            let mut conn = Conn::new(server_side).unwrap();
-            // Pipeline bound already reached: `read_ready` buffers the
-            // bytes but parses nothing, arming no deadline yet.
+                                                           // Pipeline bound already reached: `read_ready` buffers the
+                                                           // bytes but parses nothing, arming no deadline yet.
             conn.inflight = 1;
+            reactor.intake.read_ready(token, &mut conn, Instant::now());
             reactor.conns.insert(token, conn);
-            reactor.read_ready(token, Instant::now());
             assert!(
                 reactor.conns[&token].frame_deadline().is_none(),
                 "setup must leave the deadline unarmed"
@@ -642,32 +968,9 @@ mod tests {
             client // hold the peer open for the caller
         };
 
-        let state = Arc::new(ServerState::new(
-            plansample_optimizer::OptimizerConfig::default(),
-            4,
-            None,
-            crate::state::AdmissionConfig::default(),
-            1,
-        ));
-        let (_wake_tx, wake_rx) = UnixStream::pair().unwrap();
-        let (jobs_tx, _jobs_rx) = mpsc::channel();
-        let mut reactor = Reactor {
-            index: 0,
-            wake_rx,
-            mailbox: Arc::new(Mutex::new(Vec::new())),
-            conns: HashMap::new(),
-            next_token: FIRST_CONN_TOKEN,
-            poller: Poller::new(),
-            state: Arc::clone(&state),
-            jobs_tx,
-            completions: Arc::new(Mutex::new(Vec::new())),
-            shutdown: Arc::new(AtomicBool::new(false)),
-            wake_set: Arc::new(WakeSet(Vec::new())),
-            frame_timeout: Duration::from_secs(10),
-            max_pipeline: 1,
-            clock: stepping_clock,
-        };
-        let _clients = (setup(2, &mut reactor), setup(3, &mut reactor));
+        let _clients = (setup(2, &mut hand), setup(3, &mut hand));
+        let reactor = &mut hand.reactor;
+        let state = Arc::clone(&reactor.intake.state);
 
         // Both requests were admitted before their replies completed.
         assert!(state.try_admit());

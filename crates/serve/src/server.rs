@@ -6,11 +6,15 @@
 //! socketpair. Each reactor (see [`crate::reactor`]) owns its own
 //! `poll(2)` set, connection map, completion queue, and worker pool;
 //! a connection is pinned to its reactor for life, so no socket is
-//! ever shared between event loops. What *is* shared —
-//! [`ServerState`] — is shared through atomics and the singleflighted
-//! `PlanService`, which is exactly why the determinism contract (reply
-//! bytes are a pure function of request bytes) holds verbatim at every
-//! reactor count.
+//! ever shared between event loops. A reactor answers small requests
+//! on cached workloads itself ([`ServerState::handle_inline`]); its
+//! workers — the threads spawned here, running
+//! [`ServerState::handle_encoded`] — serve only what it declines:
+//! first preparations, cache misses and bulk sample batches. What *is*
+//! shared — [`ServerState`] — is shared through atomics and the
+//! singleflighted `PlanService`, which is exactly why the determinism
+//! contract (reply bytes are a pure function of request bytes) holds
+//! verbatim at every reactor count and on either path.
 //!
 //! Connections are addressed by per-reactor monotonically increasing
 //! tokens that are never reused, so a completion for a connection that
@@ -34,7 +38,7 @@
 //! the server down after `MAX_ACCEPT_ERRORS` consecutive failures.
 
 use crate::reactor::{
-    drain_wake_pipe, Completion, Interest, Job, Poller, Reactor, WakeSet, MAX_POLL_ERRORS,
+    drain_wake_pipe, Completion, Intake, Interest, Job, Poller, Reactor, WakeSet, MAX_POLL_ERRORS,
     POLL_ERROR_BACKOFF, TOKEN_LISTENER, TOKEN_WAKER,
 };
 use crate::state::{AdmissionConfig, ServerState};
@@ -461,19 +465,20 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
         }
 
         let reactor = Reactor {
-            index,
             wake_rx,
             mailbox,
             conns: HashMap::new(),
             next_token: crate::reactor::FIRST_CONN_TOKEN,
-            poller: Poller::new(),
-            state: Arc::clone(&state),
-            jobs_tx,
+            intake: Intake {
+                index,
+                state: Arc::clone(&state),
+                jobs_tx,
+                max_pipeline,
+            },
             completions,
             shutdown: Arc::clone(&shutdown),
             wake_set: Arc::clone(&wake_set),
             frame_timeout,
-            max_pipeline,
             clock: Instant::now,
         };
         threads.push(

@@ -21,6 +21,15 @@
 //! [`PlanService::get_keyed`] — with no parse, no catalog build, no key
 //! formatting and one service lock.
 //!
+//! That is also what lets a reactor answer a warm request itself
+//! instead of handing it to a worker: [`ServerState::handle_inline`]
+//! performs exactly those two lookups, in their lookup-only form, and
+//! declines — having counted nothing — whenever either misses, so the
+//! event loop never parses, builds, optimizes or waits on a
+//! preparation. Both paths then run the one request body
+//! (`ServerState::answer`), so a reply does not show which of them
+//! produced it.
+//!
 //! Admission control (the `Overloaded` reply) is two-layered:
 //!
 //! 1. the reactors bound the *queue* — requests beyond `max_inflight`
@@ -39,7 +48,7 @@ use crate::wire::{
     ErrorCode, ReactorStats, Request, Response, SamplesEncoder, StatsReply, WirePlan, Workload,
     MAX_SAMPLE_BATCH, MAX_SYNTH_RELATIONS,
 };
-use plansample_core::{Error, PlanBatch, PlanService, PreparedQuery};
+use plansample_core::{CountTier, Error, PlanBatch, PlanService, PreparedQuery, ServiceStats};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{PhysId, PlanNode};
 use plansample_optimizer::OptimizerConfig;
@@ -47,6 +56,7 @@ use plansample_query::QuerySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::borrow::Borrow;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -185,6 +195,27 @@ const MEMO_MAX_TEXT: usize = 4 << 10;
 /// Longest cache key the memo keeps, in bytes.
 const MEMO_MAX_KEY: usize = 16 << 10;
 
+/// Largest `SampleBatch` a reactor answers itself
+/// ([`ServerState::handle_inline`]); a larger one goes to a worker.
+///
+/// Derived from the tracked per-layer rows (EXPERIMENTS.md §E15), from
+/// both sides. What a batch costs on a fixed-width tier: a plan is
+/// drawn, costed and encoded in 0.4 µs on the point mix's small spaces,
+/// 1.8 µs on Q8+CP (`core.sample.flat_b1_ns_per_plan` +
+/// `core.prepared.scaled_cost_ids_ns_per_plan` +
+/// `serve.wire.samples_encode_ns_per_plan`) and 2.8 µs on cycle-16, the
+/// slowest cache-resident space measured — so 32 plans hold the loop
+/// for 13–90 µs, inside the ~185 µs p99 a reply already had before
+/// anything was answered on a reactor. What the hand-off costs: 15 µs
+/// of latency and 13 µs of CPU a request (`serve.transport.overhead_us`,
+/// `proc.cpu_ms_per_op`, before and after) — at 32 plans of 1.8 µs that
+/// is down to a quarter of the request's own work, so a larger batch
+/// loses little by taking the worker path, where it also stops
+/// delaying its reactor's other connections. Must stay under two
+/// chunks of the flat sampler's parallel split (512), below which a
+/// fill never touches the thread pool.
+pub(crate) const INLINE_MAX_SAMPLES: u32 = 32;
+
 /// The serving state shared by the reactors and the worker pools.
 pub struct ServerState {
     tpch: Arc<PlanService>,
@@ -293,115 +324,172 @@ impl ServerState {
         self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
+    /// Requests currently holding a slot of the queue bound: zero once
+    /// every reply has been handed to its connection (test
+    /// observability).
+    pub fn inflight(&self) -> u64 {
+        self.inflight.load(Ordering::Acquire)
+    }
+
     /// The TPC-H service (test observability).
     pub fn tpch_service(&self) -> &PlanService {
         &self.tpch
     }
 
-    /// Executes one decoded request. Infallible at this layer: every
-    /// failure becomes a typed [`Response::Error`]. Only requests that
-    /// passed the queue bound reach this point — queue-shed requests
-    /// are answered inside the reactor and counted in `shed_queue` (and
-    /// `requests`), never here.
+    /// The cache counters of the service behind `workload`, if this
+    /// state has resolved it (test observability).
+    pub fn service_stats(&self, workload: &Workload) -> Option<ServiceStats> {
+        Some(self.known_identity(workload)?.service.stats())
+    }
+
+    /// Executes one decoded request and returns the typed reply — the
+    /// in-process API. Infallible at this layer: every failure becomes
+    /// a typed [`Response::Error`]. It is
+    /// [`handle_encoded`](Self::handle_encoded), decoded: one body
+    /// produces every reply, so the typed and the encoded form cannot
+    /// drift apart.
     pub fn handle(&self, request: &Request) -> Response {
+        let payload = self.handle_encoded(request, 0);
+        let (_, reply) = Response::decode(&payload).expect("the server's own reply decodes");
+        reply
+    }
+
+    /// Executes one decoded request to reply *bytes*, preparing the
+    /// workload if it has to — the path the worker pools take. Only
+    /// requests that passed the queue bound reach this point —
+    /// queue-shed requests are answered inside the reactor and counted
+    /// in `shed_queue` (and `requests`), never here.
+    pub fn handle_encoded(&self, request: &Request, request_id: u64) -> Vec<u8> {
         self.requests_admitted.fetch_add(1, Ordering::Relaxed);
-        match request {
-            Request::Prepare(wl) => self.with_prepared(wl, |p, cached| Response::Prepared {
+        let Some(workload) = request.workload() else {
+            return Response::Stats(self.stats()).encode(request_id);
+        };
+        if let Request::SampleBatch(_, _, k) = request {
+            if *k > MAX_SAMPLE_BATCH {
+                let message = format!("batch of {k} exceeds the {MAX_SAMPLE_BATCH} bound");
+                return Response::error(ErrorCode::BadRequest, message).encode(request_id);
+            }
+        }
+        match self.prepared_for(workload) {
+            Ok((prepared, cached)) => self.answer(&prepared, cached, request, request_id),
+            Err(denial) => denial.encode(request_id),
+        }
+    }
+
+    /// Answers `request` if that is a small, bounded amount of work,
+    /// and otherwise declines (`None`) having done and counted nothing
+    /// — the path a reactor takes before handing a request to its
+    /// workers. The rule reads only the request and the caches:
+    ///
+    /// * `Stats` is always answered;
+    /// * any other request is answered when its workload's identity is
+    ///   already known (`known_identity`: a
+    ///   lookup, never a parse or a catalog build) **and** its artifact
+    ///   is cached ([`PlanService::get_keyed_if`]: a lookup, never a
+    ///   preparation, and nothing counted on a miss);
+    /// * a `SampleBatch` additionally needs `k` ≤
+    ///   `INLINE_MAX_SAMPLES` (tested before any lookup) and an
+    ///   artifact on a fixed-width count tier — the exact-`Nat` sampler
+    ///   allocates per draw and is several times slower.
+    ///
+    /// A request answered here was counted exactly as
+    /// [`handle_encoded`](Self::handle_encoded) would have counted it
+    /// (one `requests_admitted`, one service hit) and its reply is the
+    /// same bytes: both run `answer`.
+    pub fn handle_inline(&self, request: &Request, request_id: u64) -> Option<Vec<u8>> {
+        let Some(workload) = request.workload() else {
+            // Counted first, as on the worker path: a snapshot includes
+            // the request that asked for it.
+            self.requests_admitted.fetch_add(1, Ordering::Relaxed);
+            return Some(Response::Stats(self.stats()).encode(request_id));
+        };
+        let sampling = match request {
+            Request::SampleBatch(_, _, k) if *k > INLINE_MAX_SAMPLES => return None,
+            Request::SampleBatch(..) => true,
+            _ => false,
+        };
+        let id = self.known_identity(workload)?;
+        let prepared = id.service.get_keyed_if(&id.key, |prepared| {
+            !sampling || prepared.tier() != CountTier::Nat
+        })?;
+        self.requests_admitted.fetch_add(1, Ordering::Relaxed);
+        Some(self.answer(&prepared, true, request, request_id))
+    }
+
+    /// Answers `request` from its artifact (`cached`: whether that was
+    /// already resident): the one body per opcode, whichever path found
+    /// the artifact. `SampleBatch` streams — see
+    /// [`stream_samples`](Self::stream_samples).
+    fn answer(
+        &self,
+        p: &PreparedQuery,
+        cached: bool,
+        request: &Request,
+        request_id: u64,
+    ) -> Vec<u8> {
+        let reply = match request {
+            Request::Prepare(_) => Response::Prepared {
                 total: p.total().clone(),
                 groups: p.memo().num_groups() as u32,
                 exprs: p.memo().num_physical() as u32,
                 size_bytes: p.size_bytes() as u64,
                 cached,
-            }),
-            Request::Count(wl) => self.with_prepared(wl, |p, _| Response::Count(p.total().clone())),
-            Request::Best(wl) => self.with_prepared(wl, |p, _| {
+            },
+            Request::Count(_) => Response::Count(p.total().clone()),
+            Request::Best(_) => {
                 let (plan, cost) = p.best();
                 Response::Best(to_wire_plan(plan), cost)
-            }),
-            Request::Unrank(wl, rank) => self.with_prepared(wl, |p, _| match p.unrank(rank) {
+            }
+            Request::Unrank(_, rank) => match p.unrank(rank) {
                 Ok(plan) => Response::Plan(to_wire_plan(&plan), p.scaled_cost(&plan)),
                 Err(e) => error_response(&e),
-            }),
-            Request::SampleBatch(wl, seed, k) => {
-                if *k > MAX_SAMPLE_BATCH {
-                    return Response::error(
-                        ErrorCode::BadRequest,
-                        format!("batch of {k} exceeds the {MAX_SAMPLE_BATCH} bound"),
-                    );
-                }
-                let (seed, k) = (*seed, *k);
-                self.with_prepared(wl, move |p, _| {
-                    let mut items = Vec::with_capacity(k as usize);
-                    for_each_sample(p, seed, k, |ids, cost| {
-                        items.push((wire_ids(ids).collect(), cost))
-                    });
-                    Response::Samples(items)
-                })
+            },
+            Request::SampleBatch(_, seed, k) => {
+                return self.stream_samples(p, *seed, *k, request_id)
             }
-            Request::Stats => Response::Stats(self.stats()),
-        }
+            Request::Stats => unreachable!("Stats names no workload, so no artifact answers it"),
+        };
+        reply.encode(request_id)
     }
 
-    /// Executes one decoded request straight to reply *bytes* — the
-    /// path the worker pools and reactors use. For `SampleBatch` within
-    /// bounds this streams: plans are drawn into a reusable flat
+    /// The `SampleBatch` body: plans are drawn into a reusable flat
     /// [`PlanBatch`] (zero steady-state allocations per draw on the
     /// fixed-width count tiers) and encoded into the reply buffer one
     /// at a time via [`SamplesEncoder`], so a 4096-plan batch never
     /// materializes a `WirePlan` per plan — peak memory is the reply
     /// plus the flat ids, tracked in
-    /// [`ServerState::batch_peak_bytes`]. [`handle`](Self::handle)
-    /// draws the same flat batch, so the produced bytes are identical
-    /// to `self.handle(request).encode(request_id)` exactly when the
-    /// streaming encoder is byte-compatible with [`Response::encode`] —
-    /// which the unit tests below assert; `tests/reply_digest.rs` pins
-    /// a digest of the reply bytes themselves.
-    /// Every other request defers to [`handle`](Self::handle).
-    pub fn handle_encoded(&self, request: &Request, request_id: u64) -> Vec<u8> {
-        if let Request::SampleBatch(wl, seed, k) = request {
-            if *k <= MAX_SAMPLE_BATCH {
-                self.requests_admitted.fetch_add(1, Ordering::Relaxed);
-                return self.stream_samples(wl, *seed, *k, request_id);
+    /// [`ServerState::batch_peak_bytes`]. The streaming encoder is
+    /// byte-compatible with [`Response::encode`] — which the unit tests
+    /// below assert; `tests/reply_digest.rs` pins a digest of the reply
+    /// bytes themselves.
+    fn stream_samples(&self, p: &PreparedQuery, seed: u64, k: u32, request_id: u64) -> Vec<u8> {
+        thread_local! {
+            /// Per-thread sampling scratch — the flat batch and the
+            /// costing stack; capacity persists across requests, so
+            /// steady-state batches allocate only their reply.
+            static SCRATCH: RefCell<(PlanBatch, Vec<f64>)> =
+                RefCell::new((PlanBatch::new(), Vec::new()));
+        }
+        SCRATCH.with(|cell| {
+            let (batch, totals) = &mut *cell.borrow_mut();
+            p.sample_batch_flat(&mut StdRng::seed_from_u64(seed), k as usize, batch);
+            let mut enc = SamplesEncoder::new(request_id);
+            for ids in batch.iter() {
+                enc.push(wire_ids(ids), p.scaled_cost_ids_in(ids, totals));
             }
-        }
-        self.handle(request).encode(request_id)
+            let peak = (batch.size_bytes() + enc.len_bytes()) as u64;
+            self.batch_peak_bytes.fetch_max(peak, Ordering::Relaxed);
+            enc.finish()
+        })
     }
 
-    /// The streaming `SampleBatch` body behind
-    /// [`handle_encoded`](Self::handle_encoded).
-    fn stream_samples(&self, workload: &Workload, seed: u64, k: u32, request_id: u64) -> Vec<u8> {
-        let prepared = match self.prepared_for(workload) {
-            Ok((prepared, _)) => prepared,
-            Err(resp) => return resp.encode(request_id),
-        };
-        let mut enc = SamplesEncoder::new(request_id);
-        let batch_bytes = for_each_sample(&prepared, seed, k, |ids, cost| {
-            enc.push(wire_ids(ids), cost)
-        });
-        let peak = (batch_bytes + enc.len_bytes()) as u64;
-        self.batch_peak_bytes.fetch_max(peak, Ordering::Relaxed);
-        enc.finish()
-    }
-
-    /// Resolves the workload through its service and applies `f`,
-    /// mapping every failure (shed, parse, optimize) to a typed error
-    /// reply. `f` receives whether the artifact was already cached.
-    fn with_prepared(
-        &self,
-        workload: &Workload,
-        f: impl FnOnce(&PreparedQuery, bool) -> Response,
-    ) -> Response {
-        match self.prepared_for(workload) {
-            Ok((prepared, cached)) => f(&prepared, cached),
-            Err(resp) => *resp,
-        }
-    }
-
-    /// Resolves and prepares a workload, applying admission control:
-    /// the shared front half of [`with_prepared`](Self::with_prepared)
-    /// and the streaming sample path. A cached workload takes the
-    /// service lock once, in `get_keyed`; only a miss reaches the
-    /// admission check and the preparing entry point.
+    /// Resolves and prepares a workload, applying admission control —
+    /// "find the artifact" in its lookup-then-prepare form
+    /// ([`handle_inline`](Self::handle_inline) holds the lookup-only
+    /// one). A cached workload takes the service lock once, in
+    /// `get_keyed`; only a miss reaches the admission check and the
+    /// preparing entry point. Failures (shed, parse, optimize) come
+    /// back as the typed error reply.
     fn prepared_for(
         &self,
         workload: &Workload,
@@ -420,10 +508,38 @@ impl ServerState {
             .map_err(|e| Box::new(error_response(&e)))
     }
 
-    /// Maps a workload to its identity, without preparing anything.
-    fn resolve(&self, workload: &Workload) -> Result<Arc<Identity>, Box<Response>> {
+    /// The identity of a workload this state has already resolved —
+    /// two hash lookups at most, each under its table's lock, and
+    /// nothing parsed, built or inserted. `None` for a workload not
+    /// seen yet (or since evicted from its table), for an SQL text too
+    /// long to memoise, and for a synthetic spec out of range (such a
+    /// spec never gets an entry).
+    fn known_identity(&self, workload: &Workload) -> Option<Arc<Identity>> {
         match workload {
-            Workload::Sql(sql) => self.sql_identity(sql),
+            Workload::Sql(sql) if sql.len() > MEMO_MAX_TEXT => None,
+            Workload::Sql(sql) => {
+                let mut memo = self.sql_memo.lock().expect("sql memo poisoned");
+                memo.get(sql.as_str()).cloned()
+            }
+            Workload::Synthetic {
+                topology,
+                relations,
+                seed,
+            } => {
+                let mut synth = self.synth.lock().expect("synth map poisoned");
+                synth.get(&(*topology, *relations, *seed)).cloned()
+            }
+        }
+    }
+
+    /// Maps a workload to its identity, learning it if this is the
+    /// first time; prepares nothing.
+    fn resolve(&self, workload: &Workload) -> Result<Arc<Identity>, Box<Response>> {
+        if let Some(id) = self.known_identity(workload) {
+            return Ok(id);
+        }
+        match workload {
+            Workload::Sql(sql) => self.learn_sql(sql),
             Workload::Synthetic {
                 topology,
                 relations,
@@ -439,22 +555,16 @@ impl ServerState {
                         ),
                     )));
                 }
-                Ok(self.synth_identity((*topology, *relations, *seed)))
+                Ok(self.learn_synth((*topology, *relations, *seed)))
             }
         }
     }
 
-    /// The identity of an SQL text on the TPC-H service, from the memo
-    /// when the text has been seen (see [`SqlMemo`] for what is kept).
-    /// The memo's lock is never held across a parse.
-    fn sql_identity(&self, sql: &str) -> Result<Arc<Identity>, Box<Response>> {
-        let memoisable = sql.len() <= MEMO_MAX_TEXT;
-        if memoisable {
-            let mut memo = self.sql_memo.lock().expect("sql memo poisoned");
-            if let Some(id) = memo.get(sql) {
-                return Ok(Arc::clone(id));
-            }
-        }
+    /// Parses an SQL text into its identity on the TPC-H service and
+    /// memoises it (see [`SqlMemo`] for what is kept). The memo's lock
+    /// is never held across a parse; two threads racing on a new text
+    /// both parse it, to the same key on the same service.
+    fn learn_sql(&self, sql: &str) -> Result<Arc<Identity>, Box<Response>> {
         let parsed = plansample_sql::parse(self.tpch.catalog(), sql).map_err(|e| {
             // `render` quotes the offending line; `error` clamps
             // it so the reply stays within the frame bound.
@@ -467,23 +577,28 @@ impl ServerState {
             key: self.tpch.key_for(&parsed.spec),
             query: parsed.spec,
         });
-        if memoisable && id.key.len() <= MEMO_MAX_KEY {
+        if sql.len() <= MEMO_MAX_TEXT && id.key.len() <= MEMO_MAX_KEY {
             let mut memo = self.sql_memo.lock().expect("sql memo poisoned");
             memo.insert(sql.to_string(), Arc::clone(&id));
         }
         Ok(id)
     }
 
-    /// The (created-on-demand) identity of one synthetic spec, service
-    /// included. Synthetic services hold a single entry — the spec *is*
-    /// the query — so their footprint is exactly one artifact, and the
-    /// table as a whole is LRU-bounded by `max_synth_services`: past the
-    /// cap, the least recently used spec's service is dropped (in-flight
+    /// Creates the identity of one synthetic spec, service included.
+    /// Synthetic services hold a single entry — the spec *is* the query
+    /// — so their footprint is exactly one artifact, and the table as a
+    /// whole is LRU-bounded by `max_synth_services`: past the cap, the
+    /// least recently used spec's service is dropped (in-flight
     /// preparations keep their `Arc` alive; only the cache slot goes).
-    fn synth_identity(&self, key: (Topology, u16, u64)) -> Arc<Identity> {
+    ///
+    /// The table's lock is held across the `JoinGraphSpec::build()`, by
+    /// design: two threads racing on a new spec must end up with *one*
+    /// service, or its singleflight would not hold. That is the longest
+    /// any lock a reactor takes is ever held (see DESIGN.md §9).
+    fn learn_synth(&self, key: (Topology, u16, u64)) -> Arc<Identity> {
         let mut synth = self.synth.lock().expect("synth map poisoned");
         if let Some(id) = synth.get(&key) {
-            return Arc::clone(id);
+            return Arc::clone(id); // lost the race: adopt the winner's
         }
         let spec = JoinGraphSpec::new(key.0, key.1 as usize, key.2);
         let (catalog, query) = spec.build();
@@ -568,33 +683,6 @@ impl ServerState {
     }
 }
 
-/// The one sampler behind every `SampleBatch` reply: draws the `k`
-/// plans of `seed` into this worker's reusable flat batch and hands
-/// `emit` each plan's preorder ids and scaled cost, in draw order.
-/// Returns the batch's resident bytes (for the peak-memory gauge).
-fn for_each_sample(
-    prepared: &PreparedQuery,
-    seed: u64,
-    k: u32,
-    mut emit: impl FnMut(&[PhysId], f64),
-) -> usize {
-    thread_local! {
-        /// Per-worker sampling scratch; capacity persists across
-        /// requests, so steady-state fills allocate nothing.
-        static SCRATCH: std::cell::RefCell<PlanBatch> =
-            std::cell::RefCell::new(PlanBatch::new());
-    }
-    SCRATCH.with(|cell| {
-        let mut batch = cell.borrow_mut();
-        let mut rng = StdRng::seed_from_u64(seed);
-        prepared.sample_batch_flat(&mut rng, k as usize, &mut batch);
-        for ids in batch.iter() {
-            emit(ids, prepared.scaled_cost_ids(ids));
-        }
-        batch.size_bytes()
-    })
-}
-
 /// Preorder ids in wire form: `(group, index)` pairs.
 fn wire_ids(ids: &[PhysId]) -> impl ExactSizeIterator<Item = (u32, u32)> + '_ {
     ids.iter().map(|id| (id.group.0, id.index as u32))
@@ -620,6 +708,7 @@ fn error_response(e: &Error) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plansample_bignum::Nat;
 
     fn state(max_synth_services: usize) -> ServerState {
         ServerState::new(
@@ -853,6 +942,146 @@ mod tests {
             (2, 1, 1),
             "a shed request is neither a hit nor a miss"
         );
+    }
+
+    /// Cache hits the service behind `request`'s workload has counted,
+    /// if this state knows the workload.
+    fn service_hits(state: &ServerState, request: &Request) -> Option<u64> {
+        Some(state.service_stats(request.workload()?)?.hits)
+    }
+
+    /// The reactor's entry point turns `request` down, and no counter
+    /// anywhere shows that it was asked.
+    fn assert_declines(state: &ServerState, request: &Request, why: &str) {
+        let before = (state.stats(), service_hits(state, request));
+        assert_eq!(state.handle_inline(request, 5), None, "{why}: {request:?}");
+        let after = (state.stats(), service_hits(state, request));
+        assert_eq!(after, before, "{why}: declining moved a counter");
+    }
+
+    /// The reactor's entry point answers `request` with the bytes the
+    /// worker path gives, counted once as admitted and (when it names a
+    /// workload) once as a hit.
+    fn assert_answers(state: &ServerState, request: &Request) {
+        let before = (
+            state.stats().requests_admitted,
+            service_hits(state, request),
+        );
+        let reply = state.handle_inline(request, 5);
+        let after = (
+            state.stats().requests_admitted,
+            service_hits(state, request),
+        );
+        assert_eq!(after.0, before.0 + 1, "{request:?}");
+        assert_eq!(after.1, before.1.map(|hits| hits + 1), "{request:?}");
+        if *request == Request::Stats {
+            // The counters it reports have moved since; the snapshot
+            // includes the request that asked for it.
+            let (_, reply) = Response::decode(&reply.unwrap()).unwrap();
+            assert!(
+                matches!(&reply, Response::Stats(s) if s.requests_admitted == after.0),
+                "got {reply:?}"
+            );
+        } else {
+            assert_eq!(reply, Some(state.handle_encoded(request, 5)), "{request:?}");
+        }
+    }
+
+    const REGION: &str = "SELECT * FROM region WHERE r_regionkey < 3";
+
+    /// Every request kind over `workload`, with the largest batch a
+    /// reactor samples and one rank past the space's last.
+    fn every_inline_request(workload: &Workload, total: &Nat) -> Vec<Request> {
+        vec![
+            Request::Prepare(workload.clone()),
+            Request::Count(workload.clone()),
+            Request::Best(workload.clone()),
+            Request::Unrank(workload.clone(), Nat::one()),
+            Request::Unrank(workload.clone(), total.clone()),
+            Request::SampleBatch(workload.clone(), 7, 0),
+            Request::SampleBatch(workload.clone(), 7, INLINE_MAX_SAMPLES),
+        ]
+    }
+
+    /// Both sides of every branch of the inline rule but the count
+    /// tier (next test).
+    #[test]
+    fn inline_answers_known_cached_small_requests_and_declines_the_rest_uncounted() {
+        let state = sql_state(1, AdmissionConfig::default());
+        let Request::Count(chain) = chain(1) else {
+            unreachable!("chain() builds a Count");
+        };
+        let out_of_range = Workload::Synthetic {
+            topology: Topology::Cycle,
+            relations: 2,
+            seed: 1,
+        };
+        let padded = format!("{REGION}{}", " ".repeat(MEMO_MAX_TEXT));
+
+        // A state that has seen nothing knows no identity...
+        for workload in [sql(NATIONS_BY_REGION), chain.clone(), out_of_range.clone()] {
+            assert_declines(&state, &Request::Count(workload), "unknown identity");
+        }
+        // ...and answers `Stats` all the same.
+        assert_answers(&state, &Request::Stats);
+
+        // Once a worker has resolved and prepared them, every small
+        // request is answered here; a batch past the constant is not.
+        for workload in [sql(NATIONS_BY_REGION), chain] {
+            let Response::Count(total) = state.handle(&Request::Count(workload.clone())) else {
+                panic!("{workload:?} does not count");
+            };
+            for request in every_inline_request(&workload, &total) {
+                assert_answers(&state, &request);
+            }
+            let bulk = Request::SampleBatch(workload, 7, INLINE_MAX_SAMPLES + 1);
+            assert_declines(&state, &bulk, "k past the constant");
+        }
+
+        // Resolved by a worker, but never known: a spec out of range
+        // (refused) and a text too long to memoise (cached, served the
+        // long way every time).
+        state.handle(&Request::Count(out_of_range.clone()));
+        assert_declines(&state, &Request::Count(out_of_range), "refused spec");
+        assert!(matches!(
+            state.handle(&Request::Count(sql(&padded))),
+            Response::Count(_)
+        ));
+        assert_declines(&state, &Request::Count(sql(&padded)), "unmemoisable text");
+
+        // Identity known, artifact evicted (one cache entry, and the
+        // padded text just took it).
+        assert_declines(&state, &Request::Count(sql(NATIONS_BY_REGION)), "evicted");
+    }
+
+    /// A `SampleBatch` is answered on the fixed-width tiers only; every
+    /// other request does not care.
+    #[test]
+    fn inline_sampling_declines_the_exact_tier() {
+        let state = sql_state(4, AdmissionConfig::default());
+        state.handle(&Request::Count(sql(REGION)));
+        let id = state.known_identity(&sql(REGION)).unwrap();
+        let cached = state.tpch.get_keyed(&id.key).unwrap();
+        assert_eq!(cached.tier(), CountTier::U64);
+        assert_answers(&state, &Request::SampleBatch(sql(REGION), 7, 1));
+
+        // The same artifact with its counts re-stored as exact naturals.
+        let mut space = cached.space().clone();
+        space.force_tier(CountTier::Nat);
+        let (plan, cost) = cached.best();
+        let exact =
+            PreparedQuery::from_parts(space, plan.clone(), cost, cached.config().clone()).unwrap();
+        assert_eq!(exact.tier(), CountTier::Nat);
+        state.tpch.clear();
+        assert!(state.tpch.warm(Arc::new(exact)));
+
+        assert_declines(
+            &state,
+            &Request::SampleBatch(sql(REGION), 7, 1),
+            "exact tier",
+        );
+        assert_answers(&state, &Request::Count(sql(REGION)));
+        assert_answers(&state, &Request::Unrank(sql(REGION), Nat::zero()));
     }
 
     /// `SamplesEncoder` (streaming) against `Response::encode` (the

@@ -554,6 +554,9 @@ impl Writer {
 // Payload encode/decode
 // ---------------------------------------------------------------------
 
+/// Bytes of a payload header: version, opcode, request id.
+const HEADER_LEN: usize = 10;
+
 fn header(opcode: u8, request_id: u64) -> Writer {
     let mut w = Writer::default();
     w.u8(PROTOCOL_VERSION);
@@ -618,8 +621,15 @@ impl Request {
     /// Decodes a frame payload into `(request_id, request)`.
     pub fn decode(payload: &[u8]) -> Result<(u64, Self), WireError> {
         let (opcode, request_id) = decode_header(payload)?;
+        Ok((request_id, Request::decode_body(opcode, payload)?))
+    }
+
+    /// Decodes the body of a payload whose header [`decode_header`] has
+    /// already read as `opcode` — for the server, which needs the
+    /// request id even when this fails and reads the header only once.
+    pub fn decode_body(opcode: u8, payload: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(payload);
-        r.pos = 10; // past the header just validated
+        r.bytes(HEADER_LEN)?;
         let request = match opcode {
             0x01 => Request::Prepare(r.workload()?),
             0x02 => Request::Count(r.workload()?),
@@ -639,7 +649,19 @@ impl Request {
             op => return Err(WireError::UnknownOpcode(op)),
         };
         r.finish()?;
-        Ok((request_id, request))
+        Ok(request)
+    }
+
+    /// The workload the request names (`Stats` names none).
+    pub fn workload(&self) -> Option<&Workload> {
+        match self {
+            Request::Prepare(wl)
+            | Request::Count(wl)
+            | Request::Best(wl)
+            | Request::Unrank(wl, _)
+            | Request::SampleBatch(wl, _, _) => Some(wl),
+            Request::Stats => None,
+        }
     }
 }
 

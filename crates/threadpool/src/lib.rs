@@ -52,13 +52,20 @@
 //!    resolution — *not* cached at first use, so a test or harness that
 //!    sets the variable after some earlier parallel section still gets
 //!    the count it asked for;
-//! 4. [`std::thread::available_parallelism`].
+//! 4. [`std::thread::available_parallelism`], which on Linux reads the
+//!    affinity mask and the cgroup CPU quota files on every call — tens
+//!    of microseconds (25.6 µs measured on the benchmark host), more
+//!    than a 16-plan sample batch. It is deliberately not cached: the
+//!    answer would latch the affinity mask of whichever thread asked
+//!    first, and callers pin threads after process start.
 //!
 //! The resolved count is a *target*: the global pool grows on demand to
 //! one thread below it (the caller is the remaining worker) and keeps
 //! the high-water mark parked for later sections. Ranges smaller than
 //! two `min_chunk`s, and 1-thread configurations, run entirely inline
-//! on the caller — no queue traffic, no wakeups.
+//! on the caller — no queue traffic, no wakeups. A range that short is
+//! recognized *before* the thread count is resolved, so it never reaches
+//! steps 3 and 4: a small section costs no `getenv` and no host probe.
 
 #![warn(missing_docs)]
 
@@ -410,10 +417,15 @@ fn global() -> &'static Pool {
 // ---------------------------------------------------------------------
 
 /// How many workers a range of `len` items deserves, given the smallest
-/// chunk worth a thread.
+/// chunk worth a thread. A range with work for one worker at most is
+/// answered before [`num_threads`] is asked (see the module docs for
+/// what that call can cost).
 fn workers_for(len: usize, min_chunk: usize) -> usize {
     let by_work = len / min_chunk.max(1);
-    num_threads().min(by_work).max(1)
+    if by_work <= 1 {
+        return 1;
+    }
+    num_threads().min(by_work)
 }
 
 /// Chunk layout of a parallel section: more chunks than workers (up to
@@ -594,6 +606,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
+    /// Held by the tests that write `PLANSAMPLE_THREADS`.
+    static ENV_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn num_threads_is_positive() {
         assert!(num_threads() >= 1);
@@ -773,10 +788,12 @@ mod tests {
     fn env_var_changes_are_observed() {
         // Regression for the read-once staleness bug: the env variable
         // must be re-resolved per call, even after earlier pool use.
-        // Serialized against itself only; other tests in this binary use
-        // `with_threads`, whose thread-local override shadows the env.
+        // Serialized against the one other test that writes the
+        // variable; the rest of this binary uses `with_threads`, whose
+        // thread-local override shadows the env.
         // (Asserting on `env_threads` rather than `num_threads` keeps
         // this immune to the global-override test running in parallel.)
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let _pin = with_threads(2, num_threads); // touch the resolver first
         std::env::set_var("PLANSAMPLE_THREADS", "3");
         assert_eq!(env_threads(), Some(3), "first read sees the variable");
@@ -792,6 +809,23 @@ mod tests {
         std::env::set_var("PLANSAMPLE_THREADS", "7");
         assert_eq!(with_threads(2, num_threads), 2);
         std::env::remove_var("PLANSAMPLE_THREADS");
+    }
+
+    /// A range with work for one worker is sized without resolving the
+    /// thread count at all: under `PLANSAMPLE_THREADS=8` (no override in
+    /// the way, so `num_threads` would say 8) it is still 1.
+    #[test]
+    fn short_ranges_are_sized_without_resolving_the_thread_count() {
+        let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        std::env::set_var("PLANSAMPLE_THREADS", "8");
+        for (len, min_chunk) in [(0, 1), (1, 1), (16, 256), (511, 256), (1, 0)] {
+            assert_eq!(workers_for(len, min_chunk), 1, "{len} / {min_chunk}");
+        }
+        std::env::remove_var("PLANSAMPLE_THREADS");
+        // Past the threshold the resolved count applies, capped by work.
+        assert_eq!(with_threads(8, || workers_for(512, 256)), 2);
+        assert_eq!(with_threads(8, || workers_for(4096, 256)), 8);
+        assert_eq!(with_threads(1, || workers_for(4096, 256)), 1);
     }
 
     #[test]

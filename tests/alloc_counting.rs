@@ -16,9 +16,15 @@
 //! chain memos by the dozen while another is inside its measured
 //! window. The measured fills run inline on the test's own thread
 //! (`with_threads(1)`), so the thread's count is the fill's count.
+//!
+//! The serving path costs every plan it draws
+//! (`PreparedQuery::scaled_cost_ids_in`, on a stack of subtree totals
+//! the caller keeps): the last test asserts that sample-then-cost of a
+//! whole batch is allocation-free in steady state too.
 
-use plansample::{CountTier, PlanBatch, PlanSpace};
+use plansample::{CountTier, PlanBatch, PlanSpace, PreparedQuery};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
+use plansample_optimizer::OptimizerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -162,6 +168,45 @@ fn steady_state_u128_tier_sampling_allocates_nothing() {
         "retagging a warmed batch acquired {reused} times, a new batch {cold}"
     );
     assert_steady_state_allocates_nothing(&single_limb, 77, &mut shared);
+}
+
+#[test]
+fn steady_state_sample_then_cost_allocates_nothing() {
+    let (catalog, query) = JoinGraphSpec::new(Topology::Chain, 6, 20000).build();
+    let prepared = PreparedQuery::prepare(&catalog, &query, &OptimizerConfig::default())
+        .expect("chain-6 optimizes");
+    let (mut batch, mut totals) = (PlanBatch::new(), Vec::new());
+    // One serving-path batch: draw 512 plans, cost each on the reused
+    // stack. Returns the costs' sum and what the pass acquired.
+    let mut pass = |batch: &mut PlanBatch| {
+        let before = allocations();
+        prepared.sample_batch_flat(&mut StdRng::seed_from_u64(79), 512, batch);
+        let sum: f64 = batch
+            .iter()
+            .map(|ids| prepared.scaled_cost_ids_in(ids, &mut totals))
+            .sum();
+        (sum, allocations() - before)
+    };
+    threadpool::with_threads(1, || {
+        let (warm_sum, warm_up) = pass(&mut batch);
+        let (sum, counted) = pass(&mut batch);
+        assert!(warm_up > 0, "the first pass grows the buffers");
+        assert_eq!(sum.to_bits(), warm_sum.to_bits());
+        assert_eq!(
+            counted, 0,
+            "steady-state sample-then-cost must not allocate (counted {counted} \
+             allocations across 512 plans)"
+        );
+    });
+    // The reused stack changes where the totals live, not one bit of
+    // the cost: the tree path agrees on every plan.
+    let trees = prepared.sample_batch(&mut StdRng::seed_from_u64(79), 512);
+    for (ids, tree) in batch.iter().zip(&trees) {
+        assert_eq!(
+            prepared.scaled_cost_ids_in(ids, &mut totals).to_bits(),
+            prepared.scaled_cost(tree).to_bits()
+        );
+    }
 }
 
 #[test]

@@ -183,6 +183,19 @@ fn flat_batch_matches_tree_batch_at_every_thread_count() {
     }
 }
 
+/// Batches under two chunks never ask how many threads there are (the
+/// size test comes first), so they must read the same whatever the
+/// answer would have been: `k` = 1, a serving-sized 16, and the last
+/// serial `k` before the shard path, at every tier and thread count.
+#[test]
+fn small_batches_match_at_every_tier_and_thread_count() {
+    let ex = plansample::paper_example::build();
+    let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+    for k in [1, 16, 511] {
+        assert_tiers_and_threads_agree(&space, 11, k);
+    }
+}
+
 /// clique-9: the smallest clique whose total overflows one limb — it
 /// must land on the `u128` tier (not the exact fallback) and still
 /// match the tree sampler draw for draw, including when forced down to
