@@ -1,14 +1,13 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the experiment binaries.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper (`table1` → Table 1, `figure4` → Figure 4 and the §5 shape
 //! analysis, `ablation_naive`/`ablation_pruning` → sampler and pruning
 //! ablations); `docs/EXPERIMENTS.md` records their measured outcomes
-//! against the paper's claims. The Criterion benches under `benches/`
-//! gate the engineering contracts of `docs/DESIGN.md`: `build_scaling`
-//! asserts the flat-layout speedup, the ≤ 120 bytes/expr footprint
-//! (DESIGN.md §6), and the parallel-build speedup (DESIGN.md §5);
-//! `prepared` asserts the ≥ 100× serving amortization (DESIGN.md §7).
+//! against the paper's claims. Performance is not measured here: the
+//! tracked benchmark is `crates/benchmark`, and the engineering
+//! contracts of `docs/DESIGN.md` are asserted by
+//! `tests/perf_contracts.rs`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

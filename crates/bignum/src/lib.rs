@@ -19,8 +19,8 @@
 //! slice. The MEMO-wide count tables hold one `Nat` per physical
 //! expression and the overwhelming majority of per-expression counts fit
 //! one limb, so the inline representation removes one heap allocation per
-//! expression from plan-space construction (measured in `build_scaling`,
-//! recorded in `docs/EXPERIMENTS.md` §E10 and `docs/DESIGN.md` §4).
+//! expression from plan-space construction (recorded in
+//! `docs/EXPERIMENTS.md` §E10 and `docs/DESIGN.md` §4).
 //! [`Nat::size_bytes`] reports the true footprint: `size_of::<Nat>()` for
 //! inline values, plus the exact spill buffer otherwise.
 //!

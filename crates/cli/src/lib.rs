@@ -236,10 +236,10 @@ USAGE:
   per reactor) and blocks until killed. `loadgen` drives a mixed TPC-H
   + synthetic workload — CONNS concurrent connections, REQS requests
   each (default 100 x 50) — against ADDR, or against a throwaway
-  in-process server when ADDR is omitted, and prints the per-reactor
-  counter breakdown from the server's stats. The standalone
-  `plansample-loadgen` binary adds report output and validation
-  (`--out` / `--validate` / `--prev` / `--scaling`).
+  in-process server when ADDR is omitted, prints the per-reactor
+  counter breakdown from the server's stats, and fails unless the run
+  was clean: no protocol or application error, a reply for every
+  request, and a balanced admission ledger.
 
   `artifact save` prepares a query once and publishes the plan space
   into a store directory; `load` proves the artifact round-trips;
@@ -775,8 +775,10 @@ fn run_serve(cli: &Cli, addr: &str) -> Result<String, CliError> {
 }
 
 /// The `loadgen` command: a thin wrapper over
-/// [`plansample_serve::loadgen`] returning the human summary (the
-/// standalone binary adds JSON output and validation).
+/// [`plansample_serve::loadgen`] returning the human summary, or an
+/// error carrying it when [`LoadReport::check`] says the run was dirty.
+///
+/// [`LoadReport::check`]: plansample_serve::loadgen::LoadReport::check
 fn run_loadgen(
     cli: &Cli,
     connections: usize,
@@ -803,7 +805,7 @@ fn run_loadgen(
     };
     let report = plansample_serve::loadgen::run(
         target,
-        &plansample_serve::LoadgenConfig {
+        &plansample_serve::loadgen::LoadgenConfig {
             connections,
             requests_per_connection: requests,
             seed: cli.seed,
@@ -850,13 +852,10 @@ fn run_loadgen(
             );
         }
     }
-    if report.protocol_errors > 0 {
-        return Err(CliError::Serve(format!(
-            "{} protocol error(s) during the run:\n{out}",
-            report.protocol_errors
-        )));
+    match report.check() {
+        Ok(()) => Ok(out),
+        Err(why) => Err(CliError::Serve(format!("run was not clean: {why}\n{out}"))),
     }
-    Ok(out)
 }
 
 /// The `stats` command: prepare through a [`plansample::PlanService`],
@@ -1240,7 +1239,13 @@ mod tests {
     fn loadgen_command_runs_inline_cleanly() {
         let out = run(&cli(Command::Loadgen(3, 4, None))).unwrap();
         assert!(out.contains("sent 12  ok"), "{out}");
-        assert!(out.contains("protocol_errors 0"), "{out}");
+        assert!(out.contains("app_errors 0  protocol_errors 0"), "{out}");
+        // The ledger `LoadReport::check` balanced: 12 requests plus the
+        // final stats probe, none shed.
+        assert!(
+            out.contains("requests 13 (admitted 13, queue-shed 0)"),
+            "{out}"
+        );
         assert!(out.contains("p999"), "{out}");
     }
 

@@ -21,8 +21,8 @@
 //! ([`Counts::list_total`]), so unranking, ranking, and sampling read
 //! them instead of re-summing alternatives on every mixed-radix step.
 //! Each expression and each list entry is visited exactly once — the
-//! paper's linear-time claim, benchmarked in `plansample-bench`
-//! (`build_scaling`).
+//! paper's linear-time claim, measured by the tracked benchmark's
+//! `core.count.compute_ms` row.
 //!
 //! # One store, chosen once
 //!

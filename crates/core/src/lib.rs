@@ -329,11 +329,6 @@ impl PlanSpace {
         &self.memo
     }
 
-    /// Shared handle to the underlying memo.
-    pub fn memo_shared(&self) -> &Arc<Memo> {
-        &self.memo
-    }
-
     /// The query this space belongs to.
     pub fn query(&self) -> &QuerySpec {
         &self.query
@@ -385,11 +380,11 @@ mod tests {
         let memo = Arc::new(ex.memo);
         let query = Arc::new(ex.query);
         let space = PlanSpace::build_shared(Arc::clone(&memo), Arc::clone(&query)).unwrap();
-        assert!(Arc::ptr_eq(space.memo_shared(), &memo));
+        assert!(Arc::ptr_eq(&space.memo, &memo));
         assert!(Arc::ptr_eq(space.query_shared(), &query));
         // A clone of the space shares the same memo allocation.
         let cloned = space.clone();
-        assert!(Arc::ptr_eq(cloned.memo_shared(), &memo));
+        assert!(Arc::ptr_eq(&cloned.memo, &memo));
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Minimal JSON support for the bench artifact.
+//! Minimal JSON support for the tracked benchmark's files.
 //!
 //! The environment has no serde, so this module hand-rolls exactly the
-//! slice `BENCH_serving.json` needs: an order-preserving object writer
-//! and a small recursive-descent parser used to validate the artifact's
-//! schema in CI (`plansample-loadgen --validate`). The parser handles
+//! slice `plansample-benchmark` needs to write its result files and
+//! read `BENCHMARK.json` and earlier results back: an order-preserving
+//! object writer and a small recursive-descent parser. The parser handles
 //! the full JSON value grammar minus `\u` escapes, never panics on
 //! malformed input, and bounds recursion depth.
 

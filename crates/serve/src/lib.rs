@@ -29,9 +29,10 @@
 //!   read them; its own small worker pool takes the rest (first
 //!   preparations, bulk sample batches).
 //! * [`client`] — a blocking reference client.
-//! * [`loadgen`] + [`json`] — the load generator behind
-//!   `plansample-loadgen` and the `BENCH_serving.json` artifact it
-//!   writes and validates.
+//! * [`loadgen`] — the closed-loop fan-in load generator behind
+//!   `plansample-cli loadgen`, with the clean-run check over its report.
+//! * [`json`] — the hand-rolled JSON writer and parser the tracked
+//!   benchmark's result files go through.
 //!
 //! # Determinism contract
 //!
@@ -56,7 +57,6 @@ pub mod state;
 pub mod wire;
 
 pub use client::{Client, ClientError};
-pub use loadgen::{LoadReport, LoadgenConfig};
 pub use server::{ServerConfig, ServerHandle};
 pub use state::{AdmissionConfig, ServerState};
 pub use wire::{ErrorCode, ReactorStats, Request, Response, StatsReply, WireError, Workload};

@@ -1,12 +1,10 @@
-//! The load generator behind `plansample-loadgen`.
+//! The fan-in load generator behind `plansample-cli loadgen`.
 //!
 //! Drives a configurable number of concurrent connections against a
 //! plan server with a deterministic mixed workload — TPC-H SQL and
-//! synthetic join graphs, across every request opcode — and reports a
-//! latency histogram (p50/p90/p99/p999), throughput, and an error
-//! breakdown. The report serializes to `BENCH_serving.json`; its schema
-//! is checked by [`validate_report`], which CI runs after the smoke
-//! benchmark.
+//! synthetic join graphs, across every request opcode — and reports
+//! latency quantiles, throughput, an error breakdown and the server's
+//! own counters; [`LoadReport::check`] says whether the run was clean.
 //!
 //! Every connection runs a closed loop (next request issued when the
 //! previous reply lands), so concurrency == connections. The request
@@ -14,7 +12,6 @@
 //! re-running with the same configuration replays the same workload.
 
 use crate::client::{Client, ClientError};
-use crate::json::{self, Json, ObjWriter};
 use crate::wire::{ErrorCode, Request, Response, StatsReply, Workload};
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::Topology;
@@ -76,9 +73,6 @@ impl Default for LoadgenConfig {
 /// Aggregated outcome of a load run.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
-    /// Reactors the server ran, self-reported through the final stats
-    /// probe (`0` when the probe failed and the count is unknown).
-    pub reactors: usize,
     /// Connections that participated.
     pub connections: usize,
     /// Requests sent.
@@ -127,12 +121,43 @@ impl LoadReport {
         self.latencies_us[rank.min(self.latencies_us.len() - 1)]
     }
 
-    /// Mean latency in microseconds.
-    pub fn mean_latency_us(&self) -> f64 {
-        if self.latencies_us.is_empty() {
-            return 0.0;
+    /// Whether the run was clean: no client-side failure, no typed
+    /// error other than `Overloaded`, a reply for every request, and —
+    /// when the server answered the final `Stats` probe — a balanced
+    /// admission ledger (every decoded request either admitted or
+    /// queue-shed) that the per-reactor shares reproduce exactly
+    /// (connections are pinned to one reactor for life).
+    pub fn check(&self) -> Result<(), String> {
+        if self.protocol_errors > 0 {
+            return Err(format!("{} protocol error(s)", self.protocol_errors));
         }
-        self.latencies_us.iter().sum::<u64>() as f64 / self.latencies_us.len() as f64
+        if self.app_errors > 0 {
+            return Err(format!("{} application error(s)", self.app_errors));
+        }
+        if self.replies() != self.sent {
+            return Err(format!(
+                "{} replies for {} requests",
+                self.replies(),
+                self.sent
+            ));
+        }
+        let Some(s) = &self.server else {
+            return Ok(());
+        };
+        if s.requests != s.requests_admitted + s.shed_queue {
+            return Err(format!(
+                "admission ledger broken: {} requests != {} admitted + {} queue-shed",
+                s.requests, s.requests_admitted, s.shed_queue
+            ));
+        }
+        let shares: u64 = s.per_reactor.iter().map(|r| r.requests).sum();
+        if shares != s.requests {
+            return Err(format!(
+                "per-reactor requests sum to {shares}, server counted {}",
+                s.requests
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -192,11 +217,6 @@ pub fn run(addr: SocketAddr, config: &LoadgenConfig) -> LoadReport {
             _ => None,
         }
     });
-    report.reactors = report
-        .server
-        .as_ref()
-        .map(|s| s.per_reactor.len())
-        .unwrap_or(0);
     report
 }
 
@@ -303,246 +323,19 @@ fn next_request(rng: &mut StdRng, totals: &HashMap<usize, Nat>) -> (Request, Opt
     (request, Some(idx))
 }
 
-/// Serializes a report to the `BENCH_serving.json` schema.
-pub fn report_json(report: &LoadReport) -> String {
-    let mut w = ObjWriter::new();
-    w.str("bench", "serving")
-        .int("reactors", report.reactors as u64)
-        .int("connections", report.connections as u64)
-        .int("requests_sent", report.sent)
-        .int("replies", report.replies())
-        .int("ok", report.ok)
-        .int("overloaded", report.overloaded)
-        .int("app_errors", report.app_errors)
-        .int("protocol_errors", report.protocol_errors)
-        .float("elapsed_secs", report.elapsed.as_secs_f64())
-        .float("throughput_rps", report.throughput());
-    w.obj("latency_us")
-        .int("p50", report.latency_us(0.50))
-        .int("p90", report.latency_us(0.90))
-        .int("p99", report.latency_us(0.99))
-        .int("p999", report.latency_us(0.999))
-        .int("max", report.latencies_us.last().copied().unwrap_or(0))
-        .float("mean", report.mean_latency_us())
-        .end();
-    if let Some(s) = &report.server {
-        w.obj("server")
-            .int("requests", s.requests)
-            .int("requests_admitted", s.requests_admitted)
-            .int("shed_queue", s.shed_queue)
-            .int("shed_prepare", s.shed_prepare)
-            .int("wire_errors", s.wire_errors)
-            .int("accept_errors", s.accept_errors)
-            .int("connections_total", s.connections_total)
-            .int("hits", s.hits)
-            .int("misses", s.misses)
-            .int("coalesced", s.coalesced)
-            .int("evictions", s.evictions)
-            .int("entries", s.entries)
-            .int("resident_bytes", s.resident_bytes)
-            .int("synth_services", s.synth_services)
-            .int("synth_evictions", s.synth_evictions)
-            .int("batch_peak_bytes", s.batch_peak_bytes);
-        let secs = report.elapsed.as_secs_f64();
-        w.arr("per_reactor");
-        for (i, r) in s.per_reactor.iter().enumerate() {
-            w.elem_obj()
-                .int("index", i as u64)
-                .int("requests", r.requests)
-                .int("connections", r.connections)
-                .float(
-                    "reqs_per_sec",
-                    if secs > 0.0 {
-                        r.requests as f64 / secs
-                    } else {
-                        0.0
-                    },
-                )
-                .end();
-        }
-        w.end().end();
-    }
-    w.finish()
-}
-
-/// Checks that `text` is a well-formed `BENCH_serving.json` artifact:
-/// parses as JSON, carries every required field with a numeric value,
-/// and records a clean run (zero protocol errors). CI runs this after
-/// the loadgen smoke.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    if doc.get("bench") != Some(&Json::Str("serving".into())) {
-        return Err("missing or wrong \"bench\" marker".into());
-    }
-    for key in [
-        "reactors",
-        "connections",
-        "requests_sent",
-        "replies",
-        "ok",
-        "overloaded",
-        "app_errors",
-        "protocol_errors",
-        "elapsed_secs",
-        "throughput_rps",
-    ] {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {key:?}"))?;
-    }
-    let latency = doc
-        .get("latency_us")
-        .ok_or_else(|| "missing \"latency_us\" object".to_string())?;
-    for key in ["p50", "p90", "p99", "p999", "max", "mean"] {
-        latency
-            .get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field latency_us.{key:?}"))?;
-    }
-    let protocol_errors = doc
-        .get("protocol_errors")
-        .and_then(Json::as_num)
-        .unwrap_or(1.0);
-    if protocol_errors != 0.0 {
-        return Err(format!("run recorded {protocol_errors} protocol errors"));
-    }
-    let replies = doc.get("replies").and_then(Json::as_num).unwrap_or(0.0);
-    let sent = doc
-        .get("requests_sent")
-        .and_then(Json::as_num)
-        .unwrap_or(f64::NAN);
-    if replies != sent {
-        return Err(format!("{replies} replies for {sent} requests"));
-    }
-    if let Some(server) = doc.get("server") {
-        let field = |key: &str| {
-            server
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("missing numeric field server.{key:?}"))
-        };
-        // The counter contract the reactors maintain: every decoded
-        // request is either admitted or queue-shed, never lost.
-        let (requests, admitted, shed) = (
-            field("requests")?,
-            field("requests_admitted")?,
-            field("shed_queue")?,
-        );
-        if requests != admitted + shed {
-            return Err(format!(
-                "counter invariant broken: {requests} requests != \
-                 {admitted} admitted + {shed} queue-shed"
-            ));
-        }
-        let per_reactor = match server.get("per_reactor") {
-            Some(Json::Arr(items)) => items,
-            _ => return Err("missing \"server.per_reactor\" array".into()),
-        };
-        let mut sum = 0.0;
-        for (i, r) in per_reactor.iter().enumerate() {
-            sum += r
-                .get("requests")
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("per_reactor[{i}] lacks numeric \"requests\""))?;
-        }
-        // Connections are pinned to one reactor for life, so the
-        // per-reactor shares must reproduce the global count exactly.
-        if sum != requests {
-            return Err(format!(
-                "per-reactor requests sum to {sum}, server counted {requests}"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Compares a fresh `BENCH_serving.json` against the committed previous
-/// run: the perf-trajectory check CI applies. Fails when the fresh
-/// throughput regressed more than 30% at an equal reactor count;
-/// reactor-count mismatches skip (different hardware shapes are not
-/// comparable). Returns a human-readable verdict on success.
-pub fn compare_reports(prev: &str, fresh: &str) -> Result<String, String> {
-    let prev = json::parse(prev).map_err(|e| format!("previous artifact: {e}"))?;
-    let fresh = json::parse(fresh).map_err(|e| format!("fresh artifact: {e}"))?;
-    let num = |doc: &Json, key: &str, which: &str| {
-        doc.get(key)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("{which} artifact lacks numeric {key:?}"))
-    };
-    // A previous artifact from before the schema carried reactor counts
-    // is a migration, not a regression: skip rather than fail.
-    let prev_reactors = match prev.get("reactors").and_then(Json::as_num) {
-        Some(n) => n,
-        None => return Ok("skipped: previous artifact predates reactor counts".into()),
-    };
-    let fresh_reactors = num(&fresh, "reactors", "fresh")?;
-    if prev_reactors != fresh_reactors {
-        return Ok(format!(
-            "skipped: reactor counts differ (previous {prev_reactors}, fresh {fresh_reactors})"
-        ));
-    }
-    let prev_rps = num(&prev, "throughput_rps", "previous")?;
-    let fresh_rps = num(&fresh, "throughput_rps", "fresh")?;
-    let floor = prev_rps * 0.7;
-    if fresh_rps < floor {
-        return Err(format!(
-            "throughput regressed more than 30% at {fresh_reactors} reactors: \
-             {fresh_rps:.0} req/s vs previous {prev_rps:.0} req/s (floor {floor:.0})"
-        ));
-    }
-    Ok(format!(
-        "throughput {fresh_rps:.0} req/s vs previous {prev_rps:.0} req/s \
-         at {fresh_reactors} reactors: within trajectory"
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn report_round_trips_through_validation() {
-        let report = LoadReport {
+    fn clean_report() -> LoadReport {
+        use crate::wire::ReactorStats;
+        LoadReport {
             connections: 4,
             sent: 10,
             ok: 9,
             overloaded: 1,
             elapsed: Duration::from_millis(125),
             latencies_us: vec![10, 20, 30, 40, 50, 60, 70, 80, 90, 1000],
-            ..LoadReport::default()
-        };
-        let text = report_json(&report);
-        validate_report(&text).unwrap();
-        assert_eq!(report.latency_us(0.0), 10);
-        assert_eq!(report.latency_us(1.0), 1000);
-        assert_eq!(report.latency_us(0.5), 60); // round(0.5 * 9) = 5
-    }
-
-    #[test]
-    fn validation_rejects_dirty_runs_and_bad_schemas() {
-        let dirty = LoadReport {
-            connections: 1,
-            sent: 1,
-            protocol_errors: 1,
-            elapsed: Duration::from_millis(1),
-            latencies_us: vec![],
-            ..LoadReport::default()
-        };
-        assert!(validate_report(&report_json(&dirty)).is_err());
-        assert!(validate_report("{}").is_err());
-        assert!(validate_report("not json").is_err());
-    }
-
-    #[test]
-    fn validation_enforces_counter_invariants() {
-        use crate::wire::ReactorStats;
-        let mut report = LoadReport {
-            reactors: 2,
-            connections: 4,
-            sent: 10,
-            ok: 10,
-            elapsed: Duration::from_millis(125),
-            latencies_us: vec![10, 20, 30],
             server: Some(StatsReply {
                 requests: 10,
                 requests_admitted: 8,
@@ -560,39 +353,50 @@ mod tests {
                 ..StatsReply::default()
             }),
             ..LoadReport::default()
-        };
-        validate_report(&report_json(&report)).unwrap();
-
-        // Break requests == admitted + shed_queue (the satellite-2 bug:
-        // queue-shed requests not counted).
-        report.server.as_mut().unwrap().requests = 8;
-        report.server.as_mut().unwrap().per_reactor[0].requests = 4;
-        let err = validate_report(&report_json(&report)).unwrap_err();
-        assert!(err.contains("counter invariant"), "got: {err}");
-
-        // Break the per-reactor decomposition.
-        report.server.as_mut().unwrap().requests = 10;
-        let err = validate_report(&report_json(&report)).unwrap_err();
-        assert!(err.contains("per-reactor"), "got: {err}");
+        }
     }
 
     #[test]
-    fn trajectory_compare_flags_regressions_at_equal_reactor_count() {
-        let artifact = |reactors: u64, rps: f64| {
-            format!("{{\"bench\":\"serving\",\"reactors\":{reactors},\"throughput_rps\":{rps}}}")
-        };
-        // Within 30%: passes.
-        compare_reports(&artifact(1, 1000.0), &artifact(1, 750.0)).unwrap();
-        // Beyond 30%: fails.
-        let err = compare_reports(&artifact(1, 1000.0), &artifact(1, 600.0)).unwrap_err();
-        assert!(err.contains("regressed"), "got: {err}");
-        // Different reactor counts: skipped, not failed.
-        let verdict = compare_reports(&artifact(1, 1000.0), &artifact(4, 100.0)).unwrap();
-        assert!(verdict.starts_with("skipped"), "got: {verdict}");
-        // Pre-reactor-schema previous artifact: a migration, skipped.
-        let old = "{\"bench\":\"serving\",\"throughput_rps\":1000}";
-        let verdict = compare_reports(old, &artifact(1, 100.0)).unwrap();
-        assert!(verdict.starts_with("skipped"), "got: {verdict}");
+    fn latency_quantiles_round_to_the_nearest_sample() {
+        let report = clean_report();
+        assert_eq!(report.latency_us(0.0), 10);
+        assert_eq!(report.latency_us(1.0), 1000);
+        assert_eq!(report.latency_us(0.5), 60); // round(0.5 * 9) = 5
+    }
+
+    #[test]
+    fn check_passes_a_clean_run_and_names_each_way_a_run_is_dirty() {
+        clean_report().check().unwrap();
+        // No server snapshot (the final probe failed): client side only.
+        let mut probe_failed = clean_report();
+        probe_failed.server = None;
+        probe_failed.check().unwrap();
+
+        type Spoil = fn(&mut LoadReport);
+        let dirty: [(&str, Spoil); 5] = [
+            ("protocol error", |r| r.protocol_errors = 1),
+            ("application error", |r| {
+                r.ok -= 1;
+                r.app_errors = 1;
+            }),
+            ("replies for", |r| r.ok -= 1),
+            // Queue-shed requests not counted.
+            ("admission ledger", |r| {
+                let s = r.server.as_mut().unwrap();
+                s.requests = 8;
+                s.per_reactor[0].requests = 4;
+            }),
+            // A reactor's share miscounted (PR 15's `Stats` miscount).
+            ("per-reactor", |r| {
+                r.server.as_mut().unwrap().per_reactor[1].requests = 3
+            }),
+        ];
+        for (needle, spoil) in dirty {
+            let mut report = clean_report();
+            spoil(&mut report);
+            let err = report.check().unwrap_err();
+            assert!(err.contains(needle), "wanted {needle:?}, got: {err}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! mutable slice.
 //!
 //! The build environment for this repository has no crates.io access, so
-//! — following the `rand`/`proptest`/`criterion` pattern — this crate
+//! — following the `rand`/`proptest` pattern — this crate
 //! vendors the slice of `rayon`-style functionality the plan-space
 //! construction and batched sampling actually use: fork-join over a
 //! contiguous index range. Workers are **persistent**: the first

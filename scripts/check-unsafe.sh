@@ -6,7 +6,7 @@
 #    the server, the scheduler-affinity FFI of the benchmark harness,
 #    and the two counting allocators. Everything else is
 #    `#![forbid(unsafe_code)]` at its crate root; this script also
-#    covers the targets that attribute does not reach (tests, benches,
+#    covers the targets that attribute does not reach (tests,
 #    examples).
 # 2. Inside the allowlist, every line of code that says `unsafe` must
 #    have a `// SAFETY:` comment (or a `# Safety` doc section) on it or

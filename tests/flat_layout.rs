@@ -176,8 +176,8 @@ fn twelve_relation_synthetic_space_round_trips() {
     // 10+-relation regime, debug-friendly topology: a 12-cycle has only
     // 133 connected subsets, so the direct memo builds instantly while
     // still exercising a space far past anything TPC-H reaches. (The
-    // multi-limb clique-10 variant runs in release mode inside the
-    // `build_scaling` bench.)
+    // multi-limb clique-10 variant runs in release mode in
+    // `tests/perf_contracts.rs`.)
     let (_, query, memo) = JoinGraphSpec::new(Topology::Cycle, 12, 20000).build_memo();
     let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).unwrap();
     assert!(
