@@ -127,6 +127,28 @@ fn multi_limb_synthetic_memo_round_trips_bit_identically() {
     assert_bit_identical(&original, &bytes, &loaded);
 }
 
+/// A build is one byte string at every thread count. The encoded image
+/// carries every table a build produces — pool, bounds, slot lists, the
+/// topological order, both count tables — so nothing a thread count
+/// could perturb escapes the comparison.
+#[test]
+fn builds_encode_byte_identically_at_one_and_four_threads() {
+    let (catalog, _) = plansample_catalog::tpch::catalog();
+    let q5 = plansample_query::tpch::q5(&catalog);
+    let optimized = |threads| {
+        threadpool::with_threads(threads, || {
+            let config = OptimizerConfig::with_cross_products();
+            encode(&PreparedQuery::prepare(&catalog, &q5, &config).expect("Q5 optimizes"))
+        })
+    };
+    assert!(optimized(1) == optimized(4), "Q5+CP image diverged");
+
+    let two_limb = |threads| {
+        threadpool::with_threads(threads, || encode(&synthetic(Topology::Clique, 9, 20000)))
+    };
+    assert!(two_limb(1) == two_limb(4), "clique-9 image diverged");
+}
+
 /// The other two layouts of the COUNTS section: raw `u64` tables, and
 /// — on a chain long enough that its total genuinely needs three limbs
 /// — the limb-pool encoding, the only tier that still writes one.

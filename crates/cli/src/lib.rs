@@ -24,8 +24,9 @@
 //! prepared artifact's exact byte footprint (links / counts / memo).
 //!
 //! Global flags: `--cross-products`, `--seed N`, `--orders N` (micro
-//! database size), `--threads N` (plan-space build / batched-sampling
-//! parallelism; default `PLANSAMPLE_THREADS` or all cores).
+//! database size), `--threads N` (the fork width of a plan-space build
+//! or bulk sample batch, and a server's request workers per reactor;
+//! [`USAGE`] has the one full statement).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,8 +53,10 @@ pub struct Cli {
     pub seed: u64,
     /// Orders in the micro database (other tables scale along).
     pub orders: usize,
-    /// Worker threads for plan-space construction and batched sampling
-    /// (`None`: `PLANSAMPLE_THREADS` or all cores).
+    /// `--threads`: the fork width of one plan-space build or bulk
+    /// sample batch (`None`: `PLANSAMPLE_THREADS` or all cores) and, for
+    /// `serve`/`loadgen` servers, also the request workers per reactor
+    /// (`None`: 4). [`USAGE`] spells out how the two combine.
     pub threads: Option<usize>,
     /// Reactor (event-loop) threads for `serve`/`loadgen` servers
     /// (`0`: one per available core).
@@ -232,14 +235,14 @@ USAGE:
   counts, memo — the size the byte-budgeted cache charges).
 
   `serve` exposes the plan service over TCP (default 127.0.0.1:4141;
-  `--reactors` sets the event-loop count, `--threads` the worker pool
-  per reactor) and blocks until killed. `loadgen` drives a mixed TPC-H
-  + synthetic workload — CONNS concurrent connections, REQS requests
-  each (default 100 x 50) — against ADDR, or against a throwaway
-  in-process server when ADDR is omitted, prints the per-reactor
-  counter breakdown from the server's stats, and fails unless the run
-  was clean: no protocol or application error, a reply for every
-  request, and a balanced admission ledger.
+  `--reactors` and `--threads` size it, see FLAGS) and blocks until
+  killed. `loadgen` drives a mixed TPC-H + synthetic workload — CONNS
+  concurrent connections, REQS requests each (default 100 x 50) —
+  against ADDR, or against a throwaway in-process server when ADDR is
+  omitted, prints the per-reactor counter breakdown from the server's
+  stats, and fails unless the run was clean: no protocol or
+  application error, a reply for every request, and a balanced
+  admission ledger.
 
   `artifact save` prepares a query once and publishes the plan space
   into a store directory; `load` proves the artifact round-trips;
@@ -253,9 +256,13 @@ FLAGS:
   --cross-products   include Cartesian products in the space
   --seed N           RNG seed (default 42)
   --orders N         orders in the micro database (default 120)
-  --threads N        worker threads for plan-space construction and
-                     batched sampling (default: PLANSAMPLE_THREADS,
-                     else all cores)
+  --threads N        fork width: the threads one plan-space build or
+                     one batch of 512+ samples may use, its caller
+                     included (default: PLANSAMPLE_THREADS, else all
+                     cores). A serve/loadgen server also starts N
+                     request workers per reactor (default 4); each
+                     forks N wide, and the process never runs more
+                     than N - 1 helper threads for all of them
   --reactors N       event-loop threads for serve/loadgen servers
                      (default: one per available core)
   --artifact-dir DIR persistent artifact store for `serve`
@@ -751,8 +758,8 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
 
 /// The `serve` command: expose the plan service over TCP and block
 /// until the process is killed. Listens on `addr`; `--reactors` sets
-/// the event-loop count (0 = one per core), `--threads` the worker
-/// pool per reactor, `--cross-products` widens the plan spaces served.
+/// the event-loop count (0 = one per core), `--threads` the request
+/// workers per reactor, `--cross-products` widens the plan spaces served.
 fn run_serve(cli: &Cli, addr: &str) -> Result<String, CliError> {
     let config = plansample_serve::ServerConfig {
         addr: addr.to_string(),
@@ -928,7 +935,7 @@ fn run_stats(
     );
     let _ = writeln!(
         out,
-        "build threads: {} (override with --threads N or PLANSAMPLE_THREADS)",
+        "fork width: {} thread(s) per build or bulk batch (--threads N or PLANSAMPLE_THREADS)",
         threadpool::num_threads()
     );
     Ok(out)
@@ -1072,6 +1079,11 @@ mod tests {
         assert_eq!(cli.threads, Some(3));
         assert_eq!(cli.command, Command::Stats("SELECT * FROM nation".into()));
         assert_eq!(parse_args(["count", "S"]).unwrap().threads, None);
+        // One flag, both of its effects, stated in one place.
+        assert_eq!(USAGE.matches("--threads N").count(), 1);
+        assert!(USAGE.contains("--threads N        fork width:"));
+        assert!(USAGE.contains("request workers per reactor"));
+        assert!(!USAGE.contains("worker pool"));
     }
 
     #[test]
@@ -1083,7 +1095,7 @@ mod tests {
         }
         assert!(out.contains("1 hit(s), 1 miss(es)"), "{out}");
         assert!(out.contains("resident bytes"), "{out}");
-        assert!(out.contains("build threads:"), "{out}");
+        assert!(out.contains("fork width:"), "{out}");
     }
 
     #[test]
@@ -1280,6 +1292,7 @@ mod tests {
         assert_eq!(parse_args(["--help"]).unwrap().command, Command::Help);
         let text = run(&parse_args(["--help"]).unwrap()).unwrap();
         assert!(text.contains("USAGE"));
+        assert!(text.contains("fork width"));
     }
 
     fn cli(command: Command) -> Cli {

@@ -14,9 +14,9 @@
 //!
 //! The pass is an iterative walk over the topological order the links
 //! precomputed (children before parents), filling one flat `Vec<Nat>`
-//! indexed by [`DenseId`] — no recursion, no memo-cache clones — and it
-//! runs the order's independent *levels* in parallel with a
-//! deterministic merge (see [`Counts::compute`]). The per-slot totals
+//! indexed by [`DenseId`] — no recursion, no memo-cache clones, and no
+//! threads: the pass is a few percent of a build (DESIGN §5), less
+//! than forking it costs. The per-slot totals
 //! `b_v(i)` are computed once per *interned* alternative list and kept
 //! ([`Counts::list_total`]), so unranking, ranking, and sampling read
 //! them instead of re-summing alternatives on every mixed-radix step.
@@ -244,102 +244,35 @@ pub enum CountsParts {
 }
 
 impl Counts {
-    /// Smallest number of same-level expressions (or lists) worth a
-    /// worker thread; below this a stratum is filled inline.
-    const PAR_MIN_NODES: usize = 512;
-
-    /// Computes all counts over `links.topo()`.
+    /// Computes all counts in one pass over `links.topo()`.
     ///
-    /// The fill processes the topological order in *levels* — independent
-    /// strata of the condensed expr↔list DAG, where
-    /// `level(list) = 1 + max level(member)` and
-    /// `level(expr) = max level(its lists)`. Everything a node reads was
-    /// computed in a strictly earlier stratum, so each stratum's sums and
-    /// products fan out across the `threadpool` workers; results are
-    /// merged back in index order. Every value is produced by exactly one
-    /// task using the same operand order as the sequential walk, so
-    /// counts are **bit-identical at every thread count** (asserted by
-    /// `tests/build_determinism.rs` and the bijection suites).
+    /// Children come before parents in that order, so when an
+    /// expression is reached every member of its slot lists is counted:
+    /// a list's total `b` is summed the first time an expression reads
+    /// it (interned lists are shared, so later readers find it done),
+    /// the expression's count is the product of its slots' totals, and
+    /// the root list — interned like any other, but no expression's
+    /// slot — is summed last. Each expression and each list entry is
+    /// visited once.
     pub fn compute(links: &Links) -> Counts {
         let mut per_expr: Vec<Nat> = vec![Nat::zero(); links.num_exprs()];
         let mut list_totals: Vec<Nat> = vec![Nat::zero(); links.num_lists()];
-
-        // One linear pass assigns strata (children before parents, so
-        // every referenced node is already levelled).
-        let mut expr_level: Vec<u32> = vec![0; links.num_exprs()];
-        let mut list_level: Vec<u32> = vec![u32::MAX; links.num_lists()];
-        let level_of_list = |l: ListId, expr_level: &[u32], list_level: &mut Vec<u32>| {
-            if list_level[l.idx()] == u32::MAX {
-                list_level[l.idx()] = 1 + links
-                    .list(l)
-                    .iter()
-                    .map(|&w| expr_level[w.idx()])
-                    .max()
-                    .unwrap_or(0);
+        let mut summed = vec![false; links.num_lists()];
+        let mut sum_once = |l: ListId, per_expr: &[Nat], list_totals: &mut [Nat]| {
+            if !std::mem::replace(&mut summed[l.idx()], true) {
+                list_totals[l.idx()] = links.list(l).iter().map(|&w| &per_expr[w.idx()]).sum();
             }
-            list_level[l.idx()]
         };
-        let mut max_level = 0u32;
         for &d in links.topo() {
-            let level = links
-                .slot_lists(d)
-                .iter()
-                .map(|&l| level_of_list(l, &expr_level, &mut list_level))
-                .max()
-                .unwrap_or(0);
-            expr_level[d.idx()] = level;
-            max_level = max_level.max(level);
+            let mut product = Nat::one(); // |v| = 0 ⇒ N(v) = 1
+            for &l in links.slot_lists(d) {
+                sum_once(l, &per_expr, &mut list_totals);
+                product *= &list_totals[l.idx()]; // b = 0 ⇒ no completable plan here
+            }
+            per_expr[d.idx()] = product;
         }
-        // The root list is interned like any other but need not be any
-        // slot's list; level it too so the stratum loop computes it.
         let root = links.root_list();
-        max_level = max_level.max(level_of_list(root, &expr_level, &mut list_level));
-
-        // Bucket nodes by stratum.
-        let mut exprs_at = vec![Vec::new(); max_level as usize + 1];
-        for &d in links.topo() {
-            exprs_at[expr_level[d.idx()] as usize].push(d);
-        }
-        let mut lists_at = vec![Vec::new(); max_level as usize + 1];
-        for l in 0..links.num_lists() as u32 {
-            if list_level[l as usize] != u32::MAX {
-                lists_at[list_level[l as usize] as usize].push(ListId::new(l));
-            }
-        }
-
-        // Fill stratum by stratum: first each level's list totals b (sums
-        // of already-counted members), then its expression counts N
-        // (products of already-computed b's).
-        for level in 0..=max_level as usize {
-            let lists = &lists_at[level];
-            let totals = threadpool::parallel_map(lists.len(), Self::PAR_MIN_NODES, |i| {
-                links
-                    .list(lists[i])
-                    .iter()
-                    .map(|&w| &per_expr[w.idx()])
-                    .sum::<Nat>()
-            });
-            for (&l, b) in lists.iter().zip(totals) {
-                list_totals[l.idx()] = b;
-            }
-
-            let exprs = &exprs_at[level];
-            let counts = threadpool::parallel_map(exprs.len(), Self::PAR_MIN_NODES, |i| {
-                let slots = links.slot_lists(exprs[i]);
-                if slots.is_empty() {
-                    Nat::one()
-                } else {
-                    let mut product = Nat::one();
-                    for &l in slots {
-                        product *= &list_totals[l.idx()]; // b = 0 ⇒ no completable plan here
-                    }
-                    product
-                }
-            });
-            for (&d, n) in exprs.iter().zip(counts) {
-                per_expr[d.idx()] = n;
-            }
-        }
+        sum_once(root, &per_expr, &mut list_totals);
 
         // Store the exact tables on the fastest rung that holds them all.
         let (n, b) = (per_expr.as_slice(), list_totals.as_slice());
@@ -471,19 +404,61 @@ mod tests {
 
     #[test]
     fn slot_totals_are_precomputed_per_list() {
-        let ex = paper_example::build();
+        use plansample_memo::{PhysicalExpr, PhysicalOp};
+        use plansample_query::{ColRef, RelId};
+
+        // Every precomputed total matches a fresh sum over its list.
+        let totals_match = |links: &Links, counts: &Counts| {
+            for (d, _) in links.ids().iter() {
+                for &l in links.slot_lists(d) {
+                    let fresh: Nat = links.list(l).iter().map(|&w| counts.rooted(w)).sum();
+                    assert_eq!(fresh, counts.list_total(l));
+                }
+            }
+        };
+        let mut ex = paper_example::build();
         let links = Links::build(&ex.memo, &ex.query).unwrap();
         let counts = Counts::compute(&links);
         let slots = links.slot_lists(links.ids().dense(ex.root_c_ab));
         assert_eq!(counts.list_total(slots[0]).to_u64(), Some(2)); // group C
         assert_eq!(counts.list_total(slots[1]).to_u64(), Some(8)); // group AB
-                                                                   // Every precomputed total matches a fresh sum over its list.
-        for (d, _) in links.ids().iter() {
-            for &l in links.slot_lists(d) {
-                let fresh: Nat = links.list(l).iter().map(|&w| counts.rooted(w)).sum();
-                assert_eq!(fresh, counts.list_total(l));
-            }
-        }
+        totals_match(&links, &counts);
+
+        // A list two expressions read is summed once and serves both:
+        // the roots share both of theirs.
+        let mirrored = links.slot_lists(links.ids().dense(ex.root_ab_c));
+        assert_eq!((slots[0], slots[1]), (mirrored[1], mirrored[0]));
+        // The root list is no expression's slot and still holds `N`.
+        let root = links.root_list();
+        let mut exprs = links.ids().iter();
+        assert!(exprs.all(|(d, _)| !links.slot_lists(d).contains(&root)));
+        assert_eq!(counts.list_total(root).to_u64(), Some(32));
+
+        // Second input: plus a merge join keyed on B.m, which nothing in
+        // group B delivers sorted. Its right slot filters to the empty
+        // list, which zeroes it, and it adds nothing to group AB's total.
+        let key = |rel, col| ColRef {
+            rel: RelId(rel),
+            col,
+        };
+        let (left, right) = (ex.group_a, ex.group_b);
+        let (left_key, right_key) = (key(0, 0), key(1, 1));
+        let op = PhysicalOp::MergeJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+        };
+        let dead = PhysicalExpr::new(op, 300.0, 200.0);
+        let dead = ex.memo.add_physical(ex.group_ab, dead).unwrap();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let counts = Counts::compute(&links);
+        let slots = links.slot_lists(links.ids().dense(dead));
+        assert!(links.list(slots[1]).is_empty());
+        assert!(counts.list_total(slots[1]).is_zero());
+        assert!(counts.rooted(links.ids().dense(dead)).is_zero());
+        assert_eq!(counts.total().to_u64(), Some(32));
+        totals_match(&links, &counts);
     }
 
     #[test]

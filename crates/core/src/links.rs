@@ -53,13 +53,6 @@ impl ListId {
     pub fn idx(self) -> usize {
         self.0 as usize
     }
-
-    /// Constructs from a raw index (crate-internal: ids are only issued
-    /// by [`Links::build`]'s interner).
-    #[inline]
-    pub(crate) fn new(raw: u32) -> Self {
-        ListId(raw)
-    }
 }
 
 /// The flat CSR buffers of a [`Links`] as raw `u32` tables — the
@@ -112,15 +105,17 @@ impl Links {
     /// computes the topological order (failing on cyclic hand-built
     /// memos).
     ///
-    /// The build is parallel in its hot phase and *deterministic*: the
-    /// output is bit-identical at every thread count (see
+    /// The build forks once, for its hot phase — the scan is about four
+    /// fifths of a build, the topological order and the count pass a few
+    /// percent each and sequential (DESIGN §5) — and is *deterministic*:
+    /// the output is bit-identical at every thread count (see
     /// `tests/build_determinism.rs`). Three passes:
     ///
     /// 1. **Gather** (sequential, cheap): walk every expression's child
     ///    slots, assigning each *distinct* slot an index in
     ///    first-encounter order — no property scans yet.
     /// 2. **Scan** (parallel): one `eligible_children` property scan per
-    ///    distinct slot, fanned out over the `threadpool` workers. The
+    ///    distinct slot, fanned out in one `threadpool` section. The
     ///    scans are independent and their outputs are a pure function of
     ///    the slot, so the fan-out cannot perturb the result.
     /// 3. **Intern** (sequential, cheap): content-intern the per-slot
@@ -417,11 +412,7 @@ impl Links {
             + self.topo.capacity() * std::mem::size_of::<DenseId>()
     }
 
-    /// Smallest per-round frontier worth fanning out: each frontier
-    /// expression costs a few atomic decrements.
-    const PAR_MIN_TOPO: usize = 64;
-
-    /// Level-synchronous Kahn elimination producing a
+    /// Kahn elimination, frontier by frontier, producing a
     /// children-before-parents order; leftovers after the frontier runs
     /// dry are a cycle.
     ///
@@ -431,20 +422,16 @@ impl Links {
     /// (interning-free) link count the naive link graph would force it
     /// to visit. On Q8+CP that is ~80k edges instead of several million.
     ///
-    /// Unlike the DFS it replaced, each round's frontier is processed in
-    /// parallel: a frontier expression retires its membership edges with
-    /// an atomic `fetch_sub`, the worker that takes a counter to zero
-    /// (exactly one, by atomicity) collects the newly-ready node, and the
-    /// round's collected successors are merged and **sorted by dense id**
-    /// before becoming the next frontier. Sorting is what keeps the
-    /// output bit-identical at every thread count: the set of nodes per
-    /// level is a property of the graph, and the order within a level is
-    /// pinned by the sort rather than by scheduling. (The order differs
-    /// from the old DFS post-order — only the children-before-parents
-    /// property is contractual, and `from_parts` validates topo only as
-    /// a permutation, so persisted artifacts remain loadable.)
+    /// A frontier expression retires its membership edges; a list whose
+    /// last member retired retires its consumers' slot edges; an
+    /// expression whose last slot retired joins the next frontier, which
+    /// is **sorted by dense id** before it is emitted. The sort makes
+    /// the order a function of the graph alone — the set of nodes per
+    /// level is a property of the graph, the order within a level is the
+    /// sort's — and it is the order persisted artifacts carry, so it is
+    /// kept byte for byte. (Only the children-before-parents property is
+    /// contractual: `from_parts` validates topo as a permutation.)
     fn topo_sort(&self) -> Result<Vec<DenseId>, SpaceError> {
-        use std::sync::atomic::{AtomicU32, Ordering};
         let n = self.num_exprs();
         let num_lists = self.num_lists();
 
@@ -487,56 +474,47 @@ impl Links {
 
         // Outstanding dependencies. An expression is ready when all its
         // slot lists are finished; a list when all its members retired.
-        let pending_expr: Vec<AtomicU32> = (0..n)
-            .map(|e| AtomicU32::new(self.slot_bounds[e + 1] - self.slot_bounds[e]))
-            .collect();
-        let pending_list: Vec<AtomicU32> = (0..num_lists)
-            .map(|l| AtomicU32::new(self.list_bounds[l + 1] - self.list_bounds[l]))
-            .collect();
+        let mut pending_expr: Vec<u32> = self.slot_bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut pending_list: Vec<u32> = self.list_bounds.windows(2).map(|w| w[1] - w[0]).collect();
+
+        // Finishes list `l`: retires one slot edge of each consumer and
+        // collects those it readied.
+        let finish_list = |l: usize, pending_expr: &mut [u32], ready: &mut Vec<u32>| {
+            for &e in &consumers[consumer_bounds[l] as usize..consumer_bounds[l + 1] as usize] {
+                pending_expr[e as usize] -= 1;
+                if pending_expr[e as usize] == 0 {
+                    ready.push(e);
+                }
+            }
+        };
 
         // Round 0: leaves are born ready; empty lists (a slot that
         // filtered to no alternatives) finish immediately and may ready
         // their consumers before any expression retires.
         let mut frontier: Vec<u32> = (0..n as u32)
-            .filter(|&e| pending_expr[e as usize].load(Ordering::Relaxed) == 0)
+            .filter(|&e| pending_expr[e as usize] == 0)
             .collect();
-        for l in 0..num_lists {
-            if pending_list[l].load(Ordering::Relaxed) == 0 {
-                for &e in &consumers[consumer_bounds[l] as usize..consumer_bounds[l + 1] as usize] {
-                    if pending_expr[e as usize].fetch_sub(1, Ordering::Relaxed) == 1 {
-                        frontier.push(e);
-                    }
-                }
-            }
+        for (l, _) in pending_list.iter().enumerate().filter(|(_, &p)| p == 0) {
+            finish_list(l, &mut pending_expr, &mut frontier);
         }
         frontier.sort_unstable();
 
         let mut topo: Vec<DenseId> = Vec::with_capacity(n);
+        let mut next: Vec<u32> = Vec::new();
         while !frontier.is_empty() {
             topo.extend(frontier.iter().map(|&e| DenseId(e)));
-            let ready_per_expr: Vec<Vec<u32>> =
-                threadpool::parallel_map(frontier.len(), Self::PAR_MIN_TOPO, |i| {
-                    let e = frontier[i] as usize;
-                    let mut ready = Vec::new();
-                    for &l in
-                        &member_lists[member_bounds[e] as usize..member_bounds[e + 1] as usize]
-                    {
-                        if pending_list[l as usize].fetch_sub(1, Ordering::AcqRel) != 1 {
-                            continue;
-                        }
-                        let c = consumer_bounds[l as usize] as usize
-                            ..consumer_bounds[l as usize + 1] as usize;
-                        for &p in &consumers[c] {
-                            if pending_expr[p as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                ready.push(p);
-                            }
-                        }
+            for &e in &frontier {
+                let e = e as usize;
+                for &l in &member_lists[member_bounds[e] as usize..member_bounds[e + 1] as usize] {
+                    pending_list[l as usize] -= 1;
+                    if pending_list[l as usize] == 0 {
+                        finish_list(l as usize, &mut pending_expr, &mut next);
                     }
-                    ready
-                });
-            let mut next: Vec<u32> = ready_per_expr.into_iter().flatten().collect();
+                }
+            }
             next.sort_unstable();
-            frontier = next;
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
         }
 
         if topo.len() == n {
@@ -546,10 +524,9 @@ impl Links {
         // the walk can only converge into a cycle, and the first repeat
         // is on it. Every unprocessed expression has an unfinished slot
         // list, and every unfinished list an unprocessed member.
-        let unprocessed = |e: &AtomicU32| e.load(Ordering::Relaxed) > 0;
         let mut seen = vec![false; n];
         let mut e = (0..n)
-            .find(|&e| unprocessed(&pending_expr[e]))
+            .find(|&e| pending_expr[e] > 0)
             .expect("topo shortfall implies an unprocessed expression");
         loop {
             if std::mem::replace(&mut seen[e], true) {
@@ -560,12 +537,12 @@ impl Links {
             let l = self
                 .slot_lists(DenseId(e as u32))
                 .iter()
-                .find(|l| pending_list[l.idx()].load(Ordering::Relaxed) > 0)
+                .find(|l| pending_list[l.idx()] > 0)
                 .expect("an unprocessed expression has an unfinished list");
             e = self
                 .list(*l)
                 .iter()
-                .find(|d| unprocessed(&pending_expr[d.idx()]))
+                .find(|d| pending_expr[d.idx()] > 0)
                 .expect("an unfinished list has an unprocessed member")
                 .idx();
         }

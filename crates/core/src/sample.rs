@@ -73,8 +73,8 @@ impl PlanSpace {
     /// per draw** (asserted by `tests/alloc_counting.rs`).
     ///
     /// Large batches fan the unranking (the deterministic,
-    /// side-effect-free part) out in fixed-size chunks over the
-    /// persistent worker pool — written into `out`'s own per-chunk
+    /// side-effect-free part) out in fixed-size chunks over one
+    /// `threadpool` section — written into `out`'s own per-chunk
     /// shard batches and merged in draw order — so the batch content is
     /// bit-identical at every thread count and tier.
     ///
@@ -122,7 +122,7 @@ impl PlanSpace {
         } else {
             // Chunk `c` always covers draws `[c·PAR_MIN_DRAWS,
             // (c+1)·PAR_MIN_DRAWS)` — a mapping independent of how the
-            // pool splits the chunks across workers — and the shards
+            // section's threads claim the chunks — and the shards
             // merge in chunk order. Shards (and their own scratch) live
             // in `out` and keep their capacity across fills.
             let chunks = k.div_ceil(Self::PAR_MIN_DRAWS);

@@ -45,17 +45,9 @@ impl Json {
     }
 }
 
-/// What kind of scope is open (controls the closing bracket and
-/// whether members take keys).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScopeKind {
-    Obj,
-    Arr,
-}
-
+/// An open object scope.
 #[derive(Debug)]
 struct Scope {
-    kind: ScopeKind,
     /// Whether the scope already has a member (comma control).
     has_member: bool,
 }
@@ -63,9 +55,7 @@ struct Scope {
 /// Incremental writer for one JSON object tree. Keys are written in
 /// insertion order, values must be pushed via the typed methods, and
 /// `finish` closes every open scope — so the output is well-formed by
-/// construction. Inside an array scope (opened with [`ObjWriter::arr`])
-/// elements are pushed with the `elem_*` methods; everywhere else,
-/// members take keys.
+/// construction.
 #[derive(Debug, Default)]
 pub struct ObjWriter {
     out: String,
@@ -77,10 +67,7 @@ impl ObjWriter {
     pub fn new() -> Self {
         ObjWriter {
             out: "{".into(),
-            scopes: vec![Scope {
-                kind: ScopeKind::Obj,
-                has_member: false,
-            }],
+            scopes: vec![Scope { has_member: false }],
         }
     }
 
@@ -94,23 +81,8 @@ impl ObjWriter {
     }
 
     fn key(&mut self, key: &str) {
-        debug_assert!(
-            !matches!(self.scopes.last(), Some(s) if s.kind == ScopeKind::Arr),
-            "keyed member inside an array scope"
-        );
         self.comma();
         let _ = write!(self.out, "{}:", quoted(key));
-    }
-
-    fn push_scope(&mut self, kind: ScopeKind) {
-        self.out.push(match kind {
-            ScopeKind::Obj => '{',
-            ScopeKind::Arr => '[',
-        });
-        self.scopes.push(Scope {
-            kind,
-            has_member: false,
-        });
     }
 
     /// Writes a string member.
@@ -141,46 +113,23 @@ impl ObjWriter {
     /// Opens a nested object member.
     pub fn obj(&mut self, key: &str) -> &mut Self {
         self.key(key);
-        self.push_scope(ScopeKind::Obj);
-        self
-    }
-
-    /// Opens a nested array member; fill it with the `elem_*` methods.
-    pub fn arr(&mut self, key: &str) -> &mut Self {
-        self.key(key);
-        self.push_scope(ScopeKind::Arr);
-        self
-    }
-
-    /// Opens an object as the next element of the enclosing array.
-    pub fn elem_obj(&mut self) -> &mut Self {
-        debug_assert!(
-            matches!(self.scopes.last(), Some(s) if s.kind == ScopeKind::Arr),
-            "array element outside an array scope"
-        );
-        self.comma();
-        self.push_scope(ScopeKind::Obj);
+        self.out.push('{');
+        self.scopes.push(Scope { has_member: false });
         self
     }
 
     /// Closes the innermost nested scope.
     pub fn end(&mut self) -> &mut Self {
-        if let Some(scope) = self.scopes.pop() {
-            self.out.push(match scope.kind {
-                ScopeKind::Obj => '}',
-                ScopeKind::Arr => ']',
-            });
+        if self.scopes.pop().is_some() {
+            self.out.push('}');
         }
         self
     }
 
     /// Closes every open scope and returns the document.
     pub fn finish(mut self) -> String {
-        while let Some(scope) = self.scopes.pop() {
-            self.out.push(match scope.kind {
-                ScopeKind::Obj => '}',
-                ScopeKind::Arr => ']',
-            });
+        while self.scopes.pop().is_some() {
+            self.out.push('}');
         }
         self.out
     }
@@ -364,10 +313,11 @@ mod tests {
     fn writer_output_reparses() {
         let mut w = ObjWriter::new();
         w.str("name", "load \"test\"").int("n", 42);
-        w.obj("nested").float("p50", 1.25).end();
+        w.obj("nested").float("p50", 1.25).end().int("after", 7);
         let text = w.finish();
         let parsed = parse(&text).unwrap();
         assert_eq!(parsed.get("n").and_then(Json::as_num), Some(42.0));
+        assert_eq!(parsed.get("after").and_then(Json::as_num), Some(7.0));
         assert_eq!(
             parsed
                 .get("nested")
@@ -379,21 +329,16 @@ mod tests {
     }
 
     #[test]
-    fn writer_arrays_reparse() {
-        let mut w = ObjWriter::new();
-        w.int("reactors", 2).arr("per_reactor");
-        for i in 0..2u64 {
-            w.elem_obj().int("index", i).int("requests", 10 * i).end();
-        }
-        w.end().int("after", 7);
-        let parsed = parse(&w.finish()).unwrap();
+    fn arrays_parse() {
+        let text =
+            r#"{"reactors":2,"per_reactor":[{"index":0,"requests":0},{"index":1,"requests":10}]}"#;
+        let parsed = parse(text).unwrap();
         let arr = match parsed.get("per_reactor") {
             Some(Json::Arr(items)) => items,
             other => panic!("expected array, got {other:?}"),
         };
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[1].get("requests").and_then(Json::as_num), Some(10.0));
-        assert_eq!(parsed.get("after").and_then(Json::as_num), Some(7.0));
     }
 
     #[test]

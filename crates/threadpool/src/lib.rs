@@ -1,43 +1,46 @@
-//! Workspace-internal data parallelism: a persistent worker pool with
-//! a parallel map over an index range and a parallel for-each over a
+//! Workspace-internal data parallelism: fork-join over an index range
+//! on scoped threads — a parallel map and a parallel for-each over a
 //! mutable slice.
 //!
 //! The build environment for this repository has no crates.io access, so
 //! — following the `rand`/`proptest` pattern — this crate
 //! vendors the slice of `rayon`-style functionality the plan-space
-//! construction and batched sampling actually use: fork-join over a
-//! contiguous index range. Workers are **persistent**: the first
-//! parallel section lazily starts the global [`Pool`], and subsequent
-//! sections reuse its parked threads instead of paying a spawn per fork
-//! (tens of microseconds per thread under the old scoped-spawn shim —
-//! larger than an entire 64-draw sample batch).
+//! construction and batched sampling actually use.
 //!
-//! # Architecture
+//! # Sections
 //!
-//! One global chunked **injector queue** of jobs. A job is a
-//! lifetime-erased closure over `0..len` plus an atomic chunk cursor;
-//! workers (and the submitting caller itself) repeatedly claim the next
-//! chunk with a `fetch_add` until the range is exhausted. Dynamic
-//! chunk claiming is what provides the load balancing a work-stealing
-//! deque would — without per-worker queues, which nothing here needs:
-//! jobs are index ranges, not recursive task graphs. Idle workers park
-//! on a condvar and are woken per job submission; the caller blocks
-//! until every chunk of *its* job has finished, so borrowed closures
-//! are sound (the job cannot outlive the call). Panics inside a body
-//! are caught per chunk, stop further chunks of that job, and are
-//! re-thrown on the caller — the pool itself and unrelated concurrent
-//! jobs are unaffected.
+//! A parallel section is one [`std::thread::scope`]: the caller and the
+//! helpers it spawns claim pieces of the range (chunks of indices from
+//! an atomic cursor, or elements of the slice) until none is left, and
+//! the scope joins every helper before the entry point returns, so
+//! bodies borrow from the caller's stack in safe code. No thread
+//! outlives its section; a spawn and join costs about 20 µs a helper
+//! (EXPERIMENTS §E17), which a caller's `min_chunk` must dwarf. The
+//! caller always takes part, so a section completes with however few
+//! helpers it was granted — none included — and sections nest.
+//!
+//! Helpers are **budgeted process-wide** by one atomic count of the
+//! live ones, because many threads can be inside a section at once (a
+//! server's `reactors × workers`) and must not each spawn a full
+//! complement: a section that resolved `workers` threads takes as many
+//! of its `workers − 1` helpers as keep the count at or below that,
+//! runs with fewer (or alone) otherwise, and returns them when it ends,
+//! unwinding included.
+//!
+//! A **panicking body** stops the section's threads from claiming
+//! further pieces; once all have finished, the first panic's original
+//! payload is re-thrown on the caller. Results already produced are
+//! dropped exactly once; later sections are unaffected.
 //!
 //! # Determinism
 //!
-//! Both entry points are sequential-consistent by construction: every
-//! index is processed exactly once and results are committed in index
-//! order ([`parallel_map`] writes result `i` into slot `i` of the
-//! output, whichever worker produced it), so parallel and
+//! Every index is processed exactly once and results are committed by
+//! index, never by completion order ([`parallel_map`] concatenates its
+//! chunks' results in chunk order), so parallel and
 //! single-threaded runs are bit-identical for deterministic bodies —
-//! the contract `Links::build`, `Counts::compute`, and `sample_batch`
-//! build on. Which worker runs which chunk is *not* deterministic; the
-//! committed output is.
+//! the contract `Links::build` and `sample_batch` build on. Which
+//! thread runs which piece is *not* deterministic; the committed output
+//! is.
 //!
 //! # Thread-count resolution
 //!
@@ -59,22 +62,18 @@
 //!    answer would latch the affinity mask of whichever thread asked
 //!    first, and callers pin threads after process start.
 //!
-//! The resolved count is a *target*: the global pool grows on demand to
-//! one thread below it (the caller is the remaining worker) and keeps
-//! the high-water mark parked for later sections. Ranges smaller than
-//! two `min_chunk`s, and 1-thread configurations, run entirely inline
-//! on the caller — no queue traffic, no wakeups. A range that short is
-//! recognized *before* the thread count is resolved, so it never reaches
-//! steps 3 and 4: a small section costs no `getenv` and no host probe.
+//! A range shorter than two `min_chunk`s is recognized as inline
+//! *before* the thread count is resolved, so it never reaches steps 3
+//! and 4: a small section costs no `getenv` and no host probe.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Process-wide override; 0 = unset.
 static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -84,11 +83,10 @@ thread_local! {
     static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
 }
 
-/// `PLANSAMPLE_THREADS`, parsed fresh on every call. The previous shim
-/// cached the first read in a `OnceLock`, which made later env changes
-/// silently inert (see the `env_var_changes_are_observed` regression
-/// test); one `getenv` per *parallel section* (not per chunk) is cheap
-/// enough not to cache.
+/// `PLANSAMPLE_THREADS`, parsed fresh on every call: a read cached at
+/// first use made later env changes silently inert (see the
+/// `env_var_changes_are_observed` regression test), and one `getenv`
+/// per *parallel section* (not per chunk) is cheap enough not to cache.
 fn env_threads() -> Option<usize> {
     std::env::var("PLANSAMPLE_THREADS")
         .ok()
@@ -143,278 +141,77 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
 }
 
 // ---------------------------------------------------------------------
-// Jobs
+// Sections
 // ---------------------------------------------------------------------
 
-/// A lifetime-erased parallel section queued on a pool.
-///
-/// `run` processes one chunk of `0..len` through `data`, which points at
-/// a stack frame of the submitting caller. Soundness: the caller blocks
-/// in [`Pool::run_job`] until `pending` reaches zero, and chunks are
-/// only executed between a successful claim and the matching
-/// `finish_chunk`, so `data` strictly outlives every dereference.
-struct Job {
-    /// Executes chunk `i` (of `chunks` total).
-    ///
-    /// # Safety
-    /// Must be called with this job's `data`, while `data` is alive,
-    /// and at most once per chunk index `i < chunks`.
-    run: unsafe fn(*const (), usize),
-    /// Borrowed closure context on the caller's stack.
-    data: *const (),
-    /// Next chunk to claim.
-    cursor: AtomicUsize,
-    /// Total chunks.
-    chunks: usize,
-    /// Chunks not yet finished (claimed-and-run, skipped, or abandoned).
-    pending: AtomicUsize,
-    /// Set once a chunk panicked: remaining chunks are skipped so the
-    /// caller re-throws promptly instead of finishing a doomed section.
-    poisoned: AtomicBool,
-    /// First panic payload, re-thrown by the caller.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Completion signal: the last finished chunk notifies the caller.
-    done: Mutex<bool>,
-    done_cv: Condvar,
-}
+/// Helper threads alive in the process, across every section. Like the
+/// cursors and stop flags below it publishes no data — results travel
+/// through mutexes and the scope's join — so `Relaxed` is enough.
+static LIVE_HELPERS: AtomicUsize = AtomicUsize::new(0);
 
-// SAFETY (both impls): `data` is only dereferenced through `run` while
-// the submitting caller is blocked in `run_job`, and the erased closure
-// is `Sync` (the public entry points bound it). The raw pointer itself
-// is what strips the automatic impls; every other field is `Send + Sync`.
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
+/// A section's share of the helper budget, returned when dropped.
+struct Helpers(usize);
 
-impl Job {
-    /// A fresh job of `chunks` chunks running `run` over `data`.
-    fn new(run: unsafe fn(*const (), usize), data: *const (), chunks: usize) -> Arc<Job> {
-        Arc::new(Job {
-            run,
-            data,
-            cursor: AtomicUsize::new(0),
-            chunks,
-            pending: AtomicUsize::new(chunks),
-            poisoned: AtomicBool::new(false),
-            panic: Mutex::new(None),
-            done: Mutex::new(false),
-            done_cv: Condvar::new(),
-        })
-    }
-
-    /// Claims and runs chunks until the job is exhausted or poisoned.
-    /// Returns how many chunks this thread finished.
-    fn work(&self) -> usize {
-        let mut finished = 0;
-        loop {
-            let c = self.cursor.fetch_add(1, Ordering::AcqRel);
-            if c >= self.chunks {
-                return finished;
-            }
-            if !self.poisoned.load(Ordering::Acquire) {
-                // SAFETY: chunk `c` was claimed exactly once above, and
-                // the caller keeps `data` alive until `pending` drains.
-                let result = catch_unwind(AssertUnwindSafe(|| unsafe { (self.run)(self.data, c) }));
-                if let Err(payload) = result {
-                    self.poisoned.store(true, Ordering::Release);
-                    let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-                    slot.get_or_insert(payload);
-                }
-            }
-            finished += 1;
-            self.finish_chunk();
-        }
-    }
-
-    fn finish_chunk(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-            *done = true;
-            self.done_cv.notify_all();
-        }
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cursor.load(Ordering::Acquire) >= self.chunks
+impl Helpers {
+    /// Takes as many of `want` helpers as keep the live total at or
+    /// below `want`.
+    fn take(want: usize) -> Helpers {
+        let mut granted = 0;
+        let _ = LIVE_HELPERS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+            granted = want.saturating_sub(live);
+            Some(live + granted)
+        });
+        Helpers(granted)
     }
 }
 
-// ---------------------------------------------------------------------
-// The pool
-// ---------------------------------------------------------------------
-
-/// The injector queue shared by a pool's workers.
-struct Injector {
-    /// Jobs with unclaimed chunks. Workers lazily drop exhausted fronts.
-    queue: Mutex<VecDeque<Arc<Job>>>,
-    /// Wakes parked workers on submission (and on shutdown).
-    available: Condvar,
-    /// Set by [`Pool::drop`]; workers exit their loop.
-    shutdown: AtomicBool,
-    /// Live worker threads (observability for the leak tests).
-    live: AtomicUsize,
-}
-
-/// A persistent worker pool.
-///
-/// The module-level entry points ([`parallel_for_each_mut`],
-/// [`parallel_map`]) use a lazily-started global instance that lives
-/// for the process (its idle workers park on a condvar and cost
-/// nothing; process exit tears them down). Separate instances exist for
-/// tests of the pool's own lifecycle: dropping a `Pool` signals shutdown
-/// and **joins** every worker, so no threads outlive it.
-pub struct Pool {
-    injector: Arc<Injector>,
-    /// Join handles of spawned workers, behind a mutex so `ensure_workers`
-    /// can grow the pool from any thread.
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl Pool {
-    /// Creates an empty pool; workers are spawned on demand by the
-    /// parallel sections submitted to it.
-    pub fn new() -> Pool {
-        Pool {
-            injector: Arc::new(Injector {
-                queue: Mutex::new(VecDeque::new()),
-                available: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                live: AtomicUsize::new(0),
-            }),
-            workers: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Worker threads currently spawned (the high-water mark of demanded
-    /// parallelism, not the number currently busy).
-    pub fn spawned_workers(&self) -> usize {
-        self.workers.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Worker threads currently running their loop — drains to zero
-    /// after [`Pool`] is dropped (test observability; the handle can be
-    /// cloned out before the drop).
-    pub fn live_workers(&self) -> usize {
-        self.injector.live.load(Ordering::Acquire)
-    }
-
-    /// Grows the pool to at least `target` workers.
-    fn ensure_workers(&self, target: usize) {
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        while workers.len() < target {
-            let injector = Arc::clone(&self.injector);
-            injector.live.fetch_add(1, Ordering::AcqRel);
-            let handle = std::thread::Builder::new()
-                .name(format!("plansample-worker-{}", workers.len()))
-                .spawn(move || worker_loop(&injector))
-                .expect("spawning a pool worker");
-            workers.push(handle);
-        }
-    }
-
-    /// Runs a prepared job to completion: queues it, participates in the
-    /// chunk claiming, then blocks until every chunk finished. Re-throws
-    /// the first body panic.
-    ///
-    /// # Safety
-    /// `job.data` must stay valid until this returns (guaranteed when it
-    /// points into the caller's own stack frame).
-    unsafe fn run_job(&self, job: Arc<Job>, helpers: usize) {
-        self.ensure_workers(helpers);
-        {
-            let mut queue = self
-                .injector
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            queue.push_back(Arc::clone(&job));
-        }
-        // One wakeup per helper the job can actually use; surplus parked
-        // workers stay parked.
-        for _ in 0..helpers {
-            self.injector.available.notify_one();
-        }
-
-        // The caller is a full participant — this is what makes nested
-        // sections deadlock-free: even with every worker busy, the
-        // submitting thread drives its own job to completion.
-        job.work();
-
-        // Wait for chunks claimed by workers that are still running.
-        let mut done = job.done.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
-            done = job.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
-        drop(done);
-
-        let payload = job.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool::new()
-    }
-}
-
-impl Drop for Pool {
-    /// Clean shutdown: signals every worker and joins them, so a dropped
-    /// pool leaks no threads (asserted by the lifecycle tests). The
-    /// global pool is never dropped; its parked workers die with the
-    /// process.
+impl Drop for Helpers {
     fn drop(&mut self) {
-        self.injector.shutdown.store(true, Ordering::Release);
-        self.injector.available.notify_all();
-        let workers = std::mem::take(&mut *self.workers.lock().unwrap_or_else(|e| e.into_inner()));
-        for handle in workers {
-            let _ = handle.join();
-        }
+        LIVE_HELPERS.fetch_sub(self.0, Ordering::Relaxed);
     }
 }
 
-/// The worker body: pull a job with unclaimed chunks, drain it, park
-/// when the queue is empty. Body panics are contained inside
-/// [`Job::work`], so a worker survives arbitrary caller bugs.
-fn worker_loop(injector: &Injector) {
-    loop {
-        let job: Option<Arc<Job>> = {
-            let mut queue = injector.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if injector.shutdown.load(Ordering::Acquire) {
-                    break None;
-                }
-                // Drop exhausted fronts; claim the first live job.
-                while queue.front().is_some_and(|j| j.exhausted()) {
-                    queue.pop_front();
-                }
-                if let Some(job) = queue.front() {
-                    break Some(Arc::clone(job));
-                }
-                queue = injector
-                    .available
-                    .wait(queue)
-                    .unwrap_or_else(|e| e.into_inner());
+/// One parallel section: the caller and up to `workers − 1` scoped
+/// helpers each call `step` until it returns `false` (nothing left to
+/// claim) or a `step` has panicked; the first panic is re-thrown here
+/// once every thread has finished.
+fn fork_join(workers: usize, step: impl Fn() -> bool + Sync) {
+    let helpers = Helpers::take(workers - 1);
+    let stop = AtomicBool::new(false);
+    let panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
+    let run = || {
+        let drain = || loop {
+            if stop.load(Ordering::Relaxed) || !step() {
+                break;
             }
         };
-        let Some(job) = job else {
-            injector.live.fetch_sub(1, Ordering::AcqRel);
-            return;
-        };
-        job.work();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(drain)) {
+            stop.store(true, Ordering::Relaxed);
+            panic
+                .lock()
+                .expect("nothing panics holding the payload slot")
+                .get_or_insert(payload);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..helpers.0 {
+            // A helper the host will not start is one the section does
+            // without: the caller drains whatever nobody else claims.
+            let spawned = std::thread::Builder::new().spawn_scoped(scope, run);
+            if spawned.is_err() {
+                break;
+            }
+        }
+        run();
+    });
+    drop(helpers);
+    let payload = panic
+        .into_inner()
+        .expect("nothing panics holding the payload slot");
+    if let Some(payload) = payload {
+        resume_unwind(payload);
     }
 }
-
-/// The process-global pool behind the module-level entry points.
-fn global() -> &'static Pool {
-    static GLOBAL: OnceLock<Pool> = OnceLock::new();
-    GLOBAL.get_or_init(Pool::new)
-}
-
-// ---------------------------------------------------------------------
-// Entry points
-// ---------------------------------------------------------------------
 
 /// How many workers a range of `len` items deserves, given the smallest
 /// chunk worth a thread. A range with work for one worker at most is
@@ -435,19 +232,14 @@ fn chunk_size(len: usize, min_chunk: usize, workers: usize) -> usize {
     len.div_ceil(workers * 4).max(min_chunk.max(1))
 }
 
-/// Runs `body(i, &mut items[i])` for every element, in parallel — the
-/// safe way to let workers fill disjoint slots of a caller-owned slice
-/// (e.g. per-chunk output buffers whose capacity must survive the
-/// section). Every element is its own unit of work, claimed dynamically
-/// by the pool's workers (the caller's thread participates); a 1-thread
+/// Runs `body(i, &mut items[i])` for every element, in one section —
+/// the safe way to let threads fill disjoint slots of a caller-owned
+/// slice (e.g. per-chunk output buffers whose capacity must survive the
+/// section). Every element is its own unit of work and costs one mutex
+/// lock to claim, so it should be worth far more than that; a 1-thread
 /// configuration or a slice of fewer than two elements runs inline, in
-/// index order.
-///
-/// Which worker visits which element is not deterministic; since each
-/// element is visited exactly once with exclusive access, the committed
-/// slice is, for deterministic bodies. Panics in `body` propagate to
-/// the caller after the section quiesces; elements not yet started by
-/// then are left as they were.
+/// index order. After a panic in `body`, elements not yet started are
+/// left as they were.
 pub fn parallel_for_each_mut<T, F>(items: &mut [T], body: F)
 where
     T: Send,
@@ -460,56 +252,25 @@ where
         }
         return;
     }
-
-    struct EachCtx<'a, T, F> {
-        body: &'a F,
-        items: *mut T,
-    }
-    // SAFETY: `body` is `Sync`; `items` is only dereferenced at
-    // distinct in-bounds indices (one per chunk, see `run_chunk`), and
-    // handing `&mut T` to another thread needs `T: Send`.
-    unsafe impl<T: Send, F: Sync> Sync for EachCtx<'_, T, F> {}
-
-    /// # Safety
-    /// `data` must point at a live `EachCtx<T, F>` whose `items` holds
-    /// more than `c` elements, and no other call may use the same `c`.
-    unsafe fn run_chunk<T: Send, F: Fn(usize, &mut T) + Sync>(data: *const (), c: usize) {
-        // SAFETY: `data` points at the `EachCtx` on the submitting
-        // caller's stack, alive for the whole section (see `run_job`).
-        let ctx = unsafe { &*(data as *const EachCtx<'_, T, F>) };
-        // SAFETY: the job has exactly `items.len()` chunks, so `c` is in
-        // bounds; chunk `c` is claimed exactly once, so this is the only
-        // live reference to element `c`; and the caller's `&mut [T]`
-        // borrow is held (unused) by `parallel_for_each_mut` until
-        // every chunk has finished.
-        let item = unsafe { &mut *ctx.items.add(c) };
-        (ctx.body)(c, item);
-    }
-
-    let ctx = EachCtx {
-        body: &body,
-        items: items.as_mut_ptr(),
-    };
-    let job = Job::new(
-        run_chunk::<T, F>,
-        &ctx as *const EachCtx<'_, T, F> as *const (),
-        items.len(),
-    );
-    // SAFETY: `ctx` and the `items` borrow outlive `run_job`, which
-    // blocks until every chunk has finished.
-    unsafe { global().run_job(job, workers - 1) };
+    let next = Mutex::new(items.iter_mut().enumerate());
+    fork_join(workers, || {
+        // The guard is a temporary of this statement: the lock is
+        // released before `body` runs.
+        let claimed = next.lock().expect("a slice iterator does not panic").next();
+        let Some((i, item)) = claimed else {
+            return false;
+        };
+        body(i, item);
+        true
+    });
 }
 
-/// Maps `f` over `0..len` in parallel, returning results in index order
-/// — the deterministic fork-join primitive the plan-space construction
-/// and batched sampling are built on. The range is split into
-/// contiguous chunks of at least `min_chunk` indices, claimed
-/// dynamically by the pool's workers (the caller's thread participates);
-/// ranges shorter than two `min_chunk`s (or a 1-thread configuration)
-/// run entirely inline. Each result is written directly into its output
-/// slot (no per-worker buffers), so the committed vector is identical
-/// at every thread count. Panics in `f` propagate to the caller after
-/// the section quiesces; results already produced are dropped.
+/// Maps `f` over `0..len` in one section, returning results in index
+/// order. The range is split into contiguous chunks of at least
+/// `min_chunk` indices; each chunk collects its own results and the
+/// chunks are concatenated in chunk order. Ranges shorter than two
+/// `min_chunk`s (or a 1-thread configuration) run entirely inline.
+/// After a panic in `f`, results already produced are dropped.
 pub fn parallel_map<R, F>(len: usize, min_chunk: usize, f: F) -> Vec<R>
 where
     R: Send,
@@ -519,86 +280,23 @@ where
     if workers == 1 {
         return (0..len).map(f).collect();
     }
-    let mut out: Vec<R> = Vec::with_capacity(len);
     let chunk = chunk_size(len, min_chunk, workers);
-    let chunks = len.div_ceil(chunk);
-    // Per-chunk count of slots initialized so far: the panic path must
-    // drop exactly the elements that were written and no others.
-    let progress: Vec<AtomicUsize> = (0..chunks).map(|_| AtomicUsize::new(0)).collect();
-
-    struct MapCtx<'a, R, F> {
-        f: &'a F,
-        out: *mut R,
-        len: usize,
-        chunk: usize,
-        progress: &'a [AtomicUsize],
-    }
-    // SAFETY: `f` and `progress` are `Sync`; `out` is only written at
-    // distinct in-bounds slots (each index belongs to exactly one
-    // chunk, see `run_chunk`), and moving an `R` produced on a worker
-    // into the caller's buffer needs `R: Send`.
-    unsafe impl<R: Send, F: Sync> Sync for MapCtx<'_, R, F> {}
-
-    /// # Safety
-    /// `data` must point at a live `MapCtx<R, F>` whose `out` has
-    /// capacity for `len` elements, and no other call may use the same
-    /// `c`.
-    unsafe fn run_chunk<R: Send, F: Fn(usize) -> R + Sync>(data: *const (), c: usize) {
-        // SAFETY: `data` points at the `MapCtx` on the submitting
-        // caller's stack; chunk `c` owns the disjoint output slice
-        // `[c*chunk, min((c+1)*chunk, len))`, claimed exactly once.
-        let ctx = unsafe { &*(data as *const MapCtx<'_, R, F>) };
-        let start = c * ctx.chunk;
-        let end = (start + ctx.chunk).min(ctx.len);
-        for i in start..end {
-            let value = (ctx.f)(i);
-            // SAFETY: `i < len ≤ capacity`, the slot is uninitialized,
-            // and only this chunk writes it.
-            unsafe { ctx.out.add(i).write(value) };
-            ctx.progress[c].store(i - start + 1, Ordering::Release);
+    let cursor = AtomicUsize::new(0);
+    let parts: Mutex<Vec<Vec<R>>> =
+        Mutex::new((0..len.div_ceil(chunk)).map(|_| Vec::new()).collect());
+    fork_join(workers, || {
+        let start = cursor.fetch_add(1, Ordering::Relaxed) * chunk;
+        if start >= len {
+            return false;
         }
-    }
-
-    let ctx = MapCtx {
-        f: &f,
-        out: out.as_mut_ptr(),
-        len,
-        chunk,
-        progress: &progress,
-    };
-    let job = Job::new(
-        run_chunk::<R, F>,
-        &ctx as *const MapCtx<'_, R, F> as *const (),
-        chunks,
-    );
-    // SAFETY: `ctx` (and `out`'s buffer) outlive `run_job`, which blocks
-    // until every chunk has finished; afterwards either every slot is
-    // initialized (normal path) or `progress` bounds what was.
-    let result = catch_unwind(AssertUnwindSafe(|| unsafe {
-        global().run_job(job, workers - 1)
-    }));
-    match result {
-        Ok(()) => {
-            // SAFETY: every chunk ran to completion, so all `len` slots
-            // (within the `len` capacity reserved above) are initialized.
-            unsafe { out.set_len(len) };
-            out
-        }
-        Err(payload) => {
-            // Drop exactly the initialized prefix of each chunk, leave
-            // `out`'s length at 0 so the vec frees only raw capacity.
-            for (c, written) in progress.iter().enumerate() {
-                let start = c * chunk;
-                for i in start..start + written.load(Ordering::Acquire) {
-                    // SAFETY: `progress[c]` counts the slots chunk `c`
-                    // initialized, from its start; each is dropped once
-                    // here and never again (`out`'s length stays 0).
-                    unsafe { std::ptr::drop_in_place(out.as_mut_ptr().add(i)) };
-                }
-            }
-            resume_unwind(payload);
-        }
-    }
+        let part: Vec<R> = (start..(start + chunk).min(len)).map(&f).collect();
+        parts.lock().expect("storing a chunk does not panic")[start / chunk] = part;
+        true
+    });
+    let parts = parts.into_inner().expect("storing a chunk does not panic");
+    let mut out = Vec::with_capacity(len);
+    out.extend(parts.into_iter().flatten());
+    out
 }
 
 #[cfg(test)]
@@ -766,25 +464,6 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_private_pool_joins_its_workers() {
-        // The no-thread-leak contract: Drop signals shutdown and joins,
-        // so after drop the workers' liveness count (read through a
-        // handle that outlives the pool) is zero.
-        let pool = Pool::new();
-        pool.ensure_workers(3);
-        assert_eq!(pool.spawned_workers(), 3);
-        // Give the workers a beat to enter their loop, then grab the
-        // observability handle and drop the pool.
-        let injector = Arc::clone(&pool.injector);
-        drop(pool);
-        assert_eq!(
-            injector.live.load(Ordering::Acquire),
-            0,
-            "drop must join every worker before returning"
-        );
-    }
-
-    #[test]
     fn env_var_changes_are_observed() {
         // Regression for the read-once staleness bug: the env variable
         // must be re-resolved per call, even after earlier pool use.
@@ -857,5 +536,126 @@ mod tests {
         assert_eq!(num_threads(), 2);
         set_num_threads(0);
         assert!(num_threads() >= 1);
+    }
+
+    #[test]
+    fn nested_sections_complete() {
+        // Helpers have no thread-local override, so the body pins its own.
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); 16];
+        with_threads(4, || {
+            parallel_for_each_mut(&mut rows, |r, row| {
+                *row = with_threads(4, || parallel_map(64, 1, |i| r * 100 + i));
+            });
+        });
+        for (r, row) in rows.iter().enumerate() {
+            assert_eq!(*row, (0..64).map(|i| r * 100 + i).collect::<Vec<_>>());
+        }
+    }
+
+    /// The helper count is process-wide, and the other tests of this
+    /// binary fork on concurrent threads, the widest under
+    /// `with_threads(9)`. A test that reads the count, or needs its
+    /// helpers granted, fences the others out: with `FENCE` phantom
+    /// helpers on the books no section of theirs is granted any, and
+    /// once those already running have returned theirs the count is
+    /// `FENCE` plus what the fenced test's own sections hold — which run
+    /// under `with_threads(FENCE + n)` to be budgeted as
+    /// `with_threads(n)` is in a quiet process.
+    const FENCE: usize = 8;
+
+    struct Fence(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    impl Fence {
+        fn raise() -> Fence {
+            static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+            let guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+            LIVE_HELPERS.fetch_add(FENCE, Ordering::Relaxed);
+            while LIVE_HELPERS.load(Ordering::Relaxed) != FENCE {
+                std::thread::yield_now();
+            }
+            Fence(guard)
+        }
+
+        /// Helpers held by the fenced test's own sections.
+        fn live_helpers(&self) -> usize {
+            LIVE_HELPERS.load(Ordering::Relaxed) - FENCE
+        }
+    }
+
+    impl Drop for Fence {
+        fn drop(&mut self) {
+            LIVE_HELPERS.fetch_sub(FENCE, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn helpers_are_budgeted_process_wide() {
+        const CALLERS: usize = 8;
+        let fence = Fence::raise();
+        // Every body samples the live count and then holds its section
+        // open until all eight sections have run a body, so the first
+        // body of the last section samples with all eight shares out.
+        let (entered, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let section = || {
+            let first = AtomicBool::new(true);
+            let got = with_threads(FENCE + 4, || {
+                parallel_map(96, 1, |i| {
+                    peak.fetch_max(fence.live_helpers(), Ordering::Relaxed);
+                    if first.swap(false, Ordering::Relaxed) {
+                        entered.fetch_add(1, Ordering::Relaxed);
+                    }
+                    while entered.load(Ordering::Relaxed) < CALLERS {
+                        std::thread::yield_now();
+                    }
+                    i
+                })
+            });
+            assert_eq!(got, (0..96).collect::<Vec<_>>());
+        };
+        std::thread::scope(|scope| {
+            for _ in 0..CALLERS {
+                scope.spawn(section);
+            }
+        });
+        // The first section in was granted all three helpers of a
+        // four-thread section; nobody pushed the total past that.
+        assert_eq!(peak.load(Ordering::Relaxed), 3);
+        assert_eq!(fence.live_helpers(), 0);
+
+        let panicking = || with_threads(FENCE + 4, || parallel_map(96, 1, |i| assert_ne!(i, 48)));
+        assert!(std::panic::catch_unwind(panicking).is_err());
+        assert_eq!(
+            fence.live_helpers(),
+            0,
+            "a panicking section returns its helpers"
+        );
+    }
+
+    #[test]
+    fn the_rethrown_payload_is_the_bodys_own() {
+        let _fence = Fence::raise(); // so that the section is granted its one helper
+        let caller = std::thread::current().id();
+        for on_helper in [true, false] {
+            // The side that does not panic waits for the one that does.
+            let raised = AtomicBool::new(false);
+            let body = |i: usize| {
+                if (std::thread::current().id() != caller) == on_helper {
+                    raised.store(true, Ordering::Relaxed);
+                    panic!("the body's own words");
+                }
+                while !raised.load(Ordering::Relaxed) {
+                    std::thread::yield_now();
+                }
+                i
+            };
+            let section =
+                AssertUnwindSafe(|| with_threads(FENCE + 2, || parallel_map(64, 1, body)));
+            let payload = std::panic::catch_unwind(section).expect_err("the section re-throws");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"the body's own words"),
+                "on_helper = {on_helper}"
+            );
+        }
     }
 }

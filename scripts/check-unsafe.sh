@@ -2,12 +2,11 @@
 # The workspace's `unsafe` budget, enforced (CI `check` job).
 #
 # 1. `unsafe` code may appear only in the files/directories listed in
-#    ALLOW below: the worker pool's lifetime erasure, the poll FFI of
-#    the server, the scheduler-affinity FFI of the benchmark harness,
-#    and the two counting allocators. Everything else is
-#    `#![forbid(unsafe_code)]` at its crate root; this script also
-#    covers the targets that attribute does not reach (tests,
-#    examples).
+#    ALLOW below: the poll FFI of the server, the scheduler-affinity
+#    FFI of the benchmark harness, and the two counting allocators.
+#    Everything else is `#![forbid(unsafe_code)]` at its crate root;
+#    this script also covers the targets that attribute does not reach
+#    (tests, examples).
 # 2. Inside the allowlist, every line of code that says `unsafe` must
 #    have a `// SAFETY:` comment (or a `# Safety` doc section) on it or
 #    within the WINDOW lines above it.
@@ -20,7 +19,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ALLOW=(
-  crates/threadpool/
   crates/serve/src/reactor.rs
   crates/benchmark/src/alloc.rs
   crates/benchmark/src/workloads/serve.rs

@@ -1,9 +1,9 @@
-//! Thread-count determinism of the parallel plan-space build.
+//! Thread-count determinism of the plan-space build.
 //!
-//! `Links::build` fans its property scans out per distinct slot,
-//! `Counts::compute` fills topo-order *levels* in parallel, and
-//! `sample_batch` unranks draws concurrently — all with a deterministic
-//! merge. These tests pin the contract those optimizations promise: a
+//! `Links::build` fans its property scans out per distinct slot and
+//! `sample_batch` unranks draws concurrently — both with a
+//! deterministic merge; the topological order and `Counts::compute`
+//! are sequential. These tests pin the contract the forks promise: a
 //! 1-thread build and an N-thread build of the same memo produce
 //! **bit-identical** `Counts`, list layouts, ranks, and sample batches,
 //! on random join-graph topologies (optimizer-built memos) and on a
