@@ -31,7 +31,10 @@
 //! tier ladder `u64` → `u128` → [`Nat`] ([`CountTier`]) — and the whole
 //! rank machinery runs in that width. A fixed-width space owns no
 //! `Vec<Nat>`; [`Counts::rooted`] / [`Counts::list_total`] synthesise a
-//! [`Nat`] by value at the API edge.
+//! [`Nat`] by value at the API edge. Beside `N(v)` and `b` the store
+//! keeps, per interned list, the inclusive running sums of its members'
+//! counts — §3.3's prefix sums — so choosing an operator is a binary
+//! search and not a scan ([`TierCounts`]).
 
 use crate::word::Word;
 use crate::{links::ListId, Links, SpaceError};
@@ -118,49 +121,67 @@ impl std::fmt::Display for CountTier {
 /// can exceed the space total, so "total fits" does not imply "all
 /// values fit".
 ///
-/// `pool` is **pool-aligned**: `pool[i]` is the count of the expression
-/// at position `i` of the links' concatenated list pool, so operator
-/// selection over list `l` scans the contiguous slice at
-/// [`Links::list_range`] (a dense-id-indexed table alone would force a
-/// gather per alternative). Cost per tier: one `W` per expression, per
-/// pooled link, and per interned list.
+/// `pool` is **pool-aligned**: `pool[i]` belongs to the expression at
+/// position `i` of the links' concatenated list pool, and holds the
+/// **inclusive running sum** of its own list up to and including that
+/// member — §3.3's "prefix sums", stored. Operator selection over list
+/// `l` is a binary search of the contiguous slice at
+/// [`Links::list_range`] ([`Word::select`]); a member's own count is its
+/// sum minus its predecessor's. A running sum is bounded by its list's
+/// total, so it fits the tier's word whenever the totals do. Cost per
+/// tier: one `W` per expression, per pooled link, and per interned list.
 #[derive(Debug, Clone)]
 pub(crate) struct TierCounts<W> {
     /// `N(v)` by dense id.
     per_expr: Vec<W>,
-    /// `N(w)` of each pooled list member, aligned with the links pool.
+    /// `Σ_{j≤i} N(w_j)` within each list, aligned with the links pool.
     pool: Vec<W>,
-    /// `b` of each interned alternative list (the slot totals).
+    /// `b` of each interned alternative list (the slot totals): each
+    /// list's last running sum, `0` for an empty list.
     list_totals: Vec<W>,
 }
 
 impl<W: Word> TierCounts<W> {
-    /// Assembles the tier from its two independent tables (shape-checked
-    /// against `links`), gathering the pool-aligned copy.
+    /// Assembles the tier from its two independent tables, checked
+    /// against `links` in shape and in value: the running sums are
+    /// built here, one pass per list, and each list's last sum must be
+    /// its stored total — which is what lets [`Word::select`] trust
+    /// `rank < list_total(l)` to land inside the list.
     fn from_tables(
         links: &Links,
         mut per_expr: Vec<W>,
         mut list_totals: Vec<W>,
     ) -> Result<Self, SpaceError> {
+        let malformed = |reason: &str| SpaceError::MalformedParts {
+            reason: reason.to_string(),
+        };
         if per_expr.len() != links.num_exprs() {
-            return Err(SpaceError::MalformedParts {
-                reason: "per-expression counts must cover every expression".to_string(),
-            });
+            return Err(malformed(
+                "per-expression counts must cover every expression",
+            ));
         }
         if list_totals.len() != links.num_lists() {
-            return Err(SpaceError::MalformedParts {
-                reason: "list totals must cover every interned list".to_string(),
-            });
+            return Err(malformed("list totals must cover every interned list"));
         }
         // The tables back a long-lived, byte-budgeted artifact: drop
         // whatever growth slack the caller's collection left.
         per_expr.shrink_to_fit();
         list_totals.shrink_to_fit();
-        let pool = links
-            .pool_exprs()
-            .iter()
-            .map(|&w| per_expr[w.idx()].clone())
-            .collect();
+        let mut pool = Vec::with_capacity(links.num_pooled_links());
+        for (members, total) in links.lists().zip(&list_totals) {
+            let mut sum = W::ZERO;
+            for &w in members {
+                sum = sum
+                    .checked_add(&per_expr[w.idx()])
+                    .ok_or_else(|| malformed("a list's running sum overflows the tier's word"))?;
+                pool.push(sum.clone());
+            }
+            if sum != *total {
+                return Err(malformed(
+                    "a list total must equal the sum of its members' counts",
+                ));
+            }
+        }
         Ok(TierCounts {
             per_expr,
             pool,
@@ -202,9 +223,10 @@ impl<W: Word> TierCounts<W> {
         &self.list_totals[l.idx()]
     }
 
-    /// The member counts of list `l`, aligned with [`Links::list`].
+    /// The inclusive running sums of list `l`'s member counts, aligned
+    /// with [`Links::list`].
     #[inline]
-    pub(crate) fn list_counts(&self, links: &Links, l: ListId) -> &[W] {
+    pub(crate) fn list_sums(&self, links: &Links, l: ListId) -> &[W] {
         &self.pool[links.list_range(l)]
     }
 
@@ -212,7 +234,7 @@ impl<W: Word> TierCounts<W> {
     /// local rank within it. Requires `rank < list_total(l)`.
     #[inline]
     pub(crate) fn select(&self, links: &Links, l: ListId, rank: W) -> (DenseId, W) {
-        let (idx, local) = W::select(self.list_counts(links, l), rank);
+        let (idx, local) = W::select(self.list_sums(links, l), rank);
         (links.list(l)[idx], local)
     }
 
@@ -229,9 +251,9 @@ impl<W: Word> TierCounts<W> {
 
 /// The two independent count tables — `N(v)` by dense id, then `b` by
 /// list id — as raw vectors in the store's width: the serialization
-/// view a plan-space artifact stores (the pool-aligned copy is a
-/// function of these and the links, so it is not part of the view).
-/// Produced by [`Counts::to_parts`], consumed (and shape-checked) by
+/// view a plan-space artifact stores (the pool-aligned running sums
+/// are a function of these and the links, so they are not part of the
+/// view). Produced by [`Counts::to_parts`], consumed (and checked) by
 /// [`Counts::from_parts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CountsParts {
@@ -288,11 +310,14 @@ impl Counts {
     }
 
     /// Reassembles counts from their serialization view (the artifact
-    /// load path). Validates the shapes against `links` and re-derives
-    /// the space total from the root list so the fields cannot
-    /// disagree. The tier is taken as stored, and numeric *values* are
-    /// vouched for by the artifact checksum, not re-counted here — that
-    /// is the whole point of loading.
+    /// load path). Validates the shapes against `links`, requires every
+    /// list total to be the (non-overflowing) sum of its members'
+    /// counts — the one relation between the two tables that selection
+    /// depends on, checked for free while the running sums are built —
+    /// and re-derives the space total from the root list so the fields
+    /// cannot disagree. The tier is taken as stored, and the
+    /// per-expression *values* are vouched for by the artifact checksum,
+    /// not re-counted here — that is the whole point of loading.
     pub fn from_parts(links: &Links, parts: CountsParts) -> Result<Counts, SpaceError> {
         let store = match parts {
             CountsParts::U64(n, b) => Store::U64(TierCounts::from_tables(links, n, b)?),
@@ -468,17 +493,21 @@ mod tests {
         let mut counts = Counts::compute(&links);
         assert_eq!(counts.tier(), CountTier::U64);
 
-        // The pool copy is aligned with the links pool: each list's
-        // contiguous slice holds exactly its members' rooted counts.
+        // Each list's slice of the pool is the running sum of its
+        // members' rooted counts and ends at the list's total.
         let Store::U64(tier) = &counts.store else {
             panic!("paper example is single-limb")
         };
         for (d, _) in links.ids().iter() {
-            for &l in links.slot_lists(d) {
-                let aligned = tier.list_counts(&links, l);
-                for (&w, &n) in links.list(l).iter().zip(aligned) {
-                    assert_eq!(counts.rooted(w).to_u64(), Some(n));
+            for &l in links.slot_lists(d).iter().chain([&links.root_list()]) {
+                let sums = tier.list_sums(&links, l);
+                assert_eq!(sums.len(), links.list(l).len());
+                let mut running = 0u64;
+                for (&w, &sum) in links.list(l).iter().zip(sums) {
+                    running += counts.rooted(w).to_u64().unwrap();
+                    assert_eq!(sum, running);
                 }
+                assert_eq!(*tier.list_total(l), running);
             }
         }
 
@@ -500,5 +529,47 @@ mod tests {
         for (d, _) in links.ids().iter() {
             assert_eq!(counts.rooted(d).to_u64(), Some(per_expr[d.idx()]));
         }
+    }
+
+    /// A checksummed artifact vouches for its bytes, not for the one
+    /// relation selection depends on: each list total is the sum of its
+    /// members' counts, and that sum fits the tier's word.
+    #[test]
+    fn from_parts_rejects_totals_that_are_not_their_members_sum() {
+        let ex = paper_example::build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let CountsParts::U64(per_expr, list_totals) = Counts::compute(&links).to_parts() else {
+            panic!("paper example is single-limb")
+        };
+        let rejected = |per_expr: &[u64], list_totals: &[u64], why: &str| {
+            let parts = CountsParts::U64(per_expr.to_vec(), list_totals.to_vec());
+            match Counts::from_parts(&links, parts) {
+                Err(SpaceError::MalformedParts { reason }) => {
+                    assert!(reason.contains(why), "{reason:?} does not mention {why:?}")
+                }
+                other => panic!("expected MalformedParts ({why}), got {other:?}"),
+            }
+        };
+        assert!(Counts::from_parts(
+            &links,
+            CountsParts::U64(per_expr.clone(), list_totals.clone())
+        )
+        .is_ok());
+
+        // A total one above its members' sum (its last rank would lie
+        // past every member) and one below.
+        let root = links.root_list().idx();
+        for off_by_one in [list_totals[root] + 1, list_totals[root] - 1] {
+            let mut totals = list_totals.clone();
+            totals[root] = off_by_one;
+            rejected(&per_expr, &totals, "must equal the sum");
+        }
+        // Two root members of `u64::MAX` plans each: the running sum
+        // leaves the word before any total could be compared.
+        let mut wide = per_expr.clone();
+        for &w in links.list(links.root_list()) {
+            wide[w.idx()] = u64::MAX;
+        }
+        rejected(&wide, &list_totals, "overflows");
     }
 }

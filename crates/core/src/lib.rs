@@ -241,7 +241,9 @@ pub struct PlanSpace {
 impl PlanSpace {
     /// Materializes links and computes counts — the paper's preparatory
     /// post-processing pass ("the overhead incurred by this kind of post
-    /// processing is negligible", benchmarked in `plansample-bench`).
+    /// processing is negligible": the tracked benchmark's
+    /// `core.links.build_ms` and `core.count.compute_ms` rows against
+    /// `optimizer.optimize_ms`, workload `build_q8cp`).
     ///
     /// Clones `memo` and `query` into shared ownership; callers that
     /// already hold [`Arc`]s should prefer

@@ -335,19 +335,19 @@ impl Links {
 
     /// The range of one interned list within the concatenated pool —
     /// the coordinate system the pool-aligned count table shares (see
-    /// [`crate::Counts`]): indexed by this range it yields the counts
-    /// of list `l`'s alternatives as one contiguous slice.
+    /// [`crate::Counts`]): indexed by this range it yields the running
+    /// sums of list `l`'s alternatives as one contiguous slice.
     #[inline]
     pub(crate) fn list_range(&self, l: ListId) -> std::ops::Range<usize> {
         self.list_bounds[l.idx()] as usize..self.list_bounds[l.idx() + 1] as usize
     }
 
-    /// The whole concatenated list pool (every interned list's members,
-    /// back to back) — what the pool-aligned count table is gathered
-    /// through.
-    #[inline]
-    pub(crate) fn pool_exprs(&self) -> &[DenseId] {
-        &self.pool
+    /// Every interned list's members, in list-id (hence pool) order —
+    /// what the pool-aligned count table is built through.
+    pub(crate) fn lists(&self) -> impl Iterator<Item = &[DenseId]> {
+        self.list_bounds
+            .windows(2)
+            .map(|w| &self.pool[w[0] as usize..w[1] as usize])
     }
 
     /// The interned list of each child slot of `d`, in slot order.

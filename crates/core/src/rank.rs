@@ -3,9 +3,10 @@
 //! The paper defines ranking as "finding [an execution plan's] number"
 //! (§1) and uses it implicitly to establish the bijection between
 //! `[0, N)` and the plan space. The computation mirrors unranking in
-//! reverse: at every node, sum the counts of the alternatives preceding
-//! the chosen operator (prefix), then recompose the local rank from the
-//! children's sub-ranks in the same mixed-radix system.
+//! reverse: at every node, read the stored running sum of the
+//! alternatives preceding the chosen operator (prefix), then recompose
+//! the local rank from the children's sub-ranks in the same mixed-radix
+//! system.
 //!
 //! `rank(unrank(r)) == r` for every `r` is the central bijection
 //! property, enforced by unit and property tests.
@@ -45,10 +46,10 @@ impl PlanSpace {
             .ok_or(SpaceError::ForeignPlan { at: plan.id })
     }
 
-    /// Prefix-sum over the alternatives preceding the plan's operator,
-    /// plus its local rank. Like unranking, this runs in the word the
-    /// counts are stored in: every intermediate is bounded by a list
-    /// total of the space.
+    /// The stored running sum of the alternatives preceding the plan's
+    /// operator, plus its local rank. Like unranking, this runs in the
+    /// word the counts are stored in: every intermediate is bounded by
+    /// a list total of the space.
     fn rank_in<W: Word>(
         &self,
         counts: &TierCounts<W>,
@@ -56,20 +57,16 @@ impl PlanSpace {
         plan: &PlanNode,
     ) -> Result<W, SpaceError> {
         let target = self.member(plan)?;
-        let mut prefix = W::ZERO;
-        for (&v, n) in self
-            .links
-            .list(list)
+        let members = self.links.list(list);
+        let at = members
             .iter()
-            .zip(counts.list_counts(&self.links, list))
-        {
-            if v == target {
-                prefix += &self.rank_expr_at(counts, target, plan)?;
-                return Ok(prefix);
-            }
-            prefix += n;
+            .position(|&v| v == target)
+            .ok_or(SpaceError::ForeignPlan { at: plan.id })?;
+        let mut rank = self.rank_expr_at(counts, target, plan)?;
+        if at > 0 {
+            rank += &counts.list_sums(&self.links, list)[at - 1];
         }
-        Err(SpaceError::ForeignPlan { at: plan.id })
+        Ok(rank)
     }
 
     /// Recomposes the local rank from the children's sub-ranks:

@@ -5,7 +5,9 @@
 //! 1. choose the operator `v_k` of `G` by prefix sums — the first
 //!    operator covers ranks `0 … N(v_1)-1`, the second
 //!    `N(v_1) … N(v_1)+N(v_2)-1`, and so on — and compute the local rank
-//!    `r_l = r − Σ_{i<k} N(v_i)`;
+//!    `r_l = r − Σ_{i<k} N(v_i)`. The sums are stored
+//!    ([`TierCounts`]'s pool), so the choice is a binary search
+//!    ([`Word::select`]) and the local rank one subtraction;
 //! 2. decompose `r_l` into per-slot sub-ranks. The paper writes this with
 //!    the recurrences `R_v(|v|) = r_l`, `R_v(i) = R_v(i+1) mod B_v(i)`,
 //!    `s_v(i) = ⌊R_v(i) / B_v(i−1)⌋` (and `s_v(1) = R_v(1)`); since
@@ -17,10 +19,12 @@
 //!
 //! Unranking visits one operator per plan node and performs arithmetic
 //! linear in the plan size — "a small fraction of the time needed for
-//! counting", reproduced by the `unranking` bench. Every `b_v(i)` the
-//! mixed-radix decomposition divides by is precomputed per interned
-//! alternative list ([`crate::Counts::list_total`]), so no step re-sums
-//! alternative counts.
+//! counting": the tracked benchmark's `core.unrank.tree_us_per_plan`
+//! and `core.sample.flat_b*_ns_per_plan` rows against
+//! `core.count.compute_ms`. Every `b_v(i)` the mixed-radix
+//! decomposition divides by is precomputed per interned alternative
+//! list ([`crate::Counts::list_total`]), so no step re-sums alternative
+//! counts.
 //!
 //! There is exactly one implementation of the procedure,
 //! [`unrank_flat`]: iterative, generic over the [`Word`] the space's
@@ -70,7 +74,7 @@ pub(crate) fn unrank_flat<W: Word>(
         debug_assert!(local == W::ZERO, "local rank exceeded B_v(|v|)");
         stack[base..].reverse();
         // Steps 3 and 1: descend into the next pending slot, selecting
-        // its operator by prefix scan over the list's member counts.
+        // its operator by searching the list's stored running sums.
         let Some((list, rank)) = stack.pop() else {
             return;
         };

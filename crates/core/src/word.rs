@@ -1,8 +1,8 @@
 //! The arithmetic word the rank machinery runs in.
 //!
 //! Counting (§3.2) is exact-[`Nat`]; everything downstream of it only
-//! compares, adds, multiplies and divides values bounded by the space's
-//! own list totals. When every count fits `u64` (or `u128`) that is
+//! compares, adds, subtracts, multiplies and divides values bounded by
+//! the space's own list totals. When every count fits `u64` (or `u128`) that is
 //! plain machine arithmetic, and [`crate::Counts`] stores the counts in
 //! that width. [`Word`] abstracts over the three storage widths:
 //! exactly what the one generic unranker and ranker need.
@@ -10,14 +10,20 @@
 use crate::batch::{Scratch, TierScratch};
 use plansample_bignum::Nat;
 use rand::Rng;
-use std::ops::{Add, AddAssign, Mul, MulAssign, Sub};
+use std::ops::{AddAssign, MulAssign, SubAssign};
 
 /// A count/rank representation: `u64`, `u128`, or exact [`Nat`].
 ///
 /// All arithmetic is on values bounded by a list total of the space the
 /// word was chosen for, so the fixed-width words cannot overflow.
 pub(crate) trait Word:
-    Clone + Ord + Send + Sync + for<'a> AddAssign<&'a Self> + for<'a> MulAssign<&'a Self>
+    Clone
+    + Ord
+    + Send
+    + Sync
+    + for<'a> AddAssign<&'a Self>
+    + for<'a> SubAssign<&'a Self>
+    + for<'a> MulAssign<&'a Self>
 {
     /// The value `0`.
     const ZERO: Self;
@@ -34,10 +40,22 @@ pub(crate) trait Word:
     fn random_below<R: Rng + ?Sized>(rng: &mut R, bound: &Self) -> Self;
     /// `(self / b, self % b)`.
     fn div_rem(&self, b: &Self) -> (Self, Self);
-    /// Operator selection (§3.3 step 1) over one list's member counts:
-    /// the first index whose running total exceeds `rank`, and `rank`
-    /// minus the counts before it. Requires `rank < Σ counts`.
-    fn select(counts: &[Self], rank: Self) -> (usize, Self);
+    /// `self + b`, or `None` when the sum does not fit the word.
+    fn checked_add(&self, b: &Self) -> Option<Self>;
+    /// Operator selection (§3.3 step 1) over one list's inclusive
+    /// running sums `sums[i] = Σ_{j≤i} N(w_j)`: the first index whose
+    /// sum exceeds `rank`, and `rank` minus the sum before it — a binary
+    /// search, `⌈log₂ len⌉ + 1` compares. A dead (zero-count)
+    /// alternative repeats its predecessor's sum, so it is never the
+    /// first to exceed anything. Requires `rank < sums.last()`.
+    #[inline]
+    fn select(sums: &[Self], mut rank: Self) -> (usize, Self) {
+        let idx = sums.partition_point(|sum| *sum <= rank);
+        if idx > 0 {
+            rank -= &sums[idx - 1];
+        }
+        (idx, rank)
+    }
     /// Heap bytes owned beyond `size_of::<Self>()`.
     fn heap_bytes(&self) -> usize {
         0
@@ -46,49 +64,6 @@ pub(crate) trait Word:
     /// the slot (dropping the other tier's buffers) when it last served
     /// a different tier.
     fn scratch(slot: &mut TierScratch) -> &mut Scratch<Self>;
-}
-
-/// Operator selection for the fixed-width words.
-///
-/// Instead of one unpredictable branch per alternative, the scan works
-/// in chunks of 8: an unrolled pairwise sum decides in one predictable
-/// branch whether the chosen element lies in the chunk; misses skip 8
-/// elements with a single subtraction, and the hit chunk resolves its
-/// element **branch-free** (`take = rank >= prefix` arithmetic). Chunk
-/// sums cannot overflow: every partial sum is bounded by the list
-/// total, which fits the word by the tier criterion. A scalar tail
-/// handles the last `len % 8` elements. Dead (zero-count) alternatives
-/// are skipped exactly as the scalar scan skips them.
-#[inline]
-fn chunked_select<W>(counts: &[W], mut rank: W) -> (usize, W)
-where
-    W: Copy + Ord + From<bool> + Add<Output = W> + Sub<Output = W> + Mul<Output = W>,
-{
-    let zero = W::from(false);
-    let mut base = 0usize;
-    let mut chunks = counts.chunks_exact(8);
-    for c in &mut chunks {
-        let sum = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]));
-        if rank < sum {
-            let (mut acc, mut below, mut idx) = (zero, zero, 0usize);
-            for &n in c {
-                acc = acc + n;
-                let take = rank >= acc;
-                idx += take as usize;
-                below = below + n * W::from(take);
-            }
-            return (base + idx, rank - below);
-        }
-        rank = rank - sum;
-        base += 8;
-    }
-    let tail = chunks.remainder();
-    let mut i = 0usize;
-    while rank >= tail[i] {
-        rank = rank - tail[i];
-        i += 1;
-    }
-    (base + i, rank)
 }
 
 /// `Word::scratch` for the word stored under `TierScratch::$tier`.
@@ -129,8 +104,8 @@ macro_rules! impl_fixed_word {
                 (self / b, self % b)
             }
             #[inline]
-            fn select(counts: &[Self], rank: Self) -> (usize, Self) {
-                chunked_select(counts, rank)
+            fn checked_add(&self, b: &Self) -> Option<Self> {
+                <$t>::checked_add(*self, *b)
             }
             scratch_in!($tier);
         }
@@ -156,16 +131,8 @@ impl Word for Nat {
     fn div_rem(&self, b: &Self) -> (Self, Self) {
         Nat::div_rem(self, b)
     }
-    /// The paper's scalar prefix scan: multi-limb compares dominate, so
-    /// there is nothing for a chunked scan to win.
-    fn select(counts: &[Self], mut rank: Self) -> (usize, Self) {
-        for (i, n) in counts.iter().enumerate() {
-            if &rank < n {
-                return (i, rank);
-            }
-            rank -= n;
-        }
-        unreachable!("rank below the list total by construction")
+    fn checked_add(&self, b: &Self) -> Option<Self> {
+        Some(self + b)
     }
     fn heap_bytes(&self) -> usize {
         self.size_bytes() - std::mem::size_of::<Nat>()
@@ -177,18 +144,39 @@ impl Word for Nat {
 mod tests {
     use super::*;
 
-    /// The scalar branch-and-subtract reference every `select` must
-    /// reproduce index-for-index (it is `Nat`'s own implementation).
-    fn select_scalar(counts: &[u128], rank: u128) -> (usize, u128) {
-        let nats: Vec<Nat> = counts.iter().map(|&n| Nat::from(n)).collect();
-        let (i, r) = Nat::select(&nats, Nat::from(rank));
-        (i, r.to_u128().unwrap())
+    /// The paper's scalar branch-and-subtract scan over the raw member
+    /// counts: the reference `select` over their running sums must
+    /// reproduce index-for-index on every word.
+    fn select_scalar(counts: &[u128], mut rank: u128) -> (usize, u128) {
+        for (i, &n) in counts.iter().enumerate() {
+            if rank < n {
+                return (i, rank);
+            }
+            rank -= n;
+        }
+        unreachable!("rank below the list total by construction")
+    }
+
+    /// `W::select` over the running sums of `counts`, built the way
+    /// `TierCounts::from_tables` builds them.
+    fn select_in<W: Word>(counts: &[u128], rank: u128) -> (usize, u128) {
+        let word = |n: u128| W::from_nat(&Nat::from(n)).expect("the value fits the word");
+        let mut sum = W::ZERO;
+        let sums: Vec<W> = counts
+            .iter()
+            .map(|&n| {
+                sum = sum.checked_add(&word(n)).expect("the total fits the word");
+                sum.clone()
+            })
+            .collect();
+        let (i, local) = W::select(&sums, word(rank));
+        (i, local.to_nat().to_u128().expect("a local rank fits u128"))
     }
 
     #[test]
-    fn chunked_select_matches_the_scalar_reference() {
-        // Deterministic xorshift so the shapes cover chunk boundaries,
-        // zero runs, and tails without a dev-dependency on `rand`.
+    fn select_matches_the_scalar_reference_on_every_word() {
+        // Deterministic xorshift so the shapes cover every search depth
+        // and zero runs without a dev-dependency on `rand`.
         let mut s = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
             s ^= s << 13;
@@ -198,7 +186,7 @@ mod tests {
         };
         for len in [1usize, 2, 7, 8, 9, 15, 16, 17, 40, 101] {
             for _case in 0..50 {
-                let counts: Vec<u64> = (0..len)
+                let counts: Vec<u128> = (0..len)
                     .map(|_| {
                         let r = next();
                         // ~1 in 4 alternatives dead, rest small so every
@@ -206,82 +194,69 @@ mod tests {
                         if r % 4 == 0 {
                             0
                         } else {
-                            r % 1000 + 1
+                            (r % 1000 + 1) as u128
                         }
                     })
                     .collect();
-                let total: u64 = counts.iter().sum();
+                let total: u128 = counts.iter().sum();
                 if total == 0 {
                     continue;
                 }
-                let wide: Vec<u128> = counts.iter().map(|&n| n as u128).collect();
                 for probe in 0..total.min(64) {
                     // Stride ranks across the whole range, hitting both
                     // boundaries of every alternative.
                     let rank = (probe * (total / total.clamp(1, 64))).min(total - 1);
-                    let expect = select_scalar(&wide, rank as u128);
-                    assert_eq!(
-                        u64::select(&counts, rank),
-                        (expect.0, expect.1 as u64),
-                        "u64 diverged on {counts:?} rank {rank}"
-                    );
-                    assert_eq!(
-                        u128::select(&wide, rank as u128),
-                        expect,
-                        "u128 diverged on {counts:?} rank {rank}"
-                    );
+                    let expect = select_scalar(&counts, rank);
+                    assert_eq!(select_in::<u64>(&counts, rank), expect, "u64");
+                    assert_eq!(select_in::<u128>(&counts, rank), expect, "u128");
+                    assert_eq!(select_in::<Nat>(&counts, rank), expect, "Nat");
+                    assert_ne!(counts[expect.0], 0, "a dead alternative was selected");
                 }
             }
         }
     }
 
     #[test]
-    fn chunked_select_handles_two_limb_counts() {
+    fn select_handles_two_limb_counts() {
         let big = u64::MAX as u128 + 5;
         let counts = [0u128, big, 3, 0, big, 1, 0, 0, big, 2];
         let total: u128 = counts.iter().sum();
         for rank in [0u128, 1, big - 1, big, big + 2, big + 3, total - 1] {
-            assert_eq!(
-                u128::select(&counts, rank),
-                select_scalar(&counts, rank),
-                "diverged at rank {rank}"
-            );
+            let expect = select_scalar(&counts, rank);
+            assert_eq!(select_in::<u128>(&counts, rank), expect, "u128 at {rank}");
+            assert_eq!(select_in::<Nat>(&counts, rank), expect, "Nat at {rank}");
         }
     }
 
-    /// ROADMAP harden-(d): "chunk sums cannot overflow by construction"
-    /// at the construction's edge — lists whose total is exactly the
-    /// word's maximum, so the last chunk's pairwise sum and the hit
-    /// chunk's running prefix both reach `MAX` without wrapping (debug
-    /// builds would panic on overflow; release builds would mis-select).
+    /// Running sums cannot overflow by construction; this is the
+    /// construction's edge — lists whose total is exactly the word's
+    /// maximum, so the last stored sum is `MAX` and the last rank is
+    /// `MAX - 1`.
     #[test]
-    fn chunked_select_at_exactly_the_word_maximum() {
-        fn check<W>(max: W, to_u128: impl Fn(W) -> u128)
-        where
-            W: Word + Copy + From<bool> + From<u8> + Sub<Output = W> + std::fmt::Debug,
-        {
-            let (zero, one, k) = (W::from(0u8), W::from(1u8), W::from(21u8));
-            // Two full chunks and a one-element tail summing to exactly
-            // `max`, the bulk in the middle of the second chunk …
-            let mut tailed = vec![one; 17];
-            tailed[3] = zero;
-            tailed[11] = max - W::from(15u8);
-            // … and a dead first chunk followed by one chunk whose own
-            // pairwise sum (and running prefix) is exactly `max`.
-            let mut single = vec![zero; 16];
-            single[8..].copy_from_slice(&[one, one, zero, max - W::from(6u8), one, one, one, one]);
+    fn select_at_exactly_the_word_maximum() {
+        fn check<W: Word>(max: u128) {
+            // The bulk in the middle of a 17-member list …
+            let mut tailed = vec![1u128; 17];
+            tailed[3] = 0;
+            tailed[11] = max - 15;
+            // … and behind eight dead members, followed by a dead tail.
+            let mut single = vec![0u128; 16];
+            single[8..].copy_from_slice(&[1, 1, 0, max - 6, 1, 1, 1, 1]);
+            single.extend([0, 0]);
             for counts in [tailed, single] {
-                let wide: Vec<u128> = counts.iter().map(|&n| to_u128(n)).collect();
-                assert_eq!(wide.iter().sum::<u128>(), to_u128(max));
-                for rank in [zero, one, W::from(9u8), W::from(10u8), max - k, max - one] {
-                    let (i, r) = W::select(&counts, rank);
-                    assert_eq!((i, to_u128(r)), select_scalar(&wide, to_u128(rank)));
+                assert_eq!(counts.iter().sum::<u128>(), max);
+                for rank in [0, 1, 9, 10, max - 21, max - 1] {
+                    let expect = select_scalar(&counts, rank);
+                    assert_eq!(select_in::<W>(&counts, rank), expect, "rank {rank}");
                 }
-                // The very last rank lands on the very last member.
-                assert_eq!(W::select(&counts, max - one).0, counts.len() - 1);
+                // The very last rank lands on the last live member.
+                let last_live = counts.iter().rposition(|&n| n != 0).unwrap();
+                assert_eq!(select_in::<W>(&counts, max - 1).0, last_live);
             }
         }
-        check(u64::MAX, |n| n as u128);
-        check(u128::MAX, |n| n);
+        check::<u64>(u64::MAX as u128);
+        check::<u128>(u128::MAX);
+        check::<Nat>(u64::MAX as u128);
+        check::<Nat>(u128::MAX);
     }
 }

@@ -198,18 +198,20 @@ const MEMO_MAX_KEY: usize = 16 << 10;
 /// Largest `SampleBatch` a reactor answers itself
 /// ([`ServerState::handle_inline`]); a larger one goes to a worker.
 ///
-/// Derived from the tracked per-layer rows (EXPERIMENTS.md §E15), from
-/// both sides. What a batch costs on a fixed-width tier: a plan is
-/// drawn, costed and encoded in 0.4 µs on the point mix's small spaces,
-/// 1.8 µs on Q8+CP (`core.sample.flat_b1_ns_per_plan` +
-/// `core.prepared.scaled_cost_ids_ns_per_plan` +
-/// `serve.wire.samples_encode_ns_per_plan`) and 2.8 µs on cycle-16, the
-/// slowest cache-resident space measured — so 32 plans hold the loop
-/// for 13–90 µs, inside the ~185 µs p99 a reply already had before
-/// anything was answered on a reactor. What the hand-off costs: 15 µs
-/// of latency and 13 µs of CPU a request (`serve.transport.overhead_us`,
-/// `proc.cpu_ms_per_op`, before and after) — at 32 plans of 1.8 µs that
-/// is down to a quarter of the request's own work, so a larger batch
+/// Derived from the tracked per-layer rows (EXPERIMENTS.md §E15; the
+/// per-plan figures are §E18's), from both sides. What a batch costs on
+/// a fixed-width tier: a plan is drawn, costed and encoded in 0.4 µs on
+/// the point mix's small spaces (unmoved by §E18: their lists are
+/// short), 1.5 µs on Q8+CP (`core.sample.flat_b1_ns_per_plan` 1.1 +
+/// `core.prepared.scaled_cost_ids_ns_per_plan` 0.3 +
+/// `serve.wire.samples_encode_ns_per_plan` 0.14) and 2.5 µs on
+/// cycle-16, the slowest cache-resident space measured — so 32 plans
+/// hold the loop for 13–80 µs, inside the ~185 µs p99 a reply already
+/// had before anything was answered on a reactor. What the hand-off
+/// costs: 15 µs of latency and 13 µs of CPU a request
+/// (`serve.transport.overhead_us`, `proc.cpu_ms_per_op`, before and
+/// after) — at 32 plans of 1.5 µs that is down to about a quarter of
+/// the request's own work, so a larger batch
 /// loses little by taking the worker path, where it also stops
 /// delaying its reactor's other connections. Must stay under two
 /// chunks of the flat sampler's parallel split (512), below which a

@@ -4,9 +4,12 @@
 //! plans, with `rank` its inverse, and the exhaustive enumeration must
 //! agree with the count.
 
+mod common;
+
 use plansample::PlanSpace;
 use plansample_bignum::Nat;
 use plansample_catalog::{table, Catalog, ColType};
+use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::validate_plan;
 use plansample_optimizer::{optimize, OptimizerConfig};
 use plansample_query::{QueryBuilder, QuerySpec};
@@ -175,4 +178,58 @@ fn counts_rooted_sum_to_total_on_tpch() {
     let root = optimized.memo.group(optimized.memo.root());
     let sum: Nat = root.phys_iter().map(|(id, _)| space.count_rooted(id)).sum();
     assert_eq!(&sum, space.total());
+}
+
+/// Operator selection is a binary search over each list's stored
+/// running sums (DESIGN §4). On a list wide enough for the search to be
+/// deep, the ranks either side of every boundary between two members —
+/// the last plan of one, the first of the next, ±1 — must select what
+/// the scalar scan of the reference unranker selects, and come back
+/// from `rank`.
+#[test]
+fn every_running_sum_boundary_of_the_widest_list_round_trips() {
+    let synth = common::SynthSpace::build(JoinGraphSpec::new(Topology::Clique, 7, 20000));
+    let space = synth.space();
+    let (links, counts) = (space.links(), space.counts());
+    // The widest list, an expression that reads it, and at which slot.
+    let (v, slot, list) = links
+        .ids()
+        .iter()
+        .flat_map(|(d, _)| {
+            let slots = links.slot_lists(d).iter().enumerate();
+            slots.map(move |(slot, &l)| (d, slot, l))
+        })
+        .max_by_key(|&(.., l)| links.list(l).len())
+        .expect("a join reads a list");
+    let members = links.list(list);
+    assert!(members.len() >= 256, "widest list: {}", members.len());
+
+    // Sub-rank `s` at that slot with every other slot at 0 is local
+    // rank `s · B_v(slot − 1)` of the sub-space rooted at `v`.
+    let weight: Nat = links.slot_lists(v)[..slot]
+        .iter()
+        .map(|&l| counts.list_total(l))
+        .product();
+    let total = counts.list_total(list);
+    let v = links.ids().phys(v);
+    let mut boundary = Nat::zero();
+    let mut checked = 0usize;
+    for &w in members {
+        boundary += &counts.rooted(w);
+        // The last two sub-ranks of `w` and the first two past it.
+        let around = [
+            boundary.checked_sub(&Nat::from(2u64)),
+            boundary.checked_sub(&Nat::one()),
+            Some(boundary.clone()),
+            Some(&boundary + &Nat::one()),
+        ];
+        for s in around.into_iter().flatten().filter(|s| s < &total) {
+            let local = &s * &weight;
+            let plan = space.unrank_rooted(v, &local).unwrap();
+            assert_eq!(plan, common::reference_unrank_rooted(space, v, &local));
+            assert_eq!(space.rank_rooted(&plan).unwrap(), local, "sub-rank {s}");
+            checked += 1;
+        }
+    }
+    assert!(checked >= 2 * members.len());
 }
