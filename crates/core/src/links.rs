@@ -39,7 +39,9 @@
 //! hand-built memos are checked defensively.
 
 use crate::SpaceError;
-use plansample_memo::{eligible_children, ChildSlot, DenseId, DenseIdMap, Memo, PhysId};
+use plansample_memo::{
+    eligible_children, gather_slots, DenseId, DenseIdMap, Memo, PhysId, SlotGather,
+};
 use plansample_query::QuerySpec;
 use std::collections::HashMap;
 
@@ -105,15 +107,17 @@ impl Links {
     /// computes the topological order (failing on cyclic hand-built
     /// memos).
     ///
-    /// The build forks once, for its hot phase — the scan is about four
-    /// fifths of a build, the topological order and the count pass a few
-    /// percent each and sequential (DESIGN §5) — and is *deterministic*:
+    /// The build forks once, for its hot phase — the scan is a half to
+    /// three fifths of a build, the gather, the topological order and the
+    /// count pass the rest and sequential (DESIGN §5) — and is
+    /// *deterministic*:
     /// the output is bit-identical at every thread count (see
     /// `tests/build_determinism.rs`). Three passes:
     ///
-    /// 1. **Gather** (sequential, cheap): walk every expression's child
-    ///    slots, assigning each *distinct* slot an index in
-    ///    first-encounter order — no property scans yet.
+    /// 1. **Gather** (sequential, cheap): [`gather_slots`] walks every
+    ///    expression's child slots, assigning each *distinct* slot an
+    ///    index in first-encounter order — no property scans yet. (The
+    ///    optimizer's best-plan extraction runs on the same gather.)
     /// 2. **Scan** (parallel): one `eligible_children` property scan per
     ///    distinct slot, fanned out in one `threadpool` section. The
     ///    scans are independent and their outputs are a pure function of
@@ -124,31 +128,13 @@ impl Links {
     ///    [`ListId`] assignment.
     pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, SpaceError> {
         let ids = DenseIdMap::build(memo);
-        let n = ids.len();
 
         // Pass 1: gather slots; distinct slots in first-encounter order.
-        let mut slot_of: Vec<u32> = Vec::new();
-        let mut slot_bounds: Vec<u32> = Vec::with_capacity(n + 1);
-        slot_bounds.push(0);
-        let mut by_slot: HashMap<ChildSlot, u32> = HashMap::new();
-        let mut distinct: Vec<ChildSlot> = Vec::new();
-        for group in memo.groups() {
-            for (id, expr) in group.phys_iter() {
-                for slot in expr.child_slots(id.group) {
-                    let next = distinct.len() as u32;
-                    let idx = match by_slot.entry(slot) {
-                        std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-                        std::collections::hash_map::Entry::Vacant(v) => {
-                            distinct.push(v.key().clone());
-                            v.insert(next);
-                            next
-                        }
-                    };
-                    slot_of.push(idx);
-                }
-                slot_bounds.push(slot_of.len() as u32);
-            }
-        }
+        let SlotGather {
+            distinct,
+            slot_of,
+            slot_bounds,
+        } = gather_slots(memo);
 
         // Pass 2: the property scans — the expensive part — in parallel.
         let kid_lists: Vec<Vec<DenseId>> =
@@ -582,6 +568,35 @@ mod tests {
         let root = links.children_of(ex.root_c_ab);
         assert_eq!(root[0].len(), 2);
         assert_eq!(root[1].len(), 2);
+    }
+
+    /// The gather `Links::build` and the optimizer share, on Figure 3:
+    /// seven distinct slots for nine expression slots, numbered as they
+    /// are first met.
+    #[test]
+    fn paper_example_gathers_seven_distinct_slots_in_first_encounter_order() {
+        let ex = paper_example::build();
+        let gather = gather_slots(&ex.memo);
+        let ids = DenseIdMap::build(&ex.memo);
+        let slots = |id: PhysId| gather.slots_of(ids.dense(id));
+        // Group A's Sort is met first, then A⋈B's hash and merge joins,
+        // then the root: HashJoin(C, A⋈B) opens two slots that
+        // HashJoin(A⋈B, C) reuses the other way round.
+        assert_eq!(slots(ex.sort_a), [0]);
+        assert_eq!(slots(ex.hash_join_ab), [1, 2]);
+        assert_eq!(slots(ex.merge_join_ab), [3, 4]);
+        assert_eq!(slots(ex.root_c_ab), [5, 6]);
+        assert_eq!(slots(ex.root_ab_c), [6, 5]);
+        assert!(slots(ex.idx_scan_c).is_empty());
+        assert_eq!(gather.distinct.len(), 7);
+        assert_eq!(gather.slot_of.len(), 9);
+        for id in [ex.sort_a, ex.merge_join_ab, ex.root_ab_c] {
+            let resolved: Vec<_> = slots(id)
+                .iter()
+                .map(|&i| gather.distinct[i as usize].clone())
+                .collect();
+            assert_eq!(resolved, ex.memo.phys(id).child_slots(id.group));
+        }
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //! (`docs/DESIGN.md` §8). [`JoinGraphSpec::build_memo`] is also the
 //! benchmark workload for the parallel plan-space build (`docs/DESIGN.md`
 //! §5): clique-10/12 memos synthesized directly, without optimizer
-//! search, reach the multi-limb 700k-expression regime in seconds.
+//! search, reach the multi-limb 700k-expression regime in a tenth of a
+//! second.
 
 use plansample_catalog::{table, Catalog, ColType};
 use plansample_memo::{
-    satisfies_cols, GroupId, GroupKey, Memo, PhysicalExpr, PhysicalOp, SortOrder,
+    GroupId, GroupKey, Memo, OrderSatisfier, PhysicalExpr, PhysicalOp, SortOrder,
 };
 use plansample_query::{ColRef, QueryBuilder, QuerySpec, RelId, RelSet};
 use rand::rngs::StdRng;
@@ -161,9 +162,13 @@ impl JoinGraphSpec {
     /// This is how the layout benchmarks reach the 10–12-relation
     /// synthetic spaces the plan-enumeration literature treats as the
     /// interesting regime: a clique-10 memo (~709k physical expressions,
-    /// multi-limb plan counts) synthesizes in seconds, where running the
-    /// full optimizer takes minutes. Deterministic in every field of the
-    /// spec.
+    /// multi-limb plan counts) synthesizes in ≈ 0.1 s. Running the full
+    /// optimizer on the same query takes ≈ 0.4 s (clique-9 ≈ 0.1 s,
+    /// clique-8 ≈ 25 ms; `docs/EXPERIMENTS.md` §E19) — it took minutes
+    /// while best-plan extraction rescanned a group per expression slot
+    /// — so what direct synthesis still saves is the cost model and the
+    /// totals pass, not tractability. Deterministic in every field of
+    /// the spec.
     ///
     /// # Panics
     /// Panics when `relations >= 32` (the DP enumerates subsets of a
@@ -265,6 +270,9 @@ impl JoinGraphSpec {
         connected: impl Fn(u32) -> bool,
     ) {
         let out = query.set_card(catalog, set);
+        // The whole group is gathered, then inserted in one
+        // duplicate-eliminating batch (clique-10's root is 25 084 wide).
+        let mut joins = Vec::new();
         for (a, b) in set.splits() {
             if !connected(a.mask() as u32) || !connected(b.mask() as u32) {
                 continue;
@@ -281,44 +289,36 @@ impl JoinGraphSpec {
                     .expect("connected halves precede their union");
                 let right = memo.find_group(GroupKey::Rels(rset)).expect("see above");
                 let (lcard, rcard) = (query.set_card(catalog, lset), query.set_card(catalog, rset));
-                memo.add_physical(
-                    gid,
-                    PhysicalExpr::new(
-                        PhysicalOp::NestedLoopJoin { left, right },
-                        lcard * rcard * 0.01 + out,
-                        out,
-                    ),
-                );
-                memo.add_physical(
-                    gid,
-                    PhysicalExpr::new(
-                        PhysicalOp::HashJoin { left, right },
-                        lcard + rcard + out,
-                        out,
-                    ),
-                );
+                joins.push(PhysicalExpr::new(
+                    PhysicalOp::NestedLoopJoin { left, right },
+                    lcard * rcard * 0.01 + out,
+                    out,
+                ));
+                joins.push(PhysicalExpr::new(
+                    PhysicalOp::HashJoin { left, right },
+                    lcard + rcard + out,
+                    out,
+                ));
                 for edge in crossing {
                     let (lk, rk) = if lset.contains(edge.left.rel) {
                         (edge.left, edge.right)
                     } else {
                         (edge.right, edge.left)
                     };
-                    memo.add_physical(
-                        gid,
-                        PhysicalExpr::new(
-                            PhysicalOp::MergeJoin {
-                                left,
-                                right,
-                                left_key: lk,
-                                right_key: rk,
-                            },
-                            lcard + rcard + out * 1.1,
-                            out,
-                        ),
-                    );
+                    joins.push(PhysicalExpr::new(
+                        PhysicalOp::MergeJoin {
+                            left,
+                            right,
+                            left_key: lk,
+                            right_key: rk,
+                        },
+                        lcard + rcard + out * 1.1,
+                        out,
+                    ));
                 }
             }
         }
+        memo.extend_physical(gid, joins);
     }
 }
 
@@ -347,10 +347,13 @@ fn add_interesting_order_enforcers(catalog: &Catalog, query: &QuerySpec, memo: &
             }
         }
         let card = query.set_card(catalog, set);
+        // One satisfier per group, as in the optimizer's rule.
+        let mut sat = OrderSatisfier::new(query, set);
         for target in targets {
-            let sortable = memo.group(gid).physical.iter().any(|e| {
-                !e.op.is_enforcer() && !satisfies_cols(query, set, e.delivered_cols(), &target)
-            });
+            let sortable =
+                memo.group(gid).physical.iter().any(|e| {
+                    !e.op.is_enforcer() && !sat.satisfies_cols(e.delivered_cols(), &target)
+                });
             if sortable {
                 memo.add_physical(
                     gid,

@@ -160,6 +160,34 @@ pub struct ChildSlot {
     pub requirement: Requirement,
 }
 
+/// A [`ChildSlot`] borrowed from its operator: the same `(group,
+/// requirement)`, with the requirement's key columns as a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlotRef<'a> {
+    /// The group supplying this input.
+    pub group: GroupId,
+    /// `true` for [`Requirement::SortInput`], `false` for
+    /// [`Requirement::Order`].
+    pub sort_input: bool,
+    /// Key columns of the required order, or of the sort target.
+    pub cols: &'a [ColRef],
+}
+
+impl SlotRef<'_> {
+    /// The owned slot.
+    pub fn to_owned(self) -> ChildSlot {
+        let order = SortOrder::on(self.cols.to_vec());
+        ChildSlot {
+            group: self.group,
+            requirement: if self.sort_input {
+                Requirement::SortInput { target: order }
+            } else {
+                Requirement::Order(order)
+            },
+        }
+    }
+}
+
 /// A physical expression: the operator plus its derived properties and
 /// local cost.
 ///
@@ -225,50 +253,48 @@ impl PhysicalExpr {
     /// group this expression lives in (needed by enforcers, whose child
     /// is their own group).
     pub fn child_slots(&self, own_group: GroupId) -> Vec<ChildSlot> {
-        match &self.op {
-            PhysicalOp::TableScan { .. } | PhysicalOp::SortedIdxScan { .. } => Vec::new(),
-            PhysicalOp::Sort { target } => vec![ChildSlot {
-                group: own_group,
-                requirement: Requirement::SortInput {
-                    target: target.clone(),
-                },
-            }],
+        self.slot_refs(own_group).map(SlotRef::to_owned).collect()
+    }
+
+    /// [`child_slots`](Self::child_slots) borrowed from the operator:
+    /// the slot gather (`crate::gather_slots`) walks every slot of a
+    /// memo and clones only the distinct ones.
+    pub(crate) fn slot_refs(&self, own_group: GroupId) -> impl Iterator<Item = SlotRef<'_>> {
+        fn order(group: GroupId, cols: &[ColRef]) -> Option<SlotRef<'_>> {
+            Some(SlotRef {
+                group,
+                sort_input: false,
+                cols,
+            })
+        }
+        let slots = match &self.op {
+            PhysicalOp::TableScan { .. } | PhysicalOp::SortedIdxScan { .. } => [None, None],
+            PhysicalOp::Sort { target } => [
+                Some(SlotRef {
+                    group: own_group,
+                    sort_input: true,
+                    cols: target.cols(),
+                }),
+                None,
+            ],
             PhysicalOp::NestedLoopJoin { left, right } | PhysicalOp::HashJoin { left, right } => {
-                vec![
-                    ChildSlot {
-                        group: *left,
-                        requirement: Requirement::Order(SortOrder::unsorted()),
-                    },
-                    ChildSlot {
-                        group: *right,
-                        requirement: Requirement::Order(SortOrder::unsorted()),
-                    },
-                ]
+                [order(*left, &[]), order(*right, &[])]
             }
             PhysicalOp::MergeJoin {
                 left,
                 right,
                 left_key,
                 right_key,
-            } => vec![
-                ChildSlot {
-                    group: *left,
-                    requirement: Requirement::Order(SortOrder::on_col(*left_key)),
-                },
-                ChildSlot {
-                    group: *right,
-                    requirement: Requirement::Order(SortOrder::on_col(*right_key)),
-                },
+            } => [
+                order(*left, std::slice::from_ref(left_key)),
+                order(*right, std::slice::from_ref(right_key)),
             ],
-            PhysicalOp::HashAgg { input } => vec![ChildSlot {
-                group: *input,
-                requirement: Requirement::Order(SortOrder::unsorted()),
-            }],
-            PhysicalOp::StreamAgg { input, group_order } => vec![ChildSlot {
-                group: *input,
-                requirement: Requirement::Order(group_order.clone()),
-            }],
-        }
+            PhysicalOp::HashAgg { input } => [order(*input, &[]), None],
+            PhysicalOp::StreamAgg { input, group_order } => {
+                [order(*input, group_order.cols()), None]
+            }
+        };
+        slots.into_iter().flatten()
     }
 
     /// Heap bytes owned by this expression beyond its inline size (the

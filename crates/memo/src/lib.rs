@@ -35,7 +35,7 @@ mod render;
 
 pub use dense::{DenseId, DenseIdMap};
 pub use expr::{ChildSlot, LogicalOp, PhysicalExpr, PhysicalOp, Requirement};
-pub use links::eligible_children;
+pub use links::{eligible_children, gather_slots, SlotGather};
 pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;
@@ -216,6 +216,43 @@ impl Memo {
         group.physical.push(expr);
         Some(PhysId { group: gid, index })
     }
+
+    /// Adds a batch of physical expressions to one group, exactly as
+    /// repeated [`add_physical`](Self::add_physical) calls would: in
+    /// order, dropping any whose operator the group — or an earlier
+    /// expression of the batch — already holds.
+    ///
+    /// `add_physical` compares against the whole group, which is
+    /// quadratic for a builder that fills a group at a time (clique-10's
+    /// root group is 25 084 wide). Past [`Self::BULK_HASH_MIN`]
+    /// expressions the batch is checked against one transient hash set
+    /// instead; nothing stays resident.
+    pub fn extend_physical(&mut self, gid: GroupId, exprs: Vec<PhysicalExpr>) {
+        if self.group(gid).physical.len() + exprs.len() < Self::BULK_HASH_MIN {
+            for expr in exprs {
+                self.add_physical(gid, expr);
+            }
+            return;
+        }
+        let group = &mut self.groups[gid.0 as usize];
+        let fresh: Vec<bool> = {
+            let mut seen: std::collections::HashSet<&PhysicalOp> =
+                group.physical.iter().map(|e| &e.op).collect();
+            seen.reserve(exprs.len());
+            exprs.iter().map(|e| seen.insert(&e.op)).collect()
+        };
+        group.physical.extend(
+            exprs
+                .into_iter()
+                .zip(fresh)
+                .filter_map(|(expr, fresh)| fresh.then_some(expr)),
+        );
+    }
+
+    /// Group size from which [`extend_physical`](Self::extend_physical)
+    /// hashes: below it, comparing operators pairwise is cheaper than
+    /// hashing each one (EXPERIMENTS §E19).
+    const BULK_HASH_MIN: usize = 64;
 
     /// The physical expression behind `id`.
     pub fn phys(&self, id: PhysId) -> &PhysicalExpr {
@@ -450,6 +487,59 @@ mod tests {
     fn foreign_root_rejected() {
         let mut memo = Memo::new();
         memo.set_root(GroupId(3));
+    }
+
+    /// `extend_physical` is repeated `add_physical`, below and above the
+    /// size from which it hashes: first occurrence wins (against the
+    /// group and within the batch), order kept, costs of the kept ones.
+    #[test]
+    fn extend_physical_equals_repeated_add_physical() {
+        let join = |i: u32| PhysicalOp::NestedLoopJoin {
+            left: GroupId(i),
+            right: GroupId(i + 1),
+        };
+        // One predicate written twice yields the same merge join twice.
+        let merge = PhysicalOp::MergeJoin {
+            left: GroupId(0),
+            right: GroupId(1),
+            left_key: col(0, 0),
+            right_key: col(1, 0),
+        };
+        // Group plus batch come to 5 more than `tail`: the two middle
+        // cases sit either side of the switch.
+        let min = Memo::BULK_HASH_MIN;
+        for tail in [5, min - 6, min - 5, 4 * min] {
+            let resident = vec![
+                PhysicalExpr::new(join(0), 1.0, 1.0),
+                PhysicalExpr::new(merge.clone(), 2.0, 1.0),
+            ];
+            let mut batch = vec![
+                PhysicalExpr::new(merge.clone(), 3.0, 1.0), // already in the group
+                PhysicalExpr::new(join(1), 4.0, 1.0),
+                PhysicalExpr::new(join(1), 5.0, 1.0), // repeats within the batch
+            ];
+            batch.extend((0..tail as u32).map(|i| {
+                // Every third operator repeats an earlier one.
+                PhysicalExpr::new(join(i - i % 3), 6.0 + f64::from(i), 1.0)
+            }));
+
+            let build = |bulk: bool| {
+                let mut memo = Memo::new();
+                let g = memo.add_group(GroupKey::Rels(rs(&[0, 1])));
+                for e in resident.clone() {
+                    memo.add_physical(g, e).unwrap();
+                }
+                if bulk {
+                    memo.extend_physical(g, batch.clone());
+                } else {
+                    for e in batch.clone() {
+                        memo.add_physical(g, e);
+                    }
+                }
+                format!("{:?}", memo.group(g).physical)
+            };
+            assert_eq!(build(true), build(false), "tail of {tail}");
+        }
     }
 
     #[test]

@@ -59,17 +59,23 @@ impl SortOrder {
 }
 
 /// Column equivalence classes induced by the join edges internal to one
-/// relation set (union-find over edge endpoints).
+/// relation set.
+///
+/// A flat `(column, class representative)` table, searched linearly: a
+/// scope has a handful of join columns, and one table is built per
+/// scanned child slot, so there is nothing for a hash map to amortize.
+/// A column no in-scope edge mentions is absent and equivalent only to
+/// itself.
 #[derive(Debug)]
 pub struct ColEquivalences {
-    parent: std::collections::HashMap<ColRef, ColRef>,
+    classes: Vec<(ColRef, ColRef)>,
 }
 
 impl ColEquivalences {
     /// Builds the classes for sub-plans covering `scope`.
     pub fn within(query: &QuerySpec, scope: RelSet) -> Self {
         let mut eq = ColEquivalences {
-            parent: std::collections::HashMap::new(),
+            classes: Vec::new(),
         };
         for edge in query.edges_within(scope) {
             eq.union(edge.left, edge.right);
@@ -77,32 +83,42 @@ impl ColEquivalences {
         eq
     }
 
-    fn find(&self, col: ColRef) -> ColRef {
-        let mut cur = col;
-        while let Some(&p) = self.parent.get(&cur) {
-            if p == cur {
-                break;
-            }
-            cur = p;
-        }
-        cur
+    /// The representative of `col`'s class, entering `col` as a class of
+    /// its own when the table has not seen it.
+    fn representative(&mut self, col: ColRef) -> ColRef {
+        self.class_of(col).unwrap_or_else(|| {
+            self.classes.push((col, col));
+            col
+        })
     }
 
+    /// Merges the classes of `a` and `b`. Every entry points straight at
+    /// its representative, so a lookup never follows a chain.
     fn union(&mut self, a: ColRef, b: ColRef) {
-        let ra = self.find(a);
-        let rb = self.find(b);
+        let (ra, rb) = (self.representative(a), self.representative(b));
         if ra != rb {
-            self.parent.insert(ra, rb);
+            for (_, rep) in &mut self.classes {
+                if *rep == ra {
+                    *rep = rb;
+                }
+            }
         }
-        // Ensure both appear in the map so `find` terminates uniformly.
-        self.parent.entry(a).or_insert(rb);
-        self.parent.entry(b).or_insert(rb);
+    }
+
+    fn class_of(&self, col: ColRef) -> Option<ColRef> {
+        self.classes
+            .iter()
+            .find(|(c, _)| *c == col)
+            .map(|&(_, rep)| rep)
     }
 
     /// `true` iff `a` and `b` are equated by predicates inside the scope
     /// (or are the same column).
     pub fn equivalent(&self, a: ColRef, b: ColRef) -> bool {
-        a == b || self.find(a) == self.find(b)
+        a == b
+            || self
+                .class_of(a)
+                .is_some_and(|rep| self.class_of(b) == Some(rep))
     }
 }
 

@@ -7,26 +7,40 @@
 //! argmin children expanded recursively; this is "the most cost effective
 //! operator in the root group" the paper extracts (§2) and the optimum
 //! all sampled costs are normalized to (§5).
+//!
+//! The program is memoised on both of its levels: per expression, and per
+//! *distinct* child slot. Sibling joins over the same inputs ask the same
+//! `(group, requirement)` question, so the minimum of a slot is found
+//! once — one `eligible_children` scan per distinct slot of the memo, the
+//! same scans (over the same [`gather_slots`] numbering) that link
+//! materialization makes — and the pass is linear in the memo like
+//! everything else downstream of it (paper §3).
 
-use plansample_memo::{eligible_children, GroupId, Memo, PhysId, PlanNode};
+use plansample_memo::{
+    eligible_children, gather_slots, DenseId, DenseIdMap, GroupId, Memo, PhysId, PlanNode,
+    SlotGather,
+};
 use plansample_query::QuerySpec;
 
 /// Memoized total costs for every physical expression.
 #[derive(Debug)]
 pub struct Totals {
-    by_group: Vec<Vec<f64>>,
+    ids: DenseIdMap,
+    /// Total cost by dense id.
+    totals: Vec<f64>,
 }
 
 impl Totals {
     /// Total cost of the sub-plan space rooted in `id` (infinite when
     /// some child slot has no eligible provider).
     pub fn total(&self, id: PhysId) -> f64 {
-        self.by_group[id.group.0 as usize][id.index]
+        self.totals[self.ids.dense(id).idx()]
     }
 
     /// Cheapest total in `group`, infinite for empty/unsatisfiable groups.
     pub fn group_best(&self, group: GroupId) -> f64 {
-        self.by_group[group.0 as usize]
+        let range = self.ids.group_range(group);
+        self.totals[range.start as usize..range.end as usize]
             .iter()
             .copied()
             .fold(f64::INFINITY, f64::min)
@@ -35,38 +49,69 @@ impl Totals {
 
 /// Computes total costs for all expressions.
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
-    let mut by_group: Vec<Vec<Option<f64>>> = memo
-        .groups()
-        .map(|g| vec![None; g.physical.len()])
+    let ids = DenseIdMap::build(memo);
+    let gather = gather_slots(memo);
+    let mut dp = TotalsDp {
+        memo,
+        query,
+        ids: &ids,
+        gather: &gather,
+        expr_total: vec![None; ids.len()],
+        slot_best: vec![None; gather.distinct.len()],
+    };
+    for d in (0..ids.len() as u32).map(DenseId) {
+        dp.total_of(d);
+    }
+    let totals = dp
+        .expr_total
+        .into_iter()
+        .map(|c| c.expect("all visited"))
         .collect();
-    for group in memo.groups() {
-        for (id, _) in group.phys_iter() {
-            total_rec(memo, query, id, &mut by_group);
-        }
-    }
-    Totals {
-        by_group: by_group
-            .into_iter()
-            .map(|v| v.into_iter().map(|c| c.expect("all visited")).collect())
-            .collect(),
-    }
+    Totals { ids, totals }
 }
 
-fn total_rec(memo: &Memo, query: &QuerySpec, id: PhysId, cache: &mut [Vec<Option<f64>>]) -> f64 {
-    if let Some(c) = cache[id.group.0 as usize][id.index] {
-        return c;
+/// The two memo tables of [`compute_totals`] and what they are computed
+/// from.
+struct TotalsDp<'a> {
+    memo: &'a Memo,
+    query: &'a QuerySpec,
+    ids: &'a DenseIdMap,
+    gather: &'a SlotGather,
+    /// Total cost by dense id.
+    expr_total: Vec<Option<f64>>,
+    /// Cheapest eligible child's total by distinct slot.
+    slot_best: Vec<Option<f64>>,
+}
+
+impl TotalsDp<'_> {
+    /// `local + Σ slots`, added in slot order.
+    fn total_of(&mut self, d: DenseId) -> f64 {
+        if let Some(c) = self.expr_total[d.idx()] {
+            return c;
+        }
+        let gather = self.gather;
+        let mut total = self.memo.phys(self.ids.phys(d)).local_cost;
+        for &slot in gather.slots_of(d) {
+            total += self.best_of(slot as usize); // INFINITY when the slot is unsatisfiable
+        }
+        self.expr_total[d.idx()] = Some(total);
+        total
     }
-    let expr = memo.phys(id);
-    let mut total = expr.local_cost;
-    for slot in expr.child_slots(id.group) {
-        let best = eligible_children(memo, query, &slot)
+
+    /// The minimum over the slot's eligible children, folded in group
+    /// order.
+    fn best_of(&mut self, slot: usize) -> f64 {
+        if let Some(c) = self.slot_best[slot] {
+            return c;
+        }
+        let (ids, gather) = (self.ids, self.gather);
+        let best = eligible_children(self.memo, self.query, &gather.distinct[slot])
             .into_iter()
-            .map(|child| total_rec(memo, query, child, cache))
+            .map(|child| self.total_of(ids.dense(child)))
             .fold(f64::INFINITY, f64::min);
-        total += best; // INFINITY when the slot is unsatisfiable
+        self.slot_best[slot] = Some(best);
+        best
     }
-    cache[id.group.0 as usize][id.index] = Some(total);
-    total
 }
 
 /// Extracts the cheapest complete plan rooted in the memo's root group.

@@ -12,7 +12,7 @@
 use crate::CostModel;
 use plansample_catalog::Catalog;
 use plansample_memo::{
-    satisfies_cols, GroupId, GroupKey, LogicalOp, Memo, PhysicalExpr, PhysicalOp, SortOrder,
+    GroupId, GroupKey, LogicalOp, Memo, OrderSatisfier, PhysicalExpr, PhysicalOp, SortOrder,
 };
 use plansample_query::{ColRef, QuerySpec, RelSet};
 
@@ -28,11 +28,13 @@ pub fn implement_all(
 ) {
     for gid in (0..memo.num_groups() as u32).map(GroupId) {
         let key = memo.group(gid).key;
-        let logical = memo.group(gid).logical.clone();
-        for op in logical {
-            match op {
+        // A group's alternatives are gathered, then inserted in one
+        // duplicate-eliminating batch.
+        let mut out = Vec::new();
+        for op in &memo.group(gid).logical {
+            match *op {
                 LogicalOp::Scan { rel } => {
-                    implement_scan(query, catalog, cost, enable_index_scans, memo, gid, rel)
+                    implement_scan(query, catalog, cost, enable_index_scans, rel, &mut out)
                 }
                 LogicalOp::Join { left, right } => implement_join(
                     query,
@@ -40,14 +42,17 @@ pub fn implement_all(
                     cost,
                     enable_merge_joins,
                     memo,
-                    gid,
                     key,
                     left,
                     right,
+                    &mut out,
                 ),
-                LogicalOp::Agg { input } => implement_agg(query, catalog, cost, memo, gid, input),
+                LogicalOp::Agg { input } => {
+                    implement_agg(query, catalog, cost, memo, input, &mut out)
+                }
             }
         }
+        memo.extend_physical(gid, out);
     }
 }
 
@@ -63,36 +68,29 @@ fn implement_scan(
     catalog: &Catalog,
     cost: &CostModel,
     enable_index_scans: bool,
-    memo: &mut Memo,
-    gid: GroupId,
     rel: plansample_query::RelId,
+    out: &mut Vec<PhysicalExpr>,
 ) {
     let table = catalog.table(query.relations[rel.idx()].table);
     let stored_rows = table.row_count as f64;
     let out_card = query.filtered_card(catalog, rel);
 
-    memo.add_physical(
-        gid,
-        PhysicalExpr::new(
-            PhysicalOp::TableScan { rel },
-            cost.table_scan(stored_rows),
-            out_card,
-        ),
-    );
+    out.push(PhysicalExpr::new(
+        PhysicalOp::TableScan { rel },
+        cost.table_scan(stored_rows),
+        out_card,
+    ));
     if enable_index_scans {
         for ix in &table.indexes {
             let col = ColRef {
                 rel,
                 col: ix.column as u32,
             };
-            memo.add_physical(
-                gid,
-                PhysicalExpr::new(
-                    PhysicalOp::SortedIdxScan { rel, col },
-                    cost.idx_scan(stored_rows),
-                    out_card,
-                ),
-            );
+            out.push(PhysicalExpr::new(
+                PhysicalOp::SortedIdxScan { rel, col },
+                cost.idx_scan(stored_rows),
+                out_card,
+            ));
         }
     }
 }
@@ -103,11 +101,11 @@ fn implement_join(
     catalog: &Catalog,
     cost: &CostModel,
     enable_merge_joins: bool,
-    memo: &mut Memo,
-    gid: GroupId,
+    memo: &Memo,
     key: GroupKey,
     left: GroupId,
     right: GroupId,
+    out: &mut Vec<PhysicalExpr>,
 ) {
     let (lset, rset) = (rels_of(memo, left), rels_of(memo, right));
     let set = key.rels().expect("join group has a relation set");
@@ -117,24 +115,18 @@ fn implement_join(
     let crossing = query.edges_crossing(lset, rset);
 
     // Nested loops handle any predicate set, including pure cross products.
-    memo.add_physical(
-        gid,
-        PhysicalExpr::new(
-            PhysicalOp::NestedLoopJoin { left, right },
-            cost.nested_loop_join(lcard, rcard),
-            out_card,
-        ),
-    );
+    out.push(PhysicalExpr::new(
+        PhysicalOp::NestedLoopJoin { left, right },
+        cost.nested_loop_join(lcard, rcard),
+        out_card,
+    ));
 
     if !crossing.is_empty() {
-        memo.add_physical(
-            gid,
-            PhysicalExpr::new(
-                PhysicalOp::HashJoin { left, right },
-                cost.hash_join(lcard, rcard),
-                out_card,
-            ),
-        );
+        out.push(PhysicalExpr::new(
+            PhysicalOp::HashJoin { left, right },
+            cost.hash_join(lcard, rcard),
+            out_card,
+        ));
         if enable_merge_joins {
             // One merge-join alternative per crossing predicate: merge on
             // that key, remaining crossing predicates become residuals.
@@ -144,19 +136,16 @@ fn implement_join(
                 } else {
                     (edge.right, edge.left)
                 };
-                memo.add_physical(
-                    gid,
-                    PhysicalExpr::new(
-                        PhysicalOp::MergeJoin {
-                            left,
-                            right,
-                            left_key: lk,
-                            right_key: rk,
-                        },
-                        cost.merge_join(lcard, rcard),
-                        out_card,
-                    ),
-                );
+                out.push(PhysicalExpr::new(
+                    PhysicalOp::MergeJoin {
+                        left,
+                        right,
+                        left_key: lk,
+                        right_key: rk,
+                    },
+                    cost.merge_join(lcard, rcard),
+                    out_card,
+                ));
             }
         }
     }
@@ -166,9 +155,9 @@ fn implement_agg(
     query: &QuerySpec,
     catalog: &Catalog,
     cost: &CostModel,
-    memo: &mut Memo,
-    gid: GroupId,
+    memo: &Memo,
     input: GroupId,
+    out: &mut Vec<PhysicalExpr>,
 ) {
     let agg = query
         .aggregate
@@ -178,25 +167,16 @@ fn implement_agg(
     let out_card = query.grouped_card(catalog, rels_of(memo, input), &agg.group_by);
     let group_order = SortOrder::on(agg.group_by.clone());
 
-    memo.add_physical(
-        gid,
-        PhysicalExpr::new(
-            PhysicalOp::HashAgg { input },
-            cost.hash_agg(in_card),
-            out_card,
-        ),
-    );
-    memo.add_physical(
-        gid,
-        PhysicalExpr::new(
-            PhysicalOp::StreamAgg {
-                input,
-                group_order: group_order.clone(),
-            },
-            cost.stream_agg(in_card),
-            out_card,
-        ),
-    );
+    out.push(PhysicalExpr::new(
+        PhysicalOp::HashAgg { input },
+        cost.hash_agg(in_card),
+        out_card,
+    ));
+    out.push(PhysicalExpr::new(
+        PhysicalOp::StreamAgg { input, group_order },
+        cost.stream_agg(in_card),
+        out_card,
+    ));
 }
 
 /// Adds `Sort` enforcers for every *interesting order* of every
@@ -239,10 +219,14 @@ pub fn add_enforcers(query: &QuerySpec, catalog: &Catalog, cost: &CostModel, mem
         }
 
         let card = query.set_card(catalog, set);
+        // One satisfier per group: the scope's equivalence classes are
+        // built at most once, not per candidate expression.
+        let mut sat = OrderSatisfier::new(query, set);
         for target in orders {
-            let has_sortable_input = memo.group(gid).physical.iter().any(|e| {
-                !e.op.is_enforcer() && !satisfies_cols(query, set, e.delivered_cols(), &target)
-            });
+            let has_sortable_input =
+                memo.group(gid).physical.iter().any(|e| {
+                    !e.op.is_enforcer() && !sat.satisfies_cols(e.delivered_cols(), &target)
+                });
             if has_sortable_input {
                 memo.add_physical(
                     gid,

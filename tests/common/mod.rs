@@ -1,7 +1,8 @@
 //! Shared helpers for the statistical validation suites: building
 //! synthetic spaces and collecting sampling frequency spectra — plus
-//! the independent unranking oracle the differential suites compare
-//! the product's one unranker against.
+//! the independent oracles the differential suites compare the product
+//! against: the recursive unranker and the per-expression best-plan
+//! recursion.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
@@ -9,7 +10,9 @@ use plansample::PlanSpace;
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
 use plansample_datagen::joingraph::JoinGraphSpec;
-use plansample_memo::{DenseId, GroupKey, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode};
+use plansample_memo::{
+    eligible_children, DenseId, GroupKey, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode,
+};
 use plansample_optimizer::{optimize, OptimizerConfig};
 use plansample_query::{QueryBuilder, QuerySpec, RelId, RelSet};
 use rand::rngs::StdRng;
@@ -78,6 +81,92 @@ pub fn reference_sample_batch(space: &PlanSpace, seed: u64, k: usize) -> Vec<Pla
     (0..k)
         .map(|_| reference_unrank(space, &Nat::random_below(&mut rng, space.total())))
         .collect()
+}
+
+// ---------------------------------------------------------------------
+// The reference best-plan extraction
+// ---------------------------------------------------------------------
+//
+// The optimizer's dynamic program as it ran before it was memoised per
+// distinct child slot: one recursion per *expression*, one
+// `eligible_children` scan per expression *slot* (43 651 on Q8+CP where
+// the product makes 2 049). Same operand order — `local + Σ slots`, each
+// slot folded in group order — so "product equals reference" is asserted
+// on the bits.
+
+/// Total cost of every expression, `[group][index]`.
+pub fn reference_totals(memo: &Memo, query: &QuerySpec) -> Vec<Vec<f64>> {
+    let mut cache: Vec<Vec<Option<f64>>> = memo
+        .groups()
+        .map(|g| vec![None; g.physical.len()])
+        .collect();
+    for group in memo.groups() {
+        for (id, _) in group.phys_iter() {
+            reference_total_rec(memo, query, id, &mut cache);
+        }
+    }
+    cache
+        .into_iter()
+        .map(|g| g.into_iter().map(|c| c.expect("all visited")).collect())
+        .collect()
+}
+
+fn reference_total_rec(
+    memo: &Memo,
+    query: &QuerySpec,
+    id: PhysId,
+    cache: &mut [Vec<Option<f64>>],
+) -> f64 {
+    if let Some(c) = cache[id.group.0 as usize][id.index] {
+        return c;
+    }
+    let expr = memo.phys(id);
+    let mut total = expr.local_cost;
+    for slot in expr.child_slots(id.group) {
+        total += eligible_children(memo, query, &slot)
+            .into_iter()
+            .map(|child| reference_total_rec(memo, query, child, cache))
+            .fold(f64::INFINITY, f64::min);
+    }
+    cache[id.group.0 as usize][id.index] = Some(total);
+    total
+}
+
+/// The cheapest root expression with its argmin children expanded, the
+/// first minimum winning at every step, and its total.
+pub fn reference_best_plan(
+    memo: &Memo,
+    query: &QuerySpec,
+    totals: &[Vec<f64>],
+) -> Option<(PlanNode, f64)> {
+    let total = |id: PhysId| totals[id.group.0 as usize][id.index];
+    fn expand(
+        memo: &Memo,
+        query: &QuerySpec,
+        total: &dyn Fn(PhysId) -> f64,
+        id: PhysId,
+    ) -> PlanNode {
+        let children = memo
+            .phys(id)
+            .child_slots(id.group)
+            .iter()
+            .map(|slot| {
+                let child = eligible_children(memo, query, slot)
+                    .into_iter()
+                    .min_by(|a, b| total(*a).total_cmp(&total(*b)))
+                    .expect("finite-cost parent implies satisfiable slots");
+                expand(memo, query, total, child)
+            })
+            .collect();
+        PlanNode { id, children }
+    }
+    let best = memo
+        .group(memo.root())
+        .phys_iter()
+        .map(|(id, _)| id)
+        .filter(|&id| total(id).is_finite())
+        .min_by(|a, b| total(*a).total_cmp(&total(*b)))?;
+    Some((expand(memo, query, &total, best), total(best)))
 }
 
 /// A hand-built space whose root list total is exactly `2^levels − 1`:

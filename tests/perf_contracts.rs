@@ -12,7 +12,7 @@
 //!
 //! The three parallel-speedup bars additionally need ≥ 4 cores: below
 //! that both configurations still run and must agree, and only the
-//! ≥ 2× assertion is skipped, with a notice.
+//! speed-up assertion is skipped, with a notice.
 //! Contracts time things, so they take turns ([`contract`]) instead of
 //! running on the test harness's parallel threads.
 
@@ -53,7 +53,7 @@ fn four_cores(name: &str) -> bool {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if cores < 4 {
         println!(
-            "{name}: SKIPPING the >= 2x bar — only {cores} core(s); \
+            "{name}: SKIPPING the speed-up bar — only {cores} core(s); \
              a parallel speedup is not physically observable here"
         );
     }
@@ -137,10 +137,16 @@ fn flat_per_sec(space: &PlanSpace, threads: usize, k: usize) -> f64 {
 /// A serve-fleet restart pays one disk read + checksum + decode per
 /// resident query instead of the cold path (synthesize the memo,
 /// rebuild the plan space). That is the artifact's whole reason to
-/// exist: load must be ≥ 20× faster, and the loaded space must answer
-/// identically.
+/// exist: load must beat the cold path, and the loaded space must answer
+/// identically. The bar follows the cold side, which is what moved: it
+/// was ≥ 20× while `build_memo` eliminated duplicates quadratically and
+/// the eligibility scan hashed (cold ≈ 3.8 s against a ≈ 170 ms load);
+/// with both linear the cold path is ≈ 0.5 s and the load is what it
+/// was. Fourteen readings on a 2-core container: 3.06–4.20×
+/// (EXPERIMENTS §E19); the bar sits a quarter under the lowest.
 #[test]
-fn artifact_load_is_20x_a_cold_prepare_and_answers_identically() {
+fn artifact_load_outruns_a_cold_prepare_and_answers_identically() {
+    const LOAD_BAR: f64 = 2.25;
     let name = "artifact load (clique-10)";
     let Some(_turn) = contract(name) else { return };
     let space = clique10().clone();
@@ -166,7 +172,7 @@ fn artifact_load_is_20x_a_cold_prepare_and_answers_identically() {
     });
     let speedup = cold / load.max(1e-12);
     println!(
-        "{name}: cold prepare {:.0} ms vs load {:.1} ms ({speedup:.0}x, {bytes} bytes on disk)",
+        "{name}: cold prepare {:.0} ms vs load {:.1} ms ({speedup:.2}x, {bytes} bytes on disk)",
         cold * 1e3,
         load * 1e3
     );
@@ -185,9 +191,9 @@ fn artifact_load_is_20x_a_cold_prepare_and_answers_identically() {
         "loaded unrank(0) diverged"
     );
     assert!(
-        speedup >= 20.0,
-        "loading a clique-10 artifact must be >= 20x faster than cold preparation; \
-         measured {speedup:.1}x"
+        speedup >= LOAD_BAR,
+        "loading a clique-10 artifact must be >= {LOAD_BAR}x faster than cold preparation; \
+         measured {speedup:.2}x"
     );
 }
 
@@ -211,9 +217,13 @@ fn clique10_counts_a_multi_limb_total_and_round_trips_its_boundary_ranks() {
 }
 
 /// Both thread counts build everywhere and must count identically; only
-/// the ≥ 2× bar needs the cores.
+/// the speed-up bar needs the cores. A build forks once, for the
+/// eligibility scan, which is 221 of a 388 ms one-thread clique-10 build
+/// (DESIGN §5): four threads can reach at most ≈ 1.75×, and the bar —
+/// never yet run, for want of a four-core host — is set at 1.3×.
 #[test]
-fn four_thread_build_is_2x_one_thread_on_four_cores() {
+fn four_thread_build_outruns_one_thread_on_four_cores() {
+    const BUILD_BAR: f64 = 1.3;
     let name = "parallel build (clique-10)";
     let Some(_turn) = contract(name) else { return };
     let expected = clique10().total(); // built before any clock starts
@@ -245,10 +255,52 @@ fn four_thread_build_is_2x_one_thread_on_four_cores() {
     );
     if four_cores(name) {
         assert!(
-            speedup >= 2.0,
-            "parallel build must be >= 2x faster at 4 threads on clique-10; measured {speedup:.2}x"
+            speedup >= BUILD_BAR,
+            "parallel build must be >= {BUILD_BAR}x faster at 4 threads on clique-10; \
+             measured {speedup:.2}x"
         );
     }
+}
+
+/// Everything downstream of exploration is linear in the memo (paper
+/// §3), and best-plan extraction makes the same property scans link
+/// materialization does — one per *distinct* child slot, 2 049 on Q8+CP.
+/// So on one thread the whole of `optimize` (explore, implement,
+/// enforcers, totals, best plan) may cost at most twice `Links::build` +
+/// `Counts::compute` over the memo it produced. It reads ≈ 1.3×; a
+/// best-plan extraction that scans once per expression *slot* (43 651)
+/// read 3.5–3.8× (EXPERIMENTS §E19).
+#[test]
+fn optimize_is_within_2x_of_links_plus_counts_on_q8cp() {
+    let name = "optimize vs links + counts (Q8+CP)";
+    let Some(_turn) = contract(name) else { return };
+    let (catalog, _) = plansample_catalog::tpch::catalog();
+    let query = plansample_query::tpch::q8(&catalog);
+    let config = OptimizerConfig::with_cross_products();
+    let (optimize, build) = threadpool::with_threads(1, || {
+        let memo = plansample_optimizer::optimize(&catalog, &query, &config)
+            .expect("Q8+CP optimizes")
+            .memo;
+        let optimize = median_secs(15, || {
+            plansample_optimizer::optimize(&catalog, &query, &config).expect("Q8+CP optimizes")
+        });
+        let build = median_secs(15, || {
+            let links = plansample::Links::build(&memo, &query).expect("Q8+CP links");
+            let counts = plansample::Counts::compute(&links);
+            (links, counts)
+        });
+        (optimize, build)
+    });
+    let ratio = optimize / build.max(1e-12);
+    println!(
+        "{name}: optimize {:.1} ms vs links + counts {:.1} ms ({ratio:.2}x)",
+        optimize * 1e3,
+        build * 1e3
+    );
+    assert!(
+        ratio <= 2.0,
+        "optimizing Q8+CP must cost <= 2x building its links and counts; measured {ratio:.2}x"
+    );
 }
 
 /// `Session::prepare` pays optimize + links + counts once; 1000 draws
