@@ -655,14 +655,11 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let mut rng = StdRng::seed_from_u64(cli.seed);
             // The flat batch path: unranking on the fastest fixed-width
             // tier the space qualifies for (u64 → u128 → exact Nat), no
-            // per-plan tree allocation.
+            // per-plan tree allocation, each plan costed as it is drawn.
             let mut batch = plansample::PlanBatch::new();
-            prepared.sample_batch_flat(&mut rng, *k, &mut batch);
-            let costs: Vec<f64> = batch
-                .iter()
-                .map(|ids| prepared.scaled_cost_ids(ids))
-                .collect();
-            let s = Summary::of(&costs);
+            prepared.sample_batch_costed(&mut rng, *k, &mut batch);
+            let costs = batch.costs();
+            let s = Summary::of(costs);
             let _ = writeln!(
                 out,
                 "{k} uniform samples from {} plans ({} unranking tier)",
@@ -683,7 +680,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
                 100.0 * s.fraction_below(10.0)
             );
             let _ = writeln!(out, "\nlower 50% of sampled costs:");
-            let hist = Histogram::lower_fraction(&costs, 0.5, 16);
+            let hist = Histogram::lower_fraction(costs, 0.5, 16);
             let _ = write!(out, "{}", hist.render(40));
         }
         Command::Validate(k, _) => {

@@ -3,10 +3,14 @@
 //! A [`PlanBatch`] holds `k` sampled plans as one contiguous buffer of
 //! preorder [`PhysId`]s plus a bounds table, CSR-style, mirroring the
 //! flat layout philosophy of [`crate::Links`]: after the first batch
-//! warms its capacity, refilling it allocates nothing. The serving
-//! layer's `SampleBatch` path and the throughput benchmark both sample
-//! through this type; callers that want trees keep using
-//! [`crate::PlanSpace::sample_batch`], which returns [`PlanNode`]s.
+//! warms its capacity, refilling it allocates nothing. A *costed* fill
+//! ([`crate::PlanSpace::sample_batch_costed`]) also leaves one cost per
+//! plan in a column beside the bounds, summed during the walk that
+//! produced the ids, so a caller that wants both never reads a plan
+//! twice. The serving layer's `SampleBatch` path, the CLI and the
+//! throughput benchmark all sample through this type; callers that want
+//! trees keep using [`crate::PlanSpace::sample_batch`], which returns
+//! [`PlanNode`]s.
 //!
 //! A preorder id sequence determines the plan tree uniquely (each
 //! operator's arity is known from the memo), so the flat form loses no
@@ -18,6 +22,18 @@ use crate::links::ListId;
 use plansample_bignum::Nat;
 use plansample_memo::PhysId;
 
+/// An operator the walk has entered and not yet left: what a costed
+/// fill keeps of it until its last child's subtree is complete.
+#[derive(Debug, Clone)]
+pub(crate) struct OpenOp {
+    /// Children not yet complete.
+    pub(crate) pending: usize,
+    /// The operator's own cost.
+    pub(crate) local: f64,
+    /// The complete children's subtree costs, summed left to right.
+    pub(crate) children: f64,
+}
+
 /// Unrank scratch in word `W`, kept in the batch so its capacity
 /// survives across draws and fills.
 #[derive(Debug, Clone, Default)]
@@ -26,12 +42,16 @@ pub(crate) struct Scratch<W> {
     pub(crate) stack: Vec<(ListId, W)>,
     /// The ranks of one fill, drawn up front in draw order.
     pub(crate) ranks: Vec<W>,
+    /// A costed fill's open operators, root first (at most the plan's
+    /// depth).
+    pub(crate) open: Vec<OpenOp>,
 }
 
 impl<W> Scratch<W> {
     fn size_bytes(&self) -> usize {
         self.stack.capacity() * std::mem::size_of::<(ListId, W)>()
             + self.ranks.capacity() * std::mem::size_of::<W>()
+            + self.open.capacity() * std::mem::size_of::<OpenOp>()
     }
 }
 
@@ -54,9 +74,10 @@ impl Default for TierScratch {
 /// A resizable, reusable batch of flat plans.
 ///
 /// Obtain one with [`PlanBatch::new`], pass it to
-/// [`crate::PlanSpace::sample_batch_flat`] (or the
-/// [`crate::PreparedQuery`] delegation) as many times as needed; each
-/// fill clears the previous content but keeps the capacity.
+/// [`crate::PlanSpace::sample_batch_flat`] or
+/// [`sample_batch_costed`](crate::PlanSpace::sample_batch_costed) (or
+/// the [`crate::PreparedQuery`] delegations) as many times as needed;
+/// each fill clears the previous content but keeps the capacity.
 #[derive(Debug, Default, Clone)]
 pub struct PlanBatch {
     /// Preorder operator ids of every plan, concatenated.
@@ -64,6 +85,8 @@ pub struct PlanBatch {
     /// Plan `p` = `ids[bounds[p] as usize .. bounds[p+1] as usize]`;
     /// always starts with 0.
     bounds: Vec<u32>,
+    /// Plan `p`'s cost after a costed fill; empty after a plain one.
+    costs: Vec<f64>,
     /// Unrank stack and pre-drawn ranks, in the filling space's word.
     pub(crate) scratch: TierScratch,
     /// Per-shard sub-batches of the parallel fill — one per fixed-size
@@ -102,10 +125,21 @@ impl PlanBatch {
         (0..self.len()).map(|p| self.plan(p))
     }
 
+    /// One cost per plan, in draw order, when the batch was last filled
+    /// by a costed fill — in that fill's unit: total plan cost from
+    /// [`crate::PlanSpace::sample_batch_costed`], cost scaled to the
+    /// optimizer's plan from
+    /// [`crate::PreparedQuery::sample_batch_costed`]. Empty after
+    /// [`crate::PlanSpace::sample_batch_flat`].
+    pub fn costs(&self) -> &[f64] {
+        &self.costs
+    }
+
     /// Drops the plans, keeping every buffer's capacity.
     pub fn clear(&mut self) {
         self.ids.clear();
         self.bounds.clear();
+        self.costs.clear();
     }
 
     /// Total preorder ids across all plans (the buffer payload size).
@@ -132,12 +166,20 @@ impl PlanBatch {
         self.bounds.push(self.ids.len() as u32);
     }
 
-    /// Appends every plan of `other` (the parallel-fill merge step).
+    /// The cost column, for a costed fill to push to (one per sealed
+    /// plan) or rescale.
+    pub(crate) fn costs_mut(&mut self) -> &mut Vec<f64> {
+        &mut self.costs
+    }
+
+    /// Appends every plan of `other`, costs included (the parallel-fill
+    /// merge step).
     pub(crate) fn append_flat(&mut self, other: &PlanBatch) {
         let offset = self.ids.len() as u32;
         self.ids.extend_from_slice(&other.ids);
         self.bounds
             .extend(other.bounds[1..].iter().map(|&b| b + offset));
+        self.costs.extend_from_slice(&other.costs);
     }
 
     /// Bytes of memory held by the buffers, capacity-accurate,
@@ -146,6 +188,7 @@ impl PlanBatch {
         std::mem::size_of::<Self>()
             + self.ids.capacity() * std::mem::size_of::<PhysId>()
             + self.bounds.capacity() * std::mem::size_of::<u32>()
+            + self.costs.capacity() * std::mem::size_of::<f64>()
             + match &self.scratch {
                 TierScratch::U64(s) => s.size_bytes(),
                 TierScratch::U128(s) => s.size_bytes(),

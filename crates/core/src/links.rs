@@ -12,15 +12,23 @@
 //! # Flat layout
 //!
 //! Expressions are addressed by [`DenseId`] (a memo-wide contiguous
-//! `u32`, see [`DenseIdMap`]) and the links are stored CSR-style in four
-//! flat buffers:
+//! `u32`, see [`DenseIdMap`]) and the links are stored in three flat
+//! buffers:
 //!
 //! ```text
-//!   pool:        [DenseId]   all alternative lists, concatenated
-//!   list_bounds: [u32]       list l = pool[list_bounds[l] .. list_bounds[l+1]]
-//!   slot_lists:  [ListId]    per-expression slot → list, concatenated
-//!   slot_bounds: [u32]       expr d's slots = slot_lists[slot_bounds[d] .. slot_bounds[d+1]]
+//!   pool:        [DenseId]               all alternative lists, concatenated
+//!   list_bounds: [u32]                   list l = pool[list_bounds[l] .. list_bounds[l+1]]
+//!   slots:       [[ListId; MAX_SLOTS]]   expr d's slot → list, padded with ListId::NONE
 //! ```
+//!
+//! The lists are CSR; the slots are not. No operator has more than
+//! [`MAX_SLOTS`] children and 98 % of a join memo's expressions are
+//! binary joins, so one fixed record per expression is *smaller* than a
+//! bounds table plus a concatenated slot table (`8·n` against
+//! `4·(n+1) + 4·slots` bytes, `slots ≈ 1.96·n`) and an unranking step
+//! reads it in one load instead of two dependent ones. The serialization
+//! view ([`LinksParts`]) keeps the CSR pair, so artifacts did not change
+//! when the resident table did.
 //!
 //! Alternative lists are *interned*: two slots demanding the same
 //! `(group, requirement)` — or even different requirements that filter
@@ -40,7 +48,7 @@
 
 use crate::SpaceError;
 use plansample_memo::{
-    eligible_children, gather_slots, DenseId, DenseIdMap, Memo, PhysId, SlotGather,
+    eligible_children, gather_slots, DenseId, DenseIdMap, Memo, PhysId, MAX_SLOTS,
 };
 use plansample_query::QuerySpec;
 use std::collections::HashMap;
@@ -50,6 +58,11 @@ use std::collections::HashMap;
 pub struct ListId(u32);
 
 impl ListId {
+    /// Pads the unoccupied tail of an expression's slot record. No
+    /// interned list has this id: one would need a bounds table of 2³²
+    /// entries.
+    const NONE: ListId = ListId(u32::MAX);
+
     /// The id as a usize array index.
     #[inline]
     pub fn idx(self) -> usize {
@@ -57,11 +70,30 @@ impl ListId {
     }
 }
 
-/// The flat CSR buffers of a [`Links`] as raw `u32` tables — the
+/// One expression's slot record: its child slots' lists in slot order,
+/// then [`ListId::NONE`].
+type Slots = [ListId; MAX_SLOTS];
+
+/// Packs one expression's slot lists, `None` when there are more than
+/// [`MAX_SLOTS`].
+fn pack(lists: impl ExactSizeIterator<Item = ListId>) -> Option<Slots> {
+    let mut slots = [ListId::NONE; MAX_SLOTS];
+    if lists.len() > MAX_SLOTS {
+        return None;
+    }
+    for (slot, l) in slots.iter_mut().zip(lists) {
+        *slot = l;
+    }
+    Some(slots)
+}
+
+/// A [`Links`] as raw `u32` tables, every one of them CSR — the
 /// serialization view a plan-space artifact stores and reloads
 /// byte-for-byte (see `plansample-artifact`). Produced by
 /// [`Links::to_parts`], consumed (and validated) by
-/// [`Links::from_parts`].
+/// [`Links::from_parts`]. The slots are listed here as a bounds table
+/// and a concatenated table, not as the padded records the links keep
+/// resident: the view has no sentinel and no width to agree on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinksParts {
     /// All interned alternative lists, concatenated ([`DenseId`] raws).
@@ -79,18 +111,17 @@ pub struct LinksParts {
 }
 
 /// Materialized parent→child links for every physical expression, in the
-/// flat CSR layout described in the module docs above.
+/// flat layout described in the module docs above.
 #[derive(Debug, Clone)]
 pub struct Links {
     ids: DenseIdMap,
-    /// All interned alternative lists, concatenated.
+    /// All interned alternative lists, concatenated; each list strictly
+    /// ascending (group order is dense order), which ranking searches.
     pool: Vec<DenseId>,
     /// `list_bounds[l]..list_bounds[l+1]` bounds list `l` in `pool`.
     list_bounds: Vec<u32>,
-    /// Per-expression slot → interned list, concatenated in slot order.
-    slot_lists: Vec<ListId>,
-    /// `slot_bounds[d]..slot_bounds[d+1]` bounds expr `d` in `slot_lists`.
-    slot_bounds: Vec<u32>,
+    /// Expr `d`'s slot → interned list, in slot order.
+    slots: Vec<Slots>,
     /// Every expression, children before parents (also proves acyclicity).
     topo: Vec<DenseId>,
     /// The root group's expressions as an interned list — the alternative
@@ -130,16 +161,12 @@ impl Links {
         let ids = DenseIdMap::build(memo);
 
         // Pass 1: gather slots; distinct slots in first-encounter order.
-        let SlotGather {
-            distinct,
-            slot_of,
-            slot_bounds,
-        } = gather_slots(memo);
+        let gather = gather_slots(memo);
 
         // Pass 2: the property scans — the expensive part — in parallel.
         let kid_lists: Vec<Vec<DenseId>> =
-            threadpool::parallel_map(distinct.len(), Self::PAR_MIN_SLOTS, |i| {
-                eligible_children(memo, query, &distinct[i])
+            threadpool::parallel_map(gather.distinct.len(), Self::PAR_MIN_SLOTS, |i| {
+                eligible_children(memo, query, &gather.distinct[i])
                     .iter()
                     .map(|&k| ids.dense(k))
                     .collect()
@@ -163,28 +190,32 @@ impl Links {
                     l
                 }
             };
-        let mut list_of_slot: Vec<ListId> = Vec::with_capacity(distinct.len());
+        let mut list_of_slot: Vec<ListId> = Vec::with_capacity(gather.distinct.len());
         for kids in kid_lists {
             list_of_slot.push(intern(kids, &mut pool, &mut list_bounds));
         }
-        let mut slot_lists: Vec<ListId> =
-            slot_of.iter().map(|&i| list_of_slot[i as usize]).collect();
+        let slots: Vec<Slots> = (0..ids.len() as u32)
+            .map(|d| {
+                let lists = gather.slots_of(DenseId(d)).iter();
+                pack(lists.map(|&i| list_of_slot[i as usize]))
+                    .expect("no operator has more than MAX_SLOTS child slots")
+            })
+            .collect();
 
         let root_members: Vec<DenseId> = ids.group_range(memo.root()).map(DenseId).collect();
         let root_list = intern(root_members, &mut pool, &mut list_bounds);
 
         // The links back a long-lived, byte-budgeted artifact: drop the
-        // growth slack the pushes above left in the flat buffers.
+        // growth slack the pushes above left in the flat buffers (the
+        // slot records were collected at their exact length).
         pool.shrink_to_fit();
         list_bounds.shrink_to_fit();
-        slot_lists.shrink_to_fit();
 
         let mut links = Links {
             ids,
             pool,
             list_bounds,
-            slot_lists,
-            slot_bounds,
+            slots,
             topo: Vec::new(),
             root_list,
         };
@@ -192,16 +223,24 @@ impl Links {
         Ok(links)
     }
 
-    /// Copies the flat CSR buffers out as raw `u32` tables for
-    /// serialization. The dense-id table is *not* part of the view: it
-    /// is a pure function of the memo and is rebuilt by
+    /// Copies the tables out as raw `u32` CSR buffers for
+    /// serialization, expanding the slot records to the bounds +
+    /// concatenation pair. The dense-id table is *not* part of the view:
+    /// it is a pure function of the memo and is rebuilt by
     /// [`from_parts`](Self::from_parts).
     pub fn to_parts(&self) -> LinksParts {
+        let mut slot_lists = Vec::new();
+        let mut slot_bounds = Vec::with_capacity(self.slots.len() + 1);
+        slot_bounds.push(0);
+        for d in 0..self.slots.len() as u32 {
+            slot_lists.extend(self.slot_lists(DenseId(d)).iter().map(|l| l.0));
+            slot_bounds.push(slot_lists.len() as u32);
+        }
         LinksParts {
             pool: self.pool.iter().map(|d| d.0).collect(),
             list_bounds: self.list_bounds.clone(),
-            slot_lists: self.slot_lists.iter().map(|l| l.0).collect(),
-            slot_bounds: self.slot_bounds.clone(),
+            slot_lists,
+            slot_bounds,
             topo: self.topo.iter().map(|d| d.0).collect(),
             root_list: self.root_list.0,
         }
@@ -210,13 +249,15 @@ impl Links {
     /// Reassembles links from raw parts (the artifact load path),
     /// validating every structural invariant the accessors rely on in
     /// one O(n) pass — bounds tables monotonic and covering, every
-    /// index in range, the topo order a permutation — so corrupt or
-    /// adversarial bytes surface as [`SpaceError::MalformedParts`]
-    /// instead of a panic. It does *not* re-verify that the topo order
-    /// is children-before-parents or that list contents match an
-    /// `eligible_children` scan; the artifact layer's whole-file
-    /// checksum owns byte integrity, and this constructor owns memory
-    /// safety of the indices.
+    /// index in range, every list strictly ascending (ranking finds a
+    /// plan's operator by binary search), no expression with more than
+    /// [`MAX_SLOTS`] slots, the topo order a permutation — so corrupt
+    /// or adversarial bytes surface as [`SpaceError::MalformedParts`]
+    /// instead of a panic or a member reported foreign. It does *not*
+    /// re-verify that the topo order is children-before-parents or that
+    /// list contents match an `eligible_children` scan; the artifact
+    /// layer's whole-file checksum owns byte integrity, and this
+    /// constructor owns memory safety of the indices.
     pub fn from_parts(memo: &Memo, parts: LinksParts) -> Result<Links, SpaceError> {
         let malformed = |reason: &str| SpaceError::MalformedParts {
             reason: reason.to_string(),
@@ -263,7 +304,13 @@ impl Links {
         if pool.iter().any(|&d| d as usize >= n) {
             return Err(malformed("pool entry out of range"));
         }
-        if slot_lists.iter().any(|&l| l as usize >= num_lists) {
+        let ascending = |w: &[u32]| pool[w[0] as usize..w[1] as usize].is_sorted_by(|a, b| a < b);
+        if !list_bounds.windows(2).all(ascending) {
+            return Err(malformed("every list must be strictly ascending"));
+        }
+        // The padding sentinel is out of range for any table that fits
+        // `u32` list ids, so it cannot arrive as a slot's list.
+        if num_lists > ListId::NONE.idx() || slot_lists.iter().any(|&l| l as usize >= num_lists) {
             return Err(malformed("slot list id out of range"));
         }
         if (root_list as usize) >= num_lists {
@@ -281,12 +328,21 @@ impl Links {
             }
         }
 
+        // The view is sound; pack it.
+        let mut slots: Vec<Slots> = Vec::with_capacity(n);
+        for w in slot_bounds.windows(2) {
+            let lists = slot_lists[w[0] as usize..w[1] as usize].iter();
+            slots.push(
+                pack(lists.map(|&l| ListId(l)))
+                    .ok_or_else(|| malformed("an expression has more than MAX_SLOTS slots"))?,
+            );
+        }
+
         Ok(Links {
             ids,
             pool: pool.into_iter().map(DenseId).collect(),
             list_bounds,
-            slot_lists: slot_lists.into_iter().map(ListId).collect(),
-            slot_bounds,
+            slots,
             topo: topo.into_iter().map(DenseId).collect(),
             root_list: ListId(root_list),
         })
@@ -336,16 +392,19 @@ impl Links {
             .map(|w| &self.pool[w[0] as usize..w[1] as usize])
     }
 
-    /// The interned list of each child slot of `d`, in slot order.
+    /// The interned list of each child slot of `d`, in slot order: the
+    /// occupied prefix of `d`'s slot record.
     #[inline]
     pub fn slot_lists(&self, d: DenseId) -> &[ListId] {
-        &self.slot_lists[self.slot_bounds[d.idx()] as usize..self.slot_bounds[d.idx() + 1] as usize]
+        let slots = &self.slots[d.idx()];
+        let arity = slots.iter().take_while(|&&l| l != ListId::NONE).count();
+        &slots[..arity]
     }
 
     /// Number of child slots of `d` (the paper's `|v|`).
     #[inline]
     pub fn arity(&self, d: DenseId) -> usize {
-        (self.slot_bounds[d.idx() + 1] - self.slot_bounds[d.idx()]) as usize
+        self.slot_lists(d).len()
     }
 
     /// Number of child slots of an expression, by nominal id.
@@ -386,15 +445,14 @@ impl Links {
             .collect()
     }
 
-    /// Bytes of memory held by the links: the id table plus the four flat
-    /// buffers, capacity-accurate.
+    /// Bytes of memory held by the links: the id table plus the flat
+    /// buffers (pool, list bounds, slot records, topo), capacity-accurate.
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>() - std::mem::size_of::<DenseIdMap>()
             + self.ids.size_bytes()
             + self.pool.capacity() * std::mem::size_of::<DenseId>()
             + self.list_bounds.capacity() * std::mem::size_of::<u32>()
-            + self.slot_lists.capacity() * std::mem::size_of::<ListId>()
-            + self.slot_bounds.capacity() * std::mem::size_of::<u32>()
+            + self.slots.capacity() * std::mem::size_of::<Slots>()
             + self.topo.capacity() * std::mem::size_of::<DenseId>()
     }
 
@@ -441,26 +499,26 @@ impl Links {
                 cursor[d] += 1;
             }
         }
+        let slots_of = |e: usize| self.slot_lists(DenseId(e as u32));
         let mut consumer_bounds = vec![0u32; num_lists + 1];
-        for l in &self.slot_lists {
+        for l in (0..n).flat_map(slots_of) {
             consumer_bounds[l.idx() + 1] += 1;
         }
         for i in 0..num_lists {
             consumer_bounds[i + 1] += consumer_bounds[i];
         }
-        let mut consumers = vec![0u32; self.slot_lists.len()];
+        let mut consumers = vec![0u32; consumer_bounds[num_lists] as usize];
         let mut cursor: Vec<u32> = consumer_bounds[..num_lists].to_vec();
         for e in 0..n {
-            for s in self.slot_bounds[e] as usize..self.slot_bounds[e + 1] as usize {
-                let l = self.slot_lists[s].idx();
-                consumers[cursor[l] as usize] = e as u32;
-                cursor[l] += 1;
+            for l in slots_of(e) {
+                consumers[cursor[l.idx()] as usize] = e as u32;
+                cursor[l.idx()] += 1;
             }
         }
 
         // Outstanding dependencies. An expression is ready when all its
         // slot lists are finished; a list when all its members retired.
-        let mut pending_expr: Vec<u32> = self.slot_bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut pending_expr: Vec<u32> = (0..n).map(|e| slots_of(e).len() as u32).collect();
         let mut pending_list: Vec<u32> = self.list_bounds.windows(2).map(|w| w[1] - w[0]).collect();
 
         // Finishes list `l`: retires one slot edge of each consumer and
@@ -666,13 +724,78 @@ mod tests {
         assert_eq!(ids, from_memo);
     }
 
+    /// The artifact's view of the links is the CSR pair, whatever the
+    /// resident layout: nine slots over ten expressions on Figure 3, no
+    /// sentinel in sight, and `from_parts` packs it back to links that
+    /// answer — and serialize — the same.
     #[test]
-    fn size_bytes_tracks_the_flat_buffers() {
+    fn parts_are_the_csr_view_and_round_trip() {
         let ex = paper_example::build();
         let links = Links::build(&ex.memo, &ex.query).unwrap();
-        let floor = links.num_pooled_links() * std::mem::size_of::<DenseId>()
-            + links.num_exprs() * std::mem::size_of::<u32>();
-        assert!(links.size_bytes() >= floor);
+        let parts = links.to_parts();
+        assert_eq!(parts.slot_bounds.len(), links.num_exprs() + 1);
+        assert_eq!(parts.slot_lists.len(), 9);
+        assert_eq!(*parts.slot_bounds.last().unwrap(), 9);
+        assert!(parts
+            .slot_lists
+            .iter()
+            .all(|&l| (l as usize) < links.num_lists()));
+
+        let back = Links::from_parts(&ex.memo, parts.clone()).unwrap();
+        assert_eq!(back.to_parts(), parts);
+        assert_eq!(back.size_bytes(), links.size_bytes());
+        for (d, id) in links.ids().iter() {
+            assert_eq!(back.slot_lists(d), links.slot_lists(d));
+            assert_eq!(back.arity(d), ex.memo.phys(id).arity());
+            assert_eq!(back.children_of(id), links.children_of(id));
+        }
+    }
+
+    /// What the packed table and the ranker's binary search add to the
+    /// load-time checks: a checksummed artifact can still describe an
+    /// expression too wide for the slot record, name the padding
+    /// sentinel as a list, or hold a list out of order — each is
+    /// `MalformedParts`, none a panic or a member ranked as foreign.
+    #[test]
+    fn from_parts_rejects_what_the_slot_record_and_the_ranker_cannot_hold() {
+        let ex = paper_example::build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let parts = links.to_parts();
+        let rejected = |parts: LinksParts, why: &str| match Links::from_parts(&ex.memo, parts) {
+            Err(SpaceError::MalformedParts { reason }) => {
+                assert!(reason.contains(why), "{reason:?} does not mention {why:?}")
+            }
+            other => panic!("expected MalformedParts ({why}), got {other:?}"),
+        };
+        let root = links.ids().dense(ex.root_c_ab).idx();
+
+        // A third slot on a root join (a list id in range, bounds still
+        // monotonic and covering).
+        let mut wide = parts.clone();
+        let at = wide.slot_bounds[root + 1] as usize;
+        wide.slot_lists.insert(at, wide.slot_lists[at - 1]);
+        for bound in &mut wide.slot_bounds[root + 1..] {
+            *bound += 1;
+        }
+        rejected(wide, "more than MAX_SLOTS");
+
+        // The padding sentinel where a list id belongs.
+        let mut padded = parts.clone();
+        padded.slot_lists[parts.slot_bounds[root] as usize] = ListId::NONE.0;
+        rejected(padded, "slot list id out of range");
+
+        // Group AB's two joins, swapped within the list the roots draw
+        // from: same members, not ascending.
+        let mut unsorted = parts.clone();
+        let l = links.slot_lists(DenseId(root as u32))[1];
+        assert_eq!(links.list(l).len(), 2);
+        let at = parts.list_bounds[l.idx()] as usize;
+        unsorted.pool.swap(at, at + 1);
+        rejected(unsorted, "strictly ascending");
+        // … or one of them listed twice.
+        let mut repeated = parts;
+        repeated.pool[at + 1] = repeated.pool[at];
+        rejected(repeated, "strictly ascending");
     }
 
     #[test]

@@ -241,6 +241,21 @@ impl PreparedQuery {
         self.space.counts().tier()
     }
 
+    /// [`sample_batch_flat`](Self::sample_batch_flat) that also leaves
+    /// each plan's [`scaled_cost`](Self::scaled_cost) in
+    /// [`PlanBatch::costs`], bit-identical to costing the plan's tree —
+    /// the serving path (see [`PlanSpace::sample_batch_costed`]: the
+    /// costs are summed during the walk that emits the ids).
+    ///
+    /// # Panics
+    /// Panics if `k > 0` and the space is empty.
+    pub fn sample_batch_costed<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, out: &mut PlanBatch) {
+        self.space.sample_batch_costed(rng, k, out);
+        for cost in out.costs_mut() {
+            *cost /= self.best_cost;
+        }
+    }
+
     /// [`scaled_cost`](Self::scaled_cost) for a flat preorder id
     /// sequence (a [`PlanBatch`] entry): a plan's total cost is the sum
     /// of its operators' local costs, so no tree needs rebuilding.
@@ -248,19 +263,14 @@ impl PreparedQuery {
     /// The sum is evaluated bottom-up with the exact association of
     /// [`PlanNode::total_cost`](plansample_memo::PlanNode::total_cost)
     /// — local cost plus the left-to-right sum of child subtree totals
-    /// — so the result is bit-identical to the tree path, not merely
-    /// within a ULP (the serve crate asserts reply byte-identity).
+    /// — so the result is bit-identical to the tree path. Production
+    /// costs plans while it draws them
+    /// ([`sample_batch_costed`](Self::sample_batch_costed)); this
+    /// separate pass over finished ids is the reference that fill is
+    /// tested against.
     pub fn scaled_cost_ids(&self, ids: &[PhysId]) -> f64 {
-        self.scaled_cost_ids_in(ids, &mut Vec::with_capacity(ids.len().min(64)))
-    }
-
-    /// [`scaled_cost_ids`](Self::scaled_cost_ids) on the caller's
-    /// stack of subtree totals (cleared here; its capacity is what the
-    /// caller keeps), so costing a batch allocates nothing once the
-    /// stack has held the deepest plan.
-    pub fn scaled_cost_ids_in(&self, ids: &[PhysId], totals: &mut Vec<f64>) -> f64 {
         let memo = self.memo();
-        totals.clear();
+        let mut totals: Vec<f64> = Vec::with_capacity(ids.len().min(64));
         for &id in ids.iter().rev() {
             let expr = memo.phys(id);
             // Reverse preorder pushes the leftmost child's total last,

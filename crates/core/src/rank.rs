@@ -3,8 +3,9 @@
 //! The paper defines ranking as "finding [an execution plan's] number"
 //! (§1) and uses it implicitly to establish the bijection between
 //! `[0, N)` and the plan space. The computation mirrors unranking in
-//! reverse: at every node, read the stored running sum of the
-//! alternatives preceding the chosen operator (prefix), then recompose
+//! reverse: at every node, find the chosen operator in its alternative
+//! list (a binary search: lists ascend in dense id), read the stored
+//! running sum of the alternatives preceding it (prefix), then recompose
 //! the local rank from the children's sub-ranks in the same mixed-radix
 //! system.
 //!
@@ -57,11 +58,13 @@ impl PlanSpace {
         plan: &PlanNode,
     ) -> Result<W, SpaceError> {
         let target = self.member(plan)?;
-        let members = self.links.list(list);
-        let at = members
-            .iter()
-            .position(|&v| v == target)
-            .ok_or(SpaceError::ForeignPlan { at: plan.id })?;
+        // Every list ascends in dense id (`Links` builds them so and
+        // checks it of loaded ones).
+        let at = self
+            .links
+            .list(list)
+            .binary_search(&target)
+            .map_err(|_| SpaceError::ForeignPlan { at: plan.id })?;
         let mut rank = self.rank_expr_at(counts, target, plan)?;
         if at > 0 {
             rank += &counts.list_sums(&self.links, list)[at - 1];

@@ -15,12 +15,53 @@
 //! accepts the unranking sampler and rejects the naive walk — the reason
 //! the paper needs the counting machinery at all.
 
+use crate::batch::{OpenOp, Scratch};
 use crate::count::{with_tier, TierCounts};
 use crate::unrank::unrank_flat;
 use crate::word::Word;
 use crate::{PlanBatch, PlanSpace};
 use plansample_memo::{DenseId, PlanNode};
 use rand::Rng;
+
+/// What [`PlanNode::total_cost`] adds a node's children to: the sum of
+/// no costs, taken from the same `Sum` so the fold below starts where
+/// the tree's does on any toolchain.
+fn no_children() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
+
+/// The costing visitor of a costed fill: called with each operator's
+/// local cost and arity in preorder, it leaves the plan's total cost in
+/// `plan_total` when the last operator has been seen.
+///
+/// An operator with children waits on `open`; a leaf is complete at
+/// once, and completes every ancestor whose last child it closes. Each
+/// total is `local + ((∅ + c₁) + c₂ …)` over the children's totals left
+/// to right — the association of [`PlanNode::total_cost`], so the
+/// result is that function's to the bit and not merely within a ULP
+/// (serve pins reply bytes).
+#[inline]
+fn fold_cost(open: &mut Vec<OpenOp>, local: f64, arity: usize, plan_total: &mut f64) {
+    if arity > 0 {
+        open.push(OpenOp {
+            pending: arity,
+            local,
+            children: no_children(),
+        });
+        return;
+    }
+    let mut total = local + no_children();
+    while let Some(parent) = open.last_mut() {
+        parent.children += total;
+        parent.pending -= 1;
+        if parent.pending > 0 {
+            return;
+        }
+        total = parent.local + parent.children;
+        open.pop();
+    }
+    *plan_total = total;
+}
 
 impl PlanSpace {
     /// Draws one plan uniformly from the space.
@@ -62,7 +103,7 @@ impl PlanSpace {
     }
 
     /// Draws `k` plans uniformly into a reusable flat batch — the
-    /// zero-allocation serving path.
+    /// zero-allocation sampling path.
     ///
     /// All `k` ranks are drawn up front — consuming the caller's RNG
     /// exactly as `k` calls of [`sample`](Self::sample) would, on every
@@ -81,36 +122,68 @@ impl PlanSpace {
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
     pub fn sample_batch_flat<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, out: &mut PlanBatch) {
+        self.fill(rng, k, false, out);
+    }
+
+    /// [`sample_batch_flat`](Self::sample_batch_flat) — the same draws,
+    /// the same ids, from the same one walk per plan — that also leaves
+    /// each plan's total cost in [`PlanBatch::costs`], bit-identical to
+    /// [`PlanNode::total_cost`] of the plan's tree: the serving path.
+    /// The operators' local costs are summed as the walk meets them, so
+    /// costing a batch is not a second pass over it, and the loads it
+    /// needs are independent of the unranker's own chain.
+    ///
+    /// # Panics
+    /// Panics if `k > 0` and the space is empty.
+    pub fn sample_batch_costed<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, out: &mut PlanBatch) {
+        self.fill(rng, k, true, out);
+    }
+
+    fn fill<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, costed: bool, out: &mut PlanBatch) {
         assert!(
             k == 0 || !self.total().is_zero(),
             "cannot sample from an empty plan space"
         );
-        with_tier!(self.counts, c => self.fill_flat(c, rng, k, out));
+        with_tier!(self.counts, c => self.fill_in(c, rng, k, costed, out));
     }
 
-    /// [`sample_batch_flat`](Self::sample_batch_flat) in word `W`.
-    fn fill_flat<W: Word, R: Rng + ?Sized>(
+    /// [`fill`](Self::fill) in word `W`.
+    fn fill_in<W: Word, R: Rng + ?Sized>(
         &self,
         counts: &TierCounts<W>,
         rng: &mut R,
         k: usize,
+        costed: bool,
         out: &mut PlanBatch,
     ) {
         out.start_fill();
         let root = self.links.root_list();
         let mut slot = std::mem::take(&mut out.scratch);
-        let scratch = W::scratch(&mut slot);
-        scratch.ranks.clear();
-        scratch
-            .ranks
-            .extend((0..k).map(|_| W::random_below(rng, counts.list_total(root))));
-        let ranks = scratch.ranks.as_slice();
+        let Scratch { stack, ranks, open } = W::scratch(&mut slot);
+        ranks.clear();
+        ranks.extend((0..k).map(|_| W::random_below(rng, counts.list_total(root))));
+        let ranks = ranks.as_slice();
 
-        // Unranks `ranks` into `part` through `stack`.
-        let fill = |part: &mut PlanBatch, ranks: &[W], stack: &mut Vec<_>| {
+        // Unranks `ranks` into `part` through `stack` (and `open`).
+        let ids = self.links.ids();
+        let fill = |part: &mut PlanBatch, ranks: &[W], stack: &mut Vec<_>, open: &mut Vec<_>| {
             for rank in ranks {
                 let (v, local): (DenseId, W) = counts.select(&self.links, root, rank.clone());
-                unrank_flat(&self.links, counts, v, local, part.ids_mut(), stack);
+                let plan = part.ids_mut();
+                if costed {
+                    open.clear();
+                    let mut total = 0.0;
+                    unrank_flat(&self.links, counts, v, local, stack, |v, arity| {
+                        let id = ids.phys(v);
+                        plan.push(id);
+                        fold_cost(open, self.memo.phys(id).local_cost, arity, &mut total);
+                    });
+                    part.costs_mut().push(total);
+                } else {
+                    unrank_flat(&self.links, counts, v, local, stack, |v, _| {
+                        plan.push(ids.phys(v))
+                    });
+                }
                 part.finish_plan();
             }
         };
@@ -118,7 +191,7 @@ impl PlanSpace {
         // (see `threadpool`'s resolution order), which costs more than
         // a small batch does.
         if k < 2 * Self::PAR_MIN_DRAWS || threadpool::num_threads() == 1 {
-            fill(out, ranks, &mut scratch.stack);
+            fill(out, ranks, stack, open);
         } else {
             // Chunk `c` always covers draws `[c·PAR_MIN_DRAWS,
             // (c+1)·PAR_MIN_DRAWS)` — a mapping independent of how the
@@ -134,10 +207,12 @@ impl PlanSpace {
                 part.start_fill();
                 let lo = c * Self::PAR_MIN_DRAWS;
                 let mut slot = std::mem::take(&mut part.scratch);
+                let Scratch { stack, open, .. } = W::scratch(&mut slot);
                 fill(
                     part,
                     &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)],
-                    &mut W::scratch(&mut slot).stack,
+                    stack,
+                    open,
                 );
                 part.scratch = slot;
             });

@@ -13,7 +13,10 @@
 //!    `s_v(i) = ⌊R_v(i) / B_v(i−1)⌋` (and `s_v(1) = R_v(1)`); since
 //!    `B_v(i) = Π_{j≤i} b_v(j)`, these `s_v(i)` are exactly the digits of
 //!    `r_l` in the mixed-radix system with bases `b_v(1), b_v(2), …` —
-//!    which is how we compute them, one `div_rem` per slot;
+//!    which is how we compute them: one `div_rem` per slot but the last,
+//!    whose digit is what is left of the rank (`r_l < B_v(|v|)`, so the
+//!    quotient carried past slot `|v|−1` is already below `b_v(|v|)`).
+//!    A join divides once, a unary operator not at all;
 //! 3. recurse: sub-rank `s_v(i)` is unranked within slot `i`'s
 //!    alternative list.
 //!
@@ -28,12 +31,15 @@
 //!
 //! There is exactly one implementation of the procedure,
 //! [`unrank_flat`]: iterative, generic over the [`Word`] the space's
-//! counts are stored in, emitting a flat preorder id sequence. Every
-//! public entry point — tree or flat, whole-space or rooted, single rank
-//! or sampled batch — converts its rank to that word, runs it, and (for
-//! the tree-returning ones) lifts the ids back into a [`PlanNode`]. The
-//! paper's recursive formulation survives as the independent test
-//! oracle in `tests/common`.
+//! counts are stored in, handing each operator to a caller-supplied
+//! visitor in preorder. What is made of a plan is the visitor's
+//! business — a preorder id sequence, or that plus the plan's cost
+//! folded on the way down (`sample.rs`) — and the walk exists once.
+//! Every public entry point — tree or flat, whole-space or rooted,
+//! single rank or sampled batch — converts its rank to that word, runs
+//! it, and (for the tree-returning ones) lifts the ids back into a
+//! [`PlanNode`]. The paper's recursive formulation, dividing once per
+//! slot, survives as the independent test oracle in `tests/common`.
 
 use crate::count::{with_tier, TierCounts};
 use crate::links::ListId;
@@ -42,42 +48,60 @@ use crate::{Links, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PhysId, PlanNode};
 
-/// Appends to `ids` the preorder operator ids of plan number `local`
-/// of the sub-space rooted at expression `v` (`local < N(v)`).
+/// Walks plan number `local` of the sub-space rooted at expression `v`
+/// (`local < N(v)`) in preorder, calling `visit(operator, arity)` once
+/// per plan node.
 ///
-/// The recursion is an explicit `stack` of `(list, sub-rank)` frames
-/// and nothing is allocated per node, so with `ids` and `stack` at
-/// capacity a fixed-width call performs zero heap allocations
-/// (asserted by `tests/alloc_counting.rs`).
+/// The walk descends into an operator's first slot directly; only the
+/// later slots wait, as `(list, sub-rank)` frames on the explicit
+/// `stack`. Nothing is allocated per node, so with `stack` (and
+/// whatever the visitor writes to) at capacity a fixed-width call
+/// performs zero heap allocations (asserted by
+/// `tests/alloc_counting.rs`).
 pub(crate) fn unrank_flat<W: Word>(
     links: &Links,
     counts: &TierCounts<W>,
     mut v: DenseId,
     mut local: W,
-    ids: &mut Vec<PhysId>,
     stack: &mut Vec<(ListId, W)>,
+    mut visit: impl FnMut(DenseId, usize),
 ) {
     stack.clear();
     loop {
-        ids.push(links.ids().phys(v));
-        // Step 2: mixed-radix digits, one div/rem per slot — digit
-        // s_v(i) = rest mod b_v(i), carry rest / b_v(i) onward. Children
-        // are emitted depth-first in slot order, so the (list, digit)
-        // frames go on the stack reversed — slot 0 pops first and its
-        // whole subtree lands before slot 1's.
-        let base = stack.len();
-        for &l in links.slot_lists(v) {
-            let (rest, digit) = local.div_rem(counts.list_total(l));
-            stack.push((l, digit));
-            local = rest;
-        }
-        debug_assert!(local == W::ZERO, "local rank exceeded B_v(|v|)");
-        stack[base..].reverse();
-        // Steps 3 and 1: descend into the next pending slot, selecting
-        // its operator by searching the list's stored running sums.
-        let Some((list, rank)) = stack.pop() else {
-            return;
+        let slots = links.slot_lists(v);
+        visit(v, slots.len());
+        // Steps 2 and 3: the next (list, sub-rank) to descend into.
+        let (list, rank) = match slots {
+            // A leaf: on to the nearest ancestor's next pending slot.
+            [] => match stack.pop() {
+                Some(frame) => frame,
+                None => return,
+            },
+            [only] => (*only, local),
+            // Digit s_v(i) = rest mod b_v(i), carrying rest / b_v(i)
+            // onward, the last slot taking what is left undivided. Slot
+            // 0's subtree comes first in preorder and is entered now;
+            // the others go on the stack last slot first, so that slot 1
+            // pops when slot 0's subtree is complete.
+            [first, middle @ .., last] => {
+                let (mut rest, digit) = local.div_rem(counts.list_total(*first));
+                let base = stack.len();
+                for &l in middle {
+                    let (carry, digit) = rest.div_rem(counts.list_total(l));
+                    stack.push((l, digit));
+                    rest = carry;
+                }
+                debug_assert!(
+                    rest < *counts.list_total(*last),
+                    "local rank exceeded B_v(|v|)"
+                );
+                stack.push((*last, rest));
+                stack[base..].reverse();
+                (*first, digit)
+            }
         };
+        // Step 1: select the slot's operator by searching the list's
+        // stored running sums.
         (v, local) = counts.select(links, list, rank);
     }
 }
@@ -106,7 +130,9 @@ impl PlanSpace {
         local: W,
     ) -> PlanNode {
         let (mut ids, mut stack) = (Vec::with_capacity(32), Vec::with_capacity(16));
-        unrank_flat(&self.links, counts, v, local, &mut ids, &mut stack);
+        unrank_flat(&self.links, counts, v, local, &mut stack, |v, _| {
+            ids.push(self.links.ids().phys(v))
+        });
         self.lift(&ids)
     }
 

@@ -291,12 +291,22 @@ fn aggregate_space_includes_both_agg_implementations() {
 }
 
 /// A fixed-width store owns no `Vec<Nat>`: its footprint is exactly one
-/// word per expression, pooled link and list, plus the struct.
+/// word per expression, pooled link and list, plus the struct. The
+/// links beside it hold 16 bytes an expression — the packed slot record
+/// (8), its group (4) and its topo position (4) — plus 4 per pooled
+/// link, per list bound and per group bound: no slot bounds table, no
+/// growth slack.
 #[test]
 fn fixed_width_tiers_hold_one_word_per_count() {
     let ex = plansample::paper_example::build();
     let mut space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
     let links = space.links();
+    assert_eq!(
+        links.size_bytes(),
+        std::mem::size_of::<Links>()
+            + 16 * links.num_exprs()
+            + 4 * (links.num_pooled_links() + links.num_lists() + 1 + ex.memo.num_groups() + 1)
+    );
     let words = links.num_exprs() + links.num_pooled_links() + links.num_lists();
     let fixed = std::mem::size_of::<Counts>();
     assert_eq!(space.counts().tier(), CountTier::U64);

@@ -188,6 +188,14 @@ impl SlotRef<'_> {
     }
 }
 
+/// The most child slots any [`PhysicalOp`] has — the bound on
+/// [`PhysicalExpr::arity`]. The operator enum is closed, so this is a
+/// property of the type: consumers that keep a fixed-size slot record
+/// per expression (the links layer in `plansample-core`) size it with
+/// this, and a unit test below holds it against one value of every
+/// variant.
+pub const MAX_SLOTS: usize = 2;
+
 /// A physical expression: the operator plus its derived properties and
 /// local cost.
 ///
@@ -267,7 +275,7 @@ impl PhysicalExpr {
                 cols,
             })
         }
-        let slots = match &self.op {
+        let slots: [_; MAX_SLOTS] = match &self.op {
             PhysicalOp::TableScan { .. } | PhysicalOp::SortedIdxScan { .. } => [None, None],
             PhysicalOp::Sort { target } => [
                 Some(SlotRef {
@@ -308,7 +316,7 @@ impl PhysicalExpr {
         }
     }
 
-    /// Number of children (the paper's `|v|`).
+    /// Number of children (the paper's `|v|`), at most [`MAX_SLOTS`].
     pub fn arity(&self) -> usize {
         match &self.op {
             PhysicalOp::TableScan { .. } | PhysicalOp::SortedIdxScan { .. } => 0,
@@ -412,6 +420,56 @@ mod tests {
         assert_eq!(slots[0].group, GroupId(9));
         assert_eq!(slots[0].requirement, Requirement::SortInput { target });
         assert_eq!(e.arity(), 1);
+    }
+
+    /// One value of every variant: the `match` has no wildcard arm, so
+    /// a new operator does not compile until it is listed here, and
+    /// then has to fit the slot record.
+    #[test]
+    fn max_slots_bounds_the_arity_of_every_operator() {
+        let (rel, left, right) = (RelId(0), GroupId(1), GroupId(2));
+        let order = SortOrder::on_col(col(0, 0));
+        let ops = [
+            PhysicalOp::TableScan { rel },
+            PhysicalOp::SortedIdxScan {
+                rel,
+                col: col(0, 0),
+            },
+            PhysicalOp::Sort {
+                target: order.clone(),
+            },
+            PhysicalOp::NestedLoopJoin { left, right },
+            PhysicalOp::HashJoin { left, right },
+            PhysicalOp::MergeJoin {
+                left,
+                right,
+                left_key: col(0, 0),
+                right_key: col(1, 0),
+            },
+            PhysicalOp::HashAgg { input: left },
+            PhysicalOp::StreamAgg {
+                input: left,
+                group_order: order,
+            },
+        ];
+        let mut widest = 0;
+        for op in ops {
+            match op {
+                PhysicalOp::TableScan { .. }
+                | PhysicalOp::SortedIdxScan { .. }
+                | PhysicalOp::Sort { .. }
+                | PhysicalOp::NestedLoopJoin { .. }
+                | PhysicalOp::HashJoin { .. }
+                | PhysicalOp::MergeJoin { .. }
+                | PhysicalOp::HashAgg { .. }
+                | PhysicalOp::StreamAgg { .. } => {}
+            }
+            let expr = PhysicalExpr::new(op, 1.0, 1.0);
+            assert!(expr.arity() <= MAX_SLOTS, "{} overflows", expr.op.name());
+            assert_eq!(expr.child_slots(GroupId(3)).len(), expr.arity());
+            widest = widest.max(expr.arity());
+        }
+        assert_eq!(widest, MAX_SLOTS, "the record is no wider than needed");
     }
 
     #[test]

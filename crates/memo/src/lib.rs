@@ -34,7 +34,7 @@ mod props;
 mod render;
 
 pub use dense::{DenseId, DenseIdMap};
-pub use expr::{ChildSlot, LogicalOp, PhysicalExpr, PhysicalOp, Requirement};
+pub use expr::{ChildSlot, LogicalOp, PhysicalExpr, PhysicalOp, Requirement, MAX_SLOTS};
 pub use links::{eligible_children, gather_slots, SlotGather};
 pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
@@ -224,7 +224,7 @@ impl Memo {
     ///
     /// `add_physical` compares against the whole group, which is
     /// quadratic for a builder that fills a group at a time (clique-10's
-    /// root group is 25 084 wide). Past [`Self::BULK_HASH_MIN`]
+    /// root group is 25 084 wide). Past `BULK_HASH_MIN`
     /// expressions the batch is checked against one transient hash set
     /// instead; nothing stays resident.
     pub fn extend_physical(&mut self, gid: GroupId, exprs: Vec<PhysicalExpr>) {

@@ -256,9 +256,9 @@ pub(crate) fn drain_wake_pipe(wake_rx: &mut UnixStream) {
 /// ready connection had its turn.
 ///
 /// A unit is 0.5–2 µs of a frame (decode, `serve.state.handle_us.*`,
-/// encode) or 0.4–2.8 µs of a plan (see `INLINE_MAX_SAMPLES` in
+/// encode) or 0.3–2.0 µs of a plan (see `INLINE_MAX_SAMPLES` in
 /// `state`), so a round gives one connection about 0.1 ms of the loop
-/// at the point mix's costs and at most ~0.45 ms at the slowest
+/// at the point mix's costs and at most ~0.3 ms at the slowest
 /// measured (the last request may overshoot the budget by its own
 /// plans, at most `INLINE_MAX_SAMPLES`) — where an unbudgeted 64 KiB
 /// burst of 14-byte `Stats` frames would hold it for 4 ms. Four

@@ -199,21 +199,24 @@ const MEMO_MAX_KEY: usize = 16 << 10;
 /// ([`ServerState::handle_inline`]); a larger one goes to a worker.
 ///
 /// Derived from the tracked per-layer rows (EXPERIMENTS.md §E15; the
-/// per-plan figures are §E18's), from both sides. What a batch costs on
-/// a fixed-width tier: a plan is drawn, costed and encoded in 0.4 µs on
-/// the point mix's small spaces (unmoved by §E18: their lists are
-/// short), 1.5 µs on Q8+CP (`core.sample.flat_b1_ns_per_plan` 1.1 +
-/// `core.prepared.scaled_cost_ids_ns_per_plan` 0.3 +
-/// `serve.wire.samples_encode_ns_per_plan` 0.14) and 2.5 µs on
-/// cycle-16, the slowest cache-resident space measured — so 32 plans
-/// hold the loop for 13–80 µs, inside the ~185 µs p99 a reply already
-/// had before anything was answered on a reactor. What the hand-off
-/// costs: 15 µs of latency and 13 µs of CPU a request
-/// (`serve.transport.overhead_us`, `proc.cpu_ms_per_op`, before and
-/// after) — at 32 plans of 1.5 µs that is down to about a quarter of
-/// the request's own work, so a larger batch
-/// loses little by taking the worker path, where it also stops
-/// delaying its reactor's other connections. Must stay under two
+/// per-plan figures are §E20's), from both sides. What a batch costs on
+/// a fixed-width tier: a plan is drawn, costed and encoded in 0.3–0.4 µs
+/// on the point mix's small spaces (`serve.state.handle_us.sample16`
+/// 2.9 µs a batch of ≤ 16), 1.1 µs on Q8+CP
+/// (`core.sample.flat_b1_ns_per_plan` 0.89 + 0.15 for costing it in the
+/// same walk + an encode of 0.03; the costing has no row of its own —
+/// `core.prepared.scaled_cost_ids_ns_per_plan` times the separate-pass
+/// reference, 0.25) and 2.0 µs on cycle-16 (1.67 + 0.25 + 0.05), the
+/// slowest cache-resident space measured — so 32 plans hold the loop
+/// for 10–65 µs, inside the ~185 µs p99 a reply already had before
+/// anything was answered on a reactor. What the hand-off costs: 15 µs
+/// of latency and 13 µs of CPU a request (`serve.transport.overhead_us`,
+/// `proc.cpu_ms_per_op`, before and after) — at 32 plans of 1.1 µs that
+/// is still under half of the request's own work, so a larger batch
+/// loses little by taking the worker path, where it also stops delaying
+/// its reactor's other connections. Cheaper plans argue for a larger
+/// constant, the hand-off figures for this one; both readings leave 32
+/// inside the range either supports, so it stays. Must stay under two
 /// chunks of the flat sampler's parallel split (512), below which a
 /// fill never touches the thread pool.
 pub(crate) const INLINE_MAX_SAMPLES: u32 = 32;
@@ -454,30 +457,31 @@ impl ServerState {
         reply.encode(request_id)
     }
 
-    /// The `SampleBatch` body: plans are drawn into a reusable flat
-    /// [`PlanBatch`] (zero steady-state allocations per draw on the
-    /// fixed-width count tiers) and encoded into the reply buffer one
-    /// at a time via [`SamplesEncoder`], so a 4096-plan batch never
-    /// materializes a `WirePlan` per plan — peak memory is the reply
-    /// plus the flat ids, tracked in
-    /// [`ServerState::batch_peak_bytes`]. The streaming encoder is
-    /// byte-compatible with [`Response::encode`] — which the unit tests
-    /// below assert; `tests/reply_digest.rs` pins a digest of the reply
-    /// bytes themselves.
+    /// The `SampleBatch` body: plans are drawn *and costed* into a
+    /// reusable flat [`PlanBatch`] in one walk each (zero steady-state
+    /// allocations per draw on the fixed-width count tiers), then
+    /// encoded into a reply buffer reserved once, at its exact size, via
+    /// [`SamplesEncoder`] — so a 4096-plan batch never materializes a
+    /// `WirePlan` per plan, and no plan is read again between the draw
+    /// and the encode. Peak memory is the reply plus the flat batch,
+    /// tracked in [`ServerState::batch_peak_bytes`]. The streaming
+    /// encoder is byte-compatible with [`Response::encode`] — which the
+    /// unit tests below assert; `tests/reply_digest.rs` pins a digest of
+    /// the reply bytes themselves.
     fn stream_samples(&self, p: &PreparedQuery, seed: u64, k: u32, request_id: u64) -> Vec<u8> {
         thread_local! {
-            /// Per-thread sampling scratch — the flat batch and the
-            /// costing stack; capacity persists across requests, so
-            /// steady-state batches allocate only their reply.
-            static SCRATCH: RefCell<(PlanBatch, Vec<f64>)> =
-                RefCell::new((PlanBatch::new(), Vec::new()));
+            /// Per-thread sampling scratch; its capacity persists across
+            /// requests, so steady-state batches allocate only their
+            /// reply.
+            static BATCH: RefCell<PlanBatch> = RefCell::new(PlanBatch::new());
         }
-        SCRATCH.with(|cell| {
-            let (batch, totals) = &mut *cell.borrow_mut();
-            p.sample_batch_flat(&mut StdRng::seed_from_u64(seed), k as usize, batch);
+        BATCH.with(|cell| {
+            let batch = &mut *cell.borrow_mut();
+            p.sample_batch_costed(&mut StdRng::seed_from_u64(seed), k as usize, batch);
             let mut enc = SamplesEncoder::new(request_id);
-            for ids in batch.iter() {
-                enc.push(wire_ids(ids), p.scaled_cost_ids_in(ids, totals));
+            enc.reserve(batch.len(), batch.total_nodes());
+            for (ids, &cost) in batch.iter().zip(batch.costs()) {
+                enc.push(wire_ids(ids), cost);
             }
             let peak = (batch.size_bytes() + enc.len_bytes()) as u64;
             self.batch_peak_bytes.fetch_max(peak, Ordering::Relaxed);

@@ -448,13 +448,9 @@ impl<'a> Reader<'a> {
 
     fn plan(&mut self) -> Result<WirePlan, WireError> {
         let n = self.count("plan node", 8)?;
-        let mut nodes = Vec::with_capacity(n);
-        for _ in 0..n {
-            let group = self.u32()?;
-            let index = self.u32()?;
-            nodes.push((group, index));
-        }
-        Ok(nodes)
+        let word = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
+        let nodes = self.bytes(8 * n)?.chunks_exact(8);
+        Ok(nodes.map(|b| (word(&b[..4]), word(&b[4..]))).collect())
     }
 
     fn workload(&mut self) -> Result<Workload, WireError> {
@@ -869,7 +865,7 @@ impl Response {
 
 /// Incremental encoder for a [`Response::Samples`] payload: plans are
 /// appended one at a time, each encoded straight into the reply buffer
-/// as it is unranked, so serving a 4096-plan batch never materializes a
+/// from its flat ids, so serving a 4096-plan batch never materializes a
 /// tree (or a `WirePlan`) per plan. [`finish`](Self::finish) patches
 /// the item count and yields bytes **identical** to
 /// `Response::Samples(items).encode(request_id)` for the same plans and
@@ -895,15 +891,28 @@ impl SamplesEncoder {
         }
     }
 
+    /// Makes room for `plans` more plans of `nodes` operators in all, so
+    /// that pushing them does not regrow the reply: a plan is a `u32`
+    /// length, 8 bytes a node and an `f64` cost.
+    pub fn reserve(&mut self, plans: usize, nodes: usize) {
+        self.w.0.reserve(12 * plans + 8 * nodes);
+    }
+
     /// Appends one plan — its preorder `(group, index)` pairs — and its
     /// scaled cost.
     pub fn push(&mut self, plan: impl ExactSizeIterator<Item = (u32, u32)>, cost: f64) {
-        self.w.u32(plan.len() as u32);
-        for (g, i) in plan {
-            self.w.u32(g);
-            self.w.u32(i);
+        // The plan's bytes are sized once and written in place.
+        let n = plan.len();
+        let at = self.w.0.len();
+        self.w.0.resize(at + 12 + 8 * n, 0);
+        let (len, rest) = self.w.0[at..].split_at_mut(4);
+        let (nodes, tail) = rest.split_at_mut(8 * n);
+        len.copy_from_slice(&(n as u32).to_le_bytes());
+        for (node, (g, i)) in nodes.chunks_exact_mut(8).zip(plan) {
+            node[..4].copy_from_slice(&g.to_le_bytes());
+            node[4..].copy_from_slice(&i.to_le_bytes());
         }
-        self.w.f64(cost);
+        tail.copy_from_slice(&cost.to_bits().to_le_bytes());
         self.count += 1;
     }
 

@@ -17,14 +17,13 @@
 //! window. The measured fills run inline on the test's own thread
 //! (`with_threads(1)`), so the thread's count is the fill's count.
 //!
-//! The serving path costs every plan it draws
-//! (`PreparedQuery::scaled_cost_ids_in`, on a stack of subtree totals
-//! the caller keeps): the last test asserts that sample-then-cost of a
-//! whole batch is allocation-free in steady state too.
+//! The serving path costs every plan while it draws it
+//! (`sample_batch_costed`: the cost column and the stack of open
+//! operators live in the batch): the last test asserts that a costed
+//! fill is allocation-free in steady state too, on both tiers.
 
-use plansample::{CountTier, PlanBatch, PlanSpace, PreparedQuery};
+use plansample::{CountTier, PlanBatch, PlanSpace};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
-use plansample_optimizer::OptimizerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -102,25 +101,35 @@ fn single_limb_space() -> PlanSpace {
     space
 }
 
-/// Warms `out` with a 512-plan fill from `seed`, then repeats the fill
-/// from the same seed — identical ranks → identical plan shapes → the
-/// grown capacities are exactly what the repeat needs — and asserts
-/// the repeat acquired no memory at all. Returns what the *warm-up*
-/// acquired.
-fn assert_steady_state_allocates_nothing(space: &PlanSpace, seed: u64, out: &mut PlanBatch) -> u64 {
-    threadpool::with_threads(1, || {
-        let tier = space.counts().tier();
-        let before = allocations();
-        space.sample_batch_flat(&mut StdRng::seed_from_u64(seed), 512, out);
-        let warm_up = allocations() - before;
-        let warm_nodes = out.total_nodes();
-
+/// Warms `out` with a 512-plan fill from `seed` — costed or plain —
+/// then repeats the fill from the same seed — identical ranks →
+/// identical plan shapes → the grown capacities are exactly what the
+/// repeat needs — and asserts the repeat acquired no memory at all.
+/// Returns what the *warm-up* acquired.
+fn assert_steady_state_allocates_nothing(
+    space: &PlanSpace,
+    seed: u64,
+    costed: bool,
+    out: &mut PlanBatch,
+) -> u64 {
+    let fill = |out: &mut PlanBatch| {
         let mut rng = StdRng::seed_from_u64(seed);
         let before = allocations();
-        space.sample_batch_flat(&mut rng, 512, out);
-        let counted = allocations() - before;
+        if costed {
+            space.sample_batch_costed(&mut rng, 512, out);
+        } else {
+            space.sample_batch_flat(&mut rng, 512, out);
+        }
+        allocations() - before
+    };
+    threadpool::with_threads(1, || {
+        let tier = space.counts().tier();
+        let warm_up = fill(out);
+        let warm_nodes = out.total_nodes();
+        let counted = fill(out);
 
         assert_eq!(out.len(), 512);
+        assert_eq!(out.costs().len(), if costed { 512 } else { 0 });
         assert_eq!(
             out.total_nodes(),
             warm_nodes,
@@ -128,29 +137,33 @@ fn assert_steady_state_allocates_nothing(space: &PlanSpace, seed: u64, out: &mut
         );
         assert_eq!(
             counted, 0,
-            "steady-state {tier}-tier sample_batch_flat must not allocate (counted \
-             {counted} allocations across 512 draws)"
+            "a steady-state {tier}-tier fill (costed: {costed}) must not allocate \
+             (counted {counted} allocations across 512 draws)"
         );
         warm_up
     })
 }
 
+/// The smallest chain past the single-limb boundary: a genuine two-limb
+/// space (not a forced one), scanned for rather than hard-coded so the
+/// tests track the boundary itself.
+fn two_limb_space() -> PlanSpace {
+    (10..24)
+        .map(chain)
+        .find(|space| space.counts().tier() == CountTier::U128)
+        .expect("some chain under 24 relations needs exactly two limbs")
+}
+
 #[test]
 fn steady_state_flat_sampling_allocates_nothing() {
     let space = single_limb_space();
-    assert_steady_state_allocates_nothing(&space, 77, &mut PlanBatch::new());
+    assert_steady_state_allocates_nothing(&space, 77, false, &mut PlanBatch::new());
 }
 
 #[test]
 fn steady_state_u128_tier_sampling_allocates_nothing() {
-    // The smallest chain past the single-limb boundary: a genuine
-    // two-limb space (not a forced one), scanned for rather than
-    // hard-coded so the test tracks the boundary itself.
-    let two_limb = (10..24)
-        .map(chain)
-        .find(|space| space.counts().tier() == CountTier::U128)
-        .expect("some chain under 24 relations needs exactly two limbs");
-    let cold = assert_steady_state_allocates_nothing(&two_limb, 78, &mut PlanBatch::new());
+    let two_limb = two_limb_space();
+    let cold = assert_steady_state_allocates_nothing(&two_limb, 78, false, &mut PlanBatch::new());
 
     // One batch serving both tiers in turn: its scratch is a single
     // slot retagged on a tier change, its id and bounds buffers are
@@ -161,51 +174,26 @@ fn steady_state_u128_tier_sampling_allocates_nothing() {
     // does going back.
     let single_limb = single_limb_space();
     let mut shared = PlanBatch::new();
-    assert_steady_state_allocates_nothing(&single_limb, 77, &mut shared);
-    let reused = assert_steady_state_allocates_nothing(&two_limb, 78, &mut shared);
+    assert_steady_state_allocates_nothing(&single_limb, 77, false, &mut shared);
+    let reused = assert_steady_state_allocates_nothing(&two_limb, 78, false, &mut shared);
     assert!(
         reused <= cold,
         "retagging a warmed batch acquired {reused} times, a new batch {cold}"
     );
-    assert_steady_state_allocates_nothing(&single_limb, 77, &mut shared);
+    assert_steady_state_allocates_nothing(&single_limb, 77, false, &mut shared);
 }
 
+/// The serving path's fill: the cost column and the open-operator stack
+/// are batch buffers like the ids, warmed once — a plain fill in between
+/// empties the column without giving its memory back.
 #[test]
 fn steady_state_sample_then_cost_allocates_nothing() {
-    let (catalog, query) = JoinGraphSpec::new(Topology::Chain, 6, 20000).build();
-    let prepared = PreparedQuery::prepare(&catalog, &query, &OptimizerConfig::default())
-        .expect("chain-6 optimizes");
-    let (mut batch, mut totals) = (PlanBatch::new(), Vec::new());
-    // One serving-path batch: draw 512 plans, cost each on the reused
-    // stack. Returns the costs' sum and what the pass acquired.
-    let mut pass = |batch: &mut PlanBatch| {
-        let before = allocations();
-        prepared.sample_batch_flat(&mut StdRng::seed_from_u64(79), 512, batch);
-        let sum: f64 = batch
-            .iter()
-            .map(|ids| prepared.scaled_cost_ids_in(ids, &mut totals))
-            .sum();
-        (sum, allocations() - before)
-    };
-    threadpool::with_threads(1, || {
-        let (warm_sum, warm_up) = pass(&mut batch);
-        let (sum, counted) = pass(&mut batch);
-        assert!(warm_up > 0, "the first pass grows the buffers");
-        assert_eq!(sum.to_bits(), warm_sum.to_bits());
-        assert_eq!(
-            counted, 0,
-            "steady-state sample-then-cost must not allocate (counted {counted} \
-             allocations across 512 plans)"
-        );
-    });
-    // The reused stack changes where the totals live, not one bit of
-    // the cost: the tree path agrees on every plan.
-    let trees = prepared.sample_batch(&mut StdRng::seed_from_u64(79), 512);
-    for (ids, tree) in batch.iter().zip(&trees) {
-        assert_eq!(
-            prepared.scaled_cost_ids_in(ids, &mut totals).to_bits(),
-            prepared.scaled_cost(tree).to_bits()
-        );
+    for (space, seed) in [(single_limb_space(), 79), (two_limb_space(), 80)] {
+        let mut batch = PlanBatch::new();
+        let cold = assert_steady_state_allocates_nothing(&space, seed, true, &mut batch);
+        assert!(cold > 0, "the first fill grows the buffers");
+        assert_steady_state_allocates_nothing(&space, seed, false, &mut batch);
+        assert_steady_state_allocates_nothing(&space, seed, true, &mut batch);
     }
 }
 

@@ -428,6 +428,42 @@ fn u128_tier_outruns_the_forced_nat_tier_on_clique10() {
     );
 }
 
+/// Ranking is unranking run backwards — the same nodes, the same lists,
+/// a multiply where the other divides — except that it must *find* each
+/// operator in its alternative list where unranking selects it from the
+/// running sums. Both are binary searches (lists ascend in dense id),
+/// so on clique-10, whose widest list holds 25 084 alternatives, ranking
+/// 512 sampled trees may cost no more than unranking their ranks back
+/// to trees. It reads ≈ 0.45×; a ranker that scans each list for its
+/// operator read 3.96× (EXPERIMENTS §E20).
+#[test]
+fn ranking_costs_no_more_than_unranking_on_clique10() {
+    let name = "rank vs unrank (clique-10, 512 trees)";
+    let Some(_turn) = contract(name) else { return };
+    let space = clique10();
+    let trees = space.sample_batch(&mut StdRng::seed_from_u64(SEED), 512);
+    let ranks: Vec<Nat> = trees.iter().map(|t| space.rank(t).unwrap()).collect();
+    let rank = median_secs(7, || -> Vec<Nat> {
+        trees.iter().map(|t| space.rank(t).unwrap()).collect()
+    });
+    let unrank = median_secs(7, || -> Vec<_> {
+        ranks.iter().map(|r| space.unrank(r).unwrap()).collect()
+    });
+    for (r, tree) in ranks.iter().zip(&trees) {
+        assert_eq!(space.unrank(r).unwrap(), *tree, "clique-10 round trip");
+    }
+    let ratio = rank / unrank.max(1e-12);
+    println!(
+        "{name}: rank {:.2} ms vs unrank {:.2} ms ({ratio:.2}x)",
+        rank * 1e3,
+        unrank * 1e3
+    );
+    assert!(
+        ratio <= 1.0,
+        "ranking 512 clique-10 trees must cost <= unranking them; measured {ratio:.2}x"
+    );
+}
+
 #[test]
 fn four_thread_batched_sampling_is_2x_one_thread_on_four_cores() {
     let name = "parallel sampling (Q8+CP, batch 4096)";

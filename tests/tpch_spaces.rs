@@ -101,12 +101,13 @@ fn best_cost_is_invariant_to_cross_product_mode() {
 }
 
 #[test]
-fn prepared_q8_cp_space_stays_under_106_bytes_per_expression() {
+fn prepared_q8_cp_space_stays_under_102_bytes_per_expression() {
     // Links + counts in the tier's own width + the shrunken memo, over
-    // the paper's largest memo: 105.4 B/expr — what the tracked
+    // the paper's largest memo: 101.6 B/expr — what the tracked
     // benchmark reports as `resident_bytes_per_expr` on `sample_q8cp`
     // (216 before the memory refactor, 123.2 before the single count
-    // store; DESIGN.md §6). Exact, so pinned here and not in a bench.
+    // store, 105.4 before the packed slot table; DESIGN.md §6). Exact,
+    // so pinned here and not in a bench.
     let (catalog, _) = plansample_catalog::tpch::catalog();
     let query = plansample_query::tpch::q8(&catalog);
     let prepared = plansample::PreparedQuery::prepare(
@@ -118,7 +119,7 @@ fn prepared_q8_cp_space_stays_under_106_bytes_per_expression() {
     let space = prepared.space();
     let bytes_per_expr = space.size_bytes() as f64 / space.memo().num_physical() as f64;
     assert!(
-        bytes_per_expr <= 106.0,
-        "prepared Q8+CP space must stay <= 106 bytes/expr; measured {bytes_per_expr:.3}"
+        bytes_per_expr <= 102.0,
+        "prepared Q8+CP space must stay <= 102 bytes/expr; measured {bytes_per_expr:.3}"
     );
 }
