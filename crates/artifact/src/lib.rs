@@ -19,9 +19,9 @@
 //!   atomically (write to a temp file in the same directory, then
 //!   rename) so readers never observe a half-written artifact.
 //! * [`ArtifactStore`] is a directory of artifacts addressed by the
-//!   *same* normalized fingerprint [`plansample_core::cache_key`] uses,
-//!   so a store entry and a service cache entry agree byte for byte. It
-//!   quarantines corrupt or stale entries instead of serving them and
+//!   *same* normalized fingerprint [`plansample_core::cache_key`] uses
+//!   — a service's cache key without its scope, exactly the key of a
+//!   service with a cache of its own. It quarantines corrupt or stale entries instead of serving them and
 //!   warms a [`plansample_core::PlanService`] at startup.
 //!
 //! Decoding is *hostile-input safe*: every read is bounds-checked and

@@ -2,8 +2,9 @@
 //!
 //! The store is deliberately dumb: one file per prepared query, named
 //! by a hash of the *same* normalized fingerprint
-//! [`plansample_core::cache_key`] computes, so the store key and the
-//! `PlanService` cache key can never drift apart. Publication is
+//! [`plansample_core::cache_key`] computes — what a `PlanService` keys
+//! its cache by, behind its scope if it has one — so the two can never
+//! drift apart. Publication is
 //! atomic (temp file + rename, see [`crate::save`]); a concurrent
 //! writer of the same key simply wins the rename race with an
 //! identical byte image. Anything that fails to decode — corruption,

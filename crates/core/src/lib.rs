@@ -58,6 +58,7 @@ mod count;
 mod enumerate;
 mod links;
 pub mod lower;
+mod lru;
 pub mod paper_example;
 mod prepared;
 mod rank;
@@ -73,8 +74,9 @@ pub use batch::PlanBatch;
 pub use count::{CountTier, Counts, CountsParts};
 pub use enumerate::PlanCursor;
 pub use links::{Links, LinksParts, ListId};
+pub use lru::Lru;
 pub use prepared::PreparedQuery;
-pub use service::{cache_key, PlanService, ServiceStats};
+pub use service::{cache_key, ArtifactCache, PlanService, ServiceStats};
 
 use plansample_bignum::Nat;
 use plansample_exec::ExecError;

@@ -1,13 +1,23 @@
-//! A concurrent serving surface over prepared queries.
+//! A concurrent serving surface over prepared queries, in two pieces.
 //!
-//! [`PlanService`] is the piece the ROADMAP's "serve heavy traffic"
-//! north star asks for: a bounded, LRU-evicting cache of
-//! [`PreparedQuery`] artifacts keyed by the *normalized* query plus the
-//! optimizer configuration. The first request for a query pays the
-//! optimization + counting cost; every subsequent request — from any
-//! thread — gets an [`Arc`] handle to the same immutable artifact and
-//! serves counts, pages, and samples lock-free (the cache lock is held
-//! only for the key lookup, never during optimization or sampling).
+//! [`ArtifactCache`] is the piece the ROADMAP's "serve heavy traffic"
+//! north star asks for: a bounded, LRU-evicting, singleflighted cache of
+//! [`PreparedQuery`] artifacts. It knows no catalog and no query — keys
+//! are opaque strings, a preparation is a closure — so one cache can
+//! hold every workload a process serves, and what is resident, what is
+//! evicted and how many preparations are in flight is decided in one
+//! place. The first request for a key pays the optimization + counting
+//! cost; every subsequent request — from any thread — gets an [`Arc`]
+//! handle to the same immutable artifact and serves counts, pages, and
+//! samples lock-free (the cache lock is held only for the key lookup,
+//! never during optimization or sampling).
+//!
+//! [`PlanService`] is the catalog-bound front: it owns what a
+//! preparation needs (catalog, optimizer configuration), derives the
+//! key — [`cache_key`] behind the front's *scope* — and runs the
+//! write-through persistence hook. [`PlanService::new`] and
+//! [`PlanService::bounded`] give it a cache of its own and the empty
+//! scope; [`PlanService::scoped`] puts many fronts over one cache.
 //!
 //! Two bounds are supported, separately or together:
 //!
@@ -15,9 +25,11 @@
 //! * a **byte budget**: entries are charged their real
 //!   [`PreparedQuery::size_bytes`] (the flat link/count buffers plus the
 //!   memo) and the LRU tail is evicted until the resident total fits.
-//!   A single artifact larger than the whole budget is still admitted —
-//!   the cache then holds exactly that one entry — so pathological
-//!   queries degrade to "no caching" rather than a livelock.
+//!   A single artifact larger than the whole budget is still admitted
+//!   and served — the cache then holds exactly that one entry, the
+//!   first thing the next insert evicts — so pathological queries
+//!   degrade to "no caching" rather than a livelock, for whoever shares
+//!   the cache: nothing is ever refused for being over budget.
 //!
 //! Racing first preparations of the same key are *single-flighted*: the
 //! first thread optimizes, every concurrent requester for the same key
@@ -26,16 +38,17 @@
 //! [`ServiceStats::coalesced`] and the optimizer's
 //! `thread_optimizations_performed` counter).
 
+use crate::lru::Lru;
 use crate::{Error, PreparedQuery};
 use plansample_catalog::Catalog;
 use plansample_optimizer::OptimizerConfig;
 use plansample_query::QuerySpec;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Snapshot of a service's cache counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Snapshot of a cache's counters, taken under its lock. A service over
+/// a shared cache reports the whole cache's, not its own share.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests answered from the cache.
     pub hits: u64,
@@ -58,14 +71,13 @@ pub struct ServiceStats {
     pub resident_bytes: usize,
     /// Maximum cached artifacts (`usize::MAX` when only byte-bounded).
     pub capacity: usize,
-    /// Byte budget, if the service is byte-bounded.
+    /// Byte budget, if the cache is byte-bounded.
     pub byte_budget: Option<usize>,
 }
 
 struct CacheEntry {
     prepared: Arc<PreparedQuery>,
     size_bytes: usize,
-    last_used: u64,
 }
 
 /// One in-flight first preparation, shared by the leader and any
@@ -78,50 +90,228 @@ struct Flight {
 enum FlightState {
     Pending,
     Done(Result<Arc<PreparedQuery>, Error>),
-    /// The leader unwound without a result (a panic inside `prepare`);
-    /// waiters retry from scratch.
+    /// The leader unwound without a result (a panic inside the
+    /// preparation); waiters retry from scratch.
     Abandoned,
 }
 
+/// Lands a leader's flight when dropped: publishes its result to both
+/// the cache and the flight and wakes the waiters — or, if the
+/// preparation unwound and left no result, marks the flight abandoned,
+/// so waiters never hang.
+struct Landing<'a> {
+    cache: &'a ArtifactCache,
+    key: &'a str,
+    result: Option<Result<Arc<PreparedQuery>, Error>>,
+}
+
+impl Drop for Landing<'_> {
+    fn drop(&mut self) {
+        let mut state = self.cache.lock();
+        let flight = state
+            .inflight
+            .remove(self.key)
+            .expect("leader owns the in-flight marker");
+        if let Some(Ok(prepared)) = &self.result {
+            let published = state.publish(self.key, Arc::clone(prepared));
+            debug_assert!(published, "the flight owned the key until here");
+        }
+        drop(state);
+        let mut fs = flight.state.lock().expect("flight poisoned");
+        *fs = match self.result.take() {
+            Some(result) => FlightState::Done(result),
+            None => FlightState::Abandoned,
+        };
+        drop(fs);
+        flight.done.notify_all();
+    }
+}
+
 struct CacheState {
-    entries: HashMap<String, CacheEntry>,
+    entries: Lru<String, CacheEntry>,
     inflight: HashMap<String, Arc<Flight>>,
-    resident_bytes: usize,
-    tick: u64,
-    evictions: u64,
+    /// The ledger; `entries` and `inflight` are read off the maps.
+    stats: ServiceStats,
 }
 
 impl CacheState {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
+    /// Counts and returns a cache hit on an artifact `accept` takes.
+    fn hit(
+        &mut self,
+        key: &str,
+        accept: impl FnOnce(&PreparedQuery) -> bool,
+    ) -> Option<Arc<PreparedQuery>> {
+        let entry = self.entries.get_if(key, |e| accept(&e.prepared))?;
+        self.stats.hits += 1;
+        Some(Arc::clone(&entry.prepared))
     }
 
-    /// Evicts LRU entries until both bounds hold. At least one entry is
-    /// always kept, so an artifact larger than the byte budget does not
-    /// evict itself (the cache degrades to single-entry, not to a
-    /// livelock).
-    fn enforce_bounds(&mut self, capacity: usize, byte_budget: Option<usize>) {
-        let over = |s: &CacheState| {
-            s.entries.len() > capacity
-                || byte_budget.is_some_and(|b| s.resident_bytes > b && s.entries.len() > 1)
+    /// Publishes `prepared` under `key` unless the key is taken
+    /// (`false`), then evicts LRU entries until both bounds hold. At
+    /// least one entry is always kept, so an artifact larger than the
+    /// byte budget does not evict itself.
+    fn publish(&mut self, key: &str, prepared: Arc<PreparedQuery>) -> bool {
+        let size_bytes = prepared.size_bytes();
+        let entry = CacheEntry {
+            prepared,
+            size_bytes,
         };
-        while over(self) {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("over-bound cache is non-empty");
-            let removed = self.entries.remove(&oldest).expect("key just observed");
-            self.resident_bytes -= removed.size_bytes;
-            self.evictions += 1;
+        if self.inflight.contains_key(key) || !self.entries.insert(key.to_string(), entry) {
+            return false;
         }
+        let stats = &mut self.stats;
+        stats.resident_bytes += size_bytes;
+        while self.entries.len() > stats.capacity
+            || (self.entries.len() > 1
+                && stats.byte_budget.is_some_and(|b| stats.resident_bytes > b))
+        {
+            let evicted = self.entries.pop_oldest().expect("more than one entry");
+            stats.resident_bytes -= evicted.size_bytes;
+            stats.evictions += 1;
+        }
+        true
     }
 }
 
-/// A bounded LRU cache of prepared queries, safe to share across
-/// threads, with a normalized-query + optimizer-config key.
+/// A bounded LRU cache of prepared queries under opaque string keys,
+/// safe to share across threads, with singleflighted preparation (see
+/// the module docs). [`PlanService`] is the front that knows what a key
+/// means.
+pub struct ArtifactCache {
+    state: Mutex<CacheState>,
+}
+
+impl ArtifactCache {
+    /// Creates a cache of at most `capacity` artifacts (at least 1)
+    /// *and* (when given) at most `max_bytes` resident.
+    pub fn new(capacity: usize, max_bytes: Option<usize>) -> Self {
+        let stats = ServiceStats {
+            capacity: capacity.max(1),
+            byte_budget: max_bytes,
+            ..ServiceStats::default()
+        };
+        ArtifactCache {
+            state: Mutex::new(CacheState {
+                entries: Lru::default(),
+                inflight: HashMap::new(),
+                stats,
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().expect("artifact cache poisoned")
+    }
+
+    /// Seeds the cache with an externally prepared artifact. Returns
+    /// `false`, keeping what is there, if `key` is already cached or in
+    /// flight. Admission charges the byte budget and may evict LRU
+    /// entries, like any other insert.
+    pub fn insert(&self, key: &str, prepared: Arc<PreparedQuery>) -> bool {
+        self.lock().publish(key, prepared)
+    }
+
+    /// The hit path as one call and one lock acquisition: if `key` is
+    /// cached and `accept` takes the artifact, marks it most recently
+    /// used, counts a hit and returns it. Otherwise — not cached, or
+    /// turned down — returns `None` having counted and refreshed
+    /// nothing, so the caller can decide whether to shed the
+    /// preparation (see [`ServiceStats::inflight`]) or hand the request
+    /// to whoever serves it, to be counted there, once. `accept` runs
+    /// under the cache lock; keep it to a field read.
+    pub fn get_if(
+        &self,
+        key: &str,
+        accept: impl FnOnce(&PreparedQuery) -> bool,
+    ) -> Option<Arc<PreparedQuery>> {
+        self.lock().hit(key, accept)
+    }
+
+    /// Returns the artifact under `key`, running `prepare` and caching
+    /// its result on first request, and whether this call *led* the
+    /// flight — ran `prepare` itself — rather than hit the cache or
+    /// adopted another thread's result.
+    ///
+    /// The cache lock is *not* held while preparing, so concurrent
+    /// misses on different keys prepare in parallel. Concurrent requests
+    /// for the *same* fresh key are single-flighted: exactly one thread
+    /// runs its `prepare`, the rest block on its flight and adopt the
+    /// shared artifact (or its error).
+    pub fn get_or_prepare(
+        &self,
+        key: &str,
+        prepare: impl FnOnce() -> Result<PreparedQuery, Error>,
+    ) -> Result<(Arc<PreparedQuery>, bool), Error> {
+        loop {
+            let flight = {
+                let mut state = self.lock();
+                if let Some(prepared) = state.hit(key, |_| true) {
+                    return Ok((prepared, false));
+                }
+                let Some(flight) = state.inflight.get(key) else {
+                    // This thread is the leader: register the flight,
+                    // then prepare outside every lock.
+                    let flight = Flight {
+                        state: Mutex::new(FlightState::Pending),
+                        done: Condvar::new(),
+                    };
+                    state.inflight.insert(key.to_string(), Arc::new(flight));
+                    state.stats.misses += 1;
+                    drop(state);
+                    let mut landing = Landing {
+                        cache: self,
+                        key,
+                        result: None,
+                    };
+                    let result = prepare().map(Arc::new);
+                    landing.result = Some(result.clone());
+                    drop(landing); // publish + wake before returning
+                    return Ok((result?, true));
+                };
+                Arc::clone(flight)
+            };
+            // Someone else is preparing this key: wait and adopt.
+            let mut fs = flight.state.lock().expect("flight poisoned");
+            loop {
+                match &*fs {
+                    FlightState::Pending => fs = flight.done.wait(fs).expect("flight poisoned"),
+                    FlightState::Done(result) => {
+                        let result = result.clone();
+                        drop(fs);
+                        self.lock().stats.coalesced += 1;
+                        return result.map(|prepared| (prepared, false));
+                    }
+                    // Leader unwound without a result: retry from the
+                    // top (cache may or may not hold the key).
+                    FlightState::Abandoned => break,
+                }
+            }
+        }
+    }
+
+    /// Current cache counters.
+    pub fn stats(&self) -> ServiceStats {
+        let state = self.lock();
+        ServiceStats {
+            entries: state.entries.len(),
+            inflight: state.inflight.len(),
+            ..state.stats
+        }
+    }
+
+    /// Drops every cached artifact (outstanding [`Arc`] handles stay
+    /// valid — the artifacts are immutable). In-flight preparations are
+    /// unaffected.
+    pub fn clear(&self) {
+        let mut state = self.lock();
+        state.entries = Lru::default();
+        state.stats.resident_bytes = 0;
+    }
+}
+
+/// The catalog-bound front of an [`ArtifactCache`]: prepares queries
+/// over one catalog under one optimizer configuration, keyed by
+/// normalized query + configuration.
 ///
 /// ```
 /// use plansample::PlanService;
@@ -148,14 +338,11 @@ impl CacheState {
 pub struct PlanService {
     catalog: Catalog,
     config: OptimizerConfig,
-    capacity: usize,
-    byte_budget: Option<usize>,
-    state: Mutex<CacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    coalesced: AtomicU64,
-    /// Write-through persistence hook: called with every freshly
-    /// prepared artifact, outside all cache locks (see
+    /// Prefix of every key (see [`key_for`](Self::key_for)).
+    scope: String,
+    cache: Arc<ArtifactCache>,
+    /// Write-through persistence hook: called with every artifact this
+    /// front freshly prepared, outside all cache locks (see
     /// [`set_persist`](Self::set_persist)).
     persist: Mutex<Option<PersistHook>>,
 }
@@ -166,11 +353,9 @@ pub type PersistHook = Arc<dyn Fn(&Arc<PreparedQuery>) + Send + Sync>;
 
 impl std::fmt::Debug for PlanService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let stats = self.stats();
         f.debug_struct("PlanService")
-            .field("capacity", &self.capacity)
-            .field("byte_budget", &self.byte_budget)
-            .field("stats", &stats)
+            .field("scope", &self.scope)
+            .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
 }
@@ -180,53 +365,54 @@ impl PlanService {
     /// caching at most `capacity` prepared queries (at least 1), with no
     /// byte bound.
     pub fn new(catalog: Catalog, config: OptimizerConfig, capacity: usize) -> Self {
-        Self::bounded(catalog, config, capacity.max(1), None)
+        Self::bounded(catalog, config, capacity, None)
     }
 
-    /// Creates a service bounded by resident *bytes* instead of entry
-    /// count: entries are charged their [`PreparedQuery::size_bytes`]
-    /// and the LRU tail is evicted once the total exceeds `max_bytes`.
-    /// (One entry is always retained, even if alone it exceeds the
-    /// budget.)
-    pub fn with_byte_budget(catalog: Catalog, config: OptimizerConfig, max_bytes: usize) -> Self {
-        Self::bounded(catalog, config, usize::MAX, Some(max_bytes))
-    }
-
-    /// Creates a service with both bounds: at most `capacity` entries
-    /// *and* (when given) at most `max_bytes` resident.
+    /// Creates a service with a cache of its own under both bounds: at
+    /// most `capacity` entries *and* (when given) at most `max_bytes`
+    /// resident, entries being charged their
+    /// [`PreparedQuery::size_bytes`]. (One entry is always retained,
+    /// even if alone it exceeds the budget.)
     pub fn bounded(
         catalog: Catalog,
         config: OptimizerConfig,
         capacity: usize,
         max_bytes: Option<usize>,
     ) -> Self {
+        let cache = Arc::new(ArtifactCache::new(capacity, max_bytes));
+        Self::scoped(cache, "", catalog, config)
+    }
+
+    /// Creates a front over a cache it shares with others. `scope` must
+    /// not contain `'|'`, which ends it in every key — so fronts under
+    /// different scopes never share a key, whatever their catalogs and
+    /// queries render to. Two fronts under one scope must agree on what
+    /// a key means.
+    pub fn scoped(
+        cache: Arc<ArtifactCache>,
+        scope: &str,
+        catalog: Catalog,
+        config: OptimizerConfig,
+    ) -> Self {
+        assert!(!scope.contains('|'), "scope {scope:?} contains '|'");
         PlanService {
             catalog,
             config,
-            capacity: capacity.max(1),
-            byte_budget: max_bytes,
-            state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                inflight: HashMap::new(),
-                resident_bytes: 0,
-                tick: 0,
-                evictions: 0,
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
+            scope: scope.to_string(),
+            cache,
             persist: Mutex::new(None),
         }
     }
 
     /// Installs a write-through persistence hook (e.g. an
     /// `ArtifactStore` save). The hook runs on the flight *leader*
-    /// after each successful first preparation — once per prepared
-    /// artifact, never for cache hits or coalesced waiters — after the
-    /// artifact is published to the cache and with no service lock
-    /// held, so a slow disk stalls only the one request that paid for
-    /// the optimization anyway. Errors are the hook's own business
-    /// (log and carry on); serving never depends on persistence.
+    /// after each successful first preparation through this front —
+    /// once per prepared artifact, never for cache hits or coalesced
+    /// waiters — after the artifact is published to the cache and with
+    /// no cache lock held, so a slow disk stalls only the one request
+    /// that paid for the optimization anyway. Errors are the hook's own
+    /// business (log and carry on); serving never depends on
+    /// persistence.
     pub fn set_persist(&self, hook: PersistHook) {
         *self.persist.lock().expect("persist hook poisoned") = Some(hook);
     }
@@ -234,36 +420,15 @@ impl PlanService {
     /// Seeds the cache with an externally prepared artifact (startup
     /// warming from an artifact store). Returns `true` if the artifact
     /// was admitted: it must have been prepared under this service's
-    /// exact optimizer configuration (checked via the same normalized
-    /// key `get_or_prepare` uses — a stale artifact from an old config
-    /// is silently refused rather than served wrong), and a key that is
-    /// already cached or in flight keeps its existing artifact.
-    /// Admission charges the byte budget and may evict LRU entries,
-    /// like any other insert.
+    /// exact optimizer configuration (a stale artifact from an old
+    /// config is silently refused rather than served wrong), and a key
+    /// that is already cached or in flight keeps its existing artifact
+    /// ([`ArtifactCache::insert`]).
     pub fn warm(&self, prepared: Arc<PreparedQuery>) -> bool {
         // Same query on both sides, so the two keys differ exactly when
         // the configurations' renderings do.
-        if format!("{:?}", prepared.config()) != format!("{:?}", self.config) {
-            return false;
-        }
-        let key = self.key_for(prepared.query());
-        let mut state = self.state.lock().expect("service cache poisoned");
-        if state.entries.contains_key(&key) || state.inflight.contains_key(&key) {
-            return false;
-        }
-        let tick = state.next_tick();
-        let size_bytes = prepared.size_bytes();
-        state.entries.insert(
-            key,
-            CacheEntry {
-                prepared,
-                size_bytes,
-                last_used: tick,
-            },
-        );
-        state.resident_bytes += size_bytes;
-        state.enforce_bounds(self.capacity, self.byte_budget);
-        true
+        format!("{:?}", prepared.config()) == format!("{:?}", self.config)
+            && self.cache.insert(&self.key_for(prepared.query()), prepared)
     }
 
     /// The service's catalog.
@@ -271,71 +436,45 @@ impl PlanService {
         &self.catalog
     }
 
-    /// The optimizer configuration every cached artifact is prepared
-    /// under.
+    /// The optimizer configuration every artifact is prepared under.
     pub fn config(&self) -> &OptimizerConfig {
         &self.config
     }
 
     /// The key this service caches `query` under: [`cache_key`] with the
-    /// service's own configuration. A caller that serves the same query
-    /// many times computes it once and uses the keyed entry points
+    /// service's own configuration — exactly that under the empty scope
+    /// (so a store fingerprint and a private cache's key agree byte for
+    /// byte), behind `scope|` otherwise. A caller that serves the same
+    /// query many times computes it once and uses the keyed entry points
     /// below, which format nothing.
     pub fn key_for(&self, query: &QuerySpec) -> String {
-        cache_key(query, &self.config)
+        let key = cache_key(query, &self.config);
+        if self.scope.is_empty() {
+            return key;
+        }
+        format!("{}|{key}", self.scope)
     }
 
-    /// The hit path as one call and one lock acquisition: if `key` (from
-    /// [`key_for`](Self::key_for)) is cached, bumps its LRU tick, counts
-    /// a hit and returns the artifact. A key that is not cached returns
-    /// `None` and counts nothing, so a serving front-end can decide
-    /// whether to shed the preparation (see [`ServiceStats::inflight`])
-    /// before calling [`get_or_prepare_keyed`](Self::get_or_prepare_keyed).
+    /// [`ArtifactCache::get_if`] taking every artifact: a hit is
+    /// counted and refreshed, a key that is not cached returns `None`
+    /// and counts nothing. `key` comes from [`key_for`](Self::key_for).
     pub fn get_keyed(&self, key: &str) -> Option<Arc<PreparedQuery>> {
-        self.get_keyed_if(key, |_| true)
+        self.cache.get_if(key, |_| true)
     }
 
-    /// [`get_keyed`](Self::get_keyed) for a caller that can only use
-    /// some artifacts: one that `accept` turns down is treated like a
-    /// key that is not cached — `None`, nothing counted, its LRU tick
-    /// untouched — so the request can be handed to whoever serves it
-    /// and be counted there, once. `accept` runs under the cache lock;
-    /// keep it to a field read.
+    /// [`ArtifactCache::get_if`] on this service's cache.
     pub fn get_keyed_if(
         &self,
         key: &str,
         accept: impl FnOnce(&PreparedQuery) -> bool,
     ) -> Option<Arc<PreparedQuery>> {
-        let mut state = self.state.lock().expect("service cache poisoned");
-        self.hit(&mut state, key, accept)
-    }
-
-    /// Counts and returns a cache hit on an artifact `accept` takes; the
-    /// LRU clock ticks either way.
-    fn hit(
-        &self,
-        state: &mut CacheState,
-        key: &str,
-        accept: impl FnOnce(&PreparedQuery) -> bool,
-    ) -> Option<Arc<PreparedQuery>> {
-        let tick = state.next_tick();
-        let entry = state.entries.get_mut(key)?;
-        if !accept(&entry.prepared) {
-            return None;
-        }
-        entry.last_used = tick;
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(Arc::clone(&entry.prepared))
+        self.cache.get_if(key, accept)
     }
 
     /// Returns the prepared artifact for `query`, preparing and caching
-    /// it on first request.
-    ///
-    /// The cache lock is *not* held while optimizing, so concurrent
-    /// misses on different queries prepare in parallel. Concurrent
-    /// requests for the *same* fresh query are single-flighted: exactly
-    /// one thread optimizes, the rest block on its flight and adopt the
-    /// shared artifact (or its error).
+    /// it on first request ([`ArtifactCache::get_or_prepare`]: no lock
+    /// held while optimizing, one optimization per key however many
+    /// threads race for it).
     pub fn get_or_prepare(&self, query: &QuerySpec) -> Result<Arc<PreparedQuery>, Error> {
         self.get_or_prepare_keyed(&self.key_for(query), query)
     }
@@ -347,139 +486,31 @@ impl PlanService {
         key: &str,
         query: &QuerySpec,
     ) -> Result<Arc<PreparedQuery>, Error> {
-        loop {
-            let flight = {
-                let mut state = self.state.lock().expect("service cache poisoned");
-                if let Some(prepared) = self.hit(&mut state, key, |_| true) {
-                    return Ok(prepared);
-                }
-                match state.inflight.get(key) {
-                    Some(flight) => Some(Arc::clone(flight)),
-                    None => {
-                        state.inflight.insert(
-                            key.to_string(),
-                            Arc::new(Flight {
-                                state: Mutex::new(FlightState::Pending),
-                                done: Condvar::new(),
-                            }),
-                        );
-                        None
-                    }
-                }
-            };
-
-            match flight {
-                // Someone else is preparing this key: wait and adopt.
-                Some(flight) => {
-                    let mut fs = flight.state.lock().expect("flight poisoned");
-                    loop {
-                        match &*fs {
-                            FlightState::Pending => {
-                                fs = flight.done.wait(fs).expect("flight poisoned");
-                            }
-                            FlightState::Done(result) => {
-                                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                                return result.clone();
-                            }
-                            // Leader unwound without a result: retry from
-                            // the top (cache may or may not hold the key).
-                            FlightState::Abandoned => break,
-                        }
-                    }
-                }
-                // This thread is the leader: prepare outside every lock.
-                None => return self.lead_flight(key, query),
-            }
-        }
-    }
-
-    /// Leader path of one flight: optimize, publish the result to both
-    /// the cache and the flight, wake waiters. The guard marks the
-    /// flight abandoned if `prepare` unwinds, so waiters never hang.
-    fn lead_flight(&self, key: &str, query: &QuerySpec) -> Result<Arc<PreparedQuery>, Error> {
-        struct FlightGuard<'a> {
-            service: &'a PlanService,
-            key: &'a str,
-            result: Option<Result<Arc<PreparedQuery>, Error>>,
-        }
-        impl Drop for FlightGuard<'_> {
-            fn drop(&mut self) {
-                let mut state = self.service.state.lock().expect("service cache poisoned");
-                if let Some(Ok(prepared)) = &self.result {
-                    let tick = state.next_tick();
-                    let size_bytes = prepared.size_bytes();
-                    // A racing insert cannot exist: the flight owned the
-                    // key from registration to here.
-                    state.entries.insert(
-                        self.key.to_string(),
-                        CacheEntry {
-                            prepared: Arc::clone(prepared),
-                            size_bytes,
-                            last_used: tick,
-                        },
-                    );
-                    state.resident_bytes += size_bytes;
-                    state.enforce_bounds(self.service.capacity, self.service.byte_budget);
-                }
-                let flight = state
-                    .inflight
-                    .remove(self.key)
-                    .expect("leader owns the in-flight marker");
-                drop(state);
-                let mut fs = flight.state.lock().expect("flight poisoned");
-                *fs = match self.result.take() {
-                    Some(result) => FlightState::Done(result),
-                    None => FlightState::Abandoned,
-                };
-                drop(fs);
-                flight.done.notify_all();
-            }
-        }
-
-        let mut guard = FlightGuard {
-            service: self,
-            key,
-            result: None,
-        };
-        debug_assert_eq!(key, self.key_for(query), "key is not this query's");
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let result = PreparedQuery::prepare(&self.catalog, query, &self.config).map(Arc::new);
-        guard.result = Some(result.clone());
-        drop(guard); // publish + wake before returning
-        if let Ok(prepared) = &result {
+        let (prepared, led) = self.cache.get_or_prepare(key, || {
+            debug_assert_eq!(key, self.key_for(query), "key is not this query's");
+            PreparedQuery::prepare(&self.catalog, query, &self.config)
+        })?;
+        if led {
             // Write-through persistence: after publication, outside
             // every cache lock, on the leader only.
             let hook = self.persist.lock().expect("persist hook poisoned").clone();
             if let Some(hook) = hook {
-                hook(prepared);
+                hook(&prepared);
             }
         }
-        result
+        Ok(prepared)
     }
 
-    /// Current cache counters.
+    /// The cache's counters ([`ArtifactCache::stats`]) — every front's
+    /// traffic, when the cache is shared.
     pub fn stats(&self) -> ServiceStats {
-        let state = self.state.lock().expect("service cache poisoned");
-        ServiceStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            evictions: state.evictions,
-            entries: state.entries.len(),
-            inflight: state.inflight.len(),
-            resident_bytes: state.resident_bytes,
-            capacity: self.capacity,
-            byte_budget: self.byte_budget,
-        }
+        self.cache.stats()
     }
 
-    /// Drops every cached artifact (outstanding [`Arc`] handles stay
-    /// valid — the artifacts are immutable). In-flight preparations are
-    /// unaffected.
+    /// Drops every cached artifact ([`ArtifactCache::clear`]) — every
+    /// front's, when the cache is shared.
     pub fn clear(&self) {
-        let mut state = self.state.lock().expect("service cache poisoned");
-        state.entries.clear();
-        state.resident_bytes = 0;
+        self.cache.clear();
     }
 }
 
@@ -507,6 +538,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn service(capacity: usize) -> PlanService {
         let (catalog, _) = plansample_catalog::tpch::catalog();
@@ -591,6 +623,41 @@ mod tests {
     }
 
     #[test]
+    fn scopes_partition_a_shared_cache_and_the_empty_scope_is_the_bare_key() {
+        let (catalog, _) = plansample_catalog::tpch::catalog();
+        let q = two_rel_query(&catalog, "nation", "region", "n_regionkey", "r_regionkey");
+        let cache = Arc::new(ArtifactCache::new(4, None));
+        let front = |scope: &str| {
+            let config = OptimizerConfig::default();
+            PlanService::scoped(Arc::clone(&cache), scope, catalog.clone(), config)
+        };
+        let (bare, a, b) = (front(""), front("a"), front("b"));
+        assert_eq!(bare.key_for(&q), cache_key(&q, bare.config()));
+        assert_eq!(a.key_for(&q), format!("a|{}", bare.key_for(&q)));
+        assert_ne!(a.key_for(&q), b.key_for(&q));
+
+        // One query under two scopes is two artifacts on one ledger, and
+        // only the front that led a preparation persists it.
+        let persisted = Arc::new(AtomicU64::new(0));
+        let counter = Arc::clone(&persisted);
+        a.set_persist(Arc::new(move |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }));
+        let (pa, pb) = (a.get_or_prepare(&q).unwrap(), b.get_or_prepare(&q).unwrap());
+        assert!(!Arc::ptr_eq(&pa, &pb));
+        assert!(Arc::ptr_eq(&pa, &a.get_or_prepare(&q).unwrap()));
+        assert_eq!(persisted.load(Ordering::Relaxed), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
+        assert_eq!((a.stats(), b.stats()), (stats, stats));
+
+        // The closure entry point says who led.
+        let prepare = || PreparedQuery::prepare(&catalog, &q, bare.config());
+        assert!(cache.get_or_prepare("opaque", prepare).unwrap().1);
+        assert!(!cache.get_or_prepare("opaque", prepare).unwrap().1);
+    }
+
+    #[test]
     fn lru_evicts_the_coldest_entry() {
         let s = service(2);
         let q1 = two_rel_query(
@@ -636,7 +703,12 @@ mod tests {
             s.get_or_prepare(&q).unwrap().size_bytes()
         };
         let budget = probe * 5 / 2;
-        let s = PlanService::with_byte_budget(catalog, OptimizerConfig::default(), budget);
+        let s = PlanService::bounded(
+            catalog,
+            OptimizerConfig::default(),
+            usize::MAX,
+            Some(budget),
+        );
         let queries = [
             ("nation", "region", "n_regionkey", "r_regionkey"),
             ("supplier", "nation", "s_nationkey", "n_nationkey"),
@@ -668,7 +740,7 @@ mod tests {
         let (catalog, _) = plansample_catalog::tpch::catalog();
         // Budget far below any artifact: every insert evicts the
         // previous entry but keeps itself.
-        let s = PlanService::with_byte_budget(catalog, OptimizerConfig::default(), 1);
+        let s = PlanService::bounded(catalog, OptimizerConfig::default(), usize::MAX, Some(1));
         let q1 = two_rel_query(
             s.catalog(),
             "nation",

@@ -3,8 +3,8 @@
 //!
 //! The paper's artifact — a prepared plan space that answers count /
 //! unrank / sample queries in microseconds — only pays for itself when
-//! many consumers share it. This crate puts [`plansample_core`]'s
-//! `PlanService` behind a TCP server so that sharing crosses process
+//! many consumers share it. This crate puts one [`plansample_core`]
+//! `ArtifactCache` behind a TCP server so that sharing crosses process
 //! boundaries: one resident MEMO per distinct query, any number of
 //! clients.
 //!
@@ -45,7 +45,7 @@
 //! worker answered, and at any reactor or worker count: reactors shard
 //! *connections*, never workloads, every reply comes out of one request
 //! body, and every preparation routes through the same singleflighted
-//! services.
+//! cache.
 
 pub mod client;
 pub mod conn;

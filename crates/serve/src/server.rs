@@ -12,7 +12,7 @@
 //! [`ServerState::handle_encoded`] — serve only what it declines:
 //! first preparations, cache misses and bulk sample batches. What *is*
 //! shared — [`ServerState`] — is shared through atomics and the
-//! singleflighted `PlanService`, which is exactly why the determinism
+//! singleflighted artifact cache, which is exactly why the determinism
 //! contract (reply bytes are a pure function of request bytes) holds
 //! verbatim at every reactor count and on either path.
 //!
@@ -63,9 +63,11 @@ pub struct ServerConfig {
     pub reactors: usize,
     /// Worker threads executing requests, *per reactor*.
     pub workers: usize,
-    /// TPC-H service entry capacity.
+    /// Entry capacity of the artifact cache, every workload's artifacts
+    /// counted alike.
     pub cache_entries: usize,
-    /// TPC-H service byte budget (participates in admission control).
+    /// Byte budget of the artifact cache, enforced by eviction. Set by
+    /// library callers only: the CLI has no flag for it.
     pub byte_budget: Option<usize>,
     /// Queue/preparation shedding thresholds.
     pub admission: AdmissionConfig,
@@ -129,7 +131,7 @@ impl ServerHandle {
         self.addr
     }
 
-    /// The shared serving state (counters, services).
+    /// The shared serving state (counters, cache).
     pub fn state(&self) -> &Arc<ServerState> {
         &self.state
     }

@@ -1,25 +1,30 @@
 //! Shared server state: workload resolution, request execution, and
 //! admission control.
 //!
-//! The state is one [`PlanService`] over the TPC-H catalog (SQL
-//! workloads) plus a lazily-populated family of single-entry services
-//! for synthetic join-graph workloads, each over the catalog the spec
-//! deterministically materializes. Routing every preparation through a
-//! `PlanService` buys the serving layer the cache, the byte-budget
-//! eviction, and — critically for the network determinism contract —
-//! the singleflight: a thundering herd of connections asking for the
-//! same fresh query performs exactly one optimization in total.
+//! The state owns **one** [`ArtifactCache`], sized by `cache_entries`
+//! and `byte_budget`, for the artifacts of every workload — SQL over the
+//! TPC-H catalog and synthetic join-graph specs alike — so residency,
+//! eviction, the in-flight count and the `Stats` ledger are each decided
+//! in one place, and its singleflight — critical for the network
+//! determinism contract — holds for any workload: a thundering herd of
+//! connections asking for the same fresh query performs exactly one
+//! optimization in total. Preparations reach the cache through
+//! [`PlanService`] fronts that share it: one scoped `tpch` (the only one
+//! `--artifact-dir` persists), and one per synthetic spec, scoped by the
+//! spec's label, over the catalog the spec deterministically
+//! materializes — so keys of different workloads are disjoint by
+//! construction, not by what a spec happens to render.
 //!
-//! A workload's *identity* — the service that caches it, its query spec
-//! and the service's cache key for that spec — is computed once per
-//! workload, not once per request: a synthetic spec's identity lives in
-//! its entry of the synthetic-service table, an SQL text's in a small
-//! bounded memo (the crate-private `SqlMemo`). Both hold identity only,
-//! never an artifact, so what is resident, what is evicted and what is
-//! written to `--artifact-dir` is decided by the `PlanService`s alone. A
-//! warm request is therefore two map lookups — identity, then
-//! [`PlanService::get_keyed`] — with no parse, no catalog build, no key
-//! formatting and one service lock.
+//! A workload's *identity* — the front that prepares it, its query spec
+//! and the front's key for that spec — is computed once per workload,
+//! not once per request, and kept in **one** bounded LRU table keyed by
+//! the [`Workload`] itself, which holds identity only, never an
+//! artifact. A warm request is therefore two map lookups — identity,
+//! then [`PlanService::get_keyed`] — with no parse, no catalog build, no
+//! key formatting and one cache lock. Neither lock is ever held across a
+//! parse, a catalog build or a preparation: two threads racing on a
+//! workload nobody has seen both resolve it, to the same key, and meet
+//! in the cache's singleflight.
 //!
 //! That is also what lets a reactor answer a warm request itself
 //! instead of handing it to a worker: [`ServerState::handle_inline`]
@@ -36,29 +41,28 @@
 //!    (a single bound shared by every reactor, claimed through
 //!    [`ServerState::try_admit`]) are answered `Overloaded` immediately
 //!    instead of queueing unboundedly (`shed_queue`), and
-//! 2. this module bounds the *expensive work* — a request that would
-//!    have to optimize (its key is not cached:
+//! 2. this module bounds the *expensive work*, server-wide — a request
+//!    that would have to optimize (its key is not cached:
 //!    [`PlanService::get_keyed`] returned `None`, having counted
-//!    nothing) is shed when the byte budget is already saturated or too
-//!    many first preparations are in flight (`shed_prepare`). Cached
+//!    nothing) is shed when `max_prepares` first preparations, of any
+//!    workloads, are already in flight (`shed_prepare`). Cached
 //!    workloads are always served: hits are cheap no matter how hot the
-//!    cache is.
+//!    cache is. Memory is bounded by eviction, never by refusal.
 
 use crate::wire::{
     ErrorCode, ReactorStats, Request, Response, SamplesEncoder, StatsReply, WirePlan, Workload,
     MAX_SAMPLE_BATCH, MAX_SYNTH_RELATIONS,
 };
-use plansample_core::{CountTier, Error, PlanBatch, PlanService, PreparedQuery, ServiceStats};
+use plansample_core::{
+    ArtifactCache, CountTier, Error, Lru, PlanBatch, PlanService, PreparedQuery,
+};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{PhysId, PlanNode};
 use plansample_optimizer::OptimizerConfig;
 use plansample_query::QuerySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -71,14 +75,6 @@ pub struct AdmissionConfig {
     /// Maximum concurrent first preparations before uncached requests
     /// are shed.
     pub max_prepares: usize,
-    /// Shed uncached requests once the TPC-H service's resident bytes
-    /// reach this fraction of its byte budget (when one is set).
-    pub byte_high_water: f64,
-    /// Maximum synthetic services resident at once; the least recently
-    /// used is evicted past this bound, so a client cycling
-    /// `(topology, relations, seed)` triples cannot grow server memory
-    /// without limit.
-    pub max_synth_services: usize,
 }
 
 impl Default for AdmissionConfig {
@@ -86,8 +82,6 @@ impl Default for AdmissionConfig {
         AdmissionConfig {
             max_inflight: 1024,
             max_prepares: 4,
-            byte_high_water: 1.0,
-            max_synth_services: 32,
         }
     }
 }
@@ -103,96 +97,22 @@ pub struct ReactorCounters {
     pub connections: AtomicU64,
 }
 
-/// What a workload resolves to: the service that caches it, its query
-/// spec, and `service.key_for(&query)`. Computed once per workload and
-/// shared by every request that names it.
+/// What a workload resolves to — what a preparation needs and never an
+/// artifact: the front that prepares it (catalog, configuration, scope),
+/// its query spec, and `service.key_for(&query)`.
 struct Identity {
     service: Arc<PlanService>,
     query: QuerySpec,
     key: String,
 }
 
-/// A map of at most `cap` entries that evicts the least recently used.
-/// `tick` orders recency; it is bumped under the owner's lock, so it
-/// needs no atomicity of its own.
-struct Lru<K, V> {
-    map: HashMap<K, (V, u64)>,
-    tick: u64,
-    cap: usize,
-}
-
-impl<K: Hash + Eq + Clone, V> Lru<K, V> {
-    fn new(cap: usize) -> Self {
-        Lru {
-            map: HashMap::new(),
-            tick: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    /// Looks `key` up, marking it the most recently used.
-    fn get<Q>(&mut self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.tick += 1;
-        let (value, last_used) = self.map.get_mut(key)?;
-        *last_used = self.tick;
-        Some(value)
-    }
-
-    /// Inserts `key` as the most recently used, first evicting least
-    /// recently used entries until there is room for it; returns how
-    /// many were evicted.
-    fn insert(&mut self, key: K, value: V) -> u64 {
-        self.tick += 1;
-        let mut evicted = 0;
-        if !self.map.contains_key(&key) {
-            while self.map.len() >= self.cap {
-                let oldest = self
-                    .map
-                    .iter()
-                    .min_by_key(|(_, (_, last_used))| *last_used)
-                    .map(|(k, _)| k.clone())
-                    .expect("map at cap is non-empty");
-                self.map.remove(&oldest);
-                evicted += 1;
-            }
-        }
-        self.map.insert(key, (value, self.tick));
-        evicted
-    }
-}
-
-/// The synthetic-service table: single-entry services keyed by spec,
-/// each with the identity of the one query it serves.
-type SynthServices = Lru<(Topology, u16, u64), Arc<Identity>>;
-
-/// SQL text → identity on the TPC-H service, so that a text is parsed
-/// and keyed once, not once per request. It holds no artifact: a
-/// memoised text whose artifact was evicted misses in the service and
-/// re-prepares like any other.
-///
-/// Bounded at [`MEMO_TEXTS_PER_ENTRY`] texts per `cache_entries`; a text
-/// longer than [`MEMO_MAX_TEXT`], or whose key is longer than
-/// [`MEMO_MAX_KEY`], is resolved the long way every time, and a text
-/// that fails to parse is never memoised. An entry is its text (held
-/// once, as the map's key), its key and its spec; a spec occupies fewer
-/// than two bytes per character of its key (the key renders every field
-/// at more characters than the field has bytes, and a `Vec`'s spare
-/// capacity at most doubles it). Worst case: 4 + 16 + 32 = 52 KiB an
-/// entry, 6.5 MiB at the default 64 `cache_entries`; the benchmark's
-/// six SQL texts take about 1.5 KiB an entry.
-type SqlMemo = Lru<String, Arc<Identity>>;
-
-/// Memoised texts per `cache_entries`: room for a second spelling of
-/// each cached query, or for texts whose artifacts the byte budget
+/// Known workloads per `cache_entries`: room for a second spelling of
+/// each cached query, or for workloads whose artifacts the byte budget
 /// evicted.
-const MEMO_TEXTS_PER_ENTRY: usize = 2;
-/// Longest SQL text the memo keeps, in bytes.
+const IDENTITIES_PER_ENTRY: usize = 2;
+/// Longest SQL text the identity table keeps, in bytes.
 const MEMO_MAX_TEXT: usize = 4 << 10;
-/// Longest cache key the memo keeps, in bytes.
+/// Longest cache key of an SQL text the identity table keeps, in bytes.
 const MEMO_MAX_KEY: usize = 16 << 10;
 
 /// Largest `SampleBatch` a reactor answers itself
@@ -223,11 +143,27 @@ pub(crate) const INLINE_MAX_SAMPLES: u32 = 32;
 
 /// The serving state shared by the reactors and the worker pools.
 pub struct ServerState {
+    /// Every workload's artifacts (see module docs).
+    cache: Arc<ArtifactCache>,
+    /// The front SQL workloads share.
     tpch: Arc<PlanService>,
-    synth: Mutex<SynthServices>,
-    sql_memo: Mutex<SqlMemo>,
+    /// Workload → identity, so that a text is parsed, a spec built and
+    /// either keyed once, not once per request; a known workload whose
+    /// artifact was evicted misses in the cache and re-prepares like any
+    /// other. Bounded at [`IDENTITIES_PER_ENTRY`] × `cache_entries`, so
+    /// a client cycling texts or seeds cannot grow it without limit; an
+    /// SQL text longer than [`MEMO_MAX_TEXT`], or whose key is longer
+    /// than [`MEMO_MAX_KEY`], is resolved the long way every time, and a
+    /// workload that fails to resolve is never kept. An SQL entry is its
+    /// text, its key and its spec (under two bytes per character of the
+    /// key, which renders every field at more characters than it has
+    /// bytes): at worst 4 + 16 + 32 = 52 KiB, 6.5 MiB at the default 64
+    /// `cache_entries`; the benchmark's six texts take about 1.5 KiB
+    /// each. A synthetic entry adds its catalog — at most
+    /// [`MAX_SYNTH_RELATIONS`] two-column tables — and stays under that.
+    identities: Mutex<Lru<Workload, Arc<Identity>>>,
+    max_identities: usize,
     admission: AdmissionConfig,
-    byte_budget: Option<usize>,
     /// Requests decoded by the reactors, whether admitted or shed at
     /// the queue bound; `requests == requests_admitted + shed_queue`
     /// once the server is quiescent.
@@ -247,8 +183,6 @@ pub struct ServerState {
     pub connections_open: AtomicU64,
     /// Connections accepted over the server's lifetime.
     pub connections_total: AtomicU64,
-    /// Synthetic services evicted to stay under the LRU cap.
-    pub synth_evictions: AtomicU64,
     /// High-water mark of per-request sampling memory: flat batch plus
     /// reply buffer of the largest `SampleBatch` stream-encoded so far
     /// (maintained by [`ServerState::handle_encoded`] via `fetch_max`).
@@ -263,8 +197,8 @@ pub struct ServerState {
 impl ServerState {
     /// Builds the state over the TPC-H catalog.
     ///
-    /// `byte_budget` bounds the TPC-H service's resident artifact bytes
-    /// (and participates in admission); `None` leaves it entry-bounded
+    /// `cache_entries` and `byte_budget` bound the one artifact cache,
+    /// whatever the workloads in it; `None` leaves it entry-bounded
     /// only. `reactors` sizes the per-reactor counter slices.
     pub fn new(
         config: OptimizerConfig,
@@ -274,20 +208,14 @@ impl ServerState {
         reactors: usize,
     ) -> Self {
         let (catalog, _) = plansample_catalog::tpch::catalog();
-        let tpch = Arc::new(PlanService::bounded(
-            catalog,
-            config,
-            cache_entries,
-            byte_budget,
-        ));
+        let cache = Arc::new(ArtifactCache::new(cache_entries, byte_budget));
+        let tpch = PlanService::scoped(Arc::clone(&cache), "tpch", catalog, config);
         ServerState {
-            tpch,
-            synth: Mutex::new(Lru::new(admission.max_synth_services)),
-            sql_memo: Mutex::new(Lru::new(
-                cache_entries.max(1).saturating_mul(MEMO_TEXTS_PER_ENTRY),
-            )),
+            cache,
+            tpch: Arc::new(tpch),
+            identities: Mutex::new(Lru::default()),
+            max_identities: cache_entries.max(1).saturating_mul(IDENTITIES_PER_ENTRY),
             admission,
-            byte_budget,
             requests: AtomicU64::new(0),
             requests_admitted: AtomicU64::new(0),
             shed_queue: AtomicU64::new(0),
@@ -296,7 +224,6 @@ impl ServerState {
             accept_errors: AtomicU64::new(0),
             connections_open: AtomicU64::new(0),
             connections_total: AtomicU64::new(0),
-            synth_evictions: AtomicU64::new(0),
             batch_peak_bytes: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             per_reactor: (0..reactors.max(1))
@@ -336,15 +263,15 @@ impl ServerState {
         self.inflight.load(Ordering::Acquire)
     }
 
-    /// The TPC-H service (test observability).
+    /// The front SQL workloads are prepared through: what the artifact
+    /// store warms and is written through from.
     pub fn tpch_service(&self) -> &PlanService {
         &self.tpch
     }
 
-    /// The cache counters of the service behind `workload`, if this
-    /// state has resolved it (test observability).
-    pub fn service_stats(&self, workload: &Workload) -> Option<ServiceStats> {
-        Some(self.known_identity(workload)?.service.stats())
+    /// The one artifact cache (test observability).
+    pub fn cache(&self) -> &ArtifactCache {
+        &self.cache
     }
 
     /// Executes one decoded request and returns the typed reply — the
@@ -399,7 +326,7 @@ impl ServerState {
     ///
     /// A request answered here was counted exactly as
     /// [`handle_encoded`](Self::handle_encoded) would have counted it
-    /// (one `requests_admitted`, one service hit) and its reply is the
+    /// (one `requests_admitted`, one cache hit) and its reply is the
     /// same bytes: both run `answer`.
     pub fn handle_inline(&self, request: &Request, request_id: u64) -> Option<Vec<u8>> {
         let Some(workload) = request.workload() else {
@@ -492,7 +419,7 @@ impl ServerState {
     /// Resolves and prepares a workload, applying admission control —
     /// "find the artifact" in its lookup-then-prepare form
     /// ([`handle_inline`](Self::handle_inline) holds the lookup-only
-    /// one). A cached workload takes the service lock once, in
+    /// one). A cached workload takes the cache lock once, in
     /// `get_keyed`; only a miss reaches the admission check and the
     /// preparing entry point. Failures (shed, parse, optimize) come
     /// back as the typed error reply.
@@ -504,7 +431,7 @@ impl ServerState {
         if let Some(prepared) = id.service.get_keyed(&id.key) {
             return Ok((prepared, true));
         }
-        if let Some(denial) = self.deny_preparation(&id.service) {
+        if let Some(denial) = self.deny_preparation() {
             self.shed_prepare.fetch_add(1, Ordering::Relaxed);
             return Err(Box::new(denial));
         }
@@ -515,37 +442,34 @@ impl ServerState {
     }
 
     /// The identity of a workload this state has already resolved —
-    /// two hash lookups at most, each under its table's lock, and
-    /// nothing parsed, built or inserted. `None` for a workload not
-    /// seen yet (or since evicted from its table), for an SQL text too
-    /// long to memoise, and for a synthetic spec out of range (such a
-    /// spec never gets an entry).
+    /// one hash lookup under the table's lock, and nothing parsed,
+    /// built or inserted. `None` for a workload not seen yet (or since
+    /// evicted from the table), for an SQL text too long to keep, and
+    /// for a synthetic spec out of range (such a spec never gets an
+    /// entry).
     fn known_identity(&self, workload: &Workload) -> Option<Arc<Identity>> {
-        match workload {
-            Workload::Sql(sql) if sql.len() > MEMO_MAX_TEXT => None,
-            Workload::Sql(sql) => {
-                let mut memo = self.sql_memo.lock().expect("sql memo poisoned");
-                memo.get(sql.as_str()).cloned()
-            }
-            Workload::Synthetic {
-                topology,
-                relations,
-                seed,
-            } => {
-                let mut synth = self.synth.lock().expect("synth map poisoned");
-                synth.get(&(*topology, *relations, *seed)).cloned()
-            }
+        if matches!(workload, Workload::Sql(sql) if sql.len() > MEMO_MAX_TEXT) {
+            return None;
         }
+        let mut identities = self.identities.lock().expect("identity table poisoned");
+        identities.get_if(workload, |_| true).cloned()
     }
 
     /// Maps a workload to its identity, learning it if this is the
-    /// first time; prepares nothing.
+    /// first time; prepares nothing. The table's lock is never held
+    /// across a parse or a catalog build; two threads racing on a new
+    /// workload both resolve it, to the same key, and the table keeps
+    /// the first.
     fn resolve(&self, workload: &Workload) -> Result<Arc<Identity>, Box<Response>> {
         if let Some(id) = self.known_identity(workload) {
             return Ok(id);
         }
-        match workload {
-            Workload::Sql(sql) => self.learn_sql(sql),
+        let (id, keep) = match workload {
+            Workload::Sql(sql) => {
+                let id = self.learn_sql(sql)?;
+                let keep = sql.len() <= MEMO_MAX_TEXT && id.key.len() <= MEMO_MAX_KEY;
+                (id, keep)
+            }
             Workload::Synthetic {
                 topology,
                 relations,
@@ -561,16 +485,23 @@ impl ServerState {
                         ),
                     )));
                 }
-                Ok(self.learn_synth((*topology, *relations, *seed)))
+                let spec = JoinGraphSpec::new(*topology, *relations as usize, *seed);
+                (self.learn_synth(&spec), true)
+            }
+        };
+        let id = Arc::new(id);
+        if keep {
+            let mut identities = self.identities.lock().expect("identity table poisoned");
+            identities.insert(workload.clone(), Arc::clone(&id));
+            while identities.len() > self.max_identities {
+                identities.pop_oldest();
             }
         }
+        Ok(id)
     }
 
-    /// Parses an SQL text into its identity on the TPC-H service and
-    /// memoises it (see [`SqlMemo`] for what is kept). The memo's lock
-    /// is never held across a parse; two threads racing on a new text
-    /// both parse it, to the same key on the same service.
-    fn learn_sql(&self, sql: &str) -> Result<Arc<Identity>, Box<Response>> {
+    /// Parses an SQL text into its identity on the TPC-H front.
+    fn learn_sql(&self, sql: &str) -> Result<Identity, Box<Response>> {
         let parsed = plansample_sql::parse(self.tpch.catalog(), sql).map_err(|e| {
             // `render` quotes the offending line; `error` clamps
             // it so the reply stays within the frame bound.
@@ -578,84 +509,45 @@ impl ServerState {
         })?;
         // The front door serves plan-space operations; execution
         // hints (USEPLAN) have no meaning here.
-        let id = Arc::new(Identity {
+        Ok(Identity {
             service: Arc::clone(&self.tpch),
             key: self.tpch.key_for(&parsed.spec),
             query: parsed.spec,
-        });
-        if sql.len() <= MEMO_MAX_TEXT && id.key.len() <= MEMO_MAX_KEY {
-            let mut memo = self.sql_memo.lock().expect("sql memo poisoned");
-            memo.insert(sql.to_string(), Arc::clone(&id));
-        }
-        Ok(id)
+        })
     }
 
-    /// Creates the identity of one synthetic spec, service included.
-    /// Synthetic services hold a single entry — the spec *is* the query
-    /// — so their footprint is exactly one artifact, and the table as a
-    /// whole is LRU-bounded by `max_synth_services`: past the cap, the
-    /// least recently used spec's service is dropped (in-flight
-    /// preparations keep their `Arc` alive; only the cache slot goes).
-    ///
-    /// The table's lock is held across the `JoinGraphSpec::build()`, by
-    /// design: two threads racing on a new spec must end up with *one*
-    /// service, or its singleflight would not hold. That is the longest
-    /// any lock a reactor takes is ever held (see DESIGN.md §9).
-    fn learn_synth(&self, key: (Topology, u16, u64)) -> Arc<Identity> {
-        let mut synth = self.synth.lock().expect("synth map poisoned");
-        if let Some(id) = synth.get(&key) {
-            return Arc::clone(id); // lost the race: adopt the winner's
-        }
-        let spec = JoinGraphSpec::new(key.0, key.1 as usize, key.2);
+    /// Builds the identity of one synthetic spec: a front of its own
+    /// over the shared cache, scoped by the spec's label — which names
+    /// every input of the build, so two specs never share a key even
+    /// where their queries render alike — and owning the catalog the
+    /// spec materializes.
+    fn learn_synth(&self, spec: &JoinGraphSpec) -> Identity {
         let (catalog, query) = spec.build();
-        let service = Arc::new(PlanService::new(catalog, self.tpch.config().clone(), 1));
-        let id = Arc::new(Identity {
+        let config = self.tpch.config().clone();
+        let service = PlanService::scoped(Arc::clone(&self.cache), &spec.label(), catalog, config);
+        Identity {
             key: service.key_for(&query),
-            service,
+            service: Arc::new(service),
             query,
-        });
-        let evicted = synth.insert(key, Arc::clone(&id));
-        self.synth_evictions.fetch_add(evicted, Ordering::Relaxed);
-        id
+        }
     }
 
-    /// Whether an uncached request must be shed right now, and the
+    /// Whether an uncached request must be shed right now — too many
+    /// first preparations in flight, whatever their workloads — and the
     /// typed reply if so.
-    fn deny_preparation(&self, service: &Arc<PlanService>) -> Option<Response> {
-        let stats = service.stats();
-        if stats.inflight >= self.admission.max_prepares {
-            return Some(overloaded(format!(
-                "{} first preparations already in flight",
-                stats.inflight
-            )));
-        }
-        if let Some(budget) = self.byte_budget {
-            let high_water = (budget as f64 * self.admission.byte_high_water) as usize;
-            // The byte-budget tie-in applies to the TPC-H service (the
-            // one sharing `self.byte_budget`); synthetic services are
-            // single-entry and bounded by construction.
-            if Arc::ptr_eq(service, &self.tpch) && stats.resident_bytes >= high_water {
-                return Some(overloaded(format!(
-                    "artifact cache at {} of {} budgeted bytes",
-                    stats.resident_bytes, budget
-                )));
-            }
-        }
-        None
+    fn deny_preparation(&self) -> Option<Response> {
+        let inflight = self.cache.stats().inflight;
+        (inflight >= self.admission.max_prepares).then(|| {
+            let message = format!("{inflight} first preparations already in flight");
+            Response::error(ErrorCode::Overloaded, message)
+        })
     }
 
-    /// Snapshot of every counter, for [`Request::Stats`].
+    /// Snapshot of every counter, for [`Request::Stats`]: the atomics
+    /// and one lock, the cache's. `hits + misses + coalesced` is the
+    /// number of requests that resolved, whatever workloads they named.
     pub fn stats(&self) -> StatsReply {
-        let tpch = self.tpch.stats();
-        let (synth_services, synth_resident_bytes) = {
-            let synth = self.synth.lock().expect("synth map poisoned");
-            let bytes: usize = synth
-                .map
-                .values()
-                .map(|(id, _)| id.service.stats().resident_bytes)
-                .sum();
-            (synth.map.len() as u64, bytes as u64)
-        };
+        let cache = self.cache.stats();
         StatsReply {
             requests: self.requests.load(Ordering::Relaxed),
             requests_admitted: self.requests_admitted.load(Ordering::Relaxed),
@@ -665,17 +557,14 @@ impl ServerState {
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             connections_open: self.connections_open.load(Ordering::Relaxed),
             connections_total: self.connections_total.load(Ordering::Relaxed),
-            hits: tpch.hits,
-            misses: tpch.misses,
-            coalesced: tpch.coalesced,
-            evictions: tpch.evictions,
-            entries: tpch.entries as u64,
-            resident_bytes: tpch.resident_bytes as u64,
-            byte_budget: tpch.byte_budget.unwrap_or(0) as u64,
-            inflight_prepares: tpch.inflight as u64,
-            synth_services,
-            synth_resident_bytes,
-            synth_evictions: self.synth_evictions.load(Ordering::Relaxed),
+            hits: cache.hits,
+            misses: cache.misses,
+            coalesced: cache.coalesced,
+            evictions: cache.evictions,
+            entries: cache.entries as u64,
+            resident_bytes: cache.resident_bytes as u64,
+            byte_budget: cache.byte_budget.unwrap_or(0) as u64,
+            inflight_prepares: cache.inflight as u64,
             batch_peak_bytes: self.batch_peak_bytes.load(Ordering::Relaxed),
             per_reactor: self
                 .per_reactor
@@ -699,10 +588,6 @@ pub fn to_wire_plan(plan: &PlanNode) -> WirePlan {
     wire_ids(&plan.preorder_ids()).collect()
 }
 
-fn overloaded(message: String) -> Response {
-    Response::error(ErrorCode::Overloaded, message)
-}
-
 fn error_response(e: &Error) -> Response {
     let code = match e {
         Error::Opt(_) => ErrorCode::Optimize,
@@ -716,60 +601,24 @@ mod tests {
     use super::*;
     use plansample_bignum::Nat;
 
-    fn state(max_synth_services: usize) -> ServerState {
+    fn state() -> ServerState {
         ServerState::new(
             OptimizerConfig::default(),
             4,
             None,
-            AdmissionConfig {
-                max_synth_services,
-                ..AdmissionConfig::default()
-            },
+            AdmissionConfig::default(),
             2,
         )
     }
 
     /// Cheap synthetic workload (2-relation chain) where only the seed
     /// varies — the exact shape of the unbounded-growth attack.
-    fn chain(seed: u64) -> Request {
-        Request::Count(Workload::Synthetic {
+    fn chain_spec(seed: u64) -> Workload {
+        Workload::Synthetic {
             topology: Topology::Chain,
             relations: 2,
             seed,
-        })
-    }
-
-    #[test]
-    fn synth_map_is_bounded_under_seed_cycling() {
-        let state = state(2);
-        for seed in 0..5 {
-            let reply = state.handle(&chain(seed));
-            assert!(matches!(reply, Response::Count(_)), "got {reply:?}");
         }
-        let stats = state.stats();
-        assert_eq!(
-            stats.synth_services, 2,
-            "seed cycling must not grow the map past the cap"
-        );
-        assert_eq!(stats.synth_evictions, 3);
-        assert_eq!(stats.requests_admitted, 5);
-    }
-
-    #[test]
-    fn synth_eviction_order_is_least_recently_used() {
-        let state = state(2);
-        let evictions = || state.synth_evictions.load(Ordering::Relaxed);
-        state.handle(&chain(1));
-        state.handle(&chain(2));
-        state.handle(&chain(1)); // refresh 1: seed 2 is now the LRU
-        state.handle(&chain(3)); // evicts seed 2
-        assert_eq!(evictions(), 1);
-        state.handle(&chain(1)); // still resident: a hit, no eviction
-        assert_eq!(evictions(), 1);
-        state.handle(&chain(2)); // re-materializes: evicts seed 3
-        assert_eq!(evictions(), 2);
-        state.handle(&chain(1)); // the refreshed entry survived both
-        assert_eq!(evictions(), 2);
     }
 
     fn sql_state(cache_entries: usize, admission: AdmissionConfig) -> ServerState {
@@ -786,8 +635,8 @@ mod tests {
         Workload::Sql(text.to_string())
     }
 
-    fn memo_len(state: &ServerState) -> usize {
-        state.sql_memo.lock().unwrap().map.len()
+    fn known_workloads(state: &ServerState) -> usize {
+        state.identities.lock().unwrap().len()
     }
 
     /// `Prepare` through the state: the artifact's bytes and whether it
@@ -806,11 +655,8 @@ mod tests {
 
     #[test]
     fn a_warm_workload_resolves_to_the_identity_it_already_has() {
-        let state = state(4);
-        let Request::Count(synthetic) = chain(1) else {
-            unreachable!("chain() builds a Count");
-        };
-        for workload in [sql(NATIONS_BY_REGION), synthetic] {
+        let state = state();
+        for workload in [sql(NATIONS_BY_REGION), chain_spec(1)] {
             let first = state.resolve(&workload).unwrap();
             let again = state.resolve(&workload).unwrap();
             assert!(
@@ -821,7 +667,20 @@ mod tests {
         }
     }
 
-    /// (a) The memo holds identity, never an artifact: a memoised text
+    /// Keys are disjoint by scope, not by what a spec happens to
+    /// render: SQL under `tpch`, a synthetic spec under its label —
+    /// which no two specs share.
+    #[test]
+    fn keys_are_scoped_by_workload_family_and_by_spec() {
+        let state = state();
+        let key = |workload: &Workload| state.resolve(workload).unwrap().key.clone();
+        assert!(key(&sql(NATIONS_BY_REGION)).starts_with("tpch|rels:"));
+        let (one, two) = (key(&chain_spec(1)), key(&chain_spec(2)));
+        assert!(one.starts_with("chain-2#1|rels:"), "got {one}");
+        assert!(two.starts_with("chain-2#2|rels:"), "got {two}");
+    }
+
+    /// (a) The table holds identity, never an artifact: a known text
     /// whose artifact was evicted re-prepares.
     #[test]
     fn memoised_text_does_not_pin_its_evicted_artifact() {
@@ -841,10 +700,10 @@ mod tests {
         }
         let stats = state.stats();
         assert_eq!((stats.hits, stats.misses, stats.evictions), (0, 6, 5));
-        assert_eq!(memo_len(&state), 2, "both texts stayed memoised throughout");
+        assert_eq!(known_workloads(&state), 2, "both texts stayed known");
     }
 
-    /// (b) Two spellings are two memo entries with one key between them.
+    /// (b) Two spellings are two table entries with one key between them.
     #[test]
     fn two_spellings_of_a_query_share_one_artifact() {
         let state = sql_state(4, AdmissionConfig::default());
@@ -854,21 +713,33 @@ mod tests {
         assert!(prepare(&state, reordered).1, "second spelling is a hit");
         let stats = state.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
-        assert_eq!(memo_len(&state), 2);
+        assert_eq!(known_workloads(&state), 2);
     }
 
-    /// (c) The memo stays at its cap, and keeps neither over-length
-    /// texts, nor over-length keys, nor texts that do not parse.
+    /// (c) The table stays at its cap whatever is cycled through it —
+    /// texts or seeds — and keeps neither over-length texts, nor
+    /// over-length keys, nor workloads that do not resolve.
     #[test]
-    fn memo_is_bounded_and_keeps_only_short_texts_that_parse() {
+    fn identity_table_is_bounded_and_keeps_only_short_workloads_that_resolve() {
         let state = sql_state(2, AdmissionConfig::default());
-        let cap = 2 * MEMO_TEXTS_PER_ENTRY;
-        for i in 0..10 * cap {
-            let text = format!("SELECT * FROM region WHERE r_regionkey < {i}");
-            let reply = state.handle(&Request::Count(sql(&text)));
+        let cap = 2 * IDENTITIES_PER_ENTRY;
+        let cycled: Vec<Workload> = (0..10 * cap)
+            .map(|i| match i % 2 {
+                0 => sql(&format!("SELECT * FROM region WHERE r_regionkey < {i}")),
+                _ => chain_spec(i as u64),
+            })
+            .collect();
+        for (i, workload) in cycled.iter().enumerate() {
+            let reply = state.handle(&Request::Count(workload.clone()));
             assert!(matches!(reply, Response::Count(_)), "got {reply:?}");
-            assert_eq!(memo_len(&state), cap.min(i + 1));
+            assert_eq!(known_workloads(&state), cap.min(i + 1));
         }
+        let known = |state: &ServerState| -> Vec<bool> {
+            let is_known = |w| state.known_identity(w).is_some();
+            cycled.iter().map(is_known).collect()
+        };
+        let known_before = known(&state);
+        assert_eq!(known_before.iter().filter(|k| **k).count(), cap);
 
         let padded = format!(
             "SELECT * FROM region WHERE r_regionkey < 3{}",
@@ -879,36 +750,41 @@ mod tests {
             " AND r_regionkey < 3".repeat(150)
         );
         assert!(many_filters.len() <= MEMO_MAX_TEXT);
-        let bad = "SELECT * FROM no_such_table";
-        let memo_before: Vec<String> = {
-            let memo = state.sql_memo.lock().unwrap();
-            let mut texts: Vec<String> = memo.map.keys().cloned().collect();
-            texts.sort();
-            texts
-        };
         for text in [padded.as_str(), many_filters.as_str()] {
             for _ in 0..2 {
                 let reply = state.handle(&Request::Count(sql(text)));
                 assert!(matches!(reply, Response::Count(_)), "got {reply:?}");
             }
+            assert!(state.known_identity(&sql(text)).is_none());
         }
         let key_len = state.resolve(&sql(&many_filters)).unwrap().key.len();
         assert!(key_len > MEMO_MAX_KEY, "key of {key_len} bytes is short");
-        let first = state.handle_encoded(&Request::Count(sql(bad)), 9);
-        assert!(matches!(
-            Response::decode(&first).unwrap().1,
-            Response::Error {
-                code: ErrorCode::Sql,
-                ..
+
+        let out_of_range = Workload::Synthetic {
+            topology: Topology::Cycle,
+            relations: 2,
+            seed: 1,
+        };
+        for (workload, code) in [
+            (sql("SELECT * FROM no_such_table"), ErrorCode::Sql),
+            (out_of_range, ErrorCode::BadRequest),
+        ] {
+            let request = Request::Count(workload.clone());
+            let first = state.handle_encoded(&request, 9);
+            assert!(matches!(
+                Response::decode(&first).unwrap().1,
+                Response::Error { code: got, .. } if got == code
+            ));
+            for _ in 0..3 {
+                assert_eq!(state.handle_encoded(&request, 9), first);
             }
-        ));
-        for _ in 0..3 {
-            assert_eq!(state.handle_encoded(&Request::Count(sql(bad)), 9), first);
+            assert!(state.known_identity(&workload).is_none());
         }
-        let memo = state.sql_memo.lock().unwrap();
-        let mut memo_after: Vec<&String> = memo.map.keys().collect();
-        memo_after.sort();
-        assert_eq!(memo_after, memo_before.iter().collect::<Vec<_>>());
+        assert_eq!(
+            known(&state),
+            known_before,
+            "a workload not kept evicts nothing"
+        );
     }
 
     /// (d) Only a miss reaches the admission check.
@@ -950,42 +826,37 @@ mod tests {
         );
     }
 
-    /// Cache hits the service behind `request`'s workload has counted,
-    /// if this state knows the workload.
-    fn service_hits(state: &ServerState, request: &Request) -> Option<u64> {
-        Some(state.service_stats(request.workload()?)?.hits)
-    }
-
     /// The reactor's entry point turns `request` down, and no counter
     /// anywhere shows that it was asked.
     fn assert_declines(state: &ServerState, request: &Request, why: &str) {
-        let before = (state.stats(), service_hits(state, request));
+        let before = state.stats();
         assert_eq!(state.handle_inline(request, 5), None, "{why}: {request:?}");
-        let after = (state.stats(), service_hits(state, request));
-        assert_eq!(after, before, "{why}: declining moved a counter");
+        assert_eq!(state.stats(), before, "{why}: declining moved a counter");
     }
 
     /// The reactor's entry point answers `request` with the bytes the
     /// worker path gives, counted once as admitted and (when it names a
     /// workload) once as a hit.
     fn assert_answers(state: &ServerState, request: &Request) {
-        let before = (
-            state.stats().requests_admitted,
-            service_hits(state, request),
-        );
+        let before = state.stats();
         let reply = state.handle_inline(request, 5);
-        let after = (
-            state.stats().requests_admitted,
-            service_hits(state, request),
+        let after = state.stats();
+        let hit = u64::from(request.workload().is_some());
+        assert_eq!(
+            (after.requests_admitted, after.hits, after.misses),
+            (
+                before.requests_admitted + 1,
+                before.hits + hit,
+                before.misses
+            ),
+            "{request:?}"
         );
-        assert_eq!(after.0, before.0 + 1, "{request:?}");
-        assert_eq!(after.1, before.1.map(|hits| hits + 1), "{request:?}");
         if *request == Request::Stats {
             // The counters it reports have moved since; the snapshot
             // includes the request that asked for it.
             let (_, reply) = Response::decode(&reply.unwrap()).unwrap();
             assert!(
-                matches!(&reply, Response::Stats(s) if s.requests_admitted == after.0),
+                matches!(&reply, Response::Stats(s) if s.requests_admitted == after.requests_admitted),
                 "got {reply:?}"
             );
         } else {
@@ -1014,9 +885,7 @@ mod tests {
     #[test]
     fn inline_answers_known_cached_small_requests_and_declines_the_rest_uncounted() {
         let state = sql_state(1, AdmissionConfig::default());
-        let Request::Count(chain) = chain(1) else {
-            unreachable!("chain() builds a Count");
-        };
+        let chain = chain_spec(1);
         let out_of_range = Workload::Synthetic {
             topology: Topology::Cycle,
             relations: 2,
@@ -1095,7 +964,7 @@ mod tests {
     /// this is purely the encoders' byte-identity.
     #[test]
     fn streamed_sample_batch_bytes_match_the_tree_path() {
-        let state = state(4);
+        let state = state();
         let wl = Workload::Synthetic {
             topology: Topology::Chain,
             relations: 5,
@@ -1117,7 +986,7 @@ mod tests {
 
     #[test]
     fn sampling_peak_bytes_is_tracked_and_bounded() {
-        let state = state(4);
+        let state = state();
         let wl = Workload::Synthetic {
             topology: Topology::Chain,
             relations: 6,

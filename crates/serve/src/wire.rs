@@ -239,8 +239,8 @@ pub struct ReactorStats {
 }
 
 /// Counter snapshot carried by [`Response::Stats`]: the server's own
-/// counters plus its TPC-H [`plansample_core::ServiceStats`], the
-/// synthetic-service aggregate, and the per-reactor breakdown.
+/// counters, the [`plansample_core::ServiceStats`] of its one artifact
+/// cache (every workload's traffic), and the per-reactor breakdown.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StatsReply {
     /// Requests decoded by the reactors — the sum of
@@ -263,28 +263,22 @@ pub struct StatsReply {
     pub connections_open: u64,
     /// Connections accepted over the server's lifetime.
     pub connections_total: u64,
-    /// TPC-H service: cache hits.
+    /// Cache hits.
     pub hits: u64,
-    /// TPC-H service: cache misses (preparations performed).
+    /// Cache misses (preparations performed).
     pub misses: u64,
-    /// TPC-H service: requests coalesced onto another preparation.
+    /// Requests coalesced onto another request's preparation.
     pub coalesced: u64,
-    /// TPC-H service: artifacts evicted.
+    /// Artifacts evicted.
     pub evictions: u64,
-    /// TPC-H service: artifacts resident.
+    /// Artifacts resident.
     pub entries: u64,
-    /// TPC-H service: bytes resident.
+    /// Bytes resident.
     pub resident_bytes: u64,
-    /// TPC-H service: byte budget (0 when unbounded).
+    /// Byte budget (0 when unbounded).
     pub byte_budget: u64,
-    /// TPC-H service: first preparations in flight.
+    /// First preparations in flight.
     pub inflight_prepares: u64,
-    /// Synthetic services currently resident (bounded by the LRU cap).
-    pub synth_services: u64,
-    /// Bytes resident across the synthetic services.
-    pub synth_resident_bytes: u64,
-    /// Synthetic services evicted to stay under the LRU cap.
-    pub synth_evictions: u64,
     /// High-water mark of per-request sampling memory: the flat plan
     /// batch plus the reply buffer of the largest `SampleBatch` served
     /// so far. Stream encoding keeps this bounded by the reply size
@@ -743,9 +737,12 @@ impl Response {
                     s.resident_bytes,
                     s.byte_budget,
                     s.inflight_prepares,
-                    s.synth_services,
-                    s.synth_resident_bytes,
-                    s.synth_evictions,
+                    // Three retired per-synthetic-service counters: the
+                    // slots stay, zeroed, so the v3 frame keeps its
+                    // layout; they go at the next version bump.
+                    0,
+                    0,
+                    0,
                     s.batch_peak_bytes,
                 ] {
                     w.u64(v);
@@ -832,10 +829,8 @@ impl Response {
                         resident_bytes: next()?,
                         byte_budget: next()?,
                         inflight_prepares: next()?,
-                        synth_services: next()?,
-                        synth_resident_bytes: next()?,
-                        synth_evictions: next()?,
-                        batch_peak_bytes: next()?,
+                        // Slots 16–18 are retired (see `encode`).
+                        batch_peak_bytes: (next()?, next()?, next()?, next()?).3,
                         per_reactor: Vec::new(),
                     }
                 };

@@ -67,6 +67,19 @@ fn warm_restart_serves_bit_identical_replies_without_reoptimizing() {
     for r in &first {
         assert!(!matches!(r, Response::Error { .. }), "got {r:?}");
     }
+    // A synthetic preparation is served but not persisted: its store
+    // fingerprint would have to name the spec.
+    let synthetic = client
+        .call(&Request::Prepare(Workload::Synthetic {
+            topology: plansample_datagen::joingraph::Topology::Chain,
+            relations: 3,
+            seed: 1,
+        }))
+        .unwrap();
+    assert!(
+        matches!(synthetic, Response::Prepared { cached: false, .. }),
+        "got {synthetic:?}"
+    );
     drop(client);
     handle.stop();
 

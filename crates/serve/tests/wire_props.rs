@@ -73,7 +73,7 @@ fn arb_reactor_stats() -> impl Strategy<Value = wire::ReactorStats> {
 }
 
 fn arb_stats() -> impl Strategy<Value = StatsReply> {
-    (vec(any::<u64>(), 20), vec(arb_reactor_stats(), 0..6)).prop_map(|(v, per_reactor)| {
+    (vec(any::<u64>(), 17), vec(arb_reactor_stats(), 0..6)).prop_map(|(v, per_reactor)| {
         StatsReply {
             requests: v[0],
             requests_admitted: v[1],
@@ -91,10 +91,7 @@ fn arb_stats() -> impl Strategy<Value = StatsReply> {
             resident_bytes: v[13],
             byte_budget: v[14],
             inflight_prepares: v[15],
-            synth_services: v[16],
-            synth_resident_bytes: v[17],
-            synth_evictions: v[18],
-            batch_peak_bytes: v[19],
+            batch_peak_bytes: v[16],
             per_reactor,
         }
     })

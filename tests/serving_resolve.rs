@@ -1,13 +1,13 @@
 //! Warm equals cold, byte for byte. A `ServerState` resolves a workload
 //! once and afterwards serves it from memoised identity (SQL text →
-//! spec + key, synthetic spec → service + spec + key); a state that has
+//! spec + key, synthetic spec → front + spec + key); a state that has
 //! never seen the workload parses, builds, keys and prepares it on the
 //! spot. One seeded point-mix stream goes through a single long-lived
 //! state — sequentially, then from four threads at once — and every
 //! reply must be the bytes a *fresh* state gives for that request alone.
-//! The TPC-H service's ledger must balance on the way: every request
-//! that resolved to it is exactly one of a hit, a miss, or a coalesced
-//! wait.
+//! The one cache's ledger must balance on the way: every request that
+//! resolved, SQL or synthetic, is exactly one of a hit, a miss, or a
+//! coalesced wait.
 
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::Topology;
@@ -22,7 +22,7 @@ const REQUESTS: usize = 2_000;
 const SEED: u64 = 20_000;
 
 /// Texts 1 and 2 are two spellings of one query (one artifact, two
-/// memo entries); the last does not parse and must never be memoised.
+/// table entries); the last does not parse and must never be kept.
 const SQL_TEXTS: [&str; 5] = [
     "SELECT * FROM region WHERE region.r_regionkey < 3",
     "SELECT COUNT(*) FROM nation n, region r \
@@ -35,7 +35,7 @@ const SQL_TEXTS: [&str; 5] = [
     "SELECT * FROM no_such_table",
 ];
 
-/// The last spec is out of range: refused before any service sees it.
+/// The last spec is out of range: refused before the cache sees it.
 const SYNTH_SPECS: [(Topology, u16); 5] = [
     (Topology::Chain, 4),
     (Topology::Star, 4),
@@ -120,12 +120,12 @@ fn a_long_lived_state_answers_like_a_fresh_one_at_1_and_4_threads() {
         .enumerate()
         .map(|(id, request)| fresh_state().handle_encoded(request, id as u64))
         .collect();
-    let resolved_sql = requests
+    let resolved = requests
         .iter()
         .map(workload_of)
-        .filter(|w| matches!(w, Workload::Sql(_)) && resolves(w))
+        .filter(|w| resolves(w))
         .count() as u64;
-    assert!(resolved_sql > 0 && (resolved_sql as usize) < REQUESTS);
+    assert!(resolved > 0 && (resolved as usize) < REQUESTS);
 
     for threads in [1usize, 4] {
         let state = fresh_state();
@@ -156,14 +156,14 @@ fn a_long_lived_state_answers_like_a_fresh_one_at_1_and_4_threads() {
         let stats = state.stats();
         assert_eq!(
             stats.hits + stats.misses + stats.coalesced,
-            resolved_sql,
+            resolved,
             "{threads} thread(s): {stats:?}"
         );
-        // Four texts resolve, two of them to one key.
-        assert_eq!(stats.entries, 3);
-        assert_eq!(stats.misses, 3, "one preparation per distinct query");
+        // One ledger for every workload (it used to count SQL only):
+        // four texts resolve, two of them to one key, and four specs.
+        assert_eq!(stats.entries, 7);
+        assert_eq!(stats.misses, 7, "one preparation per distinct key");
         assert_eq!(stats.requests_admitted, REQUESTS as u64);
         assert_eq!(stats.shed_prepare, 0);
-        assert_eq!(stats.synth_services, 4);
     }
 }

@@ -192,19 +192,23 @@ fn run_herd(reactors: usize, expected: &HashMap<Vec<u8>, Vec<u8>>) -> HashMap<Ve
         }
     }
 
-    // Singleflight through the network: the TPC-H service optimized
-    // each distinct SQL query exactly once — every other preparation
-    // was a hit or coalesced onto the flight — no matter how many
-    // reactors the connections were sharded over. Synthetic workloads
-    // get one single-entry service each.
-    let tpch = handle.state().tpch_service().stats();
-    assert_eq!(
-        tpch.misses,
-        SQL_WORKLOADS.len() as u64,
-        "one optimization per distinct query at {reactors} reactors, got {tpch:?}"
-    );
+    // Singleflight through the network, read off the server's one
+    // ledger (it used to be the TPC-H service's alone): each distinct
+    // workload, SQL or synthetic, was optimized exactly once — every
+    // other request was a hit or coalesced onto the flight — no matter
+    // how many reactors the connections were sharded over.
     let stats = handle.state().stats();
-    assert_eq!(stats.synth_services, SYNTH_WORKLOADS.len() as u64);
+    assert_eq!(
+        stats.misses,
+        workloads().len() as u64,
+        "one optimization per distinct workload at {reactors} reactors, got {stats:?}"
+    );
+    assert_eq!(stats.entries, workloads().len() as u64);
+    assert_eq!(
+        stats.hits + stats.misses + stats.coalesced,
+        stats.requests,
+        "every request resolved: {stats:?}"
+    );
     assert_eq!(stats.shed_queue, 0);
     assert_eq!(stats.shed_prepare, 0);
     assert_eq!(stats.wire_errors, 0);
