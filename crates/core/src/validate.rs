@@ -11,7 +11,7 @@
 use crate::{lower::lower, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
-use plansample_exec::{Database, ExecError, Table};
+use plansample_exec::{Database, ExecError, SortedRows, Table};
 use plansample_memo::{validate_plan, PlanViolation};
 use rand::Rng;
 use std::fmt;
@@ -137,6 +137,7 @@ impl PlanSpace {
             reference_rows: reference.len(),
             mismatches: Vec::new(),
         };
+        let reference = reference.sorted();
         let mut rank = Nat::zero();
         for plan in self.enumerate().take(limit) {
             self.check_one(catalog, db, &plan, &rank, &reference, &mut report)?;
@@ -161,6 +162,7 @@ impl PlanSpace {
             reference_rows: reference.len(),
             mismatches: Vec::new(),
         };
+        let reference = reference.sorted();
         for _ in 0..k {
             let plan = self.sample(rng);
             let rank = self.rank(&plan)?;
@@ -175,16 +177,16 @@ impl PlanSpace {
         db: &Database,
         plan: &plansample_memo::PlanNode,
         rank: &Nat,
-        reference: &Table,
+        reference: &SortedRows<'_>,
         report: &mut ValidationReport,
     ) -> Result<(), ValidateError> {
         let exec = lower(&self.memo, &self.query, catalog, plan);
         let result = exec.execute(db)?;
         report.plans_checked += 1;
-        if !result.multiset_eq(reference) {
+        if !reference.multiset_eq(&result) {
             report.mismatches.push(Mismatch {
                 rank: rank.clone(),
-                expected_rows: reference.len(),
+                expected_rows: report.reference_rows,
                 actual_rows: result.len(),
                 violations: validate_plan(&self.memo, &self.query, plan),
             });

@@ -590,7 +590,7 @@ impl Operator for HashAggIter<'_> {
             let accs = groups
                 .entry(key)
                 .or_insert_with(|| Accumulators::new(self.aggs));
-            accs.update(&row, self.aggs)?;
+            accs.update(|col| &row[col], self.aggs)?;
         }
         self.input.close();
         self.output = groups
@@ -664,19 +664,19 @@ impl Operator for StreamAggIter<'_> {
                     let key: Vec<Datum> = self.group.iter().map(|&g| row[g].clone()).collect();
                     match &mut self.current {
                         Some((k, accs)) if *k == key => {
-                            accs.update(&row, self.aggs)?;
+                            accs.update(|col| &row[col], self.aggs)?;
                         }
                         Some(_) => {
                             let (k, accs) = self.current.take().expect("matched Some above");
                             let mut fresh = Accumulators::new(self.aggs);
-                            fresh.update(&row, self.aggs)?;
+                            fresh.update(|col| &row[col], self.aggs)?;
                             self.current = Some((key, fresh));
                             self.emitted_any = true;
                             return Ok(Some(accs.finish_into(k)));
                         }
                         None => {
                             let mut accs = Accumulators::new(self.aggs);
-                            accs.update(&row, self.aggs)?;
+                            accs.update(|col| &row[col], self.aggs)?;
                             self.current = Some((key, accs));
                         }
                     }

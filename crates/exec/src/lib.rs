@@ -9,13 +9,16 @@
 //! operator the optimizer can emit, and multiset result comparison.
 //!
 //! Two engines run an [`ExecNode`]. [`ExecNode::execute`] is
-//! operator-at-a-time (each node materializes its output) and is the
-//! one every production caller uses — the engine's job is producing
-//! comparable results for arbitrary valid plans, not throughput.
+//! operator-at-a-time — each node hands its parent the *row numbers* of
+//! its output, and values are copied only into an aggregate's rows and
+//! the result table (the `run` module's docs) — and is the one every
+//! production caller uses: differential testing executes many plans of
+//! one query, so this engine is that application's whole cost.
 //! [`ExecNode::execute_pipelined`] is an independent Volcano-style
-//! open/next/close implementation of the same operator semantics, kept
-//! as the differential oracle of the first (`docs/DESIGN.md` §8 records
-//! the measurement behind that split). Crucially, operators do *not*
+//! open/next/close implementation of the same operator semantics, row
+//! at a time, kept as the differential oracle of the first
+//! (`docs/DESIGN.md` §8 records the measurement behind that split).
+//! Crucially, operators do *not*
 //! repair bad plans in either engine: `StreamAgg` aggregates whatever
 //! run boundaries it sees and `MergeJoin` trusts its inputs to be
 //! sorted, so a plan that violates its physical-property obligations
@@ -110,21 +113,41 @@ impl Table {
     /// regardless of order — the §4 oracle ("all plans should deliver
     /// the same outcome").
     pub fn multiset_eq(&self, other: &Table) -> bool {
-        if self.width != other.width || self.rows.len() != other.rows.len() {
-            return false;
-        }
-        let mut a = self.rows.clone();
-        let mut b = other.rows.clone();
-        a.sort();
-        b.sort();
-        a == b
+        self.sorted().multiset_eq(other)
     }
 
     /// Rows sorted canonically (for display and hashing).
     pub fn sorted_rows(&self) -> Vec<Row> {
-        let mut rows = self.rows.clone();
-        rows.sort();
-        rows
+        self.sorted().rows.into_iter().cloned().collect()
+    }
+
+    /// This table's rows in canonical order, borrowed: sort a reference
+    /// once, then compare any number of tables against it.
+    pub fn sorted(&self) -> SortedRows<'_> {
+        let mut rows: Vec<&Row> = self.rows.iter().collect();
+        // Rows that compare equal are equal: stability shows nowhere.
+        rows.sort_unstable();
+        SortedRows {
+            width: self.width,
+            rows,
+        }
+    }
+}
+
+/// A [`Table`]'s rows in canonical order, borrowed from it
+/// ([`Table::sorted`]).
+#[derive(Debug, Clone)]
+pub struct SortedRows<'a> {
+    width: usize,
+    rows: Vec<&'a Row>,
+}
+
+impl SortedRows<'_> {
+    /// [`Table::multiset_eq`] against the table these rows came from.
+    pub fn multiset_eq(&self, other: &Table) -> bool {
+        self.width == other.width
+            && self.rows.len() == other.rows.len()
+            && self.rows == other.sorted().rows
     }
 }
 
@@ -190,6 +213,13 @@ pub enum ExecError {
         /// The row width.
         width: usize,
     },
+    /// A table — stored, or built by an aggregate — or a hash
+    /// operator's input has more rows than the engine's `u32` row
+    /// numbers can name.
+    TooManyRows {
+        /// The row count.
+        rows: usize,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -206,6 +236,9 @@ impl fmt::Display for ExecError {
             }
             ExecError::OffsetOutOfRange { offset, width } => {
                 write!(f, "column offset {offset} outside row of width {width}")
+            }
+            ExecError::TooManyRows { rows } => {
+                write!(f, "{rows} rows exceed the engine's u32 row numbers")
             }
         }
     }
@@ -261,6 +294,33 @@ mod tests {
         let c = Table::from_rows(1, vec![]).unwrap();
         assert!(!a.multiset_eq(&b));
         assert!(!a.multiset_eq(&c));
+    }
+
+    #[test]
+    fn a_reference_sorted_once_compares_like_multiset_eq() {
+        let reference =
+            Table::from_rows(1, vec![vec![Int(2)], vec![Int(1)], vec![Int(2)]]).unwrap();
+        let sorted = reference.sorted();
+        let same = Table::from_rows(1, vec![vec![Int(2)], vec![Int(2)], vec![Int(1)]]).unwrap();
+        let other = Table::from_rows(1, vec![vec![Int(1)], vec![Int(1)], vec![Int(2)]]).unwrap();
+        let shorter = Table::from_rows(1, vec![vec![Int(1)], vec![Int(2)]]).unwrap();
+        let wider = Table::from_rows(2, vec![vec![Int(1), Int(2)]; 3]).unwrap();
+        for (table, equal) in [
+            (&same, true),
+            (&other, false),
+            (&shorter, false),
+            (&wider, false),
+        ] {
+            assert_eq!(sorted.multiset_eq(table), equal);
+            assert_eq!(reference.multiset_eq(table), equal);
+        }
+        // Width is part of the shape even when there is no row to show it.
+        assert!(!Table::new(1).sorted().multiset_eq(&Table::new(2)));
+        assert!(Table::new(2).sorted().multiset_eq(&Table::new(2)));
+        assert_eq!(
+            reference.sorted_rows(),
+            vec![vec![Int(1)], vec![Int(2)], vec![Int(2)]]
+        );
     }
 
     #[test]

@@ -1,107 +1,120 @@
-//! Operator execution.
+//! Operator execution over relations of row numbers.
 //!
-//! Each node materializes its full output ([`ExecNode::execute`]).
+//! [`ExecNode::execute`] is operator-at-a-time, but an operator's
+//! output is not a table of values: it is a [`Rel`], which names rows
+//! instead of holding them. A `Rel` has
+//!
+//! * **segments** — one per base table feeding it. A base table is
+//!   either borrowed from the [`Database`] (a scan starts one) or built
+//!   and owned by the operator that computed it; only aggregates
+//!   compute values, so only they build one;
+//! * a **column map**, built once per operator: output offset →
+//!   (segment, column of that segment's base table);
+//! * one flat `Vec<u32>` of **row numbers**, one per segment per row.
+//!
+//! Scans filter a stored table into row numbers, `Sort` permutes them,
+//! a join concatenates its children's segments and emits the two rows'
+//! numbers per match — [`JoinSpec::assemble`] only rewrites the column
+//! map, so a range that splits, reorders, repeats or drops columns
+//! costs nothing per row — and `Project` re-picks map entries. `Datum`s
+//! are cloned in exactly two places: where an aggregate builds its
+//! output rows (group keys and accumulator results) and where the
+//! plan's root builds the [`Table`] it returns.
+//!
 //! Operators with physical-property obligations (`MergeJoin`,
-//! `StreamAgg`) trust their inputs — they do not verify or repair
+//! `StreamAgg`) still trust their inputs — they do not verify or repair
 //! sortedness. Running an invalid plan therefore produces observable
 //! wrong answers instead of errors, which is the behaviour the
-//! differential-testing methodology requires.
+//! differential-testing methodology requires. Every offset is checked
+//! against its child's width before any row is read.
+//!
+//! The row *order* of `execute`'s result is a pure function of (plan,
+//! database): hash join and hash aggregation share one chained table
+//! ([`Chains`]) with a fixed hasher, and groups come out in the order
+//! their first row went in. The hasher is not collision-resistant: keys
+//! crafted to collide degrade a hash operator to a nested loop, which a
+//! testing engine run on its own data can afford.
 
-use crate::node::{AggSpec, ExecNode, JoinSpec};
+use crate::node::{AggSpec, ColFilter, ExecNode, JoinSpec, Side};
 use crate::{Database, ExecError, Row, Table};
-use plansample_catalog::Datum;
+use plansample_catalog::{Datum, TableId};
 use plansample_query::AggFunc;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
 
 impl ExecNode {
     /// Executes the plan against `db`, producing the result table.
     pub fn execute(&self, db: &Database) -> Result<Table, ExecError> {
+        self.run(db)?.into_table()
+    }
+
+    fn run<'db>(&self, db: &'db Database) -> Result<Rel<'db>, ExecError> {
         match self {
-            ExecNode::TableScan { table, filters } => {
-                let src = db.table(*table)?;
-                check_offsets(filters.iter().map(|f| f.offset), src.width())?;
-                let rows: Vec<Row> = src
-                    .rows()
-                    .iter()
-                    .filter(|r| filters.iter().all(|f| f.matches(r)))
-                    .cloned()
-                    .collect();
-                Table::from_rows(src.width(), rows)
-            }
+            ExecNode::TableScan { table, filters } => scan(db, *table, filters, None),
             ExecNode::IndexScan {
                 table,
                 sort_col,
                 filters,
-            } => {
-                let src = db.table(*table)?;
-                check_offsets(
-                    filters.iter().map(|f| f.offset).chain([*sort_col]),
-                    src.width(),
-                )?;
-                let mut rows: Vec<Row> = src
-                    .rows()
-                    .iter()
-                    .filter(|r| filters.iter().all(|f| f.matches(r)))
-                    .cloned()
-                    .collect();
-                // Key order first, full row as tiebreak for determinism.
-                rows.sort_by(|a, b| a[*sort_col].cmp(&b[*sort_col]).then_with(|| a.cmp(b)));
-                Table::from_rows(src.width(), rows)
-            }
+            } => scan(db, *table, filters, Some(*sort_col)),
             ExecNode::Sort { input, keys } => {
-                let src = input.execute(db)?;
+                let src = input.run(db)?;
                 check_offsets(keys.iter().copied(), src.width())?;
-                let width = src.width();
-                let mut rows = src.into_rows();
-                rows.sort_by(|a, b| {
-                    keys.iter()
-                        .map(|&k| a[k].cmp(&b[k]))
-                        .find(|o| *o != std::cmp::Ordering::Equal)
-                        .unwrap_or_else(|| a.cmp(b))
-                });
-                Table::from_rows(width, rows)
+                let order = {
+                    let sort_keys = src.keys(keys);
+                    let mut order: Vec<usize> = (0..src.len).collect();
+                    // Key order first, full row as tiebreak: rows that
+                    // still tie are equal, so stability would not show.
+                    order.sort_unstable_by(|&a, &b| {
+                        let by_key = sort_keys.of(a).cmp(sort_keys.of(b));
+                        by_key.then_with(|| src.cmp_rows(a, b))
+                    });
+                    order
+                };
+                let mut ids = Vec::with_capacity(src.ids.len());
+                for row in order {
+                    ids.extend_from_slice(src.row_ids(row));
+                }
+                Ok(Rel { ids, ..src })
             }
             ExecNode::NestedLoopJoin { left, right, spec } => {
-                let l = left.execute(db)?;
-                let r = right.execute(db)?;
+                let (l, r) = (left.run(db)?, right.run(db)?);
                 check_join_offsets(spec, l.width(), r.width())?;
-                let mut out = Vec::new();
-                for lrow in l.rows() {
-                    for rrow in r.rows() {
-                        if spec.pairs_match(lrow, rrow) {
-                            out.push(spec.assemble_row(lrow, rrow));
+                let mut out = Matches::default();
+                {
+                    let (lk, rk) = pair_keys(&l, &r, spec);
+                    for i in 0..l.len {
+                        let key = lk.of(i);
+                        for j in 0..r.len {
+                            if key == rk.of(j) {
+                                out.emit(&l, i, &r, j);
+                            }
                         }
                     }
                 }
-                Table::from_rows(l.width() + r.width(), out)
+                out.assemble(l, r, spec)
             }
             ExecNode::HashJoin { left, right, spec } => {
-                let l = left.execute(db)?;
-                let r = right.execute(db)?;
+                let (l, r) = (left.run(db)?, right.run(db)?);
                 check_join_offsets(spec, l.width(), r.width())?;
-                let mut build: HashMap<Vec<Datum>, Vec<&Row>> = HashMap::new();
-                for lrow in l.rows() {
-                    let key: Vec<Datum> = spec
-                        .eq_pairs
-                        .iter()
-                        .map(|&(lo, _)| lrow[lo].clone())
-                        .collect();
-                    build.entry(key).or_default().push(lrow);
-                }
-                let mut out = Vec::new();
-                for rrow in r.rows() {
-                    let key: Vec<Datum> = spec
-                        .eq_pairs
-                        .iter()
-                        .map(|&(_, ro)| rrow[ro].clone())
-                        .collect();
-                    if let Some(matches) = build.get(&key) {
-                        for lrow in matches {
-                            out.push(spec.assemble_row(lrow, rrow));
+                let mut out = Matches::default();
+                {
+                    let (lk, rk) = pair_keys(&l, &r, spec);
+                    // Linked last row first, so a chain lists its rows
+                    // in input order.
+                    let rows = row_numbers(l.len)?;
+                    let mut build = Chains::new(rows);
+                    for i in (0..rows).rev() {
+                        build.link(lk.hash(i as usize), i);
+                    }
+                    for j in 0..r.len {
+                        for i in build.chain(rk.hash(j)) {
+                            if lk.of(i) == rk.of(j) {
+                                out.emit(&l, i, &r, j);
+                            }
                         }
                     }
                 }
-                Table::from_rows(l.width() + r.width(), out)
+                out.assemble(l, r, spec)
             }
             ExecNode::MergeJoin {
                 left,
@@ -110,103 +123,425 @@ impl ExecNode {
                 right_key,
                 spec,
             } => {
-                let l = left.execute(db)?;
-                let r = right.execute(db)?;
+                let (l, r) = (left.run(db)?, right.run(db)?);
                 check_join_offsets(spec, l.width(), r.width())?;
                 check_offsets([*left_key], l.width())?;
                 check_offsets([*right_key], r.width())?;
-                let (lrows, rrows) = (l.rows(), r.rows());
-                let mut out = Vec::new();
-                let (mut i, mut j) = (0usize, 0usize);
-                while i < lrows.len() && j < rrows.len() {
-                    match lrows[i][*left_key].cmp(&rrows[j][*right_key]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            // Duplicate blocks: all pairs of the two runs.
-                            let key = lrows[i][*left_key].clone();
-                            let i_end = run_end(lrows, i, *left_key, &key);
-                            let j_end = run_end(rrows, j, *right_key, &key);
-                            for lrow in &lrows[i..i_end] {
-                                for rrow in &rrows[j..j_end] {
-                                    if spec.pairs_match(lrow, rrow) {
-                                        out.push(spec.assemble_row(lrow, rrow));
+                let mut out = Matches::default();
+                {
+                    let (lk, rk) = (l.keys(&[*left_key]).values, r.keys(&[*right_key]).values);
+                    let (mut i, mut j) = (0usize, 0usize);
+                    while i < lk.len() && j < rk.len() {
+                        match lk[i].cmp(rk[j]) {
+                            Ordering::Less => i += 1,
+                            Ordering::Greater => j += 1,
+                            Ordering::Equal => {
+                                // Duplicate blocks: all pairs of the two runs.
+                                let i_end = run_end(&lk, i);
+                                let j_end = run_end(&rk, j);
+                                for a in i..i_end {
+                                    for b in j..j_end {
+                                        let residuals_hold = spec
+                                            .eq_pairs
+                                            .iter()
+                                            .all(|&(lo, ro)| l.get(a, lo) == r.get(b, ro));
+                                        if residuals_hold {
+                                            out.emit(&l, a, &r, b);
+                                        }
                                     }
                                 }
+                                i = i_end;
+                                j = j_end;
                             }
-                            i = i_end;
-                            j = j_end;
                         }
                     }
                 }
-                Table::from_rows(l.width() + r.width(), out)
+                out.assemble(l, r, spec)
             }
             ExecNode::HashAgg { input, group, aggs } => {
-                let src = input.execute(db)?;
+                let src = input.run(db)?;
                 check_offsets(group.iter().copied(), src.width())?;
                 check_offsets(aggs.iter().filter_map(|a| a.arg), src.width())?;
-                let mut groups: HashMap<Vec<Datum>, Accumulators> = HashMap::new();
-                for row in src.rows() {
-                    let key: Vec<Datum> = group.iter().map(|&g| row[g].clone()).collect();
-                    groups
-                        .entry(key)
-                        .or_insert_with(|| Accumulators::new(aggs))
-                        .update(row, aggs)?;
+                let keys = src.keys(group);
+                // A group is known by its first row; groups are numbered
+                // in the order those rows arrive.
+                let mut table = Chains::new(row_numbers(src.len)?);
+                let mut groups: Vec<(usize, Accumulators)> = Vec::new();
+                for row in 0..src.len {
+                    let hash = keys.hash(row);
+                    let known = table
+                        .chain(hash)
+                        .find(|&g| keys.of(groups[g].0) == keys.of(row));
+                    let g = match known {
+                        Some(g) => g,
+                        None => {
+                            table.link(hash, row_numbers(groups.len())?);
+                            groups.push((row, Accumulators::new(aggs)));
+                            groups.len() - 1
+                        }
+                    };
+                    groups[g].1.update(|col| src.get(row, col), aggs)?;
                 }
-                finalize_groups(groups, group.len(), aggs, src.len())
+                let scalar_over_nothing = group.is_empty() && src.len == 0;
+                aggregated(&keys, groups, aggs, scalar_over_nothing)
             }
             ExecNode::StreamAgg { input, group, aggs } => {
-                let src = input.execute(db)?;
+                let src = input.run(db)?;
                 check_offsets(group.iter().copied(), src.width())?;
                 check_offsets(aggs.iter().filter_map(|a| a.arg), src.width())?;
-                let width = group.len() + aggs.len();
-                let mut out = Vec::new();
-                let mut current: Option<(Vec<Datum>, Accumulators)> = None;
-                for row in src.rows() {
-                    let key: Vec<Datum> = group.iter().map(|&g| row[g].clone()).collect();
-                    let start_new = match &current {
-                        Some((k, _)) => *k != key,
-                        None => true,
-                    };
-                    if start_new {
-                        if let Some((k, accs)) = current.take() {
-                            out.push(accs.finish_into(k));
-                        }
-                        current = Some((key, Accumulators::new(aggs)));
+                let keys = src.keys(group);
+                // One group per run of equal keys, wherever the runs fall.
+                let mut groups: Vec<(usize, Accumulators)> = Vec::new();
+                for row in 0..src.len {
+                    if groups
+                        .last()
+                        .is_none_or(|&(first, _)| keys.of(first) != keys.of(row))
+                    {
+                        groups.push((row, Accumulators::new(aggs)));
                     }
-                    let (_, accs) = current.as_mut().expect("just installed");
-                    accs.update(row, aggs)?;
-                }
-                if let Some((k, accs)) = current.take() {
-                    out.push(accs.finish_into(k));
+                    let (_, accs) = groups.last_mut().expect("just installed");
+                    accs.update(|col| src.get(row, col), aggs)?;
                 }
                 // Scalar aggregate over an empty input: one row of empty
                 // accumulators (SQL semantics), matching HashAgg.
-                if out.is_empty() && group.is_empty() {
-                    out.push(Accumulators::new(aggs).finish_into(Vec::new()));
-                }
-                Table::from_rows(width, out)
+                let scalar_over_nothing = group.is_empty() && groups.is_empty();
+                aggregated(&keys, groups, aggs, scalar_over_nothing)
             }
             ExecNode::Project { input, cols } => {
-                let src = input.execute(db)?;
+                let src = input.run(db)?;
                 check_offsets(cols.iter().copied(), src.width())?;
-                let rows: Vec<Row> = src
-                    .rows()
-                    .iter()
-                    .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
-                    .collect();
-                Table::from_rows(cols.len(), rows)
+                Ok(Rel {
+                    cols: cols.iter().map(|&c| src.cols[c]).collect(),
+                    ..src
+                })
             }
         }
     }
 }
 
-fn run_end(rows: &[Row], start: usize, key_col: usize, key: &Datum) -> usize {
-    let mut end = start;
-    while end < rows.len() && &rows[end][key_col] == key {
-        end += 1;
+/// The table a segment's row numbers index.
+enum Base<'db> {
+    /// Borrowed from the [`Database`].
+    Stored(&'db Table),
+    /// Built, and owned, by an aggregate.
+    Built(Table),
+}
+
+impl Base<'_> {
+    fn table(&self) -> &Table {
+        match self {
+            Base::Stored(table) => table,
+            Base::Built(table) => table,
+        }
     }
-    end
+}
+
+/// An operator's output: `len` rows named by row numbers (module docs).
+struct Rel<'db> {
+    /// One base table per segment.
+    segments: Vec<Base<'db>>,
+    /// Output offset → (segment, column of its base table).
+    cols: Vec<(usize, usize)>,
+    /// Row-major: row `r`'s number in segment `s` is
+    /// `ids[r * segments.len() + s]`.
+    ids: Vec<u32>,
+    /// Row count, kept apart from `ids` because a relation projected
+    /// down to no columns still has rows.
+    len: usize,
+}
+
+impl<'db> Rel<'db> {
+    /// The rows `ids` of `base`, all of its columns, in that order.
+    fn over(base: Base<'db>, ids: Vec<u32>) -> Self {
+        Rel {
+            cols: (0..base.table().width()).map(|c| (0, c)).collect(),
+            segments: vec![base],
+            len: ids.len(),
+            ids,
+        }
+    }
+
+    fn width(&self) -> usize {
+        self.cols.len()
+    }
+
+    fn row_ids(&self, row: usize) -> &[u32] {
+        let n = self.segments.len();
+        &self.ids[row * n..][..n]
+    }
+
+    fn get(&self, row: usize, col: usize) -> &Datum {
+        let (segment, base_col) = self.cols[col];
+        let id = self.ids[row * self.segments.len() + segment];
+        &self.segments[segment].table().rows()[id as usize][base_col]
+    }
+
+    /// The given columns of every row, read once so that the
+    /// comparisons of a sort, a join or a grouping do not chase row
+    /// numbers.
+    fn keys(&self, offsets: &[usize]) -> Keys<'_> {
+        self.keys_by(offsets.len(), |k| offsets[k])
+    }
+
+    /// [`Rel::keys`] of the `width` columns `offset(0..width)`.
+    fn keys_by(&self, width: usize, offset: impl Fn(usize) -> usize) -> Keys<'_> {
+        let mut values = Vec::with_capacity(self.len * width);
+        for row in 0..self.len {
+            values.extend((0..width).map(|k| self.get(row, offset(k))));
+        }
+        Keys { values, width }
+    }
+
+    /// Full-row comparison, as `Row`'s `Ord` would make it. Where both
+    /// rows hold the same row of a segment its columns are equal unread,
+    /// which is most of a tie below a join.
+    fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        let (a, b) = (self.row_ids(a), self.row_ids(b));
+        self.cols
+            .iter()
+            .filter(|&&(segment, _)| a[segment] != b[segment])
+            .map(|&(segment, col)| {
+                let rows = self.segments[segment].table().rows();
+                rows[a[segment] as usize][col].cmp(&rows[b[segment] as usize][col])
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// The root's step: every value cloned once into the result.
+    fn into_table(self) -> Result<Table, ExecError> {
+        let rows: Vec<Row> = (0..self.len)
+            .map(|row| {
+                (0..self.width())
+                    .map(|col| self.get(row, col).clone())
+                    .collect()
+            })
+            .collect();
+        Table::from_rows(self.width(), rows)
+    }
+}
+
+/// Key columns extracted from a relation, row-major: `width` values a
+/// row.
+struct Keys<'a> {
+    values: Vec<&'a Datum>,
+    width: usize,
+}
+
+impl Keys<'_> {
+    fn of(&self, row: usize) -> &[&Datum] {
+        &self.values[row * self.width..][..self.width]
+    }
+
+    fn hash(&self, row: usize) -> u64 {
+        let mut hasher = Mix(0);
+        for value in self.of(row) {
+            value.hash(&mut hasher);
+        }
+        hasher.finish()
+    }
+}
+
+/// Both sides of `spec.eq_pairs`.
+fn pair_keys<'a>(l: &'a Rel, r: &'a Rel, spec: &JoinSpec) -> (Keys<'a>, Keys<'a>) {
+    let pairs = &spec.eq_pairs;
+    (
+        l.keys_by(pairs.len(), |k| pairs[k].0),
+        r.keys_by(pairs.len(), |k| pairs[k].1),
+    )
+}
+
+/// Multiply-rotate hasher in the style of FxHash, fed by `Datum::hash`.
+/// Its well-mixed bits are the high ones; [`Chains`] buckets by those.
+struct Mix(u64);
+
+impl Mix {
+    fn word(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for Mix {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.word(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Checks that `rows` rows can be numbered in `u32`.
+fn row_numbers(rows: usize) -> Result<u32, ExecError> {
+    u32::try_from(rows).map_err(|_| ExecError::TooManyRows { rows })
+}
+
+/// The bucket-chained hash table of hash join and hash aggregation over
+/// items numbered `0..items`: `heads[bucket]` is the chain's first
+/// item, `next[item]` the one after it. Two allocations a table, none
+/// an item; the caller keeps the keys and re-checks equality.
+struct Chains {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    shift: u32,
+}
+
+impl Chains {
+    const END: u32 = u32::MAX;
+
+    /// A table for at most `items` items, none linked yet.
+    fn new(items: u32) -> Self {
+        let items = items as usize;
+        let buckets = items.next_power_of_two().max(2);
+        Chains {
+            heads: vec![Self::END; buckets],
+            next: vec![Self::END; items],
+            shift: u64::BITS - buckets.trailing_zeros(),
+        }
+    }
+
+    /// Puts `item` at the front of its chain.
+    fn link(&mut self, hash: u64, item: u32) {
+        let head = &mut self.heads[(hash >> self.shift) as usize];
+        self.next[item as usize] = std::mem::replace(head, item);
+    }
+
+    /// The items linked under `hash`'s bucket, most recent first.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let item = |link: u32| (link != Self::END).then_some(link as usize);
+        let first = self.heads[(hash >> self.shift) as usize];
+        std::iter::successors(item(first), move |&at| item(self.next[at]))
+    }
+}
+
+/// The row pairs a join matched, as the concatenation of both rows'
+/// numbers.
+#[derive(Default)]
+struct Matches {
+    ids: Vec<u32>,
+    len: usize,
+}
+
+impl Matches {
+    fn emit(&mut self, l: &Rel, i: usize, r: &Rel, j: usize) {
+        self.ids.extend_from_slice(l.row_ids(i));
+        self.ids.extend_from_slice(r.row_ids(j));
+        self.len += 1;
+    }
+
+    /// The join's output: both children's segments, and the column map
+    /// `spec.assemble` picks from theirs.
+    fn assemble<'db>(
+        self,
+        l: Rel<'db>,
+        r: Rel<'db>,
+        spec: &JoinSpec,
+    ) -> Result<Rel<'db>, ExecError> {
+        let cols: Vec<(usize, usize)> = spec
+            .assemble
+            .iter()
+            .filter(|&&(_, _, len)| len > 0)
+            .flat_map(|&(side, offset, len)| {
+                let (child, first_segment) = match side {
+                    Side::Left => (&l, 0),
+                    Side::Right => (&r, l.segments.len()),
+                };
+                child.cols[offset..offset + len]
+                    .iter()
+                    .map(move |&(segment, col)| (first_segment + segment, col))
+            })
+            .collect();
+        // A join's rows are as wide as its inputs together; an assembly
+        // of any other width is a bad row the moment there is one.
+        let expected = l.width() + r.width();
+        if cols.len() != expected {
+            if self.len > 0 {
+                return Err(ExecError::RowWidth {
+                    row: 0,
+                    expected,
+                    actual: cols.len(),
+                });
+            }
+            return Ok(Rel::over(Base::Built(Table::new(expected)), Vec::new()));
+        }
+        let mut segments = l.segments;
+        segments.extend(r.segments);
+        Ok(Rel {
+            segments,
+            cols,
+            ids: self.ids,
+            len: self.len,
+        })
+    }
+}
+
+fn scan<'db>(
+    db: &'db Database,
+    table: TableId,
+    filters: &[ColFilter],
+    sort_col: Option<usize>,
+) -> Result<Rel<'db>, ExecError> {
+    let src = db.table(table)?;
+    check_offsets(
+        filters.iter().map(|f| f.offset).chain(sort_col),
+        src.width(),
+    )?;
+    let rows = src.rows();
+    let mut ids: Vec<u32> = (0..row_numbers(rows.len())?)
+        .zip(rows)
+        .filter(|(_, row)| filters.iter().all(|f| f.matches(row)))
+        .map(|(id, _)| id)
+        .collect();
+    if let Some(col) = sort_col {
+        // Key order first, full row as tiebreak for determinism.
+        ids.sort_unstable_by(|&a, &b| {
+            let (a, b) = (&rows[a as usize], &rows[b as usize]);
+            a[col].cmp(&b[col]).then_with(|| a.cmp(b))
+        });
+    }
+    Ok(Rel::over(Base::Stored(src), ids))
+}
+
+/// An aggregate's output: for each group (first row, accumulators) the
+/// row `key ++ aggregate values`, in a table of its own.
+fn aggregated<'db>(
+    keys: &Keys,
+    groups: Vec<(usize, Accumulators)>,
+    aggs: &[AggSpec],
+    scalar_over_nothing: bool,
+) -> Result<Rel<'db>, ExecError> {
+    let width = keys.width + aggs.len();
+    let mut rows: Vec<Row> = groups
+        .into_iter()
+        .map(|(first, accs)| {
+            let mut row = Vec::with_capacity(width);
+            row.extend(keys.of(first).iter().map(|&value| value.clone()));
+            accs.finish_into(row)
+        })
+        .collect();
+    if scalar_over_nothing {
+        rows.push(Accumulators::new(aggs).finish_into(Vec::new()));
+    }
+    let ids = (0..row_numbers(rows.len())?).collect();
+    Ok(Rel::over(Base::Built(Table::from_rows(width, rows)?), ids))
+}
+
+/// End of the run of values equal to `values[start]`.
+fn run_end(values: &[&Datum], start: usize) -> usize {
+    let run = values[start..].iter().take_while(|&&v| v == values[start]);
+    start + run.count()
 }
 
 fn check_offsets<I: IntoIterator<Item = usize>>(offsets: I, width: usize) -> Result<(), ExecError> {
@@ -223,32 +558,14 @@ fn check_join_offsets(spec: &JoinSpec, lw: usize, rw: usize) -> Result<(), ExecE
     check_offsets(spec.eq_pairs.iter().map(|&(_, r)| r), rw)?;
     for &(side, offset, len) in &spec.assemble {
         let width = match side {
-            crate::Side::Left => lw,
-            crate::Side::Right => rw,
+            Side::Left => lw,
+            Side::Right => rw,
         };
         if len > 0 {
             check_offsets([offset + len - 1], width)?;
         }
     }
     Ok(())
-}
-
-fn finalize_groups(
-    groups: HashMap<Vec<Datum>, Accumulators>,
-    group_width: usize,
-    aggs: &[AggSpec],
-    input_rows: usize,
-) -> Result<Table, ExecError> {
-    let width = group_width + aggs.len();
-    let mut out: Vec<Row> = groups
-        .into_iter()
-        .map(|(k, accs)| accs.finish_into(k))
-        .collect();
-    // Scalar aggregate over empty input: one all-empty row.
-    if out.is_empty() && group_width == 0 && input_rows == 0 {
-        out.push(Accumulators::new(aggs).finish_into(Vec::new()));
-    }
-    Table::from_rows(width, out)
 }
 
 /// A bank of aggregate accumulators, one per [`AggSpec`], shared by the
@@ -263,10 +580,14 @@ impl Accumulators {
         Accumulators(aggs.iter().map(Acc::new).collect())
     }
 
-    /// Folds one input row into every accumulator.
-    pub(crate) fn update(&mut self, row: &[Datum], aggs: &[AggSpec]) -> Result<(), ExecError> {
+    /// Folds one input row, read through `col`, into every accumulator.
+    pub(crate) fn update<'a>(
+        &mut self,
+        col: impl Fn(usize) -> &'a Datum,
+        aggs: &[AggSpec],
+    ) -> Result<(), ExecError> {
         for (acc, spec) in self.0.iter_mut().zip(aggs) {
-            acc.update(row, spec)?;
+            acc.update(&col, spec)?;
         }
         Ok(())
     }
@@ -347,28 +668,32 @@ impl Acc {
         }
     }
 
-    fn update(&mut self, row: &[Datum], spec: &AggSpec) -> Result<(), ExecError> {
+    fn update<'a>(
+        &mut self,
+        col: &impl Fn(usize) -> &'a Datum,
+        spec: &AggSpec,
+    ) -> Result<(), ExecError> {
         match self {
             Acc::Count(n) => *n += 1,
             Acc::Sum(state) => {
-                let v = &row[spec.arg.expect("SUM has an argument")];
+                let v = col(spec.arg.expect("SUM has an argument"));
                 state.add(v, "SUM")?;
             }
             Acc::Avg(state, n) => {
-                let v = &row[spec.arg.expect("AVG has an argument")];
+                let v = col(spec.arg.expect("AVG has an argument"));
                 if !matches!(v, Datum::Null) {
                     state.add(v, "AVG")?;
                     *n += 1;
                 }
             }
             Acc::Min(cur) => {
-                let v = &row[spec.arg.expect("MIN has an argument")];
+                let v = col(spec.arg.expect("MIN has an argument"));
                 if !matches!(v, Datum::Null) && cur.as_ref().is_none_or(|c| v < c) {
                     *cur = Some(v.clone());
                 }
             }
             Acc::Max(cur) => {
-                let v = &row[spec.arg.expect("MAX has an argument")];
+                let v = col(spec.arg.expect("MAX has an argument"));
                 if !matches!(v, Datum::Null) && cur.as_ref().is_none_or(|c| v > c) {
                     *cur = Some(v.clone());
                 }
@@ -853,5 +1178,134 @@ mod tests {
             }],
         };
         assert_eq!(agg.execute(&db).unwrap().rows()[0], vec![Float(1.5)]);
+    }
+
+    fn nine_group_db() -> Database {
+        // Nine keys of every type, most of them twice, none in order.
+        let keys = [
+            Str("pear".into()),
+            Int(7),
+            Float(2.5),
+            Null,
+            Int(-3),
+            Str("apple".into()),
+            Int(7),
+            Float(-0.0),
+            Str("pear".into()),
+            Float(0.0),
+            Null,
+            Int(40),
+            Float(2.5),
+            Str("apple".into()),
+            Int(-3),
+        ];
+        let rows = keys.into_iter().zip(1..).map(|(k, v)| vec![k, Int(v)]);
+        db_one(2, rows.collect())
+    }
+
+    #[test]
+    fn hash_agg_row_order_is_a_function_of_plan_and_database() {
+        let agg = ExecNode::HashAgg {
+            input: scan(0),
+            group: vec![0],
+            aggs: vec![AggSpec {
+                func: AggFunc::Sum,
+                arg: Some(1),
+            }],
+        };
+        let db = nine_group_db();
+        let first = agg.execute(&db).unwrap();
+        // Groups in the order their first row arrives.
+        let keys: Vec<Datum> = first.rows().iter().map(|r| r[0].clone()).collect();
+        assert_eq!(
+            keys,
+            [
+                Str("pear".into()),
+                Int(7),
+                Float(2.5),
+                Null,
+                Int(-3),
+                Str("apple".into()),
+                Float(-0.0),
+                Float(0.0),
+                Int(40)
+            ]
+        );
+        assert_eq!(first.rows()[0][1], Int(1 + 9));
+        // ... again, and over databases built afresh.
+        assert_eq!(agg.execute(&db).unwrap().rows(), first.rows());
+        for fresh in [db.clone(), nine_group_db()] {
+            assert_eq!(agg.execute(&fresh).unwrap().rows(), first.rows());
+        }
+    }
+
+    #[test]
+    fn hash_join_emits_build_rows_in_input_order() {
+        let db = db_two(
+            2,
+            vec![
+                vec![Int(1), Int(10)],
+                vec![Int(2), Int(20)],
+                vec![Int(1), Int(11)],
+                vec![Int(1), Int(12)],
+            ],
+            1,
+            vec![vec![Int(1)], vec![Int(3)], vec![Int(1)]],
+        );
+        let hj = ExecNode::HashJoin {
+            left: scan(0),
+            right: scan(1),
+            spec: simple_spec(2, 1, vec![(0, 0)]),
+        };
+        let tags: Vec<Datum> = hj
+            .execute(&db)
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r[1].clone())
+            .collect();
+        assert_eq!(tags, [Int(10), Int(11), Int(12), Int(10), Int(11), Int(12)]);
+    }
+
+    #[test]
+    fn assembly_of_the_wrong_width_is_a_bad_row_once_there_is_one() {
+        let narrow = JoinSpec {
+            eq_pairs: vec![(0, 0)],
+            assemble: vec![(Side::Right, 0, 1)],
+        };
+        let join = |spec: &JoinSpec| ExecNode::HashJoin {
+            left: scan(0),
+            right: scan(1),
+            spec: spec.clone(),
+        };
+        let matching = db_two(1, vec![vec![Int(1)]], 1, vec![vec![Int(1)]]);
+        assert_eq!(
+            join(&narrow).execute(&matching),
+            Err(ExecError::RowWidth {
+                row: 0,
+                expected: 2,
+                actual: 1
+            })
+        );
+        let disjoint = db_two(1, vec![vec![Int(1)]], 1, vec![vec![Int(2)]]);
+        let out = join(&narrow).execute(&disjoint).unwrap();
+        assert_eq!((out.width(), out.len()), (2, 0));
+        // The empty result is still a relation of the declared width.
+        let above = ExecNode::Sort {
+            input: Box::new(join(&narrow)),
+            keys: vec![1],
+        };
+        assert_eq!(above.execute(&disjoint).unwrap().width(), 2);
+    }
+
+    #[test]
+    fn row_numbers_refuse_what_u32_cannot_name() {
+        assert_eq!(row_numbers(0), Ok(0));
+        assert_eq!(row_numbers(u32::MAX as usize), Ok(u32::MAX));
+        #[cfg(target_pointer_width = "64")]
+        {
+            let rows = u32::MAX as usize + 1;
+            assert_eq!(row_numbers(rows), Err(ExecError::TooManyRows { rows }));
+        }
     }
 }

@@ -21,9 +21,19 @@
 //! (`sample_batch_costed`: the cost column and the stack of open
 //! operators live in the batch): the last test asserts that a costed
 //! fill is allocation-free in steady state too, on both tiers.
+//!
+//! The executor's contract is a ceiling, not zero (`crates/exec`'s
+//! `run` module): it joins row numbers, so what it acquires is a few
+//! vectors an operator — however many rows pass through — plus the rows
+//! an aggregate builds and the result table. The last test counts both
+//! acquisitions and bytes over sampled Q10 plans.
 
-use plansample::{CountTier, PlanBatch, PlanSpace};
+use plansample::lower::lower;
+use plansample::{CountTier, PlanBatch, PlanSpace, PreparedQuery};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
+use plansample_datagen::MicroScale;
+use plansample_exec::{Database, ExecNode};
+use plansample_optimizer::OptimizerConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -34,6 +44,8 @@ thread_local! {
     // Const-initialized and without a destructor: reading it from
     // inside the allocator never allocates or registers a dtor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes asked for: an `alloc`'s size, a `realloc`'s new size.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// This thread's acquisitions so far.
@@ -41,11 +53,17 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// This thread's acquired bytes so far.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
 #[inline]
-fn note() {
+fn note(size: usize) {
     // `try_with`: a thread being torn down may allocate after its TLS
     // is gone.
     let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + size as u64));
 }
 
 /// Forwards to the system allocator, counting every acquisition path
@@ -58,7 +76,7 @@ struct CountingAlloc;
 // thread-local `Cell` and never allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -69,13 +87,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
+        note(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; the caller
         // upholds the rest of `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -197,10 +215,92 @@ fn steady_state_sample_then_cost_allocates_nothing() {
     }
 }
 
+/// The executor joins row numbers, not rows: over 256 sampled Q10
+/// plans it acquires memory per operator and per `Vec` doubling, never
+/// per row passing through. It reads 12.6 acquisitions an operator and
+/// 18.0 KB a plan (a `realloc` counted at its new size), where the
+/// row-copying executor before it read 94.0 and 105.0 KB; the ceilings
+/// leave a third. The second half is the part a constant cannot fake:
+/// with four times the orders — and so four times the rows through
+/// every join — acquisitions an operator may grow by less than half (it
+/// reads 12.6 → 14.2, where copying rows read 94.0 → 335.9).
+#[test]
+fn executing_sampled_q10_plans_acquires_per_operator_not_per_row() {
+    const PLANS: usize = 256;
+    let (catalog, tables) = plansample_catalog::tpch::catalog();
+    let query = plansample_query::tpch::q10(&catalog);
+    let prepared = PreparedQuery::prepare(&catalog, &query, &OptimizerConfig::default())
+        .expect("Q10 optimizes");
+    let space = prepared.space();
+    let mut rng = StdRng::seed_from_u64(7);
+    let plans: Vec<ExecNode> = (0..PLANS)
+        .map(|_| {
+            let plan = space.sample(&mut rng);
+            lower(space.memo(), space.query(), &catalog, &plan)
+        })
+        .collect();
+    let operators: usize = plans.iter().map(ExecNode::size).sum();
+
+    // (acquisitions an operator, bytes a plan, result rows) over `db`.
+    let execute_all = |db: &Database| {
+        let (allocations_before, bytes_before) = (allocations(), bytes());
+        let mut rows = 0;
+        for plan in &plans {
+            let table = plan.execute(db).expect("sampled Q10 plans execute");
+            rows += table.len();
+            std::hint::black_box(table);
+        }
+        (
+            (allocations() - allocations_before) as f64 / operators as f64,
+            (bytes() - bytes_before) as f64 / PLANS as f64,
+            rows,
+        )
+    };
+
+    let tiny = MicroScale::tiny();
+    let db = plansample_datagen::generate(&catalog, &tables, &tiny, 7);
+    let (per_operator, bytes_per_plan, rows) = execute_all(&db);
+    println!(
+        "{PLANS} Q10 plans, {operators} operators, {rows} result rows: \
+         {per_operator:.1} acquisitions an operator, {:.1} KB a plan",
+        bytes_per_plan / 1e3
+    );
+    assert_eq!(rows, 13 * PLANS, "every plan returns Q10's 13 rows");
+    assert!(
+        per_operator <= 20.0,
+        "{per_operator:.1} acquisitions an operator, ceiling 20"
+    );
+    assert!(
+        bytes_per_plan <= 25e3,
+        "{bytes_per_plan:.0} bytes a plan, ceiling 25 000"
+    );
+
+    let more_orders = MicroScale {
+        orders: 4 * tiny.orders,
+        ..tiny
+    };
+    let db = plansample_datagen::generate(&catalog, &tables, &more_orders, 7);
+    let (scaled, _, scaled_rows) = execute_all(&db);
+    println!("4x the orders: {scaled:.1} acquisitions an operator, {scaled_rows} result rows");
+    assert!(
+        scaled_rows > rows,
+        "four times the orders must reach the result"
+    );
+    assert!(
+        scaled < 1.5 * per_operator,
+        "4x the orders took acquisitions an operator from {per_operator:.1} to {scaled:.1}: \
+         something acquires per row"
+    );
+}
+
 #[test]
 fn the_counter_itself_works() {
-    let before = allocations();
+    let (allocations_before, bytes_before) = (allocations(), bytes());
     let v: Vec<u8> = Vec::with_capacity(4096);
     std::hint::black_box(&v);
-    assert!(allocations() > before, "allocator instrumentation is dead");
+    assert!(
+        allocations() > allocations_before,
+        "allocator instrumentation is dead"
+    );
+    assert!(bytes() >= bytes_before + 4096, "byte counting is dead");
 }

@@ -464,6 +464,66 @@ fn ranking_costs_no_more_than_unranking_on_clique10() {
     );
 }
 
+/// DESIGN §8 keeps two executors because they are different programs,
+/// and says which is which: the Volcano engine hands every row of every
+/// operator to its parent as an owned `Vec<Datum>`, `execute` hands up
+/// row numbers and clones a value where an aggregate or the result
+/// needs one. Over the same 128 lowered Q10 plans on the tiny database
+/// that is ≈ 4× (EXPERIMENTS §E22); an `execute` that copies rows
+/// between operators read ≈ 1.3×. Both must return the same multisets.
+#[test]
+fn execute_outruns_the_volcano_oracle_on_q10() {
+    const EXECUTE_BAR: f64 = 1.5;
+    let name = "execute vs execute_pipelined (Q10, 128 plans)";
+    let Some(_turn) = contract(name) else { return };
+    let (catalog, tables) = plansample_catalog::tpch::catalog();
+    let query = plansample_query::tpch::q10(&catalog);
+    let prepared = PreparedQuery::prepare(&catalog, &query, &OptimizerConfig::default())
+        .expect("Q10 optimizes");
+    let db = plansample_datagen::generate(
+        &catalog,
+        &tables,
+        &plansample_datagen::MicroScale::tiny(),
+        7,
+    );
+    let space = prepared.space();
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let plans: Vec<_> = (0..128)
+        .map(|_| {
+            let plan = space.sample(&mut rng);
+            plansample::lower::lower(space.memo(), space.query(), &catalog, &plan)
+        })
+        .collect();
+    let run = median_secs(15, || -> Vec<_> {
+        plans.iter().map(|p| p.execute(&db).unwrap()).collect()
+    });
+    let volcano = median_secs(15, || -> Vec<_> {
+        plans
+            .iter()
+            .map(|p| p.execute_pipelined(&db).unwrap())
+            .collect()
+    });
+    for plan in &plans {
+        let (a, b) = (
+            plan.execute(&db).unwrap(),
+            plan.execute_pipelined(&db).unwrap(),
+        );
+        assert_eq!(a.len(), 13, "Q10 returns 13 rows on the tiny database");
+        assert!(a.multiset_eq(&b), "the engines disagree on {plan:?}");
+    }
+    let speedup = volcano / run.max(1e-12);
+    println!(
+        "{name}: execute {:.2} ms vs execute_pipelined {:.2} ms ({speedup:.2}x)",
+        run * 1e3,
+        volcano * 1e3
+    );
+    assert!(
+        speedup >= EXECUTE_BAR,
+        "execute must be >= {EXECUTE_BAR}x faster than the Volcano engine over \
+         128 sampled Q10 plans; measured {speedup:.2}x"
+    );
+}
+
 #[test]
 fn four_thread_batched_sampling_is_2x_one_thread_on_four_cores() {
     let name = "parallel sampling (Q8+CP, batch 4096)";
