@@ -5,9 +5,10 @@
 //! operators and materialize the links between operators and their
 //! possible children." For every physical expression and every child
 //! slot, [`Links`] records the list of compatible child expressions
-//! (property-filtered through [`plansample_memo::eligible_children`]).
-//! The resulting structure describes all possible execution plans rooted
-//! in each operator and is what counting and unranking traverse.
+//! (property-filtered by the one rule of `plansample_memo`'s `links`
+//! module, through [`plansample_memo::child_lists`]). The resulting
+//! structure describes all possible execution plans rooted in each
+//! operator and is what counting and unranking traverse.
 //!
 //! # Flat layout
 //!
@@ -34,10 +35,10 @@
 //! `(group, requirement)` — or even different requirements that filter
 //! down to the same child set — share one [`ListId`]. Sibling joins over
 //! the same input groups share most of their lists, which collapses both
-//! the memory footprint and the number of `eligible_children` property
-//! scans from "once per slot" to "once per distinct slot". The per-list
-//! slot totals `b_v(i)` of §3.2 are likewise computed once per distinct
-//! list (see [`crate::Counts`]).
+//! the memory footprint and the property tests, from "once per slot and
+//! candidate" to "once per distinct slot and delivered order". The
+//! per-list slot totals `b_v(i)` of §3.2 are likewise computed once per
+//! distinct list (see [`crate::Counts`]).
 //!
 //! Building the links also computes a topological order of the plan
 //! graph (children before parents) in the same pass that verifies
@@ -48,10 +49,9 @@
 
 use crate::SpaceError;
 use plansample_memo::{
-    eligible_children, gather_slots, DenseId, DenseIdMap, Memo, PhysId, MAX_SLOTS,
+    child_lists, gather_slots, ChildLists, DenseId, DenseIdMap, Memo, PhysId, MAX_SLOTS,
 };
 use plansample_query::QuerySpec;
-use std::collections::HashMap;
 
 /// Identifies one interned child-alternative list within a [`Links`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,84 +130,60 @@ pub struct Links {
 }
 
 impl Links {
-    /// Smallest number of distinct slots worth a worker thread: each
-    /// slot costs one `eligible_children` scan over its group.
-    const PAR_MIN_SLOTS: usize = 16;
-
-    /// Materializes all links, interning duplicate alternative lists, and
-    /// computes the topological order (failing on cyclic hand-built
-    /// memos).
+    /// Materializes all links and computes the topological order
+    /// (failing on cyclic hand-built memos). Sequential, and a pure
+    /// function of the memo; four passes, each linear:
     ///
-    /// The build forks once, for its hot phase — the scan is a half to
-    /// three fifths of a build, the gather, the topological order and the
-    /// count pass the rest and sequential (DESIGN §5) — and is
-    /// *deterministic*:
-    /// the output is bit-identical at every thread count (see
-    /// `tests/build_determinism.rs`). Three passes:
-    ///
-    /// 1. **Gather** (sequential, cheap): [`gather_slots`] walks every
-    ///    expression's child slots, assigning each *distinct* slot an
-    ///    index in first-encounter order — no property scans yet. (The
-    ///    optimizer's best-plan extraction runs on the same gather.)
-    /// 2. **Scan** (parallel): one `eligible_children` property scan per
-    ///    distinct slot, fanned out in one `threadpool` section. The
-    ///    scans are independent and their outputs are a pure function of
-    ///    the slot, so the fan-out cannot perturb the result.
-    /// 3. **Intern** (sequential, cheap): content-intern the per-slot
-    ///    child lists *in distinct-slot order* — the same first-encounter
-    ///    order the sequential build used, which pins pool layout and
-    ///    [`ListId`] assignment.
+    /// 1. **Gather**: [`gather_slots`] walks every expression's child
+    ///    slots, assigning each *distinct* slot an index in
+    ///    first-encounter order. (The optimizer's best-plan extraction
+    ///    runs on the same gather and the same scan.)
+    /// 2. **Scan and intern**: [`child_lists`] decides each distinct slot
+    ///    once per *class* of its group — the expressions that deliver
+    ///    one order — and gives slots that accept the same classes one
+    ///    list. It compares class sets, a few integers a slot, never
+    ///    list contents; lists are numbered in distinct-slot order, which
+    ///    pins pool layout and [`ListId`] assignment. Its pool and
+    ///    bounds *are* the links' pool and bounds.
+    /// 3. **Root**: the root group's full range joins the pool, unless a
+    ///    slot already lists exactly that.
+    /// 4. **Order**: the condensed topological sort below.
     pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, SpaceError> {
         let ids = DenseIdMap::build(memo);
-
-        // Pass 1: gather slots; distinct slots in first-encounter order.
         let gather = gather_slots(memo);
-
-        // Pass 2: the property scans — the expensive part — in parallel.
-        let kid_lists: Vec<Vec<DenseId>> =
-            threadpool::parallel_map(gather.distinct.len(), Self::PAR_MIN_SLOTS, |i| {
-                eligible_children(memo, query, &gather.distinct[i])
-                    .iter()
-                    .map(|&k| ids.dense(k))
-                    .collect()
-            });
-
-        // Pass 3: content-intern (collapses distinct slots that filter to
-        // the same alternatives) and resolve per-slot list ids.
-        let mut pool: Vec<DenseId> = Vec::new();
-        let mut list_bounds: Vec<u32> = vec![0];
-        let mut by_content: HashMap<Vec<DenseId>, ListId> = HashMap::new();
-        let mut intern =
-            |kids: Vec<DenseId>, pool: &mut Vec<DenseId>, bounds: &mut Vec<u32>| match by_content
-                .get(&kids)
-            {
-                Some(&l) => l,
-                None => {
-                    pool.extend_from_slice(&kids);
-                    bounds.push(pool.len() as u32);
-                    let l = ListId(bounds.len() as u32 - 2);
-                    by_content.insert(kids, l);
-                    l
-                }
-            };
-        let mut list_of_slot: Vec<ListId> = Vec::with_capacity(gather.distinct.len());
-        for kids in kid_lists {
-            list_of_slot.push(intern(kids, &mut pool, &mut list_bounds));
-        }
+        let ChildLists {
+            mut pool,
+            bounds: mut list_bounds,
+            list_of,
+        } = child_lists(memo, query, &ids, &gather);
         let slots: Vec<Slots> = (0..ids.len() as u32)
             .map(|d| {
                 let lists = gather.slots_of(DenseId(d)).iter();
-                pack(lists.map(|&i| list_of_slot[i as usize]))
+                pack(lists.map(|&i| ListId(list_of[i as usize])))
                     .expect("no operator has more than MAX_SLOTS child slots")
             })
             .collect();
 
-        let root_members: Vec<DenseId> = ids.group_range(memo.root()).map(DenseId).collect();
-        let root_list = intern(root_members, &mut pool, &mut list_bounds);
+        // A list is an ascending subset of one group's range, so one as
+        // long as the root's range that starts where it starts is it.
+        let root = ids.group_range(memo.root());
+        let is_root = |w: &[u32]| {
+            w[1] - w[0] == root.len() as u32
+                && pool[w[0] as usize..w[1] as usize]
+                    .first()
+                    .is_none_or(|d| d.0 == root.start)
+        };
+        let root_list = match list_bounds.windows(2).position(is_root) {
+            Some(l) => ListId(l as u32),
+            None => {
+                pool.extend(root.map(DenseId));
+                list_bounds.push(pool.len() as u32);
+                ListId(list_bounds.len() as u32 - 2)
+            }
+        };
 
         // The links back a long-lived, byte-budgeted artifact: drop the
-        // growth slack the pushes above left in the flat buffers (the
-        // slot records were collected at their exact length).
+        // growth slack the root list left in the flat buffers.
         pool.shrink_to_fit();
         list_bounds.shrink_to_fit();
 
@@ -255,7 +231,7 @@ impl Links {
     /// or adversarial bytes surface as [`SpaceError::MalformedParts`]
     /// instead of a panic or a member reported foreign. It does *not*
     /// re-verify that the topo order is children-before-parents or that
-    /// list contents match an `eligible_children` scan; the artifact
+    /// list contents are what the eligibility rule lists; the artifact
     /// layer's whole-file checksum owns byte integrity, and this
     /// constructor owns memory safety of the indices.
     pub fn from_parts(memo: &Memo, parts: LinksParts) -> Result<Links, SpaceError> {
@@ -687,6 +663,40 @@ mod tests {
             .map(|id| links.children_of(id).iter().map(Vec::len).sum::<usize>())
             .sum();
         assert!(links.num_pooled_links() < flat);
+    }
+
+    /// The root's alternatives are interned like a slot's: a root group
+    /// some slot already lists in full — or an empty one beside a slot
+    /// that filters to nothing — adds no list of its own.
+    #[test]
+    fn root_list_is_a_slot_list_with_the_same_members() {
+        let ex = paper_example::build();
+        let full = Links::build(&ex.memo, &ex.query).unwrap();
+        let mut rooted_in_a = ex.memo.clone();
+        rooted_in_a.set_root(ex.table_scan_a.group);
+        let links = Links::build(&rooted_in_a, &ex.query).unwrap();
+        let join_ab = links.ids().dense(ex.hash_join_ab);
+        assert_eq!(links.root_list(), links.slot_lists(join_ab)[0]);
+        assert_eq!(links.list(links.root_list()).len(), 3);
+        assert_eq!(links.num_lists() + 1, full.num_lists());
+
+        let scan = PhysicalOp::TableScan {
+            rel: plansample_query::RelId(0),
+        };
+        let mut memo = Memo::new();
+        let scans = memo.add_group(GroupKey::Rels(RelSet::all(1)));
+        let empty = memo.add_group(GroupKey::Rels(RelSet::all(2)));
+        let joins = memo.add_group(GroupKey::Rels(RelSet::all(3)));
+        memo.add_physical(scans, PhysicalExpr::new(scan, 1.0, 1.0));
+        let (left, right) = (scans, empty);
+        let join = PhysicalExpr::new(PhysicalOp::HashJoin { left, right }, 1.0, 1.0);
+        let join = memo.add_physical(joins, join).unwrap();
+        memo.set_root(empty);
+        let links = Links::build(&memo, &ex.query).unwrap();
+        let join = links.ids().dense(join);
+        assert_eq!(links.root_list(), links.slot_lists(join)[1]);
+        assert!(links.list(links.root_list()).is_empty());
+        assert_eq!(links.num_lists(), 2);
     }
 
     #[test]

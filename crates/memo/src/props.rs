@@ -62,8 +62,8 @@ impl SortOrder {
 /// relation set.
 ///
 /// A flat `(column, class representative)` table, searched linearly: a
-/// scope has a handful of join columns, and one table is built per
-/// scanned child slot, so there is nothing for a hash map to amortize.
+/// scope has a handful of join columns, and at most one table is built
+/// per group of a memo, so there is nothing for a hash map to amortize.
 /// A column no in-scope edge mentions is absent and equivalent only to
 /// itself.
 #[derive(Debug)]
@@ -210,12 +210,12 @@ impl<'q> OrderSatisfier<'q> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use plansample_catalog::{table, Catalog, ColType};
     use plansample_query::{QueryBuilder, RelId};
 
-    fn chain_query() -> (Catalog, QuerySpec) {
+    pub(crate) fn chain_query() -> (Catalog, QuerySpec) {
         // a(x) -- b(y,z) -- c(w): edges a.x=b.y, b.z=c.w
         let mut cat = Catalog::new();
         cat.add_table(table("a", 10).col("x", ColType::Int, 10).build())

@@ -9,25 +9,31 @@
 //! all sampled costs are normalized to (§5).
 //!
 //! The program is memoised on both of its levels: per expression, and per
-//! *distinct* child slot. Sibling joins over the same inputs ask the same
-//! `(group, requirement)` question, so the minimum of a slot is found
-//! once — one `eligible_children` scan per distinct slot of the memo, the
-//! same scans (over the same [`gather_slots`] numbering) that link
-//! materialization makes — and the pass is linear in the memo like
-//! everything else downstream of it (paper §3).
+//! distinct child *list*. Sibling joins over the same inputs ask the same
+//! `(group, requirement)` question, and different questions often filter
+//! to the same children, so the minimum of a list — and the child that
+//! attains it — is found once, over the same [`gather_slots`] numbering
+//! and the same [`child_lists`] that link materialization uses, and the
+//! pass is linear in the memo like everything else downstream of it
+//! (paper §3).
 
 use plansample_memo::{
-    eligible_children, gather_slots, DenseId, DenseIdMap, GroupId, Memo, PhysId, PlanNode,
+    child_lists, gather_slots, ChildLists, DenseId, DenseIdMap, GroupId, Memo, PhysId, PlanNode,
     SlotGather,
 };
 use plansample_query::QuerySpec;
 
-/// Memoized total costs for every physical expression.
+/// Memoized total costs for every physical expression, and the cheapest
+/// eligible child of every distinct child slot.
 #[derive(Debug)]
 pub struct Totals {
     ids: DenseIdMap,
     /// Total cost by dense id.
     totals: Vec<f64>,
+    gather: SlotGather,
+    /// The first cheapest eligible child by distinct slot of `gather`;
+    /// `None` when no child is eligible or none completes.
+    best_child: Vec<Option<DenseId>>,
 }
 
 impl Totals {
@@ -51,36 +57,51 @@ impl Totals {
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
     let ids = DenseIdMap::build(memo);
     let gather = gather_slots(memo);
+    let lists = child_lists(memo, query, &ids, &gather);
     let mut dp = TotalsDp {
         memo,
-        query,
         ids: &ids,
         gather: &gather,
+        lists: &lists,
         expr_total: vec![None; ids.len()],
-        slot_best: vec![None; gather.distinct.len()],
+        list_best: vec![None; lists.bounds.len() - 1],
     };
     for d in (0..ids.len() as u32).map(DenseId) {
         dp.total_of(d);
     }
-    let totals = dp
-        .expr_total
+    let TotalsDp {
+        expr_total,
+        list_best,
+        ..
+    } = dp;
+    let best_child = lists
+        .list_of
+        .iter()
+        .map(|&l| list_best[l as usize].and_then(|(_, child)| child))
+        .collect();
+    let totals = expr_total
         .into_iter()
         .map(|c| c.expect("all visited"))
         .collect();
-    Totals { ids, totals }
+    Totals {
+        ids,
+        totals,
+        gather,
+        best_child,
+    }
 }
 
 /// The two memo tables of [`compute_totals`] and what they are computed
 /// from.
 struct TotalsDp<'a> {
     memo: &'a Memo,
-    query: &'a QuerySpec,
     ids: &'a DenseIdMap,
     gather: &'a SlotGather,
+    lists: &'a ChildLists,
     /// Total cost by dense id.
     expr_total: Vec<Option<f64>>,
-    /// Cheapest eligible child's total by distinct slot.
-    slot_best: Vec<Option<f64>>,
+    /// Cheapest member's total, and that member, by distinct list.
+    list_best: Vec<Option<(f64, Option<DenseId>)>>,
 }
 
 impl TotalsDp<'_> {
@@ -89,27 +110,31 @@ impl TotalsDp<'_> {
         if let Some(c) = self.expr_total[d.idx()] {
             return c;
         }
-        let gather = self.gather;
+        let (gather, lists) = (self.gather, self.lists);
         let mut total = self.memo.phys(self.ids.phys(d)).local_cost;
         for &slot in gather.slots_of(d) {
-            total += self.best_of(slot as usize); // INFINITY when the slot is unsatisfiable
+            total += self.best_of(lists.list_of[slot as usize] as usize); // INFINITY when the slot is unsatisfiable
         }
         self.expr_total[d.idx()] = Some(total);
         total
     }
 
-    /// The minimum over the slot's eligible children, folded in group
-    /// order.
-    fn best_of(&mut self, slot: usize) -> f64 {
-        if let Some(c) = self.slot_best[slot] {
-            return c;
+    /// The minimum over the list's members, folded in group order, the
+    /// first member to attain it winning — what `min_by(total_cmp)`
+    /// returns.
+    fn best_of(&mut self, list: usize) -> f64 {
+        if let Some((best, _)) = self.list_best[list] {
+            return best;
         }
-        let (ids, gather) = (self.ids, self.gather);
-        let best = eligible_children(self.memo, self.query, &gather.distinct[slot])
-            .into_iter()
-            .map(|child| self.total_of(ids.dense(child)))
-            .fold(f64::INFINITY, f64::min);
-        self.slot_best[slot] = Some(best);
+        let lists = self.lists;
+        let (mut best, mut child) = (f64::INFINITY, None);
+        for &member in lists.list(list) {
+            let total = self.total_of(member);
+            if total < best {
+                (best, child) = (total, Some(member));
+            }
+        }
+        self.list_best[list] = Some((best, child));
         best
     }
 }
@@ -117,32 +142,33 @@ impl TotalsDp<'_> {
 /// Extracts the cheapest complete plan rooted in the memo's root group.
 /// Returns `None` when no finite-cost plan exists (cannot happen for
 /// memos produced by the optimizer pipeline).
-pub fn best_plan(memo: &Memo, query: &QuerySpec, totals: &Totals) -> Option<(PlanNode, f64)> {
+pub fn best_plan(memo: &Memo, _query: &QuerySpec, totals: &Totals) -> Option<(PlanNode, f64)> {
     let root = memo.group(memo.root());
-    let (best_id, _) = root
+    let (best_id, cost) = root
         .phys_iter()
         .map(|(id, _)| (id, totals.total(id)))
         .filter(|(_, c)| c.is_finite())
         .min_by(|a, b| a.1.total_cmp(&b.1))?;
-    let plan = expand(memo, query, totals, best_id);
-    let cost = totals.total(best_id);
-    Some((plan, cost))
+    Some((expand(totals, totals.ids.dense(best_id)), cost))
 }
 
-fn expand(memo: &Memo, query: &QuerySpec, totals: &Totals, id: PhysId) -> PlanNode {
-    let expr = memo.phys(id);
-    let children = expr
-        .child_slots(id.group)
+/// The plan under `d`, every slot filled with the cheapest child
+/// [`compute_totals`] found for it.
+fn expand(totals: &Totals, d: DenseId) -> PlanNode {
+    let children = totals
+        .gather
+        .slots_of(d)
         .iter()
-        .map(|slot| {
-            let child = eligible_children(memo, query, slot)
-                .into_iter()
-                .min_by(|a, b| totals.total(*a).total_cmp(&totals.total(*b)))
+        .map(|&slot| {
+            let child = totals.best_child[slot as usize]
                 .expect("finite-cost parent implies satisfiable slots");
-            expand(memo, query, totals, child)
+            expand(totals, child)
         })
         .collect();
-    PlanNode { id, children }
+    PlanNode {
+        id: totals.ids.phys(d),
+        children,
+    }
 }
 
 /// Cost-bound pruning (the `ablation_pruning` experiment): returns a copy of

@@ -38,7 +38,7 @@
 //! index, never by completion order ([`parallel_map`] concatenates its
 //! chunks' results in chunk order), so parallel and
 //! single-threaded runs are bit-identical for deterministic bodies —
-//! the contract `Links::build` and `sample_batch` build on. Which
+//! the contract `sample_batch` builds on. Which
 //! thread runs which piece is *not* deterministic; the committed output
 //! is.
 //!

@@ -89,10 +89,10 @@ pub fn reference_sample_batch(space: &PlanSpace, seed: u64, k: usize) -> Vec<Pla
 //
 // The optimizer's dynamic program as it ran before it was memoised per
 // distinct child slot: one recursion per *expression*, one
-// `eligible_children` scan per expression *slot* (43 651 on Q8+CP where
-// the product makes 2 049). Same operand order — `local + Σ slots`, each
-// slot folded in group order — so "product equals reference" is asserted
-// on the bits.
+// `eligible_children` scan per expression *slot* (43 651 on Q8+CP, where
+// the product decides 2 049 distinct slots, a class at a time). Same
+// operand order — `local + Σ slots`, each slot folded in group order —
+// so "product equals reference" is asserted on the bits.
 
 /// Total cost of every expression, `[group][index]`.
 pub fn reference_totals(memo: &Memo, query: &QuerySpec) -> Vec<Vec<f64>> {

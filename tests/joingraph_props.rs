@@ -3,13 +3,19 @@
 //! space where `rank ∘ unrank` is the identity on sampled ranks, and —
 //! on spaces small enough to enumerate — the exact count `N` must equal
 //! the brute-force enumeration via the independent recursive oracle.
+//! Underneath both, the per-class eligibility scan must list, for every
+//! distinct child slot, exactly what the per-expression rule lists.
 
 mod common;
 
 use common::SynthSpace;
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
-use plansample_memo::validate_plan;
+use plansample_memo::{
+    child_lists, eligible_children, gather_slots, validate_plan, DenseId, DenseIdMap, Memo,
+};
+use plansample_optimizer::{optimize, OptimizerConfig};
+use plansample_query::QuerySpec;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,6 +36,84 @@ fn arb_spec() -> impl Strategy<Value = JoinGraphSpec> {
         };
         JoinGraphSpec::new(topology, n, seed)
     })
+}
+
+/// The class scan production code runs against the rule it replaced:
+/// every distinct slot's list must be `eligible_children` — one test per
+/// expression — mapped to dense ids, and the flat tables exact. `Err`
+/// names the first slot that differs.
+fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
+    let ids = DenseIdMap::build(memo);
+    let gather = gather_slots(memo);
+    let lists = child_lists(memo, query, &ids, &gather);
+    if lists.list_of.len() != gather.distinct.len() {
+        return Err("one list per distinct slot".into());
+    }
+    for (i, slot) in gather.distinct.iter().enumerate() {
+        let rule: Vec<DenseId> = eligible_children(memo, query, slot)
+            .into_iter()
+            .map(|id| ids.dense(id))
+            .collect();
+        let listed = lists.list(lists.list_of[i] as usize);
+        if listed != rule {
+            return Err(format!("slot {i} ({slot:?}) lists {listed:?}"));
+        }
+    }
+    let exact = lists.bounds.first() == Some(&0)
+        && lists.bounds.is_sorted()
+        && lists.bounds.last() == Some(&(lists.pool.len() as u32))
+        && lists.pool.capacity() == lists.pool.len();
+    exact.then_some(()).ok_or("bounds or pool inexact".into())
+}
+
+/// Every topology at 2–7 relations (a cycle needs three), the memo
+/// either optimizer-built or synthesised by `build_memo`.
+fn arb_memo_spec() -> impl Strategy<Value = (JoinGraphSpec, bool)> {
+    (0usize..4, 2usize..=7, 0u64..1_000_000, 0u8..2).prop_map(|(t, n, seed, synthesised)| {
+        let topology = Topology::ALL[t];
+        let n = n.max(if topology == Topology::Cycle { 3 } else { 2 });
+        (JoinGraphSpec::new(topology, n, seed), synthesised == 1)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn class_scan_lists_what_the_rule_lists_on_random_memos(
+        (spec, synthesised) in arb_memo_spec()
+    ) {
+        let (query, memo) = if synthesised {
+            let (_, query, memo) = spec.build_memo();
+            (query, memo)
+        } else {
+            let (catalog, query) = spec.build();
+            let optimized = optimize(&catalog, &query, &OptimizerConfig::default());
+            (query, optimized.expect("synthetic queries optimize").memo)
+        };
+        let checked = check_child_lists(&memo, &query);
+        prop_assert!(checked.is_ok(), "{} (synthesised: {synthesised}): {checked:?}", spec.label());
+    }
+}
+
+#[test]
+fn class_scan_lists_what_the_rule_lists_on_tpch() {
+    let (catalog, _) = plansample_catalog::tpch::catalog();
+    use plansample_query::tpch::{q10, q5, q8};
+    let plain = OptimizerConfig::default();
+    for (label, query, config) in [
+        ("Q5", q5(&catalog), &plain),
+        ("Q8", q8(&catalog), &plain),
+        (
+            "Q8+CP",
+            q8(&catalog),
+            &OptimizerConfig::with_cross_products(),
+        ),
+        ("Q10", q10(&catalog), &plain),
+    ] {
+        let memo = optimize(&catalog, &query, config).expect(label).memo;
+        check_child_lists(&memo, &query).unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
 }
 
 proptest! {

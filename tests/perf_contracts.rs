@@ -10,7 +10,7 @@
 //! cargo test --release -p plansample --test perf_contracts -- --nocapture
 //! ```
 //!
-//! The three parallel-speedup bars additionally need ≥ 4 cores: below
+//! The two parallel-speedup bars additionally need ≥ 4 cores: below
 //! that both configurations still run and must agree, and only the
 //! speed-up assertion is skipped, with a notice.
 //! Contracts time things, so they take turns ([`contract`]) instead of
@@ -140,13 +140,16 @@ fn flat_per_sec(space: &PlanSpace, threads: usize, k: usize) -> f64 {
 /// exist: load must beat the cold path, and the loaded space must answer
 /// identically. The bar follows the cold side, which is what moved: it
 /// was ≥ 20× while `build_memo` eliminated duplicates quadratically and
-/// the eligibility scan hashed (cold ≈ 3.8 s against a ≈ 170 ms load);
-/// with both linear the cold path is ≈ 0.5 s and the load is what it
-/// was. Fourteen readings on a 2-core container: 3.06–4.20×
-/// (EXPERIMENTS §E19); the bar sits a quarter under the lowest.
+/// the eligibility scan hashed (cold ≈ 3.8 s against a ≈ 170 ms load),
+/// ≥ 2.25× while the scan tested every expression of a group for every
+/// slot on it (cold ≈ 0.5 s), and with the scan deciding per delivered
+/// order the cold path is ≈ 0.3 s — more than half of it `build_memo` —
+/// against the same load. Twelve readings on a 2-core container:
+/// 1.67–2.40× (EXPERIMENTS §E23); the bar sits a quarter under the
+/// lowest.
 #[test]
 fn artifact_load_outruns_a_cold_prepare_and_answers_identically() {
-    const LOAD_BAR: f64 = 2.25;
+    const LOAD_BAR: f64 = 1.25;
     let name = "artifact load (clique-10)";
     let Some(_turn) = contract(name) else { return };
     let space = clique10().clone();
@@ -216,60 +219,16 @@ fn clique10_counts_a_multi_limb_total_and_round_trips_its_boundary_ranks() {
     }
 }
 
-/// Both thread counts build everywhere and must count identically; only
-/// the speed-up bar needs the cores. A build forks once, for the
-/// eligibility scan, which is 221 of a 388 ms one-thread clique-10 build
-/// (DESIGN §5): four threads can reach at most ≈ 1.75×, and the bar —
-/// never yet run, for want of a four-core host — is set at 1.3×.
-#[test]
-fn four_thread_build_outruns_one_thread_on_four_cores() {
-    const BUILD_BAR: f64 = 1.3;
-    let name = "parallel build (clique-10)";
-    let Some(_turn) = contract(name) else { return };
-    let expected = clique10().total(); // built before any clock starts
-    let (_, query, memo) = CLIQUE10.build_memo();
-    let (memo, query) = (Arc::new(memo), Arc::new(query));
-    let timed = |threads: usize| {
-        let mut totals = Vec::new();
-        let secs = median_secs(3, || {
-            let space = threadpool::with_threads(threads, || {
-                PlanSpace::build_shared(Arc::clone(&memo), Arc::clone(&query)).unwrap()
-            });
-            totals.push(space.total().clone());
-            space
-        });
-        for total in &totals {
-            assert_eq!(
-                total, expected,
-                "{threads}-thread build must count identically"
-            );
-        }
-        secs
-    };
-    let (one, four) = (timed(1), timed(4));
-    let speedup = one / four.max(1e-12);
-    println!(
-        "{name}: {:.0} ms at 1 thread, {:.0} ms at 4 ({speedup:.2}x)",
-        one * 1e3,
-        four * 1e3
-    );
-    if four_cores(name) {
-        assert!(
-            speedup >= BUILD_BAR,
-            "parallel build must be >= {BUILD_BAR}x faster at 4 threads on clique-10; \
-             measured {speedup:.2}x"
-        );
-    }
-}
-
 /// Everything downstream of exploration is linear in the memo (paper
-/// §3), and best-plan extraction makes the same property scans link
-/// materialization does — one per *distinct* child slot, 2 049 on Q8+CP.
-/// So on one thread the whole of `optimize` (explore, implement,
-/// enforcers, totals, best plan) may cost at most twice `Links::build` +
-/// `Counts::compute` over the memo it produced. It reads ≈ 1.3×; a
-/// best-plan extraction that scans once per expression *slot* (43 651)
-/// read 3.5–3.8× (EXPERIMENTS §E19).
+/// §3), and best-plan extraction runs the same gather and the same class
+/// scan link materialization does — 2 049 distinct child slots on Q8+CP,
+/// each decided once per delivered order of its group. So on one thread
+/// the whole of `optimize` (explore, implement, enforcers, totals, best
+/// plan) may cost at most twice `Links::build` + `Counts::compute` over
+/// the memo it produced. It reads ≈ 1.5× (six readings 1.46–1.90×,
+/// EXPERIMENTS §E23: both sides lost the same scans, and the smaller
+/// lost the larger share); a best-plan extraction that scans once per
+/// expression *slot* (43 651) read 3.5–3.8× (EXPERIMENTS §E19).
 #[test]
 fn optimize_is_within_2x_of_links_plus_counts_on_q8cp() {
     let name = "optimize vs links + counts (Q8+CP)";
