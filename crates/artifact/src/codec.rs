@@ -9,13 +9,17 @@
 //! written as a length prefix, zero padding up to 8-byte alignment,
 //! then the raw little-endian bytes. Because every section starts on
 //! an 8-byte file offset (see [`crate::format`]), in-section alignment
-//! is file alignment, and the loader reconstructs each array with one
-//! allocation and a straight chunked copy — the "near-zero-copy" load
-//! path.
+//! is file alignment. Both sides lean on that: the encoder's one
+//! [`Writer`] *is* the file image — sections are appended to it in
+//! place, aligned by its own length, each array after one reservation —
+//! and the loader reconstructs each array with one allocation and a
+//! straight chunked copy. That is the "near-zero-copy" path: every byte
+//! is written once on the way out and copied once on the way in.
 
 use crate::ArtifactError;
 
-/// Appends primitives to a growing section buffer.
+/// Appends primitives to a growing buffer: a whole file image, so that
+/// alignment by its length is file alignment.
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
@@ -27,16 +31,29 @@ impl Writer {
         Writer::default()
     }
 
+    /// Makes room for `additional` more bytes in one step.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Bytes written so far: the offset the next write lands on.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
     /// The bytes written so far.
     pub fn into_inner(self) -> Vec<u8> {
         self.buf
     }
 
+    /// `n` zero bytes (room for fields patched in later).
+    pub fn zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
+    }
+
     /// Zero-pads to the next multiple of 8 bytes.
     pub fn align8(&mut self) {
-        while self.buf.len() % 8 != 0 {
-            self.buf.push(0);
-        }
+        self.zeros(self.buf.len().next_multiple_of(8) - self.buf.len());
     }
 
     /// One byte.
@@ -75,6 +92,7 @@ impl Writer {
     fn raw_slice<T: Copy, const N: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; N]) {
         self.u64(vals.len() as u64);
         self.align8();
+        self.reserve(vals.len() * N);
         for &v in vals {
             self.buf.extend_from_slice(&le(v));
         }

@@ -18,10 +18,21 @@
 //! is file alignment and the flat `u32`/`u64`/limb tables reload with
 //! one allocation and a straight chunked copy each.
 //!
+//! [`encode`] builds the file as one image: room for the header and the
+//! table, then each section encoded in place at the next aligned
+//! offset, then the table and the two kinds of sum patched in. The
+//! sums are two passes over the payload — the whole-file sum covers the
+//! table, and the table holds the section sums — which is what format
+//! v2 costs a writer. A reader is *given* both, so [`decode`] and
+//! [`inspect`] verify them in one pass (`sums`): a section laid out as
+//! the writer lays them out shares its words with the whole-file chain,
+//! and any other table entry is summed on its own.
+//!
 //! Decode validation order is part of the contract (the fault-injection
 //! suite pins it): length → magic → version → section-table bounds →
 //! whole-file checksum → per-section checksums → per-section structural
-//! decode. A zero-length or cut-short file is [`Truncated`]; a section
+//! decode — the order errors are *reported* in, whatever has been
+//! computed by then. A zero-length or cut-short file is [`Truncated`]; a section
 //! table pointing past EOF is [`Truncated`] (caught *before* any
 //! checksum, so the nature of the damage — not its side effects on the
 //! checksum — names the error); a bit flip anywhere after the header is
@@ -37,7 +48,7 @@
 //! [`ChecksumMismatch`]: ArtifactError::ChecksumMismatch
 
 use crate::codec::{Reader, Writer};
-use crate::{checksum, ArtifactError};
+use crate::{checksum, sum, ArtifactError};
 use plansample_bignum::Nat;
 use plansample_catalog::{Datum, TableId};
 use plansample_core::{
@@ -52,6 +63,7 @@ use plansample_query::{
 };
 use std::fs;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// First eight bytes of every artifact.
@@ -65,6 +77,9 @@ const HEADER_LEN: usize = 32;
 
 /// Bytes per section-table entry.
 const ENTRY_LEN: usize = 32;
+
+/// Sections [`encode`] writes: one of each kind below.
+const WRITTEN_SECTIONS: usize = 7;
 
 /// Sanity cap on the declared section count: far above anything the
 /// writer produces, low enough that a hostile count cannot drive a
@@ -110,52 +125,68 @@ fn truncated(detail: impl Into<String>) -> ArtifactError {
 // ---------------------------------------------------------------------
 
 /// Serializes a prepared query into a self-contained artifact image.
+///
+/// One buffer, written once: it is reserved at (an estimate of) the
+/// final size, every section is encoded into it at the next 8-aligned
+/// offset, and the header, the table and the sums are patched into the
+/// room left for them at the front.
 pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
-    let sections: Vec<(u32, Vec<u8>)> = vec![
-        (SEC_META, encode_meta(prepared)),
-        (SEC_QUERY, encode_query(prepared.query())),
-        (SEC_CONFIG, encode_config(prepared.config())),
-        (SEC_MEMO, encode_memo(prepared.memo())),
-        (SEC_LINKS, encode_links(prepared.space().links())),
-        (SEC_COUNTS, encode_counts(prepared.space().counts())),
-        (SEC_BEST, encode_best(prepared)),
+    let memo = prepared.memo();
+    let links = prepared.space().links().to_parts();
+    let counts = prepared.space().counts().to_parts();
+
+    let table_end = HEADER_LEN + WRITTEN_SECTIONS * ENTRY_LEN;
+    let mut w = Writer::new();
+    // Exact for the two bulk sections; for the memo, its widest common
+    // operator (a merge join, 41 bytes) a physical expression. A low
+    // guess costs one regrowth, a high one untouched address space.
+    w.reserve(
+        table_end
+            + 4096
+            + 48 * memo.num_physical()
+            + 9 * memo.num_logical()
+            + 17 * memo.num_groups()
+            + links_bytes(&links)
+            + counts_bytes(&counts),
+    );
+    w.zeros(table_end);
+    let entries: [_; WRITTEN_SECTIONS] = [
+        section(&mut w, SEC_META, |w| encode_meta(w, prepared)),
+        section(&mut w, SEC_QUERY, |w| encode_query(w, prepared.query())),
+        section(&mut w, SEC_CONFIG, |w| encode_config(w, prepared.config())),
+        section(&mut w, SEC_MEMO, |w| encode_memo(w, memo)),
+        section(&mut w, SEC_LINKS, |w| encode_links(w, &links)),
+        section(&mut w, SEC_COUNTS, |w| encode_counts(w, &counts)),
+        section(&mut w, SEC_BEST, |w| encode_best(w, prepared)),
     ];
 
-    // Lay out payloads: 8-aligned offsets after header + table.
-    let table_end = HEADER_LEN + sections.len() * ENTRY_LEN;
-    let mut offset = table_end;
-    let mut entries = Vec::with_capacity(sections.len());
-    for (kind, payload) in &sections {
-        offset = (offset + 7) & !7;
-        entries.push((
-            *kind,
-            offset as u64,
-            payload.len() as u64,
-            checksum(payload),
-        ));
-        offset += payload.len();
-    }
-    let total = offset;
-
-    let mut out = vec![0u8; total];
+    let mut out = w.into_inner();
     out[0..8].copy_from_slice(&MAGIC);
     out[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
     // flags [12..16) and reserved [28..32) stay zero.
-    out[24..28].copy_from_slice(&(sections.len() as u32).to_le_bytes());
-    for (i, (kind, off, len, sum)) in entries.iter().enumerate() {
+    out[24..28].copy_from_slice(&(entries.len() as u32).to_le_bytes());
+    for (i, (kind, offset, len)) in entries.into_iter().enumerate() {
+        let sum = checksum(&out[offset..offset + len]);
         let e = HEADER_LEN + i * ENTRY_LEN;
         out[e..e + 4].copy_from_slice(&kind.to_le_bytes());
-        out[e + 8..e + 16].copy_from_slice(&off.to_le_bytes());
-        out[e + 16..e + 24].copy_from_slice(&len.to_le_bytes());
+        out[e + 8..e + 16].copy_from_slice(&(offset as u64).to_le_bytes());
+        out[e + 16..e + 24].copy_from_slice(&(len as u64).to_le_bytes());
         out[e + 24..e + 32].copy_from_slice(&sum.to_le_bytes());
     }
-    for ((_, payload), (_, off, _, _)) in sections.iter().zip(&entries) {
-        let off = *off as usize;
-        out[off..off + payload.len()].copy_from_slice(payload);
-    }
+    // A second pass by necessity: the file sum covers the table, which
+    // holds the section sums.
     let file_sum = checksum(&out[HEADER_LEN..]);
     out[16..24].copy_from_slice(&file_sum.to_le_bytes());
     out
+}
+
+/// Appends one section at the next 8-aligned offset and returns its
+/// table row: kind, offset, length.
+fn section(w: &mut Writer, kind: u32, body: impl FnOnce(&mut Writer)) -> (u32, usize, usize) {
+    w.align8();
+    let offset = w.len();
+    body(w);
+    (kind, offset, w.len() - offset)
 }
 
 /// Encodes and writes atomically: the bytes go to a hidden temp file in
@@ -169,7 +200,11 @@ pub fn save(prepared: &PreparedQuery, path: &Path) -> Result<u64, ArtifactError>
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "artifact".to_string());
-    let tmp = dir.join(format!(".{stem}.tmp-{}", std::process::id()));
+    // Unique per call, not just per process: two threads publishing one
+    // key must not truncate each other's file between write and rename.
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let seq = SAVES.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{stem}.tmp-{}-{seq}", std::process::id()));
     if let Err(e) = fs::write(&tmp, &bytes) {
         let _ = fs::remove_file(&tmp);
         return Err(e.into());
@@ -256,17 +291,59 @@ fn parse_sections(bytes: &[u8]) -> Result<(u32, Vec<SectionRef<'_>>), ArtifactEr
             sum,
         });
     }
-    if checksum(&bytes[HEADER_LEN..]) != file_sum {
+    let (computed_file_sum, computed) = sums(bytes, &sections);
+    if computed_file_sum != file_sum {
         return Err(ArtifactError::ChecksumMismatch { section: "file" });
     }
-    for s in &sections {
-        if checksum(s.bytes) != s.sum {
+    for (s, computed) in sections.iter().zip(computed) {
+        if computed != s.sum {
             return Err(ArtifactError::ChecksumMismatch {
                 section: section_name(s.kind),
             });
         }
     }
     Ok((flags, sections))
+}
+
+/// `checksum(&bytes[HEADER_LEN..])` and every `checksum(section.bytes)`,
+/// in one pass over the file.
+///
+/// The file chain walks the words after the header in order. A section
+/// that starts on an 8-byte offset at or after the point the walk has
+/// reached — every section of a layout [`encode`] produces — is made of
+/// those same words, so each is read once and stepped into both chains
+/// (which do not depend on each other and overlap in the pipeline);
+/// only a short last word differs: zero-padded for the section, padded
+/// by whatever follows it in the file for the file. A table entry of any
+/// other shape (unaligned, overlapping, out of order) is summed on its
+/// own, and the walk passes over its bytes as over any gap.
+fn sums(bytes: &[u8], sections: &[SectionRef<'_>]) -> (u64, Vec<u64>) {
+    let mut file = sum::start(bytes.len() - HEADER_LEN);
+    // Where the file chain stands: 8-aligned until it has eaten the
+    // file's own short tail.
+    let mut at = HEADER_LEN;
+    let mut computed = Vec::with_capacity(sections.len());
+    for s in sections {
+        let offset = s.offset as usize;
+        if offset % 8 != 0 || offset < at {
+            computed.push(checksum(s.bytes));
+            continue;
+        }
+        file = sum::feed(file, &bytes[at..offset]);
+        let mut section = sum::start(s.bytes.len());
+        let mut words = s.bytes.chunks_exact(8);
+        for w in &mut words {
+            let w = u64::from_le_bytes(w.try_into().expect("chunks of 8"));
+            file = sum::step(file, w);
+            section = sum::step(section, w);
+        }
+        let rem = words.remainder();
+        let end = offset + s.bytes.len();
+        at = bytes.len().min(end.next_multiple_of(8));
+        file = sum::tail(file, &bytes[end - rem.len()..at]);
+        computed.push(sum::tail(section, rem));
+    }
+    (sum::feed(file, &bytes[at..]), computed)
 }
 
 fn required<'a, 'b>(
@@ -379,12 +456,10 @@ pub fn inspect(bytes: &[u8]) -> Result<Inspection, ArtifactError> {
 // META
 // ---------------------------------------------------------------------
 
-fn encode_meta(prepared: &PreparedQuery) -> Vec<u8> {
-    let mut w = Writer::new();
+fn encode_meta(w: &mut Writer, prepared: &PreparedQuery) {
     w.str(&cache_key(prepared.query(), prepared.config()));
     w.u64(prepared.memo().num_groups() as u64);
     w.u64(prepared.memo().num_physical() as u64);
-    w.into_inner()
 }
 
 fn decode_meta(bytes: &[u8]) -> Result<String, ArtifactError> {
@@ -484,8 +559,7 @@ fn agg_from(tag: u8) -> Result<AggFunc, ArtifactError> {
     })
 }
 
-fn encode_query(q: &QuerySpec) -> Vec<u8> {
-    let mut w = Writer::new();
+fn encode_query(w: &mut Writer, q: &QuerySpec) {
     w.u32(q.relations.len() as u32);
     for rel in &q.relations {
         w.u32(rel.table.0);
@@ -493,15 +567,15 @@ fn encode_query(q: &QuerySpec) -> Vec<u8> {
     }
     w.u32(q.join_edges.len() as u32);
     for e in &q.join_edges {
-        write_colref(&mut w, e.left);
-        write_colref(&mut w, e.right);
+        write_colref(w, e.left);
+        write_colref(w, e.right);
         w.f64(e.selectivity);
     }
     w.u32(q.filters.len() as u32);
     for f in &q.filters {
-        write_colref(&mut w, f.col);
+        write_colref(w, f.col);
         w.u8(cmp_tag(f.op));
-        write_datum(&mut w, &f.value);
+        write_datum(w, &f.value);
         w.f64(f.selectivity);
     }
     match &q.aggregate {
@@ -510,7 +584,7 @@ fn encode_query(q: &QuerySpec) -> Vec<u8> {
             w.u8(1);
             w.u32(agg.group_by.len() as u32);
             for &c in &agg.group_by {
-                write_colref(&mut w, c);
+                write_colref(w, c);
             }
             w.u32(agg.aggs.len() as u32);
             for a in &agg.aggs {
@@ -519,7 +593,7 @@ fn encode_query(q: &QuerySpec) -> Vec<u8> {
                     None => w.u8(0),
                     Some(c) => {
                         w.u8(1);
-                        write_colref(&mut w, c);
+                        write_colref(w, c);
                     }
                 }
             }
@@ -531,11 +605,10 @@ fn encode_query(q: &QuerySpec) -> Vec<u8> {
             w.u8(1);
             w.u32(cols.len() as u32);
             for &c in cols {
-                write_colref(&mut w, c);
+                write_colref(w, c);
             }
         }
     }
-    w.into_inner()
 }
 
 fn read_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, ArtifactError> {
@@ -620,8 +693,7 @@ fn decode_query(bytes: &[u8]) -> Result<QuerySpec, ArtifactError> {
 // CONFIG
 // ---------------------------------------------------------------------
 
-fn encode_config(c: &OptimizerConfig) -> Vec<u8> {
-    let mut w = Writer::new();
+fn encode_config(w: &mut Writer, c: &OptimizerConfig) {
     w.u8(c.allow_cross_products as u8);
     w.u8(match c.explorer {
         Explorer::BottomUp => 0,
@@ -643,7 +715,6 @@ fn encode_config(c: &OptimizerConfig) -> Vec<u8> {
     ] {
         w.f64(v);
     }
-    w.into_inner()
 }
 
 fn decode_config(bytes: &[u8]) -> Result<OptimizerConfig, ArtifactError> {
@@ -702,8 +773,7 @@ fn read_sort_order(r: &mut Reader<'_>) -> Result<SortOrder, ArtifactError> {
     Ok(SortOrder::on(cols))
 }
 
-fn encode_memo(memo: &Memo) -> Vec<u8> {
-    let mut w = Writer::new();
+fn encode_memo(w: &mut Writer, memo: &Memo) {
     w.u32(memo.root().0);
     w.u32(memo.num_groups() as u32);
     for group in memo.groups() {
@@ -742,11 +812,11 @@ fn encode_memo(memo: &Memo) -> Vec<u8> {
                 PhysicalOp::SortedIdxScan { rel, col } => {
                     w.u8(1);
                     w.u32(rel.0);
-                    write_colref(&mut w, *col);
+                    write_colref(w, *col);
                 }
                 PhysicalOp::Sort { target } => {
                     w.u8(2);
-                    write_sort_order(&mut w, target);
+                    write_sort_order(w, target);
                 }
                 PhysicalOp::NestedLoopJoin { left, right } => {
                     w.u8(3);
@@ -767,8 +837,8 @@ fn encode_memo(memo: &Memo) -> Vec<u8> {
                     w.u8(5);
                     w.u32(left.0);
                     w.u32(right.0);
-                    write_colref(&mut w, *left_key);
-                    write_colref(&mut w, *right_key);
+                    write_colref(w, *left_key);
+                    write_colref(w, *right_key);
                 }
                 PhysicalOp::HashAgg { input } => {
                     w.u8(6);
@@ -777,14 +847,13 @@ fn encode_memo(memo: &Memo) -> Vec<u8> {
                 PhysicalOp::StreamAgg { input, group_order } => {
                     w.u8(7);
                     w.u32(input.0);
-                    write_sort_order(&mut w, group_order);
+                    write_sort_order(w, group_order);
                 }
             }
             w.f64(expr.local_cost);
             w.f64(expr.out_card);
         }
     }
-    w.into_inner()
 }
 
 fn relset_from_mask(mask: u64) -> RelSet {
@@ -794,11 +863,25 @@ fn relset_from_mask(mask: u64) -> RelSet {
         .collect()
 }
 
+/// The fewest bytes a group (aggregate key, two empty lists), a logical
+/// expression (a scan) and a physical one (a table scan and its two
+/// costs) encode to: what bounds a declared count by the bytes present.
+const MIN_GROUP_LEN: usize = 9;
+const MIN_LOGICAL_LEN: usize = 5;
+const MIN_PHYSICAL_LEN: usize = 21;
+
+/// A vector for the `declared` items about to be read, each at least
+/// `min_len` bytes: reserved exactly for an honest count, and for no
+/// more items than `r` has bytes left to hold for a hostile one.
+fn reserved<T>(declared: u32, min_len: usize, r: &Reader<'_>) -> Vec<T> {
+    Vec::with_capacity((declared as usize).min(r.remaining() / min_len))
+}
+
 fn decode_memo(bytes: &[u8]) -> Result<Memo, ArtifactError> {
     let mut r = Reader::new(bytes);
     let root = r.u32()?;
     let ngroups = r.u32()?;
-    let mut parts = Vec::new();
+    let mut parts = reserved(ngroups, MIN_GROUP_LEN, &r);
     for _ in 0..ngroups {
         let key = match r.u8()? {
             0 => GroupKey::Rels(relset_from_mask(r.u64()?)),
@@ -806,7 +889,7 @@ fn decode_memo(bytes: &[u8]) -> Result<Memo, ArtifactError> {
             t => return Err(malformed(format!("unknown group-key tag {t}"))),
         };
         let nlogical = r.u32()?;
-        let mut logical = Vec::new();
+        let mut logical = reserved(nlogical, MIN_LOGICAL_LEN, &r);
         for _ in 0..nlogical {
             logical.push(match r.u8()? {
                 0 => LogicalOp::Scan {
@@ -823,7 +906,7 @@ fn decode_memo(bytes: &[u8]) -> Result<Memo, ArtifactError> {
             });
         }
         let nphysical = r.u32()?;
-        let mut physical = Vec::new();
+        let mut physical = reserved(nphysical, MIN_PHYSICAL_LEN, &r);
         for _ in 0..nphysical {
             let op = match r.u8()? {
                 0 => PhysicalOp::TableScan {
@@ -873,16 +956,25 @@ fn decode_memo(bytes: &[u8]) -> Result<Memo, ArtifactError> {
 // LINKS (the bulk CSR tables)
 // ---------------------------------------------------------------------
 
-fn encode_links(links: &Links) -> Vec<u8> {
-    let parts = links.to_parts();
-    let mut w = Writer::new();
+/// Bytes [`encode_links`] writes for `parts`, padding at its most.
+fn links_bytes(parts: &LinksParts) -> usize {
+    let words = [
+        &parts.pool,
+        &parts.list_bounds,
+        &parts.slot_lists,
+        &parts.slot_bounds,
+        &parts.topo,
+    ];
+    words.iter().map(|t| 16 + 4 * t.len()).sum()
+}
+
+fn encode_links(w: &mut Writer, parts: &LinksParts) {
     w.u32(parts.root_list);
     w.u32_slice(&parts.pool);
     w.u32_slice(&parts.list_bounds);
     w.u32_slice(&parts.slot_lists);
     w.u32_slice(&parts.slot_bounds);
     w.u32_slice(&parts.topo);
-    w.into_inner()
 }
 
 fn decode_links(bytes: &[u8]) -> Result<LinksParts, ArtifactError> {
@@ -959,26 +1051,34 @@ fn read_nats(r: &mut Reader<'_>) -> Result<Vec<Nat>, ArtifactError> {
         .collect())
 }
 
-fn encode_counts(counts: &Counts) -> Vec<u8> {
-    let mut w = Writer::new();
-    match counts.to_parts() {
+/// About the bytes [`encode_counts`] writes for `parts`.
+fn counts_bytes(parts: &CountsParts) -> usize {
+    let nat_bytes = |n: &Nat| 4 + 8 * n.limbs().len();
+    64 + match parts {
+        CountsParts::U64(a, b) => 8 * (a.len() + b.len()),
+        CountsParts::U128(a, b) => 16 * (a.len() + b.len()),
+        CountsParts::Nat(a, b) => a.iter().chain(b).map(nat_bytes).sum(),
+    }
+}
+
+fn encode_counts(w: &mut Writer, parts: &CountsParts) {
+    match parts {
         CountsParts::U64(per_expr, list_totals) => {
             w.u8(TIER_U64);
-            w.u64_slice(&per_expr);
-            w.u64_slice(&list_totals);
+            w.u64_slice(per_expr);
+            w.u64_slice(list_totals);
         }
         CountsParts::U128(per_expr, list_totals) => {
             w.u8(TIER_U128);
-            w.u128_slice(&per_expr);
-            w.u128_slice(&list_totals);
+            w.u128_slice(per_expr);
+            w.u128_slice(list_totals);
         }
         CountsParts::Nat(per_expr, list_totals) => {
             w.u8(TIER_NAT);
-            write_nats(&mut w, &per_expr);
-            write_nats(&mut w, &list_totals);
+            write_nats(w, per_expr);
+            write_nats(w, list_totals);
         }
     }
-    w.into_inner()
 }
 
 fn decode_counts(bytes: &[u8]) -> Result<CountsParts, ArtifactError> {
@@ -997,9 +1097,8 @@ fn decode_counts(bytes: &[u8]) -> Result<CountsParts, ArtifactError> {
 // BEST (the optimizer's chosen plan)
 // ---------------------------------------------------------------------
 
-fn encode_best(prepared: &PreparedQuery) -> Vec<u8> {
+fn encode_best(w: &mut Writer, prepared: &PreparedQuery) {
     let (plan, cost) = prepared.best();
-    let mut w = Writer::new();
     w.f64(cost);
     let mut nodes = Vec::new();
     preorder(plan, &mut nodes);
@@ -1009,7 +1108,6 @@ fn encode_best(prepared: &PreparedQuery) -> Vec<u8> {
         w.u32(id.index as u32);
         w.u32(nchildren as u32);
     }
-    w.into_inner()
 }
 
 fn preorder(node: &PlanNode, out: &mut Vec<(PhysId, usize)>) {
@@ -1074,6 +1172,79 @@ fn decode_best(bytes: &[u8]) -> Result<(PlanNode, f64), ArtifactError> {
 mod tests {
     use super::*;
     use plansample_optimizer::OptimizerConfig;
+    use proptest::prelude::*;
+
+    /// `sums` against its definition: the two checksums computed apart.
+    fn assert_sums_match_their_definition(bytes: &[u8], spans: &[(usize, usize)]) {
+        let sections: Vec<SectionRef<'_>> = spans
+            .iter()
+            .map(|&(offset, len)| SectionRef {
+                kind: SEC_META,
+                offset: offset as u64,
+                bytes: &bytes[offset..offset + len],
+                sum: 0,
+            })
+            .collect();
+        let (file, computed) = sums(bytes, &sections);
+        assert_eq!(file, checksum(&bytes[HEADER_LEN..]), "file sum, {spans:?}");
+        let apart: Vec<u64> = sections.iter().map(|s| checksum(s.bytes)).collect();
+        assert_eq!(computed, apart, "section sums, {spans:?}");
+    }
+
+    #[test]
+    fn one_pass_sums_of_a_written_image_match_their_definition() {
+        let bytes = encode(&prepared(false));
+        let info = inspect(&bytes).expect("inspects");
+        let spans: Vec<(usize, usize)> = info
+            .sections
+            .iter()
+            .map(|s| (s.offset as usize, s.len as usize))
+            .collect();
+        assert!(
+            spans.iter().any(|(_, len)| len % 8 != 0),
+            "some section ends in a short word"
+        );
+        assert_sums_match_their_definition(&bytes, &spans);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Random section tables over random bytes — in file order and
+        /// aligned like the writer's, or unaligned, overlapping, out of
+        /// order, zero-length, ending at EOF on a 1–7-byte tail: whether
+        /// an entry is walked with the file chain or summed on its own,
+        /// every sum is the one `checksum` gives.
+        #[test]
+        fn one_pass_sums_match_their_definition_on_any_table(
+            bytes in proptest::collection::vec(any::<u8>(), HEADER_LEN..400),
+            entries in proptest::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 0..8),
+        ) {
+            let total = bytes.len();
+            let mut spans = Vec::new();
+            let mut prev_end = HEADER_LEN;
+            for (shape, a, b) in entries {
+                let (a, b) = (a as usize, b as usize);
+                let offset = match shape {
+                    // As the writer lays sections out: the next aligned
+                    // offset, sometimes after a gap.
+                    0 | 1 => prev_end.next_multiple_of(8) + 8 * (a % 3),
+                    // Anywhere at all.
+                    _ => a % (total + 1),
+                }
+                .min(total);
+                let len = match shape {
+                    0 | 2 => b % (total - offset + 1),
+                    // To EOF, short tail included.
+                    1 | 3 => total - offset,
+                    _ => 0,
+                };
+                spans.push((offset, len));
+                prev_end = offset + len;
+            }
+            assert_sums_match_their_definition(&bytes, &spans);
+        }
+    }
 
     fn prepared(sql_cross: bool) -> PreparedQuery {
         let (catalog, _) = plansample_catalog::tpch::catalog();

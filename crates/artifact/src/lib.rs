@@ -138,23 +138,47 @@ impl From<SpaceError> for ArtifactError {
 /// too, which is why the *decoder* revalidates every structural
 /// invariant).
 pub fn checksum(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mut h = 0x9e37_79b9_7f4a_7c15_u64 ^ (bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = (h ^ u64::from_le_bytes(c.try_into().unwrap()))
-            .rotate_left(5)
-            .wrapping_mul(K);
+    sum::feed(sum::start(bytes.len()), bytes)
+}
+
+/// The steps [`checksum`] is made of, shared with the decoder's
+/// one-pass verification (`format::parse_sections`), which runs the
+/// whole-file chain and a section's chain over the same words.
+pub(crate) mod sum {
+    /// A chain's state before its first word, for `len` bytes of input.
+    pub fn start(len: usize) -> u64 {
+        0x9e37_79b9_7f4a_7c15 ^ len as u64
     }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h = (h ^ u64::from_le_bytes(tail))
+
+    /// One little-endian word into a chain.
+    #[inline]
+    pub fn step(h: u64, word: u64) -> u64 {
+        (h ^ word)
             .rotate_left(5)
-            .wrapping_mul(K);
+            .wrapping_mul(0x517c_c1b7_2722_0a95)
     }
-    h
+
+    /// The last, short word of an input: zero-padded to eight bytes.
+    /// Nothing for an empty `rem`.
+    #[inline]
+    pub fn tail(h: u64, rem: &[u8]) -> u64 {
+        if rem.is_empty() {
+            return h;
+        }
+        let mut word = [0u8; 8];
+        word[..rem.len()].copy_from_slice(rem);
+        step(h, u64::from_le_bytes(word))
+    }
+
+    /// `bytes` into a chain: whole words, then the [`tail`] — so only
+    /// an input's last piece may be a length that is not a multiple of 8.
+    pub fn feed(mut h: u64, bytes: &[u8]) -> u64 {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            h = step(h, u64::from_le_bytes(w.try_into().expect("chunks of 8")));
+        }
+        tail(h, words.remainder())
+    }
 }
 
 #[cfg(test)]

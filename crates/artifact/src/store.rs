@@ -5,9 +5,10 @@
 //! [`plansample_core::cache_key`] computes — what a `PlanService` keys
 //! its cache by, behind its scope if it has one — so the two can never
 //! drift apart. Publication is
-//! atomic (temp file + rename, see [`crate::save`]); a concurrent
-//! writer of the same key simply wins the rename race with an
-//! identical byte image. Anything that fails to decode — corruption,
+//! atomic (a temp file of the call's own + rename, see [`crate::save`]);
+//! a concurrent writer of the same key — another process or another
+//! thread of this one — simply wins the rename race with an identical
+//! byte image. Anything that fails to decode — corruption,
 //! an old format version, a fingerprint that belongs to a different
 //! query (hash collision or stale config) — is moved aside to a
 //! `.quarantined` file rather than deleted, so an operator can inspect
@@ -163,6 +164,7 @@ impl ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -218,6 +220,64 @@ mod tests {
         // Re-publishing heals the entry.
         store.save(&prepared).unwrap();
         assert!(store.load(&query, &config).unwrap().is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Eight threads publish one key fifty times each while a ninth
+    /// reads it: every read is a complete artifact or a clean miss.
+    /// With a temp name shared by the threads of a process, one
+    /// writer's `fs::write` truncates the file another is about to
+    /// rename, and the reader quarantines a half-written artifact.
+    #[test]
+    fn threads_publishing_one_key_never_expose_a_partial_artifact() {
+        const WRITERS: usize = 8;
+        let dir = temp_dir("threads");
+        let store = ArtifactStore::open(&dir).unwrap();
+        let (query, config, prepared) = q5_prepared();
+        let start = std::sync::Barrier::new(WRITERS + 1);
+        let writing = AtomicUsize::new(WRITERS);
+        // Failures are carried out of the threads, not panicked in them:
+        // the reader stops when the last writer has counted itself out.
+        let (saves, reads) = std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let saved = (0..50).try_for_each(|_| store.save(&prepared).map(drop));
+                        writing.fetch_sub(1, Ordering::SeqCst);
+                        saved
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                start.wait();
+                let mut hits = 0;
+                while writing.load(Ordering::SeqCst) > 0 {
+                    if let Some(loaded) = store.load(&query, &config)? {
+                        assert_eq!(loaded.total(), prepared.total());
+                        hits += 1;
+                    }
+                }
+                Ok::<usize, ArtifactError>(hits)
+            });
+            let saves: Vec<_> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+            (saves, reader.join().unwrap())
+        });
+        for saved in saves {
+            saved.expect("every save publishes");
+        }
+        let hits = reads.expect("every load decodes or is a clean miss");
+        assert!(hits > 0, "the reader saw the published artifact");
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(
+            names.len(),
+            1,
+            "one published file, nothing else: {names:?}"
+        );
+        assert!(names[0].ends_with(".plan"), "{names:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

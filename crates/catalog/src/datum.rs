@@ -4,6 +4,7 @@
 use crate::ColType;
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::Hasher;
 
 /// A single column value. `Float` carries a total order (via
 /// [`f64::total_cmp`]) so rows can be sorted deterministically — the
@@ -96,7 +97,7 @@ impl Ord for Datum {
 }
 
 impl std::hash::Hash for Datum {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+    fn hash<H: Hasher>(&self, state: &mut H) {
         self.rank().hash(state);
         match self {
             Datum::Null => {}
@@ -104,6 +105,53 @@ impl std::hash::Hash for Datum {
             Datum::Float(v) => v.to_bits().hash(state),
             Datum::Str(s) => s.hash(state),
         }
+    }
+}
+
+/// Multiply-rotate hasher in the style of FxHash — the workspace's one
+/// fixed (unkeyed) mixer, for hashing values this program built itself:
+/// the executor's join and grouping keys (fed by [`Datum`]'s `Hash`) and
+/// the memo's batch duplicate check. Its well-mixed bits are the high
+/// ones. Keys read from outside the program keep std's keyed hasher.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Mix(u64);
+
+impl Mix {
+    fn word(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for Mix {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.word(u64::from_le_bytes(word));
+        }
+    }
+
+    // One word an integer, whatever its width — what `write` would make
+    // of its bytes, without the byte loop a derived `Hash` would pay for
+    // every discriminant (`usize`) and id (`u32`).
+    fn write_u8(&mut self, v: u8) {
+        self.word(v.into());
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.word(v.into());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.word(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.word(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

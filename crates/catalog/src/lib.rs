@@ -13,7 +13,7 @@
 mod datum;
 pub mod tpch;
 
-pub use datum::Datum;
+pub use datum::{Datum, Mix};
 
 use std::collections::HashMap;
 use std::fmt;

@@ -211,6 +211,14 @@ impl JoinGraphSpec {
         let mut masks: Vec<u32> = (1..(1u32 << n)).filter(|&m| connected(m)).collect();
         masks.sort_by_key(|m| m.count_ones());
 
+        // Cardinality by group id (groups are created in `masks` order):
+        // a property of the relation set, estimated once and read by
+        // every join over the group.
+        let cards: Vec<f64> = masks
+            .iter()
+            .map(|&mask| query.set_card(&catalog, relset(mask)))
+            .collect();
+
         let mut memo = Memo::new();
         for &mask in &masks {
             let set = relset(mask);
@@ -218,7 +226,7 @@ impl JoinGraphSpec {
             if mask.count_ones() == 1 {
                 self.add_scans(&catalog, &query, &mut memo, gid, set.sole_member());
             } else {
-                self.add_joins(&catalog, &query, &mut memo, gid, set, connected);
+                self.add_joins(&query, &mut memo, &cards, gid, set, connected);
             }
         }
         add_interesting_order_enforcers(&catalog, &query, &mut memo);
@@ -262,14 +270,15 @@ impl JoinGraphSpec {
 
     fn add_joins(
         &self,
-        catalog: &Catalog,
         query: &QuerySpec,
         memo: &mut Memo,
+        cards: &[f64],
         gid: GroupId,
         set: RelSet,
         connected: impl Fn(u32) -> bool,
     ) {
-        let out = query.set_card(catalog, set);
+        let card = |g: GroupId| cards[g.0 as usize];
+        let out = card(gid);
         // The whole group is gathered, then inserted in one
         // duplicate-eliminating batch (clique-10's root is 25 084 wide).
         let mut joins = Vec::new();
@@ -288,7 +297,7 @@ impl JoinGraphSpec {
                     .find_group(GroupKey::Rels(lset))
                     .expect("connected halves precede their union");
                 let right = memo.find_group(GroupKey::Rels(rset)).expect("see above");
-                let (lcard, rcard) = (query.set_card(catalog, lset), query.set_card(catalog, rset));
+                let (lcard, rcard) = (card(left), card(right));
                 joins.push(PhysicalExpr::new(
                     PhysicalOp::NestedLoopJoin { left, right },
                     lcard * rcard * 0.01 + out,

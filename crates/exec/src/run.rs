@@ -37,7 +37,7 @@
 
 use crate::node::{AggSpec, ColFilter, ExecNode, JoinSpec, Side};
 use crate::{Database, ExecError, Row, Table};
-use plansample_catalog::{Datum, TableId};
+use plansample_catalog::{Datum, Mix, TableId};
 use plansample_query::AggFunc;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
@@ -334,7 +334,7 @@ impl Keys<'_> {
     }
 
     fn hash(&self, row: usize) -> u64 {
-        let mut hasher = Mix(0);
+        let mut hasher = Mix::default();
         for value in self.of(row) {
             value.hash(&mut hasher);
         }
@@ -351,38 +351,6 @@ fn pair_keys<'a>(l: &'a Rel, r: &'a Rel, spec: &JoinSpec) -> (Keys<'a>, Keys<'a>
     )
 }
 
-/// Multiply-rotate hasher in the style of FxHash, fed by `Datum::hash`.
-/// Its well-mixed bits are the high ones; [`Chains`] buckets by those.
-struct Mix(u64);
-
-impl Mix {
-    fn word(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for Mix {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u8(&mut self, v: u8) {
-        self.word(v.into());
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.word(v);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Checks that `rows` rows can be numbered in `u32`.
 fn row_numbers(rows: usize) -> Result<u32, ExecError> {
     u32::try_from(rows).map_err(|_| ExecError::TooManyRows { rows })
@@ -391,7 +359,8 @@ fn row_numbers(rows: usize) -> Result<u32, ExecError> {
 /// The bucket-chained hash table of hash join and hash aggregation over
 /// items numbered `0..items`: `heads[bucket]` is the chain's first
 /// item, `next[item]` the one after it. Two allocations a table, none
-/// an item; the caller keeps the keys and re-checks equality.
+/// an item; the caller keeps the keys and re-checks equality. Buckets are
+/// the hash's high bits, [`Mix`]'s well-mixed ones.
 struct Chains {
     heads: Vec<u32>,
     next: Vec<u32>,

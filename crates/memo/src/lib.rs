@@ -40,9 +40,11 @@ pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;
 
+use plansample_catalog::Mix;
 use plansample_query::RelSet;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// Identifies a group within a [`Memo`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -226,7 +228,11 @@ impl Memo {
     /// quadratic for a builder that fills a group at a time (clique-10's
     /// root group is 25 084 wide). Past `BULK_HASH_MIN`
     /// expressions the batch is checked against one transient hash set
-    /// instead; nothing stays resident.
+    /// instead; nothing stays resident. The operators come from the
+    /// optimizer and the generators, not from outside the program, so
+    /// the set hashes through the fixed [`Mix`]
+    /// ([`from_parts`](Self::from_parts), which reads stored bytes,
+    /// keeps std's keyed hasher).
     pub fn extend_physical(&mut self, gid: GroupId, exprs: Vec<PhysicalExpr>) {
         if self.group(gid).physical.len() + exprs.len() < Self::BULK_HASH_MIN {
             for expr in exprs {
@@ -236,7 +242,7 @@ impl Memo {
         }
         let group = &mut self.groups[gid.0 as usize];
         let fresh: Vec<bool> = {
-            let mut seen: std::collections::HashSet<&PhysicalOp> =
+            let mut seen: HashSet<&PhysicalOp, BuildHasherDefault<Mix>> =
                 group.physical.iter().map(|e| &e.op).collect();
             seen.reserve(exprs.len());
             exprs.iter().map(|e| seen.insert(&e.op)).collect()
@@ -299,7 +305,7 @@ impl Memo {
             if by_key.insert(*key, GroupId(i as u32)).is_some() {
                 return Err(format!("duplicate group key {key:?}"));
             }
-            let mut seen = std::collections::HashSet::with_capacity(physical.len());
+            let mut seen = HashSet::with_capacity(physical.len());
             for expr in physical {
                 if !seen.insert(&expr.op) {
                     return Err(format!("duplicate physical operator in group {i}"));

@@ -26,8 +26,13 @@ pub fn implement_all(
     enable_index_scans: bool,
     memo: &mut Memo,
 ) {
+    // Cardinality is a property of the relation set, so of the group:
+    // estimated once a group, read by every join over it.
+    let cards: Vec<f64> = memo
+        .groups()
+        .map(|g| query.set_card(catalog, g.scope(query)))
+        .collect();
     for gid in (0..memo.num_groups() as u32).map(GroupId) {
-        let key = memo.group(gid).key;
         // A group's alternatives are gathered, then inserted in one
         // duplicate-eliminating batch.
         let mut out = Vec::new();
@@ -38,17 +43,17 @@ pub fn implement_all(
                 }
                 LogicalOp::Join { left, right } => implement_join(
                     query,
-                    catalog,
                     cost,
                     enable_merge_joins,
                     memo,
-                    key,
+                    &cards,
+                    gid,
                     left,
                     right,
                     &mut out,
                 ),
                 LogicalOp::Agg { input } => {
-                    implement_agg(query, catalog, cost, memo, input, &mut out)
+                    implement_agg(query, catalog, cost, memo, &cards, input, &mut out)
                 }
             }
         }
@@ -98,20 +103,19 @@ fn implement_scan(
 #[allow(clippy::too_many_arguments)]
 fn implement_join(
     query: &QuerySpec,
-    catalog: &Catalog,
     cost: &CostModel,
     enable_merge_joins: bool,
     memo: &Memo,
-    key: GroupKey,
+    cards: &[f64],
+    gid: GroupId,
     left: GroupId,
     right: GroupId,
     out: &mut Vec<PhysicalExpr>,
 ) {
     let (lset, rset) = (rels_of(memo, left), rels_of(memo, right));
-    let set = key.rels().expect("join group has a relation set");
-    debug_assert_eq!(lset.union(rset), set);
-    let (lcard, rcard) = (query.set_card(catalog, lset), query.set_card(catalog, rset));
-    let out_card = query.set_card(catalog, set);
+    debug_assert_eq!(lset.union(rset), rels_of(memo, gid));
+    let card = |g: GroupId| cards[g.0 as usize];
+    let (lcard, rcard, out_card) = (card(left), card(right), card(gid));
     let crossing = query.edges_crossing(lset, rset);
 
     // Nested loops handle any predicate set, including pure cross products.
@@ -156,6 +160,7 @@ fn implement_agg(
     catalog: &Catalog,
     cost: &CostModel,
     memo: &Memo,
+    cards: &[f64],
     input: GroupId,
     out: &mut Vec<PhysicalExpr>,
 ) {
@@ -163,7 +168,7 @@ fn implement_agg(
         .aggregate
         .as_ref()
         .expect("Agg logical expression implies an aggregate in the query");
-    let in_card = query.set_card(catalog, rels_of(memo, input));
+    let in_card = cards[input.0 as usize];
     let out_card = query.grouped_card(catalog, rels_of(memo, input), &agg.group_by);
     let group_order = SortOrder::on(agg.group_by.clone());
 

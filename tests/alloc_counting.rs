@@ -27,6 +27,11 @@
 //! vectors an operator — however many rows pass through — plus the rows
 //! an aggregate builds and the result table. The last test counts both
 //! acquisitions and bytes over sampled Q10 plans.
+//!
+//! The artifact decoder reserves a group's expression vectors from the
+//! count the bytes declare, so it must bound that count by the bytes
+//! present: `hostile_expression_counts_reserve_by_the_bytes_present`
+//! holds a decode of a 2³² − 1 count to under 4 KiB acquired.
 
 use plansample::lower::lower;
 use plansample::{CountTier, PlanBatch, PlanSpace, PreparedQuery};
@@ -291,6 +296,69 @@ fn executing_sampled_q10_plans_acquires_per_operator_not_per_row() {
         "4x the orders took acquisitions an operator from {per_operator:.1} to {scaled:.1}: \
          something acquires per row"
     );
+}
+
+/// A memo section may declare any expression count; the decoder may
+/// reserve only what the section's remaining bytes could hold. A valid
+/// Q10 image has its memo cut to 64 bytes — one group declaring 2³² − 1
+/// logical, then 2³² − 1 physical expressions over zero bytes — with
+/// both sums made right so the structural decoder is reached: it runs
+/// out of bytes (`Truncated`) having acquired less than 4 KiB in all,
+/// the sections before the memo included.
+#[test]
+fn hostile_expression_counts_reserve_by_the_bytes_present() {
+    use plansample_artifact::{checksum, decode, encode, inspect, ArtifactError};
+    const HEADER_LEN: usize = 32;
+    const ENTRY_LEN: usize = 32;
+    const HOSTILE_LEN: usize = 64;
+
+    let (catalog, _) = plansample_catalog::tpch::catalog();
+    let query = plansample_query::tpch::q10(&catalog);
+    let prepared = PreparedQuery::prepare(&catalog, &query, &OptimizerConfig::default())
+        .expect("Q10 optimizes");
+    let pristine = encode(&prepared);
+    let info = inspect(&pristine).expect("pristine image inspects");
+    let index = info.sections.iter().position(|s| s.name == "memo");
+    let index = index.expect("memo section present");
+    let offset = info.sections[index].offset as usize;
+    assert!(info.sections[index].len as usize >= HOSTILE_LEN);
+
+    for (logical, physical) in [(u32::MAX, 0), (0, u32::MAX)] {
+        // root 0, one group keyed by relation set {0}, the two counts.
+        let mut memo = Vec::new();
+        memo.extend_from_slice(&0u32.to_le_bytes());
+        memo.extend_from_slice(&1u32.to_le_bytes());
+        memo.push(0);
+        memo.extend_from_slice(&1u64.to_le_bytes());
+        memo.extend_from_slice(&logical.to_le_bytes());
+        if logical == 0 {
+            memo.extend_from_slice(&physical.to_le_bytes());
+        }
+        memo.resize(HOSTILE_LEN, 0);
+
+        let mut image = pristine.clone();
+        image[offset..offset + HOSTILE_LEN].copy_from_slice(&memo);
+        let entry = HEADER_LEN + index * ENTRY_LEN;
+        image[entry + 16..entry + 24].copy_from_slice(&(HOSTILE_LEN as u64).to_le_bytes());
+        image[entry + 24..entry + 32].copy_from_slice(&checksum(&memo).to_le_bytes());
+        let file_sum = checksum(&image[HEADER_LEN..]);
+        image[16..24].copy_from_slice(&file_sum.to_le_bytes());
+        inspect(&image).expect("the sums are right");
+
+        let before = bytes();
+        let result = decode(&image);
+        let acquired = bytes() - before;
+        println!("counts ({logical}, {physical}): decode acquired {acquired} bytes");
+        assert!(
+            matches!(result, Err(ArtifactError::Truncated { .. })),
+            "counts ({logical}, {physical}): expected Truncated, got {:?}",
+            result.map(|_| ())
+        );
+        assert!(
+            acquired < 4096,
+            "counts ({logical}, {physical}): decode acquired {acquired} bytes"
+        );
+    }
 }
 
 #[test]
