@@ -24,9 +24,9 @@
 //! prepared artifact's exact byte footprint (links / counts / memo).
 //!
 //! Global flags: `--cross-products`, `--seed N`, `--orders N` (micro
-//! database size), `--threads N` (the fork width of a plan-space build
-//! or bulk sample batch, and a server's request workers per reactor;
-//! [`USAGE`] has the one full statement).
+//! database size), `--threads N` (a server's request workers per
+//! reactor). A bulk sample batch forks as wide as the CPUs the process
+//! may run on; [`USAGE`] says how to narrow that.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,10 +53,8 @@ pub struct Cli {
     pub seed: u64,
     /// Orders in the micro database (other tables scale along).
     pub orders: usize,
-    /// `--threads`: the fork width of one plan-space build or bulk
-    /// sample batch (`None`: `PLANSAMPLE_THREADS` or all cores) and, for
-    /// `serve`/`loadgen` servers, also the request workers per reactor
-    /// (`None`: 4). [`USAGE`] spells out how the two combine.
+    /// `--threads`: request workers per reactor for `serve`/`loadgen`
+    /// servers (`None`: 4).
     pub threads: Option<usize>,
     /// Reactor (event-loop) threads for `serve`/`loadgen` servers
     /// (`0`: one per available core).
@@ -256,18 +254,16 @@ FLAGS:
   --cross-products   include Cartesian products in the space
   --seed N           RNG seed (default 42)
   --orders N         orders in the micro database (default 120)
-  --threads N        fork width: the threads one plan-space build or
-                     one batch of 512+ samples may use, its caller
-                     included (default: PLANSAMPLE_THREADS, else all
-                     cores). A serve/loadgen server also starts N
-                     request workers per reactor (default 4); each
-                     forks N wide, and the process never runs more
-                     than N - 1 helper threads for all of them
+  --threads N        request workers per reactor for serve/loadgen
+                     servers (default 4)
   --reactors N       event-loop threads for serve/loadgen servers
                      (default: one per available core)
   --artifact-dir DIR persistent artifact store for `serve`
                      (write-through persistence of preparations)
   --warm             preload the serving cache from --artifact-dir
+
+A batch of 512+ samples forks as wide as the CPUs the process may run
+on; `taskset` narrows that (e.g. `taskset -c 0 plansample-cli ...`).
 
 Queries run against the TPC-H schema (region, nation, supplier,
 customer, part, partsupp, orders, lineitem) with SF-1 statistics and a
@@ -543,9 +539,6 @@ fn parse_plan(spec: &str, prepared: &PreparedQuery) -> Result<PlanNode, CliError
 pub fn run(cli: &Cli) -> Result<String, CliError> {
     if cli.command == Command::Help {
         return Ok(USAGE.to_string());
-    }
-    if let Some(n) = cli.threads {
-        threadpool::set_num_threads(n);
     }
     // The network and artifact commands parse their own input (or
     // none); they branch before the shared SQL parse.
@@ -930,11 +923,6 @@ fn run_stats(
         stats.entries,
         stats.resident_bytes
     );
-    let _ = writeln!(
-        out,
-        "fork width: {} thread(s) per build or bulk batch (--threads N or PLANSAMPLE_THREADS)",
-        threadpool::num_threads()
-    );
     Ok(out)
 }
 
@@ -1076,11 +1064,11 @@ mod tests {
         assert_eq!(cli.threads, Some(3));
         assert_eq!(cli.command, Command::Stats("SELECT * FROM nation".into()));
         assert_eq!(parse_args(["count", "S"]).unwrap().threads, None);
-        // One flag, both of its effects, stated in one place.
+        // One flag, one meaning; the fork width is the host's.
         assert_eq!(USAGE.matches("--threads N").count(), 1);
-        assert!(USAGE.contains("--threads N        fork width:"));
-        assert!(USAGE.contains("request workers per reactor"));
-        assert!(!USAGE.contains("worker pool"));
+        assert!(USAGE.contains("--threads N        request workers per reactor"));
+        assert!(USAGE.contains("`taskset` narrows that"));
+        assert!(!USAGE.contains("fork width"));
     }
 
     #[test]
@@ -1092,7 +1080,6 @@ mod tests {
         }
         assert!(out.contains("1 hit(s), 1 miss(es)"), "{out}");
         assert!(out.contains("resident bytes"), "{out}");
-        assert!(out.contains("fork width:"), "{out}");
     }
 
     #[test]
@@ -1289,7 +1276,7 @@ mod tests {
         assert_eq!(parse_args(["--help"]).unwrap().command, Command::Help);
         let text = run(&parse_args(["--help"]).unwrap()).unwrap();
         assert!(text.contains("USAGE"));
-        assert!(text.contains("fork width"));
+        assert!(text.contains("taskset"));
     }
 
     fn cli(command: Command) -> Cli {

@@ -320,12 +320,14 @@ impl PlanSpace {
     ///
     /// This is the size accounting [`service::PlanService`]'s
     /// byte-budget eviction charges against; the shared memo is included
-    /// because the space keeps it alive.
+    /// because the space keeps it alive. The links and counts are inline
+    /// in this struct, and each one's `size_bytes` counts its own struct,
+    /// so that is subtracted once here.
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.links.size_bytes()
-            + self.counts.size_bytes()
-            + self.memo.size_bytes()
+        self.links.size_bytes() + self.counts.size_bytes() + self.memo.size_bytes()
+            - std::mem::size_of::<Links>()
+            - std::mem::size_of::<Counts>()
+            + std::mem::size_of::<Self>()
     }
 
     /// The underlying memo.
@@ -389,6 +391,21 @@ mod tests {
         // A clone of the space shares the same memo allocation.
         let cloned = space.clone();
         assert!(Arc::ptr_eq(&cloned.memo, &memo));
+    }
+
+    /// The space's own struct once, plus what its parts hold beyond
+    /// their structs (the links and counts live inside the space's).
+    #[test]
+    fn size_bytes_counts_each_inline_struct_once() {
+        use std::mem::size_of;
+        let ex = paper_example::build();
+        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+        let links_heap = space.links().size_bytes() - size_of::<Links>();
+        let counts_heap = space.counts().size_bytes() - size_of::<Counts>();
+        assert_eq!(
+            space.size_bytes(),
+            size_of::<PlanSpace>() + links_heap + counts_heap + space.memo().size_bytes()
+        );
     }
 
     #[test]

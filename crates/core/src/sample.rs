@@ -91,15 +91,16 @@ impl PlanSpace {
     /// preparation over arbitrarily many draws.
     ///
     /// This is [`sample_batch_flat`](Self::sample_batch_flat) followed
-    /// by lifting each preorder listing into a tree (in parallel for
-    /// large batches), so the two cannot disagree.
+    /// by lifting each preorder listing into a tree, so the two cannot
+    /// disagree. The lift is sequential; a caller that draws trees only
+    /// to cost them wants [`sample_batch_costed`](Self::sample_batch_costed).
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
     pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<PlanNode> {
         let mut flat = PlanBatch::new();
         self.sample_batch_flat(rng, k, &mut flat);
-        threadpool::parallel_map(k, Self::PAR_MIN_DRAWS, |i| self.lift(flat.plan(i)))
+        flat.iter().map(|ids| self.lift(ids)).collect()
     }
 
     /// Draws `k` plans uniformly into a reusable flat batch — the
@@ -115,9 +116,11 @@ impl PlanSpace {
     ///
     /// Large batches fan the unranking (the deterministic,
     /// side-effect-free part) out in fixed-size chunks over one
-    /// `threadpool` section — written into `out`'s own per-chunk
-    /// shard batches and merged in draw order — so the batch content is
-    /// bit-identical at every thread count and tier.
+    /// `threadpool` section, as wide as the CPUs the process may run on
+    /// — the one place the product forks. The chunks are written into
+    /// `out`'s own per-chunk shard batches and merged in draw order, so
+    /// the batch content is bit-identical at every thread count and
+    /// tier.
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
@@ -188,8 +191,8 @@ impl PlanSpace {
             }
         };
         // `k` first: resolving the thread count can probe the host
-        // (see `threadpool`'s resolution order), which costs more than
-        // a small batch does.
+        // (see `threadpool::num_threads`), which costs more than a
+        // small batch does.
         if k < 2 * Self::PAR_MIN_DRAWS || threadpool::num_threads() == 1 {
             fill(out, ranks, stack, open);
         } else {

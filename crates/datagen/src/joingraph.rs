@@ -19,11 +19,11 @@
 //! are drawn deterministically from a seed, so every generated space is
 //! reproducible yet structurally "random" — the property the
 //! rank/unrank bijection and uniform-sampling test suites quantify over
-//! (`docs/DESIGN.md` §8). [`JoinGraphSpec::build_memo`] is also the
-//! benchmark workload for the parallel plan-space build (`docs/DESIGN.md`
-//! §5): clique-10/12 memos synthesized directly, without optimizer
-//! search, reach the multi-limb 700k-expression regime in a tenth of a
-//! second.
+//! (`docs/DESIGN.md` §8). [`JoinGraphSpec::build_memo`] also supplies
+//! the large spaces of the tracked benchmark and the performance
+//! contracts (cycle-16, clique-10): memos synthesized directly, without
+//! optimizer search, reach the multi-limb 700k-expression regime in a
+//! tenth of a second.
 
 use plansample_catalog::{table, Catalog, ColType};
 use plansample_memo::{

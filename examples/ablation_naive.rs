@@ -3,18 +3,18 @@
 //!
 //! The obvious way to "sample a plan" without the paper's counting
 //! machinery is a top-down walk picking uniformly among alternatives at
-//! every step. This binary makes the bias measurable: on a small query
+//! every step. This example makes the bias measurable: on a small query
 //! whose space can be enumerated, it draws 100 000 plans with both
 //! samplers and reports each one's chi-square uniformity test plus the
 //! most over/under-sampled plans under the naive walk.
 //!
 //! ```text
-//! cargo run --release -p plansample-bench --bin ablation_naive
+//! cargo run --release --example ablation_naive
 //! ```
 
-#![forbid(unsafe_code)]
+mod common;
 
-use plansample_bench::prepare;
+use common::{prepare, EXPERIMENT_SEED};
 use plansample_query::QueryBuilder;
 use plansample_stats::chi_square_uniform;
 use rand::rngs::StdRng;
@@ -33,7 +33,7 @@ fn main() {
     qb.join(("s", "s_nationkey"), ("n", "n_nationkey")).unwrap();
     let query = qb.build().unwrap();
 
-    let prepared = prepare(&catalog, "3-way", query, false);
+    let prepared = prepare(&catalog, &query, false);
     let space = prepared.space();
     let n = space
         .total()
@@ -43,7 +43,7 @@ fn main() {
 
     let mut uniform_freq = vec![0usize; n];
     let mut naive_freq = vec![0usize; n];
-    let mut rng = StdRng::seed_from_u64(plansample_bench::EXPERIMENT_SEED);
+    let mut rng = StdRng::seed_from_u64(EXPERIMENT_SEED);
     for _ in 0..DRAWS {
         let plan = space.sample(&mut rng);
         let rank = space.rank(&plan).unwrap().to_u64().unwrap() as usize;

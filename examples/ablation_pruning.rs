@@ -2,28 +2,26 @@
 //!
 //! §2: "Some optimizers by default discard suboptimal expressions. For
 //! our technique to be most effective, it is useful to have the
-//! optimizer keep each alternative generated." This binary quantifies
+//! optimizer keep each alternative generated." This example quantifies
 //! that advice: it applies cost-bound pruning at several keep-factors to
 //! the Q5 memo and reports how the countable (= testable) plan space
 //! collapses.
 //!
 //! ```text
-//! cargo run --release -p plansample-bench --bin ablation_pruning
+//! cargo run --release --example ablation_pruning
 //! ```
 
-#![forbid(unsafe_code)]
+mod common;
 
 use plansample::PlanSpace;
-use plansample_bench::prepare;
 use plansample_optimizer::prune;
+use std::sync::Arc;
 
 fn main() {
     let (catalog, _) = plansample_catalog::tpch::catalog();
-    let query = plansample_query::tpch::q5(&catalog);
-    let prepared = prepare(&catalog, "Q5", query.clone(), false);
-    let query_shared = std::sync::Arc::new(query.clone());
-    let full_space = prepared.space();
-    let full_total = full_space.total().clone();
+    let query = Arc::new(plansample_query::tpch::q5(&catalog));
+    let prepared = common::prepare(&catalog, &query, false);
+    let full_total = prepared.total().clone();
     let full_exprs = prepared.memo().num_physical();
 
     println!("Ablation: cost-bound pruning vs the testable plan space (TPC-H Q5)");
@@ -43,7 +41,7 @@ fn main() {
     for factor in [100.0, 10.0, 2.0, 1.5, 1.0] {
         let pruned = prune(prepared.memo(), &query, factor);
         let n_exprs = pruned.num_physical();
-        let space = PlanSpace::build_shared(std::sync::Arc::new(pruned), query_shared.clone())
+        let space = PlanSpace::build_shared(Arc::new(pruned), Arc::clone(&query))
             .expect("pruned memo stays well-formed");
         let total = space.total();
         let pct = 100.0 * total.to_f64() / full_total.to_f64();

@@ -1,16 +1,17 @@
 //! Experiment E2/E6 — regenerates **Figure 4** of the paper: cost
 //! distributions for TPC-H Q5, Q7, Q8, Q9 (10 000 uniform samples,
-//! lower 50% of sampled costs, frequency histograms), plus the §5
-//! distribution-shape analysis (exponential resemblance, Gamma shape
-//! parameter ≈ 1) behind `--fit`.
+//! lower 50% of sampled costs, frequency histograms), each query's
+//! expected operator mix (computed from the sub-space counts, not
+//! sampled), plus the §5 distribution-shape analysis (exponential
+//! resemblance, Gamma shape parameter ≈ 1) behind `--fit`.
 //!
 //! ```text
-//! cargo run --release -p plansample-bench --bin figure4 [-- --fit] [-- --csv DIR]
+//! cargo run --release --example figure4 [-- --fit] [-- --csv DIR]
 //! ```
 
-#![forbid(unsafe_code)]
+mod common;
 
-use plansample_bench::{join_queries, prepare, sample_scaled_costs, EXPERIMENT_SEED};
+use common::{join_queries, prepare, sample_scaled_costs, EXPERIMENT_SEED};
 use plansample_stats::{fit_exponential, fit_gamma, Histogram, Summary};
 use std::io::Write as _;
 
@@ -32,7 +33,7 @@ fn main() {
     println!("search spaces without Cartesian products, as in Table 1 rows 1-4");
 
     for (name, query) in join_queries(&catalog) {
-        let prepared = prepare(&catalog, name, query, false);
+        let prepared = prepare(&catalog, &query, false);
         let costs = sample_scaled_costs(&prepared, SAMPLES, EXPERIMENT_SEED);
         let hist = Histogram::lower_fraction(&costs, 0.5, BUCKETS);
         let kept: usize = hist.counts().iter().sum();
@@ -40,11 +41,21 @@ fn main() {
         println!();
         println!(
             "TPC-H {name}  (space size {}, lower-50% range [{:.2}, {:.2}], {kept} samples shown)",
-            prepared.space().total(),
+            prepared.total(),
             hist.lo(),
             hist.hi()
         );
         print!("{}", hist.render(50));
+
+        println!("  expected operator mix of one uniformly drawn plan (computed, not sampled):");
+        let space = prepared.space();
+        for (op, freq) in space.operator_mix() {
+            println!("    {op:<15} {freq:>6.3}");
+        }
+        println!(
+            "    total {:>17.3} operators per plan on average",
+            space.expected_plan_size()
+        );
 
         if fit {
             let s = Summary::of(&costs);
@@ -82,12 +93,11 @@ fn main() {
 
     // §5 control: small queries have no particular shape.
     let q6 = plansample_query::tpch::q6(&catalog);
-    let prepared = prepare(&catalog, "Q6", q6, false);
-    let space = prepared.space();
+    let prepared = prepare(&catalog, &q6, false);
     println!();
     println!(
         "control TPC-H Q6: only {} plans (\"distributions of queries that contained few \
          tables were of no particular shape\")",
-        space.total()
+        prepared.total()
     );
 }

@@ -2,7 +2,7 @@
 //! "Parameters of search spaces of TPC-H join queries".
 //!
 //! For each of Q5, Q7, Q8, Q9 — first without cross products, then with
-//! — this binary optimizes the query against SF-1 TPC-H statistics,
+//! — this example optimizes the query against SF-1 TPC-H statistics,
 //! counts the exact plan space, draws 10 000 uniform plans, and reports
 //! min/mean/max scaled cost plus the fractions within 2× and 10× of the
 //! optimum. A second table attaches seeded-bootstrap 95% confidence
@@ -12,18 +12,30 @@
 //! `docs/EXPERIMENTS.md` §E1).
 //!
 //! ```text
-//! cargo run --release -p plansample-bench --bin table1
+//! cargo run --release --example table1
 //! ```
 
-#![forbid(unsafe_code)]
+mod common;
 
-use plansample_bench::{fmt_cost, join_queries, prepare, sample_scaled_costs, EXPERIMENT_SEED};
+use common::{join_queries, prepare, sample_scaled_costs, EXPERIMENT_SEED};
 use plansample_stats::{bootstrap_quantile_cis, Summary};
 use std::time::Instant;
 
 const SAMPLES: usize = 10_000;
 const CI_LEVELS: [f64; 3] = [0.01, 0.5, 0.99];
 const CI_REPLICATES: usize = 999;
+
+/// Formats a scaled-cost value the way Table 1 prints them (two decimal
+/// places below 100, scientific above).
+fn fmt_cost(v: f64) -> String {
+    if v < 100.0 {
+        format!("{v:.2}")
+    } else if v < 1e6 {
+        format!("{v:.0}")
+    } else {
+        format!("{v:.3e}")
+    }
+}
 
 fn main() {
     let (catalog, _) = plansample_catalog::tpch::catalog();
@@ -40,9 +52,8 @@ fn main() {
     for cross_products in [false, true] {
         for (name, query) in join_queries(&catalog) {
             let t0 = Instant::now();
-            let prepared = prepare(&catalog, name, query, cross_products);
-            let space = prepared.space();
-            let total = space.total().clone();
+            let prepared = prepare(&catalog, &query, cross_products);
+            let total = prepared.total().clone();
             let costs = sample_scaled_costs(&prepared, SAMPLES, EXPERIMENT_SEED);
             let s = Summary::of(&costs);
             println!(

@@ -1,13 +1,14 @@
-//! Thread-count determinism of the plan-space build.
+//! Thread-count determinism of the plan-space build and of batched
+//! sampling.
 //!
-//! `Links::build` fans its property scans out per distinct slot and
-//! `sample_batch` unranks draws concurrently — both with a
-//! deterministic merge; the topological order and `Counts::compute`
-//! are sequential. These tests pin the contract the forks promise: a
-//! 1-thread build and an N-thread build of the same memo produce
-//! **bit-identical** `Counts`, list layouts, ranks, and sample batches,
-//! on random join-graph topologies (optimizer-built memos) and on a
-//! directly synthesized multi-limb space.
+//! The build is sequential; the bulk fill behind `sample_batch` unranks
+//! chunks of draws concurrently and merges them in draw order. These
+//! tests pin the contract: a 1-thread build and an N-thread build of
+//! the same memo produce **bit-identical** `Counts`, list layouts and
+//! ranks, and a forked fill draws the batch a 1-thread fill does, on
+//! random join-graph topologies (optimizer-built memos) and on a
+//! directly synthesized multi-limb space. A build that forks again has
+//! to pass them.
 //!
 //! Thread counts are pinned with `threadpool::with_threads`, which is a
 //! thread-local override — concurrently running tests cannot perturb
@@ -66,6 +67,10 @@ fn assert_identical(a: &PlanSpace, b: &PlanSpace) {
     }
 }
 
+/// Draws per batch: enough for a 4-thread fill to fork, and not a
+/// multiple of its 256-draw chunk.
+const DRAWS: usize = 1_100;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -89,11 +94,13 @@ proptest! {
         assert_identical(&sequential, &parallel);
 
         // Batched sampling consumes the RNG identically at every thread
-        // count (ranks are drawn up front, unranking is pure).
+        // count (ranks are drawn up front, unranking is pure). `DRAWS`
+        // forks at 4 threads (from 2 · 256 draws) with a partial last
+        // chunk.
         let draw = |space: &PlanSpace, threads: usize| {
             threadpool::with_threads(threads, || {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
-                space.sample_batch(&mut rng, 300)
+                space.sample_batch(&mut rng, DRAWS)
             })
         };
         let trees = draw(&sequential, 1);
@@ -107,7 +114,7 @@ proptest! {
             threadpool::with_threads(threads, || {
                 let mut out = plansample::PlanBatch::new();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
-                space.sample_batch_flat(&mut rng, 300, &mut out);
+                space.sample_batch_flat(&mut rng, DRAWS, &mut out);
                 out
             })
         };
@@ -123,9 +130,8 @@ proptest! {
     }
 }
 
-/// A directly synthesized clique space large enough that the parallel
-/// strata genuinely fan out (multi-level DAG, hundreds of lists), with
-/// an oversubscribed thread count to shake out chunking edge cases.
+/// A directly synthesized clique space (multi-level DAG, hundreds of
+/// lists) built under several thread counts, one oversubscribed.
 #[test]
 fn synthesized_clique_agrees_across_thread_counts() {
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 7, 20000).build_memo();
