@@ -245,7 +245,10 @@ impl PlanSpace {
     /// post-processing pass ("the overhead incurred by this kind of post
     /// processing is negligible": the tracked benchmark's
     /// `core.links.build_ms` and `core.count.compute_ms` rows against
-    /// `optimizer.optimize_ms`, workload `build_q8cp`).
+    /// `optimizer.optimize_ms`, workload `build_q8cp`). Those rows time
+    /// the standalone entry points, each of which scans the memo; a
+    /// [`PreparedQuery::prepare`] scans it once, in the optimizer, and
+    /// its links reuse that scan.
     ///
     /// Clones `memo` and `query` into shared ownership; callers that
     /// already hold [`Arc`]s should prefer

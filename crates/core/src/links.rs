@@ -6,7 +6,7 @@
 //! possible children." For every physical expression and every child
 //! slot, [`Links`] records the list of compatible child expressions
 //! (property-filtered by the one rule of `plansample_memo`'s `links`
-//! module, through [`plansample_memo::child_lists`]). The resulting
+//! module, through its [`MemoScan`]). The resulting
 //! structure describes all possible execution plans rooted in each
 //! operator and is what counting and unranking traverse.
 //!
@@ -48,9 +48,7 @@
 //! hand-built memos are checked defensively.
 
 use crate::SpaceError;
-use plansample_memo::{
-    child_lists, gather_slots, ChildLists, DenseId, DenseIdMap, Memo, PhysId, MAX_SLOTS,
-};
+use plansample_memo::{ChildLists, DenseId, DenseIdMap, Memo, MemoScan, PhysId, MAX_SLOTS};
 use plansample_query::QuerySpec;
 
 /// Identifies one interned child-alternative list within a [`Links`].
@@ -134,11 +132,10 @@ impl Links {
     /// (failing on cyclic hand-built memos). Sequential, and a pure
     /// function of the memo; four passes, each linear:
     ///
-    /// 1. **Gather**: [`gather_slots`] walks every expression's child
+    /// 1. **Gather**: the [`MemoScan`] walks every expression's child
     ///    slots, assigning each *distinct* slot an index in
-    ///    first-encounter order. (The optimizer's best-plan extraction
-    ///    runs on the same gather and the same scan.)
-    /// 2. **Scan and intern**: [`child_lists`] decides each distinct slot
+    ///    first-encounter order.
+    /// 2. **Scan and intern**: the same scan decides each distinct slot
     ///    once per *class* of its group — the expressions that deliver
     ///    one order — and gives slots that accept the same classes one
     ///    list. It compares class sets, a few integers a slot, never
@@ -148,14 +145,25 @@ impl Links {
     /// 3. **Root**: the root group's full range joins the pool, unless a
     ///    slot already lists exactly that.
     /// 4. **Order**: the condensed topological sort below.
+    ///
+    /// This entry point scans the memo itself;
+    /// [`PreparedQuery::prepare`](crate::PreparedQuery::prepare) instead
+    /// hands over the scan its optimizer's best-plan extraction ran on,
+    /// so a prepare scans once. Either way `from_scan` packs the slot
+    /// records and runs passes 3 and 4.
     pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, SpaceError> {
-        let ids = DenseIdMap::build(memo);
-        let gather = gather_slots(memo);
+        Links::from_scan(memo, MemoScan::build(memo, query))
+    }
+
+    /// The slot records and passes 3 and 4 of [`build`](Self::build),
+    /// over `scan`, which must be `memo`'s.
+    pub(crate) fn from_scan(memo: &Memo, scan: MemoScan) -> Result<Links, SpaceError> {
+        let MemoScan { ids, gather, lists } = scan;
         let ChildLists {
             mut pool,
             bounds: mut list_bounds,
             list_of,
-        } = child_lists(memo, query, &ids, &gather);
+        } = lists;
         let slots: Vec<Slots> = (0..ids.len() as u32)
             .map(|d| {
                 let lists = gather.slots_of(DenseId(d)).iter();
@@ -610,8 +618,7 @@ mod tests {
     #[test]
     fn paper_example_gathers_seven_distinct_slots_in_first_encounter_order() {
         let ex = paper_example::build();
-        let gather = gather_slots(&ex.memo);
-        let ids = DenseIdMap::build(&ex.memo);
+        let MemoScan { ids, gather, .. } = MemoScan::build(&ex.memo, &ex.query);
         let slots = |id: PhysId| gather.slots_of(ids.dense(id));
         // Group A's Sort is met first, then A⋈B's hash and merge joins,
         // then the root: HashJoin(C, A⋈B) opens two slots that

@@ -10,11 +10,11 @@
 //! can count, unrank, page, and sample concurrently with zero
 //! re-optimization and zero locking.
 
-use crate::{Error, PlanBatch, PlanCursor, PlanSpace, SpaceError};
+use crate::{Counts, Error, Links, PlanBatch, PlanCursor, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
 use plansample_memo::{satisfies_cols, Memo, PhysId, PlanNode, SortOrder};
-use plansample_optimizer::{optimize, Optimized, OptimizerConfig};
+use plansample_optimizer::{optimize_with_scan, Optimized, OptimizerConfig};
 use plansample_query::{ColRef, QuerySpec};
 use rand::Rng;
 use std::sync::Arc;
@@ -61,21 +61,36 @@ pub struct PreparedQuery {
 
 impl PreparedQuery {
     /// Runs the optimizer once and post-processes its memo into the
-    /// owned artifact — the only expensive call in this type's API.
+    /// owned artifact — the only expensive call in this type's API. The
+    /// links are packed from the scan the optimizer's best-plan
+    /// extraction made of the memo, so the memo is scanned once.
     pub fn prepare(
         catalog: &Catalog,
         query: &QuerySpec,
         config: &OptimizerConfig,
     ) -> Result<Self, Error> {
-        let optimized = optimize(catalog, query, config)?;
-        PreparedQuery::from_optimized(optimized, Arc::new(query.clone()), config.clone())
+        let (optimized, scan) = optimize_with_scan(catalog, query, config)?;
+        let links = Links::from_scan(&optimized.memo, scan)?;
+        PreparedQuery::assemble(optimized, Arc::new(query.clone()), links, config.clone())
     }
 
     /// Builds the artifact from an already-run optimization, taking
-    /// ownership of the memo without copying it.
+    /// ownership of the memo without copying it. Its memo may have been
+    /// replaced since, so the links scan it afresh.
     pub fn from_optimized(
         optimized: Optimized,
         query: Arc<QuerySpec>,
+        config: OptimizerConfig,
+    ) -> Result<Self, Error> {
+        let links = Links::build(&optimized.memo, &query)?;
+        PreparedQuery::assemble(optimized, query, links, config)
+    }
+
+    /// Counts `links`, which must be `optimized.memo`'s, into the artifact.
+    fn assemble(
+        optimized: Optimized,
+        query: Arc<QuerySpec>,
+        links: Links,
         config: OptimizerConfig,
     ) -> Result<Self, Error> {
         let Optimized {
@@ -83,9 +98,9 @@ impl PreparedQuery {
             best_plan,
             best_cost,
         } = optimized;
-        let space = PlanSpace::build_shared(Arc::new(memo), query)?;
+        let counts = Counts::compute(&links);
         Ok(PreparedQuery {
-            space,
+            space: PlanSpace::from_parts(Arc::new(memo), query, links, counts)?,
             best_plan,
             best_cost,
             config,
@@ -391,7 +406,7 @@ mod tests {
         let (catalog, _) = plansample_catalog::tpch::catalog();
         let query = Arc::new(plansample_query::tpch::q6(&catalog));
         let config = OptimizerConfig::default();
-        let optimized = optimize(&catalog, &query, &config).unwrap();
+        let optimized = plansample_optimizer::optimize(&catalog, &query, &config).unwrap();
         let n_phys = optimized.memo.num_physical();
         let p = PreparedQuery::from_optimized(optimized, Arc::clone(&query), config).unwrap();
         assert_eq!(p.memo().num_physical(), n_phys);

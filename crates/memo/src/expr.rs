@@ -265,7 +265,7 @@ impl PhysicalExpr {
     }
 
     /// [`child_slots`](Self::child_slots) borrowed from the operator:
-    /// the slot gather (`crate::gather_slots`) walks every slot of a
+    /// the slot gather (`links::gather_slots`) walks every slot of a
     /// memo and clones only the distinct ones.
     pub(crate) fn slot_refs(&self, own_group: GroupId) -> impl Iterator<Item = SlotRef<'_>> {
         fn order(group: GroupId, cols: &[ColRef]) -> Option<SlotRef<'_>> {

@@ -35,7 +35,7 @@ mod render;
 
 pub use dense::{DenseId, DenseIdMap};
 pub use expr::{ChildSlot, LogicalOp, PhysicalExpr, PhysicalOp, Requirement, MAX_SLOTS};
-pub use links::{child_lists, eligible_children, gather_slots, ChildLists, SlotGather};
+pub use links::{eligible_children, ChildLists, MemoScan, SlotGather};
 pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;

@@ -39,9 +39,11 @@
 //!
 //! [`eligible_children`] is the per-slot, per-expression form of the same
 //! rule: the reference the test suites compare the class scan against.
-//! The two production consumers — the optimizer's best-plan extraction
-//! (`compute_totals`) and link materialization (`Links::build` in
-//! `plansample-core`) — both run [`gather_slots`], then [`child_lists`].
+//! Production code scans a memo through [`MemoScan::build`] only — dense
+//! ids, then the slot gather, then the class scan — and its two consumers
+//! read one scan: the optimizer's best-plan extraction (`compute_totals`)
+//! and link materialization (`Links` in `plansample-core`). A prepare
+//! hands the optimizer's scan to the links, so it scans its memo once.
 
 use crate::expr::SlotRef;
 use crate::{ChildSlot, DenseId, DenseIdMap, GroupId, Memo, OrderSatisfier, PhysId, Requirement};
@@ -64,7 +66,7 @@ fn accepts(
 
 /// All expressions of `slot.group` eligible to fill `slot`, in group
 /// order (the order that defines plan ranks) — one test per expression.
-/// Production code asks per class ([`child_lists`]); this is the
+/// Production code asks per class ([`MemoScan::build`]); this is the
 /// reference it is tested against.
 pub fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Vec<PhysId> {
     let group = memo.group(slot.group);
@@ -77,14 +79,38 @@ pub fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Ve
         .collect()
 }
 
+/// §3.1's post-processing scan of one memo: its dense ids, its distinct
+/// child slots and their distinct child lists. Built by
+/// [`MemoScan::build`], the one place the three are made.
+#[derive(Debug, Clone)]
+pub struct MemoScan {
+    /// The memo's dense numbering.
+    pub ids: DenseIdMap,
+    /// Every child slot resolved to a distinct one.
+    pub gather: SlotGather,
+    /// The distinct slots' child lists.
+    pub lists: ChildLists,
+}
+
+impl MemoScan {
+    /// Numbers `memo`'s expressions, gathers its distinct slots, and
+    /// decides each per class of its group (see the module docs).
+    pub fn build(memo: &Memo, query: &QuerySpec) -> MemoScan {
+        let ids = DenseIdMap::build(memo);
+        let gather = gather_slots(memo);
+        let lists = child_lists(memo, query, &ids, &gather);
+        MemoScan { ids, gather, lists }
+    }
+}
+
 /// Every child slot of a memo resolved to one of its *distinct* slots —
 /// what lets a consumer decide eligibility once per `(group,
 /// requirement)` instead of once per expression slot (Q8+CP: 2 049
-/// questions, not 43 651). Built by [`gather_slots`].
+/// questions, not 43 651).
 #[derive(Debug, Clone)]
 pub struct SlotGather {
     /// The distinct slots, in first-encounter order over groups, then
-    /// expressions, then slots. The order is contractual: [`child_lists`]
+    /// expressions, then slots. The order is contractual: the class scan
     /// interns in it, so it fixes list ids, pool layout and artifact
     /// bytes.
     pub distinct: Vec<ChildSlot>,
@@ -112,7 +138,7 @@ impl SlotGather {
 /// orders (Q8+CP: 2 049 slots over 256 groups), so nothing is hashed and
 /// only a first encounter clones its requirement into an owned
 /// [`ChildSlot`].
-pub fn gather_slots(memo: &Memo) -> SlotGather {
+fn gather_slots(memo: &Memo) -> SlotGather {
     let mut slot_of: Vec<u32> = Vec::new();
     let mut slot_bounds: Vec<u32> = Vec::with_capacity(memo.num_physical() + 1);
     slot_bounds.push(0);
@@ -145,7 +171,7 @@ pub fn gather_slots(memo: &Memo) -> SlotGather {
 
 /// The distinct child lists of a memo: every distinct slot's eligible
 /// children as [`DenseId`]s, slots that filter to the same children
-/// sharing one list. Built by [`child_lists`].
+/// sharing one list.
 #[derive(Debug, Clone)]
 pub struct ChildLists {
     /// The lists, concatenated in first-encounter order over
@@ -192,7 +218,7 @@ struct Class<'m> {
 /// has not produced before is a new list, whose length is the sum of its
 /// class counts. **Emit**: with every length known the pool is reserved
 /// exactly, and each list is its group's dense range filtered by class.
-pub fn child_lists(
+fn child_lists(
     memo: &Memo,
     query: &QuerySpec,
     ids: &DenseIdMap,
@@ -510,9 +536,7 @@ mod tests {
     /// the shape [`child_lists`] promises: exact bounds, an exactly
     /// sized pool, lists numbered as first met and pairwise different.
     fn assert_lists_match_the_rule(memo: &Memo, q: &QuerySpec) -> (SlotGather, ChildLists) {
-        let ids = DenseIdMap::build(memo);
-        let gather = gather_slots(memo);
-        let lists = child_lists(memo, q, &ids, &gather);
+        let MemoScan { ids, gather, lists } = MemoScan::build(memo, q);
         assert_eq!(lists.list_of.len(), gather.distinct.len());
         for (i, slot) in gather.distinct.iter().enumerate() {
             let rule: Vec<DenseId> = eligible_children(memo, q, slot)

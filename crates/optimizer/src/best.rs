@@ -12,26 +12,24 @@
 //! distinct child *list*. Sibling joins over the same inputs ask the same
 //! `(group, requirement)` question, and different questions often filter
 //! to the same children, so the minimum of a list — and the child that
-//! attains it — is found once, over the same [`gather_slots`] numbering
-//! and the same [`child_lists`] that link materialization uses, and the
-//! pass is linear in the memo like everything else downstream of it
-//! (paper §3).
+//! attains it — is found once, over the [`MemoScan`] link
+//! materialization is built from, and the pass is linear in the memo like
+//! everything else downstream of it (paper §3). The totals keep their
+//! scan, and `optimize` hands it on (`optimize_with_scan`), so a prepare
+//! scans its memo once.
 
-use plansample_memo::{
-    child_lists, gather_slots, ChildLists, DenseId, DenseIdMap, GroupId, Memo, PhysId, PlanNode,
-    SlotGather,
-};
+use plansample_memo::{DenseId, GroupId, Memo, MemoScan, PhysId, PlanNode};
 use plansample_query::QuerySpec;
 
 /// Memoized total costs for every physical expression, and the cheapest
 /// eligible child of every distinct child slot.
 #[derive(Debug)]
 pub struct Totals {
-    ids: DenseIdMap,
+    /// The scan the totals were computed over.
+    pub(crate) scan: MemoScan,
     /// Total cost by dense id.
     totals: Vec<f64>,
-    gather: SlotGather,
-    /// The first cheapest eligible child by distinct slot of `gather`;
+    /// The first cheapest eligible child by distinct slot of the scan;
     /// `None` when no child is eligible or none completes.
     best_child: Vec<Option<DenseId>>,
 }
@@ -40,12 +38,12 @@ impl Totals {
     /// Total cost of the sub-plan space rooted in `id` (infinite when
     /// some child slot has no eligible provider).
     pub fn total(&self, id: PhysId) -> f64 {
-        self.totals[self.ids.dense(id).idx()]
+        self.totals[self.scan.ids.dense(id).idx()]
     }
 
     /// Cheapest total in `group`, infinite for empty/unsatisfiable groups.
     pub fn group_best(&self, group: GroupId) -> f64 {
-        let range = self.ids.group_range(group);
+        let range = self.scan.ids.group_range(group);
         self.totals[range.start as usize..range.end as usize]
             .iter()
             .copied()
@@ -55,18 +53,14 @@ impl Totals {
 
 /// Computes total costs for all expressions.
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
-    let ids = DenseIdMap::build(memo);
-    let gather = gather_slots(memo);
-    let lists = child_lists(memo, query, &ids, &gather);
+    let scan = MemoScan::build(memo, query);
     let mut dp = TotalsDp {
         memo,
-        ids: &ids,
-        gather: &gather,
-        lists: &lists,
-        expr_total: vec![None; ids.len()],
-        list_best: vec![None; lists.bounds.len() - 1],
+        scan: &scan,
+        expr_total: vec![None; scan.ids.len()],
+        list_best: vec![None; scan.lists.bounds.len() - 1],
     };
-    for d in (0..ids.len() as u32).map(DenseId) {
+    for d in (0..scan.ids.len() as u32).map(DenseId) {
         dp.total_of(d);
     }
     let TotalsDp {
@@ -74,7 +68,8 @@ pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
         list_best,
         ..
     } = dp;
-    let best_child = lists
+    let best_child = scan
+        .lists
         .list_of
         .iter()
         .map(|&l| list_best[l as usize].and_then(|(_, child)| child))
@@ -84,9 +79,8 @@ pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
         .map(|c| c.expect("all visited"))
         .collect();
     Totals {
-        ids,
+        scan,
         totals,
-        gather,
         best_child,
     }
 }
@@ -95,9 +89,7 @@ pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
 /// from.
 struct TotalsDp<'a> {
     memo: &'a Memo,
-    ids: &'a DenseIdMap,
-    gather: &'a SlotGather,
-    lists: &'a ChildLists,
+    scan: &'a MemoScan,
     /// Total cost by dense id.
     expr_total: Vec<Option<f64>>,
     /// Cheapest member's total, and that member, by distinct list.
@@ -110,10 +102,10 @@ impl TotalsDp<'_> {
         if let Some(c) = self.expr_total[d.idx()] {
             return c;
         }
-        let (gather, lists) = (self.gather, self.lists);
-        let mut total = self.memo.phys(self.ids.phys(d)).local_cost;
-        for &slot in gather.slots_of(d) {
-            total += self.best_of(lists.list_of[slot as usize] as usize); // INFINITY when the slot is unsatisfiable
+        let scan = self.scan;
+        let mut total = self.memo.phys(scan.ids.phys(d)).local_cost;
+        for &slot in scan.gather.slots_of(d) {
+            total += self.best_of(scan.lists.list_of[slot as usize] as usize); // INFINITY when the slot is unsatisfiable
         }
         self.expr_total[d.idx()] = Some(total);
         total
@@ -126,9 +118,9 @@ impl TotalsDp<'_> {
         if let Some((best, _)) = self.list_best[list] {
             return best;
         }
-        let lists = self.lists;
+        let scan = self.scan;
         let (mut best, mut child) = (f64::INFINITY, None);
-        for &member in lists.list(list) {
+        for &member in scan.lists.list(list) {
             let total = self.total_of(member);
             if total < best {
                 (best, child) = (total, Some(member));
@@ -149,13 +141,14 @@ pub fn best_plan(memo: &Memo, _query: &QuerySpec, totals: &Totals) -> Option<(Pl
         .map(|(id, _)| (id, totals.total(id)))
         .filter(|(_, c)| c.is_finite())
         .min_by(|a, b| a.1.total_cmp(&b.1))?;
-    Some((expand(totals, totals.ids.dense(best_id)), cost))
+    Some((expand(totals, totals.scan.ids.dense(best_id)), cost))
 }
 
 /// The plan under `d`, every slot filled with the cheapest child
 /// [`compute_totals`] found for it.
 fn expand(totals: &Totals, d: DenseId) -> PlanNode {
     let children = totals
+        .scan
         .gather
         .slots_of(d)
         .iter()
@@ -166,7 +159,7 @@ fn expand(totals: &Totals, d: DenseId) -> PlanNode {
         })
         .collect();
     PlanNode {
-        id: totals.ids.phys(d),
+        id: totals.scan.ids.phys(d),
         children,
     }
 }

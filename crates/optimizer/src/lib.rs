@@ -37,7 +37,7 @@ pub use explore::{explore_bottom_up, explore_transform};
 pub use implement::{add_enforcers, implement_all};
 
 use plansample_catalog::Catalog;
-use plansample_memo::{Memo, PlanNode};
+use plansample_memo::{Memo, MemoScan, PlanNode};
 use plansample_query::QuerySpec;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -180,6 +180,17 @@ pub fn optimize(
     query: &QuerySpec,
     config: &OptimizerConfig,
 ) -> Result<Optimized, OptError> {
+    optimize_with_scan(catalog, query, config).map(|(optimized, _)| optimized)
+}
+
+/// [`optimize`], also returning the scan its best-plan extraction made
+/// of the returned memo — what a prepare packs its links from, so it
+/// scans the memo once.
+pub fn optimize_with_scan(
+    catalog: &Catalog,
+    query: &QuerySpec,
+    config: &OptimizerConfig,
+) -> Result<(Optimized, MemoScan), OptError> {
     let n = query.relations.len();
     if n > MAX_RELATIONS {
         return Err(OptError::TooManyRelations {
@@ -219,11 +230,12 @@ pub fn optimize(
     // *completed* optimizations as documented.
     OPTIMIZATIONS.fetch_add(1, Ordering::Relaxed);
     THREAD_OPTIMIZATIONS.with(|c| c.set(c.get() + 1));
-    Ok(Optimized {
+    let optimized = Optimized {
         memo,
         best_plan,
         best_cost,
-    })
+    };
+    Ok((optimized, totals.scan))
 }
 
 #[cfg(test)]

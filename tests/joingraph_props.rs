@@ -11,9 +11,7 @@ mod common;
 use common::SynthSpace;
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
-use plansample_memo::{
-    child_lists, eligible_children, gather_slots, validate_plan, DenseId, DenseIdMap, Memo,
-};
+use plansample_memo::{eligible_children, validate_plan, DenseId, Memo, MemoScan};
 use plansample_optimizer::{optimize, OptimizerConfig};
 use plansample_query::QuerySpec;
 use proptest::prelude::*;
@@ -43,9 +41,7 @@ fn arb_spec() -> impl Strategy<Value = JoinGraphSpec> {
 /// expression — mapped to dense ids, and the flat tables exact. `Err`
 /// names the first slot that differs.
 fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
-    let ids = DenseIdMap::build(memo);
-    let gather = gather_slots(memo);
-    let lists = child_lists(memo, query, &ids, &gather);
+    let MemoScan { ids, gather, lists } = MemoScan::build(memo, query);
     if lists.list_of.len() != gather.distinct.len() {
         return Err("one list per distinct slot".into());
     }

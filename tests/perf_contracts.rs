@@ -10,9 +10,6 @@
 //! cargo test --release -p plansample --test perf_contracts -- --nocapture
 //! ```
 //!
-//! The two parallel-speedup bars additionally need ≥ 4 cores: below
-//! that both configurations still run and must agree, and only the
-//! speed-up assertion is skipped, with a notice.
 //! Contracts time things, so they take turns ([`contract`]) instead of
 //! running on the test harness's parallel threads.
 
@@ -21,8 +18,6 @@ use plansample::{CountTier, PlanBatch, PlanSpace, PreparedQuery};
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_optimizer::OptimizerConfig;
-use plansample_serve::loadgen::{self, LoadgenConfig};
-use plansample_serve::server::{self, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -45,19 +40,6 @@ fn contract(name: &str) -> Option<MutexGuard<'static, ()>> {
     }
     // A failed contract must not fail the ones after it.
     Some(TURN.lock().unwrap_or_else(PoisonError::into_inner))
-}
-
-/// Whether the host can exhibit a 4-thread speedup, asked once both
-/// configurations have run; prints the skip notice when it cannot.
-fn four_cores(name: &str) -> bool {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    if cores < 4 {
-        println!(
-            "{name}: SKIPPING the speed-up bar — only {cores} core(s); \
-             a parallel speedup is not physically observable here"
-        );
-    }
-    cores >= 4
 }
 
 fn cold_clique10() -> PlanSpace {
@@ -102,10 +84,10 @@ fn median_secs<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Plans/sec of repeated fixed-seed `batch` calls for ~150 ms after one
-/// warm-up call, median of 3 runs, on `threads` pool threads. `batch`
-/// draws one batch and returns how many plans it held.
-fn plans_per_sec(threads: usize, mut batch: impl FnMut(&mut StdRng) -> usize) -> f64 {
-    threadpool::with_threads(threads, || {
+/// warm-up call, median of 3 runs, on one thread. `batch` draws one
+/// batch and returns how many plans it held.
+fn plans_per_sec(mut batch: impl FnMut(&mut StdRng) -> usize) -> f64 {
+    threadpool::with_threads(1, || {
         median(
             (0..3)
                 .map(|_| {
@@ -125,9 +107,9 @@ fn plans_per_sec(threads: usize, mut batch: impl FnMut(&mut StdRng) -> usize) ->
 
 /// Plans/sec of the serving path: `sample_batch_flat` into one reused
 /// [`PlanBatch`].
-fn flat_per_sec(space: &PlanSpace, threads: usize, k: usize) -> f64 {
+fn flat_per_sec(space: &PlanSpace, k: usize) -> f64 {
     let mut out = PlanBatch::new();
-    plans_per_sec(threads, |rng| {
+    plans_per_sec(|rng| {
         space.sample_batch_flat(rng, k, &mut out);
         std::hint::black_box(out.total_nodes());
         out.len()
@@ -225,46 +207,44 @@ fn clique10_counts_a_multi_limb_total_and_round_trips_its_boundary_ranks() {
 }
 
 /// Everything downstream of exploration is linear in the memo (paper
-/// §3), and best-plan extraction runs the same gather and the same class
-/// scan link materialization does — 2 049 distinct child slots on Q8+CP,
-/// each decided once per delivered order of its group. So on one thread
-/// the whole of `optimize` (explore, implement, enforcers, totals, best
-/// plan) may cost at most twice `Links::build` + `Counts::compute` over
-/// the memo it produced. It reads ≈ 1.2× (twelve readings 1.06–1.22×,
-/// EXPERIMENTS §E24, since `implement_all` reads a group's cardinality
-/// instead of re-deriving it per join; 1.46–1.90× before, §E23); a
-/// best-plan extraction that scans once per expression *slot* (43 651)
-/// read 3.5–3.8× (EXPERIMENTS §E19).
+/// §3), and a prepare scans its memo once: `PreparedQuery::prepare` is
+/// `optimize` — whose best-plan extraction makes the scan — plus the
+/// slot records, root list and topological order packed from that scan,
+/// and the count pass. So on one thread a whole Q8+CP prepare may cost at
+/// most `PREPARE_BAR` times the `optimize` inside it. Ten readings on a
+/// 2-core container: 1.39–1.45× (EXPERIMENTS §E26); the bar sits a
+/// quarter over the highest. A prepare that scans the memo a second time
+/// for its links read 1.79–1.88× in ten readings taken alongside.
 #[test]
-fn optimize_is_within_2x_of_links_plus_counts_on_q8cp() {
-    let name = "optimize vs links + counts (Q8+CP)";
+fn prepare_costs_little_more_than_its_optimize_on_q8cp() {
+    const PREPARE_BAR: f64 = 1.81;
+    let name = "prepare vs optimize (Q8+CP)";
     let Some(_turn) = contract(name) else { return };
     let (catalog, _) = plansample_catalog::tpch::catalog();
     let query = plansample_query::tpch::q8(&catalog);
     let config = OptimizerConfig::with_cross_products();
-    let (optimize, build) = threadpool::with_threads(1, || {
-        let memo = plansample_optimizer::optimize(&catalog, &query, &config)
-            .expect("Q8+CP optimizes")
-            .memo;
-        let optimize = median_secs(15, || {
-            plansample_optimizer::optimize(&catalog, &query, &config).expect("Q8+CP optimizes")
-        });
-        let build = median_secs(15, || {
-            let links = plansample::Links::build(&memo, &query).expect("Q8+CP links");
-            let counts = plansample::Counts::compute(&links);
-            (links, counts)
-        });
-        (optimize, build)
+    // Interleaved, so a host that slows down mid-reading slows both.
+    let (mut optimize, mut prepare) = (Vec::new(), Vec::new());
+    threadpool::with_threads(1, || {
+        for _ in 0..15 {
+            optimize.push(median_secs(1, || {
+                plansample_optimizer::optimize(&catalog, &query, &config).expect("Q8+CP optimizes")
+            }));
+            prepare.push(median_secs(1, || {
+                PreparedQuery::prepare(&catalog, &query, &config).expect("Q8+CP prepares")
+            }));
+        }
     });
-    let ratio = optimize / build.max(1e-12);
+    let (optimize, prepare) = (median(optimize), median(prepare));
+    let ratio = prepare / optimize.max(1e-12);
     println!(
-        "{name}: optimize {:.1} ms vs links + counts {:.1} ms ({ratio:.2}x)",
-        optimize * 1e3,
-        build * 1e3
+        "{name}: prepare {:.2} ms vs optimize {:.2} ms ({ratio:.2}x)",
+        prepare * 1e3,
+        optimize * 1e3
     );
     assert!(
-        ratio <= 2.0,
-        "optimizing Q8+CP must cost <= 2x building its links and counts; measured {ratio:.2}x"
+        ratio <= PREPARE_BAR,
+        "preparing Q8+CP must cost <= {PREPARE_BAR}x optimizing it; measured {ratio:.2}x"
     );
 }
 
@@ -340,8 +320,8 @@ fn flat_sampling_is_no_slower_than_tree_sampling_on_q8cp() {
         "Q8+CP total {} must stay single-limb",
         space.total()
     );
-    let tree = plans_per_sec(1, |rng| space.sample_batch(rng, 4096).len());
-    let flat = flat_per_sec(space, 1, 4096);
+    let tree = plans_per_sec(|rng| space.sample_batch(rng, 4096).len());
+    let flat = flat_per_sec(space, 4096);
     println!(
         "{name}: flat {flat:.0} vs tree {tree:.0} plans/sec, 1 thread ({:.1}x)",
         flat / tree
@@ -367,7 +347,7 @@ fn u128_tier_outruns_the_forced_nat_tier_on_clique10() {
     let peak = |space: &PlanSpace, batches: &[usize]| {
         batches
             .iter()
-            .map(|&k| flat_per_sec(space, 1, k))
+            .map(|&k| flat_per_sec(space, k))
             .fold(0.0f64, f64::max)
     };
     assert_eq!(
@@ -487,58 +467,4 @@ fn execute_outruns_the_volcano_oracle_on_q10() {
         "execute must be >= {EXECUTE_BAR}x faster than the Volcano engine over \
          128 sampled Q10 plans; measured {speedup:.2}x"
     );
-}
-
-#[test]
-fn four_thread_batched_sampling_is_2x_one_thread_on_four_cores() {
-    let name = "parallel sampling (Q8+CP, batch 4096)";
-    let Some(_turn) = contract(name) else { return };
-    let q8 = q8_cp();
-    let one = flat_per_sec(q8.space(), 1, 4096);
-    let four = flat_per_sec(q8.space(), 4, 4096);
-    let scaling = four / one.max(1e-12);
-    println!("{name}: {one:.0} plans/sec at 1 thread, {four:.0} at 4 ({scaling:.2}x)");
-    if four_cores(name) {
-        assert!(
-            scaling >= 2.0,
-            "4-thread batched sampling must be >= 2x the 1-thread rate on Q8+CP; \
-             measured {scaling:.2}x"
-        );
-    }
-}
-
-/// The same 100-connection mix against 1 and 4 reactors: clean at both
-/// counts on any host, and ≥ 2× the throughput at 4 on ≥ 4 cores.
-#[test]
-fn four_reactors_are_2x_one_reactor_on_four_cores() {
-    let name = "reactor scaling (100 connections x 30 requests)";
-    let Some(_turn) = contract(name) else { return };
-    let throughput = |reactors: usize| {
-        let handle = server::start(ServerConfig {
-            reactors,
-            workers: 4,
-            ..ServerConfig::default()
-        })
-        .expect("inline server starts");
-        let report = loadgen::run(
-            handle.addr(),
-            &LoadgenConfig {
-                requests_per_connection: 30,
-                ..LoadgenConfig::default()
-            },
-        );
-        handle.stop();
-        report
-            .check()
-            .unwrap_or_else(|why| panic!("run at {reactors} reactor(s) was not clean: {why}"));
-        report.throughput()
-    };
-    let (single, quad) = (throughput(1), throughput(4));
-    println!("{name}: {single:.0} req/s at 1 reactor, {quad:.0} at 4");
-    if four_cores(name) {
-        assert!(
-            quad >= single * 2.0,
-            "4 reactors sustained {quad:.0} req/s, less than 2x the single-reactor {single:.0} req/s"
-        );
-    }
 }
