@@ -195,12 +195,6 @@ impl From<plansample::SpaceError> for CliError {
     }
 }
 
-impl From<plansample::validate::ValidateError> for CliError {
-    fn from(e: plansample::validate::ValidateError) -> Self {
-        CliError::Run(e.into())
-    }
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 plansample-cli — count, enumerate, sample, rank, and validate execution plans
@@ -650,7 +644,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             // tier the space qualifies for (u64 → u128 → exact Nat), no
             // per-plan tree allocation, each plan costed as it is drawn.
             let mut batch = plansample::PlanBatch::new();
-            prepared.sample_batch_costed(&mut rng, *k, &mut batch);
+            prepared.sample_batch_scaled(&mut rng, *k, &mut batch);
             let costs = batch.costs();
             let s = Summary::of(costs);
             let _ = writeln!(

@@ -4,7 +4,8 @@
 //! preorder [`PhysId`]s plus a bounds table, CSR-style, mirroring the
 //! flat layout philosophy of [`crate::Links`]: after the first batch
 //! warms its capacity, refilling it allocates nothing. A *costed* fill
-//! ([`crate::PlanSpace::sample_batch_costed`]) also leaves one cost per
+//! ([`crate::PlanSpace::sample_batch_costed`], or
+//! [`crate::PreparedQuery::sample_batch_scaled`]) also leaves one cost per
 //! plan in a column beside the bounds, summed during the walk that
 //! produced the ids, so a caller that wants both never reads a plan
 //! twice. The serving layer's `SampleBatch` path, the CLI and the
@@ -74,10 +75,10 @@ impl Default for TierScratch {
 /// A resizable, reusable batch of flat plans.
 ///
 /// Obtain one with [`PlanBatch::new`], pass it to
-/// [`crate::PlanSpace::sample_batch_flat`] or
-/// [`sample_batch_costed`](crate::PlanSpace::sample_batch_costed) (or
-/// the [`crate::PreparedQuery`] delegations) as many times as needed;
-/// each fill clears the previous content but keeps the capacity.
+/// [`crate::PlanSpace::sample_batch_flat`],
+/// [`sample_batch_costed`](crate::PlanSpace::sample_batch_costed) or
+/// [`crate::PreparedQuery::sample_batch_scaled`] as many times as
+/// needed; each fill clears the previous content but keeps the capacity.
 #[derive(Debug, Default, Clone)]
 pub struct PlanBatch {
     /// Preorder operator ids of every plan, concatenated.
@@ -129,7 +130,7 @@ impl PlanBatch {
     /// by a costed fill — in that fill's unit: total plan cost from
     /// [`crate::PlanSpace::sample_batch_costed`], cost scaled to the
     /// optimizer's plan from
-    /// [`crate::PreparedQuery::sample_batch_costed`]. Empty after
+    /// [`crate::PreparedQuery::sample_batch_scaled`]. Empty after
     /// [`crate::PlanSpace::sample_batch_flat`].
     pub fn costs(&self) -> &[f64] {
         &self.costs

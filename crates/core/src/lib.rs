@@ -214,17 +214,9 @@ impl From<ExecError> for Error {
     }
 }
 
-impl From<validate::ValidateError> for Error {
-    fn from(e: validate::ValidateError) -> Self {
-        match e {
-            validate::ValidateError::Space(e) => Error::Space(e),
-            validate::ValidateError::Exec(e) => Error::Exec(e),
-        }
-    }
-}
-
 /// A fully prepared plan space: the memo plus materialized links (§3.1)
-/// and exact counts (§3.2). All rank operations are methods on this type.
+/// and exact counts (§3.2). All rank operations are methods on this type,
+/// defined once; a [`PreparedQuery`] reaches them through `Deref`.
 ///
 /// The space *owns* its memo and query (shared via [`Arc`]), so it can be
 /// stored, cached, cloned cheaply-ish, and sent across threads — the
@@ -357,6 +349,13 @@ impl PlanSpace {
     /// totals).
     pub fn counts(&self) -> &Counts {
         &self.counts
+    }
+
+    /// Which rung of the fixed-width tier ladder (`u64` → `u128` →
+    /// exact `Nat`) the flat sampler runs on — a throughput property
+    /// only; sampled content is tier-independent.
+    pub fn tier(&self) -> CountTier {
+        self.counts.tier()
     }
 
     /// Re-stores the counts on the slower rung `tier` of the ladder —

@@ -3,25 +3,28 @@
 //! The paper's central observation is that counting, enumerating, and
 //! sampling are cheap *once the MEMO is built* — the expensive steps
 //! (optimization, link materialization, counting) happen exactly once.
-//! [`PreparedQuery`] reifies that split into the API: it bundles the
-//! optimized memo, the query, the materialized links and counts, and the
-//! optimizer's best plan into one owned, immutable, `Send + Sync`
-//! artifact. Wrap it in an [`std::sync::Arc`] and any number of threads
-//! can count, unrank, page, and sample concurrently with zero
+//! [`PreparedQuery`] reifies that split into the API: it is a
+//! [`PlanSpace`] (the optimized memo, the query, the materialized links
+//! and counts) plus the optimizer's best plan, in one owned, immutable,
+//! `Send + Sync` artifact. Every plan-space operation is the space's,
+//! reached through `Deref`; this type adds only what needs the best
+//! plan. Wrap it in an [`std::sync::Arc`] and any number of threads can
+//! count, unrank, page, and sample concurrently with zero
 //! re-optimization and zero locking.
 
-use crate::{Counts, Error, Links, PlanBatch, PlanCursor, PlanSpace, SpaceError};
-use plansample_bignum::Nat;
+use crate::{Counts, Error, Links, PlanBatch, PlanSpace, SpaceError};
 use plansample_catalog::Catalog;
-use plansample_memo::{satisfies_cols, Memo, PhysId, PlanNode, SortOrder};
+use plansample_memo::{satisfies_cols, PhysId, PlanNode, SortOrder};
 use plansample_optimizer::{optimize_with_scan, Optimized, OptimizerConfig};
 use plansample_query::{ColRef, QuerySpec};
 use rand::Rng;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// An owned, shareable, fully prepared query: the complete paper surface
 /// (count / rank / unrank / enumerate / sample, whole-space and
-/// sub-space) without ever re-optimizing.
+/// sub-space, all [`PlanSpace`]'s through `Deref`) without ever
+/// re-optimizing.
 ///
 /// Produced by [`PreparedQuery::prepare`] or
 /// [`crate::session::Session::prepare`]. The artifact is immutable and
@@ -59,6 +62,14 @@ pub struct PreparedQuery {
     config: OptimizerConfig,
 }
 
+impl Deref for PreparedQuery {
+    type Target = PlanSpace;
+
+    fn deref(&self) -> &PlanSpace {
+        &self.space
+    }
+}
+
 impl PreparedQuery {
     /// Runs the optimizer once and post-processes its memo into the
     /// owned artifact — the only expensive call in this type's API. The
@@ -70,40 +81,19 @@ impl PreparedQuery {
         config: &OptimizerConfig,
     ) -> Result<Self, Error> {
         let (optimized, scan) = optimize_with_scan(catalog, query, config)?;
-        let links = Links::from_scan(&optimized.memo, scan)?;
-        PreparedQuery::assemble(optimized, Arc::new(query.clone()), links, config.clone())
-    }
-
-    /// Builds the artifact from an already-run optimization, taking
-    /// ownership of the memo without copying it. Its memo may have been
-    /// replaced since, so the links scan it afresh.
-    pub fn from_optimized(
-        optimized: Optimized,
-        query: Arc<QuerySpec>,
-        config: OptimizerConfig,
-    ) -> Result<Self, Error> {
-        let links = Links::build(&optimized.memo, &query)?;
-        PreparedQuery::assemble(optimized, query, links, config)
-    }
-
-    /// Counts `links`, which must be `optimized.memo`'s, into the artifact.
-    fn assemble(
-        optimized: Optimized,
-        query: Arc<QuerySpec>,
-        links: Links,
-        config: OptimizerConfig,
-    ) -> Result<Self, Error> {
         let Optimized {
             memo,
             best_plan,
             best_cost,
         } = optimized;
+        let links = Links::from_scan(&memo, scan)?;
         let counts = Counts::compute(&links);
+        let query = Arc::new(query.clone());
         Ok(PreparedQuery {
             space: PlanSpace::from_parts(Arc::new(memo), query, links, counts)?,
             best_plan,
             best_cost,
-            config,
+            config: config.clone(),
         })
     }
 
@@ -170,25 +160,10 @@ impl PreparedQuery {
         )
     }
 
-    /// `N`: the exact number of complete execution plans.
-    pub fn total(&self) -> &Nat {
-        self.space.total()
-    }
-
-    /// `N(v)`: plans rooted in a particular expression.
-    pub fn count_rooted(&self, id: PhysId) -> Nat {
-        self.space.count_rooted(id)
-    }
-
     /// The optimizer's chosen plan and its total cost — the paper's
     /// cost-1.0 reference point.
     pub fn best(&self) -> (&PlanNode, f64) {
         (&self.best_plan, self.best_cost)
-    }
-
-    /// Cost of the optimizer's plan.
-    pub fn best_cost(&self) -> f64 {
-        self.best_cost
     }
 
     /// A plan's total cost scaled so the optimizer's plan is 1.0 (the
@@ -197,74 +172,15 @@ impl PreparedQuery {
         plan.total_cost(self.memo()) / self.best_cost
     }
 
-    /// Builds plan number `rank` (0-based, `rank < total()`).
-    pub fn unrank(&self, rank: &Nat) -> Result<PlanNode, Error> {
-        Ok(self.space.unrank(rank)?)
-    }
-
-    /// The rank of `plan` within this space (inverse of
-    /// [`unrank`](Self::unrank)).
-    pub fn rank(&self, plan: &PlanNode) -> Result<Nat, Error> {
-        Ok(self.space.rank(plan)?)
-    }
-
-    /// Builds plan number `rank` within the sub-space rooted at `v`.
-    pub fn unrank_rooted(&self, v: PhysId, rank: &Nat) -> Result<PlanNode, Error> {
-        Ok(self.space.unrank_rooted(v, rank)?)
-    }
-
-    /// The rank of `plan` within the sub-space rooted at its own root
-    /// expression.
-    pub fn rank_rooted(&self, plan: &PlanNode) -> Result<Nat, Error> {
-        Ok(self.space.rank_rooted(plan)?)
-    }
-
-    /// Draws one plan uniformly from the space.
-    ///
-    /// # Panics
-    /// Panics if the space is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> PlanNode {
-        self.space.sample(rng)
-    }
-
-    /// Draws `k` plans uniformly and independently (with replacement) —
-    /// the batched serving path.
+    /// [`PlanSpace::sample_batch_costed`] with each plan's cost scaled
+    /// as [`scaled_cost`](Self::scaled_cost) scales it, left in
+    /// [`PlanBatch::costs`] bit-identical to costing the plan's tree —
+    /// the serving path (the costs are summed during the walk that
+    /// emits the ids).
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
-    pub fn sample_batch<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<PlanNode> {
-        self.space.sample_batch(rng, k)
-    }
-
-    /// Draws `k` plans uniformly into a reusable flat batch — the
-    /// zero-allocation serving path, running on the fastest unranking
-    /// tier the space qualifies for (see
-    /// [`PlanSpace::sample_batch_flat`] and [`tier`](Self::tier)).
-    /// Bit-identical content to [`sample_batch`](Self::sample_batch) on
-    /// the same seed, at every tier and thread count.
-    ///
-    /// # Panics
-    /// Panics if `k > 0` and the space is empty.
-    pub fn sample_batch_flat<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, out: &mut PlanBatch) {
-        self.space.sample_batch_flat(rng, k, out);
-    }
-
-    /// Which rung of the fixed-width tier ladder (`u64` → `u128` →
-    /// exact `Nat`) this query's flat sampler runs on — a throughput
-    /// property only; sampled content is tier-independent.
-    pub fn tier(&self) -> crate::CountTier {
-        self.space.counts().tier()
-    }
-
-    /// [`sample_batch_flat`](Self::sample_batch_flat) that also leaves
-    /// each plan's [`scaled_cost`](Self::scaled_cost) in
-    /// [`PlanBatch::costs`], bit-identical to costing the plan's tree —
-    /// the serving path (see [`PlanSpace::sample_batch_costed`]: the
-    /// costs are summed during the walk that emits the ids).
-    ///
-    /// # Panics
-    /// Panics if `k > 0` and the space is empty.
-    pub fn sample_batch_costed<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, out: &mut PlanBatch) {
+    pub fn sample_batch_scaled<R: Rng + ?Sized>(&self, rng: &mut R, k: usize, out: &mut PlanBatch) {
         self.space.sample_batch_costed(rng, k, out);
         for cost in out.costs_mut() {
             *cost /= self.best_cost;
@@ -280,7 +196,7 @@ impl PreparedQuery {
     /// — local cost plus the left-to-right sum of child subtree totals
     /// — so the result is bit-identical to the tree path. Production
     /// costs plans while it draws them
-    /// ([`sample_batch_costed`](Self::sample_batch_costed)); this
+    /// ([`sample_batch_scaled`](Self::sample_batch_scaled)); this
     /// separate pass over finished ids is the reference that fill is
     /// tested against.
     pub fn scaled_cost_ids(&self, ids: &[PhysId]) -> f64 {
@@ -298,25 +214,6 @@ impl PreparedQuery {
         totals[0] / self.best_cost
     }
 
-    /// Uniform sample from the sub-space rooted at `v`.
-    ///
-    /// # Panics
-    /// Panics when the sub-space is empty (`count_rooted(v) == 0`).
-    pub fn sample_rooted<R: Rng + ?Sized>(&self, rng: &mut R, v: PhysId) -> PlanNode {
-        self.space.sample_rooted(rng, v)
-    }
-
-    /// Streams every plan in rank order.
-    pub fn enumerate(&self) -> PlanCursor<'_> {
-        self.space.enumerate()
-    }
-
-    /// Streams plans in rank order starting at `rank` — resumable
-    /// pagination over the space (see [`PlanCursor`]).
-    pub fn enumerate_from(&self, rank: Nat) -> PlanCursor<'_> {
-        self.space.enumerate_from(rank)
-    }
-
     /// Bytes of memory held by this artifact: the plan space's flat link
     /// and count buffers, the shared memo, and the best plan.
     ///
@@ -328,25 +225,10 @@ impl PreparedQuery {
             - std::mem::size_of::<PlanNode>()
     }
 
-    /// The underlying plan space, for the full low-level surface
-    /// (analysis, validation, naive-walk baseline, …).
+    /// The underlying plan space — what `Deref` reaches, for a caller
+    /// that wants it by name (to clone it, or to pass it on).
     pub fn space(&self) -> &PlanSpace {
         &self.space
-    }
-
-    /// The optimized memo.
-    pub fn memo(&self) -> &Memo {
-        self.space.memo()
-    }
-
-    /// The query this artifact was prepared for.
-    pub fn query(&self) -> &QuerySpec {
-        self.space.query()
-    }
-
-    /// Shared handle to the query.
-    pub fn query_shared(&self) -> &Arc<QuerySpec> {
-        self.space.query_shared()
     }
 
     /// The optimizer configuration the artifact was prepared under.
@@ -358,6 +240,7 @@ impl PreparedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plansample_bignum::Nat;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -399,18 +282,6 @@ mod tests {
             1,
             "no serving operation re-optimizes"
         );
-    }
-
-    #[test]
-    fn from_optimized_takes_ownership_without_copying() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        let query = Arc::new(plansample_query::tpch::q6(&catalog));
-        let config = OptimizerConfig::default();
-        let optimized = plansample_optimizer::optimize(&catalog, &query, &config).unwrap();
-        let n_phys = optimized.memo.num_physical();
-        let p = PreparedQuery::from_optimized(optimized, Arc::clone(&query), config).unwrap();
-        assert_eq!(p.memo().num_physical(), n_phys);
-        assert!(Arc::ptr_eq(p.query_shared(), &query));
     }
 
     #[test]

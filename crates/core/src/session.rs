@@ -3,14 +3,12 @@
 //! A [`Session`] bundles a catalog, a database, and an optimizer
 //! configuration. [`Session::prepare`] runs the optimizer *once* and
 //! returns an owned [`PreparedQuery`] artifact; every subsequent count,
-//! sample, page, or `USEPLAN` execution reuses it. The convenience
-//! one-shot methods ([`Session::execute`], [`Session::execute_plan`],
-//! [`Session::count_plans`]) are thin wrappers that prepare internally —
-//! fine for scripts, wasteful in loops; hold a [`PreparedQuery`] (or a
-//! [`crate::service::PlanService`]) when serving repeated requests.
+//! sample, page, or `USEPLAN` execution
+//! ([`Session::execute_prepared`]) reuses it. Hold the artifact (or a
+//! [`crate::service::PlanService`]) for as long as the query is served.
 
 use crate::lower::lower;
-use crate::{Error, PlanSpace, PreparedQuery};
+use crate::{Error, PreparedQuery};
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
 use plansample_exec::{Database, Table};
@@ -135,43 +133,20 @@ impl Session {
         self.run_plan(prepared, &plan, rank)
     }
 
-    /// Counts the plans the optimizer considers for `query` — the
-    /// paper's "build the MEMO structure, count the possible plans".
-    /// One-shot convenience: prepares internally and throws the artifact
-    /// away.
-    pub fn count_plans(&self, query: &QuerySpec) -> Result<Nat, Error> {
-        Ok(self.prepare(query)?.total().clone())
-    }
-
-    /// Executes `query` with the optimizer's chosen plan (one-shot).
-    pub fn execute(&self, query: &QuerySpec) -> Result<QueryOutcome, Error> {
-        let prepared = self.prepare(query)?;
-        self.execute_prepared(&prepared, None)
-    }
-
-    /// Executes `query` with plan number `rank` — `OPTION (USEPLAN rank)`
-    /// (one-shot).
-    pub fn execute_plan(&self, query: &QuerySpec, rank: &Nat) -> Result<QueryOutcome, Error> {
-        let prepared = self.prepare(query)?;
-        self.execute_prepared(&prepared, Some(rank))
-    }
-
     fn run_plan(
         &self,
         prepared: &PreparedQuery,
         plan: &PlanNode,
         rank: Option<Nat>,
     ) -> Result<QueryOutcome, Error> {
-        let space: &PlanSpace = prepared.space();
         let exec = lower(prepared.memo(), prepared.query(), &self.catalog, plan);
         let table = exec.execute(&self.db)?;
-        let plan_cost = plan.total_cost(prepared.memo());
         Ok(QueryOutcome {
             table,
             rank,
-            space_size: space.total().clone(),
-            plan_cost,
-            scaled_cost: plan_cost / prepared.best_cost(),
+            space_size: prepared.total().clone(),
+            plan_cost: plan.total_cost(prepared.memo()),
+            scaled_cost: prepared.scaled_cost(plan),
             plan_text: plan.render(prepared.memo()),
         })
     }
@@ -194,7 +169,7 @@ mod tests {
     fn optimizer_plan_executes_q5() {
         let s = session();
         let q = plansample_query::tpch::q5(s.catalog());
-        let out = s.execute(&q).unwrap();
+        let out = s.execute_prepared(&s.prepare(&q).unwrap(), None).unwrap();
         assert!(out.rank.is_none());
         assert!(
             (out.scaled_cost - 1.0).abs() < 1e-9,
@@ -246,22 +221,16 @@ mod tests {
     fn useplan_out_of_range_is_an_error() {
         let s = session();
         let q = plansample_query::tpch::q6(s.catalog());
-        let n = s.count_plans(&q).unwrap();
+        let prepared = s.prepare(&q).unwrap();
+        let n = prepared.total().clone();
+        // Q6: lineitem scan (2 alternatives incl. sorts etc.) + agg pair.
+        assert!(n.to_u64().unwrap() >= 4);
         assert!(matches!(
-            s.execute_plan(&q, &n),
+            s.execute_prepared(&prepared, Some(&n)),
             Err(Error::Space(SpaceError::RankOutOfRange { .. }))
         ));
         let mut last = n;
         last.decr();
-        assert!(s.execute_plan(&q, &last).is_ok());
-    }
-
-    #[test]
-    fn count_plans_matches_space() {
-        let s = session();
-        let q = plansample_query::tpch::q6(s.catalog());
-        // Q6: lineitem scan (2 alternatives incl. sorts etc.) + agg pair.
-        let n = s.count_plans(&q).unwrap();
-        assert!(n.to_u64().unwrap() >= 4);
+        assert!(s.execute_prepared(&prepared, Some(&last)).is_ok());
     }
 }

@@ -8,10 +8,10 @@
 //! the plan *number*, so the failing plan can be reproduced exactly with
 //! `OPTION (USEPLAN n)` (see [`crate::session`]).
 
-use crate::{lower::lower, PlanSpace, SpaceError};
+use crate::{lower::lower, Error, PlanSpace};
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
-use plansample_exec::{Database, ExecError, SortedRows, Table};
+use plansample_exec::{Database, SortedRows, Table};
 use plansample_memo::{validate_plan, PlanViolation};
 use rand::Rng;
 use std::fmt;
@@ -69,46 +69,6 @@ impl fmt::Display for ValidationReport {
     }
 }
 
-/// Errors from validation runs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ValidateError {
-    /// Rank machinery failed.
-    Space(SpaceError),
-    /// Plan execution failed outright (as opposed to producing a
-    /// divergent result).
-    Exec(ExecError),
-}
-
-impl fmt::Display for ValidateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ValidateError::Space(_) => write!(f, "rank machinery failed during validation"),
-            ValidateError::Exec(_) => write!(f, "plan execution failed during validation"),
-        }
-    }
-}
-
-impl std::error::Error for ValidateError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ValidateError::Space(e) => Some(e),
-            ValidateError::Exec(e) => Some(e),
-        }
-    }
-}
-
-impl From<SpaceError> for ValidateError {
-    fn from(e: SpaceError) -> Self {
-        ValidateError::Space(e)
-    }
-}
-
-impl From<ExecError> for ValidateError {
-    fn from(e: ExecError) -> Self {
-        ValidateError::Exec(e)
-    }
-}
-
 impl PlanSpace {
     /// Executes plan number `rank` against `db`.
     pub fn execute_rank(
@@ -116,7 +76,7 @@ impl PlanSpace {
         catalog: &Catalog,
         db: &Database,
         rank: &Nat,
-    ) -> Result<Table, ValidateError> {
+    ) -> Result<Table, Error> {
         let plan = self.unrank(rank)?;
         let exec = lower(&self.memo, &self.query, catalog, &plan);
         Ok(exec.execute(db)?)
@@ -129,7 +89,7 @@ impl PlanSpace {
         catalog: &Catalog,
         db: &Database,
         limit: usize,
-    ) -> Result<ValidationReport, ValidateError> {
+    ) -> Result<ValidationReport, Error> {
         let reference = self.execute_rank(catalog, db, &Nat::zero())?;
         let mut report = ValidationReport {
             space_size: self.total().clone(),
@@ -154,7 +114,7 @@ impl PlanSpace {
         db: &Database,
         k: usize,
         rng: &mut R,
-    ) -> Result<ValidationReport, ValidateError> {
+    ) -> Result<ValidationReport, Error> {
         let reference = self.execute_rank(catalog, db, &Nat::zero())?;
         let mut report = ValidationReport {
             space_size: self.total().clone(),
@@ -179,7 +139,7 @@ impl PlanSpace {
         rank: &Nat,
         reference: &SortedRows<'_>,
         report: &mut ValidationReport,
-    ) -> Result<(), ValidateError> {
+    ) -> Result<(), Error> {
         let exec = lower(&self.memo, &self.query, catalog, plan);
         let result = exec.execute(db)?;
         report.plans_checked += 1;

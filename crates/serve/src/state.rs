@@ -374,7 +374,7 @@ impl ServerState {
             }
             Request::Unrank(_, rank) => match p.unrank(rank) {
                 Ok(plan) => Response::Plan(to_wire_plan(&plan), p.scaled_cost(&plan)),
-                Err(e) => error_response(&e),
+                Err(e) => error_response(&Error::from(e)),
             },
             Request::SampleBatch(_, seed, k) => {
                 return self.stream_samples(p, *seed, *k, request_id)
@@ -404,7 +404,7 @@ impl ServerState {
         }
         BATCH.with(|cell| {
             let batch = &mut *cell.borrow_mut();
-            p.sample_batch_costed(&mut StdRng::seed_from_u64(seed), k as usize, batch);
+            p.sample_batch_scaled(&mut StdRng::seed_from_u64(seed), k as usize, batch);
             let mut enc = SamplesEncoder::new(request_id);
             enc.reserve(batch.len(), batch.total_nodes());
             for (ids, &cost) in batch.iter().zip(batch.costs()) {
@@ -957,6 +957,23 @@ mod tests {
         );
         assert_answers(&state, &Request::Count(sql(REGION)));
         assert_answers(&state, &Request::Unrank(sql(REGION), Nat::zero()));
+    }
+
+    /// A rank one past the space's last plan is a typed `Space` error
+    /// whose message is the pipeline error's, not the rank layer's.
+    #[test]
+    fn out_of_range_unrank_replies_with_the_pipeline_space_error() {
+        let state = state();
+        let Response::Count(total) = state.handle(&Request::Count(sql(REGION))) else {
+            panic!("{REGION:?} does not count");
+        };
+        assert_eq!(
+            state.handle(&Request::Unrank(sql(REGION), total)),
+            Response::Error {
+                code: ErrorCode::Space,
+                message: "plan-space operation failed".to_string(),
+            }
+        );
     }
 
     /// `SamplesEncoder` (streaming) against `Response::encode` (the

@@ -45,6 +45,6 @@ pub fn join_queries(catalog: &Catalog) -> Vec<(&'static str, QuerySpec)> {
 /// walk that lists it, bit-identically to its tree.
 pub fn sample_scaled_costs(prepared: &PreparedQuery, k: usize, seed: u64) -> Vec<f64> {
     let mut batch = PlanBatch::new();
-    prepared.sample_batch_costed(&mut StdRng::seed_from_u64(seed), k, &mut batch);
+    prepared.sample_batch_scaled(&mut StdRng::seed_from_u64(seed), k, &mut batch);
     batch.costs().to_vec()
 }

@@ -4,12 +4,12 @@
 //! on the same walk: it must emit the same ids on the same seed, and a
 //! cost per plan that is *bit-identical* to costing that plan's tree —
 //! `PlanNode::total_cost` from a `PlanSpace`, `scaled_cost` from a
-//! `PreparedQuery` — not merely within a ULP, because serve pins reply
-//! bytes. Checked on the paper's example (every one of its 32 plans), on
-//! Q5, Q8+CP and clique-9 (a genuine `u128` space), on the same spaces
-//! forced down the tier ladder, at 1, 2 and 4 threads with a batch large
-//! enough to shard (costs merge in chunk order like ids), and on random
-//! small join graphs. The separate-pass `scaled_cost_ids` is held to the
+//! `PreparedQuery`'s `sample_batch_scaled` — not merely within a ULP,
+//! because serve pins reply bytes. Checked on the paper's example (every
+//! one of its 32 plans), on Q5, Q8+CP and clique-9 (a genuine `u128`
+//! space), on the same spaces forced down the tier ladder, at 1, 2 and 4
+//! threads with a batch large enough to shard (costs merge in chunk order
+//! like ids), and on random small join graphs. The separate-pass `scaled_cost_ids` is held to the
 //! same trees, since it is the reference the benchmark keeps timing.
 
 use plansample::{paper_example, CountTier, PlanBatch, PlanSpace, PreparedQuery};
@@ -47,7 +47,7 @@ fn assert_costed_fill(
     out: &mut PlanBatch,
     context: &str,
 ) {
-    prepared.sample_batch_costed(&mut StdRng::seed_from_u64(seed), expected.len(), out);
+    prepared.sample_batch_scaled(&mut StdRng::seed_from_u64(seed), expected.len(), out);
     assert_eq!(out.len(), expected.len(), "{context}");
     assert_eq!(out.costs().len(), expected.len(), "{context}");
     for (p, (tree, cost)) in expected.iter().enumerate() {
