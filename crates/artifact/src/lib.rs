@@ -20,9 +20,9 @@
 //!   rename) so readers never observe a half-written artifact.
 //! * [`ArtifactStore`] is a directory of artifacts addressed by the
 //!   *same* normalized fingerprint [`plansample_core::cache_key`] uses
-//!   — a service's cache key without its scope, exactly the key of a
-//!   service with a cache of its own. It quarantines corrupt or stale entries instead of serving them and
-//!   warms a [`plansample_core::PlanService`] at startup.
+//!   — a server's cache key without its scope. It quarantines corrupt
+//!   or stale entries instead of serving them and, at startup, offers
+//!   every artifact it holds to whoever warms a cache from it.
 //!
 //! Decoding is *hostile-input safe*: every read is bounds-checked and
 //! every structural invariant re-validated (`Memo::from_parts`,

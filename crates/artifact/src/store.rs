@@ -2,9 +2,9 @@
 //!
 //! The store is deliberately dumb: one file per prepared query, named
 //! by a hash of the *same* normalized fingerprint
-//! [`plansample_core::cache_key`] computes — what a `PlanService` keys
-//! its cache by, behind its scope if it has one — so the two can never
-//! drift apart. Publication is
+//! [`plansample_core::cache_key`] computes — what a cache of prepared
+//! queries keys them by, behind a scope if it has one — so the two can
+//! never drift apart. Publication is
 //! atomic (a temp file of the call's own + rename, see [`crate::save`]);
 //! a concurrent writer of the same key — another process or another
 //! thread of this one — simply wins the rename race with an identical
@@ -15,12 +15,11 @@
 //! it while the store keeps serving.
 
 use crate::{checksum, ArtifactError};
-use plansample_core::{cache_key, PlanService, PreparedQuery};
+use plansample_core::{cache_key, PreparedQuery};
 use plansample_optimizer::OptimizerConfig;
 use plansample_query::QuerySpec;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// File extension of a published artifact.
 const EXT: &str = "plan";
@@ -35,9 +34,9 @@ pub struct ArtifactStore {
 /// What a [`ArtifactStore::warm`] pass did, for startup logging.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WarmReport {
-    /// Artifacts decoded and admitted into the service cache.
+    /// Artifacts decoded and admitted.
     pub loaded: usize,
-    /// Artifacts that decoded but were refused by the service (config
+    /// Artifacts that decoded but were refused (for a server: config
     /// mismatch, or the key was already cached).
     pub refused: usize,
     /// Files that failed to decode and were quarantined.
@@ -126,12 +125,14 @@ impl ArtifactStore {
         Ok(paths)
     }
 
-    /// Loads every artifact in the store into `service`'s cache
-    /// (startup warming). Corrupt files are quarantined, artifacts
-    /// prepared under a different optimizer configuration are refused
-    /// by [`PlanService::warm`] — in both cases warming continues, and
-    /// the report says what happened.
-    pub fn warm(&self, service: &PlanService) -> Result<WarmReport, ArtifactError> {
+    /// Decodes every artifact in the store and offers each to `admit`
+    /// (startup warming), which returns whether it took it. Corrupt
+    /// files are quarantined, refused artifacts are counted — in both
+    /// cases warming continues, and the report says what happened.
+    pub fn warm(
+        &self,
+        mut admit: impl FnMut(PreparedQuery) -> bool,
+    ) -> Result<WarmReport, ArtifactError> {
         let mut report = WarmReport::default();
         for path in self.entries()? {
             let loaded = fs::read(&path)
@@ -139,7 +140,7 @@ impl ArtifactStore {
                 .and_then(|bytes| crate::decode(&bytes));
             match loaded {
                 Ok(prepared) => {
-                    if service.warm(Arc::new(prepared)) {
+                    if admit(prepared) {
                         report.loaded += 1;
                     } else {
                         report.refused += 1;
@@ -282,16 +283,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_fills_a_service_and_reports_mismatches() {
+    fn warm_offers_every_artifact_and_reports_refusals() {
         let dir = temp_dir("warm");
         let store = ArtifactStore::open(&dir).unwrap();
         let (query, config, prepared) = q5_prepared();
         store.save(&prepared).unwrap();
 
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        let service = PlanService::new(catalog.clone(), config.clone(), 8);
-        let before = plansample_optimizer::thread_optimizations_performed();
-        let report = store.warm(&service).unwrap();
+        let mut admitted = Vec::new();
+        let report = store
+            .warm(|p| {
+                admitted.push(p);
+                true
+            })
+            .unwrap();
         assert_eq!(
             report,
             WarmReport {
@@ -300,24 +304,17 @@ mod tests {
                 quarantined: 0
             }
         );
-        let served = service
-            .get_keyed(&service.key_for(&query))
-            .expect("warmed key is a cache hit");
-        assert_eq!(served.total(), prepared.total());
+        assert_eq!(admitted.len(), 1);
+        assert_eq!(admitted[0].total(), prepared.total());
         assert_eq!(
-            plansample_optimizer::thread_optimizations_performed(),
-            before,
-            "a warmed artifact must serve with zero re-optimizations"
+            cache_key(admitted[0].query(), admitted[0].config()),
+            cache_key(&query, &config)
         );
 
-        // A service under a different config refuses the artifact.
-        let other = PlanService::new(catalog, OptimizerConfig::with_cross_products(), 8);
-        let report = other.stats();
-        assert_eq!(report.entries, 0);
-        let warm = store.warm(&other).unwrap();
-        assert_eq!(warm.loaded, 0);
-        assert_eq!(warm.refused, 1);
-        assert!(other.get_keyed(&other.key_for(&query)).is_none());
+        // Whatever the closure refuses is counted, not quarantined.
+        let refused = store.warm(|_| false).unwrap();
+        assert_eq!((refused.loaded, refused.refused), (0, 1));
+        assert_eq!(store.entries().unwrap().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -10,7 +10,7 @@
 //! asserts the error *that stage* names, not a downstream side effect.
 
 use plansample_artifact::{decode, inspect, ArtifactError, ArtifactStore, FORMAT_VERSION};
-use plansample_core::{PlanService, PreparedQuery};
+use plansample_core::PreparedQuery;
 use plansample_optimizer::OptimizerConfig;
 use plansample_query::QuerySpec;
 use proptest::prelude::*;
@@ -334,12 +334,22 @@ fn warming_skips_damaged_entries_and_loads_the_rest() {
     bytes[last] ^= 0xFF;
     fs::write(&bad, &bytes).unwrap();
 
-    let (catalog, _) = plansample_catalog::tpch::catalog();
-    let service = PlanService::new(catalog, config, 8);
-    let report = store.warm(&service).unwrap();
+    let mut admitted = Vec::new();
+    let report = store
+        .warm(|p| {
+            admitted.push(p);
+            true
+        })
+        .unwrap();
     assert_eq!(report.loaded, 1, "good entry admitted");
     assert_eq!(report.quarantined, 1, "bad entry quarantined");
-    assert!(service.get_keyed(&service.key_for(&query)).is_some());
+    let [good] = &admitted[..] else {
+        panic!("admitted {} artifacts", admitted.len());
+    };
+    assert_eq!(
+        plansample_core::cache_key(good.query(), good.config()),
+        plansample_core::cache_key(&query, &config)
+    );
     assert!(!bad.exists());
     assert!(bad.with_extension("quarantined").exists());
     let _ = fs::remove_dir_all(&dir);

@@ -59,11 +59,10 @@ pub struct Cli {
     /// Reactor (event-loop) threads for `serve`/`loadgen` servers
     /// (`0`: one per available core).
     pub reactors: usize,
-    /// Persistent artifact store directory for `serve` (write-through
-    /// persistence of every TPC-H preparation).
+    /// Persistent artifact store directory for `serve`: the cache is
+    /// warmed from it at startup and every TPC-H preparation is written
+    /// through to it.
     pub artifact_dir: Option<String>,
-    /// Warm the serving cache from `--artifact-dir` at startup.
-    pub warm: bool,
 }
 
 /// The `artifact` subcommands: move prepared plan spaces on and off
@@ -240,9 +239,9 @@ USAGE:
   into a store directory; `load` proves the artifact round-trips;
   `inspect` prints the file's section-level byte breakdown; `verify`
   fully decodes it and reports the typed error on any corruption.
-  `serve --artifact-dir DIR` write-through-persists every TPC-H
-  preparation there, and `--warm` preloads the cache from the store at
-  startup, so restarts skip re-optimization entirely.
+  `serve --artifact-dir DIR` preloads the cache from the store at
+  startup and write-through-persists every TPC-H preparation there, so
+  restarts skip re-optimization entirely.
 
 FLAGS:
   --cross-products   include Cartesian products in the space
@@ -252,9 +251,8 @@ FLAGS:
                      servers (default 4)
   --reactors N       event-loop threads for serve/loadgen servers
                      (default: one per available core)
-  --artifact-dir DIR persistent artifact store for `serve`
-                     (write-through persistence of preparations)
-  --warm             preload the serving cache from --artifact-dir
+  --artifact-dir DIR persistent artifact store for `serve` (warms the
+                     cache at startup, persists every preparation)
 
 A batch of 512+ samples forks as wide as the CPUs the process may run
 on; `taskset` narrows that (e.g. `taskset -c 0 plansample-cli ...`).
@@ -275,7 +273,6 @@ where
     let mut threads: Option<usize> = None;
     let mut reactors = 0usize;
     let mut artifact_dir: Option<String> = None;
-    let mut warm = false;
     let mut positional: Vec<String> = Vec::new();
 
     let mut iter = args.into_iter();
@@ -283,7 +280,6 @@ where
         let arg = arg.as_ref();
         match arg {
             "--cross-products" => cross_products = true,
-            "--warm" => warm = true,
             "--artifact-dir" => {
                 let v = iter
                     .next()
@@ -339,7 +335,6 @@ where
                     threads,
                     reactors,
                     artifact_dir,
-                    warm,
                 })
             }
             flag if flag.starts_with("--") => {
@@ -437,7 +432,6 @@ where
         threads,
         reactors,
         artifact_dir,
-        warm,
     })
 }
 
@@ -751,7 +745,6 @@ fn run_serve(cli: &Cli, addr: &str) -> Result<String, CliError> {
         workers: cli.threads.unwrap_or(4),
         cross_products: cli.cross_products,
         artifact_dir: cli.artifact_dir.clone().map(Into::into),
-        warm: cli.warm,
         ..Default::default()
     };
     let handle = plansample_serve::server::start(config)
@@ -922,7 +915,7 @@ fn run_stats(
 
 /// The `artifact` command family: publish a prepared plan space into a
 /// store directory, load it back, and examine the on-disk format —
-/// the operational workflow behind `serve --artifact-dir --warm`.
+/// the operational workflow behind `serve --artifact-dir`.
 fn run_artifact(cli: &Cli, action: &ArtifactAction) -> Result<String, CliError> {
     use plansample_artifact::{ArtifactError, ArtifactStore};
 
@@ -1145,18 +1138,12 @@ mod tests {
                 file: "f.plan".into()
             })
         );
-        let cli = parse_args([
-            "--artifact-dir",
-            "/tmp/store",
-            "--warm",
-            "serve",
-            "127.0.0.1:0",
-        ])
-        .unwrap();
+        let cli = parse_args(["--artifact-dir", "/tmp/store", "serve", "127.0.0.1:0"]).unwrap();
         assert_eq!(cli.artifact_dir.as_deref(), Some("/tmp/store"));
-        assert!(cli.warm);
-        let removed = parse_args(["--reuseport", "serve", "127.0.0.1:0"]).unwrap_err();
-        assert!(removed.0.contains("unknown flag"), "got {removed:?}");
+        for removed in ["--reuseport", "--warm"] {
+            let err = parse_args([removed, "serve", "127.0.0.1:0"]).unwrap_err();
+            assert!(err.0.contains("unknown flag"), "got {err:?}");
+        }
         assert!(parse_args(["artifact"]).is_err());
         assert!(parse_args(["artifact", "save", "/tmp/x"]).is_err());
         assert!(parse_args(["artifact", "frobnicate", "f"]).is_err());
@@ -1282,7 +1269,6 @@ mod tests {
             threads: None,
             reactors: 0,
             artifact_dir: None,
-            warm: false,
         }
     }
 

@@ -47,7 +47,8 @@
 //!
 //! For the end-to-end pipeline (data, execution, `OPTION (USEPLAN n)`)
 //! see [`session::Session`]; for a concurrent cache of prepared queries
-//! see [`service::PlanService`].
+//! see [`service::ArtifactCache`] (and [`service::PlanService`], one over
+//! a single catalog).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -313,7 +314,7 @@ impl PlanSpace {
     /// Bytes of memory held by this plan space: the flat link and count
     /// buffers (exact, capacity-accurate) plus the shared memo and query.
     ///
-    /// This is the size accounting [`service::PlanService`]'s
+    /// This is the size accounting [`service::ArtifactCache`]'s
     /// byte-budget eviction charges against; the shared memo is included
     /// because the space keeps it alive. The links and counts are inline
     /// in this struct, and each one's `size_bytes` counts its own struct,

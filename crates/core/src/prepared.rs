@@ -31,7 +31,7 @@ use std::sync::Arc;
 /// `Send + Sync`; sampling takes the caller's RNG by `&mut`, so
 /// concurrent threads each bring their own RNG and share the artifact
 /// itself through an [`Arc`] (see `tests/concurrency.rs` and
-/// [`crate::service::PlanService`]).
+/// [`crate::service::ArtifactCache`]).
 ///
 /// ```
 /// use plansample::PreparedQuery;
@@ -217,8 +217,8 @@ impl PreparedQuery {
     /// Bytes of memory held by this artifact: the plan space's flat link
     /// and count buffers, the shared memo, and the best plan.
     ///
-    /// The value the serving layer's byte-budget eviction charges per
-    /// cached entry (see [`crate::service::PlanService`]).
+    /// The value [`crate::service::ArtifactCache`]'s byte-budget
+    /// eviction charges per cached entry.
     pub fn size_bytes(&self) -> usize {
         self.space.size_bytes() + self.best_plan.size_bytes() + std::mem::size_of::<Self>()
             - std::mem::size_of::<PlanSpace>()

@@ -12,12 +12,10 @@
 //! samples lock-free (the cache lock is held only for the key lookup,
 //! never during optimization or sampling).
 //!
-//! [`PlanService`] is the catalog-bound front: it owns what a
-//! preparation needs (catalog, optimizer configuration), derives the
-//! key — [`cache_key`] behind the front's *scope* — and runs the
-//! write-through persistence hook. [`PlanService::new`] and
-//! [`PlanService::bounded`] give it a cache of its own and the empty
-//! scope; [`PlanService::scoped`] puts many fronts over one cache.
+//! [`PlanService`] is that cache with a catalog and an optimizer
+//! configuration of its own, keyed by [`cache_key`] — the convenience
+//! for a process that prepares over one catalog. A caller holding many
+//! workloads (the server) keys one cache itself.
 //!
 //! Two bounds are supported, separately or together:
 //!
@@ -46,8 +44,7 @@ use plansample_query::QuerySpec;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-/// Snapshot of a cache's counters, taken under its lock. A service over
-/// a shared cache reports the whole cache's, not its own share.
+/// Snapshot of a cache's counters, taken under its lock.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests answered from the cache.
@@ -175,8 +172,7 @@ impl CacheState {
 
 /// A bounded LRU cache of prepared queries under opaque string keys,
 /// safe to share across threads, with singleflighted preparation (see
-/// the module docs). [`PlanService`] is the front that knows what a key
-/// means.
+/// the module docs). The caller decides what a key means.
 pub struct ArtifactCache {
     state: Mutex<CacheState>,
 }
@@ -298,20 +294,12 @@ impl ArtifactCache {
             ..state.stats
         }
     }
-
-    /// Drops every cached artifact (outstanding [`Arc`] handles stay
-    /// valid — the artifacts are immutable). In-flight preparations are
-    /// unaffected.
-    pub fn clear(&self) {
-        let mut state = self.lock();
-        state.entries = Lru::default();
-        state.stats.resident_bytes = 0;
-    }
 }
 
-/// The catalog-bound front of an [`ArtifactCache`]: prepares queries
-/// over one catalog under one optimizer configuration, keyed by
-/// normalized query + configuration.
+/// A catalog-bound [`ArtifactCache`] of its own: prepares queries over
+/// one catalog under one optimizer configuration, keyed by
+/// [`cache_key`] — the one-process, one-catalog convenience. A server
+/// that holds many workloads keys one cache itself.
 ///
 /// ```
 /// use plansample::PlanService;
@@ -338,26 +326,7 @@ impl ArtifactCache {
 pub struct PlanService {
     catalog: Catalog,
     config: OptimizerConfig,
-    /// Prefix of every key (see [`key_for`](Self::key_for)).
-    scope: String,
-    cache: Arc<ArtifactCache>,
-    /// Write-through persistence hook: called with every artifact this
-    /// front freshly prepared, outside all cache locks (see
-    /// [`set_persist`](Self::set_persist)).
-    persist: Mutex<Option<PersistHook>>,
-}
-
-/// Shape of the write-through persistence hook installed by
-/// [`PlanService::set_persist`].
-pub type PersistHook = Arc<dyn Fn(&Arc<PreparedQuery>) + Send + Sync>;
-
-impl std::fmt::Debug for PlanService {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanService")
-            .field("scope", &self.scope)
-            .field("stats", &self.stats())
-            .finish_non_exhaustive()
-    }
+    cache: ArtifactCache,
 }
 
 impl PlanService {
@@ -365,70 +334,11 @@ impl PlanService {
     /// caching at most `capacity` prepared queries (at least 1), with no
     /// byte bound.
     pub fn new(catalog: Catalog, config: OptimizerConfig, capacity: usize) -> Self {
-        Self::bounded(catalog, config, capacity, None)
-    }
-
-    /// Creates a service with a cache of its own under both bounds: at
-    /// most `capacity` entries *and* (when given) at most `max_bytes`
-    /// resident, entries being charged their
-    /// [`PreparedQuery::size_bytes`]. (One entry is always retained,
-    /// even if alone it exceeds the budget.)
-    pub fn bounded(
-        catalog: Catalog,
-        config: OptimizerConfig,
-        capacity: usize,
-        max_bytes: Option<usize>,
-    ) -> Self {
-        let cache = Arc::new(ArtifactCache::new(capacity, max_bytes));
-        Self::scoped(cache, "", catalog, config)
-    }
-
-    /// Creates a front over a cache it shares with others. `scope` must
-    /// not contain `'|'`, which ends it in every key — so fronts under
-    /// different scopes never share a key, whatever their catalogs and
-    /// queries render to. Two fronts under one scope must agree on what
-    /// a key means.
-    pub fn scoped(
-        cache: Arc<ArtifactCache>,
-        scope: &str,
-        catalog: Catalog,
-        config: OptimizerConfig,
-    ) -> Self {
-        assert!(!scope.contains('|'), "scope {scope:?} contains '|'");
         PlanService {
             catalog,
             config,
-            scope: scope.to_string(),
-            cache,
-            persist: Mutex::new(None),
+            cache: ArtifactCache::new(capacity, None),
         }
-    }
-
-    /// Installs a write-through persistence hook (e.g. an
-    /// `ArtifactStore` save). The hook runs on the flight *leader*
-    /// after each successful first preparation through this front —
-    /// once per prepared artifact, never for cache hits or coalesced
-    /// waiters — after the artifact is published to the cache and with
-    /// no cache lock held, so a slow disk stalls only the one request
-    /// that paid for the optimization anyway. Errors are the hook's own
-    /// business (log and carry on); serving never depends on
-    /// persistence.
-    pub fn set_persist(&self, hook: PersistHook) {
-        *self.persist.lock().expect("persist hook poisoned") = Some(hook);
-    }
-
-    /// Seeds the cache with an externally prepared artifact (startup
-    /// warming from an artifact store). Returns `true` if the artifact
-    /// was admitted: it must have been prepared under this service's
-    /// exact optimizer configuration (a stale artifact from an old
-    /// config is silently refused rather than served wrong), and a key
-    /// that is already cached or in flight keeps its existing artifact
-    /// ([`ArtifactCache::insert`]).
-    pub fn warm(&self, prepared: Arc<PreparedQuery>) -> bool {
-        // Same query on both sides, so the two keys differ exactly when
-        // the configurations' renderings do.
-        format!("{:?}", prepared.config()) == format!("{:?}", self.config)
-            && self.cache.insert(&self.key_for(prepared.query()), prepared)
     }
 
     /// The service's catalog.
@@ -436,81 +346,19 @@ impl PlanService {
         &self.catalog
     }
 
-    /// The optimizer configuration every artifact is prepared under.
-    pub fn config(&self) -> &OptimizerConfig {
-        &self.config
-    }
-
-    /// The key this service caches `query` under: [`cache_key`] with the
-    /// service's own configuration — exactly that under the empty scope
-    /// (so a store fingerprint and a private cache's key agree byte for
-    /// byte), behind `scope|` otherwise. A caller that serves the same
-    /// query many times computes it once and uses the keyed entry points
-    /// below, which format nothing.
-    pub fn key_for(&self, query: &QuerySpec) -> String {
-        let key = cache_key(query, &self.config);
-        if self.scope.is_empty() {
-            return key;
-        }
-        format!("{}|{key}", self.scope)
-    }
-
-    /// [`ArtifactCache::get_if`] taking every artifact: a hit is
-    /// counted and refreshed, a key that is not cached returns `None`
-    /// and counts nothing. `key` comes from [`key_for`](Self::key_for).
-    pub fn get_keyed(&self, key: &str) -> Option<Arc<PreparedQuery>> {
-        self.cache.get_if(key, |_| true)
-    }
-
-    /// [`ArtifactCache::get_if`] on this service's cache.
-    pub fn get_keyed_if(
-        &self,
-        key: &str,
-        accept: impl FnOnce(&PreparedQuery) -> bool,
-    ) -> Option<Arc<PreparedQuery>> {
-        self.cache.get_if(key, accept)
-    }
-
     /// Returns the prepared artifact for `query`, preparing and caching
     /// it on first request ([`ArtifactCache::get_or_prepare`]: no lock
     /// held while optimizing, one optimization per key however many
     /// threads race for it).
     pub fn get_or_prepare(&self, query: &QuerySpec) -> Result<Arc<PreparedQuery>, Error> {
-        self.get_or_prepare_keyed(&self.key_for(query), query)
+        let key = cache_key(query, &self.config);
+        let prepare = || PreparedQuery::prepare(&self.catalog, query, &self.config);
+        Ok(self.cache.get_or_prepare(&key, prepare)?.0)
     }
 
-    /// [`get_or_prepare`](Self::get_or_prepare) for a caller that kept
-    /// the key: `key` must be `self.key_for(query)`.
-    pub fn get_or_prepare_keyed(
-        &self,
-        key: &str,
-        query: &QuerySpec,
-    ) -> Result<Arc<PreparedQuery>, Error> {
-        let (prepared, led) = self.cache.get_or_prepare(key, || {
-            debug_assert_eq!(key, self.key_for(query), "key is not this query's");
-            PreparedQuery::prepare(&self.catalog, query, &self.config)
-        })?;
-        if led {
-            // Write-through persistence: after publication, outside
-            // every cache lock, on the leader only.
-            let hook = self.persist.lock().expect("persist hook poisoned").clone();
-            if let Some(hook) = hook {
-                hook(&prepared);
-            }
-        }
-        Ok(prepared)
-    }
-
-    /// The cache's counters ([`ArtifactCache::stats`]) — every front's
-    /// traffic, when the cache is shared.
+    /// The cache's counters ([`ArtifactCache::stats`]).
     pub fn stats(&self) -> ServiceStats {
         self.cache.stats()
-    }
-
-    /// Drops every cached artifact ([`ArtifactCache::clear`]) — every
-    /// front's, when the cache is shared.
-    pub fn clear(&self) {
-        self.cache.clear();
     }
 }
 
@@ -538,11 +386,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn service(capacity: usize) -> PlanService {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        PlanService::new(catalog, OptimizerConfig::default(), capacity)
+    fn tpch() -> Catalog {
+        plansample_catalog::tpch::catalog().0
     }
 
     fn two_rel_query(catalog: &Catalog, a: &str, b: &str, ak: &str, bk: &str) -> QuerySpec {
@@ -553,9 +399,29 @@ mod tests {
         qb.build().unwrap()
     }
 
+    /// The three two-relation joins the cache tests cycle through.
+    fn three_queries(catalog: &Catalog) -> [QuerySpec; 3] {
+        [
+            two_rel_query(catalog, "nation", "region", "n_regionkey", "r_regionkey"),
+            two_rel_query(catalog, "supplier", "nation", "s_nationkey", "n_nationkey"),
+            two_rel_query(catalog, "customer", "nation", "c_nationkey", "n_nationkey"),
+        ]
+    }
+
+    /// An artifact, and whether the call that returned it led the
+    /// preparation.
+    type Fetched = Result<(Arc<PreparedQuery>, bool), Error>;
+
+    /// `query`'s artifact through `cache` under its [`cache_key`].
+    fn fetch(cache: &ArtifactCache, catalog: &Catalog, query: &QuerySpec) -> Fetched {
+        let config = OptimizerConfig::default();
+        let prepare = || PreparedQuery::prepare(catalog, query, &config);
+        cache.get_or_prepare(&cache_key(query, &config), prepare)
+    }
+
     #[test]
     fn repeated_requests_share_one_artifact() {
-        let s = service(4);
+        let s = PlanService::new(tpch(), OptimizerConfig::default(), 4);
         let q = two_rel_query(
             s.catalog(),
             "nation",
@@ -579,7 +445,7 @@ mod tests {
 
     #[test]
     fn normalization_ignores_predicate_order() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
+        let catalog = tpch();
         let build = |swap: bool| {
             let mut qb = plansample_query::QueryBuilder::new(&catalog);
             qb.rel("supplier", Some("s")).unwrap();
@@ -614,8 +480,7 @@ mod tests {
 
     #[test]
     fn config_participates_in_the_key() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        let q = two_rel_query(&catalog, "nation", "region", "n_regionkey", "r_regionkey");
+        let q = two_rel_query(&tpch(), "nation", "region", "n_regionkey", "r_regionkey");
         assert_ne!(
             cache_key(&q, &OptimizerConfig::default()),
             cache_key(&q, &OptimizerConfig::with_cross_products())
@@ -623,181 +488,110 @@ mod tests {
     }
 
     #[test]
-    fn scopes_partition_a_shared_cache_and_the_empty_scope_is_the_bare_key() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        let q = two_rel_query(&catalog, "nation", "region", "n_regionkey", "r_regionkey");
-        let cache = Arc::new(ArtifactCache::new(4, None));
-        let front = |scope: &str| {
-            let config = OptimizerConfig::default();
-            PlanService::scoped(Arc::clone(&cache), scope, catalog.clone(), config)
-        };
-        let (bare, a, b) = (front(""), front("a"), front("b"));
-        assert_eq!(bare.key_for(&q), cache_key(&q, bare.config()));
-        assert_eq!(a.key_for(&q), format!("a|{}", bare.key_for(&q)));
-        assert_ne!(a.key_for(&q), b.key_for(&q));
-
-        // One query under two scopes is two artifacts on one ledger, and
-        // only the front that led a preparation persists it.
-        let persisted = Arc::new(AtomicU64::new(0));
-        let counter = Arc::clone(&persisted);
-        a.set_persist(Arc::new(move |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }));
-        let (pa, pb) = (a.get_or_prepare(&q).unwrap(), b.get_or_prepare(&q).unwrap());
-        assert!(!Arc::ptr_eq(&pa, &pb));
-        assert!(Arc::ptr_eq(&pa, &a.get_or_prepare(&q).unwrap()));
-        assert_eq!(persisted.load(Ordering::Relaxed), 1);
+    fn lru_evicts_the_coldest_entry_and_its_handles_stay_valid() {
+        let catalog = tpch();
+        let cache = ArtifactCache::new(2, None);
+        let [q1, q2, q3] = three_queries(&catalog);
+        fetch(&cache, &catalog, &q1).unwrap();
+        let (p2, led) = fetch(&cache, &catalog, &q2).unwrap();
+        assert!(led, "a first preparation is led by its caller");
+        assert!(
+            !fetch(&cache, &catalog, &q1).unwrap().1,
+            "a hit leads nothing"
+        );
+        fetch(&cache, &catalog, &q3).unwrap(); // q1 was refreshed: evicts q2
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
-        assert_eq!((a.stats(), b.stats()), (stats, stats));
-
-        // The closure entry point says who led.
-        let prepare = || PreparedQuery::prepare(&catalog, &q, bare.config());
-        assert!(cache.get_or_prepare("opaque", prepare).unwrap().1);
-        assert!(!cache.get_or_prepare("opaque", prepare).unwrap().1);
-    }
-
-    #[test]
-    fn lru_evicts_the_coldest_entry() {
-        let s = service(2);
-        let q1 = two_rel_query(
-            s.catalog(),
-            "nation",
-            "region",
-            "n_regionkey",
-            "r_regionkey",
-        );
-        let q2 = two_rel_query(
-            s.catalog(),
-            "supplier",
-            "nation",
-            "s_nationkey",
-            "n_nationkey",
-        );
-        let q3 = two_rel_query(
-            s.catalog(),
-            "customer",
-            "nation",
-            "c_nationkey",
-            "n_nationkey",
-        );
-        s.get_or_prepare(&q1).unwrap();
-        s.get_or_prepare(&q2).unwrap();
-        s.get_or_prepare(&q1).unwrap(); // refresh q1: q2 is now coldest
-        s.get_or_prepare(&q3).unwrap(); // evicts q2
-        let stats = s.stats();
         assert_eq!((stats.entries, stats.evictions), (2, 1));
-        s.get_or_prepare(&q1).unwrap();
-        assert_eq!(s.stats().misses, 3, "q1 survived the eviction");
-        s.get_or_prepare(&q2).unwrap();
-        assert_eq!(s.stats().misses, 4, "q2 was evicted and re-prepares");
+        fetch(&cache, &catalog, &q1).unwrap();
+        assert_eq!(cache.stats().misses, 3, "q1 survived the eviction");
+        // The evicted artifact is immutable: its handle still serves.
+        let mut rng = StdRng::seed_from_u64(1);
+        assert_eq!(p2.sample_batch(&mut rng, 5).len(), 5);
+        fetch(&cache, &catalog, &q2).unwrap();
+        assert_eq!(cache.stats().misses, 4, "q2 was evicted and re-prepares");
     }
 
     #[test]
     fn byte_budget_bounds_resident_bytes() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        // Size one artifact, then budget for roughly two.
-        let probe = {
-            let s = PlanService::new(catalog.clone(), OptimizerConfig::default(), 1);
-            let q = two_rel_query(&catalog, "nation", "region", "n_regionkey", "r_regionkey");
-            s.get_or_prepare(&q).unwrap().size_bytes()
-        };
-        let budget = probe * 5 / 2;
-        let s = PlanService::bounded(
-            catalog,
-            OptimizerConfig::default(),
-            usize::MAX,
-            Some(budget),
-        );
+        let catalog = tpch();
         let queries = [
             ("nation", "region", "n_regionkey", "r_regionkey"),
             ("supplier", "nation", "s_nationkey", "n_nationkey"),
             ("customer", "nation", "c_nationkey", "n_nationkey"),
             ("orders", "customer", "o_custkey", "c_custkey"),
-        ];
-        for (a, b, ak, bk) in queries {
-            let q = two_rel_query(s.catalog(), a, b, ak, bk);
-            s.get_or_prepare(&q).unwrap();
-            let stats = s.stats();
+        ]
+        .map(|(a, b, ak, bk)| two_rel_query(&catalog, a, b, ak, bk));
+        // Size one artifact, then budget for roughly two.
+        let probe = fetch(&ArtifactCache::new(1, None), &catalog, &queries[0]);
+        let budget = probe.unwrap().0.size_bytes() * 5 / 2;
+        let cache = ArtifactCache::new(usize::MAX, Some(budget));
+        for q in &queries {
+            fetch(&cache, &catalog, q).unwrap();
+            let stats = cache.stats();
             assert!(
                 stats.resident_bytes <= budget,
                 "resident {} exceeds budget {budget}",
                 stats.resident_bytes
             );
         }
-        let stats = s.stats();
+        let stats = cache.stats();
         assert_eq!(stats.byte_budget, Some(budget));
         assert!(stats.evictions >= 1, "the budget forced evictions");
         assert!(stats.entries >= 1 && stats.entries < queries.len());
         // Resident bytes stay consistent with the surviving entries.
         assert!(stats.resident_bytes > 0);
-        s.clear();
-        assert_eq!(s.stats().resident_bytes, 0);
     }
 
     #[test]
     fn oversized_artifact_is_admitted_alone() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
+        let catalog = tpch();
         // Budget far below any artifact: every insert evicts the
         // previous entry but keeps itself.
-        let s = PlanService::bounded(catalog, OptimizerConfig::default(), usize::MAX, Some(1));
-        let q1 = two_rel_query(
-            s.catalog(),
-            "nation",
-            "region",
-            "n_regionkey",
-            "r_regionkey",
-        );
-        let q2 = two_rel_query(
-            s.catalog(),
-            "supplier",
-            "nation",
-            "s_nationkey",
-            "n_nationkey",
-        );
-        s.get_or_prepare(&q1).unwrap();
-        assert_eq!(s.stats().entries, 1, "single oversized entry is kept");
-        s.get_or_prepare(&q2).unwrap();
-        let stats = s.stats();
+        let cache = ArtifactCache::new(usize::MAX, Some(1));
+        let [q1, q2, _] = three_queries(&catalog);
+        fetch(&cache, &catalog, &q1).unwrap();
+        assert_eq!(cache.stats().entries, 1, "single oversized entry is kept");
+        fetch(&cache, &catalog, &q2).unwrap();
+        let stats = cache.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 1);
     }
 
+    /// Two threads meet at a barrier, then ask `cache` for `query`.
+    fn race(cache: &ArtifactCache, catalog: &Catalog, query: &QuerySpec) -> Vec<(Fetched, u64)> {
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let before = plansample_optimizer::thread_optimizations_performed();
+                        barrier.wait();
+                        let result = fetch(cache, catalog, query);
+                        let delta = plansample_optimizer::thread_optimizations_performed() - before;
+                        (result, delta)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        })
+    }
+
     #[test]
     fn racing_first_preparations_single_flight() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        let s = Arc::new(PlanService::new(catalog, OptimizerConfig::default(), 4));
-        let q = Arc::new(two_rel_query(
-            s.catalog(),
-            "lineitem",
-            "orders",
-            "l_orderkey",
-            "o_orderkey",
-        ));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let (s, q, barrier) = (Arc::clone(&s), Arc::clone(&q), Arc::clone(&barrier));
-                std::thread::spawn(move || {
-                    let before = plansample_optimizer::thread_optimizations_performed();
-                    barrier.wait();
-                    let prepared = s.get_or_prepare(&q).unwrap();
-                    let delta = plansample_optimizer::thread_optimizations_performed() - before;
-                    (prepared, delta)
-                })
-            })
-            .collect();
-        let results: Vec<_> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        let catalog = tpch();
+        let cache = ArtifactCache::new(4, None);
+        let q = two_rel_query(&catalog, "lineitem", "orders", "l_orderkey", "o_orderkey");
+        let results = race(&cache, &catalog, &q);
         let total_optimizations: u64 = results.iter().map(|(_, d)| d).sum();
         assert_eq!(
             total_optimizations, 1,
             "racing threads must perform exactly one optimization in total"
         );
-        assert!(
-            Arc::ptr_eq(&results[0].0, &results[1].0),
-            "both racers share one artifact"
-        );
-        let stats = s.stats();
+        let [(a, _), (b, _)] = <[_; 2]>::try_from(results).ok().unwrap();
+        let ((a, a_led), (b, b_led)) = (a.unwrap(), b.unwrap());
+        assert!(Arc::ptr_eq(&a, &b), "both racers share one artifact");
+        assert!(a_led != b_led, "exactly one racer led");
+        let stats = cache.stats();
         assert_eq!(stats.misses, 1, "one leader");
         assert_eq!(
             stats.hits + stats.coalesced,
@@ -809,104 +603,76 @@ mod tests {
 
     #[test]
     fn failed_preparation_propagates_to_all_racers_and_caches_nothing() {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        let s = Arc::new(PlanService::new(catalog, OptimizerConfig::default(), 4));
+        let catalog = tpch();
+        let cache = ArtifactCache::new(4, None);
         // Disconnected query: optimization fails.
         let q = {
-            let mut qb = plansample_query::QueryBuilder::new(s.catalog());
+            let mut qb = plansample_query::QueryBuilder::new(&catalog);
             qb.rel("nation", None).unwrap();
             qb.rel("region", None).unwrap();
-            Arc::new(qb.build().unwrap())
+            qb.build().unwrap()
         };
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                let (s, q, barrier) = (Arc::clone(&s), Arc::clone(&q), Arc::clone(&barrier));
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    s.get_or_prepare(&q)
-                })
-            })
-            .collect();
-        for w in workers {
-            assert!(matches!(w.join().unwrap(), Err(Error::Opt(_))));
+        for (result, _) in race(&cache, &catalog, &q) {
+            assert!(matches!(result, Err(Error::Opt(_))));
         }
-        assert_eq!(s.stats().entries, 0, "failures are not cached");
+        assert_eq!(cache.stats().entries, 0, "failures are not cached");
         // A later retry attempts preparation again (and fails again).
-        assert!(s.get_or_prepare(&q).is_err());
-        assert!(s.stats().misses >= 2);
+        assert!(fetch(&cache, &catalog, &q).is_err());
+        assert!(cache.stats().misses >= 2);
     }
 
     #[test]
     fn keyed_hit_counts_and_refreshes_and_a_keyed_miss_counts_nothing() {
-        let s = service(2);
-        let q1 = two_rel_query(
-            s.catalog(),
-            "nation",
-            "region",
-            "n_regionkey",
-            "r_regionkey",
-        );
-        let q2 = two_rel_query(
-            s.catalog(),
-            "supplier",
-            "nation",
-            "s_nationkey",
-            "n_nationkey",
-        );
-        let q3 = two_rel_query(
-            s.catalog(),
-            "customer",
-            "nation",
-            "c_nationkey",
-            "n_nationkey",
-        );
-        let (k1, k2) = (s.key_for(&q1), s.key_for(&q2));
-        assert_eq!(k1, cache_key(&q1, s.config()));
-        assert!(s.get_keyed(&k1).is_none());
-        let stats = s.stats();
+        let catalog = tpch();
+        let cache = ArtifactCache::new(2, None);
+        let [q1, q2, q3] = three_queries(&catalog);
+        let config = OptimizerConfig::default();
+        let (k1, k2) = (cache_key(&q1, &config), cache_key(&q2, &config));
+        assert!(cache.get_if(&k1, |_| true).is_none());
+        let stats = cache.stats();
         assert_eq!(
             (stats.hits, stats.misses, stats.inflight),
             (0, 0, 0),
             "a keyed miss counts nothing and starts nothing"
         );
 
-        let p1 = s.get_or_prepare_keyed(&k1, &q1).unwrap();
-        s.get_or_prepare(&q2).unwrap();
-        let hit = s.get_keyed(&k1).expect("prepared key is cached");
+        let (p1, _) = fetch(&cache, &catalog, &q1).unwrap();
+        fetch(&cache, &catalog, &q2).unwrap();
+        let hit = cache.get_if(&k1, |_| true).expect("prepared key is cached");
         assert!(Arc::ptr_eq(&hit, &p1));
-        let stats = s.stats();
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 2));
 
         // An artifact the caller turns down is a keyed miss (nothing
         // counted); one it takes is a keyed hit.
-        assert!(s.get_keyed_if(&k2, |_| false).is_none());
-        assert_eq!(s.stats().hits, 1);
-        assert!(s.get_keyed_if(&k1, |p| !p.total().is_zero()).is_some());
-        assert_eq!(s.stats().hits, 2);
+        assert!(cache.get_if(&k2, |_| false).is_none());
+        assert_eq!(cache.stats().hits, 1);
+        assert!(cache.get_if(&k1, |p| !p.total().is_zero()).is_some());
+        assert_eq!(cache.stats().hits, 2);
 
         // The keyed hit refreshed q1, so q3 evicts q2.
-        s.get_or_prepare(&q3).unwrap();
-        assert!(s.get_keyed(&k1).is_some(), "q1 survived the eviction");
-        assert!(s.get_keyed(&k2).is_none(), "q2 was the coldest entry");
-        s.clear();
-        assert!(s.get_keyed(&k1).is_none());
+        fetch(&cache, &catalog, &q3).unwrap();
+        assert!(
+            cache.get_if(&k1, |_| true).is_some(),
+            "q1 survived the eviction"
+        );
+        assert!(
+            cache.get_if(&k2, |_| true).is_none(),
+            "q2 was the coldest entry"
+        );
     }
 
     #[test]
-    fn clear_empties_but_handles_stay_valid() {
-        let s = service(4);
-        let q = two_rel_query(
-            s.catalog(),
-            "nation",
-            "region",
-            "n_regionkey",
-            "r_regionkey",
-        );
-        let p = s.get_or_prepare(&q).unwrap();
-        s.clear();
-        assert_eq!(s.stats().entries, 0);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(p.sample_batch(&mut rng, 5).len(), 5);
+    fn insert_keeps_what_is_cached() {
+        let catalog = tpch();
+        let cache = ArtifactCache::new(4, None);
+        let [q1, ..] = three_queries(&catalog);
+        let key = cache_key(&q1, &OptimizerConfig::default());
+        let (p1, _) = fetch(&cache, &catalog, &q1).unwrap();
+        let fresh = PreparedQuery::prepare(&catalog, &q1, &OptimizerConfig::default()).unwrap();
+        assert!(!cache.insert(&key, Arc::new(fresh)), "the key was taken");
+        assert!(Arc::ptr_eq(&cache.get_if(&key, |_| true).unwrap(), &p1));
+        assert!(cache.insert("other", p1));
+        assert_eq!(cache.stats().entries, 2);
     }
 }

@@ -79,13 +79,10 @@ pub struct ServerConfig {
     pub frame_timeout: Duration,
     /// Allow Cartesian products in served plan spaces.
     pub cross_products: bool,
-    /// Directory of persistent plan-space artifacts. When set, every
-    /// TPC-H preparation is written through to the store, so the plan
-    /// space survives the process.
+    /// Directory of persistent plan-space artifacts. When set, the
+    /// cache is warmed from it at startup and every TPC-H preparation
+    /// is written through to it, so the plan space survives the process.
     pub artifact_dir: Option<PathBuf>,
-    /// Load every artifact in `artifact_dir` into the service cache at
-    /// startup (no-op without `artifact_dir`).
-    pub warm: bool,
 }
 
 impl Default for ServerConfig {
@@ -101,7 +98,6 @@ impl Default for ServerConfig {
             frame_timeout: Duration::from_secs(10),
             cross_products: false,
             artifact_dir: None,
-            warm: false,
         }
     }
 }
@@ -327,35 +323,29 @@ impl Acceptor {
     }
 }
 
-/// Wires the artifact store to the serving state: every TPC-H
-/// preparation writes through to disk, and (optionally) the store's
-/// current contents warm the cache before the first byte is served.
-fn attach_store(config: &ServerConfig, state: &ServerState) -> io::Result<()> {
+/// Wires the artifact store to the serving state: the store's current
+/// contents warm the cache before the first byte is served, and every
+/// TPC-H preparation writes through to disk.
+fn attach_store(config: &ServerConfig, state: &mut ServerState) -> io::Result<()> {
     let Some(dir) = &config.artifact_dir else {
         return Ok(());
     };
     let store = plansample_artifact::ArtifactStore::open(dir)
         .map_err(|e| io::Error::other(e.to_string()))?;
-    if config.warm {
-        match store.warm(state.tpch_service()) {
-            Ok(report) => eprintln!(
-                "plansample-serve: warmed {} artifact(s) from {} \
-                 ({} refused, {} quarantined)",
-                report.loaded,
-                store.dir().display(),
-                report.refused,
-                report.quarantined
-            ),
-            // Warming is an optimization: a failed pass (e.g. the
-            // directory vanished) must not keep the server down.
-            Err(e) => eprintln!("plansample-serve: cache warming failed: {e}"),
-        }
+    match store.warm(|prepared| state.warm(Arc::new(prepared))) {
+        Ok(report) => eprintln!(
+            "plansample-serve: warmed {} artifact(s) from {} \
+             ({} refused, {} quarantined)",
+            report.loaded,
+            store.dir().display(),
+            report.refused,
+            report.quarantined
+        ),
+        // Warming is an optimization: a failed pass (e.g. the
+        // directory vanished) must not keep the server down.
+        Err(e) => eprintln!("plansample-serve: cache warming failed: {e}"),
     }
-    state.tpch_service().set_persist(Arc::new(move |prepared| {
-        if let Err(e) = store.save(prepared) {
-            eprintln!("plansample-serve: artifact save failed: {e}");
-        }
-    }));
+    state.persist_to(store);
     Ok(())
 }
 
@@ -372,14 +362,15 @@ pub fn start(config: ServerConfig) -> io::Result<ServerHandle> {
     } else {
         plansample_optimizer::OptimizerConfig::default()
     };
-    let state = Arc::new(ServerState::new(
+    let mut state = ServerState::new(
         optimizer,
         config.cache_entries,
         config.byte_budget,
         config.admission,
         reactors,
-    ));
-    attach_store(&config, &state)?;
+    );
+    attach_store(&config, &mut state)?;
+    let state = Arc::new(state);
     let shutdown = Arc::new(AtomicBool::new(false));
 
     // One socketpair per event-loop thread (acceptor first). Both ends

@@ -8,19 +8,19 @@
 //! in one place, and its singleflight — critical for the network
 //! determinism contract — holds for any workload: a thundering herd of
 //! connections asking for the same fresh query performs exactly one
-//! optimization in total. Preparations reach the cache through
-//! [`PlanService`] fronts that share it: one scoped `tpch` (the only one
-//! `--artifact-dir` persists), and one per synthetic spec, scoped by the
-//! spec's label, over the catalog the spec deterministically
-//! materializes — so keys of different workloads are disjoint by
-//! construction, not by what a spec happens to render.
+//! optimization in total. The state keys that cache itself, in one
+//! place: [`cache_key`] behind a *scope* — `tpch` for SQL (the only
+//! scope `--artifact-dir` persists), and a synthetic spec's label for
+//! the catalog that spec deterministically materializes — so keys of
+//! different workloads are disjoint by construction, not by what a spec
+//! happens to render.
 //!
-//! A workload's *identity* — the front that prepares it, its query spec
-//! and the front's key for that spec — is computed once per workload,
-//! not once per request, and kept in **one** bounded LRU table keyed by
-//! the [`Workload`] itself, which holds identity only, never an
+//! A workload's *identity* — the catalog it is prepared over, its query
+//! spec and its key — is computed once per workload, not once per
+//! request, and kept in **one** bounded LRU table keyed by the
+//! [`Workload`] itself, which holds identity only, never an
 //! artifact. A warm request is therefore two map lookups — identity,
-//! then [`PlanService::get_keyed`] — with no parse, no catalog build, no
+//! then [`ArtifactCache::get_if`] — with no parse, no catalog build, no
 //! key formatting and one cache lock. Neither lock is ever held across a
 //! parse, a catalog build or a preparation: two threads racing on a
 //! workload nobody has seen both resolve it, to the same key, and meet
@@ -43,7 +43,7 @@
 //!    instead of queueing unboundedly (`shed_queue`), and
 //! 2. this module bounds the *expensive work*, server-wide — a request
 //!    that would have to optimize (its key is not cached:
-//!    [`PlanService::get_keyed`] returned `None`, having counted
+//!    [`ArtifactCache::get_if`] returned `None`, having counted
 //!    nothing) is shed when `max_prepares` first preparations, of any
 //!    workloads, are already in flight (`shed_prepare`). Cached
 //!    workloads are always served: hits are cheap no matter how hot the
@@ -53,9 +53,9 @@ use crate::wire::{
     ErrorCode, ReactorStats, Request, Response, SamplesEncoder, StatsReply, WirePlan, Workload,
     MAX_SAMPLE_BATCH, MAX_SYNTH_RELATIONS,
 };
-use plansample_core::{
-    ArtifactCache, CountTier, Error, Lru, PlanBatch, PlanService, PreparedQuery,
-};
+use plansample_artifact::ArtifactStore;
+use plansample_catalog::Catalog;
+use plansample_core::{cache_key, ArtifactCache, CountTier, Error, Lru, PlanBatch, PreparedQuery};
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{PhysId, PlanNode};
 use plansample_optimizer::OptimizerConfig;
@@ -98,10 +98,11 @@ pub struct ReactorCounters {
 }
 
 /// What a workload resolves to — what a preparation needs and never an
-/// artifact: the front that prepares it (catalog, configuration, scope),
-/// its query spec, and `service.key_for(&query)`.
+/// artifact: the catalog it is prepared over (for SQL, the state's one
+/// TPC-H catalog), its query spec, and its key
+/// ([`ServerState::key`]).
 struct Identity {
-    service: Arc<PlanService>,
+    catalog: Arc<Catalog>,
     query: QuerySpec,
     key: String,
 }
@@ -144,9 +145,14 @@ pub(crate) const INLINE_MAX_SAMPLES: u32 = 32;
 /// The serving state shared by the reactors and the worker pools.
 pub struct ServerState {
     /// Every workload's artifacts (see module docs).
-    cache: Arc<ArtifactCache>,
-    /// The front SQL workloads share.
-    tpch: Arc<PlanService>,
+    cache: ArtifactCache,
+    /// The catalog every SQL identity shares.
+    tpch: Arc<Catalog>,
+    /// The configuration every artifact is prepared under.
+    config: OptimizerConfig,
+    /// Where SQL preparations are written through to, if anywhere
+    /// ([`ServerState::persist_to`]).
+    store: Option<ArtifactStore>,
     /// Workload → identity, so that a text is parsed, a spec built and
     /// either keyed once, not once per request; a known workload whose
     /// artifact was evicted misses in the cache and re-prepares like any
@@ -159,7 +165,7 @@ pub struct ServerState {
     /// key, which renders every field at more characters than it has
     /// bytes): at worst 4 + 16 + 32 = 52 KiB, 6.5 MiB at the default 64
     /// `cache_entries`; the benchmark's six texts take about 1.5 KiB
-    /// each. A synthetic entry adds its catalog — at most
+    /// each. A synthetic entry adds an `Arc` of its catalog — at most
     /// [`MAX_SYNTH_RELATIONS`] two-column tables — and stays under that.
     identities: Mutex<Lru<Workload, Arc<Identity>>>,
     max_identities: usize,
@@ -208,11 +214,11 @@ impl ServerState {
         reactors: usize,
     ) -> Self {
         let (catalog, _) = plansample_catalog::tpch::catalog();
-        let cache = Arc::new(ArtifactCache::new(cache_entries, byte_budget));
-        let tpch = PlanService::scoped(Arc::clone(&cache), "tpch", catalog, config);
         ServerState {
-            cache,
-            tpch: Arc::new(tpch),
+            cache: ArtifactCache::new(cache_entries, byte_budget),
+            tpch: Arc::new(catalog),
+            config,
+            store: None,
             identities: Mutex::new(Lru::default()),
             max_identities: cache_entries.max(1).saturating_mul(IDENTITIES_PER_ENTRY),
             admission,
@@ -263,10 +269,35 @@ impl ServerState {
         self.inflight.load(Ordering::Acquire)
     }
 
-    /// The front SQL workloads are prepared through: what the artifact
-    /// store warms and is written through from.
-    pub fn tpch_service(&self) -> &PlanService {
-        &self.tpch
+    /// Writes every SQL artifact this state prepares through to
+    /// `store`: on the flight leader only, once per preparation, after
+    /// the artifact is published and with no cache lock held, so a slow
+    /// disk stalls only the one request that paid for the optimization
+    /// anyway. A failed save is logged; serving never depends on it.
+    pub fn persist_to(&mut self, store: ArtifactStore) {
+        self.store = Some(store);
+    }
+
+    /// Seeds the cache with an externally prepared SQL artifact (startup
+    /// warming from an artifact store). Returns `true` if the artifact
+    /// was admitted: it must have been prepared under this state's exact
+    /// optimizer configuration (a stale artifact from an old config is
+    /// refused rather than served wrong), and a key that is already
+    /// cached or in flight keeps its artifact ([`ArtifactCache::insert`]).
+    pub fn warm(&self, prepared: Arc<PreparedQuery>) -> bool {
+        // Same query on both sides, so the two keys differ exactly when
+        // the configurations' renderings do.
+        format!("{:?}", prepared.config()) == format!("{:?}", self.config)
+            && self
+                .cache
+                .insert(&self.key("tpch", prepared.query()), prepared)
+    }
+
+    /// The one key function: [`cache_key`] behind `scope|` — `tpch` for
+    /// SQL, a synthetic spec's label otherwise. Neither contains `'|'`,
+    /// so keys of different scopes never meet.
+    fn key(&self, scope: &str, query: &QuerySpec) -> String {
+        format!("{scope}|{}", cache_key(query, &self.config))
     }
 
     /// The one artifact cache (test observability).
@@ -317,7 +348,7 @@ impl ServerState {
     /// * any other request is answered when its workload's identity is
     ///   already known (`known_identity`: a
     ///   lookup, never a parse or a catalog build) **and** its artifact
-    ///   is cached ([`PlanService::get_keyed_if`]: a lookup, never a
+    ///   is cached ([`ArtifactCache::get_if`]: a lookup, never a
     ///   preparation, and nothing counted on a miss);
     /// * a `SampleBatch` additionally needs `k` ≤
     ///   `INLINE_MAX_SAMPLES` (tested before any lookup) and an
@@ -341,7 +372,7 @@ impl ServerState {
             _ => false,
         };
         let id = self.known_identity(workload)?;
-        let prepared = id.service.get_keyed_if(&id.key, |prepared| {
+        let prepared = self.cache.get_if(&id.key, |prepared| {
             !sampling || prepared.tier() != CountTier::Nat
         })?;
         self.requests_admitted.fetch_add(1, Ordering::Relaxed);
@@ -419,26 +450,35 @@ impl ServerState {
     /// Resolves and prepares a workload, applying admission control —
     /// "find the artifact" in its lookup-then-prepare form
     /// ([`handle_inline`](Self::handle_inline) holds the lookup-only
-    /// one). A cached workload takes the cache lock once, in
-    /// `get_keyed`; only a miss reaches the admission check and the
-    /// preparing entry point. Failures (shed, parse, optimize) come
-    /// back as the typed error reply.
+    /// one). A cached workload takes the cache lock once, in `get_if`;
+    /// only a miss reaches the admission check and the preparing entry
+    /// point, and only an SQL preparation this call led is written
+    /// through to the store ([`persist_to`](Self::persist_to)).
+    /// Failures (shed, parse, optimize) come back as the typed error
+    /// reply.
     fn prepared_for(
         &self,
         workload: &Workload,
     ) -> Result<(Arc<PreparedQuery>, bool), Box<Response>> {
         let id = self.resolve(workload)?;
-        if let Some(prepared) = id.service.get_keyed(&id.key) {
+        if let Some(prepared) = self.cache.get_if(&id.key, |_| true) {
             return Ok((prepared, true));
         }
         if let Some(denial) = self.deny_preparation() {
             self.shed_prepare.fetch_add(1, Ordering::Relaxed);
             return Err(Box::new(denial));
         }
-        id.service
-            .get_or_prepare_keyed(&id.key, &id.query)
-            .map(|prepared| (prepared, false))
-            .map_err(|e| Box::new(error_response(&e)))
+        let prepare = || PreparedQuery::prepare(&id.catalog, &id.query, &self.config);
+        let (prepared, led) = self
+            .cache
+            .get_or_prepare(&id.key, prepare)
+            .map_err(|e| Box::new(error_response(&e)))?;
+        if led && Arc::ptr_eq(&id.catalog, &self.tpch) {
+            if let Some(Err(e)) = self.store.as_ref().map(|store| store.save(&prepared)) {
+                eprintln!("plansample-serve: artifact save failed: {e}");
+            }
+        }
+        Ok((prepared, false))
     }
 
     /// The identity of a workload this state has already resolved —
@@ -500,9 +540,9 @@ impl ServerState {
         Ok(id)
     }
 
-    /// Parses an SQL text into its identity on the TPC-H front.
+    /// Parses an SQL text into its identity over the TPC-H catalog.
     fn learn_sql(&self, sql: &str) -> Result<Identity, Box<Response>> {
-        let parsed = plansample_sql::parse(self.tpch.catalog(), sql).map_err(|e| {
+        let parsed = plansample_sql::parse(&self.tpch, sql).map_err(|e| {
             // `render` quotes the offending line; `error` clamps
             // it so the reply stays within the frame bound.
             Box::new(Response::error(ErrorCode::Sql, e.render(sql)))
@@ -510,24 +550,21 @@ impl ServerState {
         // The front door serves plan-space operations; execution
         // hints (USEPLAN) have no meaning here.
         Ok(Identity {
-            service: Arc::clone(&self.tpch),
-            key: self.tpch.key_for(&parsed.spec),
+            catalog: Arc::clone(&self.tpch),
+            key: self.key("tpch", &parsed.spec),
             query: parsed.spec,
         })
     }
 
-    /// Builds the identity of one synthetic spec: a front of its own
-    /// over the shared cache, scoped by the spec's label — which names
-    /// every input of the build, so two specs never share a key even
-    /// where their queries render alike — and owning the catalog the
-    /// spec materializes.
+    /// Builds the identity of one synthetic spec: the catalog the spec
+    /// materializes, keyed under the spec's label — which names every
+    /// input of the build, so two specs never share a key even where
+    /// their queries render alike.
     fn learn_synth(&self, spec: &JoinGraphSpec) -> Identity {
         let (catalog, query) = spec.build();
-        let config = self.tpch.config().clone();
-        let service = PlanService::scoped(Arc::clone(&self.cache), &spec.label(), catalog, config);
         Identity {
-            key: service.key_for(&query),
-            service: Arc::new(service),
+            key: self.key(&spec.label(), &query),
+            catalog: Arc::new(catalog),
             query,
         }
     }
@@ -656,14 +693,15 @@ mod tests {
     #[test]
     fn a_warm_workload_resolves_to_the_identity_it_already_has() {
         let state = state();
-        for workload in [sql(NATIONS_BY_REGION), chain_spec(1)] {
+        let chain = JoinGraphSpec::new(Topology::Chain, 2, 1).label();
+        for (workload, scope) in [(sql(NATIONS_BY_REGION), "tpch"), (chain_spec(1), &chain)] {
             let first = state.resolve(&workload).unwrap();
             let again = state.resolve(&workload).unwrap();
             assert!(
                 Arc::ptr_eq(&first, &again),
                 "{workload:?} was parsed, built or keyed a second time"
             );
-            assert_eq!(first.key, first.service.key_for(&first.query));
+            assert_eq!(first.key, state.key(scope, &first.query));
         }
     }
 
@@ -798,10 +836,12 @@ mod tests {
             },
         );
         let cold = "SELECT * FROM region WHERE r_regionkey < 3";
-        let warm = plansample_sql::parse(state.tpch_service().catalog(), NATIONS_BY_REGION)
+        let warm = plansample_sql::parse(&state.tpch, NATIONS_BY_REGION)
             .unwrap()
             .spec;
-        state.tpch_service().get_or_prepare(&warm).unwrap();
+        let key = state.key("tpch", &warm);
+        let fill = || PreparedQuery::prepare(&state.tpch, &warm, &state.config);
+        assert!(state.cache.get_or_prepare(&key, fill).unwrap().1);
 
         for round in 1..=2 {
             assert!(prepare(&state, NATIONS_BY_REGION).1, "cached: served");
@@ -936,7 +976,7 @@ mod tests {
         let state = sql_state(4, AdmissionConfig::default());
         state.handle(&Request::Count(sql(REGION)));
         let id = state.known_identity(&sql(REGION)).unwrap();
-        let cached = state.tpch.get_keyed(&id.key).unwrap();
+        let cached = state.cache.get_if(&id.key, |_| true).unwrap();
         assert_eq!(cached.tier(), CountTier::U64);
         assert_answers(&state, &Request::SampleBatch(sql(REGION), 7, 1));
 
@@ -947,8 +987,11 @@ mod tests {
         let exact =
             PreparedQuery::from_parts(space, plan.clone(), cost, cached.config().clone()).unwrap();
         assert_eq!(exact.tier(), CountTier::Nat);
-        state.tpch.clear();
-        assert!(state.tpch.warm(Arc::new(exact)));
+        // Seeded into a fresh state that knows the text but has
+        // prepared nothing.
+        let state = sql_state(4, AdmissionConfig::default());
+        state.resolve(&sql(REGION)).unwrap();
+        assert!(state.warm(Arc::new(exact)));
 
         assert_declines(
             &state,

@@ -1,8 +1,10 @@
 //! Serving smoke test for the artifact store: a server with
 //! `--artifact-dir` persists every preparation write-through; a restart
-//! with `--warm` serves the same answers *bit-identically* without
-//! re-optimizing; and a version-bumped artifact is refused at warm time
-//! (the restarted server simply re-prepares — availability over reuse).
+//! on the same directory warms from it and serves the same answers
+//! *bit-identically* without re-optimizing; and a version-bumped
+//! artifact, or one prepared under another optimizer configuration, is
+//! refused at warm time (the restarted server simply re-prepares —
+//! availability over reuse).
 
 use plansample_serve::server::{self, ServerConfig};
 use plansample_serve::{Client, Request, Response, Workload};
@@ -18,12 +20,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn config(dir: &Path, warm: bool) -> ServerConfig {
+fn config(dir: &Path) -> ServerConfig {
     ServerConfig {
         reactors: 1,
         workers: 1,
         artifact_dir: Some(dir.to_path_buf()),
-        warm,
         ..Default::default()
     }
 }
@@ -51,7 +52,7 @@ fn warm_restart_serves_bit_identical_replies_without_reoptimizing() {
     let dir = temp_dir("roundtrip");
 
     // --- First life: prepare once, answer the battery, persist. ------
-    let handle = server::start(config(&dir, false)).expect("first server starts");
+    let handle = server::start(config(&dir)).expect("first server starts");
     let mut client = Client::connect(handle.addr()).unwrap();
     let prepared = client
         .call(&Request::Prepare(Workload::Sql(SQL.to_string())))
@@ -92,7 +93,7 @@ fn warm_restart_serves_bit_identical_replies_without_reoptimizing() {
     assert_eq!(artifacts.len(), 1, "write-through published one artifact");
 
     // --- Second life: warm from the store, answer identically. -------
-    let handle = server::start(config(&dir, true)).expect("warmed server starts");
+    let handle = server::start(config(&dir)).expect("warmed server starts");
     let mut client = Client::connect(handle.addr()).unwrap();
     let s = stats(&mut client);
     assert_eq!(s.entries, 1, "warming admitted the artifact");
@@ -127,7 +128,7 @@ fn warm_restart_serves_bit_identical_replies_without_reoptimizing() {
     bytes[8..12].copy_from_slice(&bumped.to_le_bytes());
     fs::write(path, &bytes).unwrap();
 
-    let handle = server::start(config(&dir, true)).expect("server starts past a bad artifact");
+    let handle = server::start(config(&dir)).expect("server starts past a bad artifact");
     let mut client = Client::connect(handle.addr()).unwrap();
     let s = stats(&mut client);
     assert_eq!(s.entries, 0, "a future-version artifact must not warm");
@@ -154,5 +155,40 @@ fn warm_restart_serves_bit_identical_replies_without_reoptimizing() {
         u32::from_le_bytes(healed[8..12].try_into().unwrap()),
         plansample_artifact::FORMAT_VERSION
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// An artifact prepared with `--cross-products` sits in the store of a
+/// server with the default configuration: warming decodes it and
+/// refuses it, and the query is prepared afresh.
+#[test]
+fn warming_refuses_an_artifact_of_another_optimizer_configuration() {
+    let dir = temp_dir("config");
+    let prepare = || Request::Prepare(Workload::Sql(SQL.to_string()));
+
+    let cross = ServerConfig {
+        cross_products: true,
+        ..config(&dir)
+    };
+    let handle = server::start(cross).expect("cross-products server starts");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let reply = client.call(&prepare()).unwrap();
+    assert!(matches!(reply, Response::Prepared { cached: false, .. }));
+    drop(client);
+    handle.stop();
+    assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "one artifact");
+
+    let handle = server::start(config(&dir)).expect("default server starts");
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(stats(&mut client).entries, 0, "the artifact was refused");
+    let reply = client.call(&prepare()).unwrap();
+    assert!(
+        matches!(reply, Response::Prepared { cached: false, .. }),
+        "got {reply:?}"
+    );
+    let s = stats(&mut client);
+    assert_eq!((s.misses, s.entries), (1, 1), "prepared afresh");
+    drop(client);
+    handle.stop();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -10,8 +10,11 @@
 //!   per query: counting, the rank/unrank bijection, resumable
 //!   enumeration cursors ([`PlanCursor`]), and batched uniform sampling,
 //!   all with zero re-optimization;
-//! * [`PlanService`] — a bounded LRU of prepared queries keyed by
-//!   normalized query + optimizer config: the concurrent serving surface;
+//! * [`ArtifactCache`] — the concurrent serving surface: a bounded,
+//!   singleflighted LRU of prepared queries under keys its caller builds
+//!   (the server keys one for every workload it serves), and
+//!   [`PlanService`], that cache over one catalog, keyed by normalized
+//!   query + optimizer config;
 //! * [`PlanSpace`] — the lower-level owned plan space the artifact wraps;
 //! * [`session`] — the end-to-end pipeline (parse → prepare → pick/sample
 //!   → execute) behind the CLI and the `USEPLAN` SQL option;

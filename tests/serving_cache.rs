@@ -125,11 +125,9 @@ fn one_prepare_bound_holds_across_workload_families() {
             state.cache().get_or_prepare("held open", || {
                 entered.send(()).unwrap();
                 released.recv().unwrap();
-                let service = state.tpch_service();
-                let spec = plansample_sql::parse(service.catalog(), SUPPLIERS)
-                    .unwrap()
-                    .spec;
-                PreparedQuery::prepare(service.catalog(), &spec, service.config())
+                let (catalog, _) = plansample_catalog::tpch::catalog();
+                let spec = plansample_sql::parse(&catalog, SUPPLIERS).unwrap().spec;
+                PreparedQuery::prepare(&catalog, &spec, &OptimizerConfig::default())
             })
         });
         has_entered.recv().unwrap();

@@ -168,19 +168,20 @@ impl RawClient {
 
 /// Seeds `state`'s cache with `text`'s artifact re-stored on `tier`.
 fn seed_on_tier(state: &ServerState, text: &str, tier: CountTier) {
-    let service = state.tpch_service();
-    let spec = plansample_sql::parse(service.catalog(), text)
+    let (catalog, _) = plansample_catalog::tpch::catalog();
+    let config = OptimizerConfig::default();
+    let spec = plansample_sql::parse(&catalog, text)
         .expect("seeded text parses")
         .spec;
-    let narrow = PreparedQuery::prepare(service.catalog(), &spec, service.config()).unwrap();
+    let narrow = PreparedQuery::prepare(&catalog, &spec, &config).unwrap();
     assert_eq!(narrow.tier(), CountTier::U64);
     let mut space = narrow.space().clone();
     space.force_tier(tier);
     let (plan, cost) = narrow.best();
-    let wide = PreparedQuery::from_parts(space, plan.clone(), cost, service.config().clone())
+    let wide = PreparedQuery::from_parts(space, plan.clone(), cost, config)
         .expect("re-stored space is the same space");
     assert_eq!(wide.tier(), tier);
-    assert!(service.warm(Arc::new(wide)), "{text:?} was already cached");
+    assert!(state.warm(Arc::new(wide)), "{text:?} was already cached");
 }
 
 /// Runs `requests` through a server started from `config` — dealt
