@@ -24,9 +24,9 @@
 //! prepared artifact's exact byte footprint (links / counts / memo).
 //!
 //! Global flags: `--cross-products`, `--seed N`, `--orders N` (micro
-//! database size), `--threads N` (a server's request workers per
-//! reactor). A bulk sample batch forks as wide as the CPUs the process
-//! may run on; [`USAGE`] says how to narrow that.
+//! database size), `--threads N` (a server's request workers, shared
+//! by its reactors). A bulk sample batch forks as wide as the CPUs the
+//! process may run on; [`USAGE`] says how to narrow that.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -53,8 +53,8 @@ pub struct Cli {
     pub seed: u64,
     /// Orders in the micro database (other tables scale along).
     pub orders: usize,
-    /// `--threads`: request workers per reactor for `serve`/`loadgen`
-    /// servers (`None`: 4).
+    /// `--threads`: request workers, shared by the reactors, for
+    /// `serve`/`loadgen` servers (`None`: 4).
     pub threads: Option<usize>,
     /// Reactor (event-loop) threads for `serve`/`loadgen` servers
     /// (`0`: one per available core).
@@ -247,8 +247,8 @@ FLAGS:
   --cross-products   include Cartesian products in the space
   --seed N           RNG seed (default 42)
   --orders N         orders in the micro database (default 120)
-  --threads N        request workers per reactor for serve/loadgen
-                     servers (default 4)
+  --threads N        request workers for serve/loadgen servers, shared
+                     by the server's reactors (default 4)
   --reactors N       event-loop threads for serve/loadgen servers
                      (default: one per available core)
   --artifact-dir DIR persistent artifact store for `serve` (warms the
@@ -737,7 +737,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
 /// The `serve` command: expose the plan service over TCP and block
 /// until the process is killed. Listens on `addr`; `--reactors` sets
 /// the event-loop count (0 = one per core), `--threads` the request
-/// workers per reactor, `--cross-products` widens the plan spaces served.
+/// workers they share, `--cross-products` widens the plan spaces served.
 fn run_serve(cli: &Cli, addr: &str) -> Result<String, CliError> {
     let config = plansample_serve::ServerConfig {
         addr: addr.to_string(),
@@ -1053,7 +1053,8 @@ mod tests {
         assert_eq!(parse_args(["count", "S"]).unwrap().threads, None);
         // One flag, one meaning; the fork width is the host's.
         assert_eq!(USAGE.matches("--threads N").count(), 1);
-        assert!(USAGE.contains("--threads N        request workers per reactor"));
+        assert!(USAGE.contains("--threads N        request workers for serve/loadgen servers"));
+        assert!(USAGE.contains("shared\n                     by the server's reactors"));
         assert!(USAGE.contains("`taskset` narrows that"));
         assert!(!USAGE.contains("fork width"));
     }

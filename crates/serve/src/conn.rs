@@ -6,7 +6,7 @@
 //! [`Conn::fill`] (drain readable bytes), [`Conn::flush`] (push
 //! writable bytes), and the deadline probe [`Conn::frame_deadline`].
 //! The connection itself performs no protocol work beyond framing —
-//! decoding and execution happen in the event loop and the worker pool
+//! decoding and execution happen in the event loop and the workers
 //! — so its invariants stay small:
 //!
 //! * reply order per connection is *not* required — each frame carries
@@ -76,7 +76,7 @@ pub struct Conn {
     /// When the partial frame at the head of the unparsed input
     /// started arriving.
     frame_started: Option<Instant>,
-    /// Requests handed to the worker pool, not yet answered.
+    /// Requests handed to the workers, not yet answered.
     pub inflight: usize,
     /// Units of the event loop's per-round budget this connection has
     /// used since the loop last polled (the reactor's bookkeeping).

@@ -14,20 +14,20 @@
 //!   request ids, typed errors. Decoding is total (never panics) and
 //!   encoding is deterministic, which is what makes the network path
 //!   byte-for-byte reproducible.
-//! * [`reactor`] — a minimal readiness poller over `poll(2)` (vendored
-//!   so the event loops need nothing beyond `std`), and the
+//! * `reactor` (private) — a minimal readiness poller over `poll(2)`
+//!   (vendored so the event loops need nothing beyond `std`), and the
 //!   thread-per-core reactor built on it.
-//! * [`conn`] — the per-connection state machine: partial-frame
+//! * `conn` (private) — the per-connection state machine: partial-frame
 //!   reassembly, partial-write buffering, slow-loris deadlines.
 //! * [`state`] — workload resolution (TPC-H SQL and synthetic join
 //!   graphs), request execution, and the two-layer admission control
 //!   that sheds with a typed `Overloaded` reply instead of queueing
 //!   unboundedly — globally, across every reactor.
-//! * [`server`] — the acceptor (owns the listener, deals connections
-//!   round-robin to the reactors) plus N reactors. A reactor answers
-//!   small requests on cached workloads itself, in the loop round that
-//!   read them; its own small worker pool takes the rest (first
-//!   preparations, bulk sample batches).
+//! * [`server`] — N reactors and one worker set they share. Reactor 0
+//!   also owns the listener and deals connections round-robin to the
+//!   reactors. A reactor answers small requests on cached workloads
+//!   itself, in the loop round that read them; the workers take the
+//!   rest (first preparations, bulk sample batches) from one job queue.
 //! * [`client`] — a blocking reference client.
 //! * [`loadgen`] — the closed-loop fan-in load generator behind
 //!   `plansample-cli loadgen`, with the clean-run check over its report.
@@ -48,10 +48,10 @@
 //! cache.
 
 pub mod client;
-pub mod conn;
+mod conn;
 pub mod json;
 pub mod loadgen;
-pub mod reactor;
+mod reactor;
 pub mod server;
 pub mod state;
 pub mod wire;

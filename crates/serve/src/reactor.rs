@@ -10,15 +10,17 @@
 //! the O(n) fd scan is far below the cost of the work behind each ready
 //! fd.
 //!
-//! The crate-private `Reactor` is one thread-per-core event loop: it
-//! owns a connection map, a worker handoff (jobs channel + completion
-//! queue + socketpair waker), and a mailbox of freshly-accepted sockets
-//! the acceptor thread hands it. A server runs N reactors (see
-//! `server::start`); a connection lives its whole life on the reactor
-//! that adopted it, so no socket is ever shared between threads. All
-//! cross-reactor coordination happens through the shared `ServerState`
-//! atomics — including the global queue bound, claimed with
-//! `ServerState::try_admit` so admission holds server-wide at any
+//! `Reactor` is one thread-per-core event loop: it owns a connection map
+//! and an [`Inbox`] — the connections reactor 0 dealt it and the replies
+//! the server's workers finished for it, behind one socketpair waker.
+//! Reactor 0 also owns the listener: it accepts until `WouldBlock` and
+//! deals each connection round-robin, adopting those whose turn is its
+//! own and posting the rest to their reactor's inbox. A server runs N
+//! reactors (see `server::start`); a connection lives its whole life on
+//! the reactor that adopted it, so no socket is ever shared between
+//! threads. All cross-reactor coordination happens through the shared
+//! `ServerState` atomics — including the global queue bound, claimed
+//! with `ServerState::try_admit` so admission holds server-wide at any
 //! reactor count.
 //!
 //! A request takes one of two paths, chosen per request by
@@ -32,7 +34,7 @@
 //!   request, the client's own: client → reactor → client.
 //! * **handed to a worker** — everything else (unknown identity, cache
 //!   miss, a `SampleBatch` past the inline constant or on the exact
-//!   tier): job channel → worker → completion queue → wake pipe → a
+//!   tier): the server's job queue → a worker → the reactor's inbox → a
 //!   second loop round. Four crossings: client → reactor → worker →
 //!   reactor → client. The reactor itself never parses SQL, builds a
 //!   catalog, optimizes or touches the artifact store.
@@ -48,7 +50,7 @@ use crate::state::ServerState;
 use crate::wire::{self, ErrorCode, Request, Response, WireError, CONNECTION_REQUEST_ID};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_ulong};
 use std::os::unix::net::UnixStream;
@@ -187,8 +189,10 @@ impl Poller {
     }
 }
 
-/// A request in flight to a reactor's worker pool.
+/// A request in flight to the server's workers, naming the reactor its
+/// reply goes back to.
 pub(crate) struct Job {
+    pub(crate) reactor: usize,
     pub(crate) token: u64,
     pub(crate) request_id: u64,
     pub(crate) request: Request,
@@ -200,51 +204,145 @@ pub(crate) struct Completion {
     pub(crate) payload: Vec<u8>,
 }
 
-/// Token the listener is registered under in the acceptor's poll set.
-/// Reactors never register it; their connection tokens start at
-/// [`FIRST_CONN_TOKEN`].
-pub(crate) const TOKEN_LISTENER: u64 = 0;
+/// Token the listener is registered under in reactor 0's poll set.
+const TOKEN_LISTENER: u64 = 0;
 
-/// Token the reactor's wake pipe is registered under.
-pub(crate) const TOKEN_WAKER: u64 = 1;
+/// Token the reactor's wake socketpair is registered under.
+const TOKEN_WAKER: u64 = 1;
 
 /// First token handed to a connection.
-pub(crate) const FIRST_CONN_TOKEN: u64 = 2;
+const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Backoff after a failed `poll(2)` call, and how many consecutive
 /// failures are tolerated before the loop gives up: a persistent error
 /// (e.g. EINVAL from breaching the fd limit) must not spin the loop at
 /// 100% CPU, and if it never clears the server shuts down rather than
-/// hang unresponsively. The acceptor applies the same policy to
-/// persistent `accept(2)` failures.
-pub(crate) const POLL_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+/// hang unresponsively. Reactor 0 applies the same policy to persistent
+/// `accept(2)` failures.
+const POLL_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Consecutive `poll(2)` failures tolerated before giving up.
-pub(crate) const MAX_POLL_ERRORS: u32 = 100;
+const MAX_POLL_ERRORS: u32 = 100;
 
-/// Write ends of every event-loop thread's wake pipe (the acceptor
-/// first, then each reactor). Any party declaring server-wide shutdown
-/// pokes them all, so no thread stays parked in `poll(2)` holding the
-/// shutdown back.
-pub(crate) struct WakeSet(pub(crate) Vec<Mutex<UnixStream>>);
+/// How long reactor 0 leaves the listener out of its poll set after a
+/// failed `accept(2)` call: the listener stays readable under
+/// level-triggered polling, so polling it again at once would spin the
+/// loop at 100% CPU for as long as the failure — fd exhaustion,
+/// typically — persists.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
-impl WakeSet {
-    /// Writes one wake byte to every pipe. `WouldBlock` is ignored: a
-    /// full pipe already guarantees the owner will wake.
-    pub(crate) fn wake_all(&self) {
-        for waker in &self.0 {
-            if let Ok(mut w) = waker.lock() {
-                let _ = w.write(&[1]);
-            }
+/// Consecutive `accept(2)` failures tolerated before reactor 0 declares
+/// server-wide shutdown (mirrors [`MAX_POLL_ERRORS`]).
+const MAX_ACCEPT_ERRORS: u32 = 100;
+
+/// What to do after an `accept(2)` failure.
+#[derive(Debug, PartialEq, Eq)]
+enum AcceptVerdict {
+    /// Transient (so far): leave the listener out of the poll set for
+    /// [`ACCEPT_ERROR_BACKOFF`].
+    Backoff,
+    /// Persistent: shut the server down rather than hang half-alive.
+    GiveUp,
+}
+
+/// The consecutive-failure policy for `accept(2)`, separated from the
+/// accept loop so the verdict sequence is unit-testable without forcing
+/// real fd exhaustion.
+#[derive(Debug, Default)]
+struct AcceptBackoff {
+    consecutive: u32,
+}
+
+impl AcceptBackoff {
+    fn on_success(&mut self) {
+        self.consecutive = 0;
+    }
+
+    fn on_error(&mut self) -> AcceptVerdict {
+        self.consecutive += 1;
+        if self.consecutive >= MAX_ACCEPT_ERRORS {
+            AcceptVerdict::GiveUp
+        } else {
+            AcceptVerdict::Backoff
         }
     }
 }
 
-/// Empties an event loop's wake pipe, stopping at the first short read:
-/// that read emptied the pipe, and a byte written after it makes the
-/// level-triggered `poll(2)` report the pipe again, so reading on to
+/// Reactor 0's listening socket and what dealing from it takes.
+struct Listener {
+    socket: TcpListener,
+    /// Round-robin cursor over the reactors.
+    next: usize,
+    backoff: AcceptBackoff,
+    /// Set after a failed `accept(2)`: when the listener rejoins the
+    /// poll set.
+    resume_at: Option<Instant>,
+}
+
+/// What other threads hand one reactor: the connections reactor 0 dealt
+/// it, the replies workers finished for its jobs, and the write end of
+/// the socketpair whose read end the reactor polls. A wake is one byte
+/// written through `&UnixStream`, a single `write(2)`, so senders take
+/// no lock for it.
+pub(crate) struct Inbox {
+    streams: Mutex<Vec<TcpStream>>,
+    completions: Mutex<Vec<Completion>>,
+    waker: UnixStream,
+}
+
+impl Inbox {
+    /// An empty inbox and the read end of its socketpair, for its
+    /// reactor to poll. Both ends are nonblocking: the read side so
+    /// draining never stalls the loop, the write side so a full wake
+    /// buffer never blocks a sender.
+    pub(crate) fn new() -> io::Result<(Inbox, UnixStream)> {
+        let (waker, wake_rx) = UnixStream::pair()?;
+        waker.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let inbox = Inbox {
+            streams: Mutex::default(),
+            completions: Mutex::default(),
+            waker,
+        };
+        Ok((inbox, wake_rx))
+    }
+
+    /// Wakes the reactor. `WouldBlock` is ignored: a full socket buffer
+    /// already guarantees the reactor will wake.
+    fn wake(&self) {
+        let _ = (&self.waker).write(&[1]);
+    }
+
+    /// Hands the reactor a connection reactor 0 dealt it.
+    fn deliver(&self, stream: TcpStream) {
+        self.streams.lock().expect("inbox poisoned").push(stream);
+        self.wake();
+    }
+
+    /// Hands the reactor a finished reply.
+    pub(crate) fn complete(&self, completion: Completion) {
+        self.completions
+            .lock()
+            .expect("inbox poisoned")
+            .push(completion);
+        self.wake();
+    }
+}
+
+/// Declares server-wide shutdown: sets the flag, then wakes every
+/// reactor so none stays parked in `poll(2)` holding the shutdown back.
+pub(crate) fn shut_down(shutdown: &AtomicBool, inboxes: &[Inbox]) {
+    shutdown.store(true, Ordering::SeqCst);
+    for inbox in inboxes {
+        inbox.wake();
+    }
+}
+
+/// Empties a reactor's wake socket, stopping at the first short read:
+/// that read emptied it, and a byte written after it makes the
+/// level-triggered `poll(2)` report the socket again, so reading on to
 /// `WouldBlock` would only add a syscall to every wake.
-pub(crate) fn drain_wake_pipe(wake_rx: &mut UnixStream) {
+fn drain_wake_pipe(wake_rx: &mut UnixStream) {
     let mut sink = [0u8; 64];
     while matches!(wake_rx.read(&mut sink), Ok(n) if n == sink.len()) {}
 }
@@ -275,7 +373,7 @@ pub(crate) struct Intake {
     /// `ServerState::per_reactor` counter slice).
     pub(crate) index: usize,
     pub(crate) state: Arc<ServerState>,
-    /// Requests the reactor does not answer itself go to its workers.
+    /// Requests the reactor does not answer itself go to the workers.
     pub(crate) jobs_tx: mpsc::Sender<Job>,
     pub(crate) max_pipeline: usize,
 }
@@ -375,6 +473,7 @@ impl Intake {
                 // send cannot fail until shutdown, where replies are
                 // moot anyway.
                 let _ = self.jobs_tx.send(Job {
+                    reactor: self.index,
                     token,
                     request_id,
                     request,
@@ -395,27 +494,54 @@ fn decode_frame(payload: &[u8]) -> Result<(u64, Request), (u64, WireError)> {
 }
 
 /// One thread-per-core event loop. See the module docs for how it
-/// relates to the acceptor and its siblings.
+/// relates to its siblings.
 pub(crate) struct Reactor {
-    /// Read end of the wake pipe (workers and the acceptor poke it).
-    pub(crate) wake_rx: UnixStream,
-    /// Freshly-accepted sockets the acceptor handed this reactor,
-    /// adopted at the top of every loop round.
-    pub(crate) mailbox: Arc<Mutex<Vec<TcpStream>>>,
-    pub(crate) conns: HashMap<u64, Conn>,
-    pub(crate) next_token: u64,
-    pub(crate) intake: Intake,
-    pub(crate) completions: Arc<Mutex<Vec<Completion>>>,
-    pub(crate) shutdown: Arc<AtomicBool>,
-    /// Every thread's waker, for declaring server-wide shutdown.
-    pub(crate) wake_set: Arc<WakeSet>,
-    pub(crate) frame_timeout: Duration,
+    /// Read end of this reactor's inbox socketpair.
+    wake_rx: UnixStream,
+    /// Every reactor's inbox, this one's at `intake.index`: reactor 0
+    /// deals connections into the others, and shutdown wakes them all.
+    inboxes: Arc<[Inbox]>,
+    /// Reactor 0's listener; `None` on every other reactor.
+    listener: Option<Listener>,
+    conns: HashMap<u64, Conn>,
+    next_token: u64,
+    intake: Intake,
+    shutdown: Arc<AtomicBool>,
+    frame_timeout: Duration,
     /// Time source for the slow-loris deadlines — `Instant::now` in
     /// production, a stepping fake in the deadline regression tests.
-    pub(crate) clock: fn() -> Instant,
+    clock: fn() -> Instant,
 }
 
 impl Reactor {
+    /// Reactor `intake.index`, polling `wake_rx` (the read end of its
+    /// inbox's socketpair) and, when given one, the listener.
+    pub(crate) fn new(
+        intake: Intake,
+        inboxes: Arc<[Inbox]>,
+        wake_rx: UnixStream,
+        listener: Option<TcpListener>,
+        shutdown: Arc<AtomicBool>,
+        frame_timeout: Duration,
+    ) -> Reactor {
+        Reactor {
+            wake_rx,
+            inboxes,
+            listener: listener.map(|socket| Listener {
+                socket,
+                next: 0,
+                backoff: AcceptBackoff::default(),
+                resume_at: None,
+            }),
+            conns: HashMap::new(),
+            next_token: FIRST_CONN_TOKEN,
+            intake,
+            shutdown,
+            frame_timeout,
+            clock: Instant::now,
+        }
+    }
+
     pub(crate) fn run(mut self) {
         let mut poller = Poller::new();
         let mut poll_errors: u32 = 0;
@@ -429,24 +555,31 @@ impl Reactor {
                             "plansample-serve: poll(2) failed {poll_errors} times in a row \
                              ({e}); shutting down"
                         );
-                        self.shutdown.store(true, Ordering::SeqCst);
-                        self.wake_set.wake_all();
+                        shut_down(&self.shutdown, &self.inboxes);
                         break;
                     }
                     std::thread::sleep(POLL_ERROR_BACKOFF);
                 }
             }
         }
-        // Dropping the sender closes the job channel; this reactor's
-        // workers exit.
+        // The connections end with the loop, through the one path that
+        // keeps `connections_open` true. Dropping the job sender with
+        // the reactor lets the workers exit once every reactor has.
+        self.close_where(|_| true);
     }
 
-    /// One round of the loop: take in what other threads left (new
+    /// This reactor's own inbox.
+    fn inbox(&self) -> &Inbox {
+        &self.inboxes[self.intake.index]
+    }
+
+    /// One round of the loop: take in what other threads left (dealt
     /// connections, finished replies), poll, and serve every ready
     /// connection — read, parse, answer or hand off, write — within its
-    /// budget. Fails only when `poll(2)` does.
+    /// budget; on reactor 0, accept and deal what the listener has.
+    /// Fails only when `poll(2)` does.
     fn turn(&mut self, poller: &mut Poller) -> io::Result<()> {
-        self.adopt_mailbox();
+        self.adopt_dealt();
         self.drain_completions();
         self.reap();
 
@@ -455,6 +588,14 @@ impl Reactor {
         // whether or not its socket has news.
         poller.clear();
         poller.register(self.wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ);
+        if let Some(listener) = &mut self.listener {
+            // After a failed accept the listener sits out until its
+            // backoff ends.
+            if listener.resume_at.is_none_or(|at| (self.clock)() >= at) {
+                listener.resume_at = None;
+                poller.register(listener.socket.as_raw_fd(), TOKEN_LISTENER, Interest::READ);
+            }
+        }
         let mut backlog = false;
         for (&token, conn) in &mut self.conns {
             conn.round_spent = 0;
@@ -482,6 +623,10 @@ impl Reactor {
                 drain_wake_pipe(&mut self.wake_rx);
                 continue;
             }
+            if event.token == TOKEN_LISTENER {
+                self.accept_burst(now);
+                continue;
+            }
             let Some(conn) = self.conns.get_mut(&event.token) else {
                 continue;
             };
@@ -506,35 +651,86 @@ impl Reactor {
         Ok(())
     }
 
-    /// Adopts every connection the acceptor queued on the mailbox.
-    /// From here on the socket belongs to this reactor alone.
-    fn adopt_mailbox(&mut self) {
-        let adopted: Vec<TcpStream> = {
-            let mut mailbox = self.mailbox.lock().expect("mailbox poisoned");
-            std::mem::take(&mut *mailbox)
+    /// Reactor 0's listener is readable: accepts until `WouldBlock`,
+    /// dealing connection `i` to reactor `i mod n` — adopted here when
+    /// that is this reactor, posted to the target's inbox otherwise. A
+    /// failed `accept(2)` takes the listener out of the poll set until
+    /// a backoff deadline, or shuts the server down when failures
+    /// persist.
+    fn accept_burst(&mut self, now: Instant) {
+        let Some(listener) = &mut self.listener else {
+            return;
         };
-        let state = &self.intake.state;
-        for stream in adopted {
-            let Ok(conn) = Conn::new(stream) else {
-                continue;
-            };
-            let token = self.next_token;
-            self.next_token += 1;
-            self.conns.insert(token, conn);
-            state.connections_total.fetch_add(1, Ordering::Relaxed);
-            state.connections_open.fetch_add(1, Ordering::Relaxed);
-            state.per_reactor[self.intake.index]
-                .connections
-                .fetch_add(1, Ordering::Relaxed);
+        let mut own = Vec::new();
+        loop {
+            match listener.socket.accept() {
+                Ok((stream, _)) => {
+                    listener.backoff.on_success();
+                    let to = listener.next % self.inboxes.len();
+                    listener.next = listener.next.wrapping_add(1);
+                    if to == self.intake.index {
+                        own.push(stream);
+                    } else {
+                        self.inboxes[to].deliver(stream);
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    self.intake
+                        .state
+                        .accept_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    match listener.backoff.on_error() {
+                        AcceptVerdict::Backoff => {
+                            listener.resume_at = Some(now + ACCEPT_ERROR_BACKOFF);
+                        }
+                        AcceptVerdict::GiveUp => {
+                            eprintln!(
+                                "plansample-serve: accept(2) failed {} times in a row \
+                                 ({e}); shutting down",
+                                listener.backoff.consecutive
+                            );
+                            shut_down(&self.shutdown, &self.inboxes);
+                        }
+                    }
+                    break;
+                }
+            }
         }
+        for stream in own {
+            self.adopt(stream);
+        }
+    }
+
+    /// Adopts every connection reactor 0 dealt this reactor.
+    fn adopt_dealt(&mut self) {
+        let dealt = std::mem::take(&mut *self.inbox().streams.lock().expect("inbox poisoned"));
+        for stream in dealt {
+            self.adopt(stream);
+        }
+    }
+
+    /// Takes a connection into this reactor under a fresh token. From
+    /// here on the socket belongs to this reactor alone.
+    fn adopt(&mut self, stream: TcpStream) {
+        let Ok(conn) = Conn::new(stream) else {
+            return;
+        };
+        let token = self.next_token;
+        self.next_token += 1;
+        self.conns.insert(token, conn);
+        let state = &self.intake.state;
+        state.connections_total.fetch_add(1, Ordering::Relaxed);
+        state.connections_open.fetch_add(1, Ordering::Relaxed);
+        state.per_reactor[self.intake.index]
+            .connections
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Moves finished replies into their connections' write buffers.
     fn drain_completions(&mut self) {
-        let done: Vec<Completion> = {
-            let mut queue = self.completions.lock().expect("completion queue poisoned");
-            std::mem::take(&mut *queue)
-        };
+        let done = std::mem::take(&mut *self.inbox().completions.lock().expect("inbox poisoned"));
         for completion in done {
             self.intake.state.release_inflight();
             let Some(conn) = self.conns.get_mut(&completion.token) else {
@@ -582,11 +778,14 @@ impl Reactor {
         self.close_where(|c| c.phase == ConnPhase::Closed || c.drained());
     }
 
+    /// The earliest slow-loris deadline, or the end of an accept
+    /// backoff if that comes first.
     fn nearest_deadline(&self) -> Option<Instant> {
         self.conns
             .values()
             .filter_map(|c| c.frame_deadline())
             .map(|started| started + self.frame_timeout)
+            .chain(self.listener.as_ref().and_then(|l| l.resume_at))
             .min()
     }
 
@@ -663,6 +862,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn accept_backoff_gives_up_only_after_the_bound() {
+        let mut backoff = AcceptBackoff::default();
+        for i in 1..MAX_ACCEPT_ERRORS {
+            assert_eq!(
+                backoff.on_error(),
+                AcceptVerdict::Backoff,
+                "failure #{i} must back off, not give up"
+            );
+        }
+        assert_eq!(
+            backoff.on_error(),
+            AcceptVerdict::GiveUp,
+            "failure #{MAX_ACCEPT_ERRORS} exhausts the tolerance"
+        );
+    }
+
+    #[test]
+    fn accept_backoff_resets_on_success() {
+        let mut backoff = AcceptBackoff::default();
+        for _ in 0..MAX_ACCEPT_ERRORS - 1 {
+            backoff.on_error();
+        }
+        backoff.on_success();
+        assert_eq!(
+            backoff.on_error(),
+            AcceptVerdict::Backoff,
+            "one success forgives the whole streak"
+        );
+    }
+
     thread_local! {
         static BASE: std::cell::OnceCell<Instant> = const { std::cell::OnceCell::new() };
         static TICKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -688,7 +918,6 @@ mod tests {
     struct ByHand {
         reactor: Reactor,
         poller: Poller,
-        wake_tx: UnixStream,
         listener: std::net::TcpListener,
         _jobs_rx: mpsc::Receiver<Job>,
     }
@@ -702,30 +931,26 @@ mod tests {
                 crate::state::AdmissionConfig::default(),
                 1,
             ));
-            let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
-            wake_rx.set_nonblocking(true).unwrap();
+            let (inbox, wake_rx) = Inbox::new().unwrap();
             let (jobs_tx, jobs_rx) = mpsc::channel();
-            let reactor = Reactor {
-                wake_rx,
-                mailbox: Arc::new(Mutex::new(Vec::new())),
-                conns: HashMap::new(),
-                next_token: FIRST_CONN_TOKEN,
-                intake: Intake {
-                    index: 0,
-                    state,
-                    jobs_tx,
-                    max_pipeline,
-                },
-                completions: Arc::new(Mutex::new(Vec::new())),
-                shutdown: Arc::new(AtomicBool::new(false)),
-                wake_set: Arc::new(WakeSet(Vec::new())),
-                frame_timeout: Duration::from_secs(10),
-                clock,
+            let intake = Intake {
+                index: 0,
+                state,
+                jobs_tx,
+                max_pipeline,
             };
+            let mut reactor = Reactor::new(
+                intake,
+                Arc::new([inbox]),
+                wake_rx,
+                None,
+                Arc::new(AtomicBool::new(false)),
+                Duration::from_secs(10),
+            );
+            reactor.clock = clock;
             ByHand {
                 reactor,
                 poller: Poller::new(),
-                wake_tx,
                 listener: std::net::TcpListener::bind("127.0.0.1:0").unwrap(),
                 _jobs_rx: jobs_rx,
             }
@@ -742,7 +967,7 @@ mod tests {
         /// One round of the real loop, woken up front so that `poll(2)`
         /// never blocks the test.
         fn turn(&mut self) {
-            self.wake_tx.write_all(&[1]).unwrap();
+            self.reactor.inbox().wake();
             self.reactor.turn(&mut self.poller).unwrap();
         }
 
@@ -977,6 +1202,7 @@ mod tests {
         assert!(state.try_admit());
         let reply = Response::error(ErrorCode::BadRequest, "x").encode(7);
         reactor
+            .inbox()
             .completions
             .lock()
             .unwrap()

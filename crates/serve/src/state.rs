@@ -142,7 +142,7 @@ const MEMO_MAX_KEY: usize = 16 << 10;
 /// fill never touches the thread pool.
 pub(crate) const INLINE_MAX_SAMPLES: u32 = 32;
 
-/// The serving state shared by the reactors and the worker pools.
+/// The serving state shared by the reactors and the workers.
 pub struct ServerState {
     /// Every workload's artifacts (see module docs).
     cache: ArtifactCache,
@@ -318,7 +318,7 @@ impl ServerState {
     }
 
     /// Executes one decoded request to reply *bytes*, preparing the
-    /// workload if it has to — the path the worker pools take. Only
+    /// workload if it has to — the path the workers take. Only
     /// requests that passed the queue bound reach this point —
     /// queue-shed requests are answered inside the reactor and counted
     /// in `shed_queue` (and `requests`), never here.

@@ -257,7 +257,8 @@ pub struct StatsReply {
     /// Frames that failed to decode (recoverable or fatal).
     pub wire_errors: u64,
     /// `accept(2)` failures other than `WouldBlock`/`EINTR` (fd
-    /// exhaustion and kin); the acceptor backs off instead of spinning.
+    /// exhaustion and kin); reactor 0 leaves its listener out of the
+    /// poll set for a short backoff instead of spinning on it.
     pub accept_errors: u64,
     /// Currently open connections.
     pub connections_open: u64,

@@ -21,7 +21,7 @@
 //!
 //! Helpers are **budgeted process-wide** by one atomic count of the
 //! live ones, because many threads can be inside a section at once (a
-//! server's `reactors × workers`) and must not each spawn a full
+//! server's reactors and workers) and must not each spawn a full
 //! complement: a section that resolved `workers` threads takes as many
 //! of its `workers − 1` helpers as keep the count at or below that,
 //! runs with fewer (or alone) otherwise, and returns them when it ends,

@@ -6,11 +6,12 @@
 //! `requests_admitted` only those that reached the execution layer, and
 //! the two differ by precisely `shed_queue`. This is the regression
 //! test for the undercount where queue-shed requests never reached the
-//! `requests` counter at all.
+//! `requests` counter at all. A second test holds `connections_open`
+//! to zero once the server has stopped.
 
 use plansample_serve::server::{self, ServerConfig};
 use plansample_serve::wire::{self, ErrorCode, Request, Response};
-use plansample_serve::{AdmissionConfig, Workload};
+use plansample_serve::{AdmissionConfig, Client, Workload};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -97,4 +98,32 @@ fn queue_sheds_are_counted_and_the_admission_ledger_balances() {
         "admission ledger out of balance: {stats:?}"
     );
     handle.stop();
+}
+
+/// Connections still open when the server stops close with it, so the
+/// open-connection counter returns to zero — on every reactor.
+#[test]
+fn stopping_the_server_closes_its_open_connections() {
+    let handle = server::start(ServerConfig {
+        reactors: 2,
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    // A round trip each proves a reactor adopted the connection; the
+    // second connection is dealt to the second reactor.
+    let clients: Vec<Client> = (0..2)
+        .map(|_| {
+            let mut client = Client::connect(handle.addr()).expect("connect");
+            let reply = client.call(&Request::Stats).expect("stats reply");
+            assert!(matches!(reply, Response::Stats(_)), "got {reply:?}");
+            client
+        })
+        .collect();
+    let state = std::sync::Arc::clone(handle.state());
+    assert_eq!(state.stats().connections_open, 2);
+
+    handle.stop();
+    assert_eq!(state.stats().connections_open, 0, "{:?}", state.stats());
+    drop(clients);
 }
