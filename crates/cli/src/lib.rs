@@ -17,9 +17,11 @@
 //! plansample-cli memo     "SELECT ..."
 //! ```
 //!
-//! Every invocation prepares the query **once** (`Session::prepare`) and
-//! serves all of its sub-steps — counting, sampling, paging, execution —
-//! from that one artifact. `stats` instead routes through a
+//! Every invocation prepares the query **once**
+//! ([`plansample::PreparedQuery::prepare`]) and serves all of its
+//! sub-steps — counting, sampling, paging, execution — from that one
+//! artifact; only `run` and `validate`, which execute plans, generate
+//! the micro database. `stats` instead routes through a
 //! [`plansample::PlanService`] and reports the cache counters plus the
 //! prepared artifact's exact byte footprint (links / counts / memo).
 //!
@@ -31,8 +33,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use plansample::session::Session;
 use plansample::PreparedQuery;
+use plansample_catalog::Catalog;
 use plansample_datagen::MicroScale;
 use plansample_exec::render_table;
 use plansample_memo::{GroupId, PhysId, PlanNode};
@@ -539,11 +541,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
         _ => {}
     }
     let (catalog, tables) = plansample_catalog::tpch::catalog();
-    let config = if cli.cross_products {
-        OptimizerConfig::with_cross_products()
-    } else {
-        OptimizerConfig::default()
-    };
+    let config = optimizer_config(cli);
 
     let sql = match &cli.command {
         Command::Count(s)
@@ -558,24 +556,25 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             unreachable!("handled above")
         }
     };
-    let parsed =
-        plansample_sql::parse(&catalog, &sql).map_err(|e| CliError::Sql(e.render(&sql)))?;
+    let parsed = parse_sql(&catalog, &sql)?;
     let query = parsed.spec;
 
     // `stats` routes through the serving cache instead of a one-shot
-    // session (it reports the cache's own counters) and needs no data.
+    // preparation (it reports the cache's own counters).
     if let Command::Stats(_) = &cli.command {
         return run_stats(catalog, config, &query);
     }
 
-    let scale = MicroScale {
-        orders: cli.orders,
-        ..Default::default()
-    };
-    let db = plansample_datagen::generate(&catalog, &tables, &scale, cli.seed);
-    let session = Session::with_config(catalog, db, config);
     // One preparation serves every sub-step of every command below.
-    let prepared = session.prepare(&query)?;
+    let prepared = PreparedQuery::prepare(&catalog, &query, &config)?;
+    // Only the commands that execute plans read the micro database.
+    let micro_db = || {
+        let scale = MicroScale {
+            orders: cli.orders,
+            ..Default::default()
+        };
+        plansample_datagen::generate(&catalog, &tables, &scale, cli.seed)
+    };
     let mut out = String::new();
 
     match &cli.command {
@@ -597,40 +596,38 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let _ = writeln!(out, "{} complete execution plans", prepared.total());
         }
         Command::Run(_) => {
-            let outcome = session.execute_prepared(&prepared, parsed.useplan.as_ref())?;
-            match &outcome.rank {
-                Some(rank) => {
-                    let _ = writeln!(
-                        out,
-                        "plan {rank} of {} (scaled cost {:.2}):",
-                        outcome.space_size, outcome.scaled_cost
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "optimizer's plan (cost {:.0}, space of {} plans):",
-                        outcome.plan_cost, outcome.space_size
-                    );
-                }
-            }
-            let _ = writeln!(out, "{}", outcome.plan_text);
+            // `OPTION (USEPLAN n)` runs plan n, otherwise the optimizer's.
+            let unranked = parsed
+                .useplan
+                .as_ref()
+                .map(|rank| prepared.unrank(rank))
+                .transpose()?;
+            let plan = unranked.as_ref().unwrap_or(prepared.best().0);
+            let table = prepared.execute(&catalog, &micro_db(), plan)?;
+            let _ = match &parsed.useplan {
+                Some(rank) => writeln!(
+                    out,
+                    "plan {rank} of {} (scaled cost {:.2}):",
+                    prepared.total(),
+                    prepared.scaled_cost(plan)
+                ),
+                None => writeln!(
+                    out,
+                    "optimizer's plan (cost {:.0}, space of {} plans):",
+                    plan.total_cost(prepared.memo()),
+                    prepared.total()
+                ),
+            };
+            let _ = writeln!(out, "{}", plan.render(prepared.memo()));
             if !parsed.order_by.is_empty() {
-                // Reconstruct the executed plan (the outcome carries only
-                // its text) and check the delivered order against the
-                // requested one.
-                let plan = match &outcome.rank {
-                    Some(rank) => prepared.unrank(rank)?,
-                    None => prepared.best().0.clone(),
-                };
-                let verdict = if prepared.satisfies_order(&plan, &parsed.order_by) {
+                let verdict = if prepared.satisfies_order(plan, &parsed.order_by) {
                     "delivered"
                 } else {
                     "NOT delivered (an explicit sort would be required)"
                 };
                 let _ = writeln!(out, "requested order: {verdict}");
             }
-            let _ = write!(out, "{}", render_table(&outcome.table, 20));
+            let _ = write!(out, "{}", render_table(&table, 20));
         }
         Command::Sample(k, _) => {
             let mut rng = StdRng::seed_from_u64(cli.seed);
@@ -666,12 +663,7 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
         }
         Command::Validate(k, _) => {
             let mut rng = StdRng::seed_from_u64(cli.seed);
-            let report = prepared.space().validate_sampled(
-                session.catalog(),
-                session.database(),
-                *k,
-                &mut rng,
-            )?;
+            let report = prepared.validate_sampled(&catalog, &micro_db(), *k, &mut rng)?;
             let _ = writeln!(out, "{report}");
             for m in &report.mismatches {
                 let _ = writeln!(
@@ -727,11 +719,26 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
             let _ = write!(
                 out,
                 "{}",
-                plansample_memo::render_memo(prepared.memo(), prepared.query(), session.catalog())
+                plansample_memo::render_memo(prepared.memo(), prepared.query(), &catalog)
             );
         }
     }
     Ok(out)
+}
+
+/// The optimizer configuration `--cross-products` selects.
+fn optimizer_config(cli: &Cli) -> OptimizerConfig {
+    if cli.cross_products {
+        OptimizerConfig::with_cross_products()
+    } else {
+        OptimizerConfig::default()
+    }
+}
+
+/// Parses `sql` against `catalog`, rendering a syntax error with a caret
+/// under the offending token.
+fn parse_sql(catalog: &Catalog, sql: &str) -> Result<plansample_sql::ParsedQuery, CliError> {
+    plansample_sql::parse(catalog, sql).map_err(|e| CliError::Sql(e.render(sql)))
 }
 
 /// The `serve` command: expose the plan service over TCP and block
@@ -919,26 +926,12 @@ fn run_stats(
 fn run_artifact(cli: &Cli, action: &ArtifactAction) -> Result<String, CliError> {
     use plansample_artifact::{ArtifactError, ArtifactStore};
 
-    let prepare = |sql: &str| -> Result<
-        (plansample_query::QuerySpec, OptimizerConfig, PreparedQuery),
-        CliError,
-    > {
-        let (catalog, _) = plansample_catalog::tpch::catalog();
-        let config = if cli.cross_products {
-            OptimizerConfig::with_cross_products()
-        } else {
-            OptimizerConfig::default()
-        };
-        let parsed =
-            plansample_sql::parse(&catalog, sql).map_err(|e| CliError::Sql(e.render(sql)))?;
-        let prepared = PreparedQuery::prepare(&catalog, &parsed.spec, &config)?;
-        Ok((parsed.spec, config, prepared))
-    };
-
     let mut out = String::new();
     match action {
         ArtifactAction::Save { dir, sql } => {
-            let (_, _, prepared) = prepare(sql)?;
+            let (catalog, _) = plansample_catalog::tpch::catalog();
+            let parsed = parse_sql(&catalog, sql)?;
+            let prepared = PreparedQuery::prepare(&catalog, &parsed.spec, &optimizer_config(cli))?;
             let store = ArtifactStore::open(dir)?;
             let path = store.save(&prepared)?;
             let bytes = std::fs::metadata(&path)
@@ -957,13 +950,8 @@ fn run_artifact(cli: &Cli, action: &ArtifactAction) -> Result<String, CliError> 
             // Preparing here would defeat the point; only the parse and
             // the load run, so a hit proves the artifact alone serves.
             let (catalog, _) = plansample_catalog::tpch::catalog();
-            let config = if cli.cross_products {
-                OptimizerConfig::with_cross_products()
-            } else {
-                OptimizerConfig::default()
-            };
-            let parsed =
-                plansample_sql::parse(&catalog, sql).map_err(|e| CliError::Sql(e.render(sql)))?;
+            let parsed = parse_sql(&catalog, sql)?;
+            let config = optimizer_config(cli);
             let store = ArtifactStore::open(dir)?;
             let loaded = store.load(&parsed.spec, &config)?.ok_or_else(|| {
                 CliError::Artifact(ArtifactError::Io(std::io::Error::new(

@@ -45,8 +45,9 @@
 //! assert_eq!(prepared.rank(&plan8).unwrap(), Nat::from(8u64));
 //! ```
 //!
-//! For the end-to-end pipeline (data, execution, `OPTION (USEPLAN n)`)
-//! see [`session::Session`]; for a concurrent cache of prepared queries
+//! To run a plan on data — `OPTION (USEPLAN n)` — hand it to
+//! [`PlanSpace::execute`]: `prepared.execute(&catalog, &db,
+//! &prepared.unrank(&n)?)`. For a concurrent cache of prepared queries
 //! see [`service::ArtifactCache`] (and [`service::PlanService`], one over
 //! a single catalog).
 
@@ -65,7 +66,6 @@ mod prepared;
 mod rank;
 mod sample;
 pub mod service;
-pub mod session;
 mod subspace;
 mod unrank;
 pub mod validate;
@@ -336,11 +336,6 @@ impl PlanSpace {
         &self.query
     }
 
-    /// Shared handle to the query.
-    pub fn query_shared(&self) -> &Arc<QuerySpec> {
-        &self.query
-    }
-
     /// The materialized links.
     pub fn links(&self) -> &Links {
         &self.links
@@ -390,7 +385,7 @@ mod tests {
         let query = Arc::new(ex.query);
         let space = PlanSpace::build_shared(Arc::clone(&memo), Arc::clone(&query)).unwrap();
         assert!(Arc::ptr_eq(&space.memo, &memo));
-        assert!(Arc::ptr_eq(space.query_shared(), &query));
+        assert!(Arc::ptr_eq(&space.query, &query));
         // A clone of the space shares the same memo allocation.
         let cloned = space.clone();
         assert!(Arc::ptr_eq(&cloned.memo, &memo));

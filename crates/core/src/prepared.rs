@@ -26,8 +26,8 @@ use std::sync::Arc;
 /// sub-space, all [`PlanSpace`]'s through `Deref`) without ever
 /// re-optimizing.
 ///
-/// Produced by [`PreparedQuery::prepare`] or
-/// [`crate::session::Session::prepare`]. The artifact is immutable and
+/// Produced by [`PreparedQuery::prepare`]; run any of its plans on data
+/// with [`PlanSpace::execute`]. The artifact is immutable and
 /// `Send + Sync`; sampling takes the caller's RNG by `&mut`, so
 /// concurrent threads each bring their own RNG and share the artifact
 /// itself through an [`Arc`] (see `tests/concurrency.rs` and

@@ -6,13 +6,14 @@
 //! by uniform sampling for large ones — and compare every result against
 //! a reference plan's result as a row multiset. Any mismatch pinpoints
 //! the plan *number*, so the failing plan can be reproduced exactly with
-//! `OPTION (USEPLAN n)` (see [`crate::session`]).
+//! `OPTION (USEPLAN n)` — [`PlanSpace::execute`] of the unranked plan,
+//! the one operation every routine here runs.
 
 use crate::{lower::lower, Error, PlanSpace};
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
-use plansample_exec::{Database, SortedRows, Table};
-use plansample_memo::{validate_plan, PlanViolation};
+use plansample_exec::{Database, Table};
+use plansample_memo::{validate_plan, PlanNode, PlanViolation};
 use rand::Rng;
 use std::fmt;
 
@@ -70,16 +71,37 @@ impl fmt::Display for ValidationReport {
 }
 
 impl PlanSpace {
-    /// Executes plan number `rank` against `db`.
-    pub fn execute_rank(
+    /// Executes `plan`, a plan of this space, against `db` — the one
+    /// place a plan runs. `OPTION (USEPLAN n)` is
+    /// `space.execute(catalog, db, &space.unrank(&n)?)`; the optimizer's
+    /// plan is `prepared.execute(catalog, db, prepared.best().0)`.
+    ///
+    /// `catalog` must be the one the space was built against (or an
+    /// identical clone of it): lowering resolves the space's table ids
+    /// and column offsets through it, so a mismatched catalog would
+    /// produce wrong results.
+    ///
+    /// # Panics
+    /// Panics when the space structurally cannot belong to `catalog` (a
+    /// referenced table id is out of range). Catalogs of matching shape
+    /// but different contents are not detectable and remain the
+    /// caller's contract.
+    pub fn execute(
         &self,
         catalog: &Catalog,
         db: &Database,
-        rank: &Nat,
+        plan: &PlanNode,
     ) -> Result<Table, Error> {
-        let plan = self.unrank(rank)?;
-        let exec = lower(&self.memo, &self.query, catalog, &plan);
-        Ok(exec.execute(db)?)
+        for rel in &self.query.relations {
+            assert!(
+                (rel.table.0 as usize) < catalog.len(),
+                "plan space references table id {} outside the given {}-table catalog — \
+                 was it prepared against a different catalog?",
+                rel.table.0,
+                catalog.len()
+            );
+        }
+        Ok(lower(&self.memo, &self.query, catalog, plan).execute(db)?)
     }
 
     /// Exhaustive differential validation: executes every plan (up to
@@ -90,20 +112,13 @@ impl PlanSpace {
         db: &Database,
         limit: usize,
     ) -> Result<ValidationReport, Error> {
-        let reference = self.execute_rank(catalog, db, &Nat::zero())?;
-        let mut report = ValidationReport {
-            space_size: self.total().clone(),
-            plans_checked: 0,
-            reference_rows: reference.len(),
-            mismatches: Vec::new(),
-        };
-        let reference = reference.sorted();
         let mut rank = Nat::zero();
-        for plan in self.enumerate().take(limit) {
-            self.check_one(catalog, db, &plan, &rank, &reference, &mut report)?;
+        let plans = self.enumerate().take(limit).map(|plan| {
+            let this = rank.clone();
             rank.incr();
-        }
-        Ok(report)
+            Ok((plan, this))
+        });
+        self.validate(catalog, db, plans)
     }
 
     /// Sampled differential validation: `k` uniform plans against plan
@@ -115,7 +130,24 @@ impl PlanSpace {
         k: usize,
         rng: &mut R,
     ) -> Result<ValidationReport, Error> {
-        let reference = self.execute_rank(catalog, db, &Nat::zero())?;
+        let plans = (0..k).map(|_| {
+            let plan = self.sample(rng);
+            let rank = self.rank(&plan)?;
+            Ok((plan, rank))
+        });
+        self.validate(catalog, db, plans)
+    }
+
+    /// Executes plan 0 as the reference, then every `(plan, rank)` of
+    /// `plans` (drawn lazily, after the reference ran), recording each
+    /// divergent one.
+    fn validate(
+        &self,
+        catalog: &Catalog,
+        db: &Database,
+        plans: impl Iterator<Item = Result<(PlanNode, Nat), Error>>,
+    ) -> Result<ValidationReport, Error> {
+        let reference = self.execute(catalog, db, &self.unrank(&Nat::zero())?)?;
         let mut report = ValidationReport {
             space_size: self.total().clone(),
             plans_checked: 0,
@@ -123,35 +155,20 @@ impl PlanSpace {
             mismatches: Vec::new(),
         };
         let reference = reference.sorted();
-        for _ in 0..k {
-            let plan = self.sample(rng);
-            let rank = self.rank(&plan)?;
-            self.check_one(catalog, db, &plan, &rank, &reference, &mut report)?;
+        for item in plans {
+            let (plan, rank) = item?;
+            let result = self.execute(catalog, db, &plan)?;
+            report.plans_checked += 1;
+            if !reference.multiset_eq(&result) {
+                report.mismatches.push(Mismatch {
+                    rank,
+                    expected_rows: report.reference_rows,
+                    actual_rows: result.len(),
+                    violations: validate_plan(&self.memo, &self.query, &plan),
+                });
+            }
         }
         Ok(report)
-    }
-
-    fn check_one(
-        &self,
-        catalog: &Catalog,
-        db: &Database,
-        plan: &plansample_memo::PlanNode,
-        rank: &Nat,
-        reference: &SortedRows<'_>,
-        report: &mut ValidationReport,
-    ) -> Result<(), Error> {
-        let exec = lower(&self.memo, &self.query, catalog, plan);
-        let result = exec.execute(db)?;
-        report.plans_checked += 1;
-        if !reference.multiset_eq(&result) {
-            report.mismatches.push(Mismatch {
-                rank: rank.clone(),
-                expected_rows: report.reference_rows,
-                actual_rows: result.len(),
-                violations: validate_plan(&self.memo, &self.query, plan),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -159,11 +176,12 @@ impl PlanSpace {
 mod tests {
     use super::*;
     use crate::paper_example;
-    use crate::PlanSpace;
+    use crate::{PlanSpace, PreparedQuery};
     use plansample_catalog::Datum::Int;
     use plansample_catalog::TableId;
+    use plansample_optimizer::OptimizerConfig;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn fixture_db() -> Database {
         let mut db = Database::new();
@@ -228,16 +246,14 @@ mod tests {
         assert_eq!(report.plans_checked, 5);
     }
 
-    #[test]
-    fn injected_optimizer_fault_is_detected() {
-        // The paper's first failure class: "the optimizer considered an
-        // invalid alternative". Delivered orders are derived from the
-        // operator, so a memo whose *claimed* order lies is no longer
-        // representable; the representable fault is an alternative that
-        // computes the wrong thing. Inject a scan of relation C into
-        // group A (same column count, different rows): every plan
-        // choosing it produces divergent results, which differential
-        // validation must catch and pin to a reproducible rank.
+    /// The paper's first failure class: "the optimizer considered an
+    /// invalid alternative". Delivered orders are derived from the
+    /// operator, so a memo whose *claimed* order lies is no longer
+    /// representable; the representable fault is an alternative that
+    /// computes the wrong thing. This injects a scan of relation C into
+    /// group A (same column count, different rows): every plan choosing
+    /// it produces divergent results.
+    fn faulty_example() -> (Catalog, PlanSpace) {
         let mut ex = paper_example::build();
         let rc = ex.query.join_edges[1].right.rel; // relation c
         ex.memo
@@ -250,15 +266,20 @@ mod tests {
                 ),
             )
             .expect("distinct operator admitted");
-
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+        (ex.catalog, space)
+    }
+
+    #[test]
+    fn injected_optimizer_fault_is_detected() {
+        let (catalog, space) = faulty_example();
         let db = fixture_db();
         assert!(
             space.total().to_u64().unwrap() > 32,
             "the invalid alternative enlarges the space"
         );
         let report = space
-            .validate_exhaustive(&ex.catalog, &db, usize::MAX)
+            .validate_exhaustive(&catalog, &db, usize::MAX)
             .unwrap();
         assert!(
             !report.all_passed(),
@@ -266,7 +287,114 @@ mod tests {
         );
         // The mismatching plans must be reproducible by rank.
         let first = &report.mismatches[0];
-        let rerun = space.execute_rank(&ex.catalog, &db, &first.rank).unwrap();
+        let plan = space.unrank(&first.rank).unwrap();
+        let rerun = space.execute(&catalog, &db, &plan).unwrap();
         assert_eq!(rerun.len(), first.actual_rows);
+    }
+
+    /// A sampled run checks exactly the plans `sample` draws from the
+    /// same RNG, in draw order, and draws nothing else.
+    #[test]
+    fn sampled_validation_checks_the_plans_sample_draws() {
+        let (catalog, space) = faulty_example();
+        let db = fixture_db();
+        let mut rng = StdRng::seed_from_u64(9);
+        let report = space.validate_sampled(&catalog, &db, 40, &mut rng).unwrap();
+
+        let reference = space
+            .execute(&catalog, &db, &space.unrank(&Nat::zero()).unwrap())
+            .unwrap();
+        let mut replay = StdRng::seed_from_u64(9);
+        let divergent: Vec<Nat> = (0..40)
+            .filter_map(|_| {
+                let plan = space.sample(&mut replay);
+                let result = space.execute(&catalog, &db, &plan).unwrap();
+                (!result.multiset_eq(&reference)).then(|| space.rank(&plan).unwrap())
+            })
+            .collect();
+        let reported: Vec<Nat> = report.mismatches.iter().map(|m| m.rank.clone()).collect();
+        assert!(!divergent.is_empty());
+        assert_eq!(reported, divergent);
+        assert_eq!(report.plans_checked, 40);
+        assert_eq!(
+            rng.next_u64(),
+            replay.next_u64(),
+            "no draw beyond the plans"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "different catalog")]
+    fn executing_against_a_different_catalog_panics() {
+        let ex = paper_example::build();
+        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
+        let plan = space.unrank(&Nat::zero()).unwrap();
+        let _ = space.execute(&Catalog::new(), &fixture_db(), &plan);
+    }
+
+    /// `SELECT r_name, COUNT(*) FROM nation n, region r WHERE
+    /// n.n_regionkey = r.r_regionkey GROUP BY r.r_name`, prepared by the
+    /// optimizer over the TPC-H catalog, and a five-nation database
+    /// (three in region 1) for it.
+    fn prepared_nations_per_region() -> (Catalog, Database, PreparedQuery) {
+        use plansample_catalog::Datum::Str;
+        use plansample_query::{AggFunc, QueryBuilder};
+        let (catalog, _) = plansample_catalog::tpch::catalog();
+        let mut qb = QueryBuilder::new(&catalog);
+        qb.rel("nation", Some("n")).unwrap();
+        qb.rel("region", Some("r")).unwrap();
+        qb.join(("n", "n_regionkey"), ("r", "r_regionkey")).unwrap();
+        qb.aggregate(&[("r", "r_name")], &[(AggFunc::CountStar, None)])
+            .unwrap();
+        let query = qb.build().unwrap();
+        let prepared = PreparedQuery::prepare(&catalog, &query, &OptimizerConfig::default())
+            .expect("query prepares");
+
+        let mut db = Database::new();
+        let region = vec![
+            vec![Int(2), Str("EUROPE".into())],
+            vec![Int(0), Str("AFRICA".into())],
+            vec![Int(1), Str("ASIA".into())],
+        ];
+        let nation = [(3, 2), (0, 1), (4, 1), (1, 0), (2, 1)]
+            .into_iter()
+            .map(|(key, region)| vec![Int(key), Str(format!("N{key}")), Int(region)])
+            .collect();
+        for (name, rows) in [("region", region), ("nation", nation)] {
+            let (id, def) = catalog.table_by_name(name).unwrap();
+            db.insert(id, Table::from_rows(def.columns.len(), rows).unwrap());
+        }
+        (catalog, db, prepared)
+    }
+
+    #[test]
+    fn one_optimization_serves_the_optimizer_plan_and_every_useplan() {
+        let before = plansample_optimizer::thread_optimizations_performed();
+        let (catalog, db, prepared) = prepared_nations_per_region();
+        let (best, _) = prepared.best();
+        assert!(
+            (prepared.scaled_cost(best) - 1.0).abs() < 1e-9,
+            "optimizer plan is the 1.0 reference"
+        );
+        assert!(best.render(prepared.memo()).contains("Agg"));
+        let reference = prepared.execute(&catalog, &db, best).unwrap();
+        assert_eq!(reference.len(), 3, "one row per region");
+
+        let n = prepared.total().to_u64().unwrap();
+        assert!(n >= 4);
+        for rank in [0, 1, n / 2, n - 1] {
+            let plan = prepared.unrank(&Nat::from(rank)).unwrap();
+            let table = prepared.execute(&catalog, &db, &plan).unwrap();
+            assert!(
+                table.multiset_eq(&reference),
+                "USEPLAN {rank} must agree with the optimizer's plan"
+            );
+            assert!(prepared.scaled_cost(&plan) >= 1.0 - 1e-9);
+        }
+        assert_eq!(
+            plansample_optimizer::thread_optimizations_performed() - before,
+            1,
+            "prepare once, serve many"
+        );
     }
 }

@@ -12,15 +12,15 @@
 //! cargo run --example useplan_sql
 //! ```
 
-use plansample::session::Session;
+use plansample::PreparedQuery;
 use plansample_bignum::Nat;
 use plansample_datagen::MicroScale;
 use plansample_exec::render_table;
+use plansample_optimizer::OptimizerConfig;
 
 fn main() {
     let (catalog, tables) = plansample_catalog::tpch::catalog();
     let db = plansample_datagen::generate(&catalog, &tables, &MicroScale::default(), 7);
-    let session = Session::new(catalog, db);
 
     let sql = "SELECT n_name, SUM(l_extendedprice) \
                FROM lineitem l, supplier s, nation n, region r \
@@ -32,22 +32,23 @@ fn main() {
 
     // Prepare once: the optimizer runs a single time and the memo is
     // reused by every USEPLAN execution in the loop below.
-    let parsed = plansample_sql::parse(session.catalog(), sql).expect("valid SQL");
-    let prepared = session.prepare(&parsed.spec).expect("query prepares");
-    let reference = session
-        .execute_prepared(&prepared, None)
-        .expect("query runs");
+    let parsed = plansample_sql::parse(&catalog, sql).expect("valid SQL");
+    let prepared = PreparedQuery::prepare(&catalog, &parsed.spec, &OptimizerConfig::default())
+        .expect("query prepares");
+    let best = prepared.best().0;
+    let reference = prepared.execute(&catalog, &db, best).expect("query runs");
     println!("query:\n  {sql}\n");
     println!(
         "optimizer's plan (cost {:.0}, space of {} plans):",
-        reference.plan_cost, reference.space_size
+        best.total_cost(prepared.memo()),
+        prepared.total()
     );
-    println!("{}", reference.plan_text);
-    println!("result:\n{}", render_table(&reference.table, 10));
+    println!("{}", best.render(prepared.memo()));
+    println!("result:\n{}", render_table(&reference, 10));
 
     // Now the USEPLAN loop: pick plan numbers across the space and
     // check every one produces the same result.
-    let total = reference.space_size.clone();
+    let total = prepared.total();
     let step = {
         let (q, _) = total.div_rem(&Nat::from(5u64));
         if q.is_zero() {
@@ -57,18 +58,17 @@ fn main() {
         }
     };
     let mut n = Nat::zero();
-    while n < total {
+    while n < *total {
         let useplan_sql = format!("{sql} OPTION (USEPLAN {n})");
-        let parsed = plansample_sql::parse(session.catalog(), &useplan_sql).expect("valid SQL");
+        let parsed = plansample_sql::parse(&catalog, &useplan_sql).expect("valid SQL");
         let rank = parsed.useplan.expect("USEPLAN parsed");
-        let outcome = session
-            .execute_prepared(&prepared, Some(&rank))
-            .expect("plan runs");
-        let agrees = outcome.table.multiset_eq(&reference.table);
+        let plan = prepared.unrank(&rank).expect("rank in range");
+        let table = prepared.execute(&catalog, &db, &plan).expect("plan runs");
+        let agrees = table.multiset_eq(&reference);
         println!(
             "USEPLAN {n:>14}: scaled cost {:>10.2}  rows {:>3}  {}",
-            outcome.scaled_cost,
-            outcome.table.len(),
+            prepared.scaled_cost(&plan),
+            table.len(),
             if agrees {
                 "agrees with optimizer's plan"
             } else {

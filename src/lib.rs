@@ -16,11 +16,11 @@
 //!   [`PlanService`], that cache over one catalog, keyed by normalized
 //!   query + optimizer config;
 //! * [`PlanSpace`] — the lower-level owned plan space the artifact wraps;
-//! * [`session`] — the end-to-end pipeline (parse → prepare → pick/sample
-//!   → execute) behind the CLI and the `USEPLAN` SQL option;
 //! * [`lower`] — turning an unranked plan into an executable operator
 //!   tree;
-//! * [`validate`] — the paper's differential-testing application;
+//! * [`validate`] — [`PlanSpace::execute`], which runs one plan (the
+//!   `USEPLAN` SQL option behind the CLI's `run`), and the paper's
+//!   differential-testing application built on it;
 //! * [`Error`] — the unified error type with `source()` chains across
 //!   every layer.
 //!

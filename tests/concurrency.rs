@@ -1,6 +1,6 @@
 //! Concurrency guarantees of the prepared-query serving surface.
 //!
-//! The artifact produced by `Session::prepare` is immutable and
+//! The artifact produced by `PreparedQuery::prepare` is immutable and
 //! `Send + Sync`: wrapped in an `Arc`, any number of threads may count,
 //! unrank, page, and sample from it concurrently with no locking and —
 //! crucially — with **zero** re-optimizations (asserted via the
@@ -9,7 +9,6 @@
 //! because sampling takes the caller's RNG: a thread with seed `s` draws
 //! exactly the plans a single-threaded run with seed `s` draws.
 
-use plansample::session::Session;
 use plansample::{PlanCursor, PlanService, PlanSpace, PreparedQuery};
 use plansample_bignum::Nat;
 use plansample_datagen::MicroScale;
@@ -155,7 +154,6 @@ fn service_serves_concurrent_mixed_traffic_from_one_artifact_per_query() {
     let (catalog, tables) = plansample_catalog::tpch::catalog();
     let db = plansample_datagen::generate(&catalog, &tables, &MicroScale::tiny(), 11);
     let service = Arc::new(PlanService::new(catalog, OptimizerConfig::default(), 4));
-    let session = Session::new(service.catalog().clone(), db);
 
     let q5 = plansample_query::tpch::q5(service.catalog());
     let q6 = plansample_query::tpch::q6(service.catalog());
@@ -200,10 +198,8 @@ fn service_serves_concurrent_mixed_traffic_from_one_artifact_per_query() {
     assert_eq!(stats.misses, 2, "one preparation per distinct query");
     assert_eq!(stats.hits, 8, "all thread requests were cache hits");
 
-    // The cached artifact also executes through a session without
-    // re-preparing.
-    let out = session
-        .execute_prepared(&warm_q6, Some(&Nat::zero()))
-        .unwrap();
-    assert_eq!(out.rank, Some(Nat::zero()));
+    // The cached artifact also executes without re-preparing.
+    let plan = warm_q6.unrank(&Nat::zero()).unwrap();
+    warm_q6.execute(service.catalog(), &db, &plan).unwrap();
+    assert_eq!(warm_q6.rank(&plan).unwrap(), Nat::zero());
 }

@@ -13,7 +13,6 @@
 //! Contracts time things, so they take turns ([`contract`]) instead of
 //! running on the test harness's parallel threads.
 
-use plansample::session::Session;
 use plansample::{CountTier, PlanBatch, PlanSpace, PreparedQuery};
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
@@ -248,7 +247,7 @@ fn prepare_costs_little_more_than_its_optimize_on_q8cp() {
     );
 }
 
-/// `Session::prepare` pays optimize + links + counts once; 1000 draws
+/// `PreparedQuery::prepare` pays optimize + links + counts once; 1000 draws
 /// and three resumed enumeration pages served from that one artifact
 /// must cost, per draw, ≥ 100× less than one per-call rebuild (a
 /// throw-away `prepare` read for its `total()`).
@@ -258,26 +257,24 @@ fn prepared_sampling_is_100x_cheaper_than_a_per_call_rebuild_and_optimizes_once(
         return;
     };
     const DRAWS: usize = 1000;
-    // Nothing here executes a plan, so the sessions' databases are empty.
-    let no_data = plansample_exec::Database::new;
     let q8_cp = {
         let (catalog, _) = plansample_catalog::tpch::catalog();
         let query = plansample_query::tpch::q8(&catalog);
-        let config = OptimizerConfig::with_cross_products();
-        (Session::with_config(catalog, no_data(), config), query)
+        (catalog, query, OptimizerConfig::with_cross_products())
     };
     let clique6 = {
         let (catalog, query) = JoinGraphSpec::new(Topology::Clique, 6, 42).build();
-        (Session::new(catalog, no_data()), query)
+        (catalog, query, OptimizerConfig::default())
     };
-    for (label, (session, query)) in [("Q8+CP", q8_cp), ("clique-6", clique6)] {
+    for (label, (catalog, query, config)) in [("Q8+CP", q8_cp), ("clique-6", clique6)] {
+        let prepare = || PreparedQuery::prepare(&catalog, &query, &config).unwrap();
         let t = Instant::now();
-        let per_call = session.prepare(&query).unwrap().total().clone();
+        let per_call = prepare().total().clone();
         let rebuild = t.elapsed();
 
         let before = plansample_optimizer::thread_optimizations_performed();
         let t = Instant::now();
-        let prepared = session.prepare(&query).unwrap();
+        let prepared = prepare();
         let mut rng = StdRng::seed_from_u64(SEED);
         let batch = prepared.sample_batch(&mut rng, DRAWS);
         let (third, _) = prepared.total().div_rem(&Nat::from(3u64));
