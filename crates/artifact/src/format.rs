@@ -57,7 +57,7 @@ use plansample_core::{
 use plansample_memo::{
     GroupId, GroupKey, LogicalOp, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode, SortOrder,
 };
-use plansample_optimizer::{CostModel, Explorer, OptimizerConfig};
+use plansample_optimizer::{CostModel, OptimizerConfig};
 use plansample_query::{
     AggExpr, AggFunc, Aggregate, CmpOp, ColRef, Filter, JoinEdge, QuerySpec, RelId, RelRef, RelSet,
 };
@@ -695,10 +695,9 @@ fn decode_query(bytes: &[u8]) -> Result<QuerySpec, ArtifactError> {
 
 fn encode_config(w: &mut Writer, c: &OptimizerConfig) {
     w.u8(c.allow_cross_products as u8);
-    w.u8(match c.explorer {
-        Explorer::BottomUp => 0,
-        Explorer::Transform => 1,
-    });
+    // The explorer byte: 0 is bottom-up subset enumeration, the only
+    // explorer `optimize` runs. Format v2 keeps the byte.
+    w.u8(0);
     w.u8(c.enable_merge_joins as u8);
     w.u8(c.enable_index_scans as u8);
     w.u8(c.enable_enforcers as u8);
@@ -720,11 +719,14 @@ fn encode_config(w: &mut Writer, c: &OptimizerConfig) {
 fn decode_config(bytes: &[u8]) -> Result<OptimizerConfig, ArtifactError> {
     let mut r = Reader::new(bytes);
     let allow_cross_products = read_bool(&mut r, "cross products")?;
-    let explorer = match r.u8()? {
-        0 => Explorer::BottomUp,
-        1 => Explorer::Transform,
-        t => return Err(malformed(format!("unknown explorer tag {t}"))),
-    };
+    match r.u8()? {
+        0 => {}
+        t => {
+            return Err(malformed(format!(
+                "explorer tag {t}: only 0 (bottom-up) is written"
+            )))
+        }
+    }
     let enable_merge_joins = read_bool(&mut r, "merge joins")?;
     let enable_index_scans = read_bool(&mut r, "index scans")?;
     let enable_enforcers = read_bool(&mut r, "enforcers")?;
@@ -735,7 +737,6 @@ fn decode_config(bytes: &[u8]) -> Result<OptimizerConfig, ArtifactError> {
     r.finish()?;
     Ok(OptimizerConfig {
         allow_cross_products,
-        explorer,
         enable_merge_joins,
         enable_index_scans,
         enable_enforcers,
@@ -1275,6 +1276,33 @@ mod tests {
         );
         // Re-encoding the loaded artifact reproduces the byte image.
         assert_eq!(encode(&loaded), bytes, "encode is deterministic");
+    }
+
+    /// The config section's second byte once named the explorer; the
+    /// optimizer has one now. The byte stays (format v2 does not move):
+    /// it is written as 0, and anything else is a typed refusal.
+    #[test]
+    fn config_keeps_the_explorer_byte_and_refuses_any_but_zero() {
+        for config in [
+            OptimizerConfig::default(),
+            OptimizerConfig::with_cross_products(),
+        ] {
+            let mut w = Writer::new();
+            encode_config(&mut w, &config);
+            let mut bytes = w.into_inner();
+            assert_eq!(bytes[1], 0, "the explorer byte");
+            let back = decode_config(&bytes).expect("decodes");
+            assert_eq!(format!("{back:?}"), format!("{config:?}"));
+            for tag in [1, 2, u8::MAX] {
+                bytes[1] = tag;
+                match decode_config(&bytes) {
+                    Err(ArtifactError::Malformed { reason }) => {
+                        assert!(reason.contains(&format!("explorer tag {tag}")), "{reason}")
+                    }
+                    other => panic!("tag {tag}: expected Malformed, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

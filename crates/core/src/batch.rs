@@ -19,7 +19,7 @@
 //! and the differential tests compare the two representations directly;
 //! `PlanSpace::lift` is the way back to a tree.
 
-use crate::links::ListId;
+use crate::ListId;
 use plansample_bignum::Nat;
 use plansample_memo::PhysId;
 

@@ -37,7 +37,7 @@
 //! search and not a scan ([`TierCounts`]).
 
 use crate::word::Word;
-use crate::{links::ListId, Links, SpaceError};
+use crate::{Links, ListId, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::DenseId;
 

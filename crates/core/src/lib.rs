@@ -74,8 +74,9 @@ mod word;
 pub use batch::PlanBatch;
 pub use count::{CountTier, Counts, CountsParts};
 pub use enumerate::PlanCursor;
-pub use links::{Links, LinksParts, ListId};
+pub use links::{Links, LinksParts};
 pub use lru::Lru;
+pub use plansample_memo::ListId;
 pub use prepared::PreparedQuery;
 pub use service::{cache_key, ArtifactCache, PlanService, ServiceStats};
 

@@ -6,9 +6,16 @@
 //! possible children." For every physical expression and every child
 //! slot, [`Links`] records the list of compatible child expressions
 //! (property-filtered by the one rule of `plansample_memo`'s `links`
-//! module, through its [`MemoScan`]). The resulting
-//! structure describes all possible execution plans rooted in each
-//! operator and is what counting and unranking traverse.
+//! module). The resulting structure describes all possible execution
+//! plans rooted in each operator and is what counting and unranking
+//! traverse.
+//!
+//! # One table
+//!
+//! The links *are* the tables [`MemoScan::build`] makes — the scan the
+//! optimizer's best-plan extraction folds its costs over — moved in
+//! without a copy or a repack. [`Links`] adds two things: the root
+//! group's list and a topological order.
 //!
 //! # Flat layout
 //!
@@ -17,19 +24,19 @@
 //! buffers:
 //!
 //! ```text
-//!   pool:        [DenseId]               all alternative lists, concatenated
-//!   list_bounds: [u32]                   list l = pool[list_bounds[l] .. list_bounds[l+1]]
-//!   slots:       [[ListId; MAX_SLOTS]]   expr d's slot → list, padded with ListId::NONE
+//!   pool:        [DenseId]      all alternative lists, concatenated
+//!   list_bounds: [u32]          list l = pool[list_bounds[l] .. list_bounds[l+1]]
+//!   slots:       [SlotRecord]   expr d's slot → list, padded with ListId::NONE
 //! ```
 //!
 //! The lists are CSR; the slots are not. No operator has more than
-//! [`MAX_SLOTS`] children and 98 % of a join memo's expressions are
-//! binary joins, so one fixed record per expression is *smaller* than a
-//! bounds table plus a concatenated slot table (`8·n` against
-//! `4·(n+1) + 4·slots` bytes, `slots ≈ 1.96·n`) and an unranking step
-//! reads it in one load instead of two dependent ones. The serialization
-//! view ([`LinksParts`]) keeps the CSR pair, so artifacts did not change
-//! when the resident table did.
+//! [`MAX_SLOTS`](plansample_memo::MAX_SLOTS) children and 98 % of a join
+//! memo's expressions are binary joins, so one fixed record per
+//! expression is *smaller* than a bounds table plus a concatenated slot
+//! table (`8·n` against `4·(n+1) + 4·slots` bytes, `slots ≈ 1.96·n`) and
+//! an unranking step reads it in one load instead of two dependent ones.
+//! The serialization view ([`LinksParts`]) keeps the CSR pair, so
+//! artifacts did not change when the resident table did.
 //!
 //! Alternative lists are *interned*: two slots demanding the same
 //! `(group, requirement)` — or even different requirements that filter
@@ -48,42 +55,8 @@
 //! hand-built memos are checked defensively.
 
 use crate::SpaceError;
-use plansample_memo::{ChildLists, DenseId, DenseIdMap, Memo, MemoScan, PhysId, MAX_SLOTS};
+use plansample_memo::{DenseId, DenseIdMap, ListId, Memo, MemoScan, PhysId, SlotRecord};
 use plansample_query::QuerySpec;
-
-/// Identifies one interned child-alternative list within a [`Links`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ListId(u32);
-
-impl ListId {
-    /// Pads the unoccupied tail of an expression's slot record. No
-    /// interned list has this id: one would need a bounds table of 2³²
-    /// entries.
-    const NONE: ListId = ListId(u32::MAX);
-
-    /// The id as a usize array index.
-    #[inline]
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// One expression's slot record: its child slots' lists in slot order,
-/// then [`ListId::NONE`].
-type Slots = [ListId; MAX_SLOTS];
-
-/// Packs one expression's slot lists, `None` when there are more than
-/// [`MAX_SLOTS`].
-fn pack(lists: impl ExactSizeIterator<Item = ListId>) -> Option<Slots> {
-    let mut slots = [ListId::NONE; MAX_SLOTS];
-    if lists.len() > MAX_SLOTS {
-        return None;
-    }
-    for (slot, l) in slots.iter_mut().zip(lists) {
-        *slot = l;
-    }
-    Some(slots)
-}
 
 /// A [`Links`] as raw `u32` tables, every one of them CSR — the
 /// serialization view a plan-space artifact stores and reloads
@@ -119,7 +92,7 @@ pub struct Links {
     /// `list_bounds[l]..list_bounds[l+1]` bounds list `l` in `pool`.
     list_bounds: Vec<u32>,
     /// Expr `d`'s slot → interned list, in slot order.
-    slots: Vec<Slots>,
+    slots: Vec<SlotRecord>,
     /// Every expression, children before parents (also proves acyclicity).
     topo: Vec<DenseId>,
     /// The root group's expressions as an interned list — the alternative
@@ -130,47 +103,37 @@ pub struct Links {
 impl Links {
     /// Materializes all links and computes the topological order
     /// (failing on cyclic hand-built memos). Sequential, and a pure
-    /// function of the memo; four passes, each linear:
+    /// function of the memo:
     ///
-    /// 1. **Gather**: the [`MemoScan`] walks every expression's child
-    ///    slots, assigning each *distinct* slot an index in
-    ///    first-encounter order.
-    /// 2. **Scan and intern**: the same scan decides each distinct slot
+    /// 1. **Scan**: [`MemoScan::build`] decides each distinct child slot
     ///    once per *class* of its group — the expressions that deliver
-    ///    one order — and gives slots that accept the same classes one
-    ///    list. It compares class sets, a few integers a slot, never
-    ///    list contents; lists are numbered in distinct-slot order, which
-    ///    pins pool layout and [`ListId`] assignment. Its pool and
-    ///    bounds *are* the links' pool and bounds.
-    /// 3. **Root**: the root group's full range joins the pool, unless a
+    ///    one order — gives slots that accept the same classes one list,
+    ///    and writes each slot's list into its expression's
+    ///    [`SlotRecord`]. Lists are numbered as the slots that first name
+    ///    them are met, which pins pool layout and [`ListId`] assignment.
+    ///    Its ids, pool, bounds and records *are* the links' own.
+    /// 2. **Root**: the root group's full range joins the pool, unless a
     ///    slot already lists exactly that.
-    /// 4. **Order**: the condensed topological sort below.
+    /// 3. **Order**: the condensed topological sort below.
     ///
     /// This entry point scans the memo itself;
     /// [`PreparedQuery::prepare`](crate::PreparedQuery::prepare) instead
     /// hands over the scan its optimizer's best-plan extraction ran on,
-    /// so a prepare scans once. Either way `from_scan` packs the slot
-    /// records and runs passes 3 and 4.
+    /// so a prepare scans once. Either way `from_scan` runs passes 2
+    /// and 3.
     pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, SpaceError> {
         Links::from_scan(memo, MemoScan::build(memo, query))
     }
 
-    /// The slot records and passes 3 and 4 of [`build`](Self::build),
-    /// over `scan`, which must be `memo`'s.
+    /// Passes 2 and 3 of [`build`](Self::build), over `scan`, which must
+    /// be `memo`'s: its tables move in as they are.
     pub(crate) fn from_scan(memo: &Memo, scan: MemoScan) -> Result<Links, SpaceError> {
-        let MemoScan { ids, gather, lists } = scan;
-        let ChildLists {
+        let MemoScan {
+            ids,
             mut pool,
-            bounds: mut list_bounds,
-            list_of,
-        } = lists;
-        let slots: Vec<Slots> = (0..ids.len() as u32)
-            .map(|d| {
-                let lists = gather.slots_of(DenseId(d)).iter();
-                pack(lists.map(|&i| ListId(list_of[i as usize])))
-                    .expect("no operator has more than MAX_SLOTS child slots")
-            })
-            .collect();
+            mut list_bounds,
+            slots,
+        } = scan;
 
         // A list is an ascending subset of one group's range, so one as
         // long as the root's range that starts where it starts is it.
@@ -235,8 +198,9 @@ impl Links {
     /// one O(n) pass — bounds tables monotonic and covering, every
     /// index in range, every list strictly ascending (ranking finds a
     /// plan's operator by binary search), no expression with more than
-    /// [`MAX_SLOTS`] slots, the topo order a permutation — so corrupt
-    /// or adversarial bytes surface as [`SpaceError::MalformedParts`]
+    /// [`MAX_SLOTS`](plansample_memo::MAX_SLOTS) slots, the topo order a
+    /// permutation — so corrupt or adversarial bytes surface as
+    /// [`SpaceError::MalformedParts`]
     /// instead of a panic or a member reported foreign. It does *not*
     /// re-verify that the topo order is children-before-parents or that
     /// list contents are what the eligibility rule lists; the artifact
@@ -313,11 +277,11 @@ impl Links {
         }
 
         // The view is sound; pack it.
-        let mut slots: Vec<Slots> = Vec::with_capacity(n);
+        let mut slots: Vec<SlotRecord> = Vec::with_capacity(n);
         for w in slot_bounds.windows(2) {
             let lists = slot_lists[w[0] as usize..w[1] as usize].iter();
             slots.push(
-                pack(lists.map(|&l| ListId(l)))
+                SlotRecord::pack(lists.map(|&l| ListId(l)))
                     .ok_or_else(|| malformed("an expression has more than MAX_SLOTS slots"))?,
             );
         }
@@ -380,9 +344,7 @@ impl Links {
     /// occupied prefix of `d`'s slot record.
     #[inline]
     pub fn slot_lists(&self, d: DenseId) -> &[ListId] {
-        let slots = &self.slots[d.idx()];
-        let arity = slots.iter().take_while(|&&l| l != ListId::NONE).count();
-        &slots[..arity]
+        self.slots[d.idx()].lists()
     }
 
     /// Number of child slots of `d` (the paper's `|v|`).
@@ -436,7 +398,7 @@ impl Links {
             + self.ids.size_bytes()
             + self.pool.capacity() * std::mem::size_of::<DenseId>()
             + self.list_bounds.capacity() * std::mem::size_of::<u32>()
-            + self.slots.capacity() * std::mem::size_of::<Slots>()
+            + self.slots.capacity() * std::mem::size_of::<SlotRecord>()
             + self.topo.capacity() * std::mem::size_of::<DenseId>()
     }
 
@@ -612,16 +574,20 @@ mod tests {
         assert_eq!(root[1].len(), 2);
     }
 
-    /// The gather `Links::build` and the optimizer share, on Figure 3:
-    /// seven distinct slots for nine expression slots, numbered as they
-    /// are first met.
+    /// The scan `Links::build` and the optimizer share, on Figure 3: seven
+    /// distinct slots for nine expression slots, filtering to seven lists
+    /// numbered as they are first met, each slot's list what the rule
+    /// lists.
     #[test]
     fn paper_example_gathers_seven_distinct_slots_in_first_encounter_order() {
         let ex = paper_example::build();
-        let MemoScan { ids, gather, .. } = MemoScan::build(&ex.memo, &ex.query);
-        let slots = |id: PhysId| gather.slots_of(ids.dense(id));
+        let scan = MemoScan::build(&ex.memo, &ex.query);
+        let slots = |id: PhysId| -> Vec<u32> {
+            let lists = scan.slot_lists(scan.ids.dense(id));
+            lists.iter().map(|l| l.0).collect()
+        };
         // Group A's Sort is met first, then A⋈B's hash and merge joins,
-        // then the root: HashJoin(C, A⋈B) opens two slots that
+        // then the root: HashJoin(C, A⋈B) opens two lists that
         // HashJoin(A⋈B, C) reuses the other way round.
         assert_eq!(slots(ex.sort_a), [0]);
         assert_eq!(slots(ex.hash_join_ab), [1, 2]);
@@ -629,14 +595,17 @@ mod tests {
         assert_eq!(slots(ex.root_c_ab), [5, 6]);
         assert_eq!(slots(ex.root_ab_c), [6, 5]);
         assert!(slots(ex.idx_scan_c).is_empty());
-        assert_eq!(gather.distinct.len(), 7);
-        assert_eq!(gather.slot_of.len(), 9);
-        for id in [ex.sort_a, ex.merge_join_ab, ex.root_ab_c] {
-            let resolved: Vec<_> = slots(id)
-                .iter()
-                .map(|&i| gather.distinct[i as usize].clone())
-                .collect();
-            assert_eq!(resolved, ex.memo.phys(id).child_slots(id.group));
+        assert_eq!(scan.list_bounds.len() - 1, 7);
+        let records = scan.slots.iter().map(|r| r.lists().len());
+        assert_eq!(records.sum::<usize>(), 9);
+        for (d, id) in scan.ids.iter() {
+            let expected = ex.memo.phys(id).child_slots(id.group);
+            assert_eq!(scan.slot_lists(d).len(), expected.len(), "{id}");
+            for (&l, slot) in scan.slot_lists(d).iter().zip(&expected) {
+                let rule = plansample_memo::eligible_children(&ex.memo, &ex.query, slot);
+                let listed: Vec<PhysId> = scan.list(l).iter().map(|&c| scan.ids.phys(c)).collect();
+                assert_eq!(listed, rule, "{id}: {slot:?}");
+            }
         }
     }
 
@@ -815,13 +784,11 @@ mod tests {
         rejected(repeated, "strictly ascending");
     }
 
-    #[test]
-    fn cyclic_hand_built_memo_is_rejected() {
-        // Two mutually-referencing "joins" in the same group cannot occur
-        // via the optimizer, but a hand-built memo can express a cycle
-        // through a self-join of groups: g2.join(g0, g2) — child group
-        // equals own group with an always-satisfied requirement.
-        let ex = paper_example::build();
+    /// Two mutually-referencing "joins" in the same group cannot occur via
+    /// the optimizer, but a hand-built memo can express a cycle through a
+    /// self-join of groups: g1.join(g0, g1) — child group equals own
+    /// group with an always-satisfied requirement. Its join is `1.1`.
+    fn cyclic_memo() -> Memo {
         let mut memo = Memo::new();
         let g0 = memo.add_group(GroupKey::Rels(RelSet::all(1)));
         memo.add_physical(
@@ -849,9 +816,32 @@ mod tests {
         )
         .unwrap();
         memo.set_root(g1);
+        memo
+    }
+
+    #[test]
+    fn cyclic_hand_built_memo_is_rejected() {
+        let ex = paper_example::build();
         assert!(matches!(
-            Links::build(&memo, &ex.query),
+            Links::build(&cyclic_memo(), &ex.query),
             Err(SpaceError::CyclicMemo { .. })
         ));
+    }
+
+    /// The optimizer's cost fold reads the same table and cannot return
+    /// an error: it stops at the cycle with a panic naming the join, not
+    /// a stack overflow that aborts the process.
+    #[test]
+    #[should_panic(expected = "cyclic memo: expression 1.1")]
+    fn cyclic_hand_built_memo_panics_in_compute_totals() {
+        let ex = paper_example::build();
+        plansample_optimizer::compute_totals(&cyclic_memo(), &ex.query);
+    }
+
+    #[test]
+    #[should_panic(expected = "cyclic memo: expression 1.1")]
+    fn cyclic_hand_built_memo_panics_in_prune() {
+        let ex = paper_example::build();
+        plansample_optimizer::prune(&cyclic_memo(), &ex.query, 1.0);
     }
 }

@@ -13,8 +13,8 @@
 //! property, enforced by unit and property tests.
 
 use crate::count::{with_tier, TierCounts};
-use crate::links::ListId;
 use crate::word::Word;
+use crate::ListId;
 use crate::{PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PlanNode};

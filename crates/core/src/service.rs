@@ -370,14 +370,30 @@ impl PlanService {
 /// Public because the artifact store fingerprints its entries with the
 /// same normalization, so a store key and a cache key agree byte for
 /// byte (see `plansample-artifact`).
+///
+/// The configuration is written out field by field, in the bytes its
+/// derived `Debug` once gave — `explorer: BottomUp` included, from when
+/// the optimizer had a second explorer — so keys, and the artifact
+/// files named by them, do not move when the struct does.
 pub fn cache_key(query: &QuerySpec, config: &OptimizerConfig) -> String {
     let mut edges: Vec<String> = query.join_edges.iter().map(|e| format!("{e:?}")).collect();
     edges.sort_unstable();
     let mut filters: Vec<String> = query.filters.iter().map(|f| format!("{f:?}")).collect();
     filters.sort_unstable();
+    let OptimizerConfig {
+        allow_cross_products,
+        enable_merge_joins,
+        enable_index_scans,
+        enable_enforcers,
+        cost_model,
+    } = config;
     format!(
-        "rels:{:?};edges:{:?};filters:{:?};agg:{:?};proj:{:?};cfg:{:?}",
-        query.relations, edges, filters, query.aggregate, query.projection, config
+        "rels:{:?};edges:{edges:?};filters:{filters:?};agg:{:?};proj:{:?};\
+         cfg:OptimizerConfig {{ allow_cross_products: {allow_cross_products}, \
+         explorer: BottomUp, enable_merge_joins: {enable_merge_joins}, \
+         enable_index_scans: {enable_index_scans}, enable_enforcers: {enable_enforcers}, \
+         cost_model: {cost_model:?} }}",
+        query.relations, query.aggregate, query.projection
     )
 }
 
@@ -484,6 +500,33 @@ mod tests {
         assert_ne!(
             cache_key(&q, &OptimizerConfig::default()),
             cache_key(&q, &OptimizerConfig::with_cross_products())
+        );
+    }
+
+    /// The keys of the default and the cross-product configurations, as
+    /// they were when the key formatted the whole config with `{:?}`:
+    /// cache entries and artifact-store files keep their names.
+    #[test]
+    fn keys_keep_their_bytes() {
+        let q = two_rel_query(&tpch(), "nation", "region", "n_regionkey", "r_regionkey");
+        let key = |cross: bool| {
+            format!(
+                "rels:[RelRef {{ table: TableId(1), alias: \"nation\" }}, \
+                 RelRef {{ table: TableId(0), alias: \"region\" }}];\
+                 edges:[\"JoinEdge {{ left: ColRef {{ rel: RelId(0), col: 2 }}, \
+                 right: ColRef {{ rel: RelId(1), col: 0 }}, selectivity: 0.2 }}\"];\
+                 filters:[];agg:None;proj:None;\
+                 cfg:OptimizerConfig {{ allow_cross_products: {cross}, explorer: BottomUp, \
+                 enable_merge_joins: true, enable_index_scans: true, enable_enforcers: true, \
+                 cost_model: CostModel {{ seq_row: 1.0, idx_row: 1.2, sort_factor: 0.5, \
+                 hash_build_row: 1.5, hash_probe_row: 1.0, merge_row: 1.0, nlj_pair: 0.02, \
+                 stream_agg_row: 1.0 }} }}"
+            )
+        };
+        assert_eq!(cache_key(&q, &OptimizerConfig::default()), key(false));
+        assert_eq!(
+            cache_key(&q, &OptimizerConfig::with_cross_products()),
+            key(true)
         );
     }
 

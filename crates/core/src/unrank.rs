@@ -42,8 +42,8 @@
 //! slot, survives as the independent test oracle in `tests/common`.
 
 use crate::count::{with_tier, TierCounts};
-use crate::links::ListId;
 use crate::word::Word;
+use crate::ListId;
 use crate::{Links, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, PhysId, PlanNode};

@@ -190,11 +190,56 @@ impl SlotRef<'_> {
 
 /// The most child slots any [`PhysicalOp`] has — the bound on
 /// [`PhysicalExpr::arity`]. The operator enum is closed, so this is a
-/// property of the type: consumers that keep a fixed-size slot record
-/// per expression (the links layer in `plansample-core`) size it with
-/// this, and a unit test below holds it against one value of every
-/// variant.
+/// property of the type: the fixed-size [`SlotRecord`] every expression
+/// keeps is sized with this, and a unit test below holds it against one
+/// value of every variant.
 pub const MAX_SLOTS: usize = 2;
+
+/// Identifies one interned child-alternative list of a memo's link
+/// table: an index into the list bounds of a
+/// [`MemoScan`](crate::MemoScan), and of the `Links` built from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ListId(pub u32);
+
+impl ListId {
+    /// Pads the unoccupied tail of a [`SlotRecord`]. No interned list has
+    /// this id: one would need a bounds table of 2³² entries.
+    pub const NONE: ListId = ListId(u32::MAX);
+
+    /// The id as a usize array index.
+    #[inline]
+    pub fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// One expression's child slots as the interned lists that fill them, in
+/// slot order, padded with [`ListId::NONE`] — one fixed record per
+/// expression, read in one load (docs/DESIGN.md §3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotRecord(pub(crate) [ListId; MAX_SLOTS]);
+
+impl SlotRecord {
+    /// Packs one expression's slot lists; `None` when there are more than
+    /// [`MAX_SLOTS`].
+    pub fn pack(lists: impl ExactSizeIterator<Item = ListId>) -> Option<SlotRecord> {
+        let mut record = [ListId::NONE; MAX_SLOTS];
+        if lists.len() > MAX_SLOTS {
+            return None;
+        }
+        for (slot, l) in record.iter_mut().zip(lists) {
+            *slot = l;
+        }
+        Some(SlotRecord(record))
+    }
+
+    /// The list of each child slot, in slot order: the occupied prefix.
+    #[inline]
+    pub fn lists(&self) -> &[ListId] {
+        let arity = self.0.iter().take_while(|&&l| l != ListId::NONE).count();
+        &self.0[..arity]
+    }
+}
 
 /// A physical expression: the operator plus its derived properties and
 /// local cost.
@@ -265,7 +310,7 @@ impl PhysicalExpr {
     }
 
     /// [`child_slots`](Self::child_slots) borrowed from the operator:
-    /// the slot gather (`links::gather_slots`) walks every slot of a
+    /// [`MemoScan::build`](crate::MemoScan::build) walks every slot of a
     /// memo and clones only the distinct ones.
     pub(crate) fn slot_refs(&self, own_group: GroupId) -> impl Iterator<Item = SlotRef<'_>> {
         fn order(group: GroupId, cols: &[ColRef]) -> Option<SlotRef<'_>> {

@@ -34,8 +34,10 @@ mod props;
 mod render;
 
 pub use dense::{DenseId, DenseIdMap};
-pub use expr::{ChildSlot, LogicalOp, PhysicalExpr, PhysicalOp, Requirement, MAX_SLOTS};
-pub use links::{eligible_children, ChildLists, MemoScan, SlotGather};
+pub use expr::{
+    ChildSlot, ListId, LogicalOp, PhysicalExpr, PhysicalOp, Requirement, SlotRecord, MAX_SLOTS,
+};
+pub use links::{eligible_children, MemoScan};
 pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;

@@ -1,6 +1,6 @@
-//! Child eligibility: which expressions of a group may fill a given child
-//! slot, which distinct slots a memo has, and which distinct child lists
-//! those slots filter down to.
+//! Child eligibility, and the one scan that turns it into a memo's link
+//! table: every expression's child slots as interned lists of the
+//! expressions that may fill them.
 //!
 //! This is the single source of truth for parent→child compatibility
 //! (§3.1 of the paper: "Due to the differences in physical properties
@@ -18,6 +18,18 @@
 //!   chains, which keeps the plan graph finite and acyclic; excluding
 //!   already-satisfying children rules out redundant sorts.
 //!
+//! # One table
+//!
+//! [`MemoScan::build`] materializes the links once, as the tables the
+//! rest of the system keeps: the dense ids, a pool of interned lists with
+//! their bounds, and one [`SlotRecord`] per expression naming the list of
+//! each of its slots. The optimizer's best-plan extraction
+//! (`compute_totals`) folds over these tables, and `Links` in
+//! `plansample-core` moves them in as they are, adding only the root list
+//! and a topological order — so a prepare, which hands the optimizer's
+//! scan to its links, scans its memo once and both bottom-up folds (the
+//! cost minimum and §3.2's count) read one table.
+//!
 //! # Classes
 //!
 //! The rule reads two things of a candidate and nothing else: the order
@@ -26,27 +38,25 @@
 //! therefore accepted or refused together by every requirement, and a
 //! group delivers a handful of orders however many expressions it holds
 //! (Q8+CP: 22 293 expressions, 2 060 classes, at most 16 in a group).
-//! [`child_lists`] asks the rule once per `(distinct slot, class)`
-//! instead of once per `(distinct slot, expression)`, through one
+//! The scan asks the rule once per `(distinct slot, class)` instead of
+//! once per `(expression slot, candidate)`, through one
 //! [`OrderSatisfier`] a group.
 //!
 //! Classes also identify lists. A group's classes partition it and none
 //! is empty, so two slots of one group have equal lists exactly when they
 //! accept equal class sets — whatever their requirements say — and lists
 //! of different groups are equal only when both are empty. Comparing
-//! class sets (a few integers) is how [`child_lists`] interns, where a
-//! content hash would read every member of every list.
+//! class sets (a few integers) is how the scan interns, where a content
+//! hash would read every member of every list.
 //!
 //! [`eligible_children`] is the per-slot, per-expression form of the same
-//! rule: the reference the test suites compare the class scan against.
-//! Production code scans a memo through [`MemoScan::build`] only — dense
-//! ids, then the slot gather, then the class scan — and its two consumers
-//! read one scan: the optimizer's best-plan extraction (`compute_totals`)
-//! and link materialization (`Links` in `plansample-core`). A prepare
-//! hands the optimizer's scan to the links, so it scans its memo once.
+//! rule: the reference the test suites compare the scan against.
 
 use crate::expr::SlotRef;
-use crate::{ChildSlot, DenseId, DenseIdMap, GroupId, Memo, OrderSatisfier, PhysId, Requirement};
+use crate::{
+    ChildSlot, DenseId, DenseIdMap, GroupId, ListId, Memo, OrderSatisfier, PhysId, Requirement,
+    SlotRecord, MAX_SLOTS,
+};
 use plansample_query::{ColRef, QuerySpec};
 
 /// §3.1's rule: does a slot demanding `requirement` accept a candidate
@@ -79,117 +89,164 @@ pub fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Ve
         .collect()
 }
 
-/// §3.1's post-processing scan of one memo: its dense ids, its distinct
-/// child slots and their distinct child lists. Built by
-/// [`MemoScan::build`], the one place the three are made.
+/// §3.1's materialized links of one memo, built by [`MemoScan::build`]:
+/// the tables `Links` in `plansample-core` keeps (docs/DESIGN.md §3).
 #[derive(Debug, Clone)]
 pub struct MemoScan {
     /// The memo's dense numbering.
     pub ids: DenseIdMap,
-    /// Every child slot resolved to a distinct one.
-    pub gather: SlotGather,
-    /// The distinct slots' child lists.
-    pub lists: ChildLists,
+    /// The interned lists, concatenated in list-id order; each in group
+    /// order, hence strictly ascending. Allocated at its exact length.
+    pub pool: Vec<DenseId>,
+    /// List `l` is `pool[list_bounds[l] .. list_bounds[l + 1]]`; one
+    /// entry more than there are lists.
+    pub list_bounds: Vec<u32>,
+    /// Expression `d`'s slot record: the list of each of its child
+    /// slots. Lists are numbered as the slots that first name them are
+    /// met — over groups, then expressions, then slots — which fixes list
+    /// ids, pool layout and artifact bytes.
+    pub slots: Vec<SlotRecord>,
 }
 
 impl MemoScan {
-    /// Numbers `memo`'s expressions, gathers its distinct slots, and
-    /// decides each per class of its group (see the module docs).
+    /// Numbers `memo`'s expressions and materializes the list of every
+    /// child slot. Three linear passes over the memo:
+    ///
+    /// 1. **Classify**: number each group's classes (see the module docs)
+    ///    in first-appearance order, by a linear search over borrowed
+    ///    column slices — nothing hashed, nothing cloned — and count them.
+    /// 2. **Walk**: visit every expression's slots in dense order. A
+    ///    `(group, requirement)` asked before is looked up per target
+    ///    group, by a linear search over borrowed key columns (a group is
+    ///    asked a handful of distinct questions — Q8+CP: 2 049 over 256
+    ///    groups — so nothing is hashed); a new one is decided once per
+    ///    class of its group, and a class set the group has not produced
+    ///    before is a new list, whose length is the sum of its class
+    ///    counts. Each slot's list goes straight into its expression's
+    ///    record.
+    /// 3. **Emit**: with every length known the pool is reserved exactly,
+    ///    and each list is its group's dense range filtered by class.
     pub fn build(memo: &Memo, query: &QuerySpec) -> MemoScan {
         let ids = DenseIdMap::build(memo);
-        let gather = gather_slots(memo);
-        let lists = child_lists(memo, query, &ids, &gather);
-        MemoScan { ids, gather, lists }
-    }
-}
 
-/// Every child slot of a memo resolved to one of its *distinct* slots —
-/// what lets a consumer decide eligibility once per `(group,
-/// requirement)` instead of once per expression slot (Q8+CP: 2 049
-/// questions, not 43 651).
-#[derive(Debug, Clone)]
-pub struct SlotGather {
-    /// The distinct slots, in first-encounter order over groups, then
-    /// expressions, then slots. The order is contractual: the class scan
-    /// interns in it, so it fixes list ids, pool layout and artifact
-    /// bytes.
-    pub distinct: Vec<ChildSlot>,
-    /// Each expression slot's index into `distinct`, concatenated in
-    /// dense-id, then slot order.
-    pub slot_of: Vec<u32>,
-    /// Expression `d`'s slots are `slot_of[slot_bounds[d] ..
-    /// slot_bounds[d + 1]]`.
-    pub slot_bounds: Vec<u32>,
-}
-
-impl SlotGather {
-    /// The distinct-slot index of each child slot of `d`, in slot order.
-    #[inline]
-    pub fn slots_of(&self, d: DenseId) -> &[u32] {
-        &self.slot_of[self.slot_bounds[d.idx()] as usize..self.slot_bounds[d.idx() + 1] as usize]
-    }
-}
-
-/// Walks every expression's child slots once — no property scans — and
-/// numbers the distinct ones.
-///
-/// Requirements are interned per *target group* by a linear search over
-/// borrowed key columns: a group is asked for a handful of distinct
-/// orders (Q8+CP: 2 049 slots over 256 groups), so nothing is hashed and
-/// only a first encounter clones its requirement into an owned
-/// [`ChildSlot`].
-fn gather_slots(memo: &Memo) -> SlotGather {
-    let mut slot_of: Vec<u32> = Vec::new();
-    let mut slot_bounds: Vec<u32> = Vec::with_capacity(memo.num_physical() + 1);
-    slot_bounds.push(0);
-    let mut distinct: Vec<ChildSlot> = Vec::new();
-    let mut seen: Vec<Vec<(SlotRef<'_>, u32)>> = vec![Vec::new(); memo.num_groups()];
-    for group in memo.groups() {
-        for expr in &group.physical {
-            for slot in expr.slot_refs(group.id) {
-                let asked = &mut seen[slot.group.0 as usize];
-                let idx = match asked.iter().find(|(s, _)| *s == slot) {
-                    Some(&(_, idx)) => idx,
-                    None => {
-                        let idx = distinct.len() as u32;
-                        distinct.push(slot.to_owned());
-                        asked.push((slot, idx));
-                        idx
-                    }
-                };
-                slot_of.push(idx);
+        // Classify. Classes are numbered memo-wide, each group's contiguous.
+        let mut classes: Vec<Class<'_>> = Vec::new();
+        let mut class_of: Vec<u32> = Vec::with_capacity(ids.len());
+        let mut class_bounds: Vec<u32> = Vec::with_capacity(memo.num_groups() + 1);
+        class_bounds.push(0);
+        for group in memo.groups() {
+            let first = classes.len();
+            for expr in &group.physical {
+                let (delivered, enforcer) = (expr.delivered_cols(), expr.op.is_enforcer());
+                let class = classes[first..]
+                    .iter()
+                    .position(|c| c.delivered == delivered && c.enforcer == enforcer)
+                    .map_or(classes.len(), |c| first + c);
+                if class == classes.len() {
+                    classes.push(Class {
+                        group: group.id,
+                        delivered,
+                        enforcer,
+                        len: 0,
+                    });
+                }
+                classes[class].len += 1;
+                class_of.push(class as u32);
             }
-            slot_bounds.push(slot_of.len() as u32);
+            class_bounds.push(classes.len() as u32);
+        }
+
+        // Walk. List `l` accepts the classes `sets[set_bounds[l] ..
+        // set_bounds[l + 1]]`; `lists_of[g]` holds the lists of group `g`,
+        // and one entry past the groups the list that accepts nothing,
+        // which every group shares; `asked[g]` holds the slots on group
+        // `g` met so far, with their lists.
+        let mut sats: Vec<OrderSatisfier<'_>> = memo
+            .groups()
+            .map(|g| OrderSatisfier::new(query, g.scope(query)))
+            .collect();
+        let mut sets: Vec<u32> = Vec::new();
+        let mut set_bounds: Vec<u32> = vec![0];
+        let mut list_bounds: Vec<u32> = vec![0];
+        let mut lists_of: Vec<Vec<ListId>> = vec![Vec::new(); memo.num_groups() + 1];
+        let mut asked: Vec<Vec<(SlotRef<'_>, ListId)>> = vec![Vec::new(); memo.num_groups()];
+        let mut decide = |slot: SlotRef<'_>| {
+            let g = slot.group.0 as usize;
+            let requirement = slot.to_owned().requirement;
+            let (at, mut len) = (sets.len(), 0);
+            for class in class_bounds[g]..class_bounds[g + 1] {
+                let c = &classes[class as usize];
+                if accepts(&mut sats[g], &requirement, c.delivered, c.enforcer) {
+                    sets.push(class);
+                    len += c.len;
+                }
+            }
+            let nothing = sets.len() == at;
+            let home = &mut lists_of[if nothing { memo.num_groups() } else { g }];
+            let set_of = |l: ListId| set_bounds[l.idx()] as usize..set_bounds[l.idx() + 1] as usize;
+            if let Some(&l) = home.iter().find(|&&l| sets[set_of(l)] == sets[at..]) {
+                sets.truncate(at);
+                return l;
+            }
+            let l = ListId(list_bounds.len() as u32 - 1);
+            set_bounds.push(sets.len() as u32);
+            list_bounds.push(list_bounds[l.idx()] + len);
+            home.push(l);
+            l
+        };
+        let mut slots: Vec<SlotRecord> = Vec::with_capacity(ids.len());
+        for group in memo.groups() {
+            for expr in &group.physical {
+                let mut record = [ListId::NONE; MAX_SLOTS];
+                for (list, slot) in record.iter_mut().zip(expr.slot_refs(group.id)) {
+                    let met = &mut asked[slot.group.0 as usize];
+                    *list = match met.iter().find(|(s, _)| *s == slot) {
+                        Some(&(_, l)) => l,
+                        None => {
+                            let l = decide(slot);
+                            met.push((slot, l));
+                            l
+                        }
+                    };
+                }
+                slots.push(SlotRecord(record));
+            }
+        }
+
+        // Emit.
+        let mut pool: Vec<DenseId> =
+            Vec::with_capacity(list_bounds[list_bounds.len() - 1] as usize);
+        let mut accepted = vec![false; classes.len()];
+        for set in set_bounds.windows(2) {
+            let set = &sets[set[0] as usize..set[1] as usize];
+            let Some(&first) = set.first() else { continue };
+            set.iter().for_each(|&c| accepted[c as usize] = true);
+            let members = ids.group_range(classes[first as usize].group);
+            pool.extend(
+                members
+                    .filter(|&d| accepted[class_of[d as usize] as usize])
+                    .map(DenseId),
+            );
+            set.iter().for_each(|&c| accepted[c as usize] = false);
+        }
+        MemoScan {
+            ids,
+            pool,
+            list_bounds,
+            slots,
         }
     }
-    SlotGather {
-        distinct,
-        slot_of,
-        slot_bounds,
-    }
-}
 
-/// The distinct child lists of a memo: every distinct slot's eligible
-/// children as [`DenseId`]s, slots that filter to the same children
-/// sharing one list.
-#[derive(Debug, Clone)]
-pub struct ChildLists {
-    /// The lists, concatenated in first-encounter order over
-    /// [`SlotGather::distinct`]; each in group order, hence strictly
-    /// ascending. Allocated at its exact length.
-    pub pool: Vec<DenseId>,
-    /// List `l` is `pool[bounds[l] .. bounds[l + 1]]`; one entry more
-    /// than there are lists.
-    pub bounds: Vec<u32>,
-    /// Each distinct slot's list, by index into [`SlotGather::distinct`].
-    pub list_of: Vec<u32>,
-}
-
-impl ChildLists {
     /// The members of list `l`.
     #[inline]
-    pub fn list(&self, l: usize) -> &[DenseId] {
-        &self.pool[self.bounds[l] as usize..self.bounds[l + 1] as usize]
+    pub fn list(&self, l: ListId) -> &[DenseId] {
+        &self.pool[self.list_bounds[l.idx()] as usize..self.list_bounds[l.idx() + 1] as usize]
+    }
+
+    /// The list of each child slot of `d`, in slot order.
+    #[inline]
+    pub fn slot_lists(&self, d: DenseId) -> &[ListId] {
+        self.slots[d.idx()].lists()
     }
 }
 
@@ -201,118 +258,6 @@ struct Class<'m> {
     enforcer: bool,
     /// How many expressions of the group are in the class; never 0.
     len: u32,
-}
-
-/// Decides every distinct slot of `gather` per class and materializes
-/// the distinct lists. A *class* is the expressions of one group that
-/// deliver the same order and agree on being an enforcer: the rule reads
-/// nothing else of a candidate, so a class is accepted or refused whole,
-/// and two slots of a group list the same children exactly when they
-/// accept the same classes (`links.rs`'s module docs argue both).
-///
-/// Three linear passes. **Classify**: number each group's classes in
-/// first-appearance order, by a linear search over borrowed column
-/// slices — nothing hashed, nothing cloned — and count them. **Decide**:
-/// in distinct-slot order, ask the rule of each class of the slot's
-/// group, through one [`OrderSatisfier`] a group; a class set its group
-/// has not produced before is a new list, whose length is the sum of its
-/// class counts. **Emit**: with every length known the pool is reserved
-/// exactly, and each list is its group's dense range filtered by class.
-fn child_lists(
-    memo: &Memo,
-    query: &QuerySpec,
-    ids: &DenseIdMap,
-    gather: &SlotGather,
-) -> ChildLists {
-    // Classify. Classes are numbered memo-wide, each group's contiguous.
-    let mut classes: Vec<Class<'_>> = Vec::new();
-    let mut class_of: Vec<u32> = Vec::with_capacity(ids.len());
-    let mut class_bounds: Vec<u32> = Vec::with_capacity(memo.num_groups() + 1);
-    class_bounds.push(0);
-    for group in memo.groups() {
-        let first = classes.len();
-        for expr in &group.physical {
-            let (delivered, enforcer) = (expr.delivered_cols(), expr.op.is_enforcer());
-            let class = classes[first..]
-                .iter()
-                .position(|c| c.delivered == delivered && c.enforcer == enforcer)
-                .map_or(classes.len(), |c| first + c);
-            if class == classes.len() {
-                classes.push(Class {
-                    group: group.id,
-                    delivered,
-                    enforcer,
-                    len: 0,
-                });
-            }
-            classes[class].len += 1;
-            class_of.push(class as u32);
-        }
-        class_bounds.push(classes.len() as u32);
-    }
-
-    // Decide. List `l` accepts the classes `sets[set_bounds[l] ..
-    // set_bounds[l + 1]]`; `seen[g]` holds the lists of group `g`, and
-    // one entry past the groups the list that accepts nothing, which
-    // every group shares.
-    let mut sats: Vec<OrderSatisfier<'_>> = memo
-        .groups()
-        .map(|g| OrderSatisfier::new(query, g.scope(query)))
-        .collect();
-    let mut sets: Vec<u32> = Vec::new();
-    let mut set_bounds: Vec<u32> = vec![0];
-    let mut bounds: Vec<u32> = vec![0];
-    let mut seen: Vec<Vec<u32>> = vec![Vec::new(); memo.num_groups() + 1];
-    let mut list_of: Vec<u32> = Vec::with_capacity(gather.distinct.len());
-    for slot in &gather.distinct {
-        let g = slot.group.0 as usize;
-        let (at, mut len) = (sets.len(), 0);
-        for class in class_bounds[g]..class_bounds[g + 1] {
-            let c = &classes[class as usize];
-            if accepts(&mut sats[g], &slot.requirement, c.delivered, c.enforcer) {
-                sets.push(class);
-                len += c.len;
-            }
-        }
-        let nothing = sets.len() == at;
-        let home = &mut seen[if nothing { memo.num_groups() } else { g }];
-        let set_of = |l: u32| set_bounds[l as usize] as usize..set_bounds[l as usize + 1] as usize;
-        let known = home.iter().find(|&&l| sets[set_of(l)] == sets[at..]);
-        list_of.push(match known {
-            Some(&l) => {
-                sets.truncate(at);
-                l
-            }
-            None => {
-                let l = bounds.len() as u32 - 1;
-                set_bounds.push(sets.len() as u32);
-                bounds.push(bounds[l as usize] + len);
-                home.push(l);
-                l
-            }
-        });
-    }
-
-    // Emit.
-    let mut pool: Vec<DenseId> = Vec::with_capacity(bounds[bounds.len() - 1] as usize);
-    let mut accepted = vec![false; classes.len()];
-    for set in set_bounds.windows(2) {
-        let set = &sets[set[0] as usize..set[1] as usize];
-        let Some(&first) = set.first() else { continue };
-        set.iter().for_each(|&c| accepted[c as usize] = true);
-        let members = ids.group_range(classes[first as usize].group);
-        pool.extend(
-            members
-                .filter(|&d| accepted[class_of[d as usize] as usize])
-                .map(DenseId),
-        );
-        set.iter().for_each(|&c| accepted[c as usize] = false);
-    }
-    ChildLists {
-        pool,
-        bounds,
-        list_of,
-    }
 }
 
 #[cfg(test)]
@@ -460,9 +405,12 @@ mod tests {
     /// A merge-join group: two merge joins that agree on the left key and
     /// differ on the right, a nested-loops join, the group's own Sort,
     /// and an aggregate above that *requires* the order the Sort
-    /// *targets* — same key columns, two different slots.
+    /// *targets* — same key columns, two different slots. Eight distinct
+    /// slots over the ten expression slots filter to six lists, numbered
+    /// as the slots that first name them are met.
     #[test]
     fn gather_numbers_distinct_slots_in_first_encounter_order() {
+        let (_cat, q) = crate::props::tests::chain_query();
         let col = |rel, col| ColRef {
             rel: RelId(rel),
             col,
@@ -495,80 +443,74 @@ mod tests {
             top,
             expr(PhysicalOp::StreamAgg {
                 input: j,
-                group_order: on_key.clone(),
+                group_order: on_key,
             }),
         );
         memo.add_physical(top, expr(PhysicalOp::HashAgg { input: j }));
+        memo.set_root(top);
 
-        let order = |group, cols: SortOrder| ChildSlot {
-            group,
-            requirement: Requirement::Order(cols),
-        };
-        let gather = gather_slots(&memo);
-        assert_eq!(
-            gather.distinct,
-            vec![
-                order(l, on_key.clone()),
-                order(r, SortOrder::on_col(col(1, 0))),
-                order(r, SortOrder::on_col(col(1, 1))),
-                order(l, SortOrder::unsorted()),
-                order(r, SortOrder::unsorted()),
-                ChildSlot {
-                    group: j,
-                    requirement: Requirement::SortInput {
-                        target: on_key.clone()
-                    },
-                },
-                order(j, on_key),
-                order(j, SortOrder::unsorted()),
-            ]
-        );
+        let scan = assert_lists_match_the_rule(&memo, &q);
         // Dense order: the two scans, then group j's four, then the two
-        // aggregates.
-        let per_expr: Vec<&[u32]> = (0..memo.num_physical() as u32)
-            .map(|d| gather.slots_of(DenseId(d)))
+        // aggregates. The bare scans deliver no order, so all three
+        // ordered demands on them share the empty list 0; the merge
+        // joins' common left slot is decided once.
+        let per_expr: Vec<Vec<u32>> = (0..memo.num_physical() as u32)
+            .map(|d| scan.slot_lists(DenseId(d)).iter().map(|l| l.0).collect())
             .collect();
-        let expected: [&[u32]; 8] = [&[], &[], &[0, 1], &[0, 2], &[3, 4], &[5], &[6], &[7]];
+        let expected: [&[u32]; 8] = [&[], &[], &[0, 0], &[0, 0], &[1, 2], &[3], &[4], &[5]];
         assert_eq!(per_expr, expected);
+        let members = |l| scan.list(ListId(l)).iter().map(|d| d.0).collect::<Vec<_>>();
+        let lists: Vec<Vec<u32>> = (0..6).map(members).collect();
+        let expected: [&[u32]; 6] = [&[], &[0], &[1], &[4], &[2, 3, 5], &[2, 3, 4, 5]];
+        assert_eq!(lists, expected);
     }
 
-    /// Every distinct slot's list against the per-expression rule, and
-    /// the shape [`child_lists`] promises: exact bounds, an exactly
-    /// sized pool, lists numbered as first met and pairwise different.
-    fn assert_lists_match_the_rule(memo: &Memo, q: &QuerySpec) -> (SlotGather, ChildLists) {
-        let MemoScan { ids, gather, lists } = MemoScan::build(memo, q);
-        assert_eq!(lists.list_of.len(), gather.distinct.len());
-        for (i, slot) in gather.distinct.iter().enumerate() {
-            let rule: Vec<DenseId> = eligible_children(memo, q, slot)
-                .into_iter()
-                .map(|id| ids.dense(id))
-                .collect();
-            let listed = lists.list(lists.list_of[i] as usize);
-            assert_eq!(listed, rule, "slot {i}: {slot:?}");
-        }
-        assert_eq!(lists.bounds[0], 0);
-        assert!(lists.bounds.is_sorted());
-        let num_lists = lists.bounds.len() - 1;
-        assert_eq!(lists.bounds[num_lists] as usize, lists.pool.len());
-        assert_eq!(lists.pool.capacity(), lists.pool.len());
-        let mut met = 0;
-        for &l in &lists.list_of {
-            assert!(l <= met, "lists are numbered in first-encounter order");
-            met = met.max(l + 1);
-        }
-        assert_eq!(met as usize, num_lists);
-        for a in 0..num_lists {
-            for b in 0..a {
-                assert_ne!(lists.list(a), lists.list(b), "lists {b} and {a}");
+    /// Every expression slot's list against the per-expression rule, and
+    /// the shape [`MemoScan::build`] promises: one record per expression,
+    /// exact bounds, an exactly sized pool, lists numbered as first met
+    /// and pairwise different.
+    fn assert_lists_match_the_rule(memo: &Memo, q: &QuerySpec) -> MemoScan {
+        let scan = MemoScan::build(memo, q);
+        assert_eq!(scan.slots.len(), memo.num_physical());
+        for (d, id) in scan.ids.iter() {
+            let slots = memo.phys(id).child_slots(id.group);
+            assert_eq!(scan.slot_lists(d).len(), slots.len(), "{id}: arity");
+            for (&l, slot) in scan.slot_lists(d).iter().zip(&slots) {
+                let rule: Vec<DenseId> = eligible_children(memo, q, slot)
+                    .into_iter()
+                    .map(|id| scan.ids.dense(id))
+                    .collect();
+                assert_eq!(scan.list(l), rule, "{id}: {slot:?}");
             }
         }
-        (gather, lists)
+        let bounds = &scan.list_bounds;
+        assert_eq!(bounds[0], 0);
+        assert!(bounds.is_sorted());
+        let num_lists = bounds.len() - 1;
+        assert_eq!(bounds[num_lists] as usize, scan.pool.len());
+        assert_eq!(scan.pool.capacity(), scan.pool.len());
+        let mut met = 0;
+        for l in scan.slots.iter().flat_map(|r| r.lists()) {
+            assert!(l.0 <= met, "lists are numbered in first-encounter order");
+            met = met.max(l.0 + 1);
+        }
+        assert_eq!(met as usize, num_lists);
+        for a in 0..num_lists as u32 {
+            for b in 0..a {
+                assert_ne!(
+                    scan.list(ListId(a)),
+                    scan.list(ListId(b)),
+                    "lists {b} and {a}"
+                );
+            }
+        }
+        scan
     }
 
     /// No cap on the orders a group delivers: 70 index scans on 70
     /// columns and the 70 Sorts that enforce them make 141 classes in
     /// one group, and an aggregate group above asks for each order —
-    /// 141 distinct slots, every list what the rule says.
+    /// 141 lists, every one what the rule says.
     #[test]
     fn a_group_delivering_seventy_orders_builds_without_truncation() {
         const ORDERS: u32 = 70;
@@ -608,12 +550,12 @@ mod tests {
         }
         memo.set_root(top);
 
-        let (gather, lists) = assert_lists_match_the_rule(&memo, &q);
-        assert_eq!(gather.distinct.len(), 2 * ORDERS as usize + 1);
+        let scan = assert_lists_match_the_rule(&memo, &q);
+        assert_eq!(scan.list_bounds.len() - 1, 2 * ORDERS as usize + 1);
         // Each order has its scan and its Sort; each Sort may sit on the
         // table scan and the 69 other index scans; the hash aggregate
         // takes all 141.
-        let mut lens: Vec<u32> = lists.bounds.windows(2).map(|w| w[1] - w[0]).collect();
+        let mut lens: Vec<u32> = scan.list_bounds.windows(2).map(|w| w[1] - w[0]).collect();
         lens.sort_unstable();
         lens.dedup();
         assert_eq!(lens, [2, ORDERS, 2 * ORDERS + 1]);
@@ -664,28 +606,33 @@ mod tests {
         memo.add_physical(abc, merge(ab, c, by, cw));
         memo.set_root(abc);
 
-        let (gather, lists) = assert_lists_match_the_rule(&memo, &q);
+        let scan = assert_lists_match_the_rule(&memo, &q);
         let list_of = |group, requirement| {
             let slot = ChildSlot { group, requirement };
-            let i = gather.distinct.iter().position(|s| *s == slot).unwrap();
-            lists.list_of[i]
+            let (d, i) = (scan.ids.iter())
+                .find_map(|(d, id)| {
+                    let slots = memo.phys(id).child_slots(id.group);
+                    Some((d, slots.iter().position(|s| *s == slot)?))
+                })
+                .unwrap();
+            scan.slot_lists(d)[i]
         };
         let order = |c| Requirement::Order(SortOrder::on_col(c));
 
         // A bare table scan delivers no order: three groups, one list.
         let nothing = list_of(a, order(ax));
-        assert!(lists.list(nothing as usize).is_empty());
+        assert!(scan.list(nothing).is_empty());
         assert_eq!(list_of(b, order(by)), nothing);
         assert_eq!(list_of(c, order(cw)), nothing);
 
         // Two requirements, one class set: the merge join and the Sort.
         let either = list_of(ab, order(ax));
         assert_eq!(list_of(ab, order(by)), either);
-        assert_eq!(lists.list(either as usize), [DenseId(3), DenseId(5)]);
+        assert_eq!(scan.list(either), [DenseId(3), DenseId(5)]);
         // The Sort's own input: the merge join already delivers `b.y`
         // (it is `a.x`), so only the hash join is worth sorting.
         let target = SortOrder::on_col(by);
         let input = list_of(ab, Requirement::SortInput { target });
-        assert_eq!(lists.list(input as usize), [DenseId(4)]);
+        assert_eq!(scan.list(input), [DenseId(4)]);
     }
 }

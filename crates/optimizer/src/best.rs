@@ -8,30 +8,32 @@
 //! operator in the root group" the paper extracts (§2) and the optimum
 //! all sampled costs are normalized to (§5).
 //!
-//! The program is memoised on both of its levels: per expression, and per
-//! distinct child *list*. Sibling joins over the same inputs ask the same
+//! The program folds over the link table a [`MemoScan`] builds — the
+//! table `Links` in `plansample-core` keeps and §3.2's count walks — and
+//! is memoised on both of its levels: per expression, and per interned
+//! child *list*. Sibling joins over the same inputs ask the same
 //! `(group, requirement)` question, and different questions often filter
 //! to the same children, so the minimum of a list — and the child that
-//! attains it — is found once, over the [`MemoScan`] link
-//! materialization is built from, and the pass is linear in the memo like
+//! attains it — is found once, and the pass is linear in the memo like
 //! everything else downstream of it (paper §3). The totals keep their
 //! scan, and `optimize` hands it on (`optimize_with_scan`), so a prepare
 //! scans its memo once.
 
-use plansample_memo::{DenseId, GroupId, Memo, MemoScan, PhysId, PlanNode};
+use plansample_memo::{DenseId, GroupId, ListId, Memo, MemoScan, PhysId, PlanNode};
 use plansample_query::QuerySpec;
 
 /// Memoized total costs for every physical expression, and the cheapest
-/// eligible child of every distinct child slot.
+/// member of every interned child list.
 #[derive(Debug)]
 pub struct Totals {
     /// The scan the totals were computed over.
     pub(crate) scan: MemoScan,
     /// Total cost by dense id.
     totals: Vec<f64>,
-    /// The first cheapest eligible child by distinct slot of the scan;
-    /// `None` when no child is eligible or none completes.
-    best_child: Vec<Option<DenseId>>,
+    /// By list of the scan: the cheapest member's total, and that member
+    /// — the first to attain the minimum, `None` when no member
+    /// completes.
+    list_best: Vec<Option<(f64, Option<DenseId>)>>,
 }
 
 impl Totals {
@@ -52,13 +54,19 @@ impl Totals {
 }
 
 /// Computes total costs for all expressions.
+///
+/// # Panics
+/// Panics, naming an expression on the cycle, when the memo's plan graph
+/// is cyclic — only a hand-built memo can be; `Links::build` in
+/// `plansample-core` rejects the same memo with an error.
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
     let scan = MemoScan::build(memo, query);
     let mut dp = TotalsDp {
         memo,
         scan: &scan,
         expr_total: vec![None; scan.ids.len()],
-        list_best: vec![None; scan.lists.bounds.len() - 1],
+        entered: vec![false; scan.ids.len()],
+        list_best: vec![None; scan.list_bounds.len() - 1],
     };
     for d in (0..scan.ids.len() as u32).map(DenseId) {
         dp.total_of(d);
@@ -68,12 +76,6 @@ pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
         list_best,
         ..
     } = dp;
-    let best_child = scan
-        .lists
-        .list_of
-        .iter()
-        .map(|&l| list_best[l as usize].and_then(|(_, child)| child))
-        .collect();
     let totals = expr_total
         .into_iter()
         .map(|c| c.expect("all visited"))
@@ -81,7 +83,7 @@ pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
     Totals {
         scan,
         totals,
-        best_child,
+        list_best,
     }
 }
 
@@ -92,7 +94,10 @@ struct TotalsDp<'a> {
     scan: &'a MemoScan,
     /// Total cost by dense id.
     expr_total: Vec<Option<f64>>,
-    /// Cheapest member's total, and that member, by distinct list.
+    /// Whether `total_of` was entered for a dense id: entering one twice
+    /// before it has a total is a cycle.
+    entered: Vec<bool>,
+    /// [`Totals::list_best`], being filled.
     list_best: Vec<Option<(f64, Option<DenseId>)>>,
 }
 
@@ -103,9 +108,14 @@ impl TotalsDp<'_> {
             return c;
         }
         let scan = self.scan;
-        let mut total = self.memo.phys(scan.ids.phys(d)).local_cost;
-        for &slot in scan.gather.slots_of(d) {
-            total += self.best_of(scan.lists.list_of[slot as usize] as usize); // INFINITY when the slot is unsatisfiable
+        let id = scan.ids.phys(d);
+        assert!(
+            !std::mem::replace(&mut self.entered[d.idx()], true),
+            "cyclic memo: expression {id} is its own descendant"
+        );
+        let mut total = self.memo.phys(id).local_cost;
+        for &list in scan.slot_lists(d) {
+            total += self.best_of(list); // INFINITY when the slot is unsatisfiable
         }
         self.expr_total[d.idx()] = Some(total);
         total
@@ -114,19 +124,19 @@ impl TotalsDp<'_> {
     /// The minimum over the list's members, folded in group order, the
     /// first member to attain it winning — what `min_by(total_cmp)`
     /// returns.
-    fn best_of(&mut self, list: usize) -> f64 {
-        if let Some((best, _)) = self.list_best[list] {
+    fn best_of(&mut self, list: ListId) -> f64 {
+        if let Some((best, _)) = self.list_best[list.idx()] {
             return best;
         }
         let scan = self.scan;
         let (mut best, mut child) = (f64::INFINITY, None);
-        for &member in scan.lists.list(list) {
+        for &member in scan.list(list) {
             let total = self.total_of(member);
             if total < best {
                 (best, child) = (total, Some(member));
             }
         }
-        self.list_best[list] = Some((best, child));
+        self.list_best[list.idx()] = Some((best, child));
         best
     }
 }
@@ -144,16 +154,16 @@ pub fn best_plan(memo: &Memo, _query: &QuerySpec, totals: &Totals) -> Option<(Pl
     Some((expand(totals, totals.scan.ids.dense(best_id)), cost))
 }
 
-/// The plan under `d`, every slot filled with the cheapest child
-/// [`compute_totals`] found for it.
+/// The plan under `d`, every slot filled with the cheapest member
+/// [`compute_totals`] found for its list.
 fn expand(totals: &Totals, d: DenseId) -> PlanNode {
     let children = totals
         .scan
-        .gather
-        .slots_of(d)
+        .slot_lists(d)
         .iter()
-        .map(|&slot| {
-            let child = totals.best_child[slot as usize]
+        .map(|&list| {
+            let child = totals.list_best[list.idx()]
+                .and_then(|(_, child)| child)
                 .expect("finite-cost parent implies satisfiable slots");
             expand(totals, child)
         })
@@ -172,6 +182,10 @@ fn expand(totals: &Totals, d: DenseId) -> PlanNode {
 /// This emulates the search-time "cost based pruning heuristic" the
 /// paper describes (§2) — and motivates its advice that, for testing,
 /// "it is useful to have the optimizer keep each alternative generated".
+///
+/// # Panics
+/// Panics when `keep_factor` is below 1.0, and — as [`compute_totals`]
+/// does — on a memo whose plan graph is cyclic.
 pub fn prune(memo: &Memo, query: &QuerySpec, keep_factor: f64) -> Memo {
     assert!(
         keep_factor >= 1.0,

@@ -1,18 +1,21 @@
 //! Logical exploration: populating the MEMO with every logical join
 //! alternative.
 //!
-//! Two interchangeable strategies, mirroring the paper's §2 remark that
-//! the counting technique "could be transferred easily to the Starburst
-//! enumerator" because bottom-up enumeration "implicitly uses a similar
-//! data structure":
+//! Two strategies, mirroring the paper's §2 remark that the counting
+//! technique "could be transferred easily to the Starburst enumerator"
+//! because bottom-up enumeration "implicitly uses a similar data
+//! structure":
 //!
 //! - [`explore_bottom_up`]: Starburst-style enumeration over relation
 //!   subsets (size-ascending). Guaranteed complete: every connected
 //!   subset (or every subset when cross products are allowed) becomes a
-//!   group holding every commutative split.
+//!   group holding every commutative split. This is the one
+//!   [`optimize`](crate::optimize) runs.
 //! - [`explore_transform`]: Volcano/Cascades-style — copy the initial
 //!   left-deep plan into the memo (Figure 1) and apply join commutativity
 //!   and associativity transformation rules to a fixpoint (Figure 2).
+//!   Kept as the oracle of Figure 2: tests run the pipeline's steps over
+//!   it themselves.
 //!
 //! For acyclic queries both strategies provably produce the same closure;
 //! the integration tests assert memo equality on such queries.

@@ -40,24 +40,14 @@ use plansample_catalog::Catalog;
 use plansample_memo::{Memo, MemoScan, PlanNode};
 use plansample_query::QuerySpec;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of completed [`optimize`] runs.
-static OPTIMIZATIONS: AtomicU64 = AtomicU64::new(0);
 
 std::thread_local! {
     /// Per-thread count of completed [`optimize`] runs.
     static THREAD_OPTIMIZATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Number of full [`optimize`] runs performed by this process so far —
-/// an observability hook for serving-path metrics.
-pub fn optimizations_performed() -> u64 {
-    OPTIMIZATIONS.load(Ordering::Relaxed)
-}
-
 /// Number of full [`optimize`] runs performed by the *calling thread* —
-/// the race-free variant for test assertions. Tests and benches take
+/// per thread so that test assertions are race-free. Tests and benches take
 /// the delta around a code region to prove that prepared artifacts
 /// (`plansample::PreparedQuery`) serve counts, pages, and samples with
 /// **zero** re-optimizations, without interference from other test
@@ -66,26 +56,12 @@ pub fn thread_optimizations_performed() -> u64 {
     THREAD_OPTIMIZATIONS.with(|c| c.get())
 }
 
-/// Which exploration strategy populates the memo.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Explorer {
-    /// Starburst-style bottom-up subset enumeration (default; complete
-    /// for every join graph).
-    #[default]
-    BottomUp,
-    /// Volcano-style transformation rules applied to a fixpoint from the
-    /// initial plan.
-    Transform,
-}
-
 /// Optimizer configuration.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Admit joins without connecting predicates. Table 1 of the paper
     /// reports both modes.
     pub allow_cross_products: bool,
-    /// Exploration strategy.
-    pub explorer: Explorer,
     /// Generate sort-merge join alternatives.
     pub enable_merge_joins: bool,
     /// Generate ordered index-scan alternatives.
@@ -101,7 +77,6 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             allow_cross_products: false,
-            explorer: Explorer::BottomUp,
             enable_merge_joins: true,
             enable_index_scans: true,
             enable_enforcers: true,
@@ -203,10 +178,7 @@ pub fn optimize_with_scan(
     }
 
     let mut memo = Memo::new();
-    match config.explorer {
-        Explorer::BottomUp => explore_bottom_up(query, config.allow_cross_products, &mut memo)?,
-        Explorer::Transform => explore_transform(query, config.allow_cross_products, &mut memo)?,
-    }
+    explore_bottom_up(query, config.allow_cross_products, &mut memo)?;
     implement_all(
         query,
         catalog,
@@ -226,9 +198,8 @@ pub fn optimize_with_scan(
 
     let totals = compute_totals(&memo, query);
     let (best_plan, best_cost) = best_plan(&memo, query, &totals).ok_or(OptError::NoPlanFound)?;
-    // Counted only on success, so the observability counters report
-    // *completed* optimizations as documented.
-    OPTIMIZATIONS.fetch_add(1, Ordering::Relaxed);
+    // Counted only on success, so the counter reports *completed*
+    // optimizations as documented.
     THREAD_OPTIMIZATIONS.with(|c| c.set(c.get() + 1));
     let optimized = Optimized {
         memo,
@@ -358,17 +329,16 @@ mod tests {
         let q = qb.build().unwrap();
 
         let bu = optimize(&cat, &q, &OptimizerConfig::default()).unwrap();
-        let tr = optimize(
-            &cat,
-            &q,
-            &OptimizerConfig {
-                explorer: Explorer::Transform,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!((bu.best_cost - tr.best_cost).abs() < 1e-9);
-        assert_eq!(bu.memo.num_physical(), tr.memo.num_physical());
+        // The pipeline's steps, with the transformation explorer.
+        let mut memo = Memo::new();
+        explore_transform(&q, false, &mut memo).unwrap();
+        let cost = CostModel::default();
+        implement_all(&q, &cat, &cost, true, true, &mut memo);
+        add_enforcers(&q, &cat, &cost, &mut memo);
+        let totals = compute_totals(&memo, &q);
+        let (_, tr_cost) = best_plan(&memo, &q, &totals).unwrap();
+        assert!((bu.best_cost - tr_cost).abs() < 1e-9);
+        assert_eq!(bu.memo.num_physical(), memo.num_physical());
     }
 
     #[test]

@@ -145,12 +145,13 @@ fn transform_explorer_space_is_differentially_clean() {
     qb.join(("o", "o_custkey"), ("c", "c_custkey")).unwrap();
     qb.join(("c", "c_nationkey"), ("n", "n_nationkey")).unwrap();
     let query = qb.build().unwrap();
-    let config = OptimizerConfig {
-        explorer: plansample_optimizer::Explorer::Transform,
-        ..Default::default()
-    };
-    let optimized = optimize(&catalog, &query, &config).unwrap();
-    let space = PlanSpace::build(&optimized.memo, &query).unwrap();
+    // The pipeline's steps, with the transformation explorer.
+    let mut memo = plansample_memo::Memo::new();
+    plansample_optimizer::explore_transform(&query, false, &mut memo).unwrap();
+    let cost = plansample_optimizer::CostModel::default();
+    plansample_optimizer::implement_all(&query, &catalog, &cost, true, true, &mut memo);
+    plansample_optimizer::add_enforcers(&query, &catalog, &cost, &mut memo);
+    let space = PlanSpace::build(&memo, &query).unwrap();
     let report = space.validate_exhaustive(&catalog, &db, 500).unwrap();
     assert!(report.all_passed(), "{report}");
 }

@@ -4,7 +4,8 @@
 //! on spaces small enough to enumerate — the exact count `N` must equal
 //! the brute-force enumeration via the independent recursive oracle.
 //! Underneath both, the per-class eligibility scan must list, for every
-//! distinct child slot, exactly what the per-expression rule lists.
+//! child slot of every expression, exactly what the per-expression rule
+//! lists.
 
 mod common;
 
@@ -37,28 +38,35 @@ fn arb_spec() -> impl Strategy<Value = JoinGraphSpec> {
 }
 
 /// The class scan production code runs against the rule it replaced:
-/// every distinct slot's list must be `eligible_children` — one test per
-/// expression — mapped to dense ids, and the flat tables exact. `Err`
-/// names the first slot that differs.
+/// every expression slot's list must be `eligible_children` — one test
+/// per expression — mapped to dense ids, and the flat tables exact.
+/// `Err` names the first slot that differs.
 fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
-    let MemoScan { ids, gather, lists } = MemoScan::build(memo, query);
-    if lists.list_of.len() != gather.distinct.len() {
-        return Err("one list per distinct slot".into());
+    let scan = MemoScan::build(memo, query);
+    if scan.slots.len() != memo.num_physical() {
+        return Err("one slot record per expression".into());
     }
-    for (i, slot) in gather.distinct.iter().enumerate() {
-        let rule: Vec<DenseId> = eligible_children(memo, query, slot)
-            .into_iter()
-            .map(|id| ids.dense(id))
-            .collect();
-        let listed = lists.list(lists.list_of[i] as usize);
-        if listed != rule {
-            return Err(format!("slot {i} ({slot:?}) lists {listed:?}"));
+    for (d, id) in scan.ids.iter() {
+        let slots = memo.phys(id).child_slots(id.group);
+        if scan.slot_lists(d).len() != slots.len() {
+            return Err(format!("{id}: one list per child slot"));
+        }
+        for (&l, slot) in scan.slot_lists(d).iter().zip(&slots) {
+            let rule: Vec<DenseId> = eligible_children(memo, query, slot)
+                .into_iter()
+                .map(|id| scan.ids.dense(id))
+                .collect();
+            let listed = scan.list(l);
+            if listed != rule {
+                return Err(format!("{id}'s slot {slot:?} lists {listed:?}"));
+            }
         }
     }
-    let exact = lists.bounds.first() == Some(&0)
-        && lists.bounds.is_sorted()
-        && lists.bounds.last() == Some(&(lists.pool.len() as u32))
-        && lists.pool.capacity() == lists.pool.len();
+    let bounds = &scan.list_bounds;
+    let exact = bounds.first() == Some(&0)
+        && bounds.is_sorted()
+        && bounds.last() == Some(&(scan.pool.len() as u32))
+        && scan.pool.capacity() == scan.pool.len();
     exact.then_some(()).ok_or("bounds or pool inexact".into())
 }
 

@@ -10,11 +10,19 @@ mod common;
 use common::{reference_best_plan, reference_totals};
 use plansample_catalog::Catalog;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
-use plansample_optimizer::{best_plan, compute_totals, optimize, Explorer, OptimizerConfig};
+use plansample_memo::Memo;
+use plansample_optimizer::{
+    add_enforcers, best_plan, compute_totals, explore_transform, implement_all, optimize,
+    CostModel, Optimized, OptimizerConfig,
+};
 use plansample_query::QuerySpec;
 
 fn assert_matches_oracle(label: &str, catalog: &Catalog, query: &QuerySpec, cfg: &OptimizerConfig) {
     let optimized = optimize(catalog, query, cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_optimized_matches_oracle(label, query, &optimized);
+}
+
+fn assert_optimized_matches_oracle(label: &str, query: &QuerySpec, optimized: &Optimized) {
     let memo = &optimized.memo;
     let totals = compute_totals(memo, query);
     let oracle = reference_totals(memo, query);
@@ -70,15 +78,26 @@ fn totals_and_best_plan_equal_the_per_expression_recursion_on_tpch() {
     );
     // Transformation-rule exploration creates groups out of subset-size
     // order, so the recursion meets parents before their children.
-    assert_matches_oracle(
-        "Q5 (transform explorer)",
-        &catalog,
-        &q5(&catalog),
-        &OptimizerConfig {
-            explorer: Explorer::Transform,
-            ..OptimizerConfig::default()
-        },
-    );
+    let query = q5(&catalog);
+    let optimized = transform(&catalog, &query);
+    assert_optimized_matches_oracle("Q5 (transform explorer)", &query, &optimized);
+}
+
+/// `optimize`'s pipeline, its steps run here with the transformation
+/// explorer in place of the bottom-up one.
+fn transform(catalog: &Catalog, query: &QuerySpec) -> Optimized {
+    let mut memo = Memo::new();
+    explore_transform(query, false, &mut memo).expect("the query is connected");
+    let cost = CostModel::default();
+    implement_all(query, catalog, &cost, true, true, &mut memo);
+    add_enforcers(query, catalog, &cost, &mut memo);
+    let totals = compute_totals(&memo, query);
+    let (best_plan, best_cost) = best_plan(&memo, query, &totals).expect("a plan");
+    Optimized {
+        memo,
+        best_plan,
+        best_cost,
+    }
 }
 
 #[test]
