@@ -11,13 +11,13 @@
 //! twice. The serving layer's `SampleBatch` path, the CLI and the
 //! throughput benchmark all sample through this type; callers that want
 //! trees keep using [`crate::PlanSpace::sample_batch`], which returns
-//! [`PlanNode`]s.
+//! [`PlanNode`](plansample_memo::PlanNode)s.
 //!
 //! A preorder id sequence determines the plan tree uniquely (each
 //! operator's arity is known from the memo), so the flat form loses no
-//! information — [`PlanNode::preorder_ids`] is the inverse direction,
-//! and the differential tests compare the two representations directly;
-//! `PlanSpace::lift` is the way back to a tree.
+//! information — [`PlanNode::preorder_ids`](plansample_memo::PlanNode::preorder_ids)
+//! is the inverse direction, and the differential tests compare the two
+//! representations directly; `PlanSpace::lift` is the way back to a tree.
 
 use crate::ListId;
 use plansample_bignum::Nat;

@@ -13,7 +13,8 @@
 //! 4·10^12, and counts overflow any fixed-width integer as queries grow.
 //!
 //! The pass is an iterative walk over the topological order the links
-//! precomputed (children before parents), filling one flat `Vec<Nat>`
+//! keep (children before parents; the scan's, which the optimizer's cost
+//! fold walks too), filling one flat `Vec<Nat>`
 //! indexed by [`DenseId`] — no recursion, no memo-cache clones, and no
 //! threads: the pass is a few percent of a build (DESIGN §5), less
 //! than forking it costs. The per-slot totals

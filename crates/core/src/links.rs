@@ -14,8 +14,8 @@
 //!
 //! The links *are* the tables [`MemoScan::build`] makes — the scan the
 //! optimizer's best-plan extraction folds its costs over — moved in
-//! without a copy or a repack. [`Links`] adds two things: the root
-//! group's list and a topological order.
+//! without a copy or a repack, the topological order among them.
+//! [`Links`] adds one thing: the root group's list.
 //!
 //! # Flat layout
 //!
@@ -47,12 +47,12 @@
 //! per-list slot totals `b_v(i)` of §3.2 are likewise computed once per
 //! distinct list (see [`crate::Counts`]).
 //!
-//! Building the links also computes a topological order of the plan
-//! graph (children before parents) in the same pass that verifies
-//! acyclicity — a prerequisite for the bottom-up count. Memos produced
-//! by the optimizer are acyclic by construction (joins reference
-//! strictly smaller relation sets; enforcers never feed enforcers), but
-//! hand-built memos are checked defensively.
+//! The scan also orders the plan graph children before parents, by
+//! level, in the one fold that verifies acyclicity — the order both
+//! bottom-up folds walk, the optimizer's cost minimum and §3.2's count.
+//! Memos produced by the optimizer are acyclic by construction (joins
+//! reference strictly smaller relation sets; enforcers never feed
+//! enforcers), but hand-built memos are checked defensively.
 
 use crate::SpaceError;
 use plansample_memo::{DenseId, DenseIdMap, ListId, Memo, MemoScan, PhysId, SlotRecord};
@@ -75,7 +75,10 @@ pub struct LinksParts {
     pub slot_lists: Vec<u32>,
     /// Expr `d`'s slots = `slot_lists[slot_bounds[d] .. slot_bounds[d+1]]`.
     pub slot_bounds: Vec<u32>,
-    /// Every expression, children before parents ([`DenseId`] raws).
+    /// Every expression, children before parents ([`DenseId`] raws):
+    /// the scan's order, by level and then dense id (see
+    /// [`MemoScan::build`]). A load checks only that it is a
+    /// permutation.
     pub topo: Vec<u32>,
     /// The root group's interned alternative list.
     pub root_list: u32,
@@ -93,7 +96,7 @@ pub struct Links {
     list_bounds: Vec<u32>,
     /// Expr `d`'s slot → interned list, in slot order.
     slots: Vec<SlotRecord>,
-    /// Every expression, children before parents (also proves acyclicity).
+    /// Every expression, children before parents: the scan's order.
     topo: Vec<DenseId>,
     /// The root group's expressions as an interned list — the alternative
     /// list the whole-space operations start from.
@@ -101,38 +104,40 @@ pub struct Links {
 }
 
 impl Links {
-    /// Materializes all links and computes the topological order
-    /// (failing on cyclic hand-built memos). Sequential, and a pure
-    /// function of the memo:
+    /// Materializes all links in their topological order (failing on
+    /// cyclic hand-built memos). Sequential, and a pure function of the
+    /// memo:
     ///
     /// 1. **Scan**: [`MemoScan::build`] decides each distinct child slot
     ///    once per *class* of its group — the expressions that deliver
     ///    one order — gives slots that accept the same classes one list,
-    ///    and writes each slot's list into its expression's
-    ///    [`SlotRecord`]. Lists are numbered as the slots that first name
-    ///    them are met, which pins pool layout and [`ListId`] assignment.
-    ///    Its ids, pool, bounds and records *are* the links' own.
+    ///    writes each slot's list into its expression's [`SlotRecord`],
+    ///    and orders the expressions by level. Lists are numbered as the
+    ///    slots that first name them are met, which pins pool layout and
+    ///    [`ListId`] assignment. Its ids, pool, bounds, records and order
+    ///    *are* the links' own; a cycle is [`SpaceError::CyclicMemo`].
     /// 2. **Root**: the root group's full range joins the pool, unless a
-    ///    slot already lists exactly that.
-    /// 3. **Order**: the condensed topological sort below.
+    ///    slot already lists exactly that. No expression's slot is the
+    ///    root list, so the order stands.
     ///
     /// This entry point scans the memo itself;
     /// [`PreparedQuery::prepare`](crate::PreparedQuery::prepare) instead
     /// hands over the scan its optimizer's best-plan extraction ran on,
-    /// so a prepare scans once. Either way `from_scan` runs passes 2
-    /// and 3.
+    /// so a prepare scans once. Either way `from_scan` runs pass 2.
     pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, SpaceError> {
-        Links::from_scan(memo, MemoScan::build(memo, query))
+        let scan = MemoScan::build(memo, query).map_err(|at| SpaceError::CyclicMemo { at })?;
+        Ok(Links::from_scan(memo, scan))
     }
 
-    /// Passes 2 and 3 of [`build`](Self::build), over `scan`, which must
-    /// be `memo`'s: its tables move in as they are.
-    pub(crate) fn from_scan(memo: &Memo, scan: MemoScan) -> Result<Links, SpaceError> {
+    /// Pass 2 of [`build`](Self::build), over `scan`, which must be
+    /// `memo`'s: its tables move in as they are.
+    pub(crate) fn from_scan(memo: &Memo, scan: MemoScan) -> Links {
         let MemoScan {
             ids,
             mut pool,
             mut list_bounds,
             slots,
+            topo,
         } = scan;
 
         // A list is an ascending subset of one group's range, so one as
@@ -158,16 +163,14 @@ impl Links {
         pool.shrink_to_fit();
         list_bounds.shrink_to_fit();
 
-        let mut links = Links {
+        Links {
             ids,
             pool,
             list_bounds,
             slots,
-            topo: Vec::new(),
+            topo,
             root_list,
-        };
-        links.topo = links.topo_sort()?;
-        Ok(links)
+        }
     }
 
     /// Copies the tables out as raw `u32` CSR buffers for
@@ -367,9 +370,9 @@ impl Links {
         self.root_list
     }
 
-    /// Every expression in a children-before-parents order. Computed once
-    /// at build time; the iterative count and the analytical passes walk
-    /// it instead of recursing.
+    /// Every expression in a children-before-parents order. Computed once,
+    /// by the scan; the iterative count and the analytical passes walk it
+    /// instead of recursing.
     pub fn topo(&self) -> &[DenseId] {
         &self.topo
     }
@@ -400,142 +403,6 @@ impl Links {
             + self.list_bounds.capacity() * std::mem::size_of::<u32>()
             + self.slots.capacity() * std::mem::size_of::<SlotRecord>()
             + self.topo.capacity() * std::mem::size_of::<DenseId>()
-    }
-
-    /// Kahn elimination, frontier by frontier, producing a
-    /// children-before-parents order; leftovers after the frontier runs
-    /// dry are a cycle.
-    ///
-    /// The walk runs over the *condensed bipartite graph* — an expression
-    /// points at its interned lists, a list at its member expressions —
-    /// so the edge count is `slots + pooled entries`, not the full
-    /// (interning-free) link count the naive link graph would force it
-    /// to visit. On Q8+CP that is ~80k edges instead of several million.
-    ///
-    /// A frontier expression retires its membership edges; a list whose
-    /// last member retired retires its consumers' slot edges; an
-    /// expression whose last slot retired joins the next frontier, which
-    /// is **sorted by dense id** before it is emitted. The sort makes
-    /// the order a function of the graph alone — the set of nodes per
-    /// level is a property of the graph, the order within a level is the
-    /// sort's — and it is the order persisted artifacts carry, so it is
-    /// kept byte for byte. (Only the children-before-parents property is
-    /// contractual: `from_parts` validates topo as a permutation.)
-    fn topo_sort(&self) -> Result<Vec<DenseId>, SpaceError> {
-        let n = self.num_exprs();
-        let num_lists = self.num_lists();
-
-        // Reverse CSRs by counting sort. Forward edges are "expr needs
-        // its slot lists, list needs its members"; elimination flows the
-        // other way, so we need membership (expr → lists it appears in)
-        // and consumption (list → exprs with a slot on it).
-        let mut member_bounds = vec![0u32; n + 1];
-        for d in &self.pool {
-            member_bounds[d.idx() + 1] += 1;
-        }
-        for i in 0..n {
-            member_bounds[i + 1] += member_bounds[i];
-        }
-        let mut member_lists = vec![0u32; self.pool.len()];
-        let mut cursor: Vec<u32> = member_bounds[..n].to_vec();
-        for l in 0..num_lists {
-            for p in self.list_bounds[l] as usize..self.list_bounds[l + 1] as usize {
-                let d = self.pool[p].idx();
-                member_lists[cursor[d] as usize] = l as u32;
-                cursor[d] += 1;
-            }
-        }
-        let slots_of = |e: usize| self.slot_lists(DenseId(e as u32));
-        let mut consumer_bounds = vec![0u32; num_lists + 1];
-        for l in (0..n).flat_map(slots_of) {
-            consumer_bounds[l.idx() + 1] += 1;
-        }
-        for i in 0..num_lists {
-            consumer_bounds[i + 1] += consumer_bounds[i];
-        }
-        let mut consumers = vec![0u32; consumer_bounds[num_lists] as usize];
-        let mut cursor: Vec<u32> = consumer_bounds[..num_lists].to_vec();
-        for e in 0..n {
-            for l in slots_of(e) {
-                consumers[cursor[l.idx()] as usize] = e as u32;
-                cursor[l.idx()] += 1;
-            }
-        }
-
-        // Outstanding dependencies. An expression is ready when all its
-        // slot lists are finished; a list when all its members retired.
-        let mut pending_expr: Vec<u32> = (0..n).map(|e| slots_of(e).len() as u32).collect();
-        let mut pending_list: Vec<u32> = self.list_bounds.windows(2).map(|w| w[1] - w[0]).collect();
-
-        // Finishes list `l`: retires one slot edge of each consumer and
-        // collects those it readied.
-        let finish_list = |l: usize, pending_expr: &mut [u32], ready: &mut Vec<u32>| {
-            for &e in &consumers[consumer_bounds[l] as usize..consumer_bounds[l + 1] as usize] {
-                pending_expr[e as usize] -= 1;
-                if pending_expr[e as usize] == 0 {
-                    ready.push(e);
-                }
-            }
-        };
-
-        // Round 0: leaves are born ready; empty lists (a slot that
-        // filtered to no alternatives) finish immediately and may ready
-        // their consumers before any expression retires.
-        let mut frontier: Vec<u32> = (0..n as u32)
-            .filter(|&e| pending_expr[e as usize] == 0)
-            .collect();
-        for (l, _) in pending_list.iter().enumerate().filter(|(_, &p)| p == 0) {
-            finish_list(l, &mut pending_expr, &mut frontier);
-        }
-        frontier.sort_unstable();
-
-        let mut topo: Vec<DenseId> = Vec::with_capacity(n);
-        let mut next: Vec<u32> = Vec::new();
-        while !frontier.is_empty() {
-            topo.extend(frontier.iter().map(|&e| DenseId(e)));
-            for &e in &frontier {
-                let e = e as usize;
-                for &l in &member_lists[member_bounds[e] as usize..member_bounds[e + 1] as usize] {
-                    pending_list[l as usize] -= 1;
-                    if pending_list[l as usize] == 0 {
-                        finish_list(l as usize, &mut pending_expr, &mut next);
-                    }
-                }
-            }
-            next.sort_unstable();
-            std::mem::swap(&mut frontier, &mut next);
-            next.clear();
-        }
-
-        if topo.len() == n {
-            return Ok(topo);
-        }
-        // Leftovers: walk unfinished dependencies until a node repeats —
-        // the walk can only converge into a cycle, and the first repeat
-        // is on it. Every unprocessed expression has an unfinished slot
-        // list, and every unfinished list an unprocessed member.
-        let mut seen = vec![false; n];
-        let mut e = (0..n)
-            .find(|&e| pending_expr[e] > 0)
-            .expect("topo shortfall implies an unprocessed expression");
-        loop {
-            if std::mem::replace(&mut seen[e], true) {
-                return Err(SpaceError::CyclicMemo {
-                    at: self.ids.phys(DenseId(e as u32)),
-                });
-            }
-            let l = self
-                .slot_lists(DenseId(e as u32))
-                .iter()
-                .find(|l| pending_list[l.idx()] > 0)
-                .expect("an unprocessed expression has an unfinished list");
-            e = self
-                .list(*l)
-                .iter()
-                .find(|d| pending_expr[d.idx()] > 0)
-                .expect("an unfinished list has an unprocessed member")
-                .idx();
-        }
     }
 }
 
@@ -581,7 +448,7 @@ mod tests {
     #[test]
     fn paper_example_gathers_seven_distinct_slots_in_first_encounter_order() {
         let ex = paper_example::build();
-        let scan = MemoScan::build(&ex.memo, &ex.query);
+        let scan = MemoScan::build(&ex.memo, &ex.query).unwrap();
         let slots = |id: PhysId| -> Vec<u32> {
             let lists = scan.slot_lists(scan.ids.dense(id));
             lists.iter().map(|l| l.0).collect()

@@ -86,7 +86,7 @@ impl PreparedQuery {
             best_plan,
             best_cost,
         } = optimized;
-        let links = Links::from_scan(&memo, scan)?;
+        let links = Links::from_scan(&memo, scan);
         let counts = Counts::compute(&links);
         let query = Arc::new(query.clone());
         Ok(PreparedQuery {

@@ -3,8 +3,8 @@
 //! "Once an unranking mechanism is available, uniform sampling of
 //! elements in the space reduces to random generation of numbers in the
 //! range 0, …, N−1." [`PlanSpace::sample`] draws a uniform rank with
-//! [`Nat::random_below`] and unranks it — every plan has probability
-//! exactly `1/N`.
+//! [`Nat::random_below`](plansample_bignum::Nat::random_below) and
+//! unranks it — every plan has probability exactly `1/N`.
 //!
 //! [`PlanSpace::sample_naive_walk`] is the obvious-but-wrong alternative
 //! kept as a measurable baseline: walk the memo top-down picking

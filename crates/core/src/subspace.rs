@@ -1,6 +1,6 @@
 //! Targeted (sub-space) enumeration and sampling.
 //!
-//! §1 of the paper: "Starting from a query [with] specific properties
+//! §1 of the paper: "Starting from a query \[with\] specific properties
 //! … an 'area' of the optimizer and execution code is targeted and
 //! exercised in a variety of combinations." Beyond whole-space
 //! operations, the counts support the same bijection for the sub-space

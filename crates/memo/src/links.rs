@@ -22,13 +22,22 @@
 //!
 //! [`MemoScan::build`] materializes the links once, as the tables the
 //! rest of the system keeps: the dense ids, a pool of interned lists with
-//! their bounds, and one [`SlotRecord`] per expression naming the list of
-//! each of its slots. The optimizer's best-plan extraction
-//! (`compute_totals`) folds over these tables, and `Links` in
-//! `plansample-core` moves them in as they are, adding only the root list
-//! and a topological order — so a prepare, which hands the optimizer's
-//! scan to its links, scans its memo once and both bottom-up folds (the
-//! cost minimum and §3.2's count) read one table.
+//! their bounds, one [`SlotRecord`] per expression naming the list of
+//! each of its slots, and the expressions in one children-before-parents
+//! order. The optimizer's best-plan extraction (`compute_totals`) folds
+//! over these tables in that order, and `Links` in `plansample-core`
+//! moves them in as they are, adding only the root list — so a prepare,
+//! which hands the optimizer's scan to its links, scans its memo once and
+//! both bottom-up folds (the cost minimum and §3.2's count) walk one
+//! table in one order.
+//!
+//! # One order
+//!
+//! The order is by *level*, then dense id: a leaf is level 0, and any
+//! other expression one above the highest member of its slot lists (an
+//! empty list counts as 0). It comes from one memoised fold, which is
+//! also the memo's one cycle check: an expression met again while its
+//! level is being folded is its own descendant.
 //!
 //! # Classes
 //!
@@ -106,11 +115,20 @@ pub struct MemoScan {
     /// met — over groups, then expressions, then slots — which fixes list
     /// ids, pool layout and artifact bytes.
     pub slots: Vec<SlotRecord>,
+    /// Every expression, children before parents: sorted by level, then
+    /// dense id (see [`MemoScan::build`]). Both bottom-up folds walk it.
+    pub topo: Vec<DenseId>,
 }
 
+/// A level not yet known, and one being folded: meeting an expression
+/// whose level is `OPEN` is meeting it again below itself.
+const UNSEEN: u32 = u32::MAX;
+const OPEN: u32 = u32::MAX - 1;
+
 impl MemoScan {
-    /// Numbers `memo`'s expressions and materializes the list of every
-    /// child slot. Three linear passes over the memo:
+    /// Numbers `memo`'s expressions, materializes the list of every
+    /// child slot and orders the expressions children before parents.
+    /// Four linear passes over the memo:
     ///
     /// 1. **Classify**: number each group's classes (see the module docs)
     ///    in first-appearance order, by a linear search over borrowed
@@ -126,7 +144,19 @@ impl MemoScan {
     ///    record.
     /// 3. **Emit**: with every length known the pool is reserved exactly,
     ///    and each list is its group's dense range filtered by class.
-    pub fn build(memo: &Memo, query: &QuerySpec) -> MemoScan {
+    /// 4. **Order**: a leaf has level 0, and any other expression the
+    ///    largest over its slot lists of 0 for an empty list and one more
+    ///    than its members' largest level otherwise — one memoised
+    ///    (max, +1) fold, per expression and per list. `topo` is the
+    ///    expressions by level, dense order within a level: the order
+    ///    Kahn elimination emits frontier by frontier with each frontier
+    ///    sorted, which artifacts carry byte for byte.
+    ///
+    /// # Errors
+    /// A memo whose plan graph is cyclic — only a hand-built one can be —
+    /// is refused with the expression the fold met again while folding
+    /// it.
+    pub fn build(memo: &Memo, query: &QuerySpec) -> Result<MemoScan, PhysId> {
         let ids = DenseIdMap::build(memo);
 
         // Classify. Classes are numbered memo-wide, each group's contiguous.
@@ -229,12 +259,63 @@ impl MemoScan {
             );
             set.iter().for_each(|&c| accepted[c as usize] = false);
         }
-        MemoScan {
+        let mut scan = MemoScan {
             ids,
             pool,
             list_bounds,
             slots,
+            topo: Vec::new(),
+        };
+
+        // Order: fold the levels, then counting-sort by level, stably.
+        let mut levels = vec![UNSEEN; scan.ids.len()];
+        let mut list_levels = vec![UNSEEN; scan.list_bounds.len() - 1];
+        for d in (0..scan.ids.len() as u32).map(DenseId) {
+            scan.level(d, &mut levels, &mut list_levels)
+                .map_err(|at| scan.ids.phys(at))?;
         }
+        let mut starts = vec![0; levels.iter().max().map_or(1, |&top| top as usize + 2)];
+        for &level in &levels {
+            starts[level as usize + 1] += 1;
+        }
+        for i in 1..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        scan.topo = vec![DenseId(0); scan.ids.len()];
+        for (d, &level) in levels.iter().enumerate() {
+            scan.topo[starts[level as usize]] = DenseId(d as u32);
+            starts[level as usize] += 1;
+        }
+        Ok(scan)
+    }
+
+    /// The level of `d` (see [`build`](Self::build)), memoised in
+    /// `levels` and, per list, in `list_levels`; `Err` names the
+    /// expression met again while open.
+    fn level(
+        &self,
+        d: DenseId,
+        levels: &mut [u32],
+        list_levels: &mut [u32],
+    ) -> Result<u32, DenseId> {
+        match levels[d.idx()] {
+            OPEN => return Err(d),
+            UNSEEN => levels[d.idx()] = OPEN,
+            known => return Ok(known),
+        }
+        let mut level = 0;
+        for &l in self.slot_lists(d) {
+            if list_levels[l.idx()] == UNSEEN {
+                let mut above = 0;
+                for &w in self.list(l) {
+                    above = above.max(self.level(w, levels, list_levels)? + 1);
+                }
+                list_levels[l.idx()] = above;
+            }
+            level = level.max(list_levels[l.idx()]);
+        }
+        levels[d.idx()] = level;
+        Ok(level)
     }
 
     /// The members of list `l`.
@@ -470,7 +551,7 @@ mod tests {
     /// exact bounds, an exactly sized pool, lists numbered as first met
     /// and pairwise different.
     fn assert_lists_match_the_rule(memo: &Memo, q: &QuerySpec) -> MemoScan {
-        let scan = MemoScan::build(memo, q);
+        let scan = MemoScan::build(memo, q).unwrap();
         assert_eq!(scan.slots.len(), memo.num_physical());
         for (d, id) in scan.ids.iter() {
             let slots = memo.phys(id).child_slots(id.group);
@@ -505,6 +586,60 @@ mod tests {
             }
         }
         scan
+    }
+
+    /// The order is by level, then dense id, not by group: here the
+    /// aggregate's group is numbered first and the join group's Sort
+    /// before the joins it sorts, so dense order is parents first.
+    #[test]
+    fn topo_is_by_level_then_dense_id() {
+        let (_cat, q) = crate::props::tests::chain_query();
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+        let mut memo = Memo::new();
+        let top = memo.add_group(GroupKey::Agg);
+        let j = memo.add_group(GroupKey::Rels(RelSet::all(2)));
+        let [l, r] =
+            [0, 1].map(|rel| memo.add_group(GroupKey::Rels(RelSet::singleton(RelId(rel)))));
+        let target = SortOrder::on_col(ColRef {
+            rel: RelId(0),
+            col: 0,
+        });
+        memo.add_physical(top, expr(PhysicalOp::HashAgg { input: j }));
+        memo.add_physical(j, expr(PhysicalOp::Sort { target }));
+        memo.add_physical(j, expr(PhysicalOp::HashJoin { left: l, right: r }));
+        memo.add_physical(j, expr(PhysicalOp::NestedLoopJoin { left: l, right: r }));
+        memo.add_physical(l, expr(PhysicalOp::TableScan { rel: RelId(0) }));
+        memo.add_physical(r, expr(PhysicalOp::TableScan { rel: RelId(1) }));
+        memo.set_root(top);
+
+        // Levels by dense id: the aggregate 3, the Sort 2, the joins 1,
+        // the scans 0.
+        let scan = MemoScan::build(&memo, &q).unwrap();
+        let topo: Vec<u32> = scan.topo.iter().map(|d| d.0).collect();
+        assert_eq!(topo, [4, 5, 2, 3, 1, 0]);
+    }
+
+    /// A join whose right input is its own group: the fold meets the join
+    /// again while folding it, and the scan is refused naming it.
+    #[test]
+    fn a_cyclic_memo_is_refused_naming_the_expression_met_again() {
+        let (_cat, q) = crate::props::tests::chain_query();
+        let mut memo = Memo::new();
+        let g0 = memo.add_group(GroupKey::Rels(RelSet::all(1)));
+        let scan = PhysicalOp::TableScan { rel: RelId(0) };
+        memo.add_physical(g0, PhysicalExpr::new(scan, 1.0, 1.0));
+        let g1 = memo.add_group(GroupKey::Rels(RelSet::all(2)));
+        let join = PhysicalOp::NestedLoopJoin {
+            left: g0,
+            right: g1,
+        };
+        let join = memo
+            .add_physical(g1, PhysicalExpr::new(join, 1.0, 1.0))
+            .unwrap();
+        memo.set_root(g1);
+        let at = MemoScan::build(&memo, &q).unwrap_err();
+        assert_eq!(at, join);
+        assert_eq!(at.to_string(), "1.1");
     }
 
     /// No cap on the orders a group delivers: 70 index scans on 70

@@ -8,21 +8,22 @@
 //! operator in the root group" the paper extracts (§2) and the optimum
 //! all sampled costs are normalized to (§5).
 //!
-//! The program folds over the link table a [`MemoScan`] builds — the
-//! table `Links` in `plansample-core` keeps and §3.2's count walks — and
-//! is memoised on both of its levels: per expression, and per interned
-//! child *list*. Sibling joins over the same inputs ask the same
-//! `(group, requirement)` question, and different questions often filter
-//! to the same children, so the minimum of a list — and the child that
-//! attains it — is found once, and the pass is linear in the memo like
-//! everything else downstream of it (paper §3). The totals keep their
-//! scan, and `optimize` hands it on (`optimize_with_scan`), so a prepare
-//! scans its memo once.
+//! The program is one loop over the link table a [`MemoScan`] builds —
+//! the table `Links` in `plansample-core` keeps — in the scan's
+//! children-before-parents order, the loop §3.2's count makes over the
+//! same table in the same order. Each expression and each interned child
+//! *list* is evaluated once: sibling joins over the same inputs ask the
+//! same `(group, requirement)` question, and different questions often
+//! filter to the same children, so the minimum of a list — and the child
+//! that attains it — is found once, and the pass is linear in the memo
+//! like everything else downstream of it (paper §3). The totals keep
+//! their scan, and `optimize` hands it on (`optimize_with_scan`), so a
+//! prepare scans its memo once.
 
-use plansample_memo::{DenseId, GroupId, ListId, Memo, MemoScan, PhysId, PlanNode};
+use plansample_memo::{DenseId, GroupId, Memo, MemoScan, PhysId, PlanNode};
 use plansample_query::QuerySpec;
 
-/// Memoized total costs for every physical expression, and the cheapest
+/// Total costs for every physical expression, and the cheapest
 /// member of every interned child list.
 #[derive(Debug)]
 pub struct Totals {
@@ -53,33 +54,37 @@ impl Totals {
     }
 }
 
-/// Computes total costs for all expressions.
+/// Computes total costs for all expressions, in one pass over the
+/// scan's topological order: an expression's total is its local cost
+/// plus, in slot order, each slot list's minimum — found the first time
+/// a slot reads the list, over its members in group order, the first to
+/// attain it winning (what `min_by(total_cmp)` returns).
 ///
 /// # Panics
 /// Panics, naming an expression on the cycle, when the memo's plan graph
 /// is cyclic — only a hand-built memo can be; `Links::build` in
 /// `plansample-core` rejects the same memo with an error.
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
-    let scan = MemoScan::build(memo, query);
-    let mut dp = TotalsDp {
-        memo,
-        scan: &scan,
-        expr_total: vec![None; scan.ids.len()],
-        entered: vec![false; scan.ids.len()],
-        list_best: vec![None; scan.list_bounds.len() - 1],
-    };
-    for d in (0..scan.ids.len() as u32).map(DenseId) {
-        dp.total_of(d);
+    let scan = MemoScan::build(memo, query)
+        .unwrap_or_else(|at| panic!("cyclic memo: expression {at} is its own descendant"));
+    let mut totals = vec![f64::INFINITY; scan.ids.len()];
+    let mut list_best: Vec<Option<(f64, Option<DenseId>)>> = vec![None; scan.list_bounds.len() - 1];
+    for &d in &scan.topo {
+        let mut total = memo.phys(scan.ids.phys(d)).local_cost;
+        for &list in scan.slot_lists(d) {
+            let (best, _) = *list_best[list.idx()].get_or_insert_with(|| {
+                let (mut best, mut child) = (f64::INFINITY, None);
+                for &member in scan.list(list) {
+                    if totals[member.idx()] < best {
+                        (best, child) = (totals[member.idx()], Some(member));
+                    }
+                }
+                (best, child)
+            });
+            total += best; // INFINITY when the slot is unsatisfiable
+        }
+        totals[d.idx()] = total;
     }
-    let TotalsDp {
-        expr_total,
-        list_best,
-        ..
-    } = dp;
-    let totals = expr_total
-        .into_iter()
-        .map(|c| c.expect("all visited"))
-        .collect();
     Totals {
         scan,
         totals,
@@ -87,64 +92,10 @@ pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
     }
 }
 
-/// The two memo tables of [`compute_totals`] and what they are computed
-/// from.
-struct TotalsDp<'a> {
-    memo: &'a Memo,
-    scan: &'a MemoScan,
-    /// Total cost by dense id.
-    expr_total: Vec<Option<f64>>,
-    /// Whether `total_of` was entered for a dense id: entering one twice
-    /// before it has a total is a cycle.
-    entered: Vec<bool>,
-    /// [`Totals::list_best`], being filled.
-    list_best: Vec<Option<(f64, Option<DenseId>)>>,
-}
-
-impl TotalsDp<'_> {
-    /// `local + Σ slots`, added in slot order.
-    fn total_of(&mut self, d: DenseId) -> f64 {
-        if let Some(c) = self.expr_total[d.idx()] {
-            return c;
-        }
-        let scan = self.scan;
-        let id = scan.ids.phys(d);
-        assert!(
-            !std::mem::replace(&mut self.entered[d.idx()], true),
-            "cyclic memo: expression {id} is its own descendant"
-        );
-        let mut total = self.memo.phys(id).local_cost;
-        for &list in scan.slot_lists(d) {
-            total += self.best_of(list); // INFINITY when the slot is unsatisfiable
-        }
-        self.expr_total[d.idx()] = Some(total);
-        total
-    }
-
-    /// The minimum over the list's members, folded in group order, the
-    /// first member to attain it winning — what `min_by(total_cmp)`
-    /// returns.
-    fn best_of(&mut self, list: ListId) -> f64 {
-        if let Some((best, _)) = self.list_best[list.idx()] {
-            return best;
-        }
-        let scan = self.scan;
-        let (mut best, mut child) = (f64::INFINITY, None);
-        for &member in scan.list(list) {
-            let total = self.total_of(member);
-            if total < best {
-                (best, child) = (total, Some(member));
-            }
-        }
-        self.list_best[list.idx()] = Some((best, child));
-        best
-    }
-}
-
 /// Extracts the cheapest complete plan rooted in the memo's root group.
 /// Returns `None` when no finite-cost plan exists (cannot happen for
 /// memos produced by the optimizer pipeline).
-pub fn best_plan(memo: &Memo, _query: &QuerySpec, totals: &Totals) -> Option<(PlanNode, f64)> {
+pub fn best_plan(memo: &Memo, totals: &Totals) -> Option<(PlanNode, f64)> {
     let root = memo.group(memo.root());
     let (best_id, cost) = root
         .phys_iter()
@@ -268,7 +219,7 @@ mod tests {
         let (cat, q) = two_rel();
         let memo = pipeline(&cat, &q);
         let totals = compute_totals(&memo, &q);
-        let (plan, cost) = best_plan(&memo, &q, &totals).unwrap();
+        let (plan, cost) = best_plan(&memo, &totals).unwrap();
         assert!(validate_plan(&memo, &q, &plan).is_empty());
         assert!((plan.total_cost(&memo) - cost).abs() < 1e-9);
         // no expression in the root group beats it
@@ -306,13 +257,13 @@ mod tests {
         let (cat, q) = two_rel();
         let memo = pipeline(&cat, &q);
         let totals = compute_totals(&memo, &q);
-        let (_, best_cost) = best_plan(&memo, &q, &totals).unwrap();
+        let (_, best_cost) = best_plan(&memo, &totals).unwrap();
 
         let pruned = prune(&memo, &q, 1.0);
         assert!(pruned.num_physical() < memo.num_physical());
         assert_eq!(pruned.num_groups(), memo.num_groups());
         let ptotals = compute_totals(&pruned, &q);
-        let (pplan, pcost) = best_plan(&pruned, &q, &ptotals).unwrap();
+        let (pplan, pcost) = best_plan(&pruned, &ptotals).unwrap();
         assert!(
             (pcost - best_cost).abs() < 1e-9,
             "pruning preserves the optimum"
@@ -346,7 +297,7 @@ mod tests {
         let (cat, q) = two_rel();
         let memo = pipeline(&cat, &q);
         let totals = compute_totals(&memo, &q);
-        let (plan, cost) = best_plan(&memo, &q, &totals).unwrap();
+        let (plan, cost) = best_plan(&memo, &totals).unwrap();
         let worst = memo
             .group(memo.root())
             .phys_iter()

@@ -197,7 +197,7 @@ pub fn optimize_with_scan(
     memo.shrink_to_fit();
 
     let totals = compute_totals(&memo, query);
-    let (best_plan, best_cost) = best_plan(&memo, query, &totals).ok_or(OptError::NoPlanFound)?;
+    let (best_plan, best_cost) = best_plan(&memo, &totals).ok_or(OptError::NoPlanFound)?;
     // Counted only on success, so the counter reports *completed*
     // optimizations as documented.
     THREAD_OPTIMIZATIONS.with(|c| c.set(c.get() + 1));
@@ -336,7 +336,7 @@ mod tests {
         implement_all(&q, &cat, &cost, true, true, &mut memo);
         add_enforcers(&q, &cat, &cost, &mut memo);
         let totals = compute_totals(&memo, &q);
-        let (_, tr_cost) = best_plan(&memo, &q, &totals).unwrap();
+        let (_, tr_cost) = best_plan(&memo, &totals).unwrap();
         assert!((bu.best_cost - tr_cost).abs() < 1e-9);
         assert_eq!(bu.memo.num_physical(), memo.num_physical());
     }

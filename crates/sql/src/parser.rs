@@ -1,5 +1,6 @@
 //! Recursive-descent parser lowering the SQL subset directly to a
-//! [`QuerySpec`] (via [`QueryBuilder`]) plus the optional USEPLAN number.
+//! [`QuerySpec`](plansample_query::QuerySpec) (via [`QueryBuilder`])
+//! plus the optional USEPLAN number.
 //!
 //! Grammar (keywords case-insensitive):
 //!

@@ -11,6 +11,7 @@ mod common;
 
 use common::SynthSpace;
 use plansample_bignum::Nat;
+use plansample_core::PreparedQuery;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{eligible_children, validate_plan, DenseId, Memo, MemoScan};
 use plansample_optimizer::{optimize, OptimizerConfig};
@@ -42,7 +43,7 @@ fn arb_spec() -> impl Strategy<Value = JoinGraphSpec> {
 /// per expression — mapped to dense ids, and the flat tables exact.
 /// `Err` names the first slot that differs.
 fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
-    let scan = MemoScan::build(memo, query);
+    let scan = MemoScan::build(memo, query).unwrap();
     if scan.slots.len() != memo.num_physical() {
         return Err("one slot record per expression".into());
     }
@@ -117,6 +118,38 @@ fn class_scan_lists_what_the_rule_lists_on_tpch() {
     ] {
         let memo = optimize(&catalog, &query, config).expect(label).memo;
         check_child_lists(&memo, &query).unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+/// A third count witness, sharing nothing with §3.2's recurrence: with
+/// merge joins, index scans and enforcers off, a relation has one scan
+/// and a join two algorithms, so a space is its bushy join trees without
+/// cross products — commuted joins counted apart — times 2ⁿ⁻¹ algorithm
+/// choices. Those trees have closed forms (C is the Catalan number):
+/// chain 2ⁿ⁻¹·C(n−1), star 2ⁿ⁻¹·(n−1)!, clique n!·C(n−1).
+#[test]
+fn totals_match_the_closed_forms_for_bushy_trees() {
+    let config = OptimizerConfig {
+        enable_merge_joins: false,
+        enable_index_scans: false,
+        enable_enforcers: false,
+        ..OptimizerConfig::default()
+    };
+    let catalan = |n: u64| (0..n).fold(1, |c, k| c * 2 * (2 * k + 1) / (k + 2));
+    let factorial = |n: u64| (1..=n).product::<u64>();
+    for n in 2..=8u64 {
+        let algorithms = 1 << (n - 1);
+        for (topology, trees) in [
+            (Topology::Chain, (1 << (n - 1)) * catalan(n - 1)),
+            (Topology::Star, (1 << (n - 1)) * factorial(n - 1)),
+            (Topology::Clique, factorial(n) * catalan(n - 1)),
+        ] {
+            let spec = JoinGraphSpec::new(topology, n as usize, 7);
+            let (catalog, query) = spec.build();
+            let prepared = PreparedQuery::prepare(&catalog, &query, &config).expect("optimizes");
+            let total = prepared.total().to_u64();
+            assert_eq!(total, Some(trees * algorithms), "{}", spec.label());
+        }
     }
 }
 

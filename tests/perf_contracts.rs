@@ -208,8 +208,8 @@ fn clique10_counts_a_multi_limb_total_and_round_trips_its_boundary_ranks() {
 /// Everything downstream of exploration is linear in the memo (paper
 /// §3), and a prepare scans its memo once: `PreparedQuery::prepare` is
 /// `optimize` — whose best-plan extraction makes the scan, the one link
-/// table — plus the root list and topological order the links add to
-/// that table, and the count pass over it. So on one thread a whole
+/// table and its topological order — plus the root list the links add
+/// to that table, and the count pass over it. So on one thread a whole
 /// Q8+CP prepare may cost at most `PREPARE_BAR` times the `optimize`
 /// inside it. Ten readings on a
 /// 2-core container: 1.39–1.45× (EXPERIMENTS §E26); the bar sits a

@@ -45,7 +45,7 @@ fn assert_optimized_matches_oracle(label: &str, query: &QuerySpec, optimized: &O
     }
     let (plan, cost) = reference_best_plan(memo, query, &oracle)
         .unwrap_or_else(|| panic!("{label}: the oracle finds no plan"));
-    let extracted = best_plan(memo, query, &totals).expect("optimize succeeded");
+    let extracted = best_plan(memo, &totals).expect("optimize succeeded");
     assert_eq!(extracted.0, plan, "{label}: best plan");
     assert_eq!(optimized.best_plan, plan, "{label}: optimize's best plan");
     assert_eq!(extracted.1.to_bits(), cost.to_bits(), "{label}: best cost");
@@ -92,7 +92,7 @@ fn transform(catalog: &Catalog, query: &QuerySpec) -> Optimized {
     implement_all(query, catalog, &cost, true, true, &mut memo);
     add_enforcers(query, catalog, &cost, &mut memo);
     let totals = compute_totals(&memo, query);
-    let (best_plan, best_cost) = best_plan(&memo, query, &totals).expect("a plan");
+    let (best_plan, best_cost) = best_plan(&memo, &totals).expect("a plan");
     Optimized {
         memo,
         best_plan,

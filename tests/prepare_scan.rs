@@ -39,7 +39,7 @@ fn assert_prepare_builds_the_standalone_space(
     );
 
     let totals = compute_totals(&memo, query);
-    let (plan, cost) = best_plan(&memo, query, &totals).expect("optimize found a plan");
+    let (plan, cost) = best_plan(&memo, &totals).expect("optimize found a plan");
     let (prepared_plan, prepared_cost) = prepared.best();
     assert_eq!(*prepared_plan, plan, "{label}: best plan");
     assert_eq!(

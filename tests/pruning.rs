@@ -36,7 +36,7 @@ fn pruning_is_monotone_and_preserves_the_optimum() {
 
         // The optimum survives every factor.
         let totals = plansample_optimizer::compute_totals(space.memo(), &query);
-        let (_, best) = plansample_optimizer::best_plan(space.memo(), &query, &totals).unwrap();
+        let (_, best) = plansample_optimizer::best_plan(space.memo(), &totals).unwrap();
         assert!(
             (best - optimized.best_cost).abs() < 1e-9 * optimized.best_cost,
             "factor {factor} lost the optimum"
