@@ -24,9 +24,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Builds a prepared query from a directly synthesized memo (no
-/// optimizer run): the "best plan" is simply plan 0 costed by the memo,
-/// which is all `PreparedQuery::from_parts` requires.
+/// Builds a prepared query from a synthetic memo (the optimizer's memo
+/// passes, no best-plan extraction): the "best plan" is simply plan 0
+/// costed by the memo, which is all `PreparedQuery::from_parts` requires.
 fn synthetic(topology: Topology, relations: usize, seed: u64) -> PreparedQuery {
     let spec = JoinGraphSpec::new(topology, relations, seed);
     let (_, query, memo) = spec.build_memo();

@@ -21,15 +21,15 @@
 //! rank/unrank bijection and uniform-sampling test suites quantify over
 //! (`docs/DESIGN.md` §8). [`JoinGraphSpec::build_memo`] also supplies
 //! the large spaces of the tracked benchmark and the performance
-//! contracts (cycle-16, clique-10): memos synthesized directly, without
-//! optimizer search, reach the multi-limb 700k-expression regime in a
-//! tenth of a second.
+//! contracts (cycle-16, clique-10). It is the optimizer's own memo
+//! builder run on the generated query, so a synthetic space is exactly
+//! what `optimize` would keep: the optimizer's rules and cost model,
+//! minus the best-plan pass and the relation limit.
 
 use plansample_catalog::{table, Catalog, ColType};
-use plansample_memo::{
-    GroupId, GroupKey, Memo, OrderSatisfier, PhysicalExpr, PhysicalOp, SortOrder,
-};
-use plansample_query::{ColRef, QueryBuilder, QuerySpec, RelId, RelSet};
+use plansample_memo::Memo;
+use plansample_optimizer::{populate, OptimizerConfig};
+use plansample_query::{QueryBuilder, QuerySpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -152,230 +152,36 @@ impl JoinGraphSpec {
         (catalog, query)
     }
 
-    /// Materializes the *complete* memo for this spec directly — the
-    /// dynamic program the optimizer's exploration + implementation
-    /// phases would produce (every connected sub-graph becomes a group;
-    /// scans, both join orientations with all three join
-    /// implementations, and Sort enforcers for interesting orders) —
-    /// without paying for cost-based search.
+    /// Materializes the *complete* memo for this spec: the optimizer's
+    /// own explore → implement → enforcer passes
+    /// ([`populate`] under the default configuration — every connected
+    /// sub-graph becomes a group holding scans, both join orientations
+    /// with all three join implementations, and `Sort` enforcers for
+    /// interesting orders), without its best-plan extraction and
+    /// without the relation limit [`optimize`](plansample_optimizer::optimize)
+    /// puts on SQL. The logical lists are dropped
+    /// ([`Memo::drop_logical`]): the plan space never reads them.
     ///
-    /// This is how the layout benchmarks reach the 10–12-relation
+    /// This is how the layout benchmarks reach the 10–21-relation
     /// synthetic spaces the plan-enumeration literature treats as the
-    /// interesting regime: a clique-10 memo (~709k physical expressions,
-    /// multi-limb plan counts) synthesizes in ≈ 0.1 s. Running the full
-    /// optimizer on the same query takes ≈ 0.4 s (clique-9 ≈ 0.1 s,
-    /// clique-8 ≈ 25 ms; `docs/EXPERIMENTS.md` §E19) — it took minutes
-    /// while best-plan extraction rescanned a group per expression slot
-    /// — so what direct synthesis still saves is the cost model and the
-    /// totals pass, not tractability. Deterministic in every field of
-    /// the spec.
+    /// interesting regime (clique-10: ~709k physical expressions,
+    /// multi-limb plan counts). Deterministic in every field of the
+    /// spec.
     ///
     /// # Panics
-    /// Panics when `relations >= 32` (the DP enumerates subsets of a
-    /// `u32` relation bitmask; larger cliques would be astronomically
-    /// big anyway).
+    /// Panics when `relations >= 32` (exploration enumerates all `2^n`
+    /// relation subsets; larger cliques would be astronomically big
+    /// anyway).
     pub fn build_memo(&self) -> (Catalog, QuerySpec, Memo) {
-        let n = self.relations;
-        assert!(n < 32, "build_memo supports fewer than 32 relations");
-        let (catalog, query) = self.build();
-
-        // Adjacency bitmask per relation, for connectivity tests.
-        let mut adj = vec![0u32; n];
-        for (a, b) in self.edges() {
-            adj[a] |= 1 << b;
-            adj[b] |= 1 << a;
-        }
-        let connected = |mask: u32| -> bool {
-            let mut seen = 1u32 << mask.trailing_zeros();
-            loop {
-                let neighbours = (0..n)
-                    .filter(|&i| seen & (1 << i) != 0)
-                    .fold(0, |acc, i| acc | adj[i]);
-                let grown = seen | (neighbours & mask);
-                if grown == seen {
-                    return seen == mask;
-                }
-                seen = grown;
-            }
-        };
-        let relset = |mask: u32| -> RelSet {
-            RelSet::from_iter(
-                (0..n)
-                    .filter(|&i| mask & (1 << i) != 0)
-                    .map(|i| RelId(i as u32)),
-            )
-        };
-
-        // Groups in subset-size order: children before parents, like the
-        // optimizer's bottom-up exploration.
-        let mut masks: Vec<u32> = (1..(1u32 << n)).filter(|&m| connected(m)).collect();
-        masks.sort_by_key(|m| m.count_ones());
-
-        // Cardinality by group id (groups are created in `masks` order):
-        // a property of the relation set, estimated once and read by
-        // every join over the group.
-        let cards: Vec<f64> = masks
-            .iter()
-            .map(|&mask| query.set_card(&catalog, relset(mask)))
-            .collect();
-
-        let mut memo = Memo::new();
-        for &mask in &masks {
-            let set = relset(mask);
-            let gid = memo.add_group(GroupKey::Rels(set));
-            if mask.count_ones() == 1 {
-                self.add_scans(&catalog, &query, &mut memo, gid, set.sole_member());
-            } else {
-                self.add_joins(&query, &mut memo, &cards, gid, set, connected);
-            }
-        }
-        add_interesting_order_enforcers(&catalog, &query, &mut memo);
-        // Like optimizer-produced memos, synthesized ones are read-only
-        // from here on (and byte-accounted by the benchmarks): release
-        // the growth slack so size_bytes() is the true footprint.
-        memo.shrink_to_fit();
-        let root = memo
-            .find_group(GroupKey::Rels(relset((1u32 << n) - 1)))
-            .expect("the full relation set is connected");
-        memo.set_root(root);
-        (catalog, query, memo)
-    }
-
-    fn add_scans(
-        &self,
-        catalog: &Catalog,
-        query: &QuerySpec,
-        memo: &mut Memo,
-        gid: GroupId,
-        rel: RelId,
-    ) {
-        let table = catalog.table(query.relations[rel.idx()].table);
-        let rows = table.row_count as f64;
-        let out = query.filtered_card(catalog, rel);
-        memo.add_physical(
-            gid,
-            PhysicalExpr::new(PhysicalOp::TableScan { rel }, rows, out),
+        assert!(
+            self.relations < 32,
+            "build_memo supports fewer than 32 relations"
         );
-        for ix in &table.indexes {
-            let col = ColRef {
-                rel,
-                col: ix.column as u32,
-            };
-            memo.add_physical(
-                gid,
-                PhysicalExpr::new(PhysicalOp::SortedIdxScan { rel, col }, rows * 1.2, out),
-            );
-        }
-    }
-
-    fn add_joins(
-        &self,
-        query: &QuerySpec,
-        memo: &mut Memo,
-        cards: &[f64],
-        gid: GroupId,
-        set: RelSet,
-        connected: impl Fn(u32) -> bool,
-    ) {
-        let card = |g: GroupId| cards[g.0 as usize];
-        let out = card(gid);
-        // The whole group is gathered, then inserted in one
-        // duplicate-eliminating batch (clique-10's root is 25 084 wide).
-        let mut joins = Vec::new();
-        for (a, b) in set.splits() {
-            if !connected(a.mask() as u32) || !connected(b.mask() as u32) {
-                continue;
-            }
-            // Both orientations, like the optimizer's commuted logical
-            // joins.
-            for (lset, rset) in [(a, b), (b, a)] {
-                let crossing = query.edges_crossing(lset, rset);
-                if crossing.is_empty() {
-                    continue; // no cross products in synthetic memos
-                }
-                let left = memo
-                    .find_group(GroupKey::Rels(lset))
-                    .expect("connected halves precede their union");
-                let right = memo.find_group(GroupKey::Rels(rset)).expect("see above");
-                let (lcard, rcard) = (card(left), card(right));
-                joins.push(PhysicalExpr::new(
-                    PhysicalOp::NestedLoopJoin { left, right },
-                    lcard * rcard * 0.01 + out,
-                    out,
-                ));
-                joins.push(PhysicalExpr::new(
-                    PhysicalOp::HashJoin { left, right },
-                    lcard + rcard + out,
-                    out,
-                ));
-                for edge in crossing {
-                    let (lk, rk) = if lset.contains(edge.left.rel) {
-                        (edge.left, edge.right)
-                    } else {
-                        (edge.right, edge.left)
-                    };
-                    joins.push(PhysicalExpr::new(
-                        PhysicalOp::MergeJoin {
-                            left,
-                            right,
-                            left_key: lk,
-                            right_key: rk,
-                        },
-                        lcard + rcard + out * 1.1,
-                        out,
-                    ));
-                }
-            }
-        }
-        memo.extend_physical(gid, joins);
-    }
-}
-
-/// Mirrors the optimizer's enforcer rule: a `Sort` per interesting order
-/// (the local endpoint of every join edge leaving the group's relation
-/// set), skipped when nothing in the group is a sortable input.
-fn add_interesting_order_enforcers(catalog: &Catalog, query: &QuerySpec, memo: &mut Memo) {
-    for gid in (0..memo.num_groups() as u32).map(GroupId) {
-        let GroupKey::Rels(set) = memo.group(gid).key else {
-            continue;
-        };
-        let mut targets: Vec<SortOrder> = Vec::new();
-        for edge in &query.join_edges {
-            for col in [edge.left, edge.right] {
-                let other = if col == edge.left {
-                    edge.right
-                } else {
-                    edge.left
-                };
-                if set.contains(col.rel) && !set.contains(other.rel) {
-                    let ord = SortOrder::on_col(col);
-                    if !targets.contains(&ord) {
-                        targets.push(ord);
-                    }
-                }
-            }
-        }
-        let card = query.set_card(catalog, set);
-        // One satisfier per group, as in the optimizer's rule.
-        let mut sat = OrderSatisfier::new(query, set);
-        for target in targets {
-            let sortable =
-                memo.group(gid).physical.iter().any(|e| {
-                    !e.op.is_enforcer() && !sat.satisfies_cols(e.delivered_cols(), &target)
-                });
-            if sortable {
-                memo.add_physical(
-                    gid,
-                    PhysicalExpr::new(
-                        PhysicalOp::Sort {
-                            target: target.clone(),
-                        },
-                        card * 1.5,
-                        card,
-                    ),
-                );
-            }
-        }
+        let (catalog, query) = self.build();
+        let mut memo = populate(&catalog, &query, &OptimizerConfig::default())
+            .expect("every topology is connected");
+        memo.drop_logical();
+        (catalog, query, memo)
     }
 }
 

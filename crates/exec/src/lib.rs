@@ -104,11 +104,6 @@ impl Table {
         &self.rows
     }
 
-    /// Consumes into rows.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
-    }
-
     /// Multiset equality: same rows with the same multiplicities,
     /// regardless of order — the §4 oracle ("all plans should deliver
     /// the same outcome").

@@ -46,9 +46,12 @@ impl DenseIdMap {
     /// Numbers every physical expression of `memo`.
     ///
     /// # Panics
-    /// Panics if the memo holds ≥ 2³¹ physical expressions (consumers
-    /// reserve the dense id's top bit as a tag, e.g. the links layer's
-    /// condensed topological DFS).
+    /// Panics if the memo holds ≥ 2³¹ physical expressions: ids, the
+    /// one-past-the-end bound in `starts` and the levels
+    /// [`MemoScan::build`](crate::MemoScan::build) folds (at most one
+    /// per expression) are `u32`, and the fold reserves `u32::MAX` and
+    /// `u32::MAX − 1` as sentinels, so the bound keeps every value far
+    /// below them.
     pub fn build(memo: &Memo) -> DenseIdMap {
         let total = memo.num_physical();
         assert!(total < (1 << 31), "memo too large for dense u32 ids");

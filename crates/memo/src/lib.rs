@@ -231,7 +231,8 @@ impl Memo {
     /// root group is 25 084 wide). Past `BULK_HASH_MIN`
     /// expressions the batch is checked against one transient hash set
     /// instead; nothing stays resident. The operators come from the
-    /// optimizer and the generators, not from outside the program, so
+    /// optimizer's implementation rules (which build the synthetic
+    /// join-graph memos too), not from outside the program, so
     /// the set hashes through the fixed [`Mix`]
     /// ([`from_parts`](Self::from_parts), which reads stored bytes,
     /// keeps std's keyed hasher).
@@ -376,6 +377,16 @@ impl Memo {
         for group in &mut self.groups {
             group.logical.shrink_to_fit();
             group.physical.shrink_to_fit();
+        }
+    }
+
+    /// Frees every group's logical list. Exploration and implementation
+    /// read it; the plan space — links, counts, samples, artifacts —
+    /// reads only the physical expressions, so a memo built to be
+    /// sampled need not keep it resident.
+    pub fn drop_logical(&mut self) {
+        for group in &mut self.groups {
+            group.logical = Vec::new();
         }
     }
 
@@ -601,6 +612,68 @@ mod tests {
             format!("{:?}", rebuilt.group(g2)),
             format!("{:?}", memo.group(g2))
         );
+    }
+
+    /// `drop_logical` frees the logical lists — exactly their bytes —
+    /// and leaves everything the plan space reads as it was.
+    #[test]
+    fn drop_logical_frees_only_the_logical_lists() {
+        use plansample_catalog::{table, Catalog, ColType};
+        use plansample_query::QueryBuilder;
+        let mut cat = Catalog::new();
+        for name in ["a", "b"] {
+            let t = table(name, 100).col("k", ColType::Int, 100).index_on(0);
+            cat.add_table(t.build()).unwrap();
+        }
+        let mut qb = QueryBuilder::new(&cat);
+        qb.rel("a", None).unwrap();
+        qb.rel("b", None).unwrap();
+        qb.join(("a", "k"), ("b", "k")).unwrap();
+        let query = qb.build().unwrap();
+
+        let mut memo = Memo::new();
+        let scans: Vec<GroupId> = (0..2)
+            .map(|r| {
+                let g = memo.add_group(GroupKey::Rels(rs(&[r])));
+                let rel = RelId(r);
+                memo.add_logical(g, LogicalOp::Scan { rel });
+                let idx = PhysicalOp::SortedIdxScan {
+                    rel,
+                    col: col(r, 0),
+                };
+                memo.add_physical(
+                    g,
+                    PhysicalExpr::new(PhysicalOp::TableScan { rel }, 1.0, 9.0),
+                );
+                memo.add_physical(g, PhysicalExpr::new(idx, 2.0, 9.0));
+                g
+            })
+            .collect();
+        let join = memo.add_group(GroupKey::Rels(rs(&[0, 1])));
+        for (left, right) in [(scans[0], scans[1]), (scans[1], scans[0])] {
+            memo.add_logical(join, LogicalOp::Join { left, right });
+            let merge = PhysicalOp::MergeJoin {
+                left,
+                right,
+                left_key: col(left.0, 0),
+                right_key: col(right.0, 0),
+            };
+            memo.add_physical(join, PhysicalExpr::new(merge, 3.0, 9.0));
+            let hash = PhysicalOp::HashJoin { left, right };
+            memo.add_physical(join, PhysicalExpr::new(hash, 4.0, 9.0));
+        }
+        memo.set_root(join);
+
+        let tables = |m: &Memo| format!("{:?}", MemoScan::build(m, &query).unwrap());
+        let (before, bytes) = (tables(&memo), memo.size_bytes());
+        let freed = memo.groups().map(|g| g.logical.capacity()).sum::<usize>()
+            * std::mem::size_of::<LogicalOp>();
+        assert!(freed > 0);
+        memo.drop_logical();
+        assert_eq!(memo.num_logical(), 0);
+        assert_eq!(memo.num_physical(), 8);
+        assert_eq!(memo.size_bytes(), bytes - freed);
+        assert_eq!(tables(&memo), before);
     }
 
     #[test]

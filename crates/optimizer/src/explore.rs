@@ -50,17 +50,20 @@ fn finish_root(query: &QuerySpec, memo: &mut Memo, join_root: GroupId) {
 }
 
 /// Is a join of `left` and `right` admissible under the cross-product
-/// policy? Without cross products both halves must be connected and at
-/// least one predicate must cross the cut (guaranteed by connectivity of
-/// the union).
-fn split_admissible(query: &QuerySpec, allow_cp: bool, left: RelSet, right: RelSet) -> bool {
-    if allow_cp {
-        true
-    } else {
-        query.connected(left)
-            && query.connected(right)
-            && !query.edges_crossing(left, right).is_empty()
-    }
+/// policy? Without cross products both halves must be `connected` (the
+/// caller's test of the join graph) and at least one predicate must
+/// cross the cut (guaranteed by connectivity of the union).
+fn split_admissible(
+    query: &QuerySpec,
+    allow_cp: bool,
+    connected: impl Fn(RelSet) -> bool,
+    left: RelSet,
+    right: RelSet,
+) -> bool {
+    allow_cp
+        || (connected(left)
+            && connected(right)
+            && query.join_edges.iter().any(|e| e.crosses(left, right)))
 }
 
 /// Bottom-up (Starburst-style) exhaustive exploration.
@@ -76,48 +79,70 @@ pub fn explore_bottom_up(
         return Ok(());
     }
 
+    // Connectivity on adjacency masks: a flood fill of a few bit
+    // operations per member, where `QuerySpec::connected` passes over
+    // every join edge per step (cycle-16 tests 556 799 halves).
+    let mut adj = vec![0u64; n];
+    for edge in &query.join_edges {
+        let (a, b) = edge.rels();
+        adj[a.idx()] |= 1 << b.0;
+        adj[b.idx()] |= 1 << a.0;
+    }
+    let connected = |set: RelSet| {
+        let mask = set.mask();
+        let mut seen = mask & mask.wrapping_neg();
+        let mut frontier = seen;
+        while frontier != 0 {
+            let grown = adj[frontier.trailing_zeros() as usize] & mask & !seen;
+            frontier &= frontier - 1;
+            seen |= grown;
+            frontier |= grown;
+        }
+        mask != 0 && seen == mask
+    };
+
     // Enumerate subsets in size order so every admissible half already
     // has a group when its parent set is processed.
     let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let mut subsets: Vec<u64> = (1..=full).filter(|m| m.count_ones() >= 2).collect();
-    subsets.sort_by_key(|m| m.count_ones());
-
-    for mask in subsets {
-        let set = RelSet::from_iter(
-            (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| RelId(i as u32)),
-        );
-        if !allow_cp && !query.connected(set) {
-            continue;
-        }
-        for (l, r) in set.splits() {
-            if !split_admissible(query, allow_cp, l, r) {
+    for size in 2..=n as u32 {
+        for mask in (1..=full).filter(|m| m.count_ones() == size) {
+            let set = RelSet::from_iter(
+                (0..n)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| RelId(i as u32)),
+            );
+            if !allow_cp && !connected(set) {
                 continue;
             }
-            let gl = memo
-                .find_group(GroupKey::Rels(l))
-                .expect("size-ordered enumeration creates halves first");
-            let gr = memo
-                .find_group(GroupKey::Rels(r))
-                .expect("size-ordered enumeration creates halves first");
-            let g = memo.add_group(GroupKey::Rels(set));
-            // Both commutative orders, as in the paper's Figure 2 where
-            // join(1,2) and join(2,1) are distinct expressions 3.1/3.2.
-            memo.add_logical(
-                g,
-                LogicalOp::Join {
-                    left: gl,
-                    right: gr,
-                },
-            );
-            memo.add_logical(
-                g,
-                LogicalOp::Join {
-                    left: gr,
-                    right: gl,
-                },
-            );
+            for (l, r) in set.splits() {
+                if !split_admissible(query, allow_cp, connected, l, r) {
+                    continue;
+                }
+                let gl = memo
+                    .find_group(GroupKey::Rels(l))
+                    .expect("size-ordered enumeration creates halves first");
+                let gr = memo
+                    .find_group(GroupKey::Rels(r))
+                    .expect("size-ordered enumeration creates halves first");
+                let g = memo.add_group(GroupKey::Rels(set));
+                // Both commutative orders, as in the paper's Figure 2
+                // where join(1,2) and join(2,1) are distinct expressions
+                // 3.1/3.2.
+                memo.add_logical(
+                    g,
+                    LogicalOp::Join {
+                        left: gl,
+                        right: gr,
+                    },
+                );
+                memo.add_logical(
+                    g,
+                    LogicalOp::Join {
+                        left: gr,
+                        right: gl,
+                    },
+                );
+            }
         }
     }
 
@@ -231,7 +256,7 @@ fn apply_rules_to_fixpoint(query: &QuerySpec, allow_cp: bool, memo: &mut Memo) {
                     continue;
                 };
                 let (b_set, c_set) = (rels_of(memo, b), rels_of(memo, *right));
-                if split_admissible(query, allow_cp, b_set, c_set) {
+                if split_admissible(query, allow_cp, |s| query.connected(s), b_set, c_set) {
                     let bc = memo.add_group(GroupKey::Rels(b_set.union(c_set)));
                     memo.add_logical(
                         bc,
@@ -249,7 +274,7 @@ fn apply_rules_to_fixpoint(query: &QuerySpec, allow_cp: bool, memo: &mut Memo) {
                     continue;
                 };
                 let (a_set, b_set) = (rels_of(memo, *left), rels_of(memo, b));
-                if split_admissible(query, allow_cp, a_set, b_set) {
+                if split_admissible(query, allow_cp, |s| query.connected(s), a_set, b_set) {
                     let ab = memo.add_group(GroupKey::Rels(a_set.union(b_set)));
                     memo.add_logical(
                         ab,

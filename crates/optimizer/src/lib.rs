@@ -173,6 +173,28 @@ pub fn optimize_with_scan(
             limit: MAX_RELATIONS,
         });
     }
+    let memo = populate(catalog, query, config)?;
+    let totals = compute_totals(&memo, query);
+    let (best_plan, best_cost) = best_plan(&memo, &totals).ok_or(OptError::NoPlanFound)?;
+    // Counted only on success, so the counter reports *completed*
+    // optimizations as documented.
+    THREAD_OPTIMIZATIONS.with(|c| c.set(c.get() + 1));
+    let optimized = Optimized {
+        memo,
+        best_plan,
+        best_cost,
+    };
+    Ok((optimized, totals.scan))
+}
+
+/// The memo half of [`optimize`]: explore → implement → enforcers, with
+/// no best-plan extraction and no relation limit (the synthetic
+/// join-graph spaces past [`MAX_RELATIONS`] are built here too).
+pub fn populate(
+    catalog: &Catalog,
+    query: &QuerySpec,
+    config: &OptimizerConfig,
+) -> Result<Memo, OptError> {
     if !config.allow_cross_products && !query.connected(query.all_rels()) {
         return Err(OptError::DisconnectedQuery);
     }
@@ -195,18 +217,7 @@ pub fn optimize_with_scan(
     // prepared-query serving surface): release the growth slack so the
     // resident footprint — and the byte-budget charge — is the true size.
     memo.shrink_to_fit();
-
-    let totals = compute_totals(&memo, query);
-    let (best_plan, best_cost) = best_plan(&memo, &totals).ok_or(OptError::NoPlanFound)?;
-    // Counted only on success, so the counter reports *completed*
-    // optimizations as documented.
-    THREAD_OPTIMIZATIONS.with(|c| c.set(c.get() + 1));
-    let optimized = Optimized {
-        memo,
-        best_plan,
-        best_cost,
-    };
-    Ok((optimized, totals.scan))
+    Ok(memo)
 }
 
 #[cfg(test)]

@@ -118,26 +118,17 @@ impl RelSet {
     /// Each unordered pair appears exactly once (the half containing the
     /// lowest relation is reported as `left`).
     pub fn splits(&self) -> Vec<(RelSet, RelSet)> {
-        let n = self.len();
-        if n < 2 {
-            return Vec::new();
-        }
-        let members: Vec<RelId> = self.iter().collect();
-        let mut out = Vec::with_capacity((1usize << (n - 1)) - 1);
-        // Fix members[0] on the left to avoid double counting.
-        for pattern in 0..(1u64 << (n - 1)) {
-            let mut left = RelSet::singleton(members[0]);
-            let mut right = RelSet::EMPTY;
-            for (i, &m) in members[1..].iter().enumerate() {
-                if pattern & (1 << i) != 0 {
-                    left.insert(m);
-                } else {
-                    right.insert(m);
-                }
-            }
-            if !right.is_empty() {
-                out.push((left, right));
-            }
+        // Fix the lowest member on the left to avoid double counting;
+        // its companions are the sub-masks of the rest, in increasing
+        // order, short of the whole rest (which would leave the right
+        // empty).
+        let low = self.0 & self.0.wrapping_neg();
+        let rest = self.0 ^ low;
+        let mut out = Vec::with_capacity((1usize << rest.count_ones()) - 1);
+        let mut sub = 0;
+        while sub != rest {
+            out.push((RelSet(low | sub), RelSet(rest ^ sub)));
+            sub = ((sub | !rest) + 1) & rest;
         }
         out
     }

@@ -87,11 +87,6 @@ impl Summary {
         self.variance
     }
 
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance.sqrt()
-    }
-
     /// Quantile by nearest-rank interpolation, `p ∈ [0, 1]`.
     pub fn quantile(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "quantile p outside [0,1]");

@@ -13,12 +13,14 @@ use common::SynthSpace;
 use plansample_bignum::Nat;
 use plansample_core::PreparedQuery;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
-use plansample_memo::{eligible_children, validate_plan, DenseId, Memo, MemoScan};
-use plansample_optimizer::{optimize, OptimizerConfig};
-use plansample_query::QuerySpec;
+use plansample_memo::{
+    eligible_children, validate_plan, DenseId, GroupKey, LogicalOp, Memo, MemoScan,
+};
+use plansample_optimizer::{explore_bottom_up, optimize, OptimizerConfig};
+use plansample_query::{QueryBuilder, QuerySpec, RelSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// Cap for brute-force enumeration: spaces at or below this size are
 /// exhaustively cross-checked against the recursive oracle.
@@ -98,6 +100,117 @@ proptest! {
         };
         let checked = check_child_lists(&memo, &query);
         prop_assert!(checked.is_ok(), "{} (synthesised: {synthesised}): {checked:?}", spec.label());
+    }
+}
+
+/// `build_memo` is the optimizer's memo: the same groups in the same
+/// order, and in each the same operators with bit-identical costs and
+/// cardinalities — minus the logical lists, which it drops.
+#[test]
+fn synthetic_memo_is_the_optimizers_memo() {
+    for topology in Topology::ALL {
+        let min = if topology == Topology::Cycle { 3 } else { 2 };
+        for (n, seed) in (min..=7).flat_map(|n| [1, 42, 20000].map(|seed| (n, seed))) {
+            let spec = JoinGraphSpec::new(topology, n, seed);
+            let (_, _, synthetic) = spec.build_memo();
+            let (catalog, query) = spec.build();
+            let optimized = optimize(&catalog, &query, &OptimizerConfig::default())
+                .expect("synthetic queries optimize")
+                .memo;
+            let label = spec.label();
+            assert_eq!(synthetic.num_logical(), 0, "{label}");
+            assert_eq!(synthetic.num_groups(), optimized.num_groups(), "{label}");
+            assert_eq!(synthetic.root(), optimized.root(), "{label}");
+            for (s, o) in synthetic.groups().zip(optimized.groups()) {
+                assert_eq!(s.key, o.key, "{label}");
+                assert_eq!(s.physical.len(), o.physical.len(), "{label}: {:?}", s.key);
+                for (a, b) in s.physical.iter().zip(&o.physical) {
+                    assert_eq!(a.op, b.op, "{label}");
+                    assert_eq!(a.local_cost.to_bits(), b.local_cost.to_bits(), "{label}");
+                    assert_eq!(a.out_card.to_bits(), b.out_card.to_bits(), "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// A random connected join graph over 2–8 relations: a random spanning
+/// tree over shuffled labels, plus each remaining pair with a random
+/// density.
+fn arb_connected_query() -> impl Strategy<Value = QuerySpec> {
+    (2usize..=8, any::<u64>()).prop_map(|(n, seed)| {
+        let (catalog, _) = JoinGraphSpec::new(Topology::Chain, n, seed).build();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, rng.gen_range(0..=i));
+        }
+        let mut pairs: Vec<(usize, usize)> = (1..n)
+            .map(|i| (label[rng.gen_range(0..i)], label[i]))
+            .collect();
+        let density = f64::from(rng.gen_range(0u32..=10)) / 10.0;
+        for a in 0..n {
+            for b in a + 1..n {
+                let known = pairs.contains(&(a, b)) || pairs.contains(&(b, a));
+                if !known && rng.gen_bool(density) {
+                    pairs.push((a, b));
+                }
+            }
+        }
+        let mut qb = QueryBuilder::new(&catalog);
+        for i in 0..n {
+            qb.rel(&format!("r{i}"), None).unwrap();
+        }
+        for (a, b) in pairs {
+            qb.join((&format!("r{a}"), "k"), (&format!("r{b}"), "k"))
+                .unwrap();
+        }
+        qb.build().unwrap()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Exploration's connectivity on adjacency masks against the join
+    /// graph's own `QuerySpec::connected`: the groups are exactly the
+    /// connected subsets, and each group's logical joins exactly the
+    /// ordered splits into two connected halves an edge crosses.
+    #[test]
+    fn exploration_keeps_exactly_the_connected_splits(query in arb_connected_query()) {
+        let mut memo = Memo::new();
+        explore_bottom_up(&query, false, &mut memo).unwrap();
+        let all = query.all_rels().mask();
+        let connected: Vec<RelSet> = (1..=all)
+            .map(|m| RelSet::from_iter(query.all_rels().iter().filter(|r| m >> r.0 & 1 == 1)))
+            .filter(|&set| query.connected(set))
+            .collect();
+        let mut groups: Vec<RelSet> = memo.groups().filter_map(|g| g.key.rels()).collect();
+        groups.sort();
+        prop_assert_eq!(&groups, &connected);
+
+        let group = |set| memo.find_group(GroupKey::Rels(set)).unwrap();
+        for &set in connected.iter().filter(|s| s.len() >= 2) {
+            let mut expected: Vec<_> = connected
+                .iter()
+                .filter(|&&l| set.is_superset(l) && l != set)
+                .map(|&l| (l, set.difference(l)))
+                .filter(|&(l, r)| query.connected(r) && !query.edges_crossing(l, r).is_empty())
+                .map(|(l, r)| (group(l), group(r)))
+                .collect();
+            let mut joins: Vec<_> = memo
+                .group(group(set))
+                .logical
+                .iter()
+                .map(|op| match *op {
+                    LogicalOp::Join { left, right } => (left, right),
+                    ref other => panic!("{other:?} in join group {set:?}"),
+                })
+                .collect();
+            expected.sort();
+            joins.sort();
+            prop_assert_eq!(joins, expected, "{:?}", set);
+        }
     }
 }
 
