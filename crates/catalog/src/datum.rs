@@ -110,9 +110,9 @@ impl std::hash::Hash for Datum {
 
 /// Multiply-rotate hasher in the style of FxHash — the workspace's one
 /// fixed (unkeyed) mixer, for hashing values this program built itself:
-/// the executor's join and grouping keys (fed by [`Datum`]'s `Hash`) and
-/// the memo's batch duplicate check. Its well-mixed bits are the high
-/// ones. Keys read from outside the program keep std's keyed hasher.
+/// the executor's join and grouping keys (fed by [`Datum`]'s `Hash`).
+/// Its well-mixed bits are the high ones. Keys read from outside the
+/// program keep std's keyed hasher.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mix(u64);
 

@@ -9,38 +9,46 @@
 //!   N      = Σ_{v ∈ G_root} N(v)
 //! ```
 //!
-//! Counts are exact [`Nat`]s: Table 1 of the paper reports spaces above
+//! Counts are exact: Table 1 of the paper reports spaces above
 //! 4·10^12, and counts overflow any fixed-width integer as queries grow.
+//! But exact integers are needed only once a space outgrows a machine
+//! word, so the pass runs in the narrowest [`Word`] that can hold it —
+//! `u64`, then `u128`, then [`Nat`] — and moves up a rung (restarting
+//! the fold there) only when a checked add or multiply overflows.
 //!
 //! The pass is an iterative walk over the topological order the links
 //! keep (children before parents; the scan's, which the optimizer's cost
-//! fold walks too), filling one flat `Vec<Nat>`
-//! indexed by [`DenseId`] — no recursion, no memo-cache clones, and no
-//! threads: the pass is a few percent of a build (DESIGN §5), less
-//! than forking it costs. The per-slot totals
-//! `b_v(i)` are computed once per *interned* alternative list and kept
-//! ([`Counts::list_total`]), so unranking, ranking, and sampling read
-//! them instead of re-summing alternatives on every mixed-radix step.
-//! Each expression and each list entry is visited exactly once — the
-//! paper's linear-time claim, measured by the tracked benchmark's
-//! `core.count.compute_ms` row.
+//! fold walks too), filling one flat table indexed by [`DenseId`] — no
+//! recursion, no memo-cache clones, and no threads: the pass is a few
+//! percent of a build (DESIGN §5), less than forking it costs. The
+//! per-slot totals `b_v(i)` are computed once per *interned* alternative
+//! list and kept ([`Counts::list_total`]), so unranking, ranking, and
+//! sampling read them instead of re-summing alternatives on every
+//! mixed-radix step. Each expression and each list entry is visited
+//! exactly once per rung — the paper's linear-time claim, measured by
+//! the tracked benchmark's `core.count.compute_ms` row.
 //!
 //! # One store, chosen once
 //!
-//! The exact pass is only the *computation*. What a [`Counts`] keeps is
-//! a single store in the narrowest width that holds every count — the
-//! tier ladder `u64` → `u128` → [`Nat`] ([`CountTier`]) — and the whole
-//! rank machinery runs in that width. A fixed-width space owns no
-//! `Vec<Nat>`; [`Counts::rooted`] / [`Counts::list_total`] synthesise a
-//! [`Nat`] by value at the API edge. Beside `N(v)` and `b` the store
-//! keeps, per interned list, the inclusive running sums of its members'
-//! counts — §3.3's prefix sums — so choosing an operator is a binary
-//! search and not a scan ([`TierCounts`]).
+//! What a [`Counts`] keeps is a single store in the narrowest width that
+//! holds every count — the tier ladder `u64` → `u128` → [`Nat`]
+//! ([`CountTier`]) — and the whole rank machinery runs in that width.
+//! The fold that found the width *is* the store: a fixed-width space
+//! never builds a `Vec<Nat>`, and [`Counts::rooted`] /
+//! [`Counts::list_total`] synthesise a [`Nat`] by value at the API edge.
+//! Beside `N(v)` and `b` the store keeps, per interned list, the
+//! inclusive running sums of its members' counts — §3.3's prefix sums,
+//! written by the same pass that sums the list — so choosing an operator
+//! is a binary search and not a scan ([`TierCounts`]).
 
 use crate::word::Word;
 use crate::{Links, ListId, SpaceError};
 use plansample_bignum::Nat;
-use plansample_memo::DenseId;
+use plansample_memo::{DenseId, MAX_SLOTS};
+
+// `TierCounts::fold` picks the narrowest tier only while an expression
+// has at most two slots (see there): a third slot must revisit it.
+const _: () = assert!(MAX_SLOTS <= 2, "TierCounts::fold assumes at most two slots");
 
 /// Exact plan counts for every expression plus the precomputed per-list
 /// slot totals, held once, in the narrowest width that fits them all
@@ -143,6 +151,69 @@ pub(crate) struct TierCounts<W> {
 }
 
 impl<W: Word> TierCounts<W> {
+    /// §3.2's fold in `W`, or `None` as soon as a checked add or
+    /// multiply overflows it — exactly when some `N(v)` or some list
+    /// total does not fit `W`, so the first rung whose fold succeeds is
+    /// the narrowest that holds every count. A running sum never
+    /// exceeds its list's total, and with at most [`MAX_SLOTS`] = 2
+    /// slots the product `1 · b₁ · b₂` overflows exactly when `N(v)`
+    /// does. A third slot would break that: `b₁ · b₂` could overflow
+    /// although `b₃ = 0` makes `N(v) = 0`, and the space would land a
+    /// rung wider than its counts need.
+    ///
+    /// Children come before parents in `links.topo()`, so when an
+    /// expression is reached every member of its slot lists is counted:
+    /// a list's total `b` — and its running sums — are written the first
+    /// time an expression reads it (interned lists are shared, so later
+    /// readers find it done), the expression's count is the product of
+    /// its slots' totals, and the root list — interned like any other,
+    /// but possibly no expression's slot — is summed last. Every list is
+    /// some slot's list or the root list, so every list is summed.
+    fn fold(links: &Links) -> Option<Self> {
+        let mut counts = TierCounts {
+            per_expr: vec![W::ZERO; links.num_exprs()],
+            pool: vec![W::ZERO; links.num_pooled_links()],
+            list_totals: vec![W::ZERO; links.num_lists()],
+        };
+        let mut summed = vec![false; links.num_lists()];
+        let mut sum_once = |counts: &mut Self, l: ListId| -> Option<()> {
+            if !std::mem::replace(&mut summed[l.idx()], true) {
+                counts.list_totals[l.idx()] = counts.sum_list(links, l)?;
+            }
+            Some(())
+        };
+        for &d in links.topo() {
+            let mut product = W::ONE; // |v| = 0 ⇒ N(v) = 1
+            for &l in links.slot_lists(d) {
+                sum_once(&mut counts, l)?;
+                // b = 0 ⇒ no completable plan here
+                product = product.checked_mul(&counts.list_totals[l.idx()])?;
+            }
+            counts.per_expr[d.idx()] = product;
+        }
+        sum_once(&mut counts, links.root_list())?;
+        assert!(
+            summed.iter().all(|&s| s),
+            "every interned list is some slot's list or the root list"
+        );
+        Some(counts)
+    }
+
+    /// Writes list `l`'s inclusive running sums into its slice of the
+    /// pool and returns its total, or `None` when a sum overflows `W`.
+    fn sum_list(&mut self, links: &Links, l: ListId) -> Option<W> {
+        let mut sum = W::ZERO;
+        for (&w, slot) in links
+            .list(l)
+            .iter()
+            .zip(&mut self.pool[links.list_range(l)])
+        {
+            sum = sum.checked_add(&self.per_expr[w.idx()])?;
+            *slot = sum.clone();
+        }
+        Some(sum)
+    }
+
     /// Assembles the tier from its two independent tables, checked
     /// against `links` in shape and in value: the running sums are
     /// built here, one pass per list, and each list's last sum must be
@@ -168,34 +239,22 @@ impl<W: Word> TierCounts<W> {
         // whatever growth slack the caller's collection left.
         per_expr.shrink_to_fit();
         list_totals.shrink_to_fit();
-        let mut pool = Vec::with_capacity(links.num_pooled_links());
-        for (members, total) in links.lists().zip(&list_totals) {
-            let mut sum = W::ZERO;
-            for &w in members {
-                sum = sum
-                    .checked_add(&per_expr[w.idx()])
-                    .ok_or_else(|| malformed("a list's running sum overflows the tier's word"))?;
-                pool.push(sum.clone());
-            }
-            if sum != *total {
+        let mut counts = TierCounts {
+            per_expr,
+            pool: vec![W::ZERO; links.num_pooled_links()],
+            list_totals,
+        };
+        for l in (0..links.num_lists() as u32).map(ListId) {
+            let sum = counts
+                .sum_list(links, l)
+                .ok_or_else(|| malformed("a list's running sum overflows the tier's word"))?;
+            if sum != counts.list_totals[l.idx()] {
                 return Err(malformed(
                     "a list total must equal the sum of its members' counts",
                 ));
             }
         }
-        Ok(TierCounts {
-            per_expr,
-            pool,
-            list_totals,
-        })
-    }
-
-    /// The tier holding exact tables `per_expr` / `list_totals`, or
-    /// `None` when some value does not fit `W`.
-    fn narrow(links: &Links, per_expr: &[Nat], list_totals: &[Nat]) -> Option<Self> {
-        let per_expr: Option<Vec<W>> = per_expr.iter().map(W::from_nat).collect();
-        let list_totals: Option<Vec<W>> = list_totals.iter().map(W::from_nat).collect();
-        Self::from_tables(links, per_expr?, list_totals?).ok()
+        Ok(counts)
     }
 
     /// The same tables one or two rungs down the ladder.
@@ -267,47 +326,30 @@ pub enum CountsParts {
 }
 
 impl Counts {
-    /// Computes all counts in one pass over `links.topo()`.
-    ///
-    /// Children come before parents in that order, so when an
-    /// expression is reached every member of its slot lists is counted:
-    /// a list's total `b` is summed the first time an expression reads
-    /// it (interned lists are shared, so later readers find it done),
-    /// the expression's count is the product of its slots' totals, and
-    /// the root list — interned like any other, but no expression's
-    /// slot — is summed last. Each expression and each list entry is
-    /// visited once.
+    /// Computes all counts with §3.2's fold over `links.topo()`, on the
+    /// narrowest rung of the tier ladder whose fold does not overflow
+    /// (`TierCounts::fold`): a `u64` space is folded once, a `u128`
+    /// space twice and an exact-[`Nat`] space three times, each failed
+    /// attempt stopping at its first overflow.
     pub fn compute(links: &Links) -> Counts {
-        let mut per_expr: Vec<Nat> = vec![Nat::zero(); links.num_exprs()];
-        let mut list_totals: Vec<Nat> = vec![Nat::zero(); links.num_lists()];
-        let mut summed = vec![false; links.num_lists()];
-        let mut sum_once = |l: ListId, per_expr: &[Nat], list_totals: &mut [Nat]| {
-            if !std::mem::replace(&mut summed[l.idx()], true) {
-                list_totals[l.idx()] = links.list(l).iter().map(|&w| &per_expr[w.idx()]).sum();
-            }
-        };
-        for &d in links.topo() {
-            let mut product = Nat::one(); // |v| = 0 ⇒ N(v) = 1
-            for &l in links.slot_lists(d) {
-                sum_once(l, &per_expr, &mut list_totals);
-                product *= &list_totals[l.idx()]; // b = 0 ⇒ no completable plan here
-            }
-            per_expr[d.idx()] = product;
-        }
-        let root = links.root_list();
-        sum_once(root, &per_expr, &mut list_totals);
-
-        // Store the exact tables on the fastest rung that holds them all.
-        let (n, b) = (per_expr.as_slice(), list_totals.as_slice());
-        let store = if let Some(c) = TierCounts::narrow(links, n, b) {
+        let store = if let Some(c) = TierCounts::fold(links) {
             Store::U64(c)
-        } else if let Some(c) = TierCounts::narrow(links, n, b) {
+        } else if let Some(c) = TierCounts::fold(links) {
             Store::U128(c)
         } else {
-            Store::Nat(TierCounts::narrow(links, n, b).expect("Nat holds any count"))
+            Store::Nat(TierCounts::fold(links).expect("Nat holds any count"))
         };
-        let total = list_totals.swap_remove(root.idx());
-        Counts { store, total }
+        Counts::with_total(links, store)
+    }
+
+    /// The counts of `store`, with the space total read off its root list.
+    fn with_total(links: &Links, store: Store) -> Counts {
+        let mut counts = Counts {
+            store,
+            total: Nat::zero(),
+        };
+        counts.total = counts.list_total(links.root_list());
+        counts
     }
 
     /// Reassembles counts from their serialization view (the artifact
@@ -325,12 +367,7 @@ impl Counts {
             CountsParts::U128(n, b) => Store::U128(TierCounts::from_tables(links, n, b)?),
             CountsParts::Nat(n, b) => Store::Nat(TierCounts::from_tables(links, n, b)?),
         };
-        let mut counts = Counts {
-            store,
-            total: Nat::zero(),
-        };
-        counts.total = counts.list_total(links.root_list());
-        Ok(counts)
+        Ok(Counts::with_total(links, store))
     }
 
     /// Copies the two count tables out for serialization.

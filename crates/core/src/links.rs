@@ -335,14 +335,6 @@ impl Links {
         self.list_bounds[l.idx()] as usize..self.list_bounds[l.idx() + 1] as usize
     }
 
-    /// Every interned list's members, in list-id (hence pool) order —
-    /// what the pool-aligned count table is built through.
-    pub(crate) fn lists(&self) -> impl Iterator<Item = &[DenseId]> {
-        self.list_bounds
-            .windows(2)
-            .map(|w| &self.pool[w[0] as usize..w[1] as usize])
-    }
-
     /// The interned list of each child slot of `d`, in slot order: the
     /// occupied prefix of `d`'s slot record.
     #[inline]

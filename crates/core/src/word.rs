@@ -1,11 +1,14 @@
 //! The arithmetic word the rank machinery runs in.
 //!
-//! Counting (§3.2) is exact-[`Nat`]; everything downstream of it only
+//! Counting (§3.2) runs in the narrowest word that holds the space:
+//! its fold uses the checked add and multiply, and a failed check sends
+//! it one rung up the ladder. Everything downstream of it only
 //! compares, adds, subtracts, multiplies and divides values bounded by
 //! the space's own list totals. When every count fits `u64` (or `u128`) that is
 //! plain machine arithmetic, and [`crate::Counts`] stores the counts in
 //! that width. [`Word`] abstracts over the three storage widths:
-//! exactly what the one generic unranker and ranker need.
+//! exactly what the count fold and the one generic unranker and ranker
+//! need.
 
 use crate::batch::{Scratch, TierScratch};
 use plansample_bignum::Nat;
@@ -42,6 +45,8 @@ pub(crate) trait Word:
     fn div_rem(&self, b: &Self) -> (Self, Self);
     /// `self + b`, or `None` when the sum does not fit the word.
     fn checked_add(&self, b: &Self) -> Option<Self>;
+    /// `self · b`, or `None` when the product does not fit the word.
+    fn checked_mul(&self, b: &Self) -> Option<Self>;
     /// Operator selection (§3.3 step 1) over one list's inclusive
     /// running sums `sums[i] = Σ_{j≤i} N(w_j)`: the first index whose
     /// sum exceeds `rank`, and `rank` minus the sum before it — a binary
@@ -107,6 +112,10 @@ macro_rules! impl_fixed_word {
             fn checked_add(&self, b: &Self) -> Option<Self> {
                 <$t>::checked_add(*self, *b)
             }
+            #[inline]
+            fn checked_mul(&self, b: &Self) -> Option<Self> {
+                <$t>::checked_mul(*self, *b)
+            }
             scratch_in!($tier);
         }
     };
@@ -133,6 +142,9 @@ impl Word for Nat {
     }
     fn checked_add(&self, b: &Self) -> Option<Self> {
         Some(self + b)
+    }
+    fn checked_mul(&self, b: &Self) -> Option<Self> {
+        Some(self * b)
     }
     fn heap_bytes(&self) -> usize {
         self.size_bytes() - std::mem::size_of::<Nat>()
@@ -258,5 +270,31 @@ mod tests {
         check::<u128>(u128::MAX);
         check::<Nat>(u64::MAX as u128);
         check::<Nat>(u128::MAX);
+    }
+
+    /// The count fold's rung test: a fixed-width product that fits is
+    /// exact, one that does not is `None`, and `Nat` never overflows.
+    #[test]
+    fn checked_mul_overflows_exactly_past_the_word() {
+        fn check<W: Word + std::fmt::Debug>(max: u128, half: u32) {
+            let word = |n: u128| W::from_nat(&Nat::from(n)).expect("the value fits the word");
+            let (max, root) = (word(max), word(1 << half));
+            assert_eq!(max.checked_mul(&W::ONE), Some(max.clone()));
+            assert_eq!(root.checked_mul(&root), None);
+            let below = word((1 << half) - 1);
+            assert_eq!(
+                root.checked_mul(&below).map(|p| p.to_nat()),
+                Some(&root.to_nat() * &below.to_nat())
+            );
+        }
+        check::<u64>(u64::MAX.into(), 32);
+        check::<u128>(u128::MAX, 64);
+
+        let two_64 = Nat::from(1u128 << 64);
+        let squared = Word::checked_mul(&two_64, &two_64);
+        assert_eq!(squared, Some(&two_64 * &two_64));
+        assert_eq!(squared.map(|n| n.limbs().len()), Some(3));
+        let max = Nat::from(u128::MAX);
+        assert_eq!(Word::checked_mul(&max, &Nat::one()), Some(max));
     }
 }

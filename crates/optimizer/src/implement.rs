@@ -17,7 +17,19 @@ use plansample_memo::{
 use plansample_query::{ColRef, QuerySpec, RelSet};
 
 /// Applies implementation rules to every logical expression of every
-/// group. Exploration must be complete beforehand.
+/// group. Exploration must be complete beforehand, and no group may hold
+/// a physical expression yet.
+///
+/// Each group's alternatives are appended as one batch with no
+/// duplicate check, because they are distinct by construction.
+/// Duplicates can arise only within one logical operator's output — a
+/// join predicate written twice yields two equal merge joins, an index
+/// declared twice two equal index scans — and are dropped there, the
+/// later one going as [`Memo::add_physical`] would drop it. Alternatives
+/// of different logical operators cannot coincide: each names its
+/// operator's inputs, and [`Memo::add_logical`] keeps every
+/// `(left, right)` unique within a group (a scan group holds one scan,
+/// the aggregate group one aggregate).
 pub fn implement_all(
     query: &QuerySpec,
     catalog: &Catalog,
@@ -26,6 +38,10 @@ pub fn implement_all(
     enable_index_scans: bool,
     memo: &mut Memo,
 ) {
+    debug_assert!(
+        memo.groups().all(|g| g.physical.is_empty()),
+        "implementation runs once, on a memo with no physical expressions"
+    );
     // Cardinality is a property of the relation set, so of the group:
     // estimated once a group, read by every join over it.
     let cards: Vec<f64> = memo
@@ -33,10 +49,9 @@ pub fn implement_all(
         .map(|g| query.set_card(catalog, g.scope(query)))
         .collect();
     for gid in (0..memo.num_groups() as u32).map(GroupId) {
-        // A group's alternatives are gathered, then inserted in one
-        // duplicate-eliminating batch.
         let mut out = Vec::new();
         for op in &memo.group(gid).logical {
+            let start = out.len();
             match *op {
                 LogicalOp::Scan { rel } => {
                     implement_scan(query, catalog, cost, enable_index_scans, rel, &mut out)
@@ -56,8 +71,23 @@ pub fn implement_all(
                     implement_agg(query, catalog, cost, memo, &cards, input, &mut out)
                 }
             }
+            drop_repeats(&mut out, start);
         }
-        memo.extend_physical(gid, out);
+        memo.append_physical(gid, out);
+    }
+}
+
+/// Drops each alternative past `start` whose operator an earlier one
+/// past `start` already has: one logical operator's handful of
+/// alternatives, compared pairwise.
+fn drop_repeats(out: &mut Vec<PhysicalExpr>, start: usize) {
+    let mut i = start + 1;
+    while i < out.len() {
+        if out[start..i].iter().any(|e| e.op == out[i].op) {
+            out.remove(i);
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -397,6 +427,97 @@ mod tests {
         implement_all(&q, &cat, &cost, true, true, &mut memo);
         let names = ops_of(&memo, 2);
         assert_eq!(names.iter().filter(|n| **n == "MergeJoin").count(), 4);
+    }
+
+    /// `implement_all` drops repeats per logical operator and appends
+    /// the rest unchecked; the memo it builds must be the one feeding
+    /// every generated alternative through `add_physical` would build.
+    /// The input repeats a join predicate (once as written, once
+    /// mirrored), which yields equal merge joins, and an index, which
+    /// yields equal index scans.
+    #[test]
+    fn implementation_keeps_add_physicals_duplicate_semantics() {
+        use crate::{populate, OptimizerConfig};
+        use plansample_query::AggFunc;
+        let mut cat = Catalog::new();
+        let a = table("a", 1000)
+            .col("k", ColType::Int, 1000)
+            .col("v", ColType::Int, 10)
+            .index_on(0)
+            .index_on(0)
+            .index_on(1);
+        cat.add_table(a.build()).unwrap();
+        let b = table("b", 500).col("k", ColType::Int, 500).index_on(0);
+        cat.add_table(b.build()).unwrap();
+        let c = table("c", 50).col("v", ColType::Int, 10);
+        cat.add_table(c.build()).unwrap();
+        let mut qb = QueryBuilder::new(&cat);
+        for rel in ["a", "b", "c"] {
+            qb.rel(rel, None).unwrap();
+        }
+        qb.join(("a", "k"), ("b", "k")).unwrap();
+        qb.join(("a", "k"), ("b", "k")).unwrap();
+        qb.join(("b", "k"), ("a", "k")).unwrap();
+        qb.join(("a", "v"), ("c", "v")).unwrap();
+        qb.aggregate(&[("c", "v")], &[(AggFunc::CountStar, None)])
+            .unwrap();
+        let q = qb.build().unwrap();
+
+        for config in [
+            OptimizerConfig::default(),
+            OptimizerConfig::with_cross_products(),
+        ] {
+            let mut reference = Memo::new();
+            explore_bottom_up(&q, config.allow_cross_products, &mut reference).unwrap();
+            let cost = &config.cost_model;
+            let cards: Vec<f64> = reference
+                .groups()
+                .map(|g| q.set_card(&cat, g.scope(&q)))
+                .collect();
+            let mut generated = 0;
+            for gid in (0..reference.num_groups() as u32).map(GroupId) {
+                let mut out = Vec::new();
+                for op in &reference.group(gid).logical {
+                    match *op {
+                        LogicalOp::Scan { rel } => {
+                            implement_scan(&q, &cat, cost, config.enable_index_scans, rel, &mut out)
+                        }
+                        LogicalOp::Join { left, right } => implement_join(
+                            &q,
+                            cost,
+                            config.enable_merge_joins,
+                            &reference,
+                            &cards,
+                            gid,
+                            left,
+                            right,
+                            &mut out,
+                        ),
+                        LogicalOp::Agg { input } => {
+                            implement_agg(&q, &cat, cost, &reference, &cards, input, &mut out)
+                        }
+                    }
+                }
+                generated += out.len();
+                for expr in out {
+                    reference.add_physical(gid, expr);
+                }
+            }
+            let implemented = reference.num_physical();
+            add_enforcers(&q, &cat, cost, &mut reference);
+            assert!(generated > implemented, "the input must yield repeats");
+
+            let memo = populate(&cat, &q, &config).unwrap();
+            assert_eq!(memo.num_groups(), reference.num_groups());
+            let key =
+                |e: &PhysicalExpr| (e.op.clone(), e.local_cost.to_bits(), e.out_card.to_bits());
+            for (got, want) in memo.groups().zip(reference.groups()) {
+                assert_eq!(got.key, want.key);
+                let ops =
+                    |g: &plansample_memo::Group| g.physical.iter().map(key).collect::<Vec<_>>();
+                assert_eq!(ops(got), ops(want), "group {}", want.id.0);
+            }
+        }
     }
 
     #[test]

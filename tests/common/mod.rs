@@ -1,8 +1,8 @@
 //! Shared helpers for the statistical validation suites: building
 //! synthetic spaces and collecting sampling frequency spectra — plus
 //! the independent oracles the differential suites compare the product
-//! against: the recursive unranker and the per-expression best-plan
-//! recursion.
+//! against: the recursive count, the recursive unranker and the
+//! per-expression best-plan recursion.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
@@ -16,6 +16,62 @@ use plansample_memo::{
 use plansample_optimizer::{optimize, OptimizerConfig};
 use plansample_query::{QueryBuilder, QuerySpec, RelId, RelSet};
 use rand::rngs::StdRng;
+
+// ---------------------------------------------------------------------
+// The reference count
+// ---------------------------------------------------------------------
+//
+// §3.2 transcribed literally — one memoised recursion per expression,
+// one `eligible_children` scan per expression slot, exact `Nat`
+// arithmetic throughout — against nothing but the memo. It shares no
+// code with the scan that interns the link lists or the word-generic
+// fold that counts over them, so "product equals reference" checks the
+// counts, and the tier they chose, independently.
+
+/// `N(v)` of every expression, `[group][index]`, and every alternative
+/// total the count reads: each expression slot's `b` (the sum over its
+/// eligible children) and the root group's `N`.
+pub fn reference_count_rooted(memo: &Memo, query: &QuerySpec) -> (Vec<Vec<Nat>>, Vec<Nat>) {
+    let mut cache: Vec<Vec<Option<Nat>>> = memo
+        .groups()
+        .map(|g| vec![None; g.physical.len()])
+        .collect();
+    let mut totals = Vec::new();
+    for group in memo.groups() {
+        for (id, _) in group.phys_iter() {
+            reference_count_rec(memo, query, id, &mut cache, &mut totals);
+        }
+    }
+    let rooted: Vec<Vec<Nat>> = cache
+        .into_iter()
+        .map(|g| g.into_iter().map(|n| n.expect("all visited")).collect())
+        .collect();
+    totals.push(rooted[memo.root().0 as usize].iter().cloned().sum());
+    (rooted, totals)
+}
+
+fn reference_count_rec(
+    memo: &Memo,
+    query: &QuerySpec,
+    id: PhysId,
+    cache: &mut [Vec<Option<Nat>>],
+    totals: &mut Vec<Nat>,
+) -> Nat {
+    if let Some(n) = &cache[id.group.0 as usize][id.index] {
+        return n.clone();
+    }
+    let mut n = Nat::one(); // |v| = 0 ⇒ N(v) = 1
+    for slot in memo.phys(id).child_slots(id.group) {
+        let b: Nat = eligible_children(memo, query, &slot)
+            .into_iter()
+            .map(|child| reference_count_rec(memo, query, child, cache, totals))
+            .sum();
+        n = &n * &b;
+        totals.push(b);
+    }
+    cache[id.group.0 as usize][id.index] = Some(n.clone());
+    n
+}
 
 // ---------------------------------------------------------------------
 // The reference unranker

@@ -130,9 +130,13 @@ fn flat_per_sec(space: &PlanSpace, k: usize) -> f64 {
 /// checksums in one pass and decodes into exactly-sized vectors (≈ 135
 /// ms, a quarter of it `Memo::from_parts` re-checking 709 620 operators
 /// for duplicates through std's keyed hasher — stored bytes are outside
-/// input). Twelve readings on a 2-core container: 1.33–2.40×, median
-/// 1.69× (EXPERIMENTS §E24); the bar sits a quarter under the lowest,
-/// which is where "load must not lose to the cold path" is.
+/// input). Twelve readings on a 2-core container read 1.33–2.40×,
+/// median 1.69× (EXPERIMENTS §E24). Then the cold side fell again:
+/// implementation appends a group's alternatives without hashing them
+/// and the count folds in `u128` directly (cold ≈ 0.17–0.24 s). Nine
+/// readings since: 1.01–1.75×, median 1.38× (§E33), one of them within
+/// 15 % of the bar. The bar stays at 1.0, which is where "load must not
+/// lose to the cold path" is.
 #[test]
 fn artifact_load_outruns_a_cold_prepare_and_answers_identically() {
     const LOAD_BAR: f64 = 1.0;
@@ -214,7 +218,10 @@ fn clique10_counts_a_multi_limb_total_and_round_trips_its_boundary_ranks() {
 /// inside it. Ten readings on a
 /// 2-core container: 1.39–1.45× (EXPERIMENTS §E26); the bar sits a
 /// quarter over the highest. A prepare that scans the memo a second time
-/// for its links read 1.79–1.88× in ten readings taken alongside.
+/// for its links read 1.79–1.88× in ten readings taken alongside. Since
+/// the count folds in the tier's own word (0.2–0.4 ms where it took
+/// 1.2–1.7), nine readings: 0.97–1.15×, against 1.19–1.29× in five
+/// readings of the parent taken alternately (§E33).
 #[test]
 fn prepare_costs_little_more_than_its_optimize_on_q8cp() {
     const PREPARE_BAR: f64 = 1.81;
