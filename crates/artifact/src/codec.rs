@@ -5,11 +5,11 @@
 //! checked — a truncated or hostile byte stream surfaces as a typed
 //! [`ArtifactError`], never a panic or an out-of-bounds access.
 //!
-//! Bulk `u32`/`u64`/`u128` arrays (the CSR link tables, the counts) are
-//! written as a length prefix, zero padding up to 8-byte alignment,
-//! then the raw little-endian bytes. Because every section starts on
-//! an 8-byte file offset (see [`crate::format`]), in-section alignment
-//! is file alignment. Both sides lean on that: the encoder's one
+//! Bulk `u32` arrays (the CSR link tables) are written as a length
+//! prefix, zero padding up to 8-byte alignment, then the raw
+//! little-endian bytes. Because every section starts on a 32-byte file
+//! offset (see [`crate::format`]), in-section alignment is file
+//! alignment. Both sides lean on that: the encoder's one
 //! [`Writer`] *is* the file image — sections are appended to it in
 //! place, aligned by its own length, each array after one reservation —
 //! and the loader reconstructs each array with one allocation and a
@@ -51,9 +51,9 @@ impl Writer {
         self.buf.resize(self.buf.len() + n, 0);
     }
 
-    /// Zero-pads to the next multiple of 8 bytes.
-    pub fn align8(&mut self) {
-        self.zeros(self.buf.len().next_multiple_of(8) - self.buf.len());
+    /// Zero-pads to the next multiple of `to` bytes.
+    pub fn align(&mut self, to: usize) {
+        self.zeros(self.buf.len().next_multiple_of(to) - self.buf.len());
     }
 
     /// One byte.
@@ -87,30 +87,15 @@ impl Writer {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// Length prefix, padding to 8-byte alignment, then each value's
-    /// `N` little-endian bytes: the bulk-array layout.
-    fn raw_slice<T: Copy, const N: usize>(&mut self, vals: &[T], le: impl Fn(T) -> [u8; N]) {
-        self.u64(vals.len() as u64);
-        self.align8();
-        self.reserve(vals.len() * N);
-        for &v in vals {
-            self.buf.extend_from_slice(&le(v));
-        }
-    }
-
-    /// Length-prefixed, 8-aligned raw `u32` array.
+    /// Length-prefixed, 8-aligned raw `u32` array: the length, padding
+    /// to 8-byte alignment, then each value's little-endian bytes.
     pub fn u32_slice(&mut self, vals: &[u32]) {
-        self.raw_slice(vals, u32::to_le_bytes);
-    }
-
-    /// Length-prefixed, 8-aligned raw `u64` array.
-    pub fn u64_slice(&mut self, vals: &[u64]) {
-        self.raw_slice(vals, u64::to_le_bytes);
-    }
-
-    /// Length-prefixed, 8-aligned raw `u128` array.
-    pub fn u128_slice(&mut self, vals: &[u128]) {
-        self.raw_slice(vals, u128::to_le_bytes);
+        self.u64(vals.len() as u64);
+        self.align(8);
+        self.reserve(4 * vals.len());
+        for &v in vals {
+            self.buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
 }
 
@@ -143,7 +128,7 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    /// Skips the zero padding [`Writer::align8`] wrote.
+    /// Skips the zero padding `Writer::align(8)` wrote.
     pub fn align8(&mut self) -> Result<(), ArtifactError> {
         let pad = (8 - self.pos % 8) % 8;
         self.take(pad).map(|_| ())
@@ -183,36 +168,19 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// One bulk array (see `Writer::raw_slice`), reconstructed with one
-    /// allocation and a chunked copy. The length prefix is checked
-    /// against the remaining bytes *before* allocating, so a corrupt
-    /// length cannot trigger an absurd allocation.
-    fn raw_vec<T, const N: usize>(
-        &mut self,
-        le: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, ArtifactError> {
+    /// Length-prefixed, 8-aligned raw `u32` array (see
+    /// [`Writer::u32_slice`]), reconstructed with one allocation and a
+    /// chunked copy. The length prefix is checked against the remaining
+    /// bytes *before* allocating, so a corrupt length cannot trigger an
+    /// absurd allocation.
+    pub fn u32_vec(&mut self) -> Result<Vec<u32>, ArtifactError> {
         let len = self.u64()? as usize;
         self.align8()?;
-        let bytes = self.take(len.checked_mul(N).ok_or_else(length_overflow)?)?;
+        let bytes = self.take(len.checked_mul(4).ok_or_else(length_overflow)?)?;
         Ok(bytes
-            .chunks_exact(N)
-            .map(|c| le(c.try_into().unwrap()))
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
             .collect())
-    }
-
-    /// Length-prefixed, 8-aligned raw `u32` array.
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, ArtifactError> {
-        self.raw_vec(u32::from_le_bytes)
-    }
-
-    /// Length-prefixed, 8-aligned raw `u64` array.
-    pub fn u64_vec(&mut self) -> Result<Vec<u64>, ArtifactError> {
-        self.raw_vec(u64::from_le_bytes)
-    }
-
-    /// Length-prefixed, 8-aligned raw `u128` array.
-    pub fn u128_vec(&mut self) -> Result<Vec<u128>, ArtifactError> {
-        self.raw_vec(u128::from_le_bytes)
     }
 
     /// Asserts the section was consumed exactly (trailing garbage in a
@@ -247,8 +215,6 @@ mod tests {
         w.f64(-0.0);
         w.str("naïve");
         w.u32_slice(&[1, 2, 3]);
-        w.u64_slice(&[u64::MAX]);
-        w.u128_slice(&[u128::MAX - 1, 7]);
         let bytes = w.into_inner();
 
         let mut r = Reader::new(&bytes);
@@ -259,8 +225,6 @@ mod tests {
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.str().unwrap(), "naïve");
         assert_eq!(r.u32_vec().unwrap(), vec![1, 2, 3]);
-        assert_eq!(r.u64_vec().unwrap(), vec![u64::MAX]);
-        assert_eq!(r.u128_vec().unwrap(), vec![u128::MAX - 1, 7]);
         r.finish().unwrap();
     }
 
@@ -282,13 +246,13 @@ mod tests {
     #[test]
     fn absurd_length_prefix_does_not_allocate() {
         // A length prefix of u64::MAX must fail the bounds check, not
-        // attempt a 2^64-byte allocation.
+        // attempt a 2^66-byte allocation.
         let mut w = Writer::new();
         w.u64(u64::MAX);
-        w.align8();
+        w.align(8);
         let bytes = w.into_inner();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(r.u64_vec(), Err(ArtifactError::Truncated { .. })));
+        assert!(matches!(r.u32_vec(), Err(ArtifactError::Truncated { .. })));
     }
 
     #[test]

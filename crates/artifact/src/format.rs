@@ -5,28 +5,35 @@
 //! 0       8     magic  "PSARTFCT"
 //! 8       4     format version (u32 LE)           — bump on any change
 //! 12      4     flags (u32 LE, reserved, 0)
-//! 16      8     whole-file checksum over bytes[32..]
+//! 16      8     whole-file sum over bytes[32..]
 //! 24      4     section count (u32 LE)
 //! 28      4     reserved (0)
 //! 32      32×n  section table: kind u32, reserved u32,
-//!               offset u64, len u64, checksum u64
-//! ...           section payloads, each starting 8-aligned
+//!               offset u64, len u64, sum u64
+//! ...           section payloads, each starting 32-aligned
 //! ```
 //!
-//! Sections are self-describing slices; every payload starts on an
-//! 8-byte *file* offset, so in-section alignment (see `crate::codec`)
-//! is file alignment and the flat `u32`/`u64`/limb tables reload with
-//! one allocation and a straight chunked copy each.
+//! Format v3 writes six sections: meta, query, config, memo, links and
+//! best. It stores no counts: a load recomputes them from the links
+//! (§3.2's fold, `Counts::compute_stored`), so loaded counts are right
+//! by construction rather than vouched for by a sum.
+//!
+//! Every sum is a [`lane_sum`]: four chains over interleaved words.
+//! Every payload starts on a 32-byte *file* offset — one block of the
+//! four lanes — so in-section alignment (see `crate::codec`) is file
+//! alignment, the flat `u32` tables reload with one allocation and a
+//! straight chunked copy each, and lane `j` of a section's sum reads
+//! the same words as lane `j` of the whole-file sum.
 //!
 //! [`encode`] builds the file as one image: room for the header and the
 //! table, then each section encoded in place at the next aligned
 //! offset, then the table and the two kinds of sum patched in. The
 //! sums are two passes over the payload — the whole-file sum covers the
-//! table, and the table holds the section sums — which is what format
-//! v2 costs a writer. A reader is *given* both, so [`decode`] and
-//! [`inspect`] verify them in one pass (`sums`): a section laid out as
-//! the writer lays them out shares its words with the whole-file chain,
-//! and any other table entry is summed on its own.
+//! table, and the table holds the section sums. A reader is *given*
+//! both, so [`decode`] and [`inspect`] verify them in one pass (`sums`):
+//! a section laid out as the writer lays them out shares its blocks
+//! with the whole-file lanes, and any other table entry is summed on
+//! its own.
 //!
 //! Decode validation order is part of the contract (the fault-injection
 //! suite pins it): length → magic → version → section-table bounds →
@@ -38,22 +45,23 @@
 //! checksum — names the error); a bit flip anywhere after the header is
 //! [`ChecksumMismatch`].
 //!
-//! Compatibility policy: readers accept exactly [`FORMAT_VERSION`].
+//! Compatibility policy: readers accept exactly [`FORMAT_VERSION`]
+//! (v2 stored the counts and summed on one chain; a v2 file is a
+//! [`VersionMismatch`], which the store quarantines and re-prepares).
 //! Unknown section kinds are *tolerated* (skipped), so a future minor
 //! revision may append sections without a version bump; any change to
 //! an existing section's layout bumps the version, and old artifacts
 //! are re-prepared rather than migrated — they are caches, not data.
 //!
 //! [`Truncated`]: ArtifactError::Truncated
+//! [`VersionMismatch`]: ArtifactError::VersionMismatch
 //! [`ChecksumMismatch`]: ArtifactError::ChecksumMismatch
 
 use crate::codec::{Reader, Writer};
-use crate::{checksum, sum, ArtifactError};
-use plansample_bignum::Nat;
+use crate::sum::{self, Lanes, BLOCK};
+use crate::{lane_sum, ArtifactError};
 use plansample_catalog::{Datum, TableId};
-use plansample_core::{
-    cache_key, Counts, CountsParts, Links, LinksParts, PlanSpace, PreparedQuery,
-};
+use plansample_core::{cache_key, Counts, Links, LinksParts, PlanSpace, PreparedQuery};
 use plansample_memo::{
     GroupId, GroupKey, LogicalOp, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode, SortOrder,
 };
@@ -70,7 +78,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"PSARTFCT";
 
 /// The one format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Fixed header size (magic through reserved).
 const HEADER_LEN: usize = 32;
@@ -79,20 +87,20 @@ const HEADER_LEN: usize = 32;
 const ENTRY_LEN: usize = 32;
 
 /// Sections [`encode`] writes: one of each kind below.
-const WRITTEN_SECTIONS: usize = 7;
+const WRITTEN_SECTIONS: usize = 6;
 
 /// Sanity cap on the declared section count: far above anything the
 /// writer produces, low enough that a hostile count cannot drive a
 /// large allocation.
 const MAX_SECTIONS: u32 = 256;
 
-/// Section kinds, by table order. Values are stable wire constants.
+/// Section kinds, by table order. Values are stable wire constants; 6
+/// was v2's counts section and is not reused.
 const SEC_META: u32 = 1;
 const SEC_QUERY: u32 = 2;
 const SEC_CONFIG: u32 = 3;
 const SEC_MEMO: u32 = 4;
 const SEC_LINKS: u32 = 5;
-const SEC_COUNTS: u32 = 6;
 const SEC_BEST: u32 = 7;
 
 fn section_name(kind: u32) -> &'static str {
@@ -102,7 +110,6 @@ fn section_name(kind: u32) -> &'static str {
         SEC_CONFIG => "config",
         SEC_MEMO => "memo",
         SEC_LINKS => "links",
-        SEC_COUNTS => "counts",
         SEC_BEST => "best",
         _ => "unknown",
     }
@@ -127,17 +134,16 @@ fn truncated(detail: impl Into<String>) -> ArtifactError {
 /// Serializes a prepared query into a self-contained artifact image.
 ///
 /// One buffer, written once: it is reserved at (an estimate of) the
-/// final size, every section is encoded into it at the next 8-aligned
+/// final size, every section is encoded into it at the next 32-aligned
 /// offset, and the header, the table and the sums are patched into the
 /// room left for them at the front.
 pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
     let memo = prepared.memo();
     let links = prepared.space().links().to_parts();
-    let counts = prepared.space().counts().to_parts();
 
     let table_end = HEADER_LEN + WRITTEN_SECTIONS * ENTRY_LEN;
     let mut w = Writer::new();
-    // Exact for the two bulk sections; for the memo, its widest common
+    // Exact for the links; for the memo, its widest common
     // operator (a merge join, 41 bytes) a physical expression. A low
     // guess costs one regrowth, a high one untouched address space.
     w.reserve(
@@ -146,8 +152,7 @@ pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
             + 48 * memo.num_physical()
             + 9 * memo.num_logical()
             + 17 * memo.num_groups()
-            + links_bytes(&links)
-            + counts_bytes(&counts),
+            + links_bytes(&links),
     );
     w.zeros(table_end);
     let entries: [_; WRITTEN_SECTIONS] = [
@@ -156,7 +161,6 @@ pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
         section(&mut w, SEC_CONFIG, |w| encode_config(w, prepared.config())),
         section(&mut w, SEC_MEMO, |w| encode_memo(w, memo)),
         section(&mut w, SEC_LINKS, |w| encode_links(w, &links)),
-        section(&mut w, SEC_COUNTS, |w| encode_counts(w, &counts)),
         section(&mut w, SEC_BEST, |w| encode_best(w, prepared)),
     ];
 
@@ -166,7 +170,7 @@ pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
     // flags [12..16) and reserved [28..32) stay zero.
     out[24..28].copy_from_slice(&(entries.len() as u32).to_le_bytes());
     for (i, (kind, offset, len)) in entries.into_iter().enumerate() {
-        let sum = checksum(&out[offset..offset + len]);
+        let sum = lane_sum(&out[offset..offset + len]);
         let e = HEADER_LEN + i * ENTRY_LEN;
         out[e..e + 4].copy_from_slice(&kind.to_le_bytes());
         out[e + 8..e + 16].copy_from_slice(&(offset as u64).to_le_bytes());
@@ -175,15 +179,15 @@ pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
     }
     // A second pass by necessity: the file sum covers the table, which
     // holds the section sums.
-    let file_sum = checksum(&out[HEADER_LEN..]);
+    let file_sum = lane_sum(&out[HEADER_LEN..]);
     out[16..24].copy_from_slice(&file_sum.to_le_bytes());
     out
 }
 
-/// Appends one section at the next 8-aligned offset and returns its
+/// Appends one section at the next 32-aligned offset and returns its
 /// table row: kind, offset, length.
 fn section(w: &mut Writer, kind: u32, body: impl FnOnce(&mut Writer)) -> (u32, usize, usize) {
-    w.align8();
+    w.align(BLOCK);
     let offset = w.len();
     body(w);
     (kind, offset, w.len() - offset)
@@ -305,45 +309,51 @@ fn parse_sections(bytes: &[u8]) -> Result<(u32, Vec<SectionRef<'_>>), ArtifactEr
     Ok((flags, sections))
 }
 
-/// `checksum(&bytes[HEADER_LEN..])` and every `checksum(section.bytes)`,
+/// `lane_sum(&bytes[HEADER_LEN..])` and every `lane_sum(section.bytes)`,
 /// in one pass over the file.
 ///
-/// The file chain walks the words after the header in order. A section
-/// that starts on an 8-byte offset at or after the point the walk has
-/// reached — every section of a layout [`encode`] produces — is made of
-/// those same words, so each is read once and stepped into both chains
-/// (which do not depend on each other and overlap in the pipeline);
-/// only a short last word differs: zero-padded for the section, padded
-/// by whatever follows it in the file for the file. A table entry of any
-/// other shape (unaligned, overlapping, out of order) is summed on its
-/// own, and the walk passes over its bytes as over any gap.
+/// The file's lanes walk the blocks after the header in order. A
+/// section that starts on a 32-byte offset at or after the point the
+/// walk has reached — every section of a layout [`encode`] produces —
+/// is made of those same blocks, word `j` of each in lane `j` of both
+/// sums, so each block is read once and stepped into eight chains that
+/// do not depend on each other. Only a short last block differs:
+/// zero-padded for the section, filled by whatever follows it in the
+/// file for the file. A table entry of any other shape (unaligned,
+/// overlapping, out of order) is summed on its own, and the walk passes
+/// over its bytes as over any gap.
 fn sums(bytes: &[u8], sections: &[SectionRef<'_>]) -> (u64, Vec<u64>) {
-    let mut file = sum::start(bytes.len() - HEADER_LEN);
-    // Where the file chain stands: 8-aligned until it has eaten the
-    // file's own short tail.
+    let mut file = Lanes::start(bytes.len() - HEADER_LEN);
+    // Where the file's walk stands: on a block boundary until it has
+    // eaten the file's own short tail.
     let mut at = HEADER_LEN;
     let mut computed = Vec::with_capacity(sections.len());
     for s in sections {
         let offset = s.offset as usize;
-        if offset % 8 != 0 || offset < at {
-            computed.push(checksum(s.bytes));
+        if offset % BLOCK != 0 || offset < at {
+            computed.push(lane_sum(s.bytes));
             continue;
         }
-        file = sum::feed(file, &bytes[at..offset]);
-        let mut section = sum::start(s.bytes.len());
-        let mut words = s.bytes.chunks_exact(8);
-        for w in &mut words {
-            let w = u64::from_le_bytes(w.try_into().expect("chunks of 8"));
-            file = sum::step(file, w);
-            section = sum::step(section, w);
+        file.feed(&bytes[at..offset]);
+        let mut section = Lanes::start(s.bytes.len());
+        let mut blocks = s.bytes.chunks_exact(BLOCK);
+        for b in &mut blocks {
+            let b = b.try_into().expect("chunks of a block");
+            file.block(b);
+            section.block(b);
         }
-        let rem = words.remainder();
-        let end = offset + s.bytes.len();
-        at = bytes.len().min(end.next_multiple_of(8));
-        file = sum::tail(file, &bytes[end - rem.len()..at]);
-        computed.push(sum::tail(section, rem));
+        let rem = blocks.remainder();
+        at = offset + s.bytes.len() - rem.len();
+        if !rem.is_empty() {
+            section.block(&sum::padded(rem));
+            let end = bytes.len().min(at + BLOCK);
+            file.block(&sum::padded(&bytes[at..end]));
+            at = end;
+        }
+        computed.push(section.finish());
     }
-    (sum::feed(file, &bytes[at..]), computed)
+    file.feed(&bytes[at..]);
+    (file.finish(), computed)
 }
 
 fn required<'a, 'b>(
@@ -366,7 +376,9 @@ fn required<'a, 'b>(
 /// Decodes an artifact image back into a [`PreparedQuery`], validating
 /// integrity (checksums), structure (every table invariant), and
 /// identity (the stored fingerprint must equal the fingerprint
-/// recomputed from the decoded content).
+/// recomputed from the decoded content). The counts are not stored:
+/// §3.2's fold recomputes them over the loaded links, on the narrowest
+/// tier that holds them.
 pub fn decode(bytes: &[u8]) -> Result<PreparedQuery, ArtifactError> {
     decode_with_fingerprint(bytes).map(|(prepared, _)| prepared)
 }
@@ -384,8 +396,7 @@ pub(crate) fn decode_with_fingerprint(
     let memo = Arc::new(decode_memo(required(&sections, SEC_MEMO)?.bytes)?);
     let link_parts = decode_links(required(&sections, SEC_LINKS)?.bytes)?;
     let links = Links::from_parts(&memo, link_parts)?;
-    let count_parts = decode_counts(required(&sections, SEC_COUNTS)?.bytes)?;
-    let counts = Counts::from_parts(&links, count_parts)?;
+    let counts = Counts::compute_stored(&links)?;
     let space = PlanSpace::from_parts(memo, query, links, counts)?;
     let (best_plan, best_cost) = decode_best(required(&sections, SEC_BEST)?.bytes)?;
     let prepared = PreparedQuery::from_parts(space, best_plan, best_cost, config)?;
@@ -696,7 +707,7 @@ fn decode_query(bytes: &[u8]) -> Result<QuerySpec, ArtifactError> {
 fn encode_config(w: &mut Writer, c: &OptimizerConfig) {
     w.u8(c.allow_cross_products as u8);
     // The explorer byte: 0 is bottom-up subset enumeration, the only
-    // explorer `optimize` runs. Format v2 keeps the byte.
+    // explorer `optimize` runs. The format keeps the byte.
     w.u8(0);
     w.u8(c.enable_merge_joins as u8);
     w.u8(c.enable_index_scans as u8);
@@ -998,103 +1009,6 @@ fn decode_links(bytes: &[u8]) -> Result<LinksParts, ArtifactError> {
 }
 
 // ---------------------------------------------------------------------
-// COUNTS (the tier store, as stored)
-// ---------------------------------------------------------------------
-//
-// One tag byte naming the tier, then the per-expression counts and the
-// list totals in that tier's width: raw `u64` / `u128` arrays on the
-// fixed-width tiers, limb pools only on the `Nat` tier. The pool-aligned
-// copy is not stored — it is a gather of the first table through the
-// links, which the loader redoes in one pass.
-
-const TIER_U64: u8 = 0;
-const TIER_U128: u8 = 1;
-const TIER_NAT: u8 = 2;
-
-/// A `&[Nat]` as one limb pool plus an offset table — the bulk layout
-/// (per-value length prefixes would kill the chunked copy).
-fn write_nats(w: &mut Writer, nats: &[Nat]) {
-    let mut offsets = Vec::with_capacity(nats.len() + 1);
-    let mut pool: Vec<u64> = Vec::new();
-    offsets.push(0);
-    for n in nats {
-        pool.extend_from_slice(n.limbs());
-        offsets.push(pool.len() as u32);
-    }
-    w.u32_slice(&offsets);
-    w.u64_slice(&pool);
-}
-
-fn read_nats(r: &mut Reader<'_>) -> Result<Vec<Nat>, ArtifactError> {
-    let offsets = r.u32_vec()?;
-    let pool = r.u64_vec()?;
-    if offsets.first() != Some(&0) {
-        return Err(malformed("count offsets must start at 0"));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(malformed("count offsets must be monotonic"));
-    }
-    if *offsets.last().unwrap() as usize != pool.len() {
-        return Err(malformed("count offsets must end at the limb pool"));
-    }
-    Ok(offsets
-        .windows(2)
-        .map(|w| {
-            let limbs = &pool[w[0] as usize..w[1] as usize];
-            // `from_limbs` re-normalizes, so a pool slice with trailing
-            // zero limbs still yields the canonical representation.
-            match limbs {
-                [] => Nat::zero(),
-                [one] => Nat::from(*one),
-                many => Nat::from_limbs(many.to_vec()),
-            }
-        })
-        .collect())
-}
-
-/// About the bytes [`encode_counts`] writes for `parts`.
-fn counts_bytes(parts: &CountsParts) -> usize {
-    let nat_bytes = |n: &Nat| 4 + 8 * n.limbs().len();
-    64 + match parts {
-        CountsParts::U64(a, b) => 8 * (a.len() + b.len()),
-        CountsParts::U128(a, b) => 16 * (a.len() + b.len()),
-        CountsParts::Nat(a, b) => a.iter().chain(b).map(nat_bytes).sum(),
-    }
-}
-
-fn encode_counts(w: &mut Writer, parts: &CountsParts) {
-    match parts {
-        CountsParts::U64(per_expr, list_totals) => {
-            w.u8(TIER_U64);
-            w.u64_slice(per_expr);
-            w.u64_slice(list_totals);
-        }
-        CountsParts::U128(per_expr, list_totals) => {
-            w.u8(TIER_U128);
-            w.u128_slice(per_expr);
-            w.u128_slice(list_totals);
-        }
-        CountsParts::Nat(per_expr, list_totals) => {
-            w.u8(TIER_NAT);
-            write_nats(w, per_expr);
-            write_nats(w, list_totals);
-        }
-    }
-}
-
-fn decode_counts(bytes: &[u8]) -> Result<CountsParts, ArtifactError> {
-    let mut r = Reader::new(bytes);
-    let parts = match r.u8()? {
-        TIER_U64 => CountsParts::U64(r.u64_vec()?, r.u64_vec()?),
-        TIER_U128 => CountsParts::U128(r.u128_vec()?, r.u128_vec()?),
-        TIER_NAT => CountsParts::Nat(read_nats(&mut r)?, read_nats(&mut r)?),
-        other => return Err(malformed(format!("unknown count tier tag {other}"))),
-    };
-    r.finish()?;
-    Ok(parts)
-}
-
-// ---------------------------------------------------------------------
 // BEST (the optimizer's chosen plan)
 // ---------------------------------------------------------------------
 
@@ -1175,7 +1089,7 @@ mod tests {
     use plansample_optimizer::OptimizerConfig;
     use proptest::prelude::*;
 
-    /// `sums` against its definition: the two checksums computed apart.
+    /// `sums` against its definition: the two kinds of sum computed apart.
     fn assert_sums_match_their_definition(bytes: &[u8], spans: &[(usize, usize)]) {
         let sections: Vec<SectionRef<'_>> = spans
             .iter()
@@ -1187,25 +1101,46 @@ mod tests {
             })
             .collect();
         let (file, computed) = sums(bytes, &sections);
-        assert_eq!(file, checksum(&bytes[HEADER_LEN..]), "file sum, {spans:?}");
-        let apart: Vec<u64> = sections.iter().map(|s| checksum(s.bytes)).collect();
+        assert_eq!(file, lane_sum(&bytes[HEADER_LEN..]), "file sum, {spans:?}");
+        let apart: Vec<u64> = sections.iter().map(|s| lane_sum(s.bytes)).collect();
         assert_eq!(computed, apart, "section sums, {spans:?}");
     }
 
+    /// Written images of three queries, each as written, and each with
+    /// two foreign entries spliced into its table: one unaligned entry
+    /// before the links, and one after them overlapping the memo. The
+    /// images between them end sections on a short word, on a whole
+    /// word inside a block, and the file short of a block.
     #[test]
-    fn one_pass_sums_of_a_written_image_match_their_definition() {
-        let bytes = encode(&prepared(false));
-        let info = inspect(&bytes).expect("inspects");
-        let spans: Vec<(usize, usize)> = info
-            .sections
-            .iter()
-            .map(|s| (s.offset as usize, s.len as usize))
-            .collect();
-        assert!(
-            spans.iter().any(|(_, len)| len % 8 != 0),
-            "some section ends in a short word"
-        );
-        assert_sums_match_their_definition(&bytes, &spans);
+    fn one_pass_sums_of_written_images_match_their_definition() {
+        let (catalog, _) = plansample_catalog::tpch::catalog();
+        let q10 = plansample_query::tpch::q10(&catalog);
+        let q10 = PreparedQuery::prepare(&catalog, &q10, &OptimizerConfig::default())
+            .expect("q10 optimizes");
+        let (mut short_word, mut whole_words, mut short_file) = (false, false, false);
+        for prepared in [prepared(false), prepared(true), q10] {
+            let bytes = encode(&prepared);
+            let info = inspect(&bytes).expect("inspects");
+            let spans: Vec<(usize, usize)> = info
+                .sections
+                .iter()
+                .map(|s| (s.offset as usize, s.len as usize))
+                .collect();
+            assert!(spans.iter().all(|&(offset, _)| offset % BLOCK == 0));
+            short_word |= spans.iter().any(|(_, len)| len % 8 != 0);
+            whole_words |= spans
+                .iter()
+                .any(|(_, len)| len % 8 == 0 && len % BLOCK != 0);
+            short_file |= bytes.len() % BLOCK != 0;
+            assert_sums_match_their_definition(&bytes, &spans);
+
+            let (memo, links) = (spans[3], spans[4]);
+            let mut foreign = spans.clone();
+            foreign.insert(4, (memo.0 + 3, 100));
+            foreign.insert(6, (memo.0 + BLOCK, links.1));
+            assert_sums_match_their_definition(&bytes, &foreign);
+        }
+        assert!(short_word && whole_words && short_file);
     }
 
     proptest! {
@@ -1213,9 +1148,9 @@ mod tests {
 
         /// Random section tables over random bytes — in file order and
         /// aligned like the writer's, or unaligned, overlapping, out of
-        /// order, zero-length, ending at EOF on a 1–7-byte tail: whether
-        /// an entry is walked with the file chain or summed on its own,
-        /// every sum is the one `checksum` gives.
+        /// order, zero-length, ending at EOF on a 1–31-byte tail: whether
+        /// an entry is walked with the file's lanes or summed on its own,
+        /// every sum is the one `lane_sum` gives.
         #[test]
         fn one_pass_sums_match_their_definition_on_any_table(
             bytes in proptest::collection::vec(any::<u8>(), HEADER_LEN..400),
@@ -1229,7 +1164,7 @@ mod tests {
                 let offset = match shape {
                     // As the writer lays sections out: the next aligned
                     // offset, sometimes after a gap.
-                    0 | 1 => prev_end.next_multiple_of(8) + 8 * (a % 3),
+                    0 | 1 => prev_end.next_multiple_of(BLOCK) + BLOCK * (a % 3),
                     // Anywhere at all.
                     _ => a % (total + 1),
                 }
@@ -1279,7 +1214,7 @@ mod tests {
     }
 
     /// The config section's second byte once named the explorer; the
-    /// optimizer has one now. The byte stays (format v2 does not move):
+    /// optimizer has one now. The byte stays (the format keeps it):
     /// it is written as 0, and anything else is a typed refusal.
     #[test]
     fn config_keeps_the_explorer_byte_and_refuses_any_but_zero() {
@@ -1314,12 +1249,16 @@ mod tests {
             FORMAT_VERSION
         );
         let count = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-        assert_eq!(count, 7, "seven sections");
-        // Every section offset is 8-aligned.
+        assert_eq!(count, 6, "six sections");
+        // Every section offset is 32-aligned: one block of the sums.
         for i in 0..count as usize {
             let e = HEADER_LEN + i * ENTRY_LEN;
             let offset = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap());
-            assert_eq!(offset % 8, 0, "section {i} misaligned at {offset}");
+            assert_eq!(
+                offset % BLOCK as u64,
+                0,
+                "section {i} misaligned at {offset}"
+            );
         }
     }
 
@@ -1330,10 +1269,7 @@ mod tests {
         assert_eq!(info.version, FORMAT_VERSION);
         assert_eq!(info.total_bytes, bytes.len() as u64);
         let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
-        assert_eq!(
-            names,
-            ["meta", "query", "config", "memo", "links", "counts", "best"]
-        );
+        assert_eq!(names, ["meta", "query", "config", "memo", "links", "best"]);
         let sum: u64 = info.sections.iter().map(|s| s.len).sum();
         assert!(sum <= info.total_bytes);
         assert!(!info.fingerprint.is_empty());
@@ -1342,7 +1278,7 @@ mod tests {
     #[test]
     fn unknown_trailing_section_is_tolerated() {
         // Forward compatibility: a reader may skip section kinds it does
-        // not know. Append a fake section and fix up the checksums.
+        // not know. Append a fake section and fix up the sums.
         let mut bytes = encode(&prepared(false));
         let count = u32::from_le_bytes(bytes[24..28].try_into().unwrap()) as usize;
         // Move payloads is complex; instead append the new section's
@@ -1355,7 +1291,7 @@ mod tests {
         entry.extend_from_slice(&0u32.to_le_bytes());
         entry.extend_from_slice(&((bytes.len() + ENTRY_LEN) as u64).to_le_bytes());
         entry.extend_from_slice(&0u64.to_le_bytes());
-        entry.extend_from_slice(&checksum(&[]).to_le_bytes());
+        entry.extend_from_slice(&lane_sum(&[]).to_le_bytes());
         let mut rebuilt = Vec::new();
         rebuilt.extend_from_slice(&bytes[..table_end]);
         rebuilt.extend_from_slice(&entry);
@@ -1367,7 +1303,7 @@ mod tests {
             let off = u64::from_le_bytes(rebuilt[e + 8..e + 16].try_into().unwrap());
             rebuilt[e + 8..e + 16].copy_from_slice(&(off + ENTRY_LEN as u64).to_le_bytes());
         }
-        let file_sum = checksum(&rebuilt[HEADER_LEN..]);
+        let file_sum = lane_sum(&rebuilt[HEADER_LEN..]);
         rebuilt[16..24].copy_from_slice(&file_sum.to_le_bytes());
         bytes = rebuilt;
         let loaded = decode(&bytes).expect("unknown section tolerated");

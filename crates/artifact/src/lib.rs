@@ -12,9 +12,11 @@
 //! * [`encode`] / [`decode`] turn a [`PreparedQuery`] into a
 //!   self-contained byte image and back. The format (see [`mod@format`] and
 //!   docs/DESIGN.md §10) is sectioned — query, optimizer config, memo
-//!   tables, CSR link arrays, count limbs, best plan — with per-section
-//!   and whole-file checksums and 8-byte alignment so the flat
-//!   `u32`/`u64` tables PR 4 already produced reload as bulk copies.
+//!   tables, CSR link arrays, best plan — with per-section and
+//!   whole-file sums ([`lane_sum`]) and 32-byte alignment, so the flat
+//!   `u32` link tables reload as bulk copies and both kinds of sum are
+//!   verified in one pass. The counts are not stored: [`decode`] folds
+//!   them again over the loaded links, at about what reading them cost.
 //! * [`save`] / [`load`] are the file-level pair; `save` publishes
 //!   atomically (write to a temp file in the same directory, then
 //!   rename) so readers never observe a half-written artifact.
@@ -26,12 +28,13 @@
 //!
 //! Decoding is *hostile-input safe*: every read is bounds-checked and
 //! every structural invariant re-validated (`Memo::from_parts`,
-//! `Links::from_parts`, …), so a truncated, bit-flipped, or adversarial
-//! file surfaces as a typed [`ArtifactError`] — never UB, never a
-//! panic. The correctness contract is round-trip *bit identity*: a
-//! loaded artifact answers `total`/`unrank`/`sample_batch`/`best`
-//! byte-identically to the one that was saved (asserted by the
-//! workspace round-trip suites and the serving smoke test).
+//! `Links::from_parts`, `Counts::compute_stored`, …), so a truncated,
+//! bit-flipped, or adversarial file surfaces as a typed
+//! [`ArtifactError`] — never UB, never a panic. The correctness
+//! contract is round-trip *bit identity*: a loaded artifact answers
+//! `total`/`unrank`/`sample_batch`/`best` byte-identically to the one
+//! that was saved (asserted by the workspace round-trip suites and the
+//! serving smoke test).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -131,19 +134,37 @@ impl From<SpaceError> for ArtifactError {
 }
 
 /// Fast non-cryptographic 64-bit checksum (word-at-a-time
-/// multiply-rotate, FxHash-style). Detects the corruption classes that
-/// matter for storage — truncation, bit flips, swapped blocks — at
-/// memory-bandwidth speed; it makes no adversarial-collision claims
+/// multiply-rotate, FxHash-style): one chain of `sum::step`. Detects
+/// the corruption classes that matter for storage — truncation, bit
+/// flips, swapped blocks — and makes no adversarial-collision claims
 /// (an attacker who can rewrite the artifact can rewrite its checksums
 /// too, which is why the *decoder* revalidates every structural
-/// invariant).
+/// invariant). A stable digest: the store names files by it and tests
+/// pin its values. The artifact format's own sums are [`lane_sum`].
 pub fn checksum(bytes: &[u8]) -> u64 {
     sum::feed(sum::start(bytes.len()), bytes)
 }
 
-/// The steps [`checksum`] is made of, shared with the decoder's
-/// one-pass verification (`format::parse_sections`), which runs the
-/// whole-file chain and a section's chain over the same words.
+/// The integrity sum the artifact format stores, for the whole file and
+/// for each section: [`checksum`]'s step on four independent chains.
+///
+/// The input is zero-padded to a multiple of 32 bytes and read as
+/// blocks of four little-endian words; word `j` of every block is
+/// stepped into chain `j`. Each chain starts from the input's length and
+/// its own index, and the four are folded into one value at the end. A
+/// single chain waits out the multiply's latency on every word; four
+/// keep the multiplier busy (≈ 3.8× faster over a 1.3 MB image, DESIGN
+/// §10), and the error classes [`checksum`] catches are caught the same
+/// way, lane by lane.
+pub fn lane_sum(bytes: &[u8]) -> u64 {
+    let mut lanes = sum::Lanes::start(bytes.len());
+    lanes.feed(bytes);
+    lanes.finish()
+}
+
+/// The steps [`checksum`] and [`lane_sum`] are made of. The decoder's
+/// one-pass verification (`format::parse_sections`) runs a section's
+/// lanes beside the whole file's over the same blocks.
 pub(crate) mod sum {
     /// A chain's state before its first word, for `len` bytes of input.
     pub fn start(len: usize) -> u64 {
@@ -179,6 +200,57 @@ pub(crate) mod sum {
         }
         tail(h, words.remainder())
     }
+
+    /// Bytes in one block: a word for each lane.
+    pub const BLOCK: usize = 32;
+
+    /// The four chains of a [`lane_sum`](crate::lane_sum).
+    pub struct Lanes([u64; 4]);
+
+    impl Lanes {
+        /// Four chains before their first block, for `len` bytes of
+        /// input: each starts from the length and its own index, so
+        /// words moved from one lane to another change the sum.
+        pub fn start(len: usize) -> Lanes {
+            let h = start(len);
+            Lanes([step(h, 0), step(h, 1), step(h, 2), step(h, 3)])
+        }
+
+        /// One block: word `j` into lane `j`.
+        #[inline]
+        pub fn block(&mut self, block: &[u8; BLOCK]) {
+            for (j, lane) in self.0.iter_mut().enumerate() {
+                let word = block[8 * j..8 * j + 8].try_into().expect("8 bytes");
+                *lane = step(*lane, u64::from_le_bytes(word));
+            }
+        }
+
+        /// `bytes` as blocks, the last one zero-padded: only an input's
+        /// last piece may be a length that is not a multiple of
+        /// [`BLOCK`].
+        pub fn feed(&mut self, bytes: &[u8]) {
+            let mut blocks = bytes.chunks_exact(BLOCK);
+            for b in &mut blocks {
+                self.block(b.try_into().expect("chunks of a block"));
+            }
+            let rem = blocks.remainder();
+            if !rem.is_empty() {
+                self.block(&padded(rem));
+            }
+        }
+
+        /// The four lanes, folded in lane order into one sum.
+        pub fn finish(self) -> u64 {
+            self.0.into_iter().fold(start(0), step)
+        }
+    }
+
+    /// The first bytes of a block, zero-padded to a whole one.
+    pub fn padded(bytes: &[u8]) -> [u8; BLOCK] {
+        let mut block = [0u8; BLOCK];
+        block[..bytes.len()].copy_from_slice(bytes);
+        block
+    }
 }
 
 #[cfg(test)]
@@ -197,5 +269,76 @@ mod tests {
         }
         assert_ne!(checksum(&base[..99]), reference, "truncation undetected");
         assert_ne!(checksum(&[]), checksum(&[0]), "length participates");
+    }
+
+    #[test]
+    fn lane_sum_sees_every_bit() {
+        for len in [100, 1000] {
+            let base: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let reference = lane_sum(&base);
+            assert_eq!(lane_sum(&base), reference, "deterministic");
+            for i in 0..len {
+                for bit in 0..8 {
+                    let mut flipped = base.clone();
+                    flipped[i] ^= 1 << bit;
+                    assert_ne!(lane_sum(&flipped), reference, "{len} B: flip {i}.{bit}");
+                }
+            }
+        }
+    }
+
+    /// The zero padding of the last block is not the input's: inputs
+    /// that pad to the same blocks differ in length, and the length
+    /// starts every lane.
+    #[test]
+    fn lane_sum_length_participates() {
+        let sums: Vec<u64> = (0..=64).map(|n| lane_sum(&vec![0u8; n])).collect();
+        for (a, x) in sums.iter().enumerate() {
+            for (b, y) in sums.iter().enumerate().skip(a + 1) {
+                assert_ne!(x, y, "{a} and {b} zero bytes");
+            }
+        }
+        let base: Vec<u8> = (0..100u8).collect();
+        assert_ne!(lane_sum(&base[..99]), lane_sum(&base), "truncation");
+    }
+
+    /// Words swapped within one lane (words 1 and 5 are both lane 1's)
+    /// and across lanes (words 1 and 2, or 3 and 4 across a block
+    /// boundary) change the sum.
+    #[test]
+    fn lane_sum_sees_swapped_words() {
+        let base: Vec<u8> = (0..=255u8).collect();
+        let reference = lane_sum(&base);
+        let swapped = |a: usize, b: usize| {
+            let mut bytes = base.clone();
+            for k in 0..8 {
+                bytes.swap(8 * a + k, 8 * b + k);
+            }
+            lane_sum(&bytes)
+        };
+        for (a, b) in [(1, 5), (0, 28), (1, 2), (3, 4), (0, 31)] {
+            assert_ne!(swapped(a, b), reference, "words {a} and {b}");
+        }
+        // Whole lanes trading places: every word of lane 0 with the
+        // word beside it in lane 1.
+        let mut lanes_traded = base.clone();
+        for block in lanes_traded.chunks_exact_mut(32) {
+            let (lane0, rest) = block.split_at_mut(8);
+            lane0.swap_with_slice(&mut rest[..8]);
+        }
+        assert_ne!(lane_sum(&lanes_traded), reference, "lanes 0 and 1 traded");
+    }
+
+    /// `Lanes` fed piecewise on block boundaries is `lane_sum` of the
+    /// whole, and the fold is not `checksum`.
+    #[test]
+    fn lanes_fed_in_blocks_are_the_whole() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
+        let mut lanes = sum::Lanes::start(bytes.len());
+        for piece in bytes.chunks(sum::BLOCK * 3) {
+            lanes.feed(piece);
+        }
+        assert_eq!(lanes.finish(), lane_sum(&bytes));
+        assert_ne!(lane_sum(&bytes), checksum(&bytes));
     }
 }

@@ -8,7 +8,7 @@
 //! per-section checksums → structural decode) still decides, one case
 //! per adjacent pair of stages.
 
-use plansample_artifact::{checksum, decode, encode, inspect, ArtifactError, FORMAT_VERSION};
+use plansample_artifact::{decode, encode, inspect, lane_sum, ArtifactError, FORMAT_VERSION};
 use plansample_core::PreparedQuery;
 use plansample_optimizer::OptimizerConfig;
 
@@ -25,7 +25,7 @@ fn image() -> Vec<u8> {
 
 /// Makes the stored whole-file sum right for the bytes as they are.
 fn reseal(bytes: &mut [u8]) {
-    let sum = checksum(&bytes[HEADER_LEN..]);
+    let sum = lane_sum(&bytes[HEADER_LEN..]);
     bytes[16..24].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -115,9 +115,9 @@ fn a_wrong_file_sum_over_a_wrong_section_sum_names_the_file() {
 fn two_wrong_section_sums_name_the_first_in_table_order() {
     let mut bytes = image();
     let (config, _, _) = section(&bytes, "config");
-    let (counts, _, _) = section(&bytes, "counts");
-    assert!(config < counts);
-    flip_stored_section_sum(&mut bytes, counts);
+    let (links, _, _) = section(&bytes, "links");
+    assert!(config < links);
+    flip_stored_section_sum(&mut bytes, links);
     flip_stored_section_sum(&mut bytes, config);
     reseal(&mut bytes);
     assert!(matches!(

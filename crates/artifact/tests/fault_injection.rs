@@ -36,7 +36,7 @@ fn image() -> Vec<u8> {
 /// patch, so the fault under test — not the checksum it incidentally
 /// broke — is what the decoder sees.
 fn reseal(bytes: &mut [u8]) {
-    let sum = plansample_artifact::checksum(&bytes[HEADER_LEN..]);
+    let sum = plansample_artifact::lane_sum(&bytes[HEADER_LEN..]);
     bytes[16..24].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -94,7 +94,7 @@ fn future_version_is_version_mismatch() {
     ));
 }
 
-/// Format v1 stored counts as `Nat` limb pools; v2 stores the tier.
+/// Format v1 stored counts as `Nat` limb pools; v2 stored the tier.
 /// Old files are caches, not data: they are rejected by version — the
 /// typed error the store quarantines and re-prepares on — never
 /// reinterpreted.
@@ -107,6 +107,45 @@ fn a_v1_header_is_version_mismatch() {
         Err(ArtifactError::VersionMismatch { found }) => assert_eq!(found, 1),
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
+}
+
+/// Format v2 stored the counts and summed on one chain. A v2 header —
+/// version 2, sealed with v2's whole-file sum (`checksum`) — is refused
+/// by version before any sum is read, and a store holding one
+/// quarantines it and is healed by the next preparation.
+#[test]
+fn a_v2_header_is_version_mismatch_and_the_store_replaces_it() {
+    let (query, config, prepared) = q5();
+    let mut bytes = plansample_artifact::encode(&prepared);
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let v2_sum = plansample_artifact::checksum(&bytes[HEADER_LEN..]);
+    bytes[16..24].copy_from_slice(&v2_sum.to_le_bytes());
+    for result in [decode(&bytes).map(|_| ()), inspect(&bytes).map(|_| ())] {
+        match result {
+            Err(ArtifactError::VersionMismatch { found }) => assert_eq!(found, 2),
+            other => panic!("expected VersionMismatch, got {other:?}"),
+        }
+    }
+
+    let dir = temp_dir("v2");
+    let store = ArtifactStore::open(&dir).unwrap();
+    let path = store.path_for(&query, &config);
+    fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        store.load(&query, &config),
+        Err(ArtifactError::VersionMismatch { found: 2 })
+    ));
+    assert!(!path.exists() && path.with_extension("quarantined").exists());
+    assert!(store.load(&query, &config).unwrap().is_none());
+    let (catalog, _) = plansample_catalog::tpch::catalog();
+    let again = PreparedQuery::prepare(&catalog, &query, &config).expect("q5 optimizes");
+    store.save(&again).unwrap();
+    let healed = store
+        .load(&query, &config)
+        .unwrap()
+        .expect("a current artifact");
+    assert_eq!(healed.total(), prepared.total());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -193,13 +232,109 @@ fn structural_damage_behind_valid_checksums_is_malformed() {
     // Blow up the declared group count in the memo payload.
     bytes[off + 4..off + 8].copy_from_slice(&u32::MAX.to_le_bytes());
     let e = HEADER_LEN + memo * ENTRY_LEN;
-    let sum = plansample_artifact::checksum(&bytes[off..off + len]);
+    let sum = plansample_artifact::lane_sum(&bytes[off..off + len]);
     bytes[e + 24..e + 32].copy_from_slice(&sum.to_le_bytes());
     reseal(&mut bytes);
     match decode(&bytes) {
         Err(ArtifactError::Truncated { .. }) | Err(ArtifactError::Malformed { .. }) => {}
         other => panic!("expected a structural error, got {other:?}"),
     }
+}
+
+/// Where the links section's five tables — pool, list bounds, slot
+/// lists, slot bounds, topo — lie in the file: `(first byte, u32s)`.
+/// Each is a `u64` length, padding to 8, then the values; the section
+/// opens with the root list's id.
+fn links_tables(bytes: &[u8]) -> (usize, [(usize, usize); 5]) {
+    let info = inspect(bytes).expect("pristine image inspects");
+    let index = info.sections.iter().position(|s| s.name == "links");
+    let index = index.expect("links section present");
+    let mut at = info.sections[index].offset as usize + 4;
+    let tables = std::array::from_fn(|_| {
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+        let start = (at + 8).next_multiple_of(8);
+        at = start + 4 * len;
+        (start, len)
+    });
+    (index, tables)
+}
+
+fn read_u32s(bytes: &[u8], (start, len): (usize, usize)) -> Vec<u32> {
+    let table = bytes[start..start + 4 * len].chunks_exact(4);
+    table
+        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
+        .collect()
+}
+
+fn write_u32(bytes: &mut [u8], (start, _): (usize, usize), i: usize, v: u32) {
+    bytes[start + 4 * i..start + 4 * i + 4].copy_from_slice(&v.to_le_bytes());
+}
+
+/// Makes the stored sums of section `index` and of the file right for
+/// the bytes as they are.
+fn reseal_section(bytes: &mut [u8], index: usize) {
+    let e = HEADER_LEN + index * ENTRY_LEN;
+    let offset = u64::from_le_bytes(bytes[e + 8..e + 16].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[e + 16..e + 24].try_into().unwrap()) as usize;
+    let sum = plansample_artifact::lane_sum(&bytes[offset..offset + len]);
+    bytes[e + 24..e + 32].copy_from_slice(&sum.to_le_bytes());
+    reseal(bytes);
+}
+
+fn assert_malformed(bytes: &[u8], why: &str) {
+    match decode(bytes) {
+        Err(ArtifactError::Malformed { reason }) => {
+            assert!(reason.contains(why), "{reason:?} does not mention {why:?}")
+        }
+        other => panic!("expected Malformed ({why}), got {:?}", other.map(|_| ())),
+    }
+}
+
+/// A load folds the counts over the stored topological order, so an
+/// order that is a permutation but not children-before-parents would
+/// fold unfinished counts. Swapping the first expression (a leaf) with
+/// the last (one that reads lists) makes one, behind right sums.
+#[test]
+fn a_topo_order_with_a_parent_before_its_child_is_malformed() {
+    let mut bytes = image();
+    let (index, [.., topo]) = links_tables(&bytes);
+    let order = read_u32s(&bytes, topo);
+    let (first, last) = (order[0], order[order.len() - 1]);
+    write_u32(&mut bytes, topo, 0, last);
+    write_u32(&mut bytes, topo, order.len() - 1, first);
+    reseal_section(&mut bytes, index);
+    inspect(&bytes).expect("the sums are right");
+    assert_malformed(&bytes, "members before its readers");
+}
+
+/// A link table with a cycle: an expression whose list names the
+/// expression itself, kept ascending, behind right sums. No order can
+/// put it before itself.
+#[test]
+fn a_link_table_with_a_cycle_is_malformed() {
+    let mut bytes = image();
+    let (index, [pool, list_bounds, slot_lists, slot_bounds, _]) = links_tables(&bytes);
+    let members = read_u32s(&bytes, pool);
+    let bounds = read_u32s(&bytes, list_bounds);
+    let slots = read_u32s(&bytes, slot_lists);
+    let slot_bounds = read_u32s(&bytes, slot_bounds);
+    // An expression above every member of one of its lists: its id
+    // replaces the list's last member.
+    let (reader, last) = (0..slot_bounds.len() - 1)
+        .rev()
+        .find_map(|d| {
+            let lists = &slots[slot_bounds[d] as usize..slot_bounds[d + 1] as usize];
+            lists.iter().find_map(|&l| {
+                let (start, end) = (bounds[l as usize], bounds[l as usize + 1]);
+                (start < end && members[end as usize - 1] < d as u32)
+                    .then_some((d as u32, end as usize - 1))
+            })
+        })
+        .expect("some expression reads a list of lower ids");
+    write_u32(&mut bytes, pool, last, reader);
+    reseal_section(&mut bytes, index);
+    inspect(&bytes).expect("the sums are right");
+    assert_malformed(&bytes, "members before its readers");
 }
 
 proptest! {

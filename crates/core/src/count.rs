@@ -28,6 +28,13 @@
 //! exactly once per rung — the paper's linear-time claim, measured by
 //! the tracked benchmark's `core.count.compute_ms` row.
 //!
+//! Counts are never persisted. A plan-space artifact keeps the links,
+//! and a load runs this same fold over them ([`Counts::compute_stored`],
+//! which first bounds how wide counts over links from outside the
+//! program can get): the fold is of the order of what reading and
+//! checking stored counts cost, the file is smaller, and loaded counts
+//! are right by construction.
+//!
 //! # One store, chosen once
 //!
 //! What a [`Counts`] keeps is a single store in the narrowest width that
@@ -201,6 +208,10 @@ impl<W: Word> TierCounts<W> {
 
     /// Writes list `l`'s inclusive running sums into its slice of the
     /// pool and returns its total, or `None` when a sum overflows `W`.
+    /// Kept out of line: inlined into `fold`'s loop, the `u64` fold of
+    /// Q8+CP reads ≈ 40 % slower (0.20 against 0.145 ms, EXPERIMENTS
+    /// §E34).
+    #[inline(never)]
     fn sum_list(&mut self, links: &Links, l: ListId) -> Option<W> {
         let mut sum = W::ZERO;
         for (&w, slot) in links
@@ -212,49 +223,6 @@ impl<W: Word> TierCounts<W> {
             *slot = sum.clone();
         }
         Some(sum)
-    }
-
-    /// Assembles the tier from its two independent tables, checked
-    /// against `links` in shape and in value: the running sums are
-    /// built here, one pass per list, and each list's last sum must be
-    /// its stored total — which is what lets [`Word::select`] trust
-    /// `rank < list_total(l)` to land inside the list.
-    fn from_tables(
-        links: &Links,
-        mut per_expr: Vec<W>,
-        mut list_totals: Vec<W>,
-    ) -> Result<Self, SpaceError> {
-        let malformed = |reason: &str| SpaceError::MalformedParts {
-            reason: reason.to_string(),
-        };
-        if per_expr.len() != links.num_exprs() {
-            return Err(malformed(
-                "per-expression counts must cover every expression",
-            ));
-        }
-        if list_totals.len() != links.num_lists() {
-            return Err(malformed("list totals must cover every interned list"));
-        }
-        // The tables back a long-lived, byte-budgeted artifact: drop
-        // whatever growth slack the caller's collection left.
-        per_expr.shrink_to_fit();
-        list_totals.shrink_to_fit();
-        let mut counts = TierCounts {
-            per_expr,
-            pool: vec![W::ZERO; links.num_pooled_links()],
-            list_totals,
-        };
-        for l in (0..links.num_lists() as u32).map(ListId) {
-            let sum = counts
-                .sum_list(links, l)
-                .ok_or_else(|| malformed("a list's running sum overflows the tier's word"))?;
-            if sum != counts.list_totals[l.idx()] {
-                return Err(malformed(
-                    "a list total must equal the sum of its members' counts",
-                ));
-            }
-        }
-        Ok(counts)
     }
 
     /// The same tables one or two rungs down the ladder.
@@ -309,12 +277,45 @@ impl<W: Word> TierCounts<W> {
     }
 }
 
+/// The widest count [`Counts::compute_stored`] folds, in bits. A plan
+/// over `r ≤ 64` relations (a `RelSet` is one word) has at most `4r`
+/// operators — `r` scans, `r − 1` joins, an aggregate, and a sort above
+/// any of those — and each below the root is one member of a list of
+/// fewer than 2³¹ expressions, so no memo's count reaches
+/// `2^(31 · 255)`, 7 905 bits.
+const MAX_COUNT_BITS: f64 = 8192.0;
+
+/// An upper bound on `log₂ N(v)` over every expression and list, in one
+/// pass over `links.topo()`: a list's bound is its widest member's plus
+/// `log₂` of its length, an expression's the sum of its slots' — the
+/// widest plan's `Σ log₂ |list|`. An empty list's count is 0, `−∞` here.
+fn bits_bound(links: &Links) -> f64 {
+    let mut expr_bits = vec![0.0f64; links.num_exprs()];
+    let mut list_bits: Vec<Option<f64>> = vec![None; links.num_lists()];
+    let mut list_bound = |expr_bits: &[f64], l: ListId| {
+        *list_bits[l.idx()].get_or_insert_with(|| {
+            let members = links.list(l);
+            let widest = members.iter().map(|w| expr_bits[w.idx()]);
+            widest.fold(f64::NEG_INFINITY, f64::max) + (members.len() as f64).log2()
+        })
+    };
+    let mut widest = f64::NEG_INFINITY;
+    for &d in links.topo() {
+        let slots = links.slot_lists(d).iter();
+        let bits = slots.map(|&l| list_bound(&expr_bits, l)).sum::<f64>();
+        expr_bits[d.idx()] = bits;
+        widest = widest.max(bits);
+    }
+    widest.max(list_bound(&expr_bits, links.root_list()))
+}
+
 /// The two independent count tables — `N(v)` by dense id, then `b` by
-/// list id — as raw vectors in the store's width: the serialization
-/// view a plan-space artifact stores (the pool-aligned running sums
-/// are a function of these and the links, so they are not part of the
-/// view). Produced by [`Counts::to_parts`], consumed (and checked) by
-/// [`Counts::from_parts`].
+/// list id — as raw vectors in the store's width: the view two builds
+/// of one space are compared in (the pool-aligned running sums are a
+/// function of these and the links, so they are not part of it).
+/// Produced by [`Counts::to_parts`]. Nothing reads counts back from it:
+/// counts are always folded from the links ([`Counts::compute`]), a
+/// loaded artifact's included.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CountsParts {
     /// A [`CountTier::U64`] store.
@@ -332,14 +333,41 @@ impl Counts {
     /// space twice and an exact-[`Nat`] space three times, each failed
     /// attempt stopping at its first overflow.
     pub fn compute(links: &Links) -> Counts {
+        Counts::compute_within(links, None).expect("no bound to exceed")
+    }
+
+    /// [`compute`](Self::compute) over links read from outside the
+    /// program — the artifact load path, which stores no counts and
+    /// folds them again. Stored links are checked as a graph
+    /// ([`Links::from_parts`]), not as an optimizer's, so they can
+    /// describe counts no memo has: a chain of expressions each reading
+    /// its predecessor in both slots squares the count at every step.
+    /// So a space that needs the exact rung is first bounded in `f64`
+    /// (`bits_bound`, one pass), and refused as
+    /// [`SpaceError::MalformedParts`] if a count could be wider than
+    /// `MAX_COUNT_BITS` (8 192); the exact fold then costs at most a
+    /// product that wide per expression.
+    pub fn compute_stored(links: &Links) -> Result<Counts, SpaceError> {
+        Counts::compute_within(links, Some(MAX_COUNT_BITS)).ok_or_else(|| {
+            SpaceError::MalformedParts {
+                reason: format!("the links describe counts wider than {MAX_COUNT_BITS} bits"),
+            }
+        })
+    }
+
+    /// The tier ladder's folds; `None` if the space needs the exact
+    /// rung and `bits_bound` exceeds `max_bits`.
+    fn compute_within(links: &Links, max_bits: Option<f64>) -> Option<Counts> {
         let store = if let Some(c) = TierCounts::fold(links) {
             Store::U64(c)
         } else if let Some(c) = TierCounts::fold(links) {
             Store::U128(c)
-        } else {
+        } else if max_bits.is_none_or(|max| bits_bound(links) <= max) {
             Store::Nat(TierCounts::fold(links).expect("Nat holds any count"))
+        } else {
+            return None;
         };
-        Counts::with_total(links, store)
+        Some(Counts::with_total(links, store))
     }
 
     /// The counts of `store`, with the space total read off its root list.
@@ -352,25 +380,7 @@ impl Counts {
         counts
     }
 
-    /// Reassembles counts from their serialization view (the artifact
-    /// load path). Validates the shapes against `links`, requires every
-    /// list total to be the (non-overflowing) sum of its members'
-    /// counts — the one relation between the two tables that selection
-    /// depends on, checked for free while the running sums are built —
-    /// and re-derives the space total from the root list so the fields
-    /// cannot disagree. The tier is taken as stored, and the
-    /// per-expression *values* are vouched for by the artifact checksum,
-    /// not re-counted here — that is the whole point of loading.
-    pub fn from_parts(links: &Links, parts: CountsParts) -> Result<Counts, SpaceError> {
-        let store = match parts {
-            CountsParts::U64(n, b) => Store::U64(TierCounts::from_tables(links, n, b)?),
-            CountsParts::U128(n, b) => Store::U128(TierCounts::from_tables(links, n, b)?),
-            CountsParts::Nat(n, b) => Store::Nat(TierCounts::from_tables(links, n, b)?),
-        };
-        Ok(Counts::with_total(links, store))
-    }
-
-    /// Copies the two count tables out for serialization.
+    /// Copies the two count tables out, in the store's width.
     pub fn to_parts(&self) -> CountsParts {
         match &self.store {
             Store::U64(c) => CountsParts::U64(c.per_expr.clone(), c.list_totals.clone()),
@@ -569,45 +579,63 @@ mod tests {
         }
     }
 
-    /// A checksummed artifact vouches for its bytes, not for the one
-    /// relation selection depends on: each list total is the sum of its
-    /// members' counts, and that sum fits the tier's word.
+    /// Hand-made links in which expression `i` reads its predecessor's
+    /// list in both slots, over a first list of two: `N = 2^(2^i)`. The
+    /// fold would need 2³⁹ bits for the last; `compute_stored` refuses
+    /// it after one pass in `f64`, and folds the short chain exactly.
     #[test]
-    fn from_parts_rejects_totals_that_are_not_their_members_sum() {
-        let ex = paper_example::build();
-        let links = Links::build(&ex.memo, &ex.query).unwrap();
-        let CountsParts::U64(per_expr, list_totals) = Counts::compute(&links).to_parts() else {
-            panic!("paper example is single-limb")
-        };
-        let rejected = |per_expr: &[u64], list_totals: &[u64], why: &str| {
-            let parts = CountsParts::U64(per_expr.to_vec(), list_totals.to_vec());
-            match Counts::from_parts(&links, parts) {
-                Err(SpaceError::MalformedParts { reason }) => {
-                    assert!(reason.contains(why), "{reason:?} does not mention {why:?}")
-                }
-                other => panic!("expected MalformedParts ({why}), got {other:?}"),
-            }
-        };
-        assert!(Counts::from_parts(
-            &links,
-            CountsParts::U64(per_expr.clone(), list_totals.clone())
-        )
-        .is_ok());
+    fn compute_stored_refuses_counts_wider_than_any_memo_holds() {
+        use crate::LinksParts;
+        use plansample_memo::{GroupKey, Memo, PhysicalExpr, PhysicalOp};
+        use plansample_query::{RelId, RelSet};
 
-        // A total one above its members' sum (its last rank would lie
-        // past every member) and one below.
-        let root = links.root_list().idx();
-        for off_by_one in [list_totals[root] + 1, list_totals[root] - 1] {
-            let mut totals = list_totals.clone();
-            totals[root] = off_by_one;
-            rejected(&per_expr, &totals, "must equal the sum");
+        let squaring_chain = |joins: u32| {
+            let mut memo = Memo::new();
+            let scans = memo.add_group(GroupKey::Rels(RelSet::all(1)));
+            for rel in 0..2 {
+                let scan = PhysicalOp::TableScan { rel: RelId(rel) };
+                memo.add_physical(scans, PhysicalExpr::new(scan, 1.0, 1.0));
+            }
+            let mut below = scans;
+            for i in 0..joins {
+                let group = memo.add_group(GroupKey::Rels(RelSet::all(i as usize + 2)));
+                let join = PhysicalOp::HashJoin {
+                    left: below,
+                    right: below,
+                };
+                memo.add_physical(group, PhysicalExpr::new(join, 1.0, 1.0));
+                below = group;
+            }
+            memo.set_root(below);
+            // List 0 holds the scans, list i + 1 join i.
+            let mut pool = vec![0, 1];
+            let mut list_bounds = vec![0, 2];
+            let mut slot_lists = vec![];
+            let mut slot_bounds = vec![0, 0, 0];
+            for i in 0..joins {
+                pool.push(i + 2);
+                list_bounds.push(pool.len() as u32);
+                slot_lists.extend([i, i]);
+                slot_bounds.push(slot_lists.len() as u32);
+            }
+            let parts = LinksParts {
+                pool,
+                list_bounds,
+                slot_lists,
+                slot_bounds,
+                topo: (0..joins + 2).collect(),
+                root_list: joins,
+            };
+            let links = Links::from_parts(&memo, parts).expect("a sound graph");
+            Counts::compute_stored(&links)
+        };
+
+        let short = squaring_chain(8).expect("2^256 fits the bound");
+        assert_eq!(short.tier(), CountTier::Nat);
+        assert_eq!(short.total().bits(), 257);
+        match squaring_chain(40) {
+            Err(SpaceError::MalformedParts { reason }) => assert!(reason.contains("wider than")),
+            other => panic!("expected MalformedParts, got {other:?}"),
         }
-        // Two root members of `u64::MAX` plans each: the running sum
-        // leaves the word before any total could be compared.
-        let mut wide = per_expr.clone();
-        for &w in links.list(links.root_list()) {
-            wide[w.idx()] = u64::MAX;
-        }
-        rejected(&wide, &list_totals, "overflows");
     }
 }

@@ -110,10 +110,11 @@ pub enum SpaceError {
         at: PhysId,
     },
     /// Raw parts handed to [`Links::from_parts`] /
-    /// [`Counts::from_parts`] / [`PlanSpace::from_parts`] failed
-    /// structural validation — an artifact loader fed tables that do not
-    /// describe a plan space (wrong lengths, non-monotonic bounds,
-    /// out-of-range ids).
+    /// [`PlanSpace::from_parts`] failed structural validation, or
+    /// [`Counts::compute_stored`] refused them — an artifact loader fed
+    /// tables that do not describe a plan space (wrong lengths,
+    /// non-monotonic bounds, out-of-range ids, an order that is not
+    /// children-before-parents, counts no memo has).
     MalformedParts {
         /// The first violated invariant.
         reason: String,
@@ -265,11 +266,11 @@ impl PlanSpace {
     }
 
     /// Reassembles a plan space from already-validated components — the
-    /// artifact loader's path, which deserializes the flat link and
-    /// count buffers instead of re-running link materialization and
-    /// counting. The caller obtains `links` via [`Links::from_parts`]
-    /// and `counts` via [`Counts::from_parts`], both of which validate
-    /// their tables against `memo`; this constructor only re-checks the
+    /// artifact loader's path, which deserializes the flat link buffers
+    /// instead of re-running link materialization, and folds the counts
+    /// over them. The caller obtains `links` via [`Links::from_parts`],
+    /// which validates its tables against `memo`, and `counts` via
+    /// [`Counts::compute_stored`]; this constructor only re-checks the
     /// cross-component size agreement.
     pub fn from_parts(
         memo: Arc<Memo>,

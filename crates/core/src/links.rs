@@ -77,8 +77,9 @@ pub struct LinksParts {
     pub slot_bounds: Vec<u32>,
     /// Every expression, children before parents ([`DenseId`] raws):
     /// the scan's order, by level and then dense id (see
-    /// [`MemoScan::build`]). A load checks only that it is a
-    /// permutation.
+    /// [`MemoScan::build`]). A load checks that it is a permutation in
+    /// which every list's members precede every expression that reads
+    /// it — any such order, not necessarily the scan's.
     pub topo: Vec<u32>,
     /// The root group's interned alternative list.
     pub root_list: u32,
@@ -197,18 +198,23 @@ impl Links {
     }
 
     /// Reassembles links from raw parts (the artifact load path),
-    /// validating every structural invariant the accessors rely on in
-    /// one O(n) pass — bounds tables monotonic and covering, every
-    /// index in range, every list strictly ascending (ranking finds a
-    /// plan's operator by binary search), no expression with more than
-    /// [`MAX_SLOTS`](plansample_memo::MAX_SLOTS) slots, the topo order a
-    /// permutation — so corrupt or adversarial bytes surface as
-    /// [`SpaceError::MalformedParts`]
-    /// instead of a panic or a member reported foreign. It does *not*
-    /// re-verify that the topo order is children-before-parents or that
-    /// list contents are what the eligibility rule lists; the artifact
-    /// layer's whole-file checksum owns byte integrity, and this
-    /// constructor owns memory safety of the indices.
+    /// validating every structural invariant the accessors and §3.2's
+    /// count fold rely on, in O(expressions + pool + slots) — bounds
+    /// tables monotonic and covering, every index in range, every list
+    /// strictly ascending (ranking finds a plan's operator by binary
+    /// search), no expression with more than
+    /// [`MAX_SLOTS`](plansample_memo::MAX_SLOTS) slots, every list some
+    /// slot's list or the root list, and the topo order a permutation
+    /// that is children-before-parents: each list's latest member comes
+    /// before every expression that reads it. That last check is also
+    /// the cycle check, since no order puts a cycle's members before
+    /// each other. Corrupt or adversarial bytes surface as
+    /// [`SpaceError::MalformedParts`] instead of a panic, a member
+    /// reported foreign or counts folded over unfinished ones. It does
+    /// *not* re-verify that list contents are what the eligibility rule
+    /// lists; the artifact layer's sums own byte integrity, and this
+    /// constructor owns the soundness of the graph the counts are folded
+    /// over.
     pub fn from_parts(memo: &Memo, parts: LinksParts) -> Result<Links, SpaceError> {
         let malformed = |reason: &str| SpaceError::MalformedParts {
             reason: reason.to_string(),
@@ -272,21 +278,51 @@ impl Links {
         if topo.len() != n {
             return Err(malformed("topo order must cover every expression"));
         }
-        let mut seen = vec![false; n];
-        for &d in &topo {
-            if d as usize >= n || std::mem::replace(&mut seen[d as usize], true) {
-                return Err(malformed("topo order must be a permutation"));
+        const UNSEEN: u32 = u32::MAX;
+        let mut position = vec![UNSEEN; n];
+        for (i, &d) in topo.iter().enumerate() {
+            match position.get_mut(d as usize) {
+                Some(at) if *at == UNSEEN => *at = i as u32,
+                _ => return Err(malformed("topo order must be a permutation")),
             }
         }
+        // In that order, a list's members must all come before every
+        // expression that reads it: one past its latest member's
+        // position (0 for an empty list) is at most any reader's.
+        let after: Vec<u32> = list_bounds
+            .windows(2)
+            .map(|w| {
+                let members = pool[w[0] as usize..w[1] as usize].iter();
+                members
+                    .map(|&d| position[d as usize] + 1)
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        let mut read = vec![false; num_lists];
+        read[root_list as usize] = true;
 
-        // The view is sound; pack it.
+        // Pack the slot records, checking each slot against the order.
         let mut slots: Vec<SlotRecord> = Vec::with_capacity(n);
-        for w in slot_bounds.windows(2) {
-            let lists = slot_lists[w[0] as usize..w[1] as usize].iter();
+        for (w, &at) in slot_bounds.windows(2).zip(&position) {
+            let lists = &slot_lists[w[0] as usize..w[1] as usize];
+            for &l in lists {
+                if after[l as usize] > at {
+                    return Err(malformed(
+                        "topo order must put every list's members before its readers",
+                    ));
+                }
+                read[l as usize] = true;
+            }
             slots.push(
-                SlotRecord::pack(lists.map(|&l| ListId(l)))
+                SlotRecord::pack(lists.iter().map(|&l| ListId(l)))
                     .ok_or_else(|| malformed("an expression has more than MAX_SLOTS slots"))?,
             );
+        }
+        if !read.iter().all(|&r| r) {
+            return Err(malformed(
+                "every list must be some slot's list or the root list",
+            ));
         }
 
         Ok(Links {
@@ -641,6 +677,42 @@ mod tests {
         let mut repeated = parts;
         repeated.pool[at + 1] = repeated.pool[at];
         rejected(repeated, "strictly ascending");
+    }
+
+    /// What §3.2's fold over a loaded order relies on: children before
+    /// parents, and every list read. A reversed order is a permutation
+    /// that puts every parent first; a list holding its own reader is a
+    /// cycle no order can satisfy; a list nothing reads would never be
+    /// summed. Each is `MalformedParts`.
+    #[test]
+    fn from_parts_rejects_orders_a_count_fold_cannot_walk() {
+        let ex = paper_example::build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let parts = links.to_parts();
+        let rejected = |parts: LinksParts, why: &str| match Links::from_parts(&ex.memo, parts) {
+            Err(SpaceError::MalformedParts { reason }) => {
+                assert!(reason.contains(why), "{reason:?} does not mention {why:?}")
+            }
+            other => panic!("expected MalformedParts ({why}), got {other:?}"),
+        };
+
+        let mut reversed = parts.clone();
+        reversed.topo.reverse();
+        rejected(reversed, "members before its readers");
+
+        // The hash join over A and B reads group A's three expressions;
+        // its own id, above theirs, replaces the last.
+        let join = links.ids().dense(ex.hash_join_ab);
+        let left = links.slot_lists(join)[0];
+        let mut cyclic = parts.clone();
+        let last = parts.list_bounds[left.idx() + 1] as usize - 1;
+        assert!(cyclic.pool[last] < join.0);
+        cyclic.pool[last] = join.0;
+        rejected(cyclic, "members before its readers");
+
+        let mut unread = parts;
+        unread.list_bounds.push(*unread.list_bounds.last().unwrap());
+        rejected(unread, "some slot's list or the root list");
     }
 
     /// Two mutually-referencing "joins" in the same group cannot occur via

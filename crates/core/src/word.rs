@@ -170,7 +170,7 @@ mod tests {
     }
 
     /// `W::select` over the running sums of `counts`, built the way
-    /// `TierCounts::from_tables` builds them.
+    /// `TierCounts::sum_list` writes them.
     fn select_in<W: Word>(counts: &[u128], rank: u128) -> (usize, u128) {
         let word = |n: u128| W::from_nat(&Nat::from(n)).expect("the value fits the word");
         let mut sum = W::ZERO;

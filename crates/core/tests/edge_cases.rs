@@ -2,7 +2,7 @@
 //! expressions, degenerate one-plan spaces, deep chains, and restricted
 //! optimizer configurations.
 
-use plansample::{CountTier, Counts, CountsParts, Links, PlanSpace, SpaceError};
+use plansample::{CountTier, Counts, Links, PlanSpace, SpaceError};
 use plansample_bignum::Nat;
 use plansample_catalog::{table, Catalog, ColType};
 use plansample_memo::{validate_plan, GroupKey, Memo, PhysicalExpr, PhysicalOp};
@@ -319,24 +319,4 @@ fn fixed_width_tiers_hold_one_word_per_count() {
         fixed + std::mem::size_of::<Nat>() * words,
         "single-limb Nats spill nothing"
     );
-}
-
-#[test]
-fn count_parts_round_trip_and_are_shape_checked() {
-    let ex = plansample::paper_example::build();
-    let links = Links::build(&ex.memo, &ex.query).unwrap();
-    let counts = Counts::compute(&links);
-    let back = Counts::from_parts(&links, counts.to_parts()).unwrap();
-    assert_eq!(back.tier(), counts.tier());
-    assert_eq!(back.total(), counts.total());
-    assert_eq!(back.to_parts(), counts.to_parts());
-
-    let CountsParts::U64(mut per_expr, list_totals) = counts.to_parts() else {
-        panic!("a u64 store serializes as u64 parts")
-    };
-    per_expr.pop();
-    assert!(matches!(
-        Counts::from_parts(&links, CountsParts::U64(per_expr, list_totals)),
-        Err(SpaceError::MalformedParts { .. })
-    ));
 }

@@ -36,8 +36,9 @@ pub enum LogicalOp {
 }
 
 /// A physical (executable) operator. Children are group references plus
-/// property requirements.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// property requirements. The order is the derived one (variant, then
+/// fields), which `Memo::from_parts` sorts by to find duplicates.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PhysicalOp {
     /// Heap scan of a base relation; delivers no order.
     TableScan {

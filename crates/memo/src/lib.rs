@@ -42,7 +42,7 @@ pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;
 
-use plansample_query::RelSet;
+use plansample_query::{ColRef, RelSet};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -267,14 +267,22 @@ impl Memo {
     /// without the per-insert duplicate scans (which are quadratic in
     /// group size and would dominate a 700k-expression reload).
     ///
-    /// The incremental builders' invariants are still *checked*, in
-    /// O(total expressions): group keys must be distinct, expressions
-    /// structurally deduplicated within their group, every child group
-    /// reference in range, and `root` one of the groups. A violation
-    /// returns a description of the first broken invariant instead of
-    /// producing a memo other code would misindex. The duplicate check
-    /// hashes through std's keyed hasher: the parts are stored bytes,
-    /// which come from outside the program.
+    /// The incremental builders' invariants are still *checked*: group
+    /// keys must be distinct, expressions structurally deduplicated
+    /// within their group, every child group reference in range, and
+    /// `root` one of the groups. A violation returns a description of
+    /// the first broken invariant instead of producing a memo other
+    /// code would misindex.
+    ///
+    /// The parts are stored bytes, which come from outside the program,
+    /// so the duplicate check hashes nothing: each group's operators are
+    /// sorted by a packed key and neighbours compared
+    /// (`repeats_an_operator`). On a group of `n` operators that is
+    /// O(n log n) comparisons whatever the input, each O(1) but for sort
+    /// orders, which compare their columns — so at most O(B log n) work
+    /// for a group that takes `B` bytes to store. A group of 2¹⁶ merge
+    /// joins over one pair of inputs costs no more than any other group
+    /// of that size, nor does one whose keys all tie.
     pub fn from_parts(
         parts: Vec<(GroupKey, Vec<LogicalOp>, Vec<PhysicalExpr>)>,
         root: u32,
@@ -288,15 +296,15 @@ impl Memo {
         let num_groups = parts.len();
         let in_range = |g: &GroupId| (g.0 as usize) < num_groups;
         let mut by_key = HashMap::with_capacity(num_groups);
+        let (mut keys, mut order) = (Vec::new(), Vec::new());
         for (i, (key, logical, physical)) in parts.iter().enumerate() {
             if by_key.insert(*key, GroupId(i as u32)).is_some() {
                 return Err(format!("duplicate group key {key:?}"));
             }
-            let mut seen = HashSet::with_capacity(physical.len());
+            if repeats_an_operator(physical, &mut keys, &mut order) {
+                return Err(format!("duplicate physical operator in group {i}"));
+            }
             for expr in physical {
-                if !seen.insert(&expr.op) {
-                    return Err(format!("duplicate physical operator in group {i}"));
-                }
                 let children_ok = match &expr.op {
                     PhysicalOp::TableScan { .. }
                     | PhysicalOp::SortedIdxScan { .. }
@@ -400,6 +408,74 @@ impl Memo {
             + groups_heap
             + by_key
     }
+}
+
+/// Whether two of `exprs` carry the same operator. Equal operators have
+/// equal packed keys, so distinct keys — which the optimizer's memos
+/// give every operator of a group — settle it with one integer sort.
+/// Only when keys tie are the operators behind each tie compared: the
+/// `(key, index)` pairs are sorted, and a run of more than two by the
+/// operators' own order. `keys` and `order` are scratch space, reused
+/// across groups.
+fn repeats_an_operator(
+    exprs: &[PhysicalExpr],
+    keys: &mut Vec<u64>,
+    order: &mut Vec<(u64, u32)>,
+) -> bool {
+    keys.clear();
+    keys.extend(exprs.iter().map(|e| packed_key(&e.op)));
+    keys.sort_unstable();
+    if !keys.windows(2).any(|w| w[0] == w[1]) {
+        return false;
+    }
+    let op = |i: u32| &exprs[i as usize].op;
+    order.clear();
+    order.extend(
+        exprs
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (packed_key(&e.op), i as u32)),
+    );
+    order.sort_unstable();
+    order.chunk_by_mut(|a, b| a.0 == b.0).any(|run| match run {
+        [_] => false,
+        [a, b] => op(a.1) == op(b.1),
+        _ => {
+            run.sort_unstable_by(|a, b| op(a.1).cmp(op(b.1)));
+            run.windows(2).any(|w| op(w[0].1) == op(w[1].1))
+        }
+    })
+}
+
+/// The operator's variant and leading fields packed into one word, each
+/// field cut to its width — a lossy packing, not a hash: equal operators
+/// get equal keys, and so do distinct ones only past the widths (group
+/// ids from 2¹⁵, relations from 2⁷, columns from 2⁸, a sort's third
+/// column), which the optimizer's memos do not reach.
+fn packed_key(op: &PhysicalOp) -> u64 {
+    let col = |c: &ColRef| u64::from(c.rel.0 & 0x7f) << 8 | u64::from(c.col & 0xff);
+    let cols = |order: &SortOrder| match order.cols() {
+        [] => 0,
+        [a] => col(a) << 15,
+        [a, b, ..] => col(a) << 15 | col(b),
+    };
+    let (tag, a, b, c) = match op {
+        PhysicalOp::TableScan { rel } => (0, rel.0, 0, 0),
+        PhysicalOp::SortedIdxScan { rel, col: key } => (1, rel.0, 0, col(key)),
+        PhysicalOp::Sort { target } => (2, target.cols().len() as u32, 0, cols(target)),
+        PhysicalOp::NestedLoopJoin { left, right } => (3, left.0, right.0, 0),
+        PhysicalOp::HashJoin { left, right } => (4, left.0, right.0, 0),
+        PhysicalOp::MergeJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+        } => (5, left.0, right.0, col(left_key) << 15 | col(right_key)),
+        PhysicalOp::HashAgg { input } => (6, input.0, 0, 0),
+        PhysicalOp::StreamAgg { input, group_order } => (7, input.0, 0, cols(group_order)),
+    };
+    const FIELD: u64 = (1 << 15) - 1;
+    (tag as u64) << 60 | (u64::from(a) & FIELD) << 45 | (u64::from(b) & FIELD) << 30 | c
 }
 
 #[cfg(test)]
@@ -543,6 +619,122 @@ mod tests {
             format!("{:?}", rebuilt.group(g2)),
             format!("{:?}", memo.group(g2))
         );
+    }
+
+    /// One group of `ops` (each with made-up costs) and the two scan
+    /// groups the joins read, through `from_parts`.
+    fn one_group(ops: Vec<PhysicalOp>) -> Result<Memo, String> {
+        let scan = |rel| PhysicalExpr::new(PhysicalOp::TableScan { rel: RelId(rel) }, 1.0, 1.0);
+        let physical = ops
+            .into_iter()
+            .map(|op| PhysicalExpr::new(op, 1.0, 1.0))
+            .collect();
+        let parts = vec![
+            (GroupKey::Rels(rs(&[0])), vec![], vec![scan(0)]),
+            (GroupKey::Rels(rs(&[1])), vec![], vec![scan(1)]),
+            (GroupKey::Rels(rs(&[0, 1])), vec![], physical),
+        ];
+        Memo::from_parts(parts, 2)
+    }
+
+    /// Every variant, twice over among distinct operators of every
+    /// variant, is a duplicate `from_parts` refuses — a multi-column sort
+    /// and a merge join equal on inputs and both keys among them — and
+    /// merge joins apart only in their keys are not duplicates.
+    #[test]
+    fn from_parts_rejects_a_repeat_of_every_operator_variant() {
+        let (g0, g1) = (GroupId(0), GroupId(1));
+        let merge = |left_key, right_key| PhysicalOp::MergeJoin {
+            left: g0,
+            right: g1,
+            left_key,
+            right_key,
+        };
+        let order =
+            |cols: &[(u32, u32)]| SortOrder::on(cols.iter().map(|&(r, c)| col(r, c)).collect());
+        let distinct = vec![
+            PhysicalOp::TableScan { rel: RelId(0) },
+            PhysicalOp::SortedIdxScan {
+                rel: RelId(0),
+                col: col(0, 1),
+            },
+            PhysicalOp::Sort {
+                target: order(&[(0, 1), (1, 2), (0, 3)]),
+            },
+            PhysicalOp::Sort {
+                target: order(&[(0, 1), (1, 2)]),
+            },
+            PhysicalOp::NestedLoopJoin {
+                left: g0,
+                right: g1,
+            },
+            PhysicalOp::HashJoin {
+                left: g0,
+                right: g1,
+            },
+            merge(col(0, 1), col(1, 1)),
+            merge(col(0, 1), col(1, 2)),
+            merge(col(0, 2), col(1, 1)),
+            PhysicalOp::HashAgg { input: g0 },
+            PhysicalOp::StreamAgg {
+                input: g0,
+                group_order: order(&[(0, 1), (0, 2)]),
+            },
+        ];
+        one_group(distinct.clone()).expect("distinct operators, keys apart included");
+        for (i, op) in distinct.iter().enumerate() {
+            let mut repeated = distinct.clone();
+            repeated.push(op.clone());
+            repeated.rotate_right(i % 3);
+            match one_group(repeated) {
+                Err(reason) => assert!(reason.contains("duplicate physical operator"), "{reason}"),
+                Ok(_) => panic!("a second {op:?} was accepted"),
+            }
+        }
+    }
+
+    /// 2¹⁶ merge joins over one pair of inputs, apart only in their keys:
+    /// the packed key ties on every one of them, and the sort still
+    /// settles the group in O(n log n) comparisons — a pairwise check
+    /// would make 2³¹.
+    #[test]
+    fn a_group_of_two_to_the_sixteen_merge_joins_decodes() {
+        let joins: Vec<PhysicalOp> = (0..1u32 << 16)
+            .map(|i| PhysicalOp::MergeJoin {
+                left: GroupId(0),
+                right: GroupId(1),
+                left_key: col(0, i >> 8),
+                right_key: col(1, i & 0xff),
+            })
+            .collect();
+        let mut repeated = joins.clone();
+        let memo = one_group(joins).expect("distinct merge joins");
+        assert_eq!(memo.num_physical(), 2 + (1 << 16));
+        repeated.push(repeated[12_345].clone());
+        assert!(one_group(repeated).is_err());
+    }
+
+    /// Operators past the packed key's widths share keys: relations
+    /// `k · 2¹⁵` all pack as relation 0, and sorts apart only in a third
+    /// column pack alike. They are told apart by the operators
+    /// themselves — distinct ones accepted, a repeat among them refused.
+    #[test]
+    fn operators_whose_keys_tie_are_compared_in_full() {
+        let mut scans: Vec<PhysicalOp> = (0..1u32 << 12)
+            .map(|k| PhysicalOp::TableScan {
+                rel: RelId(k << 15),
+            })
+            .collect();
+        let sort = |third| PhysicalOp::Sort {
+            target: SortOrder::on(vec![col(0, 1), col(1, 2), col(0, third)]),
+        };
+        scans.extend([sort(3), sort(4), sort(5)]);
+        one_group(scans.clone()).expect("distinct operators whose keys tie");
+        for repeat in [7, scans.len() - 2] {
+            let mut repeated = scans.clone();
+            repeated.push(scans[repeat].clone());
+            assert!(one_group(repeated).is_err(), "a second {:?}", scans[repeat]);
+        }
     }
 
     /// `drop_logical` frees the logical lists — exactly their bytes —

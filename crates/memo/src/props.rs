@@ -21,7 +21,7 @@ use plansample_query::{ColRef, QuerySpec, RelSet};
 /// The empty order means "no order" — as a *delivered* property it says
 /// the operator guarantees nothing; as a *requirement* it is satisfied by
 /// anything.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SortOrder {
     cols: Vec<ColRef>,
 }

@@ -307,7 +307,7 @@ fn executing_sampled_q10_plans_acquires_per_operator_not_per_row() {
 /// the sections before the memo included.
 #[test]
 fn hostile_expression_counts_reserve_by_the_bytes_present() {
-    use plansample_artifact::{checksum, decode, encode, inspect, ArtifactError};
+    use plansample_artifact::{decode, encode, inspect, lane_sum, ArtifactError};
     const HEADER_LEN: usize = 32;
     const ENTRY_LEN: usize = 32;
     const HOSTILE_LEN: usize = 64;
@@ -340,8 +340,8 @@ fn hostile_expression_counts_reserve_by_the_bytes_present() {
         image[offset..offset + HOSTILE_LEN].copy_from_slice(&memo);
         let entry = HEADER_LEN + index * ENTRY_LEN;
         image[entry + 16..entry + 24].copy_from_slice(&(HOSTILE_LEN as u64).to_le_bytes());
-        image[entry + 24..entry + 32].copy_from_slice(&checksum(&memo).to_le_bytes());
-        let file_sum = checksum(&image[HEADER_LEN..]);
+        image[entry + 24..entry + 32].copy_from_slice(&lane_sum(&memo).to_le_bytes());
+        let file_sum = lane_sum(&image[HEADER_LEN..]);
         image[16..24].copy_from_slice(&file_sum.to_le_bytes());
         inspect(&image).expect("the sums are right");
 
