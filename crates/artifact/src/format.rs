@@ -61,7 +61,7 @@ use crate::codec::{Reader, Writer};
 use crate::sum::{self, Lanes, BLOCK};
 use crate::{lane_sum, ArtifactError};
 use plansample_catalog::{Datum, TableId};
-use plansample_core::{cache_key, Counts, Links, LinksParts, PlanSpace, PreparedQuery};
+use plansample_core::{cache_key, Counts, Links, LinksParts, PlanSpace, PreparedQuery, SpaceError};
 use plansample_memo::{
     GroupId, GroupKey, LogicalOp, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode, SortOrder,
 };
@@ -395,7 +395,8 @@ pub(crate) fn decode_with_fingerprint(
     let config = decode_config(required(&sections, SEC_CONFIG)?.bytes)?;
     let memo = Arc::new(decode_memo(required(&sections, SEC_MEMO)?.bytes)?);
     let link_parts = decode_links(required(&sections, SEC_LINKS)?.bytes)?;
-    let links = Links::from_parts(&memo, link_parts)?;
+    let links = Links::from_parts(&memo, link_parts)
+        .map_err(|reason| SpaceError::MalformedParts { reason })?;
     let counts = Counts::compute_stored(&links)?;
     let space = PlanSpace::from_parts(memo, query, links, counts)?;
     let (best_plan, best_cost) = decode_best(required(&sections, SEC_BEST)?.bytes)?;

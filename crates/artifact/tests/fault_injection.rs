@@ -337,6 +337,52 @@ fn a_link_table_with_a_cycle_is_malformed() {
     assert_malformed(&bytes, "members before its readers");
 }
 
+/// Q5's image, encoded once for the mutation property below.
+fn pristine() -> &'static [u8] {
+    static IMAGE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    IMAGE.get_or_init(image)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Totality of the links check behind right sums: any one `u32` of
+    /// any links table rewritten — to a boundary of the range it indexes
+    /// (0, n−1, n, n+1, `u32::MAX`) or to anything — and resealed
+    /// decodes to a typed error or to a space whose first and last plans
+    /// rank back to their ranks. Never a panic.
+    #[test]
+    fn any_rewritten_links_entry_is_refused_or_sound(
+        table in 0usize..5,
+        raw in any::<usize>(),
+        choice in 0usize..6,
+        anything in any::<u32>(),
+    ) {
+        let mut bytes = pristine().to_vec();
+        let (index, tables) = links_tables(&bytes);
+        let [pool, list_bounds, slot_lists, _, topo] = tables;
+        // What each table's entries index: expressions, pool entries,
+        // lists, slot entries, expressions.
+        let n = [topo.1, pool.1, list_bounds.1 - 1, slot_lists.1, topo.1][table] as u32;
+        let at = tables[table];
+        let value = [0, n.wrapping_sub(1), n, n + 1, u32::MAX, anything][choice];
+        write_u32(&mut bytes, at, raw % at.1, value);
+        reseal_section(&mut bytes, index);
+        prop_assert!(inspect(&bytes).is_ok());
+        if let Ok(prepared) = decode(&bytes) {
+            let total = prepared.total().clone();
+            if !total.is_zero() {
+                let mut last = total.clone();
+                last.decr();
+                for rank in [plansample_bignum::Nat::zero(), last] {
+                    let plan = prepared.unrank(&rank).expect("a rank below the total");
+                    prop_assert_eq!(prepared.rank(&plan).expect("its own plan"), rank);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

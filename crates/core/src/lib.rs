@@ -45,6 +45,10 @@
 //! assert_eq!(prepared.rank(&plan8).unwrap(), Nat::from(8u64));
 //! ```
 //!
+//! The plan graph every operation walks, §3.1's materialized links, is
+//! the memo crate's [`Links`], re-exported here: the optimizer's
+//! best-plan extraction builds it, and a prepare keeps it.
+//!
 //! To run a plan on data — `OPTION (USEPLAN n)` — hand it to
 //! [`PlanSpace::execute`]: `prepared.execute(&catalog, &db,
 //! &prepared.unrank(&n)?)`. For a concurrent cache of prepared queries
@@ -58,7 +62,6 @@ pub mod analysis;
 mod batch;
 mod count;
 mod enumerate;
-mod links;
 pub mod lower;
 mod lru;
 pub mod paper_example;
@@ -74,9 +77,8 @@ mod word;
 pub use batch::PlanBatch;
 pub use count::{CountTier, Counts, CountsParts};
 pub use enumerate::PlanCursor;
-pub use links::{Links, LinksParts};
 pub use lru::Lru;
-pub use plansample_memo::ListId;
+pub use plansample_memo::{Links, LinksParts, ListId};
 pub use prepared::PreparedQuery;
 pub use service::{cache_key, ArtifactCache, PlanService, ServiceStats};
 
@@ -109,8 +111,8 @@ pub enum SpaceError {
         /// The first node that failed to resolve.
         at: PhysId,
     },
-    /// Raw parts handed to [`Links::from_parts`] /
-    /// [`PlanSpace::from_parts`] failed structural validation, or
+    /// Raw parts failed structural validation (the reason
+    /// [`Links::from_parts`] or [`PlanSpace::from_parts`] gave), or
     /// [`Counts::compute_stored`] refused them — an artifact loader fed
     /// tables that do not describe a plan space (wrong lengths,
     /// non-monotonic bounds, out-of-range ids, an order that is not
@@ -243,7 +245,7 @@ impl PlanSpace {
     /// `optimizer.optimize_ms`, workload `build_q8cp`). Those rows time
     /// the standalone entry points, each of which scans the memo; a
     /// [`PreparedQuery::prepare`] scans it once, in the optimizer, and
-    /// its links reuse that scan.
+    /// keeps the links that scan built.
     ///
     /// Clones `memo` and `query` into shared ownership; callers that
     /// already hold [`Arc`]s should prefer
@@ -255,7 +257,7 @@ impl PlanSpace {
     /// Like [`build`](Self::build) but takes shared ownership directly,
     /// avoiding the memo copy — the path [`PreparedQuery::prepare`] uses.
     pub fn build_shared(memo: Arc<Memo>, query: Arc<QuerySpec>) -> Result<Self, SpaceError> {
-        let links = Links::build(&memo, &query)?;
+        let links = Links::build(&memo, &query).map_err(|at| SpaceError::CyclicMemo { at })?;
         let counts = Counts::compute(&links);
         Ok(PlanSpace {
             memo,

@@ -258,6 +258,8 @@ pub fn build() -> PaperExample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Links, LinksParts, ListId, PlanSpace, SpaceError};
+    use plansample_memo::DenseId;
 
     #[test]
     fn fixture_shape() {
@@ -276,5 +278,334 @@ mod tests {
         assert_eq!(ex.memo.phys(ex.merge_join_ab).op.name(), "MergeJoin");
         assert_eq!(ex.memo.phys(ex.root_c_ab).op.name(), "HashJoin");
         assert!(ex.memo.phys(ex.idx_scan_b).op.is_leaf());
+    }
+
+    // Figure 3's links (§3.1).
+
+    #[test]
+    fn paper_example_links_match_figure3() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+
+        // Sort in group A: only the TableScan is a sortable input.
+        let sort_children = links.children_of(ex.sort_a);
+        assert_eq!(sort_children.len(), 1);
+        assert_eq!(sort_children[0], vec![ex.table_scan_a]);
+
+        // MergeJoin(A,B): left alternatives IdxScan_A and Sort_A; right
+        // only IdxScan_B — "operator 3.4 however can use only the
+        // darkened operators 2.3 and 1.3 or 1.4".
+        let mj = links.children_of(ex.merge_join_ab);
+        assert_eq!(mj[0], vec![ex.idx_scan_a, ex.sort_a]);
+        assert_eq!(mj[1], vec![ex.idx_scan_b]);
+
+        // HashJoin(A,B): any of group A (3) × any of group B (2).
+        let hj = links.children_of(ex.hash_join_ab);
+        assert_eq!(hj[0].len(), 3);
+        assert_eq!(hj[1].len(), 2);
+
+        // Root 7.7-analogue: any of group C (2) × any of group AB (2).
+        let root = links.children_of(ex.root_c_ab);
+        assert_eq!(root[0].len(), 2);
+        assert_eq!(root[1].len(), 2);
+    }
+
+    /// The links `Links::build` and the optimizer share, on Figure 3:
+    /// seven distinct slots for nine expression slots, filtering to seven
+    /// lists numbered as they are first met, each slot's list what the
+    /// rule lists, and the root list after them.
+    #[test]
+    fn paper_example_gathers_seven_distinct_slots_in_first_encounter_order() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let slots = |id: PhysId| -> Vec<u32> {
+            let lists = links.slot_lists(links.ids().dense(id));
+            lists.iter().map(|l| l.0).collect()
+        };
+        // Group A's Sort is met first, then A⋈B's hash and merge joins,
+        // then the root: HashJoin(C, A⋈B) opens two lists that
+        // HashJoin(A⋈B, C) reuses the other way round.
+        assert_eq!(slots(ex.sort_a), [0]);
+        assert_eq!(slots(ex.hash_join_ab), [1, 2]);
+        assert_eq!(slots(ex.merge_join_ab), [3, 4]);
+        assert_eq!(slots(ex.root_c_ab), [5, 6]);
+        assert_eq!(slots(ex.root_ab_c), [6, 5]);
+        assert!(slots(ex.idx_scan_c).is_empty());
+        // No slot takes the root group whole: its list is new, and last.
+        assert_eq!(links.num_lists(), 8);
+        assert_eq!(links.root_list(), ListId(7));
+        let records = links.ids().iter().map(|(d, _)| links.arity(d));
+        assert_eq!(records.sum::<usize>(), 9);
+        for (d, id) in links.ids().iter() {
+            let expected = ex.memo.phys(id).child_slots(id.group);
+            assert_eq!(links.slot_lists(d).len(), expected.len(), "{id}");
+            for (&l, slot) in links.slot_lists(d).iter().zip(&expected) {
+                let rule = plansample_memo::eligible_children(&ex.memo, &ex.query, slot);
+                let listed: Vec<PhysId> =
+                    links.list(l).iter().map(|&c| links.ids().phys(c)).collect();
+                assert_eq!(listed, rule, "{id}: {slot:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn leaves_have_no_slots() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        assert!(links.children_of(ex.table_scan_a).is_empty());
+        assert!(links.children_of(ex.idx_scan_c).is_empty());
+        assert_eq!(links.arity_of(ex.table_scan_a), 0);
+        assert_eq!(links.arity_of(ex.root_c_ab), 2);
+    }
+
+    #[test]
+    fn identical_slots_intern_to_one_list() {
+        // The two roots HashJoin(C, AB) and HashJoin(AB, C) both have an
+        // unconstrained slot on group C and one on group AB; the sibling
+        // hash join in group AB shares the unconstrained A and B lists
+        // with nothing else, but the roots' four slots intern to two
+        // lists.
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let a = links.slot_lists(links.ids().dense(ex.root_c_ab));
+        let b = links.slot_lists(links.ids().dense(ex.root_ab_c));
+        assert_eq!(a[0], b[1], "group-C slots share one interned list");
+        assert_eq!(a[1], b[0], "group-AB slots share one interned list");
+        // Interning keeps the arena strictly smaller than the sum of all
+        // per-slot list lengths.
+        let flat: usize = links
+            .all_ids()
+            .map(|id| links.children_of(id).iter().map(Vec::len).sum::<usize>())
+            .sum();
+        assert!(links.num_pooled_links() < flat);
+    }
+
+    /// The root's alternatives are interned like a slot's: a root group
+    /// some slot already lists in full — or an empty one beside a slot
+    /// that filters to nothing — adds no list of its own.
+    #[test]
+    fn root_list_is_a_slot_list_with_the_same_members() {
+        let ex = build();
+        let full = Links::build(&ex.memo, &ex.query).unwrap();
+        let mut rooted_in_a = ex.memo.clone();
+        rooted_in_a.set_root(ex.table_scan_a.group);
+        let links = Links::build(&rooted_in_a, &ex.query).unwrap();
+        let join_ab = links.ids().dense(ex.hash_join_ab);
+        assert_eq!(links.root_list(), links.slot_lists(join_ab)[0]);
+        assert_eq!(links.list(links.root_list()).len(), 3);
+        assert_eq!(links.num_lists() + 1, full.num_lists());
+
+        let scan = PhysicalOp::TableScan { rel: RelId(0) };
+        let mut memo = Memo::new();
+        let scans = memo.add_group(GroupKey::Rels(RelSet::all(1)));
+        let empty = memo.add_group(GroupKey::Rels(RelSet::all(2)));
+        let joins = memo.add_group(GroupKey::Rels(RelSet::all(3)));
+        memo.add_physical(scans, PhysicalExpr::new(scan, 1.0, 1.0));
+        let (left, right) = (scans, empty);
+        let join = PhysicalExpr::new(PhysicalOp::HashJoin { left, right }, 1.0, 1.0);
+        let join = memo.add_physical(joins, join).unwrap();
+        memo.set_root(empty);
+        let links = Links::build(&memo, &ex.query).unwrap();
+        let join = links.ids().dense(join);
+        assert_eq!(links.root_list(), links.slot_lists(join)[1]);
+        assert!(links.list(links.root_list()).is_empty());
+        assert_eq!(links.num_lists(), 2);
+    }
+
+    #[test]
+    fn topo_orders_children_before_parents() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        assert_eq!(links.topo().len(), links.num_exprs());
+        let mut position = vec![usize::MAX; links.num_exprs()];
+        for (i, &d) in links.topo().iter().enumerate() {
+            position[d.idx()] = i;
+        }
+        for (d, _) in links.ids().iter() {
+            for &l in links.slot_lists(d) {
+                for &child in links.list(l) {
+                    assert!(
+                        position[child.idx()] < position[d.idx()],
+                        "child {child:?} must precede parent {d:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn all_ids_needs_no_memo_and_covers_everything() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let ids: Vec<PhysId> = links.all_ids().collect();
+        assert_eq!(ids.len(), ex.memo.num_physical());
+        let from_memo: Vec<PhysId> = ex
+            .memo
+            .groups()
+            .flat_map(|g| g.phys_iter().map(|(id, _)| id))
+            .collect();
+        assert_eq!(ids, from_memo);
+    }
+
+    /// The artifact's view of the links is the CSR pair, whatever the
+    /// resident layout: nine slots over ten expressions on Figure 3, no
+    /// sentinel in sight, and `from_parts` packs it back to links that
+    /// answer — and serialize — the same.
+    #[test]
+    fn parts_are_the_csr_view_and_round_trip() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let parts = links.to_parts();
+        assert_eq!(parts.slot_bounds.len(), links.num_exprs() + 1);
+        assert_eq!(parts.slot_lists.len(), 9);
+        assert_eq!(*parts.slot_bounds.last().unwrap(), 9);
+        assert!(parts
+            .slot_lists
+            .iter()
+            .all(|&l| (l as usize) < links.num_lists()));
+
+        let back = Links::from_parts(&ex.memo, parts.clone()).unwrap();
+        assert_eq!(back.to_parts(), parts);
+        assert_eq!(back.size_bytes(), links.size_bytes());
+        for (d, id) in links.ids().iter() {
+            assert_eq!(back.slot_lists(d), links.slot_lists(d));
+            assert_eq!(back.arity(d), ex.memo.phys(id).arity());
+            assert_eq!(back.children_of(id), links.children_of(id));
+        }
+    }
+
+    /// What the packed table and the ranker's binary search add to the
+    /// load-time checks: a checksummed artifact can still describe an
+    /// expression too wide for the slot record, name the padding
+    /// sentinel as a list, or hold a list out of order — each is
+    /// refused, none a panic or a member ranked as foreign.
+    #[test]
+    fn from_parts_rejects_what_the_slot_record_and_the_ranker_cannot_hold() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let parts = links.to_parts();
+        let rejected = |parts: LinksParts, why: &str| match Links::from_parts(&ex.memo, parts) {
+            Err(reason) => assert!(reason.contains(why), "{reason:?} does not mention {why:?}"),
+            Ok(_) => panic!("expected a refusal ({why})"),
+        };
+        let root = links.ids().dense(ex.root_c_ab).idx();
+
+        // A third slot on a root join (a list id in range, bounds still
+        // monotonic and covering).
+        let mut wide = parts.clone();
+        let at = wide.slot_bounds[root + 1] as usize;
+        wide.slot_lists.insert(at, wide.slot_lists[at - 1]);
+        for bound in &mut wide.slot_bounds[root + 1..] {
+            *bound += 1;
+        }
+        rejected(wide, "more than MAX_SLOTS");
+
+        // The padding sentinel where a list id belongs.
+        let mut padded = parts.clone();
+        padded.slot_lists[parts.slot_bounds[root] as usize] = ListId::NONE.0;
+        rejected(padded, "slot list id out of range");
+
+        // Group AB's two joins, swapped within the list the roots draw
+        // from: same members, not ascending.
+        let mut unsorted = parts.clone();
+        let l = links.slot_lists(DenseId(root as u32))[1];
+        assert_eq!(links.list(l).len(), 2);
+        let at = parts.list_bounds[l.idx()] as usize;
+        unsorted.pool.swap(at, at + 1);
+        rejected(unsorted, "strictly ascending");
+        // … or one of them listed twice.
+        let mut repeated = parts;
+        repeated.pool[at + 1] = repeated.pool[at];
+        rejected(repeated, "strictly ascending");
+    }
+
+    /// What §3.2's fold over a loaded order relies on: children before
+    /// parents, and every list read. A reversed order is a permutation
+    /// that puts every parent first; a list holding its own reader is a
+    /// cycle no order can satisfy; a list nothing reads would never be
+    /// summed. Each is refused.
+    #[test]
+    fn from_parts_rejects_orders_a_count_fold_cannot_walk() {
+        let ex = build();
+        let links = Links::build(&ex.memo, &ex.query).unwrap();
+        let parts = links.to_parts();
+        let rejected = |parts: LinksParts, why: &str| match Links::from_parts(&ex.memo, parts) {
+            Err(reason) => assert!(reason.contains(why), "{reason:?} does not mention {why:?}"),
+            Ok(_) => panic!("expected a refusal ({why})"),
+        };
+
+        let mut reversed = parts.clone();
+        reversed.topo.reverse();
+        rejected(reversed, "members before its readers");
+
+        // The hash join over A and B reads group A's three expressions;
+        // its own id, above theirs, replaces the last.
+        let join = links.ids().dense(ex.hash_join_ab);
+        let left = links.slot_lists(join)[0];
+        let mut cyclic = parts.clone();
+        let last = parts.list_bounds[left.idx() + 1] as usize - 1;
+        assert!(cyclic.pool[last] < join.0);
+        cyclic.pool[last] = join.0;
+        rejected(cyclic, "members before its readers");
+
+        let mut unread = parts;
+        unread.list_bounds.push(*unread.list_bounds.last().unwrap());
+        rejected(unread, "some slot's list or the root list");
+    }
+
+    /// Two mutually-referencing "joins" in the same group cannot occur via
+    /// the optimizer, but a hand-built memo can express a cycle through a
+    /// self-join of groups: g1.join(g0, g1) — child group equals own
+    /// group with an always-satisfied requirement. Its join is `1.1`.
+    fn cyclic_memo() -> Memo {
+        let mut memo = Memo::new();
+        let g0 = memo.add_group(GroupKey::Rels(RelSet::all(1)));
+        memo.add_physical(
+            g0,
+            PhysicalExpr::new(PhysicalOp::TableScan { rel: RelId(0) }, 1.0, 1.0),
+        )
+        .unwrap();
+        let g1 = memo.add_group(GroupKey::Rels(RelSet::all(2)));
+        memo.add_physical(
+            g1,
+            PhysicalExpr::new(
+                PhysicalOp::NestedLoopJoin {
+                    left: g0,
+                    right: g1,
+                },
+                1.0,
+                1.0,
+            ),
+        )
+        .unwrap();
+        memo.set_root(g1);
+        memo
+    }
+
+    #[test]
+    fn cyclic_hand_built_memo_is_rejected() {
+        let ex = build();
+        let at = Links::build(&cyclic_memo(), &ex.query).unwrap_err();
+        assert_eq!(
+            PlanSpace::build(&cyclic_memo(), &ex.query).unwrap_err(),
+            SpaceError::CyclicMemo { at }
+        );
+    }
+
+    /// The optimizer's cost fold reads the same table and cannot return
+    /// an error: it stops at the cycle with a panic naming the join, not
+    /// a stack overflow that aborts the process.
+    #[test]
+    #[should_panic(expected = "cyclic memo: expression 1.1")]
+    fn cyclic_hand_built_memo_panics_in_compute_totals() {
+        let ex = build();
+        plansample_optimizer::compute_totals(&cyclic_memo(), &ex.query);
+    }
+
+    #[test]
+    #[should_panic(expected = "cyclic memo: expression 1.1")]
+    fn cyclic_hand_built_memo_panics_in_prune() {
+        let ex = build();
+        plansample_optimizer::prune(&cyclic_memo(), &ex.query, 1.0);
     }
 }

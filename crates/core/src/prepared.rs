@@ -12,10 +12,10 @@
 //! count, unrank, page, and sample concurrently with zero
 //! re-optimization and zero locking.
 
-use crate::{Counts, Error, Links, PlanBatch, PlanSpace, SpaceError};
+use crate::{Counts, Error, PlanBatch, PlanSpace, SpaceError};
 use plansample_catalog::Catalog;
 use plansample_memo::{satisfies_cols, PhysId, PlanNode, SortOrder};
-use plansample_optimizer::{optimize_with_scan, Optimized, OptimizerConfig};
+use plansample_optimizer::{optimize_with_links, Optimized, OptimizerConfig};
 use plansample_query::{ColRef, QuerySpec};
 use rand::Rng;
 use std::ops::Deref;
@@ -73,20 +73,19 @@ impl Deref for PreparedQuery {
 impl PreparedQuery {
     /// Runs the optimizer once and post-processes its memo into the
     /// owned artifact — the only expensive call in this type's API. The
-    /// links are packed from the scan the optimizer's best-plan
-    /// extraction made of the memo, so the memo is scanned once.
+    /// links are the ones the optimizer's best-plan extraction built of
+    /// the memo, so the memo is scanned once.
     pub fn prepare(
         catalog: &Catalog,
         query: &QuerySpec,
         config: &OptimizerConfig,
     ) -> Result<Self, Error> {
-        let (optimized, scan) = optimize_with_scan(catalog, query, config)?;
+        let (optimized, links) = optimize_with_links(catalog, query, config)?;
         let Optimized {
             memo,
             best_plan,
             best_cost,
         } = optimized;
-        let links = Links::from_scan(&memo, scan);
         let counts = Counts::compute(&links);
         let query = Arc::new(query.clone());
         Ok(PreparedQuery {

@@ -48,7 +48,7 @@ impl DenseIdMap {
     /// # Panics
     /// Panics if the memo holds ≥ 2³¹ physical expressions: ids, the
     /// one-past-the-end bound in `starts` and the levels
-    /// [`MemoScan::build`](crate::MemoScan::build) folds (at most one
+    /// [`Links::build`](crate::Links::build) folds (at most one
     /// per expression) are `u32`, and the fold reserves `u32::MAX` and
     /// `u32::MAX − 1` as sentinels, so the bound keeps every value far
     /// below them.

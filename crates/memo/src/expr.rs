@@ -197,8 +197,8 @@ impl SlotRef<'_> {
 pub const MAX_SLOTS: usize = 2;
 
 /// Identifies one interned child-alternative list of a memo's link
-/// table: an index into the list bounds of a
-/// [`MemoScan`](crate::MemoScan), and of the `Links` built from it.
+/// table: an index into the list bounds of its
+/// [`Links`](crate::Links).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ListId(pub u32);
 
@@ -311,7 +311,7 @@ impl PhysicalExpr {
     }
 
     /// [`child_slots`](Self::child_slots) borrowed from the operator:
-    /// [`MemoScan::build`](crate::MemoScan::build) walks every slot of a
+    /// [`Links::build`](crate::Links::build) walks every slot of a
     /// memo and clones only the distinct ones.
     pub(crate) fn slot_refs(&self, own_group: GroupId) -> impl Iterator<Item = SlotRef<'_>> {
         fn order(group: GroupId, cols: &[ColRef]) -> Option<SlotRef<'_>> {

@@ -22,6 +22,12 @@
 //! `plansample-optimizer`) or built by hand — the latter is how the test
 //! suite reproduces the worked example of the paper's Figures 2/3 and
 //! appendix.
+//!
+//! A memo's plan graph — §3.1's "links between operators and their
+//! possible children", the root group's list, and a children-before-
+//! parents order — is [`Links`], made by one scan ([`Links::build`]) and
+//! read by the optimizer's cost fold and by every count and rank
+//! operation downstream.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +43,7 @@ pub use dense::{DenseId, DenseIdMap};
 pub use expr::{
     ChildSlot, ListId, LogicalOp, PhysicalExpr, PhysicalOp, Requirement, SlotRecord, MAX_SLOTS,
 };
-pub use links::{eligible_children, MemoScan};
+pub use links::{eligible_children, Links, LinksParts};
 pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;
@@ -787,7 +793,7 @@ mod tests {
         }
         memo.set_root(join);
 
-        let tables = |m: &Memo| format!("{:?}", MemoScan::build(m, &query).unwrap());
+        let tables = |m: &Memo| format!("{:?}", Links::build(m, &query).unwrap());
         let (before, bytes) = (tables(&memo), memo.size_bytes());
         let freed = memo.groups().map(|g| g.logical.capacity()).sum::<usize>()
             * std::mem::size_of::<LogicalOp>();

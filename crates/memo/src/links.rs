@@ -1,6 +1,8 @@
-//! Child eligibility, and the one scan that turns it into a memo's link
-//! table: every expression's child slots as interned lists of the
-//! expressions that may fill them.
+//! §3.1 — Preparatory steps: child eligibility, and the one scan that
+//! materializes "the links between operators and their possible
+//! children" as a memo's plan graph, [`Links`]: every expression's child
+//! slots as interned lists of the expressions that may fill them. The
+//! optimizer's cost fold, §3.2's count and every rank operation read it.
 //!
 //! This is the single source of truth for parent→child compatibility
 //! (§3.1 of the paper: "Due to the differences in physical properties
@@ -18,18 +20,34 @@
 //!   chains, which keeps the plan graph finite and acyclic; excluding
 //!   already-satisfying children rules out redundant sorts.
 //!
+//! [`eligible_children`] is the per-slot, per-expression form of the same
+//! rule: the reference the test suites compare the scan against.
+//!
 //! # One table
 //!
-//! [`MemoScan::build`] materializes the links once, as the tables the
-//! rest of the system keeps: the dense ids, a pool of interned lists with
-//! their bounds, one [`SlotRecord`] per expression naming the list of
-//! each of its slots, and the expressions in one children-before-parents
-//! order. The optimizer's best-plan extraction (`compute_totals`) folds
-//! over these tables in that order, and `Links` in `plansample-core`
-//! moves them in as they are, adding only the root list — so a prepare,
-//! which hands the optimizer's scan to its links, scans its memo once and
-//! both bottom-up folds (the cost minimum and §3.2's count) walk one
-//! table in one order.
+//! [`Links::build`] makes the links once, as flat tables over
+//! [`DenseId`]s (a memo-wide contiguous `u32`, see [`DenseIdMap`]):
+//!
+//! ```text
+//!   pool:        [DenseId]      all interned lists, concatenated
+//!   list_bounds: [u32]          list l = pool[list_bounds[l] .. list_bounds[l+1]]
+//!   slots:       [SlotRecord]   expr d's slot → list, padded with ListId::NONE
+//!   topo:        [DenseId]      every expression, children before parents
+//! ```
+//!
+//! and the root group's list, the one every whole-space operation starts
+//! from. The lists are CSR; the slots are not. No operator has more than
+//! [`MAX_SLOTS`] children and 98 % of a join memo's expressions are
+//! binary joins, so one fixed record per expression is *smaller* than a
+//! bounds table plus a concatenated slot table (`8·n` against
+//! `4·(n+1) + 4·slots` bytes, `slots ≈ 1.96·n`) and an unranking step
+//! reads it in one load instead of two dependent ones. The serialization
+//! view ([`LinksParts`]) keeps the CSR pair, so artifacts did not change
+//! when the resident table did.
+//!
+//! A prepare makes the table once, in the optimizer's best-plan
+//! extraction (`compute_totals`), which hands it on; so the optimizer's
+//! (min, +) fold and §3.2's (+, ×) count walk one table in one order.
 //!
 //! # One order
 //!
@@ -56,10 +74,10 @@
 //! accept equal class sets — whatever their requirements say — and lists
 //! of different groups are equal only when both are empty. Comparing
 //! class sets (a few integers) is how the scan interns, where a content
-//! hash would read every member of every list.
-//!
-//! [`eligible_children`] is the per-slot, per-expression form of the same
-//! rule: the reference the test suites compare the scan against.
+//! hash would read every member of every list. The root list is interned
+//! the same way: it is the answer to the unconstrained question on the
+//! root group, so it is a slot's list exactly when some slot accepts
+//! every class of the root group, and otherwise the last list.
 
 use crate::expr::SlotRef;
 use crate::{
@@ -85,7 +103,7 @@ fn accepts(
 
 /// All expressions of `slot.group` eligible to fill `slot`, in group
 /// order (the order that defines plan ranks) — one test per expression.
-/// Production code asks per class ([`MemoScan::build`]); this is the
+/// Production code asks per class ([`Links::build`]); this is the
 /// reference it is tested against.
 pub fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Vec<PhysId> {
     let group = memo.group(slot.group);
@@ -98,26 +116,57 @@ pub fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Ve
         .collect()
 }
 
-/// §3.1's materialized links of one memo, built by [`MemoScan::build`]:
-/// the tables `Links` in `plansample-core` keeps (docs/DESIGN.md §3).
+/// A [`Links`] as raw `u32` tables, every one of them CSR — the
+/// serialization view a plan-space artifact stores and reloads
+/// byte-for-byte (see `plansample-artifact`). Produced by
+/// [`Links::to_parts`], consumed (and validated) by
+/// [`Links::from_parts`]. The slots are listed here as a bounds table
+/// and a concatenated table, not as the padded records the links keep
+/// resident: the view has no sentinel and no width to agree on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinksParts {
+    /// All interned alternative lists, concatenated ([`DenseId`] raws).
+    pub pool: Vec<u32>,
+    /// List `l` = `pool[list_bounds[l] .. list_bounds[l+1]]`.
+    pub list_bounds: Vec<u32>,
+    /// Per-expression slot → interned list ([`ListId`] raws).
+    pub slot_lists: Vec<u32>,
+    /// Expr `d`'s slots = `slot_lists[slot_bounds[d] .. slot_bounds[d+1]]`.
+    pub slot_bounds: Vec<u32>,
+    /// Every expression, children before parents ([`DenseId`] raws):
+    /// the scan's order, by level and then dense id (see
+    /// [`Links::build`]). A load checks that it is a permutation in
+    /// which every list's members precede every expression that reads
+    /// it — any such order, not necessarily the scan's.
+    pub topo: Vec<u32>,
+    /// The root group's interned alternative list.
+    pub root_list: u32,
+}
+
+/// §3.1's materialized links of one memo, in the flat layout of the
+/// module docs: the validated input of §3.2's count fold. Made by
+/// [`build`](Self::build) from a memo, or by
+/// [`from_parts`](Self::from_parts) from tables read back.
 #[derive(Debug, Clone)]
-pub struct MemoScan {
-    /// The memo's dense numbering.
-    pub ids: DenseIdMap,
+pub struct Links {
+    ids: DenseIdMap,
     /// The interned lists, concatenated in list-id order; each in group
-    /// order, hence strictly ascending. Allocated at its exact length.
-    pub pool: Vec<DenseId>,
+    /// order, hence strictly ascending, which ranking searches.
+    /// Allocated at its exact length.
+    pool: Vec<DenseId>,
     /// List `l` is `pool[list_bounds[l] .. list_bounds[l + 1]]`; one
     /// entry more than there are lists.
-    pub list_bounds: Vec<u32>,
+    list_bounds: Vec<u32>,
     /// Expression `d`'s slot record: the list of each of its child
     /// slots. Lists are numbered as the slots that first name them are
-    /// met — over groups, then expressions, then slots — which fixes list
-    /// ids, pool layout and artifact bytes.
-    pub slots: Vec<SlotRecord>,
+    /// met — over groups, then expressions, then slots, then the root —
+    /// which fixes list ids, pool layout and artifact bytes.
+    slots: Vec<SlotRecord>,
     /// Every expression, children before parents: sorted by level, then
-    /// dense id (see [`MemoScan::build`]). Both bottom-up folds walk it.
-    pub topo: Vec<DenseId>,
+    /// dense id (see [`build`](Self::build)). Both bottom-up folds walk it.
+    topo: Vec<DenseId>,
+    /// The root group's expressions as an interned list.
+    root_list: ListId,
 }
 
 /// A level not yet known, and one being folded: meeting an expression
@@ -125,10 +174,11 @@ pub struct MemoScan {
 const UNSEEN: u32 = u32::MAX;
 const OPEN: u32 = u32::MAX - 1;
 
-impl MemoScan {
+impl Links {
     /// Numbers `memo`'s expressions, materializes the list of every
-    /// child slot and orders the expressions children before parents.
-    /// Four linear passes over the memo:
+    /// child slot and of the root group, and orders the expressions
+    /// children before parents. Sequential, a pure function of the memo,
+    /// and four linear passes over it:
     ///
     /// 1. **Classify**: number each group's classes (see the module docs)
     ///    in first-appearance order, by a linear search over borrowed
@@ -141,7 +191,8 @@ impl MemoScan {
     ///    class of its group, and a class set the group has not produced
     ///    before is a new list, whose length is the sum of its class
     ///    counts. Each slot's list goes straight into its expression's
-    ///    record.
+    ///    record. Last, the root group is asked the unconstrained
+    ///    question the same way: its answer is the root list.
     /// 3. **Emit**: with every length known the pool is reserved exactly,
     ///    and each list is its group's dense range filtered by class.
     /// 4. **Order**: a leaf has level 0, and any other expression the
@@ -156,7 +207,10 @@ impl MemoScan {
     /// A memo whose plan graph is cyclic — only a hand-built one can be —
     /// is refused with the expression the fold met again while folding
     /// it.
-    pub fn build(memo: &Memo, query: &QuerySpec) -> Result<MemoScan, PhysId> {
+    ///
+    /// # Panics
+    /// Panics if the memo has no root group.
+    pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, PhysId> {
         let ids = DenseIdMap::build(memo);
 
         // Classify. Classes are numbered memo-wide, each group's contiguous.
@@ -242,6 +296,21 @@ impl MemoScan {
                 slots.push(SlotRecord(record));
             }
         }
+        // The empty requirement accepts every class, enforcers included:
+        // the root group's full range, asked last so that no slot's list
+        // id moves.
+        let root = SlotRef {
+            group: memo.root(),
+            sort_input: false,
+            cols: &[],
+        };
+        let met = asked[root.group.0 as usize]
+            .iter()
+            .find(|(s, _)| *s == root);
+        let root_list = met.map_or_else(|| decide(root), |&(_, l)| l);
+        // The links back a long-lived, byte-budgeted artifact: drop the
+        // growth slack of the one table built by pushing.
+        list_bounds.shrink_to_fit();
 
         // Emit.
         let mut pool: Vec<DenseId> =
@@ -259,20 +328,22 @@ impl MemoScan {
             );
             set.iter().for_each(|&c| accepted[c as usize] = false);
         }
-        let mut scan = MemoScan {
+        let mut links = Links {
             ids,
             pool,
             list_bounds,
             slots,
             topo: Vec::new(),
+            root_list,
         };
 
         // Order: fold the levels, then counting-sort by level, stably.
-        let mut levels = vec![UNSEEN; scan.ids.len()];
-        let mut list_levels = vec![UNSEEN; scan.list_bounds.len() - 1];
-        for d in (0..scan.ids.len() as u32).map(DenseId) {
-            scan.level(d, &mut levels, &mut list_levels)
-                .map_err(|at| scan.ids.phys(at))?;
+        let mut levels = vec![UNSEEN; links.num_exprs()];
+        let mut list_levels = vec![UNSEEN; links.num_lists()];
+        for d in (0..links.num_exprs() as u32).map(DenseId) {
+            links
+                .level(d, &mut levels, &mut list_levels)
+                .map_err(|at| links.ids.phys(at))?;
         }
         let mut starts = vec![0; levels.iter().max().map_or(1, |&top| top as usize + 2)];
         for &level in &levels {
@@ -281,12 +352,12 @@ impl MemoScan {
         for i in 1..starts.len() {
             starts[i] += starts[i - 1];
         }
-        scan.topo = vec![DenseId(0); scan.ids.len()];
+        links.topo = vec![DenseId(0); links.num_exprs()];
         for (d, &level) in levels.iter().enumerate() {
-            scan.topo[starts[level as usize]] = DenseId(d as u32);
+            links.topo[starts[level as usize]] = DenseId(d as u32);
             starts[level as usize] += 1;
         }
-        Ok(scan)
+        Ok(links)
     }
 
     /// The level of `d` (see [`build`](Self::build)), memoised in
@@ -318,16 +389,259 @@ impl MemoScan {
         Ok(level)
     }
 
+    /// Copies the tables out as raw `u32` CSR buffers for
+    /// serialization, expanding the slot records to the bounds +
+    /// concatenation pair. The dense-id table is *not* part of the view:
+    /// it is a pure function of the memo and is rebuilt by
+    /// [`from_parts`](Self::from_parts).
+    pub fn to_parts(&self) -> LinksParts {
+        let mut slot_lists = Vec::new();
+        let mut slot_bounds = Vec::with_capacity(self.slots.len() + 1);
+        slot_bounds.push(0);
+        for d in 0..self.slots.len() as u32 {
+            slot_lists.extend(self.slot_lists(DenseId(d)).iter().map(|l| l.0));
+            slot_bounds.push(slot_lists.len() as u32);
+        }
+        LinksParts {
+            pool: self.pool.iter().map(|d| d.0).collect(),
+            list_bounds: self.list_bounds.clone(),
+            slot_lists,
+            slot_bounds,
+            topo: self.topo.iter().map(|d| d.0).collect(),
+            root_list: self.root_list.0,
+        }
+    }
+
+    /// Reassembles links from raw parts (the artifact load path),
+    /// validating every structural invariant the accessors and §3.2's
+    /// count fold rely on, in O(expressions + pool + slots) — bounds
+    /// tables monotonic and covering, every index in range, every list
+    /// strictly ascending (ranking finds a plan's operator by binary
+    /// search), no expression with more than [`MAX_SLOTS`] slots, every
+    /// list some slot's list or the root list, and the topo order a
+    /// permutation that is children-before-parents: each list's latest
+    /// member comes before every expression that reads it. That last
+    /// check is also the cycle check, since no order puts a cycle's
+    /// members before each other. It does *not* re-verify that list
+    /// contents are what the eligibility rule lists; the artifact
+    /// layer's sums own byte integrity, and this constructor owns the
+    /// soundness of the graph the counts are folded over.
+    ///
+    /// # Errors
+    /// Corrupt or adversarial tables are refused with the first violated
+    /// invariant, instead of a panic, a member reported foreign or counts
+    /// folded over unfinished ones.
+    pub fn from_parts(memo: &Memo, parts: LinksParts) -> Result<Links, String> {
+        let ids = DenseIdMap::build(memo);
+        let n = ids.len();
+        let LinksParts {
+            pool,
+            list_bounds,
+            slot_lists,
+            slot_bounds,
+            topo,
+            root_list,
+        } = parts;
+
+        // Bounds tables: non-empty, start at 0, monotonic, end at the
+        // length of the buffer they index.
+        let check_bounds = |bounds: &[u32], covered: usize, what: &str| {
+            if bounds.first() != Some(&0) {
+                return Err(format!("{what} bounds must start at 0"));
+            }
+            if bounds.windows(2).any(|w| w[0] > w[1]) {
+                return Err(format!("{what} bounds must be monotonic"));
+            }
+            if *bounds.last().unwrap() as usize != covered {
+                return Err(format!("{what} bounds must end at the buffer length"));
+            }
+            Ok(())
+        };
+        check_bounds(&list_bounds, pool.len(), "list")?;
+        let num_lists = list_bounds.len() - 1;
+        if slot_bounds.len() != n + 1 {
+            return Err("slot bounds must have one entry per expression".into());
+        }
+        check_bounds(&slot_bounds, slot_lists.len(), "slot")?;
+
+        // Index ranges.
+        if pool.iter().any(|&d| d as usize >= n) {
+            return Err("pool entry out of range".into());
+        }
+        let ascending = |w: &[u32]| pool[w[0] as usize..w[1] as usize].is_sorted_by(|a, b| a < b);
+        if !list_bounds.windows(2).all(ascending) {
+            return Err("every list must be strictly ascending".into());
+        }
+        // The padding sentinel is out of range for any table that fits
+        // `u32` list ids, so it cannot arrive as a slot's list.
+        if num_lists > ListId::NONE.idx() || slot_lists.iter().any(|&l| l as usize >= num_lists) {
+            return Err("slot list id out of range".into());
+        }
+        if (root_list as usize) >= num_lists {
+            return Err("root list id out of range".into());
+        }
+
+        // The topo order must be a permutation of the expressions.
+        if topo.len() != n {
+            return Err("topo order must cover every expression".into());
+        }
+        let mut position = vec![UNSEEN; n];
+        for (i, &d) in topo.iter().enumerate() {
+            match position.get_mut(d as usize) {
+                Some(at) if *at == UNSEEN => *at = i as u32,
+                _ => return Err("topo order must be a permutation".into()),
+            }
+        }
+        // In that order, a list's members must all come before every
+        // expression that reads it: one past its latest member's
+        // position (0 for an empty list) is at most any reader's.
+        let after: Vec<u32> = list_bounds
+            .windows(2)
+            .map(|w| {
+                let members = pool[w[0] as usize..w[1] as usize].iter();
+                members
+                    .map(|&d| position[d as usize] + 1)
+                    .max()
+                    .unwrap_or(0)
+            })
+            .collect();
+        let mut read = vec![false; num_lists];
+        read[root_list as usize] = true;
+
+        // Pack the slot records, checking each slot against the order.
+        let mut slots: Vec<SlotRecord> = Vec::with_capacity(n);
+        for (w, &at) in slot_bounds.windows(2).zip(&position) {
+            let lists = &slot_lists[w[0] as usize..w[1] as usize];
+            for &l in lists {
+                if after[l as usize] > at {
+                    return Err(
+                        "topo order must put every list's members before its readers".into(),
+                    );
+                }
+                read[l as usize] = true;
+            }
+            slots.push(
+                SlotRecord::pack(lists.iter().map(|&l| ListId(l)))
+                    .ok_or("an expression has more than MAX_SLOTS slots")?,
+            );
+        }
+        if !read.iter().all(|&r| r) {
+            return Err("every list must be some slot's list or the root list".into());
+        }
+
+        Ok(Links {
+            ids,
+            pool: pool.into_iter().map(DenseId).collect(),
+            list_bounds,
+            slots,
+            topo: topo.into_iter().map(DenseId).collect(),
+            root_list: ListId(root_list),
+        })
+    }
+
+    /// The dense-id table shared by everything built on these links.
+    #[inline]
+    pub fn ids(&self) -> &DenseIdMap {
+        &self.ids
+    }
+
+    /// Number of physical expressions covered.
+    #[inline]
+    pub fn num_exprs(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Number of distinct (interned) alternative lists.
+    #[inline]
+    pub fn num_lists(&self) -> usize {
+        self.list_bounds.len() - 1
+    }
+
+    /// Total entries across the interned lists (the arena size; without
+    /// interning this would be the full link count).
+    #[inline]
+    pub fn num_pooled_links(&self) -> usize {
+        self.pool.len()
+    }
+
     /// The members of list `l`.
     #[inline]
     pub fn list(&self, l: ListId) -> &[DenseId] {
-        &self.pool[self.list_bounds[l.idx()] as usize..self.list_bounds[l.idx() + 1] as usize]
+        &self.pool[self.list_range(l)]
     }
 
-    /// The list of each child slot of `d`, in slot order.
+    /// The range of list `l` within the concatenated pool — the
+    /// coordinate system a pool-aligned table (such as §3.2's running
+    /// sums) shares: indexed by this range it yields list `l`'s entries
+    /// as one contiguous slice.
+    #[inline]
+    pub fn list_range(&self, l: ListId) -> std::ops::Range<usize> {
+        self.list_bounds[l.idx()] as usize..self.list_bounds[l.idx() + 1] as usize
+    }
+
+    /// The list of each child slot of `d`, in slot order: the occupied
+    /// prefix of `d`'s slot record.
     #[inline]
     pub fn slot_lists(&self, d: DenseId) -> &[ListId] {
         self.slots[d.idx()].lists()
+    }
+
+    /// Number of child slots of `d` (the paper's `|v|`).
+    #[inline]
+    pub fn arity(&self, d: DenseId) -> usize {
+        self.slot_lists(d).len()
+    }
+
+    /// Number of child slots of an expression, by nominal id.
+    ///
+    /// # Panics
+    /// Panics when `id` is not part of the linked memo.
+    #[inline]
+    pub fn arity_of(&self, id: PhysId) -> usize {
+        self.arity(self.ids.dense(id))
+    }
+
+    /// The list every whole-space operation starts from: the root group's
+    /// expressions.
+    #[inline]
+    pub fn root_list(&self) -> ListId {
+        self.root_list
+    }
+
+    /// Every expression in a children-before-parents order (see
+    /// [`build`](Self::build)): the order both bottom-up folds walk
+    /// instead of recursing.
+    #[inline]
+    pub fn topo(&self) -> &[DenseId] {
+        &self.topo
+    }
+
+    /// Iterates every expression id covered by these links, in dense
+    /// order. (Self-contained: the links carry their own id table.)
+    pub fn all_ids(&self) -> impl Iterator<Item = PhysId> + '_ {
+        self.ids.iter().map(|(_, id)| id)
+    }
+
+    /// The alternatives for each child slot of `id`, materialized as
+    /// nominal ids — the nested view tests and diagnostics read; hot
+    /// paths use [`slot_lists`](Self::slot_lists)/[`list`](Self::list)
+    /// directly.
+    pub fn children_of(&self, id: PhysId) -> Vec<Vec<PhysId>> {
+        self.slot_lists(self.ids.dense(id))
+            .iter()
+            .map(|&l| self.list(l).iter().map(|&d| self.ids.phys(d)).collect())
+            .collect()
+    }
+
+    /// Bytes of memory held by the links: the id table plus the flat
+    /// buffers (pool, list bounds, slot records, topo), capacity-accurate.
+    pub fn size_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() - std::mem::size_of::<DenseIdMap>()
+            + self.ids.size_bytes()
+            + self.pool.capacity() * std::mem::size_of::<DenseId>()
+            + self.list_bounds.capacity() * std::mem::size_of::<u32>()
+            + self.slots.capacity() * std::mem::size_of::<SlotRecord>()
+            + self.topo.capacity() * std::mem::size_of::<DenseId>()
     }
 }
 
@@ -544,14 +858,18 @@ mod tests {
         let lists: Vec<Vec<u32>> = (0..6).map(members).collect();
         let expected: [&[u32]; 6] = [&[], &[0], &[1], &[4], &[2, 3, 5], &[2, 3, 4, 5]];
         assert_eq!(lists, expected);
+        // No slot is on the aggregates' group: its range is a new list.
+        assert_eq!(scan.root_list(), ListId(6));
+        assert_eq!(members(6), [6, 7]);
     }
 
     /// Every expression slot's list against the per-expression rule, and
-    /// the shape [`MemoScan::build`] promises: one record per expression,
+    /// the shape [`Links::build`] promises: one record per expression,
     /// exact bounds, an exactly sized pool, lists numbered as first met
-    /// and pairwise different.
-    fn assert_lists_match_the_rule(memo: &Memo, q: &QuerySpec) -> MemoScan {
-        let scan = MemoScan::build(memo, q).unwrap();
+    /// and pairwise different, the root list the root group's range —
+    /// some slot's list, or the last one.
+    fn assert_lists_match_the_rule(memo: &Memo, q: &QuerySpec) -> Links {
+        let scan = Links::build(memo, q).unwrap();
         assert_eq!(scan.slots.len(), memo.num_physical());
         for (d, id) in scan.ids.iter() {
             let slots = memo.phys(id).child_slots(id.group);
@@ -575,6 +893,15 @@ mod tests {
             assert!(l.0 <= met, "lists are numbered in first-encounter order");
             met = met.max(l.0 + 1);
         }
+        let root = scan.ids.group_range(memo.root());
+        assert_eq!(
+            scan.list(scan.root_list()),
+            root.map(DenseId).collect::<Vec<_>>()
+        );
+        if scan.root_list().0 == met {
+            met += 1;
+        }
+        assert!(scan.root_list().0 < met);
         assert_eq!(met as usize, num_lists);
         for a in 0..num_lists as u32 {
             for b in 0..a {
@@ -614,8 +941,8 @@ mod tests {
 
         // Levels by dense id: the aggregate 3, the Sort 2, the joins 1,
         // the scans 0.
-        let scan = MemoScan::build(&memo, &q).unwrap();
-        let topo: Vec<u32> = scan.topo.iter().map(|d| d.0).collect();
+        let scan = Links::build(&memo, &q).unwrap();
+        let topo: Vec<u32> = scan.topo().iter().map(|d| d.0).collect();
         assert_eq!(topo, [4, 5, 2, 3, 1, 0]);
     }
 
@@ -637,7 +964,7 @@ mod tests {
             .add_physical(g1, PhysicalExpr::new(join, 1.0, 1.0))
             .unwrap();
         memo.set_root(g1);
-        let at = MemoScan::build(&memo, &q).unwrap_err();
+        let at = Links::build(&memo, &q).unwrap_err();
         assert_eq!(at, join);
         assert_eq!(at.to_string(), "1.1");
     }
@@ -645,7 +972,8 @@ mod tests {
     /// No cap on the orders a group delivers: 70 index scans on 70
     /// columns and the 70 Sorts that enforce them make 141 classes in
     /// one group, and an aggregate group above asks for each order —
-    /// 141 lists, every one what the rule says.
+    /// 141 lists, every one what the rule says, and the aggregates' own
+    /// range of 71 the 142nd.
     #[test]
     fn a_group_delivering_seventy_orders_builds_without_truncation() {
         const ORDERS: u32 = 70;
@@ -686,14 +1014,14 @@ mod tests {
         memo.set_root(top);
 
         let scan = assert_lists_match_the_rule(&memo, &q);
-        assert_eq!(scan.list_bounds.len() - 1, 2 * ORDERS as usize + 1);
+        assert_eq!(scan.num_lists(), 2 * ORDERS as usize + 2);
         // Each order has its scan and its Sort; each Sort may sit on the
         // table scan and the 69 other index scans; the hash aggregate
-        // takes all 141.
+        // takes all 141; the root list is the 71 aggregates.
         let mut lens: Vec<u32> = scan.list_bounds.windows(2).map(|w| w[1] - w[0]).collect();
         lens.sort_unstable();
         lens.dedup();
-        assert_eq!(lens, [2, ORDERS, 2 * ORDERS + 1]);
+        assert_eq!(lens, [2, ORDERS, ORDERS + 1, 2 * ORDERS + 1]);
     }
 
     /// The two facts list identity — hence every artifact byte — rests

@@ -8,30 +8,29 @@
 //! operator in the root group" the paper extracts (§2) and the optimum
 //! all sampled costs are normalized to (§5).
 //!
-//! The program is one loop over the link table a [`MemoScan`] builds —
-//! the table `Links` in `plansample-core` keeps — in the scan's
-//! children-before-parents order, the loop §3.2's count makes over the
-//! same table in the same order. Each expression and each interned child
-//! *list* is evaluated once: sibling joins over the same inputs ask the
-//! same `(group, requirement)` question, and different questions often
-//! filter to the same children, so the minimum of a list — and the child
-//! that attains it — is found once, and the pass is linear in the memo
-//! like everything else downstream of it (paper §3). The totals keep
-//! their scan, and `optimize` hands it on (`optimize_with_scan`), so a
-//! prepare scans its memo once.
+//! The program is one loop over the memo's [`Links`] — §3.1's plan
+//! graph — in its children-before-parents order, the loop §3.2's count
+//! makes over the same table in the same order. Each expression and
+//! each interned child *list* is evaluated once: sibling joins over the
+//! same inputs ask the same `(group, requirement)` question, and
+//! different questions often filter to the same children, so the minimum
+//! of a list — and the child that attains it — is found once, and the
+//! pass is linear in the memo like everything else downstream of it
+//! (paper §3). The totals keep their links, and `optimize` hands them
+//! on (`optimize_with_links`), so a prepare scans its memo once.
 
-use plansample_memo::{DenseId, GroupId, Memo, MemoScan, PhysId, PlanNode};
+use plansample_memo::{DenseId, GroupId, Links, Memo, PhysId, PlanNode};
 use plansample_query::QuerySpec;
 
 /// Total costs for every physical expression, and the cheapest
 /// member of every interned child list.
 #[derive(Debug)]
 pub struct Totals {
-    /// The scan the totals were computed over.
-    pub(crate) scan: MemoScan,
+    /// The links the totals were computed over.
+    pub(crate) links: Links,
     /// Total cost by dense id.
     totals: Vec<f64>,
-    /// By list of the scan: the cheapest member's total, and that member
+    /// By list of the links: the cheapest member's total, and that member
     /// — the first to attain the minimum, `None` when no member
     /// completes.
     list_best: Vec<Option<(f64, Option<DenseId>)>>,
@@ -41,12 +40,12 @@ impl Totals {
     /// Total cost of the sub-plan space rooted in `id` (infinite when
     /// some child slot has no eligible provider).
     pub fn total(&self, id: PhysId) -> f64 {
-        self.totals[self.scan.ids.dense(id).idx()]
+        self.totals[self.links.ids().dense(id).idx()]
     }
 
     /// Cheapest total in `group`, infinite for empty/unsatisfiable groups.
     pub fn group_best(&self, group: GroupId) -> f64 {
-        let range = self.scan.ids.group_range(group);
+        let range = self.links.ids().group_range(group);
         self.totals[range.start as usize..range.end as usize]
             .iter()
             .copied()
@@ -54,27 +53,28 @@ impl Totals {
     }
 }
 
-/// Computes total costs for all expressions, in one pass over the
-/// scan's topological order: an expression's total is its local cost
-/// plus, in slot order, each slot list's minimum — found the first time
-/// a slot reads the list, over its members in group order, the first to
-/// attain it winning (what `min_by(total_cmp)` returns).
+/// Builds the memo's links and computes total costs for all
+/// expressions, in one pass over their topological order: an
+/// expression's total is its local cost plus, in slot order, each slot
+/// list's minimum — found the first time a slot reads the list, over its
+/// members in group order, the first to attain it winning (what
+/// `min_by(total_cmp)` returns).
 ///
 /// # Panics
 /// Panics, naming an expression on the cycle, when the memo's plan graph
-/// is cyclic — only a hand-built memo can be; `Links::build` in
-/// `plansample-core` rejects the same memo with an error.
+/// is cyclic — only a hand-built memo can be; [`Links::build`] refuses
+/// the same memo with an error.
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
-    let scan = MemoScan::build(memo, query)
+    let links = Links::build(memo, query)
         .unwrap_or_else(|at| panic!("cyclic memo: expression {at} is its own descendant"));
-    let mut totals = vec![f64::INFINITY; scan.ids.len()];
-    let mut list_best: Vec<Option<(f64, Option<DenseId>)>> = vec![None; scan.list_bounds.len() - 1];
-    for &d in &scan.topo {
-        let mut total = memo.phys(scan.ids.phys(d)).local_cost;
-        for &list in scan.slot_lists(d) {
+    let mut totals = vec![f64::INFINITY; links.num_exprs()];
+    let mut list_best: Vec<Option<(f64, Option<DenseId>)>> = vec![None; links.num_lists()];
+    for &d in links.topo() {
+        let mut total = memo.phys(links.ids().phys(d)).local_cost;
+        for &list in links.slot_lists(d) {
             let (best, _) = *list_best[list.idx()].get_or_insert_with(|| {
                 let (mut best, mut child) = (f64::INFINITY, None);
-                for &member in scan.list(list) {
+                for &member in links.list(list) {
                     if totals[member.idx()] < best {
                         (best, child) = (totals[member.idx()], Some(member));
                     }
@@ -86,7 +86,7 @@ pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
         totals[d.idx()] = total;
     }
     Totals {
-        scan,
+        links,
         totals,
         list_best,
     }
@@ -102,14 +102,14 @@ pub fn best_plan(memo: &Memo, totals: &Totals) -> Option<(PlanNode, f64)> {
         .map(|(id, _)| (id, totals.total(id)))
         .filter(|(_, c)| c.is_finite())
         .min_by(|a, b| a.1.total_cmp(&b.1))?;
-    Some((expand(totals, totals.scan.ids.dense(best_id)), cost))
+    Some((expand(totals, totals.links.ids().dense(best_id)), cost))
 }
 
 /// The plan under `d`, every slot filled with the cheapest member
 /// [`compute_totals`] found for its list.
 fn expand(totals: &Totals, d: DenseId) -> PlanNode {
     let children = totals
-        .scan
+        .links
         .slot_lists(d)
         .iter()
         .map(|&list| {
@@ -120,7 +120,7 @@ fn expand(totals: &Totals, d: DenseId) -> PlanNode {
         })
         .collect();
     PlanNode {
-        id: totals.scan.ids.phys(d),
+        id: totals.links.ids().phys(d),
         children,
     }
 }

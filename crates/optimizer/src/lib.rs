@@ -37,7 +37,7 @@ pub use explore::{explore_bottom_up, explore_transform};
 pub use implement::{add_enforcers, implement_all};
 
 use plansample_catalog::Catalog;
-use plansample_memo::{Memo, MemoScan, PlanNode};
+use plansample_memo::{Links, Memo, PlanNode};
 use plansample_query::QuerySpec;
 use std::fmt;
 
@@ -155,17 +155,17 @@ pub fn optimize(
     query: &QuerySpec,
     config: &OptimizerConfig,
 ) -> Result<Optimized, OptError> {
-    optimize_with_scan(catalog, query, config).map(|(optimized, _)| optimized)
+    optimize_with_links(catalog, query, config).map(|(optimized, _)| optimized)
 }
 
-/// [`optimize`], also returning the scan its best-plan extraction made
-/// of the returned memo — what a prepare packs its links from, so it
-/// scans the memo once.
-pub fn optimize_with_scan(
+/// [`optimize`], also returning the links its best-plan extraction built
+/// of the returned memo — what a prepare keeps, so it scans the memo
+/// once.
+pub fn optimize_with_links(
     catalog: &Catalog,
     query: &QuerySpec,
     config: &OptimizerConfig,
-) -> Result<(Optimized, MemoScan), OptError> {
+) -> Result<(Optimized, Links), OptError> {
     let n = query.relations.len();
     if n > MAX_RELATIONS {
         return Err(OptError::TooManyRelations {
@@ -184,7 +184,7 @@ pub fn optimize_with_scan(
         best_plan,
         best_cost,
     };
-    Ok((optimized, totals.scan))
+    Ok((optimized, totals.links))
 }
 
 /// The memo half of [`optimize`]: explore → implement → enforcers, with

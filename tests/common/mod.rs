@@ -225,6 +225,68 @@ pub fn reference_best_plan(
     Some((expand(memo, query, &total, best), total(best)))
 }
 
+// ---------------------------------------------------------------------
+// The join-graph witness
+// ---------------------------------------------------------------------
+//
+// A count taken from the join graph alone — no memo, links or counts:
+// the ordered bushy join trees without cross products, by a dynamic
+// program over connected relation subsets (the spanning-tree view of
+// join enumeration). Commuted joins are counted apart, as the memo
+// keeps both.
+
+/// The ordered bushy join trees without cross products over relations
+/// `0..n` joined by `edges`: a single relation is one tree, and a larger
+/// connected set the sum, over its ordered splits into two connected
+/// halves some edge joins, of the product of the halves' trees.
+pub fn bushy_join_trees(n: usize, edges: &[(usize, usize)]) -> u128 {
+    assert!((1..32).contains(&n), "one bit per relation");
+    let mut adjacent = vec![0u32; n];
+    for &(a, b) in edges {
+        adjacent[a] |= 1 << b;
+        adjacent[b] |= 1 << a;
+    }
+    let connected = |set: u32| {
+        let mut reached = set & set.wrapping_neg();
+        loop {
+            let grown = reached | reached_from(&adjacent, reached) & set;
+            if grown == reached {
+                return reached == set;
+            }
+            reached = grown;
+        }
+    };
+    let full = (1u32 << n) - 1;
+    let mut trees = vec![0u128; full as usize + 1];
+    for set in 1..=full {
+        if set.count_ones() == 1 {
+            trees[set as usize] = 1;
+            continue;
+        }
+        if !connected(set) {
+            continue;
+        }
+        // Every proper non-empty subset as the left half, ascending
+        // below `set`; halves that are not connected have no trees.
+        let mut left = (set - 1) & set;
+        while left != 0 {
+            let right = set & !left;
+            if reached_from(&adjacent, left) & right != 0 {
+                trees[set as usize] += trees[left as usize] * trees[right as usize];
+            }
+            left = (left - 1) & set;
+        }
+    }
+    trees[full as usize]
+}
+
+/// The relations adjacent to some member of `set`.
+fn reached_from(adjacent: &[u32], set: u32) -> u32 {
+    (0..adjacent.len())
+        .filter(|&r| set >> r & 1 == 1)
+        .fold(0, |reached, r| reached | adjacent[r])
+}
+
 /// A hand-built space whose root list total is exactly `2^levels − 1`:
 /// group `G_1` holds one scan, and `G_{k+1}` holds a hash join of `G_k`
 /// with a two-scan group (`2·n_k` plans) plus one scan, so

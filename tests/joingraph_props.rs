@@ -14,7 +14,7 @@ use plansample_bignum::Nat;
 use plansample_core::PreparedQuery;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{
-    eligible_children, validate_plan, DenseId, GroupKey, LogicalOp, Memo, MemoScan,
+    eligible_children, validate_plan, DenseId, GroupKey, Links, LogicalOp, Memo,
 };
 use plansample_optimizer::{explore_bottom_up, optimize, OptimizerConfig};
 use plansample_query::{QueryBuilder, QuerySpec, RelSet};
@@ -45,11 +45,12 @@ fn arb_spec() -> impl Strategy<Value = JoinGraphSpec> {
 /// per expression — mapped to dense ids, and the flat tables exact.
 /// `Err` names the first slot that differs.
 fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
-    let scan = MemoScan::build(memo, query).unwrap();
-    if scan.slots.len() != memo.num_physical() {
+    let scan = Links::build(memo, query).unwrap();
+    let parts = scan.to_parts();
+    if parts.slot_bounds.len() != memo.num_physical() + 1 {
         return Err("one slot record per expression".into());
     }
-    for (d, id) in scan.ids.iter() {
+    for (d, id) in scan.ids().iter() {
         let slots = memo.phys(id).child_slots(id.group);
         if scan.slot_lists(d).len() != slots.len() {
             return Err(format!("{id}: one list per child slot"));
@@ -57,7 +58,7 @@ fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
         for (&l, slot) in scan.slot_lists(d).iter().zip(&slots) {
             let rule: Vec<DenseId> = eligible_children(memo, query, slot)
                 .into_iter()
-                .map(|id| scan.ids.dense(id))
+                .map(|id| scan.ids().dense(id))
                 .collect();
             let listed = scan.list(l);
             if listed != rule {
@@ -65,11 +66,11 @@ fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
             }
         }
     }
-    let bounds = &scan.list_bounds;
+    let bounds = &parts.list_bounds;
     let exact = bounds.first() == Some(&0)
         && bounds.is_sorted()
-        && bounds.last() == Some(&(scan.pool.len() as u32))
-        && scan.pool.capacity() == scan.pool.len();
+        && bounds.last() == Some(&(parts.pool.len() as u32))
+        && Links::from_parts(memo, parts.clone()).map(|l| l.size_bytes()) == Ok(scan.size_bytes());
     exact.then_some(()).ok_or("bounds or pool inexact".into())
 }
 
@@ -100,6 +101,39 @@ proptest! {
         };
         let checked = check_child_lists(&memo, &query);
         prop_assert!(checked.is_ok(), "{} (synthesised: {synthesised}): {checked:?}", spec.label());
+    }
+
+    /// The root list is the answer to the unconstrained question on the
+    /// root group, interned like a slot's: the group's full dense range,
+    /// some slot's list exactly when some slot lists that range, and
+    /// otherwise the last list, at the tail of the pool.
+    #[test]
+    fn root_list_is_the_root_range_interned_like_a_slots_list(
+        (spec, synthesised) in arb_memo_spec()
+    ) {
+        let (query, memo) = if synthesised {
+            let (_, query, memo) = spec.build_memo();
+            (query, memo)
+        } else {
+            let (catalog, query) = spec.build();
+            let optimized = optimize(&catalog, &query, &OptimizerConfig::default());
+            (query, optimized.expect("synthetic queries optimize").memo)
+        };
+        let label = format!("{} (synthesised: {synthesised})", spec.label());
+        let links = Links::build(&memo, &query).unwrap();
+        let root = links.root_list();
+        let range: Vec<DenseId> = links.ids().group_range(memo.root()).map(DenseId).collect();
+        prop_assert_eq!(links.list(root), &range[..], "{}", &label);
+
+        let slot_lists: Vec<_> = (links.ids().iter())
+            .flat_map(|(d, _)| links.slot_lists(d).iter().copied())
+            .collect();
+        let shared = slot_lists.iter().any(|&l| links.list(l) == &range[..]);
+        prop_assert_eq!(slot_lists.contains(&root), shared, "{}", &label);
+        if !shared {
+            prop_assert_eq!(root.idx(), links.num_lists() - 1, "{}", &label);
+            prop_assert_eq!(links.list_range(root).end, links.num_pooled_links(), "{}", &label);
+        }
     }
 }
 
