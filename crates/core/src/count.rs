@@ -13,8 +13,9 @@
 //! 4·10^12, and counts overflow any fixed-width integer as queries grow.
 //! But exact integers are needed only once a space outgrows a machine
 //! word, so the pass runs in the narrowest [`Word`] that can hold it —
-//! `u64`, then `u128`, then [`Nat`] — and moves up a rung (restarting
-//! the fold there) only when a checked add or multiply overflows.
+//! `u64`, then `u128`, then [`Nat`] — and moves up a rung only when a
+//! checked add or multiply overflows, resuming there with what it has
+//! folded so far widened.
 //!
 //! The pass is an iterative walk over the topological order the links
 //! keep (children before parents; the scan's, which the optimizer's cost
@@ -24,9 +25,10 @@
 //! per-slot totals `b_v(i)` are computed once per *interned* alternative
 //! list and kept ([`Counts::list_total`]), so unranking, ranking, and
 //! sampling read them instead of re-summing alternatives on every
-//! mixed-radix step. Each expression and each list entry is visited
-//! exactly once per rung — the paper's linear-time claim, measured by
-//! the tracked benchmark's `core.count.compute_ms` row.
+//! mixed-radix step. Each expression and each list entry is counted
+//! exactly once, on whichever rung reaches it, and widened at most twice
+//! — the paper's linear-time claim, measured by the tracked benchmark's
+//! `core.count.compute_ms` row.
 //!
 //! Counts are never persisted. A plan-space artifact keeps the links,
 //! and a load runs this same fold over them ([`Counts::compute_stored`],
@@ -45,8 +47,9 @@
 //! [`Counts::list_total`] synthesise a [`Nat`] by value at the API edge.
 //! Beside `N(v)` and `b` the store keeps, per interned list, the
 //! inclusive running sums of its members' counts — §3.3's prefix sums,
-//! written by the same pass that sums the list — so choosing an operator
-//! is a binary search and not a scan ([`TierCounts`]).
+//! written in one pass over the pool once the fold has found the width —
+//! so choosing an operator is a binary search and not a scan
+//! ([`TierCounts`]).
 
 use crate::word::Word;
 use crate::{Links, ListId, SpaceError};
@@ -158,71 +161,49 @@ pub(crate) struct TierCounts<W> {
 }
 
 impl<W: Word> TierCounts<W> {
-    /// §3.2's fold in `W`, or `None` as soon as a checked add or
-    /// multiply overflows it — exactly when some `N(v)` or some list
-    /// total does not fit `W`, so the first rung whose fold succeeds is
-    /// the narrowest that holds every count. A running sum never
-    /// exceeds its list's total, and with at most [`MAX_SLOTS`] = 2
-    /// slots the product `1 · b₁ · b₂` overflows exactly when `N(v)`
-    /// does. A third slot would break that: `b₁ · b₂` could overflow
-    /// although `b₃ = 0` makes `N(v) = 0`, and the space would land a
-    /// rung wider than its counts need.
+    /// §3.2's fold in `W`, from where `at` stopped, or the fold as far as
+    /// it got as soon as a checked add or multiply overflows `W` —
+    /// exactly when some `N(v)` or some list total does not fit `W`, so
+    /// the first rung whose fold completes is the narrowest that holds
+    /// every count. With at most [`MAX_SLOTS`] = 2 slots the product
+    /// `1 · b₁ · b₂` overflows exactly when `N(v)` does. A third slot
+    /// would break that: `b₁ · b₂` could overflow although `b₃ = 0`
+    /// makes `N(v) = 0`, and the space would land a rung wider than its
+    /// counts need.
     ///
     /// Children come before parents in `links.topo()`, so when an
     /// expression is reached every member of its slot lists is counted:
-    /// a list's total `b` — and its running sums — are written the first
-    /// time an expression reads it (interned lists are shared, so later
-    /// readers find it done), the expression's count is the product of
-    /// its slots' totals, and the root list — interned like any other,
-    /// but possibly no expression's slot — is summed last. Every list is
-    /// some slot's list or the root list, so every list is summed.
-    fn fold(links: &Links) -> Option<Self> {
-        let mut counts = TierCounts {
-            per_expr: vec![W::ZERO; links.num_exprs()],
-            pool: vec![W::ZERO; links.num_pooled_links()],
-            list_totals: vec![W::ZERO; links.num_lists()],
-        };
-        let mut summed = vec![false; links.num_lists()];
-        let mut sum_once = |counts: &mut Self, l: ListId| -> Option<()> {
-            if !std::mem::replace(&mut summed[l.idx()], true) {
-                counts.list_totals[l.idx()] = counts.sum_list(links, l)?;
+    /// a list's total `b` is summed the first time an expression reads
+    /// it (interned lists are shared, so later readers find it done),
+    /// the expression's count is the product of its slots' totals, and
+    /// the root list — interned like any other, but possibly no
+    /// expression's slot — is summed last. Every list is some slot's list
+    /// or the root list, so every list is summed. Only then, on the rung
+    /// that held every count, are the running sums written: a running
+    /// sum never exceeds its list's total, so none of them can overflow,
+    /// and a rung that fails never holds a pool.
+    fn fold(links: &Links, mut at: Partial<W>) -> Result<Self, Partial<W>> {
+        let topo = links.topo();
+        for (i, &d) in topo.iter().enumerate().skip(at.next) {
+            if at.count(links, d).is_none() {
+                at.next = i;
+                return Err(at);
             }
-            Some(())
-        };
-        for &d in links.topo() {
-            let mut product = W::ONE; // |v| = 0 ⇒ N(v) = 1
-            for &l in links.slot_lists(d) {
-                sum_once(&mut counts, l)?;
-                // b = 0 ⇒ no completable plan here
-                product = product.checked_mul(&counts.list_totals[l.idx()])?;
-            }
-            counts.per_expr[d.idx()] = product;
         }
-        sum_once(&mut counts, links.root_list())?;
+        at.next = topo.len();
+        if at.sum_once(links, links.root_list()).is_none() {
+            return Err(at);
+        }
         assert!(
-            summed.iter().all(|&s| s),
+            at.summed.iter().all(|&s| s),
             "every interned list is some slot's list or the root list"
         );
-        Some(counts)
-    }
-
-    /// Writes list `l`'s inclusive running sums into its slice of the
-    /// pool and returns its total, or `None` when a sum overflows `W`.
-    /// Kept out of line: inlined into `fold`'s loop, the `u64` fold of
-    /// Q8+CP reads ≈ 40 % slower (0.20 against 0.145 ms, EXPERIMENTS
-    /// §E34).
-    #[inline(never)]
-    fn sum_list(&mut self, links: &Links, l: ListId) -> Option<W> {
-        let mut sum = W::ZERO;
-        for (&w, slot) in links
-            .list(l)
-            .iter()
-            .zip(&mut self.pool[links.list_range(l)])
-        {
-            sum = sum.checked_add(&self.per_expr[w.idx()])?;
-            *slot = sum.clone();
-        }
-        Some(sum)
+        let pool = running_sums(links, &at.per_expr);
+        Ok(TierCounts {
+            per_expr: at.per_expr,
+            pool,
+            list_totals: at.list_totals,
+        })
     }
 
     /// The same tables one or two rungs down the ladder.
@@ -277,6 +258,100 @@ impl<W: Word> TierCounts<W> {
     }
 }
 
+/// How far a fold in `W` got: `N(v)` and `b` so far, which lists are
+/// summed, and the step it stopped at — a position in `links.topo()`, or
+/// one past it for the root list. Everything before that step is exact,
+/// so a fold that overflows hands the next rung its work widened
+/// ([`two_limbs`](Partial::two_limbs), [`exact`](Self::exact)) instead of
+/// the next rung starting over. It holds no running sums, so widening
+/// converts two tables of the three and the narrower tables are all
+/// that is alive beside them: clique-10's `u64` fold stops at step
+/// 707 690 of 709 620, and its pool is 1.39 M entries.
+struct Partial<W> {
+    per_expr: Vec<W>,
+    list_totals: Vec<W>,
+    summed: Vec<bool>,
+    next: usize,
+}
+
+impl<W: Word> Partial<W> {
+    /// Nothing folded yet.
+    fn new(links: &Links) -> Self {
+        Partial {
+            per_expr: vec![W::ZERO; links.num_exprs()],
+            list_totals: vec![W::ZERO; links.num_lists()],
+            summed: vec![false; links.num_lists()],
+            next: 0,
+        }
+    }
+
+    /// Sums list `l` unless an earlier reader did; `None` on overflow,
+    /// with `l` left unsummed.
+    fn sum_once(&mut self, links: &Links, l: ListId) -> Option<()> {
+        if !self.summed[l.idx()] {
+            let mut sum = W::ZERO;
+            for &w in links.list(l) {
+                sum = sum.checked_add(&self.per_expr[w.idx()])?;
+            }
+            self.list_totals[l.idx()] = sum;
+            self.summed[l.idx()] = true;
+        }
+        Some(())
+    }
+
+    /// `N(d)`, the product of its slots' totals; `None` on overflow,
+    /// with `d` left uncounted.
+    fn count(&mut self, links: &Links, d: DenseId) -> Option<()> {
+        let mut product = W::ONE; // |v| = 0 ⇒ N(v) = 1
+        for &l in links.slot_lists(d) {
+            self.sum_once(links, l)?;
+            // b = 0 ⇒ no completable plan here
+            product = product.checked_mul(&self.list_totals[l.idx()])?;
+        }
+        self.per_expr[d.idx()] = product;
+        Some(())
+    }
+
+    /// The same fold on the exact rung, to resume.
+    fn exact(self) -> Partial<Nat> {
+        Partial {
+            per_expr: self.per_expr.iter().map(W::to_nat).collect(),
+            list_totals: self.list_totals.iter().map(W::to_nat).collect(),
+            summed: self.summed,
+            next: self.next,
+        }
+    }
+}
+
+impl Partial<u64> {
+    /// The same fold on the `u128` rung, to resume: a conversion a
+    /// value, where a round trip through [`Nat`] costs more than the
+    /// fold it saves.
+    fn two_limbs(self) -> Partial<u128> {
+        Partial {
+            per_expr: self.per_expr.iter().map(|&n| u128::from(n)).collect(),
+            list_totals: self.list_totals.iter().map(|&n| u128::from(n)).collect(),
+            summed: self.summed,
+            next: self.next,
+        }
+    }
+}
+
+/// Every list's inclusive running sums, in pool order: one sequential
+/// pass, whose sums cannot overflow once the fold has found a rung that
+/// holds every list total.
+fn running_sums<W: Word>(links: &Links, per_expr: &[W]) -> Vec<W> {
+    let mut pool = Vec::with_capacity(links.num_pooled_links());
+    for l in (0..links.num_lists() as u32).map(ListId) {
+        let mut sum = W::ZERO;
+        for &w in links.list(l) {
+            sum += &per_expr[w.idx()];
+            pool.push(sum.clone());
+        }
+    }
+    pool
+}
+
 /// The widest count [`Counts::compute_stored`] folds, in bits. A plan
 /// over `r ≤ 64` relations (a `RelSet` is one word) has at most `4r`
 /// operators — `r` scans, `r − 1` joins, an aggregate, and a sort above
@@ -329,9 +404,10 @@ pub enum CountsParts {
 impl Counts {
     /// Computes all counts with §3.2's fold over `links.topo()`, on the
     /// narrowest rung of the tier ladder whose fold does not overflow
-    /// (`TierCounts::fold`): a `u64` space is folded once, a `u128`
-    /// space twice and an exact-[`Nat`] space three times, each failed
-    /// attempt stopping at its first overflow.
+    /// (`TierCounts::fold`): a fold that overflows stops there, and the
+    /// next rung resumes from that step over the tables folded so far,
+    /// widened — which are exact, so the result is the one a fold
+    /// started afresh on that rung would give.
     pub fn compute(links: &Links) -> Counts {
         Counts::compute_within(links, None).expect("no bound to exceed")
     }
@@ -355,17 +431,20 @@ impl Counts {
         })
     }
 
-    /// The tier ladder's folds; `None` if the space needs the exact
-    /// rung and `bits_bound` exceeds `max_bits`.
+    /// The tier ladder's folds, each resuming where the narrower one
+    /// overflowed; `None` if the space needs the exact rung and
+    /// `bits_bound` exceeds `max_bits`.
     fn compute_within(links: &Links, max_bits: Option<f64>) -> Option<Counts> {
-        let store = if let Some(c) = TierCounts::fold(links) {
-            Store::U64(c)
-        } else if let Some(c) = TierCounts::fold(links) {
-            Store::U128(c)
-        } else if max_bits.is_none_or(|max| bits_bound(links) <= max) {
-            Store::Nat(TierCounts::fold(links).expect("Nat holds any count"))
-        } else {
-            return None;
+        let store = match TierCounts::fold(links, Partial::<u64>::new(links)) {
+            Ok(c) => Store::U64(c),
+            Err(at) => match TierCounts::fold(links, at.two_limbs()) {
+                Ok(c) => Store::U128(c),
+                Err(_) if max_bits.is_some_and(|max| bits_bound(links) > max) => return None,
+                Err(at) => Store::Nat(
+                    TierCounts::fold(links, at.exact())
+                        .unwrap_or_else(|_| unreachable!("Nat holds any count")),
+                ),
+            },
         };
         Some(Counts::with_total(links, store))
     }
@@ -580,55 +659,104 @@ mod tests {
     }
 
     /// Hand-made links in which expression `i` reads its predecessor's
-    /// list in both slots, over a first list of two: `N = 2^(2^i)`. The
-    /// fold would need 2³⁹ bits for the last; `compute_stored` refuses
-    /// it after one pass in `f64`, and folds the short chain exactly.
-    #[test]
-    fn compute_stored_refuses_counts_wider_than_any_memo_holds() {
+    /// list in both slots, over a first list of two: `N = 2^(2^(i+1))`.
+    /// Topo is the two scans, then the joins in order.
+    fn squaring_chain(joins: u32) -> Links {
         use crate::LinksParts;
         use plansample_memo::{GroupKey, Memo, PhysicalExpr, PhysicalOp};
         use plansample_query::{RelId, RelSet};
 
-        let squaring_chain = |joins: u32| {
-            let mut memo = Memo::new();
-            let scans = memo.add_group(GroupKey::Rels(RelSet::all(1)));
-            for rel in 0..2 {
-                let scan = PhysicalOp::TableScan { rel: RelId(rel) };
-                memo.add_physical(scans, PhysicalExpr::new(scan, 1.0, 1.0));
-            }
-            let mut below = scans;
-            for i in 0..joins {
-                let group = memo.add_group(GroupKey::Rels(RelSet::all(i as usize + 2)));
-                let join = PhysicalOp::HashJoin {
-                    left: below,
-                    right: below,
-                };
-                memo.add_physical(group, PhysicalExpr::new(join, 1.0, 1.0));
-                below = group;
-            }
-            memo.set_root(below);
-            // List 0 holds the scans, list i + 1 join i.
-            let mut pool = vec![0, 1];
-            let mut list_bounds = vec![0, 2];
-            let mut slot_lists = vec![];
-            let mut slot_bounds = vec![0, 0, 0];
-            for i in 0..joins {
-                pool.push(i + 2);
-                list_bounds.push(pool.len() as u32);
-                slot_lists.extend([i, i]);
-                slot_bounds.push(slot_lists.len() as u32);
-            }
-            let parts = LinksParts {
-                pool,
-                list_bounds,
-                slot_lists,
-                slot_bounds,
-                topo: (0..joins + 2).collect(),
-                root_list: joins,
+        let mut memo = Memo::new();
+        let scans = memo.add_group(GroupKey::Rels(RelSet::all(1)));
+        for rel in 0..2 {
+            let scan = PhysicalOp::TableScan { rel: RelId(rel) };
+            memo.add_physical(scans, PhysicalExpr::new(scan, 1.0, 1.0));
+        }
+        let mut below = scans;
+        for i in 0..joins {
+            let group = memo.add_group(GroupKey::Rels(RelSet::all(i as usize + 2)));
+            let join = PhysicalOp::HashJoin {
+                left: below,
+                right: below,
             };
-            let links = Links::from_parts(&memo, parts).expect("a sound graph");
-            Counts::compute_stored(&links)
+            memo.add_physical(group, PhysicalExpr::new(join, 1.0, 1.0));
+            below = group;
+        }
+        memo.set_root(below);
+        // List 0 holds the scans, list i + 1 join i.
+        let mut pool = vec![0, 1];
+        let mut list_bounds = vec![0, 2];
+        let mut slot_lists = vec![];
+        let mut slot_bounds = vec![0, 0, 0];
+        for i in 0..joins {
+            pool.push(i + 2);
+            list_bounds.push(pool.len() as u32);
+            slot_lists.extend([i, i]);
+            slot_bounds.push(slot_lists.len() as u32);
+        }
+        let parts = LinksParts {
+            pool,
+            list_bounds,
+            slot_lists,
+            slot_bounds,
+            topo: (0..joins + 2).collect(),
+            root_list: joins,
         };
+        Links::from_parts(&memo, parts).expect("a sound graph")
+    }
+
+    /// The ladder resumes where a narrower fold overflowed, partway
+    /// through `topo`: on a squaring chain of ten joins the `u64` fold
+    /// stops at join 5 (`2^64`), the `u128` fold resumes there and stops
+    /// at join 6 (`2^128`), and the exact fold finishes. Its tables are
+    /// the ones an exact fold started afresh gives; six joins stop on
+    /// the `u128` rung, with a fresh `u128` fold's tables.
+    #[test]
+    fn a_ladder_overflowing_partway_through_topo_resumes_to_a_fresh_folds_tables() {
+        fn same<W: Word + std::fmt::Debug>(a: &TierCounts<W>, b: &TierCounts<W>) {
+            assert_eq!(a.per_expr, b.per_expr);
+            assert_eq!(a.pool, b.pool);
+            assert_eq!(a.list_totals, b.list_totals);
+        }
+        let links = squaring_chain(10);
+        let topo = links.topo().len();
+        let Err(at) = TierCounts::fold(&links, Partial::<u64>::new(&links)) else {
+            panic!("2^64 does not fit u64");
+        };
+        assert_eq!(at.next, 2 + 5, "the scans and joins 0-4 fit one limb");
+        let Err(at) = TierCounts::fold(&links, at.two_limbs()) else {
+            panic!("2^128 does not fit u128");
+        };
+        assert_eq!(at.next, 2 + 6);
+        assert!(at.next < topo);
+        let Ok(resumed) = TierCounts::fold(&links, at.exact()) else {
+            panic!("Nat holds any count");
+        };
+        let Ok(fresh) = TierCounts::fold(&links, Partial::<Nat>::new(&links)) else {
+            panic!("Nat holds any count");
+        };
+        same(&resumed, &fresh);
+        let counts = Counts::compute(&links);
+        assert_eq!(counts.tier(), CountTier::Nat);
+        assert_eq!(counts.total().bits(), (1 << 10) + 1);
+
+        let links = squaring_chain(6);
+        let counts = Counts::compute(&links);
+        let Ok(fresh) = TierCounts::fold(&links, Partial::<u128>::new(&links)) else {
+            panic!("2^128 plans need two limbs");
+        };
+        match &counts.store {
+            Store::U128(resumed) => same(resumed, &fresh),
+            _ => panic!("six joins are a two-limb space, stored {}", counts.tier()),
+        }
+    }
+
+    /// The squaring chain again: the last of 40 joins would need 2⁴⁰
+    /// bits; `compute_stored` refuses it after one pass in `f64`, and
+    /// folds the short chain exactly.
+    #[test]
+    fn compute_stored_refuses_counts_wider_than_any_memo_holds() {
+        let squaring_chain = |joins| Counts::compute_stored(&squaring_chain(joins));
 
         let short = squaring_chain(8).expect("2^256 fits the bound");
         assert_eq!(short.tier(), CountTier::Nat);

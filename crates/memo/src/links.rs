@@ -67,7 +67,13 @@
 //! (Q8+CP: 22 293 expressions, 2 060 classes, at most 16 in a group).
 //! The scan asks the rule once per `(distinct slot, class)` instead of
 //! once per `(expression slot, candidate)`, through one
-//! [`OrderSatisfier`] a group.
+//! [`OrderSatisfier`] a group. Almost every question names one column —
+//! a merge join's key, or the target of the Sort whose input is asked —
+//! and an order meets a one-column demand exactly when its first column
+//! is equivalent to the demanded one in the group's scope. So each class
+//! keeps its *lead*, the equivalence representative of its first
+//! delivered column, and such a question is one comparison of leads a
+//! class; only a many-column question goes to the prefix rule.
 //!
 //! Classes also identify lists. A group's classes partition it and none
 //! is empty, so two slots of one group have equal lists exactly when they
@@ -86,18 +92,16 @@ use crate::{
 };
 use plansample_query::{ColRef, QuerySpec};
 
-/// §3.1's rule: does a slot demanding `requirement` accept a candidate
-/// that delivers `delivered`, given whether the candidate is an
-/// enforcer? `sat` must be the satisfier of the slot's group.
-fn accepts(
-    sat: &mut OrderSatisfier<'_>,
-    requirement: &Requirement,
-    delivered: &[ColRef],
-    enforcer: bool,
-) -> bool {
-    match requirement {
-        Requirement::Order(req) => sat.satisfies_cols(delivered, req),
-        Requirement::SortInput { target } => !enforcer && !sat.satisfies_cols(delivered, target),
+/// §3.1's rule: does a slot accept a candidate, given whether the slot
+/// is a Sort's input (a [`Requirement::SortInput`]), whether the
+/// candidate's delivered order satisfies the slot's key columns — the
+/// required order, or the sort target — and whether the candidate is an
+/// enforcer?
+fn accepts(sort_input: bool, satisfied: bool, enforcer: bool) -> bool {
+    if sort_input {
+        !enforcer && !satisfied
+    } else {
+        satisfied
     }
 }
 
@@ -108,10 +112,16 @@ fn accepts(
 pub fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Vec<PhysId> {
     let group = memo.group(slot.group);
     let mut sat = OrderSatisfier::new(query, group.scope(query));
-    let asked = &slot.requirement;
+    let (sort_input, cols) = match &slot.requirement {
+        Requirement::Order(order) => (false, order.cols()),
+        Requirement::SortInput { target } => (true, target.cols()),
+    };
     group
         .phys_iter()
-        .filter(|(_, e)| accepts(&mut sat, asked, e.delivered_cols(), e.op.is_enforcer()))
+        .filter(|(_, e)| {
+            let satisfied = sat.satisfies_slice(e.delivered_cols(), cols);
+            accepts(sort_input, satisfied, e.op.is_enforcer())
+        })
         .map(|(id, _)| id)
         .collect()
 }
@@ -182,23 +192,31 @@ impl Links {
     ///
     /// 1. **Classify**: number each group's classes (see the module docs)
     ///    in first-appearance order, by a linear search over borrowed
-    ///    column slices — nothing hashed, nothing cloned — and count them.
+    ///    column slices — nothing hashed, nothing cloned — count them,
+    ///    and give each its lead.
     /// 2. **Walk**: visit every expression's slots in dense order. A
-    ///    `(group, requirement)` asked before is looked up per target
-    ///    group, by a linear search over borrowed key columns (a group is
-    ///    asked a handful of distinct questions — Q8+CP: 2 049 over 256
-    ///    groups — so nothing is hashed); a new one is decided once per
-    ///    class of its group, and a class set the group has not produced
-    ///    before is a new list, whose length is the sum of its class
-    ///    counts. Each slot's list goes straight into its expression's
-    ///    record. Last, the root group is asked the unconstrained
-    ///    question the same way: its answer is the root list.
+    ///    question asked of a group before is looked up by its shape:
+    ///    the unconstrained one by the group's index, a one-column order
+    ///    by the group and the packed column, and only a Sort's input or
+    ///    a many-column order by comparing borrowed slots. A group is
+    ///    asked a handful of distinct questions (Q8+CP: 2 050 over 256
+    ///    groups, the root's included), so the few that are searched are
+    ///    searched linearly, in one table for all groups, and nothing is
+    ///    hashed. A new question is decided once per class of its group —
+    ///    by comparing leads when it names one column — and a class set
+    ///    the group has not produced before is a new list, whose length
+    ///    is the sum of its class counts. Each slot's list goes straight
+    ///    into its expression's record. Last, the root group is asked the
+    ///    unconstrained question the same way: its answer is the root
+    ///    list.
     /// 3. **Emit**: with every length known the pool is reserved exactly,
-    ///    and each list is its group's dense range filtered by class.
+    ///    and each list is its group's dense range filtered by class — or
+    ///    the whole range, copied, when the list takes every class.
     /// 4. **Order**: a leaf has level 0, and any other expression the
     ///    largest over its slot lists of 0 for an empty list and one more
     ///    than its members' largest level otherwise — one memoised
-    ///    (max, +1) fold, per expression and per list. `topo` is the
+    ///    (max, +1) fold, per expression and per list, which reads a
+    ///    known level in place and recurses only on a miss. `topo` is the
     ///    expressions by level, dense order within a level: the order
     ///    Kahn elimination emits frontier by frontier with each frontier
     ///    sorted, which artifacts carry byte for byte.
@@ -210,10 +228,14 @@ impl Links {
     ///
     /// # Panics
     /// Panics if the memo has no root group.
-    pub fn build(memo: &Memo, query: &QuerySpec) -> Result<Links, PhysId> {
+    pub fn build<'m>(memo: &'m Memo, query: &QuerySpec) -> Result<Links, PhysId> {
         let ids = DenseIdMap::build(memo);
 
         // Classify. Classes are numbered memo-wide, each group's contiguous.
+        let mut sats: Vec<OrderSatisfier<'_>> = memo
+            .groups()
+            .map(|g| OrderSatisfier::new(query, g.scope(query)))
+            .collect();
         let mut classes: Vec<Class<'_>> = Vec::new();
         let mut class_of: Vec<u32> = Vec::with_capacity(ids.len());
         let mut class_bounds: Vec<u32> = Vec::with_capacity(memo.num_groups() + 1);
@@ -224,12 +246,14 @@ impl Links {
                 let (delivered, enforcer) = (expr.delivered_cols(), expr.op.is_enforcer());
                 let class = classes[first..]
                     .iter()
-                    .position(|c| c.delivered == delivered && c.enforcer == enforcer)
+                    .position(|c| c.enforcer == enforcer && c.delivered == delivered)
                     .map_or(classes.len(), |c| first + c);
                 if class == classes.len() {
+                    let sat = &mut sats[group.id.0 as usize];
                     classes.push(Class {
                         group: group.id,
                         delivered,
+                        lead: delivered.first().map(|&col| sat.representative(col)),
                         enforcer,
                         len: 0,
                     });
@@ -243,55 +267,75 @@ impl Links {
         // Walk. List `l` accepts the classes `sets[set_bounds[l] ..
         // set_bounds[l + 1]]`; `lists_of[g]` holds the lists of group `g`,
         // and one entry past the groups the list that accepts nothing,
-        // which every group shares; `asked[g]` holds the slots on group
-        // `g` met so far, with their lists.
-        let mut sats: Vec<OrderSatisfier<'_>> = memo
-            .groups()
-            .map(|g| OrderSatisfier::new(query, g.scope(query)))
-            .collect();
+        // which every group shares. A question on group `g` asked before
+        // is looked up by its shape: the unconstrained one in `any[g]`, a
+        // one-column order in `by_col` by its packed column, any other
+        // (a Sort's input, a many-column order) in `asked` by the
+        // borrowed slot.
         let mut sets: Vec<u32> = Vec::new();
         let mut set_bounds: Vec<u32> = vec![0];
         let mut list_bounds: Vec<u32> = vec![0];
-        let mut lists_of: Vec<Vec<ListId>> = vec![Vec::new(); memo.num_groups() + 1];
-        let mut asked: Vec<Vec<(SlotRef<'_>, ListId)>> = vec![Vec::new(); memo.num_groups()];
+        let mut lists_of: Chains<ListId> = Chains::new(memo.num_groups() + 1);
         let mut decide = |slot: SlotRef<'_>| {
             let g = slot.group.0 as usize;
-            let requirement = slot.to_owned().requirement;
+            let sat = &mut sats[g];
             let (at, mut len) = (sets.len(), 0);
+            // A one-column requirement is met by the classes whose first
+            // delivered column is equivalent to it; any other goes to the
+            // prefix rule.
+            let single = match slot.cols {
+                &[col] => Some(sat.representative(col)),
+                _ => None,
+            };
             for class in class_bounds[g]..class_bounds[g + 1] {
                 let c = &classes[class as usize];
-                if accepts(&mut sats[g], &requirement, c.delivered, c.enforcer) {
+                let satisfied = match single {
+                    Some(want) => c.lead == Some(want),
+                    None => sat.satisfies_slice(c.delivered, slot.cols),
+                };
+                if accepts(slot.sort_input, satisfied, c.enforcer) {
                     sets.push(class);
                     len += c.len;
                 }
             }
             let nothing = sets.len() == at;
-            let home = &mut lists_of[if nothing { memo.num_groups() } else { g }];
+            let home = if nothing { memo.num_groups() } else { g };
             let set_of = |l: ListId| set_bounds[l.idx()] as usize..set_bounds[l.idx() + 1] as usize;
-            if let Some(&l) = home.iter().find(|&&l| sets[set_of(l)] == sets[at..]) {
+            if let Some(&l) = lists_of.of(home).find(|&&l| sets[set_of(l)] == sets[at..]) {
                 sets.truncate(at);
                 return l;
             }
             let l = ListId(list_bounds.len() as u32 - 1);
             set_bounds.push(sets.len() as u32);
             list_bounds.push(list_bounds[l.idx()] + len);
-            home.push(l);
+            lists_of.file(home, l);
             l
+        };
+        let mut any = vec![ListId::NONE; memo.num_groups()];
+        let mut by_col: Chains<(u64, ListId)> = Chains::new(memo.num_groups());
+        let mut asked: Chains<(SlotRef<'m>, ListId)> = Chains::new(memo.num_groups());
+        let mut list_of = |slot: SlotRef<'m>| {
+            let g = slot.group.0 as usize;
+            match (slot.sort_input, slot.cols) {
+                (false, []) => {
+                    if any[g] == ListId::NONE {
+                        any[g] = decide(slot);
+                    }
+                    any[g]
+                }
+                (false, &[col]) => {
+                    let key = (col.rel.0 as u64) << 32 | col.col as u64;
+                    by_col.met_before(g, key, || decide(slot))
+                }
+                _ => asked.met_before(g, slot, || decide(slot)),
+            }
         };
         let mut slots: Vec<SlotRecord> = Vec::with_capacity(ids.len());
         for group in memo.groups() {
             for expr in &group.physical {
                 let mut record = [ListId::NONE; MAX_SLOTS];
                 for (list, slot) in record.iter_mut().zip(expr.slot_refs(group.id)) {
-                    let met = &mut asked[slot.group.0 as usize];
-                    *list = match met.iter().find(|(s, _)| *s == slot) {
-                        Some(&(_, l)) => l,
-                        None => {
-                            let l = decide(slot);
-                            met.push((slot, l));
-                            l
-                        }
-                    };
+                    *list = list_of(slot);
                 }
                 slots.push(SlotRecord(record));
             }
@@ -299,15 +343,11 @@ impl Links {
         // The empty requirement accepts every class, enforcers included:
         // the root group's full range, asked last so that no slot's list
         // id moves.
-        let root = SlotRef {
+        let root_list = list_of(SlotRef {
             group: memo.root(),
             sort_input: false,
             cols: &[],
-        };
-        let met = asked[root.group.0 as usize]
-            .iter()
-            .find(|(s, _)| *s == root);
-        let root_list = met.map_or_else(|| decide(root), |&(_, l)| l);
+        });
         // The links back a long-lived, byte-budgeted artifact: drop the
         // growth slack of the one table built by pushing.
         list_bounds.shrink_to_fit();
@@ -319,8 +359,14 @@ impl Links {
         for set in set_bounds.windows(2) {
             let set = &sets[set[0] as usize..set[1] as usize];
             let Some(&first) = set.first() else { continue };
+            let group = classes[first as usize].group;
+            let members = ids.group_range(group);
+            let g = group.0 as usize;
+            if set.len() as u32 == class_bounds[g + 1] - class_bounds[g] {
+                pool.extend(members.map(DenseId));
+                continue;
+            }
             set.iter().for_each(|&c| accepted[c as usize] = true);
-            let members = ids.group_range(classes[first as usize].group);
             pool.extend(
                 members
                     .filter(|&d| accepted[class_of[d as usize] as usize])
@@ -341,9 +387,11 @@ impl Links {
         let mut levels = vec![UNSEEN; links.num_exprs()];
         let mut list_levels = vec![UNSEEN; links.num_lists()];
         for d in (0..links.num_exprs() as u32).map(DenseId) {
-            links
-                .level(d, &mut levels, &mut list_levels)
-                .map_err(|at| links.ids.phys(at))?;
+            if levels[d.idx()] == UNSEEN {
+                links
+                    .level(d, &mut levels, &mut list_levels)
+                    .map_err(|at| links.ids.phys(at))?;
+            }
         }
         let mut starts = vec![0; levels.iter().max().map_or(1, |&top| top as usize + 2)];
         for &level in &levels {
@@ -362,24 +410,30 @@ impl Links {
 
     /// The level of `d` (see [`build`](Self::build)), memoised in
     /// `levels` and, per list, in `list_levels`; `Err` names the
-    /// expression met again while open.
+    /// expression met again while open. Callers read a known level
+    /// themselves and call this only on a miss.
     fn level(
         &self,
         d: DenseId,
         levels: &mut [u32],
         list_levels: &mut [u32],
     ) -> Result<u32, DenseId> {
-        match levels[d.idx()] {
-            OPEN => return Err(d),
-            UNSEEN => levels[d.idx()] = OPEN,
-            known => return Ok(known),
+        if levels[d.idx()] == OPEN {
+            return Err(d);
         }
+        levels[d.idx()] = OPEN;
         let mut level = 0;
         for &l in self.slot_lists(d) {
             if list_levels[l.idx()] == UNSEEN {
                 let mut above = 0;
                 for &w in self.list(l) {
-                    above = above.max(self.level(w, levels, list_levels)? + 1);
+                    let known = levels[w.idx()];
+                    let below = if known < OPEN {
+                        known
+                    } else {
+                        self.level(w, levels, list_levels)?
+                    };
+                    above = above.max(below + 1);
                 }
                 list_levels[l.idx()] = above;
             }
@@ -645,11 +699,61 @@ impl Links {
     }
 }
 
+/// Items filed by group in one table, each group's chained newest
+/// first: the scan keeps a handful of questions and lists a group
+/// without a vector per group.
+struct Chains<T> {
+    /// By group: the index of its newest item; past the end if none.
+    newest: Vec<u32>,
+    /// Each item, and the index of the one filed before it in its group.
+    items: Vec<(T, u32)>,
+}
+
+impl<T> Chains<T> {
+    fn new(groups: usize) -> Self {
+        Chains {
+            newest: vec![u32::MAX; groups],
+            items: Vec::new(),
+        }
+    }
+
+    /// Group `g`'s items, newest first.
+    fn of(&self, g: usize) -> impl Iterator<Item = &T> {
+        let mut at = self.newest[g];
+        std::iter::from_fn(move || {
+            let (item, before) = self.items.get(at as usize)?;
+            at = *before;
+            Some(item)
+        })
+    }
+
+    fn file(&mut self, g: usize, item: T) {
+        self.items.push((item, self.newest[g]));
+        self.newest[g] = self.items.len() as u32 - 1;
+    }
+}
+
+impl<K: PartialEq> Chains<(K, ListId)> {
+    /// The list filed for `key` on group `g`, or `decide`'s answer,
+    /// filed for the next time `key` is met there.
+    fn met_before(&mut self, g: usize, key: K, decide: impl FnOnce() -> ListId) -> ListId {
+        if let Some(&(_, l)) = self.of(g).find(|(k, _)| *k == key) {
+            return l;
+        }
+        let l = decide();
+        self.file(g, (key, l));
+        l
+    }
+}
+
 /// One group's expressions that deliver the same order and agree on
 /// being an enforcer (see the module docs).
 struct Class<'m> {
     group: GroupId,
     delivered: &'m [ColRef],
+    /// The representative of the first delivered column's equivalence
+    /// class in the group's scope; `None` when the order is empty.
+    lead: Option<ColRef>,
     enforcer: bool,
     /// How many expressions of the group are in the class; never 0.
     len: u32,
@@ -1097,5 +1201,160 @@ mod tests {
         let target = SortOrder::on_col(by);
         let input = list_of(ab, Requirement::SortInput { target });
         assert_eq!(scan.list(input), [DenseId(4)]);
+    }
+
+    /// The list [`Links::build`] gave the first slot of `memo` that
+    /// asks `requirement` of `group`, as dense ids.
+    fn list_asking(
+        memo: &Memo,
+        scan: &Links,
+        group: GroupId,
+        requirement: Requirement,
+    ) -> Vec<u32> {
+        let slot = ChildSlot { group, requirement };
+        let (d, i) = (scan.ids.iter())
+            .find_map(|(d, id)| {
+                let slots = memo.phys(id).child_slots(id.group);
+                Some((d, slots.iter().position(|s| *s == slot)?))
+            })
+            .expect("some slot asks it");
+        scan.list(scan.slot_lists(d)[i])
+            .iter()
+            .map(|d| d.0)
+            .collect()
+    }
+
+    /// Over the `a.x = b.y`, `b.z = c.w` chain: the scans of `a`, `b`
+    /// and `c` (dense 0, 1, 2), then the groups `{a, b}` and `{a, b, c}`,
+    /// empty, for a test to fill.
+    fn chain_scans() -> (QuerySpec, Memo, [GroupId; 5]) {
+        let (_cat, q) = crate::props::tests::chain_query();
+        let rels = |ids: &[u32]| GroupKey::Rels(RelSet::from_iter(ids.iter().map(|&i| RelId(i))));
+        let mut memo = Memo::new();
+        let [a, b, c] = [0, 1, 2].map(|rel| {
+            let g = memo.add_group(rels(&[rel]));
+            let scan = PhysicalOp::TableScan { rel: RelId(rel) };
+            memo.add_physical(g, PhysicalExpr::new(scan, 1.0, 1.0));
+            g
+        });
+        let ab = memo.add_group(rels(&[0, 1]));
+        let abc = memo.add_group(rels(&[0, 1, 2]));
+        memo.set_root(abc);
+        (q, memo, [a, b, c, ab, abc])
+    }
+
+    fn merge(left: GroupId, right: GroupId, left_key: ColRef, right_key: ColRef) -> PhysicalExpr {
+        let op = PhysicalOp::MergeJoin {
+            left,
+            right,
+            left_key,
+            right_key,
+        };
+        PhysicalExpr::new(op, 1.0, 1.0)
+    }
+
+    fn sort(cols: Vec<ColRef>) -> PhysicalExpr {
+        let target = SortOrder::on(cols);
+        PhysicalExpr::new(PhysicalOp::Sort { target }, 1.0, 1.0)
+    }
+
+    const AX: ColRef = ColRef {
+        rel: RelId(0),
+        col: 0,
+    };
+    const BY: ColRef = ColRef {
+        rel: RelId(1),
+        col: 0,
+    };
+    const BZ: ColRef = ColRef {
+        rel: RelId(1),
+        col: 1,
+    };
+    const CW: ColRef = ColRef {
+        rel: RelId(2),
+        col: 0,
+    };
+
+    fn order(cols: &[ColRef]) -> Requirement {
+        Requirement::Order(SortOrder::on(cols.to_vec()))
+    }
+
+    /// A demand for `b.y` on `{a, b}` whose only ordered member delivers
+    /// `a.x`: met only because the scope applies `a.x = b.y`, and not met
+    /// on `{a}` alone, where the merge join's `a.x` is asked of a bare
+    /// scan.
+    #[test]
+    fn an_order_met_only_through_an_equivalence_is_accepted() {
+        let (q, mut memo, [a, b, c, ab, abc]) = chain_scans();
+        memo.add_physical(ab, merge(a, b, AX, BY)); // 3
+        memo.add_physical(
+            ab,
+            PhysicalExpr::new(PhysicalOp::HashJoin { left: a, right: b }, 1.0, 1.0),
+        );
+        memo.add_physical(abc, merge(ab, c, BY, CW)); // 5
+        let scan = assert_lists_match_the_rule(&memo, &q);
+        assert_eq!(list_asking(&memo, &scan, ab, order(&[BY])), [3]);
+        assert!(list_asking(&memo, &scan, a, order(&[AX])).is_empty());
+    }
+
+    /// Orders of two columns answer one-column demands on their first
+    /// column only: a Sort on `(b.y, b.z)` meets `b.y` on `{b}` but not
+    /// `b.z`, and on `{a, b}` a Sort on `(b.y, b.z)` meets `a.x` through
+    /// the scope's `a.x = b.y`. Each Sort's own input is asked with its
+    /// whole two-column target, which no one-column order meets.
+    #[test]
+    fn a_many_column_order_meets_a_one_column_demand_on_its_first_column() {
+        let (q, mut memo, [a, b, c, ab, abc]) = chain_scans();
+        memo.add_physical(b, sort(vec![BY, BZ])); // 2
+        memo.add_physical(ab, merge(a, b, AX, BY)); // 4
+        memo.add_physical(ab, merge(a, b, AX, BZ)); // 5
+        memo.add_physical(ab, sort(vec![BY, BZ])); // 6
+        memo.add_physical(abc, merge(ab, c, AX, CW)); // 7
+        let scan = assert_lists_match_the_rule(&memo, &q);
+        assert_eq!(list_asking(&memo, &scan, b, order(&[BY])), [2]);
+        assert!(list_asking(&memo, &scan, b, order(&[BZ])).is_empty());
+        assert_eq!(list_asking(&memo, &scan, ab, order(&[AX])), [4, 5, 6]);
+        let target = SortOrder::on(vec![BY, BZ]);
+        let input = Requirement::SortInput { target };
+        assert_eq!(list_asking(&memo, &scan, b, input.clone()), [1]);
+        assert_eq!(list_asking(&memo, &scan, ab, input), [4, 5]);
+    }
+
+    /// `b.z` is joined to `c.w`, but not inside `{a, b}`: there the
+    /// column is equivalent only to itself. A demand for it is met by a
+    /// Sort on `b.z` alone — not by the merge join's `a.x`, nor by a
+    /// Sort on `c.w`, which the scope has not equated with it.
+    #[test]
+    fn a_column_no_edge_in_scope_mentions_is_equivalent_only_to_itself() {
+        let (q, mut memo, [a, b, c, ab, abc]) = chain_scans();
+        memo.add_physical(ab, merge(a, b, AX, BY)); // 3
+        memo.add_physical(ab, sort(vec![BZ])); // 4
+        memo.add_physical(ab, sort(vec![CW])); // 5
+        memo.add_physical(abc, merge(ab, c, BZ, CW)); // 6
+        let scan = assert_lists_match_the_rule(&memo, &q);
+        assert_eq!(list_asking(&memo, &scan, ab, order(&[BZ])), [4]);
+    }
+
+    /// An [`Requirement::Order`] slot takes enforcers: the merge join's
+    /// demand for `a.x` on `{a}` is met by the Sort alone, the hash
+    /// join's unconstrained one by both members, and the Sort's own
+    /// input is the scan.
+    #[test]
+    fn an_order_slot_accepts_an_enforcer_class() {
+        let (q, mut memo, [a, b, _, ab, _]) = chain_scans();
+        memo.add_physical(a, sort(vec![AX])); // 1
+        memo.add_physical(ab, merge(a, b, AX, BY)); // 4
+        memo.add_physical(
+            ab,
+            PhysicalExpr::new(PhysicalOp::HashJoin { left: a, right: b }, 1.0, 1.0),
+        );
+        memo.set_root(ab);
+        let scan = assert_lists_match_the_rule(&memo, &q);
+        assert_eq!(list_asking(&memo, &scan, a, order(&[AX])), [1]);
+        assert_eq!(list_asking(&memo, &scan, a, order(&[])), [0, 1]);
+        let input = Requirement::SortInput {
+            target: SortOrder::on_col(AX),
+        };
+        assert_eq!(list_asking(&memo, &scan, a, input), [0]);
     }
 }

@@ -74,8 +74,10 @@ pub struct ColEquivalences {
 impl ColEquivalences {
     /// Builds the classes for sub-plans covering `scope`.
     pub fn within(query: &QuerySpec, scope: RelSet) -> Self {
+        // Each edge enters at most its two columns.
+        let edges = query.edges_within(scope).count();
         let mut eq = ColEquivalences {
-            classes: Vec::new(),
+            classes: Vec::with_capacity(2 * edges),
         };
         for edge in query.edges_within(scope) {
             eq.union(edge.left, edge.right);
@@ -188,24 +190,40 @@ impl<'q> OrderSatisfier<'q> {
     /// [`satisfies`](Self::satisfies) over a borrowed delivered
     /// key-column slice (see [`satisfies_cols`]).
     pub fn satisfies_cols(&mut self, delivered: &[ColRef], required: &SortOrder) -> bool {
-        if required.is_unsorted() {
-            return true;
-        }
-        if delivered.len() < required.cols().len() {
+        self.satisfies_slice(delivered, required.cols())
+    }
+
+    /// [`satisfies`](Self::satisfies) with both orders as borrowed
+    /// key-column slices: the form a slot borrowed from its operator
+    /// asks in, with nothing cloned.
+    pub(crate) fn satisfies_slice(&mut self, delivered: &[ColRef], required: &[ColRef]) -> bool {
+        if delivered.len() < required.len() {
             return false;
         }
         // Cheap syntactic check first; equivalence classes only when
         // needed, and then only built once per scope.
-        if delivered.iter().zip(required.cols()).all(|(d, r)| d == r) {
+        if delivered.iter().zip(required).all(|(d, r)| d == r) {
             return true;
         }
-        let eq = self
-            .eq
-            .get_or_insert_with(|| ColEquivalences::within(self.query, self.scope));
+        let eq = self.equivalences();
         delivered
             .iter()
-            .zip(required.cols())
+            .zip(required)
             .all(|(&d, &r)| eq.equivalent(d, r))
+    }
+
+    /// The representative of `col`'s equivalence class in this scope:
+    /// two columns are interchangeable as sort keys exactly when their
+    /// representatives are equal, so a one-column requirement is met by
+    /// every order whose first column has the requirement's
+    /// representative.
+    pub(crate) fn representative(&mut self, col: ColRef) -> ColRef {
+        self.equivalences().class_of(col).unwrap_or(col)
+    }
+
+    fn equivalences(&mut self) -> &ColEquivalences {
+        self.eq
+            .get_or_insert_with(|| ColEquivalences::within(self.query, self.scope))
     }
 }
 

@@ -67,10 +67,16 @@ impl Totals {
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
     let links = Links::build(memo, query)
         .unwrap_or_else(|at| panic!("cyclic memo: expression {at} is its own descendant"));
+    // Local costs by dense id (group order, then expression order), so
+    // the level-ordered loop below indexes one table.
+    let mut local = Vec::with_capacity(links.num_exprs());
+    for group in memo.groups() {
+        local.extend(group.physical.iter().map(|e| e.local_cost));
+    }
     let mut totals = vec![f64::INFINITY; links.num_exprs()];
     let mut list_best: Vec<Option<(f64, Option<DenseId>)>> = vec![None; links.num_lists()];
     for &d in links.topo() {
-        let mut total = memo.phys(links.ids().phys(d)).local_cost;
+        let mut total = local[d.idx()];
         for &list in links.slot_lists(d) {
             let (best, _) = *list_best[list.idx()].get_or_insert_with(|| {
                 let (mut best, mut child) = (f64::INFINITY, None);

@@ -146,7 +146,13 @@ fn implement_join(
     debug_assert_eq!(lset.union(rset), rels_of(memo, gid));
     let card = |g: GroupId| cards[g.0 as usize];
     let (lcard, rcard, out_card) = (card(left), card(right), card(gid));
-    let crossing = query.edges_crossing(lset, rset);
+    // Read in place: collecting them cost an allocation for every split
+    // with a crossing edge.
+    let mut crossing = query
+        .join_edges
+        .iter()
+        .filter(|e| e.crosses(lset, rset))
+        .peekable();
 
     // Nested loops handle any predicate set, including pure cross products.
     out.push(PhysicalExpr::new(
@@ -155,7 +161,7 @@ fn implement_join(
         out_card,
     ));
 
-    if !crossing.is_empty() {
+    if crossing.peek().is_some() {
         out.push(PhysicalExpr::new(
             PhysicalOp::HashJoin { left, right },
             cost.hash_join(lcard, rcard),
@@ -263,16 +269,8 @@ pub fn add_enforcers(query: &QuerySpec, catalog: &Catalog, cost: &CostModel, mem
                     !e.op.is_enforcer() && !sat.satisfies_cols(e.delivered_cols(), &target)
                 });
             if has_sortable_input {
-                memo.add_physical(
-                    gid,
-                    PhysicalExpr::new(
-                        PhysicalOp::Sort {
-                            target: target.clone(),
-                        },
-                        cost.sort(card),
-                        card,
-                    ),
-                );
+                let sort = PhysicalOp::Sort { target };
+                memo.add_physical(gid, PhysicalExpr::new(sort, cost.sort(card), card));
             }
         }
     }
