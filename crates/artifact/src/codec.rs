@@ -1,20 +1,12 @@
 //! Little-endian byte codec used inside artifact sections.
 //!
 //! The writer appends fixed-width primitives and length-prefixed
-//! buffers; the reader is the mirror image with every read bounds-
+//! strings; the reader is the mirror image with every read bounds-
 //! checked — a truncated or hostile byte stream surfaces as a typed
-//! [`ArtifactError`], never a panic or an out-of-bounds access.
-//!
-//! Bulk `u32` arrays (the CSR link tables) are written as a length
-//! prefix, zero padding up to 8-byte alignment, then the raw
-//! little-endian bytes. Because every section starts on a 32-byte file
-//! offset (see [`crate::format`]), in-section alignment is file
-//! alignment. Both sides lean on that: the encoder's one
-//! [`Writer`] *is* the file image — sections are appended to it in
-//! place, aligned by its own length, each array after one reservation —
-//! and the loader reconstructs each array with one allocation and a
-//! straight chunked copy. That is the "near-zero-copy" path: every byte
-//! is written once on the way out and copied once on the way in.
+//! [`ArtifactError`], never a panic or an out-of-bounds access. The
+//! encoder's one [`Writer`] *is* the file image: sections are appended
+//! to it in place, each aligned by its own length (see
+//! [`crate::format`]), so every byte is written once on the way out.
 
 use crate::ArtifactError;
 
@@ -86,17 +78,6 @@ impl Writer {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
-
-    /// Length-prefixed, 8-aligned raw `u32` array: the length, padding
-    /// to 8-byte alignment, then each value's little-endian bytes.
-    pub fn u32_slice(&mut self, vals: &[u32]) {
-        self.u64(vals.len() as u64);
-        self.align(8);
-        self.reserve(4 * vals.len());
-        for &v in vals {
-            self.buf.extend_from_slice(&v.to_le_bytes());
-        }
-    }
 }
 
 /// Bounds-checked mirror of [`Writer`] over one section's bytes.
@@ -126,12 +107,6 @@ impl<'a> Reader<'a> {
         let slice = &self.data[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
-    }
-
-    /// Skips the zero padding `Writer::align(8)` wrote.
-    pub fn align8(&mut self) -> Result<(), ArtifactError> {
-        let pad = (8 - self.pos % 8) % 8;
-        self.take(pad).map(|_| ())
     }
 
     /// One byte.
@@ -168,21 +143,6 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// Length-prefixed, 8-aligned raw `u32` array (see
-    /// [`Writer::u32_slice`]), reconstructed with one allocation and a
-    /// chunked copy. The length prefix is checked against the remaining
-    /// bytes *before* allocating, so a corrupt length cannot trigger an
-    /// absurd allocation.
-    pub fn u32_vec(&mut self) -> Result<Vec<u32>, ArtifactError> {
-        let len = self.u64()? as usize;
-        self.align8()?;
-        let bytes = self.take(len.checked_mul(4).ok_or_else(length_overflow)?)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
     /// Asserts the section was consumed exactly (trailing garbage in a
     /// checksummed section means the encoder and decoder disagree).
     pub fn finish(self) -> Result<(), ArtifactError> {
@@ -192,12 +152,6 @@ impl<'a> Reader<'a> {
             });
         }
         Ok(())
-    }
-}
-
-fn length_overflow() -> ArtifactError {
-    ArtifactError::Truncated {
-        detail: "array length prefix overflows".to_string(),
     }
 }
 
@@ -214,7 +168,6 @@ mod tests {
         w.i64(-42);
         w.f64(-0.0);
         w.str("naïve");
-        w.u32_slice(&[1, 2, 3]);
         let bytes = w.into_inner();
 
         let mut r = Reader::new(&bytes);
@@ -224,18 +177,18 @@ mod tests {
         assert_eq!(r.i64().unwrap(), -42);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.str().unwrap(), "naïve");
-        assert_eq!(r.u32_vec().unwrap(), vec![1, 2, 3]);
         r.finish().unwrap();
     }
 
     #[test]
     fn truncated_reads_are_typed_not_panics() {
         let mut w = Writer::new();
-        w.u32_slice(&[1, 2, 3, 4]);
+        w.u64(7);
+        w.str("naïve");
         let bytes = w.into_inner();
         for cut in 0..bytes.len() {
             let mut r = Reader::new(&bytes[..cut]);
-            match r.u32_vec() {
+            match r.u64().and_then(|_| r.str()) {
                 Ok(v) => panic!("cut at {cut} produced {v:?}"),
                 Err(ArtifactError::Truncated { .. }) => {}
                 Err(e) => panic!("cut at {cut}: wrong error {e}"),
@@ -245,14 +198,13 @@ mod tests {
 
     #[test]
     fn absurd_length_prefix_does_not_allocate() {
-        // A length prefix of u64::MAX must fail the bounds check, not
-        // attempt a 2^66-byte allocation.
+        // A string length prefix of u32::MAX must fail the bounds check,
+        // not attempt a 4 GiB allocation.
         let mut w = Writer::new();
-        w.u64(u64::MAX);
-        w.align(8);
+        w.u32(u32::MAX);
         let bytes = w.into_inner();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(r.u32_vec(), Err(ArtifactError::Truncated { .. })));
+        assert!(matches!(r.str(), Err(ArtifactError::Truncated { .. })));
     }
 
     #[test]
@@ -264,15 +216,5 @@ mod tests {
         let mut r = Reader::new(&bytes);
         r.u32().unwrap();
         assert!(matches!(r.finish(), Err(ArtifactError::Malformed { .. })));
-    }
-
-    #[test]
-    fn aligned_arrays_start_on_multiples_of_eight() {
-        let mut w = Writer::new();
-        w.u8(1); // knock alignment off
-        w.u32_slice(&[9, 9]);
-        let bytes = w.into_inner();
-        // 1 byte tag + 8 byte len = 9, padded to 16 before payload.
-        assert_eq!(&bytes[16..20], &9u32.to_le_bytes());
     }
 }

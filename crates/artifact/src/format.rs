@@ -13,17 +13,19 @@
 //! ...           section payloads, each starting 32-aligned
 //! ```
 //!
-//! Format v3 writes six sections: meta, query, config, memo, links and
-//! best. It stores no counts: a load recomputes them from the links
-//! (§3.2's fold, `Counts::compute_stored`), so loaded counts are right
-//! by construction rather than vouched for by a sum.
+//! Format v4 writes five sections: meta, query, config, memo and best.
+//! It stores neither links nor counts. A load builds the plan space of
+//! the decoded memo as an in-process `PlanSpace::build` does: the links
+//! with the scan a prepare runs (`Links::build`, §3.1), and the counts
+//! folded over them (§3.2, `Counts::compute_stored`), so a
+//! loaded plan space is its memo's by construction: the sums vouch for
+//! the bytes, `Memo::from_parts` for the memo's shape, and the scan for
+//! the plan graph.
 //!
 //! Every sum is a [`lane_sum`]: four chains over interleaved words.
 //! Every payload starts on a 32-byte *file* offset — one block of the
-//! four lanes — so in-section alignment (see `crate::codec`) is file
-//! alignment, the flat `u32` tables reload with one allocation and a
-//! straight chunked copy each, and lane `j` of a section's sum reads
-//! the same words as lane `j` of the whole-file sum.
+//! four lanes — so lane `j` of a section's sum reads the same words as
+//! lane `j` of the whole-file sum.
 //!
 //! [`encode`] builds the file as one image: room for the header and the
 //! table, then each section encoded in place at the next aligned
@@ -46,8 +48,9 @@
 //! [`ChecksumMismatch`].
 //!
 //! Compatibility policy: readers accept exactly [`FORMAT_VERSION`]
-//! (v2 stored the counts and summed on one chain; a v2 file is a
-//! [`VersionMismatch`], which the store quarantines and re-prepares).
+//! (v3 stored the links; v2 also the counts, and summed on one chain; an
+//! older file is a [`VersionMismatch`], which the store quarantines and
+//! re-prepares).
 //! Unknown section kinds are *tolerated* (skipped), so a future minor
 //! revision may append sections without a version bump; any change to
 //! an existing section's layout bumps the version, and old artifacts
@@ -61,7 +64,7 @@ use crate::codec::{Reader, Writer};
 use crate::sum::{self, Lanes, BLOCK};
 use crate::{lane_sum, ArtifactError};
 use plansample_catalog::{Datum, TableId};
-use plansample_core::{cache_key, Counts, Links, LinksParts, PlanSpace, PreparedQuery, SpaceError};
+use plansample_core::{cache_key, PlanSpace, PreparedQuery};
 use plansample_memo::{
     GroupId, GroupKey, LogicalOp, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode, SortOrder,
 };
@@ -78,7 +81,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"PSARTFCT";
 
 /// The one format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Fixed header size (magic through reserved).
 const HEADER_LEN: usize = 32;
@@ -87,20 +90,19 @@ const HEADER_LEN: usize = 32;
 const ENTRY_LEN: usize = 32;
 
 /// Sections [`encode`] writes: one of each kind below.
-const WRITTEN_SECTIONS: usize = 6;
+const WRITTEN_SECTIONS: usize = 5;
 
 /// Sanity cap on the declared section count: far above anything the
 /// writer produces, low enough that a hostile count cannot drive a
 /// large allocation.
 const MAX_SECTIONS: u32 = 256;
 
-/// Section kinds, by table order. Values are stable wire constants; 6
-/// was v2's counts section and is not reused.
+/// Section kinds, by table order. Values are stable wire constants; 5
+/// was v3's links section and 6 v2's counts, and neither is reused.
 const SEC_META: u32 = 1;
 const SEC_QUERY: u32 = 2;
 const SEC_CONFIG: u32 = 3;
 const SEC_MEMO: u32 = 4;
-const SEC_LINKS: u32 = 5;
 const SEC_BEST: u32 = 7;
 
 fn section_name(kind: u32) -> &'static str {
@@ -109,7 +111,6 @@ fn section_name(kind: u32) -> &'static str {
         SEC_QUERY => "query",
         SEC_CONFIG => "config",
         SEC_MEMO => "memo",
-        SEC_LINKS => "links",
         SEC_BEST => "best",
         _ => "unknown",
     }
@@ -139,20 +140,18 @@ fn truncated(detail: impl Into<String>) -> ArtifactError {
 /// room left for them at the front.
 pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
     let memo = prepared.memo();
-    let links = prepared.space().links().to_parts();
 
     let table_end = HEADER_LEN + WRITTEN_SECTIONS * ENTRY_LEN;
     let mut w = Writer::new();
-    // Exact for the links; for the memo, its widest common
-    // operator (a merge join, 41 bytes) a physical expression. A low
-    // guess costs one regrowth, a high one untouched address space.
+    // The memo's widest common operator (a merge join, 41 bytes) a
+    // physical expression. A low guess costs one regrowth, a high one
+    // untouched address space.
     w.reserve(
         table_end
             + 4096
             + 48 * memo.num_physical()
             + 9 * memo.num_logical()
-            + 17 * memo.num_groups()
-            + links_bytes(&links),
+            + 17 * memo.num_groups(),
     );
     w.zeros(table_end);
     let entries: [_; WRITTEN_SECTIONS] = [
@@ -160,7 +159,6 @@ pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
         section(&mut w, SEC_QUERY, |w| encode_query(w, prepared.query())),
         section(&mut w, SEC_CONFIG, |w| encode_config(w, prepared.config())),
         section(&mut w, SEC_MEMO, |w| encode_memo(w, memo)),
-        section(&mut w, SEC_LINKS, |w| encode_links(w, &links)),
         section(&mut w, SEC_BEST, |w| encode_best(w, prepared)),
     ];
 
@@ -376,9 +374,9 @@ fn required<'a, 'b>(
 /// Decodes an artifact image back into a [`PreparedQuery`], validating
 /// integrity (checksums), structure (every table invariant), and
 /// identity (the stored fingerprint must equal the fingerprint
-/// recomputed from the decoded content). The counts are not stored:
-/// §3.2's fold recomputes them over the loaded links, on the narrowest
-/// tier that holds them.
+/// recomputed from the decoded content). Neither links nor counts are
+/// stored: the links are the decoded memo's, built by §3.1's scan, and
+/// §3.2's fold counts over them on the narrowest tier that holds them.
 pub fn decode(bytes: &[u8]) -> Result<PreparedQuery, ArtifactError> {
     decode_with_fingerprint(bytes).map(|(prepared, _)| prepared)
 }
@@ -394,11 +392,7 @@ pub(crate) fn decode_with_fingerprint(
     let query = Arc::new(decode_query(required(&sections, SEC_QUERY)?.bytes)?);
     let config = decode_config(required(&sections, SEC_CONFIG)?.bytes)?;
     let memo = Arc::new(decode_memo(required(&sections, SEC_MEMO)?.bytes)?);
-    let link_parts = decode_links(required(&sections, SEC_LINKS)?.bytes)?;
-    let links = Links::from_parts(&memo, link_parts)
-        .map_err(|reason| SpaceError::MalformedParts { reason })?;
-    let counts = Counts::compute_stored(&links)?;
-    let space = PlanSpace::from_parts(memo, query, links, counts)?;
+    let space = PlanSpace::build_shared(memo, query)?;
     let (best_plan, best_cost) = decode_best(required(&sections, SEC_BEST)?.bytes)?;
     let prepared = PreparedQuery::from_parts(space, best_plan, best_cost, config)?;
 
@@ -415,7 +409,7 @@ pub(crate) fn decode_with_fingerprint(
 /// One section-table row, as reported by [`inspect`].
 #[derive(Debug, Clone)]
 pub struct SectionInfo {
-    /// Section name (`"memo"`, `"links"`, …; `"unknown"` for kinds this
+    /// Section name (`"memo"`, `"best"`, …; `"unknown"` for kinds this
     /// build does not know).
     pub name: &'static str,
     /// Byte offset of the payload in the file.
@@ -634,6 +628,14 @@ fn read_bool(r: &mut Reader<'_>, what: &str) -> Result<bool, ArtifactError> {
 fn decode_query(bytes: &[u8]) -> Result<QuerySpec, ArtifactError> {
     let mut r = Reader::new(bytes);
     let nrels = r.u32()?;
+    // A load scans the memo against this query, which reads its
+    // relations as the bits of one `RelSet`.
+    if nrels as usize > RelSet::MAX_RELS {
+        return Err(malformed(format!(
+            "{nrels} relations, more than a query holds ({})",
+            RelSet::MAX_RELS
+        )));
+    }
     let mut relations = Vec::new();
     for _ in 0..nrels {
         relations.push(RelRef {
@@ -966,50 +968,6 @@ fn decode_memo(bytes: &[u8]) -> Result<Memo, ArtifactError> {
 }
 
 // ---------------------------------------------------------------------
-// LINKS (the bulk CSR tables)
-// ---------------------------------------------------------------------
-
-/// Bytes [`encode_links`] writes for `parts`, padding at its most.
-fn links_bytes(parts: &LinksParts) -> usize {
-    let words = [
-        &parts.pool,
-        &parts.list_bounds,
-        &parts.slot_lists,
-        &parts.slot_bounds,
-        &parts.topo,
-    ];
-    words.iter().map(|t| 16 + 4 * t.len()).sum()
-}
-
-fn encode_links(w: &mut Writer, parts: &LinksParts) {
-    w.u32(parts.root_list);
-    w.u32_slice(&parts.pool);
-    w.u32_slice(&parts.list_bounds);
-    w.u32_slice(&parts.slot_lists);
-    w.u32_slice(&parts.slot_bounds);
-    w.u32_slice(&parts.topo);
-}
-
-fn decode_links(bytes: &[u8]) -> Result<LinksParts, ArtifactError> {
-    let mut r = Reader::new(bytes);
-    let root_list = r.u32()?;
-    let pool = r.u32_vec()?;
-    let list_bounds = r.u32_vec()?;
-    let slot_lists = r.u32_vec()?;
-    let slot_bounds = r.u32_vec()?;
-    let topo = r.u32_vec()?;
-    r.finish()?;
-    Ok(LinksParts {
-        pool,
-        list_bounds,
-        slot_lists,
-        slot_bounds,
-        topo,
-        root_list,
-    })
-}
-
-// ---------------------------------------------------------------------
 // BEST (the optimizer's chosen plan)
 // ---------------------------------------------------------------------
 
@@ -1109,14 +1067,16 @@ mod tests {
 
     /// Written images of three queries, each as written, and each with
     /// two foreign entries spliced into its table: one unaligned entry
-    /// before the links, and one after them overlapping the memo. The
+    /// before the best plan, and one after it overlapping the memo. The
     /// images between them end sections on a short word, on a whole
     /// word inside a block, and the file short of a block.
     #[test]
     fn one_pass_sums_of_written_images_match_their_definition() {
         let (catalog, _) = plansample_catalog::tpch::catalog();
         let q10 = plansample_query::tpch::q10(&catalog);
-        let q10 = PreparedQuery::prepare(&catalog, &q10, &OptimizerConfig::default())
+        // With cross products, Q10's memo section is a whole number of
+        // words short of a block.
+        let q10 = PreparedQuery::prepare(&catalog, &q10, &OptimizerConfig::with_cross_products())
             .expect("q10 optimizes");
         let (mut short_word, mut whole_words, mut short_file) = (false, false, false);
         for prepared in [prepared(false), prepared(true), q10] {
@@ -1135,10 +1095,10 @@ mod tests {
             short_file |= bytes.len() % BLOCK != 0;
             assert_sums_match_their_definition(&bytes, &spans);
 
-            let (memo, links) = (spans[3], spans[4]);
+            let memo = spans[3];
             let mut foreign = spans.clone();
             foreign.insert(4, (memo.0 + 3, 100));
-            foreign.insert(6, (memo.0 + BLOCK, links.1));
+            foreign.push((memo.0 + BLOCK, memo.1 / 2));
             assert_sums_match_their_definition(&bytes, &foreign);
         }
         assert!(short_word && whole_words && short_file);
@@ -1241,6 +1201,74 @@ mod tests {
         }
     }
 
+    /// A load scans the memo against the stored query, and the scan
+    /// reads the query's relations as one `RelSet`'s bits (an aggregate
+    /// group's scope is all of them): Q5's space written under a query
+    /// of 65 relations is refused as the query is decoded, where the
+    /// scan would panic.
+    #[test]
+    fn a_query_wider_than_a_rel_set_is_malformed() {
+        let q5 = prepared(false);
+        let mut query = q5.query().clone();
+        query
+            .relations
+            .resize(RelSet::MAX_RELS + 1, query.relations[0].clone());
+        let (space, (best, cost)) = (q5.space(), q5.best());
+        let memo = Arc::new(q5.memo().clone());
+        let (links, counts) = (space.links().clone(), space.counts().clone());
+        let space = PlanSpace::from_parts(memo, Arc::new(query), links, counts).unwrap();
+        let wide = PreparedQuery::from_parts(space, best.clone(), cost, q5.config().clone());
+        match decode(&encode(&wide.unwrap())) {
+            Err(ArtifactError::Malformed { reason }) => {
+                assert!(reason.contains("65 relations"), "{reason}")
+            }
+            other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// A stored memo whose plan graph is cyclic — the root's hash
+    /// aggregate reading its own group — behind right sums, and the same
+    /// length as the memo it replaces: the scan a load runs meets the
+    /// aggregate again while folding it, and the file is malformed.
+    #[test]
+    fn a_stored_memo_with_a_cycle_is_malformed() {
+        let mut bytes = encode(&prepared(false));
+        let info = inspect(&bytes).expect("inspects");
+        let index = info.sections.iter().position(|s| s.name == "memo");
+        let index = index.expect("a memo section");
+        let (offset, len) = (info.sections[index].offset, info.sections[index].len);
+        let (offset, len) = (offset as usize, len as usize);
+        let memo = decode_memo(&bytes[offset..offset + len]).expect("decodes");
+        let root = memo.root();
+        let parts = memo.groups().map(|g| {
+            let mut physical = g.physical.clone();
+            if g.id == root {
+                for expr in &mut physical {
+                    if let PhysicalOp::HashAgg { input } = &mut expr.op {
+                        *input = root;
+                    }
+                }
+            }
+            (g.key, g.logical.clone(), physical)
+        });
+        let cyclic = Memo::from_parts(parts.collect(), root.0).expect("a well-formed memo");
+        let mut w = Writer::new();
+        encode_memo(&mut w, &cyclic);
+        let section = w.into_inner();
+        assert_eq!(section.len(), len);
+        bytes[offset..offset + len].copy_from_slice(&section);
+        let e = HEADER_LEN + index * ENTRY_LEN;
+        bytes[e + 24..e + 32].copy_from_slice(&lane_sum(&section).to_le_bytes());
+        let file_sum = lane_sum(&bytes[HEADER_LEN..]);
+        bytes[16..24].copy_from_slice(&file_sum.to_le_bytes());
+        match decode(&bytes) {
+            Err(ArtifactError::Malformed { reason }) => {
+                assert!(reason.contains("cyclic"), "{reason}")
+            }
+            other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
+        }
+    }
+
     #[test]
     fn header_fields_are_where_the_spec_says() {
         let bytes = encode(&prepared(false));
@@ -1250,7 +1278,7 @@ mod tests {
             FORMAT_VERSION
         );
         let count = u32::from_le_bytes(bytes[24..28].try_into().unwrap());
-        assert_eq!(count, 6, "six sections");
+        assert_eq!(count, 5, "five sections");
         // Every section offset is 32-aligned: one block of the sums.
         for i in 0..count as usize {
             let e = HEADER_LEN + i * ENTRY_LEN;
@@ -1270,7 +1298,7 @@ mod tests {
         assert_eq!(info.version, FORMAT_VERSION);
         assert_eq!(info.total_bytes, bytes.len() as u64);
         let names: Vec<&str> = info.sections.iter().map(|s| s.name).collect();
-        assert_eq!(names, ["meta", "query", "config", "memo", "links", "best"]);
+        assert_eq!(names, ["meta", "query", "config", "memo", "best"]);
         let sum: u64 = info.sections.iter().map(|s| s.len).sum();
         assert!(sum <= info.total_bytes);
         assert!(!info.fingerprint.is_empty());

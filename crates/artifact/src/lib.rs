@@ -12,11 +12,12 @@
 //! * [`encode`] / [`decode`] turn a [`PreparedQuery`] into a
 //!   self-contained byte image and back. The format (see [`mod@format`] and
 //!   docs/DESIGN.md §10) is sectioned — query, optimizer config, memo
-//!   tables, CSR link arrays, best plan — with per-section and
-//!   whole-file sums ([`lane_sum`]) and 32-byte alignment, so the flat
-//!   `u32` link tables reload as bulk copies and both kinds of sum are
-//!   verified in one pass. The counts are not stored: [`decode`] folds
-//!   them again over the loaded links, at about what reading them cost.
+//!   tables, best plan — with per-section and whole-file sums
+//!   ([`lane_sum`]) and 32-byte alignment, so both kinds of sum are
+//!   verified in one pass. Neither the links nor the counts are stored:
+//!   [`decode`] scans the loaded memo for its links (§3.1), as a prepare
+//!   does, and folds the counts over them (§3.2), so a loaded plan space
+//!   is its memo's by construction.
 //! * [`save`] / [`load`] are the file-level pair; `save` publishes
 //!   atomically (write to a temp file in the same directory, then
 //!   rename) so readers never observe a half-written artifact.
@@ -26,11 +27,16 @@
 //!   or stale entries instead of serving them and, at startup, offers
 //!   every artifact it holds to whoever warms a cache from it.
 //!
-//! Decoding is *hostile-input safe*: every read is bounds-checked and
+//! Decoding is *hostile-input safe*: every read is bounds-checked,
 //! every structural invariant re-validated (`Memo::from_parts`,
-//! `Links::from_parts`, `Counts::compute_stored`, …), so a truncated,
-//! bit-flipped, or adversarial file surfaces as a typed
-//! [`ArtifactError`] — never UB, never a panic. The correctness
+//! `Counts::compute_stored`, …) and the plan graph rebuilt
+//! (`Links::build`), so a truncated, bit-flipped, or adversarial file
+//! surfaces as a typed [`ArtifactError`] — never UB, never a panic,
+//! never links that are not the memo's. What a load allocates for the
+//! links is bounded by the memo's expression count
+//! (`MAX_POOL_PER_EXPR` pool entries each); its time is not bounded by
+//! the file's size: the scan is quadratic in the classes of one group,
+//! which a stored memo can make large (docs/DESIGN.md §10). The correctness
 //! contract is round-trip *bit identity*: a loaded artifact answers
 //! `total`/`unrank`/`sample_batch`/`best` byte-identically to the one
 //! that was saved (asserted by the workspace round-trip suites and the
@@ -82,8 +88,8 @@ pub enum ArtifactError {
         detail: String,
     },
     /// The bytes decode but do not describe a plan space — duplicate
-    /// group keys, non-monotonic CSR bounds, out-of-range ids, a
-    /// fingerprint that disagrees with the content, and so on.
+    /// group keys, out-of-range ids, a cyclic memo, a fingerprint that
+    /// disagrees with the content, and so on.
     Malformed {
         /// The first violated invariant.
         reason: String,

@@ -92,7 +92,7 @@ fn a_wrong_file_sum_over_a_wrong_section_sum_names_the_file() {
     // A payload flip breaks both sums of the byte; so does a flipped
     // stored section sum left unsealed, plus a flipped stored file sum.
     let mut bytes = image();
-    let (_, offset, _) = section(&bytes, "links");
+    let (_, offset, _) = section(&bytes, "best");
     bytes[offset + 9] ^= 0x40;
     assert!(matches!(
         decode(&bytes),
@@ -100,7 +100,7 @@ fn a_wrong_file_sum_over_a_wrong_section_sum_names_the_file() {
     ));
 
     let mut bytes = image();
-    let (index, _, _) = section(&bytes, "links");
+    let (index, _, _) = section(&bytes, "best");
     flip_stored_section_sum(&mut bytes, index);
     bytes[17] ^= 0x01;
     for result in [decode(&bytes).map(|_| ()), inspect(&bytes).map(|_| ())] {
@@ -115,9 +115,9 @@ fn a_wrong_file_sum_over_a_wrong_section_sum_names_the_file() {
 fn two_wrong_section_sums_name_the_first_in_table_order() {
     let mut bytes = image();
     let (config, _, _) = section(&bytes, "config");
-    let (links, _, _) = section(&bytes, "links");
-    assert!(config < links);
-    flip_stored_section_sum(&mut bytes, links);
+    let (best, _, _) = section(&bytes, "best");
+    assert!(config < best);
+    flip_stored_section_sum(&mut bytes, best);
     flip_stored_section_sum(&mut bytes, config);
     reseal(&mut bytes);
     assert!(matches!(

@@ -11,6 +11,7 @@
 
 use plansample_artifact::{decode, inspect, ArtifactError, ArtifactStore, FORMAT_VERSION};
 use plansample_core::PreparedQuery;
+use plansample_memo::validate_plan;
 use plansample_optimizer::OptimizerConfig;
 use plansample_query::QuerySpec;
 use proptest::prelude::*;
@@ -109,43 +110,52 @@ fn a_v1_header_is_version_mismatch() {
     }
 }
 
-/// Format v2 stored the counts and summed on one chain. A v2 header —
-/// version 2, sealed with v2's whole-file sum (`checksum`) — is refused
-/// by version before any sum is read, and a store holding one
-/// quarantines it and is healed by the next preparation.
+/// Format v2 stored the counts and summed on one chain; v3 summed on
+/// four, and stored the links. A v2 header — version 2, sealed with v2's
+/// whole-file sum (`checksum`) — and a v3 header, sealed with v3's
+/// (`lane_sum`), are each refused by version before any sum is read,
+/// and a store holding one quarantines it and is healed by the next
+/// preparation.
 #[test]
 fn a_v2_header_is_version_mismatch_and_the_store_replaces_it() {
     let (query, config, prepared) = q5();
-    let mut bytes = plansample_artifact::encode(&prepared);
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    let v2_sum = plansample_artifact::checksum(&bytes[HEADER_LEN..]);
-    bytes[16..24].copy_from_slice(&v2_sum.to_le_bytes());
-    for result in [decode(&bytes).map(|_| ()), inspect(&bytes).map(|_| ())] {
-        match result {
-            Err(ArtifactError::VersionMismatch { found }) => assert_eq!(found, 2),
-            other => panic!("expected VersionMismatch, got {other:?}"),
+    type Seal = fn(&[u8]) -> u64;
+    let seals: [(u32, Seal); 2] = [
+        (2, plansample_artifact::checksum),
+        (3, plansample_artifact::lane_sum),
+    ];
+    for (version, seal) in seals {
+        let mut bytes = plansample_artifact::encode(&prepared);
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let sum = seal(&bytes[HEADER_LEN..]);
+        bytes[16..24].copy_from_slice(&sum.to_le_bytes());
+        for result in [decode(&bytes).map(|_| ()), inspect(&bytes).map(|_| ())] {
+            match result {
+                Err(ArtifactError::VersionMismatch { found }) => assert_eq!(found, version),
+                other => panic!("expected VersionMismatch, got {other:?}"),
+            }
         }
-    }
 
-    let dir = temp_dir("v2");
-    let store = ArtifactStore::open(&dir).unwrap();
-    let path = store.path_for(&query, &config);
-    fs::write(&path, &bytes).unwrap();
-    assert!(matches!(
-        store.load(&query, &config),
-        Err(ArtifactError::VersionMismatch { found: 2 })
-    ));
-    assert!(!path.exists() && path.with_extension("quarantined").exists());
-    assert!(store.load(&query, &config).unwrap().is_none());
-    let (catalog, _) = plansample_catalog::tpch::catalog();
-    let again = PreparedQuery::prepare(&catalog, &query, &config).expect("q5 optimizes");
-    store.save(&again).unwrap();
-    let healed = store
-        .load(&query, &config)
-        .unwrap()
-        .expect("a current artifact");
-    assert_eq!(healed.total(), prepared.total());
-    let _ = fs::remove_dir_all(&dir);
+        let dir = temp_dir(&format!("v{version}"));
+        let store = ArtifactStore::open(&dir).unwrap();
+        let path = store.path_for(&query, &config);
+        fs::write(&path, &bytes).unwrap();
+        match store.load(&query, &config) {
+            Err(ArtifactError::VersionMismatch { found }) => assert_eq!(found, version),
+            other => panic!("expected VersionMismatch, got {:?}", other.map(|_| ())),
+        }
+        assert!(!path.exists() && path.with_extension("quarantined").exists());
+        assert!(store.load(&query, &config).unwrap().is_none());
+        let (catalog, _) = plansample_catalog::tpch::catalog();
+        let again = PreparedQuery::prepare(&catalog, &query, &config).expect("q5 optimizes");
+        store.save(&again).unwrap();
+        let healed = store
+            .load(&query, &config)
+            .unwrap()
+            .expect("a current artifact");
+        assert_eq!(healed.total(), prepared.total());
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]
@@ -241,33 +251,16 @@ fn structural_damage_behind_valid_checksums_is_malformed() {
     }
 }
 
-/// Where the links section's five tables — pool, list bounds, slot
-/// lists, slot bounds, topo — lie in the file: `(first byte, u32s)`.
-/// Each is a `u64` length, padding to 8, then the values; the section
-/// opens with the root list's id.
-fn links_tables(bytes: &[u8]) -> (usize, [(usize, usize); 5]) {
+/// Where the memo section lies — its table index, offset and length —
+/// and how many groups it declares.
+fn memo_section(bytes: &[u8]) -> (usize, usize, usize, u32) {
     let info = inspect(bytes).expect("pristine image inspects");
-    let index = info.sections.iter().position(|s| s.name == "links");
-    let index = index.expect("links section present");
-    let mut at = info.sections[index].offset as usize + 4;
-    let tables = std::array::from_fn(|_| {
-        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-        let start = (at + 8).next_multiple_of(8);
-        at = start + 4 * len;
-        (start, len)
-    });
-    (index, tables)
-}
-
-fn read_u32s(bytes: &[u8], (start, len): (usize, usize)) -> Vec<u32> {
-    let table = bytes[start..start + 4 * len].chunks_exact(4);
-    table
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-fn write_u32(bytes: &mut [u8], (start, _): (usize, usize), i: usize, v: u32) {
-    bytes[start + 4 * i..start + 4 * i + 4].copy_from_slice(&v.to_le_bytes());
+    let index = info.sections.iter().position(|s| s.name == "memo");
+    let index = index.expect("memo section present");
+    let (offset, len) = (info.sections[index].offset, info.sections[index].len);
+    let (offset, len) = (offset as usize, len as usize);
+    let groups = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().unwrap());
+    (index, offset, len, groups)
 }
 
 /// Makes the stored sums of section `index` and of the file right for
@@ -281,62 +274,6 @@ fn reseal_section(bytes: &mut [u8], index: usize) {
     reseal(bytes);
 }
 
-fn assert_malformed(bytes: &[u8], why: &str) {
-    match decode(bytes) {
-        Err(ArtifactError::Malformed { reason }) => {
-            assert!(reason.contains(why), "{reason:?} does not mention {why:?}")
-        }
-        other => panic!("expected Malformed ({why}), got {:?}", other.map(|_| ())),
-    }
-}
-
-/// A load folds the counts over the stored topological order, so an
-/// order that is a permutation but not children-before-parents would
-/// fold unfinished counts. Swapping the first expression (a leaf) with
-/// the last (one that reads lists) makes one, behind right sums.
-#[test]
-fn a_topo_order_with_a_parent_before_its_child_is_malformed() {
-    let mut bytes = image();
-    let (index, [.., topo]) = links_tables(&bytes);
-    let order = read_u32s(&bytes, topo);
-    let (first, last) = (order[0], order[order.len() - 1]);
-    write_u32(&mut bytes, topo, 0, last);
-    write_u32(&mut bytes, topo, order.len() - 1, first);
-    reseal_section(&mut bytes, index);
-    inspect(&bytes).expect("the sums are right");
-    assert_malformed(&bytes, "members before its readers");
-}
-
-/// A link table with a cycle: an expression whose list names the
-/// expression itself, kept ascending, behind right sums. No order can
-/// put it before itself.
-#[test]
-fn a_link_table_with_a_cycle_is_malformed() {
-    let mut bytes = image();
-    let (index, [pool, list_bounds, slot_lists, slot_bounds, _]) = links_tables(&bytes);
-    let members = read_u32s(&bytes, pool);
-    let bounds = read_u32s(&bytes, list_bounds);
-    let slots = read_u32s(&bytes, slot_lists);
-    let slot_bounds = read_u32s(&bytes, slot_bounds);
-    // An expression above every member of one of its lists: its id
-    // replaces the list's last member.
-    let (reader, last) = (0..slot_bounds.len() - 1)
-        .rev()
-        .find_map(|d| {
-            let lists = &slots[slot_bounds[d] as usize..slot_bounds[d + 1] as usize];
-            lists.iter().find_map(|&l| {
-                let (start, end) = (bounds[l as usize], bounds[l as usize + 1]);
-                (start < end && members[end as usize - 1] < d as u32)
-                    .then_some((d as u32, end as usize - 1))
-            })
-        })
-        .expect("some expression reads a list of lower ids");
-    write_u32(&mut bytes, pool, last, reader);
-    reseal_section(&mut bytes, index);
-    inspect(&bytes).expect("the sums are right");
-    assert_malformed(&bytes, "members before its readers");
-}
-
 /// Q5's image, encoded once for the mutation property below.
 fn pristine() -> &'static [u8] {
     static IMAGE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
@@ -346,27 +283,23 @@ fn pristine() -> &'static [u8] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Totality of the links check behind right sums: any one `u32` of
-    /// any links table rewritten — to a boundary of the range it indexes
-    /// (0, n−1, n, n+1, `u32::MAX`) or to anything — and resealed
-    /// decodes to a typed error or to a space whose first and last plans
-    /// rank back to their ranks. Never a panic.
+    /// Totality of a load behind right sums: any one `u32` of the memo
+    /// section rewritten — at any byte, so group ids, counts, tags and
+    /// columns alike — to a boundary of the group range (0, n−1, n, n+1
+    /// for n groups), to `u32::MAX` or to anything, and resealed, decodes
+    /// to a typed error or to a space whose first and last plans are
+    /// plans of its memo and rank back to their ranks. Never a panic.
     #[test]
-    fn any_rewritten_links_entry_is_refused_or_sound(
-        table in 0usize..5,
+    fn any_rewritten_memo_word_is_refused_or_sound(
         raw in any::<usize>(),
         choice in 0usize..6,
         anything in any::<u32>(),
     ) {
         let mut bytes = pristine().to_vec();
-        let (index, tables) = links_tables(&bytes);
-        let [pool, list_bounds, slot_lists, _, topo] = tables;
-        // What each table's entries index: expressions, pool entries,
-        // lists, slot entries, expressions.
-        let n = [topo.1, pool.1, list_bounds.1 - 1, slot_lists.1, topo.1][table] as u32;
-        let at = tables[table];
+        let (index, offset, len, n) = memo_section(&bytes);
+        let at = offset + raw % (len - 3);
         let value = [0, n.wrapping_sub(1), n, n + 1, u32::MAX, anything][choice];
-        write_u32(&mut bytes, at, raw % at.1, value);
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
         reseal_section(&mut bytes, index);
         prop_assert!(inspect(&bytes).is_ok());
         if let Ok(prepared) = decode(&bytes) {
@@ -376,6 +309,8 @@ proptest! {
                 last.decr();
                 for rank in [plansample_bignum::Nat::zero(), last] {
                     let plan = prepared.unrank(&rank).expect("a rank below the total");
+                    let violations = validate_plan(prepared.memo(), prepared.query(), &plan);
+                    prop_assert!(violations.is_empty(), "rank {rank}: {violations:?}");
                     prop_assert_eq!(prepared.rank(&plan).expect("its own plan"), rank);
                 }
             }

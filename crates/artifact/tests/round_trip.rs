@@ -152,7 +152,7 @@ fn builds_encode_byte_identically_at_one_and_four_threads() {
 
 /// The other two tiers: `u64`, and — on a chain long enough that its
 /// total genuinely needs three limbs — exact `Nat`. Neither image holds
-/// a count: the six sections are the same kinds on every tier.
+/// a count: the five sections are the same kinds on every tier.
 #[test]
 fn single_limb_and_three_limb_spaces_round_trip_on_their_own_tier() {
     let small = synthetic(Topology::Chain, 6, 20000);
@@ -172,7 +172,7 @@ fn single_limb_and_three_limb_spaces_round_trip_on_their_own_tier() {
             .iter()
             .map(|s| s.name)
             .collect();
-        assert_eq!(names, ["meta", "query", "config", "memo", "links", "best"]);
+        assert_eq!(names, ["meta", "query", "config", "memo", "best"]);
     }
 }
 

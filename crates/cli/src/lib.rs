@@ -1177,7 +1177,7 @@ mod tests {
             file: path.clone(),
         })))
         .unwrap();
-        for section in ["meta", "query", "config", "memo", "links", "best"] {
+        for section in ["meta", "query", "config", "memo", "best"] {
             assert!(out.contains(section), "missing `{section}` in:\n{out}");
         }
 

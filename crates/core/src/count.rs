@@ -30,12 +30,12 @@
 //! — the paper's linear-time claim, measured by the tracked benchmark's
 //! `core.count.compute_ms` row.
 //!
-//! Counts are never persisted. A plan-space artifact keeps the links,
-//! and a load runs this same fold over them ([`Counts::compute_stored`],
-//! which first bounds how wide counts over links from outside the
-//! program can get): the fold is of the order of what reading and
-//! checking stored counts cost, the file is smaller, and loaded counts
-//! are right by construction.
+//! Counts are never persisted. A plan-space artifact keeps the memo, and
+//! a load scans it for its links and runs this same fold over them
+//! ([`Counts::compute_stored`], which first bounds how wide counts over a
+//! memo from outside the program can get): the fold is of the order of
+//! what reading and checking stored counts cost, the file is smaller,
+//! and loaded counts are right by construction.
 //!
 //! # One store, chosen once
 //!
@@ -412,13 +412,15 @@ impl Counts {
         Counts::compute_within(links, None).expect("no bound to exceed")
     }
 
-    /// [`compute`](Self::compute) over links read from outside the
-    /// program — the artifact load path, which stores no counts and
-    /// folds them again. Stored links are checked as a graph
-    /// ([`Links::from_parts`]), not as an optimizer's, so they can
-    /// describe counts no memo has: a chain of expressions each reading
-    /// its predecessor in both slots squares the count at every step.
-    /// So a space that needs the exact rung is first bounded in `f64`
+    /// [`compute`](Self::compute) over the links of a memo that may come
+    /// from outside the program: [`PlanSpace::build`](crate::PlanSpace::build)'s fold, which the
+    /// artifact load path takes (it stores no counts and folds them
+    /// again). A stored memo is checked for its
+    /// shape (`Memo::from_parts`), not as an optimizer's: nothing holds a
+    /// group's relation set to what its joins cover, so it can describe
+    /// counts no optimizer's memo has — a chain of groups each joining
+    /// the one below with itself squares the count at every step. So a
+    /// space that needs the exact rung is first bounded in `f64`
     /// (`bits_bound`, one pass), and refused as
     /// [`SpaceError::MalformedParts`] if a count could be wider than
     /// `MAX_COUNT_BITS` (8 192); the exact fold then costs at most a
@@ -658,11 +660,13 @@ mod tests {
         }
     }
 
-    /// Hand-made links in which expression `i` reads its predecessor's
-    /// list in both slots, over a first list of two: `N = 2^(2^(i+1))`.
-    /// Topo is the two scans, then the joins in order.
+    /// A memo in which join `i` reads the group of join `i − 1` in both
+    /// slots, over a group of two scans: `N = 2^(2^(i+1))`. Its relation
+    /// sets are not what the joins cover, which `Memo` does not check.
+    /// The scan lists the scans first, then join `i` as list `i + 1`; the
+    /// last join's group, which no slot reads, is the root list; topo is
+    /// the two scans, then the joins in order.
     fn squaring_chain(joins: u32) -> Links {
-        use crate::LinksParts;
         use plansample_memo::{GroupKey, Memo, PhysicalExpr, PhysicalOp};
         use plansample_query::{RelId, RelSet};
 
@@ -683,26 +687,11 @@ mod tests {
             below = group;
         }
         memo.set_root(below);
-        // List 0 holds the scans, list i + 1 join i.
-        let mut pool = vec![0, 1];
-        let mut list_bounds = vec![0, 2];
-        let mut slot_lists = vec![];
-        let mut slot_bounds = vec![0, 0, 0];
-        for i in 0..joins {
-            pool.push(i + 2);
-            list_bounds.push(pool.len() as u32);
-            slot_lists.extend([i, i]);
-            slot_bounds.push(slot_lists.len() as u32);
-        }
-        let parts = LinksParts {
-            pool,
-            list_bounds,
-            slot_lists,
-            slot_bounds,
-            topo: (0..joins + 2).collect(),
-            root_list: joins,
-        };
-        Links::from_parts(&memo, parts).expect("a sound graph")
+        let links = Links::build(&memo, &paper_example::build().query).expect("a chain");
+        let topo: Vec<u32> = links.topo().iter().map(|d| d.0).collect();
+        assert_eq!(topo, (0..joins + 2).collect::<Vec<_>>());
+        assert_eq!(links.root_list(), ListId(joins));
+        links
     }
 
     /// The ladder resumes where a narrower fold overflowed, partway

@@ -78,7 +78,7 @@ pub use batch::PlanBatch;
 pub use count::{CountTier, Counts, CountsParts};
 pub use enumerate::PlanCursor;
 pub use lru::Lru;
-pub use plansample_memo::{Links, LinksParts, ListId};
+pub use plansample_memo::{Links, LinksError, LinksParts, ListId};
 pub use prepared::PreparedQuery;
 pub use service::{cache_key, ArtifactCache, PlanService, ServiceStats};
 
@@ -94,7 +94,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpaceError {
     /// The memo's link graph contains a cycle (impossible for
-    /// optimizer-produced memos; hand-built ones are checked).
+    /// optimizer-produced memos; hand-built and stored ones are checked).
     CyclicMemo {
         /// An expression on the cycle.
         at: PhysId,
@@ -112,11 +112,11 @@ pub enum SpaceError {
         at: PhysId,
     },
     /// Raw parts failed structural validation (the reason
-    /// [`Links::from_parts`] or [`PlanSpace::from_parts`] gave), or
-    /// [`Counts::compute_stored`] refused them — an artifact loader fed
-    /// tables that do not describe a plan space (wrong lengths,
-    /// non-monotonic bounds, out-of-range ids, an order that is not
-    /// children-before-parents, counts no memo has).
+    /// [`PlanSpace::from_parts`] or [`PreparedQuery::from_parts`] gave:
+    /// tables of the wrong size, a best plan the memo does not hold), or
+    /// a hand-built or stored memo describes a space no optimizer's memo
+    /// has: child lists past [`Links::build`]'s bound, or counts wider
+    /// than [`Counts::compute_stored`] folds.
     MalformedParts {
         /// The first violated invariant.
         reason: String,
@@ -143,6 +143,17 @@ impl fmt::Display for SpaceError {
 }
 
 impl std::error::Error for SpaceError {}
+
+impl From<LinksError> for SpaceError {
+    fn from(e: LinksError) -> Self {
+        match e {
+            LinksError::Cyclic(at) => SpaceError::CyclicMemo { at },
+            LinksError::Oversized => SpaceError::MalformedParts {
+                reason: e.to_string(),
+            },
+        }
+    }
+}
 
 /// Top-level error for the whole pipeline: optimization, plan-space
 /// construction, rank machinery, and plan execution.
@@ -255,10 +266,13 @@ impl PlanSpace {
     }
 
     /// Like [`build`](Self::build) but takes shared ownership directly,
-    /// avoiding the memo copy — the path [`PreparedQuery::prepare`] uses.
+    /// avoiding the memo copy — the path the artifact loader takes with
+    /// the memo it decoded. The counts are folded by
+    /// [`Counts::compute_stored`], whose width bound runs only on the
+    /// exact tier and which no optimizer's memo reaches.
     pub fn build_shared(memo: Arc<Memo>, query: Arc<QuerySpec>) -> Result<Self, SpaceError> {
-        let links = Links::build(&memo, &query).map_err(|at| SpaceError::CyclicMemo { at })?;
-        let counts = Counts::compute(&links);
+        let links = Links::build(&memo, &query)?;
+        let counts = Counts::compute_stored(&links)?;
         Ok(PlanSpace {
             memo,
             query,
@@ -267,13 +281,11 @@ impl PlanSpace {
         })
     }
 
-    /// Reassembles a plan space from already-validated components — the
-    /// artifact loader's path, which deserializes the flat link buffers
-    /// instead of re-running link materialization, and folds the counts
-    /// over them. The caller obtains `links` via [`Links::from_parts`],
-    /// which validates its tables against `memo`, and `counts` via
-    /// [`Counts::compute_stored`]; this constructor only re-checks the
-    /// cross-component size agreement.
+    /// Assembles a plan space from components already built — the path
+    /// of a prepare, which keeps the links its optimizer's scan built.
+    /// Links are only ever a memo's own scan ([`Links::build`]); this
+    /// constructor re-checks that they, the memo and the counts agree in
+    /// size.
     pub fn from_parts(
         memo: Arc<Memo>,
         query: Arc<QuerySpec>,

@@ -221,19 +221,6 @@ impl ListId {
 pub struct SlotRecord(pub(crate) [ListId; MAX_SLOTS]);
 
 impl SlotRecord {
-    /// Packs one expression's slot lists; `None` when there are more than
-    /// [`MAX_SLOTS`].
-    pub fn pack(lists: impl ExactSizeIterator<Item = ListId>) -> Option<SlotRecord> {
-        let mut record = [ListId::NONE; MAX_SLOTS];
-        if lists.len() > MAX_SLOTS {
-            return None;
-        }
-        for (slot, l) in record.iter_mut().zip(lists) {
-            *slot = l;
-        }
-        Some(SlotRecord(record))
-    }
-
     /// The list of each child slot, in slot order: the occupied prefix.
     #[inline]
     pub fn lists(&self) -> &[ListId] {

@@ -43,7 +43,7 @@ pub use dense::{DenseId, DenseIdMap};
 pub use expr::{
     ChildSlot, ListId, LogicalOp, PhysicalExpr, PhysicalOp, Requirement, SlotRecord, MAX_SLOTS,
 };
-pub use links::{eligible_children, Links, LinksParts};
+pub use links::{eligible_children, Links, LinksError, LinksParts, MAX_POOL_PER_EXPR};
 pub use plan::{validate_plan, PlanNode, PlanViolation};
 pub use props::{satisfies, satisfies_cols, ColEquivalences, OrderSatisfier, SortOrder};
 pub use render::render_memo;

@@ -41,9 +41,16 @@
 //! binary joins, so one fixed record per expression is *smaller* than a
 //! bounds table plus a concatenated slot table (`8·n` against
 //! `4·(n+1) + 4·slots` bytes, `slots ≈ 1.96·n`) and an unranking step
-//! reads it in one load instead of two dependent ones. The serialization
-//! view ([`LinksParts`]) keeps the CSR pair, so artifacts did not change
-//! when the resident table did.
+//! reads it in one load instead of two dependent ones. The table view
+//! ([`LinksParts`]) keeps the CSR pair, so the golden digests did not
+//! change when the resident table did.
+//!
+//! Nothing reads links back: an artifact stores the memo, and a load
+//! runs this same scan over it. A loaded plan space is therefore its
+//! memo's by construction, whatever the file's other bytes say. The
+//! pool is held to [`MAX_POOL_PER_EXPR`] entries per expression, so a
+//! stored memo cannot make the scan allocate more than a fixed multiple
+//! of its expression count.
 //!
 //! A prepare makes the table once, in the optimizer's best-plan
 //! extraction (`compute_totals`), which hands it on; so the optimizer's
@@ -55,7 +62,9 @@
 //! other expression one above the highest member of its slot lists (an
 //! empty list counts as 0). It comes from one memoised fold, which is
 //! also the memo's one cycle check: an expression met again while its
-//! level is being folded is its own descendant.
+//! level is being folded is its own descendant. The fold keeps its own
+//! stack, so a memo as deep as it is long — a stored one from outside
+//! the program included — costs heap, not the thread's stack.
 //!
 //! # Classes
 //!
@@ -91,6 +100,7 @@ use crate::{
     SlotRecord, MAX_SLOTS,
 };
 use plansample_query::{ColRef, QuerySpec};
+use std::fmt;
 
 /// §3.1's rule: does a slot accept a candidate, given whether the slot
 /// is a Sort's input (a [`Requirement::SortInput`]), whether the
@@ -126,12 +136,11 @@ pub fn eligible_children(memo: &Memo, query: &QuerySpec, slot: &ChildSlot) -> Ve
         .collect()
 }
 
-/// A [`Links`] as raw `u32` tables, every one of them CSR — the
-/// serialization view a plan-space artifact stores and reloads
-/// byte-for-byte (see `plansample-artifact`). Produced by
-/// [`Links::to_parts`], consumed (and validated) by
-/// [`Links::from_parts`]. The slots are listed here as a bounds table
-/// and a concatenated table, not as the padded records the links keep
+/// A [`Links`] as raw `u32` tables, every one of them CSR — the view in
+/// which two builds of one memo are compared and the golden suites
+/// digest the tables. Produced by [`Links::to_parts`]; nothing builds
+/// links from it. The slots are listed here as a bounds table and a
+/// concatenated table, not as the padded records the links keep
 /// resident: the view has no sentinel and no width to agree on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinksParts {
@@ -145,18 +154,15 @@ pub struct LinksParts {
     pub slot_bounds: Vec<u32>,
     /// Every expression, children before parents ([`DenseId`] raws):
     /// the scan's order, by level and then dense id (see
-    /// [`Links::build`]). A load checks that it is a permutation in
-    /// which every list's members precede every expression that reads
-    /// it — any such order, not necessarily the scan's.
+    /// [`Links::build`]).
     pub topo: Vec<u32>,
     /// The root group's interned alternative list.
     pub root_list: u32,
 }
 
 /// §3.1's materialized links of one memo, in the flat layout of the
-/// module docs: the validated input of §3.2's count fold. Made by
-/// [`build`](Self::build) from a memo, or by
-/// [`from_parts`](Self::from_parts) from tables read back.
+/// module docs: the input of §3.2's count fold. Made only by
+/// [`build`](Self::build), from a memo.
 #[derive(Debug, Clone)]
 pub struct Links {
     ids: DenseIdMap,
@@ -184,6 +190,42 @@ pub struct Links {
 const UNSEEN: u32 = u32::MAX;
 const OPEN: u32 = u32::MAX - 1;
 
+/// The most pool entries [`Links::build`] makes per expression of the
+/// memo. The optimizer's memos need about two: at most 2.62 over TPC-H
+/// Q3–Q10, with and without cross products, and the synthetic chains,
+/// stars, cycles and cliques up to clique-10. A hand-built or stored
+/// memo can need quadratically more: one group of `n` index scans and
+/// the `n` Sorts that enforce them gives each Sort's input a list of its
+/// own of `n` members.
+pub const MAX_POOL_PER_EXPR: usize = 64;
+
+/// Why [`Links::build`] refused a memo. An optimizer's memo is never
+/// refused; a hand-built or a stored one can be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LinksError {
+    /// The plan graph is cyclic: the expression the level fold met again
+    /// while folding it.
+    Cyclic(PhysId),
+    /// The lists would hold more than [`MAX_POOL_PER_EXPR`] entries per
+    /// expression. The walk stops at the first list past that bound,
+    /// before the pool is allocated.
+    Oversized,
+}
+
+impl fmt::Display for LinksError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LinksError::Cyclic(at) => {
+                write!(f, "cyclic memo: expression {at} is its own descendant")
+            }
+            LinksError::Oversized => write!(
+                f,
+                "the memo's child lists would hold more than {MAX_POOL_PER_EXPR} entries per expression"
+            ),
+        }
+    }
+}
+
 impl Links {
     /// Numbers `memo`'s expressions, materializes the list of every
     /// child slot and of the root group, and orders the expressions
@@ -205,10 +247,11 @@ impl Links {
     ///    hashed. A new question is decided once per class of its group —
     ///    by comparing leads when it names one column — and a class set
     ///    the group has not produced before is a new list, whose length
-    ///    is the sum of its class counts. Each slot's list goes straight
-    ///    into its expression's record. Last, the root group is asked the
-    ///    unconstrained question the same way: its answer is the root
-    ///    list.
+    ///    is the sum of its class counts; the lists' running length is
+    ///    held to [`MAX_POOL_PER_EXPR`] entries per expression. Each
+    ///    slot's list goes straight into its expression's record. Last,
+    ///    the root group is asked the unconstrained question the same
+    ///    way: its answer is the root list.
     /// 3. **Emit**: with every length known the pool is reserved exactly,
     ///    and each list is its group's dense range filtered by class — or
     ///    the whole range, copied, when the list takes every class.
@@ -216,20 +259,27 @@ impl Links {
     ///    largest over its slot lists of 0 for an empty list and one more
     ///    than its members' largest level otherwise — one memoised
     ///    (max, +1) fold, per expression and per list, which reads a
-    ///    known level in place and recurses only on a miss. `topo` is the
-    ///    expressions by level, dense order within a level: the order
-    ///    Kahn elimination emits frontier by frontier with each frontier
-    ///    sorted, which artifacts carry byte for byte.
+    ///    known level in place and descends, on a stack of its own, only
+    ///    on a miss. `topo` is the expressions by level, dense order
+    ///    within a level: the order Kahn elimination emits frontier by
+    ///    frontier with each frontier sorted.
     ///
     /// # Errors
-    /// A memo whose plan graph is cyclic — only a hand-built one can be —
-    /// is refused with the expression the fold met again while folding
-    /// it.
+    /// Only a hand-built or a stored memo is refused:
+    /// [`LinksError::Cyclic`] if its plan graph is cyclic, naming the
+    /// expression the fold met again while folding it, and
+    /// [`LinksError::Oversized`] if its lists would outgrow
+    /// [`MAX_POOL_PER_EXPR`].
     ///
     /// # Panics
     /// Panics if the memo has no root group.
-    pub fn build<'m>(memo: &'m Memo, query: &QuerySpec) -> Result<Links, PhysId> {
+    pub fn build<'m>(memo: &'m Memo, query: &QuerySpec) -> Result<Links, LinksError> {
         let ids = DenseIdMap::build(memo);
+        // List bounds are `u32`: the pool's bound must be one too.
+        let max_pool = ids
+            .len()
+            .saturating_mul(MAX_POOL_PER_EXPR)
+            .min(u32::MAX as usize);
 
         // Classify. Classes are numbered memo-wide, each group's contiguous.
         let mut sats: Vec<OrderSatisfier<'_>> = memo
@@ -276,10 +326,16 @@ impl Links {
         let mut set_bounds: Vec<u32> = vec![0];
         let mut list_bounds: Vec<u32> = vec![0];
         let mut lists_of: Chains<ListId> = Chains::new(memo.num_groups() + 1);
+        // Set by the first list that takes the pool past `max_pool`; every
+        // question after it is answered `NONE` without being decided.
+        let mut oversized = false;
         let mut decide = |slot: SlotRef<'_>| {
+            if oversized {
+                return ListId::NONE;
+            }
             let g = slot.group.0 as usize;
             let sat = &mut sats[g];
-            let (at, mut len) = (sets.len(), 0);
+            let (at, mut len) = (sets.len(), 0usize);
             // A one-column requirement is met by the classes whose first
             // delivered column is equivalent to it; any other goes to the
             // prefix rule.
@@ -295,7 +351,7 @@ impl Links {
                 };
                 if accepts(slot.sort_input, satisfied, c.enforcer) {
                     sets.push(class);
-                    len += c.len;
+                    len += c.len as usize;
                 }
             }
             let nothing = sets.len() == at;
@@ -306,8 +362,13 @@ impl Links {
                 return l;
             }
             let l = ListId(list_bounds.len() as u32 - 1);
+            let end = list_bounds[l.idx()] as usize + len;
+            if end > max_pool {
+                oversized = true;
+                return ListId::NONE;
+            }
             set_bounds.push(sets.len() as u32);
-            list_bounds.push(list_bounds[l.idx()] + len);
+            list_bounds.push(end as u32);
             lists_of.file(home, l);
             l
         };
@@ -348,6 +409,9 @@ impl Links {
             sort_input: false,
             cols: &[],
         });
+        if oversized {
+            return Err(LinksError::Oversized);
+        }
         // The links back a long-lived, byte-budgeted artifact: drop the
         // growth slack of the one table built by pushing.
         list_bounds.shrink_to_fit();
@@ -384,15 +448,9 @@ impl Links {
         };
 
         // Order: fold the levels, then counting-sort by level, stably.
-        let mut levels = vec![UNSEEN; links.num_exprs()];
-        let mut list_levels = vec![UNSEEN; links.num_lists()];
-        for d in (0..links.num_exprs() as u32).map(DenseId) {
-            if levels[d.idx()] == UNSEEN {
-                links
-                    .level(d, &mut levels, &mut list_levels)
-                    .map_err(|at| links.ids.phys(at))?;
-            }
-        }
+        let levels = links
+            .levels()
+            .map_err(|at| LinksError::Cyclic(links.ids.phys(at)))?;
         let mut starts = vec![0; levels.iter().max().map_or(1, |&top| top as usize + 2)];
         for &level in &levels {
             starts[level as usize + 1] += 1;
@@ -408,46 +466,42 @@ impl Links {
         Ok(links)
     }
 
-    /// The level of `d` (see [`build`](Self::build)), memoised in
-    /// `levels` and, per list, in `list_levels`; `Err` names the
-    /// expression met again while open. Callers read a known level
-    /// themselves and call this only on a miss.
-    fn level(
-        &self,
-        d: DenseId,
-        levels: &mut [u32],
-        list_levels: &mut [u32],
-    ) -> Result<u32, DenseId> {
-        if levels[d.idx()] == OPEN {
-            return Err(d);
-        }
-        levels[d.idx()] = OPEN;
-        let mut level = 0;
-        for &l in self.slot_lists(d) {
-            if list_levels[l.idx()] == UNSEEN {
-                let mut above = 0;
-                for &w in self.list(l) {
-                    let known = levels[w.idx()];
-                    let below = if known < OPEN {
-                        known
-                    } else {
-                        self.level(w, levels, list_levels)?
-                    };
-                    above = above.max(below + 1);
-                }
-                list_levels[l.idx()] = above;
+    /// Every expression's level (see [`build`](Self::build)), each list's
+    /// memoised as it is first folded; `Err` names the expression met
+    /// again while open. A depth-first fold, in dense order from each
+    /// expression not yet reached, that keeps the expressions it has
+    /// descended through on a stack of its own: a chain of groups is as
+    /// deep as it is long, and one from outside the program must not be
+    /// able to overflow the thread's.
+    fn levels(&self) -> Result<Vec<u32>, DenseId> {
+        let mut levels = vec![UNSEEN; self.num_exprs()];
+        let mut list_levels = vec![UNSEEN; self.num_lists()];
+        let mut stack: Vec<Open> = Vec::new();
+        for d in (0..self.num_exprs() as u32).map(DenseId) {
+            if levels[d.idx()] != UNSEEN {
+                continue;
             }
-            level = level.max(list_levels[l.idx()]);
+            levels[d.idx()] = OPEN;
+            let mut top = Open::at(d);
+            loop {
+                if let Some(w) = top.fold(self, &levels, &mut list_levels)? {
+                    levels[w.idx()] = OPEN;
+                    stack.push(std::mem::replace(&mut top, Open::at(w)));
+                    continue;
+                }
+                levels[top.d.idx()] = top.level;
+                let Some(mut parent) = stack.pop() else { break };
+                parent.above = parent.above.max(top.level + 1);
+                parent.member += 1;
+                top = parent;
+            }
         }
-        levels[d.idx()] = level;
-        Ok(level)
+        Ok(levels)
     }
 
-    /// Copies the tables out as raw `u32` CSR buffers for
-    /// serialization, expanding the slot records to the bounds +
-    /// concatenation pair. The dense-id table is *not* part of the view:
-    /// it is a pure function of the memo and is rebuilt by
-    /// [`from_parts`](Self::from_parts).
+    /// Copies the tables out as raw `u32` CSR buffers, expanding the slot
+    /// records to the bounds + concatenation pair. The dense-id table is
+    /// *not* part of the view: it is a pure function of the memo.
     pub fn to_parts(&self) -> LinksParts {
         let mut slot_lists = Vec::new();
         let mut slot_bounds = Vec::with_capacity(self.slots.len() + 1);
@@ -464,133 +518,6 @@ impl Links {
             topo: self.topo.iter().map(|d| d.0).collect(),
             root_list: self.root_list.0,
         }
-    }
-
-    /// Reassembles links from raw parts (the artifact load path),
-    /// validating every structural invariant the accessors and §3.2's
-    /// count fold rely on, in O(expressions + pool + slots) — bounds
-    /// tables monotonic and covering, every index in range, every list
-    /// strictly ascending (ranking finds a plan's operator by binary
-    /// search), no expression with more than [`MAX_SLOTS`] slots, every
-    /// list some slot's list or the root list, and the topo order a
-    /// permutation that is children-before-parents: each list's latest
-    /// member comes before every expression that reads it. That last
-    /// check is also the cycle check, since no order puts a cycle's
-    /// members before each other. It does *not* re-verify that list
-    /// contents are what the eligibility rule lists; the artifact
-    /// layer's sums own byte integrity, and this constructor owns the
-    /// soundness of the graph the counts are folded over.
-    ///
-    /// # Errors
-    /// Corrupt or adversarial tables are refused with the first violated
-    /// invariant, instead of a panic, a member reported foreign or counts
-    /// folded over unfinished ones.
-    pub fn from_parts(memo: &Memo, parts: LinksParts) -> Result<Links, String> {
-        let ids = DenseIdMap::build(memo);
-        let n = ids.len();
-        let LinksParts {
-            pool,
-            list_bounds,
-            slot_lists,
-            slot_bounds,
-            topo,
-            root_list,
-        } = parts;
-
-        // Bounds tables: non-empty, start at 0, monotonic, end at the
-        // length of the buffer they index.
-        let check_bounds = |bounds: &[u32], covered: usize, what: &str| {
-            if bounds.first() != Some(&0) {
-                return Err(format!("{what} bounds must start at 0"));
-            }
-            if bounds.windows(2).any(|w| w[0] > w[1]) {
-                return Err(format!("{what} bounds must be monotonic"));
-            }
-            if *bounds.last().unwrap() as usize != covered {
-                return Err(format!("{what} bounds must end at the buffer length"));
-            }
-            Ok(())
-        };
-        check_bounds(&list_bounds, pool.len(), "list")?;
-        let num_lists = list_bounds.len() - 1;
-        if slot_bounds.len() != n + 1 {
-            return Err("slot bounds must have one entry per expression".into());
-        }
-        check_bounds(&slot_bounds, slot_lists.len(), "slot")?;
-
-        // Index ranges.
-        if pool.iter().any(|&d| d as usize >= n) {
-            return Err("pool entry out of range".into());
-        }
-        let ascending = |w: &[u32]| pool[w[0] as usize..w[1] as usize].is_sorted_by(|a, b| a < b);
-        if !list_bounds.windows(2).all(ascending) {
-            return Err("every list must be strictly ascending".into());
-        }
-        // The padding sentinel is out of range for any table that fits
-        // `u32` list ids, so it cannot arrive as a slot's list.
-        if num_lists > ListId::NONE.idx() || slot_lists.iter().any(|&l| l as usize >= num_lists) {
-            return Err("slot list id out of range".into());
-        }
-        if (root_list as usize) >= num_lists {
-            return Err("root list id out of range".into());
-        }
-
-        // The topo order must be a permutation of the expressions.
-        if topo.len() != n {
-            return Err("topo order must cover every expression".into());
-        }
-        let mut position = vec![UNSEEN; n];
-        for (i, &d) in topo.iter().enumerate() {
-            match position.get_mut(d as usize) {
-                Some(at) if *at == UNSEEN => *at = i as u32,
-                _ => return Err("topo order must be a permutation".into()),
-            }
-        }
-        // In that order, a list's members must all come before every
-        // expression that reads it: one past its latest member's
-        // position (0 for an empty list) is at most any reader's.
-        let after: Vec<u32> = list_bounds
-            .windows(2)
-            .map(|w| {
-                let members = pool[w[0] as usize..w[1] as usize].iter();
-                members
-                    .map(|&d| position[d as usize] + 1)
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        let mut read = vec![false; num_lists];
-        read[root_list as usize] = true;
-
-        // Pack the slot records, checking each slot against the order.
-        let mut slots: Vec<SlotRecord> = Vec::with_capacity(n);
-        for (w, &at) in slot_bounds.windows(2).zip(&position) {
-            let lists = &slot_lists[w[0] as usize..w[1] as usize];
-            for &l in lists {
-                if after[l as usize] > at {
-                    return Err(
-                        "topo order must put every list's members before its readers".into(),
-                    );
-                }
-                read[l as usize] = true;
-            }
-            slots.push(
-                SlotRecord::pack(lists.iter().map(|&l| ListId(l)))
-                    .ok_or("an expression has more than MAX_SLOTS slots")?,
-            );
-        }
-        if !read.iter().all(|&r| r) {
-            return Err("every list must be some slot's list or the root list".into());
-        }
-
-        Ok(Links {
-            ids,
-            pool: pool.into_iter().map(DenseId).collect(),
-            list_bounds,
-            slots,
-            topo: topo.into_iter().map(DenseId).collect(),
-            root_list: ListId(root_list),
-        })
     }
 
     /// The dense-id table shared by everything built on these links.
@@ -743,6 +670,57 @@ impl<K: PartialEq> Chains<(K, ListId)> {
         let l = decide();
         self.file(g, (key, l));
         l
+    }
+}
+
+/// An expression whose level is being folded: the slot it is at, the
+/// member of that slot's list it is at, and the largest level over the
+/// slots and the members passed.
+struct Open {
+    d: DenseId,
+    slot: usize,
+    member: usize,
+    level: u32,
+    above: u32,
+}
+
+impl Open {
+    fn at(d: DenseId) -> Open {
+        Open {
+            d,
+            slot: 0,
+            member: 0,
+            level: 0,
+            above: 0,
+        }
+    }
+
+    /// Folds on as far as known levels reach: `Some` names the first
+    /// member whose level is not known yet, to be folded first; `None`
+    /// means `level` is the expression's; `Err` names a member that is
+    /// open, so the graph has a cycle through it.
+    fn fold(
+        &mut self,
+        links: &Links,
+        levels: &[u32],
+        list_levels: &mut [u32],
+    ) -> Result<Option<DenseId>, DenseId> {
+        for &l in &links.slot_lists(self.d)[self.slot..] {
+            if list_levels[l.idx()] == UNSEEN {
+                for &w in &links.list(l)[self.member..] {
+                    match levels[w.idx()] {
+                        UNSEEN => return Ok(Some(w)),
+                        OPEN => return Err(w),
+                        known => self.above = self.above.max(known + 1),
+                    }
+                    self.member += 1;
+                }
+                list_levels[l.idx()] = self.above;
+            }
+            self.level = self.level.max(list_levels[l.idx()]);
+            (self.slot, self.member, self.above) = (self.slot + 1, 0, 0);
+        }
+        Ok(None)
     }
 }
 
@@ -1068,9 +1046,11 @@ mod tests {
             .add_physical(g1, PhysicalExpr::new(join, 1.0, 1.0))
             .unwrap();
         memo.set_root(g1);
-        let at = Links::build(&memo, &q).unwrap_err();
-        assert_eq!(at, join);
-        assert_eq!(at.to_string(), "1.1");
+        assert_eq!(
+            Links::build(&memo, &q).unwrap_err(),
+            LinksError::Cyclic(join)
+        );
+        assert_eq!(join.to_string(), "1.1");
     }
 
     /// No cap on the orders a group delivers: 70 index scans on 70
@@ -1126,6 +1106,46 @@ mod tests {
         lens.sort_unstable();
         lens.dedup();
         assert_eq!(lens, [2, ORDERS, ORDERS + 1, 2 * ORDERS + 1]);
+    }
+
+    /// One group of 2 000 index scans on 2 000 columns and the 2 000
+    /// Sorts that enforce them: each Sort's input is a list of its own of
+    /// the 2 000 scans that do not deliver its order (the table scan
+    /// among them), four million entries for 4 001 expressions. The
+    /// walk stops at the first list past [`MAX_POOL_PER_EXPR`] per
+    /// expression, and the memo is refused.
+    #[test]
+    fn a_group_whose_sort_inputs_outgrow_the_pool_bound_is_refused() {
+        const ORDERS: u32 = 2_000;
+        let mut cat = Catalog::new();
+        let mut wide = table("wide", 100);
+        for c in 0..ORDERS {
+            wide = wide.col(&format!("c{c}"), ColType::Int, 100);
+        }
+        cat.add_table(wide.build()).unwrap();
+        let mut qb = QueryBuilder::new(&cat);
+        qb.rel("wide", None).unwrap();
+        let q = qb.build().unwrap();
+
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+        let mut memo = Memo::new();
+        let g = memo.add_group(GroupKey::Rels(RelSet::singleton(RelId(0))));
+        memo.add_physical(g, expr(PhysicalOp::TableScan { rel: RelId(0) }));
+        for c in 0..ORDERS {
+            let (rel, col) = (
+                RelId(0),
+                ColRef {
+                    rel: RelId(0),
+                    col: c,
+                },
+            );
+            memo.add_physical(g, expr(PhysicalOp::SortedIdxScan { rel, col }));
+            let target = SortOrder::on_col(col);
+            memo.add_physical(g, expr(PhysicalOp::Sort { target }));
+        }
+        memo.set_root(g);
+        assert!(ORDERS as usize * ORDERS as usize > MAX_POOL_PER_EXPR * memo.num_physical());
+        assert_eq!(Links::build(&memo, &q).unwrap_err(), LinksError::Oversized);
     }
 
     /// The two facts list identity — hence every artifact byte — rests
@@ -1356,5 +1376,55 @@ mod tests {
             target: SortOrder::on_col(AX),
         };
         assert_eq!(list_asking(&memo, &scan, a, input), [0]);
+    }
+
+    /// A chain of 10⁵ groups, each joining the next with itself, over one
+    /// table scan: 10⁵ levels, folded on a 2 MiB thread. The same chain
+    /// with its last group joining the first instead is a loop, refused
+    /// naming the expression the fold started from.
+    #[test]
+    fn a_chain_deeper_than_a_small_stack_folds_and_its_loop_is_refused() {
+        const DEPTH: u64 = 100_000;
+        let chain = |closed: bool| {
+            let mut memo = Memo::new();
+            let groups: Vec<GroupId> = (1..=DEPTH)
+                .map(|mask| {
+                    let rels = (0..64).filter(|b| mask >> b & 1 == 1).map(RelId);
+                    memo.add_group(GroupKey::Rels(rels.collect()))
+                })
+                .collect();
+            let join = |below| PhysicalOp::HashJoin {
+                left: below,
+                right: below,
+            };
+            for pair in groups.windows(2) {
+                memo.add_physical(pair[0], PhysicalExpr::new(join(pair[1]), 1.0, 1.0));
+            }
+            let last = match closed {
+                true => join(groups[0]),
+                false => PhysicalOp::TableScan { rel: RelId(0) },
+            };
+            memo.add_physical(groups[groups.len() - 1], PhysicalExpr::new(last, 1.0, 1.0));
+            memo.set_root(groups[0]);
+            memo
+        };
+        let (_cat, q) = crate::props::tests::chain_query();
+        let (open, closed) = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let open = Links::build(&chain(false), &q).map(|links| links.topo().to_vec());
+                (open, Links::build(&chain(true), &q).map(|_| ()))
+            })
+            .unwrap()
+            .join()
+            .expect("the fold fits a 2 MiB stack");
+        let topo = open.expect("a chain is acyclic");
+        let expected: Vec<DenseId> = (0..DEPTH as u32).rev().map(DenseId).collect();
+        assert_eq!(topo, expected, "the scan first, the root's join last");
+        let first = PhysId {
+            group: GroupId(0),
+            index: 0,
+        };
+        assert_eq!(closed, Err(LinksError::Cyclic(first)));
     }
 }

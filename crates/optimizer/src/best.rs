@@ -61,12 +61,11 @@ impl Totals {
 /// `min_by(total_cmp)` returns).
 ///
 /// # Panics
-/// Panics, naming an expression on the cycle, when the memo's plan graph
-/// is cyclic — only a hand-built memo can be; [`Links::build`] refuses
-/// the same memo with an error.
+/// Panics with [`Links::build`]'s error — for a cyclic plan graph, one
+/// naming an expression on the cycle — when the scan refuses the memo:
+/// only a hand-built memo can be refused.
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
-    let links = Links::build(memo, query)
-        .unwrap_or_else(|at| panic!("cyclic memo: expression {at} is its own descendant"));
+    let links = Links::build(memo, query).unwrap_or_else(|e| panic!("{e}"));
     // Local costs by dense id (group order, then expression order), so
     // the level-ordered loop below indexes one table.
     let mut local = Vec::with_capacity(links.num_exprs());

@@ -14,13 +14,15 @@ use plansample_bignum::Nat;
 use plansample_core::PreparedQuery;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{
-    eligible_children, validate_plan, DenseId, GroupKey, Links, LogicalOp, Memo,
+    eligible_children, validate_plan, DenseId, DenseIdMap, GroupKey, Links, LogicalOp, Memo,
+    SlotRecord,
 };
 use plansample_optimizer::{explore_bottom_up, optimize, OptimizerConfig};
 use plansample_query::{QueryBuilder, QuerySpec, RelSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::mem::size_of;
 
 /// Cap for brute-force enumeration: spaces at or below this size are
 /// exhaustively cross-checked against the recursive oracle.
@@ -66,11 +68,17 @@ fn check_child_lists(memo: &Memo, query: &QuerySpec) -> Result<(), String> {
             }
         }
     }
+    // Every flat table allocated at its length: the links' bytes are
+    // the id table's plus each table's length times its element size.
+    let exact_bytes = size_of::<Links>() - size_of::<DenseIdMap>()
+        + scan.ids().size_bytes()
+        + size_of::<u32>() * (parts.pool.len() + parts.list_bounds.len() + parts.topo.len())
+        + size_of::<SlotRecord>() * memo.num_physical();
     let bounds = &parts.list_bounds;
     let exact = bounds.first() == Some(&0)
         && bounds.is_sorted()
         && bounds.last() == Some(&(parts.pool.len() as u32))
-        && Links::from_parts(memo, parts.clone()).map(|l| l.size_bytes()) == Ok(scan.size_bytes());
+        && scan.size_bytes() == exact_bytes;
     exact.then_some(()).ok_or("bounds or pool inexact".into())
 }
 
