@@ -17,10 +17,11 @@
 //! It stores neither links nor counts. A load builds the plan space of
 //! the decoded memo as an in-process `PlanSpace::build` does: the links
 //! with the scan a prepare runs (`Links::build`, §3.1), and the counts
-//! folded over them (§3.2, `Counts::compute_stored`), so a
-//! loaded plan space is its memo's by construction: the sums vouch for
-//! the bytes, `Memo::from_parts` for the memo's shape, and the scan for
-//! the plan graph.
+//! folded over them (§3.2, `Counts::compute`), so a loaded plan space is
+//! its memo's by construction: the sums vouch for the bytes,
+//! `Memo::from_parts` for the memo's shape — an optimizer's, joins
+//! splitting their groups' relation sets, hence acyclic and at most 130
+//! levels deep — and the scan for the plan graph.
 //!
 //! Every sum is a [`lane_sum`]: four chains over interleaved words.
 //! Every payload starts on a 32-byte *file* offset — one block of the
@@ -1226,12 +1227,11 @@ mod tests {
         }
     }
 
-    /// A stored memo whose plan graph is cyclic — the root's hash
-    /// aggregate reading its own group — behind right sums, and the same
-    /// length as the memo it replaces: the scan a load runs meets the
-    /// aggregate again while folding it, and the file is malformed.
-    #[test]
-    fn a_stored_memo_with_a_cycle_is_malformed() {
+    /// Q5's artifact with its memo replaced by `rewrite` of it, built
+    /// by hand (`Memo::from_parts` would refuse it) to the same length,
+    /// and every sum resealed: only the memo's shape is left to refuse
+    /// it. What the load says, as text.
+    fn load_rewritten(rewrite: impl Fn(GroupId, &mut PhysicalOp)) -> String {
         let mut bytes = encode(&prepared(false));
         let info = inspect(&bytes).expect("inspects");
         let index = info.sections.iter().position(|s| s.name == "memo");
@@ -1239,21 +1239,19 @@ mod tests {
         let (offset, len) = (info.sections[index].offset, info.sections[index].len);
         let (offset, len) = (offset as usize, len as usize);
         let memo = decode_memo(&bytes[offset..offset + len]).expect("decodes");
-        let root = memo.root();
-        let parts = memo.groups().map(|g| {
-            let mut physical = g.physical.clone();
-            if g.id == root {
-                for expr in &mut physical {
-                    if let PhysicalOp::HashAgg { input } = &mut expr.op {
-                        *input = root;
-                    }
-                }
+        let mut rewritten = Memo::new();
+        for g in memo.groups() {
+            let group = rewritten.add_group(g.key);
+            for op in &g.logical {
+                rewritten.add_logical(group, op.clone());
             }
-            (g.key, g.logical.clone(), physical)
-        });
-        let cyclic = Memo::from_parts(parts.collect(), root.0).expect("a well-formed memo");
+            let mut physical = g.physical.clone();
+            physical.iter_mut().for_each(|e| rewrite(group, &mut e.op));
+            rewritten.append_physical(group, physical);
+        }
+        rewritten.set_root(memo.root());
         let mut w = Writer::new();
-        encode_memo(&mut w, &cyclic);
+        encode_memo(&mut w, &rewritten);
         let section = w.into_inner();
         assert_eq!(section.len(), len);
         bytes[offset..offset + len].copy_from_slice(&section);
@@ -1262,9 +1260,86 @@ mod tests {
         let file_sum = lane_sum(&bytes[HEADER_LEN..]);
         bytes[16..24].copy_from_slice(&file_sum.to_le_bytes());
         match decode(&bytes) {
-            Err(ArtifactError::Malformed { reason }) => {
-                assert!(reason.contains("cyclic"), "{reason}")
+            Err(ArtifactError::Malformed { reason }) => reason,
+            other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// A stored memo whose plan graph is cyclic — the root's hash
+    /// aggregate reading its own group — behind right sums: refused by
+    /// `Memo::from_parts` as an aggregate over no relation group, before
+    /// any scan could meet the cycle.
+    #[test]
+    fn a_stored_memo_with_a_cycle_is_malformed() {
+        let root = prepared(false).memo().root();
+        let reason = load_rewritten(|group, op| {
+            if let PhysicalOp::HashAgg { input } = op {
+                if group == root {
+                    *input = root;
+                }
             }
+        });
+        assert!(
+            reason.contains("an aggregate outside the aggregate group or not over relations"),
+            "{reason}"
+        );
+    }
+
+    /// A stored memo whose joins read one group in both slots — each hash
+    /// join's right input made its left — behind right sums: no optimizer
+    /// makes one, and a chain of them would describe a plan of 2¹⁰⁰
+    /// operators over 100 groups. Refused by `Memo::from_parts`.
+    #[test]
+    fn a_stored_join_reading_one_group_twice_is_malformed() {
+        let reason = load_rewritten(|_, op| {
+            if let PhysicalOp::HashJoin { left, right } = op {
+                *right = *left;
+            }
+        });
+        assert!(
+            reason.contains("a join whose inputs do not split its relation set in two"),
+            "{reason}"
+        );
+    }
+
+    /// A chain of 1 000 groups, each one's join reading a one-scan group
+    /// and the group below, saved as a plan space (built by hand, so
+    /// nothing checked it): the tree API recurses once a level, and a
+    /// chain like it 10⁵ deep overflowed a thread's stack. No chain over
+    /// 64 relations is that deep with every join splitting its group's
+    /// relation set, so the load refuses it at its first join.
+    #[test]
+    fn a_stored_chain_deeper_than_its_relations_is_malformed() {
+        const DEPTH: u64 = 1_000;
+        let q5 = prepared(false);
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+        let mut memo = Memo::new();
+        let scan = memo.add_group(GroupKey::Rels(relset_from_mask(1)));
+        memo.append_physical(scan, vec![expr(PhysicalOp::TableScan { rel: RelId(0) })]);
+        let chain: Vec<GroupId> = (2..DEPTH + 2)
+            .map(|mask| memo.add_group(GroupKey::Rels(relset_from_mask(mask))))
+            .collect();
+        for pair in chain.windows(2) {
+            let join = PhysicalOp::HashJoin {
+                left: pair[1],
+                right: scan,
+            };
+            memo.append_physical(pair[0], vec![expr(join)]);
+        }
+        let last = expr(PhysicalOp::TableScan { rel: RelId(1) });
+        memo.append_physical(chain[chain.len() - 1], vec![last]);
+        memo.set_root(chain[0]);
+        let space = PlanSpace::build(&memo, q5.query()).expect("a hand-built chain builds");
+        let best = space
+            .unrank(&plansample_bignum::Nat::zero())
+            .expect("one plan");
+        let cost = best.total_cost(space.memo());
+        let deep = PreparedQuery::from_parts(space, best, cost, q5.config().clone());
+        match decode(&encode(&deep.expect("its own plan"))) {
+            Err(ArtifactError::Malformed { reason }) => assert!(
+                reason.contains("group 1 holds a join whose inputs do not split"),
+                "{reason}"
+            ),
             other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
         }
     }

@@ -27,12 +27,17 @@
 //!   or stale entries instead of serving them and, at startup, offers
 //!   every artifact it holds to whoever warms a cache from it.
 //!
-//! Decoding is *hostile-input safe*: every read is bounds-checked,
-//! every structural invariant re-validated (`Memo::from_parts`,
-//! `Counts::compute_stored`, …) and the plan graph rebuilt
-//! (`Links::build`), so a truncated, bit-flipped, or adversarial file
-//! surfaces as a typed [`ArtifactError`] — never UB, never a panic,
-//! never links that are not the memo's. What a load allocates for the
+//! Decoding is *hostile-input safe*: every read is bounds-checked, the
+//! memo is held to an optimizer's shape (`Memo::from_parts`: distinct
+//! groups and operators, every scan in its own relation's group, every
+//! join splitting its group's relation set between its inputs) and the
+//! plan graph rebuilt (`Links::build`), so a truncated, bit-flipped, or
+//! adversarial file surfaces as a typed [`ArtifactError`] — never UB,
+//! never a panic, never links that are not the memo's. The shape check
+//! is the load's one guard on the memo: it makes a stored plan graph
+//! acyclic and no deeper, and its counts no wider, than an optimizer's
+//! over as many relations, so the scan and the count fold are a
+//! prepare's, unguarded. What a load allocates for the
 //! links is bounded by the memo's expression count
 //! (`MAX_POOL_PER_EXPR` pool entries each); its time is not bounded by
 //! the file's size: the scan is quadratic in the classes of one group,

@@ -31,11 +31,12 @@
 //! `core.count.compute_ms` row.
 //!
 //! Counts are never persisted. A plan-space artifact keeps the memo, and
-//! a load scans it for its links and runs this same fold over them
-//! ([`Counts::compute_stored`], which first bounds how wide counts over a
-//! memo from outside the program can get): the fold is of the order of
-//! what reading and checking stored counts cost, the file is smaller,
-//! and loaded counts are right by construction.
+//! a load scans it for its links and runs this same fold over them: the
+//! fold is of the order of what reading and checking stored counts cost,
+//! the file is smaller, and loaded counts are right by construction. A
+//! stored memo needs no bound of its own: `Memo::from_parts` holds it to
+//! an optimizer's shape, so a plan has at most `4r ≤ 256` operators, each
+//! one of fewer than 2³² alternatives, and no count reaches 2⁸¹⁹².
 //!
 //! # One store, chosen once
 //!
@@ -52,7 +53,7 @@
 //! ([`TierCounts`]).
 
 use crate::word::Word;
-use crate::{Links, ListId, SpaceError};
+use crate::{Links, ListId};
 use plansample_bignum::Nat;
 use plansample_memo::{DenseId, MAX_SLOTS};
 
@@ -352,38 +353,6 @@ fn running_sums<W: Word>(links: &Links, per_expr: &[W]) -> Vec<W> {
     pool
 }
 
-/// The widest count [`Counts::compute_stored`] folds, in bits. A plan
-/// over `r ≤ 64` relations (a `RelSet` is one word) has at most `4r`
-/// operators — `r` scans, `r − 1` joins, an aggregate, and a sort above
-/// any of those — and each below the root is one member of a list of
-/// fewer than 2³¹ expressions, so no memo's count reaches
-/// `2^(31 · 255)`, 7 905 bits.
-const MAX_COUNT_BITS: f64 = 8192.0;
-
-/// An upper bound on `log₂ N(v)` over every expression and list, in one
-/// pass over `links.topo()`: a list's bound is its widest member's plus
-/// `log₂` of its length, an expression's the sum of its slots' — the
-/// widest plan's `Σ log₂ |list|`. An empty list's count is 0, `−∞` here.
-fn bits_bound(links: &Links) -> f64 {
-    let mut expr_bits = vec![0.0f64; links.num_exprs()];
-    let mut list_bits: Vec<Option<f64>> = vec![None; links.num_lists()];
-    let mut list_bound = |expr_bits: &[f64], l: ListId| {
-        *list_bits[l.idx()].get_or_insert_with(|| {
-            let members = links.list(l);
-            let widest = members.iter().map(|w| expr_bits[w.idx()]);
-            widest.fold(f64::NEG_INFINITY, f64::max) + (members.len() as f64).log2()
-        })
-    };
-    let mut widest = f64::NEG_INFINITY;
-    for &d in links.topo() {
-        let slots = links.slot_lists(d).iter();
-        let bits = slots.map(|&l| list_bound(&expr_bits, l)).sum::<f64>();
-        expr_bits[d.idx()] = bits;
-        widest = widest.max(bits);
-    }
-    widest.max(list_bound(&expr_bits, links.root_list()))
-}
-
 /// The two independent count tables — `N(v)` by dense id, then `b` by
 /// list id — as raw vectors in the store's width: the view two builds
 /// of one space are compared in (the pool-aligned running sums are a
@@ -407,52 +376,20 @@ impl Counts {
     /// (`TierCounts::fold`): a fold that overflows stops there, and the
     /// next rung resumes from that step over the tables folded so far,
     /// widened — which are exact, so the result is the one a fold
-    /// started afresh on that rung would give.
+    /// started afresh on that rung would give. A prepare and an artifact
+    /// load ([`PlanSpace::build_shared`](crate::PlanSpace::build_shared))
+    /// both fold here.
     pub fn compute(links: &Links) -> Counts {
-        Counts::compute_within(links, None).expect("no bound to exceed")
-    }
-
-    /// [`compute`](Self::compute) over the links of a memo that may come
-    /// from outside the program: [`PlanSpace::build`](crate::PlanSpace::build)'s fold, which the
-    /// artifact load path takes (it stores no counts and folds them
-    /// again). A stored memo is checked for its
-    /// shape (`Memo::from_parts`), not as an optimizer's: nothing holds a
-    /// group's relation set to what its joins cover, so it can describe
-    /// counts no optimizer's memo has — a chain of groups each joining
-    /// the one below with itself squares the count at every step. So a
-    /// space that needs the exact rung is first bounded in `f64`
-    /// (`bits_bound`, one pass), and refused as
-    /// [`SpaceError::MalformedParts`] if a count could be wider than
-    /// `MAX_COUNT_BITS` (8 192); the exact fold then costs at most a
-    /// product that wide per expression.
-    pub fn compute_stored(links: &Links) -> Result<Counts, SpaceError> {
-        Counts::compute_within(links, Some(MAX_COUNT_BITS)).ok_or_else(|| {
-            SpaceError::MalformedParts {
-                reason: format!("the links describe counts wider than {MAX_COUNT_BITS} bits"),
-            }
-        })
-    }
-
-    /// The tier ladder's folds, each resuming where the narrower one
-    /// overflowed; `None` if the space needs the exact rung and
-    /// `bits_bound` exceeds `max_bits`.
-    fn compute_within(links: &Links, max_bits: Option<f64>) -> Option<Counts> {
         let store = match TierCounts::fold(links, Partial::<u64>::new(links)) {
             Ok(c) => Store::U64(c),
             Err(at) => match TierCounts::fold(links, at.two_limbs()) {
                 Ok(c) => Store::U128(c),
-                Err(_) if max_bits.is_some_and(|max| bits_bound(links) > max) => return None,
                 Err(at) => Store::Nat(
                     TierCounts::fold(links, at.exact())
                         .unwrap_or_else(|_| unreachable!("Nat holds any count")),
                 ),
             },
         };
-        Some(Counts::with_total(links, store))
-    }
-
-    /// The counts of `store`, with the space total read off its root list.
-    fn with_total(links: &Links, store: Store) -> Counts {
         let mut counts = Counts {
             store,
             total: Nat::zero(),
@@ -662,7 +599,8 @@ mod tests {
 
     /// A memo in which join `i` reads the group of join `i − 1` in both
     /// slots, over a group of two scans: `N = 2^(2^(i+1))`. Its relation
-    /// sets are not what the joins cover, which `Memo` does not check.
+    /// sets are not what the joins cover: built by hand, it is checked by
+    /// nothing, and `Memo::from_parts` would refuse it.
     /// The scan lists the scans first, then join `i` as list `i + 1`; the
     /// last join's group, which no slot reads, is the root list; topo is
     /// the two scans, then the joins in order.
@@ -737,22 +675,6 @@ mod tests {
         match &counts.store {
             Store::U128(resumed) => same(resumed, &fresh),
             _ => panic!("six joins are a two-limb space, stored {}", counts.tier()),
-        }
-    }
-
-    /// The squaring chain again: the last of 40 joins would need 2⁴⁰
-    /// bits; `compute_stored` refuses it after one pass in `f64`, and
-    /// folds the short chain exactly.
-    #[test]
-    fn compute_stored_refuses_counts_wider_than_any_memo_holds() {
-        let squaring_chain = |joins| Counts::compute_stored(&squaring_chain(joins));
-
-        let short = squaring_chain(8).expect("2^256 fits the bound");
-        assert_eq!(short.tier(), CountTier::Nat);
-        assert_eq!(short.total().bits(), 257);
-        match squaring_chain(40) {
-            Err(SpaceError::MalformedParts { reason }) => assert!(reason.contains("wider than")),
-            other => panic!("expected MalformedParts, got {other:?}"),
         }
     }
 }

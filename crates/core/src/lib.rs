@@ -93,8 +93,9 @@ use std::sync::Arc;
 /// Errors from plan-space construction and rank operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpaceError {
-    /// The memo's link graph contains a cycle (impossible for
-    /// optimizer-produced memos; hand-built and stored ones are checked).
+    /// The memo's link graph contains a cycle. Only a hand-built memo
+    /// can: the optimizer makes none, and `Memo::from_parts` refuses a
+    /// stored one before it is scanned.
     CyclicMemo {
         /// An expression on the cycle.
         at: PhysId,
@@ -114,9 +115,8 @@ pub enum SpaceError {
     /// Raw parts failed structural validation (the reason
     /// [`PlanSpace::from_parts`] or [`PreparedQuery::from_parts`] gave:
     /// tables of the wrong size, a best plan the memo does not hold), or
-    /// a hand-built or stored memo describes a space no optimizer's memo
-    /// has: child lists past [`Links::build`]'s bound, or counts wider
-    /// than [`Counts::compute_stored`] folds.
+    /// a hand-built or stored memo's child lists would outgrow
+    /// [`Links::build`]'s bound.
     MalformedParts {
         /// The first violated invariant.
         reason: String,
@@ -267,12 +267,13 @@ impl PlanSpace {
 
     /// Like [`build`](Self::build) but takes shared ownership directly,
     /// avoiding the memo copy — the path the artifact loader takes with
-    /// the memo it decoded. The counts are folded by
-    /// [`Counts::compute_stored`], whose width bound runs only on the
-    /// exact tier and which no optimizer's memo reaches.
+    /// the memo it decoded. The counts are a prepare's
+    /// ([`Counts::compute`]): a decoded memo passed `Memo::from_parts`,
+    /// which holds it to an optimizer's shape, so its counts are no
+    /// wider than an optimizer's memo over as many relations can have.
     pub fn build_shared(memo: Arc<Memo>, query: Arc<QuerySpec>) -> Result<Self, SpaceError> {
         let links = Links::build(&memo, &query)?;
-        let counts = Counts::compute_stored(&links)?;
+        let counts = Counts::compute(&links);
         Ok(PlanSpace {
             memo,
             query,

@@ -280,6 +280,27 @@ impl Memo {
     /// the first broken invariant instead of producing a memo other
     /// code would misindex.
     ///
+    /// So is the shape every optimizer's memo has (paper §2: a group is
+    /// a relation set, and a join reads two disjoint halves of it):
+    ///
+    /// - a scan sits in the one-relation group of its own relation;
+    /// - a join sits in a relation group, and its inputs are relation
+    ///   groups with non-empty, disjoint sets whose union is its own;
+    /// - an aggregate sits in the aggregate group and reads a relation
+    ///   group;
+    /// - a Sort may sit in any group (its input is its own group's
+    ///   non-enforcers).
+    ///
+    /// A join's inputs are then strictly smaller than its group, so a
+    /// memo that passes has an acyclic plan graph, and a plan over
+    /// `r ≤ 64` relations has at most `4r` operators — `r` scans,
+    /// `r − 1` joins, an aggregate and a Sort above any of those — and
+    /// at most 130 levels: a scan and its Sort, a join and its Sort per
+    /// further relation, an aggregate and its Sort. This is the one
+    /// check a stored memo gets:
+    /// everything downstream (the scan's level fold, §3.2's count fold,
+    /// the tree API's recursion) relies on it.
+    ///
     /// The parts are stored bytes, which come from outside the program,
     /// so the duplicate check hashes nothing: each group's operators are
     /// sorted by a packed key and neighbours compared
@@ -299,9 +320,9 @@ impl Memo {
                 parts.len()
             ));
         }
-        let num_groups = parts.len();
-        let in_range = |g: &GroupId| (g.0 as usize) < num_groups;
-        let mut by_key = HashMap::with_capacity(num_groups);
+        let key_of = |g: GroupId| parts.get(g.0 as usize).map(|(key, _, _)| *key);
+        let in_range = |g: &GroupId| key_of(*g).is_some();
+        let mut by_key = HashMap::with_capacity(parts.len());
         let (mut keys, mut order) = (Vec::new(), Vec::new());
         for (i, (key, logical, physical)) in parts.iter().enumerate() {
             if by_key.insert(*key, GroupId(i as u32)).is_some() {
@@ -311,21 +332,8 @@ impl Memo {
                 return Err(format!("duplicate physical operator in group {i}"));
             }
             for expr in physical {
-                let children_ok = match &expr.op {
-                    PhysicalOp::TableScan { .. }
-                    | PhysicalOp::SortedIdxScan { .. }
-                    | PhysicalOp::Sort { .. } => true,
-                    PhysicalOp::NestedLoopJoin { left, right }
-                    | PhysicalOp::HashJoin { left, right }
-                    | PhysicalOp::MergeJoin { left, right, .. } => {
-                        in_range(left) && in_range(right)
-                    }
-                    PhysicalOp::HashAgg { input } | PhysicalOp::StreamAgg { input, .. } => {
-                        in_range(input)
-                    }
-                };
-                if !children_ok {
-                    return Err(format!("group {i} references a group out of range"));
+                if let Some(fault) = misfit(&expr.op, *key, key_of) {
+                    return Err(format!("group {i} holds {fault}"));
                 }
             }
             for op in logical {
@@ -413,6 +421,45 @@ impl Memo {
             + self.groups.capacity() * std::mem::size_of::<Group>()
             + groups_heap
             + by_key
+    }
+}
+
+/// What is wrong with `op` sitting in a group keyed `key` (see
+/// [`Memo::from_parts`]); `None` if it fits. `key_of` reads a child
+/// group's key, `None` past the last group.
+fn misfit(
+    op: &PhysicalOp,
+    key: GroupKey,
+    key_of: impl Fn(GroupId) -> Option<GroupKey>,
+) -> Option<&'static str> {
+    const OUT_OF_RANGE: &str = "an operator reading a group out of range";
+    match *op {
+        PhysicalOp::TableScan { rel } | PhysicalOp::SortedIdxScan { rel, .. } => {
+            let fits = matches!(key, GroupKey::Rels(set) if set.len() == 1 && set.contains(rel));
+            (!fits).then_some("a scan outside its relation's one-relation group")
+        }
+        PhysicalOp::Sort { .. } => None,
+        PhysicalOp::NestedLoopJoin { left, right }
+        | PhysicalOp::HashJoin { left, right }
+        | PhysicalOp::MergeJoin { left, right, .. } => {
+            let (Some(left), Some(right)) = (key_of(left), key_of(right)) else {
+                return Some(OUT_OF_RANGE);
+            };
+            let fits = match (key, left, right) {
+                (GroupKey::Rels(set), GroupKey::Rels(l), GroupKey::Rels(r)) => {
+                    !l.is_empty() && !r.is_empty() && l.is_disjoint(r) && l.union(r) == set
+                }
+                _ => false,
+            };
+            (!fits).then_some("a join whose inputs do not split its relation set in two")
+        }
+        PhysicalOp::HashAgg { input } | PhysicalOp::StreamAgg { input, .. } => {
+            let Some(input) = key_of(input) else {
+                return Some(OUT_OF_RANGE);
+            };
+            let fits = key == GroupKey::Agg && matches!(input, GroupKey::Rels(_));
+            (!fits).then_some("an aggregate outside the aggregate group or not over relations")
+        }
     }
 }
 
@@ -627,19 +674,29 @@ mod tests {
         );
     }
 
-    /// One group of `ops` (each with made-up costs) and the two scan
-    /// groups the joins read, through `from_parts`.
+    /// `ops` (each with made-up costs), each in the group it fits —
+    /// scans in `{2}`, aggregates in the aggregate group, joins and Sorts
+    /// in `{0, 1}` — beside the scan groups `{0}` and `{1}` the joins
+    /// read, through `from_parts`. Operators of one variant share a
+    /// group, so a repeat lands beside what it repeats.
     fn one_group(ops: Vec<PhysicalOp>) -> Result<Memo, String> {
-        let scan = |rel| PhysicalExpr::new(PhysicalOp::TableScan { rel: RelId(rel) }, 1.0, 1.0);
-        let physical = ops
-            .into_iter()
-            .map(|op| PhysicalExpr::new(op, 1.0, 1.0))
-            .collect();
-        let parts = vec![
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+        let scan = |rel| expr(PhysicalOp::TableScan { rel: RelId(rel) });
+        let mut parts = vec![
             (GroupKey::Rels(rs(&[0])), vec![], vec![scan(0)]),
             (GroupKey::Rels(rs(&[1])), vec![], vec![scan(1)]),
-            (GroupKey::Rels(rs(&[0, 1])), vec![], physical),
+            (GroupKey::Rels(rs(&[0, 1])), vec![], vec![]),
+            (GroupKey::Rels(rs(&[2])), vec![], vec![]),
+            (GroupKey::Agg, vec![], vec![]),
         ];
+        for op in ops {
+            let group = match op {
+                PhysicalOp::TableScan { .. } | PhysicalOp::SortedIdxScan { .. } => 3,
+                PhysicalOp::HashAgg { .. } | PhysicalOp::StreamAgg { .. } => 4,
+                _ => 2,
+            };
+            parts[group].2.push(expr(op));
+        }
         Memo::from_parts(parts, 2)
     }
 
@@ -659,10 +716,10 @@ mod tests {
         let order =
             |cols: &[(u32, u32)]| SortOrder::on(cols.iter().map(|&(r, c)| col(r, c)).collect());
         let distinct = vec![
-            PhysicalOp::TableScan { rel: RelId(0) },
+            PhysicalOp::TableScan { rel: RelId(2) },
             PhysicalOp::SortedIdxScan {
-                rel: RelId(0),
-                col: col(0, 1),
+                rel: RelId(2),
+                col: col(2, 1),
             },
             PhysicalOp::Sort {
                 target: order(&[(0, 1), (1, 2), (0, 3)]),
@@ -681,9 +738,9 @@ mod tests {
             merge(col(0, 1), col(1, 1)),
             merge(col(0, 1), col(1, 2)),
             merge(col(0, 2), col(1, 1)),
-            PhysicalOp::HashAgg { input: g0 },
+            PhysicalOp::HashAgg { input: GroupId(2) },
             PhysicalOp::StreamAgg {
-                input: g0,
+                input: GroupId(2),
                 group_order: order(&[(0, 1), (0, 2)]),
             },
         ];
@@ -720,15 +777,16 @@ mod tests {
         assert!(one_group(repeated).is_err());
     }
 
-    /// Operators past the packed key's widths share keys: relations
-    /// `k · 2¹⁵` all pack as relation 0, and sorts apart only in a third
+    /// Operators past the packed key's widths share keys: columns
+    /// `k · 2⁸` all pack as column 0, and sorts apart only in a third
     /// column pack alike. They are told apart by the operators
     /// themselves — distinct ones accepted, a repeat among them refused.
     #[test]
     fn operators_whose_keys_tie_are_compared_in_full() {
         let mut scans: Vec<PhysicalOp> = (0..1u32 << 12)
-            .map(|k| PhysicalOp::TableScan {
-                rel: RelId(k << 15),
+            .map(|k| PhysicalOp::SortedIdxScan {
+                rel: RelId(2),
+                col: col(2, k << 8),
             })
             .collect();
         let sort = |third| PhysicalOp::Sort {
@@ -841,6 +899,150 @@ mod tests {
         let err =
             Memo::from_parts(vec![(GroupKey::Rels(rs(&[0])), vec![], vec![join])], 0).unwrap_err();
         assert!(err.contains("out of range"), "{err}");
+    }
+
+    /// A memo of every shape the refusal tests below need, each group
+    /// holding what fits it — `{0}`, `{1}`, `{2}` (a scan each), `{0, 1}`
+    /// (a join of `{0}` and `{1}`), `{1, 2}`, `{0, 1, 2}`, the empty set
+    /// and the aggregate group — plus `op` in group `group`.
+    fn with(group: usize, op: PhysicalOp) -> Result<Memo, String> {
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+        let scan = |rel| vec![expr(PhysicalOp::TableScan { rel: RelId(rel) })];
+        let join = |left, right| {
+            vec![expr(PhysicalOp::HashJoin {
+                left: GroupId(left),
+                right: GroupId(right),
+            })]
+        };
+        let mut parts = vec![
+            (GroupKey::Rels(rs(&[0])), vec![], scan(0)),
+            (GroupKey::Rels(rs(&[1])), vec![], scan(1)),
+            (GroupKey::Rels(rs(&[2])), vec![], scan(2)),
+            (GroupKey::Rels(rs(&[0, 1])), vec![], join(0, 1)),
+            (GroupKey::Rels(rs(&[1, 2])), vec![], join(1, 2)),
+            (GroupKey::Rels(rs(&[0, 1, 2])), vec![], join(3, 2)),
+            (GroupKey::Rels(RelSet::EMPTY), vec![], vec![]),
+            (GroupKey::Agg, vec![], vec![]),
+        ];
+        Memo::from_parts(parts.clone(), 5).expect("every operator fits its group");
+        parts[group].2.push(expr(op));
+        Memo::from_parts(parts, 5)
+    }
+
+    /// `with`'s refusal, which must name `group` and `fault`.
+    fn refused(group: usize, op: PhysicalOp, fault: &str) {
+        match with(group, op.clone()) {
+            Err(reason) => {
+                assert!(reason.contains(&format!("group {group} holds")), "{reason}");
+                assert!(reason.contains(fault), "{reason}");
+            }
+            Ok(_) => panic!("{op:?} in group {group} was accepted"),
+        }
+    }
+
+    const SPLIT: &str = "a join whose inputs do not split its relation set in two";
+
+    fn hash_join(left: u32, right: u32) -> PhysicalOp {
+        PhysicalOp::HashJoin {
+            left: GroupId(left),
+            right: GroupId(right),
+        }
+    }
+
+    /// A chain in which each join reads the group below in both slots:
+    /// no optimizer makes one, and over 40 joins its one plan would be
+    /// 2⁴⁰ operators and its count 2^(2⁴⁰). Refused at its first join,
+    /// as is a join reading its own group twice.
+    #[test]
+    fn from_parts_refuses_a_join_that_reads_one_group_twice() {
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+        let mut parts = vec![(
+            GroupKey::Rels(rs(&[0])),
+            vec![],
+            vec![expr(PhysicalOp::TableScan { rel: RelId(0) })],
+        )];
+        for below in 0..40 {
+            let join = expr(hash_join(below, below));
+            let key = GroupKey::Rels(RelSet::all(below as usize + 2));
+            parts.push((key, vec![], vec![join]));
+        }
+        let reason = Memo::from_parts(parts, 40).unwrap_err();
+        assert_eq!(reason, format!("group 1 holds {SPLIT}"));
+        refused(3, hash_join(0, 0), SPLIT);
+        refused(3, hash_join(3, 3), SPLIT);
+    }
+
+    /// A join's inputs must not overlap, and must cover its group.
+    #[test]
+    fn from_parts_refuses_join_inputs_that_overlap_or_fall_short() {
+        refused(5, hash_join(3, 4), SPLIT); // {0, 1} and {1, 2}
+        refused(5, hash_join(0, 1), SPLIT); // {0} and {1} in {0, 1, 2}
+        refused(3, hash_join(0, 2), SPLIT); // {0} and {2} in {0, 1}
+    }
+
+    /// An input over no relation splits nothing: `{0}` is `∅ ∪ {0}`, but
+    /// a join of the empty group and `{0}` is still refused, on either
+    /// side.
+    #[test]
+    fn from_parts_refuses_a_join_input_over_no_relation() {
+        refused(0, hash_join(6, 0), SPLIT);
+        refused(0, hash_join(0, 6), SPLIT);
+    }
+
+    /// A scan sits in its own relation's one-relation group and nowhere
+    /// else: not another relation's, not a join group, not the empty or
+    /// the aggregate group.
+    #[test]
+    fn from_parts_refuses_a_scan_outside_its_own_group() {
+        let fault = "a scan outside its relation's one-relation group";
+        refused(0, PhysicalOp::TableScan { rel: RelId(1) }, fault);
+        refused(3, PhysicalOp::TableScan { rel: RelId(0) }, fault);
+        refused(6, PhysicalOp::TableScan { rel: RelId(0) }, fault);
+        let idx = PhysicalOp::SortedIdxScan {
+            rel: RelId(0),
+            col: col(0, 0),
+        };
+        refused(7, idx, fault);
+    }
+
+    /// A relation set holds relations 0–63: a scan of relation 64 or
+    /// past it fits no group, and is refused — not a panic in building
+    /// the set it would need.
+    #[test]
+    fn from_parts_refuses_a_scan_past_a_rel_sets_width() {
+        let fault = "a scan outside its relation's one-relation group";
+        for rel in [64, 65, 1 << 15, u32::MAX] {
+            refused(0, PhysicalOp::TableScan { rel: RelId(rel) }, fault);
+            let idx = PhysicalOp::SortedIdxScan {
+                rel: RelId(rel),
+                col: col(rel, 0),
+            };
+            refused(0, idx, fault);
+        }
+    }
+
+    /// An aggregate sits in the aggregate group, over a relation group:
+    /// not in a relation group, and not over its own group.
+    #[test]
+    fn from_parts_refuses_an_aggregate_outside_its_group_or_over_it() {
+        let fault = "an aggregate outside the aggregate group or not over relations";
+        refused(5, PhysicalOp::HashAgg { input: GroupId(3) }, fault);
+        refused(7, PhysicalOp::HashAgg { input: GroupId(7) }, fault);
+        let stream = |input| PhysicalOp::StreamAgg {
+            input: GroupId(input),
+            group_order: SortOrder::on_col(col(0, 0)),
+        };
+        refused(7, stream(7), fault);
+        refused(3, stream(0), fault);
+        with(7, stream(5)).expect("an aggregate over the join fits");
+    }
+
+    /// A join belongs to a relation group: the aggregate group has no
+    /// relation set for its inputs to split.
+    #[test]
+    fn from_parts_refuses_a_join_in_the_aggregate_group() {
+        refused(7, hash_join(0, 1), SPLIT);
+        refused(7, hash_join(3, 2), SPLIT);
     }
 
     #[test]

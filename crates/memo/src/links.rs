@@ -60,11 +60,14 @@
 //!
 //! The order is by *level*, then dense id: a leaf is level 0, and any
 //! other expression one above the highest member of its slot lists (an
-//! empty list counts as 0). It comes from one memoised fold, which is
-//! also the memo's one cycle check: an expression met again while its
-//! level is being folded is its own descendant. The fold keeps its own
-//! stack, so a memo as deep as it is long — a stored one from outside
-//! the program included — costs heap, not the thread's stack.
+//! empty list counts as 0). It comes from one memoised recursion, one
+//! frame a level. `Memo::from_parts` holds a stored memo to an
+//! optimizer's shape — a join's inputs split its group's relation set —
+//! so no memo from outside the program is deeper than an optimizer's:
+//! at most 130 levels over 64 relations. The fold is also the cycle
+//! check a hand-built memo, which nothing checks, still needs: an
+//! expression met again while its level is being folded is its own
+//! descendant.
 //!
 //! # Classes
 //!
@@ -186,7 +189,9 @@ pub struct Links {
 }
 
 /// A level not yet known, and one being folded: meeting an expression
-/// whose level is `OPEN` is meeting it again below itself.
+/// whose level is `OPEN` is meeting it again below itself — a cycle,
+/// which only a hand-built memo can have (`Memo::from_parts` refuses a
+/// stored one, and the optimizer makes none).
 const UNSEEN: u32 = u32::MAX;
 const OPEN: u32 = u32::MAX - 1;
 
@@ -204,7 +209,8 @@ pub const MAX_POOL_PER_EXPR: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinksError {
     /// The plan graph is cyclic: the expression the level fold met again
-    /// while folding it.
+    /// while folding it. Only a hand-built memo can be: a stored one
+    /// passed `Memo::from_parts`, whose shape check rules cycles out.
     Cyclic(PhysId),
     /// The lists would hold more than [`MAX_POOL_PER_EXPR`] entries per
     /// expression. The walk stops at the first list past that bound,
@@ -259,17 +265,17 @@ impl Links {
     ///    largest over its slot lists of 0 for an empty list and one more
     ///    than its members' largest level otherwise — one memoised
     ///    (max, +1) fold, per expression and per list, which reads a
-    ///    known level in place and descends, on a stack of its own, only
-    ///    on a miss. `topo` is the expressions by level, dense order
-    ///    within a level: the order Kahn elimination emits frontier by
-    ///    frontier with each frontier sorted.
+    ///    known level in place and recurses only on a miss. `topo` is
+    ///    the expressions by level, dense order within a level: the
+    ///    order Kahn elimination emits frontier by frontier with each
+    ///    frontier sorted.
     ///
     /// # Errors
     /// Only a hand-built or a stored memo is refused:
-    /// [`LinksError::Cyclic`] if its plan graph is cyclic, naming the
-    /// expression the fold met again while folding it, and
     /// [`LinksError::Oversized`] if its lists would outgrow
-    /// [`MAX_POOL_PER_EXPR`].
+    /// [`MAX_POOL_PER_EXPR`], and — a hand-built one only —
+    /// [`LinksError::Cyclic`] if its plan graph is cyclic, naming the
+    /// expression the fold met again while folding it.
     ///
     /// # Panics
     /// Panics if the memo has no root group.
@@ -466,37 +472,44 @@ impl Links {
         Ok(links)
     }
 
-    /// Every expression's level (see [`build`](Self::build)), each list's
-    /// memoised as it is first folded; `Err` names the expression met
-    /// again while open. A depth-first fold, in dense order from each
-    /// expression not yet reached, that keeps the expressions it has
-    /// descended through on a stack of its own: a chain of groups is as
-    /// deep as it is long, and one from outside the program must not be
-    /// able to overflow the thread's.
+    /// Every expression's level (see [`build`](Self::build)); `Err`
+    /// names the expression met again while open.
     fn levels(&self) -> Result<Vec<u32>, DenseId> {
         let mut levels = vec![UNSEEN; self.num_exprs()];
         let mut list_levels = vec![UNSEEN; self.num_lists()];
-        let mut stack: Vec<Open> = Vec::new();
         for d in (0..self.num_exprs() as u32).map(DenseId) {
-            if levels[d.idx()] != UNSEEN {
-                continue;
-            }
-            levels[d.idx()] = OPEN;
-            let mut top = Open::at(d);
-            loop {
-                if let Some(w) = top.fold(self, &levels, &mut list_levels)? {
-                    levels[w.idx()] = OPEN;
-                    stack.push(std::mem::replace(&mut top, Open::at(w)));
-                    continue;
-                }
-                levels[top.d.idx()] = top.level;
-                let Some(mut parent) = stack.pop() else { break };
-                parent.above = parent.above.max(top.level + 1);
-                parent.member += 1;
-                top = parent;
-            }
+            self.level(d, &mut levels, &mut list_levels)?;
         }
         Ok(levels)
+    }
+
+    /// `d`'s level, folded on a miss and memoised, each list's too. One
+    /// frame a level: `Memo::from_parts` holds a stored memo to 130
+    /// levels, and an optimizer's memo has no more.
+    fn level(
+        &self,
+        d: DenseId,
+        levels: &mut [u32],
+        list_levels: &mut [u32],
+    ) -> Result<u32, DenseId> {
+        match levels[d.idx()] {
+            UNSEEN => levels[d.idx()] = OPEN,
+            OPEN => return Err(d),
+            known => return Ok(known),
+        }
+        let mut level = 0;
+        for &l in self.slot_lists(d) {
+            if list_levels[l.idx()] == UNSEEN {
+                let mut above = 0;
+                for &w in self.list(l) {
+                    above = above.max(self.level(w, levels, list_levels)? + 1);
+                }
+                list_levels[l.idx()] = above;
+            }
+            level = level.max(list_levels[l.idx()]);
+        }
+        levels[d.idx()] = level;
+        Ok(level)
     }
 
     /// Copies the tables out as raw `u32` CSR buffers, expanding the slot
@@ -670,57 +683,6 @@ impl<K: PartialEq> Chains<(K, ListId)> {
         let l = decide();
         self.file(g, (key, l));
         l
-    }
-}
-
-/// An expression whose level is being folded: the slot it is at, the
-/// member of that slot's list it is at, and the largest level over the
-/// slots and the members passed.
-struct Open {
-    d: DenseId,
-    slot: usize,
-    member: usize,
-    level: u32,
-    above: u32,
-}
-
-impl Open {
-    fn at(d: DenseId) -> Open {
-        Open {
-            d,
-            slot: 0,
-            member: 0,
-            level: 0,
-            above: 0,
-        }
-    }
-
-    /// Folds on as far as known levels reach: `Some` names the first
-    /// member whose level is not known yet, to be folded first; `None`
-    /// means `level` is the expression's; `Err` names a member that is
-    /// open, so the graph has a cycle through it.
-    fn fold(
-        &mut self,
-        links: &Links,
-        levels: &[u32],
-        list_levels: &mut [u32],
-    ) -> Result<Option<DenseId>, DenseId> {
-        for &l in &links.slot_lists(self.d)[self.slot..] {
-            if list_levels[l.idx()] == UNSEEN {
-                for &w in &links.list(l)[self.member..] {
-                    match levels[w.idx()] {
-                        UNSEEN => return Ok(Some(w)),
-                        OPEN => return Err(w),
-                        known => self.above = self.above.max(known + 1),
-                    }
-                    self.member += 1;
-                }
-                list_levels[l.idx()] = self.above;
-            }
-            self.level = self.level.max(list_levels[l.idx()]);
-            (self.slot, self.member, self.above) = (self.slot + 1, 0, 0);
-        }
-        Ok(None)
     }
 }
 
@@ -1378,53 +1340,82 @@ mod tests {
         assert_eq!(list_asking(&memo, &scan, a, input), [0]);
     }
 
-    /// A chain of 10⁵ groups, each joining the next with itself, over one
-    /// table scan: 10⁵ levels, folded on a 2 MiB thread. The same chain
-    /// with its last group joining the first instead is a loop, refused
-    /// naming the expression the fold started from.
+    /// The deepest memo 64 relations admit: a left-deep chain whose
+    /// every join group `{0, …, k}` also holds a Sort, as does `{0}`,
+    /// under an aggregate group holding a hash aggregate and a Sort. A
+    /// join sits one level above the Sort below it and a Sort one above
+    /// the join it sorts, so the levels run 0 … 129. `from_parts` admits
+    /// it, and the fold, one frame a level, folds it on a 64 KiB thread.
+    /// The same chain closed into a loop — `{0}` also joining `{0, …,
+    /// 63}` with `{1}` — is no stored memo (`from_parts` refuses it), but
+    /// built by hand it is still refused, naming the expression the fold
+    /// met again: `{0}`'s Sort, whose input the closing join is.
     #[test]
-    fn a_chain_deeper_than_a_small_stack_folds_and_its_loop_is_refused() {
-        const DEPTH: u64 = 100_000;
-        let chain = |closed: bool| {
-            let mut memo = Memo::new();
-            let groups: Vec<GroupId> = (1..=DEPTH)
-                .map(|mask| {
-                    let rels = (0..64).filter(|b| mask >> b & 1 == 1).map(RelId);
-                    memo.add_group(GroupKey::Rels(rels.collect()))
-                })
-                .collect();
-            let join = |below| PhysicalOp::HashJoin {
-                left: below,
-                right: below,
-            };
-            for pair in groups.windows(2) {
-                memo.add_physical(pair[0], PhysicalExpr::new(join(pair[1]), 1.0, 1.0));
-            }
-            let last = match closed {
-                true => join(groups[0]),
-                false => PhysicalOp::TableScan { rel: RelId(0) },
-            };
-            memo.add_physical(groups[groups.len() - 1], PhysicalExpr::new(last, 1.0, 1.0));
-            memo.set_root(groups[0]);
-            memo
+    fn the_deepest_chain_64_relations_admit_folds_on_a_small_stack_and_its_loop_is_refused() {
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+        let sort = || {
+            expr(PhysicalOp::Sort {
+                target: SortOrder::on_col(ColRef {
+                    rel: RelId(0),
+                    col: 0,
+                }),
+            })
         };
+        let scan = |rel| expr(PhysicalOp::TableScan { rel: RelId(rel) });
+        let join = |left, right| {
+            expr(PhysicalOp::HashJoin {
+                left: GroupId(left),
+                right: GroupId(right),
+            })
+        };
+        // Groups 0–63: the scans of relations 0–63 (with `{0}`'s Sort);
+        // 63 + k: the join group of relations 0–k; 127: the aggregate.
+        let mut parts = vec![(
+            GroupKey::Rels(RelSet::all(1)),
+            vec![],
+            vec![scan(0), sort()],
+        )];
+        parts.extend((1..64).map(|rel| {
+            let key = GroupKey::Rels(RelSet::singleton(RelId(rel)));
+            (key, vec![], vec![scan(rel)])
+        }));
+        parts.extend((1..64).map(|k| {
+            let below = if k == 1 { 0 } else { 62 + k };
+            let key = GroupKey::Rels(RelSet::all(k as usize + 1));
+            (key, vec![], vec![join(below, k), sort()])
+        }));
+        let aggregate = expr(PhysicalOp::HashAgg {
+            input: GroupId(126),
+        });
+        parts.push((GroupKey::Agg, vec![], vec![aggregate, sort()]));
+        let chain = Memo::from_parts(parts.clone(), 127).expect("an optimizer's shape");
+
+        let mut closed = Memo::new();
+        for (key, _, physical) in parts {
+            let group = closed.add_group(key);
+            closed.append_physical(group, physical);
+        }
+        closed.append_physical(GroupId(0), vec![join(126, 1)]);
+        closed.set_root(GroupId(127));
+
         let (_cat, q) = crate::props::tests::chain_query();
         let (open, closed) = std::thread::Builder::new()
-            .stack_size(2 << 20)
+            .stack_size(64 << 10)
             .spawn(move || {
-                let open = Links::build(&chain(false), &q).map(|links| links.topo().to_vec());
-                (open, Links::build(&chain(true), &q).map(|_| ()))
+                let open = Links::build(&chain, &q).map(|links| links.levels());
+                (open, Links::build(&closed, &q).map(|_| ()))
             })
             .unwrap()
             .join()
-            .expect("the fold fits a 2 MiB stack");
-        let topo = open.expect("a chain is acyclic");
-        let expected: Vec<DenseId> = (0..DEPTH as u32).rev().map(DenseId).collect();
-        assert_eq!(topo, expected, "the scan first, the root's join last");
-        let first = PhysId {
+            .expect("the fold fits a 64 KiB stack");
+        let levels = open
+            .expect("a chain is acyclic")
+            .expect("and so are its levels");
+        assert_eq!(levels.iter().max(), Some(&129));
+        let sort_of_0 = PhysId {
             group: GroupId(0),
-            index: 0,
+            index: 1,
         };
-        assert_eq!(closed, Err(LinksError::Cyclic(first)));
+        assert_eq!(closed, Err(LinksError::Cyclic(sort_of_0)));
     }
 }
