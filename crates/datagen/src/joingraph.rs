@@ -169,9 +169,10 @@ impl JoinGraphSpec {
     /// spec.
     ///
     /// # Panics
-    /// Panics when `relations >= 32` (exploration enumerates all `2^n`
-    /// relation subsets; larger cliques would be astronomically big
-    /// anyway).
+    /// Panics when `relations >= 32`. Exploration without cross products
+    /// grows only connected relation sets, so a 30-relation chain is a
+    /// few hundred groups, but a clique's memo grows as `3^n`, and
+    /// larger ones would be astronomically big.
     pub fn build_memo(&self) -> (Catalog, QuerySpec, Memo) {
         assert!(
             self.relations < 32,

@@ -133,7 +133,10 @@ impl fmt::Display for OptError {
 
 impl std::error::Error for OptError {}
 
-/// Maximum relations for exhaustive enumeration (2^n subsets, 3^n splits).
+/// Maximum relations [`optimize`] takes. With cross products,
+/// exploration enumerates 2^n subsets and 3^n splits; without, it grows
+/// only connected sets, but a dense join graph's memo still grows as
+/// 3^n, so the limit holds for both.
 pub const MAX_RELATIONS: usize = 16;
 
 /// The result of optimization: the fully populated memo plus the

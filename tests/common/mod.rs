@@ -1,17 +1,18 @@
 //! Shared helpers for the statistical validation suites: building
 //! synthetic spaces and collecting sampling frequency spectra — plus
 //! the independent oracles the differential suites compare the product
-//! against: the recursive count, the recursive unranker and the
-//! per-expression best-plan recursion.
+//! against: the recursive count, the recursive unranker, the
+//! per-expression best-plan recursion and the subset walk's exploration.
 
 #![allow(dead_code)] // each test binary uses a different subset
 
 use plansample::PlanSpace;
 use plansample_bignum::Nat;
 use plansample_catalog::Catalog;
-use plansample_datagen::joingraph::JoinGraphSpec;
+use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
 use plansample_memo::{
-    eligible_children, DenseId, GroupKey, Memo, PhysId, PhysicalExpr, PhysicalOp, PlanNode,
+    eligible_children, DenseId, GroupId, GroupKey, LogicalOp, Memo, PhysId, PhysicalExpr,
+    PhysicalOp, PlanNode,
 };
 use plansample_optimizer::{optimize, OptimizerConfig};
 use plansample_query::{QueryBuilder, QuerySpec, RelId, RelSet};
@@ -287,6 +288,147 @@ fn reached_from(adjacent: &[u32], set: u32) -> u32 {
         .fold(0, |reached, r| reached | adjacent[r])
 }
 
+// ---------------------------------------------------------------------
+// The reference exploration
+// ---------------------------------------------------------------------
+//
+// The optimizer's bottom-up exploration as it ran before it enumerated
+// connected pairs: every mask of every size, and every split of each
+// kept set, each half tested for connectivity and the cut for a
+// crossing edge. It fixes the order the product must emit — groups in
+// (size, mask) order, each group's joins in `RelSet::splits` order,
+// `Join(L, R)` then `Join(R, L)` — and visits 2ⁿ masks and up to 3ⁿ
+// halves to do it.
+
+/// The subset walk's memo of `query`: scan groups, then every
+/// admissible split of every subset in size order, then the aggregate
+/// group if the query has one.
+pub fn explore_by_subsets(query: &QuerySpec, allow_cp: bool, memo: &mut Memo) {
+    let n = query.relations.len();
+    let scans: Vec<GroupId> = (0..n)
+        .map(|i| {
+            let rel = RelId(i as u32);
+            let g = memo.add_group(GroupKey::Rels(RelSet::singleton(rel)));
+            memo.add_logical(g, LogicalOp::Scan { rel });
+            g
+        })
+        .collect();
+    let finish_root = |memo: &mut Memo, join_root: GroupId| {
+        if query.aggregate.is_some() {
+            let agg = memo.add_group(GroupKey::Agg);
+            memo.add_logical(agg, LogicalOp::Agg { input: join_root });
+            memo.set_root(agg);
+        } else {
+            memo.set_root(join_root);
+        }
+    };
+    if n == 1 {
+        finish_root(memo, scans[0]);
+        return;
+    }
+
+    let mut adj = vec![0u64; n];
+    for edge in &query.join_edges {
+        let (a, b) = edge.rels();
+        adj[a.idx()] |= 1 << b.0;
+        adj[b.idx()] |= 1 << a.0;
+    }
+    let connected = |set: RelSet| {
+        let mask = set.mask();
+        let mut seen = mask & mask.wrapping_neg();
+        let mut frontier = seen;
+        while frontier != 0 {
+            let grown = adj[frontier.trailing_zeros() as usize] & mask & !seen;
+            frontier &= frontier - 1;
+            seen |= grown;
+            frontier |= grown;
+        }
+        mask != 0 && seen == mask
+    };
+    let split_admissible = |left: RelSet, right: RelSet| {
+        allow_cp
+            || (connected(left)
+                && connected(right)
+                && query.join_edges.iter().any(|e| e.crosses(left, right)))
+    };
+
+    let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+    for size in 2..=n as u32 {
+        for mask in (1..=full).filter(|m| m.count_ones() == size) {
+            let set = RelSet::from_iter(
+                (0..n)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| RelId(i as u32)),
+            );
+            if !allow_cp && !connected(set) {
+                continue;
+            }
+            for (l, r) in set.splits() {
+                if !split_admissible(l, r) {
+                    continue;
+                }
+                let gl = memo.find_group(GroupKey::Rels(l)).unwrap();
+                let gr = memo.find_group(GroupKey::Rels(r)).unwrap();
+                let g = memo.add_group(GroupKey::Rels(set));
+                memo.add_logical(
+                    g,
+                    LogicalOp::Join {
+                        left: gl,
+                        right: gr,
+                    },
+                );
+                memo.add_logical(
+                    g,
+                    LogicalOp::Join {
+                        left: gr,
+                        right: gl,
+                    },
+                );
+            }
+        }
+    }
+
+    let root = memo
+        .find_group(GroupKey::Rels(RelSet::all(n)))
+        .expect("connected query produces a full-set group");
+    finish_root(memo, root);
+}
+
+/// A random connected join graph over `n` relations: a random spanning
+/// tree over shuffled labels, plus each remaining pair with a density
+/// drawn from {0, 0.1, …, 1} and scaled by `max_density`. The catalog
+/// is the `n`-chain's of the same seed.
+pub fn random_connected_query(n: usize, seed: u64, max_density: f64) -> QuerySpec {
+    use rand::{Rng, SeedableRng};
+    let (catalog, _) = JoinGraphSpec::new(Topology::Chain, n, seed).build();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut label: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        label.swap(i, rng.gen_range(0..=i));
+    }
+    let mut pairs: Vec<(usize, usize)> = (1..n)
+        .map(|i| (label[rng.gen_range(0..i)], label[i]))
+        .collect();
+    let density = f64::from(rng.gen_range(0u32..=10)) / 10.0 * max_density;
+    for a in 0..n {
+        for b in a + 1..n {
+            let known = pairs.contains(&(a, b)) || pairs.contains(&(b, a));
+            if !known && rng.gen_bool(density) {
+                pairs.push((a, b));
+            }
+        }
+    }
+    let mut qb = QueryBuilder::new(&catalog);
+    for i in 0..n {
+        qb.rel(&format!("r{i}"), None).unwrap();
+    }
+    for (a, b) in pairs {
+        qb.join((&format!("r{a}"), "k"), (&format!("r{b}"), "k"))
+            .unwrap();
+    }
+    qb.build().unwrap()
+}
+
 /// A hand-built space whose root list total is exactly `2^levels − 1`:
 /// group `G_1` holds one scan, and `G_{k+1}` holds a hash join of `G_k`
 /// with a two-scan group (`2·n_k` plans) plus one scan, so
@@ -558,6 +700,16 @@ pub fn seeded_rng(salt: u64) -> StdRng {
 /// not `"0"` (the dedicated CI job sets it; tier-1 `cargo test` skips).
 pub fn statistical_enabled() -> bool {
     std::env::var("PLANSAMPLE_STATISTICAL").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// Skips a release-only case with a notice in a debug build; returns
+/// `true` to proceed.
+pub fn release_only(name: &str) -> bool {
+    if cfg!(debug_assertions) {
+        eprintln!("{name}: skipped in a debug build");
+        return false;
+    }
+    true
 }
 
 /// Standard skip preamble for gated tests; returns `true` to proceed.

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::{all_ones_ladder, dead_sibling_ladder, reference_count_rooted};
+use common::{all_ones_ladder, dead_sibling_ladder, reference_count_rooted, release_only};
 use plansample::{CountTier, PlanSpace};
 use plansample_bignum::Nat;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
@@ -54,15 +54,6 @@ fn assert_matches_reference(label: &str, space: &PlanSpace) {
         .max_by_key(|&t| t as u8)
         .expect("a space has a root group");
     assert_eq!(space.counts().tier(), widest, "{label}: tier");
-}
-
-/// Skips a release-only case with a notice in a debug build.
-fn release_only(name: &str) -> bool {
-    if cfg!(debug_assertions) {
-        eprintln!("{name}: skipped in a debug build");
-        return false;
-    }
-    true
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::SynthSpace;
+use common::{random_connected_query, SynthSpace};
 use plansample_bignum::Nat;
 use plansample_core::PreparedQuery;
 use plansample_datagen::joingraph::{JoinGraphSpec, Topology};
@@ -18,10 +18,10 @@ use plansample_memo::{
     SlotRecord,
 };
 use plansample_optimizer::{explore_bottom_up, optimize, OptimizerConfig};
-use plansample_query::{QueryBuilder, QuerySpec, RelSet};
+use plansample_query::{QuerySpec, RelSet};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::mem::size_of;
 
 /// Cap for brute-force enumeration: spaces at or below this size are
@@ -180,35 +180,7 @@ fn synthetic_memo_is_the_optimizers_memo() {
 /// tree over shuffled labels, plus each remaining pair with a random
 /// density.
 fn arb_connected_query() -> impl Strategy<Value = QuerySpec> {
-    (2usize..=8, any::<u64>()).prop_map(|(n, seed)| {
-        let (catalog, _) = JoinGraphSpec::new(Topology::Chain, n, seed).build();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut label: Vec<usize> = (0..n).collect();
-        for i in (1..n).rev() {
-            label.swap(i, rng.gen_range(0..=i));
-        }
-        let mut pairs: Vec<(usize, usize)> = (1..n)
-            .map(|i| (label[rng.gen_range(0..i)], label[i]))
-            .collect();
-        let density = f64::from(rng.gen_range(0u32..=10)) / 10.0;
-        for a in 0..n {
-            for b in a + 1..n {
-                let known = pairs.contains(&(a, b)) || pairs.contains(&(b, a));
-                if !known && rng.gen_bool(density) {
-                    pairs.push((a, b));
-                }
-            }
-        }
-        let mut qb = QueryBuilder::new(&catalog);
-        for i in 0..n {
-            qb.rel(&format!("r{i}"), None).unwrap();
-        }
-        for (a, b) in pairs {
-            qb.join((&format!("r{a}"), "k"), (&format!("r{b}"), "k"))
-                .unwrap();
-        }
-        qb.build().unwrap()
-    })
+    (2usize..=8, any::<u64>()).prop_map(|(n, seed)| random_connected_query(n, seed, 1.0))
 }
 
 proptest! {
