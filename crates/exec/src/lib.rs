@@ -41,6 +41,7 @@ pub use node::{AggSpec, ColFilter, ExecNode, JoinSpec, Side};
 use plansample_catalog::{Datum, TableId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A row: one datum per column.
 pub type Row = Vec<Datum>;
@@ -147,9 +148,51 @@ impl SortedRows<'_> {
 }
 
 /// The database: tables addressable by [`TableId`].
+///
+/// Beside each table it keeps that table's row orders, one a column,
+/// which IndexScans read. An order is sorted by the first scan that asks
+/// for it, behind a [`OnceLock`], so a database shared between threads
+/// stays `Sync`, and [`Database::insert`] drops a replaced table's
+/// orders with it.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: HashMap<TableId, Table>,
+    tables: HashMap<TableId, Stored>,
+}
+
+/// A stored table and its row orders by column, each sorted when an
+/// IndexScan first asks for it.
+#[derive(Debug, Clone)]
+struct Stored {
+    table: Table,
+    orders: Box<[OnceLock<Vec<u32>>]>,
+}
+
+impl Stored {
+    /// The row numbers ordered by column `col`, then by the whole row,
+    /// then by row number. That order has no ties, so keeping the rows
+    /// of it that pass a filter gives what filtering the table and then
+    /// sorting would. Sorted by the first call for `col` and kept until
+    /// [`Database::insert`] replaces the table.
+    ///
+    /// # Panics
+    /// When `col` is not a column of the table or the table has more
+    /// rows than `u32` row numbers name; the IndexScan that calls this
+    /// has checked both.
+    fn order(&self, col: usize) -> &[u32] {
+        self.orders[col].get_or_init(|| {
+            let rows = self.table.rows();
+            let count = u32::try_from(rows.len()).expect("rows checked against u32");
+            let mut ids: Vec<u32> = (0..count).collect();
+            ids.sort_unstable_by(|&a, &b| {
+                let (ra, rb) = (&rows[a as usize], &rows[b as usize]);
+                ra[col]
+                    .cmp(&rb[col])
+                    .then_with(|| ra.cmp(rb))
+                    .then(a.cmp(&b))
+            });
+            ids
+        })
+    }
 }
 
 impl Database {
@@ -160,11 +203,17 @@ impl Database {
 
     /// Installs (or replaces) the contents of a table.
     pub fn insert(&mut self, id: TableId, table: Table) {
-        self.tables.insert(id, table);
+        let orders = (0..table.width()).map(|_| OnceLock::new()).collect();
+        self.tables.insert(id, Stored { table, orders });
     }
 
     /// Fetches a table's contents.
     pub fn table(&self, id: TableId) -> Result<&Table, ExecError> {
+        self.stored(id).map(|stored| &stored.table)
+    }
+
+    /// A table with its row orders, for the scans of `run`.
+    fn stored(&self, id: TableId) -> Result<&Stored, ExecError> {
         self.tables.get(&id).ok_or(ExecError::MissingTable(id))
     }
 

@@ -12,14 +12,16 @@
 //!   (segment, column of that segment's base table);
 //! * one flat `Vec<u32>` of **row numbers**, one per segment per row.
 //!
-//! Scans filter a stored table into row numbers, `Sort` permutes them,
-//! a join concatenates its children's segments and emits the two rows'
-//! numbers per match — [`JoinSpec::assemble`] only rewrites the column
-//! map, so a range that splits, reorders, repeats or drops columns
-//! costs nothing per row — and `Project` re-picks map entries. `Datum`s
-//! are cloned in exactly two places: where an aggregate builds its
-//! output rows (group keys and accumulator results) and where the
-//! plan's root builds the [`Table`] it returns.
+//! Scans filter a stored table into row numbers (an IndexScan filters
+//! the table's sorted order, which the [`Database`] keeps), `Sort`
+//! permutes them unless they are in order already, a join concatenates
+//! its children's segments and emits the two rows' numbers per match —
+//! [`JoinSpec::assemble`] only rewrites the column map, so a range that
+//! splits, reorders, repeats or drops columns costs nothing per row —
+//! and `Project` re-picks map entries. `Datum`s are cloned in exactly
+//! two places: where an aggregate builds its output rows (group keys
+//! and accumulator results) and where the plan's root builds the
+//! [`Table`] it returns.
 //!
 //! Operators with physical-property obligations (`MergeJoin`,
 //! `StreamAgg`) still trust their inputs — they do not verify or repair
@@ -61,15 +63,18 @@ impl ExecNode {
                 check_offsets(keys.iter().copied(), src.width())?;
                 let order = {
                     let sort_keys = src.keys(keys);
-                    let mut order: Vec<usize> = (0..src.len).collect();
-                    // Key order first, full row as tiebreak: rows that
-                    // still tie are equal, so stability would not show.
-                    order.sort_unstable_by(|&a, &b| {
-                        let by_key = sort_keys.of(a).cmp(sort_keys.of(b));
-                        by_key.then_with(|| src.cmp_rows(a, b))
-                    });
-                    order
+                    let cmp = by_key_then_row(&src, &sort_keys);
+                    // Input already in order is what sorting leaves of
+                    // it; the check stops at the first inversion.
+                    if (0..src.len).is_sorted_by(|a, b| cmp(a, b).is_le()) {
+                        None
+                    } else {
+                        let mut order: Vec<usize> = (0..src.len).collect();
+                        order.sort_unstable_by(cmp);
+                        Some(order)
+                    }
                 };
+                let Some(order) = order else { return Ok(src) };
                 let mut ids = Vec::with_capacity(src.ids.len());
                 for row in order {
                     ids.extend_from_slice(src.row_ids(row));
@@ -82,10 +87,13 @@ impl ExecNode {
                 let mut out = Matches::default();
                 {
                     let (lk, rk) = pair_keys(&l, &r, spec);
+                    // Every pair, in order; equal keys hash alike, so
+                    // values are compared only where the hashes match.
+                    let right_hashes: Vec<u64> = (0..r.len).map(|j| rk.hash(j)).collect();
                     for i in 0..l.len {
-                        let key = lk.of(i);
-                        for j in 0..r.len {
-                            if key == rk.of(j) {
+                        let (key, hash) = (lk.of(i), lk.hash(i));
+                        for (j, &right_hash) in right_hashes.iter().enumerate() {
+                            if right_hash == hash && key == rk.of(j) {
                                 out.emit(&l, i, &r, j);
                             }
                         }
@@ -342,6 +350,18 @@ impl Keys<'_> {
     }
 }
 
+/// Sort's comparator over `src`'s rows: key order first, full row as
+/// tiebreak. Rows that still tie are equal, so stability would not show.
+fn by_key_then_row<'a>(
+    src: &'a Rel<'a>,
+    keys: &'a Keys<'a>,
+) -> impl Fn(&usize, &usize) -> Ordering + 'a {
+    |&a, &b| {
+        let by_key = keys.of(a).cmp(keys.of(b));
+        by_key.then_with(|| src.cmp_rows(a, b))
+    }
+}
+
 /// Both sides of `spec.eq_pairs`.
 fn pair_keys<'a>(l: &'a Rel, r: &'a Rel, spec: &JoinSpec) -> (Keys<'a>, Keys<'a>) {
     let pairs = &spec.eq_pairs;
@@ -462,24 +482,21 @@ fn scan<'db>(
     filters: &[ColFilter],
     sort_col: Option<usize>,
 ) -> Result<Rel<'db>, ExecError> {
-    let src = db.table(table)?;
+    let stored = db.stored(table)?;
+    let src = &stored.table;
     check_offsets(
         filters.iter().map(|f| f.offset).chain(sort_col),
         src.width(),
     )?;
     let rows = src.rows();
-    let mut ids: Vec<u32> = (0..row_numbers(rows.len())?)
-        .zip(rows)
-        .filter(|(_, row)| filters.iter().all(|f| f.matches(row)))
-        .map(|(id, _)| id)
-        .collect();
-    if let Some(col) = sort_col {
-        // Key order first, full row as tiebreak for determinism.
-        ids.sort_unstable_by(|&a, &b| {
-            let (a, b) = (&rows[a as usize], &rows[b as usize]);
-            a[col].cmp(&b[col]).then_with(|| a.cmp(b))
-        });
-    }
+    let count = row_numbers(rows.len())?;
+    let keep = |&id: &u32| filters.iter().all(|f| f.matches(&rows[id as usize]));
+    let ids = match sort_col {
+        None => (0..count).filter(keep).collect(),
+        // Key order first, full row as tiebreak for determinism: the
+        // database's stored order, which filtering keeps.
+        Some(col) => stored.order(col).iter().copied().filter(keep).collect(),
+    };
     Ok(Rel::over(Base::Stored(src), ids))
 }
 
@@ -752,6 +769,56 @@ mod tests {
         };
         let out = node.execute(&db).unwrap();
         assert_eq!(out.rows(), &[vec![Int(1)], vec![Int(2)], vec![Int(3)]]);
+    }
+
+    #[test]
+    fn a_sort_of_ordered_input_keeps_the_row_numbers_a_forced_sort_would() {
+        // Repeated rows, so that ties fall between different row numbers.
+        let rows = [2, 1, 2, 0, 1, 2].map(|k| vec![Int(k), Float(-0.0)]);
+        let db = db_two(2, rows.to_vec(), 1, vec![vec![Null], vec![Null]]);
+        let by_index = || {
+            Box::new(ExecNode::IndexScan {
+                table: TableId(0),
+                sort_col: 0,
+                filters: vec![],
+            })
+        };
+        // Each input is in whole-row order, and its columns past the
+        // first hold one value each, so every key list below finds it in
+        // order.
+        let inputs = [
+            (by_index(), vec![vec![0], vec![1], vec![0, 1]]),
+            (
+                Box::new(ExecNode::NestedLoopJoin {
+                    left: by_index(),
+                    right: scan(1),
+                    spec: simple_spec(2, 1, vec![]),
+                }),
+                vec![vec![0], vec![2, 1], vec![0, 1, 2]],
+            ),
+        ];
+        for (input, key_lists) in inputs {
+            for keys in &key_lists {
+                let src = input.run(&db).unwrap();
+                let forced: Vec<u32> = {
+                    let sort_keys = src.keys(keys);
+                    let mut order: Vec<usize> = (0..src.len).collect();
+                    order.sort_unstable_by(by_key_then_row(&src, &sort_keys));
+                    order
+                        .iter()
+                        .flat_map(|&row| src.row_ids(row))
+                        .copied()
+                        .collect()
+                };
+                let sort = ExecNode::Sort {
+                    input: input.clone(),
+                    keys: keys.to_vec(),
+                };
+                let sorted = sort.run(&db).unwrap();
+                assert_eq!(sorted.ids, forced, "{sort:?}");
+                assert_eq!(sorted.ids, src.ids, "already in order: {sort:?}");
+            }
+        }
     }
 
     #[test]

@@ -213,6 +213,22 @@ impl Memo {
         true
     }
 
+    /// Appends a logical expression the caller has already made distinct
+    /// from the group's, with no duplicate check: the path of a builder
+    /// that offers each expression once (bottom-up exploration).
+    /// [`add_logical`](Self::add_logical)'s scan of the group makes
+    /// filling a group quadratic in its size; here distinctness is only
+    /// `debug_assert!`ed, as in [`append_physical`](Self::append_physical).
+    pub fn append_logical(&mut self, gid: GroupId, op: LogicalOp) {
+        let group = &mut self.groups[gid.0 as usize];
+        debug_assert!(
+            !group.logical.contains(&op),
+            "appended logical expression already in group {}",
+            gid.0
+        );
+        group.logical.push(op);
+    }
+
     /// Adds a physical expression, returning its id, or `None` when a
     /// structurally identical operator already exists in the group.
     pub fn add_physical(&mut self, gid: GroupId, expr: PhysicalExpr) -> Option<PhysId> {
@@ -567,6 +583,27 @@ mod tests {
         assert!(memo.add_logical(g, LogicalOp::Scan { rel: RelId(0) }));
         assert!(!memo.add_logical(g, LogicalOp::Scan { rel: RelId(0) }));
         assert_eq!(memo.num_logical(), 1);
+    }
+
+    #[test]
+    fn appended_logical_expressions_keep_their_order() {
+        let mut memo = Memo::new();
+        let g = memo.add_group(GroupKey::Rels(rs(&[0])));
+        let ops = [RelId(0), RelId(1)].map(|rel| LogicalOp::Scan { rel });
+        for op in &ops {
+            memo.append_logical(g, op.clone());
+        }
+        assert_eq!(memo.group(g).logical, ops);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "appended logical expression already in group 0")]
+    fn appending_a_duplicate_logical_expression_is_caught_in_debug() {
+        let mut memo = Memo::new();
+        let g = memo.add_group(GroupKey::Rels(rs(&[0])));
+        memo.append_logical(g, LogicalOp::Scan { rel: RelId(0) });
+        memo.append_logical(g, LogicalOp::Scan { rel: RelId(0) });
     }
 
     #[test]

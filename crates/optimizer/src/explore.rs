@@ -29,13 +29,14 @@ use plansample_memo::{GroupId, GroupKey, LogicalOp, Memo};
 use plansample_query::{QuerySpec, RelId, RelSet};
 
 /// Creates singleton groups (with `Scan` logical expressions) for every
-/// relation; returns their group ids indexed by relation.
+/// relation of a fresh memo; returns their group ids indexed by
+/// relation.
 fn add_scan_groups(query: &QuerySpec, memo: &mut Memo) -> Vec<GroupId> {
     (0..query.relations.len())
         .map(|i| {
             let rel = RelId(i as u32);
             let g = memo.add_group(GroupKey::Rels(RelSet::singleton(rel)));
-            memo.add_logical(g, LogicalOp::Scan { rel });
+            memo.append_logical(g, LogicalOp::Scan { rel });
             g
         })
         .collect()
@@ -116,8 +117,9 @@ pub fn explore_bottom_up(
     Ok(())
 }
 
-/// Adds `Join(l, r)` and `Join(r, l)` to group `g`. Both halves
-/// already have groups.
+/// Appends `Join(l, r)` and `Join(r, l)` to group `g`, unchecked:
+/// both branches of [`explore_bottom_up`] offer each split once. Both
+/// halves already have groups.
 fn add_join_pair(memo: &mut Memo, g: GroupId, l: RelSet, r: RelSet) {
     let gl = memo
         .find_group(GroupKey::Rels(l))
@@ -127,14 +129,14 @@ fn add_join_pair(memo: &mut Memo, g: GroupId, l: RelSet, r: RelSet) {
         .expect("size-ordered enumeration creates halves first");
     // Both commutative orders, as in the paper's Figure 2 where
     // join(1,2) and join(2,1) are distinct expressions 3.1/3.2.
-    memo.add_logical(
+    memo.append_logical(
         g,
         LogicalOp::Join {
             left: gl,
             right: gr,
         },
     );
-    memo.add_logical(
+    memo.append_logical(
         g,
         LogicalOp::Join {
             left: gr,

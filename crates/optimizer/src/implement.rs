@@ -27,9 +27,10 @@ use plansample_query::{ColRef, QuerySpec, RelSet};
 /// declared twice two equal index scans — and are dropped there, the
 /// later one going as [`Memo::add_physical`] would drop it. Alternatives
 /// of different logical operators cannot coincide: each names its
-/// operator's inputs, and [`Memo::add_logical`] keeps every
-/// `(left, right)` unique within a group (a scan group holds one scan,
-/// the aggregate group one aggregate).
+/// operator's inputs, and exploration puts every `(left, right)` into a
+/// group once (a scan group holds one scan, the aggregate group one
+/// aggregate): [`Memo::append_logical`] `debug_assert!`s it, and
+/// [`Memo::add_logical`] drops the repeats of a transformation fixpoint.
 pub fn implement_all(
     query: &QuerySpec,
     catalog: &Catalog,

@@ -3,7 +3,7 @@
 #
 # 1. `unsafe` code may appear only in the files/directories listed in
 #    ALLOW below: the poll FFI of the server, the scheduler-affinity
-#    FFI of the benchmark harness, and the two counting allocators.
+#    FFI of the benchmark harness, and the three counting allocators.
 #    Everything else is `#![forbid(unsafe_code)]` at its crate root;
 #    this script also covers the targets that attribute does not reach
 #    (tests, examples).
@@ -23,6 +23,7 @@ ALLOW=(
   crates/benchmark/src/alloc.rs
   crates/benchmark/src/workloads/serve.rs
   tests/alloc_counting.rs
+  tests/warm_index_scan.rs
 )
 WINDOW=12
 
