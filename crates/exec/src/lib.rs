@@ -150,24 +150,44 @@ impl SortedRows<'_> {
 /// The database: tables addressable by [`TableId`].
 ///
 /// Beside each table it keeps that table's row orders, one a column,
-/// which IndexScans read. An order is sorted by the first scan that asks
-/// for it, behind a [`OnceLock`], so a database shared between threads
-/// stays `Sync`, and [`Database::insert`] drops a replaced table's
-/// orders with it.
+/// which IndexScans read, and the dense ranks Sort and the aggregates
+/// compare instead of values: one a row per column, and one a row of
+/// the whole row. Each is built by the first operator that asks for it,
+/// behind a [`OnceLock`], so a database shared between threads stays
+/// `Sync`, and [`Database::insert`] drops a replaced table's orders and
+/// ranks with it.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<TableId, Stored>,
 }
 
-/// A stored table and its row orders by column, each sorted when an
-/// IndexScan first asks for it.
+/// A table with its row orders and ranks, each built when an operator
+/// first asks for it: a stored one, or one an aggregate built.
 #[derive(Debug, Clone)]
 struct Stored {
     table: Table,
-    orders: Box<[OnceLock<Vec<u32>>]>,
+    columns: Box<[Column]>,
+    row_ranks: OnceLock<Vec<u32>>,
+}
+
+/// What a [`Stored`] table keeps of one of its columns.
+#[derive(Debug, Clone, Default)]
+struct Column {
+    order: OnceLock<Vec<u32>>,
+    ranks: OnceLock<Vec<u32>>,
 }
 
 impl Stored {
+    /// `table` with nothing built yet.
+    fn new(table: Table) -> Self {
+        let columns = (0..table.width()).map(|_| Column::default()).collect();
+        Stored {
+            table,
+            columns,
+            row_ranks: OnceLock::new(),
+        }
+    }
+
     /// The row numbers ordered by column `col`, then by the whole row,
     /// then by row number. That order has no ties, so keeping the rows
     /// of it that pass a filter gives what filtering the table and then
@@ -176,10 +196,10 @@ impl Stored {
     ///
     /// # Panics
     /// When `col` is not a column of the table or the table has more
-    /// rows than `u32` row numbers name; the IndexScan that calls this
-    /// has checked both.
+    /// rows than `u32` row numbers name; the scan or aggregate that made
+    /// the table has checked both.
     fn order(&self, col: usize) -> &[u32] {
-        self.orders[col].get_or_init(|| {
+        self.columns[col].order.get_or_init(|| {
             let rows = self.table.rows();
             let count = u32::try_from(rows.len()).expect("rows checked against u32");
             let mut ids: Vec<u32> = (0..count).collect();
@@ -193,6 +213,47 @@ impl Stored {
             ids
         })
     }
+
+    /// Each row's dense rank among the values of column `col`: two rows'
+    /// ranks compare as their values do, by `Datum`'s total order.
+    /// Numbered along [`Stored::order`], and kept, as it is, until
+    /// [`Database::insert`] replaces the table.
+    fn value_ranks(&self, col: usize) -> &[u32] {
+        self.columns[col].ranks.get_or_init(|| {
+            let rows = self.table.rows();
+            dense_ranks(self.order(col), |a, b| rows[a][col] == rows[b][col])
+        })
+    }
+
+    /// Each row's dense rank among the table's whole rows: two rows'
+    /// ranks compare as the rows do. Numbered along the order of column
+    /// 0, which is sorted by the whole row.
+    ///
+    /// # Panics
+    /// As [`Stored::order`], and when the table has no columns: a
+    /// relation reads a table's whole row only through a column of it.
+    fn row_ranks(&self) -> &[u32] {
+        self.row_ranks.get_or_init(|| {
+            let rows = self.table.rows();
+            dense_ranks(self.order(0), |a, b| rows[a] == rows[b])
+        })
+    }
+}
+
+/// Numbers the rows of `order` densely: a row takes the rank of the one
+/// before it where `same` holds for the two, the next rank otherwise.
+/// Indexed by row number.
+fn dense_ranks(order: &[u32], same: impl Fn(usize, usize) -> bool) -> Vec<u32> {
+    let mut ranks = vec![0; order.len()];
+    let mut rank = 0;
+    for pair in order.windows(2) {
+        let (before, row) = (pair[0] as usize, pair[1] as usize);
+        if !same(before, row) {
+            rank += 1;
+        }
+        ranks[row] = rank;
+    }
+    ranks
 }
 
 impl Database {
@@ -203,8 +264,7 @@ impl Database {
 
     /// Installs (or replaces) the contents of a table.
     pub fn insert(&mut self, id: TableId, table: Table) {
-        let orders = (0..table.width()).map(|_| OnceLock::new()).collect();
-        self.tables.insert(id, Stored { table, orders });
+        self.tables.insert(id, Stored::new(table));
     }
 
     /// Fetches a table's contents.
@@ -212,7 +272,7 @@ impl Database {
         self.stored(id).map(|stored| &stored.table)
     }
 
-    /// A table with its row orders, for the scans of `run`.
+    /// A table with its row orders and ranks, for the scans of `run`.
     fn stored(&self, id: TableId) -> Result<&Stored, ExecError> {
         self.tables.get(&id).ok_or(ExecError::MissingTable(id))
     }
@@ -365,6 +425,73 @@ mod tests {
             reference.sorted_rows(),
             vec![vec![Int(1)], vec![Int(2)], vec![Int(2)]]
         );
+    }
+
+    /// Every kind of value, most of them twice, none in order.
+    fn mixed_rows() -> Vec<Row> {
+        use plansample_catalog::Datum::{Float, Null, Str};
+        let values = [
+            Str("b".into()),
+            Float(-0.0),
+            Int(7),
+            Float(f64::NAN),
+            Null,
+            Float(7.0),
+            Float(0.0),
+            Str("a".into()),
+            Float(-f64::NAN),
+            Int(-1),
+        ];
+        let pick = |i: usize| values[i % values.len()].clone();
+        (0..23)
+            .map(|i| vec![pick(i * 3), pick(i * 7 / 2)])
+            .collect()
+    }
+
+    #[test]
+    fn ranks_compare_as_values_do() {
+        let stored = Stored::new(Table::from_rows(2, mixed_rows()).unwrap());
+        let rows = stored.table.rows();
+        let row_ranks = stored.row_ranks();
+        for col in 0..2 {
+            let ranks = stored.value_ranks(col);
+            for a in 0..rows.len() {
+                for b in 0..rows.len() {
+                    assert_eq!(ranks[a].cmp(&ranks[b]), rows[a][col].cmp(&rows[b][col]));
+                    assert_eq!(row_ranks[a].cmp(&row_ranks[b]), rows[a].cmp(&rows[b]));
+                }
+            }
+            // Dense: every rank below the largest is taken.
+            let distinct = ranks.iter().collect::<std::collections::BTreeSet<_>>();
+            assert_eq!(distinct.len() as u32, ranks.iter().max().unwrap() + 1);
+        }
+    }
+
+    #[test]
+    fn insert_builds_no_order_and_no_rank() {
+        let mut db = Database::new();
+        db.insert(TableId(0), Table::from_rows(2, mixed_rows()).unwrap());
+        let built = |db: &Database| {
+            let stored = db.stored(TableId(0)).unwrap();
+            let columns = stored.columns.iter();
+            let built = columns.flat_map(|c| [c.order.get(), c.ranks.get()]);
+            built.chain([stored.row_ranks.get()]).flatten().count()
+        };
+        assert_eq!(built(&db), 0);
+        // A Sort on column 1 builds that column's order and ranks, and the
+        // whole row's ranks along column 0's order.
+        let sort = ExecNode::Sort {
+            input: Box::new(ExecNode::TableScan {
+                table: TableId(0),
+                filters: vec![],
+            }),
+            keys: vec![1],
+        };
+        sort.execute(&db).unwrap();
+        assert_eq!(built(&db), 4);
+        // Replacing the table drops them.
+        db.insert(TableId(0), Table::from_rows(2, mixed_rows()).unwrap());
+        assert_eq!(built(&db), 0);
     }
 
     #[test]

@@ -23,6 +23,15 @@
 //! and accumulator results) and where the plan's root builds the
 //! [`Table`] it returns.
 //!
+//! Sort and the aggregates do not compare values either. Every base
+//! table, stored or built, keeps dense ranks beside it, built on first
+//! use: one a row per column, whose order and equality are `Datum`'s,
+//! and one a row of the whole row. Sort orders rows by tuples of ranks
+//! (the key columns', then the whole row's: a segment that appears whole
+//! and in order by its row rank), and the aggregates hash and compare
+//! the group columns' ranks ([`Ranks`]). Joins compare values, because
+//! two columns do not share ranks.
+//!
 //! Operators with physical-property obligations (`MergeJoin`,
 //! `StreamAgg`) still trust their inputs — they do not verify or repair
 //! sortedness. Running an invalid plan therefore produces observable
@@ -38,7 +47,7 @@
 //! testing engine run on its own data can afford.
 
 use crate::node::{AggSpec, ColFilter, ExecNode, JoinSpec, Side};
-use crate::{Database, ExecError, Row, Table};
+use crate::{Database, ExecError, Row, Stored, Table};
 use plansample_catalog::{Datum, Mix, TableId};
 use plansample_query::AggFunc;
 use std::cmp::Ordering;
@@ -62,8 +71,11 @@ impl ExecNode {
                 let src = input.run(db)?;
                 check_offsets(keys.iter().copied(), src.width())?;
                 let order = {
-                    let sort_keys = src.keys(keys);
-                    let cmp = by_key_then_row(&src, &sort_keys);
+                    // Key order first, full row as tiebreak. Rows whose
+                    // tuples still tie are equal, so stability would not
+                    // show.
+                    let ranks = src.rank_tuples(src.value_ranks(keys).chain(src.row_ranks()));
+                    let cmp = |&a: &usize, &b: &usize| ranks.of(a).cmp(ranks.of(b));
                     // Input already in order is what sorting leaves of
                     // it; the check stops at the first inversion.
                     if (0..src.len).is_sorted_by(|a, b| cmp(a, b).is_le()) {
@@ -170,7 +182,7 @@ impl ExecNode {
                 let src = input.run(db)?;
                 check_offsets(group.iter().copied(), src.width())?;
                 check_offsets(aggs.iter().filter_map(|a| a.arg), src.width())?;
-                let keys = src.keys(group);
+                let keys = src.rank_tuples(src.value_ranks(group));
                 // A group is known by its first row; groups are numbered
                 // in the order those rows arrive.
                 let mut table = Chains::new(row_numbers(src.len)?);
@@ -191,13 +203,13 @@ impl ExecNode {
                     groups[g].1.update(|col| src.get(row, col), aggs)?;
                 }
                 let scalar_over_nothing = group.is_empty() && src.len == 0;
-                aggregated(&keys, groups, aggs, scalar_over_nothing)
+                aggregated(&src, group, groups, aggs, scalar_over_nothing)
             }
             ExecNode::StreamAgg { input, group, aggs } => {
                 let src = input.run(db)?;
                 check_offsets(group.iter().copied(), src.width())?;
                 check_offsets(aggs.iter().filter_map(|a| a.arg), src.width())?;
-                let keys = src.keys(group);
+                let keys = src.rank_tuples(src.value_ranks(group));
                 // One group per run of equal keys, wherever the runs fall.
                 let mut groups: Vec<(usize, Accumulators)> = Vec::new();
                 for row in 0..src.len {
@@ -213,7 +225,7 @@ impl ExecNode {
                 // Scalar aggregate over an empty input: one row of empty
                 // accumulators (SQL semantics), matching HashAgg.
                 let scalar_over_nothing = group.is_empty() && groups.is_empty();
-                aggregated(&keys, groups, aggs, scalar_over_nothing)
+                aggregated(&src, group, groups, aggs, scalar_over_nothing)
             }
             ExecNode::Project { input, cols } => {
                 let src = input.run(db)?;
@@ -227,20 +239,25 @@ impl ExecNode {
     }
 }
 
-/// The table a segment's row numbers index.
+/// The table a segment's row numbers index, with the orders and ranks
+/// it keeps.
 enum Base<'db> {
     /// Borrowed from the [`Database`].
-    Stored(&'db Table),
+    Stored(&'db Stored),
     /// Built, and owned, by an aggregate.
-    Built(Table),
+    Built(Stored),
 }
 
 impl Base<'_> {
-    fn table(&self) -> &Table {
+    fn stored(&self) -> &Stored {
         match self {
-            Base::Stored(table) => table,
-            Base::Built(table) => table,
+            Base::Stored(stored) => stored,
+            Base::Built(stored) => stored,
         }
+    }
+
+    fn table(&self) -> &Table {
+        &self.stored().table
     }
 }
 
@@ -284,9 +301,8 @@ impl<'db> Rel<'db> {
         &self.segments[segment].table().rows()[id as usize][base_col]
     }
 
-    /// The given columns of every row, read once so that the
-    /// comparisons of a sort, a join or a grouping do not chase row
-    /// numbers.
+    /// The given columns of every row, read once so that a join's
+    /// comparisons do not chase row numbers.
     fn keys(&self, offsets: &[usize]) -> Keys<'_> {
         self.keys_by(offsets.len(), |k| offsets[k])
     }
@@ -300,20 +316,56 @@ impl<'db> Rel<'db> {
         Keys { values, width }
     }
 
-    /// Full-row comparison, as `Row`'s `Ord` would make it. Where both
-    /// rows hold the same row of a segment its columns are equal unread,
-    /// which is most of a tie below a join.
-    fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
-        let (a, b) = (self.row_ids(a), self.row_ids(b));
-        self.cols
-            .iter()
-            .filter(|&&(segment, _)| a[segment] != b[segment])
-            .map(|&(segment, col)| {
-                let rows = self.segments[segment].table().rows();
-                rows[a[segment] as usize][col].cmp(&rows[b[segment] as usize][col])
-            })
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
+    /// The value ranks of the columns `offsets`, each as (segment, rank
+    /// of each of its base table's rows).
+    fn value_ranks<'a>(
+        &'a self,
+        offsets: &'a [usize],
+    ) -> impl Iterator<Item = RankPart<'a>> + Clone {
+        offsets.iter().map(|&offset| {
+            let (segment, col) = self.cols[offset];
+            (segment, self.segments[segment].stored().value_ranks(col))
+        })
+    }
+
+    /// The whole row as rank parts, which compare as `Row`'s `Ord`
+    /// would: a segment whose columns appear whole and in order is one
+    /// part, its row rank; any other column is its value rank.
+    fn row_ranks(&self) -> impl Iterator<Item = RankPart<'_>> + Clone {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let &(segment, col) = self.cols.get(at)?;
+            let stored = self.segments[segment].stored();
+            let width = stored.table.width();
+            let whole = self.cols[at..]
+                .iter()
+                .take(width)
+                .copied()
+                .eq((0..width).map(|c| (segment, c)));
+            if whole {
+                at += width;
+                Some((segment, stored.row_ranks()))
+            } else {
+                at += 1;
+                Some((segment, stored.value_ranks(col)))
+            }
+        })
+    }
+
+    /// Each row's tuple of the ranks `parts` give it. Two rows' tuples
+    /// compare as the values the parts stand for do, lexicographically.
+    fn rank_tuples<'a>(&self, parts: impl Iterator<Item = RankPart<'a>> + Clone) -> Ranks {
+        let width = parts.clone().count();
+        let mut ranks = vec![0; self.len * width];
+        let segments = self.segments.len();
+        // Column by column: part `k` of every row.
+        for (k, (segment, of_row)) in parts.enumerate() {
+            let ids = self.ids.iter().skip(segment).step_by(segments);
+            for (rank, &id) in ranks.iter_mut().skip(k).step_by(width).zip(ids) {
+                *rank = of_row[id as usize];
+            }
+        }
+        Ranks { ranks, width }
     }
 
     /// The root's step: every value cloned once into the result.
@@ -350,15 +402,29 @@ impl Keys<'_> {
     }
 }
 
-/// Sort's comparator over `src`'s rows: key order first, full row as
-/// tiebreak. Rows that still tie are equal, so stability would not show.
-fn by_key_then_row<'a>(
-    src: &'a Rel<'a>,
-    keys: &'a Keys<'a>,
-) -> impl Fn(&usize, &usize) -> Ordering + 'a {
-    |&a, &b| {
-        let by_key = keys.of(a).cmp(keys.of(b));
-        by_key.then_with(|| src.cmp_rows(a, b))
+/// A segment, and the rank of each row of its base table under one
+/// measure: a column's value, or the whole row.
+type RankPart<'a> = (usize, &'a [u32]);
+
+/// Rank tuples of a relation's rows, row-major: `width` ranks a row.
+/// Sort orders rows by them and the aggregates group rows by them, so
+/// neither compares or hashes a `Datum`.
+struct Ranks {
+    ranks: Vec<u32>,
+    width: usize,
+}
+
+impl Ranks {
+    fn of(&self, row: usize) -> &[u32] {
+        &self.ranks[row * self.width..][..self.width]
+    }
+
+    fn hash(&self, row: usize) -> u64 {
+        let mut hasher = Mix::default();
+        for &rank in self.of(row) {
+            hasher.write_u32(rank);
+        }
+        hasher.finish()
     }
 }
 
@@ -463,7 +529,8 @@ impl Matches {
                     actual: cols.len(),
                 });
             }
-            return Ok(Rel::over(Base::Built(Table::new(expected)), Vec::new()));
+            let empty = Stored::new(Table::new(expected));
+            return Ok(Rel::over(Base::Built(empty), Vec::new()));
         }
         let mut segments = l.segments;
         segments.extend(r.segments);
@@ -497,23 +564,25 @@ fn scan<'db>(
         // database's stored order, which filtering keeps.
         Some(col) => stored.order(col).iter().copied().filter(keep).collect(),
     };
-    Ok(Rel::over(Base::Stored(src), ids))
+    Ok(Rel::over(Base::Stored(stored), ids))
 }
 
-/// An aggregate's output: for each group (first row, accumulators) the
-/// row `key ++ aggregate values`, in a table of its own.
+/// An aggregate's output: for each group (first row of `src`,
+/// accumulators) the row `group columns ++ aggregate values`, in a table
+/// of its own.
 fn aggregated<'db>(
-    keys: &Keys,
+    src: &Rel,
+    group: &[usize],
     groups: Vec<(usize, Accumulators)>,
     aggs: &[AggSpec],
     scalar_over_nothing: bool,
 ) -> Result<Rel<'db>, ExecError> {
-    let width = keys.width + aggs.len();
+    let width = group.len() + aggs.len();
     let mut rows: Vec<Row> = groups
         .into_iter()
         .map(|(first, accs)| {
             let mut row = Vec::with_capacity(width);
-            row.extend(keys.of(first).iter().map(|&value| value.clone()));
+            row.extend(group.iter().map(|&col| src.get(first, col).clone()));
             accs.finish_into(row)
         })
         .collect();
@@ -521,7 +590,8 @@ fn aggregated<'db>(
         rows.push(Accumulators::new(aggs).finish_into(Vec::new()));
     }
     let ids = (0..row_numbers(rows.len())?).collect();
-    Ok(Rel::over(Base::Built(Table::from_rows(width, rows)?), ids))
+    let built = Stored::new(Table::from_rows(width, rows)?);
+    Ok(Rel::over(Base::Built(built), ids))
 }
 
 /// End of the run of values equal to `values[start]`.
@@ -708,6 +778,7 @@ mod tests {
     use plansample_catalog::Datum::{Float, Int, Null, Str};
     use plansample_catalog::TableId;
     use plansample_query::CmpOp;
+    use proptest::prelude::*;
 
     fn db_one(width: usize, rows: Vec<Row>) -> Database {
         let mut db = Database::new();
@@ -734,6 +805,40 @@ mod tests {
             eq_pairs: pairs,
             assemble: vec![(Side::Left, 0, lw), (Side::Right, 0, rw)],
         }
+    }
+
+    /// Full-row comparison by value, as `Row`'s `Ord` would make it: what
+    /// the rank parts of `Rel::row_ranks` stand for.
+    fn cmp_rows(src: &Rel, a: usize, b: usize) -> Ordering {
+        (0..src.width())
+            .map(|col| src.get(a, col).cmp(src.get(b, col)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// Sort's order by value, the reference its rank tuples are held to:
+    /// key order first, full row as tiebreak.
+    fn by_key_then_row<'a>(
+        src: &'a Rel<'a>,
+        keys: &'a Keys<'a>,
+    ) -> impl Fn(&usize, &usize) -> Ordering + 'a {
+        |&a, &b| {
+            let by_key = keys.of(a).cmp(keys.of(b));
+            by_key.then_with(|| cmp_rows(src, a, b))
+        }
+    }
+
+    /// The row numbers of `src` sorted by value, with the sort call a
+    /// Sort makes.
+    fn sorted_by_value(src: &Rel, keys: &[usize]) -> Vec<u32> {
+        let sort_keys = src.keys(keys);
+        let mut order: Vec<usize> = (0..src.len).collect();
+        order.sort_unstable_by(by_key_then_row(src, &sort_keys));
+        order
+            .iter()
+            .flat_map(|&row| src.row_ids(row))
+            .copied()
+            .collect()
     }
 
     #[test]
@@ -800,16 +905,7 @@ mod tests {
         for (input, key_lists) in inputs {
             for keys in &key_lists {
                 let src = input.run(&db).unwrap();
-                let forced: Vec<u32> = {
-                    let sort_keys = src.keys(keys);
-                    let mut order: Vec<usize> = (0..src.len).collect();
-                    order.sort_unstable_by(by_key_then_row(&src, &sort_keys));
-                    order
-                        .iter()
-                        .flat_map(|&row| src.row_ids(row))
-                        .copied()
-                        .collect()
-                };
+                let forced = sorted_by_value(&src, keys);
                 let sort = ExecNode::Sort {
                     input: input.clone(),
                     keys: keys.to_vec(),
@@ -817,6 +913,79 @@ mod tests {
                 let sorted = sort.run(&db).unwrap();
                 assert_eq!(sorted.ids, forced, "{sort:?}");
                 assert_eq!(sorted.ids, src.ids, "already in order: {sort:?}");
+            }
+        }
+    }
+
+    /// Few enough values that rows repeat, of every type in one column:
+    /// NaN of both signs, both zeros, an `Int` and a `Float` of one
+    /// value, nulls and strings.
+    fn arb_rows(width: usize) -> impl Strategy<Value = Vec<Row>> {
+        let palette = [
+            Null,
+            Int(0),
+            Int(7),
+            Float(0.0),
+            Float(-0.0),
+            Float(f64::NAN),
+            Float(-f64::NAN),
+            Float(7.0),
+            Str(String::new()),
+            Str("a".into()),
+        ];
+        let datum = (0..palette.len()).prop_map(move |i| palette[i].clone());
+        proptest::collection::vec(proptest::collection::vec(datum, width..=width), 0..=24)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Ranks compare as values do, so the one sort call permutes row
+        /// numbers as the value comparator would, tied rows included:
+        /// over a scan, a join's three segments, projections that reorder,
+        /// repeat or drop them, and an aggregate's built table.
+        #[test]
+        fn a_sort_by_ranks_keeps_the_row_numbers_the_value_comparator_would(
+            left in arb_rows(2),
+            right in arb_rows(1),
+            third in arb_rows(2),
+            keys in proptest::collection::vec(0..5usize, 1..=3),
+        ) {
+            let db = {
+                let mut db = db_two(2, left, 1, right);
+                db.insert(TableId(2), Table::from_rows(2, third).unwrap());
+                db
+            };
+            let join = Box::new(ExecNode::NestedLoopJoin {
+                left: Box::new(ExecNode::HashJoin {
+                    left: scan(0),
+                    right: scan(1),
+                    spec: simple_spec(2, 1, vec![(1, 0)]),
+                }),
+                right: scan(2),
+                spec: JoinSpec {
+                    eq_pairs: vec![],
+                    assemble: vec![(Side::Right, 1, 1), (Side::Left, 0, 3), (Side::Right, 0, 1)],
+                },
+            });
+            let project = |cols: Vec<usize>| Box::new(ExecNode::Project { input: join.clone(), cols });
+            let aggregate = Box::new(ExecNode::HashAgg {
+                input: scan(0),
+                group: vec![1, 0],
+                aggs: vec![AggSpec { func: AggFunc::CountStar, arg: None }],
+            });
+            let inputs = [
+                scan(0),
+                join.clone(),
+                project(vec![3, 1, 2, 0, 4]),
+                project(vec![2, 2, 0]),
+                aggregate,
+            ];
+            for input in inputs {
+                let src = input.run(&db).unwrap();
+                let keys: Vec<usize> = keys.iter().map(|&k| k % src.width()).collect();
+                let sort = ExecNode::Sort { input, keys: keys.clone() };
+                prop_assert_eq!(sort.run(&db).unwrap().ids, sorted_by_value(&src, &keys), "{:?}", sort);
             }
         }
     }

@@ -1,18 +1,24 @@
-//! A warm IndexScan does not sort, proven with a counting allocator.
+//! A warm IndexScan does not sort, and a warm Sort or aggregate does not
+//! rank, proven with a counting allocator.
 //!
 //! An IndexScan reads its table's sorted order from the `Database`,
 //! which sorts it on the first scan that asks for it and keeps it. After
 //! that, the scan's one acquisition is the vector of row numbers it
 //! keeps, exactly what a TableScan with the same filters acquires: a
-//! scan that sorted again would acquire the sort's order too. The count
-//! is exact, so no timing noise can move it.
+//! scan that sorted again would acquire the sort's order too. Sort and
+//! the aggregates compare the dense ranks the `Database` keeps beside
+//! those orders, built the same way: each is one vector, so a first run
+//! acquires exactly one more a rank or order it builds, and a second and
+//! third run acquire alike. The counts are exact, so no timing noise can
+//! move them.
 //!
 //! As in `tests/alloc_counting.rs`, the count is per thread: the test
 //! harness runs tests on sibling threads, and each counts only its own
 //! acquisitions.
 
-use plansample_exec::{ColFilter, Database, ExecNode};
-use plansample_query::CmpOp;
+use plansample_catalog::Datum;
+use plansample_exec::{AggSpec, ColFilter, Database, ExecNode, JoinSpec, Side, Table};
+use plansample_query::{AggFunc, CmpOp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -138,4 +144,111 @@ fn a_warm_index_scan_acquires_what_a_table_scan_does() {
         }
     }
     assert!(scans > 30, "{scans} scans compared");
+}
+
+/// `table` with the numbers of column `col` negated: as many rows of the
+/// same types, equal where they were equal, ordered the other way.
+fn negated(table: &Table, col: usize) -> Table {
+    let rows = table.rows().iter().map(|row| {
+        let mut row = row.clone();
+        row[col] = match &row[col] {
+            Datum::Int(n) => Datum::Int(-n),
+            Datum::Float(x) => Datum::Float(-x),
+            other => other.clone(),
+        };
+        row
+    });
+    Table::from_rows(table.width(), rows.collect()).expect("same width")
+}
+
+#[test]
+fn warm_sorts_and_aggregates_rank_once() {
+    let (catalog, tables) = plansample_catalog::tpch::catalog();
+    let tiny = plansample_datagen::MicroScale::tiny();
+    let (customer, orders) = (tables.customer, tables.orders);
+    let scan = |table| {
+        Box::new(ExecNode::TableScan {
+            table,
+            filters: vec![],
+        })
+    };
+    // Each plan; the rank vectors and orders its first run builds; and
+    // the (table, column) it negates, every table it reads replaced.
+    let cases = [
+        (
+            // o_orderdate's order and ranks, column 0's order and the
+            // whole row's ranks.
+            "a Sort over a scan",
+            ExecNode::Sort {
+                input: scan(orders),
+                keys: vec![2],
+            },
+            4,
+            vec![(orders, 2)],
+        ),
+        (
+            // o_totalprice's order and ranks, and each table's column-0
+            // order and whole-row ranks; the join keys are negated on both
+            // sides, so the same rows match.
+            "a Sort over a hash join",
+            ExecNode::Sort {
+                input: Box::new(ExecNode::HashJoin {
+                    left: scan(customer),
+                    right: scan(orders),
+                    spec: JoinSpec {
+                        eq_pairs: vec![(0, 1)],
+                        assemble: vec![(Side::Left, 0, 5), (Side::Right, 0, 5)],
+                    },
+                }),
+                keys: vec![8],
+            },
+            6,
+            vec![(customer, 0), (orders, 1)],
+        ),
+        (
+            // c_nationkey's order and ranks.
+            "a HashAgg",
+            ExecNode::HashAgg {
+                input: scan(customer),
+                group: vec![2],
+                aggs: vec![AggSpec {
+                    func: AggFunc::CountStar,
+                    arg: None,
+                }],
+            },
+            2,
+            vec![(customer, 2)],
+        ),
+    ];
+    for (name, plan, builds, replace) in cases {
+        let generate = || plansample_datagen::generate(&catalog, &tables, &tiny, 7);
+        let mut db = generate();
+        // `generate` built nothing, so the first run builds every rank
+        // and order the plan reads; the later runs build none.
+        let runs = [(); 3].map(|()| acquisitions(&plan, &db));
+        assert_eq!(
+            runs[0] - runs[1],
+            builds,
+            "{name}: runs acquired {runs:?}, {builds} builds expected"
+        );
+        assert_eq!(runs[1], runs[2], "{name} ranked again: {runs:?}");
+
+        let before = plan.execute(&db).expect("the plan executes");
+        let mut cold = generate();
+        for &(table, col) in &replace {
+            let new = negated(db.table(table).unwrap(), col);
+            db.insert(table, new.clone());
+            cold.insert(table, new);
+        }
+        // What insert replaced is ranked anew, as by a first run, and the
+        // plan reads the new rows.
+        assert_eq!(
+            acquisitions(&plan, &db),
+            runs[0],
+            "{name}: the run after insert"
+        );
+        let after = plan.execute(&db).expect("the plan executes");
+        assert_eq!(after, plan.execute(&cold).unwrap(), "{name}");
+        assert_ne!(after, before, "{name}: the negated rows differ");
+    }
 }
