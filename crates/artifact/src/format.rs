@@ -141,6 +141,7 @@ fn truncated(detail: impl Into<String>) -> ArtifactError {
 /// room left for them at the front.
 pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
     let memo = prepared.memo();
+    let (root, groups) = (memo.root(), memo.groups());
 
     let table_end = HEADER_LEN + WRITTEN_SECTIONS * ENTRY_LEN;
     let mut w = Writer::new();
@@ -159,7 +160,7 @@ pub fn encode(prepared: &PreparedQuery) -> Vec<u8> {
         section(&mut w, SEC_META, |w| encode_meta(w, prepared)),
         section(&mut w, SEC_QUERY, |w| encode_query(w, prepared.query())),
         section(&mut w, SEC_CONFIG, |w| encode_config(w, prepared.config())),
-        section(&mut w, SEC_MEMO, |w| encode_memo(w, memo)),
+        section(&mut w, SEC_MEMO, |w| encode_memo(w, root, groups)),
         section(&mut w, SEC_BEST, |w| encode_best(w, prepared)),
     ];
 
@@ -789,10 +790,15 @@ fn read_sort_order(r: &mut Reader<'_>) -> Result<SortOrder, ArtifactError> {
     Ok(SortOrder::on(cols))
 }
 
-fn encode_memo(w: &mut Writer, memo: &Memo) {
-    w.u32(memo.root().0);
-    w.u32(memo.num_groups() as u32);
-    for group in memo.groups() {
+/// The memo section: the root, then each group (a test's may not fit).
+fn encode_memo<'m>(
+    w: &mut Writer,
+    root: GroupId,
+    groups: impl ExactSizeIterator<Item = &'m plansample_memo::Group>,
+) {
+    w.u32(root.0);
+    w.u32(groups.len() as u32);
+    for group in groups {
         match group.key {
             GroupKey::Rels(set) => {
                 w.u8(0);
@@ -1046,6 +1052,7 @@ fn decode_best(bytes: &[u8]) -> Result<(PlanNode, f64), ArtifactError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use plansample_memo::Group;
     use plansample_optimizer::OptimizerConfig;
     use proptest::prelude::*;
 
@@ -1227,42 +1234,56 @@ mod tests {
         }
     }
 
-    /// Q5's artifact with its memo replaced by `rewrite` of it, built
-    /// by hand (`Memo::from_parts` would refuse it) to the same length,
-    /// and every sum resealed: only the memo's shape is left to refuse
-    /// it. What the load says, as text.
-    fn load_rewritten(rewrite: impl Fn(GroupId, &mut PhysicalOp)) -> String {
-        let mut bytes = encode(&prepared(false));
-        let info = inspect(&bytes).expect("inspects");
-        let index = info.sections.iter().position(|s| s.name == "memo");
-        let index = index.expect("a memo section");
-        let (offset, len) = (info.sections[index].offset, info.sections[index].len);
-        let (offset, len) = (offset as usize, len as usize);
-        let memo = decode_memo(&bytes[offset..offset + len]).expect("decodes");
-        let mut rewritten = Memo::new();
-        for g in memo.groups() {
-            let group = rewritten.add_group(g.key);
-            for op in &g.logical {
-                rewritten.add_logical(group, op.clone());
-            }
-            let mut physical = g.physical.clone();
-            physical.iter_mut().for_each(|e| rewrite(group, &mut e.op));
-            rewritten.append_physical(group, physical);
-        }
-        rewritten.set_root(memo.root());
+    /// Q5's artifact with its memo section written from `root` and
+    /// `groups` — parts, so `Memo::from_parts`, which the load runs, may
+    /// refuse them — the sections after it moved to stay aligned, and
+    /// every sum resealed: only the memo's shape is left to refuse it.
+    /// What the load says, as text.
+    fn load_with_memo(root: GroupId, groups: &[Group]) -> String {
+        let image = encode(&prepared(false));
+        let info = inspect(&image).expect("inspects");
+        let table_end = HEADER_LEN + info.sections.len() * ENTRY_LEN;
         let mut w = Writer::new();
-        encode_memo(&mut w, &rewritten);
-        let section = w.into_inner();
-        assert_eq!(section.len(), len);
-        bytes[offset..offset + len].copy_from_slice(&section);
-        let e = HEADER_LEN + index * ENTRY_LEN;
-        bytes[e + 24..e + 32].copy_from_slice(&lane_sum(&section).to_le_bytes());
+        w.zeros(table_end);
+        let rows: Vec<_> = (info.sections.iter())
+            .map(|s| {
+                section(&mut w, 0, |w| match s.name {
+                    "memo" => encode_memo(w, root, groups.iter()),
+                    _ => {
+                        let at = s.offset as usize;
+                        image[at..at + s.len as usize].iter().for_each(|&b| w.u8(b));
+                    }
+                })
+            })
+            .collect();
+        let mut bytes = w.into_inner();
+        bytes[..table_end].copy_from_slice(&image[..table_end]);
+        for (i, (_, offset, len)) in rows.into_iter().enumerate() {
+            let e = HEADER_LEN + i * ENTRY_LEN;
+            let sum = lane_sum(&bytes[offset..offset + len]);
+            bytes[e + 8..e + 16].copy_from_slice(&(offset as u64).to_le_bytes());
+            bytes[e + 16..e + 24].copy_from_slice(&(len as u64).to_le_bytes());
+            bytes[e + 24..e + 32].copy_from_slice(&sum.to_le_bytes());
+        }
         let file_sum = lane_sum(&bytes[HEADER_LEN..]);
         bytes[16..24].copy_from_slice(&file_sum.to_le_bytes());
         match decode(&bytes) {
             Err(ArtifactError::Malformed { reason }) => reason,
             other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
         }
+    }
+
+    /// [`load_with_memo`] of Q5's memo with every operator `rewrite`n.
+    fn load_rewritten(rewrite: impl Fn(GroupId, &mut PhysicalOp)) -> String {
+        let q5 = prepared(false);
+        let memo = q5.memo();
+        let groups: Vec<Group> = (memo.groups().cloned())
+            .map(|mut g| {
+                g.physical.iter_mut().for_each(|e| rewrite(g.id, &mut e.op));
+                g
+            })
+            .collect();
+        load_with_memo(memo.root(), &groups)
     }
 
     /// A stored memo whose plan graph is cyclic — the root's hash
@@ -1303,45 +1324,36 @@ mod tests {
     }
 
     /// A chain of 1 000 groups, each one's join reading a one-scan group
-    /// and the group below, saved as a plan space (built by hand, so
-    /// nothing checked it): the tree API recurses once a level, and a
-    /// chain like it 10⁵ deep overflowed a thread's stack. No chain over
-    /// 64 relations is that deep with every join splitting its group's
-    /// relation set, so the load refuses it at its first join.
+    /// and the group below, stored as a plan space's memo: the tree API
+    /// recurses once a level, and a chain like it 10⁵ deep overflowed a
+    /// thread's stack. No chain over 64 relations is that deep with every
+    /// join splitting its group's relation set, so the load refuses it
+    /// at its first join.
     #[test]
     fn a_stored_chain_deeper_than_its_relations_is_malformed() {
         const DEPTH: u64 = 1_000;
-        let q5 = prepared(false);
         let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
-        let mut memo = Memo::new();
-        let scan = memo.add_group(GroupKey::Rels(relset_from_mask(1)));
-        memo.append_physical(scan, vec![expr(PhysicalOp::TableScan { rel: RelId(0) })]);
-        let chain: Vec<GroupId> = (2..DEPTH + 2)
-            .map(|mask| memo.add_group(GroupKey::Rels(relset_from_mask(mask))))
-            .collect();
-        for pair in chain.windows(2) {
+        let scan = |rel| vec![expr(PhysicalOp::TableScan { rel: RelId(rel) })];
+        let group = |mask: u64, physical| Group {
+            id: GroupId(mask as u32 - 1),
+            key: GroupKey::Rels(relset_from_mask(mask)),
+            logical: vec![],
+            physical,
+        };
+        let mut groups = vec![group(1, scan(0))];
+        groups.extend((2..DEPTH + 2).map(|mask| {
             let join = PhysicalOp::HashJoin {
-                left: pair[1],
-                right: scan,
+                left: GroupId(mask as u32),
+                right: GroupId(0),
             };
-            memo.append_physical(pair[0], vec![expr(join)]);
-        }
-        let last = expr(PhysicalOp::TableScan { rel: RelId(1) });
-        memo.append_physical(chain[chain.len() - 1], vec![last]);
-        memo.set_root(chain[0]);
-        let space = PlanSpace::build(&memo, q5.query()).expect("a hand-built chain builds");
-        let best = space
-            .unrank(&plansample_bignum::Nat::zero())
-            .expect("one plan");
-        let cost = best.total_cost(space.memo());
-        let deep = PreparedQuery::from_parts(space, best, cost, q5.config().clone());
-        match decode(&encode(&deep.expect("its own plan"))) {
-            Err(ArtifactError::Malformed { reason }) => assert!(
-                reason.contains("group 1 holds a join whose inputs do not split"),
-                "{reason}"
-            ),
-            other => panic!("expected Malformed, got {:?}", other.map(|_| ())),
-        }
+            group(mask, vec![expr(join)])
+        }));
+        groups.last_mut().expect("a chain").physical = scan(1);
+        let reason = load_with_memo(GroupId(1), &groups);
+        assert!(
+            reason.contains("group 1 holds a join whose inputs do not split"),
+            "{reason}"
+        );
     }
 
     #[test]

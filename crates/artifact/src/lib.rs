@@ -34,10 +34,11 @@
 //! plan graph rebuilt (`Links::build`), so a truncated, bit-flipped, or
 //! adversarial file surfaces as a typed [`ArtifactError`] — never UB,
 //! never a panic, never links that are not the memo's. The shape check
-//! is the load's one guard on the memo: it makes a stored plan graph
-//! acyclic and no deeper, and its counts no wider, than an optimizer's
-//! over as many relations, so the scan and the count fold are a
-//! prepare's, unguarded. What a load allocates for the
+//! is the load's one guard on the memo: a memo built in the program is
+//! held to the same shape as it is built, so a stored plan graph is, as
+//! every memo's is, acyclic and at most 130 levels deep with counts
+//! below 2⁸¹⁹², and the scan and the count fold are a prepare's,
+//! unguarded. What a load allocates for the
 //! links is bounded by the memo's expression count
 //! (`MAX_POOL_PER_EXPR` pool entries each); its time is not bounded by
 //! the file's size: the scan is quadratic in the classes of one group,
@@ -93,8 +94,8 @@ pub enum ArtifactError {
         detail: String,
     },
     /// The bytes decode but do not describe a plan space — duplicate
-    /// group keys, out-of-range ids, a cyclic memo, a fingerprint that
-    /// disagrees with the content, and so on.
+    /// group keys, out-of-range ids, an operator in a group it does not
+    /// fit, a fingerprint that disagrees with the content, and so on.
     Malformed {
         /// The first violated invariant.
         reason: String,

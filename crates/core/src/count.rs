@@ -597,47 +597,52 @@ mod tests {
         }
     }
 
-    /// A memo in which join `i` reads the group of join `i − 1` in both
-    /// slots, over a group of two scans: `N = 2^(2^(i+1))`. Its relation
-    /// sets are not what the joins cover: built by hand, it is checked by
-    /// nothing, and `Memo::from_parts` would refuse it.
-    /// The scan lists the scans first, then join `i` as list `i + 1`; the
-    /// last join's group, which no slot reads, is the root list; topo is
-    /// the two scans, then the joins in order.
-    fn squaring_chain(joins: u32) -> Links {
-        use plansample_memo::{GroupKey, Memo, PhysicalExpr, PhysicalOp};
-        use plansample_query::{RelId, RelSet};
+    /// A left-deep chain of `joins` hash joins over relations `0..=joins`,
+    /// every relation's group holding sixteen scans — its table scan and
+    /// fifteen index scans — so join `i`, over `{0, …, i + 1}`, roots
+    /// `16^(i+2)` plans. The relation groups are made first, then the
+    /// join groups: join `i` reads lists `2i` and `2i + 1`, the last
+    /// join's group, which no slot reads, is the root list, and topo is
+    /// the scans, then the joins in order.
+    fn sixteen_scan_chain(joins: u32) -> Links {
+        use plansample_memo::{GroupId, GroupKey, Memo, PhysicalExpr, PhysicalOp};
+        use plansample_query::{ColRef, RelId, RelSet};
 
+        let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
         let mut memo = Memo::new();
-        let scans = memo.add_group(GroupKey::Rels(RelSet::all(1)));
-        for rel in 0..2 {
-            let scan = PhysicalOp::TableScan { rel: RelId(rel) };
-            memo.add_physical(scans, PhysicalExpr::new(scan, 1.0, 1.0));
+        for rel in (0..=joins).map(RelId) {
+            let group = memo.add_group(GroupKey::Rels(RelSet::singleton(rel)));
+            let indexes = (0..15).map(|col| PhysicalOp::SortedIdxScan {
+                rel,
+                col: ColRef { rel, col },
+            });
+            let scans = std::iter::once(PhysicalOp::TableScan { rel }).chain(indexes);
+            memo.append_physical(group, scans.map(expr).collect());
         }
-        let mut below = scans;
+        let mut below = GroupId(0);
         for i in 0..joins {
             let group = memo.add_group(GroupKey::Rels(RelSet::all(i as usize + 2)));
             let join = PhysicalOp::HashJoin {
                 left: below,
-                right: below,
+                right: GroupId(i + 1),
             };
-            memo.add_physical(group, PhysicalExpr::new(join, 1.0, 1.0));
+            memo.add_physical(group, expr(join));
             below = group;
         }
         memo.set_root(below);
         let links = Links::build(&memo, &paper_example::build().query).expect("a chain");
         let topo: Vec<u32> = links.topo().iter().map(|d| d.0).collect();
-        assert_eq!(topo, (0..joins + 2).collect::<Vec<_>>());
-        assert_eq!(links.root_list(), ListId(joins));
+        assert_eq!(topo, (0..17 * joins + 16).collect::<Vec<_>>());
+        assert_eq!(links.root_list(), ListId(2 * joins));
         links
     }
 
     /// The ladder resumes where a narrower fold overflowed, partway
-    /// through `topo`: on a squaring chain of ten joins the `u64` fold
-    /// stops at join 5 (`2^64`), the `u128` fold resumes there and stops
-    /// at join 6 (`2^128`), and the exact fold finishes. Its tables are
-    /// the ones an exact fold started afresh gives; six joins stop on
-    /// the `u128` rung, with a fresh `u128` fold's tables.
+    /// through `topo`: on a sixteen-scan chain of forty joins the `u64`
+    /// fold stops at join 14 (`2^64`), the `u128` fold resumes there and
+    /// stops at join 30 (`2^128`), and the exact fold finishes. Its
+    /// tables are the ones an exact fold started afresh gives; twenty
+    /// joins stop on the `u128` rung, with a fresh `u128` fold's tables.
     #[test]
     fn a_ladder_overflowing_partway_through_topo_resumes_to_a_fresh_folds_tables() {
         fn same<W: Word + std::fmt::Debug>(a: &TierCounts<W>, b: &TierCounts<W>) {
@@ -645,16 +650,16 @@ mod tests {
             assert_eq!(a.pool, b.pool);
             assert_eq!(a.list_totals, b.list_totals);
         }
-        let links = squaring_chain(10);
-        let topo = links.topo().len();
+        let links = sixteen_scan_chain(40);
+        let (topo, scans) = (links.topo().len(), 16 * 41);
         let Err(at) = TierCounts::fold(&links, Partial::<u64>::new(&links)) else {
             panic!("2^64 does not fit u64");
         };
-        assert_eq!(at.next, 2 + 5, "the scans and joins 0-4 fit one limb");
+        assert_eq!(at.next, scans + 14, "the scans and joins 0-13 fit one limb");
         let Err(at) = TierCounts::fold(&links, at.two_limbs()) else {
             panic!("2^128 does not fit u128");
         };
-        assert_eq!(at.next, 2 + 6);
+        assert_eq!(at.next, scans + 30);
         assert!(at.next < topo);
         let Ok(resumed) = TierCounts::fold(&links, at.exact()) else {
             panic!("Nat holds any count");
@@ -665,16 +670,19 @@ mod tests {
         same(&resumed, &fresh);
         let counts = Counts::compute(&links);
         assert_eq!(counts.tier(), CountTier::Nat);
-        assert_eq!(counts.total().bits(), (1 << 10) + 1);
+        assert_eq!(counts.total().bits(), 4 * 41 + 1);
 
-        let links = squaring_chain(6);
+        let links = sixteen_scan_chain(20);
         let counts = Counts::compute(&links);
         let Ok(fresh) = TierCounts::fold(&links, Partial::<u128>::new(&links)) else {
             panic!("2^128 plans need two limbs");
         };
         match &counts.store {
             Store::U128(resumed) => same(resumed, &fresh),
-            _ => panic!("six joins are a two-limb space, stored {}", counts.tier()),
+            _ => panic!(
+                "twenty joins are a two-limb space, stored {}",
+                counts.tier()
+            ),
         }
     }
 }

@@ -93,13 +93,6 @@ use std::sync::Arc;
 /// Errors from plan-space construction and rank operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpaceError {
-    /// The memo's link graph contains a cycle. Only a hand-built memo
-    /// can: the optimizer makes none, and `Memo::from_parts` refuses a
-    /// stored one before it is scanned.
-    CyclicMemo {
-        /// An expression on the cycle.
-        at: PhysId,
-    },
     /// `unrank` was called with a rank outside `[0, N)`.
     RankOutOfRange {
         /// The requested rank.
@@ -126,9 +119,6 @@ pub enum SpaceError {
 impl fmt::Display for SpaceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SpaceError::CyclicMemo { at } => {
-                write!(f, "memo link graph is cyclic at expression {at}")
-            }
             SpaceError::RankOutOfRange { rank, total } => {
                 write!(f, "rank {rank} outside the plan space of size {total}")
             }
@@ -146,11 +136,8 @@ impl std::error::Error for SpaceError {}
 
 impl From<LinksError> for SpaceError {
     fn from(e: LinksError) -> Self {
-        match e {
-            LinksError::Cyclic(at) => SpaceError::CyclicMemo { at },
-            LinksError::Oversized => SpaceError::MalformedParts {
-                reason: e.to_string(),
-            },
+        SpaceError::MalformedParts {
+            reason: e.to_string(),
         }
     }
 }

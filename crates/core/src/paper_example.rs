@@ -258,7 +258,7 @@ pub fn build() -> PaperExample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Links, LinksError, ListId, PlanSpace, SpaceError};
+    use crate::{Links, ListId};
 
     #[test]
     fn fixture_shape() {
@@ -397,8 +397,8 @@ mod tests {
         let scan = PhysicalOp::TableScan { rel: RelId(0) };
         let mut memo = Memo::new();
         let scans = memo.add_group(GroupKey::Rels(RelSet::all(1)));
-        let empty = memo.add_group(GroupKey::Rels(RelSet::all(2)));
-        let joins = memo.add_group(GroupKey::Rels(RelSet::all(3)));
+        let empty = memo.add_group(GroupKey::Rels(RelSet::singleton(RelId(1))));
+        let joins = memo.add_group(GroupKey::Rels(RelSet::all(2)));
         memo.add_physical(scans, PhysicalExpr::new(scan, 1.0, 1.0));
         let (left, right) = (scans, empty);
         let join = PhysicalExpr::new(PhysicalOp::HashJoin { left, right }, 1.0, 1.0);
@@ -461,63 +461,5 @@ mod tests {
             .slot_lists
             .iter()
             .all(|&l| (l as usize) < links.num_lists()));
-    }
-
-    /// Two mutually-referencing "joins" in the same group cannot occur via
-    /// the optimizer, but a hand-built memo can express a cycle through a
-    /// self-join of groups: g1.join(g0, g1) — child group equals own
-    /// group with an always-satisfied requirement. Its join is `1.1`.
-    fn cyclic_memo() -> Memo {
-        let mut memo = Memo::new();
-        let g0 = memo.add_group(GroupKey::Rels(RelSet::all(1)));
-        memo.add_physical(
-            g0,
-            PhysicalExpr::new(PhysicalOp::TableScan { rel: RelId(0) }, 1.0, 1.0),
-        )
-        .unwrap();
-        let g1 = memo.add_group(GroupKey::Rels(RelSet::all(2)));
-        memo.add_physical(
-            g1,
-            PhysicalExpr::new(
-                PhysicalOp::NestedLoopJoin {
-                    left: g0,
-                    right: g1,
-                },
-                1.0,
-                1.0,
-            ),
-        )
-        .unwrap();
-        memo.set_root(g1);
-        memo
-    }
-
-    #[test]
-    fn cyclic_hand_built_memo_is_rejected() {
-        let ex = build();
-        let Err(LinksError::Cyclic(at)) = Links::build(&cyclic_memo(), &ex.query) else {
-            panic!("a cyclic memo is refused as cyclic");
-        };
-        assert_eq!(
-            PlanSpace::build(&cyclic_memo(), &ex.query).unwrap_err(),
-            SpaceError::CyclicMemo { at }
-        );
-    }
-
-    /// The optimizer's cost fold reads the same table and cannot return
-    /// an error: it stops at the cycle with a panic naming the join, not
-    /// a stack overflow that aborts the process.
-    #[test]
-    #[should_panic(expected = "cyclic memo: expression 1.1")]
-    fn cyclic_hand_built_memo_panics_in_compute_totals() {
-        let ex = build();
-        plansample_optimizer::compute_totals(&cyclic_memo(), &ex.query);
-    }
-
-    #[test]
-    #[should_panic(expected = "cyclic memo: expression 1.1")]
-    fn cyclic_hand_built_memo_panics_in_prune() {
-        let ex = build();
-        plansample_optimizer::prune(&cyclic_memo(), &ex.query, 1.0);
     }
 }

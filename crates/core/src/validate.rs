@@ -248,24 +248,39 @@ mod tests {
 
     /// The paper's first failure class: "the optimizer considered an
     /// invalid alternative". Delivered orders are derived from the
-    /// operator, so a memo whose *claimed* order lies is no longer
-    /// representable; the representable fault is an alternative that
-    /// computes the wrong thing. This injects a scan of relation C into
-    /// group A (same column count, different rows): every plan choosing
-    /// it produces divergent results.
+    /// operator, and every memo has an optimizer's shape, so neither a
+    /// memo whose *claimed* order lies nor a scan in another relation's
+    /// group is representable; the representable fault is an alternative
+    /// that computes the wrong thing. This injects a merge join of A and
+    /// B on `a.k = b.m`, which is not their predicate `a.k = b.k`, over B
+    /// sorted on `b.m` by a Sort of its own: no `a.k` of the fixture
+    /// equals a `b.m`, so every plan choosing the join produces divergent
+    /// results.
     fn faulty_example() -> (Catalog, PlanSpace) {
+        use plansample_memo::{PhysicalExpr, PhysicalOp, SortOrder};
+        use plansample_query::{ColRef, RelId};
         let mut ex = paper_example::build();
-        let rc = ex.query.join_edges[1].right.rel; // relation c
+        let a_k = ColRef {
+            rel: RelId(0),
+            col: 0,
+        };
+        let b_m = ColRef {
+            rel: RelId(1),
+            col: 1,
+        };
+        let target = SortOrder::on_col(b_m);
+        let sort = PhysicalExpr::new(PhysicalOp::Sort { target }, 80.0, 200.0);
+        ex.memo.add_physical(ex.group_b, sort).expect("a new Sort");
+        let merge = PhysicalOp::MergeJoin {
+            left: ex.group_a,
+            right: ex.group_b,
+            left_key: a_k,
+            right_key: b_m,
+        };
+        let merge = PhysicalExpr::new(merge, 300.0, 200.0);
         ex.memo
-            .add_physical(
-                ex.group_a,
-                plansample_memo::PhysicalExpr::new(
-                    plansample_memo::PhysicalOp::TableScan { rel: rc },
-                    100.0,
-                    100.0,
-                ),
-            )
-            .expect("distinct operator admitted");
+            .add_physical(ex.group_ab, merge)
+            .expect("a new merge join");
         let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
         (ex.catalog, space)
     }

@@ -21,7 +21,8 @@
 //! The memo can be populated by the optimizer (crate
 //! `plansample-optimizer`) or built by hand — the latter is how the test
 //! suite reproduces the worked example of the paper's Figures 2/3 and
-//! appendix.
+//! appendix. Either way it has the shape [`Memo::from_parts`] describes:
+//! the builders refuse an operator that does not fit its group.
 //!
 //! A memo's plan graph — §3.1's "links between operators and their
 //! possible children", the root group's list, and a children-before-
@@ -176,7 +177,7 @@ impl Memo {
     }
 
     /// All groups in creation order.
-    pub fn groups(&self) -> impl Iterator<Item = &Group> {
+    pub fn groups(&self) -> impl ExactSizeIterator<Item = &Group> {
         self.groups.iter()
     }
 
@@ -231,7 +232,12 @@ impl Memo {
 
     /// Adds a physical expression, returning its id, or `None` when a
     /// structurally identical operator already exists in the group.
+    ///
+    /// # Panics
+    /// Panics, with [`from_parts`](Self::from_parts)' reason, on an
+    /// operator that does not fit the group or reads no group yet made.
     pub fn add_physical(&mut self, gid: GroupId, expr: PhysicalExpr) -> Option<PhysId> {
+        self.fit(gid, &expr.op);
         let group = &mut self.groups[gid.0 as usize];
         if group.physical.iter().any(|e| e.op == expr.op) {
             return None;
@@ -249,8 +255,22 @@ impl Memo {
     /// whole-group comparison is quadratic in group size (clique-10's
     /// root group is 25 084 wide); here distinctness is only
     /// `debug_assert!`ed, and [`from_parts`](Self::from_parts) re-checks
-    /// it on every stored memo.
+    /// it on every stored memo. Panics as `add_physical` does, checking a
+    /// run of joins over one split once.
     pub fn append_physical(&mut self, gid: GroupId, exprs: Vec<PhysicalExpr>) {
+        let mut fitted = None;
+        for expr in &exprs {
+            let split = match expr.op {
+                PhysicalOp::NestedLoopJoin { left, right }
+                | PhysicalOp::HashJoin { left, right }
+                | PhysicalOp::MergeJoin { left, right, .. } => Some((left, right)),
+                _ => None,
+            };
+            if split.is_none() || split != fitted {
+                self.fit(gid, &expr.op);
+                fitted = split;
+            }
+        }
         let group = &mut self.groups[gid.0 as usize];
         if group.physical.is_empty() {
             group.physical = exprs;
@@ -265,6 +285,15 @@ impl Memo {
             "appended physical expressions must be distinct in group {}",
             gid.0
         );
+    }
+
+    /// Panics with [`from_parts`](Self::from_parts)' reason if `op`
+    /// does not fit group `gid`.
+    fn fit(&self, gid: GroupId, op: &PhysicalOp) {
+        let key_of = |g: GroupId| self.groups.get(g.0 as usize).map(|g| g.key);
+        if let Some(fault) = misfit(op, self.groups[gid.0 as usize].key, key_of) {
+            panic!("group {} holds {fault}", gid.0);
+        }
     }
 
     /// The physical expression behind `id`.
@@ -315,7 +344,7 @@ impl Memo {
     /// further relation, an aggregate and its Sort. This is the one
     /// check a stored memo gets:
     /// everything downstream (the scan's level fold, §3.2's count fold,
-    /// the tree API's recursion) relies on it.
+    /// the tree API's recursion) relies on it, and the builders run it.
     ///
     /// The parts are stored bytes, which come from outside the program,
     /// so the duplicate check hashes nothing: each group's operators are
@@ -938,11 +967,11 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
     }
 
-    /// A memo of every shape the refusal tests below need, each group
-    /// holding what fits it — `{0}`, `{1}`, `{2}` (a scan each), `{0, 1}`
-    /// (a join of `{0}` and `{1}`), `{1, 2}`, `{0, 1, 2}`, the empty set
-    /// and the aggregate group — plus `op` in group `group`.
-    fn with(group: usize, op: PhysicalOp) -> Result<Memo, String> {
+    /// The parts of a memo of every shape the refusal tests below need,
+    /// each group holding what fits it — `{0}`, `{1}`, `{2}` (a scan
+    /// each), `{0, 1}` (a join of `{0}` and `{1}`), `{1, 2}`, `{0, 1,
+    /// 2}`, the empty set and the aggregate group — rooted at `{0, 1, 2}`.
+    fn fitting_parts() -> Vec<(GroupKey, Vec<LogicalOp>, Vec<PhysicalExpr>)> {
         let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
         let scan = |rel| vec![expr(PhysicalOp::TableScan { rel: RelId(rel) })];
         let join = |left, right| {
@@ -951,7 +980,7 @@ mod tests {
                 right: GroupId(right),
             })]
         };
-        let mut parts = vec![
+        vec![
             (GroupKey::Rels(rs(&[0])), vec![], scan(0)),
             (GroupKey::Rels(rs(&[1])), vec![], scan(1)),
             (GroupKey::Rels(rs(&[2])), vec![], scan(2)),
@@ -960,10 +989,147 @@ mod tests {
             (GroupKey::Rels(rs(&[0, 1, 2])), vec![], join(3, 2)),
             (GroupKey::Rels(RelSet::EMPTY), vec![], vec![]),
             (GroupKey::Agg, vec![], vec![]),
-        ];
+        ]
+    }
+
+    /// [`fitting_parts`] plus `op` in group `group`, through `from_parts`.
+    fn with(group: usize, op: PhysicalOp) -> Result<Memo, String> {
+        let mut parts = fitting_parts();
         Memo::from_parts(parts.clone(), 5).expect("every operator fits its group");
-        parts[group].2.push(expr(op));
+        parts[group].2.push(PhysicalExpr::new(op, 1.0, 1.0));
         Memo::from_parts(parts, 5)
+    }
+
+    /// [`fitting_parts`] through the builders — every group first, then
+    /// each group's operators appended — plus `op` in group `group`, by
+    /// `append_physical` or by `add_physical`.
+    fn built_with(group: u32, op: PhysicalOp, append: bool) -> Memo {
+        let parts = fitting_parts();
+        let mut memo = Memo::new();
+        for (key, _, _) in &parts {
+            memo.add_group(*key);
+        }
+        for (i, (_, _, physical)) in parts.into_iter().enumerate() {
+            memo.append_physical(GroupId(i as u32), physical);
+        }
+        let expr = PhysicalExpr::new(op, 1.0, 1.0);
+        if append {
+            memo.append_physical(GroupId(group), vec![expr]);
+        } else {
+            memo.add_physical(GroupId(group), expr);
+        }
+        memo
+    }
+
+    #[test]
+    fn the_builders_admit_what_from_parts_admits() {
+        let memo = built_with(7, PhysicalOp::HashAgg { input: GroupId(5) }, false);
+        let parts = memo.groups().map(|g| (g.key, vec![], g.physical.clone()));
+        Memo::from_parts(parts.collect(), 5).expect("the same shape");
+        let target = SortOrder::on_col(col(0, 0));
+        built_with(6, PhysicalOp::Sort { target }, false);
+        // A run over one split is checked at its first join, and a
+        // misfit after it still is.
+        let mut memo = built_with(3, hash_join(1, 0), true);
+        let nested = PhysicalOp::NestedLoopJoin {
+            left: GroupId(1),
+            right: GroupId(0),
+        };
+        memo.append_physical(GroupId(3), vec![PhysicalExpr::new(nested, 1.0, 1.0)]);
+        let merge = PhysicalOp::MergeJoin {
+            left: GroupId(0),
+            right: GroupId(1),
+            left_key: col(0, 0),
+            right_key: col(1, 0),
+        };
+        let run = [merge, hash_join(2, 2)].map(|op| PhysicalExpr::new(op, 1.0, 1.0));
+        let refused =
+            std::panic::catch_unwind(move || memo.append_physical(GroupId(3), run.into()));
+        let reason = refused.expect_err("the second join misfits");
+        assert_eq!(
+            reason.downcast_ref::<String>().map(String::as_str),
+            Some(format!("group 3 holds {SPLIT}").as_str())
+        );
+    }
+
+    /// Each misfit `from_parts` refuses, added by `add_physical` and
+    /// appended by `append_physical`: both panic with its reason.
+    macro_rules! refused_by_both_builders {
+        ($($add:ident, $append:ident: $group:expr, $op:expr, $reason:literal;)*) => {$(
+            #[test]
+            #[should_panic(expected = $reason)]
+            fn $add() {
+                built_with($group, $op, false);
+            }
+            #[test]
+            #[should_panic(expected = $reason)]
+            fn $append() {
+                built_with($group, $op, true);
+            }
+        )*};
+    }
+
+    refused_by_both_builders! {
+        // A scan of relation 1 in `{0}`.
+        add_refuses_a_scan_in_another_relations_group,
+        append_refuses_a_scan_in_another_relations_group:
+            0, PhysicalOp::TableScan { rel: RelId(1) },
+            "group 0 holds a scan outside its relation's one-relation group";
+        // `{0, 1}` joining `{0}` with `{0, 1}` itself: a cycle.
+        add_refuses_a_join_reading_its_own_group,
+        append_refuses_a_join_reading_its_own_group:
+            3, hash_join(0, 3),
+            "group 3 holds a join whose inputs do not split its relation set in two";
+        add_refuses_a_join_reading_one_group_twice,
+        append_refuses_a_join_reading_one_group_twice:
+            3, hash_join(1, 1),
+            "group 3 holds a join whose inputs do not split its relation set in two";
+        // `{0, 1}` and `{1, 2}` in `{0, 1, 2}`.
+        add_refuses_join_inputs_that_overlap,
+        append_refuses_join_inputs_that_overlap:
+            5, hash_join(3, 4),
+            "group 5 holds a join whose inputs do not split its relation set in two";
+        // `{0}` and `{1}` in `{0, 1, 2}`.
+        add_refuses_join_inputs_that_fall_short,
+        append_refuses_join_inputs_that_fall_short:
+            5, hash_join(0, 1),
+            "group 5 holds a join whose inputs do not split its relation set in two";
+        // Group 8 is not created yet.
+        add_refuses_a_join_reading_a_group_not_yet_created,
+        append_refuses_a_join_reading_a_group_not_yet_created:
+            3, hash_join(0, 8),
+            "group 3 holds an operator reading a group out of range";
+        add_refuses_an_aggregate_outside_the_aggregate_group,
+        append_refuses_an_aggregate_outside_the_aggregate_group:
+            5, PhysicalOp::HashAgg { input: GroupId(3) },
+            "group 5 holds an aggregate outside the aggregate group or not over relations";
+    }
+
+    /// A chain 10⁵ joins deep, each join reading the group below and a
+    /// one-scan group — deep enough to overflow a thread's stack in any
+    /// recursion a level — is refused at its first join: 64 relations
+    /// admit no chain of more than 63 joins, so its distinct group keys
+    /// cannot be the sets its joins cover.
+    #[test]
+    #[should_panic(expected = "group 2 holds a join whose inputs do not split")]
+    fn a_chain_a_hundred_thousand_joins_deep_is_refused_at_its_first_join() {
+        let scan = |rel| PhysicalExpr::new(PhysicalOp::TableScan { rel: RelId(rel) }, 1.0, 1.0);
+        let mut memo = Memo::new();
+        let mut below = memo.add_group(GroupKey::Rels(rs(&[0])));
+        memo.add_physical(below, scan(0));
+        let scans = memo.add_group(GroupKey::Rels(rs(&[63])));
+        memo.add_physical(scans, scan(63));
+        for depth in 1..=100_000u32 {
+            let bits = (0..32).filter(|bit| depth >> bit & 1 == 1);
+            let key = RelSet::from_iter(bits.map(|bit| RelId(bit + 1)));
+            let group = memo.add_group(GroupKey::Rels(key));
+            let join = PhysicalOp::HashJoin {
+                left: below,
+                right: scans,
+            };
+            memo.add_physical(group, PhysicalExpr::new(join, 1.0, 1.0));
+            below = group;
+        }
     }
 
     /// `with`'s refusal, which must name `group` and `fault`.

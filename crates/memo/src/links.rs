@@ -61,13 +61,11 @@
 //! The order is by *level*, then dense id: a leaf is level 0, and any
 //! other expression one above the highest member of its slot lists (an
 //! empty list counts as 0). It comes from one memoised recursion, one
-//! frame a level. `Memo::from_parts` holds a stored memo to an
-//! optimizer's shape — a join's inputs split its group's relation set —
-//! so no memo from outside the program is deeper than an optimizer's:
-//! at most 130 levels over 64 relations. The fold is also the cycle
-//! check a hand-built memo, which nothing checks, still needs: an
-//! expression met again while its level is being folded is its own
-//! descendant.
+//! frame a level. Every memo has an optimizer's shape — a join's inputs
+//! split its group's relation set, which the builders and
+//! `Memo::from_parts` check — so every plan graph is acyclic and at most
+//! 130 levels deep over 64 relations, and the fold needs no cycle check
+//! and no stack of its own.
 //!
 //! # Classes
 //!
@@ -188,30 +186,23 @@ pub struct Links {
     root_list: ListId,
 }
 
-/// A level not yet known, and one being folded: meeting an expression
-/// whose level is `OPEN` is meeting it again below itself — a cycle,
-/// which only a hand-built memo can have (`Memo::from_parts` refuses a
-/// stored one, and the optimizer makes none).
+/// A level not yet known.
 const UNSEEN: u32 = u32::MAX;
-const OPEN: u32 = u32::MAX - 1;
 
 /// The most pool entries [`Links::build`] makes per expression of the
 /// memo. The optimizer's memos need about two: at most 2.62 over TPC-H
 /// Q3–Q10, with and without cross products, and the synthetic chains,
-/// stars, cycles and cliques up to clique-10. A hand-built or stored
-/// memo can need quadratically more: one group of `n` index scans and
-/// the `n` Sorts that enforce them gives each Sort's input a list of its
-/// own of `n` members.
+/// stars, cycles and cliques up to clique-10. The shape every memo has
+/// does not bound it: a hand-built or stored memo can need
+/// quadratically more, as one group of `n` index scans and the `n`
+/// Sorts that enforce them gives each Sort's input a list of its own of
+/// `n` members.
 pub const MAX_POOL_PER_EXPR: usize = 64;
 
 /// Why [`Links::build`] refused a memo. An optimizer's memo is never
 /// refused; a hand-built or a stored one can be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinksError {
-    /// The plan graph is cyclic: the expression the level fold met again
-    /// while folding it. Only a hand-built memo can be: a stored one
-    /// passed `Memo::from_parts`, whose shape check rules cycles out.
-    Cyclic(PhysId),
     /// The lists would hold more than [`MAX_POOL_PER_EXPR`] entries per
     /// expression. The walk stops at the first list past that bound,
     /// before the pool is allocated.
@@ -220,15 +211,11 @@ pub enum LinksError {
 
 impl fmt::Display for LinksError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LinksError::Cyclic(at) => {
-                write!(f, "cyclic memo: expression {at} is its own descendant")
-            }
-            LinksError::Oversized => write!(
-                f,
-                "the memo's child lists would hold more than {MAX_POOL_PER_EXPR} entries per expression"
-            ),
-        }
+        let LinksError::Oversized = self;
+        write!(
+            f,
+            "the memo's child lists would hold more than {MAX_POOL_PER_EXPR} entries per expression"
+        )
     }
 }
 
@@ -271,11 +258,9 @@ impl Links {
     ///    frontier sorted.
     ///
     /// # Errors
-    /// Only a hand-built or a stored memo is refused:
-    /// [`LinksError::Oversized`] if its lists would outgrow
-    /// [`MAX_POOL_PER_EXPR`], and — a hand-built one only —
-    /// [`LinksError::Cyclic`] if its plan graph is cyclic, naming the
-    /// expression the fold met again while folding it.
+    /// Only a hand-built or a stored memo is refused, and only with
+    /// [`LinksError::Oversized`]: its lists would outgrow
+    /// [`MAX_POOL_PER_EXPR`].
     ///
     /// # Panics
     /// Panics if the memo has no root group.
@@ -454,9 +439,7 @@ impl Links {
         };
 
         // Order: fold the levels, then counting-sort by level, stably.
-        let levels = links
-            .levels()
-            .map_err(|at| LinksError::Cyclic(links.ids.phys(at)))?;
+        let levels = links.levels();
         let mut starts = vec![0; levels.iter().max().map_or(1, |&top| top as usize + 2)];
         for &level in &levels {
             starts[level as usize + 1] += 1;
@@ -472,44 +455,35 @@ impl Links {
         Ok(links)
     }
 
-    /// Every expression's level (see [`build`](Self::build)); `Err`
-    /// names the expression met again while open.
-    fn levels(&self) -> Result<Vec<u32>, DenseId> {
+    /// Every expression's level (see [`build`](Self::build)).
+    fn levels(&self) -> Vec<u32> {
         let mut levels = vec![UNSEEN; self.num_exprs()];
         let mut list_levels = vec![UNSEEN; self.num_lists()];
         for d in (0..self.num_exprs() as u32).map(DenseId) {
-            self.level(d, &mut levels, &mut list_levels)?;
+            self.level(d, &mut levels, &mut list_levels);
         }
-        Ok(levels)
+        levels
     }
 
     /// `d`'s level, folded on a miss and memoised, each list's too. One
-    /// frame a level: `Memo::from_parts` holds a stored memo to 130
-    /// levels, and an optimizer's memo has no more.
-    fn level(
-        &self,
-        d: DenseId,
-        levels: &mut [u32],
-        list_levels: &mut [u32],
-    ) -> Result<u32, DenseId> {
-        match levels[d.idx()] {
-            UNSEEN => levels[d.idx()] = OPEN,
-            OPEN => return Err(d),
-            known => return Ok(known),
+    /// frame a level, and every memo is at most 130 levels deep.
+    fn level(&self, d: DenseId, levels: &mut [u32], list_levels: &mut [u32]) -> u32 {
+        if levels[d.idx()] != UNSEEN {
+            return levels[d.idx()];
         }
         let mut level = 0;
         for &l in self.slot_lists(d) {
             if list_levels[l.idx()] == UNSEEN {
                 let mut above = 0;
                 for &w in self.list(l) {
-                    above = above.max(self.level(w, levels, list_levels)? + 1);
+                    above = above.max(self.level(w, levels, list_levels) + 1);
                 }
                 list_levels[l.idx()] = above;
             }
             level = level.max(list_levels[l.idx()]);
         }
         levels[d.idx()] = level;
-        Ok(level)
+        level
     }
 
     /// Copies the tables out as raw `u32` CSR buffers, expanding the slot
@@ -990,31 +964,6 @@ mod tests {
         assert_eq!(topo, [4, 5, 2, 3, 1, 0]);
     }
 
-    /// A join whose right input is its own group: the fold meets the join
-    /// again while folding it, and the scan is refused naming it.
-    #[test]
-    fn a_cyclic_memo_is_refused_naming_the_expression_met_again() {
-        let (_cat, q) = crate::props::tests::chain_query();
-        let mut memo = Memo::new();
-        let g0 = memo.add_group(GroupKey::Rels(RelSet::all(1)));
-        let scan = PhysicalOp::TableScan { rel: RelId(0) };
-        memo.add_physical(g0, PhysicalExpr::new(scan, 1.0, 1.0));
-        let g1 = memo.add_group(GroupKey::Rels(RelSet::all(2)));
-        let join = PhysicalOp::NestedLoopJoin {
-            left: g0,
-            right: g1,
-        };
-        let join = memo
-            .add_physical(g1, PhysicalExpr::new(join, 1.0, 1.0))
-            .unwrap();
-        memo.set_root(g1);
-        assert_eq!(
-            Links::build(&memo, &q).unwrap_err(),
-            LinksError::Cyclic(join)
-        );
-        assert_eq!(join.to_string(), "1.1");
-    }
-
     /// No cap on the orders a group delivers: 70 index scans on 70
     /// columns and the 70 Sorts that enforce them make 141 classes in
     /// one group, and an aggregate group above asks for each order —
@@ -1346,12 +1295,10 @@ mod tests {
     /// join sits one level above the Sort below it and a Sort one above
     /// the join it sorts, so the levels run 0 … 129. `from_parts` admits
     /// it, and the fold, one frame a level, folds it on a 64 KiB thread.
-    /// The same chain closed into a loop — `{0}` also joining `{0, …,
-    /// 63}` with `{1}` — is no stored memo (`from_parts` refuses it), but
-    /// built by hand it is still refused, naming the expression the fold
-    /// met again: `{0}`'s Sort, whose input the closing join is.
+    /// (The same chain closed into a loop is refused where it is built:
+    /// `*_refuses_a_join_reading_its_own_group` in the crate root.)
     #[test]
-    fn the_deepest_chain_64_relations_admit_folds_on_a_small_stack_and_its_loop_is_refused() {
+    fn the_deepest_chain_64_relations_admit_folds_on_a_small_stack() {
         let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
         let sort = || {
             expr(PhysicalOp::Sort {
@@ -1388,34 +1335,16 @@ mod tests {
             input: GroupId(126),
         });
         parts.push((GroupKey::Agg, vec![], vec![aggregate, sort()]));
-        let chain = Memo::from_parts(parts.clone(), 127).expect("an optimizer's shape");
-
-        let mut closed = Memo::new();
-        for (key, _, physical) in parts {
-            let group = closed.add_group(key);
-            closed.append_physical(group, physical);
-        }
-        closed.append_physical(GroupId(0), vec![join(126, 1)]);
-        closed.set_root(GroupId(127));
+        let chain = Memo::from_parts(parts, 127).expect("an optimizer's shape");
 
         let (_cat, q) = crate::props::tests::chain_query();
-        let (open, closed) = std::thread::Builder::new()
+        let levels = std::thread::Builder::new()
             .stack_size(64 << 10)
-            .spawn(move || {
-                let open = Links::build(&chain, &q).map(|links| links.levels());
-                (open, Links::build(&closed, &q).map(|_| ()))
-            })
+            .spawn(move || Links::build(&chain, &q).map(|links| links.levels()))
             .unwrap()
             .join()
-            .expect("the fold fits a 64 KiB stack");
-        let levels = open
-            .expect("a chain is acyclic")
-            .expect("and so are its levels");
+            .expect("the fold fits a 64 KiB stack")
+            .expect("a chain's lists are small");
         assert_eq!(levels.iter().max(), Some(&129));
-        let sort_of_0 = PhysId {
-            group: GroupId(0),
-            index: 1,
-        };
-        assert_eq!(closed, Err(LinksError::Cyclic(sort_of_0)));
     }
 }

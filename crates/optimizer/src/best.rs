@@ -61,9 +61,8 @@ impl Totals {
 /// `min_by(total_cmp)` returns).
 ///
 /// # Panics
-/// Panics with [`Links::build`]'s error — for a cyclic plan graph, one
-/// naming an expression on the cycle — when the scan refuses the memo:
-/// only a hand-built memo can be refused.
+/// Panics with [`Links::build`]'s error when the scan refuses the memo:
+/// only a hand-built memo whose lists outgrow its bound can be refused.
 pub fn compute_totals(memo: &Memo, query: &QuerySpec) -> Totals {
     let links = Links::build(memo, query).unwrap_or_else(|e| panic!("{e}"));
     // Local costs by dense id (group order, then expression order), so
@@ -140,31 +139,26 @@ fn expand(totals: &Totals, d: DenseId) -> PlanNode {
 /// "it is useful to have the optimizer keep each alternative generated".
 ///
 /// # Panics
-/// Panics when `keep_factor` is below 1.0, and — as [`compute_totals`]
-/// does — on a memo whose plan graph is cyclic.
+/// Panics when `keep_factor` is below 1.0, and where
+/// [`compute_totals`] does.
 pub fn prune(memo: &Memo, query: &QuerySpec, keep_factor: f64) -> Memo {
     assert!(
         keep_factor >= 1.0,
         "keep_factor below 1.0 would drop the best plan"
     );
     let totals = compute_totals(memo, query);
-    let mut pruned = Memo::new();
-    for group in memo.groups() {
-        let gid = pruned.add_group(group.key);
-        debug_assert_eq!(gid, group.id);
-        for op in &group.logical {
-            pruned.add_logical(gid, op.clone());
-        }
+    // Every group at once: a transformation-explored memo reads groups
+    // made after its own.
+    let parts = memo.groups().map(|group| {
         let best = totals.group_best(group.id);
-        for (id, expr) in group.phys_iter() {
+        let kept = group.phys_iter().filter(|&(id, _)| {
             let t = totals.total(id);
-            if t.is_finite() && t <= best * keep_factor {
-                pruned.add_physical(gid, expr.clone());
-            }
-        }
-    }
-    pruned.set_root(memo.root());
-    pruned
+            t.is_finite() && t <= best * keep_factor
+        });
+        let kept = kept.map(|(_, expr)| expr.clone()).collect();
+        (group.key, group.logical.clone(), kept)
+    });
+    Memo::from_parts(parts.collect(), memo.root().0).expect("a pruned memo keeps its shape")
 }
 
 #[cfg(test)]

@@ -429,28 +429,38 @@ pub fn random_connected_query(n: usize, seed: u64, max_density: f64) -> QuerySpe
     qb.build().unwrap()
 }
 
-/// A hand-built space whose root list total is exactly `2^levels − 1`:
-/// group `G_1` holds one scan, and `G_{k+1}` holds a hash join of `G_k`
-/// with a two-scan group (`2·n_k` plans) plus one scan, so
-/// `n_{k+1} = 2·n_k + 1`. At 64 levels the largest count in the space
-/// is exactly `u64::MAX`, at 128 exactly `u128::MAX` — the last spaces
-/// of their tiers. The root list has two members; the join is first.
-pub fn all_ones_ladder(levels: usize) -> PlanSpace {
-    ladder(levels, false).0
+/// A hand-built space whose root list total is exactly `2^bits − 1`,
+/// for `bits` from 6 to 129 (see [`ladder`]). At 64 bits the largest
+/// count in the space is exactly `u64::MAX`, at 128 exactly
+/// `u128::MAX` — the last spaces of their tiers.
+pub fn all_ones_ladder(bits: usize) -> PlanSpace {
+    ladder(bits, false).0
 }
 
-/// [`all_ones_ladder`] demoted to a non-root group: the root group
-/// holds a hash join of the ladder's top group with an *empty* group —
-/// a dead sibling slot, which zeroes the product — plus one scan, so
-/// the space total is 1 while the returned interior expression (the
-/// ladder's top join) roots `2^levels − 2` plans. "The total fits"
-/// says nothing about the tier; the rooted sub-space API reaches it.
-pub fn dead_sibling_ladder(levels: usize) -> (PlanSpace, PhysId) {
-    ladder(levels, true)
+/// [`all_ones_ladder`]'s aggregate group cut off from the root, a dead
+/// sibling of the root group: the root is the one-scan group `{1}`, so
+/// the space total is 1, while the returned expression — a Sort in the
+/// aggregate group, over aggregates summing to `2^bits − 2` — roots
+/// `2^bits − 2` plans. "The total fits" says nothing about the tier;
+/// the rooted sub-space API reaches it.
+pub fn dead_sibling_ladder(bits: usize) -> (PlanSpace, PhysId) {
+    ladder(bits, true)
 }
 
-fn ladder(levels: usize, dead_sibling_root: bool) -> (PlanSpace, PhysId) {
-    assert!(levels >= 2, "a ladder needs at least one join");
+/// Aggregates summing to `2^bits − 1`, or `2^bits − 2` beside a Sort
+/// over them, in a memo of an optimizer's shape. Relation `k`'s group
+/// `{k}` holds one scan, but `{0}` holds `c` — its table scan and
+/// `c − 1` index scans — and the chain group `{0, …, k}` holds the four
+/// joins of `{0, …, k − 1}` and `{k}` (hash and nested loop, each way
+/// round), so it roots `c·4^k` plans. The aggregate group holds a hash
+/// aggregate over each of the chain groups `{0, …, k}`, `k < K =
+/// bits / 2`, which sum to `c·(4^K − 1)/3`: `2^bits − 1` for `c = 3`
+/// and even `bits`, `2^bits − 2` for `c = 6` and odd `bits`. What is
+/// missing is made up by one more aggregate over `{1, 2}`, holding one
+/// or two joins of `{1}` and `{2}`; for `2^bits − 2` and even `bits`
+/// the aggregate over `{0}` is dropped and two are added.
+fn ladder(bits: usize, dead_sibling_root: bool) -> (PlanSpace, PhysId) {
+    assert!((6..=129).contains(&bits), "{bits} bits");
     let mut catalog = Catalog::new();
     catalog
         .add_table(
@@ -463,43 +473,89 @@ fn ladder(levels: usize, dead_sibling_root: bool) -> (PlanSpace, PhysId) {
     qb.rel("t", None).unwrap();
     let query = qb.build().unwrap();
 
-    // Group keys only need to be distinct; scans only need distinct
-    // `rel`s within a group. Hash joins and scans demand no order, so
-    // nothing here consults the query.
-    let mut memo = Memo::new();
-    let mut next_key = 0u64;
-    let mut group = |memo: &mut Memo| {
-        next_key += 1;
-        let mut set = RelSet::singleton(RelId(63));
-        (0..63)
-            .filter(|bit| next_key >> bit & 1 == 1)
-            .for_each(|bit| set.insert(RelId(bit)));
-        memo.add_group(GroupKey::Rels(set))
+    let (chain, c) = (bits / 2, if bits % 2 == 0 { 3 } else { 6 });
+    let below = if dead_sibling_root { 2 } else { 1 };
+    // 2^bits minus what the chain groups' aggregates leave out of it.
+    let (first, extra) = match (1 + bits % 2) as i32 - below {
+        -1 => (1, 2), // even bits, 2^bits − 2: drop the 3 of `{0}`
+        extra => (0, extra as usize),
     };
-    let scan = |rel| PhysicalExpr::new(PhysicalOp::TableScan { rel: RelId(rel) }, 1.0, 1.0);
-    let join = |left, right| PhysicalExpr::new(PhysicalOp::HashJoin { left, right }, 1.0, 1.0);
-    let two = group(&mut memo);
-    memo.add_physical(two, scan(0)).unwrap();
-    memo.add_physical(two, scan(1)).unwrap();
-    let mut top = group(&mut memo);
-    memo.add_physical(top, scan(0)).unwrap();
-    let mut top_join = None;
-    for _ in 1..levels {
-        let next = group(&mut memo);
-        top_join = memo.add_physical(next, join(top, two));
-        memo.add_physical(next, scan(0)).unwrap();
-        top = next;
+
+    // Hash and nested-loop joins and scans demand no order, so only
+    // `{0}`'s index scans and the Sort consult the query.
+    let expr = |op| PhysicalExpr::new(op, 1.0, 1.0);
+    let joins = |left, right| {
+        [
+            PhysicalOp::HashJoin { left, right },
+            PhysicalOp::HashJoin {
+                left: right,
+                right: left,
+            },
+            PhysicalOp::NestedLoopJoin { left, right },
+            PhysicalOp::NestedLoopJoin {
+                left: right,
+                right: left,
+            },
+        ]
+    };
+    let mut memo = Memo::new();
+    let rels: Vec<GroupId> = (0..chain as u32)
+        .map(|rel| memo.add_group(GroupKey::Rels(RelSet::singleton(RelId(rel)))))
+        .collect();
+    let mut tops = vec![rels[0]];
+    for k in 1..chain {
+        tops.push(memo.add_group(GroupKey::Rels(RelSet::all(k + 1))));
     }
+    let pair = memo.add_group(GroupKey::Rels(RelSet::from_iter([RelId(1), RelId(2)])));
+    let aggregate = memo.add_group(GroupKey::Agg);
+    for (rel, &group) in rels.iter().enumerate() {
+        let rel = RelId(rel as u32);
+        let indexes = (1..if rel.0 == 0 { c } else { 1 }).map(|col| PhysicalOp::SortedIdxScan {
+            rel,
+            col: plansample_query::ColRef {
+                rel,
+                col: col as u32,
+            },
+        });
+        let scans = std::iter::once(PhysicalOp::TableScan { rel }).chain(indexes);
+        memo.append_physical(group, scans.map(expr).collect());
+    }
+    for k in 1..chain {
+        memo.append_physical(tops[k], joins(tops[k - 1], rels[k]).map(expr).into());
+    }
+    memo.append_physical(
+        pair,
+        joins(rels[1], rels[2])[..extra]
+            .iter()
+            .cloned()
+            .map(expr)
+            .collect(),
+    );
+    let over = |input| expr(PhysicalOp::HashAgg { input });
+    let mut aggregates: Vec<PhysicalExpr> = tops[first..].iter().map(|&top| over(top)).collect();
+    if extra > 0 {
+        aggregates.push(over(pair));
+    }
+    memo.append_physical(aggregate, aggregates);
+    let mut big = None;
     if dead_sibling_root {
-        let empty = group(&mut memo);
-        let root = group(&mut memo);
-        memo.add_physical(root, join(top, empty)).unwrap();
-        memo.add_physical(root, scan(0)).unwrap();
-        top = root;
+        let target = plansample_memo::SortOrder::on_col(plansample_query::ColRef {
+            rel: RelId(0),
+            col: 0,
+        });
+        big = memo.add_physical(aggregate, expr(PhysicalOp::Sort { target }));
+        memo.set_root(rels[1]);
+    } else {
+        memo.set_root(aggregate);
     }
-    memo.set_root(top);
-    let space = PlanSpace::build(&memo, &query).expect("ladder is acyclic");
-    (space, top_join.expect("levels >= 2"))
+    let space = PlanSpace::build(&memo, &query).expect("the ladder's lists are small");
+    (
+        space,
+        big.unwrap_or(PhysId {
+            group: aggregate,
+            index: 0,
+        }),
+    )
 }
 
 /// A synthetic join-graph query optimized into a memo, with the plan

@@ -71,3 +71,43 @@ fn pruning_keeps_group_count_but_drops_expressions() {
     assert!(pruned.num_physical() < optimized.memo.num_physical());
     assert_eq!(pruned.root(), optimized.memo.root());
 }
+
+/// Transformation-rule exploration makes groups out of subset-size
+/// order, so some of Q5's expressions read a group made after their own
+/// group, and pruning must make every group before any expression. The
+/// pruned memo is the bottom-up one's, renumbered: the same best cost
+/// and as many expressions kept, at every factor.
+#[test]
+fn pruning_a_transform_explored_memo_matches_pruning_the_bottom_up_one() {
+    use plansample_optimizer::{
+        add_enforcers, best_plan, compute_totals, explore_transform, implement_all, CostModel,
+    };
+    let (catalog, _) = plansample_catalog::tpch::catalog();
+    let query = plansample_query::tpch::q5(&catalog);
+    let bottom_up = optimize(&catalog, &query, &OptimizerConfig::default())
+        .unwrap()
+        .memo;
+    let mut transformed = plansample_memo::Memo::new();
+    explore_transform(&query, false, &mut transformed).unwrap();
+    let cost = CostModel::default();
+    implement_all(&query, &catalog, &cost, true, true, &mut transformed);
+    add_enforcers(&query, &catalog, &cost, &mut transformed);
+    let reads_a_later_group = transformed.groups().any(|group| {
+        let slots = group.physical.iter().flat_map(|e| e.child_slots(group.id));
+        slots.into_iter().any(|slot| slot.group > group.id)
+    });
+    assert!(reads_a_later_group);
+
+    let best =
+        |memo: &plansample_memo::Memo| best_plan(memo, &compute_totals(memo, &query)).unwrap().1;
+    for factor in [1.0, 2.0, 100.0] {
+        let [expected, pruned] = [&bottom_up, &transformed].map(|m| prune(m, &query, factor));
+        assert_eq!(pruned.num_groups(), transformed.num_groups());
+        assert_eq!(
+            pruned.num_physical(),
+            expected.num_physical(),
+            "factor {factor}"
+        );
+        assert_eq!(best(&pruned), best(&expected), "factor {factor}");
+    }
+}
