@@ -127,27 +127,22 @@ fn multi_limb_synthetic_memo_round_trips_bit_identically() {
     assert_bit_identical(&original, &bytes, &loaded);
 }
 
-/// A build is one byte string at every thread count. The encoded image
-/// carries every table a build produces but the counts — pool, bounds,
-/// slot lists, the topological order — and the counts are a function
-/// of those, so nothing a thread count could perturb escapes the
-/// comparison.
+/// A build is one byte string. The encoded image carries every table a
+/// build produces but the counts — pool, bounds, slot lists, the
+/// topological order — and the counts are a function of those, so
+/// nothing a second build could perturb escapes the comparison.
 #[test]
-fn builds_encode_byte_identically_at_one_and_four_threads() {
+fn repeated_builds_encode_byte_identically() {
     let (catalog, _) = plansample_catalog::tpch::catalog();
     let q5 = plansample_query::tpch::q5(&catalog);
-    let optimized = |threads| {
-        threadpool::with_threads(threads, || {
-            let config = OptimizerConfig::with_cross_products();
-            encode(&PreparedQuery::prepare(&catalog, &q5, &config).expect("Q5 optimizes"))
-        })
+    let optimized = || {
+        let config = OptimizerConfig::with_cross_products();
+        encode(&PreparedQuery::prepare(&catalog, &q5, &config).expect("Q5 optimizes"))
     };
-    assert!(optimized(1) == optimized(4), "Q5+CP image diverged");
+    assert!(optimized() == optimized(), "Q5+CP image diverged");
 
-    let two_limb = |threads| {
-        threadpool::with_threads(threads, || encode(&synthetic(Topology::Clique, 9, 20000)))
-    };
-    assert!(two_limb(1) == two_limb(4), "clique-9 image diverged");
+    let two_limb = || encode(&synthetic(Topology::Clique, 9, 20000));
+    assert!(two_limb() == two_limb(), "clique-9 image diverged");
 }
 
 /// The other two tiers: `u64`, and — on a chain long enough that its

@@ -27,8 +27,7 @@
 //!
 //! Global flags: `--cross-products`, `--seed N`, `--orders N` (micro
 //! database size), `--threads N` (a server's request workers, shared
-//! by its reactors). A bulk sample batch forks as wide as the CPUs the
-//! process may run on; [`USAGE`] says how to narrow that.
+//! by its reactors).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -255,9 +254,6 @@ FLAGS:
                      (default: one per available core)
   --artifact-dir DIR persistent artifact store for `serve` (warms the
                      cache at startup, persists every preparation)
-
-A batch of 512+ samples forks as wide as the CPUs the process may run
-on; `taskset` narrows that (e.g. `taskset -c 0 plansample-cli ...`).
 
 Queries run against the TPC-H schema (region, nation, supplier,
 customer, part, partsupp, orders, lineitem) with SF-1 statistics and a
@@ -1039,12 +1035,12 @@ mod tests {
         assert_eq!(cli.threads, Some(3));
         assert_eq!(cli.command, Command::Stats("SELECT * FROM nation".into()));
         assert_eq!(parse_args(["count", "S"]).unwrap().threads, None);
-        // One flag, one meaning; the fork width is the host's.
+        // One flag, one meaning; nothing forks, so there is no width.
         assert_eq!(USAGE.matches("--threads N").count(), 1);
         assert!(USAGE.contains("--threads N        request workers for serve/loadgen servers"));
         assert!(USAGE.contains("shared\n                     by the server's reactors"));
-        assert!(USAGE.contains("`taskset` narrows that"));
-        assert!(!USAGE.contains("fork width"));
+        assert!(!USAGE.contains("taskset"));
+        assert!(!USAGE.contains("fork"));
     }
 
     #[test]
@@ -1246,7 +1242,7 @@ mod tests {
         assert_eq!(parse_args(["--help"]).unwrap().command, Command::Help);
         let text = run(&parse_args(["--help"]).unwrap()).unwrap();
         assert!(text.contains("USAGE"));
-        assert!(text.contains("taskset"));
+        assert!(text.contains("FLAGS"));
     }
 
     fn cli(command: Command) -> Cli {

@@ -41,8 +41,6 @@ pub(crate) struct OpenOp {
 pub(crate) struct Scratch<W> {
     /// The unranker's explicit recursion stack: `(list, sub-rank)`.
     pub(crate) stack: Vec<(ListId, W)>,
-    /// The ranks of one fill, drawn up front in draw order.
-    pub(crate) ranks: Vec<W>,
     /// A costed fill's open operators, root first (at most the plan's
     /// depth).
     pub(crate) open: Vec<OpenOp>,
@@ -51,7 +49,6 @@ pub(crate) struct Scratch<W> {
 impl<W> Scratch<W> {
     fn size_bytes(&self) -> usize {
         self.stack.capacity() * std::mem::size_of::<(ListId, W)>()
-            + self.ranks.capacity() * std::mem::size_of::<W>()
             + self.open.capacity() * std::mem::size_of::<OpenOp>()
     }
 }
@@ -88,12 +85,8 @@ pub struct PlanBatch {
     bounds: Vec<u32>,
     /// Plan `p`'s cost after a costed fill; empty after a plain one.
     costs: Vec<f64>,
-    /// Unrank stack and pre-drawn ranks, in the filling space's word.
+    /// Unrank scratch, in the filling space's word.
     pub(crate) scratch: TierScratch,
-    /// Per-shard sub-batches of the parallel fill — one per fixed-size
-    /// rank chunk, merged in chunk order after the workers finish. Kept
-    /// so shard capacities, too, survive across fills.
-    pub(crate) shards: Vec<PlanBatch>,
 }
 
 impl PlanBatch {
@@ -173,18 +166,7 @@ impl PlanBatch {
         &mut self.costs
     }
 
-    /// Appends every plan of `other`, costs included (the parallel-fill
-    /// merge step).
-    pub(crate) fn append_flat(&mut self, other: &PlanBatch) {
-        let offset = self.ids.len() as u32;
-        self.ids.extend_from_slice(&other.ids);
-        self.bounds
-            .extend(other.bounds[1..].iter().map(|&b| b + offset));
-        self.costs.extend_from_slice(&other.costs);
-    }
-
-    /// Bytes of memory held by the buffers, capacity-accurate,
-    /// including every parallel-fill shard.
+    /// Bytes of memory held by the buffers, capacity-accurate.
     pub fn size_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.ids.capacity() * std::mem::size_of::<PhysId>()
@@ -195,8 +177,6 @@ impl PlanBatch {
                 TierScratch::U128(s) => s.size_bytes(),
                 TierScratch::Nat(s) => s.size_bytes(),
             }
-            + self.shards.iter().map(PlanBatch::size_bytes).sum::<usize>()
-            + (self.shards.capacity() - self.shards.len()) * std::mem::size_of::<PlanBatch>()
     }
 }
 
@@ -240,23 +220,6 @@ mod tests {
         assert_eq!(
             batch.total_nodes(),
             batch.iter().map(<[PhysId]>::len).sum::<usize>()
-        );
-    }
-
-    #[test]
-    fn append_flat_offsets_bounds() {
-        let ex = paper_example::build();
-        let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
-        let mut a = batch_of(&space, &[1]);
-        a.append_flat(&batch_of(&space, &[2, 3]));
-        assert_eq!(a.len(), 3);
-        assert_eq!(
-            a.plan(2),
-            space
-                .unrank(&Nat::from(3u64))
-                .unwrap()
-                .preorder_ids()
-                .as_slice()
         );
     }
 

@@ -81,10 +81,6 @@ impl PlanSpace {
         })
     }
 
-    /// Draws per fixed-size chunk of a parallel fill, and the smallest
-    /// number of draws per worker thread worth forking for.
-    const PAR_MIN_DRAWS: usize = 256;
-
     /// Draws `k` plans uniformly and independently (with replacement),
     /// as in the paper's 10 000-plan experiments. The batched entry
     /// point of the prepared-query serving surface: amortizes the memo
@@ -106,21 +102,14 @@ impl PlanSpace {
     /// Draws `k` plans uniformly into a reusable flat batch — the
     /// zero-allocation sampling path.
     ///
-    /// All `k` ranks are drawn up front — consuming the caller's RNG
-    /// exactly as `k` calls of [`sample`](Self::sample) would, on every
-    /// tier — and then unranked in the word the space's counts are
+    /// Each draw is one rank below `N` — consuming the caller's RNG
+    /// exactly as a call of [`sample`](Self::sample) would, on every
+    /// tier — unranked at once in the word the space's counts are
     /// stored in (see [`crate::Counts::tier`]), straight into `out`'s
-    /// buffers. On the fixed-width tiers, once those buffers are at
-    /// capacity a steady-state fill performs **zero heap allocations
-    /// per draw** (asserted by `tests/alloc_counting.rs`).
-    ///
-    /// Large batches fan the unranking (the deterministic,
-    /// side-effect-free part) out in fixed-size chunks over one
-    /// `threadpool` section, as wide as the CPUs the process may run on
-    /// — the one place the product forks. The chunks are written into
-    /// `out`'s own per-chunk shard batches and merged in draw order, so
-    /// the batch content is bit-identical at every thread count and
-    /// tier.
+    /// buffers, on the calling thread. On the fixed-width tiers, once
+    /// those buffers are at capacity a steady-state fill performs
+    /// **zero heap allocations per draw** (asserted by
+    /// `tests/alloc_counting.rs`).
     ///
     /// # Panics
     /// Panics if `k > 0` and the space is empty.
@@ -161,68 +150,29 @@ impl PlanSpace {
     ) {
         out.start_fill();
         let root = self.links.root_list();
-        let mut slot = std::mem::take(&mut out.scratch);
-        let Scratch { stack, ranks, open } = W::scratch(&mut slot);
-        ranks.clear();
-        ranks.extend((0..k).map(|_| W::random_below(rng, counts.list_total(root))));
-        let ranks = ranks.as_slice();
-
-        // Unranks `ranks` into `part` through `stack` (and `open`).
+        let total = counts.list_total(root);
         let ids = self.links.ids();
-        let fill = |part: &mut PlanBatch, ranks: &[W], stack: &mut Vec<_>, open: &mut Vec<_>| {
-            for rank in ranks {
-                let (v, local): (DenseId, W) = counts.select(&self.links, root, rank.clone());
-                let plan = part.ids_mut();
-                if costed {
-                    open.clear();
-                    let mut total = 0.0;
-                    unrank_flat(&self.links, counts, v, local, stack, |v, arity| {
-                        let id = ids.phys(v);
-                        plan.push(id);
-                        fold_cost(open, self.memo.phys(id).local_cost, arity, &mut total);
-                    });
-                    part.costs_mut().push(total);
-                } else {
-                    unrank_flat(&self.links, counts, v, local, stack, |v, _| {
-                        plan.push(ids.phys(v))
-                    });
-                }
-                part.finish_plan();
+        let mut slot = std::mem::take(&mut out.scratch);
+        let Scratch { stack, open } = W::scratch(&mut slot);
+        for _ in 0..k {
+            let rank = W::random_below(rng, total);
+            let (v, local): (DenseId, W) = counts.select(&self.links, root, rank);
+            let plan = out.ids_mut();
+            if costed {
+                open.clear();
+                let mut cost = 0.0;
+                unrank_flat(&self.links, counts, v, local, stack, |v, arity| {
+                    let id = ids.phys(v);
+                    plan.push(id);
+                    fold_cost(open, self.memo.phys(id).local_cost, arity, &mut cost);
+                });
+                out.costs_mut().push(cost);
+            } else {
+                unrank_flat(&self.links, counts, v, local, stack, |v, _| {
+                    plan.push(ids.phys(v))
+                });
             }
-        };
-        // `k` first: resolving the thread count can probe the host
-        // (see `threadpool::num_threads`), which costs more than a
-        // small batch does.
-        if k < 2 * Self::PAR_MIN_DRAWS || threadpool::num_threads() == 1 {
-            fill(out, ranks, stack, open);
-        } else {
-            // Chunk `c` always covers draws `[c·PAR_MIN_DRAWS,
-            // (c+1)·PAR_MIN_DRAWS)` — a mapping independent of how the
-            // section's threads claim the chunks — and the shards
-            // merge in chunk order. Shards (and their own scratch) live
-            // in `out` and keep their capacity across fills.
-            let chunks = k.div_ceil(Self::PAR_MIN_DRAWS);
-            let mut shards = std::mem::take(&mut out.shards);
-            if shards.len() < chunks {
-                shards.resize_with(chunks, PlanBatch::new);
-            }
-            threadpool::parallel_for_each_mut(&mut shards[..chunks], |c, part| {
-                part.start_fill();
-                let lo = c * Self::PAR_MIN_DRAWS;
-                let mut slot = std::mem::take(&mut part.scratch);
-                let Scratch { stack, open, .. } = W::scratch(&mut slot);
-                fill(
-                    part,
-                    &ranks[lo..(lo + Self::PAR_MIN_DRAWS).min(k)],
-                    stack,
-                    open,
-                );
-                part.scratch = slot;
-            });
-            for part in &shards[..chunks] {
-                out.append_flat(part);
-            }
-            out.shards = shards;
+            out.finish_plan();
         }
         out.scratch = slot;
     }

@@ -137,9 +137,7 @@ const MEMO_MAX_KEY: usize = 16 << 10;
 /// loses little by taking the worker path, where it also stops delaying
 /// its reactor's other connections. Cheaper plans argue for a larger
 /// constant, the hand-off figures for this one; both readings leave 32
-/// inside the range either supports, so it stays. Must stay under two
-/// chunks of the flat sampler's parallel split (512), below which a
-/// fill never touches the thread pool.
+/// inside the range either supports, so it stays.
 pub(crate) const INLINE_MAX_SAMPLES: u32 = 32;
 
 /// The serving state shared by the reactors and the workers.

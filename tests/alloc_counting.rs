@@ -14,8 +14,8 @@
 //! which the allocator can read without allocating): the test harness
 //! runs this file's tests on sibling threads, and one of them builds
 //! chain memos by the dozen while another is inside its measured
-//! window. The measured fills run inline on the test's own thread
-//! (`with_threads(1)`), so the thread's count is the fill's count.
+//! window. A fill runs on the thread that calls it, so the thread's
+//! count is the fill's count.
 //!
 //! The serving path costs every plan while it draws it
 //! (`sample_batch_costed`: the cost column and the stack of open
@@ -145,26 +145,24 @@ fn assert_steady_state_allocates_nothing(
         }
         allocations() - before
     };
-    threadpool::with_threads(1, || {
-        let tier = space.counts().tier();
-        let warm_up = fill(out);
-        let warm_nodes = out.total_nodes();
-        let counted = fill(out);
+    let tier = space.counts().tier();
+    let warm_up = fill(out);
+    let warm_nodes = out.total_nodes();
+    let counted = fill(out);
 
-        assert_eq!(out.len(), 512);
-        assert_eq!(out.costs().len(), if costed { 512 } else { 0 });
-        assert_eq!(
-            out.total_nodes(),
-            warm_nodes,
-            "reseeded fill must repeat itself"
-        );
-        assert_eq!(
-            counted, 0,
-            "a steady-state {tier}-tier fill (costed: {costed}) must not allocate \
-             (counted {counted} allocations across 512 draws)"
-        );
-        warm_up
-    })
+    assert_eq!(out.len(), 512);
+    assert_eq!(out.costs().len(), if costed { 512 } else { 0 });
+    assert_eq!(
+        out.total_nodes(),
+        warm_nodes,
+        "reseeded fill must repeat itself"
+    );
+    assert_eq!(
+        counted, 0,
+        "a steady-state {tier}-tier fill (costed: {costed}) must not allocate \
+         (counted {counted} allocations across 512 draws)"
+    );
+    warm_up
 }
 
 /// The smallest chain past the single-limb boundary: a genuine two-limb

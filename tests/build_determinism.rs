@@ -1,18 +1,11 @@
-//! Thread-count determinism of the plan-space build and of batched
-//! sampling.
+//! Determinism of the plan-space build and of batched sampling.
 //!
-//! The build is sequential; the bulk fill behind `sample_batch` unranks
-//! chunks of draws concurrently and merges them in draw order. These
-//! tests pin the contract: a 1-thread build and an N-thread build of
-//! the same memo produce **bit-identical** `Counts`, list layouts and
-//! ranks, and a forked fill draws the batch a 1-thread fill does, on
-//! random join-graph topologies (optimizer-built memos) and on a
-//! directly synthesized multi-limb space. A build that forks again has
-//! to pass them.
-//!
-//! Thread counts are pinned with `threadpool::with_threads`, which is a
-//! thread-local override — concurrently running tests cannot perturb
-//! each other.
+//! The build and the fill are sequential (DESIGN §5). These tests pin
+//! the contract: two builds of the same memo produce **bit-identical**
+//! `Counts`, list layouts and ranks, and the flat fill draws the batch
+//! the tree sampler does, on random join-graph topologies
+//! (optimizer-built memos) and on a directly synthesized multi-limb
+//! space. A build or a fill that forks again has to pass them.
 
 mod common;
 
@@ -27,11 +20,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Builds the space under an explicit thread count.
-fn build_with(threads: usize, memo: &Arc<Memo>, query: &Arc<QuerySpec>) -> PlanSpace {
-    threadpool::with_threads(threads, || {
-        PlanSpace::build_shared(Arc::clone(memo), Arc::clone(query)).expect("acyclic memo")
-    })
+/// Builds the space over shared copies of `memo` and `query`.
+fn build(memo: &Arc<Memo>, query: &Arc<QuerySpec>) -> PlanSpace {
+    PlanSpace::build_shared(Arc::clone(memo), Arc::clone(query)).expect("acyclic memo")
 }
 
 /// Asserts every observable of the two spaces is identical: totals,
@@ -67,15 +58,14 @@ fn assert_identical(a: &PlanSpace, b: &PlanSpace) {
     }
 }
 
-/// Draws per batch: enough for a 4-thread fill to fork, and not a
-/// multiple of its 256-draw chunk.
+/// Draws per batch.
 const DRAWS: usize = 1_100;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random topology × size × seed: single-threaded and 4-thread
-    /// builds of the optimizer's memo must be indistinguishable.
+    /// Random topology × size × seed: two builds of the optimizer's
+    /// memo must be indistinguishable, and so must their batches.
     #[test]
     fn one_and_four_thread_builds_agree(
         topo_sel in 0usize..4,
@@ -89,56 +79,39 @@ proptest! {
         let memo = Arc::new(optimized.memo);
         let query = Arc::new(query);
 
-        let sequential = build_with(1, &memo, &query);
-        let parallel = build_with(4, &memo, &query);
-        assert_identical(&sequential, &parallel);
+        let first = build(&memo, &query);
+        let second = build(&memo, &query);
+        assert_identical(&first, &second);
 
-        // Batched sampling consumes the RNG identically at every thread
-        // count (ranks are drawn up front, unranking is pure). `DRAWS`
-        // forks at 4 threads (from 2 · 256 draws) with a partial last
-        // chunk.
-        let draw = |space: &PlanSpace, threads: usize| {
-            threadpool::with_threads(threads, || {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
-                space.sample_batch(&mut rng, DRAWS)
-            })
+        // Each draw consumes the RNG as one `sample` does, and
+        // unranking is pure, so two builds draw the same batch.
+        let draw = |space: &PlanSpace| {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
+            space.sample_batch(&mut rng, DRAWS)
         };
-        let trees = draw(&sequential, 1);
-        prop_assert_eq!(&trees, &draw(&parallel, 4));
+        let trees = draw(&first);
+        prop_assert_eq!(&trees, &draw(&second));
 
         // The flat u64 fast path consumes the RNG identically to the
         // Nat path (`random_below` on a single-limb bound is one
-        // `gen_range`), so its batches are bit-identical to the tree
-        // sampler's at every thread count too.
-        let draw_flat = |space: &PlanSpace, threads: usize| {
-            threadpool::with_threads(threads, || {
-                let mut out = plansample::PlanBatch::new();
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
-                space.sample_batch_flat(&mut rng, DRAWS, &mut out);
-                out
-            })
-        };
-        for threads in [1usize, 4] {
-            let flat = draw_flat(&sequential, threads);
-            prop_assert_eq!(flat.len(), trees.len());
-            for (ids, tree) in flat.iter().zip(&trees) {
-                let expected = tree.preorder_ids();
-                prop_assert_eq!(ids, expected.as_slice(),
-                    "flat batch diverged at {} threads", threads);
-            }
+        // `gen_range`), so its batch is bit-identical to the tree
+        // sampler's too.
+        let mut flat = plansample::PlanBatch::new();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
+        first.sample_batch_flat(&mut rng, DRAWS, &mut flat);
+        prop_assert_eq!(flat.len(), trees.len());
+        for (ids, tree) in flat.iter().zip(&trees) {
+            let expected = tree.preorder_ids();
+            prop_assert_eq!(ids, expected.as_slice(), "flat batch diverged");
         }
     }
 }
 
 /// A directly synthesized clique space (multi-level DAG, hundreds of
-/// lists) built under several thread counts, one oversubscribed.
+/// lists) built twice.
 #[test]
 fn synthesized_clique_agrees_across_thread_counts() {
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 7, 20000).build_memo();
     let (memo, query) = (Arc::new(memo), Arc::new(query));
-    let reference = build_with(1, &memo, &query);
-    for threads in [2, 3, 8] {
-        let parallel = build_with(threads, &memo, &query);
-        assert_identical(&reference, &parallel);
-    }
+    assert_identical(&build(&memo, &query), &build(&memo, &query));
 }

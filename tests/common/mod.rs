@@ -131,7 +131,7 @@ fn reference_unrank_expr(space: &PlanSpace, v: DenseId, local_rank: Nat) -> Plan
 
 /// `k` reference plans at the ranks `Nat::random_below` draws from
 /// `seed` — what every sampler of the product must reproduce from the
-/// same seed, on every tier and at every thread count.
+/// same seed, on every tier.
 pub fn reference_sample_batch(space: &PlanSpace, seed: u64, k: usize) -> Vec<PlanNode> {
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);

@@ -7,9 +7,8 @@
 //! `PreparedQuery`'s `sample_batch_scaled` — not merely within a ULP,
 //! because serve pins reply bytes. Checked on the paper's example (every
 //! one of its 32 plans), on Q5, Q8+CP and clique-9 (a genuine `u128`
-//! space), on the same spaces forced down the tier ladder, at 1, 2 and 4
-//! threads with a batch large enough to shard (costs merge in chunk order
-//! like ids), and on random small join graphs. The separate-pass `scaled_cost_ids` is held to the
+//! space), on the same spaces forced down the tier ladder, and on random
+//! small join graphs. The separate-pass `scaled_cost_ids` is held to the
 //! same trees, since it is the reference the benchmark keeps timing.
 
 use plansample::{paper_example, CountTier, PlanBatch, PlanSpace, PreparedQuery};
@@ -66,9 +65,8 @@ fn assert_costed_fill(
 }
 
 /// The costed fill of `prepared`'s space on every rung of the ladder it
-/// can be forced onto, at 1, 2 and 4 threads, into one reused batch —
-/// 2048 draws, so the multi-threaded fills shard and merge.
-fn assert_every_tier_and_thread_count(prepared: &PreparedQuery, seed: u64) {
+/// can be forced onto, 2048 draws into one reused batch.
+fn assert_every_tier(prepared: &PreparedQuery, seed: u64) {
     const K: usize = 2048;
     let expected = expected(prepared, seed, K);
     let (best, best_cost) = prepared.best();
@@ -80,12 +78,8 @@ fn assert_every_tier_and_thread_count(prepared: &PreparedQuery, seed: u64) {
         let forced =
             PreparedQuery::from_parts(space, best.clone(), best_cost, prepared.config().clone())
                 .expect("the same best plan over the same memo");
-        for threads in [1usize, 2, 4] {
-            let context = format!("{tier} tier, {threads} thread(s)");
-            threadpool::with_threads(threads, || {
-                assert_costed_fill(&forced, seed, &expected, &mut out, &context)
-            });
-        }
+        let context = format!("{tier} tier");
+        assert_costed_fill(&forced, seed, &expected, &mut out, &context);
     }
 }
 
@@ -135,7 +129,7 @@ fn tpch_spaces_cost_in_the_walk_on_every_tier_and_thread_count() {
     for (query, config, seed) in cases {
         let prepared = PreparedQuery::prepare(&catalog, &query, &config).expect("TPC-H optimizes");
         assert_eq!(prepared.tier(), CountTier::U64);
-        assert_every_tier_and_thread_count(&prepared, seed);
+        assert_every_tier(&prepared, seed);
     }
 }
 
@@ -144,7 +138,7 @@ fn clique9_costs_in_the_walk_on_the_u128_tier_and_below() {
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 9, 20000).build_memo();
     let space = PlanSpace::build_shared(Arc::new(memo), Arc::new(query)).expect("clique-9 builds");
     assert_eq!(space.counts().tier(), CountTier::U128);
-    assert_every_tier_and_thread_count(&prepared_over(space), 9);
+    assert_every_tier(&prepared_over(space), 9);
 }
 
 proptest! {

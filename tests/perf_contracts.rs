@@ -83,25 +83,23 @@ fn median_secs<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
 }
 
 /// Plans/sec of repeated fixed-seed `batch` calls for ~150 ms after one
-/// warm-up call, median of 3 runs, on one thread. `batch` draws one
-/// batch and returns how many plans it held.
+/// warm-up call, median of 3 runs. `batch` draws one batch and returns
+/// how many plans it held.
 fn plans_per_sec(mut batch: impl FnMut(&mut StdRng) -> usize) -> f64 {
-    threadpool::with_threads(1, || {
-        median(
-            (0..3)
-                .map(|_| {
-                    let mut rng = StdRng::seed_from_u64(SEED);
-                    batch(&mut rng); // warm caches + capacity
-                    let mut plans = 0usize;
-                    let t = Instant::now();
-                    while t.elapsed() < Duration::from_millis(150) {
-                        plans += batch(&mut rng);
-                    }
-                    plans as f64 / t.elapsed().as_secs_f64()
-                })
-                .collect(),
-        )
-    })
+    median(
+        (0..3)
+            .map(|_| {
+                let mut rng = StdRng::seed_from_u64(SEED);
+                batch(&mut rng); // warm caches + capacity
+                let mut plans = 0usize;
+                let t = Instant::now();
+                while t.elapsed() < Duration::from_millis(150) {
+                    plans += batch(&mut rng);
+                }
+                plans as f64 / t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    )
 }
 
 /// Plans/sec of the serving path: `sample_batch_flat` into one reused
@@ -158,16 +156,22 @@ fn artifact_load_outruns_a_cold_prepare_and_answers_identically() {
     ));
     let bytes = plansample_artifact::save(&prepared, &path).expect("artifact saves");
 
-    let cold = median_secs(3, || {
-        let space = cold_clique10();
-        std::hint::black_box(space.total().clone());
-        space
-    });
-    let load = median_secs(7, || {
-        let loaded = plansample_artifact::load(&path).expect("artifact loads");
-        std::hint::black_box(loaded.total().clone());
-        loaded
-    });
+    // Seven readings a side, interleaved, so a host that slows down
+    // mid-reading slows both.
+    let (mut cold, mut load) = (Vec::new(), Vec::new());
+    for _ in 0..7 {
+        cold.push(median_secs(1, || {
+            let space = cold_clique10();
+            std::hint::black_box(space.total().clone());
+            space
+        }));
+        load.push(median_secs(1, || {
+            let loaded = plansample_artifact::load(&path).expect("artifact loads");
+            std::hint::black_box(loaded.total().clone());
+            loaded
+        }));
+    }
+    let (cold, load) = (median(cold), median(load));
     let speedup = cold / load.max(1e-12);
     println!(
         "{name}: cold prepare {:.0} ms vs load {:.1} ms ({speedup:.2}x, {bytes} bytes on disk)",
@@ -237,16 +241,14 @@ fn prepare_costs_little_more_than_its_optimize_on_q8cp() {
     let config = OptimizerConfig::with_cross_products();
     // Interleaved, so a host that slows down mid-reading slows both.
     let (mut optimize, mut prepare) = (Vec::new(), Vec::new());
-    threadpool::with_threads(1, || {
-        for _ in 0..15 {
-            optimize.push(median_secs(1, || {
-                plansample_optimizer::optimize(&catalog, &query, &config).expect("Q8+CP optimizes")
-            }));
-            prepare.push(median_secs(1, || {
-                PreparedQuery::prepare(&catalog, &query, &config).expect("Q8+CP prepares")
-            }));
-        }
-    });
+    for _ in 0..15 {
+        optimize.push(median_secs(1, || {
+            plansample_optimizer::optimize(&catalog, &query, &config).expect("Q8+CP optimizes")
+        }));
+        prepare.push(median_secs(1, || {
+            PreparedQuery::prepare(&catalog, &query, &config).expect("Q8+CP prepares")
+        }));
+    }
     let (optimize, prepare) = (median(optimize), median(prepare));
     let ratio = prepare / optimize.max(1e-12);
     println!(

@@ -14,7 +14,7 @@
 //!   at these sizes, so the `u64` tier is what's exercised);
 //! * on the same spaces *forced* down the ladder with
 //!   [`PlanSpace::force_tier`] — the `u128` rung and the `Nat` rung
-//!   must emit the identical batches, across 1/2/4 threads;
+//!   must emit the identical batches;
 //! * on directly synthesized spaces straddling the tier boundaries:
 //!   chain/cycle graphs around the single-limb edge, clique-9 (the
 //!   smallest clique past one limb, now served by the `u128` tier), and
@@ -64,30 +64,25 @@ fn assert_flat_matches_tree(space: &PlanSpace, seed: u64, k: usize) {
 }
 
 /// `assert_flat_matches_tree` at every tier the space can be forced
-/// onto, at 1, 2, and 4 worker threads — `k` is chosen large enough
-/// (≥ 512) that multi-thread runs take the parallel shard path. The
-/// reference trees are unranked once, recursively, from ranks drawn
-/// with `Nat::random_below`; every (tier, threads) combination must
-/// reproduce them.
-fn assert_tiers_and_threads_agree(space: &PlanSpace, seed: u64, k: usize) {
+/// onto. The reference trees are unranked once, recursively, from ranks
+/// drawn with `Nat::random_below`; every tier must reproduce them.
+fn assert_tiers_agree(space: &PlanSpace, seed: u64, k: usize) {
     let trees = reference_sample_batch(space, seed, k);
     for tier in [CountTier::U64, CountTier::U128, CountTier::Nat] {
         let mut forced = space.clone();
         forced.force_tier(tier);
-        for threads in [1usize, 2, 4] {
-            let mut flat = PlanBatch::new();
-            let mut rng = StdRng::seed_from_u64(seed);
-            threadpool::with_threads(threads, || forced.sample_batch_flat(&mut rng, k, &mut flat));
-            assert_eq!(flat.len(), trees.len());
-            for (i, (ids, tree)) in flat.iter().zip(&trees).enumerate() {
-                assert_eq!(
-                    ids,
-                    tree.preorder_ids().as_slice(),
-                    "draw {i} diverged (forced tier={}, actual={}, {threads} threads)",
-                    tier,
-                    forced.counts().tier()
-                );
-            }
+        let mut flat = PlanBatch::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        forced.sample_batch_flat(&mut rng, k, &mut flat);
+        assert_eq!(flat.len(), trees.len());
+        for (i, (ids, tree)) in flat.iter().zip(&trees).enumerate() {
+            assert_eq!(
+                ids,
+                tree.preorder_ids().as_slice(),
+                "draw {i} diverged (forced tier={}, actual={})",
+                tier,
+                forced.counts().tier()
+            );
         }
     }
 }
@@ -143,9 +138,7 @@ proptest! {
     }
 
     /// Forced-tier sweep on small optimizer-built spaces: the `u64`,
-    /// `u128`, and exact-`Nat` unrankers emit bit-identical batches at
-    /// 1, 2, and 4 threads, with a batch size that exercises the
-    /// parallel shard fill.
+    /// `u128`, and exact-`Nat` unrankers emit bit-identical batches.
     #[test]
     fn forced_tiers_match_across_thread_counts(
         topo_sel in 0usize..4,
@@ -158,48 +151,40 @@ proptest! {
         let space = PlanSpace::build_shared(Arc::new(optimized.memo), Arc::new(query))
             .expect("acyclic memo");
         prop_assert!(space.counts().tier() == CountTier::U64);
-        assert_tiers_and_threads_agree(&space, seed ^ 0x7143, 600);
+        assert_tiers_agree(&space, seed ^ 0x7143, 600);
     }
 }
 
-/// The paper's own example (32 plans), through the parallel shard fill
-/// at every thread count.
+/// The paper's own example (32 plans), 600 draws.
 #[test]
 fn flat_batch_matches_tree_batch_at_every_thread_count() {
     let ex = plansample::paper_example::build();
     let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
     assert_eq!(space.counts().tier(), CountTier::U64);
     let trees = reference_sample_batch(&space, 11, 600);
-    for threads in [1, 2, 4] {
-        let mut batch = PlanBatch::new();
-        let mut rng = StdRng::seed_from_u64(11);
-        threadpool::with_threads(threads, || {
-            space.sample_batch_flat(&mut rng, 600, &mut batch)
-        });
-        assert_eq!(batch.len(), 600);
-        for (flat, tree) in batch.iter().zip(&trees) {
-            assert_eq!(flat, tree.preorder_ids().as_slice(), "{threads} threads");
-        }
+    let mut batch = PlanBatch::new();
+    let mut rng = StdRng::seed_from_u64(11);
+    space.sample_batch_flat(&mut rng, 600, &mut batch);
+    assert_eq!(batch.len(), 600);
+    for (flat, tree) in batch.iter().zip(&trees) {
+        assert_eq!(flat, tree.preorder_ids().as_slice());
     }
 }
 
-/// Batches under two chunks never ask how many threads there are (the
-/// size test comes first), so they must read the same whatever the
-/// answer would have been: `k` = 1, a serving-sized 16, and the last
-/// serial `k` before the shard path, at every tier and thread count.
+/// Small batches at every tier: `k` = 1, a serving-sized 16, and 511.
 #[test]
 fn small_batches_match_at_every_tier_and_thread_count() {
     let ex = plansample::paper_example::build();
     let space = PlanSpace::build(&ex.memo, &ex.query).unwrap();
     for k in [1, 16, 511] {
-        assert_tiers_and_threads_agree(&space, 11, k);
+        assert_tiers_agree(&space, 11, k);
     }
 }
 
 /// clique-9: the smallest clique whose total overflows one limb — it
 /// must land on the `u128` tier (not the exact fallback) and still
 /// match the tree sampler draw for draw, including when forced down to
-/// `Nat` and across thread counts.
+/// `Nat`.
 #[test]
 fn clique9_takes_the_u128_tier_and_matches() {
     let (_, query, memo) = JoinGraphSpec::new(Topology::Clique, 9, 20000).build_memo();
